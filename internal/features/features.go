@@ -17,10 +17,8 @@ package features
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"sort"
-	"strings"
 
 	"repro/internal/gbdt"
 	"repro/internal/trace"
@@ -38,32 +36,43 @@ const (
 // training vocabulary.
 const UnknownID = 0
 
+// isTokenByte is the one definition of a token character: an ASCII
+// letter or digit. Every byte of a multi-byte UTF-8 sequence (and every
+// invalid byte) is >= 0x80, so scanning bytes splits a string exactly
+// where scanning runes would.
+func isTokenByte(c byte) bool {
+	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9'
+}
+
+// nextToken returns the first token of s at or after byte offset from,
+// as a substring of s, and the offset just past it. The token is ""
+// once s is exhausted.
+func nextToken(s string, from int) (string, int) {
+	for from < len(s) && !isTokenByte(s[from]) {
+		from++
+	}
+	end := from
+	for end < len(s) && isTokenByte(s[end]) {
+		end++
+	}
+	return s[from:end], end
+}
+
 // Tokenize splits an execution-metadata string into its key elements:
 // maximal runs of alphanumeric characters (the paper: "key elements are
-// separated by non-alphanumeric characters").
+// separated by non-alphanumeric characters"). Tokens are substrings of
+// s, not copies.
 func Tokenize(s string) []string {
 	var tokens []string
-	var b strings.Builder
-	flush := func() {
-		if b.Len() > 0 {
-			tokens = append(tokens, b.String())
-			b.Reset()
-		}
+	for tok, end := nextToken(s, 0); tok != ""; tok, end = nextToken(s, end) {
+		tokens = append(tokens, tok)
 	}
-	for _, r := range s {
-		if r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9' {
-			b.WriteRune(r)
-		} else {
-			flush()
-		}
-	}
-	flush()
 	return tokens
 }
 
 // metadataFields enumerates the five string features of Table 2 with
 // accessors.
-var metadataFields = []struct {
+var metadataFields = [...]struct {
 	name string
 	get  func(*trace.Metadata) string
 }{
@@ -77,6 +86,10 @@ var metadataFields = []struct {
 // tokensPerField is how many leading tokens of each metadata string get
 // their own categorical feature (in addition to the full string).
 const tokensPerField = 2
+
+// numStringFeatures counts the vocabulary- or hash-encoded categorical
+// features: per metadata field, the full string plus its leading tokens.
+const numStringFeatures = len(metadataFields) * (1 + tokensPerField)
 
 // Encoder maps jobs to numeric feature rows. Two modes exist:
 //
@@ -134,22 +147,22 @@ func categoricalFeatureNames() []struct{ name, group string } {
 }
 
 // categoricalValues extracts the raw string values of all categorical
-// features of a job except weekday (which is encoded directly).
-func categoricalValues(j *trace.Job) []string {
-	out := make([]string, 0, len(metadataFields)*(1+tokensPerField))
-	for _, f := range metadataFields {
-		s := f.get(&j.Meta)
-		out = append(out, s)
-		tokens := Tokenize(s)
+// features of a job except weekday (which is encoded directly). Every
+// value is the field itself or a substring of it, so this runs on the
+// per-decision path without allocating.
+func categoricalValues(j *trace.Job) (vals [numStringFeatures]string) {
+	i := 0
+	for f := range metadataFields {
+		s := metadataFields[f].get(&j.Meta)
+		vals[i] = s
+		i++
+		end := 0
 		for t := 0; t < tokensPerField; t++ {
-			if t < len(tokens) {
-				out = append(out, tokens[t])
-			} else {
-				out = append(out, "")
-			}
+			vals[i], end = nextToken(s, end)
+			i++
 		}
 	}
-	return out
+	return vals
 }
 
 // BuildEncoder constructs vocabularies from the training jobs. maxVocab
@@ -159,9 +172,7 @@ func BuildEncoder(jobs []*trace.Job, maxVocab int) *Encoder {
 	if maxVocab <= 1 {
 		maxVocab = 2048
 	}
-	catNames := categoricalFeatureNames()
-	nStringFeatures := len(catNames) - 1 // weekday is not vocab-encoded
-	countsPerFeature := make([]map[string]int, nStringFeatures)
+	countsPerFeature := make([]map[string]int, numStringFeatures)
 	for i := range countsPerFeature {
 		countsPerFeature[i] = map[string]int{}
 	}
@@ -170,7 +181,7 @@ func BuildEncoder(jobs []*trace.Job, maxVocab int) *Encoder {
 			countsPerFeature[i][v]++
 		}
 	}
-	enc := &Encoder{Vocabs: make([]map[string]int, nStringFeatures)}
+	enc := &Encoder{Vocabs: make([]map[string]int, numStringFeatures)}
 	for i, counts := range countsPerFeature {
 		vocab := make(map[string]int, len(counts)+1)
 		// Keep the most frequent strings; deterministic order by
@@ -215,13 +226,19 @@ func BuildHashingEncoder(buckets int) (*Encoder, error) {
 	return e, nil
 }
 
+// hashBucket maps a string to its hashing-mode id: 0 for the empty
+// string, else 1 + FNV-1a(s) mod (buckets-1). The hash is inlined so
+// the per-decision path needs neither a hash.Hash32 nor a []byte copy.
 func hashBucket(s string, buckets int) int {
 	if s == "" {
 		return 0
 	}
-	h := fnv.New32a()
-	h.Write([]byte(s))
-	return 1 + int(h.Sum32()%uint32(buckets-1))
+	const offset32, prime32 = 2166136261, 16777619
+	h := uint32(offset32)
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint32(s[i])) * prime32
+	}
+	return 1 + int(h%uint32(buckets-1))
 }
 
 func (e *Encoder) buildSchema() {
@@ -344,9 +361,8 @@ func LoadEncoder(r io.Reader) (*Encoder, error) {
 // LoadEncoder does so itself.
 func (e *Encoder) Finalize() error {
 	if e.HashBuckets == 0 {
-		want := len(categoricalFeatureNames()) - 1
-		if len(e.Vocabs) != want {
-			return fmt.Errorf("features: encoder has %d vocabularies, want %d", len(e.Vocabs), want)
+		if len(e.Vocabs) != numStringFeatures {
+			return fmt.Errorf("features: encoder has %d vocabularies, want %d", len(e.Vocabs), numStringFeatures)
 		}
 	} else if e.HashBuckets < 2 {
 		return fmt.Errorf("features: encoder has %d hash buckets", e.HashBuckets)

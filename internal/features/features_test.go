@@ -2,6 +2,10 @@ package features
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -9,6 +13,65 @@ import (
 	"repro/internal/gbdt"
 	"repro/internal/trace"
 )
+
+// referenceTokenize is the rune-walking, copying tokenizer Tokenize
+// replaced. It stays as the specification the zero-copy scanner is
+// checked against.
+func referenceTokenize(s string) []string {
+	var tokens []string
+	var b strings.Builder
+	flush := func() {
+		if b.Len() > 0 {
+			tokens = append(tokens, b.String())
+			b.Reset()
+		}
+	}
+	for _, r := range s {
+		if r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9' {
+			b.WriteRune(r)
+		} else {
+			flush()
+		}
+	}
+	flush()
+	return tokens
+}
+
+// checkTokenizers asserts that Tokenize and the hot path's leading-token
+// scan both agree with the reference on s.
+func checkTokenizers(t *testing.T, s string) {
+	t.Helper()
+	want := referenceTokenize(s)
+	if got := Tokenize(s); !reflect.DeepEqual(got, want) {
+		t.Errorf("Tokenize(%q) = %q, reference %q", s, got, want)
+	}
+	end := 0
+	for i := 0; i < tokensPerField+1; i++ {
+		var tok, ref string
+		tok, end = nextToken(s, end)
+		if i < len(want) {
+			ref = want[i]
+		}
+		if tok != ref {
+			t.Errorf("leading token %d of %q = %q, reference %q", i, s, tok, ref)
+		}
+	}
+}
+
+func FuzzTokenize(f *testing.F) {
+	for _, s := range []string{
+		"", "---", "//", "--abc", "abc--", "--abc--def--", "abc",
+		"naïve.café", "日本語-abc", "Ⅷx٣", "a\xffb", "\xc3", "\xe2\x82", "a\x00b",
+	} {
+		f.Add(s)
+	}
+	for _, j := range sampleJobs()[:16] {
+		for _, field := range metadataFields {
+			f.Add(field.get(&j.Meta))
+		}
+	}
+	f.Fuzz(func(t *testing.T, s string) { checkTokenizers(t, s) })
+}
 
 func TestTokenize(t *testing.T) {
 	cases := []struct {
@@ -25,6 +88,94 @@ func TestTokenize(t *testing.T) {
 	for _, c := range cases {
 		if got := Tokenize(c.in); !reflect.DeepEqual(got, c.want) {
 			t.Errorf("Tokenize(%q) = %v, want %v", c.in, got, c.want)
+		}
+		checkTokenizers(t, c.in)
+	}
+}
+
+func TestCategoricalValuesMatchReference(t *testing.T) {
+	for _, j := range sampleJobs() {
+		vals := categoricalValues(j)
+		i := 0
+		for _, field := range metadataFields {
+			s := field.get(&j.Meta)
+			want := append([]string{s}, referenceTokenize(s)...)
+			for len(want) < 1+tokensPerField {
+				want = append(want, "")
+			}
+			for _, w := range want[:1+tokensPerField] {
+				if vals[i] != w {
+					t.Fatalf("job %s %s: value %d = %q, want %q", j.ID, field.name, i, vals[i], w)
+				}
+				i++
+			}
+		}
+	}
+}
+
+// datasetDigest hashes every cell of a dataset, column-major, by its
+// float64 bit pattern.
+func datasetDigest(ds *gbdt.Dataset) string {
+	h := sha256.New()
+	var b [8]byte
+	for _, col := range ds.Cols {
+		for _, v := range col[:ds.N] {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestDatasetGoldenDigest pins the encoded rows of the C0 sample trace
+// to the digests the strings.Builder tokenizer and hash/fnv produced
+// (recorded at the commit before the zero-copy rewrite): a vocabulary
+// built from all jobs, a capped vocabulary built from half of them
+// (unknown ids in play), and a hashing encoder.
+func TestDatasetGoldenDigest(t *testing.T) {
+	jobs := sampleJobs()
+	hashing, err := BuildHashingEncoder(256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		enc  *Encoder
+		want string
+	}{
+		{"vocabulary", BuildEncoder(jobs, 0), "4abaf416afae68cffca1c05d341c045bde6145fc779be9d48c3a878546ab66e9"},
+		{"capped vocabulary", BuildEncoder(jobs[:len(jobs)/2], 64), "ef30f904fee14f08baf8c409f25175875369acae37f552740a458843a82893d7"},
+		{"hashing", hashing, "fbde18e4aad0234d9ce60e9f29ef8740ceff79783f53ba96c5e6eddbb64c471b"},
+	} {
+		if got := datasetDigest(c.enc.Dataset(jobs)); got != c.want {
+			t.Errorf("%s encoder: dataset digest %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
+// TestEncodeSteadyStateAllocs is the feature path's allocation budget:
+// encoding into a caller-owned row allocates nothing in either mode.
+func TestEncodeSteadyStateAllocs(t *testing.T) {
+	jobs := sampleJobs()[:256]
+	hashing, err := BuildHashingEncoder(256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		enc  *Encoder
+	}{
+		{"vocabulary", BuildEncoder(jobs, 0)},
+		{"hashing", hashing},
+	} {
+		row := make([]float64, c.enc.NumFeatures())
+		allocs := testing.AllocsPerRun(10, func() {
+			for _, j := range jobs {
+				row = c.enc.Encode(j, row)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s encoder: %.1f allocations per %d-job pass, want 0", c.name, allocs, len(jobs))
 		}
 	}
 }

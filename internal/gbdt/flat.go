@@ -258,8 +258,11 @@ func (f *Forest) PredictBatch(rows [][]float64) [][]float64 {
 }
 
 // PredictBatchInto is PredictBatch writing logits into a reusable flat
-// buffer laid out row-major (len(rows) x NumClasses). It returns the
-// (possibly grown) buffer.
+// buffer laid out row-major (len(rows) x NumClasses). The buffer is the
+// caller's scratch for the whole kernel: the spare capacity behind the
+// logits holds the row tile, so a caller that hands the returned slice
+// back on its next call allocates nothing, whatever the row count does
+// below the next block boundary.
 //
 // The kernel iterates block -> class -> 8-row group -> class trees:
 // eight rows descend each tree in lockstep for its fixed depth
@@ -273,21 +276,26 @@ func (f *Forest) PredictBatch(rows [][]float64) [][]float64 {
 func (f *Forest) PredictBatchInto(rows [][]float64, logits []float64) []float64 {
 	n := len(rows)
 	k := f.NumClasses
-	if cap(logits) < n*k {
-		logits = make([]float64, n*k)
-	}
-	logits = logits[:n*k]
 	nodes := f.nodes
 	bits := f.catBits
 	nf := f.NumFeatures
+	if cap(logits) < n*k+batchBlock*nf {
+		// Logits are sized to whole blocks so that batches wandering
+		// between sizes share one buffer.
+		blocks := (n + batchBlock - 1) / batchBlock
+		logits = make([]float64, blocks*batchBlock*k+batchBlock*nf)
+	}
 	// acc accumulates one class's partial sums for the current block in
 	// contiguous, L1-resident scratch; the strided logits buffer is
 	// touched once per class per block. tile holds the block's feature
 	// rows packed contiguously, so each descent lane carries one integer
 	// offset instead of a full slice header — with eight lanes in
-	// flight, that halves the kernel's register pressure.
+	// flight, that halves the kernel's register pressure. Every tile row
+	// a lane reads was copied in for this block, so what an earlier call
+	// left there is never seen.
 	var acc [batchBlock]float64
-	tile := make([]float64, batchBlock*nf)
+	tile := logits[n*k : n*k+batchBlock*nf]
+	logits = logits[:n*k]
 	for start := 0; start < n; start += batchBlock {
 		end := start + batchBlock
 		if end > n {

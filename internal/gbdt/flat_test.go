@@ -141,6 +141,45 @@ func TestForestRegressor(t *testing.T) {
 	}
 }
 
+// TestPredictClassBatchSteadyStateAllocs is the batch kernel's
+// allocation budget: a caller that hands back the scratch it was given
+// allocates nothing, across row counts on both sides of the 8-lane
+// group and the block boundary, and the logits it reads out of that
+// scratch stay bit-equal to Model.Logits (the tile shares the buffer).
+func TestPredictClassBatchSteadyStateAllocs(t *testing.T) {
+	m, rows := trainFlatFixture(t, 200, 10)
+	f := m.MustCompile()
+	sizes := []int{1, 8, 13, 64, 65, 13, 1}
+	var classes []int
+	var scratch []float64
+	for _, n := range sizes { // grow once to the largest size
+		classes, scratch = f.PredictClassBatch(rows[:n], classes, scratch)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		for _, n := range sizes {
+			classes, scratch = f.PredictClassBatch(rows[:n], classes, scratch)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("PredictClassBatch with its own scratch: %.1f allocations per pass over sizes %v, want 0", allocs, sizes)
+	}
+	for _, n := range sizes {
+		off := 100 - n // a different window per size, so stale tile rows would show
+		classes, scratch = f.PredictClassBatch(rows[off:off+n], classes, scratch)
+		for i, row := range rows[off : off+n] {
+			want := m.Logits(row)
+			for k := range want {
+				if got := scratch[i*f.NumClasses+k]; got != want[k] {
+					t.Fatalf("%d rows, row %d class %d: logit %v, Model.Logits %v", n, i, k, got, want[k])
+				}
+			}
+			if classes[i] != m.PredictClass(row) {
+				t.Fatalf("%d rows, row %d: class %d, model %d", n, i, classes[i], m.PredictClass(row))
+			}
+		}
+	}
+}
+
 func BenchmarkModelPredictPerRow(b *testing.B) {
 	m, rows := trainFlatFixture(b, 2000, 60)
 	b.ResetTimer()

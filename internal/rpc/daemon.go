@@ -454,7 +454,8 @@ func (d *Daemon) handlePlace(w http.ResponseWriter, r *http.Request) {
 
 // handlePlaceBinary serves the binary frame path of /v1/place: body
 // read, frame decode, SubmitEncoded, frame encode — all through pooled
-// scratch, with no per-job feature work anywhere.
+// scratch, with no per-job feature work on the daemon (the client
+// extracted and pre-binned the rows).
 func (d *Daemon) handlePlaceBinary(w http.ResponseWriter, r *http.Request, start time.Time) {
 	if d.cfg.DisableBinary {
 		d.counters.RecordBadRequest()
@@ -508,12 +509,15 @@ func (d *Daemon) handlePlaceBinary(w http.ResponseWriter, r *http.Request, start
 		b.Span("serve.submit", "", submitStart, time.Since(submitStart))
 	}
 	if err != nil {
-		if errors.Is(err, serve.ErrModelVersion) {
+		switch {
+		case errors.Is(err, serve.ErrModelVersion):
 			d.counters.RecordBadRequest()
 			d.writeError(w, r, http.StatusConflict, wire.ErrCodeModelVersion, err.Error())
-			return
+		case errors.Is(err, serve.ErrMalformedRow):
+			d.badRequest(w, r, err)
+		default:
+			d.serverError(w, r, err)
 		}
-		d.serverError(w, r, err)
 		return
 	}
 	sc.wdecs = appendWireDecisions(sc.wdecs[:0], sc.decisions)
@@ -803,10 +807,14 @@ func (d *Daemon) serveStream(conn net.Conn, rw *bufio.ReadWriter) {
 		if err != nil {
 			b.Finish()
 			code := wire.ErrCodeServer
-			if errors.Is(err, serve.ErrModelVersion) {
+			switch {
+			case errors.Is(err, serve.ErrModelVersion):
 				code = wire.ErrCodeModelVersion
 				d.counters.RecordBadRequest()
-			} else {
+			case errors.Is(err, serve.ErrMalformedRow):
+				code = wire.ErrCodeBadRequest
+				d.counters.RecordBadRequest()
+			default:
 				d.counters.RecordServerError()
 			}
 			if d.writeStreamError(rw, code, err.Error()) != nil {

@@ -54,6 +54,13 @@ import (
 // the caller must refresh its binner and re-bin before retrying.
 var ErrModelVersion = errors.New("serve: pre-binned rows target a stale model version")
 
+// ErrMalformedRow reports a pre-binned row the serving model's binner
+// could not have produced: the wrong feature count, a numeric bin past
+// the last edge, or a categorical id outside the cardinality. It is the
+// submitter's fault, not the server's; the row is rejected before any
+// shard sees it.
+var ErrMalformedRow = errors.New("serve: malformed pre-binned row")
+
 // Config tunes the serving layer.
 type Config struct {
 	// Shards is the number of admission shards (>= 1). Each shard has
@@ -121,37 +128,69 @@ type activeModel struct {
 	version registry.Version
 }
 
-// message is one unit of shard work: a span of placement requests from
-// one submitter (all routed to this shard), a span of pre-binned rows
-// from the binary wire path, or a feedback observation. Spans keep the
-// channel cost per job at ~1/len(jobs) of a send.
-type message struct {
-	// Placement spans (raw jobs):
-	jobs []*trace.Job
-	outs []*Decision // parallel to jobs (or to span.rows)
-	wg   *sync.WaitGroup
-	enq  time.Time
-	// Pre-binned placement spans (jobs == nil, span != nil):
-	span *encodedSpan
-	// skip is worker-local: set when the span was rejected (stale
-	// version) and its wg already released during row assembly.
-	skip bool
-	// Observations (jobs == nil, span == nil):
-	job     *trace.Job
-	outcome sim.Outcome
+// call is the per-call state of one SubmitBatch or SubmitEncoded: the
+// caller's own slices plus the index that fans them out over shards.
+// Calls are pooled, so in steady state a submission allocates nothing
+// here.
+//
+// order holds the call's row indices counting-sorted by shard (ties in
+// submission order), so a shard's share of the call is one contiguous
+// range of order, and a message carries that range instead of per-shard
+// copies of the rows. Workers read jobs/rows/arrivals and write out only
+// at the indices in their own range; nothing on a worker may touch the
+// call after its wg.Done(), which is what lets the submitter hand the
+// call back to the pool as soon as wg.Wait returns.
+type call struct {
+	// Exactly one of jobs (raw, encoded on the worker) and rows
+	// (pre-binned by the client, with arrivals as the decision clock) is
+	// set.
+	jobs     []*trace.Job
+	rows     [][]uint16
+	arrivals []float64
+	out      []Decision
+	// version pins pre-binned rows to the model whose edges quantized
+	// them. The worker checks the pin against the active model at
+	// classification time (a hot swap between submit and process would
+	// otherwise expand the bins through the wrong edges) and sets
+	// mismatch instead of serving wrong decisions.
+	version  int
+	mismatch atomic.Bool
+
+	hashes []uint32 // TemplateHash per job; scratch of the raw path
+	order  []int32  // row indices sorted by shard
+	cursor []int32  // counting-sort scratch, one slot per shard plus one
+	wg     sync.WaitGroup
 }
 
-// encodedSpan carries one shard's slice of a pre-binned submission. The
-// rows were quantized by the client against version's bin edges; the
-// worker checks that pin against the active model at classification
-// time (a hot swap between submit and process would otherwise expand
-// the bins through the wrong edges) and flags mismatch instead of
-// serving wrong decisions.
-type encodedSpan struct {
-	version  int
-	rows     [][]uint16
-	arrivals []float64 // parallel to rows (virtual decision clock)
-	mismatch *atomic.Bool
+// release drops the caller's slices and returns the call to the pool.
+// Only valid once every message sent for the call has been answered.
+func (s *Server) release(c *call) {
+	c.jobs, c.rows, c.arrivals, c.out = nil, nil, nil, nil
+	c.mismatch.Store(false)
+	s.calls.Put(c)
+}
+
+// arrival returns the virtual decision clock of row i.
+func (c *call) arrival(i int32) float64 {
+	if c.jobs != nil {
+		return c.jobs[i].ArrivalSec
+	}
+	return c.arrivals[i]
+}
+
+// message is one unit of shard work: one shard's range of a placement
+// call, or a feedback observation. Ranges keep the channel cost per job
+// at ~1/len(range) of a send.
+type message struct {
+	// Placements: rows call.order[lo:hi] of call.
+	// The worker clears call when it rejects the range (stale version)
+	// and releases the call's wg during row assembly.
+	call   *call
+	lo, hi int32
+	enq    time.Time
+	// Observations (call == nil from the start):
+	job     *trace.Job
+	outcome sim.Outcome
 }
 
 // Server is the concurrent placement-serving front-end. Create with
@@ -170,6 +209,7 @@ type Server struct {
 	swaps     atomic.Int64
 	shards    []*shard
 	unsub     func()
+	calls     sync.Pool // *call, cursor sized for cfg.Shards
 
 	mu     sync.RWMutex // guards closed vs in-flight submits
 	closed bool
@@ -219,6 +259,8 @@ func New(reg *registry.Registry, workload string, cm *cost.Model, cfg Config) (*
 		cfg.QueueDepth = 4 * cfg.BatchSize
 	}
 	s := &Server{cfg: cfg, cm: cm, workload: workload, reg: reg}
+	cursors := cfg.Shards + 1
+	s.calls.New = func() any { return &call{cursor: make([]int32, cursors)} }
 	// Subscribe before the initial resolve: a version published in
 	// between is then picked up by its callback instead of being
 	// silently missed.
@@ -324,26 +366,16 @@ func (s *Server) shardIndex(j *trace.Job) int {
 // Submit requests a placement decision for one job, blocking until the
 // decision is served (at most roughly FlushInterval plus inference).
 func (s *Server) Submit(j *trace.Job) (Decision, error) {
-	var d Decision
-	var wg sync.WaitGroup
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		return Decision{}, fmt.Errorf("serve: server is closed")
-	}
-	wg.Add(1)
-	s.shards[s.shardIndex(j)].send(message{
-		jobs: []*trace.Job{j}, outs: []*Decision{&d}, wg: &wg, enq: time.Now(),
-	})
-	s.mu.RUnlock()
-	wg.Wait()
-	return d, nil
+	jobs := [1]*trace.Job{j}
+	var out [1]Decision
+	_, err := s.SubmitBatch(jobs[:], out[:])
+	return out[0], err
 }
 
 // SubmitBatch requests decisions for a stream of jobs, fanning them out
-// across shards as one span per shard and blocking until every decision
+// across shards as one range per shard and blocking until every decision
 // is in. out is reused when large enough. This is the preferred entry
-// point for bursty streams: spans keep the queue cost per job tiny and
+// point for bursty streams: ranges keep the queue cost per job tiny and
 // deep per-shard queues let workers amortize inference over full
 // batches.
 func (s *Server) SubmitBatch(jobs []*trace.Job, out []Decision) ([]Decision, error) {
@@ -354,31 +386,14 @@ func (s *Server) SubmitBatch(jobs []*trace.Job, out []Decision) ([]Decision, err
 	if len(jobs) == 0 {
 		return out, nil
 	}
-	nsh := len(s.shards)
-	spanJobs := make([][]*trace.Job, nsh)
-	spanOuts := make([][]*Decision, nsh)
-	for i, j := range jobs {
-		sid := s.shardIndex(j)
-		spanJobs[sid] = append(spanJobs[sid], j)
-		spanOuts[sid] = append(spanOuts[sid], &out[i])
+	c := s.calls.Get().(*call)
+	defer s.release(c)
+	c.jobs, c.out = jobs, out
+	c.hashes = c.hashes[:0]
+	for _, j := range jobs {
+		c.hashes = append(c.hashes, TemplateHash(j))
 	}
-	var wg sync.WaitGroup
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		return out, fmt.Errorf("serve: server is closed")
-	}
-	now := time.Now()
-	for sid := 0; sid < nsh; sid++ {
-		if len(spanJobs[sid]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		s.shards[sid].send(message{jobs: spanJobs[sid], outs: spanOuts[sid], wg: &wg, enq: now})
-	}
-	s.mu.RUnlock()
-	wg.Wait()
-	return out, nil
+	return out, s.fanOut(c, c.hashes)
 }
 
 // SubmitEncoded requests decisions for pre-binned feature rows — the
@@ -387,9 +402,11 @@ func (s *Server) SubmitBatch(jobs []*trace.Job, out []Decision) ([]Decision, err
 // row for shard routing and arrivals the per-job virtual decision clock.
 // The daemon does no feature work here: rows go straight to the shard
 // workers, which expand bins to representative values and classify.
-// Returns ErrModelVersion when version no longer matches the serving
-// model (at submit or, after a mid-flight hot swap, at classification
-// time); the caller must re-fetch the bin edges, re-bin and retry.
+// Returns ErrMalformedRow when a row is not one the serving model's
+// binner could have produced, and ErrModelVersion when version no longer
+// matches the serving model (at submit or, after a mid-flight hot swap,
+// at classification time); for the latter the caller must re-fetch the
+// bin edges, re-bin and retry.
 func (s *Server) SubmitEncoded(version int, hashes []uint32, arrivals []float64, rows [][]uint16, out []Decision) ([]Decision, error) {
 	if len(hashes) != len(rows) || len(arrivals) != len(rows) {
 		return out, fmt.Errorf("serve: encoded submission has %d rows, %d hashes, %d arrivals",
@@ -406,46 +423,70 @@ func (s *Server) SubmitEncoded(version int, hashes []uint32, arrivals []float64,
 	if am.version.Number != version {
 		return out, fmt.Errorf("%w: have v%d, serving v%d", ErrModelVersion, version, am.version.Number)
 	}
-	nf := am.binner.NumFeatures()
 	for i, r := range rows {
-		if len(r) != nf {
-			return out, fmt.Errorf("serve: encoded row %d has %d features, want %d", i, len(r), nf)
+		if err := am.binner.ValidateBins(r); err != nil {
+			return out, fmt.Errorf("%w: row %d: %v", ErrMalformedRow, i, err)
 		}
 	}
-	nsh := len(s.shards)
-	spans := make([]encodedSpan, nsh)
-	spanOuts := make([][]*Decision, nsh)
-	var mismatch atomic.Bool
-	for i := range rows {
-		sid := int(hashes[i] % uint32(nsh))
-		sp := &spans[sid]
-		sp.rows = append(sp.rows, rows[i])
-		sp.arrivals = append(sp.arrivals, arrivals[i])
-		spanOuts[sid] = append(spanOuts[sid], &out[i])
+	c := s.calls.Get().(*call)
+	defer s.release(c)
+	c.rows, c.arrivals, c.out, c.version = rows, arrivals, out, version
+	if err := s.fanOut(c, hashes); err != nil {
+		return out, err
 	}
-	var wg sync.WaitGroup
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		return out, fmt.Errorf("serve: server is closed")
-	}
-	now := time.Now()
-	for sid := 0; sid < nsh; sid++ {
-		sp := &spans[sid]
-		if len(sp.rows) == 0 {
-			continue
-		}
-		sp.version = version
-		sp.mismatch = &mismatch
-		wg.Add(1)
-		s.shards[sid].send(message{span: sp, outs: spanOuts[sid], wg: &wg, enq: now})
-	}
-	s.mu.RUnlock()
-	wg.Wait()
-	if mismatch.Load() {
+	if c.mismatch.Load() {
 		return out, fmt.Errorf("%w: hot swap landed mid-flight", ErrModelVersion)
 	}
 	return out, nil
+}
+
+// fanOut routes the call's rows to their shards (row i to shard
+// hashes[i] % Shards) and blocks until every shard has answered. It
+// counting-sorts the row indices by shard into the call's pooled
+// scratch and sends each shard that has rows one message naming its
+// range.
+func (s *Server) fanOut(c *call, hashes []uint32) error {
+	nsh := uint32(len(s.shards))
+	cursor := c.cursor
+	for sid := range cursor {
+		cursor[sid] = 0
+	}
+	// Count shard sid into cursor[sid+1] and prefix-sum, so cursor[sid]
+	// is where shard sid's range begins; placing a row advances it, so
+	// afterwards cursor[sid] is where the range ends.
+	for _, h := range hashes {
+		cursor[h%nsh+1]++
+	}
+	for sid := uint32(1); sid <= nsh; sid++ {
+		cursor[sid] += cursor[sid-1]
+	}
+	if cap(c.order) < len(hashes) {
+		c.order = make([]int32, len(hashes))
+	}
+	c.order = c.order[:len(hashes)]
+	for i, h := range hashes {
+		sid := h % nsh
+		c.order[cursor[sid]] = int32(i)
+		cursor[sid]++
+	}
+
+	s.mu.RLock()
+	if s.closed {
+		s.mu.RUnlock()
+		return fmt.Errorf("serve: server is closed")
+	}
+	now := time.Now()
+	lo := int32(0)
+	for sid, hi := range cursor[:nsh] {
+		if hi > lo {
+			c.wg.Add(1)
+			s.shards[sid].send(message{call: c, lo: lo, hi: hi, enq: now})
+		}
+		lo = hi
+	}
+	s.mu.RUnlock()
+	c.wg.Wait()
+	return nil
 }
 
 // WireModel returns one consistent snapshot of the active model's
@@ -541,24 +582,19 @@ func (s *Server) ACT() []int {
 // worker holds a shard worker's reusable batch state.
 type worker struct {
 	batch   []message
-	jobs    int // placement jobs accumulated across batch spans
+	jobs    int // placement jobs accumulated across batch messages
 	rows    [][]float64
 	classes []int
 	scratch []float64
 }
 
 // placements returns how many placement rows a message contributes.
-func (m *message) placements() int {
-	if m.span != nil {
-		return len(m.span.rows)
-	}
-	return len(m.jobs)
-}
+func (m *message) placements() int { return int(m.hi - m.lo) }
 
 // run is the shard worker loop: single-flight batch accumulation with a
 // max-latency flush, then batched classification and admission. The
 // batch closes when the accumulated placement jobs reach BatchSize (a
-// single larger span still processes whole), when FlushInterval elapses
+// single larger range still processes whole), when FlushInterval elapses
 // after the batch's first message, or — the adaptive path — as soon as
 // the queue drains with no submitter in flight (pending == 0): a lone
 // low-QPS submitter then never waits out the flush timer, which is what
@@ -628,11 +664,12 @@ func (s *Server) run(sh *shard) {
 // process serves one accumulated batch on the shard worker goroutine.
 // Observations are applied first (they carry strictly older outcomes),
 // then all placement rows are assembled — raw jobs encoded, pre-binned
-// spans expanded through the active binner — and classified in one
+// rows expanded through the active binner — and classified in one
 // forest batch, then admissions are decided per job on the shard's
-// controller. Pre-binned spans pinned to a stale model version are
-// rejected here (flagged for the submitter, no decisions served): their
-// bins would expand through the wrong edges.
+// controller, written straight into the submitter's out. Pre-binned
+// ranges pinned to a stale model version are rejected here (flagged for
+// the submitter, no decisions served): their bins would expand through
+// the wrong edges.
 func (s *Server) process(sh *shard, w *worker, flush metrics.FlushKind) {
 	if len(w.batch) == 0 {
 		return
@@ -645,29 +682,29 @@ func (s *Server) process(sh *shard, w *worker, flush metrics.FlushKind) {
 	n := 0
 	for i := range w.batch {
 		m := &w.batch[i]
+		c := m.call
 		switch {
-		case m.span != nil:
-			m.skip = false
-			if m.span.version != am.version.Number {
-				m.span.mismatch.Store(true)
-				m.skip = true
-				m.wg.Done()
-				continue
-			}
-			for _, bins := range m.span.rows {
-				// Unbin copies values into worker-owned scratch, so
-				// the (possibly pooled) wire row buffers are never
-				// retained past this batch.
-				w.rows[n] = am.binner.Unbin(bins, w.rows[n])
-				n++
-			}
-		case m.jobs != nil:
-			for _, j := range m.jobs {
-				w.rows[n] = am.model.Encoder.Encode(j, w.rows[n])
+		case c == nil:
+			s.observe(sh, m)
+		case c.jobs != nil:
+			for _, r := range c.order[m.lo:m.hi] {
+				w.rows[n] = am.model.Encoder.Encode(c.jobs[r], w.rows[n])
 				n++
 			}
 		default:
-			s.observe(sh, m)
+			if c.version != am.version.Number {
+				c.mismatch.Store(true)
+				c.wg.Done()
+				m.call = nil
+				continue
+			}
+			for _, r := range c.order[m.lo:m.hi] {
+				// Unbin copies values into worker-owned scratch, so
+				// the (possibly pooled) wire row buffers are never
+				// retained past this batch.
+				w.rows[n] = am.binner.Unbin(c.rows[r], w.rows[n])
+				n++
+			}
 		}
 	}
 	if n == 0 {
@@ -679,32 +716,17 @@ func (s *Server) process(sh *shard, w *worker, flush metrics.FlushKind) {
 	n = 0
 	for i := range w.batch {
 		m := &w.batch[i]
-		if m.skip || (m.jobs == nil && m.span == nil) {
+		c := m.call
+		if c == nil { // an observation, or a range rejected above
 			continue
 		}
 		latency := now.Sub(m.enq)
 		sh.batchLat.RecordDuration(latency)
-		if m.span != nil {
-			for k := range m.span.rows {
-				cat := w.classes[n]
-				n++
-				admit := sh.adaptive.Admit(cat, m.span.arrivals[k])
-				*m.outs[k] = Decision{
-					Admit:        admit,
-					Category:     cat,
-					ModelVersion: am.version.Number,
-					Shard:        sh.id,
-				}
-				sh.counters.RecordDecision(admit, latency)
-			}
-			m.wg.Done()
-			continue
-		}
-		for k, j := range m.jobs {
+		for _, r := range c.order[m.lo:m.hi] {
 			cat := w.classes[n]
 			n++
-			admit := sh.adaptive.Admit(cat, j.ArrivalSec)
-			*m.outs[k] = Decision{
+			admit := sh.adaptive.Admit(cat, c.arrival(r))
+			c.out[r] = Decision{
 				Admit:        admit,
 				Category:     cat,
 				ModelVersion: am.version.Number,
@@ -712,7 +734,7 @@ func (s *Server) process(sh *shard, w *worker, flush metrics.FlushKind) {
 			}
 			sh.counters.RecordDecision(admit, latency)
 		}
-		m.wg.Done()
+		c.wg.Done()
 	}
 	sh.amu.Unlock()
 	sh.counters.RecordBatch(flush)
