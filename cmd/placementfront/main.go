@@ -34,7 +34,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -43,7 +42,6 @@ import (
 	"repro/internal/router"
 	"repro/internal/rpc"
 	"repro/internal/rpc/wire"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -174,20 +172,6 @@ func (f *front) handler() http.Handler {
 	return mux
 }
 
-// traceIDFromHeader parses a propagated trace ID, 0 when absent or
-// malformed — a bad header never fails the request.
-func traceIDFromHeader(r *http.Request) uint64 {
-	h := r.Header.Get(wire.TraceHeader)
-	if h == "" {
-		return 0
-	}
-	id, err := strconv.ParseUint(h, 16, 64)
-	if err != nil {
-		return 0
-	}
-	return id
-}
-
 // handlePlace serves POST /v1/place in JSON and fans the batch out
 // across the plane. Backend codec negotiation (binary frames,
 // pre-binning, 409 refresh) happens inside the router's node clients.
@@ -209,7 +193,7 @@ func (f *front) handlePlace(w http.ResponseWriter, r *http.Request) {
 	// always traced, otherwise sample 1-in-N. The builder rides the
 	// context so the router's dispatch goroutines and the node clients
 	// record spans and forward the ID without signature churn.
-	b := f.tracer.Begin(traceIDFromHeader(r))
+	b := f.tracer.Begin(wire.TraceIDFromHeader(r.Header))
 	defer b.Finish()
 	ctx := obs.WithTrace(r.Context(), b)
 	var placeStart time.Time
@@ -249,13 +233,7 @@ func (f *front) handleOutcome(w http.ResponseWriter, r *http.Request) {
 		writeJSONError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	o := sim.Outcome{
-		WantedSSD: req.Outcome.WantedSSD,
-		FracOnSSD: req.Outcome.FracOnSSD,
-		SpilledAt: req.Outcome.SpilledAt,
-		EvictedAt: req.Outcome.EvictedAt,
-	}
-	if err := f.router.Observe(r.Context(), req.Job, req.Category, o); err != nil {
+	if err := f.router.Observe(r.Context(), req.Job, req.Category, req.Outcome.Sim()); err != nil {
 		writeJSONError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}

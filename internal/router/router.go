@@ -2,6 +2,7 @@ package router
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -241,7 +242,8 @@ type group struct {
 // returning them in input order. Jobs group by template hash, each
 // group routes to its ring owner (skipping unhealthy or over-bound
 // nodes), and node failures reroute the affected groups to the next
-// owner up to MaxReroutes times.
+// owner up to MaxReroutes times. A batch a node refuses as a bad
+// request fails as it is: see clientFault.
 func (r *Router) Place(ctx context.Context, jobs []*trace.Job) ([]wire.Decision, error) {
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("router: place request has no jobs")
@@ -268,6 +270,12 @@ func (r *Router) Place(ctx context.Context, jobs []*trace.Job) ([]wire.Decision,
 			r.counters.RecordFailure()
 			return nil, ctx.Err()
 		}
+		for _, f := range failed {
+			if clientFault(f.err) {
+				r.counters.RecordFailure()
+				return nil, f.err
+			}
+		}
 		if attempt >= r.cfg.MaxReroutes {
 			r.counters.RecordFailure()
 			return nil, fmt.Errorf("router: %d jobs still failing after %d reroutes: %w",
@@ -284,6 +292,16 @@ func (r *Router) Place(ctx context.Context, jobs []*trace.Job) ([]wire.Decision,
 	}
 }
 
+// clientFault reports whether err is a node's (or its client's) verdict
+// that the request itself is wrong. Such an answer is final: the node
+// that gave it is healthy, and the next owner would be handed the same
+// garbage. Sheds and stale versions that outlasted the client's retries
+// are not client faults; they still down the node and reroute.
+func clientFault(err error) bool {
+	var refused *rpc.Error
+	return errors.As(err, &refused) && refused.Code == wire.ErrCodeBadRequest
+}
+
 // PlaceOne routes a single job.
 func (r *Router) PlaceOne(ctx context.Context, j *trace.Job) (wire.Decision, error) {
 	ds, err := r.Place(ctx, []*trace.Job{j})
@@ -297,7 +315,8 @@ func (r *Router) PlaceOne(ctx context.Context, j *trace.Job) (wire.Decision, err
 // template — the same serve.TemplateHash key Place routes by, so the
 // feedback lands on the daemon whose shard (and attached learner or
 // heat tracker) served that workload's decisions. A node failure marks
-// it down and retries the next ring owner, up to MaxReroutes times.
+// it down and retries the next ring owner, up to MaxReroutes times; an
+// outcome the owner refuses as a bad request fails as it is.
 func (r *Router) Observe(ctx context.Context, j *trace.Job, category int, o sim.Outcome) error {
 	if j == nil {
 		return fmt.Errorf("router: observe request has no job")
@@ -318,6 +337,10 @@ func (r *Router) Observe(ctx context.Context, j *trace.Job, category int, o sim.
 		if ctx.Err() != nil {
 			r.counters.RecordFailure()
 			return ctx.Err()
+		}
+		if clientFault(err) {
+			r.counters.RecordFailure()
+			return err
 		}
 		n.mu.Lock()
 		if n.healthy {
@@ -487,8 +510,8 @@ func (r *Router) dispatch(ctx context.Context, jobs []*trace.Job, out []wire.Dec
 			obs.TraceFrom(ctx).Span("router.dispatch", nb.url, dispatchStart, dispatchDur)
 			n.mu.Lock()
 			n.inflight -= int64(len(nb.indices))
-			if err != nil && ctx.Err() == nil {
-				// Any dispatch failure — connection refused, reset
+			if err != nil && ctx.Err() == nil && !clientFault(err) {
+				// Any other dispatch failure — connection refused, reset
 				// mid-body, retries exhausted — downs the node until a
 				// probe brings it back; the batch reroutes.
 				if n.healthy {

@@ -2,12 +2,16 @@ package router
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/rpc"
+	"repro/internal/rpc/wire"
 	"repro/internal/serve"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // TestRouterSpreadsByTemplate checks the routing contract on a healthy
@@ -273,5 +277,102 @@ func TestRouterProbeRecovery(t *testing.T) {
 	})
 	if rs := r.Stats(); rs.Probes == 0 || rs.ProbeFailures == 0 {
 		t.Errorf("probe counters %+v, want both probes and failures > 0", rs)
+	}
+}
+
+// TestRouterClientFaultIsFinal pins who is blamed for a request that is
+// itself wrong: the caller, not the node that said so. The refusal
+// comes back as it is, both nodes stay healthy, nothing fails over or
+// reroutes (the next owner would only be handed the same garbage), and
+// the template's next valid request still lands on its original owner.
+func TestRouterClientFaultIsFinal(t *testing.T) {
+	fx := testFixture(t)
+	job := fx.jobs[0]
+	invalid := *job
+	invalid.LifetimeSec = -1 // fails trace.Job.Validate
+	good := sim.Outcome{WantedSSD: true, FracOnSSD: 1, SpilledAt: -1, EvictedAt: -1}
+	bad := good
+	bad.FracOnSSD = 1.5 // fails wire.OutcomeRequest.Validate on the daemon
+
+	for _, tc := range []struct {
+		name  string
+		codec string
+		fault func(r *Router) error
+		valid func(r *Router) error
+		// landed reads how many valid requests a node has served.
+		landed func(s metrics.RPCSnapshot) int64
+	}{
+		{
+			name:   "outcome out of range",
+			codec:  rpc.CodecBinary,
+			fault:  func(r *Router) error { return r.Observe(context.Background(), job, 0, bad) },
+			valid:  func(r *Router) error { return r.Observe(context.Background(), job, 0, good) },
+			landed: func(s metrics.RPCSnapshot) int64 { return s.OutcomeRequests },
+		},
+		{
+			// The JSON client sends jobs as they are; the daemon validates.
+			name:  "invalid job, refused by the daemon",
+			codec: rpc.CodecJSON,
+			fault: func(r *Router) error {
+				_, err := r.Place(context.Background(), []*trace.Job{job, &invalid})
+				return err
+			},
+			valid:  func(r *Router) error { _, err := r.PlaceOne(context.Background(), job); return err },
+			landed: func(s metrics.RPCSnapshot) int64 { return s.PlaceJobs },
+		},
+		{
+			// The binary client validates while it bins, before sending.
+			name:  "invalid job, refused by the node client",
+			codec: rpc.CodecBinary,
+			fault: func(r *Router) error {
+				_, err := r.Place(context.Background(), []*trace.Job{job, &invalid})
+				return err
+			},
+			valid:  func(r *Router) error { _, err := r.PlaceOne(context.Background(), job); return err },
+			landed: func(s metrics.RPCSnapshot) int64 { return s.PlaceJobs },
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, _ := newTestPlane(t, 2)
+			cfg := DefaultConfig(p.URLs())
+			cfg.ProbeInterval = time.Minute // a wrongly downed node must stay visibly down
+			cfg.Client.Codec = tc.codec
+			r, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(r.Close)
+			owner, ok := r.RouteKey(serve.TemplateHash(job))
+			if !ok {
+				t.Fatal("no owner for the test template")
+			}
+
+			err = tc.fault(r)
+			var refused *rpc.Error
+			if !errors.As(err, &refused) || refused.Code != wire.ErrCodeBadRequest {
+				t.Fatalf("faulty request surfaced %v, want an *rpc.Error with the bad-request code", err)
+			}
+			for _, ns := range r.Nodes() {
+				if !ns.Healthy {
+					t.Errorf("node %s downed by a client fault", ns.URL)
+				}
+			}
+			if rs := r.Stats(); rs.Failovers != 0 || rs.Reroutes != 0 {
+				t.Errorf("client fault recorded %d failovers / %d reroutes, want 0 / 0", rs.Failovers, rs.Reroutes)
+			}
+
+			if err := tc.valid(r); err != nil {
+				t.Fatalf("valid request after the fault: %v", err)
+			}
+			for i, url := range p.URLs() {
+				want := int64(0)
+				if url == owner {
+					want = 1
+				}
+				if got := tc.landed(p.Node(i).Stats()); got != want {
+					t.Errorf("node %s served %d valid requests, want %d (owner is %s)", url, got, want, owner)
+				}
+			}
+		})
 	}
 }

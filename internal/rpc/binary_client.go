@@ -1,11 +1,8 @@
 package rpc
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 
 	"repro/internal/features"
@@ -30,10 +27,11 @@ type clientBinState struct {
 	traceIDs bool
 }
 
-// clientScratch pools the binary place path's per-call buffers: one
-// feature row, the bin backing array, the parallel request columns, the
-// encoded frame, the response body and its decoded form. Steady-state
-// binary placement reuses all of them.
+// clientScratch pools one call's buffers: the encoded request (frame: a
+// binary frame or a JSON body), the response body and, for the binary
+// place path, one feature row, the bin backing array, the parallel
+// request columns and the decoded decisions. Steady-state binary
+// placement reuses all of them.
 type clientScratch struct {
 	row      []float64
 	backing  []uint16
@@ -56,17 +54,13 @@ func (c *Client) binaryState(ctx context.Context) (*clientBinState, error) {
 }
 
 // reprobeBinary rate-limits recovery from the JSON-fallback latch:
-// every BinaryReprobeEvery-th fallback placement re-fetches /v1/model,
+// every binaryReprobeEvery-th fallback placement re-fetches /v1/model,
 // and only a successful fetch that advertises the binary codec clears
 // the latch. Transient fetch failures keep the latch — the placement at
 // hand proceeds over JSON instead of failing on a probe. Reports
 // whether the caller should take the binary path now.
 func (c *Client) reprobeBinary(ctx context.Context) bool {
-	every := int64(c.cfg.BinaryReprobeEvery)
-	if every <= 0 {
-		return false
-	}
-	if c.jsonPlaces.Add(1)%every != 0 {
+	if c.jsonPlaces.Add(1)%binaryReprobeEvery != 0 {
 		return false
 	}
 	st, err := c.refreshBinState(ctx)
@@ -130,11 +124,13 @@ func encodeBinaryPlace(st *clientBinState, jobs []*trace.Job, traceID uint64, sc
 	}
 	sc.rows, sc.hashes, sc.arrivals = sc.rows[:n], sc.hashes[:n], sc.arrivals[:n]
 	for i, j := range jobs {
+		// The checks the daemon applies to a JSON batch, with the same
+		// verdict: a bad request, not a failed node.
 		if j == nil {
-			return fmt.Errorf("rpc: job %d is nil", i)
+			return &Error{Op: "place", Code: wire.ErrCodeBadRequest, Message: fmt.Sprintf("job %d is nil", i)}
 		}
 		if err := j.Validate(); err != nil {
-			return fmt.Errorf("rpc: job %d: %w", i, err)
+			return &Error{Op: "place", Code: wire.ErrCodeBadRequest, Message: fmt.Sprintf("job %d: %v", i, err)}
 		}
 		// Feature extraction and binning happen here, on the client —
 		// the daemon sees only bins and never touches strings.
@@ -151,154 +147,28 @@ func encodeBinaryPlace(st *clientBinState, jobs []*trace.Job, traceID uint64, sc
 	return err
 }
 
-// placeBinary runs one binary place operation. handled is false when
-// the daemon turns out to be JSON-only (the caller then takes the JSON
-// path); otherwise the result is final. Sheds retry with the same
-// policy as the JSON path; a 409 (model hot swap) re-fetches the bin
-// schema, re-bins, and retries.
-func (c *Client) placeBinary(ctx context.Context, jobs []*trace.Job) (decisions []wire.Decision, handled bool, err error) {
+// placeFrames runs one binary place operation, over s when non-nil and
+// as HTTP requests otherwise: extract and bin the jobs into sc under
+// st's schema, drive the frame to its verdict, copy the decisions out.
+func (c *Client) placeFrames(ctx context.Context, s *StreamSession, sc *clientScratch, st *clientBinState, jobs []*trace.Job) ([]wire.Decision, error) {
 	if len(jobs) == 0 {
-		c.requests.Add(1)
-		c.failures.Add(1)
-		return nil, true, fmt.Errorf("rpc: place request has no jobs")
+		return nil, &Error{Op: "place", Code: wire.ErrCodeBadRequest, Message: "place request has no jobs"}
 	}
-	st, err := c.binaryState(ctx)
-	if err != nil {
-		c.requests.Add(1)
-		c.failures.Add(1)
-		return nil, true, err
+	if err := encodeBinaryPlace(st, jobs, obs.TraceID(ctx), sc); err != nil {
+		return nil, err
 	}
-	if st == nil {
-		return nil, false, nil // JSON-only daemon
+	if err := c.run(ctx, s, httpOp{http.MethodPost, wire.PathPlace, true}, sc, jobs); err != nil {
+		return nil, err
 	}
-	c.requests.Add(1)
-	sc := c.scratch.Get().(*clientScratch)
-	defer c.scratch.Put(sc)
-	traceID := obs.TraceID(ctx)
-	if err := encodeBinaryPlace(st, jobs, traceID, sc); err != nil {
-		c.failures.Add(1)
-		return nil, true, err
+	if len(sc.bresp.Decisions) != len(jobs) {
+		return nil, fmt.Errorf("rpc: got %d decisions for %d jobs", len(sc.bresp.Decisions), len(jobs))
 	}
-	backoff := c.cfg.RetryBackoff
-	swaps := 0
-	for attempt := 0; ; attempt++ {
-		status, err := c.attemptBinary(ctx, sc)
-		switch {
-		case err == nil:
-			if len(sc.bresp.Decisions) != len(jobs) {
-				c.failures.Add(1)
-				return nil, true, fmt.Errorf("rpc: got %d decisions for %d jobs", len(sc.bresp.Decisions), len(jobs))
-			}
-			// Copy out of the pooled scratch and restore the job IDs the
-			// binary codec elides (responses answer rows in order).
-			out := make([]wire.Decision, len(jobs))
-			copy(out, sc.bresp.Decisions)
-			for i := range out {
-				out[i].JobID = jobs[i].ID
-			}
-			return out, true, nil
-		case status == http.StatusUnsupportedMediaType:
-			// Binary disabled on the daemon: latch JSON for good.
-			c.jsonOnly.Store(true)
-			c.requests.Add(-1) // the JSON path will re-count this op
-			return nil, false, nil
-		case status == http.StatusConflict:
-			// Our bins chase a retired model version. Refresh and re-bin;
-			// allow a couple of chases in case publishes race the retry.
-			if swaps++; swaps > 2 {
-				c.failures.Add(1)
-				return nil, true, fmt.Errorf("rpc: model version still moving after %d refreshes: %w", swaps-1, err)
-			}
-			st, rerr := c.refreshBinState(ctx)
-			if rerr != nil || st == nil {
-				c.failures.Add(1)
-				if rerr == nil {
-					rerr = fmt.Errorf("rpc: daemon stopped speaking binary mid-operation")
-				}
-				return nil, true, rerr
-			}
-			if err := encodeBinaryPlace(st, jobs, traceID, sc); err != nil {
-				c.failures.Add(1)
-				return nil, true, err
-			}
-			continue
-		case status != http.StatusTooManyRequests:
-			c.failures.Add(1)
-			return nil, true, err
-		}
-		c.sheds.Add(1)
-		if attempt >= c.cfg.MaxRetries {
-			c.failures.Add(1)
-			return nil, true, fmt.Errorf("rpc: POST %s still shed after %d retries: %w", wire.PathPlace, attempt, err)
-		}
-		if serr := c.sleepBackoff(ctx, &backoff); serr != nil {
-			c.failures.Add(1)
-			return nil, true, serr
-		}
-		c.retries.Add(1)
+	// Copy out of the pooled scratch and restore the job IDs the binary
+	// codec elides (responses answer rows in order).
+	out := make([]wire.Decision, len(jobs))
+	copy(out, sc.bresp.Decisions)
+	for i := range out {
+		out[i].JobID = jobs[i].ID
 	}
-}
-
-// attemptBinary sends sc.frame as one binary place request and decodes
-// the binary response into sc.bresp. It returns the HTTP status (0 on
-// transport errors) alongside any error.
-func (c *Client) attemptBinary(ctx context.Context, sc *clientScratch) (int, error) {
-	actx, cancel := context.WithTimeout(ctx, c.cfg.RequestTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(actx, http.MethodPost, c.cfg.BaseURL+wire.PathPlace, bytes.NewReader(sc.frame))
-	if err != nil {
-		return 0, fmt.Errorf("rpc: %w", err)
-	}
-	req.Header.Set("Content-Type", wire.ContentTypeBinary)
-	req.Header.Set("Accept", wire.ContentTypeBinary)
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return 0, fmt.Errorf("rpc: %w", err)
-	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		_ = resp.Body.Close()
-	}()
-	sc.body, err = readBody(resp.Body, sc.body[:0])
-	if err != nil {
-		return resp.StatusCode, fmt.Errorf("rpc: reading response: %w", err)
-	}
-	if resp.StatusCode/100 != 2 {
-		return resp.StatusCode, decodeWireError(resp.StatusCode, sc.body)
-	}
-	ft, payload, err := wire.DecodeFrame(sc.body, 0)
-	if err != nil {
-		return resp.StatusCode, fmt.Errorf("rpc: %w", err)
-	}
-	switch ft {
-	case wire.FramePlaceResponse:
-		if err := wire.DecodePlaceResponse(payload, &sc.bresp, 0); err != nil {
-			return resp.StatusCode, fmt.Errorf("rpc: %w", err)
-		}
-		return resp.StatusCode, nil
-	case wire.FrameError:
-		code, msg, derr := wire.DecodeError(payload)
-		if derr != nil {
-			return resp.StatusCode, fmt.Errorf("rpc: %w", derr)
-		}
-		return resp.StatusCode, fmt.Errorf("rpc: daemon error %d: %s", code, msg)
-	default:
-		return resp.StatusCode, fmt.Errorf("rpc: unexpected frame type %d in place response", ft)
-	}
-}
-
-// decodeWireError turns a non-2xx response body — a binary error frame
-// or a JSON ErrorResponse, depending on what the daemon negotiated —
-// into a descriptive error.
-func decodeWireError(status int, body []byte) error {
-	if ft, payload, err := wire.DecodeFrame(body, 0); err == nil && ft == wire.FrameError {
-		if code, msg, derr := wire.DecodeError(payload); derr == nil {
-			return fmt.Errorf("rpc: POST %s: %s (%d, code %d)", wire.PathPlace, msg, status, code)
-		}
-	}
-	var e wire.ErrorResponse
-	if derr := json.Unmarshal(body, &e); derr == nil && e.Error != "" {
-		return fmt.Errorf("rpc: POST %s: %s (%d)", wire.PathPlace, e.Error, status)
-	}
-	return fmt.Errorf("rpc: POST %s: status %d", wire.PathPlace, status)
+	return out, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand/v2"
@@ -51,19 +52,18 @@ type ClientConfig struct {
 	// unique per-client seed, so concurrent clients jitter
 	// independently; tests pin a nonzero seed for reproducible sleeps.
 	JitterSeed uint64
-	// BinaryReprobeEvery caps recovery from the JSON-fallback latch:
-	// when a binary-preferring client has latched JSON (the daemon
-	// answered 415 or omitted the bin schema), every Nth fallback
-	// placement re-fetches /v1/model and switches back to binary if the
-	// daemon speaks it again — a daemon restarted with binary
-	// re-enabled is picked up without restarting its clients. 0
-	// defaults to 256; negative disables re-probing (the latch is then
-	// permanent).
-	BinaryReprobeEvery int
 	// Transport overrides the HTTP transport (nil = a shared keep-alive
 	// transport sized for many concurrent connections).
 	Transport http.RoundTripper
 }
+
+// binaryReprobeEvery caps recovery from the JSON-fallback latch: when a
+// binary-preferring client has latched JSON (the daemon answered 415 or
+// omitted the bin schema), every 256th fallback placement re-fetches
+// /v1/model and switches back to binary if the daemon speaks it again —
+// a daemon restarted with binary re-enabled is picked up without
+// restarting its clients.
+const binaryReprobeEvery = 256
 
 // DefaultClientConfig returns client parameters for a daemon at
 // baseURL: 2 s deadlines, 3 shed retries with 2 ms doubling backoff.
@@ -102,7 +102,7 @@ type Client struct {
 	// Binary-codec state: the model's bin schema + encoder, pinned to a
 	// version and refreshed on 409; jsonOnly latches the JSON fallback
 	// against daemons that don't speak binary (re-probed every
-	// BinaryReprobeEvery fallback placements, counted by jsonPlaces);
+	// binaryReprobeEvery fallback placements, counted by jsonPlaces);
 	// scratch pools the per-call encode/decode buffers.
 	binState   atomic.Pointer[clientBinState]
 	jsonOnly   atomic.Bool
@@ -136,9 +136,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	}
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = 2 * time.Millisecond
-	}
-	if cfg.BinaryReprobeEvery == 0 {
-		cfg.BinaryReprobeEvery = 256
 	}
 	switch cfg.Codec {
 	case "", CodecJSON, CodecBinary:
@@ -194,23 +191,72 @@ func (c *Client) sleepBackoff(ctx context.Context, backoff *time.Duration) error
 	return nil
 }
 
+// Error is a final refusal of one operation: the wire code it was
+// refused with (wire.ErrCode*), the HTTP status that carried the code
+// (0 on a stream, and when the client itself rejected the request
+// before sending it) and the daemon's message. Sheds and stale bin
+// schemas surface only once the client's retries are spent. Match with
+// errors.As: Code == wire.ErrCodeBadRequest means the request itself is
+// wrong and would fail the same way on any node.
+type Error struct {
+	Op      string
+	Code    uint16
+	Status  int
+	Message string
+}
+
+func (e *Error) Error() string {
+	return fmt.Sprintf("rpc: %s: %s (code %d, status %d)", e.Op, e.Message, e.Code, e.Status)
+}
+
+// refusedWith reports whether err is a refusal carried by the given
+// HTTP status.
+func refusedWith(err error, status int) bool {
+	var refused *Error
+	return errors.As(err, &refused) && refused.Status == status
+}
+
+// count closes one logical operation's accounting.
+func (c *Client) count(err error) error {
+	if err != nil {
+		c.failures.Add(1)
+	}
+	return err
+}
+
 // Place requests decisions for a batch of jobs, in order.
 func (c *Client) Place(ctx context.Context, jobs []*trace.Job) ([]wire.Decision, error) {
+	c.requests.Add(1)
+	ds, err := c.place(ctx, jobs)
+	return ds, c.count(err)
+}
+
+// place picks the codec: frames while the daemon speaks binary (and on
+// every re-probe that finds it does again), JSON otherwise.
+func (c *Client) place(ctx context.Context, jobs []*trace.Job) ([]wire.Decision, error) {
 	if c.cfg.Codec == CodecBinary && (!c.jsonOnly.Load() || c.reprobeBinary(ctx)) {
-		decisions, handled, err := c.placeBinary(ctx, jobs)
-		if handled {
-			return decisions, err
+		st, err := c.binaryState(ctx)
+		if err != nil {
+			return nil, err
+		}
+		if st != nil {
+			sc := c.scratch.Get().(*clientScratch)
+			defer c.scratch.Put(sc)
+			ds, err := c.placeFrames(ctx, nil, sc, st, jobs)
+			if err == nil || !refusedWith(err, http.StatusUnsupportedMediaType) {
+				return ds, err
+			}
+			// Binary was disabled on the daemon since the schema fetch.
+			c.jsonOnly.Store(true)
 		}
 		// The daemon doesn't speak binary; fall through to JSON, now
-		// latched until the next scheduled re-probe (if enabled).
+		// latched until the next scheduled re-probe.
 	}
 	var resp wire.PlaceResponse
-	err := c.do(ctx, http.MethodPost, wire.PathPlace, wire.PlaceRequest{Jobs: jobs}, &resp)
-	if err != nil {
+	if err := c.call(ctx, http.MethodPost, wire.PathPlace, wire.PlaceRequest{Jobs: jobs}, &resp); err != nil {
 		return nil, err
 	}
 	if len(resp.Decisions) != len(jobs) {
-		c.failures.Add(1)
 		return nil, fmt.Errorf("rpc: got %d decisions for %d jobs", len(resp.Decisions), len(jobs))
 	}
 	return resp.Decisions, nil
@@ -228,24 +274,17 @@ func (c *Client) PlaceOne(ctx context.Context, j *trace.Job) (wire.Decision, err
 // Observe reports a placement outcome back to the daemon. category is
 // the Decision.Category the placement acted on.
 func (c *Client) Observe(ctx context.Context, j *trace.Job, category int, o sim.Outcome) error {
-	req := wire.OutcomeRequest{
-		Job:      j,
-		Category: category,
-		Outcome: wire.Outcome{
-			WantedSSD: o.WantedSSD,
-			FracOnSSD: o.FracOnSSD,
-			SpilledAt: o.SpilledAt,
-			EvictedAt: o.EvictedAt,
-		},
-	}
-	return c.do(ctx, http.MethodPost, wire.PathOutcome, req, nil)
+	c.requests.Add(1)
+	req := wire.OutcomeRequest{Job: j, Category: category, Outcome: wire.OutcomeOf(o)}
+	return c.count(c.call(ctx, http.MethodPost, wire.PathOutcome, req, nil))
 }
 
 // ModelInfo fetches the daemon's active-model metadata.
 func (c *Client) ModelInfo(ctx context.Context) (wire.ModelInfo, error) {
+	c.requests.Add(1)
 	var info wire.ModelInfo
-	err := c.do(ctx, http.MethodGet, wire.PathModel, nil, &info)
-	return info, err
+	err := c.call(ctx, http.MethodGet, wire.PathModel, nil, &info)
+	return info, c.count(err)
 }
 
 // Stats returns the client's operation counters.
@@ -261,84 +300,198 @@ func (c *Client) Stats() ClientStats {
 // Close releases idle connections. The client may not be used after.
 func (c *Client) Close() { c.hc.CloseIdleConnections() }
 
-// do runs one logical operation: marshal once, send with a per-attempt
-// deadline, retry shed responses up to MaxRetries with doubling
-// backoff, decode the final response.
-func (c *Client) do(ctx context.Context, method, path string, body, into any) error {
-	c.requests.Add(1)
-	var payload []byte
+// call runs one JSON operation: marshal body (nil = none) once, drive
+// it to its final verdict, decode the 2xx document into into (nil =
+// none expected).
+func (c *Client) call(ctx context.Context, method, path string, body, into any) error {
+	sc := c.scratch.Get().(*clientScratch)
+	defer c.scratch.Put(sc)
+	sc.frame = sc.frame[:0]
 	if body != nil {
-		var err error
-		if payload, err = json.Marshal(body); err != nil {
-			c.failures.Add(1)
+		if err := json.NewEncoder((*byteSink)(&sc.frame)).Encode(body); err != nil {
 			return fmt.Errorf("rpc: encoding request: %w", err)
 		}
 	}
+	if err := c.run(ctx, nil, httpOp{method: method, path: path}, sc, nil); err != nil {
+		return err
+	}
+	if into != nil {
+		if err := json.Unmarshal(sc.body, into); err != nil {
+			return fmt.Errorf("rpc: decoding response: %w", err)
+		}
+	}
+	return nil
+}
+
+// httpOp is the HTTP shape of one operation; frames marks a binary
+// frame body that asks for a frame back.
+type httpOp struct {
+	method, path string
+	frames       bool
+}
+
+// reply is the daemon's verdict on one attempt: wire code 0 with the
+// answer in the call's scratch, or the code it refused with, its
+// message and the HTTP status that carried them (0 on a stream).
+type reply struct {
+	code   uint16
+	status int
+	msg    string
+}
+
+// run is the one retry loop. It drives the request encoded in sc.frame
+// to its final verdict, as a frame exchange on s or, when s is nil, as
+// the HTTP request op. A shed backs off and re-sends, up to MaxRetries
+// times; a stale-version refusal of a binary place (jobs is what
+// sc.frame encodes) refreshes the bin schema and re-bins, at most
+// twice, on a budget of its own, so publishes racing the retry cost no
+// shed retries. Any other refusal is final and comes back as an *Error;
+// transport failures come back as they are.
+func (c *Client) run(ctx context.Context, s *StreamSession, op httpOp, sc *clientScratch, jobs []*trace.Job) error {
 	backoff := c.cfg.RetryBackoff
-	for attempt := 0; ; attempt++ {
-		status, err := c.attempt(ctx, method, path, payload, into)
+	for swaps, sheds := 0, 0; ; {
+		var rep reply
+		var err error
+		if s != nil {
+			rep, err = s.exchange(ctx)
+		} else {
+			rep, err = c.exchange(ctx, op, sc)
+		}
 		switch {
-		case err == nil:
+		case err != nil:
+			return err
+		case rep.code == 0:
 			return nil
-		case status != http.StatusTooManyRequests:
-			c.failures.Add(1)
-			return err
+		case rep.code == wire.ErrCodeModelVersion && jobs != nil && swaps < 2:
+			swaps++
+			st, err := c.refreshBinState(ctx)
+			if err == nil && st == nil {
+				err = errors.New("rpc: daemon stopped speaking binary mid-operation")
+			}
+			if err == nil {
+				err = encodeBinaryPlace(st, jobs, obs.TraceID(ctx), sc)
+			}
+			if err != nil {
+				return err
+			}
+			continue
+		case rep.code == wire.ErrCodeModelVersion:
+			rep.msg = fmt.Sprintf("model version still moving after %d refreshes: %s", swaps, rep.msg)
+		case rep.code == wire.ErrCodeOverloaded:
+			c.sheds.Add(1)
+			if sheds < c.cfg.MaxRetries {
+				sheds++
+				if err := c.sleepBackoff(ctx, &backoff); err != nil {
+					return err
+				}
+				c.retries.Add(1)
+				continue
+			}
+			rep.msg = fmt.Sprintf("still shed after %d retries: %s", sheds, rep.msg)
 		}
-		c.sheds.Add(1)
-		if attempt >= c.cfg.MaxRetries {
-			c.failures.Add(1)
-			return fmt.Errorf("rpc: %s %s still shed after %d retries: %w", method, path, attempt, err)
+		what := "stream place"
+		if s == nil {
+			what = op.method + " " + op.path
 		}
-		if err := c.sleepBackoff(ctx, &backoff); err != nil {
-			c.failures.Add(1)
-			return err
-		}
-		c.retries.Add(1)
+		return &Error{Op: what, Code: rep.code, Status: rep.status, Message: rep.msg}
 	}
 }
 
-// attempt sends one HTTP request and decodes its response. It returns
-// the HTTP status (0 on transport errors) alongside any error.
-func (c *Client) attempt(ctx context.Context, method, path string, payload []byte, into any) (int, error) {
+// exchange sends sc.frame as one HTTP request under the per-attempt
+// deadline, reads the response into sc.body and returns the daemon's
+// verdict. Decisions answering a frame land in sc.bresp; a JSON
+// document stays in sc.body for the caller.
+func (c *Client) exchange(ctx context.Context, op httpOp, sc *clientScratch) (reply, error) {
 	actx, cancel := context.WithTimeout(ctx, c.cfg.RequestTimeout)
 	defer cancel()
-	var rd io.Reader
-	if payload != nil {
-		rd = bytes.NewReader(payload)
+	var body io.Reader
+	if len(sc.frame) > 0 {
+		body = bytes.NewReader(sc.frame)
 	}
-	req, err := http.NewRequestWithContext(actx, method, c.cfg.BaseURL+path, rd)
+	req, err := http.NewRequestWithContext(actx, op.method, c.cfg.BaseURL+op.path, body)
 	if err != nil {
-		return 0, fmt.Errorf("rpc: %w", err)
+		return reply{}, fmt.Errorf("rpc: %w", err)
 	}
-	if payload != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	// Sampled requests carry their trace ID so the daemon's /tracez can
-	// correlate its server-side spans with the caller's; the header is
-	// ignored by daemons that predate tracing.
-	if tid := obs.TraceID(ctx); tid != 0 {
-		req.Header.Set(wire.TraceHeader, fmt.Sprintf("%016x", tid))
+	if op.frames {
+		// The trace ID rides in the frame.
+		req.Header.Set("Content-Type", wire.ContentTypeBinary)
+		req.Header.Set("Accept", wire.ContentTypeBinary)
+	} else {
+		if body != nil {
+			req.Header.Set("Content-Type", wire.ContentTypeJSON)
+		}
+		// Sampled requests carry their trace ID so the daemon's /tracez
+		// can correlate its server-side spans with the caller's; the
+		// header is ignored by daemons that predate tracing.
+		if tid := obs.TraceID(ctx); tid != 0 {
+			req.Header.Set(wire.TraceHeader, fmt.Sprintf("%016x", tid))
+		}
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return 0, fmt.Errorf("rpc: %w", err)
+		return reply{}, fmt.Errorf("rpc: %w", err)
 	}
-	defer func() {
-		// Drain so the connection is reusable even on error bodies.
-		_, _ = io.Copy(io.Discard, resp.Body)
-		_ = resp.Body.Close()
-	}()
-	if resp.StatusCode/100 != 2 {
+	// Reading to EOF is what makes the connection reusable.
+	defer resp.Body.Close()
+	if sc.body, err = readBody(resp.Body, sc.body[:0]); err != nil {
+		return reply{}, fmt.Errorf("rpc: reading response: %w", err)
+	}
+
+	rep := reply{status: resp.StatusCode}
+	ok := rep.status/100 == 2
+	if ok && !op.frames {
+		return rep, nil
+	}
+	// A frame speaks for itself: decisions, or a refusal with its own
+	// code. Any other refusal is an ErrorResponse coded by its status.
+	if ft, payload, ferr := wire.DecodeFrame(sc.body, 0); ferr == nil {
+		if rep.code, rep.msg, err = decodeReplyFrame(ft, payload, &sc.bresp); err != nil {
+			return rep, fmt.Errorf("rpc: %w", err)
+		}
+	} else if ok {
+		return rep, fmt.Errorf("rpc: %w", ferr)
+	} else {
 		var e wire.ErrorResponse
-		if derr := json.NewDecoder(resp.Body).Decode(&e); derr == nil && e.Error != "" {
-			return resp.StatusCode, fmt.Errorf("rpc: %s %s: %s (%d)", method, path, e.Error, resp.StatusCode)
-		}
-		return resp.StatusCode, fmt.Errorf("rpc: %s %s: status %d", method, path, resp.StatusCode)
+		// Any other body (a proxy's error page, nothing at all) leaves
+		// the status to speak alone.
+		_ = json.Unmarshal(sc.body, &e)
+		rep.msg = e.Error
 	}
-	if into != nil {
-		if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
-			return resp.StatusCode, fmt.Errorf("rpc: decoding response: %w", err)
-		}
+	if !ok && rep.code == 0 {
+		rep.code = wireCode(rep.status)
 	}
-	return resp.StatusCode, nil
+	if !ok && rep.msg == "" {
+		rep.msg = http.StatusText(rep.status)
+	}
+	return rep, nil
+}
+
+// decodeReplyFrame reads one daemon reply frame, from an HTTP body or
+// off a stream: decisions into resp (code 0), or an error frame's code
+// and message.
+func decodeReplyFrame(ft wire.FrameType, payload []byte, resp *wire.BinaryPlaceResponse) (uint16, string, error) {
+	switch ft {
+	case wire.FramePlaceResponse:
+		return 0, "", wire.DecodePlaceResponse(payload, resp, 0)
+	case wire.FrameError:
+		return wire.DecodeError(payload)
+	default:
+		return 0, "", fmt.Errorf("unexpected frame type %d in place reply", ft)
+	}
+}
+
+// wireCode reads a refusal that came without an error frame off its
+// HTTP status: the inverse of the daemon's httpStatus table, with every
+// other 4xx a bad request and anything else the server's fault.
+func wireCode(status int) uint16 {
+	switch {
+	case status == http.StatusTooManyRequests:
+		return wire.ErrCodeOverloaded
+	case status == http.StatusConflict:
+		return wire.ErrCodeModelVersion
+	case status/100 == 4:
+		return wire.ErrCodeBadRequest
+	default:
+		return wire.ErrCodeServer
+	}
 }

@@ -130,7 +130,6 @@ func TestBinaryReprobeAfterRestart(t *testing.T) {
 
 	cfg := DefaultClientConfig(front.URL)
 	cfg.Codec = CodecBinary
-	cfg.BinaryReprobeEvery = 4
 	c, err := NewClient(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -146,11 +145,11 @@ func TestBinaryReprobeAfterRestart(t *testing.T) {
 		t.Fatal("client did not latch the JSON fallback")
 	}
 
-	// "Restart" the daemon with binary enabled. The next three places
-	// are still inside the re-probe budget and must stay on JSON.
+	// "Restart" the daemon with binary enabled. The next 255 places are
+	// still inside the re-probe budget and must stay on JSON.
 	h2 := binaryD.Handler()
 	handler.Store(&h2)
-	for i := 0; i < 3; i++ {
+	for i := 0; i < binaryReprobeEvery-1; i++ {
 		if _, err := c.Place(context.Background(), fx.jobs[4:8]); err != nil {
 			t.Fatal(err)
 		}
@@ -158,12 +157,12 @@ func TestBinaryReprobeAfterRestart(t *testing.T) {
 	if !c.jsonOnly.Load() {
 		t.Fatal("client un-latched before the re-probe boundary")
 	}
-	if snap := binaryD.Stats(); snap.PlaceBinary != 0 || snap.PlaceJSON != 3 {
-		t.Fatalf("restarted daemon saw %d binary / %d json places before the boundary, want 0 / 3",
-			snap.PlaceBinary, snap.PlaceJSON)
+	if snap := binaryD.Stats(); snap.PlaceBinary != 0 || snap.PlaceJSON != binaryReprobeEvery-1 {
+		t.Fatalf("restarted daemon saw %d binary / %d json places before the boundary, want 0 / %d",
+			snap.PlaceBinary, snap.PlaceJSON, binaryReprobeEvery-1)
 	}
 
-	// The fourth fallback placement crosses the boundary: one probe,
+	// The 256th fallback placement crosses the boundary: one probe,
 	// then binary from here on.
 	if _, err := c.Place(context.Background(), fx.jobs[8:12]); err != nil {
 		t.Fatal(err)
@@ -193,7 +192,6 @@ func TestBinaryReprobeStaysLatchedAgainstJSONDaemon(t *testing.T) {
 
 	ccfg := DefaultClientConfig(d.BaseURL())
 	ccfg.Codec = CodecBinary
-	ccfg.BinaryReprobeEvery = 2
 	c, err := NewClient(ccfg)
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +202,7 @@ func TestBinaryReprobeStaysLatchedAgainstJSONDaemon(t *testing.T) {
 		t.Fatal(err)
 	}
 	probes := d.Stats().ModelRequests
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 2*binaryReprobeEvery; i++ {
 		if _, err := c.Place(context.Background(), fx.jobs[:2]); err != nil {
 			t.Fatal(err)
 		}
@@ -212,8 +210,8 @@ func TestBinaryReprobeStaysLatchedAgainstJSONDaemon(t *testing.T) {
 	if !c.jsonOnly.Load() {
 		t.Error("client un-latched against a JSON-only daemon")
 	}
-	// 4 fallback places at a re-probe cadence of 2 = exactly 2 probes.
+	// 512 fallback places at the re-probe cadence of 256 = exactly 2 probes.
 	if got := d.Stats().ModelRequests - probes; got != 2 {
-		t.Errorf("client probed /v1/model %d times over 4 places, want 2", got)
+		t.Errorf("client probed /v1/model %d times over %d places, want 2", got, 2*binaryReprobeEvery)
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/rpc/wire"
-	"repro/internal/serve"
 )
 
 // newCodecClient builds a client for d using the given codec.
@@ -209,41 +208,6 @@ func jobJSON(t *testing.T, fx fixture) string {
 	return string(b)
 }
 
-// TestBinaryHotSwapRefresh publishes a new model version mid-flight and
-// checks the 409 -> refresh -> retry loop: the client's next place
-// transparently re-bins against the new schema and succeeds.
-func TestBinaryHotSwapRefresh(t *testing.T) {
-	fx := testFixture(t)
-	reg := fx.newRegistry(t)
-	d := startDaemon(t, reg, testConfig())
-	c := newCodecClient(t, d, CodecBinary)
-
-	ds, err := c.Place(context.Background(), fx.jobs[:4])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds[0].ModelVersion != 1 {
-		t.Fatalf("first place served v%d, want v1", ds[0].ModelVersion)
-	}
-
-	// Hot swap: same model object, new version number and new pinning.
-	if _, err := reg.Publish("w", fx.model, 0); err != nil {
-		t.Fatal(err)
-	}
-	waitForVersion(t, d, 2)
-
-	ds, err = c.Place(context.Background(), fx.jobs[4:8])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds[0].ModelVersion != 2 {
-		t.Fatalf("post-swap place served v%d, want v2", ds[0].ModelVersion)
-	}
-	if st := c.binState.Load(); st == nil || st.version != 2 {
-		t.Errorf("client bin state not refreshed to v2: %+v", st)
-	}
-}
-
 // waitForVersion blocks until the daemon serves the given version (the
 // registry subscription delivers swaps asynchronously).
 func waitForVersion(t testing.TB, d *Daemon, version int) {
@@ -254,99 +218,5 @@ func waitForVersion(t testing.TB, d *Daemon, version int) {
 			t.Fatalf("daemon never reached model version %d (at %d)", version, d.ModelVersion())
 		}
 		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestMalformedBinaryRowsAreBadRequests pins who is blamed for a frame
-// that decodes but carries rows the serving model's binner could not
-// have produced (right model version; wrong feature count, or a bin
-// index out of range): the client. Over HTTP that is 400 with a
-// bad-request error frame, over a stream a bad-request error frame on a
-// session that stays usable; both count a bad request and no server
-// error, so a router in front never ejects a healthy node over it.
-func TestMalformedBinaryRowsAreBadRequests(t *testing.T) {
-	fx := testFixture(t)
-	d := startDaemon(t, fx.newRegistry(t), testConfig())
-	enc, binner, version := d.srv.WireModel()
-	nf := enc.NumFeatures()
-
-	frame := func(name string, width int, mutate func(row []uint16)) []byte {
-		t.Helper()
-		var hashes []uint32
-		var arrivals []float64
-		var rows [][]uint16
-		for _, j := range fx.jobs[:4] {
-			row := binner.Bin(enc.Encode(j, nil), nil)[:width]
-			if mutate != nil {
-				mutate(row)
-			}
-			hashes = append(hashes, serve.TemplateHash(j))
-			arrivals = append(arrivals, j.ArrivalSec)
-			rows = append(rows, row)
-		}
-		f, err := wire.AppendPlaceRequestFrame(nil, version, width, 0, hashes, arrivals, rows)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		return f
-	}
-	frames := map[string][]byte{
-		"wrong feature count": frame("wrong feature count", nf-1, nil),
-		"bin out of range":    frame("bin out of range", nf, func(row []uint16) { row[0] = 0xFFFF }),
-	}
-
-	c := newCodecClient(t, d, CodecBinary)
-	s, err := c.OpenStream(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	for name, f := range frames {
-		before := d.Stats()
-
-		req, err := http.NewRequest(http.MethodPost, d.BaseURL()+wire.PathPlace, bytes.NewReader(f))
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set("Content-Type", wire.ContentTypeBinary)
-		req.Header.Set("Accept", wire.ContentTypeBinary)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s over HTTP: status %d, want 400", name, resp.StatusCode)
-		}
-		if ft, payload, err := wire.DecodeFrame(body, 0); err != nil || ft != wire.FrameError {
-			t.Errorf("%s over HTTP: body is not an error frame (type %d, %v)", name, ft, err)
-		} else if code, _, _ := wire.DecodeError(payload); code != wire.ErrCodeBadRequest {
-			t.Errorf("%s over HTTP: error code %d, want bad request", name, code)
-		}
-
-		s.sc.frame = append(s.sc.frame[:0], f...)
-		code, msg, err := s.exchange(context.Background())
-		if err != nil {
-			t.Fatalf("%s over a stream: session broke: %v", name, err)
-		}
-		if code != wire.ErrCodeBadRequest {
-			t.Errorf("%s over a stream: error code %d (%s), want bad request", name, code, msg)
-		}
-
-		after := d.Stats()
-		if got := after.BadRequests - before.BadRequests; got != 2 {
-			t.Errorf("%s: counted %d bad requests, want 2", name, got)
-		}
-		if after.ServerErrors != before.ServerErrors {
-			t.Errorf("%s: counted %d server errors, want 0", name, after.ServerErrors-before.ServerErrors)
-		}
-	}
-	if _, err := s.Place(context.Background(), fx.jobs[:4]); err != nil {
-		t.Errorf("stream unusable after bad-request frames: %v", err)
-	}
-	if got := d.ServeStats().Submitted; got != 4 {
-		t.Errorf("%d rows reached the serving core, want only the 4 well-formed ones", got)
 	}
 }

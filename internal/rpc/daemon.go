@@ -1,9 +1,29 @@
-// Package rpc is the network-facing placement service: a JSON-over-HTTP
-// daemon and client stack layered on the internal/serve batching core.
-// It is the layer where the BYOM split becomes operational — the model
-// lives behind a wire protocol (internal/rpc/wire), so heterogeneous
-// clients across a fleet consume placements without linking the model,
-// and model rollout stays a registry publish away from every daemon.
+// Package rpc is the network-facing placement service: a daemon and
+// client stack layered on the internal/serve batching core. It is the
+// layer where the BYOM split becomes operational — the model lives
+// behind a wire protocol (internal/rpc/wire), so heterogeneous clients
+// across a fleet consume placements without linking the model, and
+// model rollout stays a registry publish away from every daemon.
+//
+// A place batch arrives three ways — a JSON body, a binary frame in an
+// HTTP body, a binary frame on a persistent stream — and is served one
+// way. Daemon.servePlace is the pipeline: begin the trace, submit to the
+// serving core, map a failure to one of the four wire codes, convert
+// and encode the decisions into pooled scratch, count, time, span. Two
+// transport shells call it, handlePlace (HTTP request/response) and
+// serveStream (hijacked connection), and own only what differs between
+// them: how a request is framed, where the admission slot is taken
+// (before the body is read on HTTP, so overload never buffers bodies;
+// after the blocking frame read on a stream, so an idle session holds
+// no slot) and how a wire code goes out (the httpStatus table, or an
+// error frame). JSON jobs enter the core through serve.SubmitBatch and
+// frames through serve.SubmitEncoded: raw jobs need no bin schema, so
+// the JSON path has no stale-version retry to run, and both entries
+// already share one fan-out and one inference path inside serve.
+//
+// The client mirrors it: Client.run is the one retry loop (shed → one
+// jittered back-off, stale version → refresh and re-bin) over a round
+// trip that is an HTTP request or a frame exchange on a stream.
 //
 // The daemon adds what in-process serving does not need:
 //
@@ -31,7 +51,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -45,6 +64,7 @@ import (
 	"repro/internal/rpc/wire"
 	"repro/internal/serve"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // Config tunes the placement daemon.
@@ -130,9 +150,9 @@ type Daemon struct {
 	place    *admission
 	outcome  *admission
 	draining atomic.Bool
-	// scratch pools the binary hot path's per-request state (decode
+	// scratch pools the place pipeline's per-request state (decode
 	// buffers, decision scratch, response buffer), so a steady-state
-	// place request allocates nothing in the handler.
+	// binary place allocates nothing in the daemon.
 	scratch sync.Pool
 
 	// Hijacked stream connections are invisible to http.Server.Shutdown,
@@ -165,7 +185,7 @@ type daemonHists struct {
 	queueWait   obs.Histogram
 }
 
-// placeScratch is the pooled per-request state of the binary place path.
+// placeScratch is the pooled per-request state of the place pipeline.
 type placeScratch struct {
 	body      []byte
 	breq      wire.BinaryPlaceRequest
@@ -362,21 +382,6 @@ func (d *Daemon) modelInfo() wire.ModelInfo {
 	return info
 }
 
-// traceIDFromHeader parses the inbound trace-ID header. Absent or
-// malformed headers yield 0 — tracing is best-effort and never fails
-// a request.
-func traceIDFromHeader(r *http.Request) uint64 {
-	h := r.Header.Get(wire.TraceHeader)
-	if h == "" {
-		return 0
-	}
-	id, err := strconv.ParseUint(h, 16, 64)
-	if err != nil {
-		return 0
-	}
-	return id
-}
-
 // isBinaryRequest reports whether the request body is a binary frame.
 func isBinaryRequest(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Content-Type"), wire.ContentTypeBinary)
@@ -389,181 +394,201 @@ func wantsBinary(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Accept"), wire.ContentTypeBinary)
 }
 
-// handlePlace serves POST /v1/place: single and batch placement, in
-// either codec. Content-Type picks the request codec; Accept picks the
-// response codec (binary responses only follow binary requests — the
-// JSON path carries job IDs the binary frames don't).
+// transport names the three ways a place batch reaches the pipeline;
+// it picks the counters, the latency histogram and the span name.
+type transport int
+
+const (
+	viaJSON transport = iota
+	viaBinary
+	viaStream
+)
+
+var placeSpans = [...]string{viaJSON: "rpc.place.json", viaBinary: "rpc.place.binary", viaStream: "rpc.place.stream"}
+
+// placeCall is what a transport shell hands the pipeline with its
+// scratch: an admitted, decoded batch (jobs for a JSON body, sc.breq
+// for a frame) and how the shell wants it answered.
+type placeCall struct {
+	via       transport
+	jobs      []*trace.Job  // viaJSON only
+	binaryOut bool          // encode a response frame, not JSON
+	traceID   uint64        // propagated by the caller, 0 = sample locally
+	start     time.Time     // when the shell first saw the request
+	wait      time.Duration // how long admission held it
+}
+
+// servePlace is the one place pipeline. It leaves the encoded response
+// in sc.out and returns 0, or returns the wire code and message the
+// shell must refuse the batch with; it never writes to the connection.
+// Counting happens here, before the shell sends the bytes, so a client
+// that reads its response and at once scrapes /varz sees itself.
+func (d *Daemon) servePlace(sc *placeScratch, pc placeCall) (uint16, string) {
+	d.hists.queueWait.RecordDuration(pc.wait)
+	// Begin sits after decode so an ID propagated in-frame is never
+	// missed; queue_wait therefore carries a negative offset.
+	b := d.tracer.Begin(pc.traceID)
+	defer b.Finish()
+	b.Span("rpc.queue_wait", "", pc.start, pc.wait)
+
+	var err error
+	t := stamp(b)
+	if pc.via == viaJSON {
+		sc.decisions, err = d.srv.SubmitBatch(pc.jobs, sc.decisions)
+	} else {
+		sc.decisions, err = d.srv.SubmitEncoded(sc.breq.ModelVersion, sc.breq.Hashes, sc.breq.Arrivals, sc.breq.Rows, sc.decisions)
+	}
+	span(b, "serve.submit", t)
+	switch {
+	case err == nil:
+	case errors.Is(err, serve.ErrModelVersion):
+		return wire.ErrCodeModelVersion, err.Error()
+	case errors.Is(err, serve.ErrMalformedRow):
+		return wire.ErrCodeBadRequest, err.Error()
+	default:
+		return wire.ErrCodeServer, err.Error()
+	}
+
+	// Frames answer rows in order and carry no job IDs; JSON echoes them.
+	sc.wdecs = sc.wdecs[:0]
+	for i, dec := range sc.decisions {
+		wd := wire.Decision{Admit: dec.Admit, Category: dec.Category, ModelVersion: dec.ModelVersion, Shard: dec.Shard}
+		if pc.via == viaJSON {
+			wd.JobID = pc.jobs[i].ID
+		}
+		sc.wdecs = append(sc.wdecs, wd)
+	}
+	t = stamp(b)
+	if pc.binaryOut {
+		sc.out, err = wire.AppendPlaceResponseFrame(sc.out[:0], sc.breq.ModelVersion, sc.wdecs)
+	} else {
+		sc.out = sc.out[:0]
+		err = json.NewEncoder((*byteSink)(&sc.out)).Encode(wire.PlaceResponse{Decisions: sc.wdecs})
+	}
+	span(b, "rpc.encode", t)
+	if err != nil {
+		return wire.ErrCodeServer, err.Error()
+	}
+
+	lat := time.Since(pc.start)
+	d.counters.RecordPlace(pc.via != viaJSON, len(sc.decisions), lat)
+	if pc.via == viaStream {
+		d.counters.RecordStreamFrame()
+	}
+	hist := &d.hists.placeBinary
+	if pc.via == viaJSON {
+		hist = &d.hists.placeJSON
+	}
+	hist.RecordDuration(lat)
+	b.Span(placeSpans[pc.via], "", pc.start, lat)
+	return 0, ""
+}
+
+// stamp reads the clock for a sampled request only, and span closes the
+// stage stamp opened: unsampled requests pay for neither clock read.
+func stamp(b *obs.TraceBuilder) (t time.Time) {
+	if b != nil {
+		t = time.Now()
+	}
+	return t
+}
+
+func span(b *obs.TraceBuilder, stage string, since time.Time) {
+	if b != nil {
+		b.Span(stage, "", since, time.Since(since))
+	}
+}
+
+// byteSink lets an encoder that wants an io.Writer append to a pooled
+// byte slice.
+type byteSink []byte
+
+func (s *byteSink) Write(p []byte) (int, error) {
+	*s = append(*s, p...)
+	return len(p), nil
+}
+
+// handlePlace is the HTTP shell of the place pipeline, serving POST
+// /v1/place in either codec. Content-Type picks the request codec;
+// Accept picks the response codec (binary responses only follow binary
+// requests — the JSON path carries job IDs the binary frames don't; a
+// binary request may ask for JSON, matched by order, for debugging).
 func (d *Daemon) handlePlace(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	if r.Method != http.MethodPost {
 		d.methodNotAllowed(w, r)
 		return
 	}
+	pc := placeCall{via: viaJSON, start: start}
 	if isBinaryRequest(r) {
-		d.handlePlaceBinary(w, r, start)
-		return
-	}
-	b := d.tracer.Begin(traceIDFromHeader(r))
-	defer b.Finish()
-	if !d.place.acquire(r.Context()) {
-		d.shed(w, r)
-		return
-	}
-	defer d.place.release()
-	wait := time.Since(start)
-	d.hists.queueWait.RecordDuration(wait)
-	b.Span("rpc.queue_wait", "", start, wait)
-	var req wire.PlaceRequest
-	if !d.decode(w, r, &req) {
-		return
-	}
-	if err := req.Validate(d.cfg.MaxBatch); err != nil {
-		d.badRequest(w, r, err)
-		return
-	}
-	var submitStart time.Time
-	if b != nil {
-		submitStart = time.Now()
-	}
-	decisions, err := d.srv.SubmitBatch(req.Jobs, nil)
-	if b != nil {
-		b.Span("serve.submit", "", submitStart, time.Since(submitStart))
-	}
-	if err != nil {
-		d.serverError(w, r, err)
-		return
-	}
-	resp := wire.PlaceResponse{Decisions: make([]wire.Decision, len(decisions))}
-	for i, dec := range decisions {
-		resp.Decisions[i] = wire.Decision{
-			JobID:        req.Jobs[i].ID,
-			Admit:        dec.Admit,
-			Category:     dec.Category,
-			ModelVersion: dec.ModelVersion,
-			Shard:        dec.Shard,
-		}
-	}
-	// Count before the response bytes go out: a client that reads its
-	// response and immediately scrapes /varz must see itself counted.
-	lat := time.Since(start)
-	d.counters.RecordPlace(false, len(req.Jobs), lat)
-	d.hists.placeJSON.RecordDuration(lat)
-	b.Span("rpc.place.json", "", start, lat)
-	d.writeJSON(w, http.StatusOK, resp)
-}
-
-// handlePlaceBinary serves the binary frame path of /v1/place: body
-// read, frame decode, SubmitEncoded, frame encode — all through pooled
-// scratch, with no per-job feature work on the daemon (the client
-// extracted and pre-binned the rows).
-func (d *Daemon) handlePlaceBinary(w http.ResponseWriter, r *http.Request, start time.Time) {
-	if d.cfg.DisableBinary {
-		d.counters.RecordBadRequest()
-		d.writeError(w, r, http.StatusUnsupportedMediaType, wire.ErrCodeBadRequest, "binary codec disabled; use application/json")
-		return
-	}
-	if !d.place.acquire(r.Context()) {
-		d.shed(w, r)
-		return
-	}
-	defer d.place.release()
-	wait := time.Since(start)
-	d.hists.queueWait.RecordDuration(wait)
-	sc := d.scratch.Get().(*placeScratch)
-	defer d.scratch.Put(sc)
-	body, err := readBody(http.MaxBytesReader(w, r.Body, d.cfg.MaxBodyBytes), sc.body[:0])
-	sc.body = body
-	if err != nil {
-		d.badRequest(w, r, fmt.Errorf("reading request: %w", err))
-		return
-	}
-	ft, payload, err := wire.DecodeFrame(body, int(d.cfg.MaxBodyBytes))
-	if err != nil {
-		d.badRequest(w, r, err)
-		return
-	}
-	if ft != wire.FramePlaceRequest {
-		d.badRequest(w, r, fmt.Errorf("wire: expected place-request frame, got type %d", ft))
-		return
-	}
-	if err := wire.DecodePlaceRequest(payload, &sc.breq, d.cfg.MaxBatch); err != nil {
-		d.badRequest(w, r, err)
-		return
-	}
-	// The trace ID arrives in-frame (the negotiated binary extension);
-	// the header is the fallback for JSON-speaking intermediaries. Begin
-	// sits after decode so a propagated ID is never missed.
-	tid := sc.breq.TraceID
-	if tid == 0 {
-		tid = traceIDFromHeader(r)
-	}
-	b := d.tracer.Begin(tid)
-	defer b.Finish()
-	b.Span("rpc.queue_wait", "", start, wait)
-	var submitStart time.Time
-	if b != nil {
-		submitStart = time.Now()
-	}
-	sc.decisions, err = d.srv.SubmitEncoded(sc.breq.ModelVersion, sc.breq.Hashes, sc.breq.Arrivals, sc.breq.Rows, sc.decisions)
-	if b != nil {
-		b.Span("serve.submit", "", submitStart, time.Since(submitStart))
-	}
-	if err != nil {
-		switch {
-		case errors.Is(err, serve.ErrModelVersion):
-			d.counters.RecordBadRequest()
-			d.writeError(w, r, http.StatusConflict, wire.ErrCodeModelVersion, err.Error())
-		case errors.Is(err, serve.ErrMalformedRow):
-			d.badRequest(w, r, err)
-		default:
-			d.serverError(w, r, err)
-		}
-		return
-	}
-	sc.wdecs = appendWireDecisions(sc.wdecs[:0], sc.decisions)
-	if wantsBinary(r) {
-		var encStart time.Time
-		if b != nil {
-			encStart = time.Now()
-		}
-		sc.out, err = wire.AppendPlaceResponseFrame(sc.out[:0], sc.breq.ModelVersion, sc.wdecs)
-		if b != nil {
-			b.Span("rpc.encode", "", encStart, time.Since(encStart))
-		}
-		if err != nil {
-			d.serverError(w, r, err)
+		if d.cfg.DisableBinary {
+			d.failStatus(w, r, http.StatusUnsupportedMediaType, wire.ErrCodeBadRequest, "binary codec disabled; use application/json")
 			return
 		}
-		lat := time.Since(start)
-		d.counters.RecordPlace(true, len(sc.breq.Rows), lat)
-		d.hists.placeBinary.RecordDuration(lat)
-		b.Span("rpc.place.binary", "", start, lat)
-		w.Header().Set("Content-Type", wire.ContentTypeBinary)
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(sc.out)
+		pc.via, pc.binaryOut = viaBinary, wantsBinary(r)
+	}
+	if !d.place.acquire(r.Context()) {
+		d.fail(w, r, wire.ErrCodeOverloaded, shedMessage)
 		return
 	}
-	// Binary request, JSON response (debug asymmetry). Job IDs never
-	// crossed the wire, so decisions are matched by order alone.
-	lat := time.Since(start)
-	d.counters.RecordPlace(true, len(sc.breq.Rows), lat)
-	d.hists.placeBinary.RecordDuration(lat)
-	b.Span("rpc.place.binary", "", start, lat)
-	d.writeJSON(w, http.StatusOK, wire.PlaceResponse{Decisions: sc.wdecs})
+	defer d.place.release()
+	pc.wait = time.Since(start)
+	sc := d.scratch.Get().(*placeScratch)
+	defer d.scratch.Put(sc)
+	var err error
+	if pc.jobs, pc.traceID, err = d.readPlace(w, r, sc, pc.via); err != nil {
+		d.fail(w, r, wire.ErrCodeBadRequest, err.Error())
+		return
+	}
+	if code, msg := d.servePlace(sc, pc); code != 0 {
+		d.fail(w, r, code, msg)
+		return
+	}
+	contentType := wire.ContentTypeJSON
+	if pc.binaryOut {
+		contentType = wire.ContentTypeBinary
+	}
+	w.Header().Set("Content-Type", contentType)
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(sc.out)
 }
 
-// appendWireDecisions converts serve decisions to wire decisions
-// (JobID left empty) into dst.
-func appendWireDecisions(dst []wire.Decision, decisions []serve.Decision) []wire.Decision {
-	for _, dec := range decisions {
-		dst = append(dst, wire.Decision{
-			Admit:        dec.Admit,
-			Category:     dec.Category,
-			ModelVersion: dec.ModelVersion,
-			Shard:        dec.Shard,
-		})
+// readPlace is the HTTP shell's framing: the body as validated JSON
+// jobs, or as a place-request frame decoded into sc.breq, and the
+// request's trace ID. A frame carries its ID itself (the negotiated
+// binary extension); the header serves JSON and JSON-speaking
+// intermediaries.
+func (d *Daemon) readPlace(w http.ResponseWriter, r *http.Request, sc *placeScratch, via transport) ([]*trace.Job, uint64, error) {
+	tid := wire.TraceIDFromHeader(r.Header)
+	if via == viaJSON {
+		var req wire.PlaceRequest
+		if err := d.decodeJSON(w, r, &req); err != nil {
+			return nil, 0, err
+		}
+		return req.Jobs, tid, req.Validate(d.cfg.MaxBatch)
 	}
-	return dst
+	var err error
+	sc.body, err = readBody(http.MaxBytesReader(w, r.Body, d.cfg.MaxBodyBytes), sc.body[:0])
+	if err != nil {
+		return nil, 0, fmt.Errorf("reading request: %w", err)
+	}
+	ft, payload, err := wire.DecodeFrame(sc.body, int(d.cfg.MaxBodyBytes))
+	if err == nil {
+		err = d.decodePlaceFrame(ft, payload, &sc.breq)
+	}
+	if sc.breq.TraceID != 0 {
+		tid = sc.breq.TraceID
+	}
+	return nil, tid, err
+}
+
+// decodePlaceFrame decodes one well-framed place request, from an HTTP
+// body or off a stream.
+func (d *Daemon) decodePlaceFrame(ft wire.FrameType, payload []byte, req *wire.BinaryPlaceRequest) error {
+	if ft != wire.FramePlaceRequest {
+		return fmt.Errorf("wire: expected place-request frame, got type %d", ft)
+	}
+	return wire.DecodePlaceRequest(payload, req, d.cfg.MaxBatch)
 }
 
 // readBody reads r fully into buf (reused; grown as needed).
@@ -591,10 +616,10 @@ func (d *Daemon) handleOutcome(w http.ResponseWriter, r *http.Request) {
 		d.methodNotAllowed(w, r)
 		return
 	}
-	b := d.tracer.Begin(traceIDFromHeader(r))
+	b := d.tracer.Begin(wire.TraceIDFromHeader(r.Header))
 	defer b.Finish()
 	if !d.outcome.acquire(r.Context()) {
-		d.shed(w, r)
+		d.fail(w, r, wire.ErrCodeOverloaded, shedMessage)
 		return
 	}
 	defer d.outcome.release()
@@ -602,21 +627,17 @@ func (d *Daemon) handleOutcome(w http.ResponseWriter, r *http.Request) {
 	d.hists.queueWait.RecordDuration(wait)
 	b.Span("rpc.queue_wait", "", start, wait)
 	var req wire.OutcomeRequest
-	if !d.decode(w, r, &req) {
+	err := d.decodeJSON(w, r, &req)
+	if err == nil {
+		err = req.Validate()
+	}
+	if err != nil {
+		d.fail(w, r, wire.ErrCodeBadRequest, err.Error())
 		return
 	}
-	if err := req.Validate(); err != nil {
-		d.badRequest(w, r, err)
-		return
-	}
-	o := sim.Outcome{
-		WantedSSD: req.Outcome.WantedSSD,
-		FracOnSSD: req.Outcome.FracOnSSD,
-		SpilledAt: req.Outcome.SpilledAt,
-		EvictedAt: req.Outcome.EvictedAt,
-	}
+	o := req.Outcome.Sim()
 	if err := d.srv.Observe(req.Job, o); err != nil {
-		d.serverError(w, r, err)
+		d.fail(w, r, wire.ErrCodeServer, err.Error())
 		return
 	}
 	if d.cfg.Learner != nil {
@@ -702,18 +723,17 @@ func (d *Daemon) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if d.cfg.DisableBinary {
-		d.counters.RecordBadRequest()
-		d.writeError(w, r, http.StatusNotFound, wire.ErrCodeBadRequest, "streaming disabled")
+		d.failStatus(w, r, http.StatusNotFound, wire.ErrCodeBadRequest, "streaming disabled")
 		return
 	}
 	hj, ok := w.(http.Hijacker)
 	if !ok {
-		d.serverError(w, r, fmt.Errorf("rpc: transport does not support streaming"))
+		d.fail(w, r, wire.ErrCodeServer, "rpc: transport does not support streaming")
 		return
 	}
 	conn, rw, err := hj.Hijack()
 	if err != nil {
-		d.serverError(w, r, fmt.Errorf("rpc: hijack: %w", err))
+		d.fail(w, r, wire.ErrCodeServer, fmt.Sprintf("rpc: hijack: %v", err))
 		return
 	}
 	d.streamMu.Lock()
@@ -748,13 +768,14 @@ func (d *Daemon) dropStream(conn net.Conn) {
 	d.streamWG.Done()
 }
 
-// serveStream is one stream session's frame loop, run on the hijacked
-// handler goroutine with pooled scratch: read a place-request frame,
-// serve it, write the response (or error) frame, repeat. Responses are
-// written in frame order, so clients may pipeline requests without
-// waiting. Recoverable per-frame failures (bad payload, shed, stale
-// version) answer with an error frame and keep the session alive —
-// framing stays intact; transport errors end the session.
+// serveStream is the stream shell of the place pipeline: one session's
+// frame loop, run on the hijacked handler goroutine with pooled
+// scratch. Read a place-request frame, take a slot, run the pipeline,
+// write the response or error frame, repeat. Responses are written in
+// frame order, so clients may pipeline requests without waiting. A
+// refused frame (bad payload, shed, stale version) answers with an
+// error frame and keeps the session alive — framing stays intact;
+// transport errors end the session.
 func (d *Daemon) serveStream(conn net.Conn, rw *bufio.ReadWriter) {
 	defer d.dropStream(conn)
 	sc := d.scratch.Get().(*placeScratch)
@@ -766,111 +787,80 @@ func (d *Daemon) serveStream(conn net.Conn, rw *bufio.ReadWriter) {
 		if err != nil {
 			if err != io.EOF {
 				// Framing is unrecoverable: report best-effort, close.
-				d.counters.RecordBadRequest()
-				_ = d.writeStreamError(rw, wire.ErrCodeBadRequest, err.Error())
+				_ = d.failFrame(rw, wire.ErrCodeBadRequest, err.Error())
 			}
 			return
 		}
-		if ft != wire.FramePlaceRequest {
-			d.counters.RecordBadRequest()
-			_ = d.writeStreamError(rw, wire.ErrCodeBadRequest, fmt.Sprintf("wire: expected place-request frame, got type %d", ft))
-			return
+		code, msg := wire.ErrCodeBadRequest, ""
+		if err := d.decodePlaceFrame(ft, payload, &sc.breq); err != nil {
+			msg = err.Error()
+		} else if !d.place.acquire(context.Background()) {
+			code, msg = wire.ErrCodeOverloaded, shedMessage
+		} else {
+			code, msg = d.servePlace(sc, placeCall{via: viaStream, binaryOut: true, traceID: sc.breq.TraceID, start: start, wait: time.Since(start)})
+			d.place.release()
 		}
-		if err := wire.DecodePlaceRequest(payload, &sc.breq, d.cfg.MaxBatch); err != nil {
-			d.counters.RecordBadRequest()
-			if d.writeStreamError(rw, wire.ErrCodeBadRequest, err.Error()) != nil {
-				return
-			}
-			continue
+		if code != 0 {
+			err = d.failFrame(rw, code, msg)
+		} else if _, err = rw.Write(sc.out); err == nil {
+			err = rw.Flush()
 		}
-		b := d.tracer.Begin(sc.breq.TraceID)
-		if !d.place.acquire(context.Background()) {
-			b.Finish()
-			d.counters.RecordShed()
-			if d.writeStreamError(rw, wire.ErrCodeOverloaded, "overloaded: in-flight limit reached past queue deadline") != nil {
-				return
-			}
-			continue
-		}
-		wait := time.Since(start)
-		d.hists.queueWait.RecordDuration(wait)
-		b.Span("rpc.queue_wait", "", start, wait)
-		var submitStart time.Time
-		if b != nil {
-			submitStart = time.Now()
-		}
-		sc.decisions, err = d.srv.SubmitEncoded(sc.breq.ModelVersion, sc.breq.Hashes, sc.breq.Arrivals, sc.breq.Rows, sc.decisions)
-		if b != nil {
-			b.Span("serve.submit", "", submitStart, time.Since(submitStart))
-		}
-		d.place.release()
 		if err != nil {
-			b.Finish()
-			code := wire.ErrCodeServer
-			switch {
-			case errors.Is(err, serve.ErrModelVersion):
-				code = wire.ErrCodeModelVersion
-				d.counters.RecordBadRequest()
-			case errors.Is(err, serve.ErrMalformedRow):
-				code = wire.ErrCodeBadRequest
-				d.counters.RecordBadRequest()
-			default:
-				d.counters.RecordServerError()
-			}
-			if d.writeStreamError(rw, code, err.Error()) != nil {
-				return
-			}
-			continue
-		}
-		sc.wdecs = appendWireDecisions(sc.wdecs[:0], sc.decisions)
-		sc.out, err = wire.AppendPlaceResponseFrame(sc.out[:0], sc.breq.ModelVersion, sc.wdecs)
-		if err != nil {
-			b.Finish()
-			d.counters.RecordServerError()
-			if d.writeStreamError(rw, wire.ErrCodeServer, err.Error()) != nil {
-				return
-			}
-			continue
-		}
-		if _, err := rw.Write(sc.out); err != nil {
-			b.Finish()
 			return
 		}
-		if err := rw.Flush(); err != nil {
-			b.Finish()
-			return
-		}
-		d.counters.RecordStreamFrame()
-		lat := time.Since(start)
-		d.counters.RecordPlace(true, len(sc.breq.Rows), lat)
-		d.hists.placeBinary.RecordDuration(lat)
-		b.Span("rpc.place.stream", "", start, lat)
-		b.Finish()
 	}
 }
 
-// writeStreamError sends one error frame on a stream session.
-func (d *Daemon) writeStreamError(rw *bufio.ReadWriter, code uint16, msg string) error {
-	if _, err := rw.Write(wire.AppendErrorFrame(nil, code, msg)); err != nil {
-		return err
-	}
-	return rw.Flush()
-}
-
-// decode reads and unmarshals a JSON request body, answering 400 and
-// counting a bad request on failure.
-func (d *Daemon) decode(w http.ResponseWriter, r *http.Request, into any) bool {
+// decodeJSON reads and unmarshals a JSON request body.
+func (d *Daemon) decodeJSON(w http.ResponseWriter, r *http.Request, into any) error {
 	body := http.MaxBytesReader(w, r.Body, d.cfg.MaxBodyBytes)
 	if err := json.NewDecoder(body).Decode(into); err != nil {
-		d.badRequest(w, r, fmt.Errorf("decoding request: %w", err))
-		return false
+		return fmt.Errorf("decoding request: %w", err)
 	}
-	return true
+	return nil
 }
 
-// writeError answers a failed request in the negotiated codec: an error
-// frame for binary-accepting clients, the JSON ErrorResponse otherwise.
-func (d *Daemon) writeError(w http.ResponseWriter, r *http.Request, status int, code uint16, msg string) {
+const shedMessage = "overloaded: in-flight limit reached past queue deadline"
+
+// httpStatus is the one wire code → HTTP status table (documented in
+// package wire).
+var httpStatus = [...]int{
+	wire.ErrCodeBadRequest:   http.StatusBadRequest,
+	wire.ErrCodeOverloaded:   http.StatusTooManyRequests,
+	wire.ErrCodeModelVersion: http.StatusConflict,
+	wire.ErrCodeServer:       http.StatusServiceUnavailable,
+}
+
+// countRefusal counts one refused request under its wire code, on
+// either transport. A stale model version is the client's to fix, so it
+// counts with the bad requests.
+func (d *Daemon) countRefusal(code uint16) {
+	switch code {
+	case wire.ErrCodeOverloaded:
+		d.counters.RecordShed()
+	case wire.ErrCodeServer:
+		d.counters.RecordServerError()
+	default:
+		d.counters.RecordBadRequest()
+	}
+}
+
+// fail refuses an HTTP request with a wire code, at the code's status.
+func (d *Daemon) fail(w http.ResponseWriter, r *http.Request, code uint16, msg string) {
+	d.failStatus(w, r, httpStatus[code], code, msg)
+}
+
+// failStatus counts a refusal and answers it in the negotiated codec:
+// an error frame for binary-accepting clients, the JSON ErrorResponse
+// otherwise.
+func (d *Daemon) failStatus(w http.ResponseWriter, r *http.Request, status int, code uint16, msg string) {
+	d.countRefusal(code)
+	if code == wire.ErrCodeOverloaded {
+		// Guidance for stock HTTP clients; rpc.Client uses its own finer
+		// backoff. Retry-After takes whole seconds, so 1 is the minimum
+		// honest value.
+		w.Header().Set("Retry-After", "1")
+	}
 	if wantsBinary(r) && !d.cfg.DisableBinary {
 		w.Header().Set("Content-Type", wire.ContentTypeBinary)
 		w.WriteHeader(status)
@@ -880,32 +870,22 @@ func (d *Daemon) writeError(w http.ResponseWriter, r *http.Request, status int, 
 	d.writeJSON(w, status, wire.ErrorResponse{Error: msg})
 }
 
-func (d *Daemon) shed(w http.ResponseWriter, r *http.Request) {
-	d.counters.RecordShed()
-	// Guidance for stock HTTP clients; rpc.Client uses its own finer
-	// backoff. Retry-After takes whole seconds, so 1 is the minimum
-	// honest value.
-	w.Header().Set("Retry-After", "1")
-	d.writeError(w, r, http.StatusTooManyRequests, wire.ErrCodeOverloaded, "overloaded: in-flight limit reached past queue deadline")
-}
-
-func (d *Daemon) badRequest(w http.ResponseWriter, r *http.Request, err error) {
-	d.counters.RecordBadRequest()
-	d.writeError(w, r, http.StatusBadRequest, wire.ErrCodeBadRequest, err.Error())
-}
-
-func (d *Daemon) serverError(w http.ResponseWriter, r *http.Request, err error) {
-	d.counters.RecordServerError()
-	d.writeError(w, r, http.StatusServiceUnavailable, wire.ErrCodeServer, err.Error())
+// failFrame counts a refusal and answers it with an error frame on a
+// stream session.
+func (d *Daemon) failFrame(rw *bufio.ReadWriter, code uint16, msg string) error {
+	d.countRefusal(code)
+	if _, err := rw.Write(wire.AppendErrorFrame(nil, code, msg)); err != nil {
+		return err
+	}
+	return rw.Flush()
 }
 
 func (d *Daemon) methodNotAllowed(w http.ResponseWriter, r *http.Request) {
-	d.counters.RecordBadRequest()
-	d.writeError(w, r, http.StatusMethodNotAllowed, wire.ErrCodeBadRequest, "method not allowed")
+	d.failStatus(w, r, http.StatusMethodNotAllowed, wire.ErrCodeBadRequest, "method not allowed")
 }
 
 func (d *Daemon) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", wire.ContentTypeJSON)
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/rpc/wire"
 	"repro/internal/trace"
 )
@@ -116,131 +115,66 @@ func (s *StreamSession) handshake(host string) error {
 }
 
 // Place requests decisions for a batch of jobs over the stream, in
-// order. Client-side feature extraction and binning are identical to
-// the request/response binary path; a stale-version error frame (hot
-// swap) refreshes the bin schema and retries, and an overload error
-// frame retries with the client's shed backoff. Transport errors
-// poison the session — Close it and open a new one.
+// order. Client-side feature extraction and binning, and the retry
+// loop (Client.run), are those of the request/response binary path: a
+// stale-version error frame (hot swap) refreshes the bin schema and
+// retries, and an overload error frame retries with the client's shed
+// backoff. Transport errors poison the session — Close it and open a
+// new one.
 func (s *StreamSession) Place(ctx context.Context, jobs []*trace.Job) ([]wire.Decision, error) {
 	c := s.c
 	c.requests.Add(1)
-	if s.closed {
-		c.failures.Add(1)
-		if s.broken {
-			return nil, fmt.Errorf("%w: session already failed", ErrStreamBroken)
-		}
-		return nil, fmt.Errorf("rpc: stream session is closed")
-	}
-	if len(jobs) == 0 {
-		c.failures.Add(1)
-		return nil, fmt.Errorf("rpc: place request has no jobs")
-	}
 	st := c.binState.Load()
-	if st == nil {
-		c.failures.Add(1)
-		return nil, fmt.Errorf("rpc: stream session has no bin schema")
+	switch {
+	case s.broken:
+		return nil, c.count(fmt.Errorf("%w: session already failed", ErrStreamBroken))
+	case s.closed:
+		return nil, c.count(errors.New("rpc: stream session is closed"))
+	case st == nil:
+		return nil, c.count(errors.New("rpc: stream session has no bin schema"))
 	}
-	if err := encodeBinaryPlace(st, jobs, obs.TraceID(ctx), &s.sc); err != nil {
-		c.failures.Add(1)
-		return nil, err
-	}
-	backoff := c.cfg.RetryBackoff
-	swaps, sheds := 0, 0
-	for {
-		code, msg, err := s.exchange(ctx)
-		switch {
-		case err != nil:
-			s.closed = true
-			s.broken = true
-			_ = s.conn.Close()
-			c.failures.Add(1)
-			return nil, fmt.Errorf("%w: %v", ErrStreamBroken, err)
-		case code == 0:
-			if len(s.sc.bresp.Decisions) != len(jobs) {
-				c.failures.Add(1)
-				return nil, fmt.Errorf("rpc: got %d decisions for %d jobs", len(s.sc.bresp.Decisions), len(jobs))
-			}
-			out := make([]wire.Decision, len(jobs))
-			copy(out, s.sc.bresp.Decisions)
-			for i := range out {
-				out[i].JobID = jobs[i].ID
-			}
-			return out, nil
-		case code == wire.ErrCodeModelVersion:
-			if swaps++; swaps > 2 {
-				c.failures.Add(1)
-				return nil, fmt.Errorf("rpc: model version still moving after %d refreshes: %s", swaps-1, msg)
-			}
-			st, rerr := c.refreshBinState(ctx)
-			if rerr != nil || st == nil {
-				c.failures.Add(1)
-				if rerr == nil {
-					rerr = fmt.Errorf("rpc: daemon stopped speaking binary mid-stream")
-				}
-				return nil, rerr
-			}
-			if err := encodeBinaryPlace(st, jobs, obs.TraceID(ctx), &s.sc); err != nil {
-				c.failures.Add(1)
-				return nil, err
-			}
-		case code == wire.ErrCodeOverloaded:
-			c.sheds.Add(1)
-			if sheds++; sheds > c.cfg.MaxRetries {
-				c.failures.Add(1)
-				return nil, fmt.Errorf("rpc: stream place still shed after %d retries: %s", sheds-1, msg)
-			}
-			if serr := c.sleepBackoff(ctx, &backoff); serr != nil {
-				c.failures.Add(1)
-				return nil, serr
-			}
-			c.retries.Add(1)
-		default:
-			c.failures.Add(1)
-			return nil, fmt.Errorf("rpc: daemon error %d: %s", code, msg)
-		}
-	}
+	ds, err := c.placeFrames(ctx, s, &s.sc, st, jobs)
+	return ds, c.count(err)
 }
 
-// exchange writes the encoded request frame and reads one response
-// frame. It returns (0, "", nil) on a decoded place response,
-// (code, msg, nil) on a daemon error frame, and a non-nil error on
-// transport or protocol failures (which poison the session).
-func (s *StreamSession) exchange(ctx context.Context) (uint16, string, error) {
+// exchange writes the encoded request frame and reads one reply frame:
+// the daemon's verdict, or a transport or protocol failure, which
+// poisons the session and comes back wrapped in ErrStreamBroken.
+func (s *StreamSession) exchange(ctx context.Context) (reply, error) {
+	code, msg, err := s.roundTrip(ctx)
+	if err != nil {
+		s.closed, s.broken = true, true
+		_ = s.conn.Close()
+		return reply{}, fmt.Errorf("%w: %v", ErrStreamBroken, err)
+	}
+	return reply{code: code, msg: msg}, nil
+}
+
+// roundTrip is exchange without the poisoning: the reply frame's wire
+// code and message, or what broke.
+func (s *StreamSession) roundTrip(ctx context.Context) (uint16, string, error) {
 	if deadline, ok := ctx.Deadline(); ok {
 		_ = s.conn.SetDeadline(deadline)
 	} else {
 		_ = s.conn.SetDeadline(time.Now().Add(s.c.cfg.RequestTimeout))
 	}
 	defer s.conn.SetDeadline(time.Time{})
-	if _, err := s.bw.Write(s.sc.frame); err != nil {
-		return 0, "", fmt.Errorf("rpc: stream write: %w", err)
+	_, err := s.bw.Write(s.sc.frame)
+	if err == nil {
+		err = s.bw.Flush()
 	}
-	if err := s.bw.Flush(); err != nil {
+	if err != nil {
 		return 0, "", fmt.Errorf("rpc: stream write: %w", err)
 	}
 	ft, buf, payload, err := wire.ReadFrame(s.br, s.sc.body, 0)
 	s.sc.body = buf
+	if err == io.EOF {
+		return 0, "", errors.New("rpc: stream closed by daemon")
+	}
 	if err != nil {
-		if err == io.EOF {
-			return 0, "", fmt.Errorf("rpc: stream closed by daemon")
-		}
 		return 0, "", err
 	}
-	switch ft {
-	case wire.FramePlaceResponse:
-		if err := wire.DecodePlaceResponse(payload, &s.sc.bresp, 0); err != nil {
-			return 0, "", err
-		}
-		return 0, "", nil
-	case wire.FrameError:
-		code, msg, derr := wire.DecodeError(payload)
-		if derr != nil {
-			return 0, "", derr
-		}
-		return code, msg, nil
-	default:
-		return 0, "", fmt.Errorf("rpc: unexpected frame type %d on stream", ft)
-	}
+	return decodeReplyFrame(ft, payload, &s.sc.bresp)
 }
 
 // Close shuts the stream down. Safe to call twice.

@@ -101,39 +101,6 @@ func TestStreamMatchesRequestResponse(t *testing.T) {
 	}
 }
 
-// TestStreamHotSwapRefresh checks the stale-version path over a stream:
-// a hot swap mid-session triggers an error frame, the client refreshes
-// its bin schema on the same connection and the place succeeds at the
-// new version.
-func TestStreamHotSwapRefresh(t *testing.T) {
-	fx := testFixture(t)
-	reg := fx.newRegistry(t)
-	d := startDaemon(t, reg, testConfig())
-	c := newCodecClient(t, d, CodecBinary)
-
-	s, err := c.OpenStream(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if ds, err := s.Place(context.Background(), fx.jobs[:5]); err != nil || ds[0].ModelVersion != 1 {
-		t.Fatalf("pre-swap place: %v (v%d)", err, ds[0].ModelVersion)
-	}
-
-	if _, err := reg.Publish("w", fx.model, 0); err != nil {
-		t.Fatal(err)
-	}
-	waitForVersion(t, d, 2)
-
-	ds, err := s.Place(context.Background(), fx.jobs[5:10])
-	if err != nil {
-		t.Fatalf("post-swap place: %v", err)
-	}
-	if ds[0].ModelVersion != 2 {
-		t.Fatalf("post-swap place served v%d, want v2", ds[0].ModelVersion)
-	}
-}
-
 // TestStreamDaemonDeathMidFrame covers the crash path: the daemon is
 // hard-killed while a place frame is outstanding (the connection is
 // reset under the client) and again between frames (the blocked read

@@ -13,8 +13,21 @@
 //	GET  /v1/model    -> ModelInfo                      (active version)
 //	POST /v1/stream   -> 101, then place frames both ways (binary only)
 //
-// Errors are returned as an ErrorResponse body with a matching HTTP
-// status; admission-control sheds use 429 with a Retry-After header.
+// Every refusal carries exactly one of four codes (ErrCode*), written
+// as an error frame on a stream and to clients that accept the binary
+// codec, and as an ErrorResponse body otherwise; over HTTP the code
+// also picks the status:
+//
+//	ErrCodeBadRequest    400  the request itself is wrong; resending it
+//	                          anywhere fails the same way
+//	ErrCodeOverloaded    429  shed by admission control (Retry-After: 1)
+//	ErrCodeModelVersion  409  rows binned against a retired model;
+//	                          re-fetch /v1/model, re-bin, resend
+//	ErrCodeServer        503  the daemon failed
+//
+// Three bad-request refusals keep the more specific HTTP status a stock
+// client expects: 405 (wrong method), 415 (binary codec disabled) and
+// 404 (streaming disabled).
 // The types here are the compatibility surface: fields are only ever
 // added, never renamed or repurposed, within a protocol version.
 package wire
@@ -22,8 +35,11 @@ package wire
 import (
 	"fmt"
 	"math"
+	"net/http"
+	"strconv"
 
 	"repro/internal/features"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -46,6 +62,21 @@ const (
 // the extensible part of the JSON codec — so the header needs no
 // negotiation, unlike the binary-frame trace field (ModelInfo.TraceIDs).
 const TraceHeader = "X-Byom-Trace-Id"
+
+// TraceIDFromHeader parses a propagated trace ID. An absent or
+// malformed header yields 0: tracing is best-effort and never fails a
+// request.
+func TraceIDFromHeader(h http.Header) uint64 {
+	v := h.Get(TraceHeader)
+	if v == "" {
+		return 0 // the common case; ParseUint would allocate its error
+	}
+	id, err := strconv.ParseUint(v, 16, 64)
+	if err != nil {
+		return 0
+	}
+	return id
+}
 
 // PlaceRequest asks for placement decisions for one or more jobs.
 // Decisions are returned in request order.
@@ -107,6 +138,14 @@ type Outcome struct {
 	// EvictedAt is the absolute eviction time, or -1.
 	EvictedAt float64 `json:"evicted_at"`
 }
+
+// OutcomeOf is the wire form of a simulator outcome. The two structs
+// differ only in their JSON tags, so these are type conversions, and
+// they stop compiling if the field sets ever drift apart.
+func OutcomeOf(o sim.Outcome) Outcome { return Outcome(o) }
+
+// Sim is the simulator form of a wire outcome.
+func (o Outcome) Sim() sim.Outcome { return sim.Outcome(o) }
 
 // OutcomeRequest feeds one job's outcome back to its admission shard.
 // Category echoes the Decision.Category the client acted on, so a
