@@ -381,8 +381,12 @@ func (r *Router) owner(key uint32, excluded map[string]bool) (string, *node, err
 }
 
 // groupByTemplate splits a batch into per-template groups in first-seen
-// order.
+// order. Groups are counted first and then cut from one backing array,
+// so a batch costs two index allocations however many templates it has.
 func groupByTemplate(jobs []*trace.Job) []group {
+	n := len(jobs)
+	scratch := make([]int, 2*n)
+	which, sizes := scratch[:n], scratch[n:] // job -> group, group -> job count
 	byKey := map[uint32]int{}
 	var groups []group
 	for i, j := range jobs {
@@ -393,6 +397,16 @@ func groupByTemplate(jobs []*trace.Job) []group {
 			byKey[key] = gi
 			groups = append(groups, group{key: key})
 		}
+		which[i] = gi
+		sizes[gi]++
+	}
+	backing := make([]int, n)
+	off := 0
+	for gi := range groups {
+		groups[gi].indices = backing[off : off : off+sizes[gi]]
+		off += sizes[gi]
+	}
+	for i, gi := range which {
 		groups[gi].indices = append(groups[gi].indices, i)
 	}
 	return groups

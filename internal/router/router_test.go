@@ -182,6 +182,56 @@ func TestRouterObserveFailsOver(t *testing.T) {
 	}
 }
 
+// TestRouterObserveSurvivesOwnerRestart pins the one re-send a pooled
+// outcome session needs. The owner is killed and restarted between two
+// outcomes, with probes out of the picture: the node client's idle
+// session died with the old process, which only shows when the second
+// outcome is written to it. The client must re-send on a fresh session
+// rather than report a failure that would down a healthy node.
+func TestRouterObserveSurvivesOwnerRestart(t *testing.T) {
+	fx := testFixture(t)
+	p, _ := newTestPlane(t, 2)
+	cfg := DefaultConfig(p.URLs())
+	cfg.ProbeInterval = time.Minute
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+
+	job := fx.jobs[0]
+	ownerURL, ok := r.RouteKey(serve.TemplateHash(job))
+	if !ok {
+		t.Fatal("no owner for the test template")
+	}
+	owner := 0
+	if p.URLs()[1] == ownerURL {
+		owner = 1
+	}
+	o := sim.Outcome{WantedSSD: true, FracOnSSD: 1, SpilledAt: -1, EvictedAt: -1}
+	if err := r.Observe(context.Background(), job, 0, o); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Kill(owner); err != nil {
+		t.Fatalf("kill: %v", err)
+	}
+	if err := p.Restart(owner); err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	if err := r.Observe(context.Background(), job, 0, o); err != nil {
+		t.Fatalf("observe after the owner restarted: %v", err)
+	}
+	if rs := r.Stats(); rs.Failovers != 0 || rs.Outcomes != 2 {
+		t.Errorf("router stats %+v, want 0 failovers and 2 outcomes", rs)
+	}
+	if got := p.Node(owner).Stats().OutcomeRequests; got != 1 {
+		t.Errorf("restarted owner saw %d outcomes, want 1", got)
+	}
+	if got := p.Node(1 - owner).Stats().OutcomeRequests; got != 0 {
+		t.Errorf("the other node saw %d outcomes, want 0", got)
+	}
+}
+
 // TestRouterReroutesAroundDeadNode kills one node and checks every
 // batch still places: dispatches to the dead node fail over to the
 // next ring owner with zero caller-visible errors, and the router
@@ -303,7 +353,16 @@ func TestRouterClientFaultIsFinal(t *testing.T) {
 		landed func(s metrics.RPCSnapshot) int64
 	}{
 		{
-			name:   "outcome out of range",
+			// The JSON client posts outcomes as they are; the daemon validates.
+			name:   "outcome out of range, refused by the daemon",
+			codec:  rpc.CodecJSON,
+			fault:  func(r *Router) error { return r.Observe(context.Background(), job, 0, bad) },
+			valid:  func(r *Router) error { return r.Observe(context.Background(), job, 0, good) },
+			landed: func(s metrics.RPCSnapshot) int64 { return s.OutcomeRequests },
+		},
+		{
+			// The binary client validates before it encodes the frame.
+			name:   "outcome out of range, refused by the node client",
 			codec:  rpc.CodecBinary,
 			fault:  func(r *Router) error { return r.Observe(context.Background(), job, 0, bad) },
 			valid:  func(r *Router) error { return r.Observe(context.Background(), job, 0, good) },

@@ -5,6 +5,8 @@ package rpc
 import (
 	"context"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // TestPlaceSteadyStateAllocs is the network path's allocation budget,
@@ -51,5 +53,37 @@ func TestPlaceSteadyStateAllocs(t *testing.T) {
 		if got > tc.budget {
 			t.Errorf("%s: %.2f allocations per 64-job place, budget %.0f", tc.name, got, tc.budget)
 		}
+	}
+}
+
+// TestObserveSteadyStateAllocs is the feedback path's budget, counted
+// the same way for one outcome post from a binary-codec client: 2
+// process-wide — the job the daemon decodes for its learner and heat
+// tracker to keep, and the one string its ten string fields share —
+// with 1 of headroom. As JSON over net/http, which is what every client
+// paid before outcomes travelled as frames on pooled stream sessions,
+// the same call measures 107.
+func TestObserveSteadyStateAllocs(t *testing.T) {
+	fx := testFixture(t)
+	d := startDaemon(t, fx.newRegistry(t), testConfig())
+	c := newCodecClient(t, d, CodecBinary)
+	ctx := context.Background()
+	j := fx.jobs[0]
+	o := sim.Outcome{WantedSSD: true, FracOnSSD: 1, SpilledAt: -1, EvictedAt: -1}
+	call := func() {
+		if err := c.Observe(ctx, j, 2, o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 16; i++ {
+		call()
+	}
+	got := testing.AllocsPerRun(200, call)
+	t.Logf("%.2f allocations per outcome post", got)
+	if got > 3 {
+		t.Errorf("%.2f allocations per outcome post, budget 3", got)
+	}
+	if n := d.Stats().OutcomeRequests; n < 200 {
+		t.Errorf("daemon counted %d outcomes, want every post", n)
 	}
 }

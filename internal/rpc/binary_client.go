@@ -3,7 +3,6 @@ package rpc
 import (
 	"context"
 	"fmt"
-	"net/http"
 
 	"repro/internal/features"
 	"repro/internal/obs"
@@ -25,6 +24,10 @@ type clientBinState struct {
 	// extension (ModelInfo.TraceIDs); when false, trace IDs are dropped
 	// from binary frames rather than risking a reserved-bits rejection.
 	traceIDs bool
+	// outcomeFrames records whether the daemon's stream sessions accept
+	// outcome frames (ModelInfo.OutcomeFrames); when false, Observe posts
+	// JSON.
+	outcomeFrames bool
 }
 
 // clientScratch pools one call's buffers: the encoded request (frame: a
@@ -98,7 +101,8 @@ func (c *Client) refreshBinState(ctx context.Context) (*clientBinState, error) {
 		return nil, fmt.Errorf("rpc: model schema mismatch: %d features declared, binner has %d, encoder has %d",
 			nf, binner.NumFeatures(), info.Encoder.NumFeatures())
 	}
-	st := &clientBinState{version: info.ModelVersion, enc: info.Encoder, binner: binner, nf: nf, traceIDs: info.TraceIDs}
+	st := &clientBinState{version: info.ModelVersion, enc: info.Encoder, binner: binner, nf: nf,
+		traceIDs: info.TraceIDs, outcomeFrames: info.OutcomeFrames}
 	c.binState.Store(st)
 	return st, nil
 }
@@ -157,7 +161,7 @@ func (c *Client) placeFrames(ctx context.Context, s *StreamSession, sc *clientSc
 	if err := encodeBinaryPlace(st, jobs, obs.TraceID(ctx), sc); err != nil {
 		return nil, err
 	}
-	if err := c.run(ctx, s, httpOp{http.MethodPost, wire.PathPlace, true}, sc, jobs); err != nil {
+	if err := c.run(ctx, s, opPlace, sc, jobs); err != nil {
 		return nil, err
 	}
 	if len(sc.bresp.Decisions) != len(jobs) {

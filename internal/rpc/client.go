@@ -109,6 +109,12 @@ type Client struct {
 	jsonPlaces atomic.Int64
 	scratch    sync.Pool
 
+	// idle holds the stream sessions outcome frames travel on, between
+	// uses (see observeFrames); idleClosed makes Close final.
+	idleMu     sync.Mutex
+	idle       []*StreamSession
+	idleClosed bool
+
 	// jitter drives the retry-backoff jitter; guarded by jitterMu so
 	// concurrent retriers draw independent offsets.
 	jitterMu sync.Mutex
@@ -272,11 +278,104 @@ func (c *Client) PlaceOne(ctx context.Context, j *trace.Job) (wire.Decision, err
 }
 
 // Observe reports a placement outcome back to the daemon. category is
-// the Decision.Category the placement acted on.
+// the Decision.Category the placement acted on. A binary-codec client
+// sends it as a frame on a pooled stream session when the daemon
+// advertised ModelInfo.OutcomeFrames; every other pairing (JSON codec,
+// latched JSON fallback, a daemon without the capability) posts JSON to
+// /v1/outcome.
 func (c *Client) Observe(ctx context.Context, j *trace.Job, category int, o sim.Outcome) error {
 	c.requests.Add(1)
 	req := wire.OutcomeRequest{Job: j, Category: category, Outcome: wire.OutcomeOf(o)}
+	if c.cfg.Codec == CodecBinary && !c.jsonOnly.Load() {
+		// A model fetch that failed leaves the capability unknown, and
+		// JSON serves every daemon: the outcome at hand goes that way, as
+		// a place does when its re-probe fails.
+		if st, err := c.binaryState(ctx); err == nil && st != nil && st.outcomeFrames {
+			return c.count(c.observeFrames(ctx, &req))
+		}
+	}
 	return c.count(c.call(ctx, http.MethodPost, wire.PathOutcome, req, nil))
+}
+
+// maxIdleSessions caps the idle list. A session costs a connection, two
+// 4 KiB buffers here and a parked goroutine on the daemon, and only as
+// many are ever dialled as Observe calls overlap.
+const maxIdleSessions = 16
+
+// observeFrames sends one outcome as a frame. The checks are the ones
+// the daemon applies, with the verdict encodeBinaryPlace gives a bad
+// job: a bad request, not a failed node. The session comes off the idle
+// list, newest first, or is dialled, and goes back unless it broke.
+//
+// A reused session may have died while idle (the daemon restarted, or
+// closed it while draining), which only shows on use. When the failure
+// shows exactly that (StreamSession.deadOnUse: the write failed, or the
+// connection ended before one reply byte) the outcome is sent once more
+// on a freshly dialled session, as http.Transport re-sends on a
+// keep-alive connection the server closed. Any other break is final: a
+// timeout or a garbled reply comes from a daemon that is alive and may
+// well have applied the outcome, and feeding its controller, learner and
+// heat tracker the same outcome twice under the overload that caused the
+// timeout is worse than the error. The re-send cannot tell a frame that
+// never arrived from one whose ack was lost with the connection, so it
+// may still apply an outcome twice. That is harmless only in the case it
+// exists for: a daemon that dropped its connections by dying has lost
+// its in-memory controller state along with them. A fresh session that
+// fails returns its error. (The router's re-post to the next owner after
+// a lost ack is the same hazard one layer up, and stays open.)
+func (c *Client) observeFrames(ctx context.Context, req *wire.OutcomeRequest) error {
+	if err := req.Validate(); err != nil {
+		return &Error{Op: opOutcome.name, Code: wire.ErrCodeBadRequest, Message: err.Error()}
+	}
+	s := c.takeIdle()
+	for {
+		reused := s != nil
+		var err error
+		if !reused {
+			if s, err = c.OpenStream(ctx); err != nil {
+				return err
+			}
+		}
+		if s.sc.frame, err = wire.AppendOutcomeFrame(s.sc.frame[:0], obs.TraceID(ctx), req); err == nil {
+			err = c.run(ctx, s, opOutcome, &s.sc, nil)
+		}
+		if !s.broken {
+			c.putIdle(s)
+			return err
+		}
+		if !reused || !s.deadOnUse {
+			return err
+		}
+		s = nil // died while parked: once more, on a fresh session
+	}
+}
+
+// takeIdle pops the most recently used idle session, or returns nil.
+func (c *Client) takeIdle() *StreamSession {
+	c.idleMu.Lock()
+	defer c.idleMu.Unlock()
+	n := len(c.idle)
+	if n == 0 {
+		return nil
+	}
+	s := c.idle[n-1]
+	c.idle[n-1] = nil // the list must not keep a session its taker drops
+	c.idle = c.idle[:n-1]
+	return s
+}
+
+// putIdle returns a working session to the idle list, or closes it when
+// the list is full or the client closed.
+func (c *Client) putIdle(s *StreamSession) {
+	c.idleMu.Lock()
+	if !c.idleClosed && len(c.idle) < maxIdleSessions {
+		c.idle = append(c.idle, s)
+		s = nil
+	}
+	c.idleMu.Unlock()
+	if s != nil {
+		_ = s.Close()
+	}
 }
 
 // ModelInfo fetches the daemon's active-model metadata.
@@ -297,8 +396,18 @@ func (c *Client) Stats() ClientStats {
 	}
 }
 
-// Close releases idle connections. The client may not be used after.
-func (c *Client) Close() { c.hc.CloseIdleConnections() }
+// Close releases idle connections and idle stream sessions. The client
+// may not be used after.
+func (c *Client) Close() {
+	c.hc.CloseIdleConnections()
+	c.idleMu.Lock()
+	idle := c.idle
+	c.idle, c.idleClosed = nil, true
+	c.idleMu.Unlock()
+	for _, s := range idle {
+		_ = s.Close()
+	}
+}
 
 // call runs one JSON operation: marshal body (nil = none) once, drive
 // it to its final verdict, decode the 2xx document into into (nil =
@@ -324,11 +433,20 @@ func (c *Client) call(ctx context.Context, method, path string, body, into any) 
 }
 
 // httpOp is the HTTP shape of one operation; frames marks a binary
-// frame body that asks for a frame back.
+// frame body that asks for a frame back: the answer frame type, on HTTP
+// or on a stream, where a refusal reports the operation by its name.
 type httpOp struct {
 	method, path string
 	frames       bool
+	answer       wire.FrameType
+	name         string
 }
+
+// The two operations that travel as frames.
+var (
+	opPlace   = httpOp{http.MethodPost, wire.PathPlace, true, wire.FramePlaceResponse, "place"}
+	opOutcome = httpOp{http.MethodPost, wire.PathOutcome, true, wire.FrameOutcomeAck, "outcome"}
+)
 
 // reply is the daemon's verdict on one attempt: wire code 0 with the
 // answer in the call's scratch, or the code it refused with, its
@@ -353,7 +471,7 @@ func (c *Client) run(ctx context.Context, s *StreamSession, op httpOp, sc *clien
 		var rep reply
 		var err error
 		if s != nil {
-			rep, err = s.exchange(ctx)
+			rep, err = s.exchange(ctx, op)
 		} else {
 			rep, err = c.exchange(ctx, op, sc)
 		}
@@ -389,9 +507,9 @@ func (c *Client) run(ctx context.Context, s *StreamSession, op httpOp, sc *clien
 			}
 			rep.msg = fmt.Sprintf("still shed after %d retries: %s", sheds, rep.msg)
 		}
-		what := "stream place"
-		if s == nil {
-			what = op.method + " " + op.path
+		what := op.method + " " + op.path
+		if s != nil {
+			what = "stream " + op.name
 		}
 		return &Error{Op: what, Code: rep.code, Status: rep.status, Message: rep.msg}
 	}
@@ -445,7 +563,7 @@ func (c *Client) exchange(ctx context.Context, op httpOp, sc *clientScratch) (re
 	// A frame speaks for itself: decisions, or a refusal with its own
 	// code. Any other refusal is an ErrorResponse coded by its status.
 	if ft, payload, ferr := wire.DecodeFrame(sc.body, 0); ferr == nil {
-		if rep.code, rep.msg, err = decodeReplyFrame(ft, payload, &sc.bresp); err != nil {
+		if rep.code, rep.msg, err = decodeReplyFrame(op, ft, payload, &sc.bresp); err != nil {
 			return rep, fmt.Errorf("rpc: %w", err)
 		}
 	} else if ok {
@@ -467,17 +585,21 @@ func (c *Client) exchange(ctx context.Context, op httpOp, sc *clientScratch) (re
 }
 
 // decodeReplyFrame reads one daemon reply frame, from an HTTP body or
-// off a stream: decisions into resp (code 0), or an error frame's code
-// and message.
-func decodeReplyFrame(ft wire.FrameType, payload []byte, resp *wire.BinaryPlaceResponse) (uint16, string, error) {
-	switch ft {
-	case wire.FramePlaceResponse:
-		return 0, "", wire.DecodePlaceResponse(payload, resp, 0)
-	case wire.FrameError:
+// off a stream: the frame that answers op (a place's decisions into
+// resp, an outcome's empty ack; code 0), or an error frame's code and
+// message.
+func decodeReplyFrame(op httpOp, ft wire.FrameType, payload []byte, resp *wire.BinaryPlaceResponse) (uint16, string, error) {
+	switch {
+	case ft == wire.FrameError:
 		return wire.DecodeError(payload)
-	default:
-		return 0, "", fmt.Errorf("unexpected frame type %d in place reply", ft)
+	case ft != op.answer:
+		return 0, "", fmt.Errorf("unexpected frame type %d in reply to %s %s", ft, op.method, op.path)
+	case ft == wire.FramePlaceResponse:
+		return 0, "", wire.DecodePlaceResponse(payload, resp, 0)
+	case len(payload) != 0:
+		return 0, "", fmt.Errorf("outcome ack carries %d payload bytes", len(payload))
 	}
+	return 0, "", nil
 }
 
 // wireCode reads a refusal that came without an error frame off its

@@ -21,9 +21,22 @@
 // the JSON path has no stale-version retry to run, and both entries
 // already share one fan-out and one inference path inside serve.
 //
+// Outcome feedback, which is 1:1 with placements, is served the same
+// way: Daemon.serveOutcome is the one outcome pipeline (begin the trace,
+// validate, feed the shard controller, the learner and the observer,
+// count, time, span) under two shells. handleOutcome takes JSON over
+// HTTP, the documented API; serveStream takes outcome-request frames on
+// the sessions that carry place frames, dispatching on frame type: a
+// place frame runs under a place admission slot and an outcome frame
+// under an outcome slot, each answered by its response or ack frame, or
+// an error frame that leaves the session open.
+//
 // The client mirrors it: Client.run is the one retry loop (shed → one
 // jittered back-off, stale version → refresh and re-bin) over a round
-// trip that is an HTTP request or a frame exchange on a stream.
+// trip that is an HTTP request or a frame exchange on a stream. A
+// binary-codec client sends outcomes as frames, to daemons that
+// advertise the capability, on sessions it keeps in a small idle list;
+// see Client.Observe.
 //
 // The daemon adds what in-process serving does not need:
 //
@@ -373,6 +386,7 @@ func (d *Daemon) modelInfo() wire.ModelInfo {
 		enc, binner, version := d.srv.WireModel()
 		info.Binary = true
 		info.TraceIDs = true
+		info.OutcomeFrames = true
 		info.ModelVersion = version
 		info.NumFeatures = binner.NumFeatures()
 		info.BinEdges = binner.Edges
@@ -573,22 +587,16 @@ func (d *Daemon) readPlace(w http.ResponseWriter, r *http.Request, sc *placeScra
 		return nil, 0, fmt.Errorf("reading request: %w", err)
 	}
 	ft, payload, err := wire.DecodeFrame(sc.body, int(d.cfg.MaxBodyBytes))
+	if err == nil && ft != wire.FramePlaceRequest {
+		err = fmt.Errorf("wire: expected place-request frame, got type %d", ft)
+	}
 	if err == nil {
-		err = d.decodePlaceFrame(ft, payload, &sc.breq)
+		err = wire.DecodePlaceRequest(payload, &sc.breq, d.cfg.MaxBatch)
 	}
 	if sc.breq.TraceID != 0 {
 		tid = sc.breq.TraceID
 	}
 	return nil, tid, err
-}
-
-// decodePlaceFrame decodes one well-framed place request, from an HTTP
-// body or off a stream.
-func (d *Daemon) decodePlaceFrame(ft wire.FrameType, payload []byte, req *wire.BinaryPlaceRequest) error {
-	if ft != wire.FramePlaceRequest {
-		return fmt.Errorf("wire: expected place-request frame, got type %d", ft)
-	}
-	return wire.DecodePlaceRequest(payload, req, d.cfg.MaxBatch)
 }
 
 // readBody reads r fully into buf (reused; grown as needed).
@@ -608,37 +616,24 @@ func readBody(r io.Reader, buf []byte) ([]byte, error) {
 	}
 }
 
-// handleOutcome serves POST /v1/outcome: spillover feedback routed to
-// the job's admission shard (and the attached learner, if any).
-func (d *Daemon) handleOutcome(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	if r.Method != http.MethodPost {
-		d.methodNotAllowed(w, r)
-		return
-	}
-	b := d.tracer.Begin(wire.TraceIDFromHeader(r.Header))
-	defer b.Finish()
-	if !d.outcome.acquire(r.Context()) {
-		d.fail(w, r, wire.ErrCodeOverloaded, shedMessage)
-		return
-	}
-	defer d.outcome.release()
-	wait := time.Since(start)
+// serveOutcome is the one outcome pipeline, behind both feedback
+// transports: validate, feed the job's admission shard (and the attached
+// learner and observer, if any), count, time, span. It returns 0, or the
+// wire code and message the shell must refuse the outcome with. Like
+// servePlace it begins the trace itself, after the shell's admission and
+// decode: a sampled outcome that was shed or never parsed has no span
+// worth a /tracez slot.
+func (d *Daemon) serveOutcome(req *wire.OutcomeRequest, traceID uint64, start time.Time, wait time.Duration) (uint16, string) {
 	d.hists.queueWait.RecordDuration(wait)
+	b := d.tracer.Begin(traceID)
+	defer b.Finish()
 	b.Span("rpc.queue_wait", "", start, wait)
-	var req wire.OutcomeRequest
-	err := d.decodeJSON(w, r, &req)
-	if err == nil {
-		err = req.Validate()
-	}
-	if err != nil {
-		d.fail(w, r, wire.ErrCodeBadRequest, err.Error())
-		return
+	if err := req.Validate(); err != nil {
+		return wire.ErrCodeBadRequest, err.Error()
 	}
 	o := req.Outcome.Sim()
 	if err := d.srv.Observe(req.Job, o); err != nil {
-		d.fail(w, r, wire.ErrCodeServer, err.Error())
-		return
+		return wire.ErrCodeServer, err.Error()
 	}
 	if d.cfg.Learner != nil {
 		d.cfg.Learner.Observe(req.Job, req.Category, o)
@@ -650,6 +645,33 @@ func (d *Daemon) handleOutcome(w http.ResponseWriter, r *http.Request) {
 	d.counters.RecordOutcome(lat)
 	d.hists.outcome.RecordDuration(lat)
 	b.Span("rpc.outcome", "", start, lat)
+	return 0, ""
+}
+
+// handleOutcome is the HTTP shell of the outcome pipeline, serving POST
+// /v1/outcome as JSON: the documented feedback API, for curl, JSON-codec
+// and non-Go clients and the front's external endpoint.
+func (d *Daemon) handleOutcome(w http.ResponseWriter, r *http.Request) {
+	start := time.Now()
+	if r.Method != http.MethodPost {
+		d.methodNotAllowed(w, r)
+		return
+	}
+	if !d.outcome.acquire(r.Context()) {
+		d.fail(w, r, wire.ErrCodeOverloaded, shedMessage)
+		return
+	}
+	defer d.outcome.release()
+	wait := time.Since(start)
+	var req wire.OutcomeRequest
+	if err := d.decodeJSON(w, r, &req); err != nil {
+		d.fail(w, r, wire.ErrCodeBadRequest, err.Error())
+		return
+	}
+	if code, msg := d.serveOutcome(&req, wire.TraceIDFromHeader(r.Header), start, wait); code != 0 {
+		d.fail(w, r, code, msg)
+		return
+	}
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -713,10 +735,10 @@ func (d *Daemon) handleVarz(w http.ResponseWriter, r *http.Request) {
 
 // handleStream serves POST /v1/stream: the persistent binary streaming
 // mode. The daemon hijacks the connection, answers 101 Switching
-// Protocols, and then speaks length-prefixed place frames in both
-// directions until the client closes or the daemon drains. Each
-// incoming frame takes a place-admission slot, so streams share the
-// same overload envelope as request/response traffic.
+// Protocols, and then speaks length-prefixed frames in both directions
+// (serveStream) until the client closes or the daemon drains. Each
+// incoming frame takes an admission slot of its kind, so streams share
+// the same overload envelope as request/response traffic.
 func (d *Daemon) handleStream(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		d.methodNotAllowed(w, r)
@@ -768,41 +790,75 @@ func (d *Daemon) dropStream(conn net.Conn) {
 	d.streamWG.Done()
 }
 
-// serveStream is the stream shell of the place pipeline: one session's
+// outcomeAck is the one frame that answers every served outcome frame.
+var outcomeAck = wire.AppendOutcomeAckFrame(nil)
+
+// serveStream is the stream shell of both pipelines: one session's
 // frame loop, run on the hijacked handler goroutine with pooled
-// scratch. Read a place-request frame, take a slot, run the pipeline,
-// write the response or error frame, repeat. Responses are written in
-// frame order, so clients may pipeline requests without waiting. A
-// refused frame (bad payload, shed, stale version) answers with an
-// error frame and keeps the session alive — framing stays intact;
-// transport errors end the session.
+// scratch. Read a frame, decode it by its type, take a slot — a place
+// request a place slot, an outcome request an outcome slot, so neither
+// kind of traffic can starve the other on a stream any more than over
+// HTTP — run the pipeline, write the response, ack or error frame,
+// repeat. Replies are written in frame order, so clients may pipeline
+// requests without waiting. A refused frame (bad payload, shed, stale
+// version) answers with an error frame and keeps the session alive —
+// framing stays intact; transport errors end the session.
 func (d *Daemon) serveStream(conn net.Conn, rw *bufio.ReadWriter) {
 	defer d.dropStream(conn)
 	sc := d.scratch.Get().(*placeScratch)
 	defer d.scratch.Put(sc)
 	for {
+		// A session idles here between frames, parked in a client's idle
+		// list for as long as it likes; the request's clock starts when
+		// its first byte is in, or latency and queue wait would measure
+		// the client's think time.
+		_, err := rw.Reader.Peek(1)
 		start := time.Now()
-		ft, buf, payload, err := wire.ReadFrame(rw.Reader, sc.body, int(d.cfg.MaxBodyBytes))
-		sc.body = buf
+		var ft wire.FrameType
+		var payload []byte
+		if err == nil {
+			ft, sc.body, payload, err = wire.ReadFrame(rw.Reader, sc.body, int(d.cfg.MaxBodyBytes))
+		}
 		if err != nil {
-			if err != io.EOF {
-				// Framing is unrecoverable: report best-effort, close.
+			// A drain expires the blocked read of every idle session, and
+			// clients park sessions between outcomes: that is no one's bad
+			// request. Otherwise framing is unrecoverable: report
+			// best-effort, close.
+			if err != io.EOF && !d.draining.Load() {
 				_ = d.failFrame(rw, wire.ErrCodeBadRequest, err.Error())
 			}
 			return
 		}
 		code, msg := wire.ErrCodeBadRequest, ""
-		if err := d.decodePlaceFrame(ft, payload, &sc.breq); err != nil {
-			msg = err.Error()
-		} else if !d.place.acquire(context.Background()) {
-			code, msg = wire.ErrCodeOverloaded, shedMessage
-		} else {
-			code, msg = d.servePlace(sc, placeCall{via: viaStream, binaryOut: true, traceID: sc.breq.TraceID, start: start, wait: time.Since(start)})
-			d.place.release()
+		var out []byte
+		switch ft {
+		case wire.FramePlaceRequest:
+			if err := wire.DecodePlaceRequest(payload, &sc.breq, d.cfg.MaxBatch); err != nil {
+				msg = err.Error()
+			} else if !d.place.acquire(context.Background()) {
+				code, msg = wire.ErrCodeOverloaded, shedMessage
+			} else {
+				code, msg = d.servePlace(sc, placeCall{via: viaStream, binaryOut: true, traceID: sc.breq.TraceID, start: start, wait: time.Since(start)})
+				d.place.release()
+				out = sc.out
+			}
+		case wire.FrameOutcomeRequest:
+			var req wire.OutcomeRequest
+			if traceID, err := wire.DecodeOutcomeRequest(payload, &req); err != nil {
+				msg = err.Error()
+			} else if !d.outcome.acquire(context.Background()) {
+				code, msg = wire.ErrCodeOverloaded, shedMessage
+			} else {
+				code, msg = d.serveOutcome(&req, traceID, start, time.Since(start))
+				d.outcome.release()
+				out = outcomeAck
+			}
+		default:
+			msg = fmt.Sprintf("wire: frame type %d is not a request", ft)
 		}
 		if code != 0 {
 			err = d.failFrame(rw, code, msg)
-		} else if _, err = rw.Write(sc.out); err == nil {
+		} else if _, err = rw.Write(out); err == nil {
 			err = rw.Flush()
 		}
 		if err != nil {

@@ -3,6 +3,7 @@ package rpc
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/rebalance"
 	"repro/internal/rpc/wire"
 	"repro/internal/sim"
@@ -268,6 +270,72 @@ func TestAdmissionShedAndRetry(t *testing.T) {
 	}
 	if cs.Failures != 0 {
 		t.Errorf("client failures %d, want 0 (retries should absorb sheds)", cs.Failures)
+	}
+}
+
+// TestRefusedOutcomeLeavesNoTrace pins where an outcome's trace begins:
+// after admission and decode, like a place's. A sampled outcome that is
+// shed, or never parses, has no span to show, and finishing an empty
+// trace into the bounded /tracez ring would evict a useful one under
+// exactly the overload an operator is debugging. Both shells.
+func TestRefusedOutcomeLeavesNoTrace(t *testing.T) {
+	fx := testFixture(t)
+	cfg := testConfig()
+	cfg.MaxInFlightOutcome = 1
+	cfg.QueueDeadline = 0
+	d := startDaemon(t, fx.newRegistry(t), cfg)
+	if !d.outcome.acquire(context.Background()) {
+		t.Fatal("could not take the outcome slot")
+	}
+	held := true
+	defer func() {
+		if held {
+			d.outcome.release()
+		}
+	}()
+	o := sim.Outcome{WantedSSD: true, FracOnSSD: 1, SpilledAt: -1, EvictedAt: -1}
+	traced := obs.WithTrace(context.Background(), obs.NewTracer("test", 1, 4).Begin(0))
+
+	for _, codec := range []string{CodecJSON, CodecBinary} {
+		ccfg := DefaultClientConfig(d.BaseURL())
+		ccfg.Codec = codec
+		ccfg.MaxRetries = 0
+		c, err := NewClient(ccfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		var refused *Error
+		if err := c.Observe(traced, fx.jobs[0], 0, o); !errors.As(err, &refused) || refused.Code != wire.ErrCodeOverloaded {
+			t.Fatalf("%s: observe against a full outcome admission surfaced %v, want a shed", codec, err)
+		}
+	}
+	req, _ := http.NewRequest(http.MethodPost, d.BaseURL()+wire.PathOutcome, strings.NewReader("{"))
+	req.Header.Set(wire.TraceHeader, "00000000000000aa")
+	d.outcome.release()
+	held = false
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("malformed traced outcome answered %d, want 400", resp.StatusCode)
+	}
+	if st := d.Stats(); st.Shed != 2 || st.BadRequests != 1 {
+		t.Errorf("daemon counted %d shed / %d bad requests, want 2 / 1", st.Shed, st.BadRequests)
+	}
+	if got := d.Tracer().Snapshot(); len(got) != 0 {
+		t.Errorf("refused outcomes left %d traces in the ring: %+v", len(got), got)
+	}
+	// A served traced outcome is captured, spans and all.
+	c := newCodecClient(t, d, CodecBinary)
+	if err := c.Observe(traced, fx.jobs[0], 0, o); err != nil {
+		t.Fatal(err)
+	}
+	got := d.Tracer().Snapshot()
+	if len(got) != 1 || got[0].ID != obs.TraceID(traced) || len(got[0].Spans) != 2 {
+		t.Errorf("served traced outcome left %+v, want one trace with queue-wait and outcome spans", got)
 	}
 }
 

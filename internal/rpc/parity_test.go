@@ -1,18 +1,23 @@
 package rpc
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/rebalance"
 	"repro/internal/rpc/wire"
 	"repro/internal/serve"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -39,7 +44,7 @@ func (p parityConn) send(t *testing.T, raw []byte) reply {
 	var err error
 	if p.s != nil {
 		p.s.sc.frame = append(p.s.sc.frame[:0], raw...)
-		rep, err = p.s.exchange(context.Background())
+		rep, err = p.s.exchange(context.Background(), p.op)
 	} else {
 		sc := &clientScratch{frame: raw}
 		rep, err = p.c.exchange(context.Background(), p.op, sc)
@@ -106,7 +111,7 @@ func TestTransportParity(t *testing.T) {
 		valid                func(t *testing.T, d *Daemon) []byte
 	}{
 		{
-			name: "json", codec: CodecJSON, op: httpOp{http.MethodPost, wire.PathPlace, false}, json: 1,
+			name: "json", codec: CodecJSON, op: httpOp{method: http.MethodPost, path: wire.PathPlace}, json: 1,
 			bad: func(*testing.T, *Daemon) map[string][]byte {
 				return map[string][]byte{
 					"invalid job": []byte(`{"jobs":[{"id":""}]}`),
@@ -122,11 +127,11 @@ func TestTransportParity(t *testing.T) {
 			},
 		},
 		{
-			name: "http-binary", codec: CodecBinary, op: httpOp{http.MethodPost, wire.PathPlace, true}, binary: 1,
+			name: "http-binary", codec: CodecBinary, op: opPlace, binary: 1,
 			bad: badFrames, valid: validFrame,
 		},
 		{
-			name: "stream", codec: CodecBinary, stream: true, binary: 1, frames: 1,
+			name: "stream", codec: CodecBinary, stream: true, op: opPlace, binary: 1, frames: 1,
 			bad: badFrames, valid: validFrame,
 		},
 	}
@@ -351,5 +356,248 @@ func TestHotSwapKeepsShedBudget(t *testing.T) {
 	}
 	if stats[0] != stats[1] {
 		t.Errorf("HTTP-binary and stream count the same operation differently: %+v vs %+v", stats[0], stats[1])
+	}
+}
+
+// TestOutcomeParity is the feedback half of the transport table. Rows
+// are the two outcome shells as a client reaches them: JSON over HTTP,
+// and frames on a pooled stream session (the binary-codec client against
+// a daemon that advertises them). Each row drives the same place and
+// outcome sequence against its own fresh daemon with a heat tracker
+// attached; everything the feedback touches must come out equal, and the
+// refusals must carry the same codes and cost the same retries.
+func TestOutcomeParity(t *testing.T) {
+	fx := testFixture(t)
+	jobs, following := fx.jobs[:48], fx.jobs[48:96]
+	ctx := context.Background()
+	outcomeFor := func(i int, admit bool) sim.Outcome {
+		o := sim.Outcome{WantedSSD: admit, SpilledAt: -1, EvictedAt: -1}
+		if admit {
+			o.FracOnSSD = 1
+			if i%3 == 0 { // a spill, so the controller has something to react to
+				o.FracOnSSD, o.SpilledAt = 0.5, jobs[i].ArrivalSec+jobs[i].LifetimeSec/2
+			}
+		}
+		return o
+	}
+
+	type result struct {
+		observations, outcomes int64
+		heat                   []rebalance.WorkloadHeat
+		next                   []wire.Decision
+		shed                   ClientStats
+	}
+	var results []result
+	for _, row := range []struct {
+		codec    string
+		op       httpOp
+		sessions int64 // stream sessions the whole row may open
+	}{
+		{CodecJSON, httpOp{method: http.MethodPost, path: wire.PathOutcome}, 0},
+		{CodecBinary, opOutcome, 1},
+	} {
+		t.Run(row.codec, func(t *testing.T) {
+			cfg := testConfig()
+			heat := rebalance.NewHeatTracker(fx.cm, 0, nil)
+			cfg.OutcomeObserver = heat
+			cfg.MaxInFlightOutcome = 2
+			cfg.QueueDeadline = 0
+			d := startDaemon(t, fx.newRegistry(t), cfg)
+			ccfg := DefaultClientConfig(d.BaseURL())
+			ccfg.Codec = row.codec
+			ccfg.MaxRetries = 3
+			ccfg.RetryBackoff = time.Millisecond
+			c, err := NewClient(ccfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+
+			// The same feedback, and everything downstream of it.
+			ds, err := c.Place(ctx, jobs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, j := range jobs {
+				if err := c.Observe(ctx, j, ds[i].Category, outcomeFor(i, ds[i].Admit)); err != nil {
+					t.Fatalf("observe %d: %v", i, err)
+				}
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for d.ServeStats().Observations < int64(len(jobs)) && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			next, err := c.Place(ctx, following)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := result{
+				observations: d.ServeStats().Observations,
+				outcomes:     d.Stats().OutcomeRequests,
+				heat:         heat.Snapshot(jobs[len(jobs)-1].ArrivalSec),
+				next:         next,
+			}
+			if res.outcomes != int64(len(jobs)) || heat.Stats().Observations != res.outcomes {
+				t.Errorf("daemon counted %d outcomes and the tracker %d, want %d", res.outcomes, heat.Stats().Observations, len(jobs))
+			}
+
+			// A request that is itself wrong. Through the public API it is a
+			// typed bad request on both rows (the frame client refuses it
+			// before sending, as it does an invalid job on the place path).
+			good := outcomeFor(1, true)
+			bad := good
+			bad.FracOnSSD = 1.5
+			var refused *Error
+			if err := c.Observe(ctx, jobs[0], 0, bad); !errors.As(err, &refused) || refused.Code != wire.ErrCodeBadRequest {
+				t.Errorf("frac_on_ssd 1.5 surfaced %v, want an *Error with the bad-request code", err)
+			}
+			// Sent raw, past the client's own check, the daemon refuses it
+			// once, serves nothing, and the connection or session carries on.
+			p := parityConn{c: c, op: row.op}
+			if row.op.frames {
+				if p.s = c.takeIdle(); p.s == nil {
+					t.Fatal("no idle session after 48 frame outcomes")
+				}
+			}
+			// A job float that is not finite is the other request that is
+			// itself wrong. JSON cannot spell one (1e999 is as close as a
+			// body gets); a frame carries the bits, so the check is the
+			// pipeline's, and the verdict must match.
+			nonFinite := *jobs[0]
+			nonFinite.History.AvgSizeBytes = math.Inf(1)
+			if err := c.Observe(ctx, &nonFinite, 0, good); err == nil {
+				t.Error("a job with an infinite history float was accepted")
+			}
+			raw := func(j *trace.Job, o sim.Outcome) []byte {
+				req := wire.OutcomeRequest{Job: j, Outcome: wire.OutcomeOf(o)}
+				if row.op.frames {
+					b, err := wire.AppendOutcomeFrame(nil, 0, &req)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return b
+				}
+				spelled := *j
+				if j == &nonFinite {
+					spelled.History.AvgSizeBytes = 424242
+				}
+				req.Job = &spelled
+				b, err := json.Marshal(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return bytes.Replace(b, []byte(`"avg_size_bytes":424242`), []byte(`"avg_size_bytes":1e999`), 1)
+			}
+			before := d.Stats()
+			for name, body := range map[string][]byte{"frac_on_ssd 1.5": raw(jobs[0], bad), "infinite job float": raw(&nonFinite, good)} {
+				st := d.Stats()
+				if rep := p.send(t, body); rep.code != wire.ErrCodeBadRequest {
+					t.Errorf("raw %s refused with code %d status %d (%s), want a bad request", name, rep.code, rep.status, rep.msg)
+				}
+				if now := d.Stats(); now.BadRequests != st.BadRequests+1 || now.OutcomeRequests != st.OutcomeRequests || now.ServerErrors != st.ServerErrors {
+					t.Errorf("raw %s moved the counters %+v -> %+v, want one more bad request only", name, st, now)
+				}
+			}
+			if got := heat.Stats().Observations; got != res.outcomes {
+				t.Errorf("the tracker saw %d outcomes, %d before the refusals", got, res.outcomes)
+			}
+
+			// Saturated admission: every attempt sheds, the retry budget is
+			// spent, and both shells count the operation identically.
+			for i := 0; i < cfg.MaxInFlightOutcome; i++ {
+				if !d.outcome.acquire(ctx) {
+					t.Fatal("could not fill the outcome slots")
+				}
+			}
+			if rep := p.send(t, raw(jobs[0], good)); rep.code != wire.ErrCodeOverloaded {
+				t.Errorf("saturated daemon answered code %d status %d, want overloaded", rep.code, rep.status)
+			}
+			if p.s != nil {
+				c.putIdle(p.s)
+			}
+			cs := c.Stats()
+			if err := c.Observe(ctx, jobs[0], 0, good); !errors.As(err, &refused) || refused.Code != wire.ErrCodeOverloaded {
+				t.Errorf("observe against held slots surfaced %v, want an *Error with the overloaded code", err)
+			}
+			after := c.Stats()
+			res.shed = ClientStats{after.Requests - cs.Requests, after.Sheds - cs.Sheds, after.Retries - cs.Retries, after.Failures - cs.Failures}
+			if want := (ClientStats{Requests: 1, Sheds: 4, Retries: 3, Failures: 1}); res.shed != want {
+				t.Errorf("shed outcome counted %+v, want %+v", res.shed, want)
+			}
+			if got := d.Stats().Shed - before.Shed; got != 5 {
+				t.Errorf("daemon counted %d sheds, want 5", got)
+			}
+			for i := 0; i < cfg.MaxInFlightOutcome; i++ {
+				d.outcome.release()
+			}
+			if err := c.Observe(ctx, jobs[0], 0, good); err != nil {
+				t.Errorf("observe after the refusals: %v", err)
+			}
+			if got := d.Stats().StreamSessions; got != row.sessions {
+				t.Errorf("row opened %d stream sessions, want %d: refusals must not cost a session", got, row.sessions)
+			}
+			results = append(results, res)
+		})
+	}
+	if len(results) != 2 {
+		return
+	}
+	a, b := results[0], results[1]
+	if a.observations != b.observations || a.outcomes != b.outcomes {
+		t.Errorf("json and frames disagree: %d/%d observations, %d/%d outcome requests", a.observations, b.observations, a.outcomes, b.outcomes)
+	}
+	if !reflect.DeepEqual(a.heat, b.heat) {
+		t.Errorf("heat trackers disagree:\njson   %+v\nframes %+v", a.heat, b.heat)
+	}
+	if !reflect.DeepEqual(a.next, b.next) {
+		t.Error("the place batch after the feedback was decided differently: the controllers saw different outcomes")
+	}
+	if a.shed != b.shed {
+		t.Errorf("json and frames count a shed outcome differently: %+v vs %+v", a.shed, b.shed)
+	}
+}
+
+// TestObserveFallsBackToJSON pins the selection rule from the other
+// side: a binary-codec client posts JSON to a daemon that does not speak
+// binary at all, and to one that speaks it but does not advertise outcome
+// frames (an older build) — advertised, never probed.
+func TestObserveFallsBackToJSON(t *testing.T) {
+	fx := testFixture(t)
+	o := sim.Outcome{WantedSSD: true, FracOnSSD: 1, SpilledAt: -1, EvictedAt: -1}
+	for _, disable := range []bool{true, false} {
+		cfg := testConfig()
+		cfg.DisableBinary = disable
+		d := startDaemon(t, fx.newRegistry(t), cfg)
+		// The older build: everything but the capability.
+		front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != wire.PathModel {
+				d.Handler().ServeHTTP(w, r)
+				return
+			}
+			info := d.modelInfo()
+			info.OutcomeFrames = false
+			d.writeJSON(w, http.StatusOK, info)
+		}))
+		defer front.Close()
+		ccfg := DefaultClientConfig(front.URL)
+		ccfg.Codec = CodecBinary
+		c, err := NewClient(ccfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if _, err := c.Place(context.Background(), fx.jobs[:4]); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Observe(context.Background(), fx.jobs[0], 0, o); err != nil {
+			t.Fatalf("DisableBinary=%v: observe: %v", disable, err)
+		}
+		st := d.Stats()
+		if st.OutcomeRequests != 1 || st.StreamSessions != 0 {
+			t.Errorf("DisableBinary=%v: %d outcomes over %d stream sessions, want 1 over 0", disable, st.OutcomeRequests, st.StreamSessions)
+		}
+		if wantBinary := int64(1); !disable && st.PlaceBinary != wantBinary {
+			t.Errorf("place went out as JSON against a daemon that speaks binary")
+		}
 	}
 }

@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"strings"
+	"syscall"
 	"time"
 
 	"repro/internal/rpc/wire"
@@ -26,7 +28,9 @@ var ErrStreamBroken = errors.New("rpc: stream session broken")
 // StreamSession is one persistent binary placement stream: a single
 // connection upgraded via POST /v1/stream, carrying length-prefixed
 // place frames in both directions — no per-batch HTTP overhead, no
-// per-batch connection work. Obtain one with Client.OpenStream.
+// per-batch connection work. Obtain one with Client.OpenStream. (The
+// client's own outcome frames travel on sessions of the same kind that
+// it opens and parks itself; see Client.Observe.)
 //
 // A session is NOT safe for concurrent use: it owns one connection and
 // one set of scratch buffers, and frames are matched to responses by
@@ -39,6 +43,12 @@ type StreamSession struct {
 	sc     clientScratch
 	closed bool
 	broken bool
+	// deadOnUse marks a break that shows the connection had died before
+	// the request: the write failed short of a deadline, or the read
+	// ended (closed, reset) before one reply byte. No daemon that still
+	// holds this connection has the frame. A timeout or a garbled reply
+	// is not that: the daemon may be applying the frame right now.
+	deadOnUse bool
 }
 
 // Broken reports whether the session was poisoned by a transport or
@@ -137,11 +147,12 @@ func (s *StreamSession) Place(ctx context.Context, jobs []*trace.Job) ([]wire.De
 	return ds, c.count(err)
 }
 
-// exchange writes the encoded request frame and reads one reply frame:
-// the daemon's verdict, or a transport or protocol failure, which
-// poisons the session and comes back wrapped in ErrStreamBroken.
-func (s *StreamSession) exchange(ctx context.Context) (reply, error) {
-	code, msg, err := s.roundTrip(ctx)
+// exchange writes the encoded request frame and reads the one frame
+// that answers op: the daemon's verdict, or a transport or protocol
+// failure, which poisons the session and comes back wrapped in
+// ErrStreamBroken.
+func (s *StreamSession) exchange(ctx context.Context, op httpOp) (reply, error) {
+	code, msg, err := s.roundTrip(ctx, op)
 	if err != nil {
 		s.closed, s.broken = true, true
 		_ = s.conn.Close()
@@ -152,7 +163,7 @@ func (s *StreamSession) exchange(ctx context.Context) (reply, error) {
 
 // roundTrip is exchange without the poisoning: the reply frame's wire
 // code and message, or what broke.
-func (s *StreamSession) roundTrip(ctx context.Context) (uint16, string, error) {
+func (s *StreamSession) roundTrip(ctx context.Context, op httpOp) (uint16, string, error) {
 	if deadline, ok := ctx.Deadline(); ok {
 		_ = s.conn.SetDeadline(deadline)
 	} else {
@@ -164,17 +175,23 @@ func (s *StreamSession) roundTrip(ctx context.Context) (uint16, string, error) {
 		err = s.bw.Flush()
 	}
 	if err != nil {
+		s.deadOnUse = !errors.Is(err, os.ErrDeadlineExceeded)
 		return 0, "", fmt.Errorf("rpc: stream write: %w", err)
+	}
+	if _, err := s.br.Peek(1); err != nil {
+		if err == io.EOF {
+			s.deadOnUse = true
+			return 0, "", errors.New("rpc: stream closed by daemon")
+		}
+		s.deadOnUse = errors.Is(err, syscall.ECONNRESET)
+		return 0, "", fmt.Errorf("rpc: stream read: %w", err)
 	}
 	ft, buf, payload, err := wire.ReadFrame(s.br, s.sc.body, 0)
 	s.sc.body = buf
-	if err == io.EOF {
-		return 0, "", errors.New("rpc: stream closed by daemon")
-	}
 	if err != nil {
 		return 0, "", err
 	}
-	return decodeReplyFrame(ft, payload, &s.sc.bresp)
+	return decodeReplyFrame(op, ft, payload, &s.sc.bresp)
 }
 
 // Close shuts the stream down. Safe to call twice.

@@ -3,10 +3,17 @@ package rpc
 import (
 	"context"
 	"errors"
+	"net/http"
+	"net/http/httptest"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/rpc/wire"
+	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // TestStreamPlace drives the persistent streaming mode end to end:
@@ -240,7 +247,242 @@ func TestStreamShutdownDrain(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 3*time.Second {
 		t.Errorf("shutdown took %s with an idle stream", elapsed)
 	}
+	if got := d.Stats().BadRequests; got != 0 {
+		t.Errorf("draining an idle session counted %d bad requests", got)
+	}
 	if _, err := s.Place(context.Background(), fx.jobs[:1]); err == nil {
 		t.Error("place on a drained stream succeeded")
+	}
+}
+
+// TestObserveConcurrentSessions drives the idle-session list from more
+// goroutines than it holds sessions: every outcome lands exactly once,
+// overlapping calls each get a session of their own, and no more than
+// the cap stay parked afterwards.
+func TestObserveConcurrentSessions(t *testing.T) {
+	fx := testFixture(t)
+	d := startDaemon(t, fx.newRegistry(t), testConfig())
+	c := newCodecClient(t, d, CodecBinary)
+	const workers, each = maxIdleSessions + 8, 20
+	o := sim.Outcome{WantedSSD: true, FracOnSSD: 1, SpilledAt: -1, EvictedAt: -1}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if err := c.Observe(context.Background(), fx.jobs[(w*each+i)%len(fx.jobs)], 1, o); err != nil {
+					t.Errorf("worker %d outcome %d: %v", w, i, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got := d.Stats().OutcomeRequests; got != workers*each {
+		t.Errorf("daemon served %d outcomes, want %d", got, workers*each)
+	}
+	c.idleMu.Lock()
+	parked := len(c.idle)
+	c.idleMu.Unlock()
+	if parked == 0 || parked > maxIdleSessions {
+		t.Errorf("%d sessions parked, want 1..%d", parked, maxIdleSessions)
+	}
+	c.Close()
+	if err := c.Observe(context.Background(), fx.jobs[0], 1, o); err != nil {
+		t.Errorf("observe after Close: %v", err)
+	}
+	c.idleMu.Lock()
+	parked = len(c.idle)
+	c.idleMu.Unlock()
+	if parked != 0 {
+		t.Errorf("%d sessions parked on a closed client", parked)
+	}
+}
+
+// TestStreamLatencyExcludesIdleTime pins when a stream request's clock
+// starts: at its first byte, not when the session went back to waiting.
+// Sessions idle between frames (an outcome session sits parked in the
+// client's idle list), and that think time belongs in neither the
+// latency nor the queue-wait histogram.
+func TestStreamLatencyExcludesIdleTime(t *testing.T) {
+	fx := testFixture(t)
+	d := startDaemon(t, fx.newRegistry(t), testConfig())
+	c := newCodecClient(t, d, CodecBinary)
+	ctx := context.Background()
+	s, err := c.OpenStream(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	o := sim.Outcome{WantedSSD: true, FracOnSSD: 1, SpilledAt: -1, EvictedAt: -1}
+	const idle = 200 * time.Millisecond
+	for round := 0; round < 2; round++ {
+		if round > 0 {
+			time.Sleep(idle)
+		}
+		if _, err := s.Place(ctx, fx.jobs[:4]); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Observe(ctx, fx.jobs[0], 1, o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, h := range map[string]*obs.Histogram{
+		"stream place latency": &d.hists.placeBinary, "outcome latency": &d.hists.outcome, "queue wait": &d.hists.queueWait,
+	} {
+		if snap := h.Snapshot(); snap.Count == 0 || time.Duration(snap.Max) >= idle {
+			t.Errorf("%s: %d samples, max %s; a session idle for %s must not show", name, snap.Count, time.Duration(snap.Max), idle)
+		}
+	}
+}
+
+// slowObserver stalls on its nth call and counts them all.
+type slowObserver struct {
+	calls atomic.Int64
+	nth   int64
+	stall time.Duration
+}
+
+func (o *slowObserver) Observe(*trace.Job, sim.Outcome) {
+	if o.calls.Add(1) == o.nth {
+		time.Sleep(o.stall)
+	}
+}
+
+// TestObserveTimeoutIsNotResent pins what the one re-send on a reused
+// session must not do. A daemon too slow to ack inside RequestTimeout is
+// alive and is applying the outcome; the client returns the timeout after
+// one RequestTimeout and sends nothing again, on frames as over HTTP.
+// Re-sending would feed the controller, the learner and the heat tracker
+// the same outcome twice under the very overload that caused the timeout.
+func TestObserveTimeoutIsNotResent(t *testing.T) {
+	fx := testFixture(t)
+	const timeout = 100 * time.Millisecond
+	o := sim.Outcome{WantedSSD: true, FracOnSSD: 1, SpilledAt: -1, EvictedAt: -1}
+	for _, codec := range []string{CodecJSON, CodecBinary} {
+		t.Run(codec, func(t *testing.T) {
+			slow := &slowObserver{nth: 2, stall: 3 * timeout}
+			cfg := testConfig()
+			cfg.OutcomeObserver = slow
+			d := startDaemon(t, fx.newRegistry(t), cfg)
+			ccfg := DefaultClientConfig(d.BaseURL())
+			ccfg.Codec = codec
+			ccfg.RequestTimeout = timeout
+			c, err := NewClient(ccfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			ctx := context.Background()
+			// The first outcome leaves a connection (or session) to reuse.
+			if err := c.Observe(ctx, fx.jobs[0], 1, o); err != nil {
+				t.Fatal(err)
+			}
+			start := time.Now()
+			err = c.Observe(ctx, fx.jobs[1], 1, o)
+			elapsed := time.Since(start)
+			if err == nil {
+				t.Fatal("observe against a stalled daemon succeeded")
+			}
+			var refused *Error
+			if errors.As(err, &refused) {
+				t.Errorf("a timeout surfaced as a refusal: %v", err)
+			}
+			if elapsed < timeout || elapsed >= 2*timeout {
+				t.Errorf("timed-out observe took %s, want one RequestTimeout (%s), not two", elapsed, timeout)
+			}
+			time.Sleep(4 * timeout) // the stalled outcome, and a second one if it was sent
+			if got := slow.calls.Load(); got != 2 {
+				t.Errorf("the daemon applied %d outcomes for 2 posts: the timed-out one was sent again", got)
+			}
+			if got := d.Stats().OutcomeRequests; got != 2 {
+				t.Errorf("daemon counted %d outcome requests, want 2", got)
+			}
+			// The broken session is gone; the next outcome dials afresh.
+			if err := c.Observe(ctx, fx.jobs[2], 1, o); err != nil {
+				t.Errorf("observe after the timeout: %v", err)
+			}
+		})
+	}
+}
+
+// TestObserveGarbledReplyIsNotResent is the protocol-error half of the
+// same rule: a reused session that answers an outcome with the wrong
+// frame is broken, and its daemon is alive, so the outcome is not sent
+// again.
+func TestObserveGarbledReplyIsNotResent(t *testing.T) {
+	fx := testFixture(t)
+	d := startDaemon(t, fx.newRegistry(t), testConfig())
+	c := newCodecClient(t, d, CodecBinary)
+	ctx := context.Background()
+	o := sim.Outcome{WantedSSD: true, FracOnSSD: 1, SpilledAt: -1, EvictedAt: -1}
+	if err := c.Observe(ctx, fx.jobs[0], 1, o); err != nil {
+		t.Fatal(err)
+	}
+	// Leave a place request's answer unread on the parked session: the next
+	// outcome reads decisions where its ack should be.
+	s := c.takeIdle()
+	if s == nil {
+		t.Fatal("no idle session after an outcome")
+	}
+	if err := encodeBinaryPlace(c.binState.Load(), fx.jobs[:2], 0, &s.sc); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.conn.Write(s.sc.frame); err != nil {
+		t.Fatal(err)
+	}
+	c.putIdle(s)
+	err := c.Observe(ctx, fx.jobs[1], 1, o)
+	if !errors.Is(err, ErrStreamBroken) {
+		t.Fatalf("observe on a session with a stray reply: %v, want a broken stream", err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for d.Stats().OutcomeRequests < 2 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+	if st := d.Stats(); st.OutcomeRequests != 2 || st.StreamSessions != 1 {
+		t.Errorf("%d outcome requests over %d sessions, want 2 over 1: the outcome was sent again", st.OutcomeRequests, st.StreamSessions)
+	}
+}
+
+// TestObserveSurvivesModelFetchFailure: a binary-codec client whose first
+// call is Observe (a router's node client) and whose model fetch fails
+// does not know what the daemon speaks, so the outcome goes as JSON, as
+// it did before there were outcome frames; a transient fetch error must
+// not read as a failed node. The next outcome fetches again and travels
+// as a frame.
+func TestObserveSurvivesModelFetchFailure(t *testing.T) {
+	fx := testFixture(t)
+	d := startDaemon(t, fx.newRegistry(t), testConfig())
+	var failed atomic.Bool
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == wire.PathModel && failed.CompareAndSwap(false, true) {
+			http.Error(w, "try again", http.StatusServiceUnavailable)
+			return
+		}
+		d.Handler().ServeHTTP(w, r)
+	}))
+	defer front.Close()
+	ccfg := DefaultClientConfig(front.URL)
+	ccfg.Codec = CodecBinary
+	c, err := NewClient(ccfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	o := sim.Outcome{WantedSSD: true, FracOnSSD: 1, SpilledAt: -1, EvictedAt: -1}
+	if err := c.Observe(context.Background(), fx.jobs[0], 1, o); err != nil {
+		t.Fatalf("observe with the model fetch failing: %v", err)
+	}
+	if st := d.Stats(); st.OutcomeRequests != 1 || st.StreamSessions != 0 {
+		t.Errorf("%d outcomes over %d stream sessions, want 1 over 0 (JSON)", st.OutcomeRequests, st.StreamSessions)
+	}
+	if err := c.Observe(context.Background(), fx.jobs[1], 1, o); err != nil {
+		t.Fatal(err)
+	}
+	if st := d.Stats(); st.OutcomeRequests != 2 || st.StreamSessions != 1 {
+		t.Errorf("%d outcomes over %d stream sessions, want 2 over 1 (a frame)", st.OutcomeRequests, st.StreamSessions)
 	}
 }

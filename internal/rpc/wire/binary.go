@@ -12,7 +12,7 @@ import (
 //
 //	offset size  field
 //	0      4     magic "BYM1"
-//	4      1     frame type (FramePlaceRequest / FramePlaceResponse / FrameError)
+//	4      1     frame type (the table is in the package doc)
 //	5      1     flags (reserved, must be 0)
 //	6      2     reserved (must be 0)
 //	8      4     payload length N (uint32 LE)
@@ -63,6 +63,10 @@ const (
 	FramePlaceRequest  FrameType = 1
 	FramePlaceResponse FrameType = 2
 	FrameError         FrameType = 3
+	// FrameOutcomeRequest and FrameOutcomeAck carry outcome feedback on a
+	// stream session, to daemons that advertise ModelInfo.OutcomeFrames.
+	FrameOutcomeRequest FrameType = 4
+	FrameOutcomeAck     FrameType = 5
 )
 
 // HeaderSize is the fixed frame header length.
@@ -230,7 +234,7 @@ func DecodeFrameHeader(hdr []byte, maxPayload int) (FrameType, int, error) {
 	}
 	ft := FrameType(hdr[4])
 	switch ft {
-	case FramePlaceRequest, FramePlaceResponse, FrameError:
+	case FramePlaceRequest, FramePlaceResponse, FrameError, FrameOutcomeRequest, FrameOutcomeAck:
 	default:
 		return 0, 0, fmt.Errorf("wire: unknown frame type %d", hdr[4])
 	}

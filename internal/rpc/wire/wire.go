@@ -11,7 +11,43 @@
 //	POST /v1/place    PlaceRequest  -> PlaceResponse   (single or batch)
 //	POST /v1/outcome  OutcomeRequest -> 204 No Content  (feedback)
 //	GET  /v1/model    -> ModelInfo                      (active version)
-//	POST /v1/stream   -> 101, then place frames both ways (binary only)
+//	POST /v1/stream   -> 101, then frames both ways     (binary only)
+//
+// Every binary frame has one 12-byte header (binary.go) and one of five
+// types:
+//
+//	1  FramePlaceRequest    client -> daemon  HTTP body or stream
+//	2  FramePlaceResponse   daemon -> client  answers a place request
+//	3  FrameError           daemon -> client  refuses any request
+//	4  FrameOutcomeRequest  client -> daemon  stream only
+//	5  FrameOutcomeAck      daemon -> client  answers an outcome; empty
+//
+// An outcome-request payload carries the whole OutcomeRequest (the
+// daemon's learner keeps the job for retraining and the heat tracker
+// keys on its template, so a digest would not do):
+//
+//	u16 flags (bit 0 = trace ID follows; the rest reserved, rejected)
+//	[u64 trace ID, present iff flags bit 0]
+//	i64 category | u8 wanted_ssd (0 or 1)
+//	f64 frac_on_ssd | f64 spilled_at | f64 evicted_at
+//	every numeric field of trace.Job in declaration order, floats as
+//	float64 bits and ints as i64: 7 job floats, 8 Resources ints,
+//	4 History floats, History.NumRuns
+//	10 x u32 string length: id, cluster, user, pipeline, step, then
+//	Meta's build target, execution, pipeline, step and user names
+//	the string bytes, back to back, nothing after them
+//
+// String lengths are bounded by the frame payload cap alone, so the
+// frame path refuses no job the JSON path accepts. The floats travel as
+// their bits, NaN and infinities included, which JSON cannot spell; the
+// codec carries them and OutcomeRequest.Validate, run by the daemon's
+// pipeline on both paths, refuses every non-finite one. Outcome frames are the
+// feedback path of binary-codec Go clients against daemons whose
+// /v1/model advertises outcome_frames (ModelInfo.OutcomeFrames:
+// advertised, never probed). POST /v1/outcome with a JSON OutcomeRequest
+// remains the documented HTTP API for feedback: it is what curl,
+// JSON-codec and non-Go clients and the front's external endpoint speak,
+// and both reach one pipeline in the daemon.
 //
 // Every refusal carries exactly one of four codes (ErrCode*), written
 // as an error frame on a stream and to clients that accept the binary
@@ -159,26 +195,36 @@ type OutcomeRequest struct {
 
 // Validate rejects feedback the shard controllers cannot attribute.
 func (r *OutcomeRequest) Validate() error {
-	if r.Job == nil {
+	j := r.Job
+	if j == nil {
 		return fmt.Errorf("wire: outcome request has no job")
 	}
-	if err := r.Job.Validate(); err != nil {
+	if err := j.Validate(); err != nil {
 		return fmt.Errorf("wire: outcome job: %w", err)
 	}
 	// Range checks alone let NaN through (both comparisons are false
-	// for NaN), and a NaN fraction would poison every learner window
-	// and heat accumulator downstream — reject non-finite values first.
-	if math.IsNaN(r.Outcome.FracOnSSD) || math.IsInf(r.Outcome.FracOnSSD, 0) {
-		return fmt.Errorf("wire: outcome frac_on_ssd %g is not finite", r.Outcome.FracOnSSD)
+	// for NaN), trace validation has no upper bounds, and a frame carries
+	// float bits as they are, where JSON cannot spell a non-finite number.
+	// One such value would poison every learner window and heat
+	// accumulator downstream — reject them all first.
+	h := &j.History
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"frac_on_ssd", r.Outcome.FracOnSSD}, {"spilled_at", r.Outcome.SpilledAt}, {"evicted_at", r.Outcome.EvictedAt},
+		{"job arrival_sec", j.ArrivalSec}, {"job lifetime_sec", j.LifetimeSec}, {"job size_bytes", j.SizeBytes},
+		{"job read_bytes", j.ReadBytes}, {"job write_bytes", j.WriteBytes},
+		{"job avg_read_size_bytes", j.AvgReadSizeBytes}, {"job cache_hit_frac", j.CacheHitFrac},
+		{"job history avg_tcio", h.AvgTCIO}, {"job history avg_size_bytes", h.AvgSizeBytes},
+		{"job history avg_lifetime_sec", h.AvgLifetime}, {"job history avg_io_density", h.AvgIODensity},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("wire: outcome %s %g is not finite", f.name, f.v)
+		}
 	}
 	if r.Outcome.FracOnSSD < 0 || r.Outcome.FracOnSSD > 1 {
 		return fmt.Errorf("wire: outcome frac_on_ssd %g outside [0,1]", r.Outcome.FracOnSSD)
-	}
-	if math.IsNaN(r.Outcome.SpilledAt) || math.IsInf(r.Outcome.SpilledAt, 0) {
-		return fmt.Errorf("wire: outcome spilled_at %g is not finite", r.Outcome.SpilledAt)
-	}
-	if math.IsNaN(r.Outcome.EvictedAt) || math.IsInf(r.Outcome.EvictedAt, 0) {
-		return fmt.Errorf("wire: outcome evicted_at %g is not finite", r.Outcome.EvictedAt)
 	}
 	return nil
 }
@@ -223,6 +269,12 @@ type ModelInfo struct {
 	// builds reject any nonzero payload flag bits, which is exactly the
 	// fallback story: the capability is advertised, never probed.
 	TraceIDs bool `json:"trace_ids,omitempty"`
+	// OutcomeFrames reports that the daemon's stream sessions accept
+	// outcome-request frames (and their trace-ID extension) next to
+	// place frames. Clients send outcomes as frames only after seeing it;
+	// against daemons that omit it they post JSON to /v1/outcome — like
+	// TraceIDs, advertised and never probed.
+	OutcomeFrames bool `json:"outcome_frames,omitempty"`
 }
 
 // ErrorResponse is the JSON body of every non-2xx response.
