@@ -5,25 +5,34 @@ package router
 import (
 	"context"
 	"testing"
+	"time"
 
 	"repro/internal/sim"
 )
 
 // TestRouterSteadyStateAllocs is the routed paths' allocation budget,
-// counted process-wide (router, node clients, net/http and both daemons
-// share the process) on a warm 2-node plane. One routed outcome measures
-// 2, the job its owner decodes and the string that job's fields share,
-// against 107 as a JSON post; it gets 1 of headroom. One routed 64-job
-// place measures 242, about 200 of it the two net/http node requests; it
-// measured 291 here (288 on the benchmark's fixture) while
-// groupByTemplate grew one indices slice per template group, and the
-// budget stays at that 288 so the router's own share can only shrink.
-// (sync.Pool drops items at random under the race detector, hence the
-// build tag.)
+// counted process-wide (router, node clients and both daemons share the
+// process) on a warm 2-node plane, with the prober pushed out of the
+// measurement. Both operations are frames on the node clients' pooled
+// stream sessions. One routed outcome measures 2, the job its owner
+// decodes and the string that job's fields share, against 107 as a JSON
+// post; it gets 1 of headroom. One routed 64-job place measures 5: the
+// decisions it returns and, per node, the dispatch goroutine's closure
+// and the decisions the node client hands back; the routing state is
+// pooled scratch. It measured 241 while each node dispatch was a
+// net/http request (about 200 of them) and grouping and assignment
+// allocated per call (38); the budget leaves 3 of headroom. (sync.Pool
+// drops items at random under the race detector, hence the build tag.)
 func TestRouterSteadyStateAllocs(t *testing.T) {
 	fx := testFixture(t)
 	p, _ := newTestPlane(t, 2)
-	r := newTestRouter(t, p)
+	cfg := DefaultConfig(p.URLs())
+	cfg.ProbeInterval = time.Minute
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
 	ctx := context.Background()
 	jobs := fx.jobs[:64]
 	o := sim.Outcome{WantedSSD: true, FracOnSSD: 1, SpilledAt: -1, EvictedAt: -1}
@@ -34,7 +43,7 @@ func TestRouterSteadyStateAllocs(t *testing.T) {
 		budget float64
 	}{
 		{"observe", func() error { return r.Observe(ctx, jobs[0], 1, o) }, 3},
-		{"place", func() error { _, err := r.Place(ctx, jobs); return err }, 288},
+		{"place", func() error { _, err := r.Place(ctx, jobs); return err }, 8},
 	} {
 		call := func() {
 			if err := tc.call(); err != nil {

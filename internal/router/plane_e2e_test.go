@@ -163,3 +163,83 @@ func TestPlaneRestartConvergesWithoutLoad(t *testing.T) {
 		t.Errorf("restarted node serves v%d, want v3 after catch-up", got)
 	}
 }
+
+// TestPlaneHotSwapUnderLoad publishes a new model version under routed
+// load. A node client learns of it from a stale-version error frame,
+// refreshes its schema and re-bins the batch in the scratch of the pooled
+// session it is on; none of that may fail a batch or down a node, and
+// every decision is served by one of the two versions.
+func TestPlaneHotSwapUnderLoad(t *testing.T) {
+	fx := testFixture(t)
+	p, src := newTestPlane(t, 2)
+	cfg := DefaultConfig(p.URLs())
+	cfg.ProbeInterval = time.Minute // nothing but a dispatch may down a node
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+
+	const workers, chunk = 4, 32
+	var (
+		onV2 atomic.Int64
+		stop = make(chan struct{})
+		wg   sync.WaitGroup
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for n := w; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				lo := n * chunk % (len(fx.jobs) - chunk)
+				ds, err := r.Place(context.Background(), fx.jobs[lo:lo+chunk])
+				if err != nil {
+					t.Errorf("worker %d: place failed: %v", w, err)
+					return
+				}
+				for i, d := range ds {
+					switch d.ModelVersion {
+					case 1:
+					case 2:
+						onV2.Add(1)
+					default:
+						t.Errorf("worker %d: decision %d served by v%d, want v1 or v2", w, i, d.ModelVersion)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	var once sync.Once
+	halt := func() { once.Do(func() { close(stop); wg.Wait() }) }
+	defer halt() // also when waitFor gives up
+	time.Sleep(50 * time.Millisecond)
+	if _, err := src.Publish(srcWorkload, fx.model, 100); err != nil {
+		t.Errorf("publish v2: %v", err)
+	}
+	waitFor(t, 5*time.Second, "a decision on v2", func() bool { return onV2.Load() > 0 })
+	time.Sleep(50 * time.Millisecond)
+	halt()
+
+	if rs := r.Stats(); rs.Failures != 0 || rs.Failovers != 0 || rs.Reroutes != 0 {
+		t.Errorf("router stats %+v, want no failure, failover or reroute", rs)
+	}
+	// Each node that served v2 first told its client the schema was stale.
+	var stale, sessions int64
+	for i := 0; i < 2; i++ {
+		st := p.Node(i).Stats()
+		stale += st.BadRequests
+		sessions += st.StreamSessions
+	}
+	if stale == 0 {
+		t.Error("no node refused a stale-version frame: the swap was not exercised")
+	}
+	if sessions == 0 || sessions > 2*workers {
+		t.Errorf("%d stream sessions across the plane, want 1..%d: a refusal must not cost a session", sessions, 2*workers)
+	}
+}

@@ -103,6 +103,11 @@ type Router struct {
 	ring  *Ring
 	nodes map[string]*node
 
+	// scratch pools the per-call routing state of Place (*routeScratch),
+	// so a routed place allocates only what it returns and what its node
+	// dispatches cost.
+	scratch sync.Pool
+
 	probeStop chan struct{}
 	probeDone chan struct{}
 }
@@ -140,6 +145,9 @@ func New(cfg Config) (*Router, error) {
 		nodes:     map[string]*node{},
 		probeStop: make(chan struct{}),
 		probeDone: make(chan struct{}),
+	}
+	r.scratch.New = func() any {
+		return &routeScratch{byKey: map[uint32]int{}, byNode: map[string]*nodeBatch{}}
 	}
 	for _, url := range cfg.Nodes {
 		if _, dup := r.nodes[url]; dup {
@@ -238,6 +246,23 @@ type group struct {
 	indices []int
 }
 
+// routeScratch is one Place call's routing state, pooled by the Router:
+// the template grouping, the per-node batches and the reroute lists.
+// Everything in it is dead when Place returns; the decisions go out in a
+// slice of their own.
+type routeScratch struct {
+	byKey   map[uint32]int // template key -> position in groups
+	groups  []group        // first-seen order; indices are cut from backing
+	which   []int          // first half job -> group, second half group -> job count
+	backing []int          // every group's indices, back to back
+
+	byNode  map[string]*nodeBatch // one batch per node URL, reused across calls
+	order   []*nodeBatch          // this attempt's batches, first-assigned order
+	pending []group               // groups to re-route after a failed attempt
+	failed  []*nodeBatch
+	wg      sync.WaitGroup
+}
+
 // Place requests decisions for a batch of jobs across the plane,
 // returning them in input order. Jobs group by template hash, each
 // group routes to its ring owner (skipping unhealthy or over-bound
@@ -248,20 +273,22 @@ func (r *Router) Place(ctx context.Context, jobs []*trace.Job) ([]wire.Decision,
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("router: place request has no jobs")
 	}
-	groups := groupByTemplate(jobs)
+	sc := r.scratch.Get().(*routeScratch)
+	defer r.scratch.Put(sc)
+	groups := sc.groupByTemplate(jobs)
 	out := make([]wire.Decision, len(jobs))
 
 	pending := groups
-	excluded := map[string]bool{}
+	var excluded map[string]bool // made by the first failure
 	dispatches := 0
 	for attempt := 0; ; attempt++ {
-		assign, err := r.assign(pending, excluded)
+		assign, err := r.assign(sc, pending, excluded)
 		if err != nil {
 			r.counters.RecordFailure()
 			return nil, err
 		}
 		dispatches += len(assign)
-		failed := r.dispatch(ctx, jobs, out, assign)
+		failed := r.dispatch(ctx, sc, jobs, out, assign)
 		if len(failed) == 0 {
 			r.counters.RecordRoute(len(jobs), len(groups), dispatches)
 			return out, nil
@@ -282,13 +309,18 @@ func (r *Router) Place(ctx context.Context, jobs []*trace.Job) ([]wire.Decision,
 				countJobs(failed), attempt, failed[0].err)
 		}
 		// Re-split the failed node batches back into template groups and
-		// re-route with the failed nodes excluded for this batch.
-		pending = nil
+		// re-route with the failed nodes excluded for this batch. The next
+		// assign refills the node batches, so their groups move out first.
+		if excluded == nil {
+			excluded = map[string]bool{}
+		}
+		sc.pending = sc.pending[:0]
 		for _, f := range failed {
 			excluded[f.url] = true
-			pending = append(pending, f.groups...)
+			sc.pending = append(sc.pending, f.groups...)
 			r.counters.RecordReroute()
 		}
+		pending = sc.pending
 	}
 }
 
@@ -382,42 +414,48 @@ func (r *Router) owner(key uint32, excluded map[string]bool) (string, *node, err
 
 // groupByTemplate splits a batch into per-template groups in first-seen
 // order. Groups are counted first and then cut from one backing array,
-// so a batch costs two index allocations however many templates it has.
-func groupByTemplate(jobs []*trace.Job) []group {
+// all of it in the scratch.
+func (sc *routeScratch) groupByTemplate(jobs []*trace.Job) []group {
 	n := len(jobs)
-	scratch := make([]int, 2*n)
-	which, sizes := scratch[:n], scratch[n:] // job -> group, group -> job count
-	byKey := map[uint32]int{}
-	var groups []group
+	if cap(sc.which) < 2*n {
+		sc.which = make([]int, 2*n)
+		sc.backing = make([]int, n)
+	}
+	which, sizes := sc.which[:n], sc.which[n:2*n] // job -> group, group -> job count
+	clear(sizes)
+	clear(sc.byKey)
+	groups := sc.groups[:0]
 	for i, j := range jobs {
 		key := serve.TemplateHash(j)
-		gi, ok := byKey[key]
+		gi, ok := sc.byKey[key]
 		if !ok {
 			gi = len(groups)
-			byKey[key] = gi
+			sc.byKey[key] = gi
 			groups = append(groups, group{key: key})
 		}
 		which[i] = gi
 		sizes[gi]++
 	}
-	backing := make([]int, n)
 	off := 0
 	for gi := range groups {
-		groups[gi].indices = backing[off : off : off+sizes[gi]]
+		groups[gi].indices = sc.backing[off : off : off+sizes[gi]]
 		off += sizes[gi]
 	}
 	for i, gi := range which {
 		groups[gi].indices = append(groups[gi].indices, i)
 	}
+	sc.groups = groups
 	return groups
 }
 
 // nodeBatch is the merged per-node dispatch unit: the groups a node
-// owns this attempt and their flattened job positions.
+// owns this attempt, their flattened job positions and the jobs at
+// those positions.
 type nodeBatch struct {
 	url     string
 	groups  []group
 	indices []int
+	sub     []*trace.Job
 	err     error
 }
 
@@ -427,7 +465,7 @@ type nodeBatch struct {
 // weight × fair share; if every owner is over bound (but some are
 // healthy), the group falls back to its first healthy owner — progress
 // beats the bound when the whole plane is saturated.
-func (r *Router) assign(groups []group, excluded map[string]bool) ([]*nodeBatch, error) {
+func (r *Router) assign(sc *routeScratch, groups []group, excluded map[string]bool) ([]*nodeBatch, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 
@@ -449,8 +487,10 @@ func (r *Router) assign(groups []group, excluded map[string]bool) ([]*nodeBatch,
 		return nil, fmt.Errorf("router: no live nodes (%d configured, %d excluded this batch)", len(r.nodes), len(excluded))
 	}
 
-	byNode := map[string]*nodeBatch{}
-	var order []*nodeBatch
+	for _, nb := range sc.order {
+		nb.groups, nb.indices, nb.err = nb.groups[:0], nb.indices[:0], nil
+	}
+	sc.order = sc.order[:0]
 	for _, g := range groups {
 		gsize := int64(len(g.indices))
 		// One node's fair share of the plane-wide in-flight load,
@@ -481,11 +521,13 @@ func (r *Router) assign(groups []group, excluded map[string]bool) ([]*nodeBatch,
 			}
 			url = fallback
 		}
-		nb := byNode[url]
+		nb := sc.byNode[url]
 		if nb == nil {
 			nb = &nodeBatch{url: url}
-			byNode[url] = nb
-			order = append(order, nb)
+			sc.byNode[url] = nb
+		}
+		if len(nb.groups) == 0 {
+			sc.order = append(sc.order, nb)
 		}
 		nb.groups = append(nb.groups, g)
 		nb.indices = append(nb.indices, g.indices...)
@@ -497,37 +539,37 @@ func (r *Router) assign(groups []group, excluded map[string]bool) ([]*nodeBatch,
 		n.mu.Unlock()
 		totalInflight += gsize
 	}
-	return order, nil
+	return sc.order, nil
 }
 
 // dispatch sends every node batch concurrently, scatters decisions into
 // out at their original positions, and returns the batches whose node
 // failed (marking those nodes down).
-func (r *Router) dispatch(ctx context.Context, jobs []*trace.Job, out []wire.Decision, batches []*nodeBatch) []*nodeBatch {
-	var wg sync.WaitGroup
+func (r *Router) dispatch(ctx context.Context, sc *routeScratch, jobs []*trace.Job, out []wire.Decision, batches []*nodeBatch) []*nodeBatch {
 	for _, nb := range batches {
 		nb := nb
-		wg.Add(1)
+		sc.wg.Add(1)
 		go func() {
-			defer wg.Done()
+			defer sc.wg.Done()
 			r.mu.RLock()
 			n := r.nodes[nb.url]
 			r.mu.RUnlock()
-			sub := make([]*trace.Job, len(nb.indices))
-			for i, idx := range nb.indices {
-				sub[i] = jobs[idx]
+			nb.sub = nb.sub[:0]
+			for _, idx := range nb.indices {
+				nb.sub = append(nb.sub, jobs[idx])
 			}
 			dispatchStart := time.Now()
-			ds, err := n.client.Place(ctx, sub)
+			ds, err := n.client.PlaceStream(ctx, nb.sub)
 			dispatchDur := time.Since(dispatchStart)
+			clear(nb.sub) // the pool must not keep the caller's jobs alive
 			n.dispatchLat.Record(dispatchDur.Nanoseconds())
 			obs.TraceFrom(ctx).Span("router.dispatch", nb.url, dispatchStart, dispatchDur)
 			n.mu.Lock()
 			n.inflight -= int64(len(nb.indices))
 			if err != nil && ctx.Err() == nil && !clientFault(err) {
-				// Any other dispatch failure — connection refused, reset
-				// mid-body, retries exhausted — downs the node until a
-				// probe brings it back; the batch reroutes.
+				// Any other dispatch failure — connection refused, a session
+				// broken mid-frame, retries exhausted — downs the node until
+				// a probe brings it back; the batch reroutes.
 				if n.healthy {
 					n.healthy = false
 					r.counters.RecordFailover()
@@ -543,14 +585,14 @@ func (r *Router) dispatch(ctx context.Context, jobs []*trace.Job, out []wire.Dec
 			}
 		}()
 	}
-	wg.Wait()
-	var failed []*nodeBatch
+	sc.wg.Wait()
+	sc.failed = sc.failed[:0]
 	for _, nb := range batches {
 		if nb.err != nil {
-			failed = append(failed, nb)
+			sc.failed = append(sc.failed, nb)
 		}
 	}
-	return failed
+	return sc.failed
 }
 
 // countJobs sums the job positions across node batches.

@@ -1,12 +1,18 @@
 package router
 
 import (
+	"bufio"
 	"context"
 	"errors"
+	"net/http"
+	"strconv"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/rpc"
 	"repro/internal/rpc/wire"
 	"repro/internal/serve"
@@ -433,5 +439,230 @@ func TestRouterClientFaultIsFinal(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRouterPlaceSurvivesNodeRestart is TestRouterObserveSurvivesOwnerRestart
+// for places, which ride the same pooled sessions: a node is killed and
+// restarted between two batches with probes out of the picture, so each
+// session its node client parked died with the old process and shows it
+// only on the next write. That must cost a re-send on a fresh session, not
+// a failover. The decisions are the ones a client of its own gets over
+// HTTP-binary from a fresh daemon, in everything a place decides from the
+// job alone (Admit is the controller's, and the restarted node's
+// controller started over).
+func TestRouterPlaceSurvivesNodeRestart(t *testing.T) {
+	fx := testFixture(t)
+	p, _ := newTestPlane(t, 2)
+	cfg := DefaultConfig(p.URLs())
+	cfg.ProbeInterval = time.Minute
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	ctx := context.Background()
+	jobs := fx.jobs[:64]
+
+	if _, err := r.Place(ctx, jobs); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if p.Node(i).Stats().StreamSessions == 0 {
+			t.Fatalf("node %d holds no session after the first batch; the restart would test nothing", i)
+		}
+		if err := p.Kill(i); err != nil {
+			t.Fatalf("kill %d: %v", i, err)
+		}
+		if err := p.Restart(i); err != nil {
+			t.Fatalf("restart %d: %v", i, err)
+		}
+	}
+	got, err := r.Place(ctx, jobs)
+	if err != nil {
+		t.Fatalf("place after the nodes restarted: %v", err)
+	}
+	if rs := r.Stats(); rs.Failovers != 0 || rs.Reroutes != 0 || rs.Failures != 0 {
+		t.Errorf("router stats %+v, want no failover, reroute or failure", rs)
+	}
+
+	d, err := rpc.NewDaemon(fx.newSource(t), srcWorkload, fx.cm, testDaemonConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer d.Kill()
+	ccfg := rpc.DefaultClientConfig(d.BaseURL())
+	ccfg.Codec = rpc.CodecBinary
+	c, err := rpc.NewClient(ccfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	want, err := c.Place(ctx, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		g.Admit, w.Admit = false, false
+		if g != w {
+			t.Fatalf("decision %d = %+v, a fresh HTTP-binary place says %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// varzInt reads one integer line off a daemon's /varz.
+func varzInt(t *testing.T, baseURL, key string) int64 {
+	t.Helper()
+	resp, err := http.Get(baseURL + wire.PathVarz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if rest, ok := strings.CutPrefix(sc.Text(), key+" "); ok {
+			v, err := strconv.ParseInt(rest, 10, 64)
+			if err != nil {
+				t.Fatalf("/varz line %q: %v", sc.Text(), err)
+			}
+			return v
+		}
+	}
+	t.Fatalf("/varz has no %s line", key)
+	return 0
+}
+
+// TestRouterSessionsStayPooled pins the idle-session cap against the
+// traffic it has to hold: more concurrent routed places than the 16
+// sessions overlapping outcomes once needed. A session over the cap is
+// closed when it comes back and dialled again by the next caller, which
+// the node counts: every session it ever accepted must still be open, and
+// there are never more of them than callers.
+func TestRouterSessionsStayPooled(t *testing.T) {
+	fx := testFixture(t)
+	p, _ := newTestPlane(t, 1)
+	cfg := DefaultConfig(p.URLs())
+	cfg.ProbeInterval = time.Minute
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	const workers, rounds, chunk = 48, 50, 4
+	lap := func() {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < rounds; i++ {
+					lo := (w*rounds + i) * chunk % (len(fx.jobs) - chunk)
+					if _, err := r.Place(context.Background(), fx.jobs[lo:lo+chunk]); err != nil {
+						t.Errorf("worker %d round %d: %v", w, i, err)
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+	}
+	url := p.URLs()[0]
+	for n := 1; n <= 2; n++ {
+		lap()
+		opened, open := varzInt(t, url, "rpc_stream_sessions"), varzInt(t, url, "rpc_stream_sessions_open")
+		t.Logf("lap %d: %d sessions opened, %d open", n, opened, open)
+		if opened > workers || open != opened {
+			t.Errorf("lap %d: the node accepted %d sessions and holds %d, want the same number and at most %d: sessions are being dropped and dialled again",
+				n, opened, open, workers)
+		}
+	}
+	if rs := r.Stats(); rs.Failures != 0 || rs.Failovers != 0 {
+		t.Errorf("router stats %+v, want no failure or failover", rs)
+	}
+}
+
+// TestRouterOverJSONOnlyNodes: node clients read the codec off /v1/model,
+// so a plane of daemons with binary disabled is placed over JSON, with no
+// stream session attempted.
+func TestRouterOverJSONOnlyNodes(t *testing.T) {
+	fx := testFixture(t)
+	dcfg := testDaemonConfig()
+	dcfg.DisableBinary = true
+	p, err := NewPlane(fx.newSource(t), srcWorkload, fx.cm, dcfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Close)
+	r := newTestRouter(t, p)
+	jobs := fx.jobs[:64]
+	ds, err := r.Place(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range ds {
+		if d.JobID != jobs[i].ID {
+			t.Fatalf("decision %d carries job %q, want %q", i, d.JobID, jobs[i].ID)
+		}
+	}
+	var placed int64
+	for i := 0; i < 2; i++ {
+		st := p.Node(i).Stats()
+		placed += st.PlaceJSON
+		if st.StreamSessions != 0 || st.PlaceBinary != 0 {
+			t.Errorf("node %d: %d stream sessions, %d binary places, want 0 and 0", i, st.StreamSessions, st.PlaceBinary)
+		}
+	}
+	if placed == 0 {
+		t.Error("no node counted a JSON place")
+	}
+	if rs := r.Stats(); rs.Failovers != 0 || rs.Failures != 0 {
+		t.Errorf("router stats %+v, want no failover or failure", rs)
+	}
+}
+
+// TestRouterTracedPlace follows one sampled batch across the tiers now
+// that no HTTP request carries it: the caller's trace gains a
+// router.dispatch span per node, and each node files its own spans, the
+// stream shell's rpc.place.stream among them, under the same ID, which
+// rode the place frame.
+func TestRouterTracedPlace(t *testing.T) {
+	fx := testFixture(t)
+	p, _ := newTestPlane(t, 2)
+	r := newTestRouter(t, p)
+	front := obs.NewTracer("front", 1, 16)
+	b := front.Begin(0)
+	id := b.ID()
+	if _, err := r.Place(obs.WithTrace(context.Background(), b), fx.jobs[:64]); err != nil {
+		t.Fatal(err)
+	}
+	b.Finish()
+
+	spans := func(traces []obs.Trace, stage string) (n int) {
+		for _, tr := range traces {
+			if tr.ID != id {
+				continue
+			}
+			for _, s := range tr.Spans {
+				if s.Stage == stage {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	dispatched := spans(front.Snapshot(), "router.dispatch")
+	if dispatched == 0 {
+		t.Fatal("the caller's trace has no router.dispatch span")
+	}
+	served := 0
+	for i := 0; i < 2; i++ {
+		served += spans(p.Node(i).Tracer().Snapshot(), "rpc.place.stream")
+	}
+	if served != dispatched {
+		t.Errorf("%d dispatches but %d rpc.place.stream spans under trace %016x on the nodes", dispatched, served, id)
 	}
 }

@@ -18,8 +18,10 @@ import (
 // HTTP-binary request, all of it net/http, which gets 3 of headroom
 // for other toolchains. One boxed interface or escaping closure per
 // frame doubles the stream figure, which is the benchmark's
-// stream-lite metric. (sync.Pool drops items at random under the race
-// detector, hence the build tag.)
+// stream-lite metric. PlaceStream is the same frame on a session from
+// the client's idle list and measures the same 1; it gets 1 of headroom,
+// which an escaping session closure would spend. (sync.Pool drops items
+// at random under the race detector, hence the build tag.)
 func TestPlaceSteadyStateAllocs(t *testing.T) {
 	fx := testFixture(t)
 	d := startDaemon(t, fx.newRegistry(t), testConfig())
@@ -38,6 +40,7 @@ func TestPlaceSteadyStateAllocs(t *testing.T) {
 		budget float64
 	}{
 		{"stream", func() error { _, err := s.Place(ctx, jobs); return err }, 1},
+		{"pooled-stream", func() error { _, err := c.PlaceStream(ctx, jobs); return err }, 2},
 		{"http-binary", func() error { _, err := c.Place(ctx, jobs); return err }, 104},
 	} {
 		call := func() {

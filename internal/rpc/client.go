@@ -109,8 +109,9 @@ type Client struct {
 	jsonPlaces atomic.Int64
 	scratch    sync.Pool
 
-	// idle holds the stream sessions outcome frames travel on, between
-	// uses (see observeFrames); idleClosed makes Close final.
+	// idle holds the stream sessions PlaceStream and Observe frames
+	// travel on, between uses (see onSession); idleClosed makes Close
+	// final.
 	idleMu     sync.Mutex
 	idle       []*StreamSession
 	idleClosed bool
@@ -277,68 +278,121 @@ func (c *Client) PlaceOne(ctx context.Context, j *trace.Job) (wire.Decision, err
 	return ds[0], nil
 }
 
+// PlaceStream is Place for a caller with no session of its own to hold
+// (the router's node dispatch). The capability rule is Observe's: a
+// binary-codec client sends the batch as one frame exchange on a pooled
+// stream session when the daemon advertised the binary codec
+// (ModelInfo.Binary), with the checks, the retry loop and the decisions
+// of StreamSession.Place; every other pairing (JSON codec, latched JSON
+// fallback, a daemon without the codec, a model fetch that failed)
+// places as Place does. The lost-connection rule is Observe's too, and
+// is onSession's: a session that died while parked re-sends once, a
+// timeout or a garbled reply is returned.
+func (c *Client) PlaceStream(ctx context.Context, jobs []*trace.Job) ([]wire.Decision, error) {
+	c.requests.Add(1)
+	if st := c.frameState(ctx); st != nil {
+		var ds []wire.Decision
+		err := c.onSession(ctx, func(s *StreamSession) (err error) {
+			ds, err = c.placeFrames(ctx, s, &s.sc, st, jobs)
+			return err
+		})
+		return ds, c.count(err)
+	}
+	ds, err := c.place(ctx, jobs)
+	return ds, c.count(err)
+}
+
+// frameState is the part of the capability rule PlaceStream and Observe
+// share: the daemon's schema when this client sends it frames on pooled
+// sessions at all (binary codec, no JSON latch, a /v1/model that
+// advertises binary), nil otherwise. A model fetch that failed leaves
+// the capability unknown, and the HTTP form of a request serves every
+// daemon: the operation at hand goes that way, as a place does when its
+// re-probe fails.
+func (c *Client) frameState(ctx context.Context) *clientBinState {
+	if c.cfg.Codec != CodecBinary || c.jsonOnly.Load() {
+		return nil
+	}
+	st, err := c.binaryState(ctx)
+	if err != nil {
+		return nil
+	}
+	return st
+}
+
 // Observe reports a placement outcome back to the daemon. category is
 // the Decision.Category the placement acted on. A binary-codec client
 // sends it as a frame on a pooled stream session when the daemon
 // advertised ModelInfo.OutcomeFrames; every other pairing (JSON codec,
 // latched JSON fallback, a daemon without the capability) posts JSON to
-// /v1/outcome.
+// /v1/outcome. On a session, a connection that died while parked
+// re-sends the outcome once and no other failure does: see onSession.
 func (c *Client) Observe(ctx context.Context, j *trace.Job, category int, o sim.Outcome) error {
 	c.requests.Add(1)
 	req := wire.OutcomeRequest{Job: j, Category: category, Outcome: wire.OutcomeOf(o)}
-	if c.cfg.Codec == CodecBinary && !c.jsonOnly.Load() {
-		// A model fetch that failed leaves the capability unknown, and
-		// JSON serves every daemon: the outcome at hand goes that way, as
-		// a place does when its re-probe fails.
-		if st, err := c.binaryState(ctx); err == nil && st != nil && st.outcomeFrames {
-			return c.count(c.observeFrames(ctx, &req))
-		}
+	if st := c.frameState(ctx); st != nil && st.outcomeFrames {
+		return c.count(c.observeFrames(ctx, &req))
 	}
 	return c.count(c.call(ctx, http.MethodPost, wire.PathOutcome, req, nil))
 }
 
 // maxIdleSessions caps the idle list. A session costs a connection, two
 // 4 KiB buffers here and a parked goroutine on the daemon, and only as
-// many are ever dialled as Observe calls overlap.
-const maxIdleSessions = 16
+// many are ever dialled as calls overlap. Places overlap up to the
+// daemon's MaxInFlightPlace (64 by default) before it sheds them, and a
+// session over the cap is closed when it comes back, so a lower cap
+// would cost a busy front a dial and an upgrade handshake per request.
+const maxIdleSessions = 64
 
-// observeFrames sends one outcome as a frame. The checks are the ones
-// the daemon applies, with the verdict encodeBinaryPlace gives a bad
-// job: a bad request, not a failed node. The session comes off the idle
-// list, newest first, or is dialled, and goes back unless it broke.
-//
-// A reused session may have died while idle (the daemon restarted, or
-// closed it while draining), which only shows on use. When the failure
-// shows exactly that (StreamSession.deadOnUse: the write failed, or the
-// connection ended before one reply byte) the outcome is sent once more
-// on a freshly dialled session, as http.Transport re-sends on a
-// keep-alive connection the server closed. Any other break is final: a
-// timeout or a garbled reply comes from a daemon that is alive and may
-// well have applied the outcome, and feeding its controller, learner and
-// heat tracker the same outcome twice under the overload that caused the
-// timeout is worse than the error. The re-send cannot tell a frame that
-// never arrived from one whose ack was lost with the connection, so it
-// may still apply an outcome twice. That is harmless only in the case it
-// exists for: a daemon that dropped its connections by dying has lost
-// its in-memory controller state along with them. A fresh session that
-// fails returns its error. (The router's re-post to the next owner after
-// a lost ack is the same hazard one layer up, and stays open.)
+// observeFrames sends one outcome as a frame on a pooled session. The
+// checks are the ones the daemon applies, with the verdict
+// encodeBinaryPlace gives a bad job: a bad request, not a failed node.
 func (c *Client) observeFrames(ctx context.Context, req *wire.OutcomeRequest) error {
 	if err := req.Validate(); err != nil {
 		return &Error{Op: opOutcome.name, Code: wire.ErrCodeBadRequest, Message: err.Error()}
 	}
+	return c.onSession(ctx, func(s *StreamSession) (err error) {
+		if s.sc.frame, err = wire.AppendOutcomeFrame(s.sc.frame[:0], obs.TraceID(ctx), req); err != nil {
+			return err
+		}
+		return c.run(ctx, s, opOutcome, &s.sc, nil)
+	})
+}
+
+// onSession is the one session loop, for both frame operations: do runs
+// one operation (encode into the session's scratch, Client.run, copy the
+// answer out) on a session that comes off the idle list, newest first,
+// or is dialled, and that goes back unless it broke.
+//
+// A reused session may have died while idle (the daemon restarted, or
+// closed it while draining), which only shows on use. When the failure
+// shows exactly that (StreamSession.deadOnUse: the write failed, or the
+// connection ended before one reply byte) the operation runs once more
+// on a freshly dialled session, as http.Transport re-sends on a
+// keep-alive connection the server closed. Any other break is final: a
+// timeout or a garbled reply comes from a daemon that is alive and may
+// well be serving the frame. For an outcome that matters: feeding the
+// controller, learner and heat tracker the same outcome twice under the
+// overload that caused the timeout is worse than the error. For a place
+// it is the rule net/http applies to a POST, and the router reroutes the
+// batch. The re-send cannot tell a frame that never arrived from one
+// whose reply was lost with the connection, so it may still apply an
+// outcome twice. That is harmless only in the case it exists for: a
+// daemon that dropped its connections by dying has lost its in-memory
+// controller state along with them. A fresh session that fails returns
+// its error. (The router's re-post to the next owner after a lost ack
+// is the same hazard one layer up, and stays open.)
+func (c *Client) onSession(ctx context.Context, do func(*StreamSession) error) error {
 	s := c.takeIdle()
 	for {
 		reused := s != nil
-		var err error
 		if !reused {
+			var err error
 			if s, err = c.OpenStream(ctx); err != nil {
 				return err
 			}
 		}
-		if s.sc.frame, err = wire.AppendOutcomeFrame(s.sc.frame[:0], obs.TraceID(ctx), req); err == nil {
-			err = c.run(ctx, s, opOutcome, &s.sc, nil)
-		}
+		err := do(s)
 		if !s.broken {
 			c.putIdle(s)
 			return err

@@ -33,10 +33,16 @@
 //
 // The client mirrors it: Client.run is the one retry loop (shed → one
 // jittered back-off, stale version → refresh and re-bin) over a round
-// trip that is an HTTP request or a frame exchange on a stream. A
-// binary-codec client sends outcomes as frames, to daemons that
-// advertise the capability, on sessions it keeps in a small idle list;
-// see Client.Observe.
+// trip that is an HTTP request or a frame exchange on a stream, and
+// Client.onSession is the one session loop under the two operations
+// that borrow a session from the client's idle list: PlaceStream (the
+// router's node dispatch) and Observe. Both follow one capability rule:
+// a binary-codec client sends the frame when the daemon's /v1/model
+// advertised it (binary for a place, outcome_frames for an outcome;
+// advertised, never probed) and falls back to the HTTP form of the same
+// request otherwise. And one lost-connection rule: a reused session
+// that proves to have died while parked (StreamSession.deadOnUse)
+// re-sends once on a fresh one; a timeout or a garbled reply never does.
 //
 // The daemon adds what in-process serving does not need:
 //
@@ -702,11 +708,15 @@ func (d *Daemon) handleHealth(w http.ResponseWriter, r *http.Request) {
 // daemon's and serving core's counters.
 func (d *Daemon) handleVarz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	d.streamMu.Lock()
+	streamsOpen := len(d.streamConns)
+	d.streamMu.Unlock()
 	v := &varzData{
 		info:        d.modelInfo(),
 		proc:        obs.CollectProc(d.start),
 		rpc:         d.counters.Snapshot(),
 		srv:         d.srv.Stats(),
+		streamsOpen: streamsOpen,
 		placeJSON:   d.hists.placeJSON.Snapshot(),
 		placeBinary: d.hists.placeBinary.Snapshot(),
 		outcome:     d.hists.outcome.Snapshot(),

@@ -25,14 +25,18 @@ import (
 // operations through the public API, and single raw round trips through
 // the same unexported exchange the client's retry loop uses.
 type parityConn struct {
-	c  *Client
-	s  *StreamSession // stream row only
-	op httpOp
+	c      *Client
+	s      *StreamSession // stream row only
+	pooled bool           // PlaceStream: the client's own idle sessions
+	op     httpOp
 }
 
 func (p parityConn) place(jobs []*trace.Job) ([]wire.Decision, error) {
-	if p.s != nil {
+	switch {
+	case p.s != nil:
 		return p.s.Place(context.Background(), jobs)
+	case p.pooled:
+		return p.c.PlaceStream(context.Background(), jobs)
 	}
 	return p.c.Place(context.Background(), jobs)
 }
@@ -42,6 +46,13 @@ func (p parityConn) send(t *testing.T, raw []byte) reply {
 	t.Helper()
 	var rep reply
 	var err error
+	if p.pooled {
+		// The session the row's places travel on, and go on travelling on.
+		if p.s = p.c.takeIdle(); p.s == nil {
+			t.Fatal("no idle session after a pooled place")
+		}
+		defer p.c.putIdle(p.s)
+	}
 	if p.s != nil {
 		p.s.sc.frame = append(p.s.sc.frame[:0], raw...)
 		rep, err = p.s.exchange(context.Background(), p.op)
@@ -61,9 +72,11 @@ func (p parityConn) send(t *testing.T, raw []byte) reply {
 }
 
 // TestTransportParity is the one table for what the three transports
-// must agree on. Rows are the transports; each runs the same columns
-// against its own fresh daemon: success, a refused request, a stale
-// model version, a shed.
+// must agree on. Rows are the transports, the stream twice: a session the
+// caller holds, and Client.PlaceStream over the client's pooled ones.
+// Each runs the same columns against its own fresh daemon: success, a
+// refused request, a stale model version, a shed. The binary rows must
+// also count the sequence identically on the client.
 func TestTransportParity(t *testing.T) {
 	fx := testFixture(t)
 	jobs := fx.jobs[:48]
@@ -104,6 +117,7 @@ func TestTransportParity(t *testing.T) {
 		name   string
 		codec  string
 		stream bool
+		pooled bool
 		op     httpOp
 		// What one served batch adds to the daemon's counters.
 		json, binary, frames int64
@@ -134,8 +148,15 @@ func TestTransportParity(t *testing.T) {
 			name: "stream", codec: CodecBinary, stream: true, op: opPlace, binary: 1, frames: 1,
 			bad: badFrames, valid: validFrame,
 		},
+		{
+			name: "pooled-stream", codec: CodecBinary, pooled: true, op: opPlace, binary: 1, frames: 1,
+			bad: badFrames, valid: validFrame,
+		},
 	}
 
+	// What each binary row's client counted up to the shed column, whose
+	// retry count is a matter of timing.
+	counted := map[string]ClientStats{}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			reg := fx.newRegistry(t)
@@ -149,13 +170,14 @@ func TestTransportParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			p := parityConn{c: c, op: row.op}
+			p := parityConn{c: c, pooled: row.pooled, op: row.op}
 			if row.stream {
 				if p.s, err = c.OpenStream(context.Background()); err != nil {
 					t.Fatal(err)
 				}
 				defer p.s.Close()
 			}
+			onStream := row.stream || row.pooled
 			delta := func(before metrics.RPCSnapshot) metrics.RPCSnapshot {
 				a := d.Stats()
 				a.PlaceRequests -= before.PlaceRequests
@@ -209,7 +231,7 @@ func TestTransportParity(t *testing.T) {
 			for name, raw := range row.bad(t, d) {
 				before, submitted := d.Stats(), d.ServeStats().Submitted
 				rep := p.send(t, raw)
-				if rep.code != wire.ErrCodeBadRequest || (!row.stream && rep.status != http.StatusBadRequest) {
+				if rep.code != wire.ErrCodeBadRequest || (!onStream && rep.status != http.StatusBadRequest) {
 					t.Errorf("%s: refused with code %d status %d (%s), want a bad request", name, rep.code, rep.status, rep.msg)
 				}
 				if dl := delta(before); dl.BadRequests != 1 || dl.ServerErrors != 0 || dl.PlaceRequests != 0 {
@@ -250,6 +272,7 @@ func TestTransportParity(t *testing.T) {
 				if dl := delta(before); dl.BadRequests != 1 || dl.PlaceRequests != 1 {
 					t.Errorf("stale place counted %d refusals / %d places, want 1 / 1", dl.BadRequests, dl.PlaceRequests)
 				}
+				counted[row.name] = c.Stats()
 			}
 
 			// Shed: with every slot held the daemon answers Overloaded;
@@ -262,7 +285,7 @@ func TestTransportParity(t *testing.T) {
 			}
 			before = d.Stats()
 			rep := p.send(t, row.valid(t, d))
-			if rep.code != wire.ErrCodeOverloaded || (!row.stream && rep.status != http.StatusTooManyRequests) {
+			if rep.code != wire.ErrCodeOverloaded || (!onStream && rep.status != http.StatusTooManyRequests) {
 				t.Errorf("saturated daemon answered code %d status %d, want overloaded", rep.code, rep.status)
 			}
 			if dl := delta(before); dl.Shed != 1 || dl.BadRequests != 0 || dl.ServerErrors != 0 {
@@ -282,21 +305,41 @@ func TestTransportParity(t *testing.T) {
 			if after := c.Stats(); after.Sheds == cs.Sheds || after.Retries == cs.Retries || after.Failures != cs.Failures {
 				t.Errorf("client stats %+v -> %+v, want sheds and retries to advance and no new failure", cs, after)
 			}
+			if row.pooled {
+				// One session carried the whole row, refusals included.
+				if got := d.Stats().StreamSessions; got != 1 {
+					t.Errorf("the pooled row opened %d stream sessions, want 1", got)
+				}
+			}
 		})
+	}
+	for name, cs := range counted {
+		if cs != counted["http-binary"] {
+			t.Errorf("%s counted the sequence %+v, http-binary %+v", name, cs, counted["http-binary"])
+		}
 	}
 }
 
-// TestHotSwapKeepsShedBudget pins the two retry budgets apart on both
-// frame transports: a schema refresh after a hot swap must not spend a
-// shed retry. The operation meets a retired version first (409 /
-// stale-version frame, refresh), then a daemon that sheds everything;
-// all MaxRetries shed retries must still be there to spend, and both
-// transports must count the operation identically.
+// TestHotSwapKeepsShedBudget pins the two retry budgets apart on the
+// frame transports (HTTP, a held session, PlaceStream's pooled ones): a
+// schema refresh after a hot swap must not spend a shed retry. The
+// operation meets a retired version first (409 / stale-version frame,
+// refresh), then a daemon that sheds everything; all MaxRetries shed
+// retries must still be there to spend, every transport must count the
+// operation identically, and the refusal names the transport it came by.
 func TestHotSwapKeepsShedBudget(t *testing.T) {
 	fx := testFixture(t)
 	const maxRetries = 3
 	var stats []ClientStats
-	for _, stream := range []bool{false, true} {
+	for _, via := range []struct {
+		stream, pooled bool
+		op             string
+	}{
+		{op: "POST " + wire.PathPlace},
+		{stream: true, op: "stream place"},
+		{pooled: true, op: "stream place"},
+	} {
+		stream := via.stream || via.pooled
 		reg := fx.newRegistry(t)
 		cfg := testConfig()
 		cfg.MaxInFlightPlace = 1
@@ -324,8 +367,8 @@ func TestHotSwapKeepsShedBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		p := parityConn{c: c}
-		if stream {
+		p := parityConn{c: c, pooled: via.pooled}
+		if via.stream {
 			if p.s, err = c.OpenStream(context.Background()); err != nil {
 				t.Fatal(err)
 			}
@@ -345,6 +388,9 @@ func TestHotSwapKeepsShedBudget(t *testing.T) {
 		if !errors.As(err, &refused) || refused.Code != wire.ErrCodeOverloaded {
 			t.Fatalf("stream=%v: place surfaced %v, want an *Error with the overloaded code", stream, err)
 		}
+		if refused.Op != via.op {
+			t.Errorf("refusal names operation %q, want %q", refused.Op, via.op)
+		}
 		d.place.release()
 		cs := c.Stats()
 		// 2 places + the first schema fetch + the refresh; 1 + maxRetries sheds.
@@ -354,8 +400,8 @@ func TestHotSwapKeepsShedBudget(t *testing.T) {
 		}
 		stats = append(stats, cs)
 	}
-	if stats[0] != stats[1] {
-		t.Errorf("HTTP-binary and stream count the same operation differently: %+v vs %+v", stats[0], stats[1])
+	if stats[0] != stats[1] || stats[0] != stats[2] {
+		t.Errorf("HTTP-binary, stream and pooled stream count the same operation differently: %+v", stats)
 	}
 }
 

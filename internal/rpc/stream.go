@@ -29,8 +29,8 @@ var ErrStreamBroken = errors.New("rpc: stream session broken")
 // connection upgraded via POST /v1/stream, carrying length-prefixed
 // place frames in both directions — no per-batch HTTP overhead, no
 // per-batch connection work. Obtain one with Client.OpenStream. (The
-// client's own outcome frames travel on sessions of the same kind that
-// it opens and parks itself; see Client.Observe.)
+// client's own PlaceStream and Observe frames travel on sessions of the
+// same kind that it opens and parks itself; see Client.onSession.)
 //
 // A session is NOT safe for concurrent use: it owns one connection and
 // one set of scratch buffers, and frames are matched to responses by
@@ -89,11 +89,21 @@ func (c *Client) OpenStream(ctx context.Context) (*StreamSession, error) {
 	}
 	if err := s.handshake(host); err != nil {
 		_ = conn.Close()
+		if errors.Is(err, errUpgradeRefused) {
+			// The daemon no longer offers what its /v1/model said (it came
+			// back with binary disabled): the next operation reads it again
+			// and, finding no codec, latches JSON.
+			c.binState.CompareAndSwap(st, nil)
+		}
 		return nil, err
 	}
 	_ = conn.SetDeadline(time.Time{})
 	return s, nil
 }
+
+// errUpgradeRefused marks a daemon that answered the stream upgrade
+// with anything but 101.
+var errUpgradeRefused = errors.New("rpc: stream upgrade refused")
 
 // handshake sends the upgrade request and consumes the 101 response.
 func (s *StreamSession) handshake(host string) error {
@@ -110,7 +120,7 @@ func (s *StreamSession) handshake(host string) error {
 		return fmt.Errorf("rpc: stream upgrade: reading status: %w", err)
 	}
 	if !strings.Contains(status, " 101 ") {
-		return fmt.Errorf("rpc: stream upgrade refused: %s", strings.TrimSpace(status))
+		return fmt.Errorf("%w: %s", errUpgradeRefused, strings.TrimSpace(status))
 	}
 	// Consume response headers up to the blank line; frames follow.
 	for {

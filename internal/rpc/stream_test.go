@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/rpc/wire"
 	"repro/internal/sim"
@@ -205,6 +206,63 @@ func TestStreamDisabled(t *testing.T) {
 	c := newCodecClient(t, d, CodecBinary)
 	if _, err := c.OpenStream(context.Background()); err == nil {
 		t.Fatal("stream opened against a JSON-only daemon")
+	}
+	// PlaceStream reads the same /v1/model and places as JSON.
+	if _, err := c.PlaceStream(context.Background(), fx.jobs[:4]); err != nil {
+		t.Fatalf("PlaceStream against a JSON-only daemon: %v", err)
+	}
+	if st := d.Stats(); st.PlaceJSON != 1 || st.StreamSessions != 0 {
+		t.Errorf("%d JSON places over %d stream sessions, want 1 over 0", st.PlaceJSON, st.StreamSessions)
+	}
+}
+
+// TestPlaceStreamAfterBinaryDisabled restarts a daemon with binary turned
+// off under a client that has its schema and a parked session (a handler
+// swap on a fixed address, as in TestBinaryReprobeAfterRestart). The
+// refused upgrade fails that one place, which a router reroutes; it also
+// drops the schema, so the next place reads /v1/model again and goes as
+// JSON instead of failing for ever.
+func TestPlaceStreamAfterBinaryDisabled(t *testing.T) {
+	fx := testFixture(t)
+	binaryD := startDaemon(t, fx.newRegistry(t), testConfig())
+	cfg := testConfig()
+	cfg.DisableBinary = true
+	jsonOnlyD := startDaemon(t, fx.newRegistry(t), cfg)
+	var handler atomic.Pointer[http.Handler]
+	h := binaryD.Handler()
+	handler.Store(&h)
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		(*handler.Load()).ServeHTTP(w, r)
+	}))
+	defer front.Close()
+	ccfg := DefaultClientConfig(front.URL)
+	ccfg.Codec = CodecBinary
+	c, err := NewClient(ccfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	if _, err := c.PlaceStream(ctx, fx.jobs[:4]); err != nil {
+		t.Fatal(err)
+	}
+
+	h2 := jsonOnlyD.Handler()
+	handler.Store(&h2)
+	s := c.takeIdle()
+	if s == nil {
+		t.Fatal("no idle session after a pooled place")
+	}
+	_ = s.conn.Close() // the old process took its connections with it
+	c.putIdle(s)
+	if _, err := c.PlaceStream(ctx, fx.jobs[4:8]); !errors.Is(err, errUpgradeRefused) {
+		t.Fatalf("place across the restart: %v, want the refused upgrade", err)
+	}
+	if _, err := c.PlaceStream(ctx, fx.jobs[4:8]); err != nil {
+		t.Fatalf("place after the refused upgrade: %v", err)
+	}
+	if st := jsonOnlyD.Stats(); st.PlaceJSON != 1 || !c.jsonOnly.Load() {
+		t.Errorf("%d JSON places, latch %v; want 1 and latched", st.PlaceJSON, c.jsonOnly.Load())
 	}
 }
 
@@ -405,45 +463,116 @@ func TestObserveTimeoutIsNotResent(t *testing.T) {
 			}
 		})
 	}
+	// The same rule for a place on a pooled session: the batch waits in
+	// admission past RequestTimeout, the client returns after one of them,
+	// and the daemon serves that frame once and no second one.
+	t.Run("place", func(t *testing.T) {
+		cfg := testConfig()
+		cfg.MaxInFlightPlace = 1
+		cfg.QueueDeadline = 10 * timeout
+		d := startDaemon(t, fx.newRegistry(t), cfg)
+		ccfg := DefaultClientConfig(d.BaseURL())
+		ccfg.Codec = CodecBinary
+		ccfg.RequestTimeout = timeout
+		c, err := NewClient(ccfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		ctx := context.Background()
+		if _, err := c.PlaceStream(ctx, fx.jobs[:4]); err != nil {
+			t.Fatal(err)
+		}
+		if !d.place.acquire(ctx) {
+			t.Fatal("could not occupy the place slot")
+		}
+		release := time.AfterFunc(3*timeout, d.place.release)
+		defer release.Stop()
+		start := time.Now()
+		_, err = c.PlaceStream(ctx, fx.jobs[4:8])
+		elapsed := time.Since(start)
+		if !errors.Is(err, ErrStreamBroken) {
+			t.Fatalf("place against a stalled daemon: %v, want a broken stream", err)
+		}
+		if elapsed < timeout || elapsed >= 2*timeout {
+			t.Errorf("timed-out place took %s, want one RequestTimeout (%s), not two", elapsed, timeout)
+		}
+		time.Sleep(4 * timeout) // the stalled frame is served, and a second one if it was sent
+		if st := d.Stats(); st.PlaceRequests != 2 || st.StreamSessions != 1 {
+			t.Errorf("%d places over %d sessions, want 2 over 1: the timed-out place was sent again", st.PlaceRequests, st.StreamSessions)
+		}
+		if _, err := c.PlaceStream(ctx, fx.jobs[8:12]); err != nil {
+			t.Errorf("place after the timeout: %v", err)
+		}
+	})
 }
 
 // TestObserveGarbledReplyIsNotResent is the protocol-error half of the
-// same rule: a reused session that answers an outcome with the wrong
-// frame is broken, and its daemon is alive, so the outcome is not sent
-// again.
+// same rule, for both operations: a reused session that answers with the
+// wrong frame is broken, and its daemon is alive, so the request is not
+// sent again.
 func TestObserveGarbledReplyIsNotResent(t *testing.T) {
 	fx := testFixture(t)
-	d := startDaemon(t, fx.newRegistry(t), testConfig())
-	c := newCodecClient(t, d, CodecBinary)
 	ctx := context.Background()
 	o := sim.Outcome{WantedSSD: true, FracOnSSD: 1, SpilledAt: -1, EvictedAt: -1}
-	if err := c.Observe(ctx, fx.jobs[0], 1, o); err != nil {
-		t.Fatal(err)
-	}
-	// Leave a place request's answer unread on the parked session: the next
-	// outcome reads decisions where its ack should be.
-	s := c.takeIdle()
-	if s == nil {
-		t.Fatal("no idle session after an outcome")
-	}
-	if err := encodeBinaryPlace(c.binState.Load(), fx.jobs[:2], 0, &s.sc); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.conn.Write(s.sc.frame); err != nil {
-		t.Fatal(err)
-	}
-	c.putIdle(s)
-	err := c.Observe(ctx, fx.jobs[1], 1, o)
-	if !errors.Is(err, ErrStreamBroken) {
-		t.Fatalf("observe on a session with a stray reply: %v, want a broken stream", err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for d.Stats().OutcomeRequests < 2 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(20 * time.Millisecond)
-	if st := d.Stats(); st.OutcomeRequests != 2 || st.StreamSessions != 1 {
-		t.Errorf("%d outcome requests over %d sessions, want 2 over 1: the outcome was sent again", st.OutcomeRequests, st.StreamSessions)
+	for _, row := range []struct {
+		name string
+		// call is the operation under test; stray appends a request of the
+		// other kind, whose answer the next call reads where its own
+		// should be.
+		call   func(c *Client, n int) error
+		stray  func(c *Client, s *StreamSession) error
+		served func(st metrics.RPCSnapshot) int64
+	}{
+		{
+			name: "outcome",
+			call: func(c *Client, n int) error { return c.Observe(ctx, fx.jobs[n], 1, o) },
+			stray: func(c *Client, s *StreamSession) error {
+				return encodeBinaryPlace(c.binState.Load(), fx.jobs[:2], 0, &s.sc)
+			},
+			served: func(st metrics.RPCSnapshot) int64 { return st.OutcomeRequests },
+		},
+		{
+			name: "place",
+			call: func(c *Client, n int) error { _, err := c.PlaceStream(ctx, fx.jobs[n:n+2]); return err },
+			stray: func(c *Client, s *StreamSession) (err error) {
+				req := wire.OutcomeRequest{Job: fx.jobs[0], Category: 1, Outcome: wire.OutcomeOf(o)}
+				s.sc.frame, err = wire.AppendOutcomeFrame(s.sc.frame[:0], 0, &req)
+				return err
+			},
+			served: func(st metrics.RPCSnapshot) int64 { return st.PlaceRequests },
+		},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			d := startDaemon(t, fx.newRegistry(t), testConfig())
+			c := newCodecClient(t, d, CodecBinary)
+			if err := row.call(c, 0); err != nil {
+				t.Fatal(err)
+			}
+			s := c.takeIdle()
+			if s == nil {
+				t.Fatal("no idle session after the first call")
+			}
+			if err := row.stray(c, s); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.conn.Write(s.sc.frame); err != nil {
+				t.Fatal(err)
+			}
+			c.putIdle(s)
+			err := row.call(c, 2)
+			if !errors.Is(err, ErrStreamBroken) {
+				t.Fatalf("call on a session with a stray reply: %v, want a broken stream", err)
+			}
+			deadline := time.Now().Add(2 * time.Second)
+			for row.served(d.Stats()) < 2 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			time.Sleep(20 * time.Millisecond)
+			if st := d.Stats(); row.served(st) != 2 || st.StreamSessions != 1 {
+				t.Errorf("%d requests served over %d sessions, want 2 over 1: the request was sent again", row.served(st), st.StreamSessions)
+			}
+		})
 	}
 }
 

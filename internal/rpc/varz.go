@@ -18,6 +18,10 @@ type varzData struct {
 	proc obs.ProcSnapshot
 	rpc  metrics.RPCSnapshot
 	srv  metrics.ShardSnapshot
+	// streamsOpen is the stream sessions connected right now, most of
+	// them parked in some client's idle list; rpc.StreamSessions counts
+	// every one ever accepted.
+	streamsOpen int
 
 	// Endpoint latency/queue-wait histograms (nanoseconds) and the
 	// serving core's batch-latency/queue-depth histograms.
@@ -54,6 +58,7 @@ func writeVarz(w io.Writer, v *varzData) {
 	fmt.Fprintf(w, "placementd_binary %d\n", binary)
 	v.proc.WriteText(w, "placementd")
 	v.rpc.WriteText(w, "rpc")
+	fmt.Fprintf(w, "rpc_stream_sessions_open %d\n", v.streamsOpen)
 	v.placeJSON.WriteText(w, "rpc_place_json_latency_ns")
 	v.placeBinary.WriteText(w, "rpc_place_binary_latency_ns")
 	v.outcome.WriteText(w, "rpc_outcome_latency_ns")

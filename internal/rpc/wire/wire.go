@@ -47,7 +47,10 @@
 // advertised, never probed). POST /v1/outcome with a JSON OutcomeRequest
 // remains the documented HTTP API for feedback: it is what curl,
 // JSON-codec and non-Go clients and the front's external endpoint speak,
-// and both reach one pipeline in the daemon.
+// and both reach one pipeline in the daemon. A router and its nodes speak
+// nothing else on the data path: every routed place and every routed
+// outcome is one frame exchange on a stream session the node's client
+// keeps pooled (rpc.Client.PlaceStream, rpc.Client.Observe).
 //
 // Every refusal carries exactly one of four codes (ErrCode*), written
 // as an error frame on a stream and to clients that accept the binary
