@@ -1,0 +1,319 @@
+package gbdt_test
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/features"
+	"repro/internal/gbdt"
+	"repro/internal/perf"
+)
+
+// binnedFixture is a trained model, encoded rows to run it on, and the
+// three things built from it that have to agree.
+type binnedFixture struct {
+	model  *gbdt.Model
+	forest *gbdt.Forest
+	binner *features.Binner
+	rows   [][]float64
+}
+
+func newBinnedFixture(tb testing.TB, m *gbdt.Model, rows [][]float64) *binnedFixture {
+	tb.Helper()
+	forest, err := m.Compile()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	binner, err := features.BinnerForModel(m)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return &binnedFixture{model: m, forest: forest, binner: binner, rows: rows}
+}
+
+// smallBinnedFixture trains a 3-class model on numeric and categorical
+// features with missing values, in well under a second.
+func smallBinnedFixture(tb testing.TB) *binnedFixture {
+	tb.Helper()
+	const n = 600
+	rng := rand.New(rand.NewSource(11))
+	schema := &gbdt.Schema{
+		Names: []string{"x0", "cat0", "x1", "cat1"},
+		Kinds: []gbdt.FeatureKind{gbdt.Numeric, gbdt.Categorical, gbdt.Numeric, gbdt.Categorical},
+		Cards: []int{0, 9, 0, 200},
+	}
+	ds := gbdt.NewDataset(schema, n)
+	labels := make([]int, n)
+	rows := make([][]float64, n)
+	for i := range rows {
+		x0, c0 := rng.NormFloat64(), float64(rng.Intn(9))
+		x1, c1 := math.Round(rng.Float64()*40)/4, float64(rng.Intn(200))
+		if rng.Float64() < 0.05 {
+			x1 = math.NaN()
+		}
+		rows[i] = []float64{x0, c0, x1, c1}
+		for f, v := range rows[i] {
+			ds.Set(i, f, v)
+		}
+		switch {
+		case x0 > 0.3 && int(c1)%3 == 0:
+			labels[i] = 2
+		case x1 > 5 || c0 >= 6:
+			labels[i] = 1
+		}
+	}
+	cfg := gbdt.DefaultConfig()
+	cfg.NumRounds, cfg.MaxDepth = 12, 5
+	m, err := gbdt.TrainClassifier(ds, labels, 3, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return newBinnedFixture(tb, m, rows)
+}
+
+var paper struct {
+	once sync.Once
+	fx   *binnedFixture
+	err  error
+}
+
+// paperBinnedFixture is the benchmark's seed-1 paper-scale model (15
+// categories x 60 rounds of depth 6) and its whole replay pool, encoded.
+func paperBinnedFixture(tb testing.TB) *binnedFixture {
+	tb.Helper()
+	if testing.Short() {
+		tb.Skip("paper-scale fixture trains for seconds")
+	}
+	paper.once.Do(func() {
+		f, err := perf.NewFixture(1, false)
+		if err != nil {
+			paper.err = err
+			return
+		}
+		cm, err := core.TrainCategoryModel(f.Train, f.Cost, f.TrainOptions(perf.ScalePaper))
+		if err != nil {
+			paper.err = err
+			return
+		}
+		rows := make([][]float64, len(f.Pool))
+		for i, j := range f.Pool {
+			rows[i] = cm.Encoder.Encode(j, nil)
+		}
+		paper.fx = newBinnedFixture(tb, cm.Model, rows)
+	})
+	if paper.err != nil {
+		tb.Fatal(paper.err)
+	}
+	return paper.fx
+}
+
+func forEachBinnedFixture(t *testing.T, fn func(t *testing.T, fx *binnedFixture)) {
+	t.Run("small", func(t *testing.T) { fn(t, smallBinnedFixture(t)) })
+	t.Run("paper", func(t *testing.T) { fn(t, paperBinnedFixture(t)) })
+}
+
+// TestBinnedSplitProperty is why walking bins is exact. For every
+// numeric split of a trained model, with threshold t compiled to edge j:
+// t is edge j, a value on the threshold bins to at most j (left) and
+// the next float above it to more than j (right), by the client's
+// binner and by the forest's own; the two hold the same edges, so a
+// client's bins are the forest's bins; and the largest bins ValidateBins
+// lets through route as Tree.Predict routes +Inf and the last id.
+func TestBinnedSplitProperty(t *testing.T) {
+	forEachBinnedFixture(t, func(t *testing.T, fx *binnedFixture) {
+		edges := fx.forest.Edges()
+		if len(edges) != len(fx.binner.Edges) {
+			t.Fatalf("forest has %d features, binner %d", len(edges), len(fx.binner.Edges))
+		}
+		for feat := range edges {
+			if len(edges[feat]) != len(fx.binner.Edges[feat]) {
+				t.Fatalf("feature %d: forest has %d edges, binner %d", feat, len(edges[feat]), len(fx.binner.Edges[feat]))
+			}
+			for j, e := range edges[feat] {
+				if e != fx.binner.Edges[feat][j] {
+					t.Fatalf("feature %d edge %d: forest %v, binner %v", feat, j, e, fx.binner.Edges[feat][j])
+				}
+			}
+		}
+
+		nf := fx.forest.NumFeatures
+		row := make([]float64, nf)
+		binned, own := make([]uint16, nf), make([]uint16, nf)
+		splits := 0
+		for r, round := range fx.model.Trees {
+			for k, tree := range round {
+				for i := range tree.Nodes {
+					n := &tree.Nodes[i]
+					if n.IsLeaf || n.Kind != gbdt.Numeric {
+						continue
+					}
+					splits++
+					feat, j := fx.forest.SplitBin(r, k, i)
+					if feat != n.Feature || edges[feat][j] != n.Threshold {
+						t.Fatalf("round %d class %d node %d: split on feature %d at %v compiled to feature %d edge %d",
+							r, k, i, n.Feature, n.Threshold, feat, j)
+					}
+					for _, c := range []struct {
+						v    float64
+						left bool
+					}{
+						{n.Threshold, true},
+						{math.Nextafter(n.Threshold, math.Inf(1)), false},
+						{math.Nextafter(n.Threshold, math.Inf(-1)), true},
+						{math.Inf(-1), true},
+						{math.Inf(1), false},
+						{math.NaN(), true},
+					} {
+						row[feat] = c.v
+						binned = fx.binner.Bin(row, binned)
+						fx.forest.BinRow(row, own)
+						if binned[feat] != own[feat] {
+							t.Fatalf("feature %d value %v: binner bin %d, forest bin %d", feat, c.v, binned[feat], own[feat])
+						}
+						if (own[feat] <= j) != c.left {
+							t.Fatalf("feature %d value %v against threshold %v (edge %d): bin %d, want left = %v",
+								feat, c.v, n.Threshold, j, own[feat], c.left)
+						}
+					}
+					row[feat] = 0
+				}
+			}
+		}
+		if splits == 0 {
+			t.Fatal("fixture has no numeric split")
+		}
+
+		// The extreme legal wire row.
+		for feat := range row {
+			if card := fx.binner.Cards[feat]; card > 0 {
+				binned[feat], row[feat] = uint16(card-1), float64(card-1)
+			} else {
+				binned[feat], row[feat] = uint16(len(edges[feat])), math.Inf(1)
+			}
+		}
+		if err := fx.binner.ValidateBins(binned); err != nil {
+			t.Fatal(err)
+		}
+		classes, logits := fx.forest.PredictClassBinned(binned, nil, nil)
+		want := fx.model.Logits(row)
+		for k := range want {
+			if logits[k] != want[k] {
+				t.Fatalf("extreme row, class %d: binned logit %v, Model.Logits %v", k, logits[k], want[k])
+			}
+		}
+		if classes[0] != fx.model.PredictClass(row) {
+			t.Fatalf("extreme row: class %d, model %d", classes[0], fx.model.PredictClass(row))
+		}
+	})
+}
+
+// TestForestEntriesBitIdentical: over every row of the fixture (at paper
+// scale the benchmark's 16,384-row pool), each Forest entry returns
+// Model.Logits' float64s exactly, and each class entry their argmax; the
+// client's Bin and the forest's own binning produce the same row.
+func TestForestEntriesBitIdentical(t *testing.T) {
+	forEachBinnedFixture(t, func(t *testing.T, fx *binnedFixture) {
+		f, rows := fx.forest, fx.rows
+		k, nf := f.NumClasses, f.NumFeatures
+		want := make([][]float64, len(rows))
+		wantClass := make([]int, len(rows))
+		tile := make([]uint16, len(rows)*nf)
+		own := make([]uint16, nf)
+		for i, row := range rows {
+			want[i] = fx.model.Logits(row)
+			for c, v := range want[i] { // Model.PredictClass' argmax: first of the largest
+				if v > want[i][wantClass[i]] {
+					wantClass[i] = c
+				}
+			}
+			bins := fx.binner.Bin(row, tile[i*nf:(i+1)*nf])
+			if err := fx.binner.ValidateBins(bins); err != nil {
+				t.Fatalf("row %d: %v", i, err)
+			}
+			f.BinRow(row, own)
+			for feat := range own {
+				if own[feat] != bins[feat] {
+					t.Fatalf("row %d feature %d: binner bin %d, forest bin %d", i, feat, bins[feat], own[feat])
+				}
+			}
+		}
+		same := func(entry string, i int, got []float64) {
+			t.Helper()
+			for c := range want[i] {
+				if got[c] != want[i][c] {
+					t.Fatalf("%s, row %d class %d: %v, Model.Logits %v", entry, i, c, got[c], want[i][c])
+				}
+			}
+		}
+
+		// Single-row entries on a sample (they stream the whole forest
+		// per row), batch entries on everything, in batches whose sizes
+		// walk through every remainder of the 8-row group and the
+		// 64-row block.
+		var out []float64
+		for i := 0; i < len(rows); i += 37 {
+			out = f.Logits(rows[i], out)
+			same("Logits", i, out)
+			if got := f.PredictClass(rows[i]); got != wantClass[i] {
+				t.Fatalf("PredictClass, row %d: %d, model %d", i, got, wantClass[i])
+			}
+		}
+		var logits, scratch, binScratch []float64
+		var classes, binClasses []int
+		for start, size := 0, 1; start < len(rows); start, size = start+size, size%131+1 {
+			end := min(start+size, len(rows))
+			logits = f.PredictBatchInto(rows[start:end], logits)
+			classes, scratch = f.PredictClassBatch(rows[start:end], classes, scratch)
+			binClasses, binScratch = f.PredictClassBinned(tile[start*nf:end*nf], binClasses, binScratch)
+			for i := start; i < end; i++ {
+				at := (i - start) * k
+				same("PredictBatchInto", i, logits[at:at+k])
+				same("PredictClassBatch scratch", i, scratch[at:at+k])
+				same("PredictClassBinned scratch", i, binScratch[at:at+k])
+				if classes[i-start] != wantClass[i] || binClasses[i-start] != wantClass[i] {
+					t.Fatalf("row %d: PredictClassBatch %d, PredictClassBinned %d, model %d",
+						i, classes[i-start], binClasses[i-start], wantClass[i])
+				}
+			}
+		}
+	})
+}
+
+// BenchmarkPaperForest times the two class entries on the paper-scale
+// forest at the batch sizes serving sees: a row on its own, a tail, one
+// group of eight, a typical shard batch and a whole block.
+//
+//	go test -run '^$' -bench BenchmarkPaperForest -benchtime 200x ./internal/gbdt
+func BenchmarkPaperForest(b *testing.B) {
+	fx := paperBinnedFixture(b)
+	f, nf := fx.forest, fx.forest.NumFeatures
+	tile := make([]uint16, len(fx.rows)*nf)
+	for i, row := range fx.rows {
+		fx.binner.Bin(row, tile[i*nf:(i+1)*nf])
+	}
+	var classes []int
+	var scratch []float64
+	for _, size := range []int{1, 4, 8, 14, 64} {
+		for _, entry := range []string{"binned", "float"} {
+			b.Run(fmt.Sprintf("%s/rows=%d", entry, size), func(b *testing.B) {
+				at := 0
+				for i := 0; i < b.N; i++ {
+					if at+size > len(fx.rows) {
+						at = 0
+					}
+					if entry == "binned" {
+						classes, scratch = f.PredictClassBinned(tile[at*nf:(at+size)*nf], classes, scratch)
+					} else {
+						classes, scratch = f.PredictClassBatch(fx.rows[at:at+size], classes, scratch)
+					}
+					at += size
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size)/1000, "us/row")
+			})
+		}
+	}
+}

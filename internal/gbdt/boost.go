@@ -527,9 +527,9 @@ type ValidationConfig struct {
 // returned model is truncated to the best round. ValLoss on the result
 // records the per-round validation loss.
 //
-// The per-round validation replay runs on the compiled Forest (flat
-// nodes, bitset categorical probes) over reused flat buffers rather
-// than per-row tree.Predict on re-materialized rows.
+// The per-round validation replay runs on the compiled Forest, one
+// round of its traversal at a time over rows binned once, rather than
+// per-row tree.Predict on re-materialized rows.
 func TrainClassifierWithValidation(ds *Dataset, labels []int, numClasses int, cfg Config,
 	valDS *Dataset, valLabels []int, vcfg ValidationConfig) (*Model, error) {
 	if valDS == nil || valDS.N == 0 {
@@ -549,25 +549,23 @@ func TrainClassifierWithValidation(ds *Dataset, labels []int, numClasses int, cf
 	if err != nil {
 		return nil, fmt.Errorf("gbdt: compiling validation forest: %w", err)
 	}
-	// Materialize validation rows once into a flat slab; logits and the
+	// Bin the validation rows once; the binned tile, the logits and the
 	// probability scratch are flat and reused across rounds.
 	n := valDS.N
 	nf := valDS.Schema.NumFeatures()
-	slab := make([]float64, n*nf)
-	rows := make([][]float64, n)
+	tile := make([]uint16, n*nf)
+	var row []float64
 	for i := 0; i < n; i++ {
-		rows[i] = valDS.Row(i, slab[i*nf:(i+1)*nf])
+		row = valDS.Row(i, row)
+		forest.binRow(row, tile[i*nf:(i+1)*nf])
 	}
-	logits := make([]float64, n*numClasses)
-	for i := 0; i < n; i++ {
-		copy(logits[i*numClasses:(i+1)*numClasses], m.InitScores)
-	}
+	logits, _ := forest.logitsScratch(nil, n, 0)
 	probs := make([]float64, numClasses)
 	bestRound, bestLoss := -1, math.Inf(1)
 	sinceBest := 0
 	valLoss := make([]float64, 0, len(m.Trees))
 	for r := range m.Trees {
-		forest.addRoundLogits(r, rows, logits)
+		forest.addRounds(tile, n, logits, r, r+1)
 		var loss float64
 		for i := 0; i < n; i++ {
 			softmax(logits[i*numClasses:(i+1)*numClasses], probs)

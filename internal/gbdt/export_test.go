@@ -1,0 +1,18 @@
+package gbdt
+
+// Hooks for the external test package (gbdt_test), which can import
+// the packages that import gbdt (features, core, perf).
+
+// Edges returns the forest's per-feature numeric edges.
+func (f *Forest) Edges() [][]float64 { return f.edges }
+
+// BinRow is the float entries' quantizer.
+func (f *Forest) BinRow(row []float64, out []uint16) { f.binRow(row, out) }
+
+// SplitBin returns the feature and compiled threshold bin of node i of
+// the round-r class-k tree, for a model whose trees are stored
+// pre-order (every trained one), where the forest keeps node order.
+func (f *Forest) SplitBin(r, k, i int) (feat int, bin uint16) {
+	n := f.nodes[int(f.trees[int(f.classStart[k])+r].root)+i]
+	return int(n.feat), n.thr
+}

@@ -3,145 +3,334 @@ package gbdt
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"sort"
+	"unsafe"
 )
 
-// flatNode is the cache-friendly node layout used by Forest: 24 bytes,
-// no per-node slices. Leaves carry their value in Threshold and
-// self-loop (Left == Right == own index) as numeric splits, which lets
-// batched traversal run a fixed number of cheap descent steps per tree
-// with no leaf branch. Categorical splits reference a shared bitset
-// arena via a packed offset+length word (nonzero only for categorical
-// splits, whose CatPack is zero). The packing keeps the node at 24
-// bytes.
-type flatNode struct {
-	Threshold float64
-	Feature   int32
-	Left      int32
-	Right     int32
-	// CatPack is 0 for numeric splits (and leaves); for categorical
-	// splits its low 6 bits hold the bitset length in 64-bit words and
-	// the high bits the word offset into the shared arena.
-	CatPack uint32
+// binNode is the forest's node: 8 bytes, integers only. A row reaches
+// the forest as one uint16 bin per feature (the rows a binary client
+// ships), and a node sends it left when
+//
+//	bin <= thr  AND  bit `bin` of the node's category set is set
+//
+// with the left child stored right behind its parent and the right
+// child `right` nodes further on. The three node kinds differ only in
+// which half of that test can fail:
+//
+//   - numeric split: thr is the threshold's index in the feature's edges
+//     and set is the tree's all-ones set, so only the compare decides;
+//   - categorical split: thr is 0xFFFF (every bin passes) and set holds
+//     the ids routed left;
+//   - leaf: the tree's empty set and right = 0, so the step stays put
+//     whatever the row holds. thr is the leaf's ordinal in its tree,
+//     the index of its value in Forest.leaves.
+//
+// One step is therefore the same dozen integer instructions for every
+// node, with no branch on the node kind.
+type binNode struct {
+	thr   uint16
+	feat  uint16
+	set   uint16 // index into the tree's run of Forest.sets
+	right uint16
 }
 
-// catPackWordBits is the CatPack bit width of the bitset length.
-const catPackWordBits = 6
+// The first two sets of every tree.
+const (
+	setAll   = 0 // numeric splits: every id is in it
+	setNone  = 1 // leaves: no id is in it
+	setFirst = 2 // first categorical split of the tree
+)
 
-// Forest is a Model compiled into a flat node array for fast inference.
-// All trees live in one contiguous slice with absolute child indices,
-// categorical split sets become O(1) bitset probes in a shared arena,
-// and batch prediction walks one tree over a whole row block while the
-// tree's nodes stay hot in cache. A Forest is immutable after Compile
-// and safe for concurrent use.
+// thrAlways is the thr of a node whose compare must never fail. A bin
+// is at most 65,534 on a numeric feature (maxForestEdges) and is not
+// compared at all on a categorical one.
+const thrAlways = 0xFFFF
+
+// catSet names one category set in Forest.arena: words 64-bit words of
+// membership bits ending at index zero, where a zero word stands that
+// every id past the set's last word is clamped onto.
+type catSet struct {
+	zero  uint32
+	words uint32
+}
+
+// treeRef locates one compiled tree.
+type treeRef struct {
+	root   int32 // index of the root in Forest.nodes
+	sets   int32 // index of the tree's setAll in Forest.sets
+	leaves int32 // index of the tree's first leaf value in Forest.leaves
+	depth  int32 // deepest leaf level: the descent steps a row needs
+}
+
+const (
+	// maxForestFeatures, maxForestEdges and maxTreeNodes are what the
+	// node's uint16 fields hold: a feature index, a bin (0..len(edges),
+	// with 0xFFFF kept for thrAlways) and a child offset or leaf ordinal.
+	maxForestFeatures = 65535
+	maxForestEdges    = 65534
+	maxTreeNodes      = 65535
+	// maxCategoryID is the largest id a uint16 bin can carry.
+	maxCategoryID = 65535
+)
+
+// LimitError reports a model that is valid but larger than the binned
+// node layout can address.
+type LimitError struct {
+	What string // what there is too much of
+	Got  int
+	Max  int
+}
+
+func (e *LimitError) Error() string {
+	return fmt.Sprintf("gbdt: compile: %s: %d, the binned forest holds at most %d", e.What, e.Got, e.Max)
+}
+
+// Forest is a Model compiled for inference on binned rows. A row is one
+// uint16 per feature: on a numeric feature the number of split
+// thresholds of the model below the value (Forest.edges, which are
+// Model.NumericSplitThresholds and so the edges of
+// features.BinnerForModel), on a categorical feature the category id.
+// v > t and bin(v) > bin(t) agree for every threshold t of the model
+// because t is itself an edge: bin(v) is the smallest i with
+// v <= edges[i], so bin(v) <= bin(t) exactly when v <= t.
+//
+// All trees live in one node array, categorical split sets are bitsets
+// in a shared arena, and batch prediction walks one tree over a whole
+// row block while the tree stays hot in cache. The float entries
+// (Logits, PredictClass, PredictBatchInto, PredictClassBatch) bin their
+// rows and run the same traversal as PredictClassBinned. A Forest is
+// immutable after Compile and safe for concurrent use.
 type Forest struct {
 	NumClasses  int
 	NumFeatures int
 	initScores  []float64
-	nodes       []flatNode
-	catBits     []uint64
+	nodes       []binNode
+	leaves      []float64
+	sets        []catSet
+	arena       []uint64
 	// Trees are stored class-major (all of class 0 in round order, then
 	// class 1, ...): per-class logit sums are independent, so this
 	// ordering is bit-identical to the model's round-major accumulation
 	// while letting the batch kernel keep one class's partial sums in
 	// registers.
-	roots      []int32 // root node index per tree
-	treeClass  []int32 // class index per tree, parallel to roots
-	treeDepth  []int32 // max leaf depth per tree (descent steps needed)
+	trees      []treeRef
 	classStart []int32 // first tree index of each class, len NumClasses+1
+
+	// edges[f] are numeric feature f's sorted split thresholds; nil for
+	// a categorical feature, whose missing[f] is an id no split routes
+	// left: what a NaN, negative or out-of-range value is binned to.
+	edges   [][]float64
+	kinds   []FeatureKind
+	missing []uint16
 }
 
-// Compile flattens the model into a Forest. The result shares no state
-// with the model and can be used concurrently with further training.
+// Compile lays the model out as a Forest, every array at its final
+// size. The result shares no state with the model and can be used
+// concurrently with further training.
 func (m *Model) Compile() (*Forest, error) {
-	if m.NumClasses < 1 {
-		return nil, fmt.Errorf("gbdt: compile: model has %d classes", m.NumClasses)
+	if m.NumClasses < 1 || len(m.InitScores) != m.NumClasses {
+		return nil, fmt.Errorf("gbdt: compile: model has %d classes and %d init scores", m.NumClasses, len(m.InitScores))
+	}
+	nf := m.Schema.NumFeatures()
+	if nf > maxForestFeatures {
+		return nil, &LimitError{"features", nf, maxForestFeatures}
+	}
+	// A leaf reads bin 0 of its row like any node, so a row has one.
+	if nf < 1 || len(m.Schema.Kinds) != nf {
+		return nil, fmt.Errorf("gbdt: compile: schema has %d features and %d kinds", nf, len(m.Schema.Kinds))
 	}
 	f := &Forest{
 		NumClasses:  m.NumClasses,
-		NumFeatures: m.Schema.NumFeatures(),
+		NumFeatures: nf,
 		initScores:  append([]float64(nil), m.InitScores...),
+		edges:       m.NumericSplitThresholds(),
+		kinds:       append([]FeatureKind(nil), m.Schema.Kinds...),
+		missing:     make([]uint16, nf),
 	}
-	for k := 0; k < m.NumClasses; k++ {
-		f.classStart = append(f.classStart, int32(len(f.roots)))
-		for r, round := range m.Trees {
-			if k >= len(round) {
-				return nil, fmt.Errorf("gbdt: compile: round %d has %d trees, class %d missing", r, len(round), k)
-			}
-			tree := round[k]
-			if len(tree.Nodes) == 0 {
-				return nil, fmt.Errorf("gbdt: compile: empty tree for class %d", k)
-			}
-			base := int32(len(f.nodes))
-			f.roots = append(f.roots, base)
-			f.treeClass = append(f.treeClass, int32(k))
-			for i := range tree.Nodes {
-				n := &tree.Nodes[i]
-				self := base + int32(i)
-				if n.IsLeaf {
-					// Feature 0 keeps the descent loop's row access in
-					// bounds; the self-loop makes the step a no-op.
-					f.nodes = append(f.nodes, flatNode{Threshold: n.Value, Left: self, Right: self})
-					continue
-				}
-				if n.Left <= i || n.Left >= len(tree.Nodes) || n.Right <= i || n.Right >= len(tree.Nodes) {
-					return nil, fmt.Errorf("gbdt: compile: tree node %d has out-of-order children (%d, %d); trees must be stored pre-order",
-						i, n.Left, n.Right)
-				}
-				fn := flatNode{
-					Feature:   int32(n.Feature),
-					Threshold: n.Threshold,
-					Left:      base + int32(n.Left),
-					Right:     base + int32(n.Right),
-				}
-				if n.Kind == Categorical {
-					words := uint32(0)
-					for _, c := range n.LeftCats {
-						if w := uint32(c>>6) + 1; w > words {
-							words = w
-						}
-					}
-					if words > (1<<catPackWordBits)-1 {
-						return nil, fmt.Errorf("gbdt: compile: categorical split on feature %d needs %d bitset words (max %d)",
-							n.Feature, words, (1<<catPackWordBits)-1)
-					}
-					if uint64(len(f.catBits)) > (1<<(32-catPackWordBits))-1 {
-						return nil, fmt.Errorf("gbdt: compile: categorical bitset arena exceeds %d words; CatPack offset would overflow",
-							(1<<(32-catPackWordBits))-1)
-					}
-					fn.CatPack = uint32(len(f.catBits))<<catPackWordBits | words
-					bits := make([]uint64, words)
-					for _, c := range n.LeftCats {
-						bits[c>>6] |= 1 << uint(c&63)
-					}
-					f.catBits = append(f.catBits, bits...)
-				}
-				f.nodes = append(f.nodes, fn)
-			}
-			f.treeDepth = append(f.treeDepth, maxLeafDepth(tree))
+	for feat, es := range f.edges {
+		if len(es) > maxForestEdges {
+			return nil, &LimitError{fmt.Sprintf("distinct thresholds on feature %d", feat), len(es), maxForestEdges}
+		}
+		if len(es) > 0 && (math.IsNaN(es[0]) || math.IsInf(es[0], 0) || math.IsInf(es[len(es)-1], 0)) {
+			return nil, fmt.Errorf("gbdt: compile: feature %d has a non-finite split threshold", feat)
 		}
 	}
-	f.classStart = append(f.classStart, int32(len(f.roots)))
+
+	// Size pass: every node, leaf, set and set word is counted before
+	// anything is allocated.
+	var numTrees, numNodes, numLeaves, numSets, numWords int
+	routed := make([][]uint64, nf) // per categorical feature, every id some split routes left
+	for r, round := range m.Trees {
+		if len(round) < m.NumClasses {
+			return nil, fmt.Errorf("gbdt: compile: round %d has %d trees, class %d missing", r, len(round), len(round))
+		}
+		for k, tree := range round[:m.NumClasses] {
+			if tree == nil || len(tree.Nodes) == 0 {
+				return nil, fmt.Errorf("gbdt: compile: empty tree for class %d", k)
+			}
+			if len(tree.Nodes) > maxTreeNodes {
+				return nil, &LimitError{fmt.Sprintf("nodes in the round %d class %d tree", r, k), len(tree.Nodes), maxTreeNodes}
+			}
+			numTrees++
+			numNodes += len(tree.Nodes)
+			numSets += setFirst
+			for i := range tree.Nodes {
+				n := &tree.Nodes[i]
+				switch {
+				case n.IsLeaf:
+					numLeaves++
+				case n.Feature < 0 || n.Feature >= nf || n.Kind != f.kinds[n.Feature]:
+					return nil, fmt.Errorf("gbdt: compile: tree node %d splits on feature %d as kind %d, which the schema does not have", i, n.Feature, n.Kind)
+				case n.Kind == Categorical:
+					words, err := setWords(n)
+					if err != nil {
+						return nil, err
+					}
+					numSets++
+					numWords += words + 1
+					for len(routed[n.Feature]) < words {
+						routed[n.Feature] = append(routed[n.Feature], 0)
+					}
+					setBits(routed[n.Feature], n.LeftCats)
+				}
+			}
+		}
+	}
+	if err := f.pickMissingIDs(routed); err != nil {
+		return nil, err
+	}
+	f.nodes = make([]binNode, 0, numNodes)
+	f.leaves = make([]float64, 0, numLeaves)
+	f.sets = make([]catSet, 0, numSets)
+	// arena[0] is setAll's word and arena[1] setNone's, shared by every
+	// tree.
+	f.arena = append(make([]uint64, 0, 2+numWords), ^uint64(0), 0)
+	f.trees = make([]treeRef, 0, numTrees)
+	f.classStart = make([]int32, 0, m.NumClasses+1)
+
+	var stack []pendingNode
+	for k := 0; k < m.NumClasses; k++ {
+		f.classStart = append(f.classStart, int32(len(f.trees)))
+		for _, round := range m.Trees {
+			var err error
+			if stack, err = f.addTree(round[k], stack); err != nil {
+				return nil, err
+			}
+		}
+	}
+	f.classStart = append(f.classStart, int32(len(f.trees)))
 	return f, nil
 }
 
-// maxLeafDepth returns the deepest leaf level of a tree (root = 0).
-func maxLeafDepth(t *Tree) int32 {
-	depths := make([]int32, len(t.Nodes))
-	var max int32
-	for i := range t.Nodes {
-		n := &t.Nodes[i]
+// setWords returns how many bitset words a categorical split's set
+// takes.
+func setWords(n *Node) (int, error) {
+	words := 0
+	for _, c := range n.LeftCats {
+		if c < 0 {
+			return 0, fmt.Errorf("gbdt: compile: categorical split on feature %d routes negative id %d", n.Feature, c)
+		}
+		if c > maxCategoryID {
+			return 0, &LimitError{fmt.Sprintf("category id on feature %d", n.Feature), int(c), maxCategoryID}
+		}
+		if w := int(c>>6) + 1; w > words {
+			words = w
+		}
+	}
+	return words, nil
+}
+
+// setBits sets bit c of the bitset for every id c.
+func setBits(set []uint64, ids []int32) {
+	for _, c := range ids {
+		set[c>>6] |= 1 << uint(c&63)
+	}
+}
+
+// pendingNode is a model node waiting to be laid out: src in its tree,
+// depth below the root, and the laid-out parent whose right child it is
+// (-1 for a left child or the root).
+type pendingNode struct {
+	src, depth int
+	rightOf    int
+}
+
+// addTree appends one tree in pre-order, left subtree first, whatever
+// order the model stores it in: the step finds a left child by adding
+// one. stack is scratch handed from tree to tree.
+func (f *Forest) addTree(tree *Tree, stack []pendingNode) ([]pendingNode, error) {
+	tr := treeRef{root: int32(len(f.nodes)), sets: int32(len(f.sets)), leaves: int32(len(f.leaves))}
+	f.sets = append(f.sets, catSet{zero: 0}, catSet{zero: 1})
+	stack = append(stack[:0], pendingNode{src: 0, rightOf: -1})
+	for len(stack) > 0 {
+		p := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		at := len(f.nodes)
+		if at-int(tr.root) >= len(tree.Nodes) {
+			// More nodes reached than stored: two parents share a child,
+			// and laying such a graph out as a tree need not end.
+			return stack, fmt.Errorf("gbdt: compile: tree reaches a node twice; trees must not share children")
+		}
+		if p.rightOf >= 0 {
+			f.nodes[p.rightOf].right = uint16(at - p.rightOf)
+		}
+		n := &tree.Nodes[p.src]
 		if n.IsLeaf {
-			if depths[i] > max {
-				max = depths[i]
+			f.nodes = append(f.nodes, binNode{thr: uint16(len(f.leaves) - int(tr.leaves)), set: setNone})
+			f.leaves = append(f.leaves, n.Value)
+			if int32(p.depth) > tr.depth {
+				tr.depth = int32(p.depth)
 			}
 			continue
 		}
-		// Children always follow their parent in the node slice
-		// (pre-order append), so a single forward pass fills depths.
-		depths[n.Left] = depths[i] + 1
-		depths[n.Right] = depths[i] + 1
+		if n.Left <= p.src || n.Left >= len(tree.Nodes) || n.Right <= p.src || n.Right >= len(tree.Nodes) {
+			return stack, fmt.Errorf("gbdt: compile: tree node %d has out-of-order children (%d, %d); children must follow their parent",
+				p.src, n.Left, n.Right)
+		}
+		bn := binNode{feat: uint16(n.Feature)}
+		if n.Kind == Numeric {
+			bn.thr = uint16(sort.SearchFloat64s(f.edges[n.Feature], n.Threshold))
+			bn.set = setAll
+		} else {
+			bn.thr = thrAlways
+			bn.set = uint16(len(f.sets) - int(tr.sets))
+			words, _ := setWords(n) // checked by Compile's size pass
+			f.sets = append(f.sets, catSet{zero: uint32(len(f.arena) + words), words: uint32(words)})
+			for w := 0; w <= words; w++ {
+				f.arena = append(f.arena, 0)
+			}
+			setBits(f.arena[len(f.arena)-words-1:], n.LeftCats)
+		}
+		f.nodes = append(f.nodes, bn)
+		stack = append(stack,
+			pendingNode{src: n.Right, depth: p.depth + 1, rightOf: at},
+			pendingNode{src: n.Left, depth: p.depth + 1, rightOf: -1})
 	}
-	return max
+	f.trees = append(f.trees, tr)
+	return stack, nil
+}
+
+// pickMissingIDs chooses, per categorical feature, the smallest id that
+// no split of the model routes left (routed holds the union of the
+// feature's left sets). The float entries bin a missing (NaN), negative
+// or out-of-range categorical value to it, so it goes right at every
+// split, as Tree.Predict sends it.
+func (f *Forest) pickMissingIDs(routed [][]uint64) error {
+	for feat, union := range routed {
+		id := 64 * len(union)
+		for w, word := range union {
+			if word != ^uint64(0) {
+				id = 64*w + bits.TrailingZeros64(^word)
+				break
+			}
+		}
+		if id > maxCategoryID {
+			return &LimitError{fmt.Sprintf("ids routed left on categorical feature %d, leaving none for a missing value", feat), id, maxCategoryID}
+		}
+		f.missing[feat] = uint16(id)
+	}
+	return nil
 }
 
 // MustCompile is Compile panicking on error, for hot-path setup code
@@ -154,72 +343,227 @@ func (m *Model) MustCompile() *Forest {
 	return f
 }
 
-// step advances one descent level from node idx for row. At a leaf it
-// returns idx unchanged (self-loop). The numeric path is written so the
-// compiler emits a conditional move instead of a data-dependent branch:
-// NaN makes v > Threshold false, which routes missing values left
-// exactly like the Tree traversal.
-func (f *Forest) step(idx int32, row []float64) int32 {
-	n := &f.nodes[idx]
-	v := row[n.Feature]
-	if n.CatPack == 0 {
-		next := n.Left
-		if v > n.Threshold {
-			next = n.Right
+// binRow quantizes one float feature row into out (NumFeatures long) so
+// that every split routes the bins as Tree.Predict routes the values: a
+// numeric value becomes the number of thresholds below it (NaN is 0,
+// missing goes left), a categorical value its truncated id, or the
+// feature's missing id when it has none (NaN, negative, past uint16).
+func (f *Forest) binRow(row []float64, out []uint16) {
+	for feat := range out {
+		v := row[feat]
+		if f.kinds[feat] == Categorical {
+			// Truncate before the range check, exactly like containsCat:
+			// values in (-1, 0) truncate to category 0 and must probe.
+			// What int32(NaN) is depends on the port, hence v != v.
+			id := int32(v)
+			if id < 0 || id > maxCategoryID || v != v {
+				id = int32(f.missing[feat])
+			}
+			out[feat] = uint16(id)
+			continue
 		}
-		return next
+		// Smallest i with v <= es[i]. NaN fails every v > e, ending at 0.
+		es := f.edges[feat]
+		lo, hi := 0, len(es)
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if v > es[mid] {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		out[feat] = uint16(lo)
 	}
-	return stepCatBits(f.catBits, n, v)
 }
 
-// stepCatBits resolves a categorical split with one bitset probe
-// against the pre-hoisted arena slice (the batch kernel passes it as a
-// local to avoid re-loading through f). Missing (NaN), negative and
-// out-of-vocabulary ids route right, like containsCat.
-func stepCatBits(bits []uint64, n *flatNode, v float64) int32 {
-	if math.IsNaN(v) {
-		return n.Right
-	}
-	// Truncate before the sign check, exactly like containsCat: values
-	// in (-1, 0) truncate to category 0 and must probe, not short-cut.
-	sid := int32(v)
-	if sid < 0 {
-		return n.Right
-	}
-	id := uint32(sid)
-	w := id >> 6
-	if w >= n.CatPack&((1<<catPackWordBits)-1) {
-		return n.Right
-	}
-	if bits[(n.CatPack>>catPackWordBits)+w]>>(id&63)&1 == 1 {
-		return n.Left
-	}
-	return n.Right
+// lanes is the state of the eight descents that run in lockstep: lane l
+// is at node at[l] of the tree whose sets start at sets[l], reading the
+// row whose bins start at tile[row[l]].
+type lanes struct {
+	at, row, sets [8]int
 }
 
-// walk evaluates one tree on one row with early exit at leaves.
-func (f *Forest) walk(root int32, row []float64) float64 {
-	idx := root
-	for {
-		next := f.step(idx, row)
-		if next == idx {
-			return f.nodes[idx].Threshold
+// descend advances every lane by depth levels; a lane on a leaf stays
+// there. This is the forest's one traversal. The step is integer-only
+// and branch-free, so the eight independent chains overlap their load
+// latency instead of waiting on mispredicted branches: the compare's
+// borrow and the set's membership bit are ANDed into `left`, which
+// selects between the two child offsets by mask, and an id past the
+// set's last word is clamped onto the zero word behind the set.
+func (f *Forest) descend(tile []uint16, ln *lanes, depth int32) {
+	nodes, sets, arena := f.nodes, f.sets, f.arena
+	for ; depth > 0; depth-- {
+		for l := range ln.at {
+			n := nodes[ln.at[l]]
+			b := uint32(tile[ln.row[l]+int(n.feat)])
+			s := sets[ln.sets[l]+int(n.set)]
+			over := b>>6 - s.words // words past the set's last, negative inside it
+			word := arena[s.zero+over&uint32(int32(over)>>31)]
+			left := (b - uint32(n.thr) - 1) >> 31 & uint32(word>>(b&63))
+			right := uint32(n.right)
+			ln.at[l] += int(right ^ (right^1)&-left)
 		}
-		idx = next
 	}
 }
+
+// batchBlock is the row-block size for batched traversal: each tree is
+// walked over a full block before moving to the next tree, so the
+// tree's nodes stay resident in L1 across the block while the total
+// forest working set can be a megabyte. 64 rows keeps the block's
+// binned rows plus one tree comfortably inside a 32 KiB L1D.
+const batchBlock = 64
+
+// addRounds adds the trees of boosting rounds [lo, hi) to the logits
+// (n x NumClasses, row-major) of the n binned rows in tile
+// (n x NumFeatures, row-major). Logits that start at the class init
+// scores (logitsScratch) and take every round end up summed in
+// Model.Logits' order, init first and then trees in round order, so
+// they are bit-identical to it, never an ulp-flipped argmax.
+func (f *Forest) addRounds(tile []uint16, n int, logits []float64, lo, hi int) {
+	k, nf := f.NumClasses, f.NumFeatures
+	for start := 0; start < n; start += batchBlock {
+		end := min(start+batchBlock, n)
+		f.addRoundsBlock(tile[start*nf:end*nf], end-start, logits[start*k:end*k], lo, hi)
+	}
+}
+
+// addRoundsBlock is addRounds on at most batchBlock rows. It iterates
+// class -> tree -> 8-row group: eight rows descend a tree in lockstep
+// for its fixed depth (self-looping leaves make early exits
+// unnecessary), and one class's partial sums stay in L1 scratch across
+// all its trees, touching the logits buffer once per class per row.
+// The rows left over after the last whole group go one by one through
+// addRoundsRow: measured on the paper-scale forest that beats filling a
+// group's spare lanes with copies of a row up to six rows left over,
+// and ties at seven.
+func (f *Forest) addRoundsBlock(tile []uint16, n int, logits []float64, lo, hi int) {
+	k, nf := f.NumClasses, f.NumFeatures
+	grouped := n &^ 7
+	var acc [batchBlock]float64
+	var ln lanes
+	for kc := 0; kc < k && grouped > 0; kc++ {
+		for i := 0; i < grouped; i++ {
+			acc[i] = logits[i*k+kc]
+		}
+		first := int(f.classStart[kc])
+		for _, tr := range f.trees[first+lo : first+hi] {
+			leaves := f.leaves[tr.leaves:]
+			for l := range ln.sets {
+				ln.sets[l] = int(tr.sets)
+			}
+			for g := 0; g < grouped; g += 8 {
+				for l := range ln.at {
+					ln.at[l], ln.row[l] = int(tr.root), (g+l)*nf
+				}
+				f.descend(tile, &ln, tr.depth)
+				for l, at := range ln.at {
+					acc[g+l] += leaves[f.nodes[at].thr]
+				}
+			}
+		}
+		for i := 0; i < grouped; i++ {
+			logits[i*k+kc] = acc[i]
+		}
+	}
+	for i := grouped; i < n; i++ {
+		f.addRoundsRow(tile[i*nf:(i+1)*nf], logits[i*k:(i+1)*k], lo, hi)
+	}
+}
+
+// addRoundsRow is addRounds on one row, with the eight lanes on eight
+// consecutive trees of a class instead of eight rows of a tree. The
+// lanes run to the deepest of their trees (a shallower one sits on its
+// leaf meanwhile), a class's last group parks its spare lanes on the
+// class's last tree, and leaf values are added in tree order, so the
+// sums are addRoundsBlock's sums.
+func (f *Forest) addRoundsRow(row []uint16, logits []float64, lo, hi int) {
+	var ln lanes // ln.row stays zero: every lane reads the one row
+	for kc := range logits {
+		sum := logits[kc]
+		first := int(f.classStart[kc])
+		trees := f.trees[first+lo : first+hi]
+		for t := 0; t < len(trees); t += 8 {
+			depth := int32(0)
+			for l := range ln.at {
+				tr := &trees[min(t+l, len(trees)-1)]
+				ln.at[l], ln.sets[l] = int(tr.root), int(tr.sets)
+				depth = max(depth, tr.depth)
+			}
+			f.descend(row, &ln, depth)
+			for l, tr := range trees[t:min(t+8, len(trees))] {
+				sum += f.leaves[int(tr.leaves)+int(f.nodes[ln.at[l]].thr)]
+			}
+		}
+		logits[kc] = sum
+	}
+}
+
+// logitsScratch returns scratch resliced to n rows of logits, every
+// row at the class init scores, followed by spare float64 words (the
+// float entries keep a block of bins there). It allocates when scratch
+// is too short, sized to whole blocks so that batches wandering between
+// sizes share one buffer.
+func (f *Forest) logitsScratch(scratch []float64, n, spare int) (logits, rest []float64) {
+	k := f.NumClasses
+	if cap(scratch) < n*k+spare {
+		blocks := (n + batchBlock - 1) / batchBlock
+		scratch = make([]float64, blocks*batchBlock*k+spare)
+	}
+	logits = scratch[:n*k]
+	for i := 0; i < n; i++ {
+		copy(logits[i*k:(i+1)*k], f.initScores)
+	}
+	return logits, scratch[n*k : n*k+spare]
+}
+
+// argmaxRows writes each logits row's argmax into classes, reused when
+// large enough.
+func (f *Forest) argmaxRows(logits []float64, classes []int) []int {
+	k := f.NumClasses
+	n := len(logits) / k
+	if cap(classes) < n {
+		classes = make([]int, n)
+	}
+	classes = classes[:n]
+	for i := range classes {
+		classes[i] = argmax(logits[i*k : (i+1)*k])
+	}
+	return classes
+}
+
+// PredictClassBinned returns the argmax class of every row of tile,
+// which holds len(tile)/NumFeatures binned rows back to back. classes
+// and the logit scratch are reused when large enough; a caller that
+// hands both back allocates nothing. The bins must be ones the model's
+// binner produces (features.Binner.ValidateBins); others are routed
+// somewhere, never out of bounds.
+func (f *Forest) PredictClassBinned(tile []uint16, classes []int, scratch []float64) ([]int, []float64) {
+	n := len(tile) / f.NumFeatures
+	scratch, _ = f.logitsScratch(scratch, n, 0)
+	f.addRounds(tile, n, scratch, 0, f.rounds())
+	return f.argmaxRows(scratch, classes), scratch
+}
+
+// rounds returns the number of boosting rounds compiled.
+func (f *Forest) rounds() int { return len(f.trees) / f.NumClasses }
 
 // Logits computes raw class scores for one row into out (allocated when
-// nil or too short). Equivalent to Model.Logits on the source model.
+// nil or too short). Bit-identical to Model.Logits on the source model.
 func (f *Forest) Logits(row []float64, out []float64) []float64 {
 	if cap(out) < f.NumClasses {
 		out = make([]float64, f.NumClasses)
 	}
 	out = out[:f.NumClasses]
 	copy(out, f.initScores)
-	for t, root := range f.roots {
-		out[f.treeClass[t]] += f.walk(root, row)
+	var buf [64]uint16
+	bins := buf[:]
+	if f.NumFeatures > len(buf) {
+		bins = make([]uint16, f.NumFeatures)
 	}
+	bins = bins[:f.NumFeatures]
+	f.binRow(row, bins)
+	f.addRoundsRow(bins, out, 0, f.rounds())
 	return out
 }
 
@@ -235,19 +579,7 @@ func (f *Forest) PredictClass(row []float64) int {
 	return argmax(logits)
 }
 
-// batchBlock is the row-block size for batched traversal: each tree is
-// walked over a full block before moving to the next tree, so the
-// tree's nodes stay resident in L1 across the block while the total
-// forest working set can be many megabytes. 64 rows keeps the block's
-// feature rows plus one tree comfortably inside a 32 KiB L1D.
-const batchBlock = 64
-
-// PredictBatch computes per-row logits for a block of rows. It walks
-// trees over row blocks (tree-major within each block) rather than rows
-// over trees, which is substantially faster for paper-scale forests
-// (hundreds of trees) because each tree's nodes are reused across the
-// block instead of being evicted between rows, and four rows descend
-// each tree in lockstep to hide cache-miss latency.
+// PredictBatch computes per-row logits for a block of rows.
 func (f *Forest) PredictBatch(rows [][]float64) [][]float64 {
 	flat := f.PredictBatchInto(rows, nil)
 	out := make([][]float64, len(rows))
@@ -259,170 +591,32 @@ func (f *Forest) PredictBatch(rows [][]float64) [][]float64 {
 
 // PredictBatchInto is PredictBatch writing logits into a reusable flat
 // buffer laid out row-major (len(rows) x NumClasses). The buffer is the
-// caller's scratch for the whole kernel: the spare capacity behind the
-// logits holds the row tile, so a caller that hands the returned slice
-// back on its next call allocates nothing, whatever the row count does
-// below the next block boundary.
-//
-// The kernel iterates block -> class -> 8-row group -> class trees:
-// eight rows descend each tree in lockstep for its fixed depth
-// (self-looping leaves make early exits unnecessary, and the eight
-// independent chains overlap node-load latency), and one class's
-// partial sums stay in registers across all its trees, touching the
-// logits buffer once per class per row. The step is hand-inlined (the
-// method form exceeds the inlining budget): the numeric compare
-// compiles to a conditional move and the rarer categorical probe is an
-// outlined call.
+// caller's scratch for the whole call: the spare capacity behind the
+// logits holds one block's binned rows, so a caller that hands the
+// returned slice back on its next call allocates nothing, whatever the
+// row count does below the next block boundary.
 func (f *Forest) PredictBatchInto(rows [][]float64, logits []float64) []float64 {
 	n := len(rows)
-	k := f.NumClasses
-	nodes := f.nodes
-	bits := f.catBits
-	nf := f.NumFeatures
-	if cap(logits) < n*k+batchBlock*nf {
-		// Logits are sized to whole blocks so that batches wandering
-		// between sizes share one buffer.
-		blocks := (n + batchBlock - 1) / batchBlock
-		logits = make([]float64, blocks*batchBlock*k+batchBlock*nf)
-	}
-	// acc accumulates one class's partial sums for the current block in
-	// contiguous, L1-resident scratch; the strided logits buffer is
-	// touched once per class per block. tile holds the block's feature
-	// rows packed contiguously, so each descent lane carries one integer
-	// offset instead of a full slice header — with eight lanes in
-	// flight, that halves the kernel's register pressure. Every tile row
-	// a lane reads was copied in for this block, so what an earlier call
-	// left there is never seen.
-	var acc [batchBlock]float64
-	tile := logits[n*k : n*k+batchBlock*nf]
-	logits = logits[:n*k]
+	k, nf := f.NumClasses, f.NumFeatures
+	// The block's bins live in the caller's float64 scratch, four to a
+	// word, viewed as the []uint16 the traversal reads.
+	logits, words := f.logitsScratch(logits, n, (batchBlock*nf+3)/4)
+	tile := unsafe.Slice((*uint16)(unsafe.Pointer(unsafe.SliceData(words))), 4*len(words))
 	for start := 0; start < n; start += batchBlock {
-		end := start + batchBlock
-		if end > n {
-			end = n
+		end := min(start+batchBlock, n)
+		for i, row := range rows[start:end] {
+			f.binRow(row, tile[i*nf:(i+1)*nf])
 		}
-		for i := start; i < end; i++ {
-			copy(tile[(i-start)*nf:(i-start+1)*nf], rows[i][:nf])
-		}
-		for kc := 0; kc < k; kc++ {
-			tLo, tHi := f.classStart[kc], f.classStart[kc+1]
-			// Seed with the class init score so the summation order is
-			// exactly Model.Logits' (init first, then trees in round
-			// order) — bit-identical logits, never an ulp-flipped argmax.
-			init := f.initScores[kc]
-			for j := range acc {
-				acc[j] = init
-			}
-			for t := tLo; t < tHi; t++ {
-				root := f.roots[t]
-				depth := f.treeDepth[t]
-				i := start
-				for ; i+8 <= end; i += 8 {
-					o0 := (i - start) * nf
-					o1, o2, o3 := o0+nf, o0+2*nf, o0+3*nf
-					o4, o5, o6, o7 := o0+4*nf, o0+5*nf, o0+6*nf, o0+7*nf
-					i0, i1, i2, i3 := root, root, root, root
-					i4, i5, i6, i7 := root, root, root, root
-					for d := int32(0); d < depth; d++ {
-						n0 := &nodes[i0]
-						if v := tile[o0+int(n0.Feature)]; n0.CatPack != 0 {
-							i0 = stepCatBits(bits, n0, v)
-						} else if i0 = n0.Left; v > n0.Threshold {
-							i0 = n0.Right
-						}
-						n1 := &nodes[i1]
-						if v := tile[o1+int(n1.Feature)]; n1.CatPack != 0 {
-							i1 = stepCatBits(bits, n1, v)
-						} else if i1 = n1.Left; v > n1.Threshold {
-							i1 = n1.Right
-						}
-						n2 := &nodes[i2]
-						if v := tile[o2+int(n2.Feature)]; n2.CatPack != 0 {
-							i2 = stepCatBits(bits, n2, v)
-						} else if i2 = n2.Left; v > n2.Threshold {
-							i2 = n2.Right
-						}
-						n3 := &nodes[i3]
-						if v := tile[o3+int(n3.Feature)]; n3.CatPack != 0 {
-							i3 = stepCatBits(bits, n3, v)
-						} else if i3 = n3.Left; v > n3.Threshold {
-							i3 = n3.Right
-						}
-						n4 := &nodes[i4]
-						if v := tile[o4+int(n4.Feature)]; n4.CatPack != 0 {
-							i4 = stepCatBits(bits, n4, v)
-						} else if i4 = n4.Left; v > n4.Threshold {
-							i4 = n4.Right
-						}
-						n5 := &nodes[i5]
-						if v := tile[o5+int(n5.Feature)]; n5.CatPack != 0 {
-							i5 = stepCatBits(bits, n5, v)
-						} else if i5 = n5.Left; v > n5.Threshold {
-							i5 = n5.Right
-						}
-						n6 := &nodes[i6]
-						if v := tile[o6+int(n6.Feature)]; n6.CatPack != 0 {
-							i6 = stepCatBits(bits, n6, v)
-						} else if i6 = n6.Left; v > n6.Threshold {
-							i6 = n6.Right
-						}
-						n7 := &nodes[i7]
-						if v := tile[o7+int(n7.Feature)]; n7.CatPack != 0 {
-							i7 = stepCatBits(bits, n7, v)
-						} else if i7 = n7.Left; v > n7.Threshold {
-							i7 = n7.Right
-						}
-					}
-					j := i - start
-					acc[j] += nodes[i0].Threshold
-					acc[j+1] += nodes[i1].Threshold
-					acc[j+2] += nodes[i2].Threshold
-					acc[j+3] += nodes[i3].Threshold
-					acc[j+4] += nodes[i4].Threshold
-					acc[j+5] += nodes[i5].Threshold
-					acc[j+6] += nodes[i6].Threshold
-					acc[j+7] += nodes[i7].Threshold
-				}
-				for ; i < end; i++ {
-					acc[i-start] += f.walk(root, rows[i])
-				}
-			}
-			for i := start; i < end; i++ {
-				logits[i*k+kc] = acc[i-start]
-			}
-		}
+		f.addRoundsBlock(tile, end-start, logits[start*k:end*k], 0, f.rounds())
 	}
 	return logits
-}
-
-// addRoundLogits adds boosting round r's per-class tree outputs for
-// rows into the flat row-major logits buffer (len(rows) x NumClasses).
-// It walks the compiled flat nodes (bitset categorical probes), which
-// is what TrainClassifierWithValidation uses to replay validation
-// rounds without per-row Tree.Predict on pointer-chasing node slices.
-func (f *Forest) addRoundLogits(r int, rows [][]float64, logits []float64) {
-	k := f.NumClasses
-	for c := 0; c < k; c++ {
-		root := f.roots[int(f.classStart[c])+r]
-		for i, row := range rows {
-			logits[i*k+c] += f.walk(root, row)
-		}
-	}
 }
 
 // PredictClassBatch returns the argmax class per row, reusing classes
 // and the flat logit scratch buffer when provided.
 func (f *Forest) PredictClassBatch(rows [][]float64, classes []int, scratch []float64) ([]int, []float64) {
 	scratch = f.PredictBatchInto(rows, scratch)
-	if cap(classes) < len(rows) {
-		classes = make([]int, len(rows))
-	}
-	classes = classes[:len(rows)]
-	k := f.NumClasses
-	for i := range rows {
-		classes[i] = argmax(scratch[i*k : (i+1)*k])
-	}
-	return classes, scratch
+	return f.argmaxRows(scratch, classes), scratch
 }
 
 func argmax(xs []float64) int {
@@ -436,25 +630,7 @@ func argmax(xs []float64) int {
 }
 
 // NumTrees returns the number of compiled trees.
-func (f *Forest) NumTrees() int { return len(f.roots) }
+func (f *Forest) NumTrees() int { return len(f.trees) }
 
-// NumNodes returns the total flat node count (for size accounting).
+// NumNodes returns the total node count (for size accounting).
 func (f *Forest) NumNodes() int { return len(f.nodes) }
-
-// TreeDepth returns tree t's fixed descent depth (for diagnostics).
-func (f *Forest) TreeDepth(t int) int32 { return f.treeDepth[t] }
-
-// PathLen returns the number of real descent steps tree t takes for a
-// row before reaching its leaf (for diagnostics).
-func (f *Forest) PathLen(t int32, row []float64) int {
-	idx := f.roots[t]
-	steps := 0
-	for {
-		next := f.step(idx, row)
-		if next == idx {
-			return steps
-		}
-		idx = next
-		steps++
-	}
-}

@@ -1,6 +1,8 @@
 package gbdt
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -141,42 +143,266 @@ func TestForestRegressor(t *testing.T) {
 	}
 }
 
-// TestPredictClassBatchSteadyStateAllocs is the batch kernel's
-// allocation budget: a caller that hands back the scratch it was given
-// allocates nothing, across row counts on both sides of the 8-lane
-// group and the block boundary, and the logits it reads out of that
-// scratch stay bit-equal to Model.Logits (the tile shares the buffer).
+// TestPredictClassBatchSteadyStateAllocs is the forest's allocation
+// budget: a caller that hands back the scratch it was given allocates
+// nothing, through the float entry and through the binned one, across
+// row counts on both sides of the 8-lane group and the block boundary,
+// and the logits it reads out of that scratch stay bit-equal to
+// Model.Logits (the float entry's tile shares the buffer).
 func TestPredictClassBatchSteadyStateAllocs(t *testing.T) {
 	m, rows := trainFlatFixture(t, 200, 10)
 	f := m.MustCompile()
-	sizes := []int{1, 8, 13, 64, 65, 13, 1}
-	var classes []int
-	var scratch []float64
-	for _, n := range sizes { // grow once to the largest size
-		classes, scratch = f.PredictClassBatch(rows[:n], classes, scratch)
+	nf := f.NumFeatures
+	tile := make([]uint16, len(rows)*nf)
+	for i, row := range rows {
+		f.binRow(row, tile[i*nf:(i+1)*nf])
 	}
-	allocs := testing.AllocsPerRun(20, func() {
-		for _, n := range sizes {
-			classes, scratch = f.PredictClassBatch(rows[:n], classes, scratch)
+	sizes := []int{1, 3, 14, 64, 65, 8, 13, 1}
+	entries := []struct {
+		name    string
+		predict func(lo, hi int, classes []int, scratch []float64) ([]int, []float64)
+	}{
+		{"PredictClassBatch", func(lo, hi int, classes []int, scratch []float64) ([]int, []float64) {
+			return f.PredictClassBatch(rows[lo:hi], classes, scratch)
+		}},
+		{"PredictClassBinned", func(lo, hi int, classes []int, scratch []float64) ([]int, []float64) {
+			return f.PredictClassBinned(tile[lo*nf:hi*nf], classes, scratch)
+		}},
+	}
+	for _, e := range entries {
+		var classes []int
+		var scratch []float64
+		for _, n := range sizes { // grow once to the largest size
+			classes, scratch = e.predict(0, n, classes, scratch)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("PredictClassBatch with its own scratch: %.1f allocations per pass over sizes %v, want 0", allocs, sizes)
-	}
-	for _, n := range sizes {
-		off := 100 - n // a different window per size, so stale tile rows would show
-		classes, scratch = f.PredictClassBatch(rows[off:off+n], classes, scratch)
-		for i, row := range rows[off : off+n] {
-			want := m.Logits(row)
-			for k := range want {
-				if got := scratch[i*f.NumClasses+k]; got != want[k] {
-					t.Fatalf("%d rows, row %d class %d: logit %v, Model.Logits %v", n, i, k, got, want[k])
+		for _, n := range sizes {
+			allocs := testing.AllocsPerRun(20, func() {
+				classes, scratch = e.predict(0, n, classes, scratch)
+			})
+			if allocs != 0 {
+				t.Errorf("%s with its own scratch: %.1f allocations at %d rows, want 0", e.name, allocs, n)
+			}
+		}
+		for _, n := range sizes {
+			off := 100 - n // a different window per size, so stale tile rows would show
+			classes, scratch = e.predict(off, off+n, classes, scratch)
+			for i, row := range rows[off : off+n] {
+				want := m.Logits(row)
+				for k := range want {
+					if got := scratch[i*f.NumClasses+k]; got != want[k] {
+						t.Fatalf("%s, %d rows, row %d class %d: logit %v, Model.Logits %v", e.name, n, i, k, got, want[k])
+					}
+				}
+				if classes[i] != m.PredictClass(row) {
+					t.Fatalf("%s, %d rows, row %d: class %d, model %d", e.name, n, i, classes[i], m.PredictClass(row))
 				}
 			}
-			if classes[i] != m.PredictClass(row) {
-				t.Fatalf("%d rows, row %d: class %d, model %d", n, i, classes[i], m.PredictClass(row))
+		}
+	}
+}
+
+// TestGrowSteadyStateAllocs is the trainer's allocation budget per
+// tree: a tree is built in the grower's scratch and costs its Tree, its
+// exact-length Nodes and one LeftCats per categorical split, plus the
+// scans' scratch: 25 on this fixture, which is also what trees grown by
+// append into their own array cost, so the exact-length copy is free.
+func TestGrowSteadyStateAllocs(t *testing.T) {
+	m, rows := trainFlatFixture(t, 2000, 2)
+	ds := NewDataset(m.Schema, len(rows))
+	labels := make([]int, len(rows))
+	for i, row := range rows {
+		for feat, v := range row {
+			ds.Set(i, feat, v)
+		}
+		labels[i] = m.PredictClass(row)
+	}
+	train := func(rounds int) (allocs float64, nodes int) {
+		cfg := DefaultConfig()
+		cfg.NumRounds, cfg.MaxDepth, cfg.Workers = rounds, 6, 1
+		allocs = testing.AllocsPerRun(2, func() {
+			model, err := TrainClassifier(ds, labels, 3, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodes = 0
+			for _, round := range model.Trees {
+				for _, tree := range round {
+					if len(tree.Nodes) != cap(tree.Nodes) {
+						t.Fatalf("tree holds %d nodes in a %d-node array", len(tree.Nodes), cap(tree.Nodes))
+					}
+					nodes += len(tree.Nodes)
+				}
+			}
+		})
+		return allocs, nodes
+	}
+	short, _ := train(10)
+	long, nodes := train(30)
+	perTree := (long - short) / (20 * 3)
+	t.Logf("%.1f allocations per tree (%d nodes in 90 trees)", perTree, nodes)
+	if perTree > 26 {
+		t.Errorf("%.1f allocations per tree, budget 26", perTree)
+	}
+}
+
+// TestCompileLargeCategoricalSet: a split may route any uint16 id left,
+// because features.MaxCategoricalCard admits 65,536 of them: a set table
+// capped below that would let a model publish and then fail to compile.
+func TestCompileLargeCategoricalSet(t *testing.T) {
+	left := []int32{0, 63, 64, 4031, 4032, 4999}
+	tree := &Tree{Nodes: []Node{
+		{Feature: 0, Kind: Categorical, LeftCats: left, Left: 1, Right: 2},
+		{IsLeaf: true, Value: 1},
+		{Feature: 0, Kind: Categorical, LeftCats: []int32{65535}, Left: 3, Right: 4},
+		{IsLeaf: true, Value: 2},
+		{IsLeaf: true, Value: 3},
+	}}
+	m := &Model{
+		Schema:     &Schema{Names: []string{"c"}, Kinds: []FeatureKind{Categorical}, Cards: []int{65536}},
+		NumClasses: 1,
+		InitScores: []float64{0},
+		Trees:      [][]*Tree{{tree}},
+	}
+	f, err := m.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	values := []float64{-1, -0.5, 1, 62, 65, 4030, 5000, 65534, 65535, 65536, 1 << 20, 1 << 40, math.Inf(1), math.NaN()}
+	for _, c := range left {
+		values = append(values, float64(c))
+	}
+	for _, v := range values {
+		row := []float64{v}
+		if got, want := f.Logits(row, nil)[0], tree.Predict(row); got != want {
+			t.Errorf("value %v: forest %v, tree %v", v, got, want)
+		}
+		if got, want := f.PredictBatch([][]float64{row})[0][0], tree.Predict(row); got != want {
+			t.Errorf("value %v: batch %v, tree %v", v, got, want)
+		}
+	}
+	// Every id is a legal wire bin at this cardinality.
+	for id := 0; id <= maxCategoryID; id++ {
+		_, logits := f.PredictClassBinned([]uint16{uint16(id)}, nil, nil)
+		if want := tree.Predict([]float64{float64(id)}); logits[0] != want {
+			t.Fatalf("binned id %d: forest %v, tree %v", id, logits[0], want)
+		}
+	}
+}
+
+// TestCompileLimits: what the uint16 node fields cannot hold is a typed
+// error from Compile, not a wrong forest.
+func TestCompileLimits(t *testing.T) {
+	numeric := func(n int) *Schema {
+		s := &Schema{Names: make([]string, n), Kinds: make([]FeatureKind, n), Cards: make([]int, n)}
+		for i := range s.Names {
+			s.Names[i] = fmt.Sprint("x", i)
+		}
+		return s
+	}
+	leaf := &Tree{Nodes: []Node{{IsLeaf: true}}}
+	stump := func(threshold float64) *Tree {
+		return &Tree{Nodes: []Node{
+			{Feature: 0, Kind: Numeric, Threshold: threshold, Left: 1, Right: 2},
+			{IsLeaf: true, Value: 1}, {IsLeaf: true, Value: 2},
+		}}
+	}
+	stumps := func(n int) [][]*Tree {
+		rounds := make([][]*Tree, n)
+		for i := range rounds {
+			rounds[i] = []*Tree{stump(float64(i))}
+		}
+		return rounds
+	}
+	// A right-leaning chain: node 2i splits, node 2i+1 is its left leaf.
+	chain := func(nodes int) *Tree {
+		tree := &Tree{Nodes: make([]Node, nodes)}
+		for i := 0; i+2 < nodes; i += 2 {
+			tree.Nodes[i] = Node{Feature: 0, Kind: Numeric, Threshold: float64(i), Left: i + 1, Right: i + 2}
+			tree.Nodes[i+1] = Node{IsLeaf: true}
+		}
+		tree.Nodes[nodes-1] = Node{IsLeaf: true}
+		return tree
+	}
+	catSplit := func(left ...int32) *Tree {
+		return &Tree{Nodes: []Node{
+			{Feature: 0, Kind: Categorical, LeftCats: left, Left: 1, Right: 2},
+			{IsLeaf: true}, {IsLeaf: true},
+		}}
+	}
+	cat := &Schema{Names: []string{"c"}, Kinds: []FeatureKind{Categorical}, Cards: []int{1 << 20}}
+	everyID := make([]int32, maxCategoryID+1)
+	for i := range everyID {
+		everyID[i] = int32(i)
+	}
+	cases := []struct {
+		name    string
+		schema  *Schema
+		trees   [][]*Tree
+		wantMax int // 0: compiles
+	}{
+		{"65535 features", numeric(maxForestFeatures), [][]*Tree{{leaf}}, 0},
+		{"65536 features", numeric(maxForestFeatures + 1), [][]*Tree{{leaf}}, maxForestFeatures},
+		{"65534 thresholds", numeric(1), stumps(maxForestEdges), 0},
+		{"65535 thresholds", numeric(1), stumps(maxForestEdges + 1), maxForestEdges},
+		{"65535-node tree", numeric(1), [][]*Tree{{chain(maxTreeNodes)}}, 0},
+		{"65537-node tree", numeric(1), [][]*Tree{{chain(maxTreeNodes + 2)}}, maxTreeNodes},
+		{"category id 65536", cat, [][]*Tree{{catSplit(3, maxCategoryID+1)}}, maxCategoryID},
+		{"every id but one routed left", cat, [][]*Tree{{catSplit(everyID[1:]...)}}, 0},
+		{"every id routed left", cat, [][]*Tree{{catSplit(everyID[:1]...)}, {catSplit(everyID[1:]...)}}, maxCategoryID},
+	}
+	for _, c := range cases {
+		m := &Model{Schema: c.schema, NumClasses: 1, InitScores: []float64{0}, Trees: c.trees}
+		f, err := m.Compile()
+		var limit *LimitError
+		switch {
+		case c.wantMax == 0 && err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case c.wantMax == 0:
+			row := make([]float64, c.schema.NumFeatures())
+			if got, want := f.Logits(row, nil)[0], m.Logits(row)[0]; got != want {
+				t.Errorf("%s: forest %v, model %v", c.name, got, want)
+			}
+		case !errors.As(err, &limit):
+			t.Errorf("%s: error %v, want a *LimitError", c.name, err)
+		case limit.Max != c.wantMax || limit.Got <= limit.Max:
+			t.Errorf("%s: %v, want a limit of %d exceeded", c.name, err, c.wantMax)
+		}
+	}
+}
+
+// TestCompileStoredOrder: the forest lays a tree out left subtree first
+// whatever order the model stores it in, and refuses a graph that is not
+// a tree.
+func TestCompileStoredOrder(t *testing.T) {
+	schema := &Schema{Names: []string{"x", "c"}, Kinds: []FeatureKind{Numeric, Categorical}, Cards: []int{0, 4}}
+	// Breadth-first storage, right children before left ones.
+	tree := &Tree{Nodes: []Node{
+		{Feature: 0, Kind: Numeric, Threshold: 1, Left: 2, Right: 1},
+		{Feature: 1, Kind: Categorical, LeftCats: []int32{1, 3}, Left: 4, Right: 3},
+		{Feature: 0, Kind: Numeric, Threshold: -1, Left: 6, Right: 5},
+		{IsLeaf: true, Value: 1}, {IsLeaf: true, Value: 2}, {IsLeaf: true, Value: 3}, {IsLeaf: true, Value: 4},
+	}}
+	m := &Model{Schema: schema, NumClasses: 1, InitScores: []float64{0.5}, Trees: [][]*Tree{{tree}}}
+	f, err := m.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range []float64{-2, -1, 0, 1, 2, math.NaN()} {
+		for _, c := range []float64{0, 1, 2, 3, 4, math.NaN()} {
+			row := []float64{x, c}
+			if got, want := f.Logits(row, nil)[0], m.Logits(row)[0]; got != want {
+				t.Errorf("row %v: forest %v, model %v", row, got, want)
 			}
 		}
+	}
+	shared := &Tree{Nodes: []Node{
+		{Feature: 0, Kind: Numeric, Threshold: 1, Left: 1, Right: 1},
+		{Feature: 0, Kind: Numeric, Threshold: 0, Left: 2, Right: 2},
+		{IsLeaf: true},
+	}}
+	m.Trees = [][]*Tree{{shared}}
+	if _, err := m.Compile(); err == nil {
+		t.Error("a tree whose nodes share children compiled")
 	}
 }
 

@@ -2,10 +2,13 @@ package serve
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/registry"
 	"repro/internal/trace"
 )
 
@@ -158,4 +161,66 @@ func TestSubmitEncodedHotSwapInFlight(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	t.Logf("%d rows served, %d calls turned away stale", served.load(), stale.load())
+}
+
+// TestSubmitPathsAgreeAcrossHotSwap: a job is decided the same whether
+// it arrives raw (SubmitBatch: encoded and binned on the worker) or as
+// the bins a client cut (SubmitEncoded: copied into the worker's tile),
+// before and after a hot swap to a model whose edges differ. Two
+// servers, so that the two paths drive two controllers through the same
+// trajectory and Admit can be compared with everything else.
+func TestSubmitPathsAgreeAcrossHotSwap(t *testing.T) {
+	raw, fx, rawReg := newTestServer(t, testConfig())
+	binned, _, binnedReg := newTestServer(t, testConfig())
+
+	opts := core.DefaultTrainOptions()
+	opts.NumCategories = testCategories
+	opts.GBDT.NumRounds, opts.GBDT.MaxDepth = 9, 5
+	half := len(fx.jobs) / 2
+	second, err := core.TrainCategoryModel(fx.jobs[half:], fx.cm, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	_, firstBinner, _ := binned.WireModel()
+	stale := encodeBatch(binned, fx.jobs[:8])
+	models := []*core.CategoryModel{fx.model, second}
+	at := 0
+	for v, model := range models {
+		if v > 0 {
+			for _, reg := range []*registry.Registry{rawReg, binnedReg} {
+				if _, err := reg.Publish("w", model, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			waitFor(t, time.Second, func() bool { return raw.ModelVersion() == v+1 && binned.ModelVersion() == v+1 })
+			_, binner, _ := binned.WireModel()
+			if reflect.DeepEqual(binner.Edges, firstBinner.Edges) {
+				t.Fatal("the second model has the first one's edges; the swap would prove nothing")
+			}
+			if _, err := stale.submit(binned, nil); !errors.Is(err, ErrModelVersion) {
+				t.Fatalf("bins cut at v1's edges after the swap: error %v, want ErrModelVersion", err)
+			}
+		}
+		for _, size := range []int{1, 3, 14, 64, 65} {
+			jobs := fx.jobs[at : at+size]
+			at += size
+			want, err := raw.SubmitBatch(jobs, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := encodeBatch(binned, jobs).submit(binned, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, j := range jobs {
+				if got[i] != want[i] {
+					t.Fatalf("v%d, %d jobs, job %d: SubmitEncoded %+v, SubmitBatch %+v", v+1, size, i, got[i], want[i])
+				}
+				if cat := model.Predict(j); got[i].Category != cat || got[i].ModelVersion != v+1 {
+					t.Fatalf("v%d, %d jobs, job %d: decision %+v, model predicts %d", v+1, size, i, got[i], cat)
+				}
+			}
+		}
+	}
 }

@@ -12,9 +12,11 @@
 //     Algorithm 1 controller and accumulates requests into batches
 //     (single-flight accumulation: the batch closes when it reaches
 //     BatchSize or when FlushInterval elapses after its first request).
-//   - Batches are classified with the flattened gbdt.Forest batch
-//     kernel — walking each tree over the whole row block — which is
-//     several times faster than per-row Model.Predict.
+//   - Batches are classified by the compiled gbdt.Forest on binned rows
+//     (one uint16 per feature, what a binary client ships): pre-binned
+//     rows are copied into the worker's tile, raw jobs are encoded and
+//     binned there, and one kernel walks each tree over the whole row
+//     block — several times faster than per-row Model.Predict.
 //   - The category model is resolved through internal/registry and
 //     re-compiled + atomically swapped whenever the workload publishes
 //     a new version or rolls back, without pausing traffic.
@@ -121,9 +123,9 @@ type activeModel struct {
 	model  *core.CategoryModel
 	forest *gbdt.Forest
 	// binner is the model's lossless quantizer (numeric split
-	// thresholds as bin edges): pre-binned wire rows are expanded
-	// through it into rows the forest cannot distinguish from raw
-	// encodings.
+	// thresholds as bin edges, the forest's own): it validates
+	// pre-binned wire rows at submit and bins raw jobs' encodings on the
+	// worker, so both kinds reach the forest as the same uint16 rows.
 	binner  *features.Binner
 	version registry.Version
 }
@@ -151,8 +153,8 @@ type call struct {
 	// version pins pre-binned rows to the model whose edges quantized
 	// them. The worker checks the pin against the active model at
 	// classification time (a hot swap between submit and process would
-	// otherwise expand the bins through the wrong edges) and sets
-	// mismatch instead of serving wrong decisions.
+	// otherwise walk the bins through a forest with other edges) and
+	// sets mismatch instead of serving wrong decisions.
 	version  int
 	mismatch atomic.Bool
 
@@ -401,7 +403,7 @@ func (s *Server) SubmitBatch(jobs []*trace.Job, out []Decision) ([]Decision, err
 // Binner of model version (see Binner); hashes carries TemplateHash per
 // row for shard routing and arrivals the per-job virtual decision clock.
 // The daemon does no feature work here: rows go straight to the shard
-// workers, which expand bins to representative values and classify.
+// workers, which copy them into their batch tile and classify.
 // Returns ErrMalformedRow when a row is not one the serving model's
 // binner could have produced, and ErrModelVersion when version no longer
 // matches the serving model (at submit or, after a mid-flight hot swap,
@@ -582,8 +584,9 @@ func (s *Server) ACT() []int {
 // worker holds a shard worker's reusable batch state.
 type worker struct {
 	batch   []message
-	jobs    int // placement jobs accumulated across batch messages
-	rows    [][]float64
+	jobs    int       // placement jobs accumulated across batch messages
+	tile    []uint16  // the batch's binned rows, back to back
+	row     []float64 // one raw job's encoding, on its way into tile
 	classes []int
 	scratch []float64
 }
@@ -663,21 +666,22 @@ func (s *Server) run(sh *shard) {
 
 // process serves one accumulated batch on the shard worker goroutine.
 // Observations are applied first (they carry strictly older outcomes),
-// then all placement rows are assembled — raw jobs encoded, pre-binned
-// rows expanded through the active binner — and classified in one
+// then all placement rows are assembled in the worker's tile — raw jobs
+// encoded and binned, pre-binned rows copied — and classified in one
 // forest batch, then admissions are decided per job on the shard's
 // controller, written straight into the submitter's out. Pre-binned
 // ranges pinned to a stale model version are rejected here (flagged for
-// the submitter, no decisions served): their bins would expand through
-// the wrong edges.
+// the submitter, no decisions served): their bins were cut at another
+// model's edges.
 func (s *Server) process(sh *shard, w *worker, flush metrics.FlushKind) {
 	if len(w.batch) == 0 {
 		return
 	}
 	sh.queueDepth.Record(int64(len(sh.reqs)))
 	am := s.active.Load()
-	for len(w.rows) < w.jobs {
-		w.rows = append(w.rows, nil)
+	nf := am.forest.NumFeatures
+	if cap(w.tile) < w.jobs*nf {
+		w.tile = make([]uint16, w.jobs*nf)
 	}
 	n := 0
 	for i := range w.batch {
@@ -688,7 +692,8 @@ func (s *Server) process(sh *shard, w *worker, flush metrics.FlushKind) {
 			s.observe(sh, m)
 		case c.jobs != nil:
 			for _, r := range c.order[m.lo:m.hi] {
-				w.rows[n] = am.model.Encoder.Encode(c.jobs[r], w.rows[n])
+				w.row = am.model.Encoder.Encode(c.jobs[r], w.row)
+				am.binner.Bin(w.row, w.tile[n*nf:(n+1)*nf])
 				n++
 			}
 		default:
@@ -699,10 +704,10 @@ func (s *Server) process(sh *shard, w *worker, flush metrics.FlushKind) {
 				continue
 			}
 			for _, r := range c.order[m.lo:m.hi] {
-				// Unbin copies values into worker-owned scratch, so
-				// the (possibly pooled) wire row buffers are never
-				// retained past this batch.
-				w.rows[n] = am.binner.Unbin(c.rows[r], w.rows[n])
+				// A copy into worker-owned scratch, so the (possibly
+				// pooled) wire row buffers are never retained past
+				// this batch.
+				copy(w.tile[n*nf:(n+1)*nf], c.rows[r])
 				n++
 			}
 		}
@@ -710,7 +715,7 @@ func (s *Server) process(sh *shard, w *worker, flush metrics.FlushKind) {
 	if n == 0 {
 		return
 	}
-	w.classes, w.scratch = am.forest.PredictClassBatch(w.rows[:n], w.classes, w.scratch)
+	w.classes, w.scratch = am.forest.PredictClassBinned(w.tile[:n*nf], w.classes, w.scratch)
 	now := time.Now()
 	sh.amu.Lock()
 	n = 0
