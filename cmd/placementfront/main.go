@@ -35,6 +35,7 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -160,6 +161,16 @@ type front struct {
 	maxBatch int
 	tracer   *obs.Tracer
 	start    time.Time
+	// scratch pools *placeScratch, the per-request state of handlePlace.
+	scratch sync.Pool
+}
+
+// placeScratch holds one place request's body, the jobs decoded from it
+// and the encoded response.
+type placeScratch struct {
+	body []byte
+	json wire.JSONScratch
+	out  []byte
 }
 
 func (f *front) handler() http.Handler {
@@ -172,7 +183,8 @@ func (f *front) handler() http.Handler {
 	return mux
 }
 
-// handlePlace serves POST /v1/place in JSON and fans the batch out
+// handlePlace serves POST /v1/place in JSON, through the daemon's JSON
+// framing and the wire codec on pooled scratch, and fans the batch out
 // across the plane. Backend codec negotiation (binary frames,
 // pre-binning, 409 refresh) happens inside the router's node clients.
 func (f *front) handlePlace(w http.ResponseWriter, r *http.Request) {
@@ -180,12 +192,15 @@ func (f *front) handlePlace(w http.ResponseWriter, r *http.Request) {
 		writeJSONError(w, http.StatusMethodNotAllowed, "method not allowed")
 		return
 	}
-	var req wire.PlaceRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20)).Decode(&req); err != nil {
-		writeJSONError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
-		return
+	sc, _ := f.scratch.Get().(*placeScratch)
+	if sc == nil {
+		sc = new(placeScratch)
 	}
-	if err := req.Validate(f.maxBatch); err != nil {
+	// The router is done with the jobs when Place returns, and the
+	// decisions share only their immutable ID strings.
+	defer f.scratch.Put(sc)
+	jobs, err := rpc.ReadPlaceJSON(w, r, rpc.DefaultMaxBodyBytes, f.maxBatch, &sc.body, &sc.json)
+	if err != nil {
 		writeJSONError(w, http.StatusBadRequest, err.Error())
 		return
 	}
@@ -200,9 +215,9 @@ func (f *front) handlePlace(w http.ResponseWriter, r *http.Request) {
 	if b != nil {
 		placeStart = time.Now()
 	}
-	decisions, err := f.router.Place(ctx, req.Jobs)
+	decisions, err := f.router.Place(ctx, jobs)
 	if b != nil {
-		b.Span("front.place", fmt.Sprintf("%d jobs", len(req.Jobs)), placeStart, time.Since(placeStart))
+		b.Span("front.place", fmt.Sprintf("%d jobs", len(jobs)), placeStart, time.Since(placeStart))
 	}
 	if err != nil {
 		writeJSONError(w, http.StatusServiceUnavailable, err.Error())
@@ -210,7 +225,8 @@ func (f *front) handlePlace(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	_ = json.NewEncoder(w).Encode(wire.PlaceResponse{Decisions: decisions})
+	sc.out = append(wire.AppendPlaceResponseJSON(sc.out[:0], decisions), '\n')
+	_, _ = w.Write(sc.out)
 }
 
 // handleOutcome serves POST /v1/outcome and routes the feedback to the
@@ -225,8 +241,8 @@ func (f *front) handleOutcome(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req wire.OutcomeRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		writeJSONError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
+	if err := rpc.ReadOutcomeJSON(w, r, rpc.DefaultMaxBodyBytes, &req); err != nil {
+		writeJSONError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if err := req.Validate(); err != nil {

@@ -160,6 +160,29 @@ func TestFrontEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed place answered %d, want 400", resp.StatusCode)
 	}
+
+	// Nothing but white space may follow a document, on either endpoint:
+	// the bodies that answered 200 and 204 above, with a tail.
+	ob, _ := json.Marshal(wire.OutcomeRequest{Job: jobs[0], Outcome: wire.Outcome{FracOnSSD: 1, SpilledAt: -1, EvictedAt: -1}})
+	before := rt.Stats()
+	for _, tc := range []struct{ name, path, body string }{
+		{"place then garbage", wire.PathPlace, string(body) + " garbage"},
+		{"two place documents", wire.PathPlace, string(body) + string(body)},
+		{"outcome then garbage", wire.PathOutcome, string(ob) + " garbage"},
+		{"two outcome documents", wire.PathOutcome, string(ob) + "\n" + string(ob)},
+	} {
+		resp, err := http.Post(srv.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s answered %d, want 400", tc.name, resp.StatusCode)
+		}
+	}
+	if after := rt.Stats(); after.Batches != before.Batches || after.Outcomes != before.Outcomes || after.Failures != before.Failures {
+		t.Errorf("a refused document was routed: router counters %+v -> %+v", before, after)
+	}
 }
 
 // TestFrontCrossTierTracing is the observability plane's acceptance

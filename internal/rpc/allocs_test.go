@@ -20,12 +20,19 @@ import (
 // frame doubles the stream figure, which is the benchmark's
 // stream-lite metric. PlaceStream is the same frame on a session from
 // the client's idle list and measures the same 1; it gets 1 of headroom,
-// which an escaping session closure would spend. (sync.Pool drops items
-// at random under the race detector, hence the build tag.)
+// which an escaping session closure would spend. http-json is the same
+// batch as a JSON document each way, written and read by the wire codec
+// in pooled scratch: it measures 103, net/http's 100 again plus the
+// returned decisions, the one string a decoded request's strings share
+// and one more of the JSON exchange's own, where encoding/json's
+// reflection took it to 915 (ten strings and a boxed job per decoded
+// job, a string per decoded decision). (sync.Pool drops items at random
+// under the race detector, hence the build tag.)
 func TestPlaceSteadyStateAllocs(t *testing.T) {
 	fx := testFixture(t)
 	d := startDaemon(t, fx.newRegistry(t), testConfig())
 	c := newCodecClient(t, d, CodecBinary)
+	cj := newCodecClient(t, d, CodecJSON)
 	s, err := c.OpenStream(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -42,6 +49,7 @@ func TestPlaceSteadyStateAllocs(t *testing.T) {
 		{"stream", func() error { _, err := s.Place(ctx, jobs); return err }, 1},
 		{"pooled-stream", func() error { _, err := c.PlaceStream(ctx, jobs); return err }, 2},
 		{"http-binary", func() error { _, err := c.Place(ctx, jobs); return err }, 104},
+		{"http-json", func() error { _, err := cj.Place(ctx, jobs); return err }, 106},
 	} {
 		call := func() {
 			if err := tc.place(); err != nil {

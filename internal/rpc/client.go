@@ -239,16 +239,17 @@ func (c *Client) Place(ctx context.Context, jobs []*trace.Job) ([]wire.Decision,
 }
 
 // place picks the codec: frames while the daemon speaks binary (and on
-// every re-probe that finds it does again), JSON otherwise.
+// every re-probe that finds it does again), JSON otherwise, written and
+// read by the wire codec in the call's pooled scratch.
 func (c *Client) place(ctx context.Context, jobs []*trace.Job) ([]wire.Decision, error) {
+	sc := c.scratch.Get().(*clientScratch)
+	defer c.scratch.Put(sc)
 	if c.cfg.Codec == CodecBinary && (!c.jsonOnly.Load() || c.reprobeBinary(ctx)) {
 		st, err := c.binaryState(ctx)
 		if err != nil {
 			return nil, err
 		}
 		if st != nil {
-			sc := c.scratch.Get().(*clientScratch)
-			defer c.scratch.Put(sc)
 			ds, err := c.placeFrames(ctx, nil, sc, st, jobs)
 			if err == nil || !refusedWith(err, http.StatusUnsupportedMediaType) {
 				return ds, err
@@ -259,9 +260,17 @@ func (c *Client) place(ctx context.Context, jobs []*trace.Job) ([]wire.Decision,
 		// The daemon doesn't speak binary; fall through to JSON, now
 		// latched until the next scheduled re-probe.
 	}
-	var resp wire.PlaceResponse
-	if err := c.call(ctx, http.MethodPost, wire.PathPlace, wire.PlaceRequest{Jobs: jobs}, &resp); err != nil {
+	var err error
+	if sc.frame, err = wire.AppendPlaceRequestJSON(sc.frame[:0], jobs); err != nil {
+		return nil, fmt.Errorf("rpc: encoding request: %w", err)
+	}
+	if err := c.run(ctx, nil, httpOp{method: http.MethodPost, path: wire.PathPlace}, sc, nil); err != nil {
 		return nil, err
+	}
+	// The caller keeps the decisions: the one allocation of the exchange.
+	resp := wire.PlaceResponse{Decisions: make([]wire.Decision, 0, len(jobs))}
+	if err := wire.DecodePlaceResponseJSON(sc.body, &resp, jobs); err != nil {
+		return nil, fmt.Errorf("rpc: decoding response: %w", err)
 	}
 	if len(resp.Decisions) != len(jobs) {
 		return nil, fmt.Errorf("rpc: got %d decisions for %d jobs", len(resp.Decisions), len(jobs))
@@ -461,6 +470,15 @@ func (c *Client) Close() {
 	for _, s := range idle {
 		_ = s.Close()
 	}
+}
+
+// byteSink lets an encoder that wants an io.Writer append to a pooled
+// byte slice.
+type byteSink []byte
+
+func (s *byteSink) Write(p []byte) (int, error) {
+	*s = append(*s, p...)
+	return len(p), nil
 }
 
 // call runs one JSON operation: marshal body (nil = none) once, drive

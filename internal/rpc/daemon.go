@@ -16,10 +16,15 @@
 // (before the body is read on HTTP, so overload never buffers bodies;
 // after the blocking frame read on a stream, so an idle session holds
 // no slot) and how a wire code goes out (the httpStatus table, or an
-// error frame). JSON jobs enter the core through serve.SubmitBatch and
-// frames through serve.SubmitEncoded: raw jobs need no bin schema, so
-// the JSON path has no stale-version retry to run, and both entries
-// already share one fan-out and one inference path inside serve.
+// error frame). A JSON body is read and its answer written by the wire
+// package's reflection-free codec in the same pooled scratch a frame
+// uses (ReadPlaceJSON, which placementfront's handler shares), so the
+// jobs of a request are the scratch's: good while the pipeline runs,
+// overwritten by the next request. JSON jobs enter the core through
+// serve.SubmitBatch and frames through serve.SubmitEncoded: raw jobs
+// need no bin schema, so the JSON path has no stale-version retry to
+// run, and both entries already share one fan-out and one inference
+// path inside serve.
 //
 // Outcome feedback, which is 1:1 with placements, is served the same
 // way: Daemon.serveOutcome is the one outcome pipeline (begin the trace,
@@ -101,7 +106,8 @@ type Config struct {
 	QueueDeadline time.Duration
 	// MaxBatch caps jobs per place request (0 = no cap).
 	MaxBatch int
-	// MaxBodyBytes caps request body size (defaults to 8 MiB).
+	// MaxBodyBytes caps request body size (defaults to
+	// DefaultMaxBodyBytes).
 	MaxBodyBytes int64
 	// Learner, when non-nil, also receives every /v1/outcome through
 	// Observe, closing the online-learning loop over the network. The
@@ -129,6 +135,11 @@ type Config struct {
 	TraceRing int
 }
 
+// DefaultMaxBodyBytes is the request body cap of DefaultConfig, the one
+// placementfront applies to the same two documents, and the frame
+// decoders' default payload cap.
+const DefaultMaxBodyBytes = wire.DefaultMaxFramePayload
+
 // DefaultConfig returns daemon parameters for an N-category model:
 // the serve defaults plus 64 in-flight placement requests, 256
 // in-flight feedback posts and a 5 ms queue deadline.
@@ -139,7 +150,7 @@ func DefaultConfig(numCategories int) Config {
 		MaxInFlightOutcome: 256,
 		QueueDeadline:      5 * time.Millisecond,
 		MaxBatch:           4096,
-		MaxBodyBytes:       8 << 20,
+		MaxBodyBytes:       DefaultMaxBodyBytes,
 	}
 }
 
@@ -207,6 +218,7 @@ type daemonHists struct {
 // placeScratch is the pooled per-request state of the place pipeline.
 type placeScratch struct {
 	body      []byte
+	json      wire.JSONScratch // the jobs of a JSON body
 	breq      wire.BinaryPlaceRequest
 	decisions []serve.Decision
 	wdecs     []wire.Decision
@@ -221,7 +233,7 @@ func NewDaemon(reg *registry.Registry, workload string, cm *cost.Model, cfg Conf
 		return nil, err
 	}
 	if cfg.MaxBodyBytes == 0 {
-		cfg.MaxBodyBytes = 8 << 20
+		cfg.MaxBodyBytes = DefaultMaxBodyBytes
 	}
 	srv, err := serve.New(reg, workload, cm, cfg.Serve)
 	if err != nil {
@@ -482,8 +494,7 @@ func (d *Daemon) servePlace(sc *placeScratch, pc placeCall) (uint16, string) {
 	if pc.binaryOut {
 		sc.out, err = wire.AppendPlaceResponseFrame(sc.out[:0], sc.breq.ModelVersion, sc.wdecs)
 	} else {
-		sc.out = sc.out[:0]
-		err = json.NewEncoder((*byteSink)(&sc.out)).Encode(wire.PlaceResponse{Decisions: sc.wdecs})
+		sc.out = append(wire.AppendPlaceResponseJSON(sc.out[:0], sc.wdecs), '\n')
 	}
 	span(b, "rpc.encode", t)
 	if err != nil {
@@ -517,15 +528,6 @@ func span(b *obs.TraceBuilder, stage string, since time.Time) {
 	if b != nil {
 		b.Span(stage, "", since, time.Since(since))
 	}
-}
-
-// byteSink lets an encoder that wants an io.Writer append to a pooled
-// byte slice.
-type byteSink []byte
-
-func (s *byteSink) Write(p []byte) (int, error) {
-	*s = append(*s, p...)
-	return len(p), nil
 }
 
 // handlePlace is the HTTP shell of the place pipeline, serving POST
@@ -574,18 +576,15 @@ func (d *Daemon) handlePlace(w http.ResponseWriter, r *http.Request) {
 }
 
 // readPlace is the HTTP shell's framing: the body as validated JSON
-// jobs, or as a place-request frame decoded into sc.breq, and the
-// request's trace ID. A frame carries its ID itself (the negotiated
-// binary extension); the header serves JSON and JSON-speaking
-// intermediaries.
+// jobs in sc.json's storage, or as a place-request frame decoded into
+// sc.breq, and the request's trace ID. A frame carries its ID itself
+// (the negotiated binary extension); the header serves JSON and
+// JSON-speaking intermediaries.
 func (d *Daemon) readPlace(w http.ResponseWriter, r *http.Request, sc *placeScratch, via transport) ([]*trace.Job, uint64, error) {
 	tid := wire.TraceIDFromHeader(r.Header)
 	if via == viaJSON {
-		var req wire.PlaceRequest
-		if err := d.decodeJSON(w, r, &req); err != nil {
-			return nil, 0, err
-		}
-		return req.Jobs, tid, req.Validate(d.cfg.MaxBatch)
+		jobs, err := ReadPlaceJSON(w, r, d.cfg.MaxBodyBytes, d.cfg.MaxBatch, &sc.body, &sc.json)
+		return jobs, tid, err
 	}
 	var err error
 	sc.body, err = readBody(http.MaxBytesReader(w, r.Body, d.cfg.MaxBodyBytes), sc.body[:0])
@@ -603,6 +602,37 @@ func (d *Daemon) readPlace(w http.ResponseWriter, r *http.Request, sc *placeScra
 		tid = sc.breq.TraceID
 	}
 	return nil, tid, err
+}
+
+// ReadPlaceJSON is the JSON framing of a place request, for the two HTTP
+// shells that take one, the daemon's and placementfront's: the body, at
+// most maxBody bytes of it, read into *body (reused from call to call),
+// decoded by the wire codec into sc's storage and validated. The jobs
+// are sc's and are good until it decodes again.
+func ReadPlaceJSON(w http.ResponseWriter, r *http.Request, maxBody int64, maxBatch int, body *[]byte, sc *wire.JSONScratch) ([]*trace.Job, error) {
+	var err error
+	if *body, err = readBody(http.MaxBytesReader(w, r.Body, maxBody), (*body)[:0]); err != nil {
+		return nil, fmt.Errorf("reading request: %w", err)
+	}
+	var req wire.PlaceRequest
+	if err := wire.DecodePlaceRequestJSON(*body, &req, sc); err != nil {
+		return nil, fmt.Errorf("decoding request: %w", err)
+	}
+	return req.Jobs, req.Validate(maxBatch)
+}
+
+// ReadOutcomeJSON is the same for POST /v1/outcome, a cold path that
+// keeps encoding/json: the whole body is read first, so what follows the
+// document is refused as it is on a place.
+func ReadOutcomeJSON(w http.ResponseWriter, r *http.Request, maxBody int64, req *wire.OutcomeRequest) error {
+	body, err := readBody(http.MaxBytesReader(w, r.Body, maxBody), nil)
+	if err != nil {
+		return fmt.Errorf("reading request: %w", err)
+	}
+	if err := json.Unmarshal(body, req); err != nil {
+		return fmt.Errorf("decoding request: %w", err)
+	}
+	return nil
 }
 
 // readBody reads r fully into buf (reused; grown as needed).
@@ -670,7 +700,7 @@ func (d *Daemon) handleOutcome(w http.ResponseWriter, r *http.Request) {
 	defer d.outcome.release()
 	wait := time.Since(start)
 	var req wire.OutcomeRequest
-	if err := d.decodeJSON(w, r, &req); err != nil {
+	if err := ReadOutcomeJSON(w, r, d.cfg.MaxBodyBytes, &req); err != nil {
 		d.fail(w, r, wire.ErrCodeBadRequest, err.Error())
 		return
 	}
@@ -875,15 +905,6 @@ func (d *Daemon) serveStream(conn net.Conn, rw *bufio.ReadWriter) {
 			return
 		}
 	}
-}
-
-// decodeJSON reads and unmarshals a JSON request body.
-func (d *Daemon) decodeJSON(w http.ResponseWriter, r *http.Request, into any) error {
-	body := http.MaxBytesReader(w, r.Body, d.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(into); err != nil {
-		return fmt.Errorf("decoding request: %w", err)
-	}
-	return nil
 }
 
 const shedMessage = "overloaded: in-flight limit reached past queue deadline"

@@ -154,11 +154,21 @@ func TestRequestValidation(t *testing.T) {
 		return resp.StatusCode, string(b)
 	}
 
+	// Valid alone; what follows a document but white space is refused
+	// (json.Decoder.Decode, which these handlers used, ignored it).
+	const (
+		onePlace   = `{"jobs":[{"id":"j","lifetime_sec":1,"size_bytes":1}]}`
+		oneOutcome = `{"job":{"id":"j","lifetime_sec":1,"size_bytes":1},"outcome":{"frac_on_ssd":1}}`
+	)
 	cases := []struct {
 		name, path, body string
 		wantStatus       int
 	}{
 		{"malformed json", wire.PathPlace, "{", http.StatusBadRequest},
+		{"place then garbage", wire.PathPlace, onePlace + " garbage", http.StatusBadRequest},
+		{"two place documents", wire.PathPlace, onePlace + "\n" + onePlace, http.StatusBadRequest},
+		{"outcome then garbage", wire.PathOutcome, oneOutcome + " garbage", http.StatusBadRequest},
+		{"two outcome documents", wire.PathOutcome, oneOutcome + oneOutcome, http.StatusBadRequest},
 		{"empty batch", wire.PathPlace, `{"jobs":[]}`, http.StatusBadRequest},
 		{"null job", wire.PathPlace, `{"jobs":[null]}`, http.StatusBadRequest},
 		{"invalid job", wire.PathPlace, `{"jobs":[{"id":""}]}`, http.StatusBadRequest},
@@ -208,6 +218,9 @@ func TestRequestValidation(t *testing.T) {
 	}
 	if got := d.ServeStats().Submitted; got != 0 {
 		t.Errorf("%d invalid jobs reached the serving core", got)
+	}
+	if got := d.Stats().OutcomeRequests; got != 0 {
+		t.Errorf("%d invalid outcomes reached the controllers", got)
 	}
 }
 

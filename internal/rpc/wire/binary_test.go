@@ -331,36 +331,75 @@ func TestCodecSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkWireCodec measures the full request+response encode/decode
-// cycle for a 64-job, 31-feature batch — the daemon hot path's codec
-// cost per batch. Run with -benchmem: steady state is ~0 allocs/op.
+// BenchmarkWireCodec measures the codec cost of a 64-job batch. binary
+// is the full request+response encode/decode cycle of a 31-feature
+// frame pair, the daemon hot path's codec cost per batch; json-request
+// and json-response are one JSON document each, encoded and decoded
+// into warm storage. Run with -benchmem: steady state is 0 allocs/op
+// but for the one string a decoded JSON request's strings share.
 func BenchmarkWireCodec(b *testing.B) {
-	hashes, arrivals, rows := testRequest(64, 31)
 	decisions := make([]Decision, 64)
 	for i := range decisions {
 		decisions[i] = Decision{Admit: i%2 == 0, Category: i % 15, Shard: i % 8}
 	}
-	var frame, rframe []byte
-	var req BinaryPlaceRequest
-	var resp BinaryPlaceResponse
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		frame, err = AppendPlaceRequestFrame(frame[:0], 1, 31, 0, hashes, arrivals, rows)
-		if err != nil {
-			b.Fatal(err)
+	b.Run("binary", func(b *testing.B) {
+		hashes, arrivals, rows := testRequest(64, 31)
+		var frame, rframe []byte
+		var req BinaryPlaceRequest
+		var resp BinaryPlaceResponse
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var err error
+			frame, err = AppendPlaceRequestFrame(frame[:0], 1, 31, 0, hashes, arrivals, rows)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := DecodePlaceRequest(frame[HeaderSize:], &req, 0); err != nil {
+				b.Fatal(err)
+			}
+			rframe, err = AppendPlaceResponseFrame(rframe[:0], 1, decisions)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := DecodePlaceResponse(rframe[HeaderSize:], &resp, 0); err != nil {
+				b.Fatal(err)
+			}
 		}
-		if err := DecodePlaceRequest(frame[HeaderSize:], &req, 0); err != nil {
-			b.Fatal(err)
-		}
-		rframe, err = AppendPlaceResponseFrame(rframe[:0], 1, decisions)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := DecodePlaceResponse(rframe[HeaderSize:], &resp, 0); err != nil {
-			b.Fatal(err)
-		}
+		b.SetBytes(int64(len(frame) + len(rframe)))
+	})
+	jobs := fixtureJobs(b, 64)
+	for i := range decisions {
+		decisions[i].JobID = jobs[i].ID
 	}
-	b.SetBytes(int64(len(frame) + len(rframe)))
+	b.Run("json-request", func(b *testing.B) {
+		var body []byte
+		var sc JSONScratch
+		var req PlaceRequest
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var err error
+			if body, err = AppendPlaceRequestJSON(body[:0], jobs); err != nil {
+				b.Fatal(err)
+			}
+			if err := DecodePlaceRequestJSON(body, &req, &sc); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.SetBytes(int64(len(body)))
+	})
+	b.Run("json-response", func(b *testing.B) {
+		var body []byte
+		var resp PlaceResponse
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			body = AppendPlaceResponseJSON(body[:0], decisions)
+			if err := DecodePlaceResponseJSON(body, &resp, jobs); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.SetBytes(int64(len(body)))
+	})
 }

@@ -52,6 +52,44 @@
 // outcome is one frame exchange on a stream session the node's client
 // keeps pooled (rpc.Client.PlaceStream, rpc.Client.Observe).
 //
+// JSON codec. The two place documents, PlaceRequest and PlaceResponse,
+// are written and read by one hand-written codec (json.go) on every
+// serving path: the daemon's and placementfront's POST /v1/place and
+// rpc.Client's JSON branch. The two types deliberately have no
+// MarshalJSON or UnmarshalJSON: encoding/json wraps such methods in
+// three passes of its scanner (compact on the way out, checkValid and
+// skip on the way in), which costs more than its own reflection saves,
+// so a caller that hands them to encoding/json gets reflection, the same
+// bytes and the same values. Grammar: the decoders accept and refuse
+// exactly what json.Unmarshal into the same structs does, and decode to
+// the same value: unknown keys are
+// skipped (their values still checked), keys match exactly or under
+// Unicode case folding, a repeated key decodes again into the same field
+// (the last scalar wins, nested objects merge, a second "jobs" array
+// decodes into the first one's elements), null leaves a field as it is,
+// escapes and surrogate pairs are read as encoding/json reads them with
+// U+FFFD for a lone surrogate and for each byte of invalid UTF-8,
+// integer fields refuse 1.0, 1e3 and anything past int64, floats refuse
+// what overflows float64, nesting is limited to 10,000 levels.
+// Trailing data: nothing but white space may follow the document. This
+// is json.Unmarshal's rule; the HTTP handlers used json.Decoder.Decode,
+// which stops after the first value, so `{"jobs":[…]} garbage` and two
+// concatenated documents, accepted until this codec, are a 400
+// ErrCodeBadRequest on /v1/place and /v1/outcome, at the daemon and at
+// the front. String ownership: DecodePlaceRequestJSON decodes into a
+// caller-owned JSONScratch (pooled by the daemon and the front), whose
+// trace.Job structs the next decode overwrites; every string of a
+// request is a substring of one string allocated by that decode, never
+// a view of the body or of the scratch, so a copied Job, and a decision's
+// JobID, stay valid for as long as anything holds them. A decoded
+// response shares each job_id with the request job it answers when they
+// are equal. Encoding appends into the caller's buffer and writes,
+// byte for byte, what json.Marshal writes for the structs (declaration
+// order, HTML-safe escaping, its float spelling); NaN and the infinities
+// are refused, as json.Marshal refuses them. FuzzPlaceJSON holds all of
+// it against encoding/json on method-less copies of the types. The cold single documents (ModelInfo,
+// ErrorResponse, OutcomeRequest) stay on encoding/json.
+//
 // Every refusal carries exactly one of four codes (ErrCode*), written
 // as an error frame on a stream and to clients that accept the binary
 // codec, and as an ErrorResponse body otherwise; over HTTP the code
