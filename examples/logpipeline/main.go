@@ -76,7 +76,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	hinter := dataflow.HinterFunc(func(j *byom.Job) int { return model.Predict(j) })
+	hinter := model.Hinter()
 	collectWithReport(specs, decider, hinter, 12, 64<<30, cm)
 }
 

@@ -75,7 +75,7 @@ func main() {
 	}
 	client := dfs.NewClient(cluster)
 	ex := dataflow.NewExecutor(client,
-		dataflow.HinterFunc(func(j *byom.Job) int { return model.Predict(j) }))
+		model.Hinter())
 	deletes := dataflow.NewDeleteScheduler()
 	ex.UseDeleteScheduler(deletes)
 

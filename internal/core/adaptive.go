@@ -180,12 +180,15 @@ func (a *Adaptive) maybeUpdate(now float64) {
 		a.history = keep
 	} else {
 		// Drop jobs arriving at or before the window start (history is
-		// arrival-ordered, so this is a prefix cut).
+		// arrival-ordered, so this is a prefix cut). The kept tail moves
+		// to the front of the array: re-slicing past the prefix instead
+		// would give up that capacity, and the appends that follow would
+		// reallocate the window once per few intervals for ever.
 		cut := 0
 		for cut < len(a.history) && a.history[cut].arrival <= ws {
 			cut++
 		}
-		a.history = a.history[cut:]
+		a.history = a.history[:copy(a.history, a.history[cut:])]
 	}
 
 	p := a.spilloverPercent(now)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync"
 
 	"repro/internal/cost"
 	"repro/internal/features"
@@ -47,10 +48,19 @@ func DefaultTrainOptions() TrainOptions {
 // of it flow through internal/registry to the serving layer, and the
 // internal/online learner retrains it on fresh outcomes at the
 // workload's own release velocity (§2.3).
+//
+// The three parts are fixed once the bundle is built: every predictor
+// but Predict runs on a forest compiled from Model on first use and
+// shared from then on (Forest), so a bundle is passed by pointer and a
+// new Model means a new bundle.
 type CategoryModel struct {
 	Encoder *features.Encoder
 	Model   *gbdt.Model
 	Labeler *Labeler
+
+	forestOnce sync.Once
+	forest     *gbdt.Forest
+	forestErr  error
 }
 
 // TrainCategoryModel trains a category model on historical jobs: it
@@ -95,23 +105,135 @@ func TrainCategoryModelWithLabeler(train []*trace.Job, cm *cost.Model, labeler *
 // NumCategories returns N.
 func (m *CategoryModel) NumCategories() int { return m.Labeler.NumCategories }
 
+// Forest returns the model compiled for inference, compiling it on first
+// use. Offline prediction (sim, the policies, experiments) and serving
+// share this one forest per bundle; it is safe for concurrent use. The
+// error is gbdt.Model.Compile's: a *gbdt.LimitError for a valid model
+// the binned layout cannot hold.
+func (m *CategoryModel) Forest() (*gbdt.Forest, error) {
+	m.forestOnce.Do(func() { m.forest, m.forestErr = m.Model.Compile() })
+	return m.forest, m.forestErr
+}
+
 // Predict returns the predicted importance category of a job using only
-// decision-time features.
+// decision-time features. Unlike every other predictor of the bundle it
+// walks the model's own trees (gbdt.Model.PredictClass) and never the
+// compiled forest, on purpose: it is the forest-independent reference
+// that the benchmark's verify step and the differential tests hold the
+// forest's decisions to, and that independence is worth more than the
+// speed of a convenience wrapper. Loops call PredictInto or Categories.
 func (m *CategoryModel) Predict(j *trace.Job) int {
 	row := m.Encoder.Encode(j, nil)
 	return m.Model.PredictClass(row)
 }
 
-// PredictInto is Predict with a reusable row buffer for hot paths.
+// classOf is the single-row kernel behind PredictInto. A model the
+// forest cannot hold (Forest's error) is predicted on its own trees.
+func (m *CategoryModel) classOf(row []float64) int {
+	f, _ := m.Forest()
+	if f == nil {
+		return m.Model.PredictClass(row)
+	}
+	return f.PredictClass(row)
+}
+
+// PredictInto is the hot-path predictor: the forest's single-row entry
+// over a reusable row buffer, allocation-free once buf has grown.
 func (m *CategoryModel) PredictInto(j *trace.Job, buf []float64) (int, []float64) {
 	buf = m.Encoder.Encode(j, buf)
-	return m.Model.PredictClass(buf), buf
+	return m.classOf(buf), buf
+}
+
+// Hinter is a model predicting one job at a time over its own row
+// buffer: the application-layer hint source of a deployment
+// (dataflow.Hinter). Not for concurrent use.
+type Hinter struct {
+	model *CategoryModel
+	buf   []float64
+}
+
+// Hinter returns a fresh Hinter on the model.
+func (m *CategoryModel) Hinter() *Hinter { return &Hinter{model: m} }
+
+// Hint returns the job's predicted category.
+func (h *Hinter) Hint(j *trace.Job) (cat int) {
+	cat, h.buf = h.model.PredictInto(j, h.buf)
+	return cat
 }
 
 // PredictProba returns per-category probabilities.
 func (m *CategoryModel) PredictProba(j *trace.Job) []float64 {
 	row := m.Encoder.Encode(j, nil)
-	return m.Model.PredictProba(row)
+	f, _ := m.Forest()
+	if f == nil {
+		return m.Model.PredictProba(row)
+	}
+	return f.PredictProba(row, nil)
+}
+
+// categoryBlock is how many rows Categories hands the forest at a time:
+// gbdt's own block, one tree walked over 64 rows while it is in L1.
+const categoryBlock = 64
+
+// rowSlab is Categories' scratch: a block of encoded rows and what the
+// forest's batch entry wants handed back.
+type rowSlab struct {
+	vals    []float64
+	rows    [][]float64
+	classes []int
+	logits  []float64
+}
+
+// slabs recycles the scratch across Categories calls: a suite of 1–3k-job
+// replays would otherwise pay the slab per replay.
+var slabs = sync.Pool{New: func() any { return new(rowSlab) }}
+
+// Categories writes the predicted category of every job into out
+// (reused when large enough) and returns it: out[i] is what PredictInto
+// returns for jobs[i]. The jobs are encoded into a pooled row slab and
+// classified by the forest in 64-row blocks, on the caller's goroutine
+// (replays already run side by side in fleet's and experiments' pools);
+// nothing is allocated per job. This is how a replay classifies its
+// trace once (sim.Preparer) and how a sweep shares one classification
+// across runs.
+func (m *CategoryModel) Categories(jobs []*trace.Job, out []int32) []int32 {
+	if cap(out) < len(jobs) {
+		out = make([]int32, len(jobs))
+	}
+	out = out[:len(jobs)]
+	f, _ := m.Forest()
+	if f == nil {
+		var cat int
+		var row []float64
+		for i, j := range jobs {
+			cat, row = m.PredictInto(j, row)
+			out[i] = int32(cat)
+		}
+		return out
+	}
+	s := slabs.Get().(*rowSlab)
+	defer slabs.Put(s)
+	nf := m.Encoder.NumFeatures()
+	if cap(s.vals) < categoryBlock*nf {
+		s.vals = make([]float64, categoryBlock*nf)
+	}
+	if s.rows == nil {
+		s.rows = make([][]float64, categoryBlock)
+	}
+	for i := range s.rows {
+		s.rows[i] = s.vals[i*nf : (i+1)*nf : (i+1)*nf]
+	}
+	for lo := 0; lo < len(jobs); lo += categoryBlock {
+		block := jobs[lo:min(lo+categoryBlock, len(jobs))]
+		for i, j := range block {
+			m.Encoder.Encode(j, s.rows[i])
+		}
+		s.classes, s.logits = f.PredictClassBatch(s.rows[:len(block)], s.classes, s.logits)
+		for i, c := range s.classes {
+			out[lo+i] = int32(c)
+		}
+	}
+	return out
 }
 
 // Accuracy computes top-1 accuracy against ground-truth labels on a job
@@ -121,11 +243,8 @@ func (m *CategoryModel) Accuracy(jobs []*trace.Job, cm *cost.Model) float64 {
 		return 0
 	}
 	correct := 0
-	var buf []float64
-	for _, j := range jobs {
-		var pred int
-		pred, buf = m.PredictInto(j, buf)
-		if pred == m.Labeler.Label(j, cm) {
+	for i, pred := range m.Categories(jobs, nil) {
+		if int(pred) == m.Labeler.Label(jobs[i], cm) {
 			correct++
 		}
 	}
@@ -206,11 +325,8 @@ func bytesReader(b []byte) io.Reader { return bytes.NewReader(b) }
 // view behind the Fig. 9b accuracy numbers.
 func (m *CategoryModel) Evaluate(jobs []*trace.Job, cm *cost.Model) *metrics.ConfusionMatrix {
 	cmx := metrics.NewConfusionMatrix(m.NumCategories())
-	var buf []float64
-	for _, j := range jobs {
-		var pred int
-		pred, buf = m.PredictInto(j, buf)
-		cmx.Add(m.Labeler.Label(j, cm), pred)
+	for i, pred := range m.Categories(jobs, nil) {
+		cmx.Add(m.Labeler.Label(jobs[i], cm), int(pred))
 	}
 	return cmx
 }

@@ -81,11 +81,14 @@ func Granularity(opts Options) (*GranularityResult, error) {
 			models = map[string]*core.CategoryModel{"all": clusterModel}
 			trainSizes = float64(len(env.Train.Jobs))
 		}
-		predict := func(j *trace.Job) int {
-			if m, ok := models[g.key(j)]; ok {
-				return m.Predict(j)
+		var buf []float64
+		predict := func(j *trace.Job) (cat int) {
+			m, ok := models[g.key(j)]
+			if !ok {
+				m = clusterModel
 			}
-			return clusterModel.Predict(j)
+			cat, buf = m.PredictInto(j, buf)
+			return cat
 		}
 		// Accuracy against the shared label design.
 		correct := 0

@@ -117,7 +117,12 @@ const mlBaselineTTL = 2 * 3600
 
 // SuiteConfig selects which methods a policy-suite run includes.
 type SuiteConfig struct {
-	Model       *core.CategoryModel // required for AdaptiveRanking
+	Model *core.CategoryModel // required for AdaptiveRanking
+	// Categories, when set, is Model.Categories(Env.Test.Jobs): a sweep
+	// that runs the suite at many quotas or controller settings (Fig7,
+	// Fig11, Fig15) classifies the test half once and hands the result
+	// to every run. Nil classifies in the run.
+	Categories  []int32
 	WithOracles bool
 	WithMLBase  bool
 	WithTrueCat bool
@@ -174,7 +179,7 @@ func (e *Env) RunSuite(quota float64, cfg SuiteConfig) (SuiteResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	policies = append(policies, ranking)
+	policies = append(policies, ranking.WithCategories(e.Test.Jobs, cfg.Categories))
 
 	hash, err := policy.NewAdaptiveHash(e.Cost, acfg)
 	if err != nil {

@@ -8,10 +8,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cost"
-	"repro/internal/dataflow"
 	"repro/internal/dfs"
 	"repro/internal/metrics"
-	"repro/internal/trace"
 )
 
 // buildMixedSchedule reproduces Appendix C.1's mixed deployment:
@@ -141,7 +139,7 @@ func Fig13(opts Options) (*Fig13Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		hinter := dataflow.HinterFunc(func(j *trace.Job) int { return model.Predict(j) })
+		hinter := model.Hinter()
 		ar, err := runDeployment(sched, quota, ad, hinter)
 		if err != nil {
 			return nil, err

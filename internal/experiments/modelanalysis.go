@@ -261,12 +261,18 @@ func binaryAUC(trainDS, testDS *gbdt.Dataset, trainLabels, testLabels []int, mas
 	if err != nil {
 		return 0, err
 	}
+	forest, err := model.Compile()
+	if err != nil {
+		return 0, err
+	}
 	scores := make([]float64, te.N)
 	labels := make([]bool, te.N)
 	row := make([]float64, te.Schema.NumFeatures())
+	var proba []float64
 	for i := 0; i < te.N; i++ {
 		row = te.Row(i, row)
-		scores[i] = model.PredictProba(row)[1]
+		proba = forest.PredictProba(row, proba)
+		scores[i] = proba[1]
 		labels[i] = testLabels[i] == 1
 	}
 	auc := metrics.AUC(labels, scores)

@@ -406,7 +406,7 @@ func Fig5(opts Options) (*Fig5Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		hinter := dataflow.HinterFunc(func(j *trace.Job) int { return model.Predict(j) })
+		hinter := model.Hinter()
 		ar, err := runDeployment(sched, quota, ad, hinter)
 		if err != nil {
 			return nil, err
@@ -464,10 +464,15 @@ func DebugPrototype(opts Options, frac float64) error {
 		return err
 	}
 	// Category distribution and per-category value on the warmup jobs.
+	jobs := make([]*trace.Job, len(warm.records))
+	for i, rec := range warm.records {
+		jobs[i] = rec.Job
+	}
+	cats := model.Categories(jobs, nil)
 	counts := map[int]int{}
 	hotByCat := map[int]float64{}
-	for _, rec := range warm.records {
-		c := model.Predict(rec.Job)
+	for i, rec := range warm.records {
+		c := int(cats[i])
 		counts[c]++
 		hotByCat[c] += cm.Savings(rec.Job)
 	}
@@ -484,8 +489,8 @@ func DebugPrototype(opts Options, frac float64) error {
 	}
 	fmt.Printf("true label counts: %v\n", lcounts)
 	acc := 0
-	for _, rec := range warm.records {
-		if model.Predict(rec.Job) == model.Labeler.Label(rec.Job, cm) {
+	for i, rec := range warm.records {
+		if int(cats[i]) == model.Labeler.Label(rec.Job, cm) {
 			acc++
 		}
 	}

@@ -136,9 +136,10 @@ func Fig7(opts Options) (*Fig7Result, error) {
 	for _, m := range Fig7Methods {
 		res.TCOPct[m] = make([]float64, len(res.Quotas))
 	}
+	cats := model.Categories(env.Test.Jobs, nil)
 	err = parallelIndexed(len(res.Quotas), func(i int) error {
 		suite, err := env.RunSuite(env.PeakUsage*res.Quotas[i], SuiteConfig{
-			Model: model, WithMLBase: true, WithOracles: true,
+			Model: model, Categories: cats, WithMLBase: true, WithOracles: true,
 		})
 		if err != nil {
 			return fmt.Errorf("quota %.3f: %w", res.Quotas[i], err)
@@ -192,8 +193,9 @@ func Fig11(opts Options) (*Fig11Result, error) {
 	res := &Fig11Result{Cluster: env.Cluster, Quotas: QuotaFractions}
 	res.Predicted = make([]float64, len(res.Quotas))
 	res.TrueCat = make([]float64, len(res.Quotas))
+	cats := model.Categories(env.Test.Jobs, nil)
 	err = parallelIndexed(len(res.Quotas), func(i int) error {
-		suite, err := env.RunSuite(env.PeakUsage*res.Quotas[i], SuiteConfig{Model: model, WithTrueCat: true})
+		suite, err := env.RunSuite(env.PeakUsage*res.Quotas[i], SuiteConfig{Model: model, Categories: cats, WithTrueCat: true})
 		if err != nil {
 			return err
 		}
@@ -283,11 +285,12 @@ func Fig15(opts Options) (*Fig15Result, error) {
 	res.Combos = len(combos)
 	// One result matrix slot per (combo, quota); reduced serially.
 	curves := make([][]float64, len(combos))
+	cats := model.Categories(env.Test.Jobs, nil)
 	err = parallelIndexed(len(combos), func(ci int) error {
 		curve := make([]float64, len(quotas))
 		for qi, frac := range quotas {
 			acfg := combos[ci]
-			suite, err := env.RunSuite(env.PeakUsage*frac, SuiteConfig{Model: model, AdaptiveCfg: &acfg})
+			suite, err := env.RunSuite(env.PeakUsage*frac, SuiteConfig{Model: model, Categories: cats, AdaptiveCfg: &acfg})
 			if err != nil {
 				return err
 			}

@@ -567,6 +567,18 @@ func (f *Forest) Logits(row []float64, out []float64) []float64 {
 	return out
 }
 
+// PredictProba returns softmax class probabilities for one row in out
+// (allocated when nil or too short), equal to Model.PredictProba's on
+// the source model. Panics if the model is a regressor.
+func (f *Forest) PredictProba(row []float64, out []float64) []float64 {
+	if f.NumClasses < 2 {
+		panic("gbdt: PredictProba on a regression model")
+	}
+	out = f.Logits(row, out)
+	softmax(out, out)
+	return out
+}
+
 // PredictClass returns the argmax class for one row.
 func (f *Forest) PredictClass(row []float64) int {
 	var buf [32]float64

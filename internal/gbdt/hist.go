@@ -235,22 +235,31 @@ type treeGrower struct {
 
 	catMask  []uint64        // category membership bitset during partition
 	chunkCat [][]histCatStat // per-chunk categorical scan scratch
-	cands    []splitResult   // per-chunk split candidates
-	free     []*histBuf
-	stack    []nodeTask
+	// chunkLeft[ci] holds the left ids (unsorted) of chunk ci's categorical
+	// candidate; cands[ci].leftCats aliases it, and grow copies the ids
+	// out once, for the split it keeps.
+	chunkLeft [][]int32
+	cands     []splitResult // per-chunk split candidates
+	free      []*histBuf
+	stack     []nodeTask
+	// cur is the node being split. It lives here, not in grow's frame,
+	// because the chunk workers read it from other goroutines: a local
+	// would be moved to the heap once per node.
+	cur nodeTask
 }
 
 func newTreeGrower(eng *histEngine, numRows int) *treeGrower {
 	return &treeGrower{
-		eng:      eng,
-		arena:    make([]int32, 0, numRows),
-		scratch:  make([]int32, numRows),
-		g:        make([]float64, numRows),
-		h:        make([]float64, numRows),
-		leafOut:  make([]float64, numRows),
-		catMask:  make([]uint64, (eng.maxBins+63)/64),
-		chunkCat: make([][]histCatStat, len(eng.featChunks)),
-		cands:    make([]splitResult, len(eng.featChunks)),
+		eng:       eng,
+		arena:     make([]int32, 0, numRows),
+		scratch:   make([]int32, numRows),
+		g:         make([]float64, numRows),
+		h:         make([]float64, numRows),
+		leafOut:   make([]float64, numRows),
+		catMask:   make([]uint64, (eng.maxBins+63)/64),
+		chunkCat:  make([][]histCatStat, len(eng.featChunks)),
+		chunkLeft: make([][]int32, len(eng.featChunks)),
+		cands:     make([]splitResult, len(eng.featChunks)),
 	}
 }
 
@@ -269,15 +278,27 @@ func (tg *treeGrower) release(hb *histBuf) {
 	}
 }
 
-// runChunks executes fn for every feature chunk, concurrently when the
+// chunkOp names the work runChunks does on each feature chunk. The ops
+// are values, not closures: a closure handed to a function that may
+// start goroutines is heap-allocated on every call, taken or not.
+type chunkOp uint8
+
+const (
+	opFill     chunkOp = iota // rebuild hb's chunk from the rows in seg
+	opFillScan                // opFill, then opScan
+	opScan                    // scan hb's chunk for the best split of tg.cur
+	opSub                     // hb's chunk -= other's
+)
+
+// runChunks executes op for every feature chunk, concurrently when the
 // engine has a per-node feature budget and the segment is big enough to
 // pay for the fan-out. Chunks touch disjoint histogram regions and
 // reduce in chunk order afterwards, so both paths are bit-identical.
-func (tg *treeGrower) runChunks(segLen int32, fn func(ci int)) {
+func (tg *treeGrower) runChunks(segLen int32, op chunkOp, hb, other *histBuf, seg []int32) {
 	chunks := tg.eng.featChunks
 	if len(chunks) == 1 || int(segLen) < parallelNodeMinRows {
 		for ci := range chunks {
-			fn(ci)
+			tg.runChunk(op, hb, other, seg, ci)
 		}
 		return
 	}
@@ -286,10 +307,24 @@ func (tg *treeGrower) runChunks(segLen int32, fn func(ci int)) {
 		wg.Add(1)
 		go func(ci int) {
 			defer wg.Done()
-			fn(ci)
+			tg.runChunk(op, hb, other, seg, ci)
 		}(ci)
 	}
 	wg.Wait()
+}
+
+func (tg *treeGrower) runChunk(op chunkOp, hb, other *histBuf, seg []int32, ci int) {
+	switch op {
+	case opFill:
+		tg.fillChunk(hb, seg, ci)
+	case opFillScan:
+		tg.fillChunk(hb, seg, ci)
+		tg.scanChunk(hb, &tg.cur, ci)
+	case opScan:
+		tg.scanChunk(hb, &tg.cur, ci)
+	case opSub:
+		tg.subChunk(hb, other, ci)
+	}
 }
 
 // fillChunk zeroes and rebuilds the chunk's per-feature histograms from
@@ -443,11 +478,13 @@ func (tg *treeGrower) scanCategoricalFlat(f int, off int32, nb int, hb *histBuf,
 	if bestPrefix < 0 || bestGain <= cand.gain {
 		return
 	}
-	left := make([]int32, 0, bestPrefix+1)
+	// Candidates come and go; only the split grow keeps gets its own
+	// sorted LeftCats. Until then the ids wait in the chunk's scratch.
+	left := tg.chunkLeft[ci][:0]
 	for p := 0; p <= bestPrefix; p++ {
 		left = append(left, cats[p].id)
 	}
-	slices.Sort(left)
+	tg.chunkLeft[ci] = left
 	*cand = splitResult{feature: f, kind: Categorical, leftCats: left, gain: bestGain, found: true, gl: bestGL, hl: bestHL}
 }
 
@@ -470,20 +507,16 @@ func sortCatStats(cats []histCatStat) {
 	})
 }
 
-// findSplit ensures the node has a histogram and returns the best split
-// across all features (chunk candidates reduced in feature order).
-func (tg *treeGrower) findSplit(task *nodeTask) splitResult {
-	seg := tg.arena[task.start:task.end]
+// findSplit ensures the current node (tg.cur) has a histogram and
+// returns the best split across all features (chunk candidates reduced
+// in feature order). A categorical result's leftCats is scratch.
+func (tg *treeGrower) findSplit() splitResult {
+	task := &tg.cur
 	if task.hb == nil {
 		task.hb = tg.take()
-		tg.runChunks(task.end-task.start, func(ci int) {
-			tg.fillChunk(task.hb, seg, ci)
-			tg.scanChunk(task.hb, task, ci)
-		})
+		tg.runChunks(task.end-task.start, opFillScan, task.hb, nil, tg.arena[task.start:task.end])
 	} else {
-		tg.runChunks(task.end-task.start, func(ci int) {
-			tg.scanChunk(task.hb, task, ci)
-		})
+		tg.runChunks(task.end-task.start, opScan, task.hb, nil, nil)
 	}
 	best := tg.cands[0]
 	for _, c := range tg.cands[1:] {
@@ -565,8 +598,9 @@ func (tg *treeGrower) grow(sample []int32, g, h []float64) *Tree {
 	})
 
 	for len(tg.stack) > 0 {
-		task := tg.stack[len(tg.stack)-1]
+		tg.cur = tg.stack[len(tg.stack)-1]
 		tg.stack = tg.stack[:len(tg.stack)-1]
+		task := &tg.cur
 		idx := int32(len(nodes))
 		nodes = append(nodes, Node{IsLeaf: true})
 		tg.splitBins = append(tg.splitBins, -1)
@@ -592,12 +626,12 @@ func (tg *treeGrower) grow(sample []int32, g, h []float64) *Tree {
 			makeLeaf()
 			continue
 		}
-		best := tg.findSplit(&task)
+		best := tg.findSplit()
 		if !best.found {
 			makeLeaf()
 			continue
 		}
-		mid := tg.partition(&task, best)
+		mid := tg.partition(task, best)
 		lsG, lsH := best.gl, best.hl
 		rsG, rsH := task.sumG-lsG, task.sumH-lsH
 		leftLen, rightLen := mid-task.start, task.end-mid
@@ -617,7 +651,8 @@ func (tg *treeGrower) grow(sample []int32, g, h []float64) *Tree {
 			nodes[idx].Threshold = thresholdForBin(eng.bins, best.feature, best.bin)
 			tg.splitBins[idx] = 3 * (eng.featOff[best.feature] + int32(best.bin))
 		} else {
-			nodes[idx].LeftCats = best.leftCats
+			nodes[idx].LeftCats = slices.Clone(best.leftCats)
+			slices.Sort(nodes[idx].LeftCats)
 		}
 
 		childDepth := task.depth + 1
@@ -625,7 +660,7 @@ func (tg *treeGrower) grow(sample []int32, g, h []float64) *Tree {
 		rightLeaf := childDepth >= maxDepth || rightLen < 2*minLeaf
 		var lhb, rhb *histBuf
 		if !leftLeaf || !rightLeaf {
-			lhb, rhb = tg.childHists(&task, mid, leftLeaf, rightLeaf)
+			lhb, rhb = tg.childHists(task, mid, leftLeaf, rightLeaf)
 		} else {
 			tg.release(task.hb)
 		}
@@ -654,11 +689,11 @@ func (tg *treeGrower) childHists(task *nodeTask, mid int32, leftLeaf, rightLeaf 
 	segLen := task.end - task.start
 	build := func(seg []int32) *histBuf {
 		hb := tg.take()
-		tg.runChunks(int32(len(seg)), func(ci int) { tg.fillChunk(hb, seg, ci) })
+		tg.runChunks(int32(len(seg)), opFill, hb, nil, seg)
 		return hb
 	}
 	derive := func(child *histBuf) *histBuf {
-		tg.runChunks(segLen, func(ci int) { tg.subChunk(task.hb, child, ci) })
+		tg.runChunks(segLen, opSub, task.hb, child, nil)
 		hb := task.hb
 		task.hb = nil
 		return hb

@@ -22,8 +22,8 @@ const NameImitation = "Imitation"
 // differs from the training quota, its decisions are systematically
 // wrong — the adaptability failure BYOM's cross-layer split avoids.
 type Imitation struct {
-	enc   *features.Encoder
-	model *gbdt.Model
+	enc    *features.Encoder
+	forest *gbdt.Forest // the imitation classifier, compiled
 	// TrainQuota records the capacity the oracle labels were computed
 	// under (for reporting).
 	TrainQuota float64
@@ -31,7 +31,8 @@ type Imitation struct {
 }
 
 // TrainImitation solves the oracle on the training jobs at the given
-// capacity and fits a binary classifier to its decisions.
+// capacity and fits a binary classifier to its decisions. A classifier
+// the forest cannot hold is an error.
 func TrainImitation(train []*trace.Job, trainQuota float64, cm *cost.Model, cfg gbdt.Config) (*Imitation, error) {
 	if len(train) == 0 {
 		return nil, fmt.Errorf("policy: no training jobs for imitation")
@@ -60,7 +61,11 @@ func TrainImitation(train []*trace.Job, trainQuota float64, cm *cost.Model, cfg 
 	if err != nil {
 		return nil, fmt.Errorf("policy: imitation classifier: %w", err)
 	}
-	return &Imitation{enc: enc, model: model, TrainQuota: trainQuota}, nil
+	forest, err := model.Compile()
+	if err != nil {
+		return nil, fmt.Errorf("policy: imitation classifier: %w", err)
+	}
+	return &Imitation{enc: enc, forest: forest, TrainQuota: trainQuota}, nil
 }
 
 // Name implements sim.Policy.
@@ -71,7 +76,7 @@ func (p *Imitation) Name() string { return NameImitation }
 // which is precisely the problem.
 func (p *Imitation) Place(j *trace.Job, _ sim.PlaceContext) bool {
 	p.buf = p.enc.Encode(j, p.buf)
-	return p.model.PredictClass(p.buf) == 1
+	return p.forest.PredictClass(p.buf) == 1
 }
 
 // Interface conformance.

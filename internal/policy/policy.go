@@ -12,6 +12,14 @@
 // All policies implement sim.Policy; the adaptive ones also implement
 // sim.Observer (spillover feedback) and MLBaseline implements
 // sim.Evictor.
+//
+// Every model-backed policy predicts on a compiled gbdt.Forest, the
+// kernel serving runs: AdaptiveRanking on its category model's shared
+// forest, MLBaseline and Imitation on forests compiled when they are
+// trained. A model the forest cannot hold is an error from the
+// constructor, not a second prediction path. AdaptiveRanking is also a
+// sim.Preparer: a replay classifies its trace once, batched, before the
+// first Place.
 package policy
 
 import (
@@ -92,14 +100,26 @@ type AdaptiveRanking struct {
 	adaptiveBase
 	model *core.CategoryModel
 	buf   []float64
+
+	// The prepared classification: cats[i] is the model's category of
+	// jobs[i], and next is the job the replay is expected to place next.
+	// cats is the policy's own buffer unless a caller handed its
+	// classification in (handed), which Prepare must not write over.
+	jobs   []*trace.Job
+	cats   []int32
+	next   int
+	handed bool
 }
 
 // NewAdaptiveRanking wires a trained category model to a fresh
-// Algorithm 1 controller.
+// Algorithm 1 controller. A model its forest cannot hold is refused.
 func NewAdaptiveRanking(model *core.CategoryModel, cm *cost.Model, cfg core.AdaptiveConfig) (*AdaptiveRanking, error) {
 	if cfg.NumCategories != model.NumCategories() {
 		return nil, fmt.Errorf("policy: adaptive config has %d categories, model %d",
 			cfg.NumCategories, model.NumCategories())
+	}
+	if _, err := model.Forest(); err != nil {
+		return nil, fmt.Errorf("policy: adaptive ranking: %w", err)
 	}
 	a, err := core.NewAdaptive(cfg)
 	if err != nil {
@@ -111,10 +131,52 @@ func NewAdaptiveRanking(model *core.CategoryModel, cm *cost.Model, cfg core.Adap
 // Name implements sim.Policy.
 func (p *AdaptiveRanking) Name() string { return NameAdaptiveRanking }
 
-// Place implements sim.Policy.
+// WithCategories hands the policy a classification the caller already
+// holds, so that a sweep replaying one trace under one model many times
+// (quotas, controller settings) classifies it once. cats must be what
+// the policy's own model returns from Categories(jobs): the policy
+// cannot tell another model's categories from its own, so the caller
+// owns that match, and one category per job is checked. Prepare keeps
+// the classification for a replay of exactly these jobs and classifies
+// any other trace itself. Nil cats hands nothing in.
+func (p *AdaptiveRanking) WithCategories(jobs []*trace.Job, cats []int32) *AdaptiveRanking {
+	if cats == nil {
+		return p
+	}
+	if len(cats) != len(jobs) {
+		panic(fmt.Sprintf("policy: WithCategories: %d categories for %d jobs", len(cats), len(jobs)))
+	}
+	p.jobs, p.cats, p.next, p.handed = jobs, cats, 0, true
+	return p
+}
+
+// Prepare implements sim.Preparer: one batched pass of the model over
+// the trace (core.CategoryModel.Categories).
+func (p *AdaptiveRanking) Prepare(jobs []*trace.Job) error {
+	p.next = 0
+	if p.handed && len(jobs) == len(p.jobs) && (len(jobs) == 0 || &jobs[0] == &p.jobs[0]) {
+		return nil
+	}
+	var own []int32
+	if !p.handed {
+		own = p.cats
+	}
+	p.jobs, p.cats, p.handed = jobs, p.model.Categories(jobs, own), false
+	return nil
+}
+
+// Place implements sim.Policy. The category is the prepared one when j
+// is the job the replay was prepared to see next, and the same forest's
+// single-row prediction otherwise: the two are equal, so preparation
+// changes what a decision costs and never what it is.
 func (p *AdaptiveRanking) Place(j *trace.Job, ctx sim.PlaceContext) bool {
 	var cat int
-	cat, p.buf = p.model.PredictInto(j, p.buf)
+	if i := p.next; i < len(p.jobs) && p.jobs[i] == j {
+		cat = int(p.cats[i])
+		p.next++
+	} else {
+		cat, p.buf = p.model.PredictInto(j, p.buf)
+	}
 	return p.adaptive.Admit(cat, ctx.Now)
 }
 
@@ -376,16 +438,17 @@ func (h *Heuristic) recompute(ctx sim.PlaceContext) {
 // to SSD when µ+σ < TTL, and evict anything resident longer than µ+σ
 // to mitigate mispredictions (§3.4).
 type MLBaseline struct {
-	enc      *features.Encoder
-	muModel  *gbdt.Model
-	varModel *gbdt.Model
-	TTLSec   float64
-	buf      []float64
+	enc *features.Encoder
+	// The two lifetime regressors, compiled: mean log-lifetime and the
+	// squared residual.
+	mu, variance *gbdt.Forest
+	TTLSec       float64
+	buf, out     []float64
 }
 
 // TrainMLBaseline fits the lifetime distribution models on historical
 // jobs: a regressor for mean log-lifetime and one for the squared
-// residual (variance).
+// residual (variance). A model the forest cannot hold is an error.
 func TrainMLBaseline(train []*trace.Job, ttlSec float64, cfg gbdt.Config) (*MLBaseline, error) {
 	if len(train) == 0 {
 		return nil, fmt.Errorf("policy: no training jobs for ML baseline")
@@ -403,18 +466,28 @@ func TrainMLBaseline(train []*trace.Job, ttlSec float64, cfg gbdt.Config) (*MLBa
 	if err != nil {
 		return nil, fmt.Errorf("policy: ML baseline mu model: %w", err)
 	}
+	mu, err := muModel.Compile()
+	if err != nil {
+		return nil, fmt.Errorf("policy: ML baseline mu model: %w", err)
+	}
 	resid := make([]float64, len(train))
 	row := make([]float64, enc.NumFeatures())
+	var out []float64
 	for i := range train {
 		row = ds.Row(i, row)
-		r := logLife[i] - muModel.PredictValue(row)
+		out = mu.Logits(row, out)
+		r := logLife[i] - out[0]
 		resid[i] = r * r
 	}
 	varModel, err := gbdt.TrainRegressor(ds, resid, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("policy: ML baseline variance model: %w", err)
 	}
-	return &MLBaseline{enc: enc, muModel: muModel, varModel: varModel, TTLSec: ttlSec}, nil
+	variance, err := varModel.Compile()
+	if err != nil {
+		return nil, fmt.Errorf("policy: ML baseline variance model: %w", err)
+	}
+	return &MLBaseline{enc: enc, mu: mu, variance: variance, TTLSec: ttlSec}, nil
 }
 
 // Name implements sim.Policy.
@@ -423,8 +496,10 @@ func (p *MLBaseline) Name() string { return NameMLBaseline }
 // EstimateLifetime returns exp(µ+σ) in seconds: the admission statistic.
 func (p *MLBaseline) EstimateLifetime(j *trace.Job) float64 {
 	p.buf = p.enc.Encode(j, p.buf)
-	mu := p.muModel.PredictValue(p.buf)
-	v := p.varModel.PredictValue(p.buf)
+	p.out = p.mu.Logits(p.buf, p.out)
+	mu := p.out[0]
+	p.out = p.variance.Logits(p.buf, p.out)
+	v := p.out[0]
 	if v < 0 {
 		v = 0
 	}
@@ -447,6 +522,7 @@ var (
 	_ sim.Policy   = (*Static)(nil)
 	_ sim.Policy   = (*AdaptiveRanking)(nil)
 	_ sim.Observer = (*AdaptiveRanking)(nil)
+	_ sim.Preparer = (*AdaptiveRanking)(nil)
 	_ sim.Policy   = (*AdaptiveHash)(nil)
 	_ sim.Observer = (*AdaptiveHash)(nil)
 	_ sim.Policy   = (*AdaptiveTrue)(nil)

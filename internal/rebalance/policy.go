@@ -12,9 +12,9 @@ import (
 
 // Policy wraps a write-time placement policy with the heat-aware
 // rebalancer: the inner policy proposes at write time, the current
-// residency plan disposes. It implements sim.Policy, sim.Observer and
-// sim.Evictor, so the simulator executes the plan's decisions through
-// its existing seams:
+// residency plan disposes. It implements sim.Policy, sim.Observer,
+// sim.Evictor and sim.Preparer (forwarded to the inner policy), so the
+// simulator executes the plan's decisions through its existing seams:
 //
 //   - residency 0 vetoes the inner policy's SSD request — the
 //     workload's new writes migrate to HDD;
@@ -66,6 +66,15 @@ func New(inner sim.Policy, cm *cost.Model, cfg Config) *Policy {
 
 // Name implements sim.Policy.
 func (p *Policy) Name() string { return p.inner.Name() + "+Rebalance" }
+
+// Prepare implements sim.Preparer for the inner policy: the wrapper has
+// nothing of its own to compute ahead of a replay.
+func (p *Policy) Prepare(jobs []*trace.Job) error {
+	if pr, ok := p.inner.(sim.Preparer); ok {
+		return pr.Prepare(jobs)
+	}
+	return nil
+}
 
 // Place implements sim.Policy: ask the inner policy, then apply the
 // plan. The inner policy always sees the job — its own controller state

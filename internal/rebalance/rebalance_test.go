@@ -475,6 +475,33 @@ func TestPolicyFractionalPlanEvicts(t *testing.T) {
 	}
 }
 
+// preparing is an inner policy that counts what Prepare hands it.
+type preparing struct {
+	admitAll
+	prepared int
+}
+
+func (p *preparing) Prepare(jobs []*trace.Job) error {
+	p.prepared += len(jobs)
+	return nil
+}
+
+// TestPolicyForwardsPrepare: the wrapper passes the replay's jobs on to
+// an inner policy that prepares, and is a no-op around one that does not.
+func TestPolicyForwardsPrepare(t *testing.T) {
+	tr, cm := driftTrace(), cost.Default()
+	inner := &preparing{}
+	if _, err := sim.Run(tr, New(inner, cm, Config{}), cm, sim.Config{SSDQuota: 1e12}); err != nil {
+		t.Fatal(err)
+	}
+	if inner.prepared != len(tr.Jobs) {
+		t.Errorf("inner policy was prepared with %d jobs, trace has %d", inner.prepared, len(tr.Jobs))
+	}
+	if err := New(admitAll{}, cm, Config{}).Prepare(tr.Jobs); err != nil {
+		t.Errorf("Prepare around a policy that does not prepare: %v", err)
+	}
+}
+
 func BenchmarkSolvePlan(b *testing.B) {
 	for _, n := range []int{32, 64, 128, 256} {
 		b.Run("workloads="+itoa(n), func(b *testing.B) {

@@ -315,7 +315,7 @@ func (s *Server) reload() error {
 		return fmt.Errorf("serve: model %s v%d has %d categories, controller expects %d",
 			version.Workload, version.Number, model.NumCategories(), s.cfg.Adaptive.NumCategories)
 	}
-	forest, err := model.Model.Compile()
+	forest, err := model.Forest()
 	if err != nil {
 		return fmt.Errorf("serve: compiling %s v%d: %w", version.Workload, version.Number, err)
 	}

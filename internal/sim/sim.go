@@ -4,12 +4,17 @@
 // each job arrival, models partial spillover to HDD when the SSD is
 // full, supports evicting policies (the ML lifetime baseline), and
 // accounts TCO/TCIO savings with the cost model.
+//
+// A policy that predicts with a model can classify the whole trace
+// before the replay starts (Preparer): the replay then costs what the
+// serving kernel costs per job in 64-row batches, and decides exactly
+// as the per-job path does.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/cost"
 	"repro/internal/trace"
@@ -44,6 +49,23 @@ type Evictor interface {
 // estimator consumes.
 type Observer interface {
 	Observe(j *trace.Job, o Outcome)
+}
+
+// Preparer is an optional policy extension: Run hands it the trace's
+// jobs once, before the first Place, so the policy can do its per-job
+// work that depends on nothing but the job (model inference) in one
+// batched pass. What a Preparer may rely on and must keep:
+//
+//   - Run calls Prepare exactly once per replay, with the slice it then
+//     walks in order; a policy reused for a second Run is prepared again.
+//   - Whatever Prepare computes is a pure function of each job and the
+//     policy's model, never of the replay's state, so a prepared Place
+//     and an unprepared one return the same decision.
+//   - Place must not depend on having been prepared, or on the order it
+//     is called in: a job Prepare did not see, or one out of turn, is
+//     decided by the per-job path.
+type Preparer interface {
+	Prepare(jobs []*trace.Job) error
 }
 
 // Outcome describes what actually happened to a job.
@@ -122,18 +144,60 @@ type release struct {
 	bytes float64
 }
 
+// releaseHeap is a binary min-heap on release.at: container/heap's
+// algorithm on the concrete type, so nothing is boxed per push or pop.
+// up and down are that package's sift loops comparison for comparison,
+// which is what keeps equal-time releases popping in the order they
+// always did, and Run's float sums in the order they always had.
 type releaseHeap []release
 
-func (h releaseHeap) Len() int            { return len(h) }
-func (h releaseHeap) Less(i, j int) bool  { return h[i].at < h[j].at }
-func (h releaseHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *releaseHeap) Push(x interface{}) { *h = append(*h, x.(release)) }
-func (h *releaseHeap) Pop() interface{} {
+// releaseHeaps keeps a finished replay's heap array for the next one,
+// so a sweep's hundreds of runs do not each grow their own.
+var releaseHeaps = sync.Pool{New: func() any { return new(releaseHeap) }}
+
+func (h *releaseHeap) push(r release) {
+	*h = append(*h, r)
+	h.up(len(*h) - 1)
+}
+
+// pop removes and returns the earliest release.
+func (h *releaseHeap) pop() release {
 	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+	n := len(old) - 1
+	old[0], old[n] = old[n], old[0]
+	old[:n].down(0)
+	*h = old[:n]
+	return old[n]
+}
+
+func (h releaseHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !(h[j].at < h[i].at) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (h releaseHeap) down(i int) {
+	n := len(h)
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h[j2].at < h[j1].at {
+			j = j2 // right child
+		}
+		if !(h[j].at < h[i].at) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 // Run replays the trace through the policy. Jobs must be sorted by
@@ -148,9 +212,16 @@ func Run(tr *trace.Trace, p Policy, cm *cost.Model, cfg Config) (*Result, error)
 	res := &Result{PolicyName: p.Name(), SSDQuota: cfg.SSDQuota}
 	evictor, _ := p.(Evictor)
 	observer, _ := p.(Observer)
+	if pr, ok := p.(Preparer); ok {
+		if err := pr.Prepare(tr.Jobs); err != nil {
+			return nil, fmt.Errorf("sim: preparing policy %s: %w", p.Name(), err)
+		}
+	}
 
 	var used float64
-	releases := &releaseHeap{}
+	releases := releaseHeaps.Get().(*releaseHeap)
+	defer releaseHeaps.Put(releases)
+	*releases = (*releases)[:0]
 	nextSample := 0.0
 	// Byte quantities are ~1e9-1e12, so accumulation drift is well above
 	// any absolute epsilon; tolerances scale with the quota.
@@ -158,8 +229,8 @@ func Run(tr *trace.Trace, p Policy, cm *cost.Model, cfg Config) (*Result, error)
 
 	for _, j := range tr.Jobs {
 		now := j.ArrivalSec
-		for releases.Len() > 0 && (*releases)[0].at <= now {
-			r := heap.Pop(releases).(release)
+		for len(*releases) > 0 && (*releases)[0].at <= now {
+			r := releases.pop()
 			used -= r.bytes
 			if used < -eps {
 				return nil, fmt.Errorf("sim: SSD usage went negative (%g) at t=%g", used, r.at)
@@ -208,7 +279,7 @@ func Run(tr *trace.Trace, p Policy, cm *cost.Model, cfg Config) (*Result, error)
 				if used > cfg.SSDQuota {
 					used = cfg.SSDQuota
 				}
-				heap.Push(releases, release{at: releaseAt, bytes: put})
+				releases.push(release{at: releaseAt, bytes: put})
 				if used > res.SSDPeakUsed {
 					res.SSDPeakUsed = used
 				}
@@ -237,10 +308,14 @@ func Run(tr *trace.Trace, p Policy, cm *cost.Model, cfg Config) (*Result, error)
 }
 
 // RunAll runs several policies over the same trace and returns results
-// keyed by policy name.
+// keyed by policy name. Two policies with one name are an error: the
+// second result would replace the first.
 func RunAll(tr *trace.Trace, policies []Policy, cm *cost.Model, cfg Config) (map[string]*Result, error) {
 	out := make(map[string]*Result, len(policies))
 	for _, p := range policies {
+		if _, dup := out[p.Name()]; dup {
+			return nil, fmt.Errorf("sim: two policies are named %s", p.Name())
+		}
 		r, err := Run(tr, p, cm, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("sim: policy %s: %w", p.Name(), err)

@@ -1,7 +1,11 @@
 package sim
 
 import (
+	"container/heap"
+	"errors"
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/cost"
@@ -258,5 +262,112 @@ func TestRunInvariantNeverExceedsQuota(t *testing.T) {
 	}
 	if res.TCIOSaved > res.TotalTCIO {
 		t.Errorf("TCIO saved %g exceeds total %g", res.TCIOSaved, res.TotalTCIO)
+	}
+}
+
+// TestRunAllDuplicateName: two policies under one name used to leave
+// one result in the map, silently.
+func TestRunAllDuplicateName(t *testing.T) {
+	cm := cost.Default()
+	tr := mkTrace(job("a", 0, 100, 1e9))
+	res, err := RunAll(tr, []Policy{always{}, never{}, always{}}, cm, Config{SSDQuota: 1e10})
+	if err == nil || !strings.Contains(err.Error(), "always") {
+		t.Fatalf("RunAll with a policy listed twice = %v, %v; want an error naming it", res, err)
+	}
+}
+
+// preparing is a policy that records what Run hands Prepare.
+type preparing struct {
+	always
+	calls    int
+	jobs     []*trace.Job
+	prepared bool
+	early    int // Place calls that came before the run's Prepare
+	err      error
+}
+
+func (p *preparing) Prepare(jobs []*trace.Job) error {
+	p.calls++
+	p.jobs, p.prepared = jobs, true
+	return p.err
+}
+
+func (p *preparing) Place(j *trace.Job, ctx PlaceContext) bool {
+	if !p.prepared {
+		p.early++
+	}
+	return true
+}
+
+// TestRunPrepares: Run hands a Preparer the trace's own job slice, once,
+// before the first Place, on every Run; its error ends the run.
+func TestRunPrepares(t *testing.T) {
+	cm := cost.Default()
+	tr := mkTrace(job("a", 0, 100, 1e9), job("b", 10, 100, 1e9))
+	p := &preparing{}
+	for run := 1; run <= 2; run++ {
+		p.prepared = false
+		if _, err := Run(tr, p, cm, Config{SSDQuota: 1e10}); err != nil {
+			t.Fatal(err)
+		}
+		if p.calls != run || p.early != 0 {
+			t.Fatalf("after run %d: %d Prepare calls, %d Place calls before Prepare", run, p.calls, p.early)
+		}
+		if len(p.jobs) != len(tr.Jobs) || &p.jobs[0] != &tr.Jobs[0] {
+			t.Fatal("Prepare was not handed the trace's job slice")
+		}
+	}
+	p.err = errors.New("no model")
+	if _, err := Run(tr, p, cm, Config{SSDQuota: 1e10}); !errors.Is(err, p.err) {
+		t.Fatalf("Run with a failing Prepare = %v", err)
+	}
+}
+
+// boxedHeap is the release heap as it was: container/heap over an
+// interface, the order reference for the typed one.
+type boxedHeap []release
+
+func (h boxedHeap) Len() int            { return len(h) }
+func (h boxedHeap) Less(i, j int) bool  { return h[i].at < h[j].at }
+func (h boxedHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *boxedHeap) Push(x interface{}) { *h = append(*h, x.(release)) }
+func (h *boxedHeap) Pop() interface{} {
+	old := *h
+	n := len(old)
+	x := old[n-1]
+	*h = old[:n-1]
+	return x
+}
+
+// TestReleaseHeapMatchesContainerHeap: over 10,000 seeded push/pop
+// sequences with most release times tied, the typed heap pops exactly
+// what container/heap pops, ties included — bytes tell tied releases
+// apart — so Run's `used` is summed in the order it always was.
+func TestReleaseHeapMatchesContainerHeap(t *testing.T) {
+	for seed := int64(0); seed < 10000; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var typed releaseHeap
+		boxed := &boxedHeap{}
+		times := 1 + rng.Intn(6) // few distinct times: heavy ties
+		for op := 0; op < 200; op++ {
+			if len(typed) == 0 || rng.Intn(5) < 3 {
+				r := release{at: float64(rng.Intn(times)), bytes: float64(op)}
+				typed.push(r)
+				heap.Push(boxed, r)
+				continue
+			}
+			got, want := typed.pop(), heap.Pop(boxed).(release)
+			if got != want {
+				t.Fatalf("seed %d op %d: typed heap popped %+v, container/heap %+v", seed, op, got, want)
+			}
+		}
+		for len(typed) > 0 {
+			if got, want := typed.pop(), heap.Pop(boxed).(release); got != want {
+				t.Fatalf("seed %d drain: typed heap popped %+v, container/heap %+v", seed, got, want)
+			}
+		}
+		if boxed.Len() != 0 {
+			t.Fatalf("seed %d: container/heap holds %d more", seed, boxed.Len())
+		}
 	}
 }
