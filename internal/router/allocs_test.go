@@ -14,15 +14,17 @@ import (
 // counted process-wide (router, node clients and both daemons share the
 // process) on a warm 2-node plane, with the prober pushed out of the
 // measurement. Both operations are frames on the node clients' pooled
-// stream sessions. One routed outcome measures 2, the job its owner
-// decodes and the string that job's fields share, against 107 as a JSON
-// post; it gets 1 of headroom. One routed 64-job place measures 5: the
-// decisions it returns and, per node, the dispatch goroutine's closure
-// and the decisions the node client hands back; the routing state is
-// pooled scratch. It measured 241 while each node dispatch was a
-// net/http request (about 200 of them) and grouping and assignment
-// allocated per call (38); the budget leaves 3 of headroom. (sync.Pool
-// drops items at random under the race detector, hence the build tag.)
+// stream sessions. One routed outcome measures 0 — its owner decodes the
+// frame in place and, with no learner or observer attached, copies
+// nothing — against 107 as a JSON post and 2 while the serving core kept
+// the job in a shard queue; it gets 1 of headroom. One routed 64-job
+// place measures 5: the decisions it returns and, per node, the dispatch
+// goroutine's closure and the decisions the node client hands back; the
+// routing state is pooled scratch. It measured 241 while each node
+// dispatch was a net/http request (about 200 of them) and grouping and
+// assignment allocated per call (38); the budget leaves 3 of headroom.
+// (sync.Pool drops items at random under the race detector, hence the
+// build tag.)
 func TestRouterSteadyStateAllocs(t *testing.T) {
 	fx := testFixture(t)
 	p, _ := newTestPlane(t, 2)
@@ -42,7 +44,7 @@ func TestRouterSteadyStateAllocs(t *testing.T) {
 		call   func() error
 		budget float64
 	}{
-		{"observe", func() error { return r.Observe(ctx, jobs[0], 1, o) }, 3},
+		{"observe", func() error { return r.Observe(ctx, jobs[0], 1, o) }, 1},
 		{"place", func() error { _, err := r.Place(ctx, jobs); return err }, 8},
 	} {
 		call := func() {

@@ -6,6 +6,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/online"
 	"repro/internal/sim"
 )
 
@@ -68,33 +69,65 @@ func TestPlaceSteadyStateAllocs(t *testing.T) {
 }
 
 // TestObserveSteadyStateAllocs is the feedback path's budget, counted
-// the same way for one outcome post from a binary-codec client: 2
-// process-wide — the job the daemon decodes for its learner and heat
-// tracker to keep, and the one string its ten string fields share —
-// with 1 of headroom. As JSON over net/http, which is what every client
-// paid before outcomes travelled as frames on pooled stream sessions,
-// the same call measures 107.
+// the same way for one outcome post from a binary-codec client. With no
+// keeper attached it measures 0 process-wide: the frame is encoded into
+// the session's scratch, decoded in place into the daemon's, and applied
+// to the shard controller on the handler's goroutine, so nothing needs a
+// job of its own; budget 1. A daemon with a Learner (or an
+// OutcomeObserver) attached pays for the copy those keep — the job and
+// the one string its ten string fields share — and measures 2, which is
+// what every post cost while outcomes rode the inference queue; budget
+// 3. As JSON over net/http, which is what every client paid before
+// outcomes travelled as frames on pooled stream sessions, the same call
+// measures 107.
 func TestObserveSteadyStateAllocs(t *testing.T) {
 	fx := testFixture(t)
-	d := startDaemon(t, fx.newRegistry(t), testConfig())
-	c := newCodecClient(t, d, CodecBinary)
 	ctx := context.Background()
 	j := fx.jobs[0]
 	o := sim.Outcome{WantedSSD: true, FracOnSSD: 1, SpilledAt: -1, EvictedAt: -1}
-	call := func() {
-		if err := c.Observe(ctx, j, 2, o); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name    string
+		learner bool
+		budget  float64
+	}{
+		{"no keeper", false, 1},
+		{"learner", true, 3},
+	} {
+		reg := fx.newRegistry(t)
+		cfg := testConfig()
+		if tc.learner {
+			// A window that is full before the measured posts (it recycles
+			// its slots, as in steady state) and a learner that never has
+			// enough jobs to retrain.
+			lcfg := online.DefaultConfig(testCategories)
+			lcfg.Window.MaxCount = 8
+			l, err := online.New(reg, "w", fx.cm, lcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			cfg.Learner = l
 		}
-	}
-	for i := 0; i < 16; i++ {
-		call()
-	}
-	got := testing.AllocsPerRun(200, call)
-	t.Logf("%.2f allocations per outcome post", got)
-	if got > 3 {
-		t.Errorf("%.2f allocations per outcome post, budget 3", got)
-	}
-	if n := d.Stats().OutcomeRequests; n < 200 {
-		t.Errorf("daemon counted %d outcomes, want every post", n)
+		d := startDaemon(t, reg, cfg)
+		c := newCodecClient(t, d, CodecBinary)
+		call := func() {
+			if err := c.Observe(ctx, j, 2, o); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 16; i++ {
+			call()
+		}
+		got := testing.AllocsPerRun(200, call)
+		t.Logf("%s: %.2f allocations per outcome post", tc.name, got)
+		if got > tc.budget {
+			t.Errorf("%s: %.2f allocations per outcome post, budget %.0f", tc.name, got, tc.budget)
+		}
+		if n := d.Stats().OutcomeRequests; n < 200 {
+			t.Errorf("%s: daemon counted %d outcomes, want every post", tc.name, n)
+		}
+		if n, posted := d.ServeStats().Observations, d.Stats().OutcomeRequests; n != posted {
+			t.Errorf("%s: %d observations applied after %d acked posts", tc.name, n, posted)
+		}
 	}
 }

@@ -336,6 +336,11 @@ func (c *Client) frameState(ctx context.Context) *clientBinState {
 // latched JSON fallback, a daemon without the capability) posts JSON to
 // /v1/outcome. On a session, a connection that died while parked
 // re-sends the outcome once and no other failure does: see onSession.
+//
+// A nil return means applied, not queued: the daemon writes its ack (or
+// 204) after serve.Observe has updated the job's shard controller, so a
+// Place sent after Observe returns is decided with this outcome, and the
+// daemon's observation count already includes it.
 func (c *Client) Observe(ctx context.Context, j *trace.Job, category int, o sim.Outcome) error {
 	c.requests.Add(1)
 	req := wire.OutcomeRequest{Job: j, Category: category, Outcome: wire.OutcomeOf(o)}

@@ -28,13 +28,19 @@
 //
 // Outcome feedback, which is 1:1 with placements, is served the same
 // way: Daemon.serveOutcome is the one outcome pipeline (begin the trace,
-// validate, feed the shard controller, the learner and the observer,
-// count, time, span) under two shells. handleOutcome takes JSON over
-// HTTP, the documented API; serveStream takes outcome-request frames on
-// the sessions that carry place frames, dispatching on frame type: a
-// place frame runs under a place admission slot and an outcome frame
-// under an outcome slot, each answered by its response or ack frame, or
-// an error frame that leaves the session open.
+// validate, apply to the shard controller, hand to the learner and the
+// observer, count, time, span) under two shells. handleOutcome takes
+// JSON over HTTP, the documented API; serveStream takes outcome-request
+// frames on the sessions that carry place frames, dispatching on frame
+// type: a place frame runs under a place admission slot and an outcome
+// frame under an outcome slot, each answered by its response or ack
+// frame, or an error frame that leaves the session open. The 204 and the
+// ack are written after serve.Observe has returned, and Observe is
+// synchronous, so either one means the controller has the outcome. An
+// outcome frame is decoded in place (wire.DecodeOutcomeView) into the
+// session's pooled scratch and allocates nothing; only a daemon with a
+// Learner or an OutcomeObserver attached, which keep jobs, pays for an
+// owned copy (OutcomeView.Own).
 //
 // The client mirrors it: Client.run is the one retry loop (shed → one
 // jittered back-off, stale version → refresh and re-bin) over a round
@@ -215,7 +221,8 @@ type daemonHists struct {
 	queueWait   obs.Histogram
 }
 
-// placeScratch is the pooled per-request state of the place pipeline.
+// placeScratch is the pooled per-request state of the place pipeline
+// and, on a stream session, of the outcome pipeline beside it.
 type placeScratch struct {
 	body      []byte
 	json      wire.JSONScratch // the jobs of a JSON body
@@ -223,6 +230,10 @@ type placeScratch struct {
 	decisions []serve.Decision
 	wdecs     []wire.Decision
 	out       []byte
+	// An outcome frame decodes in place: its numerics into job, the rest
+	// left in body, which outcome borrows until the next frame is read.
+	outcome wire.OutcomeView
+	job     trace.Job
 }
 
 // NewDaemon builds a daemon serving the workload's active model from
@@ -653,29 +664,40 @@ func readBody(r io.Reader, buf []byte) ([]byte, error) {
 }
 
 // serveOutcome is the one outcome pipeline, behind both feedback
-// transports: validate, feed the job's admission shard (and the attached
-// learner and observer, if any), count, time, span. It returns 0, or the
-// wire code and message the shell must refuse the outcome with. Like
-// servePlace it begins the trace itself, after the shell's admission and
-// decode: a sampled outcome that was shed or never parsed has no span
-// worth a /tracez slot.
-func (d *Daemon) serveOutcome(req *wire.OutcomeRequest, traceID uint64, start time.Time, wait time.Duration) (uint16, string) {
+// transports: validate, apply to the job's admission shard (and hand to
+// the attached learner and observer, if any), count, time, span. It
+// returns 0, or the wire code and message the shell must refuse the
+// outcome with; 0 means the shard controller has the outcome, which is
+// what the shell's 204 or ack then tells the client. Like servePlace it
+// begins the trace itself, after the shell's admission and decode: a
+// sampled outcome that was shed or never parsed has no span worth a
+// /tracez slot.
+//
+// Ownership: the serving core keeps nothing of the job, so a view that
+// borrows its strings from a session's scratch (a frame's) is all it
+// takes. The learner and the observer do keep jobs — a window of them,
+// a heat entry keyed by template — so when either is attached, and only
+// then, the pipeline takes the view's owned copy for them.
+func (d *Daemon) serveOutcome(v *wire.OutcomeView, traceID uint64, start time.Time, wait time.Duration) (uint16, string) {
 	d.hists.queueWait.RecordDuration(wait)
 	b := d.tracer.Begin(traceID)
 	defer b.Finish()
 	b.Span("rpc.queue_wait", "", start, wait)
-	if err := req.Validate(); err != nil {
+	if err := v.Validate(); err != nil {
 		return wire.ErrCodeBadRequest, err.Error()
 	}
-	o := req.Outcome.Sim()
-	if err := d.srv.Observe(req.Job, o); err != nil {
+	o := v.Outcome.Sim()
+	if err := d.srv.ObserveHashed(v.Hash, v.Job, o); err != nil {
 		return wire.ErrCodeServer, err.Error()
 	}
-	if d.cfg.Learner != nil {
-		d.cfg.Learner.Observe(req.Job, req.Category, o)
-	}
-	if d.cfg.OutcomeObserver != nil {
-		d.cfg.OutcomeObserver.Observe(req.Job, o)
+	if d.cfg.Learner != nil || d.cfg.OutcomeObserver != nil {
+		j := v.Own()
+		if d.cfg.Learner != nil {
+			d.cfg.Learner.Observe(j, v.Category, o)
+		}
+		if d.cfg.OutcomeObserver != nil {
+			d.cfg.OutcomeObserver.Observe(j, o)
+		}
 	}
 	lat := time.Since(start)
 	d.counters.RecordOutcome(lat)
@@ -704,7 +726,8 @@ func (d *Daemon) handleOutcome(w http.ResponseWriter, r *http.Request) {
 		d.fail(w, r, wire.ErrCodeBadRequest, err.Error())
 		return
 	}
-	if code, msg := d.serveOutcome(&req, wire.TraceIDFromHeader(r.Header), start, wait); code != 0 {
+	v := req.View()
+	if code, msg := d.serveOutcome(&v, wire.TraceIDFromHeader(r.Header), start, wait); code != 0 {
 		d.fail(w, r, code, msg)
 		return
 	}
@@ -883,13 +906,12 @@ func (d *Daemon) serveStream(conn net.Conn, rw *bufio.ReadWriter) {
 				out = sc.out
 			}
 		case wire.FrameOutcomeRequest:
-			var req wire.OutcomeRequest
-			if traceID, err := wire.DecodeOutcomeRequest(payload, &req); err != nil {
+			if traceID, err := wire.DecodeOutcomeView(payload, &sc.job, &sc.outcome); err != nil {
 				msg = err.Error()
 			} else if !d.outcome.acquire(context.Background()) {
 				code, msg = wire.ErrCodeOverloaded, shedMessage
 			} else {
-				code, msg = d.serveOutcome(&req, traceID, start, time.Since(start))
+				code, msg = d.serveOutcome(&sc.outcome, traceID, start, time.Since(start))
 				d.outcome.release()
 				out = outcomeAck
 			}

@@ -10,8 +10,15 @@ import (
 
 // Outcome frames: the feedback direction of the stream protocol. The
 // package doc has the payload layout. Encoding appends into the caller's
-// scratch; decoding allocates the trace.Job its consumers keep and one
-// string the ten fields are substrings of.
+// scratch. There is one decoder, DecodeOutcomeView, and it decodes in
+// place: numerics into a caller-owned trace.Job, the template hash from
+// the pipeline and step bytes where they lie, the ten strings left in
+// the payload, no allocation. Nothing in the serving core keeps a job
+// once serve.Observe returns, so that is all the daemon needs unless a
+// learner or an outcome observer is attached; those keep jobs, and get
+// OutcomeView.Own's: the job and one string the ten fields are
+// substrings of, allocated then and only then. DecodeOutcomeRequest is
+// the two steps back to back.
 
 // outcomeFlagTraceID marks an outcome payload whose flags are followed
 // by a u64 trace ID.
@@ -107,12 +114,106 @@ func (r *fixedReader) f64() float64 { return math.Float64frombits(r.u64()) }
 func (r *fixedReader) i64() int64   { return int64(r.u64()) }
 func (r *fixedReader) int() int     { return int(r.i64()) }
 
-// DecodeOutcomeRequest parses an outcome-request payload into req and
-// returns the trace ID it carried (0 for none). It allocates the job
-// and one string holding every string field, after checking every
-// declared length against the payload, so a hostile length cannot force
-// an over-allocation. On error req is untouched.
-func DecodeOutcomeRequest(payload []byte, req *OutcomeRequest) (uint64, error) {
+// Field order of the ten strings in an outcome payload.
+const (
+	outcomeStrID       = 0
+	outcomeStrPipeline = 3
+	outcomeStrStep     = 4
+)
+
+// OutcomeView is an outcome request as the daemon's pipeline reads it:
+// enough to validate the request and feed the shard controller without
+// owning the job. DecodeOutcomeView fills one in place from a frame
+// payload; OutcomeRequest.View wraps a request that already owns its job
+// (the JSON shell's), so one pipeline serves both.
+type OutcomeView struct {
+	Category int
+	Outcome  Outcome
+	// Hash is serve.TemplateHash of the job: the shard, and on a plane
+	// the node, whose controller admitted it.
+	Hash uint32
+	// Job holds the job's numeric fields. After DecodeOutcomeView it is
+	// the caller's scratch job and its strings are empty — they stay in
+	// the payload, which the view borrows until the caller reads its next
+	// frame. A consumer that keeps the job takes Own's.
+	Job *trace.Job
+	// lens and blob are the payload's ten string lengths and the string
+	// bytes after them; nil when Job owns its strings.
+	lens, blob []byte
+}
+
+// View is the pipeline's form of a request whose job is already owned.
+func (r *OutcomeRequest) View() OutcomeView {
+	v := OutcomeView{Category: r.Category, Outcome: r.Outcome, Job: r.Job}
+	if r.Job != nil {
+		v.Hash = trace.TemplateHash(r.Job.Pipeline, r.Job.Step)
+	}
+	return v
+}
+
+// str returns string field i of a borrowed view, as it lies in the
+// payload.
+func (v *OutcomeView) str(i int) []byte {
+	off := 0
+	for k := 0; k < i; k++ {
+		off += int(binary.LittleEndian.Uint32(v.lens[4*k:]))
+	}
+	return v.blob[off : off+int(binary.LittleEndian.Uint32(v.lens[4*i:]))]
+}
+
+// Validate is OutcomeRequest.Validate for the request in view: the same
+// checks, run by the same code, with the same refusals. Those checks
+// read one string, the job's ID, for being empty and to word a refusal;
+// a borrowed view lends its scratch job a stand-in for the first and,
+// on the cold path where a check fails, validates the owned copy for
+// the second.
+func (v *OutcomeView) Validate() error {
+	req := OutcomeRequest{Job: v.Job, Outcome: v.Outcome}
+	if v.lens != nil && len(v.str(outcomeStrID)) > 0 {
+		v.Job.ID = "?"
+		err := req.Validate()
+		v.Job.ID = ""
+		if err == nil {
+			return nil
+		}
+		req.Job = v.Own()
+	}
+	return req.Validate()
+}
+
+// Own returns the job for a consumer that keeps it: the view's own when
+// it already owns its strings, otherwise a copy that allocates the job
+// and one string the ten fields are substrings of, so nothing returned
+// points into the payload.
+func (v *OutcomeView) Own() *trace.Job {
+	if v.lens == nil {
+		return v.Job
+	}
+	j := new(trace.Job)
+	*j = *v.Job
+	v.ownStrings(j)
+	return j
+}
+
+// ownStrings sets j's ten strings to substrings of one copy of the
+// borrowed string bytes.
+func (v *OutcomeView) ownStrings(j *trace.Job) {
+	blob := string(v.blob)
+	for i, dst := range [outcomeStrings]*string{&j.ID, &j.Cluster, &j.User, &j.Pipeline, &j.Step,
+		&j.Meta.BuildTargetName, &j.Meta.ExecutionName, &j.Meta.PipelineName, &j.Meta.StepName, &j.Meta.UserName} {
+		n := binary.LittleEndian.Uint32(v.lens[4*i:])
+		*dst, blob = blob[:n], blob[n:]
+	}
+}
+
+// DecodeOutcomeView parses an outcome-request payload in place and
+// returns the trace ID it carried (0 for none). It allocates nothing:
+// the numeric fields go into job, which becomes v.Job with its strings
+// cleared; the template hash is computed from the pipeline and step bytes
+// where they lie; the strings stay in payload, which v borrows. Every
+// declared length is checked against the payload before anything is
+// read through it. On error v and job are untouched.
+func DecodeOutcomeView(payload []byte, job *trace.Job, v *OutcomeView) (uint64, error) {
 	if len(payload) < 2 {
 		return 0, fmt.Errorf("wire: outcome payload truncated at %d bytes", len(payload))
 	}
@@ -150,22 +251,31 @@ func DecodeOutcomeRequest(payload []byte, req *OutcomeRequest) (uint64, error) {
 	}
 	r.b = r.b[1:]
 
-	req.Category = category
-	req.Outcome = Outcome{WantedSSD: wanted == 1, FracOnSSD: r.f64(), SpilledAt: r.f64(), EvictedAt: r.f64()}
-	j := &trace.Job{ArrivalSec: r.f64(), LifetimeSec: r.f64(), SizeBytes: r.f64(), ReadBytes: r.f64(),
+	*v = OutcomeView{Category: category, Job: job, lens: lens, blob: payload[off+outcomeFixedSize:]}
+	v.Outcome = Outcome{WantedSSD: wanted == 1, FracOnSSD: r.f64(), SpilledAt: r.f64(), EvictedAt: r.f64()}
+	*job = trace.Job{ArrivalSec: r.f64(), LifetimeSec: r.f64(), SizeBytes: r.f64(), ReadBytes: r.f64(),
 		WriteBytes: r.f64(), AvgReadSizeBytes: r.f64(), CacheHitFrac: r.f64()}
-	j.Resources = trace.Resources{
+	job.Resources = trace.Resources{
 		BucketSizingInitialNumStripes: r.int(), BucketSizingNumShards: r.int(), BucketSizingNumWorkerThreads: r.int(),
 		BucketSizingNumWorkers: r.int(), InitialNumBuckets: r.int(), NumBuckets: r.int(),
 		RecordsWritten: r.i64(), RequestedNumShards: r.int(),
 	}
-	j.History = trace.History{AvgTCIO: r.f64(), AvgSizeBytes: r.f64(), AvgLifetime: r.f64(), AvgIODensity: r.f64(), NumRuns: r.int()}
-	blob := string(payload[off+outcomeFixedSize:])
-	for i, dst := range [outcomeStrings]*string{&j.ID, &j.Cluster, &j.User, &j.Pipeline, &j.Step,
-		&j.Meta.BuildTargetName, &j.Meta.ExecutionName, &j.Meta.PipelineName, &j.Meta.StepName, &j.Meta.UserName} {
-		n := binary.LittleEndian.Uint32(lens[4*i:])
-		*dst, blob = blob[:n], blob[n:]
+	job.History = trace.History{AvgTCIO: r.f64(), AvgSizeBytes: r.f64(), AvgLifetime: r.f64(), AvgIODensity: r.f64(), NumRuns: r.int()}
+	v.Hash = trace.TemplateHash(v.str(outcomeStrPipeline), v.str(outcomeStrStep))
+	return traceID, nil
+}
+
+// DecodeOutcomeRequest is DecodeOutcomeView followed by the owning step,
+// for a consumer that keeps every job it decodes: it allocates the job
+// and one string holding every string field. On error req is untouched.
+func DecodeOutcomeRequest(payload []byte, req *OutcomeRequest) (uint64, error) {
+	var v OutcomeView
+	j := new(trace.Job) // decoded into directly: the copy Own would make
+	traceID, err := DecodeOutcomeView(payload, j, &v)
+	if err != nil {
+		return 0, err
 	}
-	req.Job = j
+	v.ownStrings(j)
+	*req = OutcomeRequest{Job: j, Category: v.Category, Outcome: v.Outcome}
 	return traceID, nil
 }

@@ -3,11 +3,14 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/serve"
 	"repro/internal/trace"
 )
 
@@ -154,9 +157,11 @@ func TestOutcomeValidateRejectsNonFinite(t *testing.T) {
 }
 
 // TestOutcomeCodecAllocs pins the codec's allocation contract: none to
-// encode into warm scratch, two to decode (the job and its string blob).
+// encode into warm scratch, none to decode in place or to validate what
+// was decoded, two to own it (the job and its string blob) — which is
+// also what DecodeOutcomeRequest, the two steps together, costs.
 func TestOutcomeCodecAllocs(t *testing.T) {
-	req := fullOutcomeRequest(t)
+	req := OutcomeRequest{Job: outcomeJob(), Category: 3, Outcome: Outcome{WantedSSD: true, FracOnSSD: 0.5, SpilledAt: 60, EvictedAt: -1}}
 	frame, err := AppendOutcomeFrame(nil, 7, &req)
 	if err != nil {
 		t.Fatal(err)
@@ -164,9 +169,239 @@ func TestOutcomeCodecAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(100, func() { frame, _ = AppendOutcomeFrame(frame[:0], 7, &req) }); got != 0 {
 		t.Errorf("encode allocates %.1f times, want 0", got)
 	}
+	var (
+		job  trace.Job
+		view OutcomeView
+		kept *trace.Job
+	)
+	if got := testing.AllocsPerRun(100, func() {
+		if _, err := DecodeOutcomeView(frame[HeaderSize:], &job, &view); err != nil {
+			t.Fatal(err)
+		}
+		if err := view.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("decode in place + validate allocates %.1f times, want 0", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { kept = view.Own() }); got != 2 {
+		t.Errorf("own allocates %.1f times, want 2", got)
+	}
+	if !reflect.DeepEqual(kept, req.Job) {
+		t.Errorf("owned job\n%+v\nwant\n%+v", kept, req.Job)
+	}
 	var out OutcomeRequest
 	if got := testing.AllocsPerRun(100, func() { _, _ = DecodeOutcomeRequest(frame[HeaderSize:], &out) }); got != 2 {
-		t.Errorf("decode allocates %.1f times, want 2", got)
+		t.Errorf("decode + own allocates %.1f times, want 2", got)
+	}
+}
+
+// referenceDecodeOutcomeRequest is the allocating decoder the in-place
+// one replaced, kept verbatim as the differential oracle: whatever it
+// accepts, decode in place + own must decode to the same value, and
+// whatever it refuses must be refused the same way.
+func referenceDecodeOutcomeRequest(payload []byte, req *OutcomeRequest) (uint64, error) {
+	if len(payload) < 2 {
+		return 0, fmt.Errorf("wire: outcome payload truncated at %d bytes", len(payload))
+	}
+	flags := binary.LittleEndian.Uint16(payload)
+	if flags&^outcomeFlagTraceID != 0 {
+		return 0, fmt.Errorf("wire: reserved outcome bits set")
+	}
+	off := 2
+	var traceID uint64
+	if flags&outcomeFlagTraceID != 0 {
+		if len(payload) < off+8 {
+			return 0, fmt.Errorf("wire: outcome payload truncated at %d bytes", len(payload))
+		}
+		if traceID = binary.LittleEndian.Uint64(payload[off:]); traceID == 0 {
+			return 0, fmt.Errorf("wire: trace ID flag set but trace ID is zero")
+		}
+		off += 8
+	}
+	if len(payload) < off+outcomeFixedSize {
+		return 0, fmt.Errorf("wire: outcome payload truncated at %d bytes", len(payload))
+	}
+	lens := payload[off+outcomeFixedSize-outcomeStrings*4 : off+outcomeFixedSize]
+	var total uint64
+	for i := 0; i < outcomeStrings; i++ {
+		total += uint64(binary.LittleEndian.Uint32(lens[4*i:]))
+	}
+	if have := len(payload) - off - outcomeFixedSize; total != uint64(have) {
+		return 0, fmt.Errorf("wire: outcome declares %d string bytes, payload has %d", total, have)
+	}
+	r := fixedReader{payload[off:]}
+	category := r.int()
+	wanted := r.b[0]
+	if wanted > 1 {
+		return 0, fmt.Errorf("wire: outcome wanted_ssd byte %#x is neither 0 nor 1", wanted)
+	}
+	r.b = r.b[1:]
+
+	req.Category = category
+	req.Outcome = Outcome{WantedSSD: wanted == 1, FracOnSSD: r.f64(), SpilledAt: r.f64(), EvictedAt: r.f64()}
+	j := &trace.Job{ArrivalSec: r.f64(), LifetimeSec: r.f64(), SizeBytes: r.f64(), ReadBytes: r.f64(),
+		WriteBytes: r.f64(), AvgReadSizeBytes: r.f64(), CacheHitFrac: r.f64()}
+	j.Resources = trace.Resources{
+		BucketSizingInitialNumStripes: r.int(), BucketSizingNumShards: r.int(), BucketSizingNumWorkerThreads: r.int(),
+		BucketSizingNumWorkers: r.int(), InitialNumBuckets: r.int(), NumBuckets: r.int(),
+		RecordsWritten: r.i64(), RequestedNumShards: r.int(),
+	}
+	j.History = trace.History{AvgTCIO: r.f64(), AvgSizeBytes: r.f64(), AvgLifetime: r.f64(), AvgIODensity: r.f64(), NumRuns: r.int()}
+	blob := string(payload[off+outcomeFixedSize:])
+	for i, dst := range [outcomeStrings]*string{&j.ID, &j.Cluster, &j.User, &j.Pipeline, &j.Step,
+		&j.Meta.BuildTargetName, &j.Meta.ExecutionName, &j.Meta.PipelineName, &j.Meta.StepName, &j.Meta.UserName} {
+		n := binary.LittleEndian.Uint32(lens[4*i:])
+		*dst, blob = blob[:n], blob[n:]
+	}
+	req.Job = j
+	return traceID, nil
+}
+
+// sameRequest is reflect.DeepEqual, but for requests carrying a NaN —
+// the one value DeepEqual holds unequal to itself — which compare by the
+// bits they encode to.
+func sameRequest(a, b OutcomeRequest) bool {
+	if reflect.DeepEqual(a, b) {
+		return true
+	}
+	if a.Job == nil || b.Job == nil {
+		return false
+	}
+	hasNaN := false
+	for _, f := range requestFloats(&a) {
+		hasNaN = hasNaN || math.IsNaN(*f)
+	}
+	fa, _ := AppendOutcomeFrame(nil, 0, &a)
+	fb, _ := AppendOutcomeFrame(nil, 0, &b)
+	return hasNaN && string(fa) == string(fb)
+}
+
+func errString(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// checkDecodeInPlace holds DecodeOutcomeView, and Own after it, to the
+// reference decoder on one payload: the same refusal, or the same trace
+// ID and a deeply equal request; a hash that is serve.TemplateHash of
+// the job the reference decoded; Validate's verdict, word for word; a
+// scratch job left with no string; and an owned job that survives the
+// payload being overwritten.
+func checkDecodeInPlace(t *testing.T, payload []byte) {
+	t.Helper()
+	var want OutcomeRequest
+	wantID, wantErr := referenceDecodeOutcomeRequest(payload, &want)
+
+	buf := append([]byte(nil), payload...)
+	scratch := trace.Job{ID: "stale", Pipeline: "stale", Meta: trace.Metadata{UserName: "stale"}}
+	view := OutcomeView{Category: -1}
+	gotID, err := DecodeOutcomeView(buf, &scratch, &view)
+	if errString(err) != errString(wantErr) {
+		t.Fatalf("in place refused with %q, the reference with %q", errString(err), errString(wantErr))
+	}
+	var whole OutcomeRequest
+	wholeID, wholeErr := DecodeOutcomeRequest(payload, &whole)
+	if errString(wholeErr) != errString(wantErr) || wholeID != wantID || !sameRequest(whole, want) {
+		t.Fatalf("DecodeOutcomeRequest: %+v, %x, %v; the reference: %+v, %x, %v", whole, wholeID, wholeErr, want, wantID, wantErr)
+	}
+	if err != nil {
+		if view.Category != -1 || view.Job != nil || scratch.ID != "stale" {
+			t.Fatalf("a refused payload wrote to the view or the job: %+v, %+v", view, scratch)
+		}
+		return
+	}
+	if gotID != wantID {
+		t.Fatalf("trace ID %x, the reference decoded %x", gotID, wantID)
+	}
+	if view.Job != &scratch {
+		t.Fatal("the view's job is not the caller's scratch job")
+	}
+	if view.Hash != serve.TemplateHash(want.Job) {
+		t.Fatalf("hash %#x from the payload bytes, serve.TemplateHash(%q, %q) = %#x", view.Hash, want.Job.Pipeline, want.Job.Step, serve.TemplateHash(want.Job))
+	}
+	if got, ref := errString(view.Validate()), errString(want.Validate()); got != ref {
+		t.Fatalf("the view validates as %q, the owned request as %q", got, ref)
+	}
+	numerics := *want.Job
+	for _, s := range []*string{&numerics.ID, &numerics.Cluster, &numerics.User, &numerics.Pipeline, &numerics.Step,
+		&numerics.Meta.BuildTargetName, &numerics.Meta.ExecutionName, &numerics.Meta.PipelineName, &numerics.Meta.StepName, &numerics.Meta.UserName} {
+		*s = ""
+	}
+	if !sameRequest(OutcomeRequest{Job: &scratch}, OutcomeRequest{Job: &numerics}) {
+		t.Fatalf("scratch job after decode + validate\n%+v\nwant the numerics and no string\n%+v", scratch, numerics)
+	}
+	got := OutcomeRequest{Job: view.Own(), Category: view.Category, Outcome: view.Outcome}
+	for i := range buf {
+		buf[i] = 0xAA // the session reads its next frame over this one
+	}
+	if !sameRequest(got, want) {
+		t.Fatalf("decode in place + own\n%+v\n%+v\nthe reference\n%+v\n%+v", got, *got.Job, want, *want.Job)
+	}
+	// A view of the owned request is the JSON shell's form of the same
+	// thing: same hash, same verdict, and Own hands the job itself back.
+	owned := want.View()
+	if owned.Hash != view.Hash || owned.Own() != want.Job || errString(owned.Validate()) != errString(want.Validate()) {
+		t.Fatalf("view of the owned request: hash %#x (in place %#x), own %p (job %p), validate %v", owned.Hash, view.Hash, owned.Own(), want.Job, owned.Validate())
+	}
+}
+
+// TestTemplateHashFromPayloadBytes is the one-hash-two-spellings
+// property: over pipeline and step bytes of every awkward kind — empty,
+// holding the '/' the key joins them with, not UTF-8 — the hash the
+// decoder takes from the payload is serve.TemplateHash of the job, and
+// both are FNV-1a of the TemplateKey, which is the definition.
+func TestTemplateHashFromPayloadBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	pieces := []string{"", "/", "a/b", "a", "/b", "\xff\xfe", "\x00", "pipe\xc3", "\xe2\x82", "日本/語", strings.Repeat("x/", 300)}
+	random := func() string {
+		b := make([]byte, rng.Intn(24))
+		for i := range b {
+			b[i] = byte(rng.Intn(256))
+			if rng.Intn(6) == 0 {
+				b[i] = '/'
+			}
+		}
+		return string(b)
+	}
+	check := func(pipeline, step string) {
+		t.Helper()
+		req := OutcomeRequest{Job: outcomeJob(), Outcome: Outcome{FracOnSSD: 1}}
+		req.Job.Pipeline, req.Job.Step = pipeline, step
+		// Neighbours that would be hashed by an off-by-one field index.
+		req.Job.User, req.Job.Meta.BuildTargetName = "user/"+step, pipeline+"/target"
+		frame, err := AppendOutcomeFrame(nil, 0, &req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var (
+			job  trace.Job
+			view OutcomeView
+		)
+		if _, err := DecodeOutcomeView(frame[HeaderSize:], &job, &view); err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New32a()
+		h.Write([]byte(req.Job.TemplateKey()))
+		if want := h.Sum32(); view.Hash != want || serve.TemplateHash(req.Job) != want || trace.TemplateHash([]byte(pipeline), []byte(step)) != want {
+			t.Errorf("pipeline %q step %q: payload bytes %#x, serve.TemplateHash %#x, FNV-1a of the key %#x",
+				pipeline, step, view.Hash, serve.TemplateHash(req.Job), want)
+		}
+	}
+	for _, p := range pieces {
+		for _, s := range pieces {
+			check(p, s)
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		check(random(), random())
+	}
+	// The key is ambiguous where the strings hold a '/', and the hash
+	// inherits that on both spellings alike.
+	if trace.TemplateHash("a/b", "c") != trace.TemplateHash("a", "b/c") {
+		t.Error("hashes of one TemplateKey differ")
 	}
 }
 
@@ -223,6 +458,7 @@ func TestDecodeOutcomeRejections(t *testing.T) {
 		if _, err := DecodeOutcomeRequest(p, &req); err != nil {
 			t.Errorf("valid seed %d refused: %v", i, err)
 		}
+		checkDecodeInPlace(t, p)
 	}
 	for i, p := range malformed {
 		req = OutcomeRequest{}
@@ -232,6 +468,7 @@ func TestDecodeOutcomeRejections(t *testing.T) {
 		if req.Job != nil {
 			t.Errorf("malformed seed %d wrote to the request", i)
 		}
+		checkDecodeInPlace(t, p)
 	}
 }
 
@@ -239,13 +476,16 @@ func TestDecodeOutcomeRejections(t *testing.T) {
 // decoder: malformed input errors, never panics, and never allocates
 // from a length it has not checked against the payload — whatever
 // decodes re-encodes to the same bytes, so no string can be longer than
-// what arrived. What then passes Validate holds no non-finite float.
+// what arrived. What then passes Validate holds no non-finite float. And
+// on every payload, accepted or refused, the decoder — in place, then
+// owned — is held to the allocating one it replaced (checkDecodeInPlace).
 func FuzzDecodeOutcomeRequest(f *testing.F) {
 	valid, malformed := outcomeFuzzSeeds(f)
 	for _, p := range append(valid, malformed...) {
 		f.Add(p)
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
+		checkDecodeInPlace(t, payload)
 		var req OutcomeRequest
 		traceID, err := DecodeOutcomeRequest(payload, &req)
 		if err != nil {

@@ -22,9 +22,16 @@
 //	4  FrameOutcomeRequest  client -> daemon  stream only
 //	5  FrameOutcomeAck      daemon -> client  answers an outcome; empty
 //
-// An outcome-request payload carries the whole OutcomeRequest (the
-// daemon's learner keeps the job for retraining and the heat tracker
-// keys on its template, so a digest would not do):
+// An outcome-request payload carries the whole OutcomeRequest (a
+// daemon's learner keeps the job for retraining and its heat tracker
+// keys on the template, so a digest would not do). The daemon decodes it
+// in place (DecodeOutcomeView: numerics into the session's scratch job,
+// the template hash from the pipeline and step bytes where they lie,
+// the strings left in the frame buffer, no allocation), which is all
+// its serving core needs now that serve.Observe applies an outcome
+// before it returns and keeps nothing; only a daemon with a learner or
+// an observer attached takes an owned copy (OutcomeView.Own: the job and
+// one string holding its ten string fields):
 //
 //	u16 flags (bit 0 = trace ID follows; the rest reserved, rejected)
 //	[u64 trace ID, present iff flags bit 0]

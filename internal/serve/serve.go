@@ -26,6 +26,13 @@
 // replayed week of traffic exercises the same controller trajectory
 // regardless of wall-clock speed.
 //
+// Feedback does not ride the inference queue. Observe applies an outcome
+// to the job's shard controller on the caller's goroutine, under the
+// lock the worker takes once per batch, and returns when it is applied:
+// an observation is never a batch member, never waits behind a forest
+// pass, and the server keeps nothing of the job (so a network shell may
+// hand it a job decoded in place, see ObserveHashed).
+//
 // The server is the front half of the continuous-learning loop: the
 // same Observe stream that drives Algorithm 1 also feeds the
 // internal/online learner's window, whose gated retrains arrive back
@@ -181,18 +188,13 @@ func (c *call) arrival(i int32) float64 {
 }
 
 // message is one unit of shard work: one shard's range of a placement
-// call, or a feedback observation. Ranges keep the channel cost per job
-// at ~1/len(range) of a send.
+// call, rows call.order[lo:hi]. Ranges keep the channel cost per job at
+// ~1/len(range) of a send. The worker clears call when it rejects the
+// range (stale version) and releases the call's wg during row assembly.
 type message struct {
-	// Placements: rows call.order[lo:hi] of call.
-	// The worker clears call when it rejects the range (stale version)
-	// and releases the call's wg during row assembly.
 	call   *call
 	lo, hi int32
 	enq    time.Time
-	// Observations (call == nil from the start):
-	job     *trace.Job
-	outcome sim.Outcome
 }
 
 // Server is the concurrent placement-serving front-end. Create with
@@ -220,8 +222,9 @@ type Server struct {
 
 // shard is one admission partition: a request queue, a worker, a
 // private controller and its counters. amu serializes controller access
-// between the worker and snapshot readers; the worker holds it
-// uncontended on the hot path.
+// between the worker (once per batch, for its admissions), Observe
+// callers (once per outcome, for one controller update) and snapshot
+// readers.
 type shard struct {
 	id   int
 	reqs chan message
@@ -341,29 +344,7 @@ func (s *Server) Swaps() int64 { return s.swaps.Load() }
 // and ship it with each row, and SubmitEncoded routes by hash % Shards,
 // so a template's admission feedback still reaches the controller that
 // decides its placements.
-func TemplateHash(j *trace.Job) uint32 {
-	// Inlined FNV-1a: this runs once per job on the submit path, and
-	// hash.Hash32 plus the key concatenation would cost three heap
-	// allocations per call.
-	const offset32, prime32 = 2166136261, 16777619
-	h := uint32(offset32)
-	for i := 0; i < len(j.Pipeline); i++ {
-		h = (h ^ uint32(j.Pipeline[i])) * prime32
-	}
-	h = (h ^ '/') * prime32
-	for i := 0; i < len(j.Step); i++ {
-		h = (h ^ uint32(j.Step[i])) * prime32
-	}
-	return h
-}
-
-// shardIndex routes a job to its admission shard by recurring identity,
-// so feedback for a template reaches the controller that admits it.
-func (s *Server) shardIndex(j *trace.Job) int {
-	// Modulo in uint32: int(h) would go negative on 32-bit platforms
-	// for half of all hashes.
-	return int(TemplateHash(j) % uint32(len(s.shards)))
-}
+func TemplateHash(j *trace.Job) uint32 { return trace.TemplateHash(j.Pipeline, j.Step) }
 
 // Submit requests a placement decision for one job, blocking until the
 // decision is served (at most roughly FlushInterval plus inference).
@@ -501,15 +482,36 @@ func (s *Server) WireModel() (*features.Encoder, *features.Binner, int) {
 }
 
 // Observe feeds a placement outcome back to the job's admission shard
-// (the spillover signal Algorithm 1 regulates on). Outcomes should be
-// reported in roughly arrival order, as the simulator does.
+// (the spillover signal Algorithm 1 regulates on), with the same
+// spillover accounting as the offline policies. It is synchronous: the
+// outcome is applied to the shard's controller on the caller's
+// goroutine, under the lock the shard worker decides admissions under,
+// so when Observe returns nil the controller has the outcome — every
+// later Submit on that shard is decided with it and Stats counts it —
+// and the server keeps no reference to j. Outcomes should be reported in
+// roughly arrival order, as the simulator does.
 func (s *Server) Observe(j *trace.Job, o sim.Outcome) error {
+	return s.ObserveHashed(TemplateHash(j), j, o)
+}
+
+// ObserveHashed is Observe for a caller that already holds the job's
+// TemplateHash, as SubmitEncoded is SubmitBatch for one that holds the
+// rows: the shard is hash % Shards and j is read for its numeric fields
+// only, so a job decoded in place off the wire need carry no strings.
+func (s *Server) ObserveHashed(hash uint32, j *trace.Job, o sim.Outcome) error {
+	arrival, end, wantedSSD, spilledAt, spillFrac, tcioRate := sim.SpilloverFeedback(j, o, s.cm)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
 		return fmt.Errorf("serve: server is closed")
 	}
-	s.shards[s.shardIndex(j)].send(message{job: j, outcome: o})
+	// Modulo in uint32: int(hash) would go negative on 32-bit platforms
+	// for half of all hashes.
+	sh := s.shards[hash%uint32(len(s.shards))]
+	sh.amu.Lock()
+	sh.adaptive.Observe(arrival, end, wantedSSD, spilledAt, spillFrac, tcioRate)
+	sh.amu.Unlock()
+	sh.counters.RecordObservation()
 	return nil
 }
 
@@ -665,8 +667,7 @@ func (s *Server) run(sh *shard) {
 }
 
 // process serves one accumulated batch on the shard worker goroutine.
-// Observations are applied first (they carry strictly older outcomes),
-// then all placement rows are assembled in the worker's tile — raw jobs
+// All placement rows are assembled in the worker's tile — raw jobs
 // encoded and binned, pre-binned rows copied — and classified in one
 // forest batch, then admissions are decided per job on the shard's
 // controller, written straight into the submitter's out. Pre-binned
@@ -688,8 +689,6 @@ func (s *Server) process(sh *shard, w *worker, flush metrics.FlushKind) {
 		m := &w.batch[i]
 		c := m.call
 		switch {
-		case c == nil:
-			s.observe(sh, m)
 		case c.jobs != nil:
 			for _, r := range c.order[m.lo:m.hi] {
 				w.row = am.model.Encoder.Encode(c.jobs[r], w.row)
@@ -722,7 +721,7 @@ func (s *Server) process(sh *shard, w *worker, flush metrics.FlushKind) {
 	for i := range w.batch {
 		m := &w.batch[i]
 		c := m.call
-		if c == nil { // an observation, or a range rejected above
+		if c == nil { // a range rejected above
 			continue
 		}
 		latency := now.Sub(m.enq)
@@ -743,13 +742,4 @@ func (s *Server) process(sh *shard, w *worker, flush metrics.FlushKind) {
 	}
 	sh.amu.Unlock()
 	sh.counters.RecordBatch(flush)
-}
-
-// observe applies one outcome to the shard controller using the same
-// spillover accounting as the offline policies.
-func (s *Server) observe(sh *shard, m *message) {
-	sh.amu.Lock()
-	sh.adaptive.Observe(sim.SpilloverFeedback(m.job, m.outcome, s.cm))
-	sh.amu.Unlock()
-	sh.counters.RecordObservation()
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -380,6 +381,92 @@ func TestObserveMovesACT(t *testing.T) {
 	}
 	if act := srv.ACT()[0]; act <= 1 {
 		t.Fatalf("ACT did not rise under total spillover: %d", act)
+	}
+}
+
+// TestObserveIsAppliedOnReturn pins Observe's contract: when it returns,
+// the job's shard controller has the outcome. Eight goroutines post
+// concurrently; the moment they are joined — no wait, no poll — the
+// observation count is exact, and the next submissions move every
+// shard's ACT exactly as a reference controller fed the same outcomes
+// moves (total spillover, so the spillover ratio is 1 whatever order the
+// goroutines interleaved in).
+func TestObserveIsAppliedOnReturn(t *testing.T) {
+	cfg := testConfig()
+	cfg.Adaptive.DecisionIntervalSec = 10
+	cfg.Adaptive.LookBackSec = 100
+	srv, fx, _ := newTestServer(t, cfg)
+
+	const goroutines, each = 8, 50
+	base := fx.jobs[0].ArrivalSec
+	jobs := make([]trace.Job, goroutines*each)
+	refs := make([]*core.Adaptive, cfg.Shards)
+	for i := range refs {
+		a, err := core.NewAdaptive(cfg.Adaptive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs[i] = a
+	}
+	outcome := func(j *trace.Job) sim.Outcome {
+		return sim.Outcome{WantedSSD: true, FracOnSSD: 0, SpilledAt: j.ArrivalSec}
+	}
+	for i := range jobs {
+		jobs[i] = *fx.jobs[i%len(fx.jobs)]
+		jobs[i].ArrivalSec = base + float64(i%50)
+		jobs[i].LifetimeSec = 5
+		j := &jobs[i]
+		refs[TemplateHash(j)%uint32(cfg.Shards)].Observe(sim.SpilloverFeedback(j, outcome(j), fx.cm))
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(mine []trace.Job) {
+			defer wg.Done()
+			for i := range mine {
+				if err := srv.Observe(&mine[i], outcome(&mine[i])); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(jobs[g*each : (g+1)*each])
+	}
+	wg.Wait()
+	if got := srv.Stats().Observations; got != goroutines*each {
+		t.Fatalf("%d observations counted when the last Observe returned, want %d", got, goroutines*each)
+	}
+
+	// Tick every shard's controller past the decision interval, three
+	// times, with whichever of the jobs the shard owns.
+	for tick := 1; tick <= 3; tick++ {
+		now := base + 50 + float64(tick)*20
+		ticked := make([]bool, cfg.Shards)
+		for i := range jobs {
+			sid := TemplateHash(&jobs[i]) % uint32(cfg.Shards)
+			if ticked[sid] {
+				continue
+			}
+			ticked[sid] = true
+			jj := jobs[i]
+			jj.ArrivalSec = now
+			if _, err := srv.Submit(&jj); err != nil {
+				t.Fatal(err)
+			}
+			refs[sid].Admit(0, now)
+		}
+		want := make([]int, cfg.Shards)
+		for i, a := range refs {
+			want[i] = a.ACT()
+		}
+		if got := srv.ACT(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("tick %d: ACT %v, the reference controllers say %v", tick, got, want)
+		}
+	}
+	for sid, act := range srv.ACT() {
+		if refs[sid].HistoryLen() > 0 && act <= 1 {
+			t.Errorf("shard %d: ACT %d did not rise under total spillover", sid, act)
+		}
 	}
 }
 

@@ -105,6 +105,29 @@ func (j *Job) IODensity() float64 {
 // paper's use of the job's ID as the CacheSack category.
 func (j *Job) TemplateKey() string { return j.Pipeline + "/" + j.Step }
 
+// TemplateHash is FNV-1a over the TemplateKey bytes (pipeline, "/",
+// step) without building the key. It is the one routine behind
+// serve.TemplateHash, which hashes a job's strings, and the outcome
+// decoder in internal/rpc/wire, which hashes the same two fields where
+// they lie in a frame payload — the serving plane routes a template's
+// placements and its feedback by this value, so the two spellings must
+// never drift apart.
+func TemplateHash[S string | []byte](pipeline, step S) uint32 {
+	// Inlined FNV-1a: this runs once per job on the submit path, and
+	// hash.Hash32 plus the key concatenation would cost three heap
+	// allocations per call.
+	const offset32, prime32 = 2166136261, 16777619
+	h := uint32(offset32)
+	for i := 0; i < len(pipeline); i++ {
+		h = (h ^ uint32(pipeline[i])) * prime32
+	}
+	h = (h ^ '/') * prime32
+	for i := 0; i < len(step); i++ {
+		h = (h ^ uint32(step[i])) * prime32
+	}
+	return h
+}
+
 // Weekday returns the weekday (0 = Sunday) of the job's arrival assuming
 // the trace starts at the Epoch below.
 func (j *Job) Weekday() int {
