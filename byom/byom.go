@@ -326,8 +326,9 @@ func DefaultClientConfig(baseURL string) ClientConfig {
 // connections, applies per-request deadlines and absorbs shed (429)
 // responses with bounded retries. Set cfg.Codec to CodecBinary for the
 // binary wire codec with client-side feature extraction and
-// pre-binning (falls back to JSON against daemons that don't speak
-// it); (*Client).OpenStream upgrades to a persistent binary stream.
+// pre-binning, sent as frames on stream sessions the client keeps
+// pooled (JSON against daemons that don't speak it; needs an http://
+// BaseURL); (*Client).OpenStream hands the caller a session of its own.
 func NewClient(cfg ClientConfig) (*Client, error) {
 	return rpc.NewClient(cfg)
 }

@@ -10,8 +10,7 @@
 //	loadgen -addr 127.0.0.1:7070 -qps 20000 -conns 8 -duration 10s
 //	loadgen -addr 127.0.0.1:7070 -qps 0           # unpaced, max rate
 //	loadgen -addr 127.0.0.1:7070 -outcomes        # also post feedback
-//	loadgen -addr 127.0.0.1:7070 -codec binary    # pre-binned frames
-//	loadgen -addr 127.0.0.1:7070 -codec binary -stream  # persistent streams
+//	loadgen -addr 127.0.0.1:7070 -codec binary    # pre-binned frames on pooled stream sessions
 //	loadgen -nodes 127.0.0.1:7070,127.0.0.1:7071  # route across a plane
 //	loadgen -nodes 127.0.0.1:7070,127.0.0.1:7071 -outcomes  # routed feedback
 //
@@ -67,8 +66,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		retries  = fs.Int("retries", 4, "bounded retries after shed (429) responses")
 		backoff  = fs.Duration("backoff", 2*time.Millisecond, "first retry backoff (doubles per retry)")
 		outcomes = fs.Bool("outcomes", false, "post one outcome per request batch (exercises /v1/outcome)")
-		codec    = fs.String("codec", rpc.CodecJSON, "place codec: json, or binary (client-side pre-binning)")
-		stream   = fs.Bool("stream", false, "use one persistent binary stream per connection (requires -codec binary)")
+		codec    = fs.String("codec", rpc.CodecJSON, "place codec: json, or binary (client-side pre-binning, frames on pooled stream sessions)")
 		days     = fs.Float64("days", 1, "generated trace length in days")
 		users    = fs.Int("users", 6, "generated trace users")
 		seed     = fs.Int64("seed", 1, "generated trace seed")
@@ -88,11 +86,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if *codec != rpc.CodecJSON && *codec != rpc.CodecBinary {
 		return fmt.Errorf("-codec must be %q or %q, got %q", rpc.CodecJSON, rpc.CodecBinary, *codec)
 	}
-	if *stream && *codec != rpc.CodecBinary {
-		return fmt.Errorf("-stream requires -codec binary")
-	}
-	if *nodes != "" && (*stream || *addr != "") {
-		return fmt.Errorf("-nodes routes request/response traffic only; drop -addr and -stream")
+	if *nodes != "" && *addr != "" {
+		return fmt.Errorf("-nodes routes across the plane it names; drop -addr")
 	}
 
 	gcfg := trace.DefaultGeneratorConfig("loadgen", *seed)
@@ -178,24 +173,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// In -stream mode each connection owns one persistent
-			// binary session; place calls ride the same socket.
-			var sess *rpc.StreamSession
-			if *stream {
-				s, err := client.OpenStream(ctx)
-				if err != nil {
-					errCount.Add(1)
-					return
-				}
-				defer s.Close()
-				sess = s
-			}
 			place := func(ctx context.Context, jobs []*trace.Job) ([]wire.Decision, error) {
 				if rt != nil {
 					return rt.Place(ctx, jobs)
-				}
-				if sess != nil {
-					return sess.Place(ctx, jobs)
 				}
 				return client.Place(ctx, jobs)
 			}
@@ -270,7 +250,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		Target:       target,
 		ModelVersion: info.ModelVersion,
 		Codec:        *codec,
-		Stream:       *stream,
 		Conns:        *conns,
 		Chunk:        *chunk,
 		TargetQPS:    *qps,
@@ -327,7 +306,6 @@ type summary struct {
 	Target       string
 	ModelVersion int
 	Codec        string
-	Stream       bool
 	Conns, Chunk int
 	TargetQPS    float64
 	Elapsed      time.Duration
@@ -355,9 +333,6 @@ func writeSummary(w io.Writer, s summary) {
 	codec := s.Codec
 	if codec == "" {
 		codec = rpc.CodecJSON
-	}
-	if s.Stream {
-		codec += " streaming"
 	}
 	fmt.Fprintf(w, "loadgen summary\n")
 	fmt.Fprintf(w, "  target:    %s (model v%d, %s codec)\n", s.Target, s.ModelVersion, codec)

@@ -24,7 +24,6 @@ func TestSummaryGolden(t *testing.T) {
 		Target:       "http://127.0.0.1:7070",
 		ModelVersion: 3,
 		Codec:        rpc.CodecBinary,
-		Stream:       true,
 		Conns:        8,
 		Chunk:        64,
 		TargetQPS:    20000,
@@ -128,8 +127,8 @@ func TestLoadgenAgainstDaemon(t *testing.T) {
 		}
 	}()
 
-	// One short run per serving mode: JSON, binary request/response,
-	// and binary streaming — all against the same daemon.
+	// One short run per codec: JSON over HTTP, and binary frames on the
+	// client's pooled stream sessions — against the same daemon.
 	modes := []struct {
 		name  string
 		extra []string
@@ -137,7 +136,6 @@ func TestLoadgenAgainstDaemon(t *testing.T) {
 	}{
 		{"json", nil, "json codec"},
 		{"binary", []string{"-codec", "binary"}, "binary codec"},
-		{"stream", []string{"-codec", "binary", "-stream"}, "binary streaming codec"},
 	}
 	for _, m := range modes {
 		t.Run(m.name, func(t *testing.T) {
@@ -167,7 +165,7 @@ func TestLoadgenAgainstDaemon(t *testing.T) {
 			d.Stats().PlaceBinary, d.Stats().PlaceJSON)
 	}
 	if d.Stats().StreamSessions == 0 {
-		t.Error("streaming run opened no stream sessions")
+		t.Error("the binary run opened no stream sessions")
 	}
 }
 
@@ -249,8 +247,8 @@ func TestLoadgenRejectsBadFlags(t *testing.T) {
 	if err := run(ctx, []string{"-addr", "h:1", "-conns", "0"}, &buf); err == nil {
 		t.Error("zero conns accepted")
 	}
-	if err := run(ctx, []string{"-addr", "h:1", "-stream"}, &buf); err == nil {
-		t.Error("-stream without -codec binary accepted")
+	if err := run(ctx, []string{"-addr", "h:1", "-codec", "binary", "-stream"}, &buf); err == nil {
+		t.Error("the removed -stream flag accepted")
 	}
 	if err := run(ctx, []string{"-addr", "h:1", "-codec", "xml"}, &buf); err == nil {
 		t.Error("unknown codec accepted")
@@ -260,9 +258,6 @@ func TestLoadgenRejectsBadFlags(t *testing.T) {
 	}
 	if err := run(ctx, []string{"-bogus"}, &buf); err == nil {
 		t.Error("unknown flag accepted")
-	}
-	if err := run(ctx, []string{"-nodes", "h:1,h:2", "-codec", "binary", "-stream"}, &buf); err == nil {
-		t.Error("-nodes with -stream accepted")
 	}
 	if err := run(ctx, []string{"-nodes", "h:1", "-addr", "h:2"}, &buf); err == nil {
 		t.Error("-nodes with -addr accepted")

@@ -185,8 +185,9 @@ func (f *front) handler() http.Handler {
 
 // handlePlace serves POST /v1/place in JSON, through the daemon's JSON
 // framing and the wire codec on pooled scratch, and fans the batch out
-// across the plane. Backend codec negotiation (binary frames,
-// pre-binning, 409 refresh) happens inside the router's node clients.
+// across the plane. The backend codec (binary frames on pooled stream
+// sessions, pre-binning, the stale-version refresh) is the business of
+// the router's node clients.
 func (f *front) handlePlace(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeJSONError(w, http.StatusMethodNotAllowed, "method not allowed")

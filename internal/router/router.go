@@ -559,7 +559,7 @@ func (r *Router) dispatch(ctx context.Context, sc *routeScratch, jobs []*trace.J
 				nb.sub = append(nb.sub, jobs[idx])
 			}
 			dispatchStart := time.Now()
-			ds, err := n.client.PlaceStream(ctx, nb.sub)
+			ds, err := n.client.Place(ctx, nb.sub)
 			dispatchDur := time.Since(dispatchStart)
 			clear(nb.sub) // the pool must not keep the caller's jobs alive
 			n.dispatchLat.Record(dispatchDur.Nanoseconds())

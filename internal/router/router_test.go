@@ -447,8 +447,8 @@ func TestRouterClientFaultIsFinal(t *testing.T) {
 // restarted between two batches with probes out of the picture, so each
 // session its node client parked died with the old process and shows it
 // only on the next write. That must cost a re-send on a fresh session, not
-// a failover. The decisions are the ones a client of its own gets over
-// HTTP-binary from a fresh daemon, in everything a place decides from the
+// a failover. The decisions are the ones a JSON client of its own gets
+// from a fresh daemon, in everything a place decides from the
 // job alone (Admit is the controller's, and the restarted node's
 // controller started over).
 func TestRouterPlaceSurvivesNodeRestart(t *testing.T) {
@@ -494,9 +494,7 @@ func TestRouterPlaceSurvivesNodeRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Kill()
-	ccfg := rpc.DefaultClientConfig(d.BaseURL())
-	ccfg.Codec = rpc.CodecBinary
-	c, err := rpc.NewClient(ccfg)
+	c, err := rpc.NewClient(rpc.DefaultClientConfig(d.BaseURL()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,7 +507,7 @@ func TestRouterPlaceSurvivesNodeRestart(t *testing.T) {
 		g, w := got[i], want[i]
 		g.Admit, w.Admit = false, false
 		if g != w {
-			t.Fatalf("decision %d = %+v, a fresh HTTP-binary place says %+v", i, got[i], want[i])
+			t.Fatalf("decision %d = %+v, a fresh JSON place says %+v", i, got[i], want[i])
 		}
 	}
 }

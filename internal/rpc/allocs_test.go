@@ -13,22 +13,19 @@ import (
 // TestPlaceSteadyStateAllocs is the network path's allocation budget,
 // counted process-wide (client, net/http and daemon share the process)
 // for one 64-job place against an in-process daemon once every pool is
-// warm. The budgets are what the code measured (go1.24, three runs,
-// no spread) before the three place handlers became one pipeline: 1
-// per stream frame, the returned []wire.Decision, and 101 per
-// HTTP-binary request, all of it net/http, which gets 3 of headroom
-// for other toolchains. One boxed interface or escaping closure per
-// frame doubles the stream figure, which is the benchmark's
-// stream-lite metric. PlaceStream is the same frame on a session from
-// the client's idle list and measures the same 1; it gets 1 of headroom,
-// which an escaping session closure would spend. http-json is the same
-// batch as a JSON document each way, written and read by the wire codec
-// in pooled scratch: it measures 103, net/http's 100 again plus the
-// returned decisions, the one string a decoded request's strings share
-// and one more of the JSON exchange's own, where encoding/json's
-// reflection took it to 915 (ten strings and a boxed job per decoded
-// job, a string per decoded decision). (sync.Pool drops items at random
-// under the race detector, hence the build tag.)
+// warm. The budgets are what the code measured (go1.24, three runs, no
+// spread): 1 per stream frame, the returned []wire.Decision. One boxed
+// interface or escaping closure per frame doubles that figure, which is
+// the benchmark's stream-lite metric. place-binary is Client.Place on
+// the binary codec, the same frame on a session from the client's idle
+// list, and measures the same 1; it gets 1 of headroom, which an
+// escaping session closure would spend. http-json is the same batch as a
+// JSON document each way, written and read by the wire codec in pooled
+// scratch: it measures 103, 100 of them net/http's, plus the returned
+// decisions, the one string a decoded request's strings share and one
+// more of the JSON exchange's own; it gets 3 of headroom for other
+// toolchains. (sync.Pool drops items at random under the race detector,
+// hence the build tag.)
 func TestPlaceSteadyStateAllocs(t *testing.T) {
 	fx := testFixture(t)
 	d := startDaemon(t, fx.newRegistry(t), testConfig())
@@ -48,8 +45,7 @@ func TestPlaceSteadyStateAllocs(t *testing.T) {
 		budget float64
 	}{
 		{"stream", func() error { _, err := s.Place(ctx, jobs); return err }, 1},
-		{"pooled-stream", func() error { _, err := c.PlaceStream(ctx, jobs); return err }, 2},
-		{"http-binary", func() error { _, err := c.Place(ctx, jobs); return err }, 104},
+		{"place-binary", func() error { _, err := c.Place(ctx, jobs); return err }, 2},
 		{"http-json", func() error { _, err := cj.Place(ctx, jobs); return err }, 106},
 	} {
 		call := func() {

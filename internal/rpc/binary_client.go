@@ -13,8 +13,8 @@ import (
 
 // clientBinState is the client's cached view of the daemon's active
 // model: the feature encoder and lossless bin schema pinned to one
-// model version. It is immutable once published; a 409 from the daemon
-// (hot swap) replaces the whole struct.
+// model version. It is immutable once published; a stale-version refusal
+// from the daemon (hot swap) replaces the whole struct.
 type clientBinState struct {
 	version int
 	enc     *features.Encoder
@@ -30,11 +30,12 @@ type clientBinState struct {
 	outcomeFrames bool
 }
 
-// clientScratch pools one call's buffers: the encoded request (frame: a
-// binary frame or a JSON body), the response body and, for the binary
-// place path, one feature row, the bin backing array, the parallel
-// request columns and the decoded decisions. Steady-state binary
-// placement reuses all of them.
+// clientScratch holds one call's buffers, pooled by the client for a
+// JSON call and owned by the session for a frame: the encoded request
+// (frame: a binary frame or a JSON body), the response body and, for a
+// frame place, one feature row, the bin backing array, the parallel
+// request columns and the decoded decisions. Steady-state placement
+// reuses all of them.
 type clientScratch struct {
 	row      []float64
 	backing  []uint16
@@ -56,27 +57,9 @@ func (c *Client) binaryState(ctx context.Context) (*clientBinState, error) {
 	return c.refreshBinState(ctx)
 }
 
-// reprobeBinary rate-limits recovery from the JSON-fallback latch:
-// every binaryReprobeEvery-th fallback placement re-fetches /v1/model,
-// and only a successful fetch that advertises the binary codec clears
-// the latch. Transient fetch failures keep the latch — the placement at
-// hand proceeds over JSON instead of failing on a probe. Reports
-// whether the caller should take the binary path now.
-func (c *Client) reprobeBinary(ctx context.Context) bool {
-	if c.jsonPlaces.Add(1)%binaryReprobeEvery != 0 {
-		return false
-	}
-	st, err := c.refreshBinState(ctx)
-	if err != nil || st == nil {
-		return false
-	}
-	c.jsonOnly.Store(false)
-	return true
-}
-
 // refreshBinState re-fetches /v1/model and rebuilds the encoder and
-// binner — on startup and again whenever the daemon answers 409 (the
-// rows were binned against edges a hot swap retired).
+// binner — on startup and again whenever the daemon refuses a frame as
+// stale (the rows were binned against edges a hot swap retired).
 func (c *Client) refreshBinState(ctx context.Context) (*clientBinState, error) {
 	info, err := c.ModelInfo(ctx)
 	if err != nil {
@@ -151,10 +134,11 @@ func encodeBinaryPlace(st *clientBinState, jobs []*trace.Job, traceID uint64, sc
 	return err
 }
 
-// placeFrames runs one binary place operation, over s when non-nil and
-// as HTTP requests otherwise: extract and bin the jobs into sc under
-// st's schema, drive the frame to its verdict, copy the decisions out.
-func (c *Client) placeFrames(ctx context.Context, s *StreamSession, sc *clientScratch, st *clientBinState, jobs []*trace.Job) ([]wire.Decision, error) {
+// placeFrames runs one frame place operation over s: extract and bin the
+// jobs into the session's scratch under st's schema, drive the frame to
+// its verdict, copy the decisions out.
+func (c *Client) placeFrames(ctx context.Context, s *StreamSession, st *clientBinState, jobs []*trace.Job) ([]wire.Decision, error) {
+	sc := &s.sc
 	if len(jobs) == 0 {
 		return nil, &Error{Op: "place", Code: wire.ErrCodeBadRequest, Message: "place request has no jobs"}
 	}

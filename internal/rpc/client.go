@@ -25,9 +25,12 @@ const (
 	// CodecJSON selects the JSON request/response codec (the default).
 	CodecJSON = "json"
 	// CodecBinary selects the binary frame codec with client-side
-	// feature extraction and pre-binning. The client fetches the bin
-	// schema from /v1/model once (and again after each hot swap), and
-	// falls back to JSON permanently if the daemon doesn't speak binary.
+	// feature extraction and pre-binning: places and outcomes travel as
+	// frames on stream sessions the client keeps pooled. The client
+	// fetches the bin schema from /v1/model once (and again after each
+	// hot swap), and speaks JSON for good if the daemon doesn't advertise
+	// binary. Sessions dial plain TCP, so the codec needs an http://
+	// BaseURL.
 	CodecBinary = "binary"
 )
 
@@ -56,14 +59,6 @@ type ClientConfig struct {
 	// transport sized for many concurrent connections).
 	Transport http.RoundTripper
 }
-
-// binaryReprobeEvery caps recovery from the JSON-fallback latch: when a
-// binary-preferring client has latched JSON (the daemon answered 415 or
-// omitted the bin schema), every 256th fallback placement re-fetches
-// /v1/model and switches back to binary if the daemon speaks it again —
-// a daemon restarted with binary re-enabled is picked up without
-// restarting its clients.
-const binaryReprobeEvery = 256
 
 // DefaultClientConfig returns client parameters for a daemon at
 // baseURL: 2 s deadlines, 3 shed retries with 2 ms doubling backoff.
@@ -100,18 +95,16 @@ type Client struct {
 	failures atomic.Int64
 
 	// Binary-codec state: the model's bin schema + encoder, pinned to a
-	// version and refreshed on 409; jsonOnly latches the JSON fallback
-	// against daemons that don't speak binary (re-probed every
-	// binaryReprobeEvery fallback placements, counted by jsonPlaces);
-	// scratch pools the per-call encode/decode buffers.
-	binState   atomic.Pointer[clientBinState]
-	jsonOnly   atomic.Bool
-	jsonPlaces atomic.Int64
-	scratch    sync.Pool
+	// version and refreshed on a stale-version refusal; jsonOnly latches
+	// the JSON fallback against a daemon whose /v1/model doesn't advertise
+	// binary, for the life of the client; scratch pools the buffers of a
+	// JSON call (a frame call uses its session's).
+	binState atomic.Pointer[clientBinState]
+	jsonOnly atomic.Bool
+	scratch  sync.Pool
 
-	// idle holds the stream sessions PlaceStream and Observe frames
-	// travel on, between uses (see onSession); idleClosed makes Close
-	// final.
+	// idle holds the stream sessions Place and Observe frames travel on,
+	// between uses (see onSession); idleClosed makes Close final.
 	idleMu     sync.Mutex
 	idle       []*StreamSession
 	idleClosed bool
@@ -145,7 +138,11 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		cfg.RetryBackoff = 2 * time.Millisecond
 	}
 	switch cfg.Codec {
-	case "", CodecJSON, CodecBinary:
+	case "", CodecJSON:
+	case CodecBinary:
+		if !strings.HasPrefix(cfg.BaseURL, "http://") {
+			return nil, fmt.Errorf("rpc: codec %q sends frames on plain-TCP stream sessions and needs an http:// BaseURL, got %q; use %q", CodecBinary, cfg.BaseURL, CodecJSON)
+		}
 	default:
 		return nil, fmt.Errorf("rpc: unknown codec %q (want %q or %q)", cfg.Codec, CodecJSON, CodecBinary)
 	}
@@ -216,13 +213,6 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("rpc: %s: %s (code %d, status %d)", e.Op, e.Message, e.Code, e.Status)
 }
 
-// refusedWith reports whether err is a refusal carried by the given
-// HTTP status.
-func refusedWith(err error, status int) bool {
-	var refused *Error
-	return errors.As(err, &refused) && refused.Status == status
-}
-
 // count closes one logical operation's accounting.
 func (c *Client) count(err error) error {
 	if err != nil {
@@ -231,40 +221,48 @@ func (c *Client) count(err error) error {
 	return err
 }
 
-// Place requests decisions for a batch of jobs, in order.
+// Place requests decisions for a batch of jobs, in order. A binary-codec
+// client sends the batch as one frame exchange on a stream session from
+// its idle list when the daemon advertised the binary codec
+// (ModelInfo.Binary), with the checks, the retry loop and the decisions
+// of StreamSession.Place; every other pairing (JSON codec, a daemon
+// without the codec, a model fetch that failed) posts JSON to /v1/place.
+// On a session the lost-connection rule is onSession's: one that died
+// while parked re-sends once, a timeout or a garbled reply is returned.
+//
+// RequestTimeout bounds each attempt. A context deadline does too, but a
+// bare cancellation does not interrupt a frame exchange in flight, as it
+// does a JSON request: a cancelled context is seen before the first
+// attempt (Place returns ctx.Err() without dialling), between attempts
+// and in a backoff sleep.
 func (c *Client) Place(ctx context.Context, jobs []*trace.Job) ([]wire.Decision, error) {
 	c.requests.Add(1)
-	ds, err := c.place(ctx, jobs)
+	if err := ctx.Err(); err != nil {
+		return nil, c.count(err)
+	}
+	var ds []wire.Decision
+	var err error
+	if st := c.frameState(ctx); st != nil {
+		err = c.onSession(ctx, func(s *StreamSession) (err error) {
+			ds, err = c.placeFrames(ctx, s, st, jobs)
+			return err
+		})
+	} else {
+		ds, err = c.placeJSON(ctx, jobs)
+	}
 	return ds, c.count(err)
 }
 
-// place picks the codec: frames while the daemon speaks binary (and on
-// every re-probe that finds it does again), JSON otherwise, written and
-// read by the wire codec in the call's pooled scratch.
-func (c *Client) place(ctx context.Context, jobs []*trace.Job) ([]wire.Decision, error) {
+// placeJSON is Place as one JSON document each way, written and read by
+// the wire codec in the call's pooled scratch.
+func (c *Client) placeJSON(ctx context.Context, jobs []*trace.Job) ([]wire.Decision, error) {
 	sc := c.scratch.Get().(*clientScratch)
 	defer c.scratch.Put(sc)
-	if c.cfg.Codec == CodecBinary && (!c.jsonOnly.Load() || c.reprobeBinary(ctx)) {
-		st, err := c.binaryState(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if st != nil {
-			ds, err := c.placeFrames(ctx, nil, sc, st, jobs)
-			if err == nil || !refusedWith(err, http.StatusUnsupportedMediaType) {
-				return ds, err
-			}
-			// Binary was disabled on the daemon since the schema fetch.
-			c.jsonOnly.Store(true)
-		}
-		// The daemon doesn't speak binary; fall through to JSON, now
-		// latched until the next scheduled re-probe.
-	}
 	var err error
 	if sc.frame, err = wire.AppendPlaceRequestJSON(sc.frame[:0], jobs); err != nil {
 		return nil, fmt.Errorf("rpc: encoding request: %w", err)
 	}
-	if err := c.run(ctx, nil, httpOp{method: http.MethodPost, path: wire.PathPlace}, sc, nil); err != nil {
+	if err := c.run(ctx, nil, operation{method: http.MethodPost, path: wire.PathPlace}, sc, nil); err != nil {
 		return nil, err
 	}
 	// The caller keeps the decisions: the one allocation of the exchange.
@@ -287,37 +285,15 @@ func (c *Client) PlaceOne(ctx context.Context, j *trace.Job) (wire.Decision, err
 	return ds[0], nil
 }
 
-// PlaceStream is Place for a caller with no session of its own to hold
-// (the router's node dispatch). The capability rule is Observe's: a
-// binary-codec client sends the batch as one frame exchange on a pooled
-// stream session when the daemon advertised the binary codec
-// (ModelInfo.Binary), with the checks, the retry loop and the decisions
-// of StreamSession.Place; every other pairing (JSON codec, latched JSON
-// fallback, a daemon without the codec, a model fetch that failed)
-// places as Place does. The lost-connection rule is Observe's too, and
-// is onSession's: a session that died while parked re-sends once, a
-// timeout or a garbled reply is returned.
-func (c *Client) PlaceStream(ctx context.Context, jobs []*trace.Job) ([]wire.Decision, error) {
-	c.requests.Add(1)
-	if st := c.frameState(ctx); st != nil {
-		var ds []wire.Decision
-		err := c.onSession(ctx, func(s *StreamSession) (err error) {
-			ds, err = c.placeFrames(ctx, s, &s.sc, st, jobs)
-			return err
-		})
-		return ds, c.count(err)
-	}
-	ds, err := c.place(ctx, jobs)
-	return ds, c.count(err)
-}
-
-// frameState is the part of the capability rule PlaceStream and Observe
-// share: the daemon's schema when this client sends it frames on pooled
-// sessions at all (binary codec, no JSON latch, a /v1/model that
-// advertises binary), nil otherwise. A model fetch that failed leaves
-// the capability unknown, and the HTTP form of a request serves every
-// daemon: the operation at hand goes that way, as a place does when its
-// re-probe fails.
+// frameState is the capability rule Place and Observe share: the
+// daemon's schema when this client sends it frames on pooled sessions at
+// all (binary codec, a /v1/model that advertises binary), nil otherwise.
+// The capability is read where the schema is: on first use, on a
+// stale-version refusal and after a refused upgrade (OpenStream); a
+// daemon restarted with frames newly enabled is picked up when the
+// client restarts. A model fetch that failed leaves the capability
+// unknown, and the JSON form of a request serves every daemon: the
+// operation at hand goes that way.
 func (c *Client) frameState(ctx context.Context) *clientBinState {
 	if c.cfg.Codec != CodecBinary || c.jsonOnly.Load() {
 		return nil
@@ -332,10 +308,10 @@ func (c *Client) frameState(ctx context.Context) *clientBinState {
 // Observe reports a placement outcome back to the daemon. category is
 // the Decision.Category the placement acted on. A binary-codec client
 // sends it as a frame on a pooled stream session when the daemon
-// advertised ModelInfo.OutcomeFrames; every other pairing (JSON codec,
-// latched JSON fallback, a daemon without the capability) posts JSON to
-// /v1/outcome. On a session, a connection that died while parked
-// re-sends the outcome once and no other failure does: see onSession.
+// advertised ModelInfo.OutcomeFrames; every other pairing (JSON codec, a
+// daemon without the capability) posts JSON to /v1/outcome. On a
+// session, a connection that died while parked re-sends the outcome once
+// and no other failure does: see onSession.
 //
 // A nil return means applied, not queued: the daemon writes its ack (or
 // 204) after serve.Observe has updated the job's shard controller, so a
@@ -498,7 +474,7 @@ func (c *Client) call(ctx context.Context, method, path string, body, into any) 
 			return fmt.Errorf("rpc: encoding request: %w", err)
 		}
 	}
-	if err := c.run(ctx, nil, httpOp{method: method, path: path}, sc, nil); err != nil {
+	if err := c.run(ctx, nil, operation{method: method, path: path}, sc, nil); err != nil {
 		return err
 	}
 	if into != nil {
@@ -509,20 +485,20 @@ func (c *Client) call(ctx context.Context, method, path string, body, into any) 
 	return nil
 }
 
-// httpOp is the HTTP shape of one operation; frames marks a binary
-// frame body that asks for a frame back: the answer frame type, on HTTP
-// or on a stream, where a refusal reports the operation by its name.
-type httpOp struct {
+// operation is the shape of one operation on the transport it travels
+// by: method and path as an HTTP request with a JSON body, or, as a frame
+// on a stream session, the frame type that answers it and the name a
+// refusal reports it by.
+type operation struct {
 	method, path string
-	frames       bool
 	answer       wire.FrameType
 	name         string
 }
 
 // The two operations that travel as frames.
 var (
-	opPlace   = httpOp{http.MethodPost, wire.PathPlace, true, wire.FramePlaceResponse, "place"}
-	opOutcome = httpOp{http.MethodPost, wire.PathOutcome, true, wire.FrameOutcomeAck, "outcome"}
+	opPlace   = operation{answer: wire.FramePlaceResponse, name: "place"}
+	opOutcome = operation{answer: wire.FrameOutcomeAck, name: "outcome"}
 )
 
 // reply is the daemon's verdict on one attempt: wire code 0 with the
@@ -537,12 +513,12 @@ type reply struct {
 // run is the one retry loop. It drives the request encoded in sc.frame
 // to its final verdict, as a frame exchange on s or, when s is nil, as
 // the HTTP request op. A shed backs off and re-sends, up to MaxRetries
-// times; a stale-version refusal of a binary place (jobs is what
+// times; a stale-version refusal of a frame place (jobs is what
 // sc.frame encodes) refreshes the bin schema and re-bins, at most
 // twice, on a budget of its own, so publishes racing the retry cost no
 // shed retries. Any other refusal is final and comes back as an *Error;
 // transport failures come back as they are.
-func (c *Client) run(ctx context.Context, s *StreamSession, op httpOp, sc *clientScratch, jobs []*trace.Job) error {
+func (c *Client) run(ctx context.Context, s *StreamSession, op operation, sc *clientScratch, jobs []*trace.Job) error {
 	backoff := c.cfg.RetryBackoff
 	for swaps, sheds := 0, 0; ; {
 		var rep reply
@@ -592,11 +568,11 @@ func (c *Client) run(ctx context.Context, s *StreamSession, op httpOp, sc *clien
 	}
 }
 
-// exchange sends sc.frame as one HTTP request under the per-attempt
-// deadline, reads the response into sc.body and returns the daemon's
-// verdict. Decisions answering a frame land in sc.bresp; a JSON
-// document stays in sc.body for the caller.
-func (c *Client) exchange(ctx context.Context, op httpOp, sc *clientScratch) (reply, error) {
+// exchange sends sc.frame as one HTTP request with a JSON body (or
+// none) under the per-attempt deadline, reads the response into sc.body,
+// where a 2xx document stays for the caller, and returns the daemon's
+// verdict: a refusal is an ErrorResponse coded by its status.
+func (c *Client) exchange(ctx context.Context, op operation, sc *clientScratch) (reply, error) {
 	actx, cancel := context.WithTimeout(ctx, c.cfg.RequestTimeout)
 	defer cancel()
 	var body io.Reader
@@ -607,20 +583,13 @@ func (c *Client) exchange(ctx context.Context, op httpOp, sc *clientScratch) (re
 	if err != nil {
 		return reply{}, fmt.Errorf("rpc: %w", err)
 	}
-	if op.frames {
-		// The trace ID rides in the frame.
-		req.Header.Set("Content-Type", wire.ContentTypeBinary)
-		req.Header.Set("Accept", wire.ContentTypeBinary)
-	} else {
-		if body != nil {
-			req.Header.Set("Content-Type", wire.ContentTypeJSON)
-		}
-		// Sampled requests carry their trace ID so the daemon's /tracez
-		// can correlate its server-side spans with the caller's; the
-		// header is ignored by daemons that predate tracing.
-		if tid := obs.TraceID(ctx); tid != 0 {
-			req.Header.Set(wire.TraceHeader, fmt.Sprintf("%016x", tid))
-		}
+	if body != nil {
+		req.Header.Set("Content-Type", wire.ContentTypeJSON)
+	}
+	// Sampled requests carry their trace ID so the daemon's /tracez can
+	// correlate its server-side spans with the caller's.
+	if tid := obs.TraceID(ctx); tid != 0 {
+		req.Header.Set(wire.TraceHeader, fmt.Sprintf("%016x", tid))
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
@@ -631,57 +600,24 @@ func (c *Client) exchange(ctx context.Context, op httpOp, sc *clientScratch) (re
 	if sc.body, err = readBody(resp.Body, sc.body[:0]); err != nil {
 		return reply{}, fmt.Errorf("rpc: reading response: %w", err)
 	}
-
 	rep := reply{status: resp.StatusCode}
-	ok := rep.status/100 == 2
-	if ok && !op.frames {
+	if rep.status/100 == 2 {
 		return rep, nil
 	}
-	// A frame speaks for itself: decisions, or a refusal with its own
-	// code. Any other refusal is an ErrorResponse coded by its status.
-	if ft, payload, ferr := wire.DecodeFrame(sc.body, 0); ferr == nil {
-		if rep.code, rep.msg, err = decodeReplyFrame(op, ft, payload, &sc.bresp); err != nil {
-			return rep, fmt.Errorf("rpc: %w", err)
-		}
-	} else if ok {
-		return rep, fmt.Errorf("rpc: %w", ferr)
-	} else {
-		var e wire.ErrorResponse
-		// Any other body (a proxy's error page, nothing at all) leaves
-		// the status to speak alone.
-		_ = json.Unmarshal(sc.body, &e)
-		rep.msg = e.Error
-	}
-	if !ok && rep.code == 0 {
-		rep.code = wireCode(rep.status)
-	}
-	if !ok && rep.msg == "" {
+	var e wire.ErrorResponse
+	// Any other body (a proxy's error page, nothing at all) leaves the
+	// status to speak alone.
+	_ = json.Unmarshal(sc.body, &e)
+	rep.code, rep.msg = wireCode(rep.status), e.Error
+	if rep.msg == "" {
 		rep.msg = http.StatusText(rep.status)
 	}
 	return rep, nil
 }
 
-// decodeReplyFrame reads one daemon reply frame, from an HTTP body or
-// off a stream: the frame that answers op (a place's decisions into
-// resp, an outcome's empty ack; code 0), or an error frame's code and
-// message.
-func decodeReplyFrame(op httpOp, ft wire.FrameType, payload []byte, resp *wire.BinaryPlaceResponse) (uint16, string, error) {
-	switch {
-	case ft == wire.FrameError:
-		return wire.DecodeError(payload)
-	case ft != op.answer:
-		return 0, "", fmt.Errorf("unexpected frame type %d in reply to %s %s", ft, op.method, op.path)
-	case ft == wire.FramePlaceResponse:
-		return 0, "", wire.DecodePlaceResponse(payload, resp, 0)
-	case len(payload) != 0:
-		return 0, "", fmt.Errorf("outcome ack carries %d payload bytes", len(payload))
-	}
-	return 0, "", nil
-}
-
-// wireCode reads a refusal that came without an error frame off its
-// HTTP status: the inverse of the daemon's httpStatus table, with every
-// other 4xx a bad request and anything else the server's fault.
+// wireCode reads a refusal off its HTTP status: the inverse of the
+// daemon's httpStatus table, with every other 4xx a bad request and
+// anything else the server's fault.
 func wireCode(status int) uint16 {
 	switch {
 	case status == http.StatusTooManyRequests:

@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -90,128 +91,76 @@ func TestRetryBackoffJitterDesynchronizes(t *testing.T) {
 	}
 }
 
-// TestBinaryReprobeAfterRestart is the latch-recovery regression test:
-// a binary-preferring client latches the JSON fallback against a
-// JSON-only daemon, the daemon is "restarted" with binary re-enabled
-// (handler swap on a fixed address), and the capped re-probe switches
-// the client back to binary without a client restart.
-func TestBinaryReprobeAfterRestart(t *testing.T) {
+// TestPlaceCancelledContext pins what a cancellation means to Place on
+// either codec. A context cancelled before the call returns ctx.Err()
+// and touches nothing: no model fetch, no dial. A cancel while the
+// operation sleeps out a shed backoff ends it there, long before the
+// sleep would. (A frame exchange already in flight is bounded by
+// RequestTimeout and a context deadline, not by a bare cancel.)
+func TestPlaceCancelledContext(t *testing.T) {
 	fx := testFixture(t)
+	for _, codec := range []string{CodecJSON, CodecBinary} {
+		t.Run(codec, func(t *testing.T) {
+			cfg := testConfig()
+			cfg.MaxInFlightPlace = 1
+			cfg.QueueDeadline = 0
+			d := startDaemon(t, fx.newRegistry(t), cfg)
+			ccfg := DefaultClientConfig(d.BaseURL())
+			ccfg.Codec = codec
+			ccfg.MaxRetries = 50
+			ccfg.RetryBackoff = 10 * time.Second // one sleep outlasts the test
+			c, err := NewClient(ccfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
 
-	mkDaemon := func(disableBinary bool) *Daemon {
-		cfg := testConfig()
-		cfg.DisableBinary = disableBinary
-		d, err := NewDaemon(fx.newRegistry(t), "w", fx.cm, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if _, err := c.Place(ctx, fx.jobs[:4]); err != context.Canceled {
+				t.Errorf("place on a cancelled context: %v, want context.Canceled itself", err)
+			}
+			if st := d.Stats(); st.ModelRequests != 0 || st.StreamSessions != 0 || st.PlaceRequests != 0 {
+				t.Errorf("a cancelled place reached the daemon: %d model fetches, %d sessions, %d places",
+					st.ModelRequests, st.StreamSessions, st.PlaceRequests)
+			}
+			if cs := c.Stats(); cs.Requests != 1 || cs.Failures != 1 {
+				t.Errorf("client stats %+v, want the one operation counted as failed", cs)
+			}
+
+			// The first place leaves a session (or connection) to reuse; then
+			// every attempt sheds.
+			if _, err := c.Place(context.Background(), fx.jobs[:4]); err != nil {
+				t.Fatal(err)
+			}
+			if !d.place.acquire(context.Background()) {
+				t.Fatal("could not occupy the place slot")
+			}
+			ctx, cancel = context.WithCancel(context.Background())
 			defer cancel()
-			if err := d.Shutdown(ctx); err != nil {
-				t.Errorf("shutdown: %v", err)
+			sheds := c.Stats().Sheds
+			go func() {
+				for c.Stats().Sheds == sheds {
+					time.Sleep(time.Millisecond)
+				}
+				cancel() // the operation is in its backoff sleep
+			}()
+			start := time.Now()
+			_, err = c.Place(ctx, fx.jobs[4:8])
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("place cancelled in backoff: %v, want context.Canceled", err)
+			}
+			if elapsed := time.Since(start); elapsed > 2*time.Second {
+				t.Errorf("cancelled place returned after %s; the backoff sleep was not interrupted", elapsed)
+			}
+			// The session survives a cancel between attempts.
+			d.place.release()
+			if _, err := c.Place(context.Background(), fx.jobs[8:12]); err != nil {
+				t.Errorf("place after the cancelled one: %v", err)
+			}
+			if got := d.Stats().StreamSessions; codec == CodecBinary && got != 1 {
+				t.Errorf("%d stream sessions, want the one session to carry all three places", got)
 			}
 		})
-		return d
-	}
-	jsonOnlyD := mkDaemon(true)
-	binaryD := mkDaemon(false)
-
-	// One stable client-facing address whose backing daemon can be
-	// swapped — the in-process stand-in for killing placementd and
-	// restarting it with binary re-enabled on the same port.
-	var handler atomic.Pointer[http.Handler]
-	h := jsonOnlyD.Handler()
-	handler.Store(&h)
-	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		(*handler.Load()).ServeHTTP(w, r)
-	}))
-	defer front.Close()
-
-	cfg := DefaultClientConfig(front.URL)
-	cfg.Codec = CodecBinary
-	c, err := NewClient(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	// Latch: the first place probes /v1/model, sees no bin schema and
-	// falls back to JSON.
-	if _, err := c.Place(context.Background(), fx.jobs[:4]); err != nil {
-		t.Fatal(err)
-	}
-	if !c.jsonOnly.Load() {
-		t.Fatal("client did not latch the JSON fallback")
-	}
-
-	// "Restart" the daemon with binary enabled. The next 255 places are
-	// still inside the re-probe budget and must stay on JSON.
-	h2 := binaryD.Handler()
-	handler.Store(&h2)
-	for i := 0; i < binaryReprobeEvery-1; i++ {
-		if _, err := c.Place(context.Background(), fx.jobs[4:8]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !c.jsonOnly.Load() {
-		t.Fatal("client un-latched before the re-probe boundary")
-	}
-	if snap := binaryD.Stats(); snap.PlaceBinary != 0 || snap.PlaceJSON != binaryReprobeEvery-1 {
-		t.Fatalf("restarted daemon saw %d binary / %d json places before the boundary, want 0 / %d",
-			snap.PlaceBinary, snap.PlaceJSON, binaryReprobeEvery-1)
-	}
-
-	// The 256th fallback placement crosses the boundary: one probe,
-	// then binary from here on.
-	if _, err := c.Place(context.Background(), fx.jobs[8:12]); err != nil {
-		t.Fatal(err)
-	}
-	if c.jsonOnly.Load() {
-		t.Error("re-probe did not clear the JSON latch against a binary daemon")
-	}
-	if snap := binaryD.Stats(); snap.PlaceBinary != 1 {
-		t.Errorf("boundary place used %d binary requests, want 1", snap.PlaceBinary)
-	}
-	if _, err := c.Place(context.Background(), fx.jobs[12:16]); err != nil {
-		t.Fatal(err)
-	}
-	if snap := binaryD.Stats(); snap.PlaceBinary != 2 {
-		t.Errorf("post-recovery place still on JSON (%d binary requests, want 2)", snap.PlaceBinary)
-	}
-}
-
-// TestBinaryReprobeStaysLatchedAgainstJSONDaemon checks the capped
-// probe against a daemon that stays JSON-only: the boundary place costs
-// exactly one /v1/model fetch, re-latches, and keeps serving over JSON.
-func TestBinaryReprobeStaysLatchedAgainstJSONDaemon(t *testing.T) {
-	fx := testFixture(t)
-	cfg := testConfig()
-	cfg.DisableBinary = true
-	d := startDaemon(t, fx.newRegistry(t), cfg)
-
-	ccfg := DefaultClientConfig(d.BaseURL())
-	ccfg.Codec = CodecBinary
-	c, err := NewClient(ccfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	if _, err := c.Place(context.Background(), fx.jobs[:2]); err != nil {
-		t.Fatal(err)
-	}
-	probes := d.Stats().ModelRequests
-	for i := 0; i < 2*binaryReprobeEvery; i++ {
-		if _, err := c.Place(context.Background(), fx.jobs[:2]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !c.jsonOnly.Load() {
-		t.Error("client un-latched against a JSON-only daemon")
-	}
-	// 512 fallback places at the re-probe cadence of 256 = exactly 2 probes.
-	if got := d.Stats().ModelRequests - probes; got != 2 {
-		t.Errorf("client probed /v1/model %d times over %d places, want 2", got, 2*binaryReprobeEvery)
 	}
 }

@@ -73,10 +73,9 @@ func TestCrossCodecDeterminism(t *testing.T) {
 	}
 }
 
-// TestBinaryClientFallsBackToJSONDaemon pins the compatibility story: a
-// binary-preferring client against a JSON-only daemon (DisableBinary
-// mimics a pre-binary build) silently latches the JSON fallback and
-// keeps placing.
+// TestBinaryClientFallsBackToJSONDaemon pins the capability rule from
+// the refusing side: a binary-codec client against a daemon started with
+// DisableBinary silently latches the JSON fallback and keeps placing.
 func TestBinaryClientFallsBackToJSONDaemon(t *testing.T) {
 	fx := testFixture(t)
 	cfg := testConfig()
@@ -106,7 +105,8 @@ func TestBinaryClientFallsBackToJSONDaemon(t *testing.T) {
 		t.Errorf("latched client still probes /v1/model (%d -> %d)", models, got)
 	}
 
-	// The raw wire view of the same daemon: binary frames get 415.
+	// The raw wire view of the same daemon: a frame body gets 415, as on
+	// every daemon (TestNegotiationMatrix).
 	resp, err := http.Post(d.BaseURL()+wire.PathPlace, wire.ContentTypeBinary, bytes.NewReader([]byte("BYM1")))
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +127,9 @@ func TestBinaryClientFallsBackToJSONDaemon(t *testing.T) {
 }
 
 // TestNegotiationMatrix drives the Accept/Content-Type combinations at
-// the HTTP level and checks which codec answers.
+// the HTTP level: POST /v1/place speaks JSON whatever the request
+// accepts, and a body that announces a frame is refused with 415 and
+// pointed at /v1/stream rather than failed as a JSON document.
 func TestNegotiationMatrix(t *testing.T) {
 	fx := testFixture(t)
 	d := startDaemon(t, fx.newRegistry(t), testConfig())
@@ -149,13 +151,12 @@ func TestNegotiationMatrix(t *testing.T) {
 		contentType string
 		accept      string
 		body        []byte
-		wantCT      string
+		wantStatus  int
+		wantBody    string
 	}{
-		{"json req, no accept", "application/json", "", jsonBody, "application/json"},
-		{"json req, binary accept stays json", "application/json", wire.ContentTypeBinary, jsonBody, "application/json"},
-		{"binary req, binary accept", wire.ContentTypeBinary, wire.ContentTypeBinary, sc.frame, wire.ContentTypeBinary},
-		{"binary req, unknown accept falls back to json", wire.ContentTypeBinary, "application/x-unknown", sc.frame, "application/json"},
-		{"binary req, no accept falls back to json", wire.ContentTypeBinary, "", sc.frame, "application/json"},
+		{"json req, no accept", "application/json", "", jsonBody, http.StatusOK, `"decisions"`},
+		{"json req, binary accept stays json", "application/json", wire.ContentTypeBinary, jsonBody, http.StatusOK, `"decisions"`},
+		{"binary req, binary accept", wire.ContentTypeBinary, wire.ContentTypeBinary, sc.frame, http.StatusUnsupportedMediaType, wire.PathStream},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -167,32 +168,29 @@ func TestNegotiationMatrix(t *testing.T) {
 			if tc.accept != "" {
 				req.Header.Set("Accept", tc.accept)
 			}
+			before := d.Stats()
 			resp, err := http.DefaultClient.Do(req)
 			if err != nil {
 				t.Fatal(err)
 			}
 			body, _ := io.ReadAll(resp.Body)
 			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("status %d: %s", resp.StatusCode, body)
+			if resp.StatusCode != tc.wantStatus {
+				t.Fatalf("status %d, want %d: %s", resp.StatusCode, tc.wantStatus, body)
 			}
-			if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, tc.wantCT) {
-				t.Errorf("response Content-Type %q, want %q", ct, tc.wantCT)
+			if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, wire.ContentTypeJSON) {
+				t.Errorf("response Content-Type %q, want %q", ct, wire.ContentTypeJSON)
 			}
-			if tc.wantCT == wire.ContentTypeBinary {
-				ft, payload, err := wire.DecodeFrame(body, 0)
-				if err != nil || ft != wire.FramePlaceResponse {
-					t.Fatalf("binary response: type %d err %v", ft, err)
-				}
-				var bresp wire.BinaryPlaceResponse
-				if err := wire.DecodePlaceResponse(payload, &bresp, 0); err != nil {
-					t.Fatal(err)
-				}
-				if len(bresp.Decisions) != 4 {
-					t.Errorf("%d decisions, want 4", len(bresp.Decisions))
-				}
-			} else if !bytes.Contains(body, []byte(`"decisions"`)) {
-				t.Errorf("JSON response missing decisions: %s", body)
+			if !bytes.Contains(body, []byte(tc.wantBody)) {
+				t.Errorf("response body %s, want it to contain %q", body, tc.wantBody)
+			}
+			refused := int64(0)
+			if tc.wantStatus != http.StatusOK {
+				refused = 1
+			}
+			if after := d.Stats(); after.BadRequests-before.BadRequests != refused || after.PlaceJSON-before.PlaceJSON != 1-refused || after.PlaceBinary != 0 {
+				t.Errorf("counted %d bad requests / %d json / %d binary places, want %d / %d / 0",
+					after.BadRequests-before.BadRequests, after.PlaceJSON-before.PlaceJSON, after.PlaceBinary, refused, 1-refused)
 			}
 		})
 	}

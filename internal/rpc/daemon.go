@@ -5,18 +5,18 @@
 // across a fleet consume placements without linking the model, and
 // model rollout stays a registry publish away from every daemon.
 //
-// A place batch arrives three ways — a JSON body, a binary frame in an
-// HTTP body, a binary frame on a persistent stream — and is served one
-// way. Daemon.servePlace is the pipeline: begin the trace, submit to the
-// serving core, map a failure to one of the four wire codes, convert
-// and encode the decisions into pooled scratch, count, time, span. Two
-// transport shells call it, handlePlace (HTTP request/response) and
-// serveStream (hijacked connection), and own only what differs between
-// them: how a request is framed, where the admission slot is taken
-// (before the body is read on HTTP, so overload never buffers bodies;
-// after the blocking frame read on a stream, so an idle session holds
-// no slot) and how a wire code goes out (the httpStatus table, or an
-// error frame). A JSON body is read and its answer written by the wire
+// A place batch arrives two ways — a JSON body over HTTP, a binary frame
+// on a persistent stream — and is served one way. Daemon.servePlace is
+// the pipeline: begin the trace, submit to the serving core, map a
+// failure to one of the four wire codes, convert and encode the
+// decisions into pooled scratch, count, time, span. Two transport shells
+// call it, handlePlace (HTTP request/response, JSON) and serveStream
+// (hijacked connection, frames), and own only what differs between them:
+// how a request is framed, where the admission slot is taken (before the
+// body is read on HTTP, so overload never buffers bodies; after the
+// blocking frame read on a stream, so an idle session holds no slot) and
+// how a wire code goes out (the httpStatus table with an ErrorResponse,
+// or an error frame). A JSON body is read and its answer written by the wire
 // package's reflection-free codec in the same pooled scratch a frame
 // uses (ReadPlaceJSON, which placementfront's handler shares), so the
 // jobs of a request are the scratch's: good while the pipeline runs,
@@ -44,16 +44,16 @@
 //
 // The client mirrors it: Client.run is the one retry loop (shed → one
 // jittered back-off, stale version → refresh and re-bin) over a round
-// trip that is an HTTP request or a frame exchange on a stream, and
-// Client.onSession is the one session loop under the two operations
-// that borrow a session from the client's idle list: PlaceStream (the
-// router's node dispatch) and Observe. Both follow one capability rule:
-// a binary-codec client sends the frame when the daemon's /v1/model
-// advertised it (binary for a place, outcome_frames for an outcome;
-// advertised, never probed) and falls back to the HTTP form of the same
-// request otherwise. And one lost-connection rule: a reused session
-// that proves to have died while parked (StreamSession.deadOnUse)
-// re-sends once on a fresh one; a timeout or a garbled reply never does.
+// trip that is a JSON request over HTTP or a frame exchange on a stream,
+// and Client.onSession is the one session loop under the two operations
+// that borrow a session from the client's idle list: Place and Observe.
+// Both follow one capability rule (Client.frameState): a binary-codec
+// client sends the frame when the daemon's /v1/model advertised it
+// (binary for a place, outcome_frames for an outcome; advertised, never
+// probed) and sends the JSON form of the same request otherwise. And one
+// lost-connection rule: a reused session that proves to have died while
+// parked (StreamSession.deadOnUse) re-sends once on a fresh one; a
+// timeout or a garbled reply never does.
 //
 // The daemon adds what in-process serving does not need:
 //
@@ -126,10 +126,9 @@ type Config struct {
 	// additionally implements Stats() metrics.RebalanceSnapshot, /varz
 	// gains its rebalance_* counters.
 	OutcomeObserver sim.Observer
-	// DisableBinary turns off the binary frame codec and the stream
-	// endpoint: binary requests get 415, and /v1/model omits the bin
-	// schema — the daemon then behaves exactly like a pre-binary
-	// JSON-only build (used by the compatibility tests).
+	// DisableBinary turns off the binary frame codec: the stream endpoint
+	// answers 404 and /v1/model omits the bin schema, so binary-codec
+	// clients place and report outcomes as JSON.
 	DisableBinary bool
 	// TraceSampleEvery samples 1 in N place requests into the /tracez
 	// ring (0 disables self-sampling; requests arriving with a trace ID
@@ -425,40 +424,27 @@ func (d *Daemon) modelInfo() wire.ModelInfo {
 	return info
 }
 
-// isBinaryRequest reports whether the request body is a binary frame.
-func isBinaryRequest(r *http.Request) bool {
-	return strings.Contains(r.Header.Get("Content-Type"), wire.ContentTypeBinary)
-}
-
-// wantsBinary reports whether the client's Accept header names the
-// binary media type. Anything else — absent, */*, unknown — selects the
-// JSON fallback, so old clients and curl keep working untouched.
-func wantsBinary(r *http.Request) bool {
-	return strings.Contains(r.Header.Get("Accept"), wire.ContentTypeBinary)
-}
-
-// transport names the three ways a place batch reaches the pipeline;
-// it picks the counters, the latency histogram and the span name.
+// transport names the two ways a place batch reaches the pipeline; it
+// picks the submit entry, the answer's codec, the counters, the latency
+// histogram and the span name.
 type transport int
 
 const (
 	viaJSON transport = iota
-	viaBinary
 	viaStream
 )
 
-var placeSpans = [...]string{viaJSON: "rpc.place.json", viaBinary: "rpc.place.binary", viaStream: "rpc.place.stream"}
+var placeSpans = [...]string{viaJSON: "rpc.place.json", viaStream: "rpc.place.stream"}
 
 // placeCall is what a transport shell hands the pipeline with its
 // scratch: an admitted, decoded batch (jobs for a JSON body, sc.breq
-// for a frame) and how the shell wants it answered.
+// for a frame), answered in the codec it came in.
 type placeCall struct {
-	via       transport
-	jobs      []*trace.Job  // viaJSON only
-	binaryOut bool          // encode a response frame, not JSON
-	traceID   uint64        // propagated by the caller, 0 = sample locally
-	start     time.Time     // when the shell first saw the request
-	wait      time.Duration // how long admission held it
+	via     transport
+	jobs    []*trace.Job  // viaJSON only
+	traceID uint64        // propagated by the caller, 0 = sample locally
+	start   time.Time     // when the shell first saw the request
+	wait    time.Duration // how long admission held it
 }
 
 // servePlace is the one place pipeline. It leaves the encoded response
@@ -502,7 +488,7 @@ func (d *Daemon) servePlace(sc *placeScratch, pc placeCall) (uint16, string) {
 		sc.wdecs = append(sc.wdecs, wd)
 	}
 	t = stamp(b)
-	if pc.binaryOut {
+	if pc.via == viaStream {
 		sc.out, err = wire.AppendPlaceResponseFrame(sc.out[:0], sc.breq.ModelVersion, sc.wdecs)
 	} else {
 		sc.out = append(wire.AppendPlaceResponseJSON(sc.out[:0], sc.wdecs), '\n')
@@ -513,13 +499,11 @@ func (d *Daemon) servePlace(sc *placeScratch, pc placeCall) (uint16, string) {
 	}
 
 	lat := time.Since(pc.start)
-	d.counters.RecordPlace(pc.via != viaJSON, len(sc.decisions), lat)
+	d.counters.RecordPlace(pc.via == viaStream, len(sc.decisions), lat)
+	hist := &d.hists.placeJSON
 	if pc.via == viaStream {
 		d.counters.RecordStreamFrame()
-	}
-	hist := &d.hists.placeBinary
-	if pc.via == viaJSON {
-		hist = &d.hists.placeJSON
+		hist = &d.hists.placeBinary
 	}
 	hist.RecordDuration(lat)
 	b.Span(placeSpans[pc.via], "", pc.start, lat)
@@ -542,77 +526,40 @@ func span(b *obs.TraceBuilder, stage string, since time.Time) {
 }
 
 // handlePlace is the HTTP shell of the place pipeline, serving POST
-// /v1/place in either codec. Content-Type picks the request codec;
-// Accept picks the response codec (binary responses only follow binary
-// requests — the JSON path carries job IDs the binary frames don't; a
-// binary request may ask for JSON, matched by order, for debugging).
+// /v1/place as JSON: the documented API, for curl, JSON-codec and non-Go
+// clients and the front's external endpoint. Frames travel on stream
+// sessions only, so a body that announces itself as one is pointed there.
 func (d *Daemon) handlePlace(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	if r.Method != http.MethodPost {
-		d.methodNotAllowed(w, r)
+		d.methodNotAllowed(w)
 		return
 	}
-	pc := placeCall{via: viaJSON, start: start}
-	if isBinaryRequest(r) {
-		if d.cfg.DisableBinary {
-			d.failStatus(w, r, http.StatusUnsupportedMediaType, wire.ErrCodeBadRequest, "binary codec disabled; use application/json")
-			return
-		}
-		pc.via, pc.binaryOut = viaBinary, wantsBinary(r)
+	if strings.Contains(r.Header.Get("Content-Type"), wire.ContentTypeBinary) {
+		d.failStatus(w, http.StatusUnsupportedMediaType, wire.ErrCodeBadRequest,
+			"POST "+wire.PathPlace+" takes application/json; binary frames travel on POST "+wire.PathStream)
+		return
 	}
 	if !d.place.acquire(r.Context()) {
-		d.fail(w, r, wire.ErrCodeOverloaded, shedMessage)
+		d.fail(w, wire.ErrCodeOverloaded, shedMessage)
 		return
 	}
 	defer d.place.release()
-	pc.wait = time.Since(start)
+	pc := placeCall{via: viaJSON, traceID: wire.TraceIDFromHeader(r.Header), start: start, wait: time.Since(start)}
 	sc := d.scratch.Get().(*placeScratch)
 	defer d.scratch.Put(sc)
 	var err error
-	if pc.jobs, pc.traceID, err = d.readPlace(w, r, sc, pc.via); err != nil {
-		d.fail(w, r, wire.ErrCodeBadRequest, err.Error())
+	if pc.jobs, err = ReadPlaceJSON(w, r, d.cfg.MaxBodyBytes, d.cfg.MaxBatch, &sc.body, &sc.json); err != nil {
+		d.fail(w, wire.ErrCodeBadRequest, err.Error())
 		return
 	}
 	if code, msg := d.servePlace(sc, pc); code != 0 {
-		d.fail(w, r, code, msg)
+		d.fail(w, code, msg)
 		return
 	}
-	contentType := wire.ContentTypeJSON
-	if pc.binaryOut {
-		contentType = wire.ContentTypeBinary
-	}
-	w.Header().Set("Content-Type", contentType)
+	w.Header().Set("Content-Type", wire.ContentTypeJSON)
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(sc.out)
-}
-
-// readPlace is the HTTP shell's framing: the body as validated JSON
-// jobs in sc.json's storage, or as a place-request frame decoded into
-// sc.breq, and the request's trace ID. A frame carries its ID itself
-// (the negotiated binary extension); the header serves JSON and
-// JSON-speaking intermediaries.
-func (d *Daemon) readPlace(w http.ResponseWriter, r *http.Request, sc *placeScratch, via transport) ([]*trace.Job, uint64, error) {
-	tid := wire.TraceIDFromHeader(r.Header)
-	if via == viaJSON {
-		jobs, err := ReadPlaceJSON(w, r, d.cfg.MaxBodyBytes, d.cfg.MaxBatch, &sc.body, &sc.json)
-		return jobs, tid, err
-	}
-	var err error
-	sc.body, err = readBody(http.MaxBytesReader(w, r.Body, d.cfg.MaxBodyBytes), sc.body[:0])
-	if err != nil {
-		return nil, 0, fmt.Errorf("reading request: %w", err)
-	}
-	ft, payload, err := wire.DecodeFrame(sc.body, int(d.cfg.MaxBodyBytes))
-	if err == nil && ft != wire.FramePlaceRequest {
-		err = fmt.Errorf("wire: expected place-request frame, got type %d", ft)
-	}
-	if err == nil {
-		err = wire.DecodePlaceRequest(payload, &sc.breq, d.cfg.MaxBatch)
-	}
-	if sc.breq.TraceID != 0 {
-		tid = sc.breq.TraceID
-	}
-	return nil, tid, err
 }
 
 // ReadPlaceJSON is the JSON framing of a place request, for the two HTTP
@@ -712,23 +659,23 @@ func (d *Daemon) serveOutcome(v *wire.OutcomeView, traceID uint64, start time.Ti
 func (d *Daemon) handleOutcome(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	if r.Method != http.MethodPost {
-		d.methodNotAllowed(w, r)
+		d.methodNotAllowed(w)
 		return
 	}
 	if !d.outcome.acquire(r.Context()) {
-		d.fail(w, r, wire.ErrCodeOverloaded, shedMessage)
+		d.fail(w, wire.ErrCodeOverloaded, shedMessage)
 		return
 	}
 	defer d.outcome.release()
 	wait := time.Since(start)
 	var req wire.OutcomeRequest
 	if err := ReadOutcomeJSON(w, r, d.cfg.MaxBodyBytes, &req); err != nil {
-		d.fail(w, r, wire.ErrCodeBadRequest, err.Error())
+		d.fail(w, wire.ErrCodeBadRequest, err.Error())
 		return
 	}
 	v := req.View()
 	if code, msg := d.serveOutcome(&v, wire.TraceIDFromHeader(r.Header), start, wait); code != 0 {
-		d.fail(w, r, code, msg)
+		d.fail(w, code, msg)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -738,7 +685,7 @@ func (d *Daemon) handleOutcome(w http.ResponseWriter, r *http.Request) {
 // client-side binning schema.
 func (d *Daemon) handleModel(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		d.methodNotAllowed(w, r)
+		d.methodNotAllowed(w)
 		return
 	}
 	d.counters.RecordModelInfo()
@@ -804,21 +751,21 @@ func (d *Daemon) handleVarz(w http.ResponseWriter, r *http.Request) {
 // the same overload envelope as request/response traffic.
 func (d *Daemon) handleStream(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		d.methodNotAllowed(w, r)
+		d.methodNotAllowed(w)
 		return
 	}
 	if d.cfg.DisableBinary {
-		d.failStatus(w, r, http.StatusNotFound, wire.ErrCodeBadRequest, "streaming disabled")
+		d.failStatus(w, http.StatusNotFound, wire.ErrCodeBadRequest, "streaming disabled")
 		return
 	}
 	hj, ok := w.(http.Hijacker)
 	if !ok {
-		d.fail(w, r, wire.ErrCodeServer, "rpc: transport does not support streaming")
+		d.fail(w, wire.ErrCodeServer, "rpc: transport does not support streaming")
 		return
 	}
 	conn, rw, err := hj.Hijack()
 	if err != nil {
-		d.fail(w, r, wire.ErrCodeServer, fmt.Sprintf("rpc: hijack: %v", err))
+		d.fail(w, wire.ErrCodeServer, fmt.Sprintf("rpc: hijack: %v", err))
 		return
 	}
 	d.streamMu.Lock()
@@ -901,7 +848,7 @@ func (d *Daemon) serveStream(conn net.Conn, rw *bufio.ReadWriter) {
 			} else if !d.place.acquire(context.Background()) {
 				code, msg = wire.ErrCodeOverloaded, shedMessage
 			} else {
-				code, msg = d.servePlace(sc, placeCall{via: viaStream, binaryOut: true, traceID: sc.breq.TraceID, start: start, wait: time.Since(start)})
+				code, msg = d.servePlace(sc, placeCall{via: viaStream, traceID: sc.breq.TraceID, start: start, wait: time.Since(start)})
 				d.place.release()
 				out = sc.out
 			}
@@ -955,26 +902,18 @@ func (d *Daemon) countRefusal(code uint16) {
 }
 
 // fail refuses an HTTP request with a wire code, at the code's status.
-func (d *Daemon) fail(w http.ResponseWriter, r *http.Request, code uint16, msg string) {
-	d.failStatus(w, r, httpStatus[code], code, msg)
+func (d *Daemon) fail(w http.ResponseWriter, code uint16, msg string) {
+	d.failStatus(w, httpStatus[code], code, msg)
 }
 
-// failStatus counts a refusal and answers it in the negotiated codec:
-// an error frame for binary-accepting clients, the JSON ErrorResponse
-// otherwise.
-func (d *Daemon) failStatus(w http.ResponseWriter, r *http.Request, status int, code uint16, msg string) {
+// failStatus counts a refusal and answers it with the JSON ErrorResponse.
+func (d *Daemon) failStatus(w http.ResponseWriter, status int, code uint16, msg string) {
 	d.countRefusal(code)
 	if code == wire.ErrCodeOverloaded {
 		// Guidance for stock HTTP clients; rpc.Client uses its own finer
 		// backoff. Retry-After takes whole seconds, so 1 is the minimum
 		// honest value.
 		w.Header().Set("Retry-After", "1")
-	}
-	if wantsBinary(r) && !d.cfg.DisableBinary {
-		w.Header().Set("Content-Type", wire.ContentTypeBinary)
-		w.WriteHeader(status)
-		_, _ = w.Write(wire.AppendErrorFrame(nil, code, msg))
-		return
 	}
 	d.writeJSON(w, status, wire.ErrorResponse{Error: msg})
 }
@@ -989,8 +928,8 @@ func (d *Daemon) failFrame(rw *bufio.ReadWriter, code uint16, msg string) error 
 	return rw.Flush()
 }
 
-func (d *Daemon) methodNotAllowed(w http.ResponseWriter, r *http.Request) {
-	d.failStatus(w, r, http.StatusMethodNotAllowed, wire.ErrCodeBadRequest, "method not allowed")
+func (d *Daemon) methodNotAllowed(w http.ResponseWriter) {
+	d.failStatus(w, http.StatusMethodNotAllowed, wire.ErrCodeBadRequest, "method not allowed")
 }
 
 func (d *Daemon) writeJSON(w http.ResponseWriter, status int, v any) {

@@ -478,16 +478,28 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestClientConfigValidation rejects nonsense client parameters.
+// TestClientConfigValidation rejects nonsense client parameters, each
+// with a message that names what to change.
 func TestClientConfigValidation(t *testing.T) {
-	for _, cfg := range []ClientConfig{
-		{},
-		{BaseURL: "localhost:1"},
-		{BaseURL: "http://h", MaxRetries: -1},
+	for _, tc := range []struct {
+		cfg  ClientConfig
+		want string
+	}{
+		{ClientConfig{}, "BaseURL"},
+		{ClientConfig{BaseURL: "localhost:1"}, "http://"},
+		{ClientConfig{BaseURL: "http://h", MaxRetries: -1}, "MaxRetries"},
+		{ClientConfig{BaseURL: "http://h", Codec: "xml"}, "unknown codec"},
+		// Sessions dial plain TCP: frames cannot reach a TLS endpoint.
+		{ClientConfig{BaseURL: "https://h", Codec: CodecBinary}, `use "` + CodecJSON + `"`},
 	} {
-		if _, err := NewClient(cfg); err == nil {
-			t.Errorf("config %+v accepted, want error", cfg)
+		if _, err := NewClient(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("config %+v: error %v, want one naming %q", tc.cfg, err, tc.want)
 		}
+	}
+	if c, err := NewClient(ClientConfig{BaseURL: "https://h", Codec: CodecJSON}); err != nil {
+		t.Errorf("https with the JSON codec refused: %v", err)
+	} else {
+		c.Close()
 	}
 }
 

@@ -55,7 +55,7 @@ func TestJSONPlaceScratchNotShared(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := httptest.NewRequest(http.MethodPost, wire.PathPlace, bytes.NewReader(body))
-	decoded, _, err := d.readPlace(httptest.NewRecorder(), req, sc, viaJSON)
+	decoded, err := ReadPlaceJSON(httptest.NewRecorder(), req, d.cfg.MaxBodyBytes, d.cfg.MaxBatch, &sc.body, &sc.json)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,16 +27,13 @@ import (
 type parityConn struct {
 	c      *Client
 	s      *StreamSession // stream row only
-	pooled bool           // PlaceStream: the client's own idle sessions
-	op     httpOp
+	pooled bool           // Place on the binary codec: the client's own idle sessions
+	op     operation
 }
 
 func (p parityConn) place(jobs []*trace.Job) ([]wire.Decision, error) {
-	switch {
-	case p.s != nil:
+	if p.s != nil {
 		return p.s.Place(context.Background(), jobs)
-	case p.pooled:
-		return p.c.PlaceStream(context.Background(), jobs)
 	}
 	return p.c.Place(context.Background(), jobs)
 }
@@ -57,13 +54,7 @@ func (p parityConn) send(t *testing.T, raw []byte) reply {
 		p.s.sc.frame = append(p.s.sc.frame[:0], raw...)
 		rep, err = p.s.exchange(context.Background(), p.op)
 	} else {
-		sc := &clientScratch{frame: raw}
-		rep, err = p.c.exchange(context.Background(), p.op, sc)
-		if err == nil && p.op.frames && rep.code != 0 {
-			if ft, _, ferr := wire.DecodeFrame(sc.body, 0); ferr != nil || ft != wire.FrameError {
-				t.Errorf("refusal body is not an error frame (type %d, %v)", ft, ferr)
-			}
-		}
+		rep, err = p.c.exchange(context.Background(), p.op, &clientScratch{frame: raw})
 	}
 	if err != nil {
 		t.Fatalf("round trip broke the transport: %v", err)
@@ -71,12 +62,13 @@ func (p parityConn) send(t *testing.T, raw []byte) reply {
 	return rep
 }
 
-// TestTransportParity is the one table for what the three transports
-// must agree on. Rows are the transports, the stream twice: a session the
-// caller holds, and Client.PlaceStream over the client's pooled ones.
-// Each runs the same columns against its own fresh daemon: success, a
-// refused request, a stale model version, a shed. The binary rows must
-// also count the sequence identically on the client.
+// TestTransportParity is the one table for what the two transports must
+// agree on. Rows are the transports, the stream twice: a session the
+// caller holds, and Client.Place on the binary codec over the client's
+// pooled ones. Each runs the same columns against its own fresh daemon:
+// success, a refused request, a stale model version, a shed, a daemon
+// restart. The rows must decide every batch alike, and the frame rows
+// must also count the sequence identically on the client.
 func TestTransportParity(t *testing.T) {
 	fx := testFixture(t)
 	jobs := fx.jobs[:48]
@@ -118,14 +110,14 @@ func TestTransportParity(t *testing.T) {
 		codec  string
 		stream bool
 		pooled bool
-		op     httpOp
+		op     operation
 		// What one served batch adds to the daemon's counters.
 		json, binary, frames int64
 		bad                  func(t *testing.T, d *Daemon) map[string][]byte
 		valid                func(t *testing.T, d *Daemon) []byte
 	}{
 		{
-			name: "json", codec: CodecJSON, op: httpOp{method: http.MethodPost, path: wire.PathPlace}, json: 1,
+			name: "json", codec: CodecJSON, op: operation{method: http.MethodPost, path: wire.PathPlace}, json: 1,
 			bad: func(*testing.T, *Daemon) map[string][]byte {
 				return map[string][]byte{
 					"invalid job": []byte(`{"jobs":[{"id":""}]}`),
@@ -141,10 +133,6 @@ func TestTransportParity(t *testing.T) {
 			},
 		},
 		{
-			name: "http-binary", codec: CodecBinary, op: opPlace, binary: 1,
-			bad: badFrames, valid: validFrame,
-		},
-		{
 			name: "stream", codec: CodecBinary, stream: true, op: opPlace, binary: 1, frames: 1,
 			bad: badFrames, valid: validFrame,
 		},
@@ -154,9 +142,11 @@ func TestTransportParity(t *testing.T) {
 		},
 	}
 
-	// What each binary row's client counted up to the shed column, whose
-	// retry count is a matter of timing.
+	// What each frame row's client counted up to the shed column, whose
+	// retry count is a matter of timing, and what every row decided after
+	// the publish and after the restart.
 	counted := map[string]ClientStats{}
+	decided := map[string][]wire.Decision{}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			reg := fx.newRegistry(t)
@@ -265,6 +255,7 @@ func TestTransportParity(t *testing.T) {
 			if got[0].ModelVersion != 2 {
 				t.Errorf("post-swap place served v%d, want v2", got[0].ModelVersion)
 			}
+			decided[row.name] = got
 			if row.codec == CodecBinary {
 				if st := c.binState.Load(); st == nil || st.version != 2 {
 					t.Errorf("client bin state not refreshed to v2: %+v", st)
@@ -311,35 +302,72 @@ func TestTransportParity(t *testing.T) {
 					t.Errorf("the pooled row opened %d stream sessions, want 1", got)
 				}
 			}
+
+			// Restart: the daemon dies and comes back on its address with
+			// every connection gone. A caller that holds a session (or a
+			// keep-alive connection) opens another; the pooled row's parked
+			// session shows dead on its next use and the batch is re-sent
+			// once on a fresh one, at no failure to the caller.
+			addr := d.Addr()
+			if err := d.Kill(); err != nil {
+				t.Fatalf("kill: %v", err)
+			}
+			d, err = NewDaemon(reg, "w", fx.cm, testConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Start(addr); err != nil {
+				t.Fatalf("restart on %s: %v", addr, err)
+			}
+			defer d.Kill()
+			c.hc.CloseIdleConnections()
+			if row.stream {
+				if _, err := p.place(jobs[:4]); !errors.Is(err, ErrStreamBroken) {
+					t.Errorf("held session across a restart: %v, want a broken stream", err)
+				}
+				if p.s, err = c.OpenStream(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+				defer p.s.Close()
+			}
+			cs = c.Stats()
+			got, err = p.place(jobs[:4])
+			if err != nil {
+				t.Fatalf("place after the restart: %v", err)
+			}
+			if after := c.Stats(); after.Failures != cs.Failures || after.Requests != cs.Requests+1 {
+				t.Errorf("client stats %+v -> %+v across the restart, want one more request and no failure", cs, after)
+			}
+			if st := d.Stats(); st.PlaceRequests != 1 || (onStream && st.StreamSessions != 1) {
+				t.Errorf("restarted daemon served %d places over %d sessions, want 1 (over 1)", st.PlaceRequests, st.StreamSessions)
+			}
+			decided[row.name] = append(decided[row.name], got...)
 		})
 	}
 	for name, cs := range counted {
-		if cs != counted["http-binary"] {
-			t.Errorf("%s counted the sequence %+v, http-binary %+v", name, cs, counted["http-binary"])
+		if cs != counted["stream"] {
+			t.Errorf("%s counted the sequence %+v, stream %+v", name, cs, counted["stream"])
+		}
+	}
+	for name, ds := range decided {
+		if !reflect.DeepEqual(ds, decided["json"]) {
+			t.Errorf("%s decided the batches after the publish and the restart\n  %+v\njson\n  %+v", name, ds, decided["json"])
 		}
 	}
 }
 
-// TestHotSwapKeepsShedBudget pins the two retry budgets apart on the
-// frame transports (HTTP, a held session, PlaceStream's pooled ones): a
-// schema refresh after a hot swap must not spend a shed retry. The
-// operation meets a retired version first (409 / stale-version frame,
-// refresh), then a daemon that sheds everything; all MaxRetries shed
-// retries must still be there to spend, every transport must count the
-// operation identically, and the refusal names the transport it came by.
+// TestHotSwapKeepsShedBudget pins the two retry budgets apart for a frame
+// place (on a held session, on Place's pooled ones): a schema refresh
+// after a hot swap must not spend a shed retry. The operation meets a
+// retired version first (stale-version frame, refresh), then a daemon
+// that sheds everything; all MaxRetries shed retries must still be there
+// to spend, both must count the operation identically, and the refusal
+// names the transport it came by.
 func TestHotSwapKeepsShedBudget(t *testing.T) {
 	fx := testFixture(t)
 	const maxRetries = 3
 	var stats []ClientStats
-	for _, via := range []struct {
-		stream, pooled bool
-		op             string
-	}{
-		{op: "POST " + wire.PathPlace},
-		{stream: true, op: "stream place"},
-		{pooled: true, op: "stream place"},
-	} {
-		stream := via.stream || via.pooled
+	for _, held := range []bool{true, false} {
 		reg := fx.newRegistry(t)
 		cfg := testConfig()
 		cfg.MaxInFlightPlace = 1
@@ -367,8 +395,8 @@ func TestHotSwapKeepsShedBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		p := parityConn{c: c, pooled: via.pooled}
-		if via.stream {
+		p := parityConn{c: c, pooled: !held}
+		if held {
 			if p.s, err = c.OpenStream(context.Background()); err != nil {
 				t.Fatal(err)
 			}
@@ -386,22 +414,22 @@ func TestHotSwapKeepsShedBudget(t *testing.T) {
 		_, err = p.place(fx.jobs[4:8])
 		var refused *Error
 		if !errors.As(err, &refused) || refused.Code != wire.ErrCodeOverloaded {
-			t.Fatalf("stream=%v: place surfaced %v, want an *Error with the overloaded code", stream, err)
+			t.Fatalf("held=%v: place surfaced %v, want an *Error with the overloaded code", held, err)
 		}
-		if refused.Op != via.op {
-			t.Errorf("refusal names operation %q, want %q", refused.Op, via.op)
+		if refused.Op != "stream place" {
+			t.Errorf("refusal names operation %q, want %q", refused.Op, "stream place")
 		}
 		d.place.release()
 		cs := c.Stats()
 		// 2 places + the first schema fetch + the refresh; 1 + maxRetries sheds.
 		want := ClientStats{Requests: 4, Sheds: maxRetries + 1, Retries: maxRetries, Failures: 1}
 		if cs != want {
-			t.Errorf("stream=%v: client stats %+v, want %+v", stream, cs, want)
+			t.Errorf("held=%v: client stats %+v, want %+v", held, cs, want)
 		}
 		stats = append(stats, cs)
 	}
-	if stats[0] != stats[1] || stats[0] != stats[2] {
-		t.Errorf("HTTP-binary, stream and pooled stream count the same operation differently: %+v", stats)
+	if stats[0] != stats[1] {
+		t.Errorf("a held and a pooled session count the same operation differently: %+v", stats)
 	}
 }
 
@@ -436,10 +464,10 @@ func TestOutcomeParity(t *testing.T) {
 	var results []result
 	for _, row := range []struct {
 		codec    string
-		op       httpOp
+		op       operation
 		sessions int64 // stream sessions the whole row may open
 	}{
-		{CodecJSON, httpOp{method: http.MethodPost, path: wire.PathOutcome}, 0},
+		{CodecJSON, operation{method: http.MethodPost, path: wire.PathOutcome}, 0},
 		{CodecBinary, opOutcome, 1},
 	} {
 		t.Run(row.codec, func(t *testing.T) {
@@ -497,8 +525,9 @@ func TestOutcomeParity(t *testing.T) {
 			}
 			// Sent raw, past the client's own check, the daemon refuses it
 			// once, serves nothing, and the connection or session carries on.
+			frames := row.codec == CodecBinary
 			p := parityConn{c: c, op: row.op}
-			if row.op.frames {
+			if frames {
 				if p.s = c.takeIdle(); p.s == nil {
 					t.Fatal("no idle session after 48 frame outcomes")
 				}
@@ -514,7 +543,7 @@ func TestOutcomeParity(t *testing.T) {
 			}
 			raw := func(j *trace.Job, o sim.Outcome) []byte {
 				req := wire.OutcomeRequest{Job: j, Outcome: wire.OutcomeOf(o)}
-				if row.op.frames {
+				if frames {
 					b, err := wire.AppendOutcomeFrame(nil, 0, &req)
 					if err != nil {
 						t.Fatal(err)
@@ -604,7 +633,7 @@ func TestOutcomeParity(t *testing.T) {
 // TestObserveFallsBackToJSON pins the selection rule from the other
 // side: a binary-codec client posts JSON to a daemon that does not speak
 // binary at all, and to one that speaks it but does not advertise outcome
-// frames (an older build) — advertised, never probed.
+// frames — advertised, never probed.
 func TestObserveFallsBackToJSON(t *testing.T) {
 	fx := testFixture(t)
 	o := sim.Outcome{WantedSSD: true, FracOnSSD: 1, SpilledAt: -1, EvictedAt: -1}
@@ -612,7 +641,7 @@ func TestObserveFallsBackToJSON(t *testing.T) {
 		cfg := testConfig()
 		cfg.DisableBinary = disable
 		d := startDaemon(t, fx.newRegistry(t), cfg)
-		// The older build: everything but the capability.
+		// Everything but the capability.
 		front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if r.URL.Path != wire.PathModel {
 				d.Handler().ServeHTTP(w, r)
@@ -630,17 +659,17 @@ func TestObserveFallsBackToJSON(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		if _, err := c.Place(context.Background(), fx.jobs[:4]); err != nil {
-			t.Fatal(err)
-		}
 		if err := c.Observe(context.Background(), fx.jobs[0], 0, o); err != nil {
 			t.Fatalf("DisableBinary=%v: observe: %v", disable, err)
 		}
-		st := d.Stats()
-		if st.OutcomeRequests != 1 || st.StreamSessions != 0 {
+		if st := d.Stats(); st.OutcomeRequests != 1 || st.StreamSessions != 0 {
 			t.Errorf("DisableBinary=%v: %d outcomes over %d stream sessions, want 1 over 0", disable, st.OutcomeRequests, st.StreamSessions)
 		}
-		if wantBinary := int64(1); !disable && st.PlaceBinary != wantBinary {
+		// The place capability is read apart from the outcome one.
+		if _, err := c.Place(context.Background(), fx.jobs[:4]); err != nil {
+			t.Fatal(err)
+		}
+		if st := d.Stats(); !disable && st.PlaceBinary != 1 {
 			t.Errorf("place went out as JSON against a daemon that speaks binary")
 		}
 	}

@@ -29,8 +29,8 @@ var ErrStreamBroken = errors.New("rpc: stream session broken")
 // connection upgraded via POST /v1/stream, carrying length-prefixed
 // place frames in both directions — no per-batch HTTP overhead, no
 // per-batch connection work. Obtain one with Client.OpenStream. (The
-// client's own PlaceStream and Observe frames travel on sessions of the
-// same kind that it opens and parks itself; see Client.onSession.)
+// client's own Place and Observe frames travel on sessions of the same
+// kind that it opens and parks itself; see Client.onSession.)
 //
 // A session is NOT safe for concurrent use: it owns one connection and
 // one set of scratch buffers, and frames are matched to responses by
@@ -82,11 +82,7 @@ func (c *Client) OpenStream(ctx context.Context) (*StreamSession, error) {
 		br:   bufio.NewReader(conn),
 		bw:   bufio.NewWriter(conn),
 	}
-	if deadline, ok := ctx.Deadline(); ok {
-		_ = conn.SetDeadline(deadline)
-	} else {
-		_ = conn.SetDeadline(time.Now().Add(c.cfg.RequestTimeout))
-	}
+	_ = conn.SetDeadline(c.attemptDeadline(ctx))
 	if err := s.handshake(host); err != nil {
 		_ = conn.Close()
 		if errors.Is(err, errUpgradeRefused) {
@@ -99,6 +95,17 @@ func (c *Client) OpenStream(ctx context.Context) (*StreamSession, error) {
 	}
 	_ = conn.SetDeadline(time.Time{})
 	return s, nil
+}
+
+// attemptDeadline is when one attempt on a session's connection gives
+// up: RequestTimeout from now, or the context's deadline if that is
+// sooner, as context.WithTimeout bounds an attempt over HTTP.
+func (c *Client) attemptDeadline(ctx context.Context) time.Time {
+	deadline := time.Now().Add(c.cfg.RequestTimeout)
+	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
+		deadline = d
+	}
+	return deadline
 }
 
 // errUpgradeRefused marks a daemon that answered the stream upgrade
@@ -136,11 +143,11 @@ func (s *StreamSession) handshake(host string) error {
 
 // Place requests decisions for a batch of jobs over the stream, in
 // order. Client-side feature extraction and binning, and the retry
-// loop (Client.run), are those of the request/response binary path: a
-// stale-version error frame (hot swap) refreshes the bin schema and
-// retries, and an overload error frame retries with the client's shed
-// backoff. Transport errors poison the session — Close it and open a
-// new one.
+// loop (Client.run), are those of Client.Place, which runs this on a
+// pooled session: a stale-version error frame (hot swap) refreshes the
+// bin schema and retries, and an overload error frame retries with the
+// client's shed backoff. Transport errors poison the session — Close it
+// and open a new one.
 func (s *StreamSession) Place(ctx context.Context, jobs []*trace.Job) ([]wire.Decision, error) {
 	c := s.c
 	c.requests.Add(1)
@@ -153,7 +160,7 @@ func (s *StreamSession) Place(ctx context.Context, jobs []*trace.Job) ([]wire.De
 	case st == nil:
 		return nil, c.count(errors.New("rpc: stream session has no bin schema"))
 	}
-	ds, err := c.placeFrames(ctx, s, &s.sc, st, jobs)
+	ds, err := c.placeFrames(ctx, s, st, jobs)
 	return ds, c.count(err)
 }
 
@@ -161,7 +168,7 @@ func (s *StreamSession) Place(ctx context.Context, jobs []*trace.Job) ([]wire.De
 // that answers op: the daemon's verdict, or a transport or protocol
 // failure, which poisons the session and comes back wrapped in
 // ErrStreamBroken.
-func (s *StreamSession) exchange(ctx context.Context, op httpOp) (reply, error) {
+func (s *StreamSession) exchange(ctx context.Context, op operation) (reply, error) {
 	code, msg, err := s.roundTrip(ctx, op)
 	if err != nil {
 		s.closed, s.broken = true, true
@@ -173,12 +180,8 @@ func (s *StreamSession) exchange(ctx context.Context, op httpOp) (reply, error) 
 
 // roundTrip is exchange without the poisoning: the reply frame's wire
 // code and message, or what broke.
-func (s *StreamSession) roundTrip(ctx context.Context, op httpOp) (uint16, string, error) {
-	if deadline, ok := ctx.Deadline(); ok {
-		_ = s.conn.SetDeadline(deadline)
-	} else {
-		_ = s.conn.SetDeadline(time.Now().Add(s.c.cfg.RequestTimeout))
-	}
+func (s *StreamSession) roundTrip(ctx context.Context, op operation) (uint16, string, error) {
+	_ = s.conn.SetDeadline(s.c.attemptDeadline(ctx))
 	defer s.conn.SetDeadline(time.Time{})
 	_, err := s.bw.Write(s.sc.frame)
 	if err == nil {
@@ -202,6 +205,23 @@ func (s *StreamSession) roundTrip(ctx context.Context, op httpOp) (uint16, strin
 		return 0, "", err
 	}
 	return decodeReplyFrame(op, ft, payload, &s.sc.bresp)
+}
+
+// decodeReplyFrame reads one daemon reply frame off a stream: the frame
+// that answers op (a place's decisions into resp, an outcome's empty
+// ack; code 0), or an error frame's code and message.
+func decodeReplyFrame(op operation, ft wire.FrameType, payload []byte, resp *wire.BinaryPlaceResponse) (uint16, string, error) {
+	switch {
+	case ft == wire.FrameError:
+		return wire.DecodeError(payload)
+	case ft != op.answer:
+		return 0, "", fmt.Errorf("unexpected frame type %d in reply to a stream %s", ft, op.name)
+	case ft == wire.FramePlaceResponse:
+		return 0, "", wire.DecodePlaceResponse(payload, resp, 0)
+	case len(payload) != 0:
+		return 0, "", fmt.Errorf("outcome ack carries %d payload bytes", len(payload))
+	}
+	return 0, "", nil
 }
 
 // Close shuts the stream down. Safe to call twice.

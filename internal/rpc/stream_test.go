@@ -64,16 +64,16 @@ func TestStreamPlace(t *testing.T) {
 	}
 }
 
-// TestStreamMatchesRequestResponse checks stream decisions are
-// bit-identical to the request/response binary path on a fresh daemon
-// (same statefulness caveat as the cross-codec test).
+// TestStreamMatchesRequestResponse checks the decisions of a session the
+// caller holds are bit-identical to the request/response JSON path on a
+// fresh daemon (same statefulness caveat as the cross-codec test).
 func TestStreamMatchesRequestResponse(t *testing.T) {
 	fx := testFixture(t)
 	jobs := fx.jobs[:100]
 
 	viaHTTP := func() []wire.Decision {
 		d := startDaemon(t, fx.newRegistry(t), testConfig())
-		c := newCodecClient(t, d, CodecBinary)
+		c := newCodecClient(t, d, CodecJSON)
 		var out []wire.Decision
 		for lo := 0; lo < len(jobs); lo += 25 {
 			ds, err := c.Place(context.Background(), jobs[lo:lo+25])
@@ -207,22 +207,22 @@ func TestStreamDisabled(t *testing.T) {
 	if _, err := c.OpenStream(context.Background()); err == nil {
 		t.Fatal("stream opened against a JSON-only daemon")
 	}
-	// PlaceStream reads the same /v1/model and places as JSON.
-	if _, err := c.PlaceStream(context.Background(), fx.jobs[:4]); err != nil {
-		t.Fatalf("PlaceStream against a JSON-only daemon: %v", err)
+	// Place reads the same /v1/model and goes as JSON.
+	if _, err := c.Place(context.Background(), fx.jobs[:4]); err != nil {
+		t.Fatalf("place against a JSON-only daemon: %v", err)
 	}
 	if st := d.Stats(); st.PlaceJSON != 1 || st.StreamSessions != 0 {
 		t.Errorf("%d JSON places over %d stream sessions, want 1 over 0", st.PlaceJSON, st.StreamSessions)
 	}
 }
 
-// TestPlaceStreamAfterBinaryDisabled restarts a daemon with binary turned
-// off under a client that has its schema and a parked session (a handler
-// swap on a fixed address, as in TestBinaryReprobeAfterRestart). The
-// refused upgrade fails that one place, which a router reroutes; it also
-// drops the schema, so the next place reads /v1/model again and goes as
-// JSON instead of failing for ever.
-func TestPlaceStreamAfterBinaryDisabled(t *testing.T) {
+// TestPlaceAfterBinaryDisabled restarts a daemon with binary turned off
+// under a client that has its schema and a parked session (a handler swap
+// on a fixed address stands in for the restart). The refused upgrade
+// fails that one place, which a router reroutes; it also drops the
+// schema, so the next place reads /v1/model again and goes as JSON
+// instead of failing for ever.
+func TestPlaceAfterBinaryDisabled(t *testing.T) {
 	fx := testFixture(t)
 	binaryD := startDaemon(t, fx.newRegistry(t), testConfig())
 	cfg := testConfig()
@@ -243,7 +243,7 @@ func TestPlaceStreamAfterBinaryDisabled(t *testing.T) {
 	}
 	defer c.Close()
 	ctx := context.Background()
-	if _, err := c.PlaceStream(ctx, fx.jobs[:4]); err != nil {
+	if _, err := c.Place(ctx, fx.jobs[:4]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -255,10 +255,10 @@ func TestPlaceStreamAfterBinaryDisabled(t *testing.T) {
 	}
 	_ = s.conn.Close() // the old process took its connections with it
 	c.putIdle(s)
-	if _, err := c.PlaceStream(ctx, fx.jobs[4:8]); !errors.Is(err, errUpgradeRefused) {
+	if _, err := c.Place(ctx, fx.jobs[4:8]); !errors.Is(err, errUpgradeRefused) {
 		t.Fatalf("place across the restart: %v, want the refused upgrade", err)
 	}
-	if _, err := c.PlaceStream(ctx, fx.jobs[4:8]); err != nil {
+	if _, err := c.Place(ctx, fx.jobs[4:8]); err != nil {
 		t.Fatalf("place after the refused upgrade: %v", err)
 	}
 	if st := jsonOnlyD.Stats(); st.PlaceJSON != 1 || !c.jsonOnly.Load() {
@@ -355,6 +355,50 @@ func TestObserveConcurrentSessions(t *testing.T) {
 	c.idleMu.Unlock()
 	if parked != 0 {
 		t.Errorf("%d sessions parked on a closed client", parked)
+	}
+}
+
+// TestPlaceSessionsBounded pins what Place costs in connections: only as
+// many sessions are dialled as places overlap, however many places run.
+// Eight goroutines share one client for 200 places each; every place
+// succeeds, every decision answers its own job, and the daemon has seen
+// at most eight sessions.
+func TestPlaceSessionsBounded(t *testing.T) {
+	fx := testFixture(t)
+	d := startDaemon(t, fx.newRegistry(t), testConfig())
+	c := newCodecClient(t, d, CodecBinary)
+	const workers, each, chunk = 8, 200, 4
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				lo := (w*each + i) % (len(fx.jobs) - chunk)
+				ds, err := c.Place(context.Background(), fx.jobs[lo:lo+chunk])
+				if err != nil {
+					t.Errorf("worker %d place %d: %v", w, i, err)
+					return
+				}
+				for k, dec := range ds {
+					if dec.JobID != fx.jobs[lo+k].ID {
+						t.Errorf("worker %d place %d: decision %d names %q, its job is %q", w, i, k, dec.JobID, fx.jobs[lo+k].ID)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	st := d.Stats()
+	if st.PlaceBinary != workers*each || st.StreamFrames != workers*each {
+		t.Errorf("daemon served %d binary places in %d stream frames, want %d", st.PlaceBinary, st.StreamFrames, workers*each)
+	}
+	if st.StreamSessions < 1 || st.StreamSessions > workers {
+		t.Errorf("%d places from %d goroutines dialled %d sessions, want 1..%d", workers*each, workers, st.StreamSessions, workers)
+	}
+	if cs := c.Stats(); cs.Failures != 0 {
+		t.Errorf("client counted %d failures", cs.Failures)
 	}
 }
 
@@ -480,7 +524,7 @@ func TestObserveTimeoutIsNotResent(t *testing.T) {
 		}
 		defer c.Close()
 		ctx := context.Background()
-		if _, err := c.PlaceStream(ctx, fx.jobs[:4]); err != nil {
+		if _, err := c.Place(ctx, fx.jobs[:4]); err != nil {
 			t.Fatal(err)
 		}
 		if !d.place.acquire(ctx) {
@@ -489,7 +533,7 @@ func TestObserveTimeoutIsNotResent(t *testing.T) {
 		release := time.AfterFunc(3*timeout, d.place.release)
 		defer release.Stop()
 		start := time.Now()
-		_, err = c.PlaceStream(ctx, fx.jobs[4:8])
+		_, err = c.Place(ctx, fx.jobs[4:8])
 		elapsed := time.Since(start)
 		if !errors.Is(err, ErrStreamBroken) {
 			t.Fatalf("place against a stalled daemon: %v, want a broken stream", err)
@@ -501,7 +545,7 @@ func TestObserveTimeoutIsNotResent(t *testing.T) {
 		if st := d.Stats(); st.PlaceRequests != 2 || st.StreamSessions != 1 {
 			t.Errorf("%d places over %d sessions, want 2 over 1: the timed-out place was sent again", st.PlaceRequests, st.StreamSessions)
 		}
-		if _, err := c.PlaceStream(ctx, fx.jobs[8:12]); err != nil {
+		if _, err := c.Place(ctx, fx.jobs[8:12]); err != nil {
 			t.Errorf("place after the timeout: %v", err)
 		}
 	})
@@ -534,7 +578,7 @@ func TestObserveGarbledReplyIsNotResent(t *testing.T) {
 		},
 		{
 			name: "place",
-			call: func(c *Client, n int) error { _, err := c.PlaceStream(ctx, fx.jobs[n:n+2]); return err },
+			call: func(c *Client, n int) error { _, err := c.Place(ctx, fx.jobs[n:n+2]); return err },
 			stray: func(c *Client, s *StreamSession) (err error) {
 				req := wire.OutcomeRequest{Job: fx.jobs[0], Category: 1, Outcome: wire.OutcomeOf(o)}
 				s.sc.frame, err = wire.AppendOutcomeFrame(s.sc.frame[:0], 0, &req)

@@ -7,8 +7,8 @@ import (
 	"math"
 )
 
-// Binary codec: the length-prefixed frame protocol negotiated next to
-// the JSON fallback via Accept/Content-Type. Every frame is
+// Binary codec: the length-prefixed frame protocol of /v1/stream
+// sessions. Every frame is
 //
 //	offset size  field
 //	0      4     magic "BYM1"
@@ -45,11 +45,12 @@ import (
 // caller-owned reusable structs, so a steady-state client/daemon pair
 // allocates nothing per frame.
 
-// ContentTypeBinary is the negotiated media type of the binary frame
-// codec (Content-Type on requests, Accept/Content-Type on responses).
+// ContentTypeBinary is the media type of the binary frame codec: the
+// protocol the /v1/stream upgrade names.
 const ContentTypeBinary = "application/x-byom-frame"
 
-// ContentTypeJSON is the fallback media type.
+// ContentTypeJSON is the media type of every HTTP request and response
+// body.
 const ContentTypeJSON = "application/json"
 
 // Magic opens every binary frame.

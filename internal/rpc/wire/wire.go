@@ -1,25 +1,30 @@
 // Package wire defines the versioned protocol between placement clients
-// and the placement daemon (internal/rpc), in two codecs negotiated via
-// Accept/Content-Type: the JSON fallback, whose request unit is the
-// trace.Job — the same JSON shape the trace files use, so any producer
-// of trace JSONL can speak the protocol directly — and the binary frame
-// codec (binary.go), which carries jobs as pre-binned feature vectors
-// for the zero-feature-work hot path.
+// and the placement daemon (internal/rpc), on two transports. JSON over
+// HTTP is the documented API — curl, non-Go clients, the front's
+// external face — and its request unit is the trace.Job, the same JSON
+// shape the trace files use, so any producer of trace JSONL can speak
+// the protocol directly. Binary frames (binary.go) carry jobs as
+// pre-binned feature vectors for the zero-feature-work hot path and
+// travel only on /v1/stream sessions, between this repo's Go client and
+// daemon. A daemon says what it speaks in /v1/model (ModelInfo.Binary,
+// TraceIDs, OutcomeFrames; advertised, never probed) and a client sends
+// frames when it does and JSON otherwise. Client and daemon are built
+// from one tree: nothing here is kept for daemons older than the client.
 //
 // Endpoints (all under the /v1 prefix; see PathPlace etc.):
 //
-//	POST /v1/place    PlaceRequest  -> PlaceResponse   (single or batch)
-//	POST /v1/outcome  OutcomeRequest -> 204 No Content  (feedback)
+//	POST /v1/place    PlaceRequest  -> PlaceResponse   (JSON; single or batch)
+//	POST /v1/outcome  OutcomeRequest -> 204 No Content  (JSON; feedback)
 //	GET  /v1/model    -> ModelInfo                      (active version)
 //	POST /v1/stream   -> 101, then frames both ways     (binary only)
 //
 // Every binary frame has one 12-byte header (binary.go) and one of five
 // types:
 //
-//	1  FramePlaceRequest    client -> daemon  HTTP body or stream
+//	1  FramePlaceRequest    client -> daemon
 //	2  FramePlaceResponse   daemon -> client  answers a place request
 //	3  FrameError           daemon -> client  refuses any request
-//	4  FrameOutcomeRequest  client -> daemon  stream only
+//	4  FrameOutcomeRequest  client -> daemon
 //	5  FrameOutcomeAck      daemon -> client  answers an outcome; empty
 //
 // An outcome-request payload carries the whole OutcomeRequest (a
@@ -57,7 +62,7 @@
 // and both reach one pipeline in the daemon. A router and its nodes speak
 // nothing else on the data path: every routed place and every routed
 // outcome is one frame exchange on a stream session the node's client
-// keeps pooled (rpc.Client.PlaceStream, rpc.Client.Observe).
+// keeps pooled (rpc.Client.Place, rpc.Client.Observe).
 //
 // JSON codec. The two place documents, PlaceRequest and PlaceResponse,
 // are written and read by one hand-written codec (json.go) on every
@@ -98,9 +103,8 @@
 // ErrorResponse, OutcomeRequest) stay on encoding/json.
 //
 // Every refusal carries exactly one of four codes (ErrCode*), written
-// as an error frame on a stream and to clients that accept the binary
-// codec, and as an ErrorResponse body otherwise; over HTTP the code
-// also picks the status:
+// as an error frame on a stream and as an ErrorResponse body over HTTP,
+// where the code also picks the status:
 //
 //	ErrCodeBadRequest    400  the request itself is wrong; resending it
 //	                          anywhere fails the same way
@@ -110,8 +114,8 @@
 //	ErrCodeServer        503  the daemon failed
 //
 // Three bad-request refusals keep the more specific HTTP status a stock
-// client expects: 405 (wrong method), 415 (binary codec disabled) and
-// 404 (streaming disabled).
+// client expects: 405 (wrong method), 415 (a frame posted to /v1/place;
+// frames travel on /v1/stream) and 404 (streaming disabled).
 // The types here are the compatibility surface: fields are only ever
 // added, never renamed or repurposed, within a protocol version.
 package wire
