@@ -239,22 +239,10 @@ func LoadCategoryModelFile(path string) (*CategoryModel, error) {
 	return core.LoadCategoryModelFile(path)
 }
 
-// DefaultAdaptiveConfig returns Algorithm 1's default hyperparameters
-// for an N-category model.
-func DefaultAdaptiveConfig(numCategories int) AdaptiveConfig {
-	return core.DefaultAdaptiveConfig(numCategories)
-}
-
 // NewAdaptiveRankingPolicy wires a trained category model to a fresh
 // Algorithm 1 controller: the paper's placement method.
 func NewAdaptiveRankingPolicy(model *CategoryModel, cm *CostModel) (Policy, error) {
 	return policy.NewAdaptiveRanking(model, cm, core.DefaultAdaptiveConfig(model.NumCategories()))
-}
-
-// NewAdaptiveRankingPolicyWithConfig is NewAdaptiveRankingPolicy with
-// explicit controller hyperparameters.
-func NewAdaptiveRankingPolicyWithConfig(model *CategoryModel, cm *CostModel, cfg AdaptiveConfig) (Policy, error) {
-	return policy.NewAdaptiveRanking(model, cm, cfg)
 }
 
 // NewFirstFitPolicy returns the static FirstFit baseline (§3.2).
@@ -377,15 +365,6 @@ func DefaultOnlineConfig(numCategories int) OnlineConfig {
 	return online.DefaultConfig(numCategories)
 }
 
-// NewRebalancePolicy wraps a write-time placement policy with the
-// heat-aware global rebalancer: outcome observations feed a decayed
-// per-workload heat tracker, and a periodic solver re-poses SSD
-// residency as the paper's Section 3.1 knapsack, demoting workloads
-// whose realized value no longer justifies their footprint.
-func NewRebalancePolicy(inner Policy, cm *CostModel, cfg RebalanceConfig) *RebalancePolicy {
-	return rebalance.New(inner, cm, cfg)
-}
-
 // NewOnlineLearner creates the continuous-learning pipeline for a
 // workload: stream placement outcomes in with Observe and the learner
 // retrains on fresh data, shadow-gates each candidate against the live
@@ -429,15 +408,11 @@ func RunFleet(cfg FleetConfig) (*FleetReport, error) {
 }
 
 // RunFleetWithRegistry is RunFleet publishing each cluster's online
-// models into reg under FleetWorkloadKey(cluster) — pass your own
-// registry to inspect or persist the fleet's model versions.
+// models into reg under "cluster/<id>" — pass your own registry to
+// inspect or persist the fleet's model versions.
 func RunFleetWithRegistry(cfg FleetConfig, reg *ModelRegistry) (*FleetReport, error) {
 	return fleet.RunWithRegistry(cfg, reg)
 }
-
-// FleetWorkloadKey is the registry namespace ("cluster/<id>") a
-// cluster's online loop publishes under during a fleet run.
-func FleetWorkloadKey(cluster string) string { return fleet.WorkloadKey(cluster) }
 
 // Simulate replays a trace through a placement policy under an SSD
 // quota and returns savings metrics.
@@ -455,8 +430,8 @@ func SolveOracle(jobs []*Job, capacity float64, cm *CostModel, cfg OracleConfig)
 func DefaultOracleConfig() OracleConfig { return oracle.DefaultConfig() }
 
 // GenerateCluster produces a synthetic cluster workload trace — the
-// stand-in for production traces (see DESIGN.md for the substitution
-// rationale).
+// stand-in for production traces (see docs/ARCHITECTURE.md, "Paper
+// section → package correspondence").
 func GenerateCluster(cfg GeneratorConfig) *Trace {
 	return trace.NewGenerator(cfg).Generate()
 }

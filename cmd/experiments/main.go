@@ -1,6 +1,8 @@
-// Command experiments regenerates the paper's tables and figures (see
-// DESIGN.md section 3 for the experiment index). Every experiment
-// prints a plain-text table with the same rows/series the paper plots.
+// Command experiments regenerates the paper's tables and figures (the
+// experiment ids are listed in runners below; docs/ARCHITECTURE.md, "Paper
+// section → package correspondence", maps them to packages). Every
+// experiment prints a plain-text table with the same rows/series the
+// paper plots.
 //
 // Usage:
 //
@@ -138,7 +140,7 @@ func runners() []runner {
 
 func main() {
 	var (
-		fig   = flag.String("fig", "all", "experiment id or 'all' (see DESIGN.md)")
+		fig   = flag.String("fig", "all", "experiment id or 'all'")
 		quick = flag.Bool("quick", false, "reduced scale for a fast pass")
 		seed  = flag.Int64("seed", 1, "experiment seed")
 	)

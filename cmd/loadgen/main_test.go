@@ -9,16 +9,16 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cost"
+	"repro/internal/golden"
 	"repro/internal/metrics"
 	"repro/internal/registry"
 	"repro/internal/router"
 	"repro/internal/rpc"
-	"repro/internal/testutil"
 	"repro/internal/trace"
 )
 
 // TestSummaryGolden pins the loadgen report format with fixed values —
-// scripts (and the BENCH_rpc.json recording procedure) parse it.
+// scripts parse it.
 func TestSummaryGolden(t *testing.T) {
 	s := summary{
 		Target:       "http://127.0.0.1:7070",
@@ -41,7 +41,7 @@ func TestSummaryGolden(t *testing.T) {
 	}
 	var b bytes.Buffer
 	writeSummary(&b, s)
-	testutil.Golden(t, "testdata/summary.golden", b.Bytes())
+	golden.Check(t, "testdata/summary.golden", b.Bytes())
 
 	// The unpaced variant renders "unpaced" instead of a rate.
 	s.TargetQPS = 0
@@ -86,7 +86,7 @@ func TestSummaryNodesGolden(t *testing.T) {
 	}
 	var b bytes.Buffer
 	writeSummary(&b, s)
-	testutil.Golden(t, "testdata/summary_nodes.golden", b.Bytes())
+	golden.Check(t, "testdata/summary_nodes.golden", b.Bytes())
 }
 
 // TestLoadgenAgainstDaemon is the closed-loop smoke: a real daemon on

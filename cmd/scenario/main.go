@@ -12,7 +12,6 @@
 //	scenario                         # run the whole checked-in suite
 //	scenario -run burst              # subset by name regexp
 //	scenario -run burst -update      # re-golden after an intended change
-//	scenario -bench BENCH_scenarios.json   # append stats to the history
 package main
 
 import (
@@ -22,7 +21,6 @@ import (
 	"io"
 	"os"
 	"regexp"
-	"time"
 
 	"repro/internal/scenario"
 )
@@ -47,7 +45,6 @@ func run(args []string, stdout io.Writer) error {
 		runRe   = fs.String("run", "", "run only scenarios whose name matches this regexp")
 		workers = fs.Int("workers", 0, "scenario worker pool (0 = GOMAXPROCS; reports are identical at any value)")
 		update  = fs.Bool("update", false, "rewrite each scenario's report.golden with this run's report")
-		bench   = fs.String("bench", "", "append machine-readable results to this history file")
 		verbose = fs.Bool("v", false, "print each scenario's full report")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -93,12 +90,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "scenario suite: %d passed, %d failed (%d run)\n",
 		passed, failed, len(outcomes))
-	if *bench != "" {
-		if err := scenario.AppendHistory(*bench, time.Now(), outcomes); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "appended run to %s\n", *bench)
-	}
 	if failed > 0 {
 		return errFailed
 	}

@@ -2,15 +2,11 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/scenario"
 )
 
 // writeSuite lays out a one-scenario suite and returns its root and
@@ -128,29 +124,5 @@ func TestRunBadInputs(t *testing.T) {
 	}
 	if err := run([]string{"-dir", root, "-run", "nomatch"}, &bytes.Buffer{}); err == nil {
 		t.Fatal("empty filter match accepted")
-	}
-}
-
-func TestRunBenchHistory(t *testing.T) {
-	root, _ := writeSuite(t, "")
-	bench := filepath.Join(t.TempDir(), "BENCH_scenarios.json")
-	var out bytes.Buffer
-	if err := run([]string{"-dir", root, "-update", "-bench", bench}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), fmt.Sprintf("appended run to %s", bench)) {
-		t.Fatalf("bench append not reported:\n%s", out.String())
-	}
-	data, err := os.ReadFile(bench)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hist scenario.BenchHistory
-	if err := json.Unmarshal(data, &hist); err != nil {
-		t.Fatal(err)
-	}
-	if len(hist.Runs) != 1 || len(hist.Runs[0].Scenarios) != 1 ||
-		hist.Runs[0].Scenarios[0].Name != "tiny" {
-		t.Fatalf("unexpected history: %+v", hist)
 	}
 }

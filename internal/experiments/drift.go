@@ -35,9 +35,9 @@ type DriftResult struct {
 }
 
 // DriftScenario is the spliced workload-evolution environment, shared
-// by the offline Drift experiment, the online-learning end-to-end test
-// (internal/online) and cmd/serve -online: a cluster whose application
-// mix changes abruptly at SpliceSec.
+// by the offline Drift experiment and the online-learning end-to-end
+// test (internal/online): a cluster whose application mix changes
+// abruptly at SpliceSec.
 type DriftScenario struct {
 	// Pre is the pre-drift cluster environment; models that must go
 	// stale train on Pre.Train.

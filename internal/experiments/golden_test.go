@@ -5,16 +5,16 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/golden"
 	"repro/internal/online"
 	"repro/internal/policy"
 	"repro/internal/sim"
-	"repro/internal/testutil"
 )
 
 // TestDriftReportGolden pins the rendered Drift report at the quick
 // preset: any change to the generator, cost model, trainer, simulator
 // or drift splice shows up as a diff here before it shows up as a
-// silently shifted conclusion. Regenerate with -update.
+// silently shifted conclusion. Regenerate with UPDATE_GOLDEN=1.
 func TestDriftReportGolden(t *testing.T) {
 	res, err := Drift(QuickOptions())
 	if err != nil {
@@ -22,7 +22,7 @@ func TestDriftReportGolden(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	res.Render(&buf)
-	testutil.Golden(t, "testdata/drift.golden", buf.Bytes())
+	golden.Check(t, "testdata/drift.golden", buf.Bytes())
 }
 
 // TestTailSavingsGolden pins TailSavingsPercent accounting: a frozen
@@ -59,5 +59,5 @@ func TestTailSavingsGolden(t *testing.T) {
 	if full != res.TCOSavingsPercent() {
 		t.Errorf("tail from 0 = %g, aggregate = %g", full, res.TCOSavingsPercent())
 	}
-	testutil.Golden(t, "testdata/tail.golden", buf.Bytes())
+	golden.Check(t, "testdata/tail.golden", buf.Bytes())
 }

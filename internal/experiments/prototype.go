@@ -450,50 +450,3 @@ func (r *Fig5Result) Render(w io.Writer) {
 		[]string{"quota", "AR TCO%", "FF TCO%", "ratio", "AR TCIO%", "FF TCIO%", "ratio"}, rows)
 	fmt.Fprintf(w, "paper: 4.38x TCO at 1%% quota, 1.77x at 20%%; TCIO 3.90x / 1.69x\n")
 }
-
-// DebugPrototype prints controller/category diagnostics for the Fig. 5
-// deployment at one quota fraction (calibration tooling).
-func DebugPrototype(opts Options, frac float64) error {
-	sched, err := buildFig5Schedule(opts.Seed)
-	if err != nil {
-		return err
-	}
-	cm := cost.Default()
-	model, peak, warm, err := trainPrototypeModel(sched, opts, cm)
-	if err != nil {
-		return err
-	}
-	// Category distribution and per-category value on the warmup jobs.
-	jobs := make([]*trace.Job, len(warm.records))
-	for i, rec := range warm.records {
-		jobs[i] = rec.Job
-	}
-	cats := model.Categories(jobs, nil)
-	counts := map[int]int{}
-	hotByCat := map[int]float64{}
-	for i, rec := range warm.records {
-		c := int(cats[i])
-		counts[c]++
-		hotByCat[c] += cm.Savings(rec.Job)
-	}
-	fmt.Printf("peak=%.3f TiB quota=%.2f GiB\n", peak/(1<<40), peak*frac/(1<<30))
-	for c := 0; c < model.NumCategories(); c++ {
-		if counts[c] > 0 {
-			fmt.Printf("  cat %2d: %4d jobs, total savings %.3e\n", c, counts[c], hotByCat[c])
-		}
-	}
-	// True labels for comparison.
-	lcounts := map[int]int{}
-	for _, rec := range warm.records {
-		lcounts[model.Labeler.Label(rec.Job, cm)]++
-	}
-	fmt.Printf("true label counts: %v\n", lcounts)
-	acc := 0
-	for i, rec := range warm.records {
-		if int(cats[i]) == model.Labeler.Label(rec.Job, cm) {
-			acc++
-		}
-	}
-	fmt.Printf("train accuracy: %.2f\n", float64(acc)/float64(len(warm.records)))
-	return nil
-}

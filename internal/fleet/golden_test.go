@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/testutil"
+	"repro/internal/golden"
 )
 
 // TestFleetReportGolden pins the rendered fleet comparison (online
@@ -12,7 +12,7 @@ import (
 // determinism property this gives the fleet a regression net: the
 // report cannot drift across refactors of any layer underneath it —
 // generator, trainer, simulator, serving, online loop — without this
-// test surfacing the exact rows that moved. Regenerate with -update.
+// test surfacing the exact rows that moved. Regenerate with UPDATE_GOLDEN=1.
 func TestFleetReportGolden(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.Online = testOnlineConfig()
@@ -22,5 +22,5 @@ func TestFleetReportGolden(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	rep.Render(&buf)
-	testutil.Golden(t, "testdata/report.golden", buf.Bytes())
+	golden.Check(t, "testdata/report.golden", buf.Bytes())
 }

@@ -290,9 +290,9 @@ func TrainRegressor(ds *Dataset, targets []float64, cfg Config) (*Model, error) 
 // TrainClassifierNaive is the original per-node-rebuild trainer, kept
 // as the reference implementation: it re-materializes every node's
 // histograms from rows, allocates per node, and replays each round with
-// per-row tree.Predict. It exists for benchmarking (the engine's
-// speedup baseline) and for parity tests; production callers should use
-// TrainClassifier.
+// per-row tree.Predict. It is the parity reference only
+// (TestEngineMatchesNaiveParity holds the engine to it); callers that
+// want a model use TrainClassifier.
 func TrainClassifierNaive(ds *Dataset, labels []int, numClasses int, cfg Config) (*Model, error) {
 	counts, err := validateClassifierArgs(ds, labels, numClasses, cfg)
 	if err != nil {

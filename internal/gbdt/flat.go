@@ -643,6 +643,3 @@ func argmax(xs []float64) int {
 
 // NumTrees returns the number of compiled trees.
 func (f *Forest) NumTrees() int { return len(f.trees) }
-
-// NumNodes returns the total node count (for size accounting).
-func (f *Forest) NumNodes() int { return len(f.nodes) }

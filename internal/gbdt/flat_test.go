@@ -420,6 +420,16 @@ func BenchmarkModelPredictPerRow(b *testing.B) {
 	}
 }
 
+// BenchmarkPredictProba measures full probability inference on the
+// model's own trees.
+func BenchmarkPredictProba(b *testing.B) {
+	m, rows := trainFlatFixture(b, 2000, 60)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.PredictProba(rows[i%len(rows)])
+	}
+}
+
 func BenchmarkForestPredictBatch(b *testing.B) {
 	m, rows := trainFlatFixture(b, 2000, 60)
 	f := m.MustCompile()

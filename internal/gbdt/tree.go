@@ -99,8 +99,8 @@ type splitResult struct {
 // grower holds the per-training-run state of the legacy trainer: it
 // rebuilds every node's histograms from that node's rows and allocates
 // per-node row slices. Retained as the reference implementation behind
-// TrainClassifierNaive (benchmark baseline and parity oracle); the
-// production trainers run the histogram-subtraction engine in hist.go.
+// TrainClassifierNaive (the parity oracle); the production trainers run
+// the histogram-subtraction engine in hist.go.
 type grower struct {
 	bins   *binning
 	schema *Schema

@@ -1,10 +1,9 @@
-// Package golden is the dependency-free core of the repository's
-// golden-file machinery: byte-exact comparison, rewrite, and a small
-// line diff. It deliberately does not import testing, so both the
-// golden tests (via internal/testutil, which adds the shared -update
-// flag) and production tooling — the cmd/scenario runner diffing
-// scenarios/<name>/report.golden — share one implementation and one
-// set of semantics.
+// Package golden is the repository's golden-file machinery: byte-exact
+// comparison, rewrite, a small line diff, and the one switch that turns
+// a comparison into a rewrite. It does not import testing, so the
+// golden tests (through Check) and production tooling — the
+// cmd/scenario runner diffing scenarios/<name>/report.golden — share
+// one implementation and one set of semantics.
 //
 // Golden content must be deterministic: fixed ordering, fixed float
 // precision, no wall-clock values.
@@ -17,6 +16,42 @@ import (
 	"path/filepath"
 )
 
+// updateEnv is the environment variable that makes Check rewrite golden
+// files instead of comparing against them:
+//
+//	UPDATE_GOLDEN=1 go test ./...
+//
+// An environment variable reaches every test binary whether or not its
+// package has golden files; a test flag fails the packages that never
+// defined it.
+const updateEnv = "UPDATE_GOLDEN"
+
+// T is the part of *testing.T that Check uses.
+type T interface {
+	Helper()
+	Logf(format string, args ...any)
+	Errorf(format string, args ...any)
+	Fatalf(format string, args ...any)
+}
+
+// Check compares got against the golden file at path (relative to the
+// test's working directory, conventionally testdata/<name>.golden) and
+// reports a mismatch on t. With UPDATE_GOLDEN set (to anything
+// non-empty) it rewrites the file instead and logs the change.
+func Check(t T, path string, got []byte) {
+	t.Helper()
+	if os.Getenv(updateEnv) != "" {
+		if err := Write(path, got); err != nil {
+			t.Fatalf("golden: %v", err)
+		}
+		t.Logf("golden: rewrote %s (%d bytes)", path, len(got))
+		return
+	}
+	if err := Compare(path, got); err != nil {
+		t.Errorf("%v", err)
+	}
+}
+
 // Write (re)writes the golden file at path, creating parent
 // directories as needed.
 func Write(path string, got []byte) error {
@@ -26,19 +61,23 @@ func Write(path string, got []byte) error {
 	return os.WriteFile(path, got, 0o644)
 }
 
+// howToUpdate names both switches: Compare serves the golden tests and
+// the scenario runner alike.
+const howToUpdate = "UPDATE_GOLDEN=1 go test, or scenario -update for a scenario report"
+
 // Compare compares got against the golden file at path and returns a
 // descriptive error (including a line diff) on mismatch, or when the
 // golden file is missing.
 func Compare(path string, got []byte) error {
 	want, err := os.ReadFile(path)
 	if err != nil {
-		return fmt.Errorf("golden: %v (run with -update to create it)", err)
+		return fmt.Errorf("golden: %v (create it with %s)", err, howToUpdate)
 	}
 	if bytes.Equal(want, got) {
 		return nil
 	}
-	return fmt.Errorf("golden: output differs from %s (re-run with -update if the change is intended)\n%s",
-		path, Diff(want, got))
+	return fmt.Errorf("golden: output differs from %s (if the change is intended, rewrite it with %s)\n%s",
+		path, howToUpdate, Diff(want, got))
 }
 
 // Diff renders a line-oriented first-divergence report: full diffs

@@ -1,6 +1,7 @@
 package golden
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -54,5 +55,73 @@ func TestDiffTruncates(t *testing.T) {
 	}
 	if Diff(want, want) != "" {
 		t.Fatal("diff for identical inputs")
+	}
+}
+
+// recorder stands in for *testing.T so a failing Check can be observed
+// without failing the test that provokes it.
+type recorder struct {
+	logs, errors, fatals []string
+}
+
+func (r *recorder) Helper() {}
+func (r *recorder) Logf(format string, args ...any) {
+	r.logs = append(r.logs, fmt.Sprintf(format, args...))
+}
+func (r *recorder) Errorf(format string, args ...any) {
+	r.errors = append(r.errors, fmt.Sprintf(format, args...))
+}
+func (r *recorder) Fatalf(format string, args ...any) {
+	r.fatals = append(r.fatals, fmt.Sprintf(format, args...))
+}
+
+func TestCheckHonoursUpdateGolden(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "out.golden")
+	if err := Write(path, []byte("old\n")); err != nil {
+		t.Fatal(err)
+	}
+	read := func() string {
+		t.Helper()
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+
+	// Unset: a differing file is reported and left untouched.
+	t.Setenv(updateEnv, "")
+	r := &recorder{}
+	Check(r, path, []byte("new\n"))
+	if len(r.errors) != 1 || !strings.Contains(r.errors[0], updateEnv) || len(r.fatals) != 0 {
+		t.Fatalf("compare mode: errors %q, fatals %q", r.errors, r.fatals)
+	}
+	if got := read(); got != "old\n" {
+		t.Fatalf("compare mode rewrote the golden: %q", got)
+	}
+
+	// Set: rewritten and logged, then compares clean.
+	t.Setenv(updateEnv, "1")
+	r = &recorder{}
+	Check(r, path, []byte("new\n"))
+	if len(r.errors)+len(r.fatals) != 0 || len(r.logs) != 1 {
+		t.Fatalf("update mode: %+v", r)
+	}
+	if got := read(); got != "new\n" {
+		t.Fatalf("update mode left %q", got)
+	}
+	t.Setenv(updateEnv, "")
+	r = &recorder{}
+	Check(r, path, []byte("new\n"))
+	if len(r.errors)+len(r.fatals)+len(r.logs) != 0 {
+		t.Fatalf("clean compare after update: %+v", r)
+	}
+
+	// An unwritable path under update is fatal, not silently skipped.
+	t.Setenv(updateEnv, "1")
+	r = &recorder{}
+	Check(r, filepath.Join(path, "below-a-file.golden"), []byte("x"))
+	if len(r.fatals) != 1 {
+		t.Fatalf("unwritable golden: %+v", r)
 	}
 }

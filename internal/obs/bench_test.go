@@ -8,10 +8,7 @@ import (
 // BenchmarkTracerUnsampled measures the per-request cost of tracing on
 // the path every request pays: one Begin that loses the sampling coin
 // flip. It must report 0 allocs/op — TestUnsampledZeroAllocs asserts
-// the same bound as a hard failure; the benchmark records the ns/op for
-// BENCH_obs.json.
-//
-// Re-record with:
+// the same bound as a hard failure; the benchmark reports the ns/op.
 //
 //	go test -run '^$' -bench BenchmarkTracer -benchtime=2s ./internal/obs
 func BenchmarkTracerUnsampled(b *testing.B) {

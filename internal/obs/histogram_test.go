@@ -7,8 +7,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/golden"
 	"repro/internal/metrics"
-	"repro/internal/testutil"
 )
 
 func TestBucketSchemeInvariants(t *testing.T) {
@@ -182,7 +182,7 @@ func TestHistogramWriteTextGolden(t *testing.T) {
 	var buf bytes.Buffer
 	s.WriteText(&buf, "rpc_place_binary_latency_ns")
 	s.WriteTextLabeled(&buf, "router_dispatch_latency_ns", `{node="http://127.0.0.1:7070"}`)
-	testutil.Golden(t, "testdata/histogram.golden", buf.Bytes())
+	golden.Check(t, "testdata/histogram.golden", buf.Bytes())
 }
 
 func TestQuantileEdgeCases(t *testing.T) {

@@ -11,7 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/testutil"
+	"repro/internal/golden"
 )
 
 // httpGet fetches a URL and returns the status code.
@@ -162,7 +162,7 @@ func TestWriteTracezGolden(t *testing.T) {
 	if err := WriteTracezJSON(&buf, "placementfront", 100, 256, 17, traces); err != nil {
 		t.Fatalf("json: %v", err)
 	}
-	testutil.Golden(t, "testdata/tracez.golden", buf.Bytes())
+	golden.Check(t, "testdata/tracez.golden", buf.Bytes())
 }
 
 func TestServeTracez(t *testing.T) {
@@ -202,7 +202,7 @@ func TestProcWriteTextGolden(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	p.WriteText(&buf, "placementd")
-	testutil.Golden(t, "testdata/proc.golden", buf.Bytes())
+	golden.Check(t, "testdata/proc.golden", buf.Bytes())
 }
 
 func TestCollectProc(t *testing.T) {

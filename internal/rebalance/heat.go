@@ -159,9 +159,6 @@ func (h *HeatTracker) Len() int {
 	return len(h.byKey)
 }
 
-// HalfLife returns the decay half-life in virtual seconds.
-func (h *HeatTracker) HalfLife() float64 { return h.halfLife }
-
 // Stats returns the rebalance counter snapshot — the rebalance_*
 // exposition a daemon's /varz renders when a tracker is attached to
 // its outcome path.

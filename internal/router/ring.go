@@ -52,13 +52,6 @@ func NewRing(seed uint64, replicas int) *Ring {
 	return &Ring{seed: seed, replicas: replicas}
 }
 
-// Members returns the current member list, sorted.
-func (r *Ring) Members() []string {
-	out := make([]string, len(r.members))
-	copy(out, r.members)
-	return out
-}
-
 // Len returns the number of members.
 func (r *Ring) Len() int { return len(r.members) }
 

@@ -5,15 +5,15 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/golden"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/rpc/wire"
-	"repro/internal/testutil"
 )
 
 // TestVarzGolden pins the /varz text exposition byte for byte with
 // fixed snapshot values: the keys and formats are an operational
-// contract scrapers depend on. Regenerate with -update.
+// contract scrapers depend on. Regenerate with UPDATE_GOLDEN=1.
 func TestVarzGolden(t *testing.T) {
 	info := wire.ModelInfo{
 		Workload:      "analytics/shuffle",
@@ -111,7 +111,7 @@ func TestVarzGolden(t *testing.T) {
 
 	var b bytes.Buffer
 	writeVarz(&b, v)
-	testutil.Golden(t, "testdata/varz.golden", b.Bytes())
+	golden.Check(t, "testdata/varz.golden", b.Bytes())
 
 	// Without a learner or rebalancer the optional blocks are absent
 	// but everything above them is byte-identical.

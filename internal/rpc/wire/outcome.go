@@ -17,8 +17,7 @@ import (
 // once serve.Observe returns, so that is all the daemon needs unless a
 // learner or an outcome observer is attached; those keep jobs, and get
 // OutcomeView.Own's: the job and one string the ten fields are
-// substrings of, allocated then and only then. DecodeOutcomeRequest is
-// the two steps back to back.
+// substrings of, allocated then and only then.
 
 // outcomeFlagTraceID marks an outcome payload whose flags are followed
 // by a u64 trace ID.
@@ -191,19 +190,13 @@ func (v *OutcomeView) Own() *trace.Job {
 	}
 	j := new(trace.Job)
 	*j = *v.Job
-	v.ownStrings(j)
-	return j
-}
-
-// ownStrings sets j's ten strings to substrings of one copy of the
-// borrowed string bytes.
-func (v *OutcomeView) ownStrings(j *trace.Job) {
 	blob := string(v.blob)
 	for i, dst := range [outcomeStrings]*string{&j.ID, &j.Cluster, &j.User, &j.Pipeline, &j.Step,
 		&j.Meta.BuildTargetName, &j.Meta.ExecutionName, &j.Meta.PipelineName, &j.Meta.StepName, &j.Meta.UserName} {
 		n := binary.LittleEndian.Uint32(v.lens[4*i:])
 		*dst, blob = blob[:n], blob[n:]
 	}
+	return j
 }
 
 // DecodeOutcomeView parses an outcome-request payload in place and
@@ -262,20 +255,5 @@ func DecodeOutcomeView(payload []byte, job *trace.Job, v *OutcomeView) (uint64, 
 	}
 	job.History = trace.History{AvgTCIO: r.f64(), AvgSizeBytes: r.f64(), AvgLifetime: r.f64(), AvgIODensity: r.f64(), NumRuns: r.int()}
 	v.Hash = trace.TemplateHash(v.str(outcomeStrPipeline), v.str(outcomeStrStep))
-	return traceID, nil
-}
-
-// DecodeOutcomeRequest is DecodeOutcomeView followed by the owning step,
-// for a consumer that keeps every job it decodes: it allocates the job
-// and one string holding every string field. On error req is untouched.
-func DecodeOutcomeRequest(payload []byte, req *OutcomeRequest) (uint64, error) {
-	var v OutcomeView
-	j := new(trace.Job) // decoded into directly: the copy Own would make
-	traceID, err := DecodeOutcomeView(payload, j, &v)
-	if err != nil {
-		return 0, err
-	}
-	v.ownStrings(j)
-	*req = OutcomeRequest{Job: j, Category: v.Category, Outcome: v.Outcome}
 	return traceID, nil
 }

@@ -52,6 +52,21 @@ func fullOutcomeRequest(t *testing.T) OutcomeRequest {
 	return want
 }
 
+// decodeOwned is what a consumer that keeps every job runs: decode in
+// place, then own. On error req is untouched.
+func decodeOwned(payload []byte, req *OutcomeRequest) (uint64, error) {
+	var (
+		job trace.Job
+		v   OutcomeView
+	)
+	traceID, err := DecodeOutcomeView(payload, &job, &v)
+	if err != nil {
+		return 0, err
+	}
+	*req = OutcomeRequest{Job: v.Own(), Category: v.Category, Outcome: v.Outcome}
+	return traceID, nil
+}
+
 // TestOutcomeFrameCarriesEveryField is the guard against the codec
 // silently dropping a field: a request with every leaf of trace.Job and
 // Outcome set must come back deeply equal, with and without a trace ID.
@@ -69,7 +84,7 @@ func TestOutcomeFrameCarriesEveryField(t *testing.T) {
 			t.Fatalf("frame type %d err %v", ft, err)
 		}
 		var got OutcomeRequest
-		gotID, err := DecodeOutcomeRequest(payload, &got)
+		gotID, err := decodeOwned(payload, &got)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +102,7 @@ func TestOutcomeFrameCarriesEveryField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeOutcomeRequest(frame[HeaderSize:], &got); err != nil || !reflect.DeepEqual(got, OutcomeRequest{Job: &trace.Job{}}) {
+	if _, err := decodeOwned(frame[HeaderSize:], &got); err != nil || !reflect.DeepEqual(got, OutcomeRequest{Job: &trace.Job{}}) {
 		t.Errorf("zero job came back %+v, %v", got, err)
 	}
 	if _, err := AppendOutcomeFrame(nil, 0, &OutcomeRequest{}); err == nil {
@@ -142,7 +157,7 @@ func TestOutcomeValidateRejectsNonFinite(t *testing.T) {
 				t.Fatal(err)
 			}
 			var got OutcomeRequest
-			if _, err := DecodeOutcomeRequest(frame[HeaderSize:], &got); err != nil {
+			if _, err := decodeOwned(frame[HeaderSize:], &got); err != nil {
 				t.Fatalf("float %d = %g: the codec refused it: %v", i, bad, err)
 			}
 			if err := got.Validate(); err == nil {
@@ -158,8 +173,7 @@ func TestOutcomeValidateRejectsNonFinite(t *testing.T) {
 
 // TestOutcomeCodecAllocs pins the codec's allocation contract: none to
 // encode into warm scratch, none to decode in place or to validate what
-// was decoded, two to own it (the job and its string blob) — which is
-// also what DecodeOutcomeRequest, the two steps together, costs.
+// was decoded, two to own it (the job and its string blob).
 func TestOutcomeCodecAllocs(t *testing.T) {
 	req := OutcomeRequest{Job: outcomeJob(), Category: 3, Outcome: Outcome{WantedSSD: true, FracOnSSD: 0.5, SpilledAt: 60, EvictedAt: -1}}
 	frame, err := AppendOutcomeFrame(nil, 7, &req)
@@ -189,10 +203,6 @@ func TestOutcomeCodecAllocs(t *testing.T) {
 	}
 	if !reflect.DeepEqual(kept, req.Job) {
 		t.Errorf("owned job\n%+v\nwant\n%+v", kept, req.Job)
-	}
-	var out OutcomeRequest
-	if got := testing.AllocsPerRun(100, func() { _, _ = DecodeOutcomeRequest(frame[HeaderSize:], &out) }); got != 2 {
-		t.Errorf("decode + own allocates %.1f times, want 2", got)
 	}
 }
 
@@ -301,11 +311,6 @@ func checkDecodeInPlace(t *testing.T, payload []byte) {
 	gotID, err := DecodeOutcomeView(buf, &scratch, &view)
 	if errString(err) != errString(wantErr) {
 		t.Fatalf("in place refused with %q, the reference with %q", errString(err), errString(wantErr))
-	}
-	var whole OutcomeRequest
-	wholeID, wholeErr := DecodeOutcomeRequest(payload, &whole)
-	if errString(wholeErr) != errString(wantErr) || wholeID != wantID || !sameRequest(whole, want) {
-		t.Fatalf("DecodeOutcomeRequest: %+v, %x, %v; the reference: %+v, %x, %v", whole, wholeID, wholeErr, want, wantID, wantErr)
 	}
 	if err != nil {
 		if view.Category != -1 || view.Job != nil || scratch.ID != "stale" {
@@ -455,14 +460,14 @@ func TestDecodeOutcomeRejections(t *testing.T) {
 	valid, malformed := outcomeFuzzSeeds(t)
 	var req OutcomeRequest
 	for i, p := range valid {
-		if _, err := DecodeOutcomeRequest(p, &req); err != nil {
+		if _, err := decodeOwned(p, &req); err != nil {
 			t.Errorf("valid seed %d refused: %v", i, err)
 		}
 		checkDecodeInPlace(t, p)
 	}
 	for i, p := range malformed {
 		req = OutcomeRequest{}
-		if _, err := DecodeOutcomeRequest(p, &req); err == nil {
+		if _, err := decodeOwned(p, &req); err == nil {
 			t.Errorf("malformed seed %d (%d bytes) accepted", i, len(p))
 		}
 		if req.Job != nil {
@@ -487,7 +492,7 @@ func FuzzDecodeOutcomeRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		checkDecodeInPlace(t, payload)
 		var req OutcomeRequest
-		traceID, err := DecodeOutcomeRequest(payload, &req)
+		traceID, err := decodeOwned(payload, &req)
 		if err != nil {
 			return
 		}

@@ -1,14 +1,12 @@
 package scenario
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
-	"time"
 )
 
 // tinySpec renders a fast sim scenario for runner tests: half a
@@ -189,47 +187,5 @@ func TestRunAllThresholdViolation(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("violation text missing: %v", out[0].Failures())
-	}
-}
-
-func TestAppendHistory(t *testing.T) {
-	root := t.TempDir()
-	writePkg(t, root, "tiny", tinySpec("tiny"), "")
-	out, err := RunAll(RunnerConfig{Dir: root, Update: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "BENCH.json")
-	when := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-	for i := 0; i < 2; i++ {
-		if err := AppendHistory(path, when.Add(time.Duration(i)*time.Hour), out); err != nil {
-			t.Fatal(err)
-		}
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hist BenchHistory
-	if err := json.Unmarshal(data, &hist); err != nil {
-		t.Fatal(err)
-	}
-	if len(hist.Runs) != 2 {
-		t.Fatalf("want 2 runs, got %d", len(hist.Runs))
-	}
-	r := hist.Runs[1]
-	if r.Date != "2026-08-08T13:00:00Z" {
-		t.Fatalf("date = %s", r.Date)
-	}
-	if len(r.Scenarios) != 1 || r.Scenarios[0].Name != "tiny" ||
-		r.Scenarios[0].Status != "PASS" || r.Scenarios[0].Stats.Jobs == 0 {
-		t.Fatalf("scenario entry: %+v", r.Scenarios)
-	}
-
-	if err := os.WriteFile(path, []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := AppendHistory(path, when, out); err == nil {
-		t.Fatal("malformed history accepted")
 	}
 }

@@ -6,6 +6,7 @@
 //
 // The public API lives in package repro/byom; the experiment harness
 // that regenerates every table and figure is repro/internal/experiments
-// (driven by cmd/experiments and the benchmarks in bench_test.go).
-// See README.md for a map and DESIGN.md for the substitution notes.
+// (driven by cmd/experiments). See README.md for a map and
+// docs/ARCHITECTURE.md ("Paper section → package correspondence") for
+// what stands in for what.
 package repro
