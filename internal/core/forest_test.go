@@ -195,10 +195,12 @@ func everyIDLeftModel(tb testing.TB, jobs []*trace.Job) *core.CategoryModel {
 		tb.Fatal("jobs agree on every categorical feature")
 	}
 	split := func(ids []int32, left, right float64) *gbdt.Tree {
-		return &gbdt.Tree{Nodes: []gbdt.Node{
-			{Feature: feat, Kind: gbdt.Categorical, LeftCats: ids, Left: 1, Right: 2},
+		tree := &gbdt.Tree{Nodes: []gbdt.Node{
+			{Feature: int32(feat), Kind: uint8(gbdt.Categorical), Left: 1, Right: 2},
 			{IsLeaf: true, Value: left}, {IsLeaf: true, Value: right},
 		}}
+		tree.SetLeftCats(0, ids)
+		return tree
 	}
 	var rest []int32
 	for id := int32(0); id < 1<<16; id++ {

@@ -3,6 +3,7 @@ package features
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/gbdt"
 )
@@ -72,7 +73,9 @@ func NewBinner(edges [][]float64, cards []int) (*Binner, error) {
 // indistinguishable to the model, which is what makes the quantization
 // decision-preserving.
 func BinnerForModel(m *gbdt.Model) (*Binner, error) {
-	edges := m.NumericSplitThresholds()
+	// The per-feature arrays are the model's own, shared read-only with
+	// its forest; only the list of them is this binner's to edit.
+	edges := slices.Clone(m.NumericSplitThresholds())
 	cards := make([]int, len(edges))
 	for f := range cards {
 		if m.Schema.Kinds[f] == gbdt.Categorical {

@@ -148,12 +148,12 @@ func TestBinnedSplitProperty(t *testing.T) {
 			for k, tree := range round {
 				for i := range tree.Nodes {
 					n := &tree.Nodes[i]
-					if n.IsLeaf || n.Kind != gbdt.Numeric {
+					if n.IsLeaf || n.Kind != uint8(gbdt.Numeric) {
 						continue
 					}
 					splits++
 					feat, j := fx.forest.SplitBin(r, k, i)
-					if feat != n.Feature || edges[feat][j] != n.Threshold {
+					if feat != int(n.Feature) || edges[feat][j] != n.Threshold {
 						t.Fatalf("round %d class %d node %d: split on feature %d at %v compiled to feature %d edge %d",
 							r, k, i, n.Feature, n.Threshold, feat, j)
 					}

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
+	"sync"
+	"unsafe"
 )
 
 // Config holds the boosting hyperparameters. The paper's category models
@@ -74,7 +76,10 @@ func (c *Config) validate() error {
 
 // Model is a trained gradient-boosted trees model. For classification,
 // Trees[r][k] is the round-r tree for class k and prediction is softmax
-// over accumulated logits; for regression NumClasses == 1.
+// over accumulated logits; for regression NumClasses == 1. A model is
+// fixed once built: what is derived from its trees is derived once
+// (NumericSplitThresholds), so pass it by pointer and build a new Model
+// rather than editing Trees.
 type Model struct {
 	Schema     *Schema   `json:"schema"`
 	Config     Config    `json:"config"`
@@ -88,6 +93,9 @@ type Model struct {
 	// ValLoss records per-round validation logloss when the model was
 	// trained with TrainClassifierWithValidation.
 	ValLoss []float64 `json:"val_loss,omitempty"`
+
+	thresholdsOnce sync.Once
+	thresholds     [][]float64
 }
 
 // validateClassifierArgs checks the shared TrainClassifier* inputs and
@@ -470,36 +478,51 @@ func (m *Model) FeatureImportance() []float64 {
 // during inference, so quantizing a row to the inter-threshold interval
 // each value falls in preserves every tree routing decision exactly —
 // the contract behind client-side pre-binning on the serving wire.
+//
+// The trees are walked on the first call only; every call returns the
+// same arrays, which the forest and the binner of the model keep too:
+// read them, do not change them.
 func (m *Model) NumericSplitThresholds() [][]float64 {
-	nf := m.Schema.NumFeatures()
-	sets := make([]map[float64]struct{}, nf)
+	m.thresholdsOnce.Do(func() { m.thresholds = m.numericSplitThresholds() })
+	return m.thresholds
+}
+
+func (m *Model) numericSplitThresholds() [][]float64 {
+	out := make([][]float64, m.Schema.NumFeatures())
 	for _, round := range m.Trees {
 		for _, tree := range round {
 			for i := range tree.Nodes {
-				n := &tree.Nodes[i]
-				if n.IsLeaf || n.Kind != Numeric {
-					continue
+				if n := &tree.Nodes[i]; !n.IsLeaf && n.Kind == uint8(Numeric) {
+					out[n.Feature] = append(out[n.Feature], n.Threshold)
 				}
-				if sets[n.Feature] == nil {
-					sets[n.Feature] = map[float64]struct{}{}
-				}
-				sets[n.Feature][n.Threshold] = struct{}{}
 			}
 		}
 	}
-	out := make([][]float64, nf)
-	for f, set := range sets {
-		if len(set) == 0 {
-			continue
-		}
-		edges := make([]float64, 0, len(set))
-		for t := range set {
-			edges = append(edges, t)
-		}
-		sort.Float64s(edges)
-		out[f] = edges
+	for f, thresholds := range out {
+		slices.Sort(thresholds)
+		// The copy sheds the slots of the splits that shared a threshold.
+		out[f] = slices.Clone(slices.Compact(thresholds))
 	}
 	return out
+}
+
+// ResidentBytes returns the bytes the model holds on the heap, counted
+// from the lengths of its trees and of their split thresholds (derived
+// here if they were not yet); the schema, which a bundle's encoder
+// shares, is left out. The allocator rounds each array up to a size
+// class on top of this, a few percent.
+func (m *Model) ResidentBytes() int {
+	n := int(unsafe.Sizeof(*m)) + 8*(len(m.InitScores)+len(m.TrainLoss)+len(m.ValLoss))
+	for _, round := range m.Trees {
+		n += int(unsafe.Sizeof(round)) + int(unsafe.Sizeof(round[0]))*len(round)
+		for _, tree := range round {
+			n += int(unsafe.Sizeof(*tree)) + int(unsafe.Sizeof(Node{}))*len(tree.Nodes) + 4*len(tree.cats)
+		}
+	}
+	for _, thresholds := range m.NumericSplitThresholds() {
+		n += int(unsafe.Sizeof(thresholds)) + 8*len(thresholds)
+	}
+	return n
 }
 
 // NumTrees returns the total number of trees in the model.
@@ -590,5 +613,8 @@ func TrainClassifierWithValidation(ds *Dataset, labels []int, numClasses int, cf
 	m.Trees = m.Trees[:bestRound+1]
 	m.TrainLoss = m.TrainLoss[:bestRound+1]
 	m.ValLoss = valLoss[:len(m.Trees)]
+	// Compile derived the thresholds of every round; the model handed
+	// out, cut to its best round, has derived nothing yet.
+	m.thresholdsOnce, m.thresholds = sync.Once{}, nil
 	return m, nil
 }

@@ -407,7 +407,7 @@ func TestSingleLeafPredictsPrior(t *testing.T) {
 func TestMissingValuesRouteLeft(t *testing.T) {
 	// NaN must behave like -inf at prediction time.
 	tree := &Tree{Nodes: []Node{
-		{Feature: 0, Kind: Numeric, Threshold: 1.0, Left: 1, Right: 2},
+		{Feature: 0, Threshold: 1.0, Left: 1, Right: 2},
 		{IsLeaf: true, Value: -7},
 		{IsLeaf: true, Value: 7},
 	}}
@@ -423,11 +423,11 @@ func TestMissingValuesRouteLeft(t *testing.T) {
 }
 
 func TestUnseenCategoryRoutesRight(t *testing.T) {
-	tree := &Tree{Nodes: []Node{
-		{Feature: 0, Kind: Categorical, LeftCats: []int32{0, 2}, Left: 1, Right: 2},
+	tree := withLeftCats(&Tree{Nodes: []Node{
+		{Feature: 0, Kind: uint8(Categorical), Left: 1, Right: 2},
 		{IsLeaf: true, Value: -7},
 		{IsLeaf: true, Value: 7},
-	}}
+	}}, 0, 0, 2)
 	if got := tree.Predict([]float64{2}); got != -7 {
 		t.Errorf("category 2 routed to %g, want -7", got)
 	}
@@ -441,7 +441,7 @@ func TestUnseenCategoryRoutesRight(t *testing.T) {
 
 func TestNumLeaves(t *testing.T) {
 	tree := &Tree{Nodes: []Node{
-		{Feature: 0, Kind: Numeric, Threshold: 0, Left: 1, Right: 2},
+		{Feature: 0, Threshold: 0, Left: 1, Right: 2},
 		{IsLeaf: true}, {IsLeaf: true},
 	}}
 	if got := tree.NumLeaves(); got != 2 {

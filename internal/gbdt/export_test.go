@@ -16,3 +16,9 @@ func (f *Forest) SplitBin(r, k, i int) (feat int, bin uint16) {
 	n := f.nodes[int(f.trees[int(f.classStart[k])+r].root)+i]
 	return int(n.feat), n.thr
 }
+
+// Cats returns the tree's id array, every categorical split's run.
+func (t *Tree) Cats() []int32 { return t.cats }
+
+// CatsEnd is the bound check of a tree's id runs.
+func CatsEnd(at, n int) (uint32, bool) { return catsEnd(at, n) }

@@ -126,7 +126,8 @@ type Forest struct {
 }
 
 // Compile lays the model out as a Forest, every array at its final
-// size. The result shares no state with the model and can be used
+// size. The result shares nothing with the model but the arrays of
+// NumericSplitThresholds, which nobody writes, and can be used
 // concurrently with further training.
 func (m *Model) Compile() (*Forest, error) {
 	if m.NumClasses < 1 || len(m.InitScores) != m.NumClasses {
@@ -180,10 +181,11 @@ func (m *Model) Compile() (*Forest, error) {
 				switch {
 				case n.IsLeaf:
 					numLeaves++
-				case n.Feature < 0 || n.Feature >= nf || n.Kind != f.kinds[n.Feature]:
+				case n.Feature < 0 || int(n.Feature) >= nf || FeatureKind(n.Kind) != f.kinds[n.Feature]:
 					return nil, fmt.Errorf("gbdt: compile: tree node %d splits on feature %d as kind %d, which the schema does not have", i, n.Feature, n.Kind)
-				case n.Kind == Categorical:
-					words, err := setWords(n)
+				case n.Kind == uint8(Categorical):
+					ids := tree.LeftCats(n)
+					words, err := setWords(n.Feature, ids)
 					if err != nil {
 						return nil, err
 					}
@@ -192,7 +194,7 @@ func (m *Model) Compile() (*Forest, error) {
 					for len(routed[n.Feature]) < words {
 						routed[n.Feature] = append(routed[n.Feature], 0)
 					}
-					setBits(routed[n.Feature], n.LeftCats)
+					setBits(routed[n.Feature], ids)
 				}
 			}
 		}
@@ -225,14 +227,14 @@ func (m *Model) Compile() (*Forest, error) {
 
 // setWords returns how many bitset words a categorical split's set
 // takes.
-func setWords(n *Node) (int, error) {
+func setWords(feature int32, ids []int32) (int, error) {
 	words := 0
-	for _, c := range n.LeftCats {
+	for _, c := range ids {
 		if c < 0 {
-			return 0, fmt.Errorf("gbdt: compile: categorical split on feature %d routes negative id %d", n.Feature, c)
+			return 0, fmt.Errorf("gbdt: compile: categorical split on feature %d routes negative id %d", feature, c)
 		}
 		if c > maxCategoryID {
-			return 0, &LimitError{fmt.Sprintf("category id on feature %d", n.Feature), int(c), maxCategoryID}
+			return 0, &LimitError{fmt.Sprintf("category id on feature %d", feature), int(c), maxCategoryID}
 		}
 		if w := int(c>>6) + 1; w > words {
 			words = w
@@ -252,7 +254,7 @@ func setBits(set []uint64, ids []int32) {
 // depth below the root, and the laid-out parent whose right child it is
 // (-1 for a left child or the root).
 type pendingNode struct {
-	src, depth int
+	src, depth int32
 	rightOf    int
 }
 
@@ -279,28 +281,27 @@ func (f *Forest) addTree(tree *Tree, stack []pendingNode) ([]pendingNode, error)
 		if n.IsLeaf {
 			f.nodes = append(f.nodes, binNode{thr: uint16(len(f.leaves) - int(tr.leaves)), set: setNone})
 			f.leaves = append(f.leaves, n.Value)
-			if int32(p.depth) > tr.depth {
-				tr.depth = int32(p.depth)
-			}
+			tr.depth = max(tr.depth, p.depth)
 			continue
 		}
-		if n.Left <= p.src || n.Left >= len(tree.Nodes) || n.Right <= p.src || n.Right >= len(tree.Nodes) {
+		if last := int32(len(tree.Nodes) - 1); n.Left <= p.src || n.Left > last || n.Right <= p.src || n.Right > last {
 			return stack, fmt.Errorf("gbdt: compile: tree node %d has out-of-order children (%d, %d); children must follow their parent",
 				p.src, n.Left, n.Right)
 		}
 		bn := binNode{feat: uint16(n.Feature)}
-		if n.Kind == Numeric {
+		if n.Kind == uint8(Numeric) {
 			bn.thr = uint16(sort.SearchFloat64s(f.edges[n.Feature], n.Threshold))
 			bn.set = setAll
 		} else {
 			bn.thr = thrAlways
 			bn.set = uint16(len(f.sets) - int(tr.sets))
-			words, _ := setWords(n) // checked by Compile's size pass
+			ids := tree.LeftCats(n)
+			words, _ := setWords(n.Feature, ids) // checked by Compile's size pass
 			f.sets = append(f.sets, catSet{zero: uint32(len(f.arena) + words), words: uint32(words)})
 			for w := 0; w <= words; w++ {
 				f.arena = append(f.arena, 0)
 			}
-			setBits(f.arena[len(f.arena)-words-1:], n.LeftCats)
+			setBits(f.arena[len(f.arena)-words-1:], ids)
 		}
 		f.nodes = append(f.nodes, bn)
 		stack = append(stack,
@@ -639,6 +640,17 @@ func argmax(xs []float64) int {
 		}
 	}
 	return best
+}
+
+// ResidentBytes returns the bytes the forest holds on the heap, counted
+// from the lengths of its arrays. The edges are the model's own
+// (Model.ResidentBytes counts them), so they are left out.
+func (f *Forest) ResidentBytes() int {
+	return int(unsafe.Sizeof(*f)) +
+		int(unsafe.Sizeof(binNode{}))*len(f.nodes) + 8*len(f.leaves) +
+		int(unsafe.Sizeof(catSet{}))*len(f.sets) + 8*len(f.arena) +
+		int(unsafe.Sizeof(treeRef{}))*len(f.trees) + 4*len(f.classStart) +
+		8*len(f.initScores) + int(unsafe.Sizeof(Numeric))*len(f.kinds) + 2*len(f.missing)
 }
 
 // NumTrees returns the number of compiled trees.

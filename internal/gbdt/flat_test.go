@@ -203,10 +203,12 @@ func TestPredictClassBatchSteadyStateAllocs(t *testing.T) {
 
 // TestGrowSteadyStateAllocs is the trainer's allocation budget per
 // tree: a tree is built in the grower's scratch and costs its Tree, its
-// exact-length Nodes and one LeftCats per categorical split it keeps
-// (4.7 on this fixture; 25.2 while every popped node, every chunk
-// closure and every improving categorical candidate went to the heap).
-// Two workers add the class fan-out's goroutines, a per-round cost.
+// exact-length Nodes and the one array of its categorical splits' ids
+// (4.7 on this fixture, whose trees keep one categorical split each
+// and so cost what they did with an array per split; 25.2 while every
+// popped node, every chunk closure and every improving categorical
+// candidate went to the heap). Two workers add the class fan-out's
+// goroutines, a per-round cost: 6.3. The budgets are those plus one.
 func TestGrowSteadyStateAllocs(t *testing.T) {
 	m, rows := trainFlatFixture(t, 2000, 2)
 	ds := NewDataset(m.Schema, len(rows))
@@ -240,7 +242,7 @@ func TestGrowSteadyStateAllocs(t *testing.T) {
 	for _, c := range []struct {
 		workers int
 		budget  float64
-	}{{1, 8}, {2, 12}} {
+	}{{1, 6}, {2, 8}} {
 		short, _ := train(10, c.workers)
 		long, nodes := train(30, c.workers)
 		perTree := (long - short) / (20 * 3)
@@ -251,18 +253,25 @@ func TestGrowSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// withLeftCats returns t with ids the categories its node i routes
+// left: what a tree literal cannot say in its nodes.
+func withLeftCats(t *Tree, i int, ids ...int32) *Tree {
+	t.SetLeftCats(i, ids)
+	return t
+}
+
 // TestCompileLargeCategoricalSet: a split may route any uint16 id left,
 // because features.MaxCategoricalCard admits 65,536 of them: a set table
 // capped below that would let a model publish and then fail to compile.
 func TestCompileLargeCategoricalSet(t *testing.T) {
 	left := []int32{0, 63, 64, 4031, 4032, 4999}
-	tree := &Tree{Nodes: []Node{
-		{Feature: 0, Kind: Categorical, LeftCats: left, Left: 1, Right: 2},
+	tree := withLeftCats(withLeftCats(&Tree{Nodes: []Node{
+		{Feature: 0, Kind: uint8(Categorical), Left: 1, Right: 2},
 		{IsLeaf: true, Value: 1},
-		{Feature: 0, Kind: Categorical, LeftCats: []int32{65535}, Left: 3, Right: 4},
+		{Feature: 0, Kind: uint8(Categorical), Left: 3, Right: 4},
 		{IsLeaf: true, Value: 2},
 		{IsLeaf: true, Value: 3},
-	}}
+	}}, 0, left...), 2, 65535)
 	m := &Model{
 		Schema:     &Schema{Names: []string{"c"}, Kinds: []FeatureKind{Categorical}, Cards: []int{65536}},
 		NumClasses: 1,
@@ -308,7 +317,7 @@ func TestCompileLimits(t *testing.T) {
 	leaf := &Tree{Nodes: []Node{{IsLeaf: true}}}
 	stump := func(threshold float64) *Tree {
 		return &Tree{Nodes: []Node{
-			{Feature: 0, Kind: Numeric, Threshold: threshold, Left: 1, Right: 2},
+			{Feature: 0, Threshold: threshold, Left: 1, Right: 2},
 			{IsLeaf: true, Value: 1}, {IsLeaf: true, Value: 2},
 		}}
 	}
@@ -323,17 +332,17 @@ func TestCompileLimits(t *testing.T) {
 	chain := func(nodes int) *Tree {
 		tree := &Tree{Nodes: make([]Node, nodes)}
 		for i := 0; i+2 < nodes; i += 2 {
-			tree.Nodes[i] = Node{Feature: 0, Kind: Numeric, Threshold: float64(i), Left: i + 1, Right: i + 2}
+			tree.Nodes[i] = Node{Feature: 0, Threshold: float64(i), Left: int32(i + 1), Right: int32(i + 2)}
 			tree.Nodes[i+1] = Node{IsLeaf: true}
 		}
 		tree.Nodes[nodes-1] = Node{IsLeaf: true}
 		return tree
 	}
 	catSplit := func(left ...int32) *Tree {
-		return &Tree{Nodes: []Node{
-			{Feature: 0, Kind: Categorical, LeftCats: left, Left: 1, Right: 2},
+		return withLeftCats(&Tree{Nodes: []Node{
+			{Feature: 0, Kind: uint8(Categorical), Left: 1, Right: 2},
 			{IsLeaf: true}, {IsLeaf: true},
-		}}
+		}}, 0, left...)
 	}
 	cat := &Schema{Names: []string{"c"}, Kinds: []FeatureKind{Categorical}, Cards: []int{1 << 20}}
 	everyID := make([]int32, maxCategoryID+1)
@@ -382,12 +391,12 @@ func TestCompileLimits(t *testing.T) {
 func TestCompileStoredOrder(t *testing.T) {
 	schema := &Schema{Names: []string{"x", "c"}, Kinds: []FeatureKind{Numeric, Categorical}, Cards: []int{0, 4}}
 	// Breadth-first storage, right children before left ones.
-	tree := &Tree{Nodes: []Node{
-		{Feature: 0, Kind: Numeric, Threshold: 1, Left: 2, Right: 1},
-		{Feature: 1, Kind: Categorical, LeftCats: []int32{1, 3}, Left: 4, Right: 3},
-		{Feature: 0, Kind: Numeric, Threshold: -1, Left: 6, Right: 5},
+	tree := withLeftCats(&Tree{Nodes: []Node{
+		{Feature: 0, Threshold: 1, Left: 2, Right: 1},
+		{Feature: 1, Kind: uint8(Categorical), Left: 4, Right: 3},
+		{Feature: 0, Threshold: -1, Left: 6, Right: 5},
 		{IsLeaf: true, Value: 1}, {IsLeaf: true, Value: 2}, {IsLeaf: true, Value: 3}, {IsLeaf: true, Value: 4},
-	}}
+	}}, 1, 1, 3)
 	m := &Model{Schema: schema, NumClasses: 1, InitScores: []float64{0.5}, Trees: [][]*Tree{{tree}}}
 	f, err := m.Compile()
 	if err != nil {
@@ -402,8 +411,8 @@ func TestCompileStoredOrder(t *testing.T) {
 		}
 	}
 	shared := &Tree{Nodes: []Node{
-		{Feature: 0, Kind: Numeric, Threshold: 1, Left: 1, Right: 1},
-		{Feature: 0, Kind: Numeric, Threshold: 0, Left: 2, Right: 2},
+		{Feature: 0, Threshold: 1, Left: 1, Right: 1},
+		{Feature: 0, Threshold: 0, Left: 2, Right: 2},
 		{IsLeaf: true},
 	}}
 	m.Trees = [][]*Tree{{shared}}
@@ -452,11 +461,11 @@ func TestForestCategoricalEdgeValues(t *testing.T) {
 		Kinds: []FeatureKind{Categorical},
 		Cards: []int{130},
 	}
-	tree := &Tree{Nodes: []Node{
-		{Feature: 0, Kind: Categorical, LeftCats: []int32{0, 63, 64, 129}, Left: 1, Right: 2},
+	tree := withLeftCats(&Tree{Nodes: []Node{
+		{Feature: 0, Kind: uint8(Categorical), Left: 1, Right: 2},
 		{IsLeaf: true, Value: 1},
 		{IsLeaf: true, Value: 2},
-	}}
+	}}, 0, 0, 63, 64, 129)
 	m := &Model{
 		Schema:     schema,
 		NumClasses: 1,

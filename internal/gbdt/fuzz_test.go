@@ -5,7 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -135,12 +135,13 @@ func randomTree(rng *rand.Rand, t *gbdt.Tree, depth int) int {
 		t.Nodes = append(t.Nodes, gbdt.Node{IsLeaf: true, Value: rng.NormFloat64()})
 		return at
 	}
-	n := gbdt.Node{Feature: rng.Intn(len(fuzzSchema.Kinds))}
-	n.Kind = fuzzSchema.Kinds[n.Feature]
-	if n.Kind == gbdt.Numeric {
+	feat := rng.Intn(len(fuzzSchema.Kinds))
+	n := gbdt.Node{Feature: int32(feat), Kind: uint8(fuzzSchema.Kinds[feat])}
+	var leftCats []int32
+	if fuzzSchema.Kinds[feat] == gbdt.Numeric {
 		n.Threshold = fuzzThresholds[rng.Intn(len(fuzzThresholds))]
 	} else {
-		card := fuzzSchema.Cards[n.Feature]
+		card := fuzzSchema.Cards[feat]
 		seen := map[int32]bool{}
 		for i := rng.Intn(6); i >= 0; i-- {
 			// Mostly low ids, so small fuzzed values land in sets.
@@ -150,15 +151,16 @@ func randomTree(rng *rand.Rand, t *gbdt.Tree, depth int) int {
 			}
 			if !seen[c] {
 				seen[c] = true
-				n.LeftCats = append(n.LeftCats, c)
+				leftCats = append(leftCats, c)
 			}
 		}
-		sort.Slice(n.LeftCats, func(a, b int) bool { return n.LeftCats[a] < n.LeftCats[b] })
+		slices.Sort(leftCats)
 	}
 	t.Nodes = append(t.Nodes, n)
+	t.SetLeftCats(at, leftCats)
 	left := randomTree(rng, t, depth-1)
 	right := randomTree(rng, t, depth-1)
-	t.Nodes[at].Left, t.Nodes[at].Right = left, right
+	t.Nodes[at].Left, t.Nodes[at].Right = int32(left), int32(right)
 	return at
 }
 

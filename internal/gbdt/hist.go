@@ -221,10 +221,12 @@ type treeGrower struct {
 	// this tree's sample).
 	leafOut []float64
 
-	// nodes is the tree under construction; grow hands the finished tree
-	// an exact-length copy, so a model holds no append slack (a third of
-	// the trees' bytes at paper scale, were each tree grown in place).
+	// nodes and cats are the tree under construction; grow hands the
+	// finished tree exact-length copies, so a model holds no append slack
+	// (a third of the trees' bytes at paper scale, were each tree grown in
+	// place).
 	nodes []Node
+	cats  []int32
 
 	// splitBins[node] is the numeric split's global histogram offset
 	// (3*(featOff[feature]+bin); -1 for categorical splits and leaves),
@@ -237,7 +239,7 @@ type treeGrower struct {
 	chunkCat [][]histCatStat // per-chunk categorical scan scratch
 	// chunkLeft[ci] holds the left ids (unsorted) of chunk ci's categorical
 	// candidate; cands[ci].leftCats aliases it, and grow copies the ids
-	// out once, for the split it keeps.
+	// into cats once, for the split it keeps.
 	chunkLeft [][]int32
 	cands     []splitResult // per-chunk split candidates
 	free      []*histBuf
@@ -583,7 +585,7 @@ func (tg *treeGrower) grow(sample []int32, g, h []float64) *Tree {
 	if cap(tg.scratch) < len(sample) {
 		tg.scratch = make([]int32, len(sample))
 	}
-	nodes := tg.nodes[:0]
+	nodes, cats := tg.nodes[:0], tg.cats[:0]
 	tg.splitBins = tg.splitBins[:0]
 	minLeaf := int32(eng.cfg.MinSamplesLeaf)
 	maxDepth := int32(eng.cfg.MaxDepth)
@@ -606,9 +608,9 @@ func (tg *treeGrower) grow(sample []int32, g, h []float64) *Tree {
 		tg.splitBins = append(tg.splitBins, -1)
 		if task.parent >= 0 {
 			if task.isLeft {
-				nodes[task.parent].Left = int(idx)
+				nodes[task.parent].Left = idx
 			} else {
-				nodes[task.parent].Right = int(idx)
+				nodes[task.parent].Right = idx
 			}
 		}
 		segLen := task.end - task.start
@@ -643,16 +645,18 @@ func (tg *treeGrower) grow(sample []int32, g, h []float64) *Tree {
 		}
 
 		nodes[idx] = Node{
-			Feature: best.feature,
-			Kind:    best.kind,
+			Feature: int32(best.feature),
+			Kind:    uint8(best.kind),
 			Gain:    best.gain,
 		}
 		if best.kind == Numeric {
 			nodes[idx].Threshold = thresholdForBin(eng.bins, best.feature, best.bin)
 			tg.splitBins[idx] = 3 * (eng.featOff[best.feature] + int32(best.bin))
 		} else {
-			nodes[idx].LeftCats = slices.Clone(best.leftCats)
-			slices.Sort(nodes[idx].LeftCats)
+			building := Tree{Nodes: nodes, cats: cats}
+			building.SetLeftCats(int(idx), best.leftCats)
+			cats = building.cats
+			slices.Sort(cats[nodes[idx].catLo:])
 		}
 
 		childDepth := task.depth + 1
@@ -673,9 +677,13 @@ func (tg *treeGrower) grow(sample []int32, g, h []float64) *Tree {
 			nodeTask{parent: idx, isLeft: true, start: task.start, end: mid, depth: childDepth, sumG: lsG, sumH: lsH, hb: lhb},
 		)
 	}
-	tg.nodes = nodes
+	tg.nodes, tg.cats = nodes, cats
 	t := &Tree{Nodes: make([]Node, len(nodes))}
 	copy(t.Nodes, nodes)
+	if len(cats) > 0 {
+		t.cats = make([]int32, len(cats))
+		copy(t.cats, cats)
+	}
 	return t
 }
 
@@ -755,21 +763,21 @@ func (tg *treeGrower) predictBinned(t *Tree, r int) float64 {
 }
 
 func walkBinned[T uint16 | uint32](t *Tree, row []T, splitBins []int32, featOff []int32) float64 {
-	idx := 0
+	idx := int32(0)
 	for {
 		nd := &t.Nodes[idx]
 		if nd.IsLeaf {
 			return nd.Value
 		}
 		gb := int32(row[nd.Feature])
-		if nd.Kind == Numeric {
+		if nd.Kind == uint8(Numeric) {
 			if gb <= splitBins[idx] {
 				idx = nd.Left
 			} else {
 				idx = nd.Right
 			}
 		} else {
-			if containsCatBin(nd.LeftCats, gb/3-featOff[nd.Feature]) {
+			if containsCatBin(t.LeftCats(nd), gb/3-featOff[nd.Feature]) {
 				idx = nd.Left
 			} else {
 				idx = nd.Right

@@ -5,28 +5,58 @@ import (
 	"sort"
 )
 
-// Node is one tree node. Leaves carry Value (already scaled by the
-// learning rate); internal nodes carry a split.
+// Node is one tree node, 48 bytes. Leaves carry Value (already scaled by
+// the learning rate); internal nodes carry a split. The fields are
+// ordered widest first so that nothing is padding but the last two
+// bytes; the model file's shape is nodeFile's, not this struct's.
 type Node struct {
-	Feature int         `json:"f"`
-	Kind    FeatureKind `json:"k"`
 	// Threshold for numeric splits: x <= Threshold goes left; NaN goes
 	// left (missing is treated as -inf).
-	Threshold float64 `json:"t,omitempty"`
-	// LeftCats holds the sorted category ids routed left for
-	// categorical splits; ids not listed (including unseen ones) go
-	// right.
-	LeftCats []int32 `json:"c,omitempty"`
-	Left     int     `json:"l"`
-	Right    int     `json:"r"`
-	Value    float64 `json:"v"`
-	Gain     float64 `json:"g,omitempty"`
-	IsLeaf   bool    `json:"leaf"`
+	Threshold float64
+	Value     float64
+	Gain      float64
+	Feature   int32
+	Left      int32
+	Right     int32
+	// catLo and catHi bound the node's run of Tree.cats: the sorted
+	// category ids a categorical split routes left; ids not listed
+	// (including unseen ones) go right.
+	catLo, catHi uint32
+	// Kind is the split's FeatureKind, held in the byte it needs.
+	Kind   uint8
+	IsLeaf bool
 }
 
 // Tree is a regression tree stored as a node slice; node 0 is the root.
 type Tree struct {
-	Nodes []Node `json:"nodes"`
+	Nodes []Node
+	// cats holds the routed-left ids of every categorical split, one
+	// sorted run per node in the order the runs were set: one array per
+	// tree instead of a slice header on every node and an array per split.
+	cats []int32
+}
+
+// LeftCats returns the sorted category ids n, a node of t, routes left.
+// The slice is the tree's own: read it, do not keep or change it.
+func (t *Tree) LeftCats(n *Node) []int32 { return t.cats[n.catLo:n.catHi] }
+
+// SetLeftCats makes a copy of ids, which must be sorted and distinct for
+// the tree to validate, the category ids node i routes left. The copy
+// goes behind the tree's earlier runs; a run set before stays, unused.
+func (t *Tree) SetLeftCats(i int, ids []int32) {
+	end, ok := catsEnd(len(t.cats), len(ids))
+	if !ok {
+		panic("gbdt: a tree's category ids outgrow the uint32 range that addresses them")
+	}
+	t.Nodes[i].catLo, t.Nodes[i].catHi = uint32(len(t.cats)), end
+	t.cats = append(t.cats, ids...)
+}
+
+// catsEnd returns where a run of n ids ends that starts behind at
+// others, and whether a node's uint32 bounds can say so.
+func catsEnd(at, n int) (uint32, bool) {
+	end := uint64(at) + uint64(n)
+	return uint32(end), end <= math.MaxUint32
 }
 
 // Predict evaluates the tree on a raw feature row.
@@ -38,17 +68,17 @@ func (t *Tree) Predict(row []float64) float64 {
 			return n.Value
 		}
 		v := row[n.Feature]
-		if n.Kind == Numeric {
+		if n.Kind == uint8(Numeric) {
 			if math.IsNaN(v) || v <= n.Threshold {
-				idx = n.Left
+				idx = int(n.Left)
 			} else {
-				idx = n.Right
+				idx = int(n.Right)
 			}
 		} else {
-			if containsCat(n.LeftCats, v) {
-				idx = n.Left
+			if containsCat(t.LeftCats(n), v) {
+				idx = int(n.Left)
 			} else {
-				idx = n.Right
+				idx = int(n.Right)
 			}
 		}
 	}
@@ -145,20 +175,20 @@ func (gr *grower) growNode(t *Tree, rows []int32, g, h []float64, depth int) int
 	// Fill the split node, then grow children (their indices depend on
 	// append order; record them after the recursive calls return).
 	t.Nodes[idx] = Node{
-		Feature: best.feature,
-		Kind:    best.kind,
+		Feature: int32(best.feature),
+		Kind:    uint8(best.kind),
 		Gain:    best.gain,
 		IsLeaf:  false,
 	}
 	if best.kind == Numeric {
 		t.Nodes[idx].Threshold = gr.thresholdFor(best)
 	} else {
-		t.Nodes[idx].LeftCats = best.leftCats
+		t.SetLeftCats(idx, best.leftCats)
 	}
 	l := gr.growNode(t, left, g, h, depth+1)
 	r := gr.growNode(t, right, g, h, depth+1)
-	t.Nodes[idx].Left = l
-	t.Nodes[idx].Right = r
+	t.Nodes[idx].Left = int32(l)
+	t.Nodes[idx].Right = int32(r)
 	return idx
 }
 

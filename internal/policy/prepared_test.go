@@ -192,10 +192,12 @@ func TestAdaptiveRankingRefusesUncompilableModel(t *testing.T) {
 		for id := lo; id < hi; id++ {
 			ids = append(ids, id)
 		}
-		return &gbdt.Tree{Nodes: []gbdt.Node{
-			{Feature: feat, Kind: gbdt.Categorical, LeftCats: ids, Left: 1, Right: 2},
+		tree := &gbdt.Tree{Nodes: []gbdt.Node{
+			{Feature: int32(feat), Kind: uint8(gbdt.Categorical), Left: 1, Right: 2},
 			{IsLeaf: true}, {IsLeaf: true, Value: 1},
 		}}
+		tree.SetLeftCats(0, ids)
+		return tree
 	}
 	leaf := &gbdt.Tree{Nodes: []gbdt.Node{{IsLeaf: true}}}
 	model := &core.CategoryModel{

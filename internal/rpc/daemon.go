@@ -724,6 +724,7 @@ func (d *Daemon) handleVarz(w http.ResponseWriter, r *http.Request) {
 		batchLat:    d.srv.BatchLatency(),
 		queueDepth:  d.srv.QueueDepth(),
 	}
+	v.modelBytes, v.forestBytes = d.srv.ResidentBytes()
 	if d.cfg.Learner != nil {
 		s := d.cfg.Learner.Stats()
 		v.onl = &s

@@ -22,6 +22,9 @@ type varzData struct {
 	// them parked in some client's idle list; rpc.StreamSessions counts
 	// every one ever accepted.
 	streamsOpen int
+	// modelBytes and forestBytes are the serving version's resident
+	// reference model and compiled forest (serve.Server.ResidentBytes).
+	modelBytes, forestBytes int
 
 	// Endpoint latency/queue-wait histograms (nanoseconds) and the
 	// serving core's batch-latency/queue-depth histograms.
@@ -64,6 +67,8 @@ func writeVarz(w io.Writer, v *varzData) {
 	v.outcome.WriteText(w, "rpc_outcome_latency_ns")
 	v.queueWait.WriteText(w, "rpc_queue_wait_ns")
 	v.srv.WriteText(w, "serve")
+	fmt.Fprintf(w, "serve_model_bytes %d\n", v.modelBytes)
+	fmt.Fprintf(w, "serve_forest_bytes %d\n", v.forestBytes)
 	v.batchLat.WriteText(w, "serve_batch_latency_ns")
 	v.queueDepth.WriteText(w, "serve_queue_depth")
 	if v.onl != nil {

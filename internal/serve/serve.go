@@ -135,6 +135,9 @@ type activeModel struct {
 	// worker, so both kinds reach the forest as the same uint16 rows.
 	binner  *features.Binner
 	version registry.Version
+	// modelBytes and forestBytes are what the version keeps resident:
+	// gbdt's ResidentBytes of the reference model and of the forest.
+	modelBytes, forestBytes int
 }
 
 // call is the per-call state of one SubmitBatch or SubmitEncoded: the
@@ -326,7 +329,9 @@ func (s *Server) reload() error {
 	if err != nil {
 		return fmt.Errorf("serve: binning %s v%d: %w", version.Workload, version.Number, err)
 	}
-	if s.active.Swap(&activeModel{model: model, forest: forest, binner: binner, version: version}) != nil {
+	am := &activeModel{model: model, forest: forest, binner: binner, version: version,
+		modelBytes: model.Model.ResidentBytes(), forestBytes: forest.ResidentBytes()}
+	if s.active.Swap(am) != nil {
 		s.swaps.Add(1)
 	}
 	return nil
@@ -334,6 +339,14 @@ func (s *Server) reload() error {
 
 // ModelVersion returns the currently serving registry version number.
 func (s *Server) ModelVersion() int { return s.active.Load().version.Number }
+
+// ResidentBytes returns what the serving version holds on the heap: its
+// reference model (trees and split thresholds) and its compiled forest,
+// each counted by gbdt's ResidentBytes when the version was installed.
+func (s *Server) ResidentBytes() (model, forest int) {
+	am := s.active.Load()
+	return am.modelBytes, am.forestBytes
+}
 
 // Swaps returns how many hot-swaps have been applied since start.
 func (s *Server) Swaps() int64 { return s.swaps.Load() }
