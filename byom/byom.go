@@ -129,7 +129,7 @@ type (
 	// applied to the retrain path.
 	OnlineTrainer = online.Trainer
 	// OnlineStats is a snapshot of the learner's loop counters.
-	OnlineStats = metrics.OnlineSnapshot
+	OnlineStats = online.Stats
 
 	// FleetConfig controls a multi-cluster fleet run: heterogeneous
 	// cluster specs, the shard worker pool, training options and the
@@ -145,7 +145,7 @@ type (
 	// FleetClusterResult is one cluster's row in the report.
 	FleetClusterResult = fleet.ClusterResult
 	// FleetStats is a snapshot of the fleet run counters.
-	FleetStats = metrics.FleetSnapshot
+	FleetStats = fleet.Stats
 
 	// RebalanceConfig tunes the heat-aware global rebalancer: decay
 	// half-life, knapsack re-solve cadence, heat floor and the LP size
@@ -159,7 +159,7 @@ type (
 	// per-workload heat from outcome observations.
 	RebalanceHeatTracker = rebalance.HeatTracker
 	// RebalanceStats is a snapshot of the rebalancer counters.
-	RebalanceStats = metrics.RebalanceSnapshot
+	RebalanceStats = rebalance.Stats
 
 	// Daemon is the network-facing placement service: the serving
 	// layer behind a JSON-over-HTTP wire protocol with per-endpoint
@@ -181,7 +181,7 @@ type (
 	// ways. Open one per submitting goroutine with OpenStream.
 	StreamSession = rpc.StreamSession
 	// RPCStats is a snapshot of the daemon's request counters.
-	RPCStats = metrics.RPCSnapshot
+	RPCStats = rpc.DaemonStats
 
 	// Router spreads placement batches across a multi-node plane of
 	// daemons on a bounded-load consistent-hash ring keyed by workload
@@ -194,7 +194,7 @@ type (
 	// RouterNodeState is one backend's health as the router sees it.
 	RouterNodeState = router.NodeState
 	// RouterStats is a snapshot of the router's routing counters.
-	RouterStats = metrics.RouterSnapshot
+	RouterStats = router.Stats
 	// ModelReplicator mirrors one source workload's publish/rollback
 	// history into follower registries — the control plane that keeps
 	// every node of a placement plane serving the same model version.

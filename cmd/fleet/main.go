@@ -28,6 +28,7 @@ import (
 	"syscall"
 
 	"repro/byom"
+	"repro/internal/obs"
 )
 
 func main() {
@@ -89,6 +90,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	rep.Render(stdout)
 	fmt.Fprintf(stdout, "\nfleet totals:\n")
-	rep.Counters.WriteText(stdout, "fleet")
+	obs.WriteVars(stdout, "fleet", rep.Counters)
 	return nil
 }

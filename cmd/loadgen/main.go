@@ -35,7 +35,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/router"
 	"repro/internal/rpc"
@@ -314,7 +313,7 @@ type summary struct {
 	Outcomes     int64
 	Errors       int64
 	Client       rpc.ClientStats
-	Router       metrics.RouterSnapshot
+	Router       router.Stats
 	Nodes        []router.NodeState
 	AchievedQPS  float64
 	P50ms        float64

@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/golden"
-	"repro/internal/metrics"
 	"repro/internal/registry"
 	"repro/internal/router"
 	"repro/internal/rpc"
@@ -68,7 +67,7 @@ func TestSummaryNodesGolden(t *testing.T) {
 		Outcomes:     6240,
 		Errors:       0,
 		Client:       rpc.ClientStats{Requests: 18720, Sheds: 4, Retries: 4, Failures: 0},
-		Router: metrics.RouterSnapshot{
+		Router: router.Stats{
 			Batches: 6240, Jobs: 399360, Groups: 24960, Dispatches: 18725,
 			Reroutes: 2, Failovers: 1, Failures: 0, Probes: 120, ProbeFailures: 3,
 			WeightDecays: 1, Outcomes: 6240,

@@ -153,10 +153,10 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	// same lines /varz served while the daemon was up. This happens
 	// even when the drain deadline was exceeded: the operator's last
 	// look at the counters must not depend on a clean drain.
-	d.Stats().WriteText(stdout, "rpc")
-	d.ServeStats().WriteText(stdout, "serve")
+	obs.WriteVars(stdout, "rpc", d.Stats())
+	obs.WriteVars(stdout, "serve", d.ServeStats())
 	if learner != nil {
-		learner.Stats().WriteText(stdout, "online")
+		obs.WriteVars(stdout, "online", learner.Stats())
 	}
 	if drainErr != nil {
 		return fmt.Errorf("drain: %w", drainErr)

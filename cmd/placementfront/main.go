@@ -129,7 +129,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	dctx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
 	drainErr := srv.Shutdown(dctx)
-	r.Stats().WriteText(stdout, "router")
+	obs.WriteVars(stdout, "router", r.Stats())
 	if drainErr != nil {
 		return fmt.Errorf("drain: %w", drainErr)
 	}
@@ -271,19 +271,37 @@ func (f *front) handleHealth(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "no healthy backends")
 }
 
-// handleVarz serves GET /varz: process metadata, the router counters in
-// the shared text exposition, one line per backend with its health
-// state, and each backend's dispatch-latency histogram.
+// handleVarz serves GET /varz: process metadata, the router's and its
+// node clients' counters in the shared text exposition, one line per
+// backend with its health state, and each backend's dispatch-latency
+// histogram.
 func (f *front) handleVarz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	obs.CollectProc(f.start).WriteText(w, "placementfront")
-	f.router.Stats().WriteText(w, "router")
-	cs := f.router.ClientStats()
-	fmt.Fprintf(w, "router_client_requests %d\n", cs.Requests)
-	fmt.Fprintf(w, "router_client_sheds %d\n", cs.Sheds)
-	fmt.Fprintf(w, "router_client_retries %d\n", cs.Retries)
-	fmt.Fprintf(w, "router_client_failures %d\n", cs.Failures)
-	for _, ns := range f.router.Nodes() {
+	writeVarz(w, &varzData{
+		proc:     obs.CollectProc(f.start),
+		router:   f.router.Stats(),
+		client:   f.router.ClientStats(),
+		nodes:    f.router.Nodes(),
+		dispatch: f.router.DispatchLatency(),
+	})
+}
+
+// varzData is everything the front's /varz renders, gathered by the
+// handler so that writeVarz is pure and a golden test can pin it.
+type varzData struct {
+	proc     obs.ProcSnapshot
+	router   router.Stats
+	client   rpc.ClientStats
+	nodes    []router.NodeState
+	dispatch []router.NodeDispatch
+}
+
+// writeVarz renders the front's ops page, byte-stable for fixed inputs.
+func writeVarz(w io.Writer, v *varzData) {
+	obs.WriteVars(w, "placementfront", v.proc)
+	obs.WriteVars(w, "router", v.router)
+	obs.WriteVars(w, "router_client", v.client)
+	for _, ns := range v.nodes {
 		healthy := 0
 		if ns.Healthy {
 			healthy = 1
@@ -291,7 +309,7 @@ func (f *front) handleVarz(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "router_node{url=%q} healthy=%d weight=%.2f inflight=%d\n",
 			ns.URL, healthy, ns.Weight, ns.Inflight)
 	}
-	for _, nd := range f.router.DispatchLatency() {
+	for _, nd := range v.dispatch {
 		nd.Hist.WriteTextLabeled(w, "router_dispatch_latency_ns", fmt.Sprintf("{node=%q}", nd.URL))
 	}
 }

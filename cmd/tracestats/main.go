@@ -9,8 +9,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"sort"
@@ -20,15 +22,30 @@ import (
 )
 
 func main() {
-	tracePath := flag.String("trace", "", "input trace (JSON lines)")
-	topN := flag.Int("top", 10, "pipelines to list")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "tracestats:", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("tracestats", flag.ContinueOnError)
+	var (
+		tracePath = fs.String("trace", "", "input trace (JSON lines)")
+		topN      = fs.Int("top", 10, "pipelines to list")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
 	if *tracePath == "" {
-		fatal(fmt.Errorf("-trace is required"))
+		return fmt.Errorf("-trace is required")
 	}
 	tr, err := byom.LoadTrace(*tracePath)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	cm := byom.DefaultCostModel()
 
@@ -69,16 +86,16 @@ func main() {
 		}
 	}
 
-	fmt.Printf("trace %s: %d jobs, %d pipelines, %.2f days\n",
+	fmt.Fprintf(stdout, "trace %s: %d jobs, %d pipelines, %.2f days\n",
 		tr.Cluster, len(tr.Jobs), len(pipes), tr.Duration()/86400)
-	fmt.Printf("peak concurrent footprint: %.2f TiB\n", tr.PeakSSDUsage()/(1<<40))
-	fmt.Printf("negative-savings jobs:     %.1f%%\n", 100*float64(neg)/float64(len(tr.Jobs)))
-	fmt.Printf("savings ceiling:           %.2f%% of all-HDD TCO\n", 100*posSave/totalTCO)
-	fmt.Println()
+	fmt.Fprintf(stdout, "peak concurrent footprint: %.2f TiB\n", tr.PeakSSDUsage()/(1<<40))
+	fmt.Fprintf(stdout, "negative-savings jobs:     %.1f%%\n", 100*float64(neg)/float64(len(tr.Jobs)))
+	fmt.Fprintf(stdout, "savings ceiling:           %.2f%% of all-HDD TCO\n", 100*posSave/totalTCO)
+	fmt.Fprintln(stdout)
 
 	quantRow := func(name string, xs []float64, format string) {
 		q := metrics.Quantiles(xs, []float64{0.1, 0.5, 0.9, 0.99})
-		fmt.Printf("%-14s p10=%s p50=%s p90=%s p99=%s\n", name,
+		fmt.Fprintf(stdout, "%-14s p10=%s p50=%s p90=%s p99=%s\n", name,
 			fmt.Sprintf(format, q[0]), fmt.Sprintf(format, q[1]),
 			fmt.Sprintf(format, q[2]), fmt.Sprintf(format, q[3]))
 	}
@@ -93,7 +110,7 @@ func main() {
 	quantRow("size (GiB)", gib, "%.2f")
 	quantRow("lifetime (h)", hours, "%.2f")
 	quantRow("I/O density", densities, "%.1f")
-	fmt.Println()
+	fmt.Fprintln(stdout)
 
 	// Density histogram in log space.
 	lo, hi := math.Inf(1), math.Inf(-1)
@@ -110,22 +127,26 @@ func main() {
 		}
 	}
 	if hi > lo {
-		h := metrics.NewHistogram(lo, hi+1e-9, 8)
+		// Eight equal bins over [lo, hi]; the top edge sits just above hi
+		// so the densest job lands in the last bin, not past it.
+		var counts [8]int
+		span := hi + 1e-9 - lo
 		for _, d := range densities {
 			if d > 0 {
-				h.Add(math.Log10(d))
+				b := int(8 * (math.Log10(d) - lo) / span)
+				counts[min(max(b, 0), 7)]++
 			}
 		}
-		fmt.Println("I/O density histogram (log10 bins):")
-		for b, c := range h.Counts {
+		fmt.Fprintln(stdout, "I/O density histogram (log10 bins):")
+		for b, c := range counts {
 			left := lo + (hi-lo)*float64(b)/8
 			bar := ""
 			for i := 0; i < c*50/len(tr.Jobs)+1 && c > 0; i++ {
 				bar += "#"
 			}
-			fmt.Printf("  10^%5.1f  %6d %s\n", left, c, bar)
+			fmt.Fprintf(stdout, "  10^%5.1f  %6d %s\n", left, c, bar)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 
 	// Top pipelines by TCO.
@@ -137,15 +158,11 @@ func main() {
 	if len(list) > *topN {
 		list = list[:*topN]
 	}
-	fmt.Printf("top %d pipelines by TCO:\n", len(list))
-	fmt.Printf("  %-28s %6s %10s %9s %10s\n", "pipeline", "jobs", "bytes(GiB)", "TCO share", "save ceil")
+	fmt.Fprintf(stdout, "top %d pipelines by TCO:\n", len(list))
+	fmt.Fprintf(stdout, "  %-28s %6s %10s %9s %10s\n", "pipeline", "jobs", "bytes(GiB)", "TCO share", "save ceil")
 	for _, pa := range list {
-		fmt.Printf("  %-28s %6d %10.1f %8.1f%% %9.2f%%\n",
+		fmt.Fprintf(stdout, "  %-28s %6d %10.1f %8.1f%% %9.2f%%\n",
 			pa.name, pa.jobs, pa.bytes/(1<<30), 100*pa.tco/totalTCO, 100*pa.save/totalTCO)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "tracestats:", err)
-	os.Exit(1)
+	return nil
 }

@@ -161,9 +161,9 @@ func Fig13(opts Options) (*Fig13Result, error) {
 				RankingTCIO:  aS.tcioPct(),
 				FirstFitTCIO: fS.tcioPct(),
 			})
-			arMean := metrics.Summarize(ar.runtimes[class]).Mean
-			ffMean := metrics.Summarize(ff.runtimes[class]).Mean
-			hddMean := metrics.Summarize(hddRun.runtimes[class]).Mean
+			arMean := metrics.Mean(ar.runtimes[class])
+			ffMean := metrics.Mean(ff.runtimes[class])
+			hddMean := metrics.Mean(hddRun.runtimes[class])
 			res.Runtimes[quotaKey][class] = [3]float64{arMean, ffMean, hddMean}
 		}
 	}

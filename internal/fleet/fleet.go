@@ -40,7 +40,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cost"
-	"repro/internal/metrics"
 	"repro/internal/online"
 	"repro/internal/policy"
 	"repro/internal/rebalance"
@@ -174,7 +173,24 @@ type Report struct {
 	OnlineAggTCOPct     float64 // 0 when the loop was off
 	RebalanceAggTCOPct  float64 // 0 when the rebalance regime was off
 	TotalTestJobs       int
-	Counters            metrics.FleetSnapshot
+	Counters            Stats
+}
+
+// Stats sums a fleet run's activity over its clusters, in /varz order
+// (obs.WriteVars).
+type Stats struct {
+	ClustersDone int64 `varz:"clusters_done"`
+	// JobsSimulated counts replayed jobs: each cluster's test half once
+	// per regime, plus the online loop's replay.
+	JobsSimulated int64 `varz:"jobs_simulated"`
+	// ModelsTrained counts the per-cluster models and the global one;
+	// the online loop's retrains are OnlineRetrains.
+	ModelsTrained      int64 `varz:"models_trained"`
+	OnlineSwaps        int64 `varz:"online_swaps"`
+	OnlineRetrains     int64 `varz:"online_retrains"`
+	RebalanceSolves    int64 `varz:"rebalance_solves"`
+	RebalanceDemotions int64 `varz:"rebalance_demotions"`
+	RebalanceEvictions int64 `varz:"rebalance_evictions"`
 }
 
 // clusterEnv is one shard's intermediate state between the build and
@@ -220,7 +236,6 @@ func RunWithRegistry(cfg Config, reg *registry.Registry) (*Report, error) {
 		ctx = context.Background()
 	}
 	cm := cost.Default()
-	var counters metrics.FleetCounters
 
 	// Phase 1: per-cluster build shards — generate, split, train.
 	envs := make([]*clusterEnv, len(specs))
@@ -235,7 +250,6 @@ func RunWithRegistry(cfg Config, reg *registry.Registry) (*Report, error) {
 		if err != nil {
 			return fmt.Errorf("fleet: cluster %s: %w", specs[i].Gen.Cluster, err)
 		}
-		counters.RecordModel()
 		envs[i] = env
 		return nil
 	})
@@ -259,7 +273,6 @@ func RunWithRegistry(cfg Config, reg *registry.Registry) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet: training global model: %w", err)
 	}
-	counters.RecordModel()
 	donor := envs[cfg.DonorCluster].model
 
 	// Phase 3: per-cluster evaluation shards.
@@ -268,7 +281,7 @@ func RunWithRegistry(cfg Config, reg *registry.Registry) (*Report, error) {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		res, err := evalCluster(envs[i], cm, cfg, reg, global, donor, &counters)
+		res, err := evalCluster(envs[i], cm, cfg, reg, global, donor)
 		if err != nil {
 			return fmt.Errorf("fleet: cluster %s: %w", envs[i].spec.Gen.Cluster, err)
 		}
@@ -281,6 +294,8 @@ func RunWithRegistry(cfg Config, reg *registry.Registry) (*Report, error) {
 
 	// Phase 4: deterministic merge in cluster-index order.
 	rep := &Report{Clusters: results}
+	rep.Counters.ClustersDone = int64(len(results))
+	rep.Counters.ModelsTrained = int64(len(specs) + 1)
 	var hdd, perC, glob, transf, onl, reb float64
 	onlineOn := cfg.Online != nil
 	rebalanceOn := cfg.Rebalance != nil
@@ -291,12 +306,21 @@ func RunWithRegistry(cfg Config, reg *registry.Registry) (*Report, error) {
 		perC += r.PerCluster.TCOSaved
 		glob += r.Global.TCOSaved
 		transf += r.Transfer.TCOSaved
+		replays := int64(3) // per-cluster, global, transfer
 		if r.Online != nil {
 			onl += r.Online.TCOPct / 100 * r.TotalTCOHDD
+			replays++
+			rep.Counters.OnlineSwaps += r.Online.Swaps
+			rep.Counters.OnlineRetrains += r.Online.Retrains
 		}
 		if r.Rebalance != nil {
 			reb += r.Rebalance.TCOSaved
+			replays++
+			rep.Counters.RebalanceSolves += r.Rebalance.Solves
+			rep.Counters.RebalanceDemotions += r.Rebalance.Demotions
+			rep.Counters.RebalanceEvictions += r.Rebalance.Evictions
 		}
+		rep.Counters.JobsSimulated += replays * int64(r.TestJobs)
 	}
 	if hdd > 0 {
 		rep.PerClusterAggTCOPct = 100 * perC / hdd
@@ -309,7 +333,6 @@ func RunWithRegistry(cfg Config, reg *registry.Registry) (*Report, error) {
 			rep.RebalanceAggTCOPct = 100 * reb / hdd
 		}
 	}
-	rep.Counters = counters.Snapshot()
 	return rep, nil
 }
 
@@ -346,7 +369,7 @@ func buildEnv(spec trace.ClusterSpec, cm *cost.Model, topts core.TrainOptions) (
 // evalCluster runs one cluster's evaluation shard: the three model
 // regimes on the test half, plus the optional online loop.
 func evalCluster(env *clusterEnv, cm *cost.Model, cfg Config, reg *registry.Registry,
-	global, donor *core.CategoryModel, counters *metrics.FleetCounters) (*ClusterResult, error) {
+	global, donor *core.CategoryModel) (*ClusterResult, error) {
 	res := &ClusterResult{
 		Cluster:    env.spec.Gen.Cluster,
 		Jobs:       len(env.train.Jobs) + len(env.test.Jobs),
@@ -354,7 +377,6 @@ func evalCluster(env *clusterEnv, cm *cost.Model, cfg Config, reg *registry.Regi
 		QuotaFrac:  env.spec.QuotaFrac,
 		QuotaBytes: env.quota,
 	}
-	var simulated int64
 	for _, m := range []struct {
 		model *core.CategoryModel
 		out   *Method
@@ -367,7 +389,6 @@ func evalCluster(env *clusterEnv, cm *cost.Model, cfg Config, reg *registry.Regi
 		if err != nil {
 			return nil, err
 		}
-		simulated += int64(len(env.test.Jobs))
 		res.TotalTCOHDD = r.TotalTCOHDD
 		res.TotalTCIO = r.TotalTCIO
 		*m.out = Method{
@@ -382,8 +403,6 @@ func evalCluster(env *clusterEnv, cm *cost.Model, cfg Config, reg *registry.Regi
 		if err != nil {
 			return nil, err
 		}
-		simulated += int64(len(env.test.Jobs))
-		counters.RecordRebalance(rr.Solves, rr.Demotions, rr.Evictions)
 		res.Rebalance = rr
 	}
 	if cfg.Online != nil {
@@ -391,11 +410,8 @@ func evalCluster(env *clusterEnv, cm *cost.Model, cfg Config, reg *registry.Regi
 		if err != nil {
 			return nil, err
 		}
-		simulated += int64(len(env.test.Jobs))
-		counters.RecordOnline(or.Swaps, or.Retrains)
 		res.Online = or
 	}
-	counters.RecordCluster(simulated)
 	return res, nil
 }
 

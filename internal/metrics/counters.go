@@ -68,18 +68,19 @@ func (c *ShardCounters) RecordBatch(kind FlushKind) {
 	}
 }
 
-// ShardSnapshot is a point-in-time copy of a shard's counters.
+// ShardSnapshot is a point-in-time copy of a shard's counters, in
+// /varz order (obs.WriteVars).
 type ShardSnapshot struct {
-	Submitted      int64
-	Admitted       int64
-	Observations   int64
-	Batches        int64
-	FullFlushes    int64
-	TimeoutFlushes int64
-	DrainFlushes   int64
-	MeanLatency    time.Duration
-	MaxLatency     time.Duration
-	MeanBatchSize  float64
+	Submitted      int64         `varz:"submitted"`
+	Admitted       int64         `varz:"admitted"`
+	Observations   int64         `varz:"observations"`
+	Batches        int64         `varz:"batches"`
+	FullFlushes    int64         `varz:"full_flushes"`
+	TimeoutFlushes int64         `varz:"timeout_flushes"`
+	DrainFlushes   int64         `varz:"drain_flushes"`
+	MeanBatchSize  float64       `varz:"mean_batch_size"`
+	MeanLatency    time.Duration `varz:"mean_latency_ns"`
+	MaxLatency     time.Duration `varz:"max_latency_ns"`
 }
 
 // Snapshot copies the counters. Concurrent updates may tear between

@@ -1,9 +1,12 @@
 package metrics
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 func TestShardCountersSnapshot(t *testing.T) {
@@ -91,5 +94,40 @@ func TestMergeEmpty(t *testing.T) {
 	m := Merge(nil)
 	if m.Submitted != 0 || m.MeanLatency != 0 {
 		t.Fatalf("empty merge gave %+v", m)
+	}
+}
+
+// TestWriteTextShard pins the serving-layer exposition line for line:
+// /varz and placementd's drain dump both render it.
+func TestWriteTextShard(t *testing.T) {
+	s := ShardSnapshot{
+		Submitted:      1000,
+		Admitted:       640,
+		Observations:   12,
+		Batches:        20,
+		FullFlushes:    14,
+		TimeoutFlushes: 5,
+		DrainFlushes:   1,
+		MeanBatchSize:  50,
+		MeanLatency:    1500 * time.Microsecond,
+		MaxLatency:     9 * time.Millisecond,
+	}
+	var b strings.Builder
+	obs.WriteVars(&b, "serve", s)
+	want := strings.Join([]string{
+		"serve_submitted 1000",
+		"serve_admitted 640",
+		"serve_observations 12",
+		"serve_batches 20",
+		"serve_full_flushes 14",
+		"serve_timeout_flushes 5",
+		"serve_drain_flushes 1",
+		"serve_mean_batch_size 50.00",
+		"serve_mean_latency_ns 1500000",
+		"serve_max_latency_ns 9000000",
+		"",
+	}, "\n")
+	if b.String() != want {
+		t.Errorf("shard exposition:\ngot:\n%s\nwant:\n%s", b.String(), want)
 	}
 }

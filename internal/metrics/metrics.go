@@ -1,6 +1,7 @@
 // Package metrics provides small statistical helpers shared by the
-// simulator, the model-analysis experiments and the benchmark harness:
-// summary statistics, quantiles, histograms, AUC and confusion matrices.
+// simulator, the model-analysis experiments and the benchmark harness —
+// mean, quantiles, AUC, Pearson correlation and confusion matrices —
+// and the serving core's per-shard counters.
 package metrics
 
 import (
@@ -9,42 +10,17 @@ import (
 	"sort"
 )
 
-// Summary holds basic summary statistics of a sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	Std    float64
-	Min    float64
-	Max    float64
-	Median float64
-}
-
-// Summarize computes summary statistics for xs. An empty sample yields a
-// zero Summary.
-func Summarize(xs []float64) Summary {
+// Mean returns the arithmetic mean of xs, summed left to right, or 0
+// for an empty sample.
+func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
-		return Summary{}
+		return 0
 	}
-	s := Summary{N: len(xs), Min: math.Inf(1), Max: math.Inf(-1)}
-	var sum, sumSq float64
+	var sum float64
 	for _, x := range xs {
 		sum += x
-		sumSq += x * x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
 	}
-	s.Mean = sum / float64(s.N)
-	variance := sumSq/float64(s.N) - s.Mean*s.Mean
-	if variance < 0 {
-		variance = 0
-	}
-	s.Std = math.Sqrt(variance)
-	s.Median = Quantile(xs, 0.5)
-	return s
+	return sum / float64(len(xs))
 }
 
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
@@ -138,47 +114,6 @@ func AUC(labels []bool, scores []float64) float64 {
 	}
 	u := sumPosRank - float64(nPos)*float64(nPos+1)/2
 	return u / (float64(nPos) * float64(nNeg))
-}
-
-// Histogram is a fixed-bin histogram over [Lo, Hi). Values outside the
-// range are clamped into the first/last bin.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-}
-
-// NewHistogram creates a histogram with the given number of bins covering
-// [lo, hi).
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 {
-		panic("metrics: histogram needs at least one bin")
-	}
-	if hi <= lo {
-		panic("metrics: histogram requires hi > lo")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add records a value.
-func (h *Histogram) Add(x float64) {
-	bins := len(h.Counts)
-	pos := int(float64(bins) * (x - h.Lo) / (h.Hi - h.Lo))
-	if pos < 0 {
-		pos = 0
-	}
-	if pos >= bins {
-		pos = bins - 1
-	}
-	h.Counts[pos]++
-}
-
-// Total returns the number of recorded values.
-func (h *Histogram) Total() int {
-	t := 0
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
 }
 
 // ConfusionMatrix accumulates multiclass classification outcomes.

@@ -7,30 +7,27 @@ import (
 	"testing/quick"
 )
 
+// The sample summaries the package keeps are Mean and Quantile; these
+// two tests pin them on the cases the former Summarize tests covered.
 func TestSummarizeBasic(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 {
-		t.Fatalf("N = %d, want 5", s.N)
+	xs := []float64{1, 2, 3, 4, 5}
+	if got := Mean(xs); got != 3 {
+		t.Errorf("Mean = %g, want 3", got)
 	}
-	if s.Mean != 3 {
-		t.Errorf("Mean = %g, want 3", s.Mean)
+	if got := Quantile(xs, 0.5); got != 3 {
+		t.Errorf("Median = %g, want 3", got)
 	}
-	if s.Min != 1 || s.Max != 5 {
-		t.Errorf("Min/Max = %g/%g, want 1/5", s.Min, s.Max)
-	}
-	if s.Median != 3 {
-		t.Errorf("Median = %g, want 3", s.Median)
-	}
-	wantStd := math.Sqrt(2)
-	if math.Abs(s.Std-wantStd) > 1e-12 {
-		t.Errorf("Std = %g, want %g", s.Std, wantStd)
+	// Summed left to right in float64, then divided once: the Fig 13
+	// runtime means depend on the exact rounding.
+	a, b, c := 0.1, 0.2, 0.3
+	if got, want := Mean([]float64{a, b, c}), (a+b+c)/3; got != want {
+		t.Errorf("Mean = %v, want %v", got, want)
 	}
 }
 
 func TestSummarizeEmpty(t *testing.T) {
-	s := Summarize(nil)
-	if s.N != 0 {
-		t.Fatalf("N = %d, want 0", s.N)
+	if got := Mean(nil); got != 0 {
+		t.Errorf("Mean of empty sample = %g, want 0", got)
 	}
 }
 
@@ -146,40 +143,6 @@ func TestAUCRangeProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, v := range []float64{-1, 0, 1.9, 2, 9.99, 10, 100} {
-		h.Add(v)
-	}
-	if h.Total() != 7 {
-		t.Fatalf("Total = %d, want 7", h.Total())
-	}
-	if h.Counts[0] != 3 { // -1 (clamped), 0, 1.9
-		t.Errorf("bin0 = %d, want 3", h.Counts[0])
-	}
-	if h.Counts[4] != 3 { // 9.99, 10 (clamped), 100 (clamped)
-		t.Errorf("bin4 = %d, want 3", h.Counts[4])
-	}
-	if h.Counts[1] != 1 { // 2
-		t.Errorf("bin1 = %d, want 1", h.Counts[1])
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	assertPanics(t, func() { NewHistogram(0, 10, 0) })
-	assertPanics(t, func() { NewHistogram(5, 5, 3) })
-}
-
-func assertPanics(t *testing.T, f func()) {
-	t.Helper()
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	f()
 }
 
 func TestConfusionMatrix(t *testing.T) {

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"fmt"
-	"io"
 	"runtime"
 	"time"
 )
@@ -11,13 +9,13 @@ import (
 // build identity and the memstats gauges an operator needs to spot
 // leak/GC pathologies from the ops plane alone.
 type ProcSnapshot struct {
-	UptimeSec      int64
-	GoVersion      string
-	GOMAXPROCS     int
-	NumGoroutine   int
-	HeapInuseBytes uint64
-	GCPauseTotalNs uint64
-	NumGC          int64
+	UptimeSec      int64  `varz:"uptime_sec"`
+	GoVersion      string `varz:"go_version"`
+	GOMAXPROCS     int    `varz:"gomaxprocs"`
+	NumGoroutine   int    `varz:"goroutines"`
+	HeapInuseBytes uint64 `varz:"heap_inuse_bytes"`
+	GCPauseTotalNs uint64 `varz:"gc_pause_total_ns"`
+	NumGC          int64  `varz:"num_gc"`
 }
 
 // CollectProc reads the current process state. start is the process's
@@ -35,16 +33,4 @@ func CollectProc(start time.Time) ProcSnapshot {
 		GCPauseTotalNs: ms.PauseTotalNs,
 		NumGC:          int64(ms.NumGC),
 	}
-}
-
-// WriteText renders the shared text exposition under prefix.
-// Deterministic for fixed snapshot values — golden tests pin it.
-func (p ProcSnapshot) WriteText(w io.Writer, prefix string) {
-	fmt.Fprintf(w, "%s_uptime_sec %d\n", prefix, p.UptimeSec)
-	fmt.Fprintf(w, "%s_go_version %s\n", prefix, p.GoVersion)
-	fmt.Fprintf(w, "%s_gomaxprocs %d\n", prefix, p.GOMAXPROCS)
-	fmt.Fprintf(w, "%s_goroutines %d\n", prefix, p.NumGoroutine)
-	fmt.Fprintf(w, "%s_heap_inuse_bytes %d\n", prefix, p.HeapInuseBytes)
-	fmt.Fprintf(w, "%s_gc_pause_total_ns %d\n", prefix, p.GCPauseTotalNs)
-	fmt.Fprintf(w, "%s_num_gc %d\n", prefix, p.NumGC)
 }

@@ -201,7 +201,7 @@ func TestProcWriteTextGolden(t *testing.T) {
 		NumGC:          42,
 	}
 	var buf bytes.Buffer
-	p.WriteText(&buf, "placementd")
+	WriteVars(&buf, "placementd", p)
 	golden.Check(t, "testdata/proc.golden", buf.Bytes())
 }
 

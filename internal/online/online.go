@@ -29,7 +29,7 @@
 // newest slice of the window. Only candidates whose holdout TCO savings
 // do not regress beyond a configurable epsilon are published; the
 // serving layer then swaps atomically under load. Every stage is
-// counted in metrics.OnlineCounters.
+// counted (Stats).
 //
 // All times inside the learner are the trace's virtual clock (job
 // arrival seconds), mirroring internal/serve and internal/sim; only
@@ -40,11 +40,11 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/cost"
-	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/registry"
 	"repro/internal/sim"
@@ -169,6 +169,38 @@ type Event struct {
 	Latency time.Duration
 }
 
+// Stats is a point-in-time copy of the learner's counters, in /varz
+// order (obs.WriteVars).
+type Stats struct {
+	// Observations counts feedback records entering the window and
+	// Evictions the records their arrival pushed out (count cap or time
+	// horizon).
+	Observations int64 `varz:"observations"`
+	Evictions    int64 `varz:"evictions"`
+	// DriftTriggers and CadenceTriggers count retrain triggers by which
+	// of the two fired.
+	DriftTriggers   int64 `varz:"drift_triggers"`
+	CadenceTriggers int64 `varz:"cadence_triggers"`
+	// Retrains counts attempts that reached the gate, split into
+	// GateAccepts and GateRejects; TrainErrors counts those that failed
+	// before it (training, evaluation or publishing).
+	Retrains    int64 `varz:"retrains"`
+	GateAccepts int64 `varz:"gate_accepts"`
+	GateRejects int64 `varz:"gate_rejects"`
+	TrainErrors int64 `varz:"train_errors"`
+	// The wall-clock latency of the attempts Retrains counts.
+	MeanRetrainLatency time.Duration `varz:"mean_retrain_latency_ns"`
+	MaxRetrainLatency  time.Duration `varz:"max_retrain_latency_ns"`
+}
+
+// counters are Stats' live, atomically updated side.
+type counters struct {
+	observations, evictions                         atomic.Int64
+	driftTriggers, cadenceTriggers                  atomic.Int64
+	retrains, gateAccepts, gateRejects, trainErrors atomic.Int64
+	retrainNs, maxRetrainNs                         atomic.Int64
+}
+
 // Learner is the continuous-learning pipeline. Feed it the serving
 // layer's placement outcomes with Observe; it maintains the sliding
 // window, fires retrains, gates candidates and publishes survivors to
@@ -180,7 +212,7 @@ type Learner struct {
 	reg      *registry.Registry
 	workload string
 	trainer  Trainer
-	counters metrics.OnlineCounters
+	counters counters
 
 	mu             sync.Mutex
 	win            *window
@@ -234,7 +266,8 @@ func (l *Learner) Observe(j *trace.Job, category int, o sim.Outcome) {
 		return
 	}
 	evicted := l.win.add(Record{Job: j, Category: category, Outcome: o})
-	l.counters.RecordObservation(evicted)
+	l.counters.observations.Add(1)
+	l.counters.evictions.Add(int64(evicted))
 
 	now := j.ArrivalSec
 	if !l.started {
@@ -248,7 +281,11 @@ func (l *Learner) Observe(j *trace.Job, category int, o sim.Outcome) {
 	}
 	// Commit the trigger under the lock: reset the cadence clock and
 	// re-arm the drift reference so one shift fires one retrain.
-	l.counters.RecordTrigger(trigger == "drift")
+	if trigger == "drift" {
+		l.counters.driftTriggers.Add(1)
+	} else {
+		l.counters.cadenceTriggers.Add(1)
+	}
 	l.lastRetrainSec = now
 	if dist != nil {
 		l.det.arm(dist)
@@ -316,7 +353,7 @@ func (l *Learner) retrain(snap []Record, now float64, trigger string) {
 	if holdStart < 1 || holdStart >= len(jobs) {
 		ev.Err = fmt.Errorf("online: window of %d jobs cannot be split at holdout fraction %g",
 			len(jobs), l.cfg.HoldoutFrac)
-		l.counters.RecordTrainError()
+		l.counters.trainErrors.Add(1)
 		return
 	}
 	trainJobs, holdout := jobs[:holdStart], jobs[holdStart:]
@@ -325,7 +362,7 @@ func (l *Learner) retrain(snap []Record, now float64, trigger string) {
 	candidate, err := l.trainer(trainJobs, l.cm)
 	if err != nil {
 		ev.Err = fmt.Errorf("online: training candidate: %w", err)
-		l.counters.RecordTrainError()
+		l.counters.trainErrors.Add(1)
 		return
 	}
 
@@ -335,7 +372,7 @@ func (l *Learner) retrain(snap []Record, now float64, trigger string) {
 		ev.CandidatePct, ev.LivePct, err = l.shadowEval(candidate, live, holdout)
 		if err != nil {
 			ev.Err = err
-			l.counters.RecordTrainError()
+			l.counters.trainErrors.Add(1)
 			return
 		}
 		accepted = ev.CandidatePct >= ev.LivePct-l.cfg.GateEpsilonPct
@@ -346,13 +383,25 @@ func (l *Learner) retrain(snap []Record, now float64, trigger string) {
 		v, err := l.reg.Publish(l.workload, candidate, now)
 		if err != nil {
 			ev.Err = fmt.Errorf("online: publishing candidate: %w", err)
-			l.counters.RecordTrainError()
+			l.counters.trainErrors.Add(1)
 			return
 		}
 		ev.Version = v.Number
 	}
 	ev.Accepted = accepted
-	l.counters.RecordRetrain(accepted, time.Since(start))
+	l.counters.retrains.Add(1)
+	if accepted {
+		l.counters.gateAccepts.Add(1)
+	} else {
+		l.counters.gateRejects.Add(1)
+	}
+	ns := time.Since(start).Nanoseconds()
+	l.counters.retrainNs.Add(ns)
+	// One retrain runs at a time (l.retraining), so the max has one
+	// writer.
+	if ns > l.counters.maxRetrainNs.Load() {
+		l.counters.maxRetrainNs.Store(ns)
+	}
 }
 
 // shadowEval replays the holdout slice through fresh Algorithm 1
@@ -395,8 +444,26 @@ func (l *Learner) WindowLen() int {
 	return l.win.count
 }
 
-// Stats returns a snapshot of the loop counters.
-func (l *Learner) Stats() metrics.OnlineSnapshot { return l.counters.Snapshot() }
+// Stats returns a snapshot of the loop counters. Concurrent updates may
+// tear between fields; each field is consistent.
+func (l *Learner) Stats() Stats {
+	c := &l.counters
+	s := Stats{
+		Observations:      c.observations.Load(),
+		Evictions:         c.evictions.Load(),
+		DriftTriggers:     c.driftTriggers.Load(),
+		CadenceTriggers:   c.cadenceTriggers.Load(),
+		Retrains:          c.retrains.Load(),
+		GateAccepts:       c.gateAccepts.Load(),
+		GateRejects:       c.gateRejects.Load(),
+		TrainErrors:       c.trainErrors.Load(),
+		MaxRetrainLatency: time.Duration(c.maxRetrainNs.Load()),
+	}
+	if s.Retrains > 0 {
+		s.MeanRetrainLatency = time.Duration(c.retrainNs.Load() / s.Retrains)
+	}
+	return s
+}
 
 // Close stops the learner and waits for any in-flight retrain. Further
 // Observe calls are ignored.

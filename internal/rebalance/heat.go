@@ -27,9 +27,9 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/cost"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -60,6 +60,34 @@ type WorkloadHeat struct {
 	LastSec float64
 }
 
+// Stats is a point-in-time copy of the rebalancer's counters, in /varz
+// order (obs.WriteVars).
+type Stats struct {
+	// Observations counts outcomes folded into the heat tracker.
+	Observations int64 `varz:"observations"`
+	// Solves counts residency re-solves; LPOptimal and LPFallbacks split
+	// the simplex runs under a contended quota by whether the LP
+	// converged or the greedy rounding took over.
+	Solves      int64 `varz:"solves"`
+	LPOptimal   int64 `varz:"lp_optimal"`
+	LPFallbacks int64 `varz:"lp_fallbacks"`
+	// Workloads and Planned are the last solve's tracked workload count
+	// and how many of them entered the plan.
+	Workloads int64 `varz:"workloads"`
+	Planned   int64 `varz:"planned"`
+	// Demotions counts write-time SSD placements the plan vetoed and
+	// Evictions the early evictions it issued.
+	Demotions int64 `varz:"demotions"`
+	Evictions int64 `varz:"evictions"`
+}
+
+// counters are Stats' live, atomically updated side.
+type counters struct {
+	observations, solves, lpOptimal, lpFallbacks atomic.Int64
+	workloads, planned                           atomic.Int64
+	demotions, evictions                         atomic.Int64
+}
+
 // HeatTracker accumulates exponentially-decayed per-workload heat from
 // outcome observations. It implements sim.Observer, so it can sit
 // directly on a replay loop or behind a daemon's /v1/outcome path.
@@ -68,25 +96,23 @@ type WorkloadHeat struct {
 type HeatTracker struct {
 	halfLife float64
 	cm       *cost.Model
-	counters *metrics.RebalanceCounters
+	// counters are the rebalancer's: a Policy counts its solves and
+	// actions in its tracker's.
+	counters counters
 
 	mu    sync.Mutex
 	byKey map[string]*WorkloadHeat
 }
 
 // NewHeatTracker builds a tracker with the given decay half-life in
-// virtual seconds (0 = 6 hours). counters may be nil.
-func NewHeatTracker(cm *cost.Model, halfLifeSec float64, counters *metrics.RebalanceCounters) *HeatTracker {
+// virtual seconds (0 = 6 hours).
+func NewHeatTracker(cm *cost.Model, halfLifeSec float64) *HeatTracker {
 	if halfLifeSec <= 0 {
 		halfLifeSec = 6 * 3600
-	}
-	if counters == nil {
-		counters = &metrics.RebalanceCounters{}
 	}
 	return &HeatTracker{
 		halfLife: halfLifeSec,
 		cm:       cm,
-		counters: counters,
 		byKey:    map[string]*WorkloadHeat{},
 	}
 }
@@ -117,7 +143,7 @@ func (h *HeatTracker) Observe(j *trace.Job, o sim.Outcome) {
 	w.ByteSec += j.SizeBytes * j.LifetimeSec
 	w.Savings += sav
 	h.mu.Unlock()
-	h.counters.RecordObservation()
+	h.counters.observations.Add(1)
 }
 
 // decayTo ages a workload's accumulators forward to now. A now earlier
@@ -161,8 +187,22 @@ func (h *HeatTracker) Len() int {
 
 // Stats returns the rebalance counter snapshot — the rebalance_*
 // exposition a daemon's /varz renders when a tracker is attached to
-// its outcome path.
-func (h *HeatTracker) Stats() metrics.RebalanceSnapshot { return h.counters.Snapshot() }
+// its outcome path. Concurrent updates may tear between fields; each
+// field is consistent.
+func (h *HeatTracker) Stats() Stats { return h.counters.stats() }
+
+func (c *counters) stats() Stats {
+	return Stats{
+		Observations: c.observations.Load(),
+		Solves:       c.solves.Load(),
+		LPOptimal:    c.lpOptimal.Load(),
+		LPFallbacks:  c.lpFallbacks.Load(),
+		Workloads:    c.workloads.Load(),
+		Planned:      c.planned.Load(),
+		Demotions:    c.demotions.Load(),
+		Evictions:    c.evictions.Load(),
+	}
+}
 
 // realizedSavings measures the TCO value this job actually extracted
 // from SSD: the cost model's partial savings at the observed on-SSD

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/cost"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -31,7 +30,6 @@ type Policy struct {
 	innerObs sim.Observer
 	innerEv  sim.Evictor
 	cfg      Config
-	counters *metrics.RebalanceCounters
 	heat     *HeatTracker
 
 	plan      map[string]float64
@@ -51,13 +49,11 @@ type Policy struct {
 // forwarded after the heat tracker's, and the plan's eviction horizon
 // combines with the inner evictor's by taking the earlier one.
 func New(inner sim.Policy, cm *cost.Model, cfg Config) *Policy {
-	counters := &metrics.RebalanceCounters{}
 	p := &Policy{
-		inner:    inner,
-		cfg:      cfg,
-		counters: counters,
-		heat:     NewHeatTracker(cm, cfg.halfLife(), counters),
-		vetoed:   map[string]struct{}{},
+		inner:  inner,
+		cfg:    cfg,
+		heat:   NewHeatTracker(cm, cfg.halfLife()),
+		vetoed: map[string]struct{}{},
 	}
 	p.innerObs, _ = inner.(sim.Observer)
 	p.innerEv, _ = inner.(sim.Evictor)
@@ -86,7 +82,7 @@ func (p *Policy) Place(j *trace.Job, ctx sim.PlaceContext) bool {
 		return false
 	}
 	if r, ok := p.plan[j.TemplateKey()]; ok && r == 0 {
-		p.counters.RecordDemotion()
+		p.heat.counters.demotions.Add(1)
 		if p.innerObs != nil {
 			p.vetoed[j.ID] = struct{}{}
 		}
@@ -108,7 +104,7 @@ func (p *Policy) EvictAfter(j *trace.Job) float64 {
 		if d <= 0 || rd < d {
 			d = rd
 		}
-		p.counters.RecordEviction()
+		p.heat.counters.evictions.Add(1)
 	}
 	return d
 }
@@ -154,7 +150,7 @@ func (p *Policy) maybeSolve(ctx sim.PlaceContext) {
 		p.nextSolve += p.cfg.solveInterval()
 	}
 	solveStart := time.Now()
-	p.plan = solvePlan(p.heat.Snapshot(ctx.Now), ctx.SSDQuota, p.cfg, p.counters)
+	p.plan = solvePlan(p.heat.Snapshot(ctx.Now), ctx.SSDQuota, p.cfg, &p.heat.counters)
 	p.solveLat.RecordDuration(time.Since(solveStart))
 }
 
@@ -173,7 +169,7 @@ func (p *Policy) Plan() map[string]float64 {
 }
 
 // Stats returns the rebalance counter snapshot.
-func (p *Policy) Stats() metrics.RebalanceSnapshot { return p.counters.Snapshot() }
+func (p *Policy) Stats() Stats { return p.heat.Stats() }
 
 // SolveLatency returns the wall-clock solve-latency histogram
 // (nanoseconds per plan solve). A daemon embedding the policy renders

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/lp"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -53,7 +52,7 @@ func TestJobShapeSavingsSigns(t *testing.T) {
 
 func TestHeatTrackerDecay(t *testing.T) {
 	cm := cost.Default()
-	h := NewHeatTracker(cm, 100, nil)
+	h := NewHeatTracker(cm, 100)
 	j := hotJob("h0", 0)
 	h.Observe(j, placed())
 	sav := cm.Savings(j)
@@ -89,7 +88,7 @@ func TestHeatTrackerOutOfOrder(t *testing.T) {
 	// Deliver the newer observation first, as a daemon's concurrent
 	// outcome posts can: the older job must still add its mass, with no
 	// negative decay blowing the accumulators up.
-	h := NewHeatTracker(cm, 100, nil)
+	h := NewHeatTracker(cm, 100)
 	h.Observe(hotJob("h1", 100), placed())
 	h.Observe(hotJob("h0", 0), placed())
 	if h.Len() != 1 {
@@ -105,7 +104,7 @@ func TestHeatTrackerOutOfOrder(t *testing.T) {
 }
 
 func TestHeatTrackerRejectsNonFinite(t *testing.T) {
-	h := NewHeatTracker(cost.Default(), 100, nil)
+	h := NewHeatTracker(cost.Default(), 100)
 	h.Observe(nil, placed())
 	bad := hotJob("b", 0)
 	bad.ArrivalSec = math.NaN()
@@ -123,7 +122,7 @@ func TestHeatTrackerRejectsNonFinite(t *testing.T) {
 
 func TestHeatTrackerRealizedSavings(t *testing.T) {
 	cm := cost.Default()
-	h := NewHeatTracker(cm, 100, nil)
+	h := NewHeatTracker(cm, 100)
 	j := hotJob("h0", 0)
 
 	// Never landed on SSD: mass accumulates, value realized is zero —
@@ -163,7 +162,7 @@ func TestSolvePlanDefersZeroRealizedValue(t *testing.T) {
 	// Zero realized savings means the workload was never actually
 	// placed: no measurement, so the plan must not cover it — neither
 	// demote it (sticky veto) nor admit it (phantom value).
-	c := &metrics.RebalanceCounters{}
+	c := &counters{}
 	plan := solvePlan([]WorkloadHeat{
 		wh("never-placed/s", 10, 4, 0),
 		wh("earning/s", 10, 4, 5),
@@ -188,7 +187,7 @@ func wh(key string, jobs, demand, savings float64) WorkloadHeat {
 }
 
 func TestSolvePlanDemotesNegativeValue(t *testing.T) {
-	c := &metrics.RebalanceCounters{}
+	c := &counters{}
 	plan := solvePlan([]WorkloadHeat{
 		wh("bad/s", 10, 5, -3),
 		wh("good/s", 10, 5, 3),
@@ -202,7 +201,7 @@ func TestSolvePlanDemotesNegativeValue(t *testing.T) {
 }
 
 func TestSolvePlanBelowHeatFloorAbsent(t *testing.T) {
-	c := &metrics.RebalanceCounters{}
+	c := &counters{}
 	plan := solvePlan([]WorkloadHeat{
 		wh("cold/s", 1, 5, 3), // below the default MinJobs floor of 3
 		wh("warm/s", 10, 5, 3),
@@ -216,7 +215,7 @@ func TestSolvePlanBelowHeatFloorAbsent(t *testing.T) {
 }
 
 func TestSolvePlanZeroDemandFullResidency(t *testing.T) {
-	c := &metrics.RebalanceCounters{}
+	c := &counters{}
 	plan := solvePlan([]WorkloadHeat{wh("free/s", 10, 0, 3)}, 1, heatCfg(), c)
 	if got := plan["free/s"]; got != 1 {
 		t.Errorf("zero-demand workload residency = %g, want 1", got)
@@ -258,10 +257,10 @@ func checkPlan(t *testing.T, got, want map[string]float64) {
 
 func TestSolvePlanContendedLP(t *testing.T) {
 	heats, quota, want := contendedCase()
-	c := &metrics.RebalanceCounters{}
+	c := &counters{}
 	plan := solvePlan(heats, quota, heatCfg(), c)
 	checkPlan(t, plan, want)
-	s := c.Snapshot()
+	s := c.stats()
 	if s.LPOptimal != 1 || s.LPFallbacks != 0 {
 		t.Errorf("lp_optimal = %d, lp_fallbacks = %d; want 1, 0", s.LPOptimal, s.LPFallbacks)
 	}
@@ -290,12 +289,12 @@ func TestSolvePlanFallbackMatchesLP(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := heatCfg()
 			cfg.Solver = tc.solver
-			c := &metrics.RebalanceCounters{}
+			c := &counters{}
 			plan := solvePlan(heats, quota, cfg, c)
 			// The greedy fractional fill is optimal for this relaxation,
 			// so the fallback must land on the same plan the LP found.
 			checkPlan(t, plan, want)
-			s := c.Snapshot()
+			s := c.stats()
 			if s.LPOptimal != 0 || s.LPFallbacks != 1 {
 				t.Errorf("lp_optimal = %d, lp_fallbacks = %d; want 0, 1", s.LPOptimal, s.LPFallbacks)
 			}
@@ -306,7 +305,7 @@ func TestSolvePlanFallbackMatchesLP(t *testing.T) {
 func TestSolvePlanMaxWorkloadsCap(t *testing.T) {
 	cfg := heatCfg()
 	cfg.MaxWorkloads = 1
-	c := &metrics.RebalanceCounters{}
+	c := &counters{}
 	plan := solvePlan([]WorkloadHeat{
 		wh("dense/s", 10, 5, 50),
 		wh("sparse/s", 10, 10, 1),
@@ -397,7 +396,7 @@ func TestPolicyDeterministicReplay(t *testing.T) {
 	tr := driftTrace()
 	cfg := sim.Config{SSDQuota: 48 << 30}
 
-	run := func() (*sim.Result, map[string]float64, metrics.RebalanceSnapshot, error) {
+	run := func() (*sim.Result, map[string]float64, Stats, error) {
 		p := New(admitAll{}, cm, Config{})
 		res, err := sim.Run(tr, p, cm, cfg)
 		return res, p.Plan(), p.Stats(), err
@@ -516,7 +515,7 @@ func BenchmarkSolvePlan(b *testing.B) {
 			}
 			quota := total / 3
 			cfg := heatCfg()
-			c := &metrics.RebalanceCounters{}
+			c := &counters{}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				solvePlan(heats, quota, cfg, c)

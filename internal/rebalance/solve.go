@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/lp"
-	"repro/internal/metrics"
 )
 
 // Config tunes a rebalancer.
@@ -104,7 +103,7 @@ type item struct {
 // Config.MinResidency: the plan shortens their stay instead of
 // vetoing their writes, matching a storage layer that spills
 // partially rather than all-or-nothing.
-func solvePlan(ws []WorkloadHeat, quotaBytes float64, cfg Config, counters *metrics.RebalanceCounters) map[string]float64 {
+func solvePlan(ws []WorkloadHeat, quotaBytes float64, cfg Config, c *counters) map[string]float64 {
 	plan := make(map[string]float64)
 	// The decay time constant: dividing the decayed byte-second mass by
 	// it estimates the workload's recent average concurrent footprint.
@@ -146,7 +145,9 @@ func solvePlan(ws []WorkloadHeat, quotaBytes float64, cfg Config, counters *metr
 	if len(items) > cfg.maxWorkloads() {
 		items = items[:cfg.maxWorkloads()]
 	}
-	counters.RecordSolve(len(ws), len(plan)+len(items))
+	c.solves.Add(1)
+	c.workloads.Store(int64(len(ws)))
+	c.planned.Store(int64(len(plan) + len(items)))
 
 	var total float64
 	for _, it := range items {
@@ -181,7 +182,7 @@ func solvePlan(ws []WorkloadHeat, quotaBytes float64, cfg Config, counters *metr
 	}
 	sol, err := cfg.solver()(prob)
 	if err == nil && sol.Status == lp.Optimal && len(sol.X) == len(items) {
-		counters.RecordLP(true)
+		c.lpOptimal.Add(1)
 		for i, it := range items {
 			plan[it.key] = floorResidency(clampResidency(sol.X[i]), cfg)
 		}
@@ -193,7 +194,7 @@ func solvePlan(ws []WorkloadHeat, quotaBytes float64, cfg Config, counters *metr
 	// For this relaxation (one capacity row plus boxes) the greedy
 	// fractional fill is itself optimal, so the fallback costs nothing
 	// but the proof.
-	counters.RecordLP(false)
+	c.lpFallbacks.Add(1)
 	rem := quotaBytes
 	for _, it := range items {
 		switch {

@@ -49,7 +49,7 @@ func (r *Router) probeAll(hc *http.Client) {
 	r.mu.RUnlock()
 	for _, n := range nodes {
 		ok := probeHealthz(hc, n.url)
-		r.counters.RecordProbe(ok)
+		r.counters.probes.Add(1)
 		sheds := n.client.Stats().Sheds
 		n.mu.Lock()
 		wasHealthy := n.healthy
@@ -58,6 +58,7 @@ func (r *Router) probeAll(hc *http.Client) {
 		switch {
 		case !ok:
 			n.healthy = false
+			r.counters.probeFailures.Add(1)
 		case !wasHealthy:
 			// Recovery: back in rotation at reduced weight.
 			n.healthy = true
@@ -67,7 +68,7 @@ func (r *Router) probeAll(hc *http.Client) {
 			if n.weight < 0.05 {
 				n.weight = 0.05
 			}
-			r.counters.RecordWeightDecay()
+			r.counters.weightDecays.Add(1)
 		default:
 			n.weight += 0.25
 			if n.weight > 1 {

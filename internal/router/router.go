@@ -7,9 +7,9 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/rpc"
 	"repro/internal/rpc/wire"
@@ -90,6 +90,41 @@ type NodeState struct {
 	Inflight int64
 }
 
+// Stats is a point-in-time copy of the router's dispatch counters, in
+// /varz order (obs.WriteVars): batches and jobs routed across the plane,
+// ring-group fan-out, failure handling and health-probe outcomes.
+type Stats struct {
+	Batches int64 `varz:"batches"`
+	Jobs    int64 `varz:"jobs"`
+	// Groups are the distinct templates batches split into, Dispatches
+	// the per-node requests those groups merged down to.
+	Groups     int64 `varz:"groups"`
+	Dispatches int64 `varz:"dispatches"`
+	// Reroutes counts sub-batches (or outcomes) moved to another node
+	// after their node failed; Failovers nodes the router marked down
+	// itself, ahead of the next probe; Failures batches and outcomes
+	// returned to the caller with an error.
+	Reroutes  int64 `varz:"reroutes"`
+	Failovers int64 `varz:"failovers"`
+	Failures  int64 `varz:"failures"`
+	// Probes counts health-probe round trips and ProbeFailures the
+	// failed ones; WeightDecays counts shed-aware weight decays.
+	Probes        int64 `varz:"probes"`
+	ProbeFailures int64 `varz:"probe_failures"`
+	WeightDecays  int64 `varz:"weight_decays"`
+	// Outcomes counts outcomes delivered to their template's owner.
+	Outcomes int64 `varz:"outcomes"`
+}
+
+// counters are Stats' live, atomically updated side, shared by every
+// routing goroutine, the prober and snapshot readers.
+type counters struct {
+	batches, jobs, groups, dispatches   atomic.Int64
+	reroutes, failovers, failures       atomic.Int64
+	probes, probeFailures, weightDecays atomic.Int64
+	outcomes                            atomic.Int64
+}
+
 // Router spreads placement batches across a plane of placementd nodes:
 // jobs group by serve.TemplateHash, each group routes on the ring to a
 // healthy node within its load bound, groups merge into one request per
@@ -97,7 +132,7 @@ type NodeState struct {
 // next owner. Safe for concurrent use by many submitters.
 type Router struct {
 	cfg      Config
-	counters metrics.RouterCounters
+	counters counters
 
 	mu    sync.RWMutex // guards ring + nodes membership and node health
 	ring  *Ring
@@ -180,8 +215,24 @@ func (r *Router) Close() {
 	}
 }
 
-// Stats returns the router's dispatch-counter snapshot.
-func (r *Router) Stats() metrics.RouterSnapshot { return r.counters.Snapshot() }
+// Stats returns the router's dispatch-counter snapshot. Concurrent
+// updates may tear between fields; each field is consistent.
+func (r *Router) Stats() Stats {
+	c := &r.counters
+	return Stats{
+		Batches:       c.batches.Load(),
+		Jobs:          c.jobs.Load(),
+		Groups:        c.groups.Load(),
+		Dispatches:    c.dispatches.Load(),
+		Reroutes:      c.reroutes.Load(),
+		Failovers:     c.failovers.Load(),
+		Failures:      c.failures.Load(),
+		Probes:        c.probes.Load(),
+		ProbeFailures: c.probeFailures.Load(),
+		WeightDecays:  c.weightDecays.Load(),
+		Outcomes:      c.outcomes.Load(),
+	}
+}
 
 // Nodes returns every node's health state, sorted by URL.
 func (r *Router) Nodes() []NodeState {
@@ -284,27 +335,30 @@ func (r *Router) Place(ctx context.Context, jobs []*trace.Job) ([]wire.Decision,
 	for attempt := 0; ; attempt++ {
 		assign, err := r.assign(sc, pending, excluded)
 		if err != nil {
-			r.counters.RecordFailure()
+			r.counters.failures.Add(1)
 			return nil, err
 		}
 		dispatches += len(assign)
 		failed := r.dispatch(ctx, sc, jobs, out, assign)
 		if len(failed) == 0 {
-			r.counters.RecordRoute(len(jobs), len(groups), dispatches)
+			r.counters.batches.Add(1)
+			r.counters.jobs.Add(int64(len(jobs)))
+			r.counters.groups.Add(int64(len(groups)))
+			r.counters.dispatches.Add(int64(dispatches))
 			return out, nil
 		}
 		if ctx.Err() != nil {
-			r.counters.RecordFailure()
+			r.counters.failures.Add(1)
 			return nil, ctx.Err()
 		}
 		for _, f := range failed {
 			if clientFault(f.err) {
-				r.counters.RecordFailure()
+				r.counters.failures.Add(1)
 				return nil, f.err
 			}
 		}
 		if attempt >= r.cfg.MaxReroutes {
-			r.counters.RecordFailure()
+			r.counters.failures.Add(1)
 			return nil, fmt.Errorf("router: %d jobs still failing after %d reroutes: %w",
 				countJobs(failed), attempt, failed[0].err)
 		}
@@ -318,7 +372,7 @@ func (r *Router) Place(ctx context.Context, jobs []*trace.Job) ([]wire.Decision,
 		for _, f := range failed {
 			excluded[f.url] = true
 			sc.pending = append(sc.pending, f.groups...)
-			r.counters.RecordReroute()
+			r.counters.reroutes.Add(1)
 		}
 		pending = sc.pending
 	}
@@ -358,35 +412,35 @@ func (r *Router) Observe(ctx context.Context, j *trace.Job, category int, o sim.
 	for attempt := 0; ; attempt++ {
 		url, n, err := r.owner(key, excluded)
 		if err != nil {
-			r.counters.RecordFailure()
+			r.counters.failures.Add(1)
 			return err
 		}
 		err = n.client.Observe(ctx, j, category, o)
 		if err == nil {
-			r.counters.RecordOutcome()
+			r.counters.outcomes.Add(1)
 			return nil
 		}
 		if ctx.Err() != nil {
-			r.counters.RecordFailure()
+			r.counters.failures.Add(1)
 			return ctx.Err()
 		}
 		if clientFault(err) {
-			r.counters.RecordFailure()
+			r.counters.failures.Add(1)
 			return err
 		}
 		n.mu.Lock()
 		if n.healthy {
 			n.healthy = false
-			r.counters.RecordFailover()
+			r.counters.failovers.Add(1)
 		}
 		n.mu.Unlock()
 		if attempt >= r.cfg.MaxReroutes {
-			r.counters.RecordFailure()
+			r.counters.failures.Add(1)
 			return fmt.Errorf("router: outcome for template %08x still failing after %d reroutes: %w",
 				key, attempt, err)
 		}
 		excluded[url] = true
-		r.counters.RecordReroute()
+		r.counters.reroutes.Add(1)
 	}
 }
 
@@ -572,7 +626,7 @@ func (r *Router) dispatch(ctx context.Context, sc *routeScratch, jobs []*trace.J
 				// a probe brings it back; the batch reroutes.
 				if n.healthy {
 					n.healthy = false
-					r.counters.RecordFailover()
+					r.counters.failovers.Add(1)
 				}
 			}
 			n.mu.Unlock()

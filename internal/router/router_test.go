@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/rpc"
 	"repro/internal/rpc/wire"
@@ -48,7 +47,7 @@ func TestRouterSpreadsByTemplate(t *testing.T) {
 	// All placements arrived somewhere, and at a plane-wide total that
 	// matches what was sent.
 	nodesHit, total := 0, int64(0)
-	var snaps []metrics.RPCSnapshot
+	var snaps []rpc.DaemonStats
 	for i := 0; i < 3; i++ {
 		snap := p.Node(i).Stats()
 		snaps = append(snaps, snap)
@@ -356,7 +355,7 @@ func TestRouterClientFaultIsFinal(t *testing.T) {
 		fault func(r *Router) error
 		valid func(r *Router) error
 		// landed reads how many valid requests a node has served.
-		landed func(s metrics.RPCSnapshot) int64
+		landed func(s rpc.DaemonStats) int64
 	}{
 		{
 			// The JSON client posts outcomes as they are; the daemon validates.
@@ -364,7 +363,7 @@ func TestRouterClientFaultIsFinal(t *testing.T) {
 			codec:  rpc.CodecJSON,
 			fault:  func(r *Router) error { return r.Observe(context.Background(), job, 0, bad) },
 			valid:  func(r *Router) error { return r.Observe(context.Background(), job, 0, good) },
-			landed: func(s metrics.RPCSnapshot) int64 { return s.OutcomeRequests },
+			landed: func(s rpc.DaemonStats) int64 { return s.OutcomeRequests },
 		},
 		{
 			// The binary client validates before it encodes the frame.
@@ -372,7 +371,7 @@ func TestRouterClientFaultIsFinal(t *testing.T) {
 			codec:  rpc.CodecBinary,
 			fault:  func(r *Router) error { return r.Observe(context.Background(), job, 0, bad) },
 			valid:  func(r *Router) error { return r.Observe(context.Background(), job, 0, good) },
-			landed: func(s metrics.RPCSnapshot) int64 { return s.OutcomeRequests },
+			landed: func(s rpc.DaemonStats) int64 { return s.OutcomeRequests },
 		},
 		{
 			// The JSON client sends jobs as they are; the daemon validates.
@@ -383,7 +382,7 @@ func TestRouterClientFaultIsFinal(t *testing.T) {
 				return err
 			},
 			valid:  func(r *Router) error { _, err := r.PlaceOne(context.Background(), job); return err },
-			landed: func(s metrics.RPCSnapshot) int64 { return s.PlaceJobs },
+			landed: func(s rpc.DaemonStats) int64 { return s.PlaceJobs },
 		},
 		{
 			// The binary client validates while it bins, before sending.
@@ -394,7 +393,7 @@ func TestRouterClientFaultIsFinal(t *testing.T) {
 				return err
 			},
 			valid:  func(r *Router) error { _, err := r.PlaceOne(context.Background(), job); return err },
-			landed: func(s metrics.RPCSnapshot) int64 { return s.PlaceJobs },
+			landed: func(s rpc.DaemonStats) int64 { return s.PlaceJobs },
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

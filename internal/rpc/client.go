@@ -71,16 +71,17 @@ func DefaultClientConfig(baseURL string) ClientConfig {
 	}
 }
 
-// ClientStats counts a client's request outcomes.
+// ClientStats counts a client's request outcomes, in /varz order
+// (obs.WriteVars).
 type ClientStats struct {
 	// Requests counts logical operations (not retry attempts).
-	Requests int64
+	Requests int64 `varz:"requests"`
 	// Sheds counts 429 responses received (each may trigger a retry).
-	Sheds int64
+	Sheds int64 `varz:"sheds"`
 	// Retries counts re-sent attempts after a shed.
-	Retries int64
+	Retries int64 `varz:"retries"`
 	// Failures counts operations that returned an error to the caller.
-	Failures int64
+	Failures int64 `varz:"failures"`
 }
 
 // Client speaks the wire protocol to one placement daemon, reusing

@@ -90,6 +90,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/online"
+	"repro/internal/rebalance"
 	"repro/internal/registry"
 	"repro/internal/rpc/wire"
 	"repro/internal/serve"
@@ -123,8 +124,8 @@ type Config struct {
 	// OutcomeObserver, when non-nil, also receives every /v1/outcome
 	// through Observe — the hook a rebalance heat tracker uses to learn
 	// workload heat from the network feedback path. If the observer
-	// additionally implements Stats() metrics.RebalanceSnapshot, /varz
-	// gains its rebalance_* counters.
+	// additionally implements Stats() rebalance.Stats, /varz gains its
+	// rebalance_* counters.
 	OutcomeObserver sim.Observer
 	// DisableBinary turns off the binary frame codec: the stream endpoint
 	// answers 404 and /v1/model omits the bin schema, so binary-codec
@@ -181,7 +182,7 @@ type Daemon struct {
 	cfg      Config
 	workload string
 	srv      *serve.Server
-	counters metrics.RPCCounters
+	counters daemonCounters
 	place    *admission
 	outcome  *admission
 	draining atomic.Bool
@@ -210,9 +211,18 @@ type Daemon struct {
 	hists  daemonHists
 }
 
+// daemonCounters are the daemon's request counts that no histogram
+// holds; DaemonStats reads the rest off daemonHists.
+type daemonCounters struct {
+	placeJobs, streamSessions, modelRequests atomic.Int64
+	shed, badRequests, serverErrors          atomic.Int64
+}
+
 // daemonHists holds the daemon's streaming latency histograms, one per
 // hot path plus the shared admission queue wait. All are rendered as
-// cumulative-bucket lines with estimated p50/p95/p99 on /varz.
+// cumulative-bucket lines with estimated p50/p95/p99 on /varz. Each
+// served place is one placeJSON or placeBinary record and each served
+// outcome one outcome record, so they are also the request counts.
 type daemonHists struct {
 	placeJSON   obs.Histogram
 	placeBinary obs.Histogram
@@ -386,8 +396,65 @@ func (d *Daemon) Kill() error {
 	return first
 }
 
-// Stats returns the daemon's request-counter snapshot.
-func (d *Daemon) Stats() metrics.RPCSnapshot { return d.counters.Snapshot() }
+// DaemonStats is a point-in-time copy of the daemon's request counters,
+// in /varz order (obs.WriteVars).
+type DaemonStats struct {
+	// PlaceRequests counts served place batches (a JSON body or a
+	// frame), PlaceJobs the placements they carried; PlaceJSON and
+	// PlaceBinary split the batches by codec.
+	PlaceRequests int64 `varz:"place_requests"`
+	PlaceJobs     int64 `varz:"place_jobs"`
+	PlaceJSON     int64 `varz:"place_json_total"`
+	PlaceBinary   int64 `varz:"place_binary_total"`
+	// StreamSessions counts accepted stream sessions and StreamFrames
+	// the place frames they served: every binary place is one.
+	StreamSessions int64 `varz:"stream_sessions"`
+	StreamFrames   int64 `varz:"stream_frames"`
+
+	OutcomeRequests int64 `varz:"outcome_requests"`
+	ModelRequests   int64 `varz:"model_requests"`
+	// Shed counts 429s (admission), BadRequests other refusals the client
+	// caused, ServerErrors the ones the daemon did.
+	Shed         int64 `varz:"shed"`
+	BadRequests  int64 `varz:"bad_requests"`
+	ServerErrors int64 `varz:"server_errors"`
+	// MeanLatency and MaxLatency cover served places and outcomes alike.
+	MeanLatency time.Duration `varz:"mean_latency_ns"`
+	MaxLatency  time.Duration `varz:"max_latency_ns"`
+}
+
+// Stats returns the daemon's request-counter snapshot. Concurrent
+// requests may tear between fields; each field is consistent.
+func (d *Daemon) Stats() DaemonStats {
+	placeJSON, placeBinary, outcome := d.hists.placeJSON.Snapshot(), d.hists.placeBinary.Snapshot(), d.hists.outcome.Snapshot()
+	return d.stats(&placeJSON, &placeBinary, &outcome)
+}
+
+// stats assembles DaemonStats from the counters and from snapshots of
+// the endpoint histograms, which hold the request counts and latencies.
+// /varz passes the snapshots it renders, so the page's request counts
+// equal its histogram counts.
+func (d *Daemon) stats(placeJSON, placeBinary, outcome *obs.HistSnapshot) DaemonStats {
+	c := &d.counters
+	s := DaemonStats{
+		PlaceRequests:   placeJSON.Count + placeBinary.Count,
+		PlaceJobs:       c.placeJobs.Load(),
+		PlaceJSON:       placeJSON.Count,
+		PlaceBinary:     placeBinary.Count,
+		StreamSessions:  c.streamSessions.Load(),
+		StreamFrames:    placeBinary.Count,
+		OutcomeRequests: outcome.Count,
+		ModelRequests:   c.modelRequests.Load(),
+		Shed:            c.shed.Load(),
+		BadRequests:     c.badRequests.Load(),
+		ServerErrors:    c.serverErrors.Load(),
+		MaxLatency:      time.Duration(max(placeJSON.Max, placeBinary.Max, outcome.Max)),
+	}
+	if served := s.PlaceRequests + s.OutcomeRequests; served > 0 {
+		s.MeanLatency = time.Duration((placeJSON.Sum + placeBinary.Sum + outcome.Sum) / served)
+	}
+	return s
+}
 
 // Tracer exposes the daemon's request tracer (for tests and embedders
 // that want programmatic access to what /tracez serves).
@@ -499,10 +566,9 @@ func (d *Daemon) servePlace(sc *placeScratch, pc placeCall) (uint16, string) {
 	}
 
 	lat := time.Since(pc.start)
-	d.counters.RecordPlace(pc.via == viaStream, len(sc.decisions), lat)
+	d.counters.placeJobs.Add(int64(len(sc.decisions)))
 	hist := &d.hists.placeJSON
 	if pc.via == viaStream {
-		d.counters.RecordStreamFrame()
 		hist = &d.hists.placeBinary
 	}
 	hist.RecordDuration(lat)
@@ -647,7 +713,6 @@ func (d *Daemon) serveOutcome(v *wire.OutcomeView, traceID uint64, start time.Ti
 		}
 	}
 	lat := time.Since(start)
-	d.counters.RecordOutcome(lat)
 	d.hists.outcome.RecordDuration(lat)
 	b.Span("rpc.outcome", "", start, lat)
 	return 0, ""
@@ -688,7 +753,7 @@ func (d *Daemon) handleModel(w http.ResponseWriter, r *http.Request) {
 		d.methodNotAllowed(w)
 		return
 	}
-	d.counters.RecordModelInfo()
+	d.counters.modelRequests.Add(1)
 	d.writeJSON(w, http.StatusOK, d.modelInfo())
 }
 
@@ -714,7 +779,6 @@ func (d *Daemon) handleVarz(w http.ResponseWriter, r *http.Request) {
 	v := &varzData{
 		info:        d.modelInfo(),
 		proc:        obs.CollectProc(d.start),
-		rpc:         d.counters.Snapshot(),
 		srv:         d.srv.Stats(),
 		streamsOpen: streamsOpen,
 		placeJSON:   d.hists.placeJSON.Snapshot(),
@@ -724,13 +788,14 @@ func (d *Daemon) handleVarz(w http.ResponseWriter, r *http.Request) {
 		batchLat:    d.srv.BatchLatency(),
 		queueDepth:  d.srv.QueueDepth(),
 	}
+	v.rpc = d.stats(&v.placeJSON, &v.placeBinary, &v.outcome)
 	v.modelBytes, v.forestBytes = d.srv.ResidentBytes()
 	if d.cfg.Learner != nil {
 		s := d.cfg.Learner.Stats()
 		v.onl = &s
 	}
 	if st, ok := d.cfg.OutcomeObserver.(interface {
-		Stats() metrics.RebalanceSnapshot
+		Stats() rebalance.Stats
 	}); ok {
 		s := st.Stats()
 		v.reb = &s
@@ -788,7 +853,7 @@ func (d *Daemon) handleStream(w http.ResponseWriter, r *http.Request) {
 		d.dropStream(conn)
 		return
 	}
-	d.counters.RecordStreamSession()
+	d.counters.streamSessions.Add(1)
 	d.serveStream(conn, rw)
 }
 
@@ -894,11 +959,11 @@ var httpStatus = [...]int{
 func (d *Daemon) countRefusal(code uint16) {
 	switch code {
 	case wire.ErrCodeOverloaded:
-		d.counters.RecordShed()
+		d.counters.shed.Add(1)
 	case wire.ErrCodeServer:
-		d.counters.RecordServerError()
+		d.counters.serverErrors.Add(1)
 	default:
-		d.counters.RecordBadRequest()
+		d.counters.badRequests.Add(1)
 	}
 }
 

@@ -92,7 +92,7 @@ func TestOutcomeFeedback(t *testing.T) {
 func TestOutcomeObserverFeedsHeatTracker(t *testing.T) {
 	fx := testFixture(t)
 	cfg := testConfig()
-	heat := rebalance.NewHeatTracker(fx.cm, 0, nil)
+	heat := rebalance.NewHeatTracker(fx.cm, 0)
 	cfg.OutcomeObserver = heat
 	d := startDaemon(t, fx.newRegistry(t), cfg)
 	c := newTestClient(t, d)

@@ -5,15 +5,16 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/rebalance"
 	"repro/internal/rpc/wire"
 	"repro/internal/serve"
@@ -60,6 +61,40 @@ func (p parityConn) send(t *testing.T, raw []byte) reply {
 		t.Fatalf("round trip broke the transport: %v", err)
 	}
 	return rep
+}
+
+// checkCountsAgree asserts that the daemon's request counts are its
+// endpoint histograms' own, in Stats and on one /varz page: a place or
+// an outcome counted anywhere is counted once.
+func checkCountsAgree(t *testing.T, d *Daemon) {
+	t.Helper()
+	if st := d.Stats(); st.PlaceRequests != st.PlaceJSON+st.PlaceBinary || st.StreamFrames != st.PlaceBinary {
+		t.Errorf("stats count %d places as %d json + %d binary, in %d stream frames", st.PlaceRequests, st.PlaceJSON, st.PlaceBinary, st.StreamFrames)
+	}
+	resp, err := http.Get(d.BaseURL() + wire.PathVarz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	vars := map[string]string{}
+	for _, line := range strings.Split(string(body), "\n") {
+		if k, v, ok := strings.Cut(line, " "); ok {
+			vars[k] = v
+		}
+	}
+	for hist, total := range map[string]string{
+		"rpc_place_json_latency_ns_count":   "rpc_place_json_total",
+		"rpc_place_binary_latency_ns_count": "rpc_place_binary_total",
+		"rpc_outcome_latency_ns_count":      "rpc_outcome_requests",
+	} {
+		if vars[hist] == "" || vars[hist] != vars[total] {
+			t.Errorf("/varz reads %s %q beside %s %q", hist, vars[hist], total, vars[total])
+		}
+	}
 }
 
 // TestTransportParity is the one table for what the two transports must
@@ -168,7 +203,7 @@ func TestTransportParity(t *testing.T) {
 				defer p.s.Close()
 			}
 			onStream := row.stream || row.pooled
-			delta := func(before metrics.RPCSnapshot) metrics.RPCSnapshot {
+			delta := func(before DaemonStats) DaemonStats {
 				a := d.Stats()
 				a.PlaceRequests -= before.PlaceRequests
 				a.PlaceJobs -= before.PlaceJobs
@@ -308,6 +343,7 @@ func TestTransportParity(t *testing.T) {
 			// keep-alive connection) opens another; the pooled row's parked
 			// session shows dead on its next use and the batch is re-sent
 			// once on a fresh one, at no failure to the caller.
+			checkCountsAgree(t, d)
 			addr := d.Addr()
 			if err := d.Kill(); err != nil {
 				t.Fatalf("kill: %v", err)
@@ -341,6 +377,7 @@ func TestTransportParity(t *testing.T) {
 			if st := d.Stats(); st.PlaceRequests != 1 || (onStream && st.StreamSessions != 1) {
 				t.Errorf("restarted daemon served %d places over %d sessions, want 1 (over 1)", st.PlaceRequests, st.StreamSessions)
 			}
+			checkCountsAgree(t, d)
 			decided[row.name] = append(decided[row.name], got...)
 		})
 	}
@@ -472,7 +509,7 @@ func TestOutcomeParity(t *testing.T) {
 	} {
 		t.Run(row.codec, func(t *testing.T) {
 			cfg := testConfig()
-			heat := rebalance.NewHeatTracker(fx.cm, 0, nil)
+			heat := rebalance.NewHeatTracker(fx.cm, 0)
 			cfg.OutcomeObserver = heat
 			cfg.MaxInFlightOutcome = 2
 			cfg.QueueDeadline = 0
@@ -609,6 +646,7 @@ func TestOutcomeParity(t *testing.T) {
 			if got := d.Stats().StreamSessions; got != row.sessions {
 				t.Errorf("row opened %d stream sessions, want %d: refusals must not cost a session", got, row.sessions)
 			}
+			checkCountsAgree(t, d)
 			results = append(results, res)
 		})
 	}

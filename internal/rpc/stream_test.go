@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/rpc/wire"
 	"repro/internal/sim"
@@ -566,7 +565,7 @@ func TestObserveGarbledReplyIsNotResent(t *testing.T) {
 		// should be.
 		call   func(c *Client, n int) error
 		stray  func(c *Client, s *StreamSession) error
-		served func(st metrics.RPCSnapshot) int64
+		served func(st DaemonStats) int64
 	}{
 		{
 			name: "outcome",
@@ -574,7 +573,7 @@ func TestObserveGarbledReplyIsNotResent(t *testing.T) {
 			stray: func(c *Client, s *StreamSession) error {
 				return encodeBinaryPlace(c.binState.Load(), fx.jobs[:2], 0, &s.sc)
 			},
-			served: func(st metrics.RPCSnapshot) int64 { return st.OutcomeRequests },
+			served: func(st DaemonStats) int64 { return st.OutcomeRequests },
 		},
 		{
 			name: "place",
@@ -584,7 +583,7 @@ func TestObserveGarbledReplyIsNotResent(t *testing.T) {
 				s.sc.frame, err = wire.AppendOutcomeFrame(s.sc.frame[:0], 0, &req)
 				return err
 			},
-			served: func(st metrics.RPCSnapshot) int64 { return st.PlaceRequests },
+			served: func(st DaemonStats) int64 { return st.PlaceRequests },
 		},
 	} {
 		t.Run(row.name, func(t *testing.T) {

@@ -6,6 +6,8 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/online"
+	"repro/internal/rebalance"
 	"repro/internal/rpc/wire"
 )
 
@@ -16,7 +18,7 @@ import (
 type varzData struct {
 	info wire.ModelInfo
 	proc obs.ProcSnapshot
-	rpc  metrics.RPCSnapshot
+	rpc  DaemonStats
 	srv  metrics.ShardSnapshot
 	// streamsOpen is the stream sessions connected right now, most of
 	// them parked in some client's idle list; rpc.StreamSessions counts
@@ -37,8 +39,8 @@ type varzData struct {
 
 	// Optional sections, appended after everything above so the bare
 	// exposition stays a byte-prefix of the full one.
-	onl   *metrics.OnlineSnapshot
-	reb   *metrics.RebalanceSnapshot
+	onl   *online.Stats
+	reb   *rebalance.Stats
 	solve *obs.HistSnapshot
 }
 
@@ -59,23 +61,23 @@ func writeVarz(w io.Writer, v *varzData) {
 		binary = 1
 	}
 	fmt.Fprintf(w, "placementd_binary %d\n", binary)
-	v.proc.WriteText(w, "placementd")
-	v.rpc.WriteText(w, "rpc")
+	obs.WriteVars(w, "placementd", v.proc)
+	obs.WriteVars(w, "rpc", v.rpc)
 	fmt.Fprintf(w, "rpc_stream_sessions_open %d\n", v.streamsOpen)
 	v.placeJSON.WriteText(w, "rpc_place_json_latency_ns")
 	v.placeBinary.WriteText(w, "rpc_place_binary_latency_ns")
 	v.outcome.WriteText(w, "rpc_outcome_latency_ns")
 	v.queueWait.WriteText(w, "rpc_queue_wait_ns")
-	v.srv.WriteText(w, "serve")
+	obs.WriteVars(w, "serve", v.srv)
 	fmt.Fprintf(w, "serve_model_bytes %d\n", v.modelBytes)
 	fmt.Fprintf(w, "serve_forest_bytes %d\n", v.forestBytes)
 	v.batchLat.WriteText(w, "serve_batch_latency_ns")
 	v.queueDepth.WriteText(w, "serve_queue_depth")
 	if v.onl != nil {
-		v.onl.WriteText(w, "online")
+		obs.WriteVars(w, "online", *v.onl)
 	}
 	if v.reb != nil {
-		v.reb.WriteText(w, "rebalance")
+		obs.WriteVars(w, "rebalance", *v.reb)
 	}
 	if v.solve != nil {
 		v.solve.WriteText(w, "rebalance_solve_latency_ns")

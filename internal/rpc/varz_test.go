@@ -8,6 +8,8 @@ import (
 	"repro/internal/golden"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/online"
+	"repro/internal/rebalance"
 	"repro/internal/rpc/wire"
 )
 
@@ -23,7 +25,7 @@ func TestVarzGolden(t *testing.T) {
 		Swaps:         6,
 		Binary:        true,
 	}
-	rpcSnap := metrics.RPCSnapshot{
+	rpcSnap := DaemonStats{
 		PlaceRequests:   12000,
 		PlaceJSON:       4000,
 		PlaceBinary:     8000,
@@ -50,7 +52,7 @@ func TestVarzGolden(t *testing.T) {
 		MeanLatency:    912 * time.Microsecond,
 		MaxLatency:     18 * time.Millisecond,
 	}
-	onlSnap := metrics.OnlineSnapshot{
+	onlSnap := online.Stats{
 		Observations:       512000,
 		Evictions:          503808,
 		DriftTriggers:      2,
@@ -63,7 +65,7 @@ func TestVarzGolden(t *testing.T) {
 		MaxRetrainLatency:  1900 * time.Millisecond,
 	}
 
-	rebSnap := metrics.RebalanceSnapshot{
+	rebSnap := rebalance.Stats{
 		Observations: 512000,
 		Solves:       12,
 		LPOptimal:    11,
@@ -123,5 +125,34 @@ func TestVarzGolden(t *testing.T) {
 	writeVarz(&bare, &bareData)
 	if !bytes.HasPrefix(b.Bytes(), bare.Bytes()) {
 		t.Error("bare varz is not a prefix of the full exposition")
+	}
+}
+
+// TestStatsFromHists: the request counts and the latency mean and max
+// the daemon reports are read off its endpoint histograms, the mean as
+// one integer division of the summed nanoseconds.
+func TestStatsFromHists(t *testing.T) {
+	var d Daemon
+	var placeJSON, placeBinary, outcome obs.Histogram
+	placeJSON.RecordDuration(2 * time.Millisecond)
+	placeJSON.RecordDuration(1)
+	placeBinary.RecordDuration(4 * time.Millisecond)
+	outcome.RecordDuration(3 * time.Millisecond)
+	pj, pb, oc := placeJSON.Snapshot(), placeBinary.Snapshot(), outcome.Snapshot()
+	want := DaemonStats{
+		PlaceRequests:   3,
+		PlaceJSON:       2,
+		PlaceBinary:     1,
+		StreamFrames:    1,
+		OutcomeRequests: 1,
+		MeanLatency:     2_250_000, // 9,000,001 ns over 4
+		MaxLatency:      4 * time.Millisecond,
+	}
+	if got := d.stats(&pj, &pb, &oc); got != want {
+		t.Errorf("stats %+v, want %+v", got, want)
+	}
+	var empty obs.HistSnapshot
+	if got := d.stats(&empty, &empty, &empty); got != (DaemonStats{}) {
+		t.Errorf("empty histograms gave %+v", got)
 	}
 }
