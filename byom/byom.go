@@ -148,8 +148,8 @@ type (
 	FleetStats = fleet.Stats
 
 	// RebalanceConfig tunes the heat-aware global rebalancer: decay
-	// half-life, knapsack re-solve cadence, heat floor and the LP size
-	// cap. The zero value means sensible defaults everywhere.
+	// half-life and knapsack re-solve cadence. The zero value means
+	// sensible defaults for both.
 	RebalanceConfig = rebalance.Config
 	// RebalancePolicy wraps a write-time policy with the rebalancer:
 	// the inner policy proposes at write time, the periodic knapsack
@@ -251,7 +251,7 @@ func NewFirstFitPolicy() Policy { return policy.FirstFit{} }
 // NewHeuristicPolicy returns the CacheSack-style adaptive baseline
 // (§3.3), primed with the given historical jobs.
 func NewHeuristicPolicy(cm *CostModel, history []*Job) Policy {
-	h := policy.NewHeuristic(cm, policy.DefaultHeuristicConfig())
+	h := policy.NewHeuristic(cm)
 	h.Prime(history)
 	return h
 }

@@ -22,7 +22,7 @@ func TestWriteVarsAllTypes(t *testing.T) {
 		{"online", byom.OnlineStats{}, 10},
 		{"fleet", byom.FleetStats{}, 8},
 		{"rpc", byom.RPCStats{}, 13},
-		{"rebalance", byom.RebalanceStats{}, 8},
+		{"rebalance", byom.RebalanceStats{}, 6},
 		{"router", byom.RouterStats{}, 11},
 		{"router_client", byom.ClientStats{}, 4},
 	}

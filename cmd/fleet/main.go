@@ -8,7 +8,7 @@
 //
 // With -rebalance, each cluster's test window is additionally replayed
 // under its own model wrapped with the heat-aware global rebalancer
-// (periodic knapsack re-solve over the in-tree simplex).
+// (periodic knapsack re-solve by value-density fill).
 //
 // Usage:
 //

@@ -4,6 +4,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"repro/internal/golden"
 )
 
 func TestRunFleetSmoke(t *testing.T) {
@@ -21,6 +23,23 @@ func TestRunFleetSmoke(t *testing.T) {
 		if !strings.Contains(out, needle) {
 			t.Fatalf("output missing %q:\n%s", needle, out)
 		}
+	}
+}
+
+// TestRunFleetRebalanceGolden pins the whole -rebalance report: every
+// TCO column and the rebalancer's solve, demotion and eviction totals.
+// The golden was written by the command as it was when the residency
+// plan still went through the simplex, and is compared, never
+// rewritten, even under UPDATE_GOLDEN.
+func TestRunFleetRebalanceGolden(t *testing.T) {
+	var buf strings.Builder
+	err := run(context.Background(), []string{"-clusters", "2", "-days", "1", "-users", "4",
+		"-rounds", "4", "-categories", "5", "-rebalance"}, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := golden.Compare("testdata/rebalance.golden", []byte(buf.String())); err != nil {
+		t.Errorf("%v\nThe golden is the earlier command's output: fix the command, not the file.", err)
 	}
 }
 

@@ -83,7 +83,7 @@ func buildPolicy(name, modelPath string, trainJobs []*trace.Job, test *trace.Tra
 	case "firstfit":
 		return policy.FirstFit{}, nil
 	case "heuristic":
-		h := policy.NewHeuristic(cm, policy.DefaultHeuristicConfig())
+		h := policy.NewHeuristic(cm)
 		h.Prime(trainJobs)
 		return h, nil
 	case "mlbaseline":

@@ -42,7 +42,6 @@ func Granularity(opts Options) (*GranularityResult, error) {
 	topts.NumCategories = opts.NumCategories
 	topts.GBDT.NumRounds = opts.GBDTRounds
 	topts.GBDT.Seed = opts.Seed
-	topts.GBDT.Workers = opts.TrainWorkers
 
 	clusterModel, err := core.TrainCategoryModelWithLabeler(env.Train.Jobs, env.Cost, labeler, topts)
 	if err != nil {
@@ -171,7 +170,6 @@ func LabelDesign(opts Options) (*LabelDesignResult, error) {
 	topts.NumCategories = opts.NumCategories
 	topts.GBDT.NumRounds = opts.GBDTRounds
 	topts.GBDT.Seed = opts.Seed
-	topts.GBDT.Workers = opts.TrainWorkers
 
 	res := &LabelDesignResult{Cluster: env.Cluster}
 	for _, spacing := range []core.Spacing{core.SpacingQuantile, core.SpacingLinear, core.SpacingLog} {

@@ -37,11 +37,6 @@ type Options struct {
 	GBDTRounds int
 	// NumCategories is N for the category models.
 	NumCategories int
-	// TrainWorkers bounds per-model training parallelism (0 =
-	// GOMAXPROCS). Training is deterministic at any worker count, so
-	// this only trades single-model latency against fleet throughput
-	// when experiments train many models side by side.
-	TrainWorkers int
 }
 
 // DefaultOptions returns paper-style settings scaled to commodity
@@ -107,7 +102,6 @@ func TrainModelOn(jobs []*trace.Job, cm *cost.Model, opts Options) (*core.Catego
 	topts.NumCategories = opts.NumCategories
 	topts.GBDT.NumRounds = opts.GBDTRounds
 	topts.GBDT.Seed = opts.Seed
-	topts.GBDT.Workers = opts.TrainWorkers
 	return core.TrainCategoryModel(jobs, cm, topts)
 }
 
@@ -171,7 +165,7 @@ func (e *Env) RunSuite(quota float64, cfg SuiteConfig) (SuiteResult, error) {
 	var policies []sim.Policy
 	policies = append(policies, policy.FirstFit{})
 
-	heur := policy.NewHeuristic(e.Cost, policy.DefaultHeuristicConfig())
+	heur := policy.NewHeuristic(e.Cost)
 	heur.Prime(e.Train.Jobs)
 	policies = append(policies, heur)
 

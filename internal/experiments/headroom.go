@@ -28,7 +28,7 @@ func Headroom(opts Options) (*HeadroomResult, error) {
 	const quotaFrac = 0.01
 	quota := env.PeakUsage * quotaFrac
 
-	heur := policy.NewHeuristic(env.Cost, policy.DefaultHeuristicConfig())
+	heur := policy.NewHeuristic(env.Cost)
 	heur.Prime(env.Train.Jobs)
 	results, err := sim.RunAll(env.Test, []sim.Policy{heur, policy.FirstFit{}}, env.Cost,
 		sim.Config{SSDQuota: quota})

@@ -315,17 +315,6 @@ func Fig15(opts Options) (*Fig15Result, error) {
 	return res, nil
 }
 
-// MaxBandWidth returns the widest min-max band across quotas.
-func (r *Fig15Result) MaxBandWidth() float64 {
-	width := 0.0
-	for i := range r.Quotas {
-		if d := r.MaxPct[i] - r.MinPct[i]; d > width {
-			width = d
-		}
-	}
-	return width
-}
-
 // Render writes the sensitivity band.
 func (r *Fig15Result) Render(w io.Writer) {
 	var rows [][]string

@@ -90,9 +90,6 @@ type Model struct {
 	// for classification, MSE for regression) — used by tests and the
 	// model-analysis experiments.
 	TrainLoss []float64 `json:"train_loss,omitempty"`
-	// ValLoss records per-round validation logloss when the model was
-	// trained with TrainClassifierWithValidation.
-	ValLoss []float64 `json:"val_loss,omitempty"`
 
 	thresholdsOnce sync.Once
 	thresholds     [][]float64
@@ -512,7 +509,7 @@ func (m *Model) numericSplitThresholds() [][]float64 {
 // shares, is left out. The allocator rounds each array up to a size
 // class on top of this, a few percent.
 func (m *Model) ResidentBytes() int {
-	n := int(unsafe.Sizeof(*m)) + 8*(len(m.InitScores)+len(m.TrainLoss)+len(m.ValLoss))
+	n := int(unsafe.Sizeof(*m)) + 8*(len(m.InitScores)+len(m.TrainLoss))
 	for _, round := range m.Trees {
 		n += int(unsafe.Sizeof(round)) + int(unsafe.Sizeof(round[0]))*len(round)
 		for _, tree := range round {
@@ -532,89 +529,4 @@ func (m *Model) NumTrees() int {
 		n += len(round)
 	}
 	return n
-}
-
-// ValidationConfig controls early stopping in
-// TrainClassifierWithValidation.
-type ValidationConfig struct {
-	// Patience is how many rounds without validation improvement are
-	// tolerated before stopping.
-	Patience int
-	// MinDelta is the minimum logloss improvement that counts.
-	MinDelta float64
-}
-
-// TrainClassifierWithValidation trains like TrainClassifier but
-// evaluates a held-out set after every round and stops early when the
-// validation logloss has not improved for vcfg.Patience rounds; the
-// returned model is truncated to the best round. ValLoss on the result
-// records the per-round validation loss.
-//
-// The per-round validation replay runs on the compiled Forest, one
-// round of its traversal at a time over rows binned once, rather than
-// per-row tree.Predict on re-materialized rows.
-func TrainClassifierWithValidation(ds *Dataset, labels []int, numClasses int, cfg Config,
-	valDS *Dataset, valLabels []int, vcfg ValidationConfig) (*Model, error) {
-	if valDS == nil || valDS.N == 0 {
-		return nil, fmt.Errorf("gbdt: empty validation set")
-	}
-	if len(valLabels) != valDS.N {
-		return nil, fmt.Errorf("gbdt: %d validation labels for %d rows", len(valLabels), valDS.N)
-	}
-	if vcfg.Patience < 1 {
-		return nil, fmt.Errorf("gbdt: patience must be >= 1, got %d", vcfg.Patience)
-	}
-	m, err := TrainClassifier(ds, labels, numClasses, cfg)
-	if err != nil {
-		return nil, err
-	}
-	forest, err := m.Compile()
-	if err != nil {
-		return nil, fmt.Errorf("gbdt: compiling validation forest: %w", err)
-	}
-	// Bin the validation rows once; the binned tile, the logits and the
-	// probability scratch are flat and reused across rounds.
-	n := valDS.N
-	nf := valDS.Schema.NumFeatures()
-	tile := make([]uint16, n*nf)
-	var row []float64
-	for i := 0; i < n; i++ {
-		row = valDS.Row(i, row)
-		forest.binRow(row, tile[i*nf:(i+1)*nf])
-	}
-	logits, _ := forest.logitsScratch(nil, n, 0)
-	probs := make([]float64, numClasses)
-	bestRound, bestLoss := -1, math.Inf(1)
-	sinceBest := 0
-	valLoss := make([]float64, 0, len(m.Trees))
-	for r := range m.Trees {
-		forest.addRounds(tile, n, logits, r, r+1)
-		var loss float64
-		for i := 0; i < n; i++ {
-			softmax(logits[i*numClasses:(i+1)*numClasses], probs)
-			loss -= math.Log(math.Max(probs[valLabels[i]], 1e-15))
-		}
-		loss /= float64(n)
-		valLoss = append(valLoss, loss)
-		if loss < bestLoss-vcfg.MinDelta {
-			bestLoss = loss
-			bestRound = r
-			sinceBest = 0
-		} else {
-			sinceBest++
-			if sinceBest >= vcfg.Patience {
-				break
-			}
-		}
-	}
-	if bestRound < 0 {
-		bestRound = 0
-	}
-	m.Trees = m.Trees[:bestRound+1]
-	m.TrainLoss = m.TrainLoss[:bestRound+1]
-	m.ValLoss = valLoss[:len(m.Trees)]
-	// Compile derived the thresholds of every round; the model handed
-	// out, cut to its best round, has derived nothing yet.
-	m.thresholdsOnce, m.thresholds = sync.Once{}, nil
-	return m, nil
 }

@@ -448,64 +448,3 @@ func TestNumLeaves(t *testing.T) {
 		t.Errorf("NumLeaves = %d, want 2", got)
 	}
 }
-
-func TestEarlyStoppingTruncatesModel(t *testing.T) {
-	// Small noisy training set: a long run overfits, so early stopping
-	// must cut trees and the truncated model must not be worse on the
-	// validation set than the full run.
-	train, trainLabels := xorDataset(150, 31)
-	val, valLabels := xorDataset(600, 32)
-	cfg := DefaultConfig()
-	cfg.NumRounds = 80
-	cfg.LearningRate = 0.5 // aggressive: overfits quickly
-	cfg.MinSamplesLeaf = 2
-
-	full, err := TrainClassifier(train, trainLabels, 2, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stopped, err := TrainClassifierWithValidation(train, trainLabels, 2, cfg,
-		val, valLabels, ValidationConfig{Patience: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stopped.Trees) >= len(full.Trees) {
-		t.Errorf("early stopping kept %d rounds of %d", len(stopped.Trees), len(full.Trees))
-	}
-	if len(stopped.ValLoss) != len(stopped.Trees) {
-		t.Errorf("ValLoss has %d entries for %d rounds", len(stopped.ValLoss), len(stopped.Trees))
-	}
-	acc := func(m *Model) float64 {
-		correct := 0
-		row := make([]float64, 2)
-		for i := 0; i < val.N; i++ {
-			row = val.Row(i, row)
-			if m.PredictClass(row) == valLabels[i] {
-				correct++
-			}
-		}
-		return float64(correct) / float64(val.N)
-	}
-	if a, b := acc(stopped), acc(full); a < b-0.03 {
-		t.Errorf("early-stopped accuracy %.3f clearly below full %.3f", a, b)
-	}
-}
-
-func TestEarlyStoppingValidation(t *testing.T) {
-	train, labels := xorDataset(100, 33)
-	cfg := DefaultConfig()
-	cfg.NumRounds = 3
-	if _, err := TrainClassifierWithValidation(train, labels, 2, cfg, nil, nil,
-		ValidationConfig{Patience: 2}); err == nil {
-		t.Error("nil validation set accepted")
-	}
-	val, valLabels := xorDataset(50, 34)
-	if _, err := TrainClassifierWithValidation(train, labels, 2, cfg, val, valLabels[:10],
-		ValidationConfig{Patience: 2}); err == nil {
-		t.Error("label length mismatch accepted")
-	}
-	if _, err := TrainClassifierWithValidation(train, labels, 2, cfg, val, valLabels,
-		ValidationConfig{Patience: 0}); err == nil {
-		t.Error("zero patience accepted")
-	}
-}

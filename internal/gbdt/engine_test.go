@@ -214,42 +214,3 @@ func TestEngineSubsampleOutOfSampleReplay(t *testing.T) {
 		t.Errorf("loss only fell from %g to %g", first, last)
 	}
 }
-
-// TestNaiveMatchesEngineValidationTrainer: TrainClassifierWithValidation
-// replays rounds on the compiled Forest; its ValLoss must equal a
-// hand-rolled per-row Tree.Predict replay bit for bit (the Forest walk
-// is bit-identical to Tree.Predict).
-func TestForestValidationReplayMatchesTreePredict(t *testing.T) {
-	train, trainLabels := xorDataset(400, 45)
-	val, valLabels := xorDataset(300, 46)
-	cfg := DefaultConfig()
-	cfg.NumRounds = 12
-	m, err := TrainClassifierWithValidation(train, trainLabels, 2, cfg,
-		val, valLabels, ValidationConfig{Patience: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Recompute validation loss per kept round with Tree.Predict.
-	n := val.N
-	logits := make([][]float64, n)
-	rows := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		logits[i] = append([]float64(nil), m.InitScores...)
-		rows[i] = val.Row(i, nil)
-	}
-	probs := make([]float64, 2)
-	for r, round := range m.Trees {
-		var loss float64
-		for i := 0; i < n; i++ {
-			for k, tree := range round {
-				logits[i][k] += tree.Predict(rows[i])
-			}
-			softmax(logits[i], probs)
-			loss -= math.Log(math.Max(probs[valLabels[i]], 1e-15))
-		}
-		loss /= float64(n)
-		if loss != m.ValLoss[r] {
-			t.Fatalf("round %d: Forest replay loss %g != Tree.Predict replay %g", r, m.ValLoss[r], loss)
-		}
-	}
-}

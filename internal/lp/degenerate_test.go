@@ -70,10 +70,9 @@ func TestSolveBlandOnly(t *testing.T) {
 	}
 }
 
-// TestSolveIterationLimit forces the IterationLimit status the
-// rebalancer's greedy fallback keys on, and checks the truncated
-// solution is still primal-feasible — the property that makes rounding
-// an IterationLimit solution safe.
+// TestSolveIterationLimit forces the IterationLimit status and checks
+// the truncated solution is still primal-feasible — the property that
+// makes rounding an IterationLimit solution safe.
 func TestSolveIterationLimit(t *testing.T) {
 	p := Problem{
 		C: []float64{3, 5},

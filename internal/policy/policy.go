@@ -282,18 +282,13 @@ func (p *AdaptiveTrue) Place(j *trace.Job, ctx sim.PlaceContext) bool {
 // Observe implements sim.Observer.
 func (p *AdaptiveTrue) Observe(j *trace.Job, o sim.Outcome) { p.observe(j, o) }
 
-// HeuristicConfig tunes the CacheSack-style baseline.
-type HeuristicConfig struct {
-	// UpdateIntervalSec is how often the admission set is recomputed.
-	UpdateIntervalSec float64
-	// WindowSec is the sliding statistics window.
-	WindowSec float64
-}
-
-// DefaultHeuristicConfig returns the baseline's defaults.
-func DefaultHeuristicConfig() HeuristicConfig {
-	return HeuristicConfig{UpdateIntervalSec: 1800, WindowSec: 24 * 3600}
-}
+const (
+	// heuristicUpdateSec is how often the CacheSack-style baseline
+	// recomputes its admission set.
+	heuristicUpdateSec = 1800
+	// heuristicWindowSec is the baseline's sliding statistics window.
+	heuristicWindowSec = 24 * 3600
+)
 
 // catStat accumulates per-category observations within the window.
 type catStat struct {
@@ -333,7 +328,6 @@ func (c *catStat) add(arrival, save, byteSec float64) {
 // SSD capacity.
 type Heuristic struct {
 	cm        *cost.Model
-	cfg       HeuristicConfig
 	stats     map[string]*catStat
 	admission map[string]bool
 	lastCalc  float64
@@ -343,10 +337,9 @@ type Heuristic struct {
 // NewHeuristic builds the baseline. Call Prime with historical jobs
 // (e.g. the training week) so it starts with the same knowledge the ML
 // methods train on.
-func NewHeuristic(cm *cost.Model, cfg HeuristicConfig) *Heuristic {
+func NewHeuristic(cm *cost.Model) *Heuristic {
 	return &Heuristic{
 		cm:        cm,
-		cfg:       cfg,
 		stats:     map[string]*catStat{},
 		admission: map[string]bool{},
 	}
@@ -376,7 +369,7 @@ func (h *Heuristic) Name() string { return NameHeuristic }
 
 // Place implements sim.Policy.
 func (h *Heuristic) Place(j *trace.Job, ctx sim.PlaceContext) bool {
-	if !h.started || ctx.Now >= h.lastCalc+h.cfg.UpdateIntervalSec {
+	if !h.started || ctx.Now >= h.lastCalc+heuristicUpdateSec {
 		h.recompute(ctx)
 	}
 	return h.admission[j.TemplateKey()]
@@ -393,7 +386,7 @@ func (h *Heuristic) Observe(j *trace.Job, _ sim.Outcome) {
 func (h *Heuristic) recompute(ctx sim.PlaceContext) {
 	h.started = true
 	h.lastCalc = ctx.Now
-	cutoff := ctx.Now - h.cfg.WindowSec
+	cutoff := ctx.Now - heuristicWindowSec
 	type ranked struct {
 		key   string
 		save  float64
@@ -407,7 +400,7 @@ func (h *Heuristic) recompute(ctx sim.PlaceContext) {
 			continue
 		}
 		// Average concurrent space usage over the window.
-		space := st.sumByteSc / h.cfg.WindowSec
+		space := st.sumByteSc / heuristicWindowSec
 		cats = append(cats, ranked{key: key, save: st.sumSave, space: space})
 	}
 	sort.Slice(cats, func(a, b int) bool {

@@ -83,7 +83,7 @@ func TestAdaptiveHashCategoriesStable(t *testing.T) {
 
 func TestHeuristicAdmitsSaversFirst(t *testing.T) {
 	cm := cost.Default()
-	h := NewHeuristic(cm, DefaultHeuristicConfig())
+	h := NewHeuristic(cm)
 	// Prime with history: hot template saves, cold template loses.
 	var hist []*trace.Job
 	for i := 0; i < 20; i++ {
@@ -115,7 +115,7 @@ func TestHeuristicAdmitsSaversFirst(t *testing.T) {
 
 func TestHeuristicRespectsQuotaBudget(t *testing.T) {
 	cm := cost.Default()
-	h := NewHeuristic(cm, DefaultHeuristicConfig())
+	h := NewHeuristic(cm)
 	// Two saving templates; tiny quota should admit only the better one
 	// (ranked by total savings).
 	var hist []*trace.Job
@@ -251,7 +251,7 @@ func TestEndToEndShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	heur := NewHeuristic(cm, DefaultHeuristicConfig())
+	heur := NewHeuristic(cm)
 	heur.Prime(train.Jobs)
 
 	results, err := sim.RunAll(test, []sim.Policy{FirstFit{}, ranking, hash, heur}, cm,

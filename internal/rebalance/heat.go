@@ -1,9 +1,9 @@
 // Package rebalance is the fleet's second placement actuator beyond
 // model hot-swap: a per-workload heat tracker fed from the outcome
 // feedback path, and a periodic solver that re-poses SSD residency as
-// the paper's Section 3.1 knapsack over the in-tree simplex
-// (internal/lp), with a greedy rounding fallback when the solver
-// reports IterationLimit or Unbounded. The plan it emits is executed
+// the paper's Section 3.1 knapsack. With one capacity row and a [0,1]
+// box per workload that knapsack is fractional, so the density-order
+// greedy fill solves it exactly. The plan it emits is executed
 // through the simulator's existing seams: write-time demotions through
 // sim.Policy (a vetoed placement is a migration of the workload's new
 // writes to HDD) and early evictions through sim.Evictor.
@@ -65,12 +65,8 @@ type WorkloadHeat struct {
 type Stats struct {
 	// Observations counts outcomes folded into the heat tracker.
 	Observations int64 `varz:"observations"`
-	// Solves counts residency re-solves; LPOptimal and LPFallbacks split
-	// the simplex runs under a contended quota by whether the LP
-	// converged or the greedy rounding took over.
-	Solves      int64 `varz:"solves"`
-	LPOptimal   int64 `varz:"lp_optimal"`
-	LPFallbacks int64 `varz:"lp_fallbacks"`
+	// Solves counts residency re-solves.
+	Solves int64 `varz:"solves"`
 	// Workloads and Planned are the last solve's tracked workload count
 	// and how many of them entered the plan.
 	Workloads int64 `varz:"workloads"`
@@ -83,9 +79,9 @@ type Stats struct {
 
 // counters are Stats' live, atomically updated side.
 type counters struct {
-	observations, solves, lpOptimal, lpFallbacks atomic.Int64
-	workloads, planned                           atomic.Int64
-	demotions, evictions                         atomic.Int64
+	observations, solves atomic.Int64
+	workloads, planned   atomic.Int64
+	demotions, evictions atomic.Int64
 }
 
 // HeatTracker accumulates exponentially-decayed per-workload heat from
@@ -195,8 +191,6 @@ func (c *counters) stats() Stats {
 	return Stats{
 		Observations: c.observations.Load(),
 		Solves:       c.solves.Load(),
-		LPOptimal:    c.lpOptimal.Load(),
-		LPFallbacks:  c.lpFallbacks.Load(),
 		Workloads:    c.workloads.Load(),
 		Planned:      c.planned.Load(),
 		Demotions:    c.demotions.Load(),

@@ -93,18 +93,18 @@ func (p *Policy) Place(j *trace.Job, ctx sim.PlaceContext) bool {
 
 // EvictAfter implements sim.Evictor: a planned residency in (0,1)
 // bounds the job's SSD stay at that fraction of its lifetime. When the
-// inner policy also evicts, the earlier deadline wins.
+// inner policy also evicts, the earlier deadline wins, and the plan
+// counts an eviction only when its deadline is the one returned.
 func (p *Policy) EvictAfter(j *trace.Job) float64 {
 	var d float64
 	if p.innerEv != nil {
 		d = p.innerEv.EvictAfter(j)
 	}
 	if r, ok := p.plan[j.TemplateKey()]; ok && r > 0 && r < 1 {
-		rd := r * j.LifetimeSec
-		if d <= 0 || rd < d {
+		if rd := r * j.LifetimeSec; d <= 0 || rd < d {
 			d = rd
+			p.heat.counters.evictions.Add(1)
 		}
-		p.heat.counters.evictions.Add(1)
 	}
 	return d
 }

@@ -26,7 +26,7 @@ import (
 //   - Clean interval: weight recovers by +0.25 up to 1.
 func (r *Router) probeLoop() {
 	defer close(r.probeDone)
-	hc := &http.Client{Timeout: r.cfg.ProbeTimeout}
+	hc := &http.Client{Timeout: r.cfg.ProbeInterval}
 	ticker := time.NewTicker(r.cfg.ProbeInterval)
 	defer ticker.Stop()
 	for {

@@ -34,10 +34,9 @@ type Config struct {
 	// weight × its fair share; past it the walk spills the group to the
 	// next owner (default 1.25).
 	BoundFactor float64
-	// ProbeInterval is the /healthz probing cadence (default 250 ms).
+	// ProbeInterval is the /healthz probing cadence (default 250 ms),
+	// and it bounds one probe round trip too.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe round trip (default ProbeInterval).
-	ProbeTimeout time.Duration
 	// MaxReroutes bounds how many times one batch may be re-dispatched
 	// after node failures before the remainder fails (default 2).
 	MaxReroutes int
@@ -164,9 +163,6 @@ func New(cfg Config) (*Router, error) {
 	}
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = 250 * time.Millisecond
-	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = cfg.ProbeInterval
 	}
 	if cfg.MaxReroutes < 0 {
 		return nil, fmt.Errorf("router: MaxReroutes must be >= 0, got %d", cfg.MaxReroutes)

@@ -55,9 +55,6 @@ type ClientConfig struct {
 	// unique per-client seed, so concurrent clients jitter
 	// independently; tests pin a nonzero seed for reproducible sleeps.
 	JitterSeed uint64
-	// Transport overrides the HTTP transport (nil = a shared keep-alive
-	// transport sized for many concurrent connections).
-	Transport http.RoundTripper
 }
 
 // DefaultClientConfig returns client parameters for a daemon at
@@ -147,15 +144,12 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	default:
 		return nil, fmt.Errorf("rpc: unknown codec %q (want %q or %q)", cfg.Codec, CodecJSON, CodecBinary)
 	}
-	rt := cfg.Transport
-	if rt == nil {
-		// The stdlib default of 2 idle conns per host forces reconnects
-		// under any real concurrency; size for loadgen-scale fan-in.
-		rt = &http.Transport{
-			MaxIdleConns:        256,
-			MaxIdleConnsPerHost: 256,
-			IdleConnTimeout:     90 * time.Second,
-		}
+	// The stdlib default of 2 idle conns per host forces reconnects
+	// under any real concurrency; size for loadgen-scale fan-in.
+	rt := &http.Transport{
+		MaxIdleConns:        256,
+		MaxIdleConnsPerHost: 256,
+		IdleConnTimeout:     90 * time.Second,
 	}
 	c := &Client{cfg: cfg, hc: &http.Client{Transport: rt}}
 	c.scratch.New = func() any { return &clientScratch{} }

@@ -68,8 +68,6 @@ func TestVarzGolden(t *testing.T) {
 	rebSnap := rebalance.Stats{
 		Observations: 512000,
 		Solves:       12,
-		LPOptimal:    11,
-		LPFallbacks:  1,
 		Workloads:    96,
 		Planned:      80,
 		Demotions:    1400,

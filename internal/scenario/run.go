@@ -305,8 +305,8 @@ func runRebalance(spec *Spec) (*RunResult, error) {
 		res.TCOSavingsPercent(), res.TCIOSavingsPercent())
 	fmt.Fprintf(&b, "rebalance win: %+.3f TCO points\n",
 		res.TCOSavingsPercent()-plain.TCOSavingsPercent())
-	fmt.Fprintf(&b, "solver: %d solves (%d LP-optimal, %d greedy fallbacks), %d workloads planned of %d seen\n",
-		st.Solves, st.LPOptimal, st.LPFallbacks, st.Planned, st.Workloads)
+	fmt.Fprintf(&b, "solver: %d solves, %d workloads planned of %d seen\n",
+		st.Solves, st.Planned, st.Workloads)
 	fmt.Fprintf(&b, "actions: %d demotions, %d early evictions over %d observations\n",
 		st.Demotions, st.Evictions, st.Observations)
 	return &RunResult{
