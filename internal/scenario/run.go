@@ -125,11 +125,7 @@ func (s *Spec) trainOptions() core.TrainOptions {
 // buildSegment realizes one segment spec as a generated, time-shifted
 // trace.
 func buildSegment(g *SegmentSpec, idx int) *trace.Trace {
-	cluster := g.Cluster
-	if cluster == "" {
-		cluster = fmt.Sprintf("s%d", idx)
-	}
-	cfg := trace.DefaultGeneratorConfig(cluster, g.Seed)
+	cfg := trace.DefaultGeneratorConfig(g.cluster(idx), g.Seed)
 	cfg.NumUsers = g.Users
 	cfg.DurationSec = g.Days * 24 * 3600
 	if g.MinPipes > 0 {

@@ -78,8 +78,8 @@ type TraceSpec struct {
 // SegmentSpec is one generated trace segment: a cluster-shaped
 // workload shifted onto the scenario timeline at OffsetDays.
 type SegmentSpec struct {
-	// Cluster names the segment (0 = "S<index>"). Distinct names keep
-	// job IDs unique when segments overlap in time.
+	// Cluster names the segment ("" = "s<index>") and prefixes its job
+	// IDs, so no two segments may share a name, explicit or defaulted.
 	Cluster string `json:"cluster,omitempty"`
 	// Seed drives the segment's generator.
 	Seed int64 `json:"seed"`
@@ -239,12 +239,26 @@ func (t *TraceSpec) validate() error {
 	for _, a := range trace.Archetypes() {
 		known[a.Name] = true
 	}
+	named := map[string]int{} // oracle, policy.Static and rebalance key by job ID
 	for i := range t.Segments {
 		if err := t.Segments[i].validate(known); err != nil {
 			return fmt.Errorf("segment %d: %w", i, err)
 		}
+		name := t.Segments[i].cluster(i)
+		if j, dup := named[name]; dup {
+			return fmt.Errorf("segment %d: cluster name %q is segment %d's too (job IDs would repeat)", i, name, j)
+		}
+		named[name] = i
 	}
 	return nil
+}
+
+// cluster is the name of segment idx: Cluster, or "s<idx>" when unset.
+func (g *SegmentSpec) cluster(idx int) string {
+	if g.Cluster != "" {
+		return g.Cluster
+	}
+	return fmt.Sprintf("s%d", idx)
 }
 
 func (g *SegmentSpec) validate(known map[string]bool) error {

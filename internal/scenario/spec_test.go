@@ -95,6 +95,14 @@ func TestParseSpecRejects(t *testing.T) {
 		{"bad cluster", func(m map[string]any) {
 			seg(m)["cluster"] = "No Spaces"
 		}, "invalid cluster name"},
+		{"repeated cluster", func(m map[string]any) {
+			m["trace"].(map[string]any)["segments"] = []any{seg(m), seg(m)}
+		}, `segment 1: cluster name "a" is segment 0's too`},
+		{"cluster named as a default", func(m map[string]any) {
+			seg(m)["cluster"] = "s1"
+			unnamed := map[string]any{"seed": 2, "users": 2, "days": 0.5}
+			m["trace"].(map[string]any)["segments"] = []any{seg(m), unnamed}
+		}, `segment 1: cluster name "s1" is segment 0's too`},
 		{"categories 1", func(m map[string]any) {
 			m["train"].(map[string]any)["categories"] = 1
 		}, "train categories"},

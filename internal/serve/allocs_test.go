@@ -30,3 +30,20 @@ func TestSubmitEncodedSteadyStateAllocs(t *testing.T) {
 		t.Errorf("allocations per call: %.0f at 8 rows, %.0f at 64 rows; want at most 2 and no growth with rows", small, large)
 	}
 }
+
+// TestSubmitSteadyStateAllocs: a warm single-job Submit allocates
+// nothing, since its one-job slices live in the pooled call.
+func TestSubmitSteadyStateAllocs(t *testing.T) {
+	srv, fx, _ := newTestServer(t, testConfig())
+	call := func() {
+		if _, err := srv.Submit(fx.jobs[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		call()
+	}
+	if n := testing.AllocsPerRun(200, call); n != 0 {
+		t.Errorf("Submit: %.1f allocations per warm call, want 0", n)
+	}
+}

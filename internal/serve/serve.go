@@ -140,8 +140,8 @@ type activeModel struct {
 	modelBytes, forestBytes int
 }
 
-// call is the per-call state of one SubmitBatch or SubmitEncoded: the
-// caller's own slices plus the index that fans them out over shards.
+// call is the per-call state of one submission: the caller's own
+// slices plus the index that fans them out over shards.
 // Calls are pooled, so in steady state a submission allocates nothing
 // here.
 //
@@ -172,12 +172,16 @@ type call struct {
 	order  []int32  // row indices sorted by shard
 	cursor []int32  // counting-sort scratch, one slot per shard plus one
 	wg     sync.WaitGroup
+	// Submit's jobs and out, pooled so that it allocates nothing.
+	one    [1]*trace.Job
+	oneOut [1]Decision
 }
 
 // release drops the caller's slices and returns the call to the pool.
 // Only valid once every message sent for the call has been answered.
 func (s *Server) release(c *call) {
 	c.jobs, c.rows, c.arrivals, c.out = nil, nil, nil, nil
+	c.one[0] = nil
 	c.mismatch.Store(false)
 	s.calls.Put(c)
 }
@@ -362,10 +366,12 @@ func TemplateHash(j *trace.Job) uint32 { return trace.TemplateHash(j.Pipeline, j
 // Submit requests a placement decision for one job, blocking until the
 // decision is served (at most roughly FlushInterval plus inference).
 func (s *Server) Submit(j *trace.Job) (Decision, error) {
-	jobs := [1]*trace.Job{j}
-	var out [1]Decision
-	_, err := s.SubmitBatch(jobs[:], out[:])
-	return out[0], err
+	c := s.calls.Get().(*call)
+	defer s.release(c)
+	c.one[0], c.hashes = j, append(c.hashes[:0], TemplateHash(j))
+	c.jobs, c.out = c.one[:], c.oneOut[:]
+	err := s.fanOut(c, c.hashes)
+	return c.oneOut[0], err
 }
 
 // SubmitBatch requests decisions for a stream of jobs, fanning them out

@@ -1,9 +1,10 @@
 package trace
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 )
 
 // Archetype captures one class of workload behaviour. Pipelines are
@@ -192,7 +193,7 @@ func ClusterConfigs(n int, baseSeed int64) []GeneratorConfig {
 	arch := builtinArchetypes()
 	out := make([]GeneratorConfig, n)
 	for i := 0; i < n; i++ {
-		cfg := DefaultGeneratorConfig(fmt.Sprintf("C%d", i), baseSeed+int64(i)*7919)
+		cfg := DefaultGeneratorConfig("C"+strconv.Itoa(i), baseSeed+int64(i)*7919)
 		rng := rand.New(rand.NewSource(cfg.Seed ^ 0x5eed))
 		w := map[string]float64{}
 		if i == 3 {
@@ -288,11 +289,12 @@ func (g *Generator) buildTemplates() {
 	}
 
 	for u := 0; u < g.cfg.NumUsers; u++ {
-		user := fmt.Sprintf("user%02d", u)
+		pu := pad2(u)
+		user := "user" + pu
 		nPipes := g.cfg.MinPipes + g.rng.Intn(g.cfg.MaxPipes-g.cfg.MinPipes+1)
 		for p := 0; p < nPipes; p++ {
 			a := pickArch()
-			pipeline := fmt.Sprintf("%s-%s-p%02d%02d", user, a.Name, u, p)
+			pipeline := user + "-" + a.Name + "-p" + pu + pad2(p)
 			nSteps := g.cfg.MinSteps + g.rng.Intn(g.cfg.MaxSteps-g.cfg.MinSteps+1)
 			// Per-pipeline multipliers shared by all steps.
 			pSize := g.logn(0, 0.5*a.SizeSigma)
@@ -302,7 +304,7 @@ func (g *Generator) buildTemplates() {
 					arch:        a,
 					user:        user,
 					pipeline:    pipeline,
-					step:        fmt.Sprintf("s%d", s),
+					step:        "s" + strconv.Itoa(s),
 					stepIdx:     s,
 					sizeMul:     pSize * g.logn(0, 0.5*a.SizeSigma),
 					lifeMul:     pLife * g.logn(0, 0.4*a.LifeSigma),
@@ -330,13 +332,16 @@ func (g *Generator) buildTemplates() {
 // paper's Fig. 9c finding.
 func (g *Generator) makeMetadata(t *jobTemplate) Metadata {
 	return Metadata{
-		BuildTargetName: fmt.Sprintf("//production/%s/%s:%s_main", t.arch.Name, t.pipeline, t.step),
-		ExecutionName:   fmt.Sprintf("com.example.%s.%s.launcher.Main", t.arch.Name, t.pipeline),
-		PipelineName:    fmt.Sprintf("org_%s.%s-dims.prod.%s", t.user, t.pipeline, t.arch.Name),
-		StepName:        fmt.Sprintf("%s-open-shuffle%d", t.step, t.stepIdx),
-		UserName:        fmt.Sprintf("GroupByKey-%d", t.stepIdx*11+3),
+		BuildTargetName: "//production/" + t.arch.Name + "/" + t.pipeline + ":" + t.step + "_main",
+		ExecutionName:   "com.example." + t.arch.Name + "." + t.pipeline + ".launcher.Main",
+		PipelineName:    "org_" + t.user + "." + t.pipeline + "-dims.prod." + t.arch.Name,
+		StepName:        t.step + "-open-shuffle" + strconv.Itoa(t.stepIdx),
+		UserName:        "GroupByKey-" + strconv.Itoa(t.stepIdx*11+3),
 	}
 }
+
+// pad2 is fmt's "%02d" for v >= 0.
+func pad2(v int) string { return strconv.Itoa(v/10) + strconv.Itoa(v%10) }
 
 func (g *Generator) logn(mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*g.rng.NormFloat64())
@@ -358,25 +363,66 @@ func diurnalFactor(amp, atSec float64) float64 {
 	return 1 + amp*math.Sin(2*math.Pi*(hour-9)/24)
 }
 
+// A block of jobBlock 320-byte Jobs is exactly ten 8 KiB pages, where a
+// smaller one rounds up to a size class; a job ID pads seq to idDigits.
+const jobBlock, idDigits = 256, 6
+
 // Generate produces the full trace for the configured window, sorted by
-// arrival time. Generation is deterministic given the config.
+// arrival time. Generation is deterministic given the config. The jobs
+// live in arrival-ordered blocks of 256 and their IDs in one string, so
+// a kept *Job keeps its block and the IDs alive.
 func (g *Generator) Generate() *Trace {
-	tr := &Trace{Cluster: g.cfg.Cluster}
-	seq := 0
+	// Instantiate in template order, the order the RNG draws in.
+	var blocks [][]Job
+	var arrivals []float64 // reused template to template
+	n := 0
 	for _, t := range g.templates {
-		arrivals := g.arrivalTimes(t)
+		arrivals = g.arrivalTimes(t, arrivals[:0])
 		for _, at := range arrivals {
-			j := g.instantiate(t, at, seq)
-			tr.Jobs = append(tr.Jobs, j)
-			seq++
+			if n%jobBlock == 0 {
+				blocks = append(blocks, make([]Job, jobBlock))
+			}
+			g.instantiate(&blocks[n/jobBlock][n%jobBlock], t, at)
+			n++
 		}
 	}
+	// A Builder only appends, so each ID sliced off it stays valid.
+	var ids strings.Builder
+	ids.Grow(n * (len(g.cfg.Cluster) + len("-j") + idDigits))
+	var buf [64]byte
+	tr := &Trace{Cluster: g.cfg.Cluster, Jobs: make([]*Job, n)}
+	for seq := range tr.Jobs {
+		j, start := &blocks[seq/jobBlock][seq%jobBlock], ids.Len()
+		ids.Write(appendJobID(buf[:0], g.cfg.Cluster, seq))
+		j.ID, tr.Jobs[seq] = ids.String()[start:], j
+	}
 	tr.Sort()
+	// Copy into arrival order, so a kept arrival range keeps only its blocks.
+	var blk []Job
+	for i, j := range tr.Jobs {
+		if i%jobBlock == 0 {
+			blk = make([]Job, min(jobBlock, n-i))
+		}
+		blk[i%jobBlock] = *j
+		tr.Jobs[i] = &blk[i%jobBlock]
+	}
 	return tr
 }
 
-func (g *Generator) arrivalTimes(t *jobTemplate) []float64 {
-	var out []float64
+// appendJobID appends the ID of job seq, "<cluster>-j<seq>" with seq
+// zero-padded to idDigits: what fmt's "%s-j%06d" writes.
+func appendJobID(b []byte, cluster string, seq int) []byte {
+	b = append(append(b, cluster...), "-j"...)
+	for w, p := 1, 10; w < idDigits; w, p = w+1, p*10 {
+		if seq < p {
+			b = append(b, '0')
+		}
+	}
+	return strconv.AppendInt(b, int64(seq), 10)
+}
+
+// arrivalTimes appends template t's arrival times in the window to out.
+func (g *Generator) arrivalTimes(t *jobTemplate, out []float64) []float64 {
 	dur := g.cfg.DurationSec
 	if t.periodSec > 0 {
 		period := t.periodSec / g.cfg.LoadScale
@@ -405,8 +451,8 @@ func (g *Generator) arrivalTimes(t *jobTemplate) []float64 {
 }
 
 // instantiate realizes one execution of a template at the given arrival
-// time and updates the template's running history.
-func (g *Generator) instantiate(t *jobTemplate, at float64, seq int) *Job {
+// time into j, ID aside, and updates the template's running history.
+func (g *Generator) instantiate(j *Job, t *jobTemplate, at float64) {
 	ns := g.cfg.NoiseScale
 	a := t.arch
 	size := math.Exp(a.SizeMu) * t.sizeMul * g.logn(0, 0.35*a.SizeSigma*ns)
@@ -428,8 +474,7 @@ func (g *Generator) instantiate(t *jobTemplate, at float64, seq int) *Job {
 	readBytes := size * readFactor
 	writeBytes := size * writeAmp
 
-	j := &Job{
-		ID:               fmt.Sprintf("%s-j%06d", g.cfg.Cluster, seq),
+	*j = Job{
 		Cluster:          g.cfg.Cluster,
 		User:             t.user,
 		Pipeline:         t.pipeline,
@@ -471,8 +516,6 @@ func (g *Generator) instantiate(t *jobTemplate, at float64, seq int) *Job {
 	t.histLife += life
 	t.histDensity += (readBytes + writeBytes) / size
 	t.histRuns++
-
-	return j
 }
 
 func (g *Generator) makeResources(t *jobTemplate, size, writeBytes float64) Resources {

@@ -11,8 +11,10 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 )
@@ -167,7 +169,8 @@ func (j *Job) Validate() error {
 	return nil
 }
 
-// Trace is a set of jobs sorted by arrival time.
+// Trace is a set of jobs sorted by arrival time. A generated trace keeps
+// its jobs in arrival-ordered 256-job blocks: a kept job keeps its block.
 type Trace struct {
 	Cluster string `json:"cluster"`
 	Jobs    []*Job `json:"jobs"`
@@ -176,12 +179,11 @@ type Trace struct {
 // Sort orders jobs by arrival time (stable; ties broken by ID for
 // determinism).
 func (t *Trace) Sort() {
-	sort.SliceStable(t.Jobs, func(a, b int) bool {
-		ja, jb := t.Jobs[a], t.Jobs[b]
-		if ja.ArrivalSec != jb.ArrivalSec {
-			return ja.ArrivalSec < jb.ArrivalSec
+	slices.SortStableFunc(t.Jobs, func(a, b *Job) int {
+		if a.ArrivalSec != b.ArrivalSec {
+			return cmp.Compare(a.ArrivalSec, b.ArrivalSec)
 		}
-		return ja.ID < jb.ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 }
 
@@ -225,12 +227,9 @@ func (t *Trace) PeakSSDUsage() float64 {
 		events = append(events, event{j.ArrivalSec, j.SizeBytes})
 		events = append(events, event{j.EndSec(), -j.SizeBytes})
 	}
-	sort.Slice(events, func(a, b int) bool {
-		if events[a].at != events[b].at {
-			return events[a].at < events[b].at
-		}
-		// Process releases before acquisitions at identical times.
-		return events[a].delta < events[b].delta
+	// Process releases before acquisitions at identical times.
+	slices.SortFunc(events, func(a, b event) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.delta, b.delta))
 	})
 	var cur, peak float64
 	for _, e := range events {
