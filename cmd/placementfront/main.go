@@ -221,7 +221,7 @@ func (f *front) handlePlace(w http.ResponseWriter, r *http.Request) {
 		b.Span("front.place", fmt.Sprintf("%d jobs", len(jobs)), placeStart, time.Since(placeStart))
 	}
 	if err != nil {
-		writeJSONError(w, http.StatusServiceUnavailable, err.Error())
+		writeRouteError(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -251,7 +251,7 @@ func (f *front) handleOutcome(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := f.router.Observe(r.Context(), req.Job, req.Category, req.Outcome.Sim()); err != nil {
-		writeJSONError(w, http.StatusServiceUnavailable, err.Error())
+		writeRouteError(w, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -312,6 +312,19 @@ func writeVarz(w io.Writer, v *varzData) {
 	for _, nd := range v.dispatch {
 		nd.Hist.WriteTextLabeled(w, "router_dispatch_latency_ns", fmt.Sprintf("{node=%q}", nd.URL))
 	}
+}
+
+// writeRouteError answers a router error. A node's bad-request refusal
+// reaches the client as a 400 with the node's message: the request
+// itself is wrong and fails the same way on any node. Anything else
+// means no node could serve it: 503.
+func writeRouteError(w http.ResponseWriter, err error) {
+	var re *rpc.Error
+	if errors.As(err, &re) && re.Code == wire.ErrCodeBadRequest {
+		writeJSONError(w, http.StatusBadRequest, re.Message)
+		return
+	}
+	writeJSONError(w, http.StatusServiceUnavailable, err.Error())
 }
 
 func writeJSONError(w http.ResponseWriter, status int, msg string) {

@@ -293,3 +293,75 @@ func TestFrontCrossTierTracing(t *testing.T) {
 		}
 	}
 }
+
+// TestFrontBadRequestIs400: a batch the node refuses as bad (here, over
+// the daemon's MaxBatch, which the front does not cap) answers 400 with
+// the node's message, where it used to read as a failed server (503).
+// Once no node can answer, the front still says 503.
+func TestFrontBadRequestIs400(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a model and starts a plane")
+	}
+	gcfg := trace.DefaultGeneratorConfig("front-bad-request", 5)
+	gcfg.DurationSec = 24 * 3600
+	gcfg.NumUsers = 4
+	tr := trace.NewGenerator(gcfg).Generate()
+	cm := cost.Default()
+	opts := core.DefaultTrainOptions()
+	opts.NumCategories = 4
+	opts.GBDT.NumRounds = 3
+	opts.GBDT.MaxDepth = 4
+	model, err := core.TrainCategoryModel(tr.Jobs, cm, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := registry.New()
+	if _, err := src.Publish("m", model, 0); err != nil {
+		t.Fatal(err)
+	}
+	dcfg := rpc.DefaultConfig(4)
+	dcfg.MaxBatch = 4
+	plane, err := router.NewPlane(src, "m", cm, dcfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plane.Close()
+	rt, err := router.New(router.DefaultConfig(plane.URLs()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	srv := httptest.NewServer((&front{router: rt, maxBatch: 0}).handler())
+	defer srv.Close()
+
+	post := func(jobs []*trace.Job) (int, string) {
+		t.Helper()
+		body, _ := json.Marshal(wire.PlaceRequest{Jobs: jobs})
+		resp, err := http.Post(srv.URL+wire.PathPlace, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var er wire.ErrorResponse
+		_ = json.NewDecoder(resp.Body).Decode(&er)
+		return resp.StatusCode, er.Error
+	}
+	if status, msg := post(tr.Jobs[:4]); status != http.StatusOK {
+		t.Fatalf("4 jobs answered %d (%s), want 200", status, msg)
+	}
+	status, msg := post(tr.Jobs[:5])
+	if status != http.StatusBadRequest {
+		t.Errorf("5 jobs over a MaxBatch-4 node answered %d (%s), want 400", status, msg)
+	}
+	if !strings.Contains(msg, "limit is 4") {
+		t.Errorf("400 body %q does not carry the node's message", msg)
+	}
+	if st := plane.Node(0).Stats(); st.BadRequests != 1 {
+		t.Errorf("node counted %d bad requests, want 1", st.BadRequests)
+	}
+
+	plane.Close()
+	if status, msg := post(tr.Jobs[:4]); status != http.StatusServiceUnavailable {
+		t.Errorf("place with the only node down answered %d (%s), want 503", status, msg)
+	}
+}

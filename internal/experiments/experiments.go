@@ -9,9 +9,7 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/cost"
@@ -280,53 +278,6 @@ func (e *Env) RunRankingWithTrace(quota float64, model *core.CategoryModel) (*si
 		return nil, nil, err
 	}
 	return res, ranking.ACTTrace(), nil
-}
-
-// parallelIndexed runs fn(0..n-1) on a bounded worker pool and returns
-// the first error. Sweep experiments use it to evaluate independent
-// quota points concurrently: every callee writes only to its own index,
-// and the shared inputs (traces, trained models, cost model) are
-// read-only during simulation.
-func parallelIndexed(n int, fn func(i int) error) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				if err := fn(i); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	return firstErr
 }
 
 // QuotaFractions is the standard sweep used by Fig. 7-style plots.

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"repro/internal/core"
+	"repro/internal/par"
 	"repro/internal/policy"
 )
 
@@ -137,7 +138,10 @@ func Fig7(opts Options) (*Fig7Result, error) {
 		res.TCOPct[m] = make([]float64, len(res.Quotas))
 	}
 	cats := model.Categories(env.Test.Jobs, nil)
-	err = parallelIndexed(len(res.Quotas), func(i int) error {
+	// Quota points run side by side, as in every sweep here: each writes
+	// only its own index, and the trace, model and cost model are only
+	// read.
+	err = par.Each(len(res.Quotas), 0, func(i int) error {
 		suite, err := env.RunSuite(env.PeakUsage*res.Quotas[i], SuiteConfig{
 			Model: model, Categories: cats, WithMLBase: true, WithOracles: true,
 		})
@@ -194,7 +198,7 @@ func Fig11(opts Options) (*Fig11Result, error) {
 	res.Predicted = make([]float64, len(res.Quotas))
 	res.TrueCat = make([]float64, len(res.Quotas))
 	cats := model.Categories(env.Test.Jobs, nil)
-	err = parallelIndexed(len(res.Quotas), func(i int) error {
+	err = par.Each(len(res.Quotas), 0, func(i int) error {
 		suite, err := env.RunSuite(env.PeakUsage*res.Quotas[i], SuiteConfig{Model: model, Categories: cats, WithTrueCat: true})
 		if err != nil {
 			return err
@@ -286,7 +290,7 @@ func Fig15(opts Options) (*Fig15Result, error) {
 	// One result matrix slot per (combo, quota); reduced serially.
 	curves := make([][]float64, len(combos))
 	cats := model.Categories(env.Test.Jobs, nil)
-	err = parallelIndexed(len(combos), func(ci int) error {
+	err = par.Each(len(combos), 0, func(ci int) error {
 		curve := make([]float64, len(quotas))
 		for qi, frac := range quotas {
 			acfg := combos[ci]

@@ -87,29 +87,19 @@ var metadataFields = [...]struct {
 // their own categorical feature (in addition to the full string).
 const tokensPerField = 2
 
-// numStringFeatures counts the vocabulary- or hash-encoded categorical
-// features: per metadata field, the full string plus its leading tokens.
+// numStringFeatures counts the vocabulary-encoded categorical features:
+// per metadata field, the full string plus its leading tokens.
 const numStringFeatures = len(metadataFields) * (1 + tokensPerField)
 
-// Encoder maps jobs to numeric feature rows. Two modes exist:
-//
-//   - vocabulary mode (BuildEncoder): string ids come from tables frozen
-//     at training time; unseen strings map to UnknownID. Interpretable,
-//     but the tables must ship with the model.
-//   - hashing mode (BuildHashingEncoder): string ids are FNV hashes into
-//     a fixed bucket count. No training state, unbounded vocabularies,
-//     new strings still land in informative (if collision-prone)
-//     buckets — the usual production choice when the string space grows
-//     without bound.
+// Encoder maps jobs to numeric feature rows. String ids come from
+// vocabularies frozen at training time (BuildEncoder); unseen strings
+// map to UnknownID. The tables ship with the model.
 type Encoder struct {
 	// Vocabs holds one string->id table per categorical feature, in
 	// schema order of the categorical features. Id 0 is reserved for
-	// unknown values. Empty in hashing mode.
+	// unknown values.
 	Vocabs []map[string]int `json:"vocabs"`
-	// HashBuckets > 0 selects hashing mode with that many buckets per
-	// string feature.
-	HashBuckets int `json:"hash_buckets,omitempty"`
-	schema      *gbdt.Schema
+	schema *gbdt.Schema
 }
 
 // numericFeatures lists (name, group) of the numeric features in order.
@@ -215,32 +205,6 @@ type vocabEntry struct {
 	n int
 }
 
-// BuildHashingEncoder constructs a stateless encoder that hashes string
-// features into the given number of buckets (>= 2).
-func BuildHashingEncoder(buckets int) (*Encoder, error) {
-	if buckets < 2 {
-		return nil, fmt.Errorf("features: need at least 2 hash buckets, got %d", buckets)
-	}
-	e := &Encoder{HashBuckets: buckets}
-	e.buildSchema()
-	return e, nil
-}
-
-// hashBucket maps a string to its hashing-mode id: 0 for the empty
-// string, else 1 + FNV-1a(s) mod (buckets-1). The hash is inlined so
-// the per-decision path needs neither a hash.Hash32 nor a []byte copy.
-func hashBucket(s string, buckets int) int {
-	if s == "" {
-		return 0
-	}
-	const offset32, prime32 = 2166136261, 16777619
-	h := uint32(offset32)
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint32(s[i])) * prime32
-	}
-	return 1 + int(h%uint32(buckets-1))
-}
-
 func (e *Encoder) buildSchema() {
 	s := &gbdt.Schema{}
 	for _, f := range numericFeatures {
@@ -253,12 +217,9 @@ func (e *Encoder) buildSchema() {
 	for i, f := range catNames {
 		s.Names = append(s.Names, f.name)
 		s.Kinds = append(s.Kinds, gbdt.Categorical)
-		switch {
-		case i == 0:
+		if i == 0 {
 			s.Cards = append(s.Cards, 7) // weekday
-		case e.HashBuckets > 0:
-			s.Cards = append(s.Cards, e.HashBuckets)
-		default:
+		} else {
 			s.Cards = append(s.Cards, len(e.Vocabs[i-1])+1)
 		}
 		s.Groups = append(s.Groups, f.group)
@@ -303,17 +264,10 @@ func (e *Encoder) Encode(j *trace.Job, buf []float64) []float64 {
 	put(j.SecondOfDay())
 	// Weekday (categorical, direct encoding).
 	put(float64(j.Weekday()))
-	// Metadata strings: vocabulary lookup or hashing.
+	// Metadata strings: vocabulary lookup; a missing string reads as
+	// UnknownID (0), the map's zero value.
 	for v, s := range categoricalValues(j) {
-		var id int
-		if e.HashBuckets > 0 {
-			id = hashBucket(s, e.HashBuckets)
-		} else if mapped, ok := e.Vocabs[v][s]; ok {
-			id = mapped
-		} else {
-			id = UnknownID
-		}
-		put(float64(id))
+		put(float64(e.Vocabs[v][s]))
 	}
 	return buf
 }
@@ -360,12 +314,8 @@ func LoadEncoder(r io.Reader) (*Encoder, error) {
 // payload (e.g. the wire ModelInfo) must call it before first use;
 // LoadEncoder does so itself.
 func (e *Encoder) Finalize() error {
-	if e.HashBuckets == 0 {
-		if len(e.Vocabs) != numStringFeatures {
-			return fmt.Errorf("features: encoder has %d vocabularies, want %d", len(e.Vocabs), numStringFeatures)
-		}
-	} else if e.HashBuckets < 2 {
-		return fmt.Errorf("features: encoder has %d hash buckets", e.HashBuckets)
+	if len(e.Vocabs) != numStringFeatures {
+		return fmt.Errorf("features: encoder has %d vocabularies, want %d", len(e.Vocabs), numStringFeatures)
 	}
 	e.buildSchema()
 	return nil

@@ -128,16 +128,12 @@ func datasetDigest(ds *gbdt.Dataset) string {
 }
 
 // TestDatasetGoldenDigest pins the encoded rows of the C0 sample trace
-// to the digests the strings.Builder tokenizer and hash/fnv produced
-// (recorded at the commit before the zero-copy rewrite): a vocabulary
-// built from all jobs, a capped vocabulary built from half of them
-// (unknown ids in play), and a hashing encoder.
+// to the digests the strings.Builder tokenizer produced (recorded at the
+// commit before the zero-copy rewrite): a vocabulary built from all
+// jobs, and a capped vocabulary built from half of them (unknown ids in
+// play).
 func TestDatasetGoldenDigest(t *testing.T) {
 	jobs := sampleJobs()
-	hashing, err := BuildHashingEncoder(256)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, c := range []struct {
 		name string
 		enc  *Encoder
@@ -145,7 +141,6 @@ func TestDatasetGoldenDigest(t *testing.T) {
 	}{
 		{"vocabulary", BuildEncoder(jobs, 0), "4abaf416afae68cffca1c05d341c045bde6145fc779be9d48c3a878546ab66e9"},
 		{"capped vocabulary", BuildEncoder(jobs[:len(jobs)/2], 64), "ef30f904fee14f08baf8c409f25175875369acae37f552740a458843a82893d7"},
-		{"hashing", hashing, "fbde18e4aad0234d9ce60e9f29ef8740ceff79783f53ba96c5e6eddbb64c471b"},
 	} {
 		if got := datasetDigest(c.enc.Dataset(jobs)); got != c.want {
 			t.Errorf("%s encoder: dataset digest %s, want %s", c.name, got, c.want)
@@ -154,29 +149,18 @@ func TestDatasetGoldenDigest(t *testing.T) {
 }
 
 // TestEncodeSteadyStateAllocs is the feature path's allocation budget:
-// encoding into a caller-owned row allocates nothing in either mode.
+// encoding into a caller-owned row allocates nothing.
 func TestEncodeSteadyStateAllocs(t *testing.T) {
 	jobs := sampleJobs()[:256]
-	hashing, err := BuildHashingEncoder(256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		name string
-		enc  *Encoder
-	}{
-		{"vocabulary", BuildEncoder(jobs, 0)},
-		{"hashing", hashing},
-	} {
-		row := make([]float64, c.enc.NumFeatures())
-		allocs := testing.AllocsPerRun(10, func() {
-			for _, j := range jobs {
-				row = c.enc.Encode(j, row)
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("%s encoder: %.1f allocations per %d-job pass, want 0", c.name, allocs, len(jobs))
+	enc := BuildEncoder(jobs, 0)
+	row := make([]float64, enc.NumFeatures())
+	allocs := testing.AllocsPerRun(10, func() {
+		for _, j := range jobs {
+			row = enc.Encode(j, row)
 		}
+	})
+	if allocs != 0 {
+		t.Errorf("%.1f allocations per %d-job pass, want 0", allocs, len(jobs))
 	}
 }
 
@@ -329,6 +313,11 @@ func TestLoadEncoderRejectsCorrupt(t *testing.T) {
 	if _, err := LoadEncoder(bytes.NewBufferString(`{"vocabs":[{}]}`)); err == nil {
 		t.Error("wrong vocab count accepted")
 	}
+	// A hashing-mode file names buckets and no vocabularies; there is no
+	// hashing mode to read it.
+	if _, err := LoadEncoder(bytes.NewBufferString(`{"vocabs":null,"hash_buckets":8}`)); err == nil {
+		t.Error("hash-bucket encoder without vocabularies accepted")
+	}
 }
 
 func TestHistoryFeaturesEncoded(t *testing.T) {
@@ -358,99 +347,5 @@ func TestHistoryFeaturesEncoded(t *testing.T) {
 	}
 	if row[idx["open_time_weekday"]] != float64(j.Weekday()) {
 		t.Errorf("weekday = %g, want %d", row[idx["open_time_weekday"]], j.Weekday())
-	}
-}
-
-func TestHashingEncoderConsistency(t *testing.T) {
-	enc, err := BuildHashingEncoder(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := BuildHashingEncoder(1); err == nil {
-		t.Error("1 bucket accepted")
-	}
-	jobs := sampleJobs()
-	s := enc.Schema()
-	if err := s.Validate(); err != nil {
-		t.Fatalf("hashing schema invalid: %v", err)
-	}
-	r1 := enc.Encode(jobs[0], nil)
-	r2 := enc.Encode(jobs[0], nil)
-	if !reflect.DeepEqual(r1, r2) {
-		t.Fatal("hashing encoder not deterministic")
-	}
-	// Unseen strings land in nonzero buckets (no training required).
-	novel := *jobs[0]
-	novel.Meta.PipelineName = "zz-never-seen-zz"
-	row := enc.Encode(&novel, nil)
-	for f := range row {
-		if s.Kinds[f] == gbdt.Categorical && (row[f] < 0 || int(row[f]) >= s.Cards[f]) {
-			t.Fatalf("hashed id %g outside cardinality %d", row[f], s.Cards[f])
-		}
-	}
-}
-
-func TestHashingEncoderSerialization(t *testing.T) {
-	enc, err := BuildHashingEncoder(32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := enc.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadEncoder(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs := sampleJobs()
-	if !reflect.DeepEqual(enc.Encode(jobs[1], nil), got.Encode(jobs[1], nil)) {
-		t.Error("hashing encoder round trip changed encodings")
-	}
-	if _, err := LoadEncoder(bytes.NewBufferString(`{"hash_buckets":1}`)); err == nil {
-		t.Error("1-bucket encoder accepted at load")
-	}
-}
-
-func TestHashingEncoderLearnable(t *testing.T) {
-	// A model over hashed features should separate two metadata-defined
-	// classes nearly as well as the vocabulary encoder.
-	jobs := sampleJobs()
-	enc, err := BuildHashingEncoder(256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds := enc.Dataset(jobs)
-	labels := make([]int, len(jobs))
-	for i, j := range jobs {
-		if strings.Contains(j.Pipeline, "query") || strings.Contains(j.Pipeline, "streaming") {
-			labels[i] = 1
-		}
-	}
-	hasPos := false
-	for _, l := range labels {
-		if l == 1 {
-			hasPos = true
-		}
-	}
-	if !hasPos {
-		t.Skip("sample contains no hot pipelines")
-	}
-	cfg := gbdt.DefaultConfig()
-	cfg.NumRounds = 8
-	m, err := gbdt.TrainClassifier(ds, labels, 2, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	correct := 0
-	row := make([]float64, enc.NumFeatures())
-	for i, j := range jobs {
-		row = enc.Encode(j, row)
-		if m.PredictClass(row) == labels[i] {
-			correct++
-		}
-	}
-	if acc := float64(correct) / float64(len(jobs)); acc < 0.95 {
-		t.Errorf("hashed-feature accuracy = %.3f, want >= 0.95", acc)
 	}
 }

@@ -35,12 +35,11 @@ package fleet
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/online"
+	"repro/internal/par"
 	"repro/internal/policy"
 	"repro/internal/rebalance"
 	"repro/internal/registry"
@@ -239,7 +238,7 @@ func RunWithRegistry(cfg Config, reg *registry.Registry) (*Report, error) {
 
 	// Phase 1: per-cluster build shards — generate, split, train.
 	envs := make([]*clusterEnv, len(specs))
-	err = runPool(len(specs), cfg.Workers, func(i int) error {
+	err = par.Each(len(specs), cfg.Workers, func(i int) error {
 		// Cancellation lands between shards: a shard that started
 		// finishes (its servers/learners tear down inside), later
 		// shards never start, and the pool drains its workers.
@@ -277,7 +276,7 @@ func RunWithRegistry(cfg Config, reg *registry.Registry) (*Report, error) {
 
 	// Phase 3: per-cluster evaluation shards.
 	results := make([]ClusterResult, len(specs))
-	err = runPool(len(specs), cfg.Workers, func(i int) error {
+	err = par.Each(len(specs), cfg.Workers, func(i int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -451,51 +450,4 @@ func evalRebalance(env *clusterEnv, cm *cost.Model, rcfg rebalance.Config) (*Reb
 		Demotions: s.Demotions,
 		Evictions: s.Evictions,
 	}, nil
-}
-
-// runPool runs fn(0..n-1) on a bounded worker pool. Each callee writes
-// only to its own index, so any worker count yields the same outputs;
-// the first error wins and is returned after all workers drain.
-func runPool(n, workers int, fn func(i int) error) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				if err := fn(i); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	return firstErr
 }

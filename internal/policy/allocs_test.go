@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/cost"
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -47,5 +48,34 @@ func TestSimRunSteadyStateAllocs(t *testing.T) {
 	}
 	if long > 64 {
 		t.Errorf("%.0f allocations per replay, budget 64", long)
+	}
+}
+
+// TestAdaptiveHashPlaceAllocs: a warm AdaptiveHash Place hashes the
+// template in place — no key string, no hasher — and allocates nothing.
+func TestAdaptiveHashPlaceAllocs(t *testing.T) {
+	cfg := trace.DefaultGeneratorConfig("C0", 7)
+	cfg.DurationSec = 6 * 3600
+	var jobs []*trace.Job
+	for _, j := range trace.NewGenerator(cfg).Generate().Jobs {
+		// Production pipeline names run past the 32 bytes a short string
+		// concatenation or []byte conversion can be built in on the stack.
+		c := *j
+		c.Pipeline = "com.example.dataflow.production." + j.Pipeline
+		jobs = append(jobs, &c)
+	}
+	p, err := policy.NewAdaptiveHash(cost.Default(), core.DefaultAdaptiveConfig(15))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := sim.PlaceContext{Now: 1, SSDQuota: 1e12, SSDFree: 1e12}
+	place := func() {
+		for _, j := range jobs {
+			p.Place(j, ctx)
+		}
+	}
+	place() // start the controller
+	if allocs := testing.AllocsPerRun(10, place); allocs != 0 {
+		t.Errorf("%.1f allocations per %d-job pass, want 0", allocs, len(jobs))
 	}
 }

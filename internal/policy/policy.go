@@ -4,7 +4,8 @@
 //   - FirstFit — static heuristic, admits any job that fits (§3.2)
 //   - Heuristic — CacheSack-style adaptive per-category admission (§3.3)
 //   - MLBaseline — lifetime-prediction µ+σ vs TTL with eviction (§3.4)
-//   - AdaptiveHash — Algorithm 1 with hashed (non-ML) categories
+//   - AdaptiveHash — Algorithm 1 with hashed (non-ML) categories (an
+//     AdaptiveFunc, like AdaptiveTrue)
 //   - AdaptiveRanking — Algorithm 1 with the BYOM category model (ours)
 //   - Static — fixed decision maps (the oracle policies)
 //   - AdaptiveTrue — Algorithm 1 with ground-truth categories (Fig. 11)
@@ -24,7 +25,6 @@ package policy
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sort"
 
@@ -78,8 +78,8 @@ func (s *Static) Name() string { return s.name }
 // Place implements sim.Policy.
 func (s *Static) Place(j *trace.Job, _ sim.PlaceContext) bool { return s.OnSSD[j.ID] }
 
-// adaptiveBase shares the Algorithm 1 integration between the hash,
-// ranking and true-category policies: Place asks the controller, and
+// adaptiveBase shares the Algorithm 1 integration between the ranking
+// and function-backed policies: Place asks the controller, and
 // Observe feeds spillover outcomes back.
 type adaptiveBase struct {
 	adaptive *core.Adaptive
@@ -183,44 +183,10 @@ func (p *AdaptiveRanking) Place(j *trace.Job, ctx sim.PlaceContext) bool {
 // Observe implements sim.Observer.
 func (p *AdaptiveRanking) Observe(j *trace.Job, o sim.Outcome) { p.observe(j, o) }
 
-// AdaptiveHash is the non-ML ablation: Algorithm 1 with categories
-// assigned by hashing the job's recurring identity. The controller can
-// still regulate admitted volume, but the ranking carries no importance
-// signal — the gap to AdaptiveRanking isolates the model's value.
-type AdaptiveHash struct {
-	adaptiveBase
-	n int
-}
-
-// NewAdaptiveHash builds the hash-category policy.
-func NewAdaptiveHash(cm *cost.Model, cfg core.AdaptiveConfig) (*AdaptiveHash, error) {
-	a, err := core.NewAdaptive(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &AdaptiveHash{adaptiveBase: adaptiveBase{adaptive: a, cm: cm}, n: cfg.NumCategories}, nil
-}
-
-// Name implements sim.Policy.
-func (p *AdaptiveHash) Name() string { return NameAdaptiveHash }
-
-// Place implements sim.Policy.
-func (p *AdaptiveHash) Place(j *trace.Job, ctx sim.PlaceContext) bool {
-	return p.adaptive.Admit(p.hashCategory(j), ctx.Now)
-}
-
-func (p *AdaptiveHash) hashCategory(j *trace.Job) int {
-	h := fnv.New32a()
-	h.Write([]byte(j.TemplateKey()))
-	return 1 + int(h.Sum32()%uint32(p.n-1))
-}
-
-// Observe implements sim.Observer.
-func (p *AdaptiveHash) Observe(j *trace.Job, o sim.Outcome) { p.observe(j, o) }
-
 // AdaptiveFunc runs Algorithm 1 over categories produced by an
-// arbitrary predictor function — used for composite deployments where
-// hints come from many per-workload models (the BYOM fleet case).
+// arbitrary predictor function — AdaptiveHash and AdaptiveTrue, and
+// composite deployments where hints come from many per-workload models
+// (the BYOM fleet case).
 type AdaptiveFunc struct {
 	adaptiveBase
 	name    string
@@ -250,37 +216,32 @@ func (p *AdaptiveFunc) Place(j *trace.Job, ctx sim.PlaceContext) bool {
 // Observe implements sim.Observer.
 func (p *AdaptiveFunc) Observe(j *trace.Job, o sim.Outcome) { p.observe(j, o) }
 
-// AdaptiveTrue replaces the model prediction with the ground-truth
-// category (100% accuracy), isolating how much better a perfect model
-// would do (Fig. 11).
-type AdaptiveTrue struct {
-	adaptiveBase
-	labeler *core.Labeler
+// NewAdaptiveHash builds the non-ML ablation: Algorithm 1 with
+// categories assigned by hashing the job's recurring identity. The
+// controller can still regulate admitted volume, but the ranking carries
+// no importance signal — the gap to AdaptiveRanking isolates the model's
+// value.
+func NewAdaptiveHash(cm *cost.Model, cfg core.AdaptiveConfig) (*AdaptiveFunc, error) {
+	n := cfg.NumCategories
+	return NewAdaptiveFunc(NameAdaptiveHash, func(j *trace.Job) int { return hashCategory(j, n) }, cm, cfg)
 }
 
-// NewAdaptiveTrue builds the perfect-prediction policy.
-func NewAdaptiveTrue(labeler *core.Labeler, cm *cost.Model, cfg core.AdaptiveConfig) (*AdaptiveTrue, error) {
+// hashCategory spreads templates over categories 1..n-1 by their
+// trace.TemplateHash (FNV-1a over the TemplateKey bytes).
+func hashCategory(j *trace.Job, n int) int {
+	return 1 + int(trace.TemplateHash(j.Pipeline, j.Step)%uint32(n-1))
+}
+
+// NewAdaptiveTrue builds the perfect-prediction policy: Algorithm 1 with
+// the ground-truth category (100% accuracy) in place of the model's,
+// isolating how much better a perfect model would do (Fig. 11).
+func NewAdaptiveTrue(labeler *core.Labeler, cm *cost.Model, cfg core.AdaptiveConfig) (*AdaptiveFunc, error) {
 	if cfg.NumCategories != labeler.NumCategories {
 		return nil, fmt.Errorf("policy: adaptive config has %d categories, labeler %d",
 			cfg.NumCategories, labeler.NumCategories)
 	}
-	a, err := core.NewAdaptive(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &AdaptiveTrue{adaptiveBase: adaptiveBase{adaptive: a, cm: cm}, labeler: labeler}, nil
+	return NewAdaptiveFunc(NameAdaptiveTrue, func(j *trace.Job) int { return labeler.Label(j, cm) }, cm, cfg)
 }
-
-// Name implements sim.Policy.
-func (p *AdaptiveTrue) Name() string { return NameAdaptiveTrue }
-
-// Place implements sim.Policy.
-func (p *AdaptiveTrue) Place(j *trace.Job, ctx sim.PlaceContext) bool {
-	return p.adaptive.Admit(p.labeler.Label(j, p.cm), ctx.Now)
-}
-
-// Observe implements sim.Observer.
-func (p *AdaptiveTrue) Observe(j *trace.Job, o sim.Outcome) { p.observe(j, o) }
 
 const (
 	// heuristicUpdateSec is how often the CacheSack-style baseline
@@ -516,10 +477,6 @@ var (
 	_ sim.Policy   = (*AdaptiveRanking)(nil)
 	_ sim.Observer = (*AdaptiveRanking)(nil)
 	_ sim.Preparer = (*AdaptiveRanking)(nil)
-	_ sim.Policy   = (*AdaptiveHash)(nil)
-	_ sim.Observer = (*AdaptiveHash)(nil)
-	_ sim.Policy   = (*AdaptiveTrue)(nil)
-	_ sim.Observer = (*AdaptiveTrue)(nil)
 	_ sim.Policy   = (*AdaptiveFunc)(nil)
 	_ sim.Observer = (*AdaptiveFunc)(nil)
 	_ sim.Policy   = (*Heuristic)(nil)

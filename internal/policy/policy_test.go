@@ -2,6 +2,7 @@ package policy
 
 import (
 	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"repro/internal/core"
@@ -57,14 +58,16 @@ func TestStaticPolicy(t *testing.T) {
 }
 
 func TestAdaptiveHashCategoriesStable(t *testing.T) {
-	cm := cost.Default()
-	p, err := NewAdaptiveHash(cm, core.DefaultAdaptiveConfig(15))
+	p, err := NewAdaptiveHash(cost.Default(), core.DefaultAdaptiveConfig(15))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if p.Name() != NameAdaptiveHash {
+		t.Errorf("name = %s", p.Name())
+	}
 	j := job("a", 0, 100, 500, true)
-	c1 := p.hashCategory(j)
-	c2 := p.hashCategory(j)
+	c1 := hashCategory(j, 15)
+	c2 := hashCategory(j, 15)
 	if c1 != c2 {
 		t.Error("hash category not stable")
 	}
@@ -74,10 +77,27 @@ func TestAdaptiveHashCategoriesStable(t *testing.T) {
 	// Different templates should spread across categories.
 	seen := map[int]bool{}
 	for i := 0; i < 50; i++ {
-		seen[p.hashCategory(job(string(rune('a'+i)), 0, 1, 1, true))] = true
+		seen[hashCategory(job(string(rune('a'+i)), 0, 1, 1, true), 15)] = true
 	}
 	if len(seen) < 5 {
 		t.Errorf("only %d distinct hash categories over 50 templates", len(seen))
+	}
+	// The category is 1 + FNV-1a(TemplateKey) mod (n-1); the reference
+	// here is hash/fnv over the built key.
+	cfg := trace.DefaultGeneratorConfig("C0", 7)
+	cfg.DurationSec = 24 * 3600
+	jobs := trace.NewGenerator(cfg).Generate().Jobs
+	if len(jobs) < 1000 {
+		t.Fatalf("generated %d jobs, want at least 1,000", len(jobs))
+	}
+	for _, n := range []int{2, 5, 15} {
+		for _, j := range jobs {
+			h := fnv.New32a()
+			h.Write([]byte(j.TemplateKey()))
+			if got, want := hashCategory(j, n), 1+int(h.Sum32()%uint32(n-1)); got != want {
+				t.Fatalf("n=%d, template %q: category %d, reference %d", n, j.TemplateKey(), got, want)
+			}
+		}
 	}
 }
 

@@ -2,20 +2,17 @@
 // Section 2.3 motivates but does not detail: per-workload model
 // management. Workloads evolve much faster than the storage system, so
 // each workload publishes new model versions at its own release
-// velocity; the framework resolves the current version at job start,
-// can roll back a bad release, and flags stale models (a workload that
-// stopped retraining drifts away from its own behaviour).
+// velocity; the framework resolves the current version at job start and
+// can roll back a bad release.
 //
-// The registry is an in-process store with an on-disk layout (one JSON
-// bundle per version) so that model rollout is an append-only file
-// operation — no storage-system involvement, which is the point of the
-// BYOM design.
+// The registry is an in-process store: model rollout is an append to a
+// workload's version list, with no storage-system involvement, which is
+// the point of the BYOM design. A model that must outlive the process is
+// saved by its owner (core.CategoryModel.SaveFile).
 package registry
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 
@@ -44,7 +41,6 @@ type Registry struct {
 	mu      sync.RWMutex
 	entries map[string][]entry // workload -> versions ascending
 	active  map[string]int     // workload -> active version number
-	dir     string             // optional persistence directory
 	subs    map[string]map[int]func(Version)
 	nextSub int
 }
@@ -118,17 +114,6 @@ func (r *Registry) notify(workload string, v Version) {
 	}
 }
 
-// NewPersistent creates a registry that writes every published version
-// under dir (one file per version).
-func NewPersistent(dir string) (*Registry, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("registry: %w", err)
-	}
-	r := New()
-	r.dir = dir
-	return r, nil
-}
-
 // Publish stores a new model version for a workload and makes it
 // active. Returns the assigned version.
 func (r *Registry) Publish(workload string, model *core.CategoryModel, trainedAtSec float64) (Version, error) {
@@ -141,22 +126,11 @@ func (r *Registry) Publish(workload string, model *core.CategoryModel, trainedAt
 	r.mu.Lock()
 	n := len(r.entries[workload]) + 1
 	v := Version{Workload: workload, Number: n, TrainedAtSec: trainedAtSec}
-	if r.dir != "" {
-		path := r.versionPath(workload, n)
-		if err := model.SaveFile(path); err != nil {
-			r.mu.Unlock()
-			return Version{}, err
-		}
-	}
 	r.entries[workload] = append(r.entries[workload], entry{version: v, model: model})
 	r.active[workload] = n
 	r.mu.Unlock()
 	r.notify(workload, v)
 	return v, nil
-}
-
-func (r *Registry) versionPath(workload string, n int) string {
-	return filepath.Join(r.dir, fmt.Sprintf("%s.v%04d.json", workload, n))
 }
 
 // Resolve returns the active model of a workload, or an error if the
@@ -226,88 +200,4 @@ func (r *Registry) Versions(workload string) []Version {
 		out[i] = e.version
 	}
 	return out
-}
-
-// Stale returns the workloads whose active model was trained more than
-// maxAgeSec before now — candidates for retraining alerts.
-func (r *Registry) Stale(now, maxAgeSec float64) []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var out []string
-	for w, n := range r.active {
-		if n == 0 {
-			continue
-		}
-		v := r.entries[w][n-1].version
-		if now-v.TrainedAtSec > maxAgeSec {
-			out = append(out, w)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// LoadDir restores a persistent registry's contents from disk,
-// activating the highest version of each workload.
-func LoadDir(dir string) (*Registry, error) {
-	r, err := NewPersistent(dir)
-	if err != nil {
-		return nil, err
-	}
-	matches, err := filepath.Glob(filepath.Join(dir, "*.v*.json"))
-	if err != nil {
-		return nil, fmt.Errorf("registry: %w", err)
-	}
-	sort.Strings(matches)
-	for _, path := range matches {
-		base := filepath.Base(path)
-		var workload string
-		var n int
-		// Name layout: <workload>.v<NNNN>.json
-		if _, err := fmt.Sscanf(versionSuffix(base), "v%d.json", &n); err != nil {
-			continue
-		}
-		workload = workloadPrefix(base)
-		model, err := core.LoadCategoryModelFile(path)
-		if err != nil {
-			return nil, fmt.Errorf("registry: loading %s: %w", path, err)
-		}
-		r.mu.Lock()
-		v := Version{Workload: workload, Number: n}
-		r.entries[workload] = append(r.entries[workload], entry{version: v, model: model})
-		if n > r.active[workload] {
-			r.active[workload] = n
-		}
-		r.mu.Unlock()
-	}
-	return r, nil
-}
-
-// workloadPrefix strips the trailing ".vNNNN.json" from a file name.
-func workloadPrefix(base string) string {
-	for i := len(base) - 1; i >= 0; i-- {
-		if base[i] == '.' {
-			// Found ".json"; find the ".vNNNN" before it.
-			for j := i - 1; j >= 0; j-- {
-				if base[j] == '.' {
-					return base[:j]
-				}
-			}
-		}
-	}
-	return base
-}
-
-// versionSuffix returns the "vNNNN.json" tail of a file name.
-func versionSuffix(base string) string {
-	for i := len(base) - 1; i >= 0; i-- {
-		if base[i] == '.' {
-			for j := i - 1; j >= 0; j-- {
-				if base[j] == '.' {
-					return base[j+1:]
-				}
-			}
-		}
-	}
-	return base
 }

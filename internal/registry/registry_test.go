@@ -138,65 +138,6 @@ func TestWorkloadsAndVersions(t *testing.T) {
 	}
 }
 
-func TestStaleDetection(t *testing.T) {
-	r := New()
-	m := tinyModel(t, 5)
-	r.Publish("fresh", m, 900)
-	r.Publish("old", m, 100)
-	stale := r.Stale(1000, 500)
-	if len(stale) != 1 || stale[0] != "old" {
-		t.Errorf("Stale = %v", stale)
-	}
-	if got := r.Stale(1000, 5000); len(got) != 0 {
-		t.Errorf("nothing should be stale with a huge budget: %v", got)
-	}
-}
-
-func TestPersistenceRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	r, err := NewPersistent(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m1 := tinyModel(t, 6)
-	m2 := tinyModel(t, 7)
-	if _, err := r.Publish("pipe.alpha", m1, 10); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Publish("pipe.alpha", m2, 20); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Publish("other", m1, 30); err != nil {
-		t.Fatal(err)
-	}
-
-	restored, err := LoadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws := restored.Workloads()
-	if len(ws) != 2 {
-		t.Fatalf("restored workloads = %v", ws)
-	}
-	model, v, err := restored.Resolve("pipe.alpha")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Number != 2 {
-		t.Errorf("restored active version = %d, want 2", v.Number)
-	}
-	// Restored model must predict identically to the published one.
-	cfg := trace.DefaultGeneratorConfig("R", 6)
-	cfg.DurationSec = 6 * 3600
-	cfg.NumUsers = 3
-	jobs := trace.NewGenerator(cfg).Generate().Jobs
-	for _, j := range jobs[:20] {
-		if model.Predict(j) != m2.Predict(j) {
-			t.Fatal("restored model predicts differently")
-		}
-	}
-}
-
 func TestRegistryConcurrentAccess(t *testing.T) {
 	r := New()
 	m := tinyModel(t, 8)
@@ -216,7 +157,6 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 					return
 				}
 				r.Workloads()
-				r.Stale(1e9, 10)
 			}
 		}(w)
 	}

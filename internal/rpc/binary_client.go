@@ -20,14 +20,6 @@ type clientBinState struct {
 	enc     *features.Encoder
 	binner  *features.Binner
 	nf      int
-	// traceIDs records whether the daemon accepts the binary trace-ID
-	// extension (ModelInfo.TraceIDs); when false, trace IDs are dropped
-	// from binary frames rather than risking a reserved-bits rejection.
-	traceIDs bool
-	// outcomeFrames records whether the daemon's stream sessions accept
-	// outcome frames (ModelInfo.OutcomeFrames); when false, Observe posts
-	// JSON.
-	outcomeFrames bool
 }
 
 // clientScratch holds one call's buffers, pooled by the client for a
@@ -84,17 +76,14 @@ func (c *Client) refreshBinState(ctx context.Context) (*clientBinState, error) {
 		return nil, fmt.Errorf("rpc: model schema mismatch: %d features declared, binner has %d, encoder has %d",
 			nf, binner.NumFeatures(), info.Encoder.NumFeatures())
 	}
-	st := &clientBinState{version: info.ModelVersion, enc: info.Encoder, binner: binner, nf: nf,
-		traceIDs: info.TraceIDs, outcomeFrames: info.OutcomeFrames}
+	st := &clientBinState{version: info.ModelVersion, enc: info.Encoder, binner: binner, nf: nf}
 	c.binState.Store(st)
 	return st, nil
 }
 
 // encodeBinaryPlace fills sc with the request columns for jobs under
 // st's schema and appends the complete request frame into sc.frame.
-// traceID rides in the frame's optional trace extension, but only when
-// the daemon negotiated it — silently dropped otherwise, since tracing
-// is best-effort and must never fail a placement.
+// A nonzero traceID rides in the frame's optional trace extension.
 func encodeBinaryPlace(st *clientBinState, jobs []*trace.Job, traceID uint64, sc *clientScratch) error {
 	n, nf := len(jobs), st.nf
 	if cap(sc.backing) < n*nf {
@@ -125,9 +114,6 @@ func encodeBinaryPlace(st *clientBinState, jobs []*trace.Job, traceID uint64, sc
 		sc.rows[i] = st.binner.Bin(sc.row, sc.backing[i*nf:i*nf:(i+1)*nf])
 		sc.hashes[i] = serve.TemplateHash(j)
 		sc.arrivals[i] = j.ArrivalSec
-	}
-	if !st.traceIDs {
-		traceID = 0
 	}
 	var err error
 	sc.frame, err = wire.AppendPlaceRequestFrame(sc.frame[:0], st.version, nf, traceID, sc.hashes, sc.arrivals, sc.rows)

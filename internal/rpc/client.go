@@ -303,10 +303,10 @@ func (c *Client) frameState(ctx context.Context) *clientBinState {
 // Observe reports a placement outcome back to the daemon. category is
 // the Decision.Category the placement acted on. A binary-codec client
 // sends it as a frame on a pooled stream session when the daemon
-// advertised ModelInfo.OutcomeFrames; every other pairing (JSON codec, a
-// daemon without the capability) posts JSON to /v1/outcome. On a
-// session, a connection that died while parked re-sends the outcome once
-// and no other failure does: see onSession.
+// advertised ModelInfo.Binary; every other pairing (JSON codec, a daemon
+// with binary disabled) posts JSON to /v1/outcome. On a session, a
+// connection that died while parked re-sends the outcome once and no
+// other failure does: see onSession.
 //
 // A nil return means applied, not queued: the daemon writes its ack (or
 // 204) after serve.Observe has updated the job's shard controller, so a
@@ -315,7 +315,7 @@ func (c *Client) frameState(ctx context.Context) *clientBinState {
 func (c *Client) Observe(ctx context.Context, j *trace.Job, category int, o sim.Outcome) error {
 	c.requests.Add(1)
 	req := wire.OutcomeRequest{Job: j, Category: category, Outcome: wire.OutcomeOf(o)}
-	if st := c.frameState(ctx); st != nil && st.outcomeFrames {
+	if c.frameState(ctx) != nil {
 		return c.count(c.observeFrames(ctx, &req))
 	}
 	return c.count(c.call(ctx, http.MethodPost, wire.PathOutcome, req, nil))

@@ -48,12 +48,11 @@
 // and Client.onSession is the one session loop under the two operations
 // that borrow a session from the client's idle list: Place and Observe.
 // Both follow one capability rule (Client.frameState): a binary-codec
-// client sends the frame when the daemon's /v1/model advertised it
-// (binary for a place, outcome_frames for an outcome; advertised, never
-// probed) and sends the JSON form of the same request otherwise. And one
-// lost-connection rule: a reused session that proves to have died while
-// parked (StreamSession.deadOnUse) re-sends once on a fresh one; a
-// timeout or a garbled reply never does.
+// client sends the frame when the daemon's /v1/model advertised binary
+// (advertised, never probed) and sends the JSON form of the same request
+// otherwise. And one lost-connection rule: a reused session that proves
+// to have died while parked (StreamSession.deadOnUse) re-sends once on a
+// fresh one; a timeout or a garbled reply never does.
 //
 // The daemon adds what in-process serving does not need:
 //
@@ -480,8 +479,6 @@ func (d *Daemon) modelInfo() wire.ModelInfo {
 	if !d.cfg.DisableBinary {
 		enc, binner, version := d.srv.WireModel()
 		info.Binary = true
-		info.TraceIDs = true
-		info.OutcomeFrames = true
 		info.ModelVersion = version
 		info.NumFeatures = binner.NumFeatures()
 		info.BinEdges = binner.Edges

@@ -669,46 +669,31 @@ func TestOutcomeParity(t *testing.T) {
 }
 
 // TestObserveFallsBackToJSON pins the selection rule from the other
-// side: a binary-codec client posts JSON to a daemon that does not speak
-// binary at all, and to one that speaks it but does not advertise outcome
-// frames — advertised, never probed.
+// side: a binary-codec client posts JSON, and places as JSON, to a daemon
+// that does not speak binary — advertised, never probed.
 func TestObserveFallsBackToJSON(t *testing.T) {
 	fx := testFixture(t)
 	o := sim.Outcome{WantedSSD: true, FracOnSSD: 1, SpilledAt: -1, EvictedAt: -1}
-	for _, disable := range []bool{true, false} {
-		cfg := testConfig()
-		cfg.DisableBinary = disable
-		d := startDaemon(t, fx.newRegistry(t), cfg)
-		// Everything but the capability.
-		front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path != wire.PathModel {
-				d.Handler().ServeHTTP(w, r)
-				return
-			}
-			info := d.modelInfo()
-			info.OutcomeFrames = false
-			d.writeJSON(w, http.StatusOK, info)
-		}))
-		defer front.Close()
-		ccfg := DefaultClientConfig(front.URL)
-		ccfg.Codec = CodecBinary
-		c, err := NewClient(ccfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		if err := c.Observe(context.Background(), fx.jobs[0], 0, o); err != nil {
-			t.Fatalf("DisableBinary=%v: observe: %v", disable, err)
-		}
-		if st := d.Stats(); st.OutcomeRequests != 1 || st.StreamSessions != 0 {
-			t.Errorf("DisableBinary=%v: %d outcomes over %d stream sessions, want 1 over 0", disable, st.OutcomeRequests, st.StreamSessions)
-		}
-		// The place capability is read apart from the outcome one.
-		if _, err := c.Place(context.Background(), fx.jobs[:4]); err != nil {
-			t.Fatal(err)
-		}
-		if st := d.Stats(); !disable && st.PlaceBinary != 1 {
-			t.Errorf("place went out as JSON against a daemon that speaks binary")
-		}
+	cfg := testConfig()
+	cfg.DisableBinary = true
+	d := startDaemon(t, fx.newRegistry(t), cfg)
+	ccfg := DefaultClientConfig(d.BaseURL())
+	ccfg.Codec = CodecBinary
+	c, err := NewClient(ccfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Observe(context.Background(), fx.jobs[0], 0, o); err != nil {
+		t.Fatalf("observe: %v", err)
+	}
+	if st := d.Stats(); st.OutcomeRequests != 1 || st.StreamSessions != 0 {
+		t.Errorf("%d outcomes over %d stream sessions, want 1 over 0", st.OutcomeRequests, st.StreamSessions)
+	}
+	if _, err := c.Place(context.Background(), fx.jobs[:4]); err != nil {
+		t.Fatal(err)
+	}
+	if st := d.Stats(); st.PlaceJSON != 1 || st.PlaceBinary != 0 || st.StreamSessions != 0 {
+		t.Errorf("place: %d json, %d binary over %d sessions, want 1 json over none", st.PlaceJSON, st.PlaceBinary, st.StreamSessions)
 	}
 }

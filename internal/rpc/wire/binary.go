@@ -25,12 +25,9 @@ import (
 //	then per job: u32 template hash | u64 arrival (float64 bits)
 //	              | num_features x u16 bin index
 //
-// Payload flags other than bit 0 are reserved and rejected, which is
-// also the compatibility story for the trace-ID field itself: daemons
-// that predate it reject any nonzero flags, so clients only set bit 0
-// after seeing ModelInfo.TraceIDs — the field is negotiated, never
-// probed. Frames with flags == 0 are byte-identical to the pre-tracing
-// codec.
+// Payload flags other than bit 0 are reserved and rejected. Every daemon
+// that advertises ModelInfo.Binary decodes the trace-ID field, so a
+// client sets bit 0 whenever it has a trace ID to send.
 //
 // — jobs travel as pre-binned feature vectors (see features.Binner), so
 // the daemon never touches strings, tokenization or vocabularies. A
@@ -65,7 +62,7 @@ const (
 	FramePlaceResponse FrameType = 2
 	FrameError         FrameType = 3
 	// FrameOutcomeRequest and FrameOutcomeAck carry outcome feedback on a
-	// stream session, to daemons that advertise ModelInfo.OutcomeFrames.
+	// stream session, to daemons that advertise ModelInfo.Binary.
 	FrameOutcomeRequest FrameType = 4
 	FrameOutcomeAck     FrameType = 5
 )
@@ -124,8 +121,8 @@ func endFrame(dst []byte, start int) []byte {
 // AppendPlaceRequestFrame appends one complete place-request frame to
 // dst and returns the extended slice. hashes and arrivals are parallel
 // to rows; every row must be numFeatures wide. A nonzero traceID is
-// carried in the optional trace-ID extension (payload flag bit 0) —
-// callers must pass 0 unless the daemon advertised ModelInfo.TraceIDs.
+// carried in the optional trace-ID extension (payload flag bit 0); 0
+// leaves it out.
 func AppendPlaceRequestFrame(dst []byte, modelVersion int, numFeatures int, traceID uint64, hashes []uint32, arrivals []float64, rows [][]uint16) ([]byte, error) {
 	if len(hashes) != len(rows) || len(arrivals) != len(rows) {
 		return dst, fmt.Errorf("wire: %d rows, %d hashes, %d arrivals", len(rows), len(hashes), len(arrivals))

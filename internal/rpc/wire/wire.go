@@ -6,10 +6,11 @@
 // the protocol directly. Binary frames (binary.go) carry jobs as
 // pre-binned feature vectors for the zero-feature-work hot path and
 // travel only on /v1/stream sessions, between this repo's Go client and
-// daemon. A daemon says what it speaks in /v1/model (ModelInfo.Binary,
-// TraceIDs, OutcomeFrames; advertised, never probed) and a client sends
-// frames when it does and JSON otherwise. Client and daemon are built
-// from one tree: nothing here is kept for daemons older than the client.
+// daemon. A daemon says whether it speaks frames in /v1/model
+// (ModelInfo.Binary; advertised, never probed). A client sends place
+// frames, trace IDs in them and outcome frames when it does, and JSON
+// otherwise. Client and daemon are built from one tree: nothing here is
+// kept for daemons older than the client.
 //
 // Endpoints (all under the /v1 prefix; see PathPlace etc.):
 //
@@ -55,8 +56,7 @@
 // codec carries them and OutcomeRequest.Validate, run by the daemon's
 // pipeline on both paths, refuses every non-finite one. Outcome frames are the
 // feedback path of binary-codec Go clients against daemons whose
-// /v1/model advertises outcome_frames (ModelInfo.OutcomeFrames:
-// advertised, never probed). POST /v1/outcome with a JSON OutcomeRequest
+// /v1/model says binary. POST /v1/outcome with a JSON OutcomeRequest
 // remains the documented HTTP API for feedback: it is what curl,
 // JSON-codec and non-Go clients and the front's external endpoint speak,
 // and both reach one pipeline in the daemon. A router and its nodes speak
@@ -116,8 +116,11 @@
 // Three bad-request refusals keep the more specific HTTP status a stock
 // client expects: 405 (wrong method), 415 (a frame posted to /v1/place;
 // frames travel on /v1/stream) and 404 (streaming disabled).
-// The types here are the compatibility surface: fields are only ever
-// added, never renamed or repurposed, within a protocol version.
+// The JSON documents external clients read (PlaceRequest, PlaceResponse,
+// OutcomeRequest, ErrorResponse and ModelInfo's model fields) are the
+// compatibility surface: their fields are only ever added, never renamed
+// or repurposed, within a protocol version. Frame capabilities follow the
+// one-tree rule above and ride on ModelInfo.Binary alone.
 package wire
 
 import (
@@ -146,9 +149,9 @@ const (
 )
 
 // TraceHeader carries a sampled request's trace ID (16 hex digits) on
-// the JSON paths. Daemons that predate tracing ignore it — headers are
+// the JSON paths. A server that does not trace ignores it — headers are
 // the extensible part of the JSON codec — so the header needs no
-// negotiation, unlike the binary-frame trace field (ModelInfo.TraceIDs).
+// negotiation.
 const TraceHeader = "X-Byom-Trace-Id"
 
 // TraceIDFromHeader parses a propagated trace ID. An absent or
@@ -294,9 +297,10 @@ type ModelInfo struct {
 	// Swaps counts hot-swaps applied since the daemon started.
 	Swaps int64 `json:"swaps"`
 
-	// Binary reports that the daemon speaks the binary frame codec.
-	// Older JSON-only daemons omit it, which is how a binary-preferring
-	// client knows to fall back to JSON.
+	// Binary reports that the daemon's stream sessions take binary
+	// frames: place requests with their optional trace-ID extension, and
+	// outcome requests. A daemon with binary disabled omits it, which is
+	// how a binary-preferring client knows to fall back to JSON.
 	Binary bool `json:"binary,omitempty"`
 	// NumFeatures is the feature-row width of the active model; binary
 	// place requests must carry exactly this many bins per row.
@@ -309,24 +313,10 @@ type ModelInfo struct {
 	// must re-fetch.
 	BinEdges [][]float64 `json:"bin_edges,omitempty"`
 	BinCards []int       `json:"bin_cards,omitempty"`
-	// Encoder is the active model's feature encoder (vocabularies or
-	// hashing config), shipped so clients can extract and bin feature
-	// rows locally and keep the daemon's hot path free of per-job
-	// feature work.
+	// Encoder is the active model's feature encoder (its vocabularies),
+	// shipped so clients can extract and bin feature rows locally and
+	// keep the daemon's hot path free of per-job feature work.
 	Encoder *features.Encoder `json:"encoder,omitempty"`
-
-	// TraceIDs reports that the daemon decodes the optional trace-ID
-	// field of binary place-request frames (payload flag bit 0). Clients
-	// must not set that flag against daemons that omit this — older
-	// builds reject any nonzero payload flag bits, which is exactly the
-	// fallback story: the capability is advertised, never probed.
-	TraceIDs bool `json:"trace_ids,omitempty"`
-	// OutcomeFrames reports that the daemon's stream sessions accept
-	// outcome-request frames (and their trace-ID extension) next to
-	// place frames. Clients send outcomes as frames only after seeing it;
-	// against daemons that omit it they post JSON to /v1/outcome — like
-	// TraceIDs, advertised and never probed.
-	OutcomeFrames bool `json:"outcome_frames,omitempty"`
 }
 
 // ErrorResponse is the JSON body of every non-2xx response.

@@ -3,10 +3,9 @@ package scenario
 import (
 	"fmt"
 	"regexp"
-	"runtime"
-	"sync"
 
 	"repro/internal/golden"
+	"repro/internal/par"
 )
 
 // RunnerConfig controls a suite run.
@@ -94,9 +93,13 @@ func RunAll(cfg RunnerConfig) ([]*Outcome, error) {
 		}
 		pkgs = keep
 	}
+	// Each scenario writes only its own slot, so any worker count yields
+	// identical outcomes; a failure lands in the slot, never in Each's
+	// error.
 	outcomes := make([]*Outcome, len(pkgs))
-	runPool(len(pkgs), cfg.Workers, func(i int) {
+	par.Each(len(pkgs), cfg.Workers, func(i int) error {
 		outcomes[i] = runOne(pkgs[i], cfg.Update)
+		return nil
 	})
 	return outcomes, nil
 }
@@ -122,38 +125,4 @@ func runOne(pkg *Package, update bool) *Outcome {
 	}
 	o.Violations = pkg.Thresholds.Check(res.Stats)
 	return o
-}
-
-// runPool fans fn(0..n-1) over a bounded worker pool. Each callee
-// writes only to its own index, so any worker count yields identical
-// outputs.
-func runPool(n, workers int, fn func(i int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
 }
