@@ -411,7 +411,7 @@ func RunFleet(cfg FleetConfig) (*FleetReport, error) {
 // models into reg under "cluster/<id>" — pass your own registry to
 // inspect or persist the fleet's model versions.
 func RunFleetWithRegistry(cfg FleetConfig, reg *ModelRegistry) (*FleetReport, error) {
-	return fleet.RunWithRegistry(cfg, reg)
+	return fleet.RunInto(cfg, reg)
 }
 
 // Simulate replays a trace through a placement policy under an SSD

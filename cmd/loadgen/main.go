@@ -29,7 +29,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -107,7 +106,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		target string
 	)
 	if *nodes != "" {
-		urls, err := nodeURLs(*nodes)
+		urls, err := router.ParseNodes(*nodes)
 		if err != nil {
 			return err
 		}
@@ -279,25 +278,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	// A signal mid-run is a graceful early stop: the summary above
 	// covers whatever traffic ran.
 	return nil
-}
-
-// nodeURLs normalizes the -nodes list into base URLs.
-func nodeURLs(list string) ([]string, error) {
-	var urls []string
-	for _, n := range strings.Split(list, ",") {
-		n = strings.TrimSpace(n)
-		if n == "" {
-			continue
-		}
-		if !strings.HasPrefix(n, "http://") && !strings.HasPrefix(n, "https://") {
-			n = "http://" + n
-		}
-		urls = append(urls, n)
-	}
-	if len(urls) == 0 {
-		return nil, fmt.Errorf("-nodes has no addresses")
-	}
-	return urls, nil
 }
 
 // summary aggregates one load run for reporting.

@@ -34,7 +34,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -81,7 +80,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if *nodes == "" {
 		return fmt.Errorf("-nodes is required")
 	}
-	urls, err := nodeURLs(*nodes)
+	urls, err := router.ParseNodes(*nodes)
 	if err != nil {
 		return err
 	}
@@ -134,25 +133,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return fmt.Errorf("drain: %w", drainErr)
 	}
 	return nil
-}
-
-// nodeURLs normalizes the -nodes list into base URLs.
-func nodeURLs(list string) ([]string, error) {
-	var urls []string
-	for _, n := range strings.Split(list, ",") {
-		n = strings.TrimSpace(n)
-		if n == "" {
-			continue
-		}
-		if !strings.HasPrefix(n, "http://") && !strings.HasPrefix(n, "https://") {
-			n = "http://" + n
-		}
-		urls = append(urls, n)
-	}
-	if len(urls) == 0 {
-		return nil, fmt.Errorf("-nodes has no addresses")
-	}
-	return urls, nil
 }
 
 // front is the HTTP routing tier over one Router.

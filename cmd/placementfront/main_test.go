@@ -20,7 +20,7 @@ import (
 )
 
 func TestNodeURLs(t *testing.T) {
-	got, err := nodeURLs(" 127.0.0.1:7070, http://10.0.0.2:7070 ,,")
+	got, err := router.ParseNodes(" 127.0.0.1:7070, http://10.0.0.2:7070 ,,")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestNodeURLs(t *testing.T) {
 	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
 		t.Errorf("nodeURLs = %v, want %v", got, want)
 	}
-	if _, err := nodeURLs(" ,, "); err == nil {
+	if _, err := router.ParseNodes(" ,, "); err == nil {
 		t.Error("empty node list accepted")
 	}
 }

@@ -2,12 +2,13 @@
 // framework substrate directly — the workload class the paper's
 // introduction motivates (log processing with shuffle-heavy stages).
 //
-// It builds two pipelines with the mini-Beam builder, executes them
-// against the in-memory distributed storage cluster, and shows the
-// cross-layer path: the framework computes features before opening
-// intermediate files, the workload's model turns them into an
-// importance hint, and the caching server's Algorithm 1 controller
-// decides placement.
+// It builds two pipelines with the mini-Beam builder, executes them as
+// discrete-event processes against the in-memory distributed storage
+// cluster, and shows the cross-layer path: the framework computes
+// features before opening intermediate files, the workload's model
+// turns them into an importance hint, and the caching server's
+// Algorithm 1 controller decides placement. It drives the internal
+// substrates directly; it is not a walkthrough of the public byom API.
 //
 // Run with: go run ./examples/logpipeline
 package main
@@ -19,6 +20,7 @@ import (
 	"repro/byom"
 	"repro/internal/core"
 	"repro/internal/dataflow"
+	"repro/internal/desched"
 	"repro/internal/dfs"
 )
 
@@ -83,25 +85,17 @@ func main() {
 // collect runs each spec n times against a fresh all-HDD cluster and
 // returns the realized shuffle jobs.
 func collect(specs []dataflow.WorkloadSpec, decider dfs.Decider, hinter dataflow.Hinter, n int) []*byom.Job {
-	cluster, err := dfs.NewCluster(dfs.DefaultConfig(0), decider)
+	cluster, err := dfs.NewCluster(0, decider)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ex := dataflow.NewExecutor(dfs.NewClient(cluster), hinter)
 	var jobs []*byom.Job
-	at := 0.0
-	for round := 0; round < n; round++ {
-		for _, spec := range specs {
-			rep, err := ex.Run(spec, at)
-			if err != nil {
-				log.Fatal(err)
-			}
+	runRounds(dataflow.NewExecutor(dfs.NewClient(cluster), hinter), specs, n,
+		func(_ dataflow.WorkloadSpec, rep *dataflow.Report) {
 			for _, rec := range rep.Shuffles {
 				jobs = append(jobs, rec.Job)
 			}
-			at += 600
-		}
-	}
+		})
 	return jobs
 }
 
@@ -109,11 +103,10 @@ func collect(specs []dataflow.WorkloadSpec, decider dfs.Decider, hinter dataflow
 // placement and savings.
 func collectWithReport(specs []dataflow.WorkloadSpec, decider dfs.Decider,
 	hinter dataflow.Hinter, n int, ssdBytes float64, cm *byom.CostModel) {
-	cluster, err := dfs.NewCluster(dfs.DefaultConfig(ssdBytes), decider)
+	cluster, err := dfs.NewCluster(ssdBytes, decider)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ex := dataflow.NewExecutor(dfs.NewClient(cluster), hinter)
 	type agg struct {
 		jobs     int
 		onSSD    float64
@@ -121,13 +114,8 @@ func collectWithReport(specs []dataflow.WorkloadSpec, decider dfs.Decider,
 		tcoSaved float64
 	}
 	byPipeline := map[string]*agg{}
-	at := 0.0
-	for round := 0; round < n; round++ {
-		for _, spec := range specs {
-			rep, err := ex.Run(spec, at)
-			if err != nil {
-				log.Fatal(err)
-			}
+	runRounds(dataflow.NewExecutor(dfs.NewClient(cluster), hinter), specs, n,
+		func(spec dataflow.WorkloadSpec, rep *dataflow.Report) {
 			for _, rec := range rep.Shuffles {
 				a := byPipeline[spec.Pipeline.Name]
 				if a == nil {
@@ -139,9 +127,7 @@ func collectWithReport(specs []dataflow.WorkloadSpec, decider dfs.Decider,
 				a.tcoBase += cm.TCOHDD(rec.Job)
 				a.tcoSaved += cm.PartialSavings(rec.Job, byom.FullResidency(rec.FracOnSSD))
 			}
-			at += 600
-		}
-	}
+		})
 	fmt.Printf("\nonline phase (%.0f GiB SSD cache):\n", ssdBytes/(1<<30))
 	for _, spec := range specs {
 		name := spec.Pipeline.Name
@@ -152,4 +138,27 @@ func collectWithReport(specs []dataflow.WorkloadSpec, decider dfs.Decider,
 	m := cluster.Metrics()
 	fmt.Printf("  cluster: %d spillover events, %.1f GiB written to SSD (wear)\n",
 		m.SpilloverEvents, m.BytesWrittenSSD/(1<<30))
+}
+
+// runRounds starts n rounds of the specs, one execution every 600
+// virtual seconds, as processes of one discrete-event scheduler, so
+// executions that outlast the gap overlap on the cluster. done gets
+// each report as its execution finishes.
+func runRounds(ex *dataflow.Executor, specs []dataflow.WorkloadSpec, n int,
+	done func(dataflow.WorkloadSpec, *dataflow.Report)) {
+	des := desched.New()
+	at := 0.0
+	for round := 0; round < n; round++ {
+		for _, spec := range specs {
+			des.Spawn(at, func(p *desched.Proc) {
+				rep, err := ex.Run(spec, p)
+				if err != nil {
+					log.Fatal(err)
+				}
+				done(spec, rep)
+			})
+			at += 600
+		}
+	}
+	des.Run()
 }

@@ -6,7 +6,10 @@
 // pipelines bring a trained gradient-boosted-trees ranking model, while
 // the ML-checkpointing and compress-upload-delete workloads bring
 // trivial constant-category models ("we are cold" / "we are hot") —
-// and the storage layer treats all hints uniformly.
+// and the storage layer treats all hints uniformly. Every execution and
+// every direct-I/O file is a discrete-event process, so they contend for
+// the cache at the right virtual instants. Like logpipeline it drives
+// the internal substrates directly.
 //
 // Run with: go run ./examples/mixedworkloads
 package main
@@ -18,6 +21,7 @@ import (
 	"repro/byom"
 	"repro/internal/core"
 	"repro/internal/dataflow"
+	"repro/internal/desched"
 	"repro/internal/dfs"
 )
 
@@ -43,18 +47,25 @@ func main() {
 
 	// Offline: collect history all-HDD and train the pipeline's model.
 	cm := byom.DefaultCostModel()
-	warmCluster, _ := dfs.NewCluster(dfs.DefaultConfig(0), dfs.StaticDecider(false))
+	warmCluster, err := dfs.NewCluster(0, dfs.StaticDecider(false))
+	if err != nil {
+		log.Fatal(err)
+	}
 	warmEx := dataflow.NewExecutor(dfs.NewClient(warmCluster), nil)
 	var history []*byom.Job
+	warm := desched.New()
 	for i := 0; i < 30; i++ {
-		rep, err := warmEx.Run(spec, float64(i)*700)
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, rec := range rep.Shuffles {
-			history = append(history, rec.Job)
-		}
+		warm.Spawn(float64(i)*700, func(p *desched.Proc) {
+			rep, err := warmEx.Run(spec, p)
+			if err != nil {
+				log.Fatal(err)
+			}
+			for _, rec := range rep.Shuffles {
+				history = append(history, rec.Job)
+			}
+		})
 	}
+	warm.Run()
 	opts := byom.DefaultTrainOptions()
 	opts.NumCategories = numCategories
 	opts.GBDT.NumRounds = 20
@@ -69,17 +80,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cluster, err := dfs.NewCluster(dfs.DefaultConfig(96<<30), decider)
+	cluster, err := dfs.NewCluster(96<<30, decider)
 	if err != nil {
 		log.Fatal(err)
 	}
 	client := dfs.NewClient(cluster)
-	ex := dataflow.NewExecutor(client,
-		model.Hinter())
-	deletes := dataflow.NewDeleteScheduler()
-	ex.UseDeleteScheduler(deletes)
+	ex := dataflow.NewExecutor(client, model.Hinter())
 
-	// Non-framework workloads: each brings its own (trivial) model.
+	// Non-framework workloads: each brings its own (trivial) model, and
+	// each file is a process that writes, reads back, waits out its hold
+	// and deletes.
 	type direct struct {
 		name     string
 		bytes    float64
@@ -90,50 +100,55 @@ func main() {
 	}
 	checkpoints := direct{"mlckpt", 12 << 30, 4 * 3600, 0.05, 8 << 20, 0}
 	tempfiles := direct{"compress", 1 << 30, 180, 3, 128 * 1024, numCategories - 1}
-
 	var ckptFrac, tmpFrac float64
 	var ckptN, tmpN int
-	at := 0.0
+	runDirect := func(w direct, id string, p *desched.Proc) error {
+		h, err := client.Create(id, w.bytes,
+			dfs.Hint{JobID: id, Category: w.category, SizeBytes: w.bytes}, p.Now())
+		if err != nil {
+			return err
+		}
+		frac, _ := h.FracOnSSD()
+		if w.name == "mlckpt" {
+			ckptFrac += frac
+			ckptN++
+		} else {
+			tmpFrac += frac
+			tmpN++
+		}
+		wdone, err := h.Write(p.Now(), w.bytes, 1<<20)
+		if err != nil {
+			return err
+		}
+		p.WaitUntil(wdone)
+		if w.readBack > 0 {
+			if _, err := h.Read(wdone, w.bytes*w.readBack, w.readOp, 0.2); err != nil {
+				return err
+			}
+		}
+		p.WaitUntil(wdone + w.holdSec)
+		return h.Delete()
+	}
+
+	// Each round starts a framework execution, an ML checkpoint and a
+	// temp file at the same virtual instant.
+	des := desched.New()
 	for round := 0; round < 30; round++ {
-		if err := deletes.Apply(at); err != nil {
-			log.Fatal(err)
-		}
-		// A framework execution...
-		if _, err := ex.Run(spec, at); err != nil {
-			log.Fatal(err)
-		}
-		// ...an ML checkpoint...
+		at := float64(round) * 700
+		des.Spawn(at, func(p *desched.Proc) {
+			if _, err := ex.Run(spec, p); err != nil {
+				log.Fatal(err)
+			}
+		})
 		for _, w := range []direct{checkpoints, tempfiles} {
-			id := fmt.Sprintf("%s-%03d", w.name, round)
-			h, err := client.Create(id, w.bytes,
-				dfs.Hint{JobID: id, Category: w.category, SizeBytes: w.bytes}, at)
-			if err != nil {
-				log.Fatal(err)
-			}
-			frac, _ := h.FracOnSSD()
-			if w.name == "mlckpt" {
-				ckptFrac += frac
-				ckptN++
-			} else {
-				tmpFrac += frac
-				tmpN++
-			}
-			wdone, err := h.Write(at, w.bytes, 1<<20)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if w.readBack > 0 {
-				if _, err := h.Read(wdone, w.bytes*w.readBack, w.readOp, 0.2); err != nil {
+			des.Spawn(at, func(p *desched.Proc) {
+				if err := runDirect(w, fmt.Sprintf("%s-%03d", w.name, round), p); err != nil {
 					log.Fatal(err)
 				}
-			}
-			deletes.Schedule(wdone+w.holdSec, h)
+			})
 		}
-		at += 700
 	}
-	if err := deletes.Flush(); err != nil {
-		log.Fatal(err)
-	}
+	des.Run()
 
 	m := cluster.Metrics()
 	fmt.Printf("\nshared cache after %d rounds (ACT ended at %d):\n", 30, decider.ACT())

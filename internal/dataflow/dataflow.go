@@ -7,17 +7,20 @@
 // divided into buckets assigned to workers; shards are written as
 // stripes for parallelism.
 //
-// The executor runs pipelines in virtual time against a dfs cluster and
-// implements the paper's BYOM integration point: before opening files
-// for writing, the framework computes the job's features, asks the
-// workload's category model for an importance hint, and passes the hint
-// to the storage layer with the file create.
+// The executor runs each pipeline execution as a desched process
+// against a dfs cluster, so concurrent executions interleave in virtual
+// time and a shuffle's retained intermediate files hold SSD space until
+// they expire. It implements the paper's BYOM integration point: before
+// opening files for writing, the framework computes the job's features,
+// asks the workload's category model for an importance hint, and passes
+// the hint to the storage layer with the file create.
 package dataflow
 
 import (
 	"fmt"
 	"math"
 
+	"repro/internal/desched"
 	"repro/internal/dfs"
 	"repro/internal/trace"
 )
@@ -162,15 +165,6 @@ func (s *WorkloadSpec) Validate() error {
 	return nil
 }
 
-// Waiter advances a virtual clock between execution phases. When an
-// executor runs under a discrete-event scheduler (the prototype
-// deployment), waiting at phase boundaries interleaves concurrent
-// executions in correct global time order so their files contend for
-// SSD space at the right instants.
-type Waiter interface {
-	WaitUntil(t float64)
-}
-
 // Hinter is the application-layer model interface: given the job's
 // decision-time features it returns the importance category passed to
 // the storage layer. A nil Hinter sends category hints of 0.
@@ -217,11 +211,10 @@ type history struct {
 
 // Executor runs workloads against a dfs cluster in virtual time.
 type Executor struct {
-	client  *dfs.Client
-	hinter  Hinter
-	hist    map[string]*history
-	seq     int
-	deletes *DeleteScheduler
+	client *dfs.Client
+	hinter Hinter
+	hist   map[string]*history
+	seq    int
 }
 
 // NewExecutor builds an executor. hinter may be nil (no model: all
@@ -230,50 +223,35 @@ func NewExecutor(client *dfs.Client, hinter Hinter) *Executor {
 	return &Executor{client: client, hinter: hinter, hist: map[string]*history{}}
 }
 
-// UseDeleteScheduler defers this executor's file deletions to the
-// shared scheduler so overlapping executions contend for SSD space.
-func (e *Executor) UseDeleteScheduler(ds *DeleteScheduler) { e.deletes = ds }
-
-// Run executes the workload starting at the given virtual time.
-func (e *Executor) Run(spec WorkloadSpec, startAt float64) (*Report, error) {
-	return e.RunWith(spec, startAt, nil)
-}
-
-// RunWith is Run under a discrete-event scheduler: the waiter is
-// consulted at every phase boundary so concurrent executions interleave
-// in global virtual-time order. A nil waiter runs the execution
-// standalone (phases computed back to back).
-func (e *Executor) RunWith(spec WorkloadSpec, startAt float64, w Waiter) (*Report, error) {
+// Run executes the workload as the scheduled process p, starting at
+// p.Now(). It waits at every phase boundary, so concurrent executions
+// interleave in global virtual-time order and their files contend for
+// SSD space at the right instants. Run returns once the last retained
+// file is deleted; the report's FinishedAt is when the last stage ended.
+func (e *Executor) Run(spec WorkloadSpec, p *desched.Proc) (*Report, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	rep := &Report{Pipeline: spec.Pipeline.Name, StartedAt: startAt}
-	now := startAt
+	now := p.Now()
+	rep := &Report{Pipeline: spec.Pipeline.Name, StartedAt: now}
 	bytes := spec.InputBytes
 	computePerByte := spec.ComputeSecPerGiB / (1 << 30)
 
-	// Under a scheduler, retained files are released by this process at
-	// their own due times without blocking the pipeline's stages.
-	var pending *DeleteScheduler
-	if w != nil {
-		pending = NewDeleteScheduler()
-	}
-
+	// Retained files are released by this process at their own due
+	// times without blocking the pipeline's stages.
+	var pending deleteQueue
 	for si, stage := range spec.Pipeline.Stages {
 		switch stage.Kind {
 		case ParDo:
 			// Pure computation: advance time by the parallel work.
-			work := bytes * computePerByte / float64(spec.NumWorkers*spec.WorkerThreads)
-			now += work
-			if w != nil {
-				w.WaitUntil(now)
-				if err := pending.Apply(now); err != nil {
-					return nil, err
-				}
+			now += bytes * computePerByte / float64(spec.NumWorkers*spec.WorkerThreads)
+			p.WaitUntil(now)
+			if err := pending.apply(now); err != nil {
+				return nil, err
 			}
 			bytes *= stage.OutputFactor
 		case GroupByKey:
-			rec, err := e.runShuffle(spec, si, stage, bytes, now, w, pending)
+			rec, err := e.runShuffle(spec, si, stage, bytes, now, p, &pending)
 			if err != nil {
 				return nil, err
 			}
@@ -287,13 +265,11 @@ func (e *Executor) RunWith(spec WorkloadSpec, startAt float64, w Waiter) (*Repor
 	rep.FinishedAt = now
 	// Linger until the retained files expire (the execution itself is
 	// finished; only the cleanup outlives it).
-	if w != nil {
-		for pending.Pending() > 0 {
-			due := pending.NextDue()
-			w.WaitUntil(due)
-			if err := pending.Apply(due); err != nil {
-				return nil, err
-			}
+	for len(pending) > 0 {
+		due := pending[0].at
+		p.WaitUntil(due)
+		if err := pending.apply(due); err != nil {
+			return nil, err
 		}
 	}
 	return rep, nil
@@ -301,7 +277,7 @@ func (e *Executor) RunWith(spec WorkloadSpec, startAt float64, w Waiter) (*Repor
 
 // runShuffle executes the three-step shuffle: write raw intermediate
 // files, sort, read back.
-func (e *Executor) runShuffle(spec WorkloadSpec, stageIdx int, stage Stage, inputBytes, now float64, w Waiter, pending *DeleteScheduler) (*ShuffleRecord, error) {
+func (e *Executor) runShuffle(spec WorkloadSpec, stageIdx int, stage Stage, inputBytes, now float64, p *desched.Proc, pending *deleteQueue) (*ShuffleRecord, error) {
 	prof := stage.Shuffle
 	footprint := inputBytes * prof.SizeFactor
 	if footprint <= 0 {
@@ -348,13 +324,6 @@ func (e *Executor) runShuffle(spec WorkloadSpec, stageIdx int, stage Stage, inpu
 	if e.hinter != nil {
 		category = e.hinter.Hint(j)
 	}
-	if e.deletes != nil {
-		// Release any earlier executions' expired files first so the
-		// creates see the correct SSD occupancy.
-		if err := e.deletes.Apply(now); err != nil {
-			return nil, err
-		}
-	}
 	perWorker := footprint / float64(spec.NumWorkers)
 	handles := make([]*dfs.FileHandle, spec.NumWorkers)
 	var fracSum float64
@@ -386,9 +355,7 @@ func (e *Executor) runShuffle(spec WorkloadSpec, stageIdx int, stage Stage, inpu
 		compute := now + perWorker*computePerByte/float64(spec.WorkerThreads)
 		phase1 = math.Max(phase1, math.Max(done, compute))
 	}
-	if w != nil {
-		w.WaitUntil(phase1)
-	}
+	p.WaitUntil(phase1)
 
 	// Step 2: sorters read the raw files and write sorted files.
 	sortWrite := footprint * (prof.WriteAmp - 1)
@@ -407,9 +374,7 @@ func (e *Executor) runShuffle(spec WorkloadSpec, stageIdx int, stage Stage, inpu
 			phase2 = math.Max(phase2, wdone)
 		}
 	}
-	if w != nil {
-		w.WaitUntil(phase2)
-	}
+	p.WaitUntil(phase2)
 
 	// Step 3: workers retrieve the required data back into memory.
 	readBack := footprint * prof.ReadFactor
@@ -426,29 +391,15 @@ func (e *Executor) runShuffle(spec WorkloadSpec, stageIdx int, stage Stage, inpu
 		}
 	}
 
+	// The shuffle completes at phase3; its retained files are released
+	// at deleteAt without blocking downstream stages.
 	deleteAt := phase3 + prof.RetainSec
-	switch {
-	case w != nil:
-		// The shuffle completes at phase3; the retained files are
-		// queued on the per-run scheduler and released at deleteAt
-		// without blocking downstream stages.
-		w.WaitUntil(phase3)
-		for _, h := range handles {
-			pending.Schedule(deleteAt, h)
-		}
-		if err := pending.Apply(phase3); err != nil {
-			return nil, err
-		}
-	case e.deletes != nil:
-		for _, h := range handles {
-			e.deletes.Schedule(deleteAt, h)
-		}
-	default:
-		for _, h := range handles {
-			if err := h.Delete(); err != nil {
-				return nil, err
-			}
-		}
+	p.WaitUntil(phase3)
+	for _, h := range handles {
+		pending.schedule(deleteAt, h)
+	}
+	if err := pending.apply(phase3); err != nil {
+		return nil, err
 	}
 
 	// Fill the realized measurements.

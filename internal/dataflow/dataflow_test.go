@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/desched"
 	"repro/internal/dfs"
 	"repro/internal/trace"
 )
@@ -40,11 +41,22 @@ func spec(t *testing.T, p *Pipeline) WorkloadSpec {
 
 func newEnv(t *testing.T, capacity float64, d dfs.Decider) (*dfs.Cluster, *Executor) {
 	t.Helper()
-	cluster, err := dfs.NewCluster(dfs.DefaultConfig(capacity), d)
+	cluster, err := dfs.NewCluster(capacity, d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return cluster, NewExecutor(dfs.NewClient(cluster), nil)
+}
+
+// runAt executes s as the only process of a fresh scheduler, starting
+// at virtual time at.
+func runAt(ex *Executor, s WorkloadSpec, at float64) (*Report, error) {
+	var rep *Report
+	var err error
+	des := desched.New()
+	des.Spawn(at, func(p *desched.Proc) { rep, err = ex.Run(s, p) })
+	des.Run()
+	return rep, err
 }
 
 func TestBuilderValidation(t *testing.T) {
@@ -84,7 +96,7 @@ func TestSpecValidation(t *testing.T) {
 func TestRunProducesShuffleRecords(t *testing.T) {
 	p := buildPipeline(t)
 	_, ex := newEnv(t, 1e12, dfs.StaticDecider(true))
-	rep, err := ex.Run(spec(t, p), 100)
+	rep, err := runAt(ex, spec(t, p), 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +135,7 @@ func TestRunProducesShuffleRecords(t *testing.T) {
 func TestRunReleasesSSDSpace(t *testing.T) {
 	p := buildPipeline(t)
 	cluster, ex := newEnv(t, 1e12, dfs.StaticDecider(true))
-	if _, err := ex.Run(spec(t, p), 0); err != nil {
+	if _, err := runAt(ex, spec(t, p), 0); err != nil {
 		t.Fatal(err)
 	}
 	if used := cluster.SSDUsed(); used != 0 {
@@ -138,7 +150,7 @@ func TestRunReleasesSSDSpace(t *testing.T) {
 
 func TestRunHintsReachStorage(t *testing.T) {
 	p := buildPipeline(t)
-	cluster, err := dfs.NewCluster(dfs.DefaultConfig(1e12), dfs.ThresholdDecider(5))
+	cluster, err := dfs.NewCluster(1e12, dfs.ThresholdDecider(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +170,7 @@ func TestRunHintsReachStorage(t *testing.T) {
 		return 2 // rejected by ThresholdDecider(5)
 	})
 	ex := NewExecutor(dfs.NewClient(cluster), hinter)
-	rep, err := ex.Run(spec(t, p), 0)
+	rep, err := runAt(ex, spec(t, p), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,14 +189,14 @@ func TestHistoryAccumulatesAcrossRuns(t *testing.T) {
 	p := buildPipeline(t)
 	_, ex := newEnv(t, 1e12, dfs.StaticDecider(true))
 	s := spec(t, p)
-	rep1, err := ex.Run(s, 0)
+	rep1, err := runAt(ex, s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep1.Shuffles[0].Job.History.NumRuns != 0 {
 		t.Error("first run should have no history")
 	}
-	rep2, err := ex.Run(s, 1e6)
+	rep2, err := runAt(ex, s, 1e6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,12 +224,12 @@ func TestRuntimeFasterOnSSDForHotWorkload(t *testing.T) {
 	s := WorkloadSpec{Pipeline: p, InputBytes: 1 << 28, NumWorkers: 4, WorkerThreads: 4, RecordBytes: 512}
 
 	_, exSSD := newEnv(t, 1e12, dfs.StaticDecider(true))
-	repSSD, err := exSSD.Run(s, 0)
+	repSSD, err := runAt(exSSD, s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, exHDD := newEnv(t, 1e12, dfs.StaticDecider(false))
-	repHDD, err := exHDD.Run(s, 0)
+	repHDD, err := runAt(exHDD, s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +241,71 @@ func TestRuntimeFasterOnSSDForHotWorkload(t *testing.T) {
 
 func TestRunRejectsInvalidSpec(t *testing.T) {
 	_, ex := newEnv(t, 1e12, dfs.StaticDecider(true))
-	if _, err := ex.Run(WorkloadSpec{}, 0); err == nil {
+	if _, err := runAt(ex, WorkloadSpec{}, 0); err == nil {
 		t.Error("invalid spec accepted")
+	}
+}
+
+// TestRetentionHoldsSpaceWithoutBlockingPipeline: a retained shuffle
+// keeps its SSD allocation past the stage's completion, and the
+// pipeline's own runtime is the same as without retention.
+func TestRetentionHoldsSpaceWithoutBlockingPipeline(t *testing.T) {
+	mk := func(retainSec float64) WorkloadSpec {
+		prof := DefaultShuffleProfile()
+		prof.RetainSec = retainSec
+		p, err := NewPipeline("p", "u").GroupByKey("s", prof).Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return WorkloadSpec{Pipeline: p, InputBytes: 1 << 28, NumWorkers: 4,
+			WorkerThreads: 2, RecordBytes: 512}
+	}
+
+	// A probe process samples SSD usage after the retained pipeline's
+	// shuffle finished but before retention expires.
+	cluster, ex := newEnv(t, 1e12, dfs.StaticDecider(true))
+	des := desched.New()
+	var repRetained *Report
+	des.Spawn(0, func(p *desched.Proc) {
+		var err error
+		if repRetained, err = ex.Run(mk(10000), p); err != nil {
+			t.Error(err)
+		}
+	})
+	var usedMid float64 = -1
+	des.Spawn(5000, func(*desched.Proc) { usedMid = cluster.SSDUsed() })
+	des.Run()
+
+	if repRetained == nil {
+		t.Fatal("no report")
+	}
+	if repRetained.Runtime() > 4000 {
+		t.Errorf("runtime %.0fs includes retention (should not)", repRetained.Runtime())
+	}
+	if usedMid <= 0 {
+		t.Errorf("retained file not holding SSD space at t=5000 (used=%g)", usedMid)
+	}
+	if used := cluster.SSDUsed(); used != 0 {
+		t.Errorf("space not released after retention: %g", used)
+	}
+
+	// Runtime parity: retention must not slow the pipeline itself.
+	_, ex2 := newEnv(t, 1e12, dfs.StaticDecider(true))
+	repPlain, err := runAt(ex2, mk(0), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if repPlain.Runtime() != repRetained.Runtime() {
+		t.Errorf("retention changed pipeline runtime: %.1fs vs %.1fs",
+			repRetained.Runtime(), repPlain.Runtime())
+	}
+}
+
+// TestNegativeRetentionRejected: builder validation.
+func TestNegativeRetentionRejected(t *testing.T) {
+	prof := DefaultShuffleProfile()
+	prof.RetainSec = -5
+	if _, err := NewPipeline("p", "u").GroupByKey("s", prof).Build(); err == nil {
+		t.Error("negative retention accepted")
 	}
 }

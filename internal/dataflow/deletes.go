@@ -6,67 +6,40 @@ import (
 	"repro/internal/dfs"
 )
 
-// DeleteScheduler defers file deletions to their virtual due time.
-// Sequentially-run executions with overlapping virtual time windows
-// share one scheduler so that an earlier execution's intermediate files
-// still occupy SSD space when a later, overlapping execution creates
-// its own — the contention that drives spillover in a test deployment.
-type DeleteScheduler struct {
-	pq deleteHeap
-}
+// deleteQueue holds one execution's retained intermediate files until
+// their virtual due times, earliest first. While they wait they still
+// occupy SSD space, so later, overlapping executions see it taken.
+type deleteQueue []pendingDelete
 
 type pendingDelete struct {
 	at     float64
 	handle *dfs.FileHandle
 }
 
-type deleteHeap []pendingDelete
-
-func (h deleteHeap) Len() int            { return len(h) }
-func (h deleteHeap) Less(i, j int) bool  { return h[i].at < h[j].at }
-func (h deleteHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *deleteHeap) Push(x interface{}) { *h = append(*h, x.(pendingDelete)) }
-func (h *deleteHeap) Pop() interface{} {
-	old := *h
+func (q deleteQueue) Len() int            { return len(q) }
+func (q deleteQueue) Less(i, j int) bool  { return q[i].at < q[j].at }
+func (q deleteQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
+func (q *deleteQueue) Push(x interface{}) { *q = append(*q, x.(pendingDelete)) }
+func (q *deleteQueue) Pop() interface{} {
+	old := *q
 	n := len(old)
 	x := old[n-1]
-	*h = old[:n-1]
+	*q = old[:n-1]
 	return x
 }
 
-// NewDeleteScheduler returns an empty scheduler.
-func NewDeleteScheduler() *DeleteScheduler { return &DeleteScheduler{} }
-
-// Schedule queues a deletion at the given virtual time.
-func (d *DeleteScheduler) Schedule(at float64, h *dfs.FileHandle) {
-	heap.Push(&d.pq, pendingDelete{at: at, handle: h})
+// schedule queues a deletion at the given virtual time.
+func (q *deleteQueue) schedule(at float64, h *dfs.FileHandle) {
+	heap.Push(q, pendingDelete{at: at, handle: h})
 }
 
-// Apply deletes every file whose due time is <= now.
-func (d *DeleteScheduler) Apply(now float64) error {
-	for d.pq.Len() > 0 && d.pq[0].at <= now {
-		p := heap.Pop(&d.pq).(pendingDelete)
+// apply deletes every file whose due time is <= now.
+func (q *deleteQueue) apply(now float64) error {
+	for len(*q) > 0 && (*q)[0].at <= now {
+		p := heap.Pop(q).(pendingDelete)
 		if err := p.handle.Delete(); err != nil {
 			return err
 		}
 	}
 	return nil
 }
-
-// Flush deletes all remaining files regardless of due time.
-func (d *DeleteScheduler) Flush() error {
-	for d.pq.Len() > 0 {
-		p := heap.Pop(&d.pq).(pendingDelete)
-		if err := p.handle.Delete(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Pending reports the queued deletion count.
-func (d *DeleteScheduler) Pending() int { return d.pq.Len() }
-
-// NextDue returns the earliest queued deletion time (call only when
-// Pending() > 0).
-func (d *DeleteScheduler) NextDue() float64 { return d.pq[0].at }

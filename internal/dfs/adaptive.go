@@ -71,5 +71,5 @@ func (d *FitDecider) Decide(h Hint, _ float64) bool {
 	}
 	// Called from Cluster.Create which holds the lock; read fields
 	// directly rather than through locking accessors.
-	return h.SizeBytes <= d.cluster.cfg.SSDCapacityBytes-d.cluster.ssdUsed
+	return h.SizeBytes <= d.cluster.ssdCap-d.cluster.ssdUsed
 }

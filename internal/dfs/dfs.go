@@ -2,9 +2,13 @@
 // setup of the paper's production prototype (Section 2.4, Appendix A):
 // compute clients talk to caching servers through a client library;
 // caching servers make SSD/HDD tiering decisions; dedicated SSD and HDD
-// storage servers hold the data. It runs in virtual time with a simple
-// device latency model, so the prototype experiments can also measure
-// application-level run time (Fig. 14) and SSD wear.
+// storage servers hold the data. It runs in virtual time on one fixed
+// device model (server counts, seek times and bandwidths are constants;
+// only the SSD capacity is chosen per cluster), so the prototype
+// experiments can also measure application-level run time (Fig. 14) and
+// SSD wear. Callers issue operations in virtual-time order; the
+// prototype stack does so by running every execution as a desched
+// process.
 //
 // The cross-layer BYOM interface is the Hint: the application layer
 // attaches its model's category prediction when creating a file, and
@@ -16,7 +20,6 @@ package dfs
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -61,34 +64,18 @@ type DeciderObserver interface {
 	ObservePlacement(h Hint, fracOnSSD float64, wantedSSD, spilled bool, now float64)
 }
 
-// Config describes the storage cluster.
-type Config struct {
-	// SSDCapacityBytes is the SSD cache quota.
-	SSDCapacityBytes float64
-	// NumSSDServers / NumHDDServers set the parallelism of each tier.
-	NumSSDServers int
-	NumHDDServers int
-	// Latency model per tier: per-operation seek/setup time plus
-	// transfer at the given bandwidth.
-	SSDSeekSec     float64
-	SSDBytesPerSec float64
-	HDDSeekSec     float64
-	HDDBytesPerSec float64
-}
-
-// DefaultConfig sizes a small test-deployment cluster (the paper's
+// The device model: a small test-deployment cluster (the paper's
 // prototype used 320 worker servers against a dedicated SSD cache).
-func DefaultConfig(ssdCapacity float64) Config {
-	return Config{
-		SSDCapacityBytes: ssdCapacity,
-		NumSSDServers:    24,
-		NumHDDServers:    192,
-		SSDSeekSec:       0.0001,
-		SSDBytesPerSec:   2e9,
-		HDDSeekSec:       0.008,
-		HDDBytesPerSec:   150e6,
-	}
-}
+// Each tier is a pool of servers, and each operation pays a seek/setup
+// time plus transfer at the tier's bandwidth.
+const (
+	numSSDServers  = 24
+	numHDDServers  = 192
+	ssdSeekSec     = 0.0001
+	ssdBytesPerSec = 2e9
+	hddSeekSec     = 0.008
+	hddBytesPerSec = 150e6
+)
 
 // storageServer models one server's single service queue.
 type storageServer struct {
@@ -138,7 +125,7 @@ type Metrics struct {
 // pools. All methods are safe for concurrent use.
 type Cluster struct {
 	mu      sync.Mutex
-	cfg     Config
+	ssdCap  float64
 	decider Decider
 	ssd     []*storageServer
 	hdd     []*storageServer
@@ -147,27 +134,21 @@ type Cluster struct {
 	metrics Metrics
 }
 
-// NewCluster builds a cluster with the given decider at the caching
-// servers.
-func NewCluster(cfg Config, decider Decider) (*Cluster, error) {
-	if cfg.SSDCapacityBytes < 0 {
+// NewCluster builds a cluster with ssdCapacity bytes of SSD cache and
+// the given decider at the caching servers.
+func NewCluster(ssdCapacity float64, decider Decider) (*Cluster, error) {
+	if ssdCapacity < 0 {
 		return nil, fmt.Errorf("dfs: negative SSD capacity")
-	}
-	if cfg.NumSSDServers < 1 || cfg.NumHDDServers < 1 {
-		return nil, fmt.Errorf("dfs: need at least one server per tier")
-	}
-	if cfg.SSDBytesPerSec <= 0 || cfg.HDDBytesPerSec <= 0 {
-		return nil, fmt.Errorf("dfs: bandwidths must be positive")
 	}
 	if decider == nil {
 		return nil, fmt.Errorf("dfs: nil decider")
 	}
-	c := &Cluster{cfg: cfg, decider: decider, files: map[string]*file{}}
-	for i := 0; i < cfg.NumSSDServers; i++ {
-		c.ssd = append(c.ssd, &storageServer{class: SSD, seekSec: cfg.SSDSeekSec, bytesPS: cfg.SSDBytesPerSec})
+	c := &Cluster{ssdCap: ssdCapacity, decider: decider, files: map[string]*file{}}
+	for i := 0; i < numSSDServers; i++ {
+		c.ssd = append(c.ssd, &storageServer{class: SSD, seekSec: ssdSeekSec, bytesPS: ssdBytesPerSec})
 	}
-	for i := 0; i < cfg.NumHDDServers; i++ {
-		c.hdd = append(c.hdd, &storageServer{class: HDD, seekSec: cfg.HDDSeekSec, bytesPS: cfg.HDDBytesPerSec})
+	for i := 0; i < numHDDServers; i++ {
+		c.hdd = append(c.hdd, &storageServer{class: HDD, seekSec: hddSeekSec, bytesPS: hddBytesPerSec})
 	}
 	return c, nil
 }
@@ -213,7 +194,7 @@ func (c *Cluster) Create(name string, size float64, hint Hint, now float64) (*Fi
 	f := &file{name: name, size: size, hint: hint, createdAt: now}
 	spilled := false
 	if wantSSD {
-		free := c.cfg.SSDCapacityBytes - c.ssdUsed
+		free := c.ssdCap - c.ssdUsed
 		put := size
 		if put > free {
 			put = free
@@ -351,18 +332,6 @@ func NewClient(c *Cluster) *Client { return &Client{cluster: c} }
 // Create creates a file with a placement hint.
 func (cl *Client) Create(name string, size float64, hint Hint, now float64) (*FileHandle, error) {
 	return cl.cluster.Create(name, size, hint, now)
-}
-
-// ListFiles returns current file names, sorted (diagnostics).
-func (c *Cluster) ListFiles() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.files))
-	for n := range c.files {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // StaticDecider always answers the same way (all-SSD / all-HDD).

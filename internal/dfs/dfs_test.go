@@ -9,7 +9,7 @@ import (
 
 func testCluster(t *testing.T, capacity float64, d Decider) *Cluster {
 	t.Helper()
-	c, err := NewCluster(DefaultConfig(capacity), d)
+	c, err := NewCluster(capacity, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -17,24 +17,13 @@ func testCluster(t *testing.T, capacity float64, d Decider) *Cluster {
 }
 
 func TestNewClusterValidation(t *testing.T) {
-	good := DefaultConfig(1e9)
-	if _, err := NewCluster(good, StaticDecider(true)); err != nil {
-		t.Fatalf("valid config rejected: %v", err)
+	if _, err := NewCluster(1e9, StaticDecider(true)); err != nil {
+		t.Fatalf("valid cluster rejected: %v", err)
 	}
-	cases := []func(*Config){
-		func(c *Config) { c.SSDCapacityBytes = -1 },
-		func(c *Config) { c.NumSSDServers = 0 },
-		func(c *Config) { c.NumHDDServers = 0 },
-		func(c *Config) { c.SSDBytesPerSec = 0 },
+	if _, err := NewCluster(-1, StaticDecider(true)); err == nil {
+		t.Error("negative capacity accepted")
 	}
-	for i, mutate := range cases {
-		cfg := DefaultConfig(1e9)
-		mutate(&cfg)
-		if _, err := NewCluster(cfg, StaticDecider(true)); err == nil {
-			t.Errorf("bad config %d accepted", i)
-		}
-	}
-	if _, err := NewCluster(good, nil); err == nil {
+	if _, err := NewCluster(1e9, nil); err == nil {
 		t.Error("nil decider accepted")
 	}
 }
@@ -185,12 +174,8 @@ func TestLatencySSDFasterThanHDD(t *testing.T) {
 }
 
 func TestServerQueueing(t *testing.T) {
-	cfg := DefaultConfig(1e12)
-	cfg.NumSSDServers = 1
-	c, err := NewCluster(cfg, StaticDecider(true))
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := testCluster(t, 1e12, StaticDecider(true))
+	c.ssd = c.ssd[:1]
 	h, _ := c.Create("f", 1e9, Hint{SizeBytes: 1e9}, 0)
 	d1, _ := h.Read(0, 1e9, 1<<20, 0)
 	d2, _ := h.Read(0, 1e9, 1<<20, 0)
@@ -264,16 +249,6 @@ func TestAdaptiveDeciderControl(t *testing.T) {
 	// Category 0 is never admitted.
 	if ad.Decide(Hint{Category: 0}, now) {
 		t.Error("category 0 admitted")
-	}
-}
-
-func TestListFiles(t *testing.T) {
-	c := testCluster(t, 1000, StaticDecider(false))
-	c.Create("b", 1, Hint{SizeBytes: 1}, 0)
-	c.Create("a", 1, Hint{SizeBytes: 1}, 0)
-	files := c.ListFiles()
-	if len(files) != 2 || files[0] != "a" || files[1] != "b" {
-		t.Errorf("ListFiles = %v", files)
 	}
 }
 

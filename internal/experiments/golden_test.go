@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"testing"
 
 	"repro/internal/golden"
@@ -60,4 +61,31 @@ func TestTailSavingsGolden(t *testing.T) {
 		t.Errorf("tail from 0 = %g, aggregate = %g", full, res.TCOSavingsPercent())
 	}
 	golden.Check(t, "testdata/tail.golden", buf.Bytes())
+}
+
+// TestPrototypeFiguresGolden pins the rendered Fig 5, 13 and 14 at the
+// quick preset. The files were written before the prototype stack ran
+// only under the discrete-event scheduler, and they are compared, never
+// rewritten (UPDATE_GOLDEN does not reach them): a diff means a
+// prototype number moved.
+func TestPrototypeFiguresGolden(t *testing.T) {
+	type renderer interface{ Render(io.Writer) }
+	figs := map[string]func(Options) (renderer, error){
+		"fig5":  func(o Options) (renderer, error) { return Fig5(o) },
+		"fig13": func(o Options) (renderer, error) { return Fig13(o) },
+		"fig14": func(o Options) (renderer, error) { return Fig14(o) },
+	}
+	for name, run := range figs {
+		t.Run(name, func(t *testing.T) {
+			r, err := run(QuickOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			r.Render(&buf)
+			if err := golden.Compare("testdata/"+name+".golden", buf.Bytes()); err != nil {
+				t.Error(err)
+			}
+		})
+	}
 }

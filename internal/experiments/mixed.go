@@ -6,9 +6,7 @@ import (
 	"math/rand"
 	"sort"
 
-	"repro/internal/core"
 	"repro/internal/cost"
-	"repro/internal/dfs"
 	"repro/internal/metrics"
 )
 
@@ -97,9 +95,10 @@ func buildMixedSchedule(seed int64) (*protoSchedule, error) {
 // AdaptiveRanking at 1% and 20% quota.
 type Fig13Result struct {
 	Rows []Fig13Row
-	// Runtimes saves the per-class mean runtimes for Fig 14:
-	// [AdaptiveRanking, FirstFit, all-HDD baseline].
-	Runtimes map[string]map[string][3]float64 // quota -> class
+	// Runtimes saves the per-class mean runtimes for Fig 14, keyed by
+	// quota fraction then class: [AdaptiveRanking, FirstFit, all-HDD
+	// baseline].
+	Runtimes map[float64]map[string][3]float64
 }
 
 // Fig13Row is one (quota, class) cell pair.
@@ -119,39 +118,15 @@ func Fig13(opts Options) (*Fig13Result, error) {
 		return nil, err
 	}
 	cm := cost.Default()
-	model, peak, hddRun, err := trainPrototypeModel(sched, opts, cm)
-	if err != nil {
-		return nil, err
-	}
-	res := &Fig13Result{Runtimes: map[string]map[string][3]float64{}}
-	for _, frac := range []float64{0.01, 0.20} {
-		quota := peak * frac
-		ff, err := runDeployment(sched, quota, &dfs.FitDecider{}, nil)
-		if err != nil {
-			return nil, err
-		}
-		acfg := core.DefaultAdaptiveConfig(model.NumCategories())
-		acfg.DecisionIntervalSec = 120
-		acfg.LookBackSec = 900
-		acfg.SpilloverLow = 0.05
-		acfg.SpilloverHigh = 0.35
-		ad, err := dfs.NewAdaptiveDecider(acfg)
-		if err != nil {
-			return nil, err
-		}
-		hinter := model.Hinter()
-		ar, err := runDeployment(sched, quota, ad, hinter)
-		if err != nil {
-			return nil, err
-		}
+	res := &Fig13Result{Runtimes: map[float64]map[string][3]float64{}}
+	_, err = runQuotas(sched, opts, cm, func(frac float64, ff, ar, hdd *deploymentResult) error {
 		ffS := accountSavings(ff, cm)
 		arS := accountSavings(ar, cm)
-		quotaKey := fmt.Sprintf("%.0f%%", frac*100)
-		res.Runtimes[quotaKey] = map[string][3]float64{}
+		res.Runtimes[frac] = map[string][3]float64{}
 		for _, class := range []string{"framework", "non-framework"} {
 			fS, aS := ffS[class], arS[class]
 			if fS == nil || aS == nil {
-				return nil, fmt.Errorf("experiments: fig13 missing class %q", class)
+				return fmt.Errorf("experiments: fig13 missing class %q", class)
 			}
 			res.Rows = append(res.Rows, Fig13Row{
 				QuotaFrac:    frac,
@@ -161,11 +136,13 @@ func Fig13(opts Options) (*Fig13Result, error) {
 				RankingTCIO:  aS.tcioPct(),
 				FirstFitTCIO: fS.tcioPct(),
 			})
-			arMean := metrics.Mean(ar.runtimes[class])
-			ffMean := metrics.Mean(ff.runtimes[class])
-			hddMean := metrics.Mean(hddRun.runtimes[class])
-			res.Runtimes[quotaKey][class] = [3]float64{arMean, ffMean, hddMean}
+			res.Runtimes[frac][class] = [3]float64{metrics.Mean(ar.runtimes[class]),
+				metrics.Mean(ff.runtimes[class]), metrics.Mean(hdd.runtimes[class])}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -213,9 +190,7 @@ func Fig14(opts Options) (*Fig14Result, error) {
 		return nil, err
 	}
 	res := &Fig14Result{}
-	for quotaKey, classes := range f13.Runtimes {
-		var frac float64
-		fmt.Sscanf(quotaKey, "%f%%", &frac)
+	for frac, classes := range f13.Runtimes {
 		for class, rt := range classes {
 			ar, ff, hdd := rt[0], rt[1], rt[2]
 			for _, mr := range []struct {
@@ -227,7 +202,7 @@ func Fig14(opts Options) (*Fig14Result, error) {
 					savings = 100 * (hdd - mr.runtime) / hdd
 				}
 				res.Rows = append(res.Rows, Fig14Row{
-					QuotaFrac: frac / 100, Class: class, Method: mr.method,
+					QuotaFrac: frac, Class: class, Method: mr.method,
 					RuntimeSec: mr.runtime, BaselineSec: hdd, SavingsPct: savings,
 				})
 			}

@@ -176,7 +176,7 @@ type deploymentResult struct {
 // is the application-layer model (nil for baselines).
 func runDeployment(sched *protoSchedule, ssdCapacity float64, decider dfs.Decider,
 	hinter dataflow.Hinter) (*deploymentResult, error) {
-	cluster, err := dfs.NewCluster(dfs.DefaultConfig(ssdCapacity), decider)
+	cluster, err := dfs.NewCluster(ssdCapacity, decider)
 	if err != nil {
 		return nil, err
 	}
@@ -210,7 +210,7 @@ func runDeployment(sched *protoSchedule, ssdCapacity float64, decider dfs.Decide
 				res.runtimes[e.class] = append(res.runtimes[e.class], runtime)
 				return
 			}
-			rep, err := ex.RunWith(e.spec, p.Now(), p)
+			rep, err := ex.Run(e.spec, p)
 			if err != nil {
 				firstErr = err
 				return
@@ -357,6 +357,50 @@ func trainPrototypeModel(sched *protoSchedule, opts Options, cm *cost.Model) (*c
 	return model, unlimited.peakSSD, warm, nil
 }
 
+// runQuotas trains the prototype model on sched, then runs the FirstFit
+// fit-decider deployment (no model hints) and the AdaptiveRanking
+// deployment (Algorithm 1 at the caching servers, model hints from the
+// framework) at 1% and 20% of peak SSD usage. It hands each pair to
+// each along with the all-HDD training run, and returns the peak.
+func runQuotas(sched *protoSchedule, opts Options, cm *cost.Model,
+	each func(frac float64, ff, ar, hdd *deploymentResult) error) (float64, error) {
+	model, peak, hdd, err := trainPrototypeModel(sched, opts, cm)
+	if err != nil {
+		return 0, err
+	}
+	for _, frac := range []float64{0.01, 0.20} {
+		quota := peak * frac
+		ff, err := runDeployment(sched, quota, &dfs.FitDecider{}, nil)
+		if err != nil {
+			return 0, err
+		}
+		ad, err := dfs.NewAdaptiveDecider(prototypeAdaptiveConfig(model.NumCategories()))
+		if err != nil {
+			return 0, err
+		}
+		ar, err := runDeployment(sched, quota, ad, model.Hinter())
+		if err != nil {
+			return 0, err
+		}
+		if err := each(frac, ff, ar, hdd); err != nil {
+			return 0, err
+		}
+	}
+	return peak, nil
+}
+
+// prototypeAdaptiveConfig is Algorithm 1 as the prototype's caching
+// servers run it. The deployment horizon is hours, not a week, so the
+// controller runs on a faster cycle than the simulation default.
+func prototypeAdaptiveConfig(numCategories int) core.AdaptiveConfig {
+	cfg := core.DefaultAdaptiveConfig(numCategories)
+	cfg.DecisionIntervalSec = 120
+	cfg.LookBackSec = 900
+	cfg.SpilloverLow = 0.05
+	cfg.SpilloverHigh = 0.35
+	return cfg
+}
+
 // Fig5Result reproduces Figure 5: prototype TCIO/TCO savings of
 // AdaptiveRanking vs FirstFit at 1% and 20% of peak space usage.
 type Fig5Result struct {
@@ -381,36 +425,8 @@ func Fig5(opts Options) (*Fig5Result, error) {
 		return nil, err
 	}
 	cm := cost.Default()
-	model, peak, _, err := trainPrototypeModel(sched, opts, cm)
-	if err != nil {
-		return nil, err
-	}
-	res := &Fig5Result{PeakSSDBytes: peak}
-	for _, frac := range []float64{0.01, 0.20} {
-		quota := peak * frac
-		// FirstFit: fit-based decider, no model hints.
-		ff, err := runDeployment(sched, quota, &dfs.FitDecider{}, nil)
-		if err != nil {
-			return nil, err
-		}
-		// AdaptiveRanking: Algorithm 1 at the caching servers, model
-		// hints from the framework. The deployment horizon is hours,
-		// not a week, so the controller runs on a faster cycle than
-		// the simulation default.
-		acfg := core.DefaultAdaptiveConfig(model.NumCategories())
-		acfg.DecisionIntervalSec = 120
-		acfg.LookBackSec = 900
-		acfg.SpilloverLow = 0.05
-		acfg.SpilloverHigh = 0.35
-		ad, err := dfs.NewAdaptiveDecider(acfg)
-		if err != nil {
-			return nil, err
-		}
-		hinter := model.Hinter()
-		ar, err := runDeployment(sched, quota, ad, hinter)
-		if err != nil {
-			return nil, err
-		}
+	res := &Fig5Result{}
+	res.PeakSSDBytes, err = runQuotas(sched, opts, cm, func(frac float64, ff, ar, _ *deploymentResult) error {
 		res.NumShuffleJobs = len(ar.records)
 		ffS := accountSavings(ff, cm)["framework"]
 		arS := accountSavings(ar, cm)["framework"]
@@ -421,6 +437,10 @@ func Fig5(opts Options) (*Fig5Result, error) {
 			RankingTCIO:  arS.tcioPct(),
 			FirstFitTCIO: ffS.tcioPct(),
 		})
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

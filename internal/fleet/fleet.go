@@ -203,15 +203,15 @@ type clusterEnv struct {
 }
 
 // Run executes a fleet run with a private registry for the online
-// loops. See RunWithRegistry to share or inspect the registry.
+// loops. See RunInto to share or inspect the registry.
 func Run(cfg Config) (*Report, error) {
-	return RunWithRegistry(cfg, registry.New())
+	return RunInto(cfg, registry.New())
 }
 
-// RunWithRegistry executes a fleet run, publishing each cluster's
+// RunInto executes a fleet run, publishing each cluster's
 // online-loop models (when Config.Online is set) into reg under
 // WorkloadKey(cluster).
-func RunWithRegistry(cfg Config, reg *registry.Registry) (*Report, error) {
+func RunInto(cfg Config, reg *registry.Registry) (*Report, error) {
 	specs, err := fleetSpecs(cfg)
 	if err != nil {
 		return nil, err

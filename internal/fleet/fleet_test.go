@@ -36,7 +36,7 @@ func TestFleetRunEndToEnd(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.Online = testOnlineConfig()
 	reg := registry.New()
-	rep, err := RunWithRegistry(cfg, reg)
+	rep, err := RunInto(cfg, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestFleetRejectsBadConfig(t *testing.T) {
 		t.Error("invalid spec did not error")
 	}
 	cfg = testConfig(t)
-	if _, err := RunWithRegistry(cfg, nil); err == nil {
+	if _, err := RunInto(cfg, nil); err == nil {
 		t.Error("nil registry did not error")
 	}
 }

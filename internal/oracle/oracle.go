@@ -35,16 +35,20 @@ func (o Objective) String() string {
 	return "tco"
 }
 
+// Solver limits.
+const (
+	// exactLimit is the maximum number of candidate jobs for which the
+	// exact branch-and-bound is attempted; larger instances use the
+	// greedy solver.
+	exactLimit = 48
+	// nodeBudget bounds branch-and-bound nodes; when exhausted the best
+	// incumbent is returned with Exact=false.
+	nodeBudget = 20000
+)
+
 // Config controls the solver.
 type Config struct {
 	Objective Objective
-	// ExactLimit is the maximum number of candidate jobs for which the
-	// exact branch-and-bound is attempted; larger instances use the
-	// greedy solver.
-	ExactLimit int
-	// NodeBudget bounds branch-and-bound nodes; when exhausted the best
-	// incumbent is returned with Exact=false.
-	NodeBudget int
 	// Fractional lets the greedy solver fill leftover capacity with
 	// partial placements (x_i in [0,1]). The paper's simulator gives
 	// partial-spillover credit, so the theoretical bound of Fig. 7 must
@@ -54,7 +58,7 @@ type Config struct {
 
 // DefaultConfig returns the solver defaults.
 func DefaultConfig() Config {
-	return Config{Objective: TCO, ExactLimit: 48, NodeBudget: 20000}
+	return Config{Objective: TCO}
 }
 
 // Result holds oracle placement decisions.
@@ -86,16 +90,10 @@ func jobValue(j *trace.Job, cm *cost.Model, obj Objective) float64 {
 
 // Solve computes oracle placement decisions for the jobs under the given
 // SSD capacity (bytes). It dispatches to the exact solver when the
-// number of positive-value candidates is within cfg.ExactLimit.
+// number of positive-value candidates is within exactLimit.
 func Solve(jobs []*trace.Job, capacity float64, cm *cost.Model, cfg Config) (*Result, error) {
 	if capacity < 0 {
 		return nil, fmt.Errorf("oracle: negative capacity %g", capacity)
-	}
-	if cfg.ExactLimit <= 0 {
-		cfg.ExactLimit = DefaultConfig().ExactLimit
-	}
-	if cfg.NodeBudget <= 0 {
-		cfg.NodeBudget = DefaultConfig().NodeBudget
 	}
 	cands := candidates(jobs, capacity, cm, cfg.Objective)
 	res := &Result{
@@ -109,8 +107,8 @@ func Solve(jobs []*trace.Job, capacity float64, cm *cost.Model, cfg Config) (*Re
 		res.Exact = true
 		return res, nil
 	}
-	if len(cands) <= cfg.ExactLimit && !cfg.Fractional {
-		return solveExact(cands, capacity, res, cfg.NodeBudget)
+	if len(cands) <= exactLimit && !cfg.Fractional {
+		return solveExact(cands, capacity, res)
 	}
 	return solveGreedy(cands, capacity, res, cfg.Fractional), nil
 }
@@ -384,7 +382,7 @@ func totalValue(cands []candidate, admitted []bool) float64 {
 // bounds. The relaxation has one variable per candidate (0 <= x <= 1)
 // and one capacity row per distinct arrival time (usage only increases
 // at arrivals, so those are the binding instants).
-func solveExact(cands []candidate, capacity float64, res *Result, nodeBudget int) (*Result, error) {
+func solveExact(cands []candidate, capacity float64, res *Result) (*Result, error) {
 	n := len(cands)
 	// Constraint rows: at each candidate's arrival time, sum of sizes of
 	// active candidates <= capacity.

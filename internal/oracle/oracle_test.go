@@ -163,6 +163,17 @@ func TestSolveExactMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// solveGreedyOnly is Solve's greedy path for an instance of any size,
+// for the tests below that hold it against the exact solver.
+func solveGreedyOnly(jobs []*trace.Job, capacity float64, cm *cost.Model) *Result {
+	res := &Result{OnSSD: map[string]bool{}, Frac: map[string]float64{}}
+	cands := candidates(jobs, capacity, cm, TCO)
+	if len(cands) == 0 {
+		return res
+	}
+	return solveGreedy(cands, capacity, res, false)
+}
+
 // TestGreedyNearOptimalAdversarial uses jobs whose sizes are comparable
 // to the capacity — greedy's worst regime (pure knapsack). The exchange
 // pass keeps it within a moderate factor of exact, and it must never
@@ -176,20 +187,14 @@ func TestGreedyNearOptimalAdversarial(t *testing.T) {
 		jobs := randomInstance(rng, n)
 		capacity := 500 + rng.Float64()*2000
 
-		exactCfg := DefaultConfig()
-		exact, err := Solve(jobs, capacity, cm, exactCfg)
+		exact, err := Solve(jobs, capacity, cm, DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !exact.Exact {
 			continue
 		}
-		greedyCfg := DefaultConfig()
-		greedyCfg.ExactLimit = 1 // force greedy path
-		greedy, err := Solve(jobs, capacity, cm, greedyCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		greedy := solveGreedyOnly(jobs, capacity, cm)
 		if !Feasible(jobs, greedy.OnSSD, capacity) {
 			t.Fatalf("trial %d: greedy infeasible", trial)
 		}
@@ -237,12 +242,7 @@ func TestGreedyNearOptimalSmallJobs(t *testing.T) {
 		if !exact.Exact {
 			continue
 		}
-		greedyCfg := DefaultConfig()
-		greedyCfg.ExactLimit = 1
-		greedy, err := Solve(jobs, capacity, cm, greedyCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		greedy := solveGreedyOnly(jobs, capacity, cm)
 		if !Feasible(jobs, greedy.OnSSD, capacity) {
 			t.Fatalf("trial %d: greedy infeasible", trial)
 		}

@@ -75,7 +75,7 @@ func tracedRanking(tb testing.TB, model *core.CategoryModel, f *perf.Fixture) *p
 func TestPreparedMatchesPerJob(t *testing.T) {
 	f, model := poolFixture(t)
 	tr := &trace.Trace{Cluster: "C0", Jobs: f.Pool}
-	cfg := sim.Config{SSDQuota: 0.05 * tr.PeakSSDUsage(), KeepRecords: true, TimelineStep: 3600}
+	cfg := sim.Config{SSDQuota: 0.05 * tr.PeakSSDUsage(), KeepRecords: true}
 	rcfg := rebalance.Config{HalfLifeSec: 6 * 3600, SolveIntervalSec: 3600}
 	cats := model.Categories(f.Pool, nil)
 

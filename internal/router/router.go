@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,6 +62,27 @@ func DefaultConfig(nodes []string) Config {
 		MaxReroutes:   2,
 		Client:        ccfg,
 	}
+}
+
+// ParseNodes turns a comma-separated node list, as the commands' -nodes
+// flag takes it, into base URLs: blanks are skipped and a bare
+// host:port gets "http://".
+func ParseNodes(list string) ([]string, error) {
+	var urls []string
+	for _, n := range strings.Split(list, ",") {
+		n = strings.TrimSpace(n)
+		if n == "" {
+			continue
+		}
+		if !strings.HasPrefix(n, "http://") && !strings.HasPrefix(n, "https://") {
+			n = "http://" + n
+		}
+		urls = append(urls, n)
+	}
+	if len(urls) == 0 {
+		return nil, fmt.Errorf("-nodes has no addresses")
+	}
+	return urls, nil
 }
 
 // node is the router's view of one placementd instance.

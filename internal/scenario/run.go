@@ -408,6 +408,20 @@ func runServe(spec *Spec) (*RunResult, error) {
 	}, nil
 }
 
+// onlineConfig maps the spec onto the learner's configuration: the one
+// mapping the online and fleet runners share.
+func (s *Spec) onlineConfig() online.Config {
+	c := online.DefaultConfig(s.Train.categories())
+	c.Train = s.trainOptions()
+	c.Window.MaxCount = s.Run.windowMax()
+	c.RetrainEverySec = s.Run.retrainSec()
+	c.Drift.TVThreshold = s.Run.DriftTV
+	c.Drift.MinSamples = s.Run.minRetrainJobs()
+	c.MinRetrainJobs = s.Run.minRetrainJobs()
+	c.GateEpsilonPct = s.Run.gateEpsPct()
+	return c
+}
+
 // runOnline replays the test half through the full closed loop:
 // server decisions, outcome feedback, synchronous gated retrains and
 // hot swaps. Every retrain attempt becomes one deterministic report
@@ -424,14 +438,7 @@ func runOnline(spec *Spec) (*RunResult, error) {
 	defer srv.Close()
 
 	var events []online.Event
-	lcfg := online.DefaultConfig(spec.Train.categories())
-	lcfg.Train = spec.trainOptions()
-	lcfg.Window.MaxCount = spec.Run.windowMax()
-	lcfg.RetrainEverySec = spec.Run.retrainSec()
-	lcfg.Drift.TVThreshold = spec.Run.DriftTV
-	lcfg.Drift.MinSamples = spec.Run.minRetrainJobs()
-	lcfg.MinRetrainJobs = spec.Run.minRetrainJobs()
-	lcfg.GateEpsilonPct = spec.Run.gateEpsPct()
+	lcfg := spec.onlineConfig()
 	lcfg.OnEvent = func(ev online.Event) { events = append(events, ev) }
 	learner, err := online.New(reg, spec.Name, e.cm, lcfg)
 	if err != nil {
@@ -488,15 +495,8 @@ func runFleet(spec *Spec) (*RunResult, error) {
 	fcfg.Train = spec.trainOptions()
 	fcfg.DonorCluster = f.Donor
 	if f.Online {
-		ocfg := online.DefaultConfig(spec.Train.categories())
-		ocfg.Train = spec.trainOptions()
-		ocfg.Window.MaxCount = spec.Run.windowMax()
+		ocfg := spec.onlineConfig()
 		ocfg.Window.HorizonSec = f.Days * 24 * 3600
-		ocfg.RetrainEverySec = spec.Run.retrainSec()
-		ocfg.Drift.TVThreshold = spec.Run.DriftTV
-		ocfg.Drift.MinSamples = spec.Run.minRetrainJobs()
-		ocfg.MinRetrainJobs = spec.Run.minRetrainJobs()
-		ocfg.GateEpsilonPct = spec.Run.gateEpsPct()
 		fcfg.Online = &ocfg
 	}
 	rep, err := fleet.Run(fcfg)

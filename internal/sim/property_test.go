@@ -97,7 +97,7 @@ func TestSimulatorConservationRandomized(t *testing.T) {
 			// heap's partial-residency path.
 			p = evictingRandom{randomPolicy: p.(randomPolicy), after: 600 + 3600*rng.Float64()}
 		}
-		res, err := Run(tr, p, cm, Config{SSDQuota: quota, KeepRecords: true, TimelineStep: 1800})
+		res, err := Run(tr, p, cm, Config{SSDQuota: quota, KeepRecords: true})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -117,15 +117,6 @@ func TestSimulatorConservationRandomized(t *testing.T) {
 		}
 		if res.SSDPeakUsed > quota*(1+1e-9)+1 {
 			t.Fatalf("trial %d: peak %g exceeds quota %g", trial, res.SSDPeakUsed, quota)
-		}
-		for _, pt := range res.Timeline {
-			if pt.Used > pt.Quota*(1+1e-9)+1 {
-				t.Fatalf("trial %d: timeline usage %g exceeds quota %g at t=%g",
-					trial, pt.Used, pt.Quota, pt.At)
-			}
-			if pt.Used < 0 {
-				t.Fatalf("trial %d: negative usage %g at t=%g", trial, pt.Used, pt.At)
-			}
 		}
 	}
 }

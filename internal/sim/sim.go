@@ -89,13 +89,6 @@ type Record struct {
 	TCIOSaved float64
 }
 
-// TimelinePoint samples SSD usage over time.
-type TimelinePoint struct {
-	At    float64
-	Used  float64
-	Quota float64
-}
-
 // Result aggregates a simulation run.
 type Result struct {
 	PolicyName  string
@@ -106,7 +99,6 @@ type Result struct {
 	TCOSaved    float64
 	TCIOSaved   float64
 	SSDPeakUsed float64
-	Timeline    []TimelinePoint
 }
 
 // TCOSavingsPercent returns TCO savings relative to the all-HDD
@@ -134,8 +126,6 @@ type Config struct {
 	// KeepRecords retains per-job records (needed by some analyses;
 	// disable for large sweeps to save memory).
 	KeepRecords bool
-	// TimelineStep, if positive, samples SSD usage every step seconds.
-	TimelineStep float64
 }
 
 // release is a scheduled return of SSD bytes.
@@ -222,7 +212,6 @@ func Run(tr *trace.Trace, p Policy, cm *cost.Model, cfg Config) (*Result, error)
 	releases := releaseHeaps.Get().(*releaseHeap)
 	defer releaseHeaps.Put(releases)
 	*releases = (*releases)[:0]
-	nextSample := 0.0
 	// Byte quantities are ~1e9-1e12, so accumulation drift is well above
 	// any absolute epsilon; tolerances scale with the quota.
 	eps := 1e-9 * (cfg.SSDQuota + 1)
@@ -237,12 +226,6 @@ func Run(tr *trace.Trace, p Policy, cm *cost.Model, cfg Config) (*Result, error)
 			}
 			if used < 0 {
 				used = 0
-			}
-		}
-		if cfg.TimelineStep > 0 {
-			for nextSample <= now {
-				res.Timeline = append(res.Timeline, TimelinePoint{At: nextSample, Used: used, Quota: cfg.SSDQuota})
-				nextSample += cfg.TimelineStep
 			}
 		}
 

@@ -213,23 +213,6 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-func TestRunTimeline(t *testing.T) {
-	cm := cost.Default()
-	tr := mkTrace(job("a", 0, 100, 1e9), job("b", 250, 100, 1e9))
-	res, err := Run(tr, always{}, cm, Config{SSDQuota: 1e10, TimelineStep: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Timeline) < 2 {
-		t.Fatalf("timeline has %d points", len(res.Timeline))
-	}
-	for _, p := range res.Timeline {
-		if p.Used > p.Quota {
-			t.Errorf("timeline point %+v exceeds quota", p)
-		}
-	}
-}
-
 func TestRunAll(t *testing.T) {
 	cm := cost.Default()
 	tr := mkTrace(job("a", 0, 100, 1e9))
@@ -253,7 +236,7 @@ func TestRunInvariantNeverExceedsQuota(t *testing.T) {
 	cfg.DurationSec = 24 * 3600
 	tr := trace.NewGenerator(cfg).Generate()
 	quota := tr.PeakSSDUsage() * 0.02
-	res, err := Run(tr, always{}, cm, Config{SSDQuota: quota, TimelineStep: 600})
+	res, err := Run(tr, always{}, cm, Config{SSDQuota: quota})
 	if err != nil {
 		t.Fatal(err) // Run itself errors if usage exceeds quota
 	}

@@ -241,17 +241,6 @@ func (t *Trace) PeakSSDUsage() float64 {
 	return peak
 }
 
-// FilterTime returns the jobs arriving in [from, to).
-func (t *Trace) FilterTime(from, to float64) *Trace {
-	out := &Trace{Cluster: t.Cluster}
-	for _, j := range t.Jobs {
-		if j.ArrivalSec >= from && j.ArrivalSec < to {
-			out.Jobs = append(out.Jobs, j)
-		}
-	}
-	return out
-}
-
 // Filter returns the jobs for which keep returns true.
 func (t *Trace) Filter(keep func(*Job) bool) *Trace {
 	out := &Trace{Cluster: t.Cluster}
@@ -295,20 +284,6 @@ func (t *Trace) Users() []string {
 	out := make([]string, 0, len(set))
 	for u := range set {
 		out = append(out, u)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Pipelines returns the distinct pipelines in the trace, sorted.
-func (t *Trace) Pipelines() []string {
-	set := map[string]bool{}
-	for _, j := range t.Jobs {
-		set[j.Pipeline] = true
-	}
-	out := make([]string, 0, len(set))
-	for p := range set {
-		out = append(out, p)
 	}
 	sort.Strings(out)
 	return out
