@@ -204,10 +204,8 @@ func (f *front) handlePlace(w http.ResponseWriter, r *http.Request) {
 		writeRouteError(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
 	sc.out = append(wire.AppendPlaceResponseJSON(sc.out[:0], decisions), '\n')
-	_, _ = w.Write(sc.out)
+	rpc.WritePlaceJSON(w, sc.out)
 }
 
 // handleOutcome serves POST /v1/outcome and routes the feedback to the

@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -40,29 +42,7 @@ func TestFrontEndpoints(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model and starts a 2-node plane")
 	}
-	gcfg := trace.DefaultGeneratorConfig("front-test", 11)
-	gcfg.DurationSec = 24 * 3600
-	gcfg.NumUsers = 4
-	tr := trace.NewGenerator(gcfg).Generate()
-	cm := cost.Default()
-	opts := core.DefaultTrainOptions()
-	opts.NumCategories = 4
-	opts.GBDT.NumRounds = 3
-	opts.GBDT.MaxDepth = 4
-	model, err := core.TrainCategoryModel(tr.Jobs, cm, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := registry.New()
-	if _, err := src.Publish("m", model, 0); err != nil {
-		t.Fatal(err)
-	}
-	plane, err := router.NewPlane(src, "m", cm, rpc.DefaultConfig(4), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plane.Close()
-
+	all, plane := startPlane(t, "front-test", 11, rpc.DefaultConfig(4), 2)
 	rcfg := router.DefaultConfig(plane.URLs())
 	rcfg.ProbeInterval = 25 * time.Millisecond
 	rt, err := router.New(rcfg)
@@ -74,7 +54,7 @@ func TestFrontEndpoints(t *testing.T) {
 	srv := httptest.NewServer(f.handler())
 	defer srv.Close()
 
-	jobs := tr.Jobs[:40]
+	jobs := all[:40]
 	body, _ := json.Marshal(wire.PlaceRequest{Jobs: jobs})
 	resp, err := http.Post(srv.URL+wire.PathPlace, "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -194,30 +174,9 @@ func TestFrontCrossTierTracing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model and starts a 2-node plane")
 	}
-	gcfg := trace.DefaultGeneratorConfig("front-trace-test", 7)
-	gcfg.DurationSec = 24 * 3600
-	gcfg.NumUsers = 4
-	tr := trace.NewGenerator(gcfg).Generate()
-	cm := cost.Default()
-	opts := core.DefaultTrainOptions()
-	opts.NumCategories = 4
-	opts.GBDT.NumRounds = 3
-	opts.GBDT.MaxDepth = 4
-	model, err := core.TrainCategoryModel(tr.Jobs, cm, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := registry.New()
-	if _, err := src.Publish("m", model, 0); err != nil {
-		t.Fatal(err)
-	}
 	dcfg := rpc.DefaultConfig(4)
 	dcfg.TraceSampleEvery = 1 // trace every request on the daemons too
-	plane, err := router.NewPlane(src, "m", cm, dcfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plane.Close()
+	jobs, plane := startPlane(t, "front-trace-test", 7, dcfg, 2)
 
 	rt, err := router.New(router.DefaultConfig(plane.URLs()))
 	if err != nil {
@@ -233,7 +192,7 @@ func TestFrontCrossTierTracing(t *testing.T) {
 	srv := httptest.NewServer(f.handler())
 	defer srv.Close()
 
-	body, _ := json.Marshal(wire.PlaceRequest{Jobs: tr.Jobs[:16]})
+	body, _ := json.Marshal(wire.PlaceRequest{Jobs: jobs[:16]})
 	resp, err := http.Post(srv.URL+wire.PathPlace, "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -302,30 +261,9 @@ func TestFrontBadRequestIs400(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model and starts a plane")
 	}
-	gcfg := trace.DefaultGeneratorConfig("front-bad-request", 5)
-	gcfg.DurationSec = 24 * 3600
-	gcfg.NumUsers = 4
-	tr := trace.NewGenerator(gcfg).Generate()
-	cm := cost.Default()
-	opts := core.DefaultTrainOptions()
-	opts.NumCategories = 4
-	opts.GBDT.NumRounds = 3
-	opts.GBDT.MaxDepth = 4
-	model, err := core.TrainCategoryModel(tr.Jobs, cm, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := registry.New()
-	if _, err := src.Publish("m", model, 0); err != nil {
-		t.Fatal(err)
-	}
 	dcfg := rpc.DefaultConfig(4)
 	dcfg.MaxBatch = 4
-	plane, err := router.NewPlane(src, "m", cm, dcfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plane.Close()
+	jobs, plane := startPlane(t, "front-bad-request", 5, dcfg, 1)
 	rt, err := router.New(router.DefaultConfig(plane.URLs()))
 	if err != nil {
 		t.Fatal(err)
@@ -346,10 +284,10 @@ func TestFrontBadRequestIs400(t *testing.T) {
 		_ = json.NewDecoder(resp.Body).Decode(&er)
 		return resp.StatusCode, er.Error
 	}
-	if status, msg := post(tr.Jobs[:4]); status != http.StatusOK {
+	if status, msg := post(jobs[:4]); status != http.StatusOK {
 		t.Fatalf("4 jobs answered %d (%s), want 200", status, msg)
 	}
-	status, msg := post(tr.Jobs[:5])
+	status, msg := post(jobs[:5])
 	if status != http.StatusBadRequest {
 		t.Errorf("5 jobs over a MaxBatch-4 node answered %d (%s), want 400", status, msg)
 	}
@@ -361,7 +299,83 @@ func TestFrontBadRequestIs400(t *testing.T) {
 	}
 
 	plane.Close()
-	if status, msg := post(tr.Jobs[:4]); status != http.StatusServiceUnavailable {
+	if status, msg := post(jobs[:4]); status != http.StatusServiceUnavailable {
 		t.Errorf("place with the only node down answered %d (%s), want 503", status, msg)
 	}
+}
+
+// TestPlaceResponseFraming pins how both JSON place shells, the front's
+// and a daemon's, send their answer (rpc.WritePlaceJSON): a body of 64
+// decisions, past what net/http buffers before it chunks, goes out with
+// its Content-Length and the one JSON content type, not chunked.
+func TestPlaceResponseFraming(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a model and starts a plane")
+	}
+	jobs, plane := startPlane(t, "front-framing", 3, rpc.DefaultConfig(4), 1)
+	rt, err := router.New(router.DefaultConfig(plane.URLs()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	srv := httptest.NewServer((&front{router: rt, maxBatch: 4096}).handler())
+	defer srv.Close()
+
+	body, _ := json.Marshal(wire.PlaceRequest{Jobs: jobs[:64]})
+	for _, shell := range []struct{ name, url string }{
+		{"front", srv.URL},
+		{"daemon", plane.URLs()[0]},
+	} {
+		resp, err := http.Post(shell.url+wire.PathPlace, wire.ContentTypeJSON, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: place answered %d (%v)", shell.name, resp.StatusCode, err)
+		}
+		if resp.ContentLength != int64(len(got)) || resp.Header.Get("Content-Length") != strconv.Itoa(len(got)) {
+			t.Errorf("%s: Content-Length %q for a %d-byte body", shell.name, resp.Header.Get("Content-Length"), len(got))
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != wire.ContentTypeJSON {
+			t.Errorf("%s: Content-Type %q, want %q", shell.name, ct, wire.ContentTypeJSON)
+		}
+		if resp.TransferEncoding != nil {
+			t.Errorf("%s: Transfer-Encoding %q, want none", shell.name, resp.TransferEncoding)
+		}
+		if len(got) <= 2048 {
+			t.Errorf("%s: %d-byte body is within what net/http sizes by itself", shell.name, len(got))
+		}
+	}
+}
+
+// startPlane trains a small model on a generated one-day trace and
+// starts an n-node plane serving it under dcfg, closed when the test
+// ends. It returns the trace's jobs and the plane.
+func startPlane(t *testing.T, name string, seed int64, dcfg rpc.Config, n int) ([]*trace.Job, *router.Plane) {
+	t.Helper()
+	gcfg := trace.DefaultGeneratorConfig(name, seed)
+	gcfg.DurationSec = 24 * 3600
+	gcfg.NumUsers = 4
+	tr := trace.NewGenerator(gcfg).Generate()
+	cm := cost.Default()
+	opts := core.DefaultTrainOptions()
+	opts.NumCategories = 4
+	opts.GBDT.NumRounds = 3
+	opts.GBDT.MaxDepth = 4
+	model, err := core.TrainCategoryModel(tr.Jobs, cm, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := registry.New()
+	if _, err := src.Publish("m", model, 0); err != nil {
+		t.Fatal(err)
+	}
+	plane, err := router.NewPlane(src, "m", cm, dcfg, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(plane.Close)
+	return tr.Jobs, plane
 }

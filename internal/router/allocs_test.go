@@ -16,15 +16,17 @@ import (
 // measurement. Both operations are frames on the node clients' pooled
 // stream sessions. One routed outcome measures 0 — its owner decodes the
 // frame in place and, with no learner or observer attached, copies
-// nothing — against 107 as a JSON post and 2 while the serving core kept
+// nothing — against 101 as a JSON post and 2 while the serving core kept
 // the job in a shard queue; it gets 1 of headroom. One routed 64-job
-// place measures 5: the decisions it returns and, per node, the dispatch
-// goroutine's closure and the decisions the node client hands back; the
-// routing state is pooled scratch. It measured 241 while each node
-// dispatch was a net/http request (about 200 of them) and grouping and
-// assignment allocated per call (38); the budget leaves 3 of headroom.
-// (sync.Pool drops items at random under the race detector, hence the
-// build tag.)
+// place measures 2: the decisions it returns and the closure of the one
+// dispatch goroutine it spawns. The other node's batch goes out on the
+// caller's goroutine, and both nodes' decisions land in buffers kept in
+// the pooled routing scratch. It measured 5 while every node batch had a
+// goroutine of its own and each node client handed back a fresh slice
+// (2 × 2 + 1), and 241 while each node dispatch was a net/http request
+// (about 200 of them) and grouping and assignment allocated per call
+// (38); the budget leaves 2 of headroom. (sync.Pool drops items at
+// random under the race detector, hence the build tag.)
 func TestRouterSteadyStateAllocs(t *testing.T) {
 	fx := testFixture(t)
 	p, _ := newTestPlane(t, 2)
@@ -45,7 +47,7 @@ func TestRouterSteadyStateAllocs(t *testing.T) {
 		budget float64
 	}{
 		{"observe", func() error { return r.Observe(ctx, jobs[0], 1, o) }, 1},
-		{"place", func() error { _, err := r.Place(ctx, jobs); return err }, 8},
+		{"place", func() error { _, err := r.Place(ctx, jobs); return err }, 4},
 	} {
 		call := func() {
 			if err := tc.call(); err != nil {

@@ -12,6 +12,7 @@
 //     routing, and a seed change re-deals the whole ring.
 //   - Router: per-node rpc.Clients behind bounded-load routing with
 //     health probing, shed-aware weight decay and reroute-on-failure.
+//     Node clients AppendPlace into pooled buffers cleared after use.
 //   - Replicator: bridges a source registry's Subscribe seam to every
 //     node's registry, so gated model publishes (and rollbacks)
 //     propagate fleet-wide with aligned version numbers.

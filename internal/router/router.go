@@ -160,8 +160,8 @@ type Router struct {
 	nodes map[string]*node
 
 	// scratch pools the per-call routing state of Place (*routeScratch),
-	// so a routed place allocates only what it returns and what its node
-	// dispatches cost.
+	// node decisions buffers included, so a routed place allocates only
+	// what it returns and a closure per dispatch goroutine it spawns.
 	scratch sync.Pool
 
 	probeStop chan struct{}
@@ -369,16 +369,18 @@ func (r *Router) Place(ctx context.Context, jobs []*trace.Job) ([]wire.Decision,
 			r.counters.failures.Add(1)
 			return nil, ctx.Err()
 		}
+		stuck := 0
 		for _, f := range failed {
 			if clientFault(f.err) {
 				r.counters.failures.Add(1)
 				return nil, f.err
 			}
+			stuck += len(f.indices)
 		}
 		if attempt >= r.cfg.MaxReroutes {
 			r.counters.failures.Add(1)
 			return nil, fmt.Errorf("router: %d jobs still failing after %d reroutes: %w",
-				countJobs(failed), attempt, failed[0].err)
+				stuck, attempt, failed[0].err)
 		}
 		// Re-split the failed node batches back into template groups and
 		// re-route with the failed nodes excluded for this batch. The next
@@ -521,13 +523,14 @@ func (sc *routeScratch) groupByTemplate(jobs []*trace.Job) []group {
 }
 
 // nodeBatch is the merged per-node dispatch unit: the groups a node
-// owns this attempt, their flattened job positions and the jobs at
-// those positions.
+// owns this attempt, their flattened job positions, the jobs at those
+// positions and the buffer the node's decisions for them land in.
 type nodeBatch struct {
 	url     string
 	groups  []group
 	indices []int
 	sub     []*trace.Job
+	ds      []wire.Decision
 	err     error
 }
 
@@ -616,47 +619,18 @@ func (r *Router) assign(sc *routeScratch, groups []group, excluded map[string]bo
 
 // dispatch sends every node batch concurrently, scatters decisions into
 // out at their original positions, and returns the batches whose node
-// failed (marking those nodes down).
+// failed (marking those nodes down). The last goes out on the caller's
+// goroutine, which would otherwise only wait.
 func (r *Router) dispatch(ctx context.Context, sc *routeScratch, jobs []*trace.Job, out []wire.Decision, batches []*nodeBatch) []*nodeBatch {
-	for _, nb := range batches {
-		nb := nb
+	last := len(batches) - 1
+	for _, nb := range batches[:last] {
 		sc.wg.Add(1)
 		go func() {
 			defer sc.wg.Done()
-			r.mu.RLock()
-			n := r.nodes[nb.url]
-			r.mu.RUnlock()
-			nb.sub = nb.sub[:0]
-			for _, idx := range nb.indices {
-				nb.sub = append(nb.sub, jobs[idx])
-			}
-			dispatchStart := time.Now()
-			ds, err := n.client.Place(ctx, nb.sub)
-			dispatchDur := time.Since(dispatchStart)
-			clear(nb.sub) // the pool must not keep the caller's jobs alive
-			n.dispatchLat.Record(dispatchDur.Nanoseconds())
-			obs.TraceFrom(ctx).Span("router.dispatch", nb.url, dispatchStart, dispatchDur)
-			n.mu.Lock()
-			n.inflight -= int64(len(nb.indices))
-			if err != nil && ctx.Err() == nil && !clientFault(err) {
-				// Any other dispatch failure — connection refused, a session
-				// broken mid-frame, retries exhausted — downs the node until
-				// a probe brings it back; the batch reroutes.
-				if n.healthy {
-					n.healthy = false
-					r.counters.failovers.Add(1)
-				}
-			}
-			n.mu.Unlock()
-			if err != nil {
-				nb.err = err
-				return
-			}
-			for i, idx := range nb.indices {
-				out[idx] = ds[i]
-			}
+			r.send(ctx, jobs, out, nb)
 		}()
 	}
+	r.send(ctx, jobs, out, batches[last])
 	sc.wg.Wait()
 	sc.failed = sc.failed[:0]
 	for _, nb := range batches {
@@ -667,11 +641,38 @@ func (r *Router) dispatch(ctx context.Context, sc *routeScratch, jobs []*trace.J
 	return sc.failed
 }
 
-// countJobs sums the job positions across node batches.
-func countJobs(batches []*nodeBatch) int {
-	n := 0
-	for _, nb := range batches {
-		n += len(nb.indices)
+// send places one node batch into its pooled decisions buffer and
+// scatters them into out, or records the failure in nb.err.
+func (r *Router) send(ctx context.Context, jobs []*trace.Job, out []wire.Decision, nb *nodeBatch) {
+	r.mu.RLock()
+	n := r.nodes[nb.url]
+	r.mu.RUnlock()
+	nb.sub = nb.sub[:0]
+	for _, idx := range nb.indices {
+		nb.sub = append(nb.sub, jobs[idx])
 	}
-	return n
+	dispatchStart := time.Now()
+	nb.ds, nb.err = n.client.AppendPlace(ctx, nb.ds[:0], nb.sub)
+	dispatchDur := time.Since(dispatchStart)
+	clear(nb.sub) // the pool must not keep the caller's jobs alive
+	n.dispatchLat.Record(dispatchDur.Nanoseconds())
+	obs.TraceFrom(ctx).Span("router.dispatch", nb.url, dispatchStart, dispatchDur)
+	n.mu.Lock()
+	n.inflight -= int64(len(nb.indices))
+	if nb.err != nil && ctx.Err() == nil && !clientFault(nb.err) {
+		// Any other dispatch failure — connection refused, a session
+		// broken mid-frame, retries exhausted — downs the node until
+		// a probe brings it back; the batch reroutes.
+		if n.healthy {
+			n.healthy = false
+			r.counters.failovers.Add(1)
+		}
+	}
+	n.mu.Unlock()
+	if nb.err == nil {
+		for i, idx := range nb.indices {
+			out[idx] = nb.ds[i]
+		}
+	}
+	clear(nb.ds[:cap(nb.ds)]) // nor their job IDs, wherever a failed decode left them
 }

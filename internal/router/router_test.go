@@ -2,9 +2,12 @@ package router
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -239,10 +242,29 @@ func TestRouterObserveSurvivesOwnerRestart(t *testing.T) {
 
 // TestRouterReroutesAroundDeadNode kills one node and checks every
 // batch still places: dispatches to the dead node fail over to the
-// next ring owner with zero caller-visible errors, and the router
-// marks the node down.
+// next ring owner with zero caller-visible errors, every decision sits
+// at its job's position, and the router marks the node down. A place
+// sends its last node batch on the caller's goroutine and the others on
+// goroutines of their own, so the table kills each node in turn with its
+// batch sent either way: the first batch is ordered so the dead node's
+// template comes last (inline) or first (spawned). Afterwards no pooled
+// node batch may still hold a decision.
 func TestRouterReroutesAroundDeadNode(t *testing.T) {
 	fx := testFixture(t)
+	for dead := 0; dead < 3; dead++ {
+		for _, inline := range []bool{true, false} {
+			way := "spawned"
+			if inline {
+				way = "inline"
+			}
+			t.Run(fmt.Sprintf("node %d %s", dead, way), func(t *testing.T) {
+				rerouteAroundDeadNode(t, fx.jobs[:400], dead, inline)
+			})
+		}
+	}
+}
+
+func rerouteAroundDeadNode(t *testing.T, jobs []*trace.Job, dead int, inline bool) {
 	p, _ := newTestPlane(t, 3)
 	// Probes are pushed out of the picture so the dead node is
 	// discovered by the dispatch path itself, not the health loop.
@@ -255,15 +277,50 @@ func TestRouterReroutesAroundDeadNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(r.Close)
+	scratches := trackScratch(r)
 
-	if err := p.Kill(1); err != nil {
+	// The first batch is two single-job groups, one the dead node owns and
+	// one a live node owns, in the order that sends the dead node's batch
+	// the requested way; two jobs stay within every node's load bound.
+	deadURL := p.URLs()[dead]
+	var gone, live *trace.Job
+	for _, j := range jobs {
+		if owner, _ := r.RouteKey(serve.TemplateHash(j)); owner == deadURL {
+			gone = cmp.Or(gone, j)
+		} else {
+			live = cmp.Or(live, j)
+		}
+	}
+	if gone == nil || live == nil {
+		t.Fatalf("the jobs' templates do not spread over the dead node %s and the others", deadURL)
+	}
+	batches := [][]*trace.Job{{gone, live}}
+	if inline {
+		batches[0] = []*trace.Job{live, gone}
+	}
+	order := firstAttempt(r, batches[0])
+	if i := slices.Index(order, deadURL); len(order) != 2 || i < 0 || (i == 1) != inline {
+		t.Fatalf("first batch goes to %q; want the dead node %s and one other, inline %v", order, deadURL, inline)
+	}
+	for lo := 0; lo < len(jobs); lo += 50 {
+		batches = append(batches, jobs[lo:lo+50])
+	}
+
+	if err := p.Kill(dead); err != nil {
 		t.Fatalf("kill: %v", err)
 	}
-	jobs := fx.jobs[:400]
-	for lo := 0; lo < len(jobs); lo += 50 {
-		if _, err := r.Place(context.Background(), jobs[lo:lo+50]); err != nil {
-			t.Fatalf("place at %d with a dead node: %v", lo, err)
+	placed := 0
+	for _, batch := range batches {
+		ds, err := r.Place(context.Background(), batch)
+		if err != nil {
+			t.Fatalf("place at %d with a dead node: %v", placed, err)
 		}
+		for i, d := range ds {
+			if d.JobID != batch[i].ID {
+				t.Fatalf("decision %d carries job %q, want %q", placed+i, d.JobID, batch[i].ID)
+			}
+		}
+		placed += len(batch)
 	}
 	rs := r.Stats()
 	if rs.Failovers < 1 || rs.Reroutes < 1 {
@@ -272,7 +329,6 @@ func TestRouterReroutesAroundDeadNode(t *testing.T) {
 	if rs.Failures != 0 {
 		t.Errorf("router failed %d batches, want 0", rs.Failures)
 	}
-	deadURL := p.URLs()[1]
 	for _, ns := range r.Nodes() {
 		if ns.URL == deadURL && ns.Healthy {
 			t.Error("dead node still marked healthy after failed dispatches")
@@ -280,10 +336,75 @@ func TestRouterReroutesAroundDeadNode(t *testing.T) {
 	}
 
 	// The surviving nodes served everything.
-	total := p.Node(0).Stats().PlaceJobs + p.Node(2).Stats().PlaceJobs
-	if total != int64(len(jobs)) {
-		t.Errorf("survivors served %d placements, want %d", total, len(jobs))
+	var total int64
+	for i := 0; i < 3; i++ {
+		if i != dead {
+			total += p.Node(i).Stats().PlaceJobs
+		}
 	}
+	if total != int64(placed) {
+		t.Errorf("survivors served %d placements, want %d", total, placed)
+	}
+
+	// The decisions buffers were used, and the pool pins no job ID.
+	used := false
+	for _, sc := range scratches() {
+		for url, nb := range sc.byNode {
+			used = used || cap(nb.ds) > 0
+			for i, d := range nb.ds[:cap(nb.ds)] {
+				if d != (wire.Decision{}) {
+					t.Fatalf("pooled batch for %s still holds decision %d: %+v", url, i, d)
+				}
+			}
+		}
+	}
+	if !used {
+		t.Error("no pooled node batch has a decisions buffer")
+	}
+}
+
+// trackScratch makes r's scratch pool record every routing scratch it
+// creates, and returns them on demand: sync.Pool may drop a scratch, so
+// the record is what a test inspects after Place.
+func trackScratch(r *Router) func() []*routeScratch {
+	var mu sync.Mutex
+	var made []*routeScratch
+	newScratch := r.scratch.New
+	r.scratch.New = func() any {
+		sc := newScratch()
+		mu.Lock()
+		made = append(made, sc.(*routeScratch))
+		mu.Unlock()
+		return sc
+	}
+	return func() []*routeScratch {
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.Clone(made)
+	}
+}
+
+// firstAttempt returns the node URLs a place of jobs would dispatch to
+// first, in dispatch order (the last goes out on the caller's
+// goroutine), without placing anything: it runs the router's own
+// grouping and assignment, then hands back the load assignment counts.
+func firstAttempt(r *Router, jobs []*trace.Job) []string {
+	sc := &routeScratch{byKey: map[uint32]int{}, byNode: map[string]*nodeBatch{}}
+	order, err := r.assign(sc, sc.groupByTemplate(jobs), nil)
+	if err != nil {
+		return nil
+	}
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	urls := make([]string, len(order))
+	for i, nb := range order {
+		urls[i] = nb.url
+		n := r.nodes[nb.url]
+		n.mu.Lock()
+		n.inflight -= int64(len(nb.indices))
+		n.mu.Unlock()
+	}
+	return urls
 }
 
 // TestRouterProbeRecovery checks the health loop end to end: a killed

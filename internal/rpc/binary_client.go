@@ -122,27 +122,27 @@ func encodeBinaryPlace(st *clientBinState, jobs []*trace.Job, traceID uint64, sc
 
 // placeFrames runs one frame place operation over s: extract and bin the
 // jobs into the session's scratch under st's schema, drive the frame to
-// its verdict, copy the decisions out.
-func (c *Client) placeFrames(ctx context.Context, s *StreamSession, st *clientBinState, jobs []*trace.Job) ([]wire.Decision, error) {
+// its verdict, append the decisions to dst.
+func (c *Client) placeFrames(ctx context.Context, s *StreamSession, st *clientBinState, dst []wire.Decision, jobs []*trace.Job) ([]wire.Decision, error) {
 	sc := &s.sc
 	if len(jobs) == 0 {
-		return nil, &Error{Op: "place", Code: wire.ErrCodeBadRequest, Message: "place request has no jobs"}
+		return dst, &Error{Op: "place", Code: wire.ErrCodeBadRequest, Message: "place request has no jobs"}
 	}
 	if err := encodeBinaryPlace(st, jobs, obs.TraceID(ctx), sc); err != nil {
-		return nil, err
+		return dst, err
 	}
 	if err := c.run(ctx, s, opPlace, sc, jobs); err != nil {
-		return nil, err
+		return dst, err
 	}
 	if len(sc.bresp.Decisions) != len(jobs) {
-		return nil, fmt.Errorf("rpc: got %d decisions for %d jobs", len(sc.bresp.Decisions), len(jobs))
+		return dst, fmt.Errorf("rpc: got %d decisions for %d jobs", len(sc.bresp.Decisions), len(jobs))
 	}
 	// Copy out of the pooled scratch and restore the job IDs the binary
 	// codec elides (responses answer rows in order).
-	out := make([]wire.Decision, len(jobs))
-	copy(out, sc.bresp.Decisions)
-	for i := range out {
-		out[i].JobID = jobs[i].ID
+	n := len(dst)
+	dst = append(dst, sc.bresp.Decisions...)
+	for i, j := range jobs {
+		dst[n+i].JobID = j.ID
 	}
-	return out, nil
+	return dst, nil
 }

@@ -9,6 +9,7 @@ import (
 	"io"
 	"math/rand/v2"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -86,7 +87,7 @@ type ClientStats struct {
 // use; a single Client is meant to be shared by many goroutines.
 type Client struct {
 	cfg      ClientConfig
-	hc       *http.Client
+	rt       *http.Transport // JSON requests, by bare RoundTrip: the daemon never redirects
 	requests atomic.Int64
 	sheds    atomic.Int64
 	retries  atomic.Int64
@@ -145,13 +146,15 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		return nil, fmt.Errorf("rpc: unknown codec %q (want %q or %q)", cfg.Codec, CodecJSON, CodecBinary)
 	}
 	// The stdlib default of 2 idle conns per host forces reconnects
-	// under any real concurrency; size for loadgen-scale fan-in.
+	// under any real concurrency; size for loadgen-scale fan-in. The
+	// daemon never compresses, so asking for gzip buys nothing.
 	rt := &http.Transport{
 		MaxIdleConns:        256,
 		MaxIdleConnsPerHost: 256,
 		IdleConnTimeout:     90 * time.Second,
+		DisableCompression:  true,
 	}
-	c := &Client{cfg: cfg, hc: &http.Client{Transport: rt}}
+	c := &Client{cfg: cfg, rt: rt}
 	c.scratch.New = func() any { return &clientScratch{} }
 	seed := cfg.JitterSeed
 	if seed == 0 {
@@ -231,44 +234,51 @@ func (c *Client) count(err error) error {
 // attempt (Place returns ctx.Err() without dialling), between attempts
 // and in a backoff sleep.
 func (c *Client) Place(ctx context.Context, jobs []*trace.Job) ([]wire.Decision, error) {
+	return c.AppendPlace(ctx, nil, jobs)
+}
+
+// AppendPlace is Place appending to dst, as strconv.AppendInt does (dst
+// as it came on an error). The caller owns dst: reused, it spares the
+// answer's allocation and holds the jobs' IDs until the caller clears it.
+func (c *Client) AppendPlace(ctx context.Context, dst []wire.Decision, jobs []*trace.Job) (out []wire.Decision, err error) {
 	c.requests.Add(1)
 	if err := ctx.Err(); err != nil {
-		return nil, c.count(err)
+		return dst, c.count(err)
 	}
-	var ds []wire.Decision
-	var err error
+	out = dst
 	if st := c.frameState(ctx); st != nil {
 		err = c.onSession(ctx, func(s *StreamSession) (err error) {
-			ds, err = c.placeFrames(ctx, s, st, jobs)
+			out, err = c.placeFrames(ctx, s, st, dst, jobs)
 			return err
 		})
 	} else {
-		ds, err = c.placeJSON(ctx, jobs)
+		out, err = c.placeJSON(ctx, dst, jobs)
 	}
-	return ds, c.count(err)
+	return out, c.count(err)
 }
 
-// placeJSON is Place as one JSON document each way, written and read by
-// the wire codec in the call's pooled scratch.
-func (c *Client) placeJSON(ctx context.Context, jobs []*trace.Job) ([]wire.Decision, error) {
+// placeJSON is AppendPlace as one JSON document each way, written and
+// read by the wire codec in the call's pooled scratch.
+func (c *Client) placeJSON(ctx context.Context, dst []wire.Decision, jobs []*trace.Job) ([]wire.Decision, error) {
 	sc := c.scratch.Get().(*clientScratch)
 	defer c.scratch.Put(sc)
 	var err error
 	if sc.frame, err = wire.AppendPlaceRequestJSON(sc.frame[:0], jobs); err != nil {
-		return nil, fmt.Errorf("rpc: encoding request: %w", err)
+		return dst, fmt.Errorf("rpc: encoding request: %w", err)
 	}
 	if err := c.run(ctx, nil, operation{method: http.MethodPost, path: wire.PathPlace}, sc, nil); err != nil {
-		return nil, err
+		return dst, err
 	}
-	// The caller keeps the decisions: the one allocation of the exchange.
-	resp := wire.PlaceResponse{Decisions: make([]wire.Decision, 0, len(jobs))}
+	// Decode into dst's spare capacity, grown by one allocation at most.
+	out := slices.Grow(dst, len(jobs))
+	resp := wire.PlaceResponse{Decisions: out[len(dst):]}
 	if err := wire.DecodePlaceResponseJSON(sc.body, &resp, jobs); err != nil {
-		return nil, fmt.Errorf("rpc: decoding response: %w", err)
+		return dst, fmt.Errorf("rpc: decoding response: %w", err)
 	}
 	if len(resp.Decisions) != len(jobs) {
-		return nil, fmt.Errorf("rpc: got %d decisions for %d jobs", len(resp.Decisions), len(jobs))
+		return dst, fmt.Errorf("rpc: got %d decisions for %d jobs", len(resp.Decisions), len(jobs))
 	}
-	return resp.Decisions, nil
+	return append(out, resp.Decisions...), nil
 }
 
 // PlaceOne requests a decision for a single job.
@@ -438,7 +448,7 @@ func (c *Client) Stats() ClientStats {
 // Close releases idle connections and idle stream sessions. The client
 // may not be used after.
 func (c *Client) Close() {
-	c.hc.CloseIdleConnections()
+	c.rt.CloseIdleConnections()
 	c.idleMu.Lock()
 	idle := c.idle
 	c.idle, c.idleClosed = nil, true
@@ -579,14 +589,14 @@ func (c *Client) exchange(ctx context.Context, op operation, sc *clientScratch) 
 		return reply{}, fmt.Errorf("rpc: %w", err)
 	}
 	if body != nil {
-		req.Header.Set("Content-Type", wire.ContentTypeJSON)
+		req.Header["Content-Type"] = contentTypeJSON
 	}
 	// Sampled requests carry their trace ID so the daemon's /tracez can
 	// correlate its server-side spans with the caller's.
 	if tid := obs.TraceID(ctx); tid != 0 {
 		req.Header.Set(wire.TraceHeader, fmt.Sprintf("%016x", tid))
 	}
-	resp, err := c.hc.Do(req)
+	resp, err := c.rt.RoundTrip(req)
 	if err != nil {
 		return reply{}, fmt.Errorf("rpc: %w", err)
 	}

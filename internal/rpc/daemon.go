@@ -18,8 +18,9 @@
 // how a wire code goes out (the httpStatus table with an ErrorResponse,
 // or an error frame). A JSON body is read and its answer written by the wire
 // package's reflection-free codec in the same pooled scratch a frame
-// uses (ReadPlaceJSON, which placementfront's handler shares), so the
-// jobs of a request are the scratch's: good while the pipeline runs,
+// uses (ReadPlaceJSON and WritePlaceJSON, which placementfront's handler
+// shares; the answer goes out with its length, not chunked), so the jobs
+// of a request are the scratch's: good while the pipeline runs,
 // overwritten by the next request. JSON jobs enter the core through
 // serve.SubmitBatch and frames through serve.SubmitEncoded: raw jobs
 // need no bin schema, so the JSON path has no stale-version retry to
@@ -53,6 +54,9 @@
 // otherwise. And one lost-connection rule: a reused session that proves
 // to have died while parked (StreamSession.deadOnUse) re-sends once on a
 // fresh one; a timeout or a garbled reply never does.
+// Client.AppendPlace appends decisions to a slice the caller owns (the
+// router keeps one per pooled node batch and clears it after use); Place
+// is AppendPlace into nil. JSON goes by bare http.Transport.RoundTrip.
 //
 // The daemon adds what in-process serving does not need:
 //
@@ -80,6 +84,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -620,9 +625,18 @@ func (d *Daemon) handlePlace(w http.ResponseWriter, r *http.Request) {
 		d.fail(w, code, msg)
 		return
 	}
-	w.Header().Set("Content-Type", wire.ContentTypeJSON)
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(sc.out)
+	WritePlaceJSON(w, sc.out)
+}
+
+// contentTypeJSON is every JSON request's and place response's type,
+// one shared slice that a header only ever replaces, never edits.
+var contentTypeJSON = []string{wire.ContentTypeJSON}
+
+// WritePlaceJSON sends a whole encoded place response, sized, not chunked.
+func WritePlaceJSON(w http.ResponseWriter, body []byte) {
+	w.Header()["Content-Type"] = contentTypeJSON
+	w.Header()["Content-Length"] = []string{strconv.Itoa(len(body))}
+	_, _ = w.Write(body) // the first write sends the 200
 }
 
 // ReadPlaceJSON is the JSON framing of a place request, for the two HTTP

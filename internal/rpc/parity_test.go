@@ -356,7 +356,7 @@ func TestTransportParity(t *testing.T) {
 				t.Fatalf("restart on %s: %v", addr, err)
 			}
 			defer d.Kill()
-			c.hc.CloseIdleConnections()
+			c.rt.CloseIdleConnections()
 			if row.stream {
 				if _, err := p.place(jobs[:4]); !errors.Is(err, ErrStreamBroken) {
 					t.Errorf("held session across a restart: %v, want a broken stream", err)

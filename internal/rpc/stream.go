@@ -160,7 +160,7 @@ func (s *StreamSession) Place(ctx context.Context, jobs []*trace.Job) ([]wire.De
 	case st == nil:
 		return nil, c.count(errors.New("rpc: stream session has no bin schema"))
 	}
-	ds, err := c.placeFrames(ctx, s, st, jobs)
+	ds, err := c.placeFrames(ctx, s, st, nil, jobs)
 	return ds, c.count(err)
 }
 
