@@ -38,11 +38,7 @@ func Granularity(opts Options) (*GranularityResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	topts := core.DefaultTrainOptions()
-	topts.NumCategories = opts.NumCategories
-	topts.GBDT.NumRounds = opts.GBDTRounds
-	topts.GBDT.Seed = opts.Seed
-
+	topts := opts.trainOptions()
 	clusterModel, err := core.TrainCategoryModelWithLabeler(env.Train.Jobs, env.Cost, labeler, topts)
 	if err != nil {
 		return nil, err
@@ -166,38 +162,23 @@ type LabelDesignRow struct {
 // LabelDesign compares boundary spacings end to end.
 func LabelDesign(opts Options) (*LabelDesignResult, error) {
 	env := BuildEnv(0, opts)
-	topts := core.DefaultTrainOptions()
-	topts.NumCategories = opts.NumCategories
-	topts.GBDT.NumRounds = opts.GBDTRounds
-	topts.GBDT.Seed = opts.Seed
-
 	res := &LabelDesignResult{Cluster: env.Cluster}
 	for _, spacing := range []core.Spacing{core.SpacingQuantile, core.SpacingLinear, core.SpacingLog} {
 		labeler, err := core.FitLabelerSpacing(env.Train.Jobs, env.Cost, opts.NumCategories, spacing)
 		if err != nil {
 			return nil, err
 		}
-		model, err := core.TrainCategoryModelWithLabeler(env.Train.Jobs, env.Cost, labeler, topts)
+		model, err := core.TrainCategoryModelWithLabeler(env.Train.Jobs, env.Cost, labeler, opts.trainOptions())
 		if err != nil {
 			return nil, err
 		}
-		row := LabelDesignRow{Spacing: spacing.String()}
+		tco, err := env.rankingCurve([]float64{0.01, 0.10}, SuiteConfig{Model: model})
+		if err != nil {
+			return nil, err
+		}
+		row := LabelDesignRow{Spacing: spacing.String(), TCOPctAt1: tco[0], TCOPctAt10: tco[1]}
 		row.BalanceEntropy, row.LargestClassFrac = labelBalance(labeler, env.Train.Jobs, env)
 		row.Accuracy = model.Accuracy(env.Test.Jobs, env.Cost)
-		for _, setting := range []struct {
-			frac float64
-			dst  *float64
-		}{{0.01, &row.TCOPctAt1}, {0.10, &row.TCOPctAt10}} {
-			p, err := policy.NewAdaptiveRanking(model, env.Cost, core.DefaultAdaptiveConfig(opts.NumCategories))
-			if err != nil {
-				return nil, err
-			}
-			r, err := sim.Run(env.Test, p, env.Cost, sim.Config{SSDQuota: env.PeakUsage * setting.frac})
-			if err != nil {
-				return nil, err
-			}
-			*setting.dst = r.TCOSavingsPercent()
-		}
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
@@ -275,39 +256,24 @@ func WindowSemantics(opts Options) (*WindowSemanticsResult, error) {
 		Cluster: env.Cluster,
 		Quotas:  []float64{0.005, 0.01, 0.05, 0.1, 0.25},
 	}
-	for _, mode := range []core.WindowMode{core.WindowStartWithin, core.WindowOverlapping} {
-		for _, frac := range res.Quotas {
-			acfg := core.DefaultAdaptiveConfig(model.NumCategories())
-			acfg.WindowMode = mode
-			p, err := policy.NewAdaptiveRanking(model, env.Cost, acfg)
-			if err != nil {
-				return nil, err
-			}
-			r, err := sim.Run(env.Test, p, env.Cost, sim.Config{SSDQuota: env.PeakUsage * frac})
-			if err != nil {
-				return nil, err
-			}
-			if mode == core.WindowStartWithin {
-				res.StartWithin = append(res.StartWithin, r.TCOSavingsPercent())
-			} else {
-				res.Overlapping = append(res.Overlapping, r.TCOSavingsPercent())
-			}
-		}
+	cats := model.Categories(env.Test.Jobs, nil)
+	curve := func(mode core.WindowMode) ([]float64, error) {
+		acfg := core.DefaultAdaptiveConfig(model.NumCategories())
+		acfg.WindowMode = mode
+		return env.rankingCurve(res.Quotas, SuiteConfig{Model: model, Categories: cats, AdaptiveCfg: &acfg})
+	}
+	if res.StartWithin, err = curve(core.WindowStartWithin); err != nil {
+		return nil, err
+	}
+	if res.Overlapping, err = curve(core.WindowOverlapping); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
 
 // Render writes the window-semantics comparison.
 func (r *WindowSemanticsResult) Render(w io.Writer) {
-	var rows [][]string
-	for i, q := range r.Quotas {
-		rows = append(rows, []string{
-			fmt.Sprintf("%.1f%%", q*100),
-			fmt.Sprintf("%.3f", r.StartWithin[i]),
-			fmt.Sprintf("%.3f", r.Overlapping[i]),
-		})
-	}
 	Table(w, "Ablation — look-back window semantics (§4.3), cluster "+r.Cluster,
-		[]string{"quota", "start-within TCO%", "overlapping TCO%"}, rows)
+		[]string{"quota", "start-within TCO%", "overlapping TCO%"}, quotaRows("%.1f%%", r.Quotas, r.StartWithin, r.Overlapping))
 	fmt.Fprintf(w, "paper: start-within estimates current SSD usage more accurately\n")
 }

@@ -1,19 +1,9 @@
 package experiments
 
-import (
-	"bytes"
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestGranularityAblation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("still ~10s under the race detector even on the fast trainer")
-	}
-	res, err := Granularity(testOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quick[*GranularityResult](t, "granularity")
 	if len(res.Rows) != 3 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -37,21 +27,10 @@ func TestGranularityAblation(t *testing.T) {
 		t.Errorf("per-pipeline (%d) should be finer than per-user (%d)",
 			byName["per-pipeline"].NumModels, byName["per-user"].NumModels)
 	}
-	var buf bytes.Buffer
-	res.Render(&buf)
-	if !strings.Contains(buf.String(), "granularity") {
-		t.Error("render missing title")
-	}
 }
 
 func TestLabelDesignAblation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("~5s+ under the race detector even on the fast trainer")
-	}
-	res, err := LabelDesign(testOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quick[*LabelDesignResult](t, "labels")
 	if len(res.Rows) != 3 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -81,18 +60,10 @@ func TestLabelDesignAblation(t *testing.T) {
 	if lg.Accuracy <= 0 || lin.Accuracy <= 0 {
 		t.Error("degenerate accuracy")
 	}
-	var buf bytes.Buffer
-	res.Render(&buf)
-	if !strings.Contains(buf.String(), "label design") {
-		t.Error("render missing title")
-	}
 }
 
 func TestWindowSemanticsAblation(t *testing.T) {
-	res, err := WindowSemantics(testOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quick[*WindowSemanticsResult](t, "window")
 	if len(res.StartWithin) != len(res.Quotas) || len(res.Overlapping) != len(res.Quotas) {
 		t.Fatal("curve lengths wrong")
 	}
@@ -108,10 +79,5 @@ func TestWindowSemanticsAblation(t *testing.T) {
 	}
 	if sw < ov*0.85 {
 		t.Errorf("start-within area %.3f clearly below overlapping %.3f", sw, ov)
-	}
-	var buf bytes.Buffer
-	res.Render(&buf)
-	if !strings.Contains(buf.String(), "window semantics") {
-		t.Error("render missing title")
 	}
 }

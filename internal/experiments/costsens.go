@@ -57,7 +57,9 @@ func CostSensitivity(opts Options) (*CostSensitivityResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("wear x%g: %w", mult, err)
 		}
-		suite, err := env.RunSuite(env.PeakUsage*res.QuotaFrac, SuiteConfig{Model: model})
+		suite, err := env.RunSuite(env.PeakUsage*res.QuotaFrac, SuiteConfig{
+			Methods: []string{policy.NameAdaptiveRanking, policy.NameFirstFit, policy.NameHeuristic}, Model: model,
+		})
 		if err != nil {
 			return nil, err
 		}

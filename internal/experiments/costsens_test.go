@@ -1,19 +1,9 @@
 package experiments
 
-import (
-	"bytes"
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestCostSensitivity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("still ~10s under the race detector even on the fast trainer")
-	}
-	res, err := CostSensitivity(testOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quick[*CostSensitivityResult](t, "costsens")
 	if len(res.Rows) != 5 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -34,10 +24,5 @@ func TestCostSensitivity(t *testing.T) {
 		if row.RankingTCO <= 0 {
 			t.Errorf("wear x%.2f: no savings", row.WearMultiplier)
 		}
-	}
-	var buf bytes.Buffer
-	res.Render(&buf)
-	if !strings.Contains(buf.String(), "wear-rate") {
-		t.Error("render missing title")
 	}
 }

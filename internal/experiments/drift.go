@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/core"
 	"repro/internal/policy"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -30,8 +28,6 @@ type DriftResult struct {
 	Stale     []float64
 	Retrained []float64
 	FirstFit  []float64
-	// Eval set sizes (diagnostics).
-	PreJobs, PostJobs int
 }
 
 // DriftScenario is the spliced workload-evolution environment, shared
@@ -111,59 +107,28 @@ func Drift(opts Options) (*DriftResult, error) {
 		return nil, err
 	}
 
-	peak := eval.PeakSSDUsage()
-	res := &DriftResult{
-		Quotas:   []float64{0.01, 0.05, 0.1, 0.25},
-		PreJobs:  len(pre.Train.Jobs),
-		PostJobs: len(eval.Jobs),
+	res := &DriftResult{Quotas: []float64{0.01, 0.05, 0.1, 0.25}}
+	// Every method replays the post-drift evaluation segment.
+	post := &Env{Cluster: pre.Cluster, Train: sc.Warmup, Test: eval, Cost: pre.Cost, PeakUsage: eval.PeakSSDUsage()}
+	if res.Stale, err = post.rankingCurve(res.Quotas, SuiteConfig{Model: staleModel}); err != nil {
+		return nil, err
+	}
+	if res.Retrained, err = post.rankingCurve(res.Quotas, SuiteConfig{Model: retrainedModel}); err != nil {
+		return nil, err
 	}
 	for _, frac := range res.Quotas {
-		quota := peak * frac
-		stale, err := runRankingOn(eval, staleModel, pre, quota)
+		ff, err := post.RunSuite(post.PeakUsage*frac, SuiteConfig{Methods: []string{policy.NameFirstFit}})
 		if err != nil {
 			return nil, err
 		}
-		retrained, err := runRankingOn(eval, retrainedModel, pre, quota)
-		if err != nil {
-			return nil, err
-		}
-		ff, err := sim.Run(eval, policy.FirstFit{}, pre.Cost, sim.Config{SSDQuota: quota})
-		if err != nil {
-			return nil, err
-		}
-		res.Stale = append(res.Stale, stale)
-		res.Retrained = append(res.Retrained, retrained)
-		res.FirstFit = append(res.FirstFit, ff.TCOSavingsPercent())
+		res.FirstFit = append(res.FirstFit, ff.TCOPercent(policy.NameFirstFit))
 	}
 	return res, nil
 }
 
-// runRankingOn evaluates AdaptiveRanking with the given model on a
-// trace and returns its TCO savings percent.
-func runRankingOn(eval *trace.Trace, model *core.CategoryModel, env *Env, quota float64) (float64, error) {
-	p, err := policy.NewAdaptiveRanking(model, env.Cost,
-		core.DefaultAdaptiveConfig(model.NumCategories()))
-	if err != nil {
-		return 0, err
-	}
-	r, err := sim.Run(eval, p, env.Cost, sim.Config{SSDQuota: quota})
-	if err != nil {
-		return 0, err
-	}
-	return r.TCOSavingsPercent(), nil
-}
-
 // Render writes the drift comparison.
 func (r *DriftResult) Render(w io.Writer) {
-	var rows [][]string
-	for i, q := range r.Quotas {
-		rows = append(rows, []string{
-			fmt.Sprintf("%.0f%%", q*100),
-			fmt.Sprintf("%.3f", r.Stale[i]),
-			fmt.Sprintf("%.3f", r.Retrained[i]),
-			fmt.Sprintf("%.3f", r.FirstFit[i]),
-		})
-	}
 	Table(w, "Extension — workload drift: stale vs retrained model (§2.3)",
-		[]string{"quota", "stale TCO%", "retrained TCO%", "firstfit TCO%"}, rows)
+		[]string{"quota", "stale TCO%", "retrained TCO%", "firstfit TCO%"},
+		quotaRows("%.0f%%", r.Quotas, r.Stale, r.Retrained, r.FirstFit))
 }

@@ -1,16 +1,9 @@
 package experiments
 
-import (
-	"bytes"
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestDriftStaleVsRetrained(t *testing.T) {
-	res, err := Drift(testOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quick[*DriftResult](t, "drift")
 	if len(res.Stale) != len(res.Quotas) {
 		t.Fatal("curve length mismatch")
 	}
@@ -30,9 +23,4 @@ func TestDriftStaleVsRetrained(t *testing.T) {
 		t.Errorf("stale model area %.3f: adaptive layer failed to keep it serviceable", stale)
 	}
 	t.Logf("areas: stale=%.2f retrained=%.2f firstfit=%.2f", stale, retrained, ff)
-	var buf bytes.Buffer
-	res.Render(&buf)
-	if !strings.Contains(buf.String(), "drift") {
-		t.Error("render missing title")
-	}
 }

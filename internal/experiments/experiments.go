@@ -2,19 +2,20 @@
 // paper's evaluation (Section 5 and Appendix C), built on the shared
 // substrates: the trace generator, cost model, simulator, oracle,
 // policies and the prototype deployment stack. Each runner returns a
-// typed result and can render a plain-text report; cmd/experiments and
-// the repository-level benchmarks call the same entry points.
+// typed result that renders a plain-text report; Runners lists them for
+// cmd/experiments and for the golden tests that pin every render.
 package experiments
 
 import (
 	"fmt"
 	"io"
-	"sort"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/gbdt"
 	"repro/internal/oracle"
+	"repro/internal/par"
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -67,6 +68,11 @@ type Env struct {
 	Test      *trace.Trace
 	Cost      *cost.Model
 	PeakUsage float64 // peak SSD usage of the test trace
+
+	// The lifetime-prediction baseline, trained on Train once.
+	mlOnce sync.Once
+	ml     *policy.MLBaseline
+	mlErr  error
 }
 
 // BuildEnv generates cluster idx (0-9 follow the paper's uneven
@@ -96,29 +102,59 @@ func (e *Env) TrainModel(opts Options) (*core.CategoryModel, error) {
 
 // TrainModelOn trains a category model on an explicit job set.
 func TrainModelOn(jobs []*trace.Job, cm *cost.Model, opts Options) (*core.CategoryModel, error) {
+	return core.TrainCategoryModel(jobs, cm, opts.trainOptions())
+}
+
+// trainOptions is the category-model training configuration o scales.
+func (o Options) trainOptions() core.TrainOptions {
 	topts := core.DefaultTrainOptions()
-	topts.NumCategories = opts.NumCategories
-	topts.GBDT.NumRounds = opts.GBDTRounds
-	topts.GBDT.Seed = opts.Seed
-	return core.TrainCategoryModel(jobs, cm, topts)
+	topts.NumCategories = o.NumCategories
+	topts.GBDT.NumRounds = o.GBDTRounds
+	topts.GBDT.Seed = o.Seed
+	return topts
 }
 
 // mlBaselineTTL is the TTL for the lifetime-prediction baseline
 // (Section 3.4); 2 hours covers the hot shuffles in the generated mix.
 const mlBaselineTTL = 2 * 3600
 
-// SuiteConfig selects which methods a policy-suite run includes.
+// mlBaseline returns the lifetime-prediction baseline for one replay. The
+// models are trained on the first call and shared; each replay gets its
+// own Fork, so replays may run side by side.
+func (e *Env) mlBaseline() (*policy.MLBaseline, error) {
+	e.mlOnce.Do(func() {
+		cfg := gbdt.DefaultConfig()
+		cfg.NumRounds = 15
+		e.ml, e.mlErr = policy.TrainMLBaseline(e.Train.Jobs, mlBaselineTTL, cfg)
+	})
+	if e.mlErr != nil {
+		return nil, e.mlErr
+	}
+	return e.ml.Fork(), nil
+}
+
+// SuiteConfig selects what a policy-suite run replays.
 type SuiteConfig struct {
-	Model *core.CategoryModel // required for AdaptiveRanking
+	// Methods names the methods to evaluate (policy.Name* values): a
+	// figure replays only what it renders.
+	Methods []string
+	// Model is required for AdaptiveRanking and AdaptiveTrue, and sets
+	// the category count of every Algorithm 1 method.
+	Model *core.CategoryModel
 	// Categories, when set, is Model.Categories(Env.Test.Jobs): a sweep
 	// that runs the suite at many quotas or controller settings (Fig7,
 	// Fig11, Fig15) classifies the test half once and hands the result
 	// to every run. Nil classifies in the run.
 	Categories  []int32
-	WithOracles bool
-	WithMLBase  bool
-	WithTrueCat bool
 	AdaptiveCfg *core.AdaptiveConfig // nil = default
+}
+
+// adaptive returns the Algorithm 1 settings of the run.
+func (c SuiteConfig) adaptive() core.AdaptiveConfig {
+	if c.AdaptiveCfg != nil {
+		return *c.AdaptiveCfg
+	}
+	return core.DefaultAdaptiveConfig(c.Model.NumCategories())
 }
 
 // SuiteResult maps method name to its simulation result.
@@ -140,11 +176,14 @@ func (s SuiteResult) TCIOPercent(name string) float64 {
 	return 0
 }
 
+// baselineMethods are the non-BYOM baselines a figure compares against.
+var baselineMethods = []string{policy.NameFirstFit, policy.NameHeuristic, policy.NameMLBaseline}
+
 // BestBaselineTCO returns the best TCO savings among the non-BYOM
 // baselines present in the result.
 func (s SuiteResult) BestBaselineTCO() float64 {
 	best := 0.0
-	for _, name := range []string{policy.NameFirstFit, policy.NameHeuristic, policy.NameMLBaseline} {
+	for _, name := range baselineMethods {
 		if v := s.TCOPercent(name); v > best {
 			best = v
 		}
@@ -152,65 +191,83 @@ func (s SuiteResult) BestBaselineTCO() float64 {
 	return best
 }
 
-// RunSuite evaluates the configured methods on the environment's test
-// half at the given quota (bytes).
+// RunSuite evaluates cfg.Methods on the environment's test half at the
+// given quota (bytes). Each method replays independently, so the set
+// run never moves a method's number.
 func (e *Env) RunSuite(quota float64, cfg SuiteConfig) (SuiteResult, error) {
-	acfg := core.DefaultAdaptiveConfig(cfg.Model.NumCategories())
-	if cfg.AdaptiveCfg != nil {
-		acfg = *cfg.AdaptiveCfg
-	}
-
 	var policies []sim.Policy
-	policies = append(policies, policy.FirstFit{})
-
-	heur := policy.NewHeuristic(e.Cost)
-	heur.Prime(e.Train.Jobs)
-	policies = append(policies, heur)
-
-	ranking, err := policy.NewAdaptiveRanking(cfg.Model, e.Cost, acfg)
-	if err != nil {
-		return nil, err
-	}
-	policies = append(policies, ranking.WithCategories(e.Test.Jobs, cfg.Categories))
-
-	hash, err := policy.NewAdaptiveHash(e.Cost, acfg)
-	if err != nil {
-		return nil, err
-	}
-	policies = append(policies, hash)
-
-	if cfg.WithMLBase {
-		mlCfg := gbdt.DefaultConfig()
-		mlCfg.NumRounds = 15
-		ml, err := policy.TrainMLBaseline(e.Train.Jobs, mlBaselineTTL, mlCfg)
+	var oracles []string
+	for _, m := range cfg.Methods {
+		var p sim.Policy
+		var err error
+		switch m {
+		case policy.NameFirstFit:
+			p = policy.FirstFit{}
+		case policy.NameHeuristic:
+			heur := policy.NewHeuristic(e.Cost)
+			heur.Prime(e.Train.Jobs)
+			p = heur
+		case policy.NameAdaptiveRanking:
+			var ranking *policy.AdaptiveRanking
+			if ranking, err = policy.NewAdaptiveRanking(cfg.Model, e.Cost, cfg.adaptive()); err == nil {
+				p = ranking.WithCategories(e.Test.Jobs, cfg.Categories)
+			}
+		case policy.NameAdaptiveHash:
+			p, err = policy.NewAdaptiveHash(e.Cost, cfg.adaptive())
+		case policy.NameAdaptiveTrue:
+			p, err = policy.NewAdaptiveTrue(cfg.Model.Labeler, e.Cost, cfg.adaptive())
+		case policy.NameMLBaseline:
+			p, err = e.mlBaseline()
+		case policy.NameOracleTCO, policy.NameOracleTCIO:
+			oracles = append(oracles, m)
+			continue
+		default:
+			return nil, fmt.Errorf("experiments: unknown method %q", m)
+		}
 		if err != nil {
 			return nil, err
 		}
-		policies = append(policies, ml)
-	}
-	if cfg.WithTrueCat {
-		trueCat, err := policy.NewAdaptiveTrue(cfg.Model.Labeler, e.Cost, acfg)
-		if err != nil {
-			return nil, err
-		}
-		policies = append(policies, trueCat)
+		policies = append(policies, p)
 	}
 
 	results, err := sim.RunAll(e.Test, policies, e.Cost, sim.Config{SSDQuota: quota})
 	if err != nil {
 		return nil, err
 	}
-
-	if cfg.WithOracles {
+	if len(oracles) > 0 {
 		bounds, err := e.OracleBounds(quota)
 		if err != nil {
 			return nil, err
 		}
-		for name, r := range bounds {
-			results[name] = r
+		for _, name := range oracles {
+			results[name] = bounds[name]
 		}
 	}
 	return results, nil
+}
+
+// rankingCurve replays AdaptiveRanking under cfg (Methods aside) at each
+// fraction of the test half's peak usage and returns its TCO savings
+// percents. The test half is classified once, unless cfg hands its
+// categories in.
+func (e *Env) rankingCurve(fracs []float64, cfg SuiteConfig) ([]float64, error) {
+	cfg.Methods = []string{policy.NameAdaptiveRanking}
+	if cfg.Categories == nil {
+		cfg.Categories = cfg.Model.Categories(e.Test.Jobs, nil)
+	}
+	curve := make([]float64, len(fracs))
+	err := par.Each(len(fracs), 0, func(i int) error {
+		suite, err := e.RunSuite(e.PeakUsage*fracs[i], cfg)
+		if err != nil {
+			return fmt.Errorf("quota %.3f: %w", fracs[i], err)
+		}
+		curve[i] = suite.TCOPercent(policy.NameAdaptiveRanking)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return curve, nil
 }
 
 // OracleBounds computes the "best theoretical bound" curves of Fig. 7
@@ -263,23 +320,6 @@ func (e *Env) OracleBounds(quota float64) (map[string]*sim.Result, error) {
 	return out, nil
 }
 
-// RunRankingWithTrace runs only AdaptiveRanking at the quota with
-// controller tracing enabled and returns the result plus the ACT/
-// spillover time series (Fig. 16).
-func (e *Env) RunRankingWithTrace(quota float64, model *core.CategoryModel) (*sim.Result, []core.ACTPoint, error) {
-	acfg := core.DefaultAdaptiveConfig(model.NumCategories())
-	acfg.RecordTrace = true
-	ranking, err := policy.NewAdaptiveRanking(model, e.Cost, acfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := sim.Run(e.Test, ranking, e.Cost, sim.Config{SSDQuota: quota})
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, ranking.ACTTrace(), nil
-}
-
 // QuotaFractions is the standard sweep used by Fig. 7-style plots.
 var QuotaFractions = []float64{0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0}
 
@@ -309,12 +349,32 @@ func Table(w io.Writer, title string, header []string, rows [][]string) {
 	}
 }
 
-// sortedKeys returns map keys in sorted order (deterministic output).
-func sortedKeys(m map[string]*sim.Result) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+// seriesTable renders a table with one column per quota fraction and one
+// row per named series, in names order.
+func seriesTable(w io.Writer, title, first string, quotas []float64, names []string, series map[string][]float64) {
+	header := []string{first}
+	for _, q := range quotas {
+		header = append(header, fmt.Sprintf("%.1f%%", q*100))
 	}
-	sort.Strings(out)
-	return out
+	rows := make([][]string, len(names))
+	for i, name := range names {
+		rows[i] = []string{name}
+		for _, v := range series[name] {
+			rows[i] = append(rows[i], fmt.Sprintf("%.2f", v))
+		}
+	}
+	Table(w, title, header, rows)
+}
+
+// quotaRows returns one table row per quota fraction: the quota as a
+// percentage in format qfmt, then each curve's value there.
+func quotaRows(qfmt string, quotas []float64, curves ...[]float64) [][]string {
+	rows := make([][]string, len(quotas))
+	for i, q := range quotas {
+		rows[i] = []string{fmt.Sprintf(qfmt, q*100)}
+		for _, c := range curves {
+			rows[i] = append(rows[i], fmt.Sprintf("%.3f", c[i]))
+		}
+	}
+	return rows
 }

@@ -8,17 +8,8 @@ import (
 	"repro/internal/policy"
 )
 
-// testOpts keeps experiment tests fast while preserving shapes.
-func testOpts() Options {
-	opts := QuickOptions()
-	opts.Days = 4
-	opts.Users = 8
-	opts.GBDTRounds = 10
-	return opts
-}
-
 func TestBuildEnvSplit(t *testing.T) {
-	opts := testOpts()
+	opts := QuickOptions()
 	env := BuildEnv(0, opts)
 	if len(env.Train.Jobs) == 0 || len(env.Test.Jobs) == 0 {
 		t.Fatalf("empty split: %d/%d", len(env.Train.Jobs), len(env.Test.Jobs))
@@ -41,28 +32,17 @@ func TestBuildEnvSplit(t *testing.T) {
 }
 
 func TestFig1Diversity(t *testing.T) {
-	res, err := Fig1(testOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quick[*Fig1Result](t, "fig1")
 	if len(res.Workloads) != 2 {
 		t.Fatalf("workloads = %d", len(res.Workloads))
 	}
 	if ratio := res.DiversityRatio(); ratio < 10 {
 		t.Errorf("diversity ratio = %.1f, want >= 10 (paper: orders of magnitude)", ratio)
 	}
-	var buf bytes.Buffer
-	res.Render(&buf)
-	if !strings.Contains(buf.String(), "diversity ratio") {
-		t.Error("render missing summary")
-	}
 }
 
 func TestHeadroomOracleDominates(t *testing.T) {
-	res, err := Headroom(testOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quick[*HeadroomResult](t, "headroom")
 	if res.OracleTCOPct <= res.HeuristicTCOPct {
 		t.Errorf("oracle %.3f%% <= heuristic %.3f%%", res.OracleTCOPct, res.HeuristicTCOPct)
 	}
@@ -74,18 +54,10 @@ func TestHeadroomOracleDominates(t *testing.T) {
 	if res.Ratio < 1.2 {
 		t.Errorf("oracle/heuristic ratio = %.2f, want >= 1.2", res.Ratio)
 	}
-	var buf bytes.Buffer
-	res.Render(&buf)
-	if !strings.Contains(buf.String(), "Headroom") {
-		t.Error("render missing title")
-	}
 }
 
 func TestFig4OracleDensityPattern(t *testing.T) {
-	res, err := Fig4(testOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quick[*Fig4Result](t, "fig4")
 	if len(res.Quotas) != 3 {
 		t.Fatalf("quotas = %d", len(res.Quotas))
 	}
@@ -108,14 +80,8 @@ func TestFig4OracleDensityPattern(t *testing.T) {
 }
 
 func TestFig6ClusterSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("still ~10s under the race detector even on the fast trainer")
-	}
-	res, err := Fig6(testOpts(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Clusters) != 3 {
+	res := quick[*Fig6Result](t, "fig6")
+	if len(res.Clusters) != 10 {
 		t.Fatalf("clusters = %d", len(res.Clusters))
 	}
 	wins := 0
@@ -126,26 +92,15 @@ func TestFig6ClusterSweep(t *testing.T) {
 			wins++
 		}
 	}
-	if wins < 2 {
-		t.Errorf("AdaptiveRanking beat AdaptiveHash on only %d/3 clusters", wins)
+	if 3*wins < 2*len(res.Clusters) {
+		t.Errorf("AdaptiveRanking beat AdaptiveHash on only %d/%d clusters", wins, len(res.Clusters))
 	}
 	_, max, mean := res.ImprovementStats()
 	t.Logf("improvement over best baseline: max %.2fx mean %.2fx", max, mean)
-	var buf bytes.Buffer
-	res.Render(&buf)
-	if !strings.Contains(buf.String(), "Fig 6") {
-		t.Error("render missing title")
-	}
 }
 
 func TestFig7QuotaSweepShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow experiment test: skipped in -short mode")
-	}
-	res, err := Fig7(testOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quick[*Fig7Result](t, "fig7")
 	oracleTCO := res.TCOPct[policy.NameOracleTCO]
 	ranking := res.TCOPct[policy.NameAdaptiveRanking]
 	hash := res.TCOPct[policy.NameAdaptiveHash]
@@ -181,10 +136,7 @@ func TestFig7QuotaSweepShape(t *testing.T) {
 }
 
 func TestFig9aInferenceFast(t *testing.T) {
-	res, err := Fig9a(testOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quick[*Fig9aResult](t, "fig9a")
 	if res.NumJobs == 0 {
 		t.Fatal("no jobs timed")
 	}
@@ -199,13 +151,7 @@ func TestFig9aInferenceFast(t *testing.T) {
 }
 
 func TestFig9bAccuracyCurve(t *testing.T) {
-	if testing.Short() {
-		t.Skip("~5s+ under the race detector even on the fast trainer")
-	}
-	res, err := Fig9b(testOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quick[*Fig9bResult](t, "fig9b")
 	if len(res.Sizes) < 3 {
 		t.Fatalf("sizes = %d", len(res.Sizes))
 	}
@@ -217,15 +163,7 @@ func TestFig9bAccuracyCurve(t *testing.T) {
 }
 
 func TestFig9cGroupImportance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("~5s+ under the race detector even on the fast trainer")
-	}
-	opts := testOpts()
-	opts.NumCategories = 6 // fewer binary probes for test speed
-	res, err := Fig9c(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quick[*Fig9cResult](t, "fig9c")
 	if len(res.Groups) != 4 {
 		t.Fatalf("groups = %d", len(res.Groups))
 	}
@@ -252,13 +190,7 @@ func TestFig9cGroupImportance(t *testing.T) {
 }
 
 func TestFig11TrueCategoryClose(t *testing.T) {
-	if testing.Short() {
-		t.Skip("~5s+ under the race detector even on the fast trainer")
-	}
-	res, err := Fig11(testOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quick[*Fig11Result](t, "fig11")
 	if len(res.Predicted) != len(res.Quotas) {
 		t.Fatal("curve length mismatch")
 	}
@@ -276,10 +208,7 @@ func TestFig11TrueCategoryClose(t *testing.T) {
 }
 
 func TestFig16Dynamics(t *testing.T) {
-	res, err := Fig16(testOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quick[*Fig16Result](t, "fig16")
 	if len(res.Series) != 4 {
 		t.Fatalf("series = %d", len(res.Series))
 	}
@@ -297,14 +226,7 @@ func TestFig16Dynamics(t *testing.T) {
 }
 
 func TestTable4CategoryCount(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow experiment test: skipped in -short mode")
-	}
-	opts := testOpts()
-	res, err := Table4(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quick[*Table4Result](t, "tab4")
 	if len(res.Rows) != 5 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -318,11 +240,6 @@ func TestTable4CategoryCount(t *testing.T) {
 	// N=2 accuracy should be the highest.
 	if res.Rows[0].Top1Acc < res.Rows[2].Top1Acc {
 		t.Errorf("N=2 accuracy %.2f below N=15 %.2f", res.Rows[0].Top1Acc, res.Rows[2].Top1Acc)
-	}
-	var buf bytes.Buffer
-	res.Render(&buf)
-	if !strings.Contains(buf.String(), "Table 4") {
-		t.Error("render missing title")
 	}
 }
 

@@ -3,10 +3,12 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"repro/internal/core"
 	"repro/internal/policy"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -27,29 +29,26 @@ func Fig8(opts Options) (*Fig8Result, error) {
 	target := BuildEnv(0, opts)
 	res := &Fig8Result{Quotas: QuotaFractions, TCOPct: map[string][]float64{}}
 
-	models := map[string]*core.CategoryModel{}
 	for i := 0; i < 4; i++ {
 		env := BuildEnv(i, opts)
 		model, err := env.TrainModel(opts)
 		if err != nil {
 			return nil, fmt.Errorf("training on %s: %w", env.Cluster, err)
 		}
-		models[env.Cluster] = model
-	}
-
-	for _, frac := range res.Quotas {
-		quota := target.PeakUsage * frac
-		for cluster, model := range models {
-			suite, err := target.RunSuite(quota, SuiteConfig{Model: model})
-			if err != nil {
-				return nil, err
-			}
-			res.TCOPct["train "+cluster] = append(res.TCOPct["train "+cluster],
-				suite.TCOPercent(policy.NameAdaptiveRanking))
-			if cluster == "C0" {
-				res.TCOPct["baseline"] = append(res.TCOPct["baseline"], suite.BestBaselineTCO())
-			}
+		curve, err := target.rankingCurve(res.Quotas, SuiteConfig{Model: model})
+		if err != nil {
+			return nil, err
 		}
+		res.TCOPct["train "+env.Cluster] = curve
+	}
+	for _, frac := range res.Quotas {
+		suite, err := target.RunSuite(target.PeakUsage*frac, SuiteConfig{
+			Methods: []string{policy.NameFirstFit, policy.NameHeuristic},
+		})
+		if err != nil {
+			return nil, err
+		}
+		res.TCOPct["baseline"] = append(res.TCOPct["baseline"], suite.BestBaselineTCO())
 	}
 	return res, nil
 }
@@ -61,19 +60,7 @@ func (r *Fig8Result) Render(w io.Writer) {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	header := []string{"series"}
-	for _, q := range r.Quotas {
-		header = append(header, fmt.Sprintf("%.1f%%", q*100))
-	}
-	var rows [][]string
-	for _, k := range keys {
-		row := []string{k}
-		for _, v := range r.TCOPct[k] {
-			row = append(row, fmt.Sprintf("%.2f", v))
-		}
-		rows = append(rows, row)
-	}
-	Table(w, "Fig 8 — workload generalization (all curves evaluated on C0)", header, rows)
+	seriesTable(w, "Fig 8 — workload generalization (all curves evaluated on C0)", "series", r.Quotas, keys, r.TCOPct)
 }
 
 // Fig10Result reproduces Figure 10: generalization to new users and new
@@ -81,6 +68,11 @@ func (r *Fig8Result) Render(w io.Writer) {
 // pipeline) is withheld from training; the with/without curves should
 // nearly coincide.
 type Fig10Result struct {
+	Modes []Fig10Mode // the user mode, then the pipeline mode
+}
+
+// Fig10Mode is one leave-out axis.
+type Fig10Mode struct {
 	Mode     string // "user" or "pipeline"
 	Clusters []Fig10Cluster
 }
@@ -94,56 +86,51 @@ type Fig10Cluster struct {
 	Without  []float64
 }
 
-// Fig10 runs the leave-out experiment over numClusters clusters.
-// mode is "user" or "pipeline".
-func Fig10(opts Options, mode string, numClusters int) (*Fig10Result, error) {
-	if mode != "user" && mode != "pipeline" {
-		return nil, fmt.Errorf("experiments: fig10 mode %q", mode)
-	}
-	res := &Fig10Result{Mode: mode}
+// Fig10 runs the leave-out experiment over numClusters clusters, once
+// withholding a user and once a pipeline. A cluster's full-data model
+// and its "with" curve serve both modes.
+func Fig10(opts Options, numClusters int) (*Fig10Result, error) {
+	res := &Fig10Result{Modes: []Fig10Mode{{Mode: "user"}, {Mode: "pipeline"}}}
 	quotas := []float64{0.01, 0.05, 0.1, 0.25, 0.5, 1.0}
 	for i := 0; i < numClusters; i++ {
 		env := BuildEnv(i, opts)
-		withheld := secondLargestTCOGroup(env, mode)
-		if withheld == "" {
-			continue
-		}
-		keep := func(j *trace.Job) bool {
-			if mode == "user" {
-				return j.User != withheld
+		var with []float64
+		for m := range res.Modes {
+			mode := &res.Modes[m]
+			withheld := secondLargestTCOGroup(env, mode.Mode)
+			if withheld == "" {
+				continue
 			}
-			return j.Pipeline != withheld
-		}
-		trainWithout := env.Train.Filter(keep)
-		if len(trainWithout.Jobs) < 100 {
-			continue
-		}
-		withModel, err := env.TrainModel(opts)
-		if err != nil {
-			return nil, err
-		}
-		withoutModel, err := TrainModelOn(trainWithout.Jobs, env.Cost, opts)
-		if err != nil {
-			return nil, err
-		}
-		fc := Fig10Cluster{Cluster: env.Cluster, Withheld: withheld, Quotas: quotas}
-		for _, frac := range quotas {
-			quota := env.PeakUsage * frac
-			sw, err := env.RunSuite(quota, SuiteConfig{Model: withModel})
+			trainWithout := env.Train.Filter(func(j *trace.Job) bool { return groupOf(j, mode.Mode) != withheld })
+			if len(trainWithout.Jobs) < 100 {
+				continue
+			}
+			if with == nil {
+				withModel, err := env.TrainModel(opts)
+				if err != nil {
+					return nil, err
+				}
+				if with, err = env.rankingCurve(quotas, SuiteConfig{Model: withModel}); err != nil {
+					return nil, err
+				}
+			}
+			withoutModel, err := TrainModelOn(trainWithout.Jobs, env.Cost, opts)
 			if err != nil {
 				return nil, err
 			}
-			so, err := env.RunSuite(quota, SuiteConfig{Model: withoutModel})
+			without, err := env.rankingCurve(quotas, SuiteConfig{Model: withoutModel})
 			if err != nil {
 				return nil, err
 			}
-			fc.With = append(fc.With, sw.TCOPercent(policy.NameAdaptiveRanking))
-			fc.Without = append(fc.Without, so.TCOPercent(policy.NameAdaptiveRanking))
+			mode.Clusters = append(mode.Clusters, Fig10Cluster{
+				Cluster: env.Cluster, Withheld: withheld, Quotas: quotas, With: with, Without: without,
+			})
 		}
-		res.Clusters = append(res.Clusters, fc)
 	}
-	if len(res.Clusters) == 0 {
-		return nil, fmt.Errorf("experiments: fig10 found no eligible clusters")
+	for _, mode := range res.Modes {
+		if len(mode.Clusters) == 0 {
+			return nil, fmt.Errorf("experiments: fig10 found no eligible clusters for new %s", mode.Mode)
+		}
 	}
 	return res, nil
 }
@@ -153,11 +140,7 @@ func Fig10(opts Options, mode string, numClusters int) (*Fig10Result, error) {
 func secondLargestTCOGroup(env *Env, mode string) string {
 	totals := map[string]float64{}
 	for _, j := range env.Test.Jobs {
-		key := j.User
-		if mode == "pipeline" {
-			key = j.Pipeline
-		}
-		totals[key] += env.Cost.TCOHDD(j)
+		totals[groupOf(j, mode)] += env.Cost.TCOHDD(j)
 	}
 	type kv struct {
 		k string
@@ -179,43 +162,38 @@ func secondLargestTCOGroup(env *Env, mode string) string {
 	return items[1].k
 }
 
+// groupOf returns the job's user or pipeline, as mode names.
+func groupOf(j *trace.Job, mode string) string {
+	if mode == "pipeline" {
+		return j.Pipeline
+	}
+	return j.User
+}
+
 // MaxRelativeGap returns the largest |with-without| gap relative to the
-// with-curve value, across all clusters and quotas.
-func (r *Fig10Result) MaxRelativeGap() float64 {
+// with-curve value, across all of the mode's clusters and quotas.
+func (r *Fig10Mode) MaxRelativeGap() float64 {
 	gap := 0.0
 	for _, c := range r.Clusters {
 		for i := range c.With {
-			if c.With[i] <= 0 {
-				continue
-			}
-			d := c.With[i] - c.Without[i]
-			if d < 0 {
-				d = -d
-			}
-			if rel := d / c.With[i]; rel > gap {
-				gap = rel
+			if c.With[i] > 0 {
+				gap = max(gap, math.Abs(c.With[i]-c.Without[i])/c.With[i])
 			}
 		}
 	}
 	return gap
 }
 
-// Render writes per-cluster with/without curves.
+// Render writes per-cluster with/without curves, user mode first.
 func (r *Fig10Result) Render(w io.Writer) {
-	for _, c := range r.Clusters {
-		var rows [][]string
-		for i, q := range c.Quotas {
-			rows = append(rows, []string{
-				fmt.Sprintf("%.0f%%", q*100),
-				fmt.Sprintf("%.3f", c.With[i]),
-				fmt.Sprintf("%.3f", c.Without[i]),
-			})
+	for _, m := range r.Modes {
+		for _, c := range m.Clusters {
+			Table(w, fmt.Sprintf("Fig 10 — new %s generalization, cluster %s (withheld %s)",
+				m.Mode, c.Cluster, c.Withheld),
+				[]string{"quota", "train with", "train without"}, quotaRows("%.0f%%", c.Quotas, c.With, c.Without))
 		}
-		Table(w, fmt.Sprintf("Fig 10 — new %s generalization, cluster %s (withheld %s)",
-			r.Mode, c.Cluster, c.Withheld),
-			[]string{"quota", "train with", "train without"}, rows)
+		fmt.Fprintf(w, "max relative gap: %.1f%%\n", m.MaxRelativeGap()*100)
 	}
-	fmt.Fprintf(w, "max relative gap: %.1f%%\n", r.MaxRelativeGap()*100)
 }
 
 // Fig16Result reproduces Figure 16 (Appendix C.3): the dynamics of the
@@ -241,14 +219,20 @@ func Fig16(opts Options) (*Fig16Result, error) {
 		return nil, err
 	}
 	res := &Fig16Result{Cluster: env.Cluster}
+	acfg := core.DefaultAdaptiveConfig(model.NumCategories())
+	acfg.RecordTrace = true
 	for _, frac := range []float64{0.0001, 0.01, 0.1, 0.5} {
-		r, trace, err := env.RunRankingWithTrace(env.PeakUsage*frac, model)
+		ranking, err := policy.NewAdaptiveRanking(model, env.Cost, acfg)
+		if err != nil {
+			return nil, err
+		}
+		r, err := sim.Run(env.Test, ranking, env.Cost, sim.Config{SSDQuota: env.PeakUsage * frac})
 		if err != nil {
 			return nil, err
 		}
 		res.Series = append(res.Series, Fig16Series{
 			QuotaFrac: frac,
-			Points:    trace,
+			Points:    ranking.ACTTrace(),
 			TCOPct:    r.TCOSavingsPercent(),
 		})
 	}

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"repro/internal/policy"
-	"repro/internal/sim"
 )
 
 // HeadroomResult reproduces the Section 3.1 headroom analysis: the
@@ -13,13 +12,12 @@ import (
 // tight SSD quota. The paper reports the oracle achieving 5.06x the
 // heuristic's cost savings.
 type HeadroomResult struct {
-	Cluster          string
-	QuotaFrac        float64
-	OracleTCOPct     float64
-	HeuristicTCOPct  float64
-	FirstFitTCOPct   float64
-	OracleUpperBound float64 // oracle solver's own bound (diagnostic)
-	Ratio            float64 // oracle / heuristic
+	Cluster         string
+	QuotaFrac       float64
+	OracleTCOPct    float64
+	HeuristicTCOPct float64
+	FirstFitTCOPct  float64
+	Ratio           float64 // oracle / heuristic
 }
 
 // Headroom runs the oracle and heuristic baselines at a 1% quota.
@@ -28,26 +26,18 @@ func Headroom(opts Options) (*HeadroomResult, error) {
 	const quotaFrac = 0.01
 	quota := env.PeakUsage * quotaFrac
 
-	heur := policy.NewHeuristic(env.Cost)
-	heur.Prime(env.Train.Jobs)
-	results, err := sim.RunAll(env.Test, []sim.Policy{heur, policy.FirstFit{}}, env.Cost,
-		sim.Config{SSDQuota: quota})
+	suite, err := env.RunSuite(quota, SuiteConfig{
+		Methods: []string{policy.NameHeuristic, policy.NameFirstFit, policy.NameOracleTCO},
+	})
 	if err != nil {
 		return nil, err
 	}
-
-	bounds, err := env.OracleBounds(quota)
-	if err != nil {
-		return nil, err
-	}
-
 	r := &HeadroomResult{
-		Cluster:          env.Cluster,
-		QuotaFrac:        quotaFrac,
-		OracleTCOPct:     bounds[policy.NameOracleTCO].TCOSavingsPercent(),
-		HeuristicTCOPct:  results[policy.NameHeuristic].TCOSavingsPercent(),
-		FirstFitTCOPct:   results[policy.NameFirstFit].TCOSavingsPercent(),
-		OracleUpperBound: bounds[policy.NameOracleTCO].TCOSaved,
+		Cluster:         env.Cluster,
+		QuotaFrac:       quotaFrac,
+		OracleTCOPct:    suite.TCOPercent(policy.NameOracleTCO),
+		HeuristicTCOPct: suite.TCOPercent(policy.NameHeuristic),
+		FirstFitTCOPct:  suite.TCOPercent(policy.NameFirstFit),
 	}
 	if r.HeuristicTCOPct > 0 {
 		r.Ratio = r.OracleTCOPct / r.HeuristicTCOPct

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/gbdt"
 	"repro/internal/policy"
 	"repro/internal/sim"
 )
@@ -30,10 +29,7 @@ func Imitation(opts Options) (*ImitationResult, error) {
 	const trainFrac = 0.10
 	trainPeak := env.Train.PeakSSDUsage()
 
-	gcfg := gbdt.DefaultConfig()
-	gcfg.NumRounds = opts.GBDTRounds
-	gcfg.Seed = opts.Seed
-	imit, err := policy.TrainImitation(env.Train.Jobs, trainPeak*trainFrac, env.Cost, gcfg)
+	imit, err := policy.TrainImitation(env.Train.Jobs, trainPeak*trainFrac, env.Cost, opts.trainOptions().GBDT)
 	if err != nil {
 		return nil, err
 	}
@@ -47,43 +43,26 @@ func Imitation(opts Options) (*ImitationResult, error) {
 		TrainQuota: trainFrac,
 		Quotas:     []float64{0.005, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0},
 	}
+	if res.Ranking, err = env.rankingCurve(res.Quotas, SuiteConfig{Model: model}); err != nil {
+		return nil, err
+	}
 	for _, frac := range res.Quotas {
-		quota := env.PeakUsage * frac
-		ir, err := sim.Run(env.Test, imit, env.Cost, sim.Config{SSDQuota: quota})
-		if err != nil {
-			return nil, err
-		}
-		suite, err := env.RunSuite(quota, SuiteConfig{Model: model})
+		ir, err := sim.Run(env.Test, imit, env.Cost, sim.Config{SSDQuota: env.PeakUsage * frac})
 		if err != nil {
 			return nil, err
 		}
 		res.Imitation = append(res.Imitation, ir.TCOSavingsPercent())
-		res.Ranking = append(res.Ranking, suite.TCOPercent(policy.NameAdaptiveRanking))
 	}
 	return res, nil
 }
 
-// RelativeAt returns imitation/ranking at the quota index.
-func (r *ImitationResult) RelativeAt(i int) float64 {
-	if r.Ranking[i] <= 0 {
-		return 0
-	}
-	return r.Imitation[i] / r.Ranking[i]
-}
-
 // Render writes the comparison.
 func (r *ImitationResult) Render(w io.Writer) {
-	var rows [][]string
+	rows := quotaRows("%.1f%%", r.Quotas, r.Imitation, r.Ranking)
 	for i, q := range r.Quotas {
-		marker := ""
 		if q == r.TrainQuota {
-			marker = " <- imitation trained here"
+			rows[i][2] += " <- imitation trained here"
 		}
-		rows = append(rows, []string{
-			fmt.Sprintf("%.1f%%", q*100),
-			fmt.Sprintf("%.3f", r.Imitation[i]),
-			fmt.Sprintf("%.3f%s", r.Ranking[i], marker),
-		})
 	}
 	Table(w, "Extension — imitation learning vs BYOM across quotas (§4)",
 		[]string{"quota", "imitation TCO%", "adaptive ranking TCO%"}, rows)

@@ -16,7 +16,7 @@ import (
 // compress-upload-delete conventional workloads, at a 1:1 framework to
 // non-framework byte ratio.
 func buildMixedSchedule(seed int64) (*protoSchedule, error) {
-	_, specs, err := frameworkPipelines()
+	specs, err := frameworkPipelines()
 	if err != nil {
 		return nil, err
 	}
@@ -81,9 +81,6 @@ func buildMixedSchedule(seed int64) (*protoSchedule, error) {
 			if nfwBytes > fwBytes {
 				break
 			}
-		}
-		if nfwBytes > fwBytes {
-			continue
 		}
 	}
 	sched.sort()
@@ -208,13 +205,8 @@ func Fig14(opts Options) (*Fig14Result, error) {
 			}
 		}
 	}
-	sortFig14(res.Rows)
-	return res, nil
-}
-
-func sortFig14(rows []Fig14Row) {
-	sort.SliceStable(rows, func(a, b int) bool {
-		x, y := rows[a], rows[b]
+	sort.SliceStable(res.Rows, func(a, b int) bool {
+		x, y := res.Rows[a], res.Rows[b]
 		if x.QuotaFrac != y.QuotaFrac {
 			return x.QuotaFrac < y.QuotaFrac
 		}
@@ -223,6 +215,7 @@ func sortFig14(rows []Fig14Row) {
 		}
 		return x.Method < y.Method
 	})
+	return res, nil
 }
 
 // MinSavings returns the worst runtime savings (negative = regression).

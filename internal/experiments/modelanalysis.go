@@ -34,10 +34,7 @@ func Fig9a(opts Options) (*Fig9aResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := 50
-	if len(env.Test.Jobs) < n {
-		n = len(env.Test.Jobs)
-	}
+	n := min(50, len(env.Test.Jobs))
 	res := &Fig9aResult{NumJobs: n, ModelNumTrees: model.Model.NumTrees()}
 	for _, round := range model.Model.Trees {
 		for _, t := range round {
@@ -91,9 +88,7 @@ func Fig9b(opts Options) (*Fig9bResult, error) {
 	rng := rand.New(rand.NewSource(opts.Seed))
 	full := env.Train.Jobs
 	for _, size := range []int{200, 400, 800, 1600, 3200, 6400} {
-		if size > len(full) {
-			size = len(full)
-		}
+		size = min(size, len(full))
 		sub := sampleJobs(full, size, rng)
 		model, err := TrainModelOn(sub, env.Cost, opts)
 		if err != nil {

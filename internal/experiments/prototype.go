@@ -50,8 +50,7 @@ type protoSchedule struct {
 // frameworkPipelines builds the paper's 16 prototype pipelines: half
 // perform few shuffles over large sequential data (HDD-suitable), half
 // are join-heavy queries re-reading hot data (SSD-suitable).
-func frameworkPipelines() ([]*dataflow.Pipeline, []dataflow.WorkloadSpec, error) {
-	var pipes []*dataflow.Pipeline
+func frameworkPipelines() ([]dataflow.WorkloadSpec, error) {
 	var specs []dataflow.WorkloadSpec
 	for i := 0; i < 16; i++ {
 		hddSuitable := i < 8
@@ -104,9 +103,8 @@ func frameworkPipelines() ([]*dataflow.Pipeline, []dataflow.WorkloadSpec, error)
 				Build()
 		}
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		pipes = append(pipes, p)
 		specs = append(specs, dataflow.WorkloadSpec{
 			Pipeline:      p,
 			InputBytes:    input,
@@ -121,21 +119,21 @@ func frameworkPipelines() ([]*dataflow.Pipeline, []dataflow.WorkloadSpec, error)
 			ComputeSecPerGiB: 28800,
 		})
 	}
-	return pipes, specs, nil
+	return specs, nil
 }
 
 // buildFig5Schedule produces the paper's prototype scale: 16 pipelines
 // and 1024 shuffle jobs (each execution has 2 shuffles -> 512
 // executions, 64 per pipeline pair).
 func buildFig5Schedule(seed int64) (*protoSchedule, error) {
-	_, specs, err := frameworkPipelines()
+	specs, err := frameworkPipelines()
 	if err != nil {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(seed))
 	sched := &protoSchedule{}
 	const executionsPerPipeline = 32
-	for pi, spec := range specs {
+	for _, spec := range specs {
 		period := 110.0 + rng.Float64()*50
 		phase := rng.Float64() * period
 		for k := 0; k < executionsPerPipeline; k++ {
@@ -149,7 +147,6 @@ func buildFig5Schedule(seed int64) (*protoSchedule, error) {
 			sched.execs = append(sched.execs, protoExecution{
 				spec: s, startAt: at, class: "framework",
 			})
-			_ = pi
 		}
 	}
 	sched.sort()

@@ -1,22 +1,9 @@
 package experiments
 
-import (
-	"bytes"
-	"strings"
-	"testing"
-)
-
-func protoOpts() Options {
-	opts := testOpts()
-	opts.GBDTRounds = 10
-	return opts
-}
+import "testing"
 
 func TestFig5PrototypeShape(t *testing.T) {
-	res, err := Fig5(protoOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quick[*Fig5Result](t, "fig5")
 	if len(res.Rows) != 2 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -40,21 +27,10 @@ func TestFig5PrototypeShape(t *testing.T) {
 			t.Errorf("row %d: ratio %.2f, want > 1.05", i, row.RankingTCO/row.FirstFitTCO)
 		}
 	}
-	var buf bytes.Buffer
-	res.Render(&buf)
-	if !strings.Contains(buf.String(), "Fig 5") {
-		t.Error("render missing title")
-	}
 }
 
 func TestFig8Generalization(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow experiment test: skipped in -short mode")
-	}
-	res, err := Fig8(testOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quick[*Fig8Result](t, "fig8")
 	home := res.TCOPct["train C0"]
 	c3 := res.TCOPct["train C3"]
 	c1 := res.TCOPct["train C1"]
@@ -75,47 +51,28 @@ func TestFig8Generalization(t *testing.T) {
 	if c1Sum < homeSum*0.5 {
 		t.Errorf("C1 transfer area %.2f below half of home %.2f", c1Sum, homeSum)
 	}
-	var buf bytes.Buffer
-	res.Render(&buf)
-	if !strings.Contains(buf.String(), "Fig 8") {
-		t.Error("render missing title")
-	}
 }
 
 func TestFig10NewUsersAndPipelines(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow experiment test: skipped in -short mode")
+	res := quick[*Fig10Result](t, "fig10")
+	if len(res.Modes) != 2 {
+		t.Fatalf("modes = %d", len(res.Modes))
 	}
-	for _, mode := range []string{"user", "pipeline"} {
-		res, err := Fig10(testOpts(), mode, 2)
-		if err != nil {
-			t.Fatalf("mode %s: %v", mode, err)
-		}
-		if len(res.Clusters) == 0 {
-			t.Fatalf("mode %s: no clusters", mode)
+	for _, m := range res.Modes {
+		if len(m.Clusters) == 0 {
+			t.Fatalf("mode %s: no clusters", m.Mode)
 		}
 		// Leave-out training should track the full model closely: the
 		// paper's curves nearly coincide. Allow generous slack since
 		// quick-scale models are noisy.
-		if gap := res.MaxRelativeGap(); gap > 0.8 {
-			t.Errorf("mode %s: max relative gap %.2f too large", mode, gap)
+		if gap := m.MaxRelativeGap(); gap > 0.8 {
+			t.Errorf("mode %s: max relative gap %.2f too large", m.Mode, gap)
 		}
-		var buf bytes.Buffer
-		res.Render(&buf)
-		if !strings.Contains(buf.String(), "Fig 10") {
-			t.Error("render missing title")
-		}
-	}
-	if _, err := Fig10(testOpts(), "bogus", 1); err == nil {
-		t.Error("bogus mode accepted")
 	}
 }
 
 func TestFig13MixedWorkloads(t *testing.T) {
-	res, err := Fig13(protoOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quick[*Fig13Result](t, "fig13")
 	if len(res.Rows) != 4 { // 2 quotas x 2 classes
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -138,10 +95,7 @@ func TestFig13MixedWorkloads(t *testing.T) {
 }
 
 func TestFig14NoRegressions(t *testing.T) {
-	res, err := Fig14(protoOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quick[*Fig14Result](t, "fig14")
 	if len(res.Rows) != 8 { // 2 quotas x 2 classes x 2 methods
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -150,24 +104,10 @@ func TestFig14NoRegressions(t *testing.T) {
 	if min := res.MinSavings(); min < -1 {
 		t.Errorf("worst runtime savings %.2f%%: regression beyond tolerance", min)
 	}
-	var buf bytes.Buffer
-	res.Render(&buf)
-	if !strings.Contains(buf.String(), "Fig 14") {
-		t.Error("render missing title")
-	}
 }
 
 func TestFig15SensitivityBand(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow experiment test: skipped in -short mode")
-	}
-	opts := testOpts()
-	opts.Days = 3
-	opts.Users = 6
-	res, err := Fig15(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quick[*Fig15Result](t, "fig15")
 	if res.Combos != 27 {
 		t.Fatalf("combos = %d, want 27", res.Combos)
 	}
@@ -184,10 +124,5 @@ func TestFig15SensitivityBand(t *testing.T) {
 		if width > res.MaxPct[mid]*0.8 {
 			t.Errorf("band width %.3f vs level %.3f: too sensitive", width, res.MaxPct[mid])
 		}
-	}
-	var buf bytes.Buffer
-	res.Render(&buf)
-	if !strings.Contains(buf.String(), "Fig 15") {
-		t.Error("render missing title")
 	}
 }

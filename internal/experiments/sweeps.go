@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/par"
@@ -37,23 +38,27 @@ func Fig6(opts Options, numClusters int) (*Fig6Result, error) {
 	if numClusters < 1 {
 		return nil, fmt.Errorf("experiments: fig6 needs at least 1 cluster")
 	}
-	res := &Fig6Result{QuotaFrac: 0.01}
-	for i := 0; i < numClusters; i++ {
+	res := &Fig6Result{QuotaFrac: 0.01, Clusters: make([]Fig6Cluster, numClusters)}
+	err := par.Each(numClusters, 0, func(i int) error {
 		env := BuildEnv(i, opts)
 		model, err := env.TrainModel(opts)
 		if err != nil {
-			return nil, fmt.Errorf("cluster %d: %w", i, err)
+			return fmt.Errorf("cluster %d: %w", i, err)
 		}
-		suite, err := env.RunSuite(env.PeakUsage*res.QuotaFrac, SuiteConfig{Model: model, WithMLBase: true})
+		suite, err := env.RunSuite(env.PeakUsage*res.QuotaFrac, SuiteConfig{Methods: Fig6Methods, Model: model})
 		if err != nil {
-			return nil, fmt.Errorf("cluster %d: %w", i, err)
+			return fmt.Errorf("cluster %d: %w", i, err)
 		}
 		fc := Fig6Cluster{Cluster: env.Cluster, TCOPct: map[string]float64{}, TCIOPct: map[string]float64{}}
 		for _, m := range Fig6Methods {
 			fc.TCOPct[m] = suite.TCOPercent(m)
 			fc.TCIOPct[m] = suite.TCIOPercent(m)
 		}
-		res.Clusters = append(res.Clusters, fc)
+		res.Clusters[i] = fc
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -64,7 +69,7 @@ func Fig6(opts Options, numClusters int) (*Fig6Result, error) {
 func (r *Fig6Result) ImprovementStats() (ratios []float64, max, mean float64) {
 	for _, c := range r.Clusters {
 		best := 0.0
-		for _, m := range []string{policy.NameFirstFit, policy.NameHeuristic, policy.NameMLBaseline} {
+		for _, m := range baselineMethods {
 			if v := c.TCOPct[m]; v > best {
 				best = v
 			}
@@ -143,7 +148,7 @@ func Fig7(opts Options) (*Fig7Result, error) {
 	// read.
 	err = par.Each(len(res.Quotas), 0, func(i int) error {
 		suite, err := env.RunSuite(env.PeakUsage*res.Quotas[i], SuiteConfig{
-			Model: model, Categories: cats, WithMLBase: true, WithOracles: true,
+			Methods: Fig7Methods, Model: model, Categories: cats,
 		})
 		if err != nil {
 			return fmt.Errorf("quota %.3f: %w", res.Quotas[i], err)
@@ -161,19 +166,7 @@ func Fig7(opts Options) (*Fig7Result, error) {
 
 // Render writes the sweep as a method x quota table.
 func (r *Fig7Result) Render(w io.Writer) {
-	header := []string{"method"}
-	for _, q := range r.Quotas {
-		header = append(header, fmt.Sprintf("%.1f%%", q*100))
-	}
-	var rows [][]string
-	for _, m := range Fig7Methods {
-		row := []string{m}
-		for _, v := range r.TCOPct[m] {
-			row = append(row, fmt.Sprintf("%.2f", v))
-		}
-		rows = append(rows, row)
-	}
-	Table(w, "Fig 7 — TCO savings % vs SSD quota, cluster "+r.Cluster, header, rows)
+	seriesTable(w, "Fig 7 — TCO savings % vs SSD quota, cluster "+r.Cluster, "method", r.Quotas, Fig7Methods, r.TCOPct)
 }
 
 // Fig11Result reproduces Figure 11: AdaptiveRanking with the trained
@@ -199,7 +192,9 @@ func Fig11(opts Options) (*Fig11Result, error) {
 	res.TrueCat = make([]float64, len(res.Quotas))
 	cats := model.Categories(env.Test.Jobs, nil)
 	err = par.Each(len(res.Quotas), 0, func(i int) error {
-		suite, err := env.RunSuite(env.PeakUsage*res.Quotas[i], SuiteConfig{Model: model, Categories: cats, WithTrueCat: true})
+		suite, err := env.RunSuite(env.PeakUsage*res.Quotas[i], SuiteConfig{
+			Methods: []string{policy.NameAdaptiveRanking, policy.NameAdaptiveTrue}, Model: model, Categories: cats,
+		})
 		if err != nil {
 			return err
 		}
@@ -217,29 +212,15 @@ func Fig11(opts Options) (*Fig11Result, error) {
 func (r *Fig11Result) MaxGap() float64 {
 	gap := 0.0
 	for i := range r.Predicted {
-		d := r.TrueCat[i] - r.Predicted[i]
-		if d < 0 {
-			d = -d
-		}
-		if d > gap {
-			gap = d
-		}
+		gap = max(gap, math.Abs(r.TrueCat[i]-r.Predicted[i]))
 	}
 	return gap
 }
 
 // Render writes both curves.
 func (r *Fig11Result) Render(w io.Writer) {
-	var rows [][]string
-	for i, q := range r.Quotas {
-		rows = append(rows, []string{
-			fmt.Sprintf("%.1f%%", q*100),
-			fmt.Sprintf("%.3f", r.Predicted[i]),
-			fmt.Sprintf("%.3f", r.TrueCat[i]),
-		})
-	}
 	Table(w, "Fig 11 — predicted vs true category, cluster "+r.Cluster,
-		[]string{"quota", "predicted", "true"}, rows)
+		[]string{"quota", "predicted", "true"}, quotaRows("%.1f%%", r.Quotas, r.Predicted, r.TrueCat))
 	fmt.Fprintf(w, "max |gap|: %.3f points\n", r.MaxGap())
 }
 
@@ -268,12 +249,6 @@ func Fig15(opts Options) (*Fig15Result, error) {
 
 	quotas := []float64{0.01, 0.05, 0.1, 0.25, 0.5, 1.0}
 	res := &Fig15Result{Cluster: env.Cluster, Quotas: quotas}
-	res.MinPct = make([]float64, len(quotas))
-	res.MaxPct = make([]float64, len(quotas))
-	for i := range res.MinPct {
-		res.MinPct[i] = 1e18
-		res.MaxPct[i] = -1e18
-	}
 	var combos []core.AdaptiveConfig
 	for _, tol := range tolerances {
 		for _, tw := range lookbacks {
@@ -291,29 +266,19 @@ func Fig15(opts Options) (*Fig15Result, error) {
 	curves := make([][]float64, len(combos))
 	cats := model.Categories(env.Test.Jobs, nil)
 	err = par.Each(len(combos), 0, func(ci int) error {
-		curve := make([]float64, len(quotas))
-		for qi, frac := range quotas {
-			acfg := combos[ci]
-			suite, err := env.RunSuite(env.PeakUsage*frac, SuiteConfig{Model: model, Categories: cats, AdaptiveCfg: &acfg})
-			if err != nil {
-				return err
-			}
-			curve[qi] = suite.TCOPercent(policy.NameAdaptiveRanking)
-		}
+		curve, err := env.rankingCurve(quotas, SuiteConfig{Model: model, Categories: cats, AdaptiveCfg: &combos[ci]})
 		curves[ci] = curve
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, curve := range curves {
+	res.MinPct = append([]float64(nil), curves[0]...)
+	res.MaxPct = append([]float64(nil), curves[0]...)
+	for _, curve := range curves[1:] {
 		for qi, v := range curve {
-			if v < res.MinPct[qi] {
-				res.MinPct[qi] = v
-			}
-			if v > res.MaxPct[qi] {
-				res.MaxPct[qi] = v
-			}
+			res.MinPct[qi] = min(res.MinPct[qi], v)
+			res.MaxPct[qi] = max(res.MaxPct[qi], v)
 		}
 	}
 	return res, nil
@@ -321,16 +286,8 @@ func Fig15(opts Options) (*Fig15Result, error) {
 
 // Render writes the sensitivity band.
 func (r *Fig15Result) Render(w io.Writer) {
-	var rows [][]string
-	for i, q := range r.Quotas {
-		rows = append(rows, []string{
-			fmt.Sprintf("%.0f%%", q*100),
-			fmt.Sprintf("%.3f", r.MinPct[i]),
-			fmt.Sprintf("%.3f", r.MaxPct[i]),
-		})
-	}
 	Table(w, fmt.Sprintf("Fig 15 — sensitivity band over %d hyperparameter combos", r.Combos),
-		[]string{"quota", "min TCO%", "max TCO%"}, rows)
+		[]string{"quota", "min TCO%", "max TCO%"}, quotaRows("%.0f%%", r.Quotas, r.MinPct, r.MaxPct))
 }
 
 // Table4Result reproduces Table 4 (Appendix C.2): end-to-end TCO
@@ -348,10 +305,15 @@ type Table4Row struct {
 	BestBasePct float64
 }
 
-// Table4 sweeps N at the paper's 0.1 quota setting.
+// Table4 sweeps N at the paper's 0.1 quota setting. The baselines do
+// not depend on N, so they run once.
 func Table4(opts Options) (*Table4Result, error) {
 	env := BuildEnv(0, opts)
-	quota := env.PeakUsage * 0.1
+	quotaFrac := []float64{0.1}
+	base, err := env.RunSuite(env.PeakUsage*quotaFrac[0], SuiteConfig{Methods: baselineMethods})
+	if err != nil {
+		return nil, err
+	}
 	res := &Table4Result{Cluster: env.Cluster}
 	for _, n := range []int{2, 5, 15, 25, 35} {
 		nopts := opts
@@ -360,15 +322,15 @@ func Table4(opts Options) (*Table4Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("N=%d: %w", n, err)
 		}
-		suite, err := env.RunSuite(quota, SuiteConfig{Model: model, WithMLBase: true})
+		tco, err := env.rankingCurve(quotaFrac, SuiteConfig{Model: model})
 		if err != nil {
 			return nil, err
 		}
 		res.Rows = append(res.Rows, Table4Row{
 			N:           n,
-			TCOPct:      suite.TCOPercent(policy.NameAdaptiveRanking),
+			TCOPct:      tco[0],
 			Top1Acc:     model.Accuracy(env.Test.Jobs, env.Cost),
-			BestBasePct: suite.BestBaselineTCO(),
+			BestBasePct: base.BestBaselineTCO(),
 		})
 	}
 	return res, nil

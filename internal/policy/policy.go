@@ -444,6 +444,13 @@ func TrainMLBaseline(train []*trace.Job, ttlSec float64, cfg gbdt.Config) (*MLBa
 	return &MLBaseline{enc: enc, mu: mu, variance: variance, TTLSec: ttlSec}, nil
 }
 
+// Fork returns a baseline that shares p's trained models but has its
+// own scratch: Place writes scratch, so each concurrent replay needs a
+// fork.
+func (p *MLBaseline) Fork() *MLBaseline {
+	return &MLBaseline{enc: p.enc, mu: p.mu, variance: p.variance, TTLSec: p.TTLSec}
+}
+
 // Name implements sim.Policy.
 func (p *MLBaseline) Name() string { return NameMLBaseline }
 

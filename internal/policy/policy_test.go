@@ -197,6 +197,10 @@ func TestMLBaselineLifetimeGate(t *testing.T) {
 	if ml.EvictAfter(short) != ml.EstimateLifetime(short) {
 		t.Error("EvictAfter != lifetime estimate")
 	}
+	// A fork shares the trained models, so it estimates the same.
+	if fork := ml.Fork(); fork.EstimateLifetime(long) != ml.EstimateLifetime(long) {
+		t.Error("fork estimates differently")
+	}
 }
 
 func TestTrainMLBaselineErrors(t *testing.T) {
