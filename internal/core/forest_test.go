@@ -1,8 +1,11 @@
 package core_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -114,8 +117,8 @@ func TestCategoriesMatchesPredict(t *testing.T) {
 	}
 }
 
-// TestForestCompilesOnce: every concurrent first user gets the one
-// forest (run under -race).
+// TestForestCompilesOnce: every concurrent user gets the one forest,
+// compiled when the bundle was built (run under -race).
 func TestForestCompilesOnce(t *testing.T) {
 	model, pool := liteModel(t)
 	const users = 8
@@ -134,7 +137,7 @@ func TestForestCompilesOnce(t *testing.T) {
 			default:
 				cats[u] = model.Predict(pool[0])
 			}
-			forests[u], _ = model.Forest()
+			forests[u] = model.Forest()
 		}()
 	}
 	wg.Wait()
@@ -171,85 +174,57 @@ func TestPredictIntoSteadyStateAllocs(t *testing.T) {
 // everyIDLeftModel is a valid two-class model no forest can hold: its
 // two splits on one categorical feature route every uint16 id left
 // between them, leaving none for a missing value (gbdt's
-// TestCompileLimits, "every id routed left"). It puts the jobs that share
-// jobs[0]'s value of that feature in class 1 and the rest in class 0.
-func everyIDLeftModel(tb testing.TB, jobs []*trace.Job) *core.CategoryModel {
+// TestCompileLimits, "every id routed left"). The feature's cardinality
+// is raised to 65,536 so that gbdt.Load accepts the ids.
+func everyIDLeftModel(tb testing.TB, jobs []*trace.Job) (*features.Encoder, *gbdt.Model) {
 	tb.Helper()
 	enc := features.BuildEncoder(jobs, 64)
-	schema := enc.Schema()
-	// A categorical feature the jobs differ on, so both classes occur.
-	feat, hot := -1, int32(0)
-	first := enc.Encode(jobs[0], nil)
-	for _, j := range jobs[1:] {
-		row := enc.Encode(j, nil)
-		for f, kind := range schema.Kinds {
-			if kind == gbdt.Categorical && row[f] != first[f] {
-				feat, hot = f, int32(first[f])
-			}
-		}
-		if feat >= 0 {
-			break
-		}
-	}
+	schema := *enc.Schema()
+	schema.Cards = slices.Clone(schema.Cards)
+	feat := slices.Index(schema.Kinds, gbdt.Categorical)
 	if feat < 0 {
-		tb.Fatal("jobs agree on every categorical feature")
+		tb.Fatal("the encoder has no categorical feature")
 	}
-	split := func(ids []int32, left, right float64) *gbdt.Tree {
+	schema.Cards[feat] = 1 << 16
+	split := func(ids []int32) *gbdt.Tree {
 		tree := &gbdt.Tree{Nodes: []gbdt.Node{
 			{Feature: int32(feat), Kind: uint8(gbdt.Categorical), Left: 1, Right: 2},
-			{IsLeaf: true, Value: left}, {IsLeaf: true, Value: right},
+			{IsLeaf: true, Value: 1}, {IsLeaf: true, Value: -1},
 		}}
 		tree.SetLeftCats(0, ids)
 		return tree
 	}
-	var rest []int32
-	for id := int32(0); id < 1<<16; id++ {
-		if id != hot {
-			rest = append(rest, id)
-		}
+	rest := make([]int32, 0, 1<<16-1)
+	for id := int32(1); id < 1<<16; id++ {
+		rest = append(rest, id)
 	}
 	leaf := &gbdt.Tree{Nodes: []gbdt.Node{{IsLeaf: true}}}
-	return &core.CategoryModel{
-		Encoder: enc,
-		Model: &gbdt.Model{
-			Schema:     schema,
-			NumClasses: 2,
-			InitScores: []float64{0, 0},
-			Trees:      [][]*gbdt.Tree{{leaf, split([]int32{hot}, 1, -1)}, {leaf, split(rest, 0, 0)}},
-		},
-		Labeler: &core.Labeler{NumCategories: 2},
+	return enc, &gbdt.Model{
+		Schema:     &schema,
+		NumClasses: 2,
+		InitScores: []float64{0, 0},
+		Trees:      [][]*gbdt.Tree{{leaf, split([]int32{0})}, {leaf, split(rest)}},
 	}
 }
 
-// TestPredictorsWithoutForest: a model its forest refuses still
-// predicts, on the reference trees, and says why it has no forest.
-func TestPredictorsWithoutForest(t *testing.T) {
+// TestLoadCategoryModelRefusesUncompilable: a bundle whose model the
+// forest cannot hold is refused where it is built and where it is
+// loaded, with Compile's *gbdt.LimitError, so no bundle reaches a
+// predictor or a registry without its forest.
+func TestLoadCategoryModelRefusesUncompilable(t *testing.T) {
 	_, pool := liteModel(t)
-	jobs := pool[:200]
-	model := everyIDLeftModel(t, jobs)
-	forest, err := model.Forest()
+	enc, model := everyIDLeftModel(t, pool[:200])
+	labeler := &core.Labeler{NumCategories: 2}
 	var limit *gbdt.LimitError
-	if forest != nil || !errors.As(err, &limit) {
-		t.Fatalf("Forest() = %v, %v; want a *gbdt.LimitError", forest, err)
+	if m, err := core.NewCategoryModel(enc, model, labeler); !errors.As(err, &limit) {
+		t.Fatalf("NewCategoryModel = %v, %v; want a *gbdt.LimitError", m, err)
 	}
-	cats := model.Categories(jobs, nil)
-	var buf []float64
-	seen := map[int]int{}
-	for i, j := range jobs {
-		want := model.Predict(j)
-		seen[want]++
-		var got int
-		if got, buf = model.PredictInto(j, buf); got != want {
-			t.Fatalf("job %d: PredictInto %d, Predict %d", i, got, want)
-		}
-		if int(cats[i]) != want {
-			t.Fatalf("job %d: Categories %d, Predict %d", i, cats[i], want)
-		}
-		if p := model.PredictProba(j); (p[1] > p[0]) != (want == 1) {
-			t.Fatalf("job %d: probabilities %v for category %d", i, p, want)
-		}
+	// The same three parts laid out as Save writes a bundle.
+	var file bytes.Buffer
+	if err := json.NewEncoder(&file).Encode(map[string]any{"encoder": enc, "model": model, "labeler": labeler}); err != nil {
+		t.Fatal(err)
 	}
-	if len(seen) != 2 {
-		t.Fatalf("fixture predicts one class only: %v", seen)
+	if m, err := core.LoadCategoryModel(&file); !errors.As(err, &limit) {
+		t.Fatalf("LoadCategoryModel = %v, %v; want a *gbdt.LimitError", m, err)
 	}
 }

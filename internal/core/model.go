@@ -11,7 +11,6 @@ import (
 	"repro/internal/cost"
 	"repro/internal/features"
 	"repro/internal/gbdt"
-	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
@@ -49,18 +48,28 @@ func DefaultTrainOptions() TrainOptions {
 // internal/online learner retrains it on fresh outcomes at the
 // workload's own release velocity (§2.3).
 //
-// The three parts are fixed once the bundle is built: every predictor
-// but Predict runs on a forest compiled from Model on first use and
-// shared from then on (Forest), so a bundle is passed by pointer and a
-// new Model means a new bundle.
+// A bundle is built by NewCategoryModel (or TrainCategoryModel and
+// LoadCategoryModel, which return through it), which compiles Model into
+// the forest every predictor but Predict runs on. The three parts are
+// fixed from then on: a new Model means a new bundle.
 type CategoryModel struct {
 	Encoder *features.Encoder
 	Model   *gbdt.Model
 	Labeler *Labeler
 
-	forestOnce sync.Once
-	forest     *gbdt.Forest
-	forestErr  error
+	forest *gbdt.Forest
+}
+
+// NewCategoryModel bundles an encoder, a trained model and a label
+// design, and compiles the model's forest. A model the binned layout
+// cannot hold is refused with gbdt.Model.Compile's *gbdt.LimitError, so
+// every bundle there is can be served.
+func NewCategoryModel(enc *features.Encoder, model *gbdt.Model, labeler *Labeler) (*CategoryModel, error) {
+	forest, err := model.Compile()
+	if err != nil {
+		return nil, fmt.Errorf("core: category model: %w", err)
+	}
+	return &CategoryModel{Encoder: enc, Model: model, Labeler: labeler, forest: forest}, nil
 }
 
 // TrainCategoryModel trains a category model on historical jobs: it
@@ -99,21 +108,16 @@ func TrainCategoryModelWithLabeler(train []*trace.Job, cm *cost.Model, labeler *
 	if err != nil {
 		return nil, fmt.Errorf("core: training classifier: %w", err)
 	}
-	return &CategoryModel{Encoder: enc, Model: model, Labeler: labeler}, nil
+	return NewCategoryModel(enc, model, labeler)
 }
 
 // NumCategories returns N.
 func (m *CategoryModel) NumCategories() int { return m.Labeler.NumCategories }
 
-// Forest returns the model compiled for inference, compiling it on first
-// use. Offline prediction (sim, the policies, experiments) and serving
-// share this one forest per bundle; it is safe for concurrent use. The
-// error is gbdt.Model.Compile's: a *gbdt.LimitError for a valid model
-// the binned layout cannot hold.
-func (m *CategoryModel) Forest() (*gbdt.Forest, error) {
-	m.forestOnce.Do(func() { m.forest, m.forestErr = m.Model.Compile() })
-	return m.forest, m.forestErr
-}
+// Forest returns the model compiled for inference. Offline prediction
+// (sim, the policies, experiments) and serving share this one forest per
+// bundle; it is safe for concurrent use.
+func (m *CategoryModel) Forest() *gbdt.Forest { return m.forest }
 
 // Predict returns the predicted importance category of a job using only
 // decision-time features. Unlike every other predictor of the bundle it
@@ -127,21 +131,11 @@ func (m *CategoryModel) Predict(j *trace.Job) int {
 	return m.Model.PredictClass(row)
 }
 
-// classOf is the single-row kernel behind PredictInto. A model the
-// forest cannot hold (Forest's error) is predicted on its own trees.
-func (m *CategoryModel) classOf(row []float64) int {
-	f, _ := m.Forest()
-	if f == nil {
-		return m.Model.PredictClass(row)
-	}
-	return f.PredictClass(row)
-}
-
 // PredictInto is the hot-path predictor: the forest's single-row entry
 // over a reusable row buffer, allocation-free once buf has grown.
 func (m *CategoryModel) PredictInto(j *trace.Job, buf []float64) (int, []float64) {
 	buf = m.Encoder.Encode(j, buf)
-	return m.classOf(buf), buf
+	return m.forest.PredictClass(buf), buf
 }
 
 // Hinter is a model predicting one job at a time over its own row
@@ -159,16 +153,6 @@ func (m *CategoryModel) Hinter() *Hinter { return &Hinter{model: m} }
 func (h *Hinter) Hint(j *trace.Job) (cat int) {
 	cat, h.buf = h.model.PredictInto(j, h.buf)
 	return cat
-}
-
-// PredictProba returns per-category probabilities.
-func (m *CategoryModel) PredictProba(j *trace.Job) []float64 {
-	row := m.Encoder.Encode(j, nil)
-	f, _ := m.Forest()
-	if f == nil {
-		return m.Model.PredictProba(row)
-	}
-	return f.PredictProba(row, nil)
 }
 
 // categoryBlock is how many rows Categories hands the forest at a time:
@@ -201,16 +185,6 @@ func (m *CategoryModel) Categories(jobs []*trace.Job, out []int32) []int32 {
 		out = make([]int32, len(jobs))
 	}
 	out = out[:len(jobs)]
-	f, _ := m.Forest()
-	if f == nil {
-		var cat int
-		var row []float64
-		for i, j := range jobs {
-			cat, row = m.PredictInto(j, row)
-			out[i] = int32(cat)
-		}
-		return out
-	}
 	s := slabs.Get().(*rowSlab)
 	defer slabs.Put(s)
 	nf := m.Encoder.NumFeatures()
@@ -228,7 +202,7 @@ func (m *CategoryModel) Categories(jobs []*trace.Job, out []int32) []int32 {
 		for i, j := range block {
 			m.Encoder.Encode(j, s.rows[i])
 		}
-		s.classes, s.logits = f.PredictClassBatch(s.rows[:len(block)], s.classes, s.logits)
+		s.classes, s.logits = m.forest.PredictClassBatch(s.rows[:len(block)], s.classes, s.logits)
 		for i, c := range s.classes {
 			out[lo+i] = int32(c)
 		}
@@ -266,7 +240,8 @@ func (m *CategoryModel) Save(w io.Writer) error {
 	return nil
 }
 
-// LoadCategoryModel reads a bundle written by Save.
+// LoadCategoryModel reads a bundle written by Save. Like
+// NewCategoryModel, it refuses a model the forest cannot hold.
 func LoadCategoryModel(r io.Reader) (*CategoryModel, error) {
 	var raw struct {
 		Encoder json.RawMessage `json:"encoder"`
@@ -292,7 +267,7 @@ func LoadCategoryModel(r io.Reader) (*CategoryModel, error) {
 		return nil, fmt.Errorf("core: model has %d classes but labeler %d categories",
 			model.NumClasses, labeler.NumCategories)
 	}
-	return &CategoryModel{Encoder: enc, Model: model, Labeler: labeler}, nil
+	return NewCategoryModel(enc, model, labeler)
 }
 
 // SaveFile writes the bundle to a file.
@@ -319,14 +294,3 @@ func LoadCategoryModelFile(path string) (*CategoryModel, error) {
 }
 
 func bytesReader(b []byte) io.Reader { return bytes.NewReader(b) }
-
-// Evaluate returns the confusion matrix of the model's predictions
-// against ground-truth categories on a job slice — the per-category
-// view behind the Fig. 9b accuracy numbers.
-func (m *CategoryModel) Evaluate(jobs []*trace.Job, cm *cost.Model) *metrics.ConfusionMatrix {
-	cmx := metrics.NewConfusionMatrix(m.NumCategories())
-	for i, pred := range m.Categories(jobs, nil) {
-		cmx.Add(m.Labeler.Label(jobs[i], cm), int(pred))
-	}
-	return cmx
-}

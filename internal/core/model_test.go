@@ -175,26 +175,3 @@ func TestPredictIntoReusesBuffer(t *testing.T) {
 		t.Error("PredictInto disagrees with Predict")
 	}
 }
-
-func TestEvaluateConfusionMatrix(t *testing.T) {
-	jobs := clusterJobs(t, 19, 2)
-	cm := cost.Default()
-	split := len(jobs) * 2 / 3
-	model, err := TrainCategoryModel(jobs[:split], cm, fastTrainOptions(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmx := model.Evaluate(jobs[split:], cm)
-	if cmx.K != 5 {
-		t.Fatalf("matrix K = %d", cmx.K)
-	}
-	// Accuracy from the matrix must equal the Accuracy method.
-	want := model.Accuracy(jobs[split:], cm)
-	if got := cmx.Accuracy(); got != want {
-		t.Errorf("matrix accuracy %.4f != Accuracy() %.4f", got, want)
-	}
-	// The negative-savings class should be the easiest to recall.
-	if r := cmx.ClassRecall(0); r < 0.5 {
-		t.Errorf("class-0 recall %.3f, want >= 0.5", r)
-	}
-}

@@ -43,7 +43,10 @@ func trainedBinnerFixture(t *testing.T) (*Encoder, *gbdt.Model, *Binner) {
 // row, through both the recursive trees and the compiled flat forest.
 func TestBinnerPreservesDecisions(t *testing.T) {
 	enc, model, b := trainedBinnerFixture(t)
-	forest := model.MustCompile()
+	forest, err := model.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
 	jobs := sampleJobs()
 	var row, rep []float64
 	var bins []uint16

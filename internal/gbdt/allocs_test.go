@@ -30,10 +30,10 @@ func TestThresholdsMemoisedAllocs(t *testing.T) {
 	}
 	walked := testing.AllocsPerRun(10, func() { bin(m) })
 	walking := testing.AllocsPerRun(10, func() { bin(unwalked()) })
-	compile := testing.AllocsPerRun(10, func() { unwalked().MustCompile() })
+	compile := testing.AllocsPerRun(10, func() { _, _ = unwalked().Compile() })
 	both := testing.AllocsPerRun(10, func() {
 		fresh := unwalked()
-		fresh.MustCompile()
+		_, _ = fresh.Compile()
 		bin(fresh)
 	})
 	t.Logf("allocations: a binner %v, with the walk %v; a compile %v, with its binner %v", walked, walking, compile, both)
@@ -66,7 +66,7 @@ func TestResidentBytes(t *testing.T) {
 			t.Errorf("%s: ResidentBytes %d is not within %.0f%% below the %.0f bytes the heap holds", what, counted, 100*slack, held)
 		}
 	}
-	loadCompatModel(t).MustCompile() // encoding/json keeps what it learns of a type on first sight
+	gbdt.Compiled(t, loadCompatModel(t)) // encoding/json keeps what it learns of a type on first sight
 	before := heap()
 	for i := range models {
 		models[i] = loadCompatModel(t)
@@ -75,7 +75,7 @@ func TestResidentBytes(t *testing.T) {
 	loaded := heap()
 	check("a loaded model", models[0].ResidentBytes(), (loaded-before)/loads, 0.08)
 	for i := range models {
-		forests[i] = models[i].MustCompile()
+		forests[i] = gbdt.Compiled(t, models[i])
 	}
 	check("its forest", forests[0].ResidentBytes(), (heap()-loaded)/loads, 0.10)
 	runtime.KeepAlive(models)

@@ -262,16 +262,14 @@ func TestForestEntriesBitIdentical(t *testing.T) {
 				t.Fatalf("PredictClass, row %d: %d, model %d", i, got, wantClass[i])
 			}
 		}
-		var logits, scratch, binScratch []float64
+		var scratch, binScratch []float64
 		var classes, binClasses []int
 		for start, size := 0, 1; start < len(rows); start, size = start+size, size%131+1 {
 			end := min(start+size, len(rows))
-			logits = f.PredictBatchInto(rows[start:end], logits)
 			classes, scratch = f.PredictClassBatch(rows[start:end], classes, scratch)
 			binClasses, binScratch = f.PredictClassBinned(tile[start*nf:end*nf], binClasses, binScratch)
 			for i := start; i < end; i++ {
 				at := (i - start) * k
-				same("PredictBatchInto", i, logits[at:at+k])
 				same("PredictClassBatch scratch", i, scratch[at:at+k])
 				same("PredictClassBinned scratch", i, binScratch[at:at+k])
 				if classes[i-start] != wantClass[i] || binClasses[i-start] != wantClass[i] {

@@ -438,15 +438,6 @@ func (m *Model) PredictClass(row []float64) int {
 	return best
 }
 
-// PredictValue returns the regression prediction. Panics if the model is
-// a classifier.
-func (m *Model) PredictValue(row []float64) float64 {
-	if m.NumClasses != 1 {
-		panic("gbdt: PredictValue on a classification model")
-	}
-	return m.Logits(row)[0]
-}
-
 // FeatureImportance returns gain-based importances normalized to sum to
 // 1 (all zeros if no split was ever made).
 func (m *Model) FeatureImportance() []float64 {

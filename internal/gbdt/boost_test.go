@@ -262,7 +262,7 @@ func TestRegressorFitsLinear(t *testing.T) {
 	row := make([]float64, 2)
 	for i := 0; i < n; i++ {
 		row = ds.Row(i, row)
-		p := m.PredictValue(row)
+		p := m.Logits(row)[0]
 		sse += (p - targets[i]) * (p - targets[i])
 		sst += (targets[i] - mean) * (targets[i] - mean)
 	}
@@ -297,11 +297,9 @@ func TestRegressorLossDecreases(t *testing.T) {
 }
 
 func TestPredictPanicsOnWrongMode(t *testing.T) {
-	ds, labels := xorDataset(100, 13)
+	ds, _ := xorDataset(100, 13)
 	cfg := DefaultConfig()
 	cfg.NumRounds = 2
-	clf, _ := TrainClassifier(ds, labels, 2, cfg)
-	assertPanics(t, func() { clf.PredictValue([]float64{0, 0}) })
 	targets := make([]float64, ds.N)
 	reg, _ := TrainRegressor(ds, targets, cfg)
 	assertPanics(t, func() { reg.PredictProba([]float64{0, 0}) })
@@ -360,27 +358,6 @@ func TestLoadRejectsCorrupt(t *testing.T) {
 	}
 	if _, err := Load(bytes.NewBufferString(`{"schema":{"names":["a"],"kinds":[0],"cards":[0]},"num_classes":2,"init_scores":[0.1]}`)); err == nil {
 		t.Error("init-score mismatch accepted")
-	}
-}
-
-func TestSaveLoadFile(t *testing.T) {
-	ds, labels := xorDataset(200, 16)
-	cfg := DefaultConfig()
-	cfg.NumRounds = 2
-	m, _ := TrainClassifier(ds, labels, 2, cfg)
-	path := t.TempDir() + "/model.json"
-	if err := m.SaveFile(path); err != nil {
-		t.Fatalf("SaveFile: %v", err)
-	}
-	got, err := LoadFile(path)
-	if err != nil {
-		t.Fatalf("LoadFile: %v", err)
-	}
-	if got.NumClasses != 2 {
-		t.Errorf("NumClasses = %d", got.NumClasses)
-	}
-	if _, err := LoadFile(path + ".missing"); err == nil {
-		t.Error("missing file accepted")
 	}
 }
 

@@ -22,7 +22,11 @@
 // round losses sum fixed-size chunks in chunk order), so serialized
 // models compare byte-equal across worker counts; Workers itself is
 // excluded from model JSON. Inference (Forest) is likewise bit-identical
-// to per-row Tree traversal.
+// to per-row Tree traversal. Model.Compile is the one way to a Forest,
+// and it refuses what the binned layout cannot hold with a *LimitError;
+// a Forest answers one row (Logits, PredictClass, PredictProba), float
+// rows in blocks (PredictClassBatch) or binned rows (PredictClassBinned),
+// while the Model's own predictors stay as the reference.
 package gbdt
 
 import (

@@ -1,7 +1,19 @@
 package gbdt
 
+import "testing"
+
 // Hooks for the external test package (gbdt_test), which can import
 // the packages that import gbdt (features, core, perf).
+
+// Compiled is m.Compile failing tb on an error.
+func Compiled(tb testing.TB, m *Model) *Forest {
+	tb.Helper()
+	f, err := m.Compile()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return f
+}
 
 // Edges returns the forest's per-feature numeric edges.
 func (f *Forest) Edges() [][]float64 { return f.edges }

@@ -98,7 +98,7 @@ func (e *LimitError) Error() string {
 // All trees live in one node array, categorical split sets are bitsets
 // in a shared arena, and batch prediction walks one tree over a whole
 // row block while the tree stays hot in cache. The float entries
-// (Logits, PredictClass, PredictBatchInto, PredictClassBatch) bin their
+// (Logits, PredictClass, PredictProba, PredictClassBatch) bin their
 // rows and run the same traversal as PredictClassBinned. A Forest is
 // immutable after Compile and safe for concurrent use.
 type Forest struct {
@@ -332,16 +332,6 @@ func (f *Forest) pickMissingIDs(routed [][]uint64) error {
 		f.missing[feat] = uint16(id)
 	}
 	return nil
-}
-
-// MustCompile is Compile panicking on error, for hot-path setup code
-// whose model is known valid.
-func (m *Model) MustCompile() *Forest {
-	f, err := m.Compile()
-	if err != nil {
-		panic(err)
-	}
-	return f
 }
 
 // binRow quantizes one float feature row into out (NumFeatures long) so
@@ -592,43 +582,26 @@ func (f *Forest) PredictClass(row []float64) int {
 	return argmax(logits)
 }
 
-// PredictBatch computes per-row logits for a block of rows.
-func (f *Forest) PredictBatch(rows [][]float64) [][]float64 {
-	flat := f.PredictBatchInto(rows, nil)
-	out := make([][]float64, len(rows))
-	for i := range out {
-		out[i] = flat[i*f.NumClasses : (i+1)*f.NumClasses]
-	}
-	return out
-}
-
-// PredictBatchInto is PredictBatch writing logits into a reusable flat
-// buffer laid out row-major (len(rows) x NumClasses). The buffer is the
-// caller's scratch for the whole call: the spare capacity behind the
-// logits holds one block's binned rows, so a caller that hands the
-// returned slice back on its next call allocates nothing, whatever the
-// row count does below the next block boundary.
-func (f *Forest) PredictBatchInto(rows [][]float64, logits []float64) []float64 {
+// PredictClassBatch returns the argmax class per row, reusing classes
+// and the scratch buffer when provided. The returned scratch holds the
+// per-row logits laid out row-major (len(rows) x NumClasses), and its
+// spare capacity one block's binned rows: a caller that hands it back
+// on its next call allocates nothing, whatever the row count does below
+// the next block boundary.
+func (f *Forest) PredictClassBatch(rows [][]float64, classes []int, scratch []float64) ([]int, []float64) {
 	n := len(rows)
 	k, nf := f.NumClasses, f.NumFeatures
 	// The block's bins live in the caller's float64 scratch, four to a
 	// word, viewed as the []uint16 the traversal reads.
-	logits, words := f.logitsScratch(logits, n, (batchBlock*nf+3)/4)
+	scratch, words := f.logitsScratch(scratch, n, (batchBlock*nf+3)/4)
 	tile := unsafe.Slice((*uint16)(unsafe.Pointer(unsafe.SliceData(words))), 4*len(words))
 	for start := 0; start < n; start += batchBlock {
 		end := min(start+batchBlock, n)
 		for i, row := range rows[start:end] {
 			f.binRow(row, tile[i*nf:(i+1)*nf])
 		}
-		f.addRoundsBlock(tile, end-start, logits[start*k:end*k], 0, f.rounds())
+		f.addRoundsBlock(tile, end-start, scratch[start*k:end*k], 0, f.rounds())
 	}
-	return logits
-}
-
-// PredictClassBatch returns the argmax class per row, reusing classes
-// and the flat logit scratch buffer when provided.
-func (f *Forest) PredictClassBatch(rows [][]float64, classes []int, scratch []float64) ([]int, []float64) {
-	scratch = f.PredictBatchInto(rows, scratch)
 	return f.argmaxRows(scratch, classes), scratch
 }
 
@@ -652,6 +625,3 @@ func (f *Forest) ResidentBytes() int {
 		int(unsafe.Sizeof(treeRef{}))*len(f.trees) + 4*len(f.classStart) +
 		8*len(f.initScores) + int(unsafe.Sizeof(Numeric))*len(f.kinds) + 2*len(f.missing)
 }
-
-// NumTrees returns the number of compiled trees.
-func (f *Forest) NumTrees() int { return len(f.trees) }

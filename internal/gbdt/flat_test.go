@@ -61,8 +61,8 @@ func TestForestMatchesModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.NumTrees() != m.NumTrees() {
-		t.Fatalf("forest has %d trees, model %d", f.NumTrees(), m.NumTrees())
+	if len(f.trees) != m.NumTrees() {
+		t.Fatalf("forest has %d trees, model %d", len(f.trees), m.NumTrees())
 	}
 	var logitBuf []float64
 	for i, row := range rows {
@@ -81,14 +81,13 @@ func TestForestMatchesModel(t *testing.T) {
 
 func TestForestPredictBatchMatchesPerRow(t *testing.T) {
 	m, rows := trainFlatFixture(t, 700, 10) // > batchBlock rows to cross a block boundary
-	f := m.MustCompile()
-	batch := f.PredictBatch(rows)
-	classes, _ := f.PredictClassBatch(rows, nil, nil)
+	f := Compiled(t, m)
+	classes, logits := f.PredictClassBatch(rows, nil, nil)
 	for i, row := range rows {
 		want := m.Logits(row)
 		for k := range want {
-			if math.Abs(want[k]-batch[i][k]) > 1e-12 {
-				t.Fatalf("row %d class %d: batch logit %g != model %g", i, k, batch[i][k], want[k])
+			if got := logits[i*f.NumClasses+k]; math.Abs(want[k]-got) > 1e-12 {
+				t.Fatalf("row %d class %d: batch logit %g != model %g", i, k, got, want[k])
 			}
 		}
 		if want := m.PredictClass(row); classes[i] != want {
@@ -99,7 +98,7 @@ func TestForestPredictBatchMatchesPerRow(t *testing.T) {
 
 func TestForestBufferReuse(t *testing.T) {
 	m, rows := trainFlatFixture(t, 300, 6)
-	f := m.MustCompile()
+	f := Compiled(t, m)
 	classes, scratch := f.PredictClassBatch(rows[:100], nil, nil)
 	classes2, scratch2 := f.PredictClassBatch(rows[100:200], classes, scratch)
 	if &classes2[0] != &classes[0] {
@@ -132,10 +131,10 @@ func TestForestRegressor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := m.MustCompile()
+	f := Compiled(t, m)
 	for i := 0; i < n; i++ {
 		row := ds.Row(i, nil)
-		want := m.PredictValue(row)
+		want := m.Logits(row)[0]
 		got := f.Logits(row, nil)[0]
 		if math.Abs(want-got) > 1e-12 {
 			t.Fatalf("row %d: forest value %g != model %g", i, got, want)
@@ -151,7 +150,7 @@ func TestForestRegressor(t *testing.T) {
 // Model.Logits (the float entry's tile shares the buffer).
 func TestPredictClassBatchSteadyStateAllocs(t *testing.T) {
 	m, rows := trainFlatFixture(t, 200, 10)
-	f := m.MustCompile()
+	f := Compiled(t, m)
 	nf := f.NumFeatures
 	tile := make([]uint16, len(rows)*nf)
 	for i, row := range rows {
@@ -291,8 +290,8 @@ func TestCompileLargeCategoricalSet(t *testing.T) {
 		if got, want := f.Logits(row, nil)[0], tree.Predict(row); got != want {
 			t.Errorf("value %v: forest %v, tree %v", v, got, want)
 		}
-		if got, want := f.PredictBatch([][]float64{row})[0][0], tree.Predict(row); got != want {
-			t.Errorf("value %v: batch %v, tree %v", v, got, want)
+		if _, logits := f.PredictClassBatch([][]float64{row}, nil, nil); logits[0] != tree.Predict(row) {
+			t.Errorf("value %v: batch %v, tree %v", v, logits[0], tree.Predict(row))
 		}
 	}
 	// Every id is a legal wire bin at this cardinality.
@@ -441,7 +440,7 @@ func BenchmarkPredictProba(b *testing.B) {
 
 func BenchmarkForestPredictBatch(b *testing.B) {
 	m, rows := trainFlatFixture(b, 2000, 60)
-	f := m.MustCompile()
+	f := Compiled(b, m)
 	var classes []int
 	var scratch []float64
 	b.ResetTimer()
@@ -472,7 +471,7 @@ func TestForestCategoricalEdgeValues(t *testing.T) {
 		InitScores: []float64{0},
 		Trees:      [][]*Tree{{tree}},
 	}
-	f := m.MustCompile()
+	f := Compiled(t, m)
 	for _, v := range []float64{-0.99, -0.5, -1, -1.5, 0, 0.7, 1, 62.9, 63, 64, 65, 128, 129, 130, 500, math.NaN()} {
 		row := []float64{v}
 		want := tree.Predict(row)
@@ -480,9 +479,8 @@ func TestForestCategoricalEdgeValues(t *testing.T) {
 		if got != want {
 			t.Errorf("value %v: forest %v, tree %v", v, got, want)
 		}
-		batch := f.PredictBatch([][]float64{row})
-		if batch[0][0] != want {
-			t.Errorf("value %v: batch %v, tree %v", v, batch[0][0], want)
+		if _, logits := f.PredictClassBatch([][]float64{row}, nil, nil); logits[0] != want {
+			t.Errorf("value %v: batch %v, tree %v", v, logits[0], want)
 		}
 	}
 }

@@ -79,15 +79,14 @@ func FuzzLoadModel(f *testing.F) {
 		if err != nil {
 			return // rejected cleanly
 		}
-		// Accepted models must be fully usable. PredictProba and
-		// PredictValue panic by documented contract on the wrong model
-		// arity, so pick the matching entry point.
+		// Accepted models must be fully usable. PredictProba panics by
+		// documented contract on a regressor, so only a classifier
+		// takes it.
 		row := make([]float64, m.Schema.NumFeatures())
 		m.PredictClass(row)
+		m.Logits(row)
 		if m.NumClasses >= 2 {
 			m.PredictProba(row)
-		} else {
-			m.PredictValue(row)
 		}
 		forest, err := m.Compile()
 		if err == nil {
@@ -298,10 +297,10 @@ func FuzzBinnedTraversal(f *testing.F) {
 			}
 			k := len(want)
 			same("Logits", ff.forest.Logits(row, nil))
-			same("PredictBatch of one", ff.forest.PredictBatch([][]float64{row})[0])
-			same("PredictBatchInto of nine", ff.forest.PredictBatchInto(batch, nil)[at*k:])
+			_, one := ff.forest.PredictClassBatch([][]float64{row}, nil, nil)
+			same("PredictClassBatch of one", one)
 			classes, scratch := ff.forest.PredictClassBatch(batch, nil, nil)
-			same("PredictClassBatch scratch", scratch[at*k:])
+			same("PredictClassBatch of nine", scratch[at*k:])
 			if got := ff.forest.PredictClass(row); got != wantClass || classes[at] != wantClass {
 				t.Fatalf("%d classes, row %v: PredictClass %d, PredictClassBatch %d, model %d", k, row, got, classes[at], wantClass)
 			}

@@ -44,7 +44,12 @@ func TestNodeLayout(t *testing.T) {
 // loadCompatModel loads the checked-in model file.
 func loadCompatModel(tb testing.TB) *gbdt.Model {
 	tb.Helper()
-	m, err := gbdt.LoadFile(compatModelFile)
+	f, err := os.Open(compatModelFile)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer f.Close()
+	m, err := gbdt.Load(f)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -96,7 +96,7 @@ func TestRegressorWithCategoricalFeature(t *testing.T) {
 		t.Fatal(err)
 	}
 	for c, want := range means {
-		got := m.PredictValue([]float64{float64(c)})
+		got := m.Logits([]float64{float64(c)})[0]
 		if math.Abs(got-want) > 0.25 {
 			t.Errorf("category %d predicted %g, want ~%g", c, got, want)
 		}

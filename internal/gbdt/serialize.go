@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"slices"
 )
 
@@ -178,27 +177,4 @@ func (m *Model) validateTree(t *Tree) error {
 		}
 	}
 	return nil
-}
-
-// SaveFile writes the model to a file.
-func (m *Model) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("gbdt: %w", err)
-	}
-	defer f.Close()
-	if err := m.Save(f); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// LoadFile reads a model from a file written by SaveFile.
-func LoadFile(path string) (*Model, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("gbdt: %w", err)
-	}
-	defer f.Close()
-	return Load(f)
 }

@@ -1,7 +1,7 @@
 // Package metrics provides small statistical helpers shared by the
 // simulator, the model-analysis experiments and the benchmark harness —
-// mean, quantiles, AUC, Pearson correlation and confusion matrices —
-// and the serving core's per-shard counters.
+// mean, quantiles, AUC and Pearson correlation — and the serving core's
+// per-shard counters.
 package metrics
 
 import (
@@ -114,55 +114,6 @@ func AUC(labels []bool, scores []float64) float64 {
 	}
 	u := sumPosRank - float64(nPos)*float64(nPos+1)/2
 	return u / (float64(nPos) * float64(nNeg))
-}
-
-// ConfusionMatrix accumulates multiclass classification outcomes.
-type ConfusionMatrix struct {
-	K      int
-	Counts [][]int // Counts[true][predicted]
-}
-
-// NewConfusionMatrix creates a KxK confusion matrix.
-func NewConfusionMatrix(k int) *ConfusionMatrix {
-	counts := make([][]int, k)
-	for i := range counts {
-		counts[i] = make([]int, k)
-	}
-	return &ConfusionMatrix{K: k, Counts: counts}
-}
-
-// Add records one (true, predicted) pair. Out-of-range classes panic.
-func (c *ConfusionMatrix) Add(trueClass, predClass int) {
-	c.Counts[trueClass][predClass]++
-}
-
-// Accuracy returns the top-1 accuracy, or NaN for an empty matrix.
-func (c *ConfusionMatrix) Accuracy() float64 {
-	var correct, total int
-	for i := 0; i < c.K; i++ {
-		for j := 0; j < c.K; j++ {
-			total += c.Counts[i][j]
-			if i == j {
-				correct += c.Counts[i][j]
-			}
-		}
-	}
-	if total == 0 {
-		return math.NaN()
-	}
-	return float64(correct) / float64(total)
-}
-
-// ClassRecall returns recall for one class, or NaN if the class is absent.
-func (c *ConfusionMatrix) ClassRecall(k int) float64 {
-	var total int
-	for j := 0; j < c.K; j++ {
-		total += c.Counts[k][j]
-	}
-	if total == 0 {
-		return math.NaN()
-	}
-	return float64(c.Counts[k][k]) / float64(total)
 }
 
 // Pearson computes the Pearson correlation coefficient between xs and ys.

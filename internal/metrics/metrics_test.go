@@ -145,33 +145,6 @@ func TestAUCRangeProperty(t *testing.T) {
 	}
 }
 
-func TestConfusionMatrix(t *testing.T) {
-	cm := NewConfusionMatrix(3)
-	cm.Add(0, 0)
-	cm.Add(0, 1)
-	cm.Add(1, 1)
-	cm.Add(2, 2)
-	if acc := cm.Accuracy(); math.Abs(acc-0.75) > 1e-12 {
-		t.Errorf("Accuracy = %g, want 0.75", acc)
-	}
-	if r := cm.ClassRecall(0); math.Abs(r-0.5) > 1e-12 {
-		t.Errorf("recall(0) = %g, want 0.5", r)
-	}
-	if r := cm.ClassRecall(1); r != 1 {
-		t.Errorf("recall(1) = %g, want 1", r)
-	}
-}
-
-func TestConfusionMatrixEmpty(t *testing.T) {
-	cm := NewConfusionMatrix(2)
-	if !math.IsNaN(cm.Accuracy()) {
-		t.Error("empty accuracy should be NaN")
-	}
-	if !math.IsNaN(cm.ClassRecall(0)) {
-		t.Error("empty recall should be NaN")
-	}
-}
-
 func TestPearson(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	ys := []float64{2, 4, 6, 8, 10}

@@ -53,11 +53,11 @@ func WriteTracez(w io.Writer, node string, sampleEvery, ringSize int, sampled in
 
 // tracezJSON is the JSON form of one /tracez page.
 type tracezJSON struct {
-	Node        string       `json:"node"`
-	SampleEvery int          `json:"sample_every"`
-	Ring        int          `json:"ring"`
-	Sampled     int64        `json:"sampled"`
-	Traces      []traceJSON  `json:"traces"`
+	Node        string      `json:"node"`
+	SampleEvery int         `json:"sample_every"`
+	Ring        int         `json:"ring"`
+	Sampled     int64       `json:"sampled"`
+	Traces      []traceJSON `json:"traces"`
 }
 
 // traceJSON wraps Trace with the ID in grep-friendly hex.

@@ -65,6 +65,15 @@ type WindowConfig struct {
 // bring their own (the BYOM premise applies to the retrain path too).
 type Trainer func(jobs []*trace.Job, cm *cost.Model) (*core.CategoryModel, error)
 
+const (
+	// holdoutFrac is the newest fraction of the window reserved for
+	// shadow evaluation; the rest trains the candidate.
+	holdoutFrac = 0.25
+	// gateQuotaFrac sets the shadow simulation's SSD quota as a
+	// fraction of the holdout slice's peak SSD demand.
+	gateQuotaFrac = 0.1
+)
+
 // Config tunes the continuous-learning loop.
 type Config struct {
 	// Window bounds the feedback collector.
@@ -78,16 +87,10 @@ type Config struct {
 	// MinRetrainJobs is the minimum window population for any retrain
 	// to fire (cadence or drift).
 	MinRetrainJobs int
-	// HoldoutFrac is the newest fraction of the window reserved for
-	// shadow evaluation; the rest trains the candidate.
-	HoldoutFrac float64
 	// GateEpsilonPct is the tolerated TCO-savings regression, in
 	// percentage points, of the candidate vs the live model on the
 	// holdout before the candidate is rejected.
 	GateEpsilonPct float64
-	// GateQuotaFrac sets the shadow simulation's SSD quota as a
-	// fraction of the holdout slice's peak SSD demand.
-	GateQuotaFrac float64
 	// Train configures the default trainer. Train.NumCategories must
 	// match the served model (the server rejects mismatches anyway).
 	Train core.TrainOptions
@@ -117,9 +120,7 @@ func DefaultConfig(numCategories int) Config {
 		RetrainEverySec: 24 * 3600,
 		Drift:           DriftConfig{TVThreshold: 0.15, MinSamples: 500},
 		MinRetrainJobs:  500,
-		HoldoutFrac:     0.25,
 		GateEpsilonPct:  0.5,
-		GateQuotaFrac:   0.1,
 		Train:           topts,
 	}
 }
@@ -136,12 +137,8 @@ func (c *Config) validate() error {
 		return fmt.Errorf("online: both retrain triggers disabled (cadence 0, drift threshold %g)", c.Drift.TVThreshold)
 	case c.MinRetrainJobs < 2:
 		return fmt.Errorf("online: MinRetrainJobs must be >= 2, got %d", c.MinRetrainJobs)
-	case c.HoldoutFrac <= 0 || c.HoldoutFrac >= 1:
-		return fmt.Errorf("online: HoldoutFrac must be in (0, 1), got %g", c.HoldoutFrac)
 	case c.GateEpsilonPct < 0:
 		return fmt.Errorf("online: GateEpsilonPct must be >= 0, got %g", c.GateEpsilonPct)
-	case c.GateQuotaFrac <= 0:
-		return fmt.Errorf("online: GateQuotaFrac must be positive, got %g", c.GateQuotaFrac)
 	case c.Train.NumCategories < 2:
 		return fmt.Errorf("online: Train.NumCategories must be >= 2, got %d", c.Train.NumCategories)
 	}
@@ -349,10 +346,10 @@ func (l *Learner) retrain(snap []Record, now float64, trigger string) {
 		jobs[i] = r.Job
 	}
 	sort.SliceStable(jobs, func(a, b int) bool { return jobs[a].ArrivalSec < jobs[b].ArrivalSec })
-	holdStart := len(jobs) - int(l.cfg.HoldoutFrac*float64(len(jobs)))
+	holdStart := len(jobs) - int(holdoutFrac*float64(len(jobs)))
 	if holdStart < 1 || holdStart >= len(jobs) {
 		ev.Err = fmt.Errorf("online: window of %d jobs cannot be split at holdout fraction %g",
-			len(jobs), l.cfg.HoldoutFrac)
+			len(jobs), holdoutFrac)
 		l.counters.trainErrors.Add(1)
 		return
 	}
@@ -406,12 +403,12 @@ func (l *Learner) retrain(snap []Record, now float64, trigger string) {
 
 // shadowEval replays the holdout slice through fresh Algorithm 1
 // controllers for the candidate and the live model and returns both TCO
-// savings percentages. The quota is GateQuotaFrac of the holdout's peak
+// savings percentages. The quota is gateQuotaFrac of the holdout's peak
 // SSD demand, so the gate exercises the same contention regime the
 // window observed.
 func (l *Learner) shadowEval(candidate, live *core.CategoryModel, holdout []*trace.Job) (candPct, livePct float64, err error) {
 	tr := &trace.Trace{Cluster: "online-holdout", Jobs: holdout}
-	quota := tr.PeakSSDUsage() * l.cfg.GateQuotaFrac
+	quota := tr.PeakSSDUsage() * gateQuotaFrac
 	candPct, err = evalTCOPct(candidate, tr, l.cm, quota)
 	if err != nil {
 		return 0, 0, fmt.Errorf("online: shadow-evaluating candidate: %w", err)

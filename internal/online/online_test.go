@@ -166,20 +166,16 @@ func TestOnlineLoopRecoversFromDrift(t *testing.T) {
 // degradedModel builds a candidate that predicts the lowest-importance
 // category for every job: Algorithm 1 then admits nothing (ACT >= 1),
 // savings collapse, and the gate must reject it.
-func degradedModel(m *core.CategoryModel) *core.CategoryModel {
+func degradedModel(m *core.CategoryModel) (*core.CategoryModel, error) {
 	n := m.NumCategories()
 	init := make([]float64, n)
 	init[0] = 10 // argmax is always class 0
-	return &core.CategoryModel{
-		Encoder: m.Encoder,
-		Labeler: m.Labeler,
-		Model: &gbdt.Model{
-			Schema:     m.Model.Schema,
-			Config:     m.Model.Config,
-			NumClasses: n,
-			InitScores: init,
-		},
-	}
+	return core.NewCategoryModel(m.Encoder, &gbdt.Model{
+		Schema:     m.Model.Schema,
+		Config:     m.Model.Config,
+		NumClasses: n,
+		InitScores: init,
+	}, m.Labeler)
 }
 
 // TestGateRejectsRegressingCandidate forces retrains to produce a
@@ -192,7 +188,7 @@ func TestGateRejectsRegressingCandidate(t *testing.T) {
 	lcfg := testLearnerConfig()
 	lcfg.Drift.TVThreshold = 0 // cadence only
 	lcfg.Trainer = func([]*trace.Job, *cost.Model) (*core.CategoryModel, error) {
-		return degradedModel(fx.model), nil
+		return degradedModel(fx.model)
 	}
 	var events []Event
 	lcfg.OnEvent = func(ev Event) { events = append(events, ev) }

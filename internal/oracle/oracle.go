@@ -571,8 +571,9 @@ func solveExact(cands []candidate, capacity float64, res *Result) (*Result, erro
 	return res, nil
 }
 
-// Feasible verifies that a decision set never exceeds capacity; it is
-// used by tests and by the simulator's invariant checks.
+// Feasible verifies that a decision set never exceeds capacity at any
+// instant: the check the oracle's tests hold every solver's placement
+// to.
 func Feasible(jobs []*trace.Job, onSSD map[string]bool, capacity float64) bool {
 	type ev struct {
 		at    float64

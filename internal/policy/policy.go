@@ -17,10 +17,10 @@
 // Every model-backed policy predicts on a compiled gbdt.Forest, the
 // kernel serving runs: AdaptiveRanking on its category model's shared
 // forest, MLBaseline and Imitation on forests compiled when they are
-// trained. A model the forest cannot hold is an error from the
-// constructor, not a second prediction path. AdaptiveRanking is also a
-// sim.Preparer: a replay classifies its trace once, batched, before the
-// first Place.
+// trained. A model the forest cannot hold is an error where the model
+// is built (core.NewCategoryModel, the trainers), not a second
+// prediction path. AdaptiveRanking is also a sim.Preparer: a replay
+// classifies its trace once, batched, before the first Place.
 package policy
 
 import (
@@ -112,14 +112,11 @@ type AdaptiveRanking struct {
 }
 
 // NewAdaptiveRanking wires a trained category model to a fresh
-// Algorithm 1 controller. A model its forest cannot hold is refused.
+// Algorithm 1 controller.
 func NewAdaptiveRanking(model *core.CategoryModel, cm *cost.Model, cfg core.AdaptiveConfig) (*AdaptiveRanking, error) {
 	if cfg.NumCategories != model.NumCategories() {
 		return nil, fmt.Errorf("policy: adaptive config has %d categories, model %d",
 			cfg.NumCategories, model.NumCategories())
-	}
-	if _, err := model.Forest(); err != nil {
-		return nil, fmt.Errorf("policy: adaptive ranking: %w", err)
 	}
 	a, err := core.NewAdaptive(cfg)
 	if err != nil {

@@ -1,14 +1,12 @@
 package policy_test
 
 import (
-	"errors"
 	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/gbdt"
 	"repro/internal/perf"
 	"repro/internal/policy"
 	"repro/internal/rebalance"
@@ -173,42 +171,5 @@ func TestPlaceOutOfOrder(t *testing.T) {
 	}
 	if got, want := prepared.ACTTrace(), plain.ACTTrace(); len(want) < 10 || !reflect.DeepEqual(got, want) {
 		t.Errorf("controller traces differ (%d and %d points)", len(got), len(want))
-	}
-}
-
-// TestAdaptiveRankingRefusesUncompilableModel: a model the forest cannot
-// hold is the constructor's error, not a slower policy.
-func TestAdaptiveRankingRefusesUncompilableModel(t *testing.T) {
-	f, trained := poolFixture(t)
-	// Two splits on one categorical feature that between them route every
-	// uint16 id left, leaving none for a missing value.
-	feat := 0
-	schema := trained.Encoder.Schema()
-	for schema.Kinds[feat] != gbdt.Categorical {
-		feat++
-	}
-	split := func(lo, hi int32) *gbdt.Tree {
-		ids := make([]int32, 0, hi-lo)
-		for id := lo; id < hi; id++ {
-			ids = append(ids, id)
-		}
-		tree := &gbdt.Tree{Nodes: []gbdt.Node{
-			{Feature: int32(feat), Kind: uint8(gbdt.Categorical), Left: 1, Right: 2},
-			{IsLeaf: true}, {IsLeaf: true, Value: 1},
-		}}
-		tree.SetLeftCats(0, ids)
-		return tree
-	}
-	leaf := &gbdt.Tree{Nodes: []gbdt.Node{{IsLeaf: true}}}
-	model := &core.CategoryModel{
-		Encoder: trained.Encoder,
-		Model: &gbdt.Model{Schema: schema, NumClasses: 2, InitScores: []float64{0, 0},
-			Trees: [][]*gbdt.Tree{{leaf, split(0, 1)}, {leaf, split(1, 1<<16)}}},
-		Labeler: &core.Labeler{NumCategories: 2},
-	}
-	p, err := policy.NewAdaptiveRanking(model, f.Cost, core.DefaultAdaptiveConfig(2))
-	var limit *gbdt.LimitError
-	if p != nil || !errors.As(err, &limit) {
-		t.Fatalf("NewAdaptiveRanking = %v, %v; want a *gbdt.LimitError", p, err)
 	}
 }

@@ -20,10 +20,7 @@
 //     injection, used by the e2e tests and the loadgen smoke.
 package router
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // ringPoint is one virtual node: a position on the hash circle owned by
 // a member.
@@ -53,9 +50,6 @@ func NewRing(seed uint64, replicas int) *Ring {
 	return &Ring{seed: seed, replicas: replicas}
 }
 
-// Len returns the number of members.
-func (r *Ring) Len() int { return len(r.members) }
-
 // SetMembers replaces the membership wholesale. Duplicates collapse;
 // the input order is irrelevant.
 func (r *Ring) SetMembers(members []string) {
@@ -69,28 +63,6 @@ func (r *Ring) SetMembers(members []string) {
 		r.members = append(r.members, m)
 	}
 	sort.Strings(r.members)
-	r.rebuild()
-}
-
-// Add inserts a member (no-op if present).
-func (r *Ring) Add(member string) {
-	i := sort.SearchStrings(r.members, member)
-	if i < len(r.members) && r.members[i] == member {
-		return
-	}
-	r.members = append(r.members, "")
-	copy(r.members[i+1:], r.members[i:])
-	r.members[i] = member
-	r.rebuild()
-}
-
-// Remove deletes a member (no-op if absent).
-func (r *Ring) Remove(member string) {
-	i := sort.SearchStrings(r.members, member)
-	if i >= len(r.members) || r.members[i] != member {
-		return
-	}
-	r.members = append(r.members[:i], r.members[i+1:]...)
 	r.rebuild()
 }
 
@@ -180,9 +152,4 @@ func mix64(x uint64) uint64 {
 	x *= 0xc4ceb9fe1a85ec53
 	x ^= x >> 33
 	return x
-}
-
-// String renders membership for error messages.
-func (r *Ring) String() string {
-	return fmt.Sprintf("ring(%d members, %d vnodes each, seed %d)", len(r.members), r.replicas, r.seed)
 }

@@ -32,17 +32,15 @@ func TestRingMembershipOrderIrrelevant(t *testing.T) {
 	}
 	reversed.SetMembers(rev)
 
-	// Same set, built by incremental joins in a scrambled order.
+	// Same set, listed in a scrambled join order.
 	joined := NewRing(7, 64)
-	for _, i := range []int{2, 0, 4, 1, 3} {
-		joined.Add(members[i])
-	}
+	joined.SetMembers([]string{members[2], members[0], members[4], members[1], members[3]})
 
-	// Same set after a leave + rejoin (the Restart path).
+	// Same set after a leave + rejoin, the rejoiner listed last.
 	rejoined := NewRing(7, 64)
 	rejoined.SetMembers(members)
-	rejoined.Remove(members[2])
-	rejoined.Add(members[2])
+	rejoined.SetMembers([]string{members[0], members[1], members[3], members[4]})
+	rejoined.SetMembers([]string{members[0], members[1], members[3], members[4], members[2]})
 
 	for k := uint64(0); k < K; k++ {
 		want, ok := canonical.Route(k, nil)
@@ -130,7 +128,7 @@ func TestRingRebalanceBounds(t *testing.T) {
 			}
 
 			// Leave: keys not owned by the leaver must not move.
-			r.Remove(members[0])
+			r.SetMembers(members[1:])
 			for k := range before {
 				got, _ := r.Route(uint64(k), nil)
 				if before[k] == members[0] {
@@ -143,7 +141,7 @@ func TestRingRebalanceBounds(t *testing.T) {
 			}
 
 			// Rejoin: placement is restored bit-for-bit.
-			r.Add(members[0])
+			r.SetMembers(members)
 			for k := range before {
 				if got, _ := r.Route(uint64(k), nil); got != before[k] {
 					t.Fatalf("seed %d n %d: key %d at %s after rejoin, want %s", seed, n, k, got, before[k])
@@ -152,7 +150,7 @@ func TestRingRebalanceBounds(t *testing.T) {
 
 			// Join: moved keys all land on the joiner, within its share.
 			joiner := "http://10.0.0.99:7070"
-			r.Add(joiner)
+			r.SetMembers(append(members[:n:n], joiner))
 			moved := 0
 			for k := range before {
 				got, _ := r.Route(uint64(k), nil)

@@ -408,15 +408,6 @@ func clientFault(err error) bool {
 	return errors.As(err, &refused) && refused.Code == wire.ErrCodeBadRequest
 }
 
-// PlaceOne routes a single job.
-func (r *Router) PlaceOne(ctx context.Context, j *trace.Job) (wire.Decision, error) {
-	ds, err := r.Place(ctx, []*trace.Job{j})
-	if err != nil {
-		return wire.Decision{}, err
-	}
-	return ds[0], nil
-}
-
 // Observe routes one placement outcome to the node that owns the job's
 // template — the same serve.TemplateHash key Place routes by, so the
 // feedback lands on the daemon whose shard (and attached learner or

@@ -84,7 +84,7 @@ func TestRouterOwnershipConsistency(t *testing.T) {
 	if !ok {
 		t.Fatal("no owner for the test template")
 	}
-	if _, err := r.PlaceOne(context.Background(), job); err != nil {
+	if _, err := r.Place(context.Background(), []*trace.Job{job}); err != nil {
 		t.Fatal(err)
 	}
 	urls := p.URLs()
@@ -112,10 +112,11 @@ func TestRouterObserveRoutesToOwner(t *testing.T) {
 	if !ok {
 		t.Fatal("no owner for the test template")
 	}
-	d, err := r.PlaceOne(context.Background(), job)
+	ds, err := r.Place(context.Background(), []*trace.Job{job})
 	if err != nil {
 		t.Fatal(err)
 	}
+	d := ds[0]
 	o := sim.Outcome{WantedSSD: d.Admit, FracOnSSD: 1, SpilledAt: -1, EvictedAt: -1}
 	if err := r.Observe(context.Background(), job, d.Category, o); err != nil {
 		t.Fatalf("observe: %v", err)
@@ -502,7 +503,7 @@ func TestRouterClientFaultIsFinal(t *testing.T) {
 				_, err := r.Place(context.Background(), []*trace.Job{job, &invalid})
 				return err
 			},
-			valid:  func(r *Router) error { _, err := r.PlaceOne(context.Background(), job); return err },
+			valid:  func(r *Router) error { _, err := r.Place(context.Background(), []*trace.Job{job}); return err },
 			landed: func(s rpc.DaemonStats) int64 { return s.PlaceJobs },
 		},
 		{
@@ -513,7 +514,7 @@ func TestRouterClientFaultIsFinal(t *testing.T) {
 				_, err := r.Place(context.Background(), []*trace.Job{job, &invalid})
 				return err
 			},
-			valid:  func(r *Router) error { _, err := r.PlaceOne(context.Background(), job); return err },
+			valid:  func(r *Router) error { _, err := r.Place(context.Background(), []*trace.Job{job}); return err },
 			landed: func(s rpc.DaemonStats) int64 { return s.PlaceJobs },
 		},
 	} {

@@ -66,21 +66,21 @@ func TestOutcomeJobOwnership(t *testing.T) {
 	}
 
 	// The learner's window is private; its retrain hands the Trainer the
-	// window, oldest first, minus the newest HoldoutFrac of it. One closing
-	// post (every daemon gets it), later than every job, fills the window
-	// to MinRetrainJobs, fires the cadence trigger and is itself the whole
-	// holdout.
+	// window, oldest first, minus the newest quarter of it (the holdout).
+	// A third as many closing posts (every daemon gets them), later than
+	// every job, fill the window to MinRetrainJobs, fire the cadence
+	// trigger on the last one and are themselves the whole holdout.
 	var (
 		windowMu sync.Mutex
 		window   []*trace.Job
 	)
+	const closers = posts / 3
 	closer := *jobs[posts-1]
 	closer.ID, closer.ArrivalSec = "closer", jobs[posts-1].ArrivalSec+3600
 	lcfg := online.DefaultConfig(testCategories)
 	lcfg.Drift.TVThreshold = 0
 	lcfg.RetrainEverySec = 1
-	lcfg.MinRetrainJobs = posts + 1
-	lcfg.HoldoutFrac = 0.001
+	lcfg.MinRetrainJobs = posts + closers
 	lcfg.Trainer = func(js []*trace.Job, _ *cost.Model) (*core.CategoryModel, error) {
 		windowMu.Lock()
 		window = append(window, js...)
@@ -124,8 +124,10 @@ func TestOutcomeJobOwnership(t *testing.T) {
 					t.Fatalf("observe %d: %v", i, err)
 				}
 			}
-			if err := c.Observe(ctx, &closer, 0, outcomeFor(posts-1)); err != nil {
-				t.Fatal(err)
+			for range closers {
+				if err := c.Observe(ctx, &closer, 0, outcomeFor(posts-1)); err != nil {
+					t.Fatal(err)
+				}
 			}
 			r.observed = d.ServeStats().Observations
 			if st := d.Stats(); st.StreamSessions != 1 || st.BadRequests != 0 {
@@ -194,8 +196,8 @@ func TestOutcomeJobOwnership(t *testing.T) {
 	check("the observer", rows[0].hook.kept)
 	check("the learner's window", window)
 	for _, r := range rows {
-		if r.observed != posts+1 {
-			t.Errorf("%s: %d observations applied when the last post returned, want %d", r.name, r.observed, posts+1)
+		if r.observed != posts+closers {
+			t.Errorf("%s: %d observations applied when the last post returned, want %d", r.name, r.observed, posts+closers)
 		}
 		if !reflect.DeepEqual(r.next, rows[0].next) {
 			t.Errorf("%s: the batch after the feedback was decided differently than on the daemon that owned every job", r.name)

@@ -17,9 +17,10 @@
 //     rows are copied into the worker's tile, raw jobs are encoded and
 //     binned there, and one kernel walks each tree over the whole row
 //     block — several times faster than per-row Model.Predict.
-//   - The category model is resolved through internal/registry and
-//     re-compiled + atomically swapped whenever the workload publishes
-//     a new version or rolls back, without pausing traffic.
+//   - The category model is resolved through internal/registry and its
+//     forest, compiled when the bundle was built, is atomically swapped
+//     in whenever the workload publishes a new version or rolls back,
+//     without pausing traffic.
 //
 // Time inside the server is the trace's virtual clock: decisions use
 // each job's ArrivalSec, mirroring the simulator's semantics, so a
@@ -325,10 +326,7 @@ func (s *Server) reload() error {
 		return fmt.Errorf("serve: model %s v%d has %d categories, controller expects %d",
 			version.Workload, version.Number, model.NumCategories(), s.cfg.Adaptive.NumCategories)
 	}
-	forest, err := model.Forest()
-	if err != nil {
-		return fmt.Errorf("serve: compiling %s v%d: %w", version.Workload, version.Number, err)
-	}
+	forest := model.Forest()
 	binner, err := features.BinnerForModel(model.Model)
 	if err != nil {
 		return fmt.Errorf("serve: binning %s v%d: %w", version.Workload, version.Number, err)
