@@ -1,10 +1,11 @@
 // Package oracle implements the paper's clairvoyant placement oracle
 // (Section 3.1): an Integer Linear Program that maximizes savings from
 // SSD placement subject to the SSD capacity constraint at every point in
-// time. It provides an exact branch-and-bound solver (LP-relaxation
-// bounds via internal/lp) for small instances and a scalable greedy
-// density solver with an exchange pass for cluster-scale traces, the
-// latter validated against the former in tests.
+// time. It provides an exact branch-and-bound solver for small
+// instances, bounded by the problem's LP relaxation solved exactly as a
+// min-cost flow (relax), and a scalable greedy density solver with an
+// exchange pass for cluster-scale traces, the latter validated against
+// the former in tests.
 package oracle
 
 import (
@@ -13,7 +14,6 @@ import (
 	"sort"
 
 	"repro/internal/cost"
-	"repro/internal/lp"
 	"repro/internal/trace"
 )
 
@@ -73,10 +73,12 @@ type Result struct {
 	// of admitted jobs).
 	Value float64
 	// UpperBound is a valid upper bound on the optimum: the LP
-	// relaxation for exact solves, the unconstrained positive sum for
-	// greedy solves.
+	// relaxation's optimum for exact solves, the unconstrained positive
+	// sum for greedy solves.
 	UpperBound float64
-	// Exact reports whether the result is provably optimal.
+	// Exact reports whether Value is provably optimal: branch and bound
+	// finished inside its node budget, pruning only nodes whose bound
+	// is within 1e-12 relative of the incumbent.
 	Exact bool
 }
 
@@ -378,196 +380,105 @@ func totalValue(cands []candidate, admitted []bool) float64 {
 	return v
 }
 
-// solveExact runs depth-first branch and bound with LP-relaxation
-// bounds. The relaxation has one variable per candidate (0 <= x <= 1)
-// and one capacity row per distinct arrival time (usage only increases
-// at arrivals, so those are the binding instants).
+// solveExact runs depth-first branch and bound. A node's bound is the
+// value of its candidates fixed in plus relax over its free ones, under
+// the per-slot capacity the fixed ones leave; the root's bound is the
+// reported UpperBound. It branches on the most fractional free
+// candidate, placing it first.
 func solveExact(cands []candidate, capacity float64, res *Result) (*Result, error) {
-	n := len(cands)
-	// Constraint rows: at each candidate's arrival time, sum of sizes of
-	// active candidates <= capacity.
-	arrivalTimes := make([]float64, 0, n)
-	seen := map[float64]bool{}
-	for _, c := range cands {
-		t := c.job.ArrivalSec
-		if !seen[t] {
-			seen[t] = true
-			arrivalTimes = append(arrivalTimes, t)
-		}
-	}
-	sort.Float64s(arrivalTimes)
-	active := make([][]int, len(arrivalTimes)) // row -> candidate indices
-	for i, c := range cands {
-		for r, t := range arrivalTimes {
-			if c.job.ArrivalSec <= t && t < c.job.EndSec() {
-				active[r] = append(active[r], i)
-			}
-		}
-	}
-
+	ti := buildTimeIndex(cands)
 	// Start from the greedy incumbent so pruning bites early.
-	greedyRes := &Result{OnSSD: make(map[string]bool), Frac: make(map[string]float64)}
-	solveGreedy(cands, capacity, greedyRes, false)
-	best := greedyRes.Value
-	bestSet := make([]bool, n)
+	inc := solveGreedy(cands, capacity, &Result{OnSSD: map[string]bool{}, Frac: map[string]float64{}}, false)
+	best, bestSet := inc.Value, make([]bool, len(cands))
 	for i, c := range cands {
-		bestSet[i] = greedyRes.OnSSD[c.job.ID]
+		bestSet[i] = inc.OnSSD[c.job.ID]
 	}
-
-	const (
-		free   = -1
-		fixed0 = 0
-		fixed1 = 1
-	)
-	state := make([]int, n)
-	for i := range state {
-		state[i] = free
-	}
-	nodes := 0
-	exhausted := false
-	var rootBound float64
-	rootBoundSet := false
-
+	const free, in, out = 0, 1, 2
+	state := make([]int8, len(cands))
+	nodes, rootBound := 0, math.NaN()
 	var recurse func()
 	recurse = func() {
-		if nodes >= nodeBudget {
-			exhausted = true
+		nodes++
+		if nodes > nodeBudget {
 			return
 		}
-		nodes++
-
-		// Residual capacities; prune infeasible fixings.
-		rhs := make([]float64, len(arrivalTimes))
-		for r := range rhs {
-			rhs[r] = capacity
-			for _, i := range active[r] {
-				if state[i] == fixed1 {
-					rhs[r] -= cands[i].job.SizeBytes
+		caps := make([]float64, len(ti.times)-1)
+		for t := range caps {
+			caps[t] = capacity
+		}
+		fixed := 0.0
+		var freeCands []candidate
+		var freeIdx []int
+		for i, c := range cands {
+			switch state[i] {
+			case in:
+				fixed += c.value
+				lo, hi := ti.slotRange(c.job)
+				for t := lo; t < hi; t++ {
+					caps[t] -= c.job.SizeBytes
 				}
-			}
-			if rhs[r] < -1e-6 {
-				return
-			}
-			if rhs[r] < 0 {
-				rhs[r] = 0
-			}
-		}
-		var fixedValue float64
-		for i := range cands {
-			if state[i] == fixed1 {
-				fixedValue += cands[i].value
-			}
-		}
-		// Build LP over free variables.
-		freeIdx := make([]int, 0, n)
-		for i := range cands {
-			if state[i] == free {
+			case free:
+				freeCands = append(freeCands, c)
 				freeIdx = append(freeIdx, i)
 			}
 		}
-		if len(freeIdx) == 0 {
-			if fixedValue > best {
-				best = fixedValue
-				for i := range cands {
-					bestSet[i] = state[i] == fixed1
-				}
+		for t, c := range caps {
+			if c < -1e-9*capacity {
+				return
 			}
-			return
+			caps[t] = math.Max(0, c)
 		}
-		col := make(map[int]int, len(freeIdx))
-		for c, i := range freeIdx {
-			col[i] = c
-		}
-		prob := lp.Problem{C: make([]float64, len(freeIdx))}
-		for c, i := range freeIdx {
-			prob.C[c] = cands[i].value
-		}
-		for r := range arrivalTimes {
-			row := make([]float64, len(freeIdx))
-			any := false
-			for _, i := range active[r] {
-				if c, ok := col[i]; ok {
-					row[c] = cands[i].job.SizeBytes
-					any = true
-				}
-			}
-			if any {
-				prob.A = append(prob.A, row)
-				prob.B = append(prob.B, rhs[r])
+		y, _ := relax(freeCands, ti, caps)
+		bound, branch, branchDist := fixed, -1, 1e-6
+		for k, c := range freeCands {
+			x := y[k] / c.job.SizeBytes
+			bound += c.value * x
+			if d := math.Abs(x - math.Round(x)); d > branchDist {
+				branch, branchDist = freeIdx[k], d
 			}
 		}
-		for c := range freeIdx {
-			row := make([]float64, len(freeIdx))
-			row[c] = 1
-			prob.A = append(prob.A, row)
-			prob.B = append(prob.B, 1)
-		}
-		sol, err := lp.Solve(prob)
-		if err != nil || sol.Status == lp.Unbounded {
-			return // should not happen with box constraints; treat as pruned
-		}
-		bound := fixedValue + sol.Objective
-		if !rootBoundSet {
+		if math.IsNaN(rootBound) {
 			rootBound = bound
-			rootBoundSet = true
 		}
-		if bound <= best+1e-9 {
+		if bound <= best*(1+1e-12) {
 			return
 		}
-		// Integral?
-		fracIdx, fracDist := -1, -1.0
-		for c, x := range sol.X {
-			d := math.Abs(x - math.Round(x))
-			if d > 1e-6 && d > fracDist {
-				fracDist = d
-				fracIdx = c
-			}
-		}
-		if fracIdx < 0 {
-			// Integral solution: admits exactly the x=1 vars.
-			val := fixedValue
-			for c, x := range sol.X {
-				if x > 0.5 {
-					val += cands[freeIdx[c]].value
+		if branch < 0 {
+			// Integral: the relaxation places exactly its x = 1 candidates.
+			val := fixed
+			for k, c := range freeCands {
+				if y[k] > c.job.SizeBytes/2 {
+					val += c.value
 				}
 			}
 			if val > best {
 				best = val
 				for i := range cands {
-					bestSet[i] = state[i] == fixed1
+					bestSet[i] = state[i] == in
 				}
-				for c, x := range sol.X {
-					if x > 0.5 {
-						bestSet[freeIdx[c]] = true
-					}
+				for k, c := range freeCands {
+					bestSet[freeIdx[k]] = y[k] > c.job.SizeBytes/2
 				}
 			}
 			return
 		}
-		branchVar := freeIdx[fracIdx]
-		state[branchVar] = fixed1
+		state[branch] = in
 		recurse()
-		state[branchVar] = fixed0
+		state[branch] = out
 		recurse()
-		state[branchVar] = free
+		state[branch] = free
 	}
 	recurse()
 
 	res.Value = best
+	res.UpperBound = math.Max(rootBound, best)
+	res.Exact = nodes <= nodeBudget
 	for i, c := range cands {
 		res.OnSSD[c.job.ID] = bestSet[i]
 		if bestSet[i] {
 			res.Frac[c.job.ID] = 1
 		}
 	}
-	if rootBoundSet {
-		res.UpperBound = rootBound
-	} else {
-		for _, c := range cands {
-			res.UpperBound += c.value
-		}
-	}
-	res.Exact = !exhausted
 	return res, nil
 }
 

@@ -95,23 +95,44 @@ func TestSolveExactPrefersValueOverDensity(t *testing.T) {
 	}
 }
 
-// bruteForce enumerates all feasible subsets (n <= 16).
+// bruteForce enumerates every feasible subset by include/exclude
+// recursion; a branch stops only when its last inclusion overflows, and
+// adding jobs never lowers a load.
 func bruteForce(jobs []*trace.Job, capacity float64, cm *cost.Model, obj Objective) float64 {
-	n := len(jobs)
-	best := 0.0
-	for mask := 0; mask < 1<<n; mask++ {
-		sel := map[string]bool{}
-		var val float64
-		for i := 0; i < n; i++ {
-			if mask&(1<<i) != 0 {
-				sel[jobs[i].ID] = true
-				val += jobValue(jobs[i], cm, obj)
+	var chosen []*trace.Job
+	fits := func(j *trace.Job) bool {
+		// Load peaks at arrivals: check those inside j's lifetime.
+		for _, c := range chosen {
+			if c.ArrivalSec < j.ArrivalSec || c.ArrivalSec >= j.EndSec() {
+				continue
+			}
+			var load float64
+			for _, o := range chosen {
+				if o.ArrivalSec <= c.ArrivalSec && c.ArrivalSec < o.EndSec() {
+					load += o.SizeBytes
+				}
+			}
+			if load > capacity+1e-6 {
+				return false
 			}
 		}
-		if val > best && Feasible(jobs, sel, capacity) {
-			best = val
-		}
+		return true
 	}
+	best := 0.0
+	var rec func(i int, val float64)
+	rec = func(i int, val float64) {
+		if i == len(jobs) {
+			best = math.Max(best, val)
+			return
+		}
+		rec(i+1, val)
+		chosen = append(chosen, jobs[i])
+		if fits(jobs[i]) {
+			rec(i+1, val+jobValue(jobs[i], cm, obj))
+		}
+		chosen = chosen[:len(chosen)-1]
+	}
+	rec(0, 0)
 	return best
 }
 
@@ -132,11 +153,14 @@ func randomInstance(rng *rand.Rand, n int) []*trace.Job {
 
 func idFor(i int) string { return string(rune('a'+i%26)) + string(rune('0'+i/26)) }
 
+// TestSolveExactMatchesBruteForce holds every Exact answer to the
+// brute-force optimum within 1e-9 relative. Job values run from 1e-9 to
+// 1e-3, so an absolute tolerance would forgive whole percents.
 func TestSolveExactMatchesBruteForce(t *testing.T) {
 	cm := cost.Default()
 	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 25; trial++ {
-		n := 3 + rng.Intn(8)
+	for trial := 0; trial < 400; trial++ {
+		n := 3 + rng.Intn(12)
 		jobs := randomInstance(rng, n)
 		capacity := 300 + rng.Float64()*1500
 		for _, obj := range []Objective{TCO, TCIO} {
@@ -150,13 +174,14 @@ func TestSolveExactMatchesBruteForce(t *testing.T) {
 				t.Fatalf("trial %d: small instance not solved exactly", trial)
 			}
 			want := bruteForce(jobs, capacity, cm, obj)
-			if math.Abs(r.Value-want) > 1e-9+want*1e-9 {
-				t.Errorf("trial %d obj %v: exact = %g, brute force = %g", trial, obj, r.Value, want)
+			if (want-r.Value)/want > 1e-9 {
+				t.Errorf("trial %d obj %v (%d jobs): exact = %g, brute force = %g (%.3g%% short)",
+					trial, obj, n, r.Value, want, 100*(want-r.Value)/want)
 			}
 			if !Feasible(jobs, r.OnSSD, capacity) {
 				t.Errorf("trial %d: exact solution infeasible", trial)
 			}
-			if r.Value > r.UpperBound+1e-6 {
+			if r.Value > r.UpperBound*(1+1e-9) {
 				t.Errorf("trial %d: value %g exceeds upper bound %g", trial, r.Value, r.UpperBound)
 			}
 		}
