@@ -271,12 +271,11 @@ func (e *Env) rankingCurve(fracs []float64, cfg SuiteConfig) ([]float64, error) 
 }
 
 // OracleBounds computes the "best theoretical bound" curves of Fig. 7
-// analytically: the fractional clairvoyant placement optimizing each
-// objective, evaluated on both metrics. No simulation is involved —
-// these are the bounds the paper plots, not deployable policies. The
-// TCO bound is additionally clamped to dominate the TCIO-optimal
-// placement's TCO (both are clairvoyant, so the bound is their max;
-// the greedy solver is approximate and either may come out ahead).
+// analytically: the exact fractional clairvoyant placement (the
+// oracle's LP optimum) for each objective, evaluated on both metrics.
+// No simulation is involved — these are the bounds the paper plots,
+// not deployable policies. Each is optimal for its own objective, so
+// neither can beat the other on it.
 func (e *Env) OracleBounds(quota float64) (map[string]*sim.Result, error) {
 	totalTCO := e.Cost.TotalTCOHDD(e.Test.Jobs)
 	totalTCIO := e.Cost.TotalTCIO(e.Test.Jobs)
@@ -310,12 +309,6 @@ func (e *Env) OracleBounds(quota float64) (map[string]*sim.Result, error) {
 			TCOSaved:    tcoSaved,
 			TCIOSaved:   tcioSaved,
 		}
-	}
-	if out[policy.NameOracleTCIO].TCOSaved > out[policy.NameOracleTCO].TCOSaved {
-		out[policy.NameOracleTCO].TCOSaved = out[policy.NameOracleTCIO].TCOSaved
-	}
-	if out[policy.NameOracleTCO].TCIOSaved > out[policy.NameOracleTCIO].TCIOSaved {
-		out[policy.NameOracleTCIO].TCIOSaved = out[policy.NameOracleTCO].TCIOSaved
 	}
 	return out, nil
 }

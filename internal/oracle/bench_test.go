@@ -7,9 +7,10 @@ import (
 	"repro/internal/trace"
 )
 
-// BenchmarkGreedyOracleClusterScale measures the scalable oracle on a
-// cluster-sized trace — the cost of one Fig. 7 bound point.
-func BenchmarkGreedyOracleClusterScale(b *testing.B) {
+// BenchmarkFractionalOracleClusterScale measures the LP relaxation over
+// clique slots on a cluster-sized trace — the cost of one Fig. 7 bound
+// point.
+func BenchmarkFractionalOracleClusterScale(b *testing.B) {
 	cfg := trace.DefaultGeneratorConfig("bench", 7)
 	cfg.DurationSec = 2 * 24 * 3600
 	tr := trace.NewGenerator(cfg).Generate()

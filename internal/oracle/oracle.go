@@ -1,16 +1,17 @@
 // Package oracle implements the paper's clairvoyant placement oracle
 // (Section 3.1): an Integer Linear Program that maximizes savings from
 // SSD placement subject to the SSD capacity constraint at every point in
-// time. It provides an exact branch-and-bound solver for small
-// instances, bounded by the problem's LP relaxation solved exactly as a
-// min-cost flow (relax), and a scalable greedy density solver with an
-// exchange pass for cluster-scale traces, the latter validated against
-// the former in tests.
+// time. One algorithm serves every scale: the problem's LP relaxation,
+// solved exactly as a min-cost flow built one job at a time (relax).
+// Fractional solves return it; integral ones round it down and top it
+// up with whole jobs, or, on small instances, branch and bound on it.
+// Every solve reports the LP value as its UpperBound.
 package oracle
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/cost"
@@ -38,8 +39,8 @@ func (o Objective) String() string {
 // Solver limits.
 const (
 	// exactLimit is the maximum number of candidate jobs for which the
-	// exact branch-and-bound is attempted; larger instances use the
-	// greedy solver.
+	// exact branch-and-bound is attempted; larger instances keep the
+	// LP's round-down.
 	exactLimit = 48
 	// nodeBudget bounds branch-and-bound nodes; when exhausted the best
 	// incumbent is returned with Exact=false.
@@ -49,10 +50,10 @@ const (
 // Config controls the solver.
 type Config struct {
 	Objective Objective
-	// Fractional lets the greedy solver fill leftover capacity with
-	// partial placements (x_i in [0,1]). The paper's simulator gives
-	// partial-spillover credit, so the theoretical bound of Fig. 7 must
-	// cover fractional placements too.
+	// Fractional returns the LP relaxation itself: partial placements
+	// x_i in [0,1]. The paper's simulator gives partial-spillover
+	// credit, so the theoretical bound of Fig. 7 must cover fractional
+	// placements too.
 	Fractional bool
 }
 
@@ -65,18 +66,17 @@ func DefaultConfig() Config {
 type Result struct {
 	// OnSSD maps job ID -> placement decision (full placements).
 	OnSSD map[string]bool
-	// Frac maps job ID -> placed fraction in [0,1]. Integral solves
-	// only contain 0/1 entries; fractional greedy may assign partial
-	// fractions.
+	// Frac maps job ID -> placed fraction in [0,1]: y/s of the LP for
+	// fractional solves, only 1 entries for integral ones.
 	Frac map[string]float64
 	// Value is the achieved objective (fraction-weighted sum of values
 	// of admitted jobs).
 	Value float64
-	// UpperBound is a valid upper bound on the optimum: the LP
-	// relaxation's optimum for exact solves, the unconstrained positive
-	// sum for greedy solves.
+	// UpperBound is the LP relaxation's optimum, a bound on every
+	// placement, fractional or whole.
 	UpperBound float64
-	// Exact reports whether Value is provably optimal: branch and bound
+	// Exact reports whether Value is provably optimal: always for
+	// fractional solves, and for integral ones when branch and bound
 	// finished inside its node budget, pruning only nodes whose bound
 	// is within 1e-12 relative of the incumbent.
 	Exact bool
@@ -91,8 +91,9 @@ func jobValue(j *trace.Job, cm *cost.Model, obj Objective) float64 {
 }
 
 // Solve computes oracle placement decisions for the jobs under the given
-// SSD capacity (bytes). It dispatches to the exact solver when the
-// number of positive-value candidates is within exactLimit.
+// SSD capacity (bytes). An integral solve with at most exactLimit
+// positive-value candidates runs the exact solver; every other solve is
+// solveRelaxed's.
 func Solve(jobs []*trace.Job, capacity float64, cm *cost.Model, cfg Config) (*Result, error) {
 	if capacity < 0 {
 		return nil, fmt.Errorf("oracle: negative capacity %g", capacity)
@@ -112,7 +113,7 @@ func Solve(jobs []*trace.Job, capacity float64, cm *cost.Model, cfg Config) (*Re
 	if len(cands) <= exactLimit && !cfg.Fractional {
 		return solveExact(cands, capacity, res)
 	}
-	return solveGreedy(cands, capacity, res, cfg.Fractional), nil
+	return solveRelaxed(cands, capacity, res, cfg.Fractional), nil
 }
 
 // candidate pairs a job with its objective value.
@@ -136,259 +137,115 @@ func candidates(jobs []*trace.Job, capacity float64, cm *cost.Model, obj Objecti
 	return out
 }
 
-// timeIndex builds the sorted unique boundary times of the candidate
-// jobs and a lookup from time to slot index. Slot k covers
-// [times[k], times[k+1]).
-type timeIndex struct {
-	times []float64
-	pos   map[float64]int
-}
-
-func buildTimeIndex(cands []candidate) *timeIndex {
-	set := make(map[float64]bool, 2*len(cands))
+// slotRanges indexes the candidates' sorted unique boundary times.
+// Slot t covers [times[t], times[t+1]), and candidate j occupies slots
+// lo[j] through hi[j]-1.
+func slotRanges(cands []candidate) (lo, hi []int, slots int) {
+	times := make([]float64, 0, 2*len(cands))
 	for _, c := range cands {
-		set[c.job.ArrivalSec] = true
-		set[c.job.EndSec()] = true
-	}
-	times := make([]float64, 0, len(set))
-	for t := range set {
-		times = append(times, t)
+		times = append(times, c.job.ArrivalSec, c.job.EndSec())
 	}
 	sort.Float64s(times)
-	pos := make(map[float64]int, len(times))
-	for i, t := range times {
-		pos[t] = i
+	times = slices.Compact(times)
+	lo, hi = make([]int, len(cands)), make([]int, len(cands))
+	for j, c := range cands {
+		lo[j] = sort.SearchFloat64s(times, c.job.ArrivalSec)
+		hi[j] = sort.SearchFloat64s(times, c.job.EndSec())
 	}
-	return &timeIndex{times: times, pos: pos}
+	return lo, hi, len(times) - 1
 }
 
-func (ti *timeIndex) slotRange(j *trace.Job) (lo, hi int) {
-	return ti.pos[j.ArrivalSec], ti.pos[j.EndSec()]
+// cliqueRanges maps each candidate onto the run of the interval graph's
+// maximal cliques it spans: the slots whose left boundary is an arrival
+// and whose right boundary is an end. Under one capacity everywhere
+// only those rows bind, since every other slot's live set is a subset
+// of a neighbouring slot's.
+func cliqueRanges(cands []candidate) (lo, hi []int, cliques int) {
+	lo, hi, slots := slotRanges(cands)
+	arrives, ends := make([]bool, slots+1), make([]bool, slots+1)
+	for j := range cands {
+		arrives[lo[j]], ends[hi[j]] = true, true
+	}
+	before := make([]int, slots+1) // before[t] counts the cliques among slots < t
+	for t := 0; t < slots; t++ {
+		before[t+1] = before[t]
+		if arrives[t] && ends[t+1] {
+			before[t+1]++
+		}
+	}
+	for j := range cands {
+		lo[j], hi[j] = before[lo[j]], before[hi[j]]
+	}
+	return lo, hi, before[slots]
 }
 
-// solveGreedy runs two greedy passes — one ordered by value density
-// (value per byte-second of SSD occupancy), one by absolute value —
-// keeps the better, and finishes with a bounded 1-exchange improvement
-// pass (swap one admitted job for a skipped higher-value one). Density
-// order is near-optimal when jobs are small relative to capacity (the
-// cluster-trace regime); value order covers the knapsack-y regime where
-// a single large job beats several dense ones.
-func solveGreedy(cands []candidate, capacity float64, res *Result, fractional bool) *Result {
-	ti := buildTimeIndex(cands)
-
-	density := func(c candidate) float64 {
-		occ := c.job.SizeBytes * c.job.LifetimeSec
-		if occ <= 0 {
-			return math.Inf(1)
+// solveRelaxed solves the LP relaxation over the clique slots. A
+// fractional solve returns it as is. An integral one keeps the
+// candidates the LP places whole, then tops up with whole candidates in
+// value-per-byte-second order wherever they still fit. Both report the
+// LP value as UpperBound.
+func solveRelaxed(cands []candidate, capacity float64, res *Result, fractional bool) *Result {
+	lo, hi, cliques := cliqueRanges(cands)
+	caps := make([]float64, cliques)
+	for k := range caps {
+		caps[k] = capacity
+	}
+	y, _ := relax(cands, lo, hi, caps)
+	load := make([]float64, cliques)
+	place := func(j int) {
+		res.OnSSD[cands[j].job.ID] = true
+		for k := lo[j]; k < hi[j]; k++ {
+			load[k] += cands[j].job.SizeBytes
 		}
-		return c.value / occ
 	}
-	byDensity := func(a, b int) bool {
-		da, db := density(cands[a]), density(cands[b])
-		if da != db {
-			return da > db
+	var rest []int
+	for j, c := range cands {
+		x := y[j] / c.job.SizeBytes
+		res.UpperBound += c.value * x
+		if fractional {
+			res.Frac[c.job.ID] = x
 		}
-		return cands[a].job.ID < cands[b].job.ID
-	}
-	byValue := func(a, b int) bool {
-		if cands[a].value != cands[b].value {
-			return cands[a].value > cands[b].value
+		if x >= 1-1e-9 {
+			place(j)
+		} else {
+			rest = append(rest, j)
 		}
-		return cands[a].job.ID < cands[b].job.ID
 	}
-
-	bestAdmitted := greedyPass(cands, capacity, ti, byDensity, byValue)
-	alt := greedyPass(cands, capacity, ti, byValue, byDensity)
-	if totalValue(cands, alt) > totalValue(cands, bestAdmitted) {
-		bestAdmitted = alt
+	if fractional {
+		res.Value, res.Exact = res.UpperBound, true
+		return res
 	}
-	exchangePass(cands, capacity, ti, bestAdmitted)
-
-	for i, c := range cands {
-		if bestAdmitted[i] {
-			res.OnSSD[c.job.ID] = true
+	density := func(j int) float64 {
+		return cands[j].value / (cands[j].job.SizeBytes * cands[j].job.LifetimeSec)
+	}
+	sort.SliceStable(rest, func(a, b int) bool { return density(rest[a]) > density(rest[b]) })
+	for _, j := range rest {
+		fits := true
+		for k := lo[j]; k < hi[j] && fits; k++ {
+			fits = load[k]+cands[j].job.SizeBytes <= capacity
+		}
+		if fits {
+			place(j)
+		}
+	}
+	for _, c := range cands {
+		if res.OnSSD[c.job.ID] {
 			res.Frac[c.job.ID] = 1
 			res.Value += c.value
 		}
-		res.UpperBound += c.value
 	}
-	if fractional {
-		fractionalFill(cands, capacity, ti, bestAdmitted, res)
-	}
-	// Guard against summation-order float drift when everything fits.
-	if res.Value > res.UpperBound {
-		res.UpperBound = res.Value
-	}
-	res.Exact = false
 	return res
 }
 
-// fractionalFill tops up leftover capacity with partial placements in
-// value-density order: each remaining candidate takes the largest
-// fraction that fits over its whole lifetime interval.
-func fractionalFill(cands []candidate, capacity float64, ti *timeIndex, admitted []bool, res *Result) {
-	st := newSegTree(len(ti.times) - 1)
-	for i, c := range cands {
-		if admitted[i] {
-			lo, hi := ti.slotRange(c.job)
-			st.Add(lo, hi, c.job.SizeBytes)
-		}
-	}
-	order := make([]int, 0, len(cands))
-	for i := range cands {
-		if !admitted[i] {
-			order = append(order, i)
-		}
-	}
-	density := func(c candidate) float64 {
-		occ := c.job.SizeBytes * c.job.LifetimeSec
-		if occ <= 0 {
-			return math.Inf(1)
-		}
-		return c.value / occ
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		da, db := density(cands[order[a]]), density(cands[order[b]])
-		if da != db {
-			return da > db
-		}
-		return cands[order[a]].job.ID < cands[order[b]].job.ID
-	})
-	for _, i := range order {
-		c := cands[i]
-		lo, hi := ti.slotRange(c.job)
-		free := capacity - st.Max(lo, hi)
-		if free <= 0 {
-			continue
-		}
-		frac := free / c.job.SizeBytes
-		if frac > 1 {
-			frac = 1
-		}
-		st.Add(lo, hi, frac*c.job.SizeBytes)
-		res.Frac[c.job.ID] = frac
-		res.Value += frac * c.value
-	}
-}
-
-// greedyPass admits candidates in primary order, then retries skipped
-// ones in secondary order, and returns the admission mask.
-func greedyPass(cands []candidate, capacity float64, ti *timeIndex,
-	primary, secondary func(a, b int) bool) []bool {
-	st := newSegTree(len(ti.times) - 1)
-	admitted := make([]bool, len(cands))
-	tryAdmit := func(i int) bool {
-		c := cands[i]
-		lo, hi := ti.slotRange(c.job)
-		if st.Max(lo, hi)+c.job.SizeBytes > capacity+1e-6 {
-			return false
-		}
-		st.Add(lo, hi, c.job.SizeBytes)
-		admitted[i] = true
-		return true
-	}
-	order := make([]int, len(cands))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, primary)
-	var skipped []int
-	for _, i := range order {
-		if !tryAdmit(i) {
-			skipped = append(skipped, i)
-		}
-	}
-	sort.SliceStable(skipped, secondary)
-	for _, i := range skipped {
-		tryAdmit(i)
-	}
-	return admitted
-}
-
-// exchangePass tries, for each skipped candidate in value order, to
-// evict one lower-value admitted overlapping candidate to make room.
-// The number of attempts is bounded so cluster-scale traces stay fast.
-func exchangePass(cands []candidate, capacity float64, ti *timeIndex, admitted []bool) {
-	st := newSegTree(len(ti.times) - 1)
-	for i, c := range cands {
-		if admitted[i] {
-			lo, hi := ti.slotRange(c.job)
-			st.Add(lo, hi, c.job.SizeBytes)
-		}
-	}
-	var skipped []int
-	for i := range cands {
-		if !admitted[i] {
-			skipped = append(skipped, i)
-		}
-	}
-	sort.SliceStable(skipped, func(a, b int) bool {
-		return cands[skipped[a]].value > cands[skipped[b]].value
-	})
-	const maxAttempts = 4000
-	attempts := 0
-	for _, s := range skipped {
-		if attempts >= maxAttempts {
-			break
-		}
-		cs := cands[s]
-		lo, hi := ti.slotRange(cs.job)
-		if st.Max(lo, hi)+cs.job.SizeBytes <= capacity+1e-6 {
-			st.Add(lo, hi, cs.job.SizeBytes)
-			admitted[s] = true
-			continue
-		}
-		// Find the cheapest admitted overlapping job whose removal
-		// makes s fit and whose value is lower.
-		bestVictim := -1
-		for v, cv := range cands {
-			if !admitted[v] || cv.value >= cs.value {
-				continue
-			}
-			if cv.job.EndSec() <= cs.job.ArrivalSec || cv.job.ArrivalSec >= cs.job.EndSec() {
-				continue
-			}
-			if bestVictim < 0 || cv.value < cands[bestVictim].value {
-				vlo, vhi := ti.slotRange(cv.job)
-				st.Add(vlo, vhi, -cv.job.SizeBytes)
-				fits := st.Max(lo, hi)+cs.job.SizeBytes <= capacity+1e-6
-				st.Add(vlo, vhi, cv.job.SizeBytes)
-				attempts++
-				if fits {
-					bestVictim = v
-				}
-			}
-		}
-		if bestVictim >= 0 {
-			vlo, vhi := ti.slotRange(cands[bestVictim].job)
-			st.Add(vlo, vhi, -cands[bestVictim].job.SizeBytes)
-			admitted[bestVictim] = false
-			st.Add(lo, hi, cs.job.SizeBytes)
-			admitted[s] = true
-		}
-		attempts++
-	}
-}
-
-func totalValue(cands []candidate, admitted []bool) float64 {
-	var v float64
-	for i, c := range cands {
-		if admitted[i] {
-			v += c.value
-		}
-	}
-	return v
-}
-
-// solveExact runs depth-first branch and bound. A node's bound is the
-// value of its candidates fixed in plus relax over its free ones, under
-// the per-slot capacity the fixed ones leave; the root's bound is the
-// reported UpperBound. It branches on the most fractional free
-// candidate, placing it first.
+// solveExact runs depth-first branch and bound from solveRelaxed's
+// incumbent. A node's bound is the value of its candidates fixed in
+// plus relax over its free ones, under the per-slot capacity the fixed
+// ones leave; those capacities vary, so the full slot index is used.
+// The root's bound is the reported UpperBound. It branches on the most
+// fractional free candidate, placing it first.
 func solveExact(cands []candidate, capacity float64, res *Result) (*Result, error) {
-	ti := buildTimeIndex(cands)
-	// Start from the greedy incumbent so pruning bites early.
-	inc := solveGreedy(cands, capacity, &Result{OnSSD: map[string]bool{}, Frac: map[string]float64{}}, false)
+	lo, hi, slots := slotRanges(cands)
+	inc := solveRelaxed(cands, capacity, &Result{OnSSD: map[string]bool{}, Frac: map[string]float64{}}, false)
 	best, bestSet := inc.Value, make([]bool, len(cands))
 	for i, c := range cands {
 		bestSet[i] = inc.OnSSD[c.job.ID]
@@ -402,24 +259,24 @@ func solveExact(cands []candidate, capacity float64, res *Result) (*Result, erro
 		if nodes > nodeBudget {
 			return
 		}
-		caps := make([]float64, len(ti.times)-1)
+		caps := make([]float64, slots)
 		for t := range caps {
 			caps[t] = capacity
 		}
 		fixed := 0.0
 		var freeCands []candidate
-		var freeIdx []int
+		var freeIdx, freeLo, freeHi []int
 		for i, c := range cands {
 			switch state[i] {
 			case in:
 				fixed += c.value
-				lo, hi := ti.slotRange(c.job)
-				for t := lo; t < hi; t++ {
+				for t := lo[i]; t < hi[i]; t++ {
 					caps[t] -= c.job.SizeBytes
 				}
 			case free:
 				freeCands = append(freeCands, c)
 				freeIdx = append(freeIdx, i)
+				freeLo, freeHi = append(freeLo, lo[i]), append(freeHi, hi[i])
 			}
 		}
 		for t, c := range caps {
@@ -428,7 +285,7 @@ func solveExact(cands []candidate, capacity float64, res *Result) (*Result, erro
 			}
 			caps[t] = math.Max(0, c)
 		}
-		y, _ := relax(freeCands, ti, caps)
+		y, _ := relax(freeCands, freeLo, freeHi, caps)
 		bound, branch, branchDist := fixed, -1, 1e-6
 		for k, c := range freeCands {
 			x := y[k] / c.job.SizeBytes

@@ -184,25 +184,37 @@ func TestSolveExactMatchesBruteForce(t *testing.T) {
 			if r.Value > r.UpperBound*(1+1e-9) {
 				t.Errorf("trial %d: value %g exceeds upper bound %g", trial, r.Value, r.UpperBound)
 			}
+			// The cluster-scale path brackets the optimum: its round-down
+			// is feasible, so at most brute force (up to summation
+			// order), and its LP value is at least brute force.
+			rd := roundDown(jobs, capacity, cm, obj)
+			if !Feasible(jobs, rd.OnSSD, capacity) {
+				t.Errorf("trial %d obj %v: round-down infeasible", trial, obj)
+			}
+			if rd.Value > want*(1+1e-12) || want > rd.UpperBound*(1+1e-9) {
+				t.Errorf("trial %d obj %v: want round-down %g <= brute force %g <= LP %g",
+					trial, obj, rd.Value, want, rd.UpperBound)
+			}
 		}
 	}
 }
 
-// solveGreedyOnly is Solve's greedy path for an instance of any size,
-// for the tests below that hold it against the exact solver.
-func solveGreedyOnly(jobs []*trace.Job, capacity float64, cm *cost.Model) *Result {
+// roundDown is Solve's integral cluster-scale path for an instance of
+// any size: the LP's whole placements, topped up greedily with whole
+// jobs where they fit.
+func roundDown(jobs []*trace.Job, capacity float64, cm *cost.Model, obj Objective) *Result {
 	res := &Result{OnSSD: map[string]bool{}, Frac: map[string]float64{}}
-	cands := candidates(jobs, capacity, cm, TCO)
+	cands := candidates(jobs, capacity, cm, obj)
 	if len(cands) == 0 {
 		return res
 	}
-	return solveGreedy(cands, capacity, res, false)
+	return solveRelaxed(cands, capacity, res, false)
 }
 
 // TestGreedyNearOptimalAdversarial uses jobs whose sizes are comparable
-// to the capacity — greedy's worst regime (pure knapsack). The exchange
-// pass keeps it within a moderate factor of exact, and it must never
-// beat exact or go infeasible.
+// to the capacity — the worst regime (pure knapsack) for the LP's
+// round-down and its greedy top-up. It stays within a moderate factor
+// of exact, and it must never beat exact or go infeasible.
 func TestGreedyNearOptimalAdversarial(t *testing.T) {
 	cm := cost.Default()
 	rng := rand.New(rand.NewSource(41))
@@ -219,11 +231,11 @@ func TestGreedyNearOptimalAdversarial(t *testing.T) {
 		if !exact.Exact {
 			continue
 		}
-		greedy := solveGreedyOnly(jobs, capacity, cm)
+		greedy := roundDown(jobs, capacity, cm, TCO)
 		if !Feasible(jobs, greedy.OnSSD, capacity) {
 			t.Fatalf("trial %d: greedy infeasible", trial)
 		}
-		if greedy.Value > exact.Value+1e-9 {
+		if greedy.Value > exact.Value*(1+1e-12) {
 			t.Fatalf("trial %d: greedy %g beats exact %g", trial, greedy.Value, exact.Value)
 		}
 		if exact.Value > 0 {
@@ -233,6 +245,7 @@ func TestGreedyNearOptimalAdversarial(t *testing.T) {
 			}
 		}
 	}
+	t.Logf("worst adversarial round-down/exact ratio %.3f", worst)
 	if worst < 0.6 {
 		t.Errorf("worst adversarial greedy/exact ratio = %.3f, want >= 0.6", worst)
 	}
@@ -240,7 +253,7 @@ func TestGreedyNearOptimalAdversarial(t *testing.T) {
 
 // TestGreedyNearOptimalSmallJobs covers the regime the oracle actually
 // runs in on cluster traces: every job is small relative to capacity.
-// There greedy must be within a few percent of exact.
+// There the round-down must be within a few percent of exact.
 func TestGreedyNearOptimalSmallJobs(t *testing.T) {
 	cm := cost.Default()
 	rng := rand.New(rand.NewSource(43))
@@ -267,7 +280,7 @@ func TestGreedyNearOptimalSmallJobs(t *testing.T) {
 		if !exact.Exact {
 			continue
 		}
-		greedy := solveGreedyOnly(jobs, capacity, cm)
+		greedy := roundDown(jobs, capacity, cm, TCO)
 		if !Feasible(jobs, greedy.OnSSD, capacity) {
 			t.Fatalf("trial %d: greedy infeasible", trial)
 		}
@@ -278,37 +291,50 @@ func TestGreedyNearOptimalSmallJobs(t *testing.T) {
 			}
 		}
 	}
+	t.Logf("worst small-job round-down/exact ratio %.3f", worst)
 	if worst < 0.95 {
 		t.Errorf("worst small-job greedy/exact ratio = %.3f, want >= 0.95", worst)
 	}
 }
 
-func TestGreedyLargeInstanceFeasible(t *testing.T) {
+// TestRoundDownLargeInstanceFeasible holds the integral cluster-scale
+// solve to capacity, to its own decision set and to its LP bound: at
+// least 80 % of it at every quota, both objectives.
+func TestRoundDownLargeInstanceFeasible(t *testing.T) {
 	cm := cost.Default()
 	cfg := trace.DefaultGeneratorConfig("C0", 55)
 	cfg.DurationSec = 2 * 24 * 3600
 	tr := trace.NewGenerator(cfg).Generate()
-	capacity := tr.PeakSSDUsage() * 0.05
-	r, err := Solve(tr.Jobs, capacity, cm, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Exact {
-		t.Skip("instance unexpectedly small")
-	}
-	if !Feasible(tr.Jobs, r.OnSSD, capacity) {
-		t.Fatal("greedy solution violates capacity on a cluster-scale trace")
-	}
-	if r.Value <= 0 {
-		t.Error("greedy found no savings on a cluster-scale trace")
-	}
-	if r.Value > r.UpperBound {
-		t.Errorf("value %g exceeds bound %g", r.Value, r.UpperBound)
-	}
-	// Consistency between reported value and the decision set.
-	recomputed := Value(tr.Jobs, r.OnSSD, cm, TCO)
-	if math.Abs(recomputed-r.Value) > math.Abs(r.Value)*1e-9 {
-		t.Errorf("reported value %g != recomputed %g", r.Value, recomputed)
+	for _, quota := range []float64{0.005, 0.01, 0.05, 0.2} {
+		for _, obj := range []Objective{TCO, TCIO} {
+			capacity := tr.PeakSSDUsage() * quota
+			r, err := Solve(tr.Jobs, capacity, cm, Config{Objective: obj})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Exact {
+				t.Skip("instance unexpectedly small")
+			}
+			if !Feasible(tr.Jobs, r.OnSSD, capacity) {
+				t.Fatalf("quota %g %v: solution violates capacity on a cluster-scale trace", quota, obj)
+			}
+			if r.Value <= 0 {
+				t.Errorf("quota %g %v: found no savings on a cluster-scale trace", quota, obj)
+			}
+			if r.Value > r.UpperBound {
+				t.Errorf("quota %g %v: value %g exceeds bound %g", quota, obj, r.Value, r.UpperBound)
+			}
+			if r.Value < 0.8*r.UpperBound {
+				t.Errorf("quota %g %v: value %g is %.3f of the LP bound %g, want >= 0.8",
+					quota, obj, r.Value, r.Value/r.UpperBound, r.UpperBound)
+			}
+			t.Logf("quota %g %v: value/LP %.3f", quota, obj, r.Value/r.UpperBound)
+			// Consistency between reported value and the decision set.
+			recomputed := Value(tr.Jobs, r.OnSSD, cm, obj)
+			if math.Abs(recomputed-r.Value) > math.Abs(r.Value)*1e-9 {
+				t.Errorf("quota %g %v: reported value %g != recomputed %g", quota, obj, r.Value, recomputed)
+			}
+		}
 	}
 }
 

@@ -10,36 +10,35 @@ import (
 )
 
 // certifyRelax checks relax's answer on one instance under a constant
-// capacity without trusting the solver: y fits every slot, its value
-// equals the Lagrangian bound at its own prices (so it is optimal), and
-// the greedy fractional fill does not beat it. It returns the
-// relaxation's value and the greedy's.
-func certifyRelax(t testing.TB, cands []candidate, capacity float64) (flow, greedy float64) {
+// capacity without trusting the solver: y fits every slot, and its
+// value equals the Lagrangian bound at its own prices, so it is optimal.
+// The same LP over the clique slots alone must reach the same value. It
+// returns the relaxation's value.
+func certifyRelax(t testing.TB, cands []candidate, capacity float64) float64 {
 	t.Helper()
-	ti := buildTimeIndex(cands)
-	caps := make([]float64, len(ti.times)-1)
+	lo, hi, slots := slotRanges(cands)
+	caps := make([]float64, slots)
 	for i := range caps {
 		caps[i] = capacity
 	}
-	y, prices := relax(cands, ti, caps)
+	y, prices := relax(cands, lo, hi, caps)
 
-	load := make([]float64, len(caps))
-	prefix := make([]float64, len(ti.times)) // prefix[t] = Σ_{u<t} prices[u]
+	load := make([]float64, slots)
+	prefix := make([]float64, slots+1) // prefix[t] = Σ_{u<t} prices[u]
 	for u, p := range prices {
 		prefix[u+1] = prefix[u] + p
 	}
-	dual := capacity * prefix[len(prices)]
+	flow, dual := 0.0, capacity*prefix[slots]
 	for j, c := range cands {
 		s := c.job.SizeBytes
 		if y[j] < 0 || y[j] > s {
 			t.Fatalf("candidate %d: y = %g outside [0, %g]", j, y[j], s)
 		}
-		lo, hi := ti.slotRange(c.job)
-		for u := lo; u < hi; u++ {
+		for u := lo[j]; u < hi[j]; u++ {
 			load[u] += y[j]
 		}
 		flow += c.value * y[j] / s
-		dual += math.Max(0, c.value-s*(prefix[hi]-prefix[lo]))
+		dual += math.Max(0, c.value-s*(prefix[hi[j]]-prefix[lo[j]]))
 	}
 	for u, l := range load {
 		if l > caps[u]*(1+1e-9) {
@@ -49,14 +48,25 @@ func certifyRelax(t testing.TB, cands []candidate, capacity float64) (flow, gree
 	if math.Abs(dual-flow) > 1e-9*flow {
 		t.Fatalf("relaxation %.17g != Lagrangian bound %.17g at its prices", flow, dual)
 	}
-	res := &Result{OnSSD: map[string]bool{}, Frac: map[string]float64{}}
-	greedy = solveGreedy(cands, capacity, res, true).Value
-	if greedy > flow*(1+1e-9) {
-		t.Fatalf("greedy fractional fill %.17g beats the relaxation %.17g", greedy, flow)
+	clo, chi, cliques := cliqueRanges(cands)
+	ccaps := make([]float64, cliques)
+	for i := range ccaps {
+		ccaps[i] = capacity
 	}
-	return flow, greedy
+	cy, _ := relax(cands, clo, chi, ccaps)
+	clique := 0.0
+	for j, c := range cands {
+		clique += c.value * cy[j] / c.job.SizeBytes
+	}
+	if math.Abs(clique-flow) > 1e-9*flow {
+		t.Fatalf("relaxation over %d clique slots %.17g != over all %d slots %.17g", cliques, clique, slots, flow)
+	}
+	return flow
 }
 
+// TestRelaxCertified certifies relax on seeded small instances and on a
+// generated trace, where Solve's fractional answer must be that
+// certified relaxation.
 func TestRelaxCertified(t *testing.T) {
 	cm := cost.Default()
 	rng := rand.New(rand.NewSource(35))
@@ -76,8 +86,16 @@ func TestRelaxCertified(t *testing.T) {
 	for _, quota := range []float64{0.005, 0.05, 0.5} {
 		capacity := quota * tr.PeakSSDUsage()
 		for _, obj := range []Objective{TCO, TCIO} {
-			flow, greedy := certifyRelax(t, candidates(tr.Jobs, capacity, cm, obj), capacity)
-			t.Logf("%d jobs, quota %g, %v: greedy fill %.3g, relaxation %.3g", len(tr.Jobs), quota, obj, greedy, flow)
+			flow := certifyRelax(t, candidates(tr.Jobs, capacity, cm, obj), capacity)
+			r, err := Solve(tr.Jobs, capacity, cm, Config{Objective: obj, Fractional: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(r.Value-flow) > 1e-9*flow || r.UpperBound != r.Value {
+				t.Errorf("quota %g %v: fractional Solve %.17g (bound %.17g), certified relaxation %.17g",
+					quota, obj, r.Value, r.UpperBound, flow)
+			}
+			t.Logf("%d jobs, quota %g, %v: relaxation %.3g", len(tr.Jobs), quota, obj, flow)
 		}
 	}
 }
