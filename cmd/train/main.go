@@ -55,7 +55,7 @@ func main() {
 		fatal(err)
 	}
 	fmt.Printf("trained N=%d model on %d jobs (%d trees) -> %s\n",
-		*categories, len(train.Jobs), model.Model.NumTrees(), *out)
+		*categories, len(train.Jobs), model.Forest().NumTrees(), *out)
 	if len(test.Jobs) > 0 {
 		fmt.Printf("held-out top-1 accuracy on %d jobs: %.3f\n",
 			len(test.Jobs), model.Accuracy(test.Jobs, cm))

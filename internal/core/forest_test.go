@@ -60,7 +60,7 @@ func liteModel(tb testing.TB) (*core.CategoryModel, []*trace.Job) {
 }
 
 // TestCategoriesMatchesPredict holds the batched classifier to the
-// reference trees: Categories (a pooled slab, the forest's 64-row
+// reference walk: Categories (a pooled slab, the forest's 64-row
 // blocks) equals Predict (gbdt.Model.PredictClass on a fresh row) on
 // every pool job, and at the lengths where a block begins and ends.
 func TestCategoriesMatchesPredict(t *testing.T) {
@@ -118,7 +118,8 @@ func TestCategoriesMatchesPredict(t *testing.T) {
 }
 
 // TestForestCompilesOnce: every concurrent user gets the one forest,
-// compiled when the bundle was built (run under -race).
+// compiled when the model was trained, which is also what the model's
+// Compile returns (run under -race).
 func TestForestCompilesOnce(t *testing.T) {
 	model, pool := liteModel(t)
 	const users = 8
@@ -138,6 +139,9 @@ func TestForestCompilesOnce(t *testing.T) {
 				cats[u] = model.Predict(pool[0])
 			}
 			forests[u] = model.Forest()
+			if u == users-1 {
+				forests[u], _ = model.Model.Compile()
+			}
 		}()
 	}
 	wg.Wait()
@@ -171,12 +175,12 @@ func TestPredictIntoSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// everyIDLeftModel is a valid two-class model no forest can hold: its
-// two splits on one categorical feature route every uint16 id left
-// between them, leaving none for a missing value (gbdt's
+// everyIDLeftModel is the model file of a valid two-class model no
+// forest can hold: its two splits on one categorical feature route every
+// uint16 id left between them, leaving none for a missing value (gbdt's
 // TestCompileLimits, "every id routed left"). The feature's cardinality
-// is raised to 65,536 so that gbdt.Load accepts the ids.
-func everyIDLeftModel(tb testing.TB, jobs []*trace.Job) (*features.Encoder, *gbdt.Model) {
+// is raised to 65,536 so that the ids pass validation.
+func everyIDLeftModel(tb testing.TB, jobs []*trace.Job) (*features.Encoder, []byte) {
 	tb.Helper()
 	enc := features.BuildEncoder(jobs, 64)
 	schema := *enc.Schema()
@@ -186,42 +190,41 @@ func everyIDLeftModel(tb testing.TB, jobs []*trace.Job) (*features.Encoder, *gbd
 		tb.Fatal("the encoder has no categorical feature")
 	}
 	schema.Cards[feat] = 1 << 16
-	split := func(ids []int32) *gbdt.Tree {
-		tree := &gbdt.Tree{Nodes: []gbdt.Node{
-			{Feature: int32(feat), Kind: uint8(gbdt.Categorical), Left: 1, Right: 2},
-			{IsLeaf: true, Value: 1}, {IsLeaf: true, Value: -1},
+	type node = map[string]any
+	split := func(ids []int32) node {
+		return node{"nodes": []node{
+			{"f": feat, "k": gbdt.Categorical, "c": ids, "l": 1, "r": 2},
+			{"leaf": true, "v": 1}, {"leaf": true, "v": -1},
 		}}
-		tree.SetLeftCats(0, ids)
-		return tree
 	}
 	rest := make([]int32, 0, 1<<16-1)
 	for id := int32(1); id < 1<<16; id++ {
 		rest = append(rest, id)
 	}
-	leaf := &gbdt.Tree{Nodes: []gbdt.Node{{IsLeaf: true}}}
-	return enc, &gbdt.Model{
-		Schema:     &schema,
-		NumClasses: 2,
-		InitScores: []float64{0, 0},
-		Trees:      [][]*gbdt.Tree{{leaf, split([]int32{0})}, {leaf, split(rest)}},
+	leaf := node{"nodes": []node{{"leaf": true}}}
+	file, err := json.Marshal(node{"schema": &schema, "num_classes": 2, "init_scores": []float64{0, 0},
+		"trees": [][]node{{leaf, split([]int32{0})}, {leaf, split(rest)}}})
+	if err != nil {
+		tb.Fatal(err)
 	}
+	return enc, file
 }
 
-// TestLoadCategoryModelRefusesUncompilable: a bundle whose model the
-// forest cannot hold is refused where it is built and where it is
-// loaded, with Compile's *gbdt.LimitError, so no bundle reaches a
-// predictor or a registry without its forest.
+// TestLoadCategoryModelRefusesUncompilable: a model the forest cannot
+// hold is refused where it is loaded, alone and in a bundle, with the
+// compiler's *gbdt.LimitError, so no bundle reaches a predictor or a
+// registry without its forest.
 func TestLoadCategoryModelRefusesUncompilable(t *testing.T) {
 	_, pool := liteModel(t)
 	enc, model := everyIDLeftModel(t, pool[:200])
-	labeler := &core.Labeler{NumCategories: 2}
 	var limit *gbdt.LimitError
-	if m, err := core.NewCategoryModel(enc, model, labeler); !errors.As(err, &limit) {
-		t.Fatalf("NewCategoryModel = %v, %v; want a *gbdt.LimitError", m, err)
+	if m, err := gbdt.Load(bytes.NewReader(model)); !errors.As(err, &limit) {
+		t.Fatalf("gbdt.Load = %v, %v; want a *gbdt.LimitError", m, err)
 	}
-	// The same three parts laid out as Save writes a bundle.
+	// The model laid out in a bundle as Save writes one.
 	var file bytes.Buffer
-	if err := json.NewEncoder(&file).Encode(map[string]any{"encoder": enc, "model": model, "labeler": labeler}); err != nil {
+	bundle := map[string]any{"encoder": enc, "model": json.RawMessage(model), "labeler": &core.Labeler{NumCategories: 2}}
+	if err := json.NewEncoder(&file).Encode(bundle); err != nil {
 		t.Fatal(err)
 	}
 	if m, err := core.LoadCategoryModel(&file); !errors.As(err, &limit) {

@@ -4,13 +4,14 @@
 // Selection Algorithm (Algorithm 1) that turns category predictions into
 // online placement decisions using spillover-TCIO feedback.
 //
-// A CategoryModel predicts on one gbdt.Forest, compiled when the bundle
-// is built (NewCategoryModel, which refuses a model the forest cannot
-// hold) and shared by everything that holds the bundle: serving installs
-// it, the simulator's policies and the experiments predict on it — one
-// row at a time (PredictInto, Hinter) or a whole trace in 64-row blocks
-// (Categories). CategoryModel.Predict alone walks the model's own trees:
-// it is the reference the rest is tested against.
+// A CategoryModel predicts on one gbdt.Forest, compiled when its model
+// is trained or loaded (which refuses a model the forest cannot hold)
+// and shared by everything that holds the bundle: serving installs it,
+// the simulator's policies and the experiments predict on it — one row
+// at a time (PredictInto, Hinter) or a whole trace in 64-row blocks
+// (Categories). CategoryModel.Predict alone walks the forest's nodes on
+// raw floats, with no binning: it is the reference the rest is tested
+// against.
 package core
 
 import (

@@ -49,27 +49,26 @@ func DefaultTrainOptions() TrainOptions {
 // workload's own release velocity (§2.3).
 //
 // A bundle is built by NewCategoryModel (or TrainCategoryModel and
-// LoadCategoryModel, which return through it), which compiles Model into
-// the forest every predictor but Predict runs on. The three parts are
-// fixed from then on: a new Model means a new bundle.
+// LoadCategoryModel, which return through it) around a trained or
+// loaded Model, whose compiled forest every predictor but Predict runs
+// on. The three parts are fixed from then on: a new Model means a new
+// bundle.
 type CategoryModel struct {
 	Encoder *features.Encoder
 	Model   *gbdt.Model
 	Labeler *Labeler
-
-	forest *gbdt.Forest
 }
 
-// NewCategoryModel bundles an encoder, a trained model and a label
-// design, and compiles the model's forest. A model the binned layout
-// cannot hold is refused with gbdt.Model.Compile's *gbdt.LimitError, so
-// every bundle there is can be served.
+// NewCategoryModel bundles an encoder, a trained or loaded model and a
+// label design. Training and gbdt.Load compiled the model's forest, and
+// refused with a *gbdt.LimitError a model the binned layout cannot
+// hold, so every bundle there is can be served; a Model built by hand
+// has no forest and is refused here.
 func NewCategoryModel(enc *features.Encoder, model *gbdt.Model, labeler *Labeler) (*CategoryModel, error) {
-	forest, err := model.Compile()
-	if err != nil {
+	if _, err := model.Compile(); err != nil {
 		return nil, fmt.Errorf("core: category model: %w", err)
 	}
-	return &CategoryModel{Encoder: enc, Model: model, Labeler: labeler, forest: forest}, nil
+	return &CategoryModel{Encoder: enc, Model: model, Labeler: labeler}, nil
 }
 
 // TrainCategoryModel trains a category model on historical jobs: it
@@ -116,16 +115,21 @@ func (m *CategoryModel) NumCategories() int { return m.Labeler.NumCategories }
 
 // Forest returns the model compiled for inference. Offline prediction
 // (sim, the policies, experiments) and serving share this one forest per
-// bundle; it is safe for concurrent use.
-func (m *CategoryModel) Forest() *gbdt.Forest { return m.forest }
+// bundle; it is safe for concurrent use. NewCategoryModel refused a
+// model without one, so the error Compile can return never comes.
+func (m *CategoryModel) Forest() *gbdt.Forest {
+	f, _ := m.Model.Compile()
+	return f
+}
 
 // Predict returns the predicted importance category of a job using only
 // decision-time features. Unlike every other predictor of the bundle it
-// walks the model's own trees (gbdt.Model.PredictClass) and never the
-// compiled forest, on purpose: it is the forest-independent reference
-// that the benchmark's verify step and the differential tests hold the
-// forest's decisions to, and that independence is worth more than the
-// speed of a convenience wrapper. Loops call PredictInto or Categories.
+// runs gbdt.Model.PredictClass, a float walk over the forest's nodes
+// that shares no binning or traversal code with the forest's entries,
+// on purpose: it is the reference that the benchmark's verify step and
+// the differential tests hold the forest's decisions to, and that
+// independence is worth more than the speed of a convenience wrapper.
+// Loops call PredictInto or Categories.
 func (m *CategoryModel) Predict(j *trace.Job) int {
 	row := m.Encoder.Encode(j, nil)
 	return m.Model.PredictClass(row)
@@ -135,7 +139,7 @@ func (m *CategoryModel) Predict(j *trace.Job) int {
 // over a reusable row buffer, allocation-free once buf has grown.
 func (m *CategoryModel) PredictInto(j *trace.Job, buf []float64) (int, []float64) {
 	buf = m.Encoder.Encode(j, buf)
-	return m.forest.PredictClass(buf), buf
+	return m.Forest().PredictClass(buf), buf
 }
 
 // Hinter is a model predicting one job at a time over its own row
@@ -202,7 +206,7 @@ func (m *CategoryModel) Categories(jobs []*trace.Job, out []int32) []int32 {
 		for i, j := range block {
 			m.Encoder.Encode(j, s.rows[i])
 		}
-		s.classes, s.logits = m.forest.PredictClassBatch(s.rows[:len(block)], s.classes, s.logits)
+		s.classes, s.logits = m.Forest().PredictClassBatch(s.rows[:len(block)], s.classes, s.logits)
 		for i, c := range s.classes {
 			out[lo+i] = int32(c)
 		}
@@ -240,8 +244,8 @@ func (m *CategoryModel) Save(w io.Writer) error {
 	return nil
 }
 
-// LoadCategoryModel reads a bundle written by Save. Like
-// NewCategoryModel, it refuses a model the forest cannot hold.
+// LoadCategoryModel reads a bundle written by Save. Like gbdt.Load, it
+// refuses a model the forest cannot hold.
 func LoadCategoryModel(r io.Reader) (*CategoryModel, error) {
 	var raw struct {
 		Encoder json.RawMessage `json:"encoder"`

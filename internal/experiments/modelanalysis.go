@@ -35,12 +35,8 @@ func Fig9a(opts Options) (*Fig9aResult, error) {
 		return nil, err
 	}
 	n := min(50, len(env.Test.Jobs))
-	res := &Fig9aResult{NumJobs: n, ModelNumTrees: model.Model.NumTrees()}
-	for _, round := range model.Model.Trees {
-		for _, t := range round {
-			res.ModelNumLeaves += t.NumLeaves()
-		}
-	}
+	forest := model.Forest()
+	res := &Fig9aResult{NumJobs: n, ModelNumTrees: forest.NumTrees(), ModelNumLeaves: forest.NumLeaves()}
 	var buf []float64
 	// Warm up allocation paths once so the measurement reflects the
 	// steady state of a resident model.

@@ -1,6 +1,7 @@
 package gbdt_test
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -14,15 +15,16 @@ import (
 )
 
 // binnedFixture is a trained model, encoded rows to run it on, and the
-// three things built from it that have to agree.
+// things that have to agree with it, the trees training grew among them.
 type binnedFixture struct {
 	model  *gbdt.Model
 	forest *gbdt.Forest
 	binner *features.Binner
+	trees  [][]*gbdt.Tree
 	rows   [][]float64
 }
 
-func newBinnedFixture(tb testing.TB, m *gbdt.Model, rows [][]float64) *binnedFixture {
+func newBinnedFixture(tb testing.TB, m *gbdt.Model, trees [][]*gbdt.Tree, rows [][]float64) *binnedFixture {
 	tb.Helper()
 	forest, err := m.Compile()
 	if err != nil {
@@ -32,7 +34,7 @@ func newBinnedFixture(tb testing.TB, m *gbdt.Model, rows [][]float64) *binnedFix
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return &binnedFixture{model: m, forest: forest, binner: binner, rows: rows}
+	return &binnedFixture{model: m, forest: forest, binner: binner, trees: trees, rows: rows}
 }
 
 // smallBinnedFixture trains a 3-class model on numeric and categorical
@@ -68,11 +70,11 @@ func smallBinnedFixture(tb testing.TB) *binnedFixture {
 	}
 	cfg := gbdt.DefaultConfig()
 	cfg.NumRounds, cfg.MaxDepth = 12, 5
-	m, err := gbdt.TrainClassifier(ds, labels, 3, cfg)
+	m, trees, err := gbdt.TrainClassifierTrees(ds, labels, 3, cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return newBinnedFixture(tb, m, rows)
+	return newBinnedFixture(tb, m, trees, rows)
 }
 
 var paper struct {
@@ -94,16 +96,24 @@ func paperBinnedFixture(tb testing.TB) *binnedFixture {
 			paper.err = err
 			return
 		}
-		cm, err := core.TrainCategoryModel(f.Train, f.Cost, f.TrainOptions(perf.ScalePaper))
+		// core.TrainCategoryModel's steps, with the trees kept.
+		opts := f.TrainOptions(perf.ScalePaper)
+		labeler, err := core.FitLabeler(f.Train, f.Cost, opts.NumCategories)
+		if err != nil {
+			paper.err = err
+			return
+		}
+		enc := features.BuildEncoder(f.Train, opts.MaxVocab)
+		m, trees, err := gbdt.TrainClassifierTrees(enc.Dataset(f.Train), labeler.Labels(f.Train, f.Cost), opts.NumCategories, opts.GBDT)
 		if err != nil {
 			paper.err = err
 			return
 		}
 		rows := make([][]float64, len(f.Pool))
 		for i, j := range f.Pool {
-			rows[i] = cm.Encoder.Encode(j, nil)
+			rows[i] = enc.Encode(j, nil)
 		}
-		paper.fx = newBinnedFixture(tb, cm.Model, rows)
+		paper.fx = newBinnedFixture(tb, m, trees, rows)
 	})
 	if paper.err != nil {
 		tb.Fatal(paper.err)
@@ -144,7 +154,7 @@ func TestBinnedSplitProperty(t *testing.T) {
 		row := make([]float64, nf)
 		binned, own := make([]uint16, nf), make([]uint16, nf)
 		splits := 0
-		for r, round := range fx.model.Trees {
+		for r, round := range fx.trees {
 			for k, tree := range round {
 				for i := range tree.Nodes {
 					n := &tree.Nodes[i]
@@ -212,9 +222,11 @@ func TestBinnedSplitProperty(t *testing.T) {
 }
 
 // TestForestEntriesBitIdentical: over every row of the fixture (at paper
-// scale the benchmark's 16,384-row pool), each Forest entry returns
-// Model.Logits' float64s exactly, and each class entry their argmax; the
-// client's Bin and the forest's own binning produce the same row.
+// scale the benchmark's 16,384-row pool), Model.Logits, the reference,
+// returns Tree.Predict summed over the trees training grew exactly, each
+// Forest entry returns Model.Logits' float64s exactly, and each class
+// entry their argmax; the client's Bin and the forest's own binning
+// produce the same row.
 func TestForestEntriesBitIdentical(t *testing.T) {
 	forEachBinnedFixture(t, func(t *testing.T, fx *binnedFixture) {
 		f, rows := fx.forest, fx.rows
@@ -225,6 +237,11 @@ func TestForestEntriesBitIdentical(t *testing.T) {
 		own := make([]uint16, nf)
 		for i, row := range rows {
 			want[i] = fx.model.Logits(row)
+			for c, v := range gbdt.TreeLogits(fx.model.InitScores, fx.trees, row) {
+				if v != want[i][c] {
+					t.Fatalf("row %d class %d: Model.Logits %v, the trees %v", i, c, want[i][c], v)
+				}
+			}
 			for c, v := range want[i] { // Model.PredictClass' argmax: first of the largest
 				if v > want[i][wantClass[i]] {
 					wantClass[i] = c
@@ -314,4 +331,35 @@ func BenchmarkPaperForest(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkPaperModelSaveLoad times the paper-scale model file: Save
+// reads every tree back off the forest and writes it, Load decodes,
+// validates and compiles the trees and drops them.
+//
+//	go test -run '^$' -bench BenchmarkPaperModelSaveLoad -benchtime 1x ./internal/gbdt
+func BenchmarkPaperModelSaveLoad(b *testing.B) {
+	m := paperBinnedFixture(b).model
+	var file bytes.Buffer
+	if err := m.Save(&file); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("save", func(b *testing.B) {
+		b.SetBytes(int64(file.Len()))
+		var buf bytes.Buffer
+		for i := 0; i < b.N; i++ {
+			buf.Reset()
+			if err := m.Save(&buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("load", func(b *testing.B) {
+		b.SetBytes(int64(file.Len()))
+		for i := 0; i < b.N; i++ {
+			if _, err := gbdt.Load(bytes.NewReader(file.Bytes())); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sync"
 	"unsafe"
 )
 
@@ -74,25 +73,37 @@ func (c *Config) validate() error {
 	return nil
 }
 
-// Model is a trained gradient-boosted trees model. For classification,
-// Trees[r][k] is the round-r tree for class k and prediction is softmax
-// over accumulated logits; for regression NumClasses == 1. A model is
-// fixed once built: what is derived from its trees is derived once
-// (NumericSplitThresholds), so pass it by pointer and build a new Model
-// rather than editing Trees.
+// Model is a trained gradient-boosted trees model: its header and the
+// Forest it was compiled to. For classification a round grows one tree
+// per class and prediction is softmax over accumulated logits; for
+// regression NumClasses == 1. Trees exist only while a trainer or Load
+// runs: both end by compiling them (newModel), and the forest is all a
+// model keeps of them. A model is fixed once built; pass it by pointer.
+// Its file's shape is modelFile's.
 type Model struct {
-	Schema     *Schema   `json:"schema"`
-	Config     Config    `json:"config"`
-	NumClasses int       `json:"num_classes"`
-	InitScores []float64 `json:"init_scores"`
-	Trees      [][]*Tree `json:"trees"`
+	Schema     *Schema
+	Config     Config
+	NumClasses int
+	InitScores []float64
 	// TrainLoss records the training loss after each round (logloss
 	// for classification, MSE for regression) — used by tests and the
 	// model-analysis experiments.
-	TrainLoss []float64 `json:"train_loss,omitempty"`
+	TrainLoss []float64
 
-	thresholdsOnce sync.Once
-	thresholds     [][]float64
+	forest *Forest
+}
+
+// newModel compiles trees, trees[r][k] the round-r tree for class k,
+// into m's forest, refusing a model that fails validation or that the
+// binned layout cannot hold (*LimitError); a trainer's err passes through.
+func newModel(m *Model, trees [][]*Tree, err error) (*Model, error) {
+	if err == nil {
+		m.forest, err = compile(m, trees)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // validateClassifierArgs checks the shared TrainClassifier* inputs and
@@ -143,9 +154,14 @@ func initScoresFromCounts(counts []float64, n, numClasses int) []float64 {
 // result is deterministic: bit-identical for the same inputs at any
 // Workers value.
 func TrainClassifier(ds *Dataset, labels []int, numClasses int, cfg Config) (*Model, error) {
+	return newModel(trainClassifier(ds, labels, numClasses, cfg))
+}
+
+// trainClassifier is TrainClassifier up to the compile (newModel).
+func trainClassifier(ds *Dataset, labels []int, numClasses int, cfg Config) (*Model, [][]*Tree, error) {
 	counts, err := validateClassifierArgs(ds, labels, numClasses, cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	n := ds.N
 	k := numClasses
@@ -174,6 +190,7 @@ func TrainClassifier(ds *Dataset, labels []int, numClasses int, cfg Config) (*Mo
 	for w := range growers {
 		growers[w] = newTreeGrower(eng, n)
 	}
+	trees := make([][]*Tree, 0, cfg.NumRounds)
 
 	for round := 0; round < cfg.NumRounds; round++ {
 		rows := sampleRows(n, cfg.Subsample, rng)
@@ -207,9 +224,9 @@ func TrainClassifier(ds *Dataset, labels []int, numClasses int, cfg Config) (*Mo
 				logits[int(r)*k+kc] += tg.predictBinned(tree, int(r))
 			}
 		})
-		m.Trees = append(m.Trees, roundTrees)
+		trees = append(trees, roundTrees)
 	}
-	return m, nil
+	return m, trees, nil
 }
 
 // outOfSample returns the ascending complement of the ascending sampled
@@ -270,6 +287,7 @@ func TrainRegressor(ds *Dataset, targets []float64, cfg Config) (*Model, error) 
 		h[i] = 1
 	}
 	var outBuf []int32
+	trees := make([][]*Tree, 0, cfg.NumRounds)
 	for round := 0; round < cfg.NumRounds; round++ {
 		var loss float64
 		for i := 0; i < n; i++ {
@@ -287,9 +305,9 @@ func TrainRegressor(ds *Dataset, targets []float64, cfg Config) (*Model, error) 
 		for _, r := range outBuf {
 			preds[r] += tg.predictBinned(tree, int(r))
 		}
-		m.Trees = append(m.Trees, []*Tree{tree})
+		trees = append(trees, []*Tree{tree})
 	}
-	return m, nil
+	return newModel(m, trees, nil)
 }
 
 // TrainClassifierNaive is the original per-node-rebuild trainer, kept
@@ -299,9 +317,14 @@ func TrainRegressor(ds *Dataset, targets []float64, cfg Config) (*Model, error) 
 // (TestEngineMatchesNaiveParity holds the engine to it); callers that
 // want a model use TrainClassifier.
 func TrainClassifierNaive(ds *Dataset, labels []int, numClasses int, cfg Config) (*Model, error) {
+	return newModel(trainClassifierNaive(ds, labels, numClasses, cfg))
+}
+
+// trainClassifierNaive is TrainClassifierNaive up to the compile.
+func trainClassifierNaive(ds *Dataset, labels []int, numClasses int, cfg Config) (*Model, [][]*Tree, error) {
 	counts, err := validateClassifierArgs(ds, labels, numClasses, cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	n := ds.N
 	m := &Model{
@@ -323,6 +346,7 @@ func TrainClassifierNaive(ds *Dataset, labels []int, numClasses int, cfg Config)
 	probs := make([]float64, numClasses)
 	g := make([]float64, n)
 	h := make([]float64, n)
+	trees := make([][]*Tree, 0, cfg.NumRounds)
 
 	for round := 0; round < cfg.NumRounds; round++ {
 		rows := sampleRows(n, cfg.Subsample, rng)
@@ -359,9 +383,9 @@ func TrainClassifierNaive(ds *Dataset, labels []int, numClasses int, cfg Config)
 				logits[i][k] += roundTrees[k].Predict(row)
 			}
 		}
-		m.Trees = append(m.Trees, roundTrees)
+		trees = append(trees, roundTrees)
 	}
-	return m, nil
+	return m, trees, nil
 }
 
 func sampleRows(n int, frac float64, rng *rand.Rand) []int32 {
@@ -402,62 +426,26 @@ func softmax(logits, out []float64) {
 	}
 }
 
-// Logits computes the raw class scores for a feature row.
+// Logits computes the raw class scores for a feature row. It is the
+// reference the forest's entries are held to (CategoryModel.Predict
+// runs on it): a float walk over the forest's nodes (Forest.walk) that
+// compares raw values with the split thresholds and looks category
+// values up in the split sets, and shares no binning or traversal code
+// with the entries. Each class sums its init score and then its trees
+// in round order, so the entries' logits equal these bit for bit.
 func (m *Model) Logits(row []float64) []float64 {
-	out := make([]float64, m.NumClasses)
-	copy(out, m.InitScores)
-	for _, round := range m.Trees {
-		for k, tree := range round {
-			out[k] += tree.Predict(row)
+	f := m.forest
+	out := slices.Clone(m.InitScores)
+	for k := range out {
+		for _, tr := range f.trees[f.classStart[k]:f.classStart[k+1]] {
+			out[k] += f.walk(tr, row)
 		}
 	}
 	return out
 }
 
-// PredictProba returns softmax class probabilities. Panics if the model
-// is a regressor.
-func (m *Model) PredictProba(row []float64) []float64 {
-	if m.NumClasses < 2 {
-		panic("gbdt: PredictProba on a regression model")
-	}
-	logits := m.Logits(row)
-	out := make([]float64, m.NumClasses)
-	softmax(logits, out)
-	return out
-}
-
-// PredictClass returns the argmax class.
-func (m *Model) PredictClass(row []float64) int {
-	logits := m.Logits(row)
-	best, bestV := 0, logits[0]
-	for k, v := range logits[1:] {
-		if v > bestV {
-			best, bestV = k+1, v
-		}
-	}
-	return best
-}
-
-// FeatureImportance returns gain-based importances normalized to sum to
-// 1 (all zeros if no split was ever made).
-func (m *Model) FeatureImportance() []float64 {
-	imp := make([]float64, m.Schema.NumFeatures())
-	for _, round := range m.Trees {
-		for _, tree := range round {
-			tree.AccumulateImportance(imp)
-		}
-	}
-	var total float64
-	for _, v := range imp {
-		total += v
-	}
-	if total > 0 {
-		for i := range imp {
-			imp[i] /= total
-		}
-	}
-	return imp
-}
+// PredictClass returns the argmax class of Logits.
+func (m *Model) PredictClass(row []float64) int { return argmax(m.Logits(row)) }
 
 // NumericSplitThresholds returns, per feature, the sorted distinct
 // thresholds of every numeric split in the model (nil for features the
@@ -467,57 +455,14 @@ func (m *Model) FeatureImportance() []float64 {
 // each value falls in preserves every tree routing decision exactly —
 // the contract behind client-side pre-binning on the serving wire.
 //
-// The trees are walked on the first call only; every call returns the
-// same arrays, which the forest and the binner of the model keep too:
-// read them, do not change them.
-func (m *Model) NumericSplitThresholds() [][]float64 {
-	m.thresholdsOnce.Do(func() { m.thresholds = m.numericSplitThresholds() })
-	return m.thresholds
-}
-
-func (m *Model) numericSplitThresholds() [][]float64 {
-	out := make([][]float64, m.Schema.NumFeatures())
-	for _, round := range m.Trees {
-		for _, tree := range round {
-			for i := range tree.Nodes {
-				if n := &tree.Nodes[i]; !n.IsLeaf && n.Kind == uint8(Numeric) {
-					out[n.Feature] = append(out[n.Feature], n.Threshold)
-				}
-			}
-		}
-	}
-	for f, thresholds := range out {
-		slices.Sort(thresholds)
-		// The copy sheds the slots of the splits that shared a threshold.
-		out[f] = slices.Clone(slices.Compact(thresholds))
-	}
-	return out
-}
+// They are the forest's edges, which its binner keeps too: read them,
+// do not change them.
+func (m *Model) NumericSplitThresholds() [][]float64 { return m.forest.edges }
 
 // ResidentBytes returns the bytes the model holds on the heap, counted
-// from the lengths of its trees and of their split thresholds (derived
-// here if they were not yet); the schema, which a bundle's encoder
-// shares, is left out. The allocator rounds each array up to a size
-// class on top of this, a few percent.
+// from the lengths of its arrays and its forest's; the schema, which a
+// bundle's encoder shares, is left out. The allocator rounds each array
+// up to a size class on top of this, a few percent.
 func (m *Model) ResidentBytes() int {
-	n := int(unsafe.Sizeof(*m)) + 8*(len(m.InitScores)+len(m.TrainLoss))
-	for _, round := range m.Trees {
-		n += int(unsafe.Sizeof(round)) + int(unsafe.Sizeof(round[0]))*len(round)
-		for _, tree := range round {
-			n += int(unsafe.Sizeof(*tree)) + int(unsafe.Sizeof(Node{}))*len(tree.Nodes) + 4*len(tree.cats)
-		}
-	}
-	for _, thresholds := range m.NumericSplitThresholds() {
-		n += int(unsafe.Sizeof(thresholds)) + 8*len(thresholds)
-	}
-	return n
-}
-
-// NumTrees returns the total number of trees in the model.
-func (m *Model) NumTrees() int {
-	n := 0
-	for _, round := range m.Trees {
-		n += len(round)
-	}
-	return n
+	return int(unsafe.Sizeof(*m)) + 8*(len(m.InitScores)+len(m.TrainLoss)) + m.forest.ResidentBytes()
 }

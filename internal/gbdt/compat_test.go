@@ -8,6 +8,8 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"reflect"
+	"regexp"
 	"testing"
 
 	"repro/internal/gbdt"
@@ -25,12 +27,14 @@ const (
 )
 
 // compatExpect is model_pr22.expect.json: Model.Logits per row of
-// compatRows (Forest.Logits returned the same float64s) and
-// FeatureImportance.
+// compatRows (Forest.Logits returned the same float64s). The file also
+// holds the gain-based importances of a model that kept its gains.
 type compatExpect struct {
-	Logits     [][]float64 `json:"logits"`
-	Importance []float64   `json:"importance"`
+	Logits [][]float64 `json:"logits"`
 }
+
+// gainMember matches a node's "g" member, which Save no longer writes.
+var gainMember = regexp.MustCompile(`,"g":[-+.0-9eE]+`)
 
 var compatSchema = &gbdt.Schema{
 	Names: []string{"x0", "x1", "c0", "x2", "c1", "x3"},
@@ -108,8 +112,10 @@ func compatRows() [][]float64 {
 
 // TestModelFileCompat: the model file did not move by a byte and means
 // what it meant. Loading the parent's file and saving it again returns
-// the file; training on the same data writes the file; the reference
-// trees, the forest and the importances say what the parent's said.
+// the file but for the gains, which a model no longer keeps; training on
+// the same data writes that too, and loading what was saved compiles
+// the same forest; the file's own trees, the reference walk and the
+// forest predict what the parent predicted.
 func TestModelFileCompat(t *testing.T) {
 	file, err := os.ReadFile(compatModelFile)
 	if err != nil {
@@ -117,6 +123,10 @@ func TestModelFileCompat(t *testing.T) {
 	}
 	if sum := sha256.Sum256(file); hex.EncodeToString(sum[:]) != compatModelSHA {
 		t.Fatalf("%s has SHA-256 %x: the file is the parent commit's and is not to be regenerated", compatModelFile, sum)
+	}
+	gainless := gainMember.ReplaceAll(file, nil)
+	if bytes.Contains(gainless, []byte(`"g"`)) || len(gainless) == len(file) {
+		t.Fatalf("stripping the gains left %d of the file's %d bytes and a \"g\"", len(gainless), len(file))
 	}
 	m, err := gbdt.Load(bytes.NewReader(file))
 	if err != nil {
@@ -126,8 +136,16 @@ func TestModelFileCompat(t *testing.T) {
 	if err := m.Save(&saved); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(saved.Bytes(), file) {
-		t.Errorf("Save(Load(file)) differs from the file (%d bytes, file %d)", saved.Len(), len(file))
+	if !bytes.Equal(saved.Bytes(), gainless) {
+		t.Errorf("Save(Load(file)) differs from the file without its gains (%d bytes, file %d)", saved.Len(), len(gainless))
+	}
+	again, err := gbdt.Load(bytes.NewReader(saved.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	forest, reloaded := gbdt.Compiled(t, m), gbdt.Compiled(t, again)
+	if !reflect.DeepEqual(reloaded, forest) {
+		t.Error("Load(Save(Load(file))) compiles a forest that differs from Load(file)'s")
 	}
 
 	ds, labels, cfg := compatData()
@@ -139,8 +157,8 @@ func TestModelFileCompat(t *testing.T) {
 	if err := trained.Save(&saved); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(saved.Bytes(), file) {
-		t.Errorf("training on the file's data saves %d bytes that differ from the file's %d", saved.Len(), len(file))
+	if !bytes.Equal(saved.Bytes(), gainless) {
+		t.Errorf("training on the file's data saves %d bytes that differ from the file's %d without its gains", saved.Len(), len(gainless))
 	}
 
 	var want compatExpect
@@ -151,8 +169,11 @@ func TestModelFileCompat(t *testing.T) {
 	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatal(err)
 	}
-	forest, err := m.Compile()
-	if err != nil {
+	// The trees as the file holds them, decoded without Load.
+	var trees struct {
+		Trees [][]*gbdt.Tree `json:"trees"`
+	}
+	if err := json.Unmarshal(file, &trees); err != nil {
 		t.Fatal(err)
 	}
 	rows := compatRows()
@@ -161,15 +182,12 @@ func TestModelFileCompat(t *testing.T) {
 	}
 	for i, row := range rows {
 		model, compiled := m.Logits(row), forest.Logits(row, nil)
+		walked := gbdt.TreeLogits(m.InitScores, trees.Trees, row)
 		for k, w := range want.Logits[i] {
-			if model[k] != w || compiled[k] != w {
-				t.Fatalf("row %d %v class %d: Model.Logits %v, Forest.Logits %v, recorded %v", i, row, k, model[k], compiled[k], w)
+			if model[k] != w || compiled[k] != w || walked[k] != w {
+				t.Fatalf("row %d %v class %d: Model.Logits %v, Forest.Logits %v, the file's trees %v, recorded %v",
+					i, row, k, model[k], compiled[k], walked[k], w)
 			}
-		}
-	}
-	for f, got := range m.FeatureImportance() {
-		if got != want.Importance[f] {
-			t.Errorf("importance of feature %d: %v, recorded %v", f, got, want.Importance[f])
 		}
 	}
 }

@@ -3,8 +3,7 @@
 // family the paper uses for its category models). It supports numeric and
 // categorical features, multiclass softmax classification with Newton leaf
 // weights, squared-loss regression, histogram-based numeric splits,
-// gradient-ordered categorical splits, gain-based feature importances and
-// JSON serialization.
+// gradient-ordered categorical splits and JSON serialization.
 //
 // Training runs on a histogram-subtraction engine (hist.go): trees grow
 // depth-first over one reusable row-index arena with in-place
@@ -22,11 +21,13 @@
 // round losses sum fixed-size chunks in chunk order), so serialized
 // models compare byte-equal across worker counts; Workers itself is
 // excluded from model JSON. Inference (Forest) is likewise bit-identical
-// to per-row Tree traversal. Model.Compile is the one way to a Forest,
-// and it refuses what the binned layout cannot hold with a *LimitError;
-// a Forest answers one row (Logits, PredictClass, PredictProba), float
-// rows in blocks (PredictClassBatch) or binned rows (PredictClassBinned),
-// while the Model's own predictors stay as the reference.
+// to per-row Tree traversal. A Model is its compiled Forest: training and
+// Load build trees, compile them and drop them, refusing what the binned
+// layout cannot hold with a *LimitError, and Model.Compile returns the
+// forest. A Forest answers one row (Logits, PredictClass, PredictProba),
+// float rows in blocks (PredictClassBatch) or binned rows
+// (PredictClassBinned), while the Model's own predictors, a float walk
+// over the forest's nodes, stay as the reference.
 package gbdt
 
 import (

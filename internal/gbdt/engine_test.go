@@ -123,21 +123,52 @@ func TestWorkersExcludedFromSerialization(t *testing.T) {
 	}
 }
 
+// sameLogits holds m's reference (Model.Logits), every forest entry and
+// Tree.Predict summed over trees, the trees training grew for m, to the
+// same logits, bit for bit, on every row of ds.
+func sameLogits(t *testing.T, m *Model, trees [][]*Tree, ds *Dataset) {
+	t.Helper()
+	f := Compiled(t, m)
+	k, nf := f.NumClasses, f.NumFeatures
+	rows := make([][]float64, ds.N)
+	tile := make([]uint16, ds.N*nf)
+	for i := range rows {
+		rows[i] = ds.Row(i, nil)
+		f.binRow(rows[i], tile[i*nf:(i+1)*nf])
+	}
+	_, batch := f.PredictClassBatch(rows, nil, nil)
+	_, binned := f.PredictClassBinned(tile, nil, nil)
+	var one []float64
+	for i, row := range rows {
+		want := TreeLogits(m.InitScores, trees, row)
+		one = f.Logits(row, one)
+		for name, got := range map[string][]float64{"Model.Logits": m.Logits(row), "Forest.Logits": one,
+			"PredictClassBatch": batch[i*k : (i+1)*k], "PredictClassBinned": binned[i*k : (i+1)*k]} {
+			for c := range want {
+				if got[c] != want[c] {
+					t.Fatalf("row %d class %d: %s %v, the trees %v", i, c, name, got[c], want[c])
+				}
+			}
+		}
+	}
+}
+
 // TestEngineMatchesNaiveParity: the histogram-subtraction engine and
 // the legacy per-node-rebuild trainer differ in floating-point detail
 // (sibling histograms come from subtraction, child sums from scan
 // prefixes), so trees may diverge — but on a fixed fixture both must
-// learn the problem equally well.
+// learn the problem equally well. Each model's reference, forest and
+// trees agree bit for bit.
 func TestEngineMatchesNaiveParity(t *testing.T) {
 	ds, labels := engineFixture(4000, 5, 43)
 	cfg := DefaultConfig()
 	cfg.NumRounds = 20
 
-	engine, err := TrainClassifier(ds, labels, 5, cfg)
+	engine, engineTrees, err := withTrees(trainClassifier(ds, labels, 5, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := TrainClassifierNaive(ds, labels, 5, cfg)
+	naive, naiveTrees, err := withTrees(trainClassifierNaive(ds, labels, 5, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,6 +184,8 @@ func TestEngineMatchesNaiveParity(t *testing.T) {
 		}
 		return float64(correct) / float64(ds.N)
 	}
+	sameLogits(t, engine, engineTrees, ds)
+	sameLogits(t, naive, naiveTrees, ds)
 	accEngine, accNaive := accuracy(engine), accuracy(naive)
 	if math.Abs(accEngine-accNaive) > 0.02 {
 		t.Errorf("train accuracy diverged: engine %.4f vs naive %.4f", accEngine, accNaive)

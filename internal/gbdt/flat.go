@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"unsafe"
 )
@@ -86,13 +87,13 @@ func (e *LimitError) Error() string {
 	return fmt.Sprintf("gbdt: compile: %s: %d, the binned forest holds at most %d", e.What, e.Got, e.Max)
 }
 
-// Forest is a Model compiled for inference on binned rows. A row is one
-// uint16 per feature: on a numeric feature the number of split
-// thresholds of the model below the value (Forest.edges, which are
-// Model.NumericSplitThresholds and so the edges of
-// features.BinnerForModel), on a categorical feature the category id.
-// v > t and bin(v) > bin(t) agree for every threshold t of the model
-// because t is itself an edge: bin(v) is the smallest i with
+// Forest is a Model compiled for inference on binned rows, and all a
+// Model keeps of its trees. A row is one uint16 per feature: on a
+// numeric feature the number of split thresholds of the model below the
+// value (Forest.edges, which are Model.NumericSplitThresholds and so the
+// edges of features.BinnerForModel), on a categorical feature the
+// category id. v > t and bin(v) > bin(t) agree for every threshold t of
+// the model because t is itself an edge: bin(v) is the smallest i with
 // v <= edges[i], so bin(v) <= bin(t) exactly when v <= t.
 //
 // All trees live in one node array, categorical split sets are bitsets
@@ -100,7 +101,7 @@ func (e *LimitError) Error() string {
 // row block while the tree stays hot in cache. The float entries
 // (Logits, PredictClass, PredictProba, PredictClassBatch) bin their
 // rows and run the same traversal as PredictClassBinned. A Forest is
-// immutable after Compile and safe for concurrent use.
+// immutable once compiled and safe for concurrent use.
 type Forest struct {
 	NumClasses  int
 	NumFeatures int
@@ -125,65 +126,74 @@ type Forest struct {
 	missing []uint16
 }
 
-// Compile lays the model out as a Forest, every array at its final
-// size. The result shares nothing with the model but the arrays of
-// NumericSplitThresholds, which nobody writes, and can be used
-// concurrently with further training.
+// Compile returns the model's one shared, immutable forest, compiled
+// when the model was trained or loaded. A Model neither trained nor
+// loaded has none, which is the error.
 func (m *Model) Compile() (*Forest, error) {
-	if m.NumClasses < 1 || len(m.InitScores) != m.NumClasses {
-		return nil, fmt.Errorf("gbdt: compile: model has %d classes and %d init scores", m.NumClasses, len(m.InitScores))
+	if m.forest == nil {
+		return nil, fmt.Errorf("gbdt: compile: the model was neither trained nor loaded")
+	}
+	return m.forest, nil
+}
+
+// compile validates m's header and trees, deeply enough that nothing
+// done with the model can panic, and lays the trees out as a Forest,
+// every array at its final size; a *LimitError says what the binned
+// layout cannot hold.
+func compile(m *Model, trees [][]*Tree) (*Forest, error) {
+	if m.Schema == nil {
+		return nil, fmt.Errorf("gbdt: model has no schema")
+	}
+	if err := m.Schema.Validate(); err != nil {
+		return nil, err
+	}
+	switch {
+	case m.Schema.NumFeatures() == 0:
+		return nil, fmt.Errorf("gbdt: model schema has no features")
+	case m.NumClasses < 1:
+		return nil, fmt.Errorf("gbdt: model has %d classes", m.NumClasses)
+	case len(m.InitScores) != m.NumClasses:
+		return nil, fmt.Errorf("gbdt: %d init scores for %d classes", len(m.InitScores), m.NumClasses)
 	}
 	nf := m.Schema.NumFeatures()
 	if nf > maxForestFeatures {
 		return nil, &LimitError{"features", nf, maxForestFeatures}
 	}
-	// A leaf reads bin 0 of its row like any node, so a row has one.
-	if nf < 1 || len(m.Schema.Kinds) != nf {
-		return nil, fmt.Errorf("gbdt: compile: schema has %d features and %d kinds", nf, len(m.Schema.Kinds))
-	}
 	f := &Forest{
 		NumClasses:  m.NumClasses,
 		NumFeatures: nf,
-		initScores:  append([]float64(nil), m.InitScores...),
-		edges:       m.NumericSplitThresholds(),
-		kinds:       append([]FeatureKind(nil), m.Schema.Kinds...),
+		initScores:  slices.Clone(m.InitScores),
+		edges:       make([][]float64, nf),
+		kinds:       slices.Clone(m.Schema.Kinds),
 		missing:     make([]uint16, nf),
 	}
-	for feat, es := range f.edges {
-		if len(es) > maxForestEdges {
-			return nil, &LimitError{fmt.Sprintf("distinct thresholds on feature %d", feat), len(es), maxForestEdges}
-		}
-		if len(es) > 0 && (math.IsNaN(es[0]) || math.IsInf(es[0], 0) || math.IsInf(es[len(es)-1], 0)) {
-			return nil, fmt.Errorf("gbdt: compile: feature %d has a non-finite split threshold", feat)
-		}
-	}
 
-	// Size pass: every node, leaf, set and set word is counted before
-	// anything is allocated.
-	var numTrees, numNodes, numLeaves, numSets, numWords int
+	// Size pass: every node, leaf, set and set word is counted, and
+	// every threshold gathered, before anything else is allocated.
+	var numNodes, numLeaves, numSets, numWords, maxNodes int
 	routed := make([][]uint64, nf) // per categorical feature, every id some split routes left
-	for r, round := range m.Trees {
-		if len(round) < m.NumClasses {
-			return nil, fmt.Errorf("gbdt: compile: round %d has %d trees, class %d missing", r, len(round), len(round))
+	for r, round := range trees {
+		if len(round) != m.NumClasses {
+			return nil, fmt.Errorf("gbdt: round %d has %d trees for %d classes", r, len(round), m.NumClasses)
 		}
-		for k, tree := range round[:m.NumClasses] {
-			if tree == nil || len(tree.Nodes) == 0 {
-				return nil, fmt.Errorf("gbdt: compile: empty tree for class %d", k)
+		for k, tree := range round {
+			if err := m.validateTree(tree); err != nil {
+				return nil, fmt.Errorf("gbdt: round %d class %d: %w", r, k, err)
 			}
 			if len(tree.Nodes) > maxTreeNodes {
 				return nil, &LimitError{fmt.Sprintf("nodes in the round %d class %d tree", r, k), len(tree.Nodes), maxTreeNodes}
 			}
-			numTrees++
 			numNodes += len(tree.Nodes)
+			maxNodes = max(maxNodes, len(tree.Nodes))
 			numSets += setFirst
 			for i := range tree.Nodes {
 				n := &tree.Nodes[i]
 				switch {
 				case n.IsLeaf:
 					numLeaves++
-				case n.Feature < 0 || int(n.Feature) >= nf || FeatureKind(n.Kind) != f.kinds[n.Feature]:
-					return nil, fmt.Errorf("gbdt: compile: tree node %d splits on feature %d as kind %d, which the schema does not have", i, n.Feature, n.Kind)
-				case n.Kind == uint8(Categorical):
+				case n.Kind == uint8(Numeric):
+					f.edges[n.Feature] = append(f.edges[n.Feature], n.Threshold)
+				default:
 					ids := tree.LeftCats(n)
 					words, err := setWords(n.Feature, ids)
 					if err != nil {
@@ -199,6 +209,18 @@ func (m *Model) Compile() (*Forest, error) {
 			}
 		}
 	}
+	for feat, es := range f.edges {
+		slices.Sort(es)
+		// The copy sheds the slots of the splits that shared a threshold.
+		es = slices.Clone(slices.Compact(es))
+		f.edges[feat] = es
+		if len(es) > maxForestEdges {
+			return nil, &LimitError{fmt.Sprintf("distinct thresholds on feature %d", feat), len(es), maxForestEdges}
+		}
+		if len(es) > 0 && (math.IsNaN(es[0]) || math.IsInf(es[0], 0) || math.IsInf(es[len(es)-1], 0)) {
+			return nil, fmt.Errorf("gbdt: compile: feature %d has a non-finite split threshold", feat)
+		}
+	}
 	if err := f.pickMissingIDs(routed); err != nil {
 		return nil, err
 	}
@@ -208,15 +230,16 @@ func (m *Model) Compile() (*Forest, error) {
 	// arena[0] is setAll's word and arena[1] setNone's, shared by every
 	// tree.
 	f.arena = append(make([]uint64, 0, 2+numWords), ^uint64(0), 0)
-	f.trees = make([]treeRef, 0, numTrees)
+	f.trees = make([]treeRef, 0, len(trees)*m.NumClasses)
 	f.classStart = make([]int32, 0, m.NumClasses+1)
 
 	var stack []pendingNode
+	reached := make([]bool, maxNodes)
 	for k := 0; k < m.NumClasses; k++ {
 		f.classStart = append(f.classStart, int32(len(f.trees)))
-		for _, round := range m.Trees {
+		for _, round := range trees {
 			var err error
-			if stack, err = f.addTree(round[k], stack); err != nil {
+			if stack, err = f.addTree(round[k], stack, reached); err != nil {
 				return nil, err
 			}
 		}
@@ -260,20 +283,23 @@ type pendingNode struct {
 
 // addTree appends one tree in pre-order, left subtree first, whatever
 // order the model stores it in: the step finds a left child by adding
-// one. stack is scratch handed from tree to tree.
-func (f *Forest) addTree(tree *Tree, stack []pendingNode) ([]pendingNode, error) {
+// one. stack and reached (at least as long as the tree) are scratch
+// handed from tree to tree.
+func (f *Forest) addTree(tree *Tree, stack []pendingNode, reached []bool) ([]pendingNode, error) {
 	tr := treeRef{root: int32(len(f.nodes)), sets: int32(len(f.sets)), leaves: int32(len(f.leaves))}
 	f.sets = append(f.sets, catSet{zero: 0}, catSet{zero: 1})
 	stack = append(stack[:0], pendingNode{src: 0, rightOf: -1})
+	clear(reached[:len(tree.Nodes)])
 	for len(stack) > 0 {
 		p := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		at := len(f.nodes)
-		if at-int(tr.root) >= len(tree.Nodes) {
-			// More nodes reached than stored: two parents share a child,
-			// and laying such a graph out as a tree need not end.
-			return stack, fmt.Errorf("gbdt: compile: tree reaches a node twice; trees must not share children")
+		if reached[p.src] {
+			// Two parents share a child, and laying such a graph out as a
+			// tree need not end.
+			return stack, fmt.Errorf("gbdt: compile: tree reaches node %d twice; trees must not share children", p.src)
 		}
+		reached[p.src] = true
+		at := len(f.nodes)
 		if p.rightOf >= 0 {
 			f.nodes[p.rightOf].right = uint16(at - p.rightOf)
 		}
@@ -284,10 +310,6 @@ func (f *Forest) addTree(tree *Tree, stack []pendingNode) ([]pendingNode, error)
 			tr.depth = max(tr.depth, p.depth)
 			continue
 		}
-		if last := int32(len(tree.Nodes) - 1); n.Left <= p.src || n.Left > last || n.Right <= p.src || n.Right > last {
-			return stack, fmt.Errorf("gbdt: compile: tree node %d has out-of-order children (%d, %d); children must follow their parent",
-				p.src, n.Left, n.Right)
-		}
 		bn := binNode{feat: uint16(n.Feature)}
 		if n.Kind == uint8(Numeric) {
 			bn.thr = uint16(sort.SearchFloat64s(f.edges[n.Feature], n.Threshold))
@@ -296,7 +318,7 @@ func (f *Forest) addTree(tree *Tree, stack []pendingNode) ([]pendingNode, error)
 			bn.thr = thrAlways
 			bn.set = uint16(len(f.sets) - int(tr.sets))
 			ids := tree.LeftCats(n)
-			words, _ := setWords(n.Feature, ids) // checked by Compile's size pass
+			words, _ := setWords(n.Feature, ids) // checked by compile's size pass
 			f.sets = append(f.sets, catSet{zero: uint32(len(f.arena) + words), words: uint32(words)})
 			for w := 0; w <= words; w++ {
 				f.arena = append(f.arena, 0)
@@ -307,6 +329,11 @@ func (f *Forest) addTree(tree *Tree, stack []pendingNode) ([]pendingNode, error)
 		stack = append(stack,
 			pendingNode{src: n.Right, depth: p.depth + 1, rightOf: at},
 			pendingNode{src: n.Left, depth: p.depth + 1, rightOf: -1})
+	}
+	if laid := len(f.nodes) - int(tr.root); laid != len(tree.Nodes) {
+		// The model file would lose the nodes no path reaches, and the
+		// forest's edges and missing ids would still count them.
+		return stack, fmt.Errorf("gbdt: compile: the tree's root reaches %d of its %d nodes", laid, len(tree.Nodes))
 	}
 	f.trees = append(f.trees, tr)
 	return stack, nil
@@ -559,8 +586,8 @@ func (f *Forest) Logits(row []float64, out []float64) []float64 {
 }
 
 // PredictProba returns softmax class probabilities for one row in out
-// (allocated when nil or too short), equal to Model.PredictProba's on
-// the source model. Panics if the model is a regressor.
+// (allocated when nil or too short): the softmax of Logits. Panics if
+// the model is a regressor.
 func (f *Forest) PredictProba(row []float64, out []float64) []float64 {
 	if f.NumClasses < 2 {
 		panic("gbdt: PredictProba on a regression model")
@@ -616,12 +643,68 @@ func argmax(xs []float64) int {
 }
 
 // ResidentBytes returns the bytes the forest holds on the heap, counted
-// from the lengths of its arrays. The edges are the model's own
-// (Model.ResidentBytes counts them), so they are left out.
+// from the lengths of its arrays.
 func (f *Forest) ResidentBytes() int {
-	return int(unsafe.Sizeof(*f)) +
+	n := int(unsafe.Sizeof(*f)) +
 		int(unsafe.Sizeof(binNode{}))*len(f.nodes) + 8*len(f.leaves) +
 		int(unsafe.Sizeof(catSet{}))*len(f.sets) + 8*len(f.arena) +
 		int(unsafe.Sizeof(treeRef{}))*len(f.trees) + 4*len(f.classStart) +
 		8*len(f.initScores) + int(unsafe.Sizeof(Numeric))*len(f.kinds) + 2*len(f.missing)
+	for _, es := range f.edges {
+		n += int(unsafe.Sizeof(es)) + 8*len(es)
+	}
+	return n
+}
+
+// NumTrees returns the number of trees compiled: rounds times classes.
+func (f *Forest) NumTrees() int { return len(f.trees) }
+
+// NumLeaves returns the number of leaves of all trees.
+func (f *Forest) NumLeaves() int { return len(f.leaves) }
+
+// walk returns the leaf value tree tr reaches on a raw float row, found
+// without binning it: a numeric split compares the value with its
+// threshold, NaN going left, and a categorical split looks the value up
+// in its set as Tree.Predict looks it up in its ids. This is
+// Model.Logits' reference walk; no entry of the forest runs it.
+func (f *Forest) walk(tr treeRef, row []float64) float64 {
+	at := int(tr.root)
+	for {
+		n := f.nodes[at]
+		var left bool
+		switch v := row[n.feat]; n.set {
+		case setNone:
+			return f.leaves[int(tr.leaves)+int(n.thr)]
+		case setAll:
+			left = v != v || v <= f.edges[n.feat][n.thr]
+		default:
+			left = f.has(f.sets[int(tr.sets)+int(n.set)], v)
+		}
+		if left {
+			at++
+		} else {
+			at += int(n.right)
+		}
+	}
+}
+
+// has reports whether set s holds category value v: v is not NaN, and
+// its truncated id is not negative and has its bit set.
+func (f *Forest) has(s catSet, v float64) bool {
+	id := int32(v)
+	if v != v || id < 0 || uint32(id)>>6 >= s.words {
+		return false
+	}
+	return f.arena[s.zero-s.words+uint32(id)>>6]>>(id&63)&1 != 0
+}
+
+// ids returns the ids of set s, ascending.
+func (f *Forest) ids(s catSet) []int32 {
+	var ids []int32
+	for w, word := range f.arena[s.zero-s.words : s.zero] {
+		for ; word != 0; word &= word - 1 {
+			ids = append(ids, int32(64*w+bits.TrailingZeros64(word)))
+		}
+	}
+	return ids
 }

@@ -61,8 +61,8 @@ func TestForestMatchesModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.trees) != m.NumTrees() {
-		t.Fatalf("forest has %d trees, model %d", len(f.trees), m.NumTrees())
+	if want := m.Config.NumRounds * m.NumClasses; f.NumTrees() != want {
+		t.Fatalf("forest has %d trees, want %d", f.NumTrees(), want)
 	}
 	var logitBuf []float64
 	for i, row := range rows {
@@ -206,8 +206,10 @@ func TestPredictClassBatchSteadyStateAllocs(t *testing.T) {
 // (4.7 on this fixture, whose trees keep one categorical split each
 // and so cost what they did with an array per split; 25.2 while every
 // popped node, every chunk closure and every improving categorical
-// candidate went to the heap). Two workers add the class fan-out's
-// goroutines, a per-round cost: 6.3. The budgets are those plus one.
+// candidate went to the heap). Compiling the trees into the model's
+// forest costs per model, not per tree. Two workers add the class
+// fan-out's goroutines, a per-round cost: 6.3. The budgets are those
+// plus one.
 func TestGrowSteadyStateAllocs(t *testing.T) {
 	m, rows := trainFlatFixture(t, 2000, 2)
 	ds := NewDataset(m.Schema, len(rows))
@@ -226,15 +228,7 @@ func TestGrowSteadyStateAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			nodes = 0
-			for _, round := range model.Trees {
-				for _, tree := range round {
-					if len(tree.Nodes) != cap(tree.Nodes) {
-						t.Fatalf("tree holds %d nodes in a %d-node array", len(tree.Nodes), cap(tree.Nodes))
-					}
-					nodes += len(tree.Nodes)
-				}
-			}
+			nodes = len(model.forest.nodes)
 		})
 		return allocs, nodes
 	}
@@ -271,24 +265,23 @@ func TestCompileLargeCategoricalSet(t *testing.T) {
 		{IsLeaf: true, Value: 2},
 		{IsLeaf: true, Value: 3},
 	}}, 0, left...), 2, 65535)
-	m := &Model{
+	m, err := FromTrees(&Model{
 		Schema:     &Schema{Names: []string{"c"}, Kinds: []FeatureKind{Categorical}, Cards: []int{65536}},
 		NumClasses: 1,
 		InitScores: []float64{0},
-		Trees:      [][]*Tree{{tree}},
-	}
-	f, err := m.Compile()
+	}, [][]*Tree{{tree}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	f := Compiled(t, m)
 	values := []float64{-1, -0.5, 1, 62, 65, 4030, 5000, 65534, 65535, 65536, 1 << 20, 1 << 40, math.Inf(1), math.NaN()}
 	for _, c := range left {
 		values = append(values, float64(c))
 	}
 	for _, v := range values {
 		row := []float64{v}
-		if got, want := f.Logits(row, nil)[0], tree.Predict(row); got != want {
-			t.Errorf("value %v: forest %v, tree %v", v, got, want)
+		if got, ref, want := f.Logits(row, nil)[0], m.Logits(row)[0], tree.Predict(row); got != want || ref != want {
+			t.Errorf("value %v: forest %v, reference %v, tree %v", v, got, ref, want)
 		}
 		if _, logits := f.PredictClassBatch([][]float64{row}, nil, nil); logits[0] != tree.Predict(row) {
 			t.Errorf("value %v: batch %v, tree %v", v, logits[0], tree.Predict(row))
@@ -304,7 +297,8 @@ func TestCompileLargeCategoricalSet(t *testing.T) {
 }
 
 // TestCompileLimits: what the uint16 node fields cannot hold is a typed
-// error from Compile, not a wrong forest.
+// error from the constructor training and Load share, not a wrong
+// forest.
 func TestCompileLimits(t *testing.T) {
 	numeric := func(n int) *Schema {
 		s := &Schema{Names: make([]string, n), Kinds: make([]FeatureKind, n), Cards: make([]int, n)}
@@ -365,16 +359,16 @@ func TestCompileLimits(t *testing.T) {
 		{"every id routed left", cat, [][]*Tree{{catSplit(everyID[:1]...)}, {catSplit(everyID[1:]...)}}, maxCategoryID},
 	}
 	for _, c := range cases {
-		m := &Model{Schema: c.schema, NumClasses: 1, InitScores: []float64{0}, Trees: c.trees}
-		f, err := m.Compile()
+		m, err := FromTrees(&Model{Schema: c.schema, NumClasses: 1, InitScores: []float64{0}}, c.trees)
 		var limit *LimitError
 		switch {
 		case c.wantMax == 0 && err != nil:
 			t.Errorf("%s: %v", c.name, err)
 		case c.wantMax == 0:
 			row := make([]float64, c.schema.NumFeatures())
-			if got, want := f.Logits(row, nil)[0], m.Logits(row)[0]; got != want {
-				t.Errorf("%s: forest %v, model %v", c.name, got, want)
+			want := TreeLogits(m.InitScores, c.trees, row)[0]
+			if got, ref := Compiled(t, m).Logits(row, nil)[0], m.Logits(row)[0]; got != want || ref != want {
+				t.Errorf("%s: forest %v, reference %v, trees %v", c.name, got, ref, want)
 			}
 		case !errors.As(err, &limit):
 			t.Errorf("%s: error %v, want a *LimitError", c.name, err)
@@ -396,16 +390,18 @@ func TestCompileStoredOrder(t *testing.T) {
 		{Feature: 0, Threshold: -1, Left: 6, Right: 5},
 		{IsLeaf: true, Value: 1}, {IsLeaf: true, Value: 2}, {IsLeaf: true, Value: 3}, {IsLeaf: true, Value: 4},
 	}}, 1, 1, 3)
-	m := &Model{Schema: schema, NumClasses: 1, InitScores: []float64{0.5}, Trees: [][]*Tree{{tree}}}
-	f, err := m.Compile()
+	header := &Model{Schema: schema, NumClasses: 1, InitScores: []float64{0.5}}
+	m, err := FromTrees(header, [][]*Tree{{tree}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	f := Compiled(t, m)
 	for _, x := range []float64{-2, -1, 0, 1, 2, math.NaN()} {
 		for _, c := range []float64{0, 1, 2, 3, 4, math.NaN()} {
 			row := []float64{x, c}
-			if got, want := f.Logits(row, nil)[0], m.Logits(row)[0]; got != want {
-				t.Errorf("row %v: forest %v, model %v", row, got, want)
+			want := 0.5 + tree.Predict(row)
+			if got, ref := f.Logits(row, nil)[0], m.Logits(row)[0]; got != want || ref != want {
+				t.Errorf("row %v: forest %v, reference %v, tree %v", row, got, ref, want)
 			}
 		}
 	}
@@ -414,9 +410,16 @@ func TestCompileStoredOrder(t *testing.T) {
 		{Feature: 0, Threshold: 0, Left: 2, Right: 2},
 		{IsLeaf: true},
 	}}
-	m.Trees = [][]*Tree{{shared}}
-	if _, err := m.Compile(); err == nil {
+	if _, err := FromTrees(header, [][]*Tree{{shared}}); err == nil {
 		t.Error("a tree whose nodes share children compiled")
+	}
+	// A node no path reaches would be lost to the model file.
+	unreached := &Tree{Nodes: []Node{
+		{Feature: 0, Threshold: 1, Left: 1, Right: 2},
+		{IsLeaf: true}, {IsLeaf: true}, {IsLeaf: true},
+	}}
+	if _, err := FromTrees(header, [][]*Tree{{unreached}}); err == nil {
+		t.Error("a tree with a node its root does not reach compiled")
 	}
 }
 
@@ -425,16 +428,6 @@ func BenchmarkModelPredictPerRow(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = m.PredictClass(rows[i%len(rows)])
-	}
-}
-
-// BenchmarkPredictProba measures full probability inference on the
-// model's own trees.
-func BenchmarkPredictProba(b *testing.B) {
-	m, rows := trainFlatFixture(b, 2000, 60)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.PredictProba(rows[i%len(rows)])
 	}
 }
 
@@ -465,19 +458,16 @@ func TestForestCategoricalEdgeValues(t *testing.T) {
 		{IsLeaf: true, Value: 1},
 		{IsLeaf: true, Value: 2},
 	}}, 0, 0, 63, 64, 129)
-	m := &Model{
-		Schema:     schema,
-		NumClasses: 1,
-		InitScores: []float64{0},
-		Trees:      [][]*Tree{{tree}},
+	m, err := FromTrees(&Model{Schema: schema, NumClasses: 1, InitScores: []float64{0}}, [][]*Tree{{tree}})
+	if err != nil {
+		t.Fatal(err)
 	}
 	f := Compiled(t, m)
 	for _, v := range []float64{-0.99, -0.5, -1, -1.5, 0, 0.7, 1, 62.9, 63, 64, 65, 128, 129, 130, 500, math.NaN()} {
 		row := []float64{v}
 		want := tree.Predict(row)
-		got := f.Logits(row, nil)[0]
-		if got != want {
-			t.Errorf("value %v: forest %v, tree %v", v, got, want)
+		if got, ref := f.Logits(row, nil)[0], m.Logits(row)[0]; got != want || ref != want {
+			t.Errorf("value %v: forest %v, reference %v, tree %v", v, got, ref, want)
 		}
 		if _, logits := f.PredictClassBatch([][]float64{row}, nil, nil); logits[0] != want {
 			t.Errorf("value %v: batch %v, tree %v", v, logits[0], want)

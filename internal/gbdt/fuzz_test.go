@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -51,8 +52,9 @@ func fuzzSeedModel(tb testing.TB) []byte {
 
 // FuzzLoadModel: model deserialization must reject malformed input
 // with an error — never panic — and anything it accepts must survive
-// the full downstream lifecycle (per-row prediction, forest
-// compilation, re-serialization) without panicking either.
+// the full downstream lifecycle (per-row prediction on the reference
+// and the forest, re-serialization) without panicking either, and load
+// again to the very same forest.
 func FuzzLoadModel(f *testing.F) {
 	valid := fuzzSeedModel(f)
 	f.Add(valid)
@@ -85,26 +87,29 @@ func FuzzLoadModel(f *testing.F) {
 		row := make([]float64, m.Schema.NumFeatures())
 		m.PredictClass(row)
 		m.Logits(row)
+		forest := gbdt.Compiled(t, m)
 		if m.NumClasses >= 2 {
-			m.PredictProba(row)
+			forest.PredictProba(row, nil)
 		}
-		forest, err := m.Compile()
-		if err == nil {
-			forest.PredictClassBatch([][]float64{row}, nil, nil)
-		}
+		forest.PredictClassBatch([][]float64{row}, nil, nil)
 		var buf bytes.Buffer
 		if err := m.Save(&buf); err != nil {
 			t.Fatalf("re-saving a loaded model failed: %v", err)
 		}
-		if _, err := gbdt.Load(&buf); err != nil {
+		again, err := gbdt.Load(&buf)
+		if err != nil {
 			t.Fatalf("round trip of a loaded model failed: %v", err)
+		}
+		if !reflect.DeepEqual(gbdt.Compiled(t, again), forest) {
+			t.Fatal("a saved and re-loaded model compiles to another forest")
 		}
 	})
 }
 
-// fuzzForest is one handmade model of FuzzBinnedTraversal with what is
-// compiled and derived from it.
+// fuzzForest is one handmade model of FuzzBinnedTraversal: its trees
+// and what is compiled and derived from them.
 type fuzzForest struct {
+	trees  [][]*gbdt.Tree
 	model  *gbdt.Model
 	forest *gbdt.Forest
 	binner *features.Binner
@@ -167,25 +172,16 @@ func buildFuzzForests(tb testing.TB) []fuzzForest {
 	fuzzForests.once.Do(func() {
 		rng := rand.New(rand.NewSource(17))
 		for _, classes := range []int{3, 1} {
-			m := &gbdt.Model{Schema: fuzzSchema, NumClasses: classes, InitScores: make([]float64, classes)}
+			var trees [][]*gbdt.Tree
 			for r := 0; r < 11; r++ { // 11 rounds: one whole group of 8 trees per class and a parked one
 				round := make([]*gbdt.Tree, classes)
 				for k := range round {
 					round[k] = &gbdt.Tree{}
 					randomTree(rng, round[k], 1+rng.Intn(5))
 				}
-				m.Trees = append(m.Trees, round)
+				trees = append(trees, round)
 			}
-			// Through Save and Load, so the model passes Load's validation.
-			var buf bytes.Buffer
-			if err := m.Save(&buf); err != nil {
-				tb.Fatal(err)
-			}
-			m, err := gbdt.Load(&buf)
-			if err != nil {
-				tb.Fatal(err)
-			}
-			forest, err := m.Compile()
+			m, err := gbdt.FromTrees(&gbdt.Model{Schema: fuzzSchema, NumClasses: classes, InitScores: make([]float64, classes)}, trees)
 			if err != nil {
 				tb.Fatal(err)
 			}
@@ -193,7 +189,7 @@ func buildFuzzForests(tb testing.TB) []fuzzForest {
 			if err != nil {
 				tb.Fatal(err)
 			}
-			fuzzForests.all = append(fuzzForests.all, fuzzForest{m, forest, binner})
+			fuzzForests.all = append(fuzzForests.all, fuzzForest{trees, m, gbdt.Compiled(tb, m), binner})
 		}
 	})
 	return fuzzForests.all
@@ -255,8 +251,9 @@ func fuzzSeed(pairs ...uint64) []byte {
 }
 
 // FuzzBinnedTraversal: the forest walks bins, Tree.Predict walks floats,
-// and no row may tell them apart. Every float entry must return
-// Model.Logits' float64s exactly on rows built to sit on the seams: NaN
+// and no row may tell them apart. The reference, Model.Logits, must
+// return Tree.Predict summed over the handmade trees exactly, and every
+// float entry Model.Logits' float64s, on rows built to sit on the seams: NaN
 // and infinite numerics, values on and next to a threshold, categorical
 // NaN, negative, fractional, past the cardinality and past uint16. A row
 // whose categorical values are ids (what an Encoder emits, and all a
@@ -285,17 +282,18 @@ func FuzzBinnedTraversal(f *testing.F) {
 		batch[at] = row
 
 		for _, ff := range buildFuzzForests(t) {
-			want := ff.model.Logits(row)
+			want := gbdt.TreeLogits(ff.model.InitScores, ff.trees, row)
 			wantClass := ff.model.PredictClass(row)
 			same := func(entry string, got []float64) {
 				t.Helper()
 				for k := range want {
 					if got[k] != want[k] {
-						t.Fatalf("%d classes, row %v, %s: class %d logit %v, Model.Logits %v", len(want), row, entry, k, got[k], want[k])
+						t.Fatalf("%d classes, row %v, %s: class %d logit %v, the trees %v", len(want), row, entry, k, got[k], want[k])
 					}
 				}
 			}
 			k := len(want)
+			same("Model.Logits", ff.model.Logits(row))
 			same("Logits", ff.forest.Logits(row, nil))
 			_, one := ff.forest.PredictClassBatch([][]float64{row}, nil, nil)
 			same("PredictClassBatch of one", one)

@@ -221,10 +221,8 @@ type treeGrower struct {
 	// this tree's sample).
 	leafOut []float64
 
-	// nodes and cats are the tree under construction; grow hands the
-	// finished tree exact-length copies, so a model holds no append slack
-	// (a third of the trees' bytes at paper scale, were each tree grown in
-	// place).
+	// nodes and cats are the tree under construction, reused from tree
+	// to tree; grow hands the finished tree copies.
 	nodes []Node
 	cats  []int32
 
@@ -647,7 +645,6 @@ func (tg *treeGrower) grow(sample []int32, g, h []float64) *Tree {
 		nodes[idx] = Node{
 			Feature: int32(best.feature),
 			Kind:    uint8(best.kind),
-			Gain:    best.gain,
 		}
 		if best.kind == Numeric {
 			nodes[idx].Threshold = thresholdForBin(eng.bins, best.feature, best.bin)
@@ -671,20 +668,14 @@ func (tg *treeGrower) grow(sample []int32, g, h []float64) *Tree {
 
 		// Push right first so the left child is processed next: node
 		// layout stays pre-order (parent, left subtree, right subtree),
-		// which Forest.Compile requires.
+		// which the model file keeps and the forest's layout repeats.
 		tg.stack = append(tg.stack,
 			nodeTask{parent: idx, isLeft: false, start: mid, end: task.end, depth: childDepth, sumG: rsG, sumH: rsH, hb: rhb},
 			nodeTask{parent: idx, isLeft: true, start: task.start, end: mid, depth: childDepth, sumG: lsG, sumH: lsH, hb: lhb},
 		)
 	}
 	tg.nodes, tg.cats = nodes, cats
-	t := &Tree{Nodes: make([]Node, len(nodes))}
-	copy(t.Nodes, nodes)
-	if len(cats) > 0 {
-		t.cats = make([]int32, len(cats))
-		copy(t.cats, cats)
-	}
-	return t
+	return &Tree{Nodes: slices.Clone(nodes), cats: slices.Clone(cats)}
 }
 
 // childHists produces the child histograms a split needs, building the

@@ -6,37 +6,29 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"unsafe"
 
 	"repro/internal/features"
 	"repro/internal/gbdt"
 )
 
-// TestNodeLayout pins what a resident model costs per node: the
-// reference node is 48 bytes, and a trained tree is two exact-length
-// arrays, its nodes and the ids of all its categorical splits.
+// TestNodeLayout pins what a resident model costs per node: a model
+// keeps no tree, only its forest, whose node is 8 bytes and whose
+// arrays of nodes, leaves, sets and trees are all exactly as long as
+// what they hold.
 func TestNodeLayout(t *testing.T) {
-	if size := unsafe.Sizeof(gbdt.Node{}); size > 48 {
-		t.Errorf("a Node is %d bytes, at most 48 wanted", size)
+	if size := gbdt.ForestNodeBytes; size != 8 {
+		t.Errorf("a forest node is %d bytes, 8 wanted", size)
 	}
 	ds, labels, cfg := compatData()
 	m, err := gbdt.TrainClassifier(ds, labels, 3, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := 0
-	for r, round := range m.Trees {
-		for k, tree := range round {
-			if len(tree.Nodes) != cap(tree.Nodes) {
-				t.Errorf("round %d class %d: %d nodes in an array of %d", r, k, len(tree.Nodes), cap(tree.Nodes))
-			}
-			if cats := tree.Cats(); len(cats) != cap(cats) {
-				t.Errorf("round %d class %d: %d ids in an array of %d", r, k, len(cats), cap(cats))
-			}
-			ids += len(tree.Cats())
-		}
+	f := gbdt.Compiled(t, m)
+	if slack := f.Slack(); slack != 0 {
+		t.Errorf("the forest's arrays have room for %d elements more than they hold", slack)
 	}
-	if ids == 0 {
+	if f.Sets() <= 2*f.NumTrees() {
 		t.Error("the fixture trained no categorical split")
 	}
 }

@@ -22,34 +22,11 @@ func TestTreePredictTotalProperty(t *testing.T) {
 		if math.IsNaN(a) || math.IsInf(a, 0) || math.IsNaN(b) || math.IsInf(b, 0) {
 			return true
 		}
-		p := m.PredictProba([]float64{a, b})
+		p := m.Logits([]float64{a, b})
 		return !math.IsNaN(p[0]) && !math.IsNaN(p[1])
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestImportanceSumsToOne: gain-based importances are a distribution
-// whenever any split was made.
-func TestImportanceSumsToOne(t *testing.T) {
-	ds, labels := xorDataset(800, 22)
-	cfg := DefaultConfig()
-	cfg.NumRounds = 8
-	m, err := TrainClassifier(ds, labels, 2, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	imp := m.FeatureImportance()
-	var sum float64
-	for _, v := range imp {
-		if v < 0 {
-			t.Fatalf("negative importance %g", v)
-		}
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("importances sum to %g", sum)
 	}
 }
 
@@ -125,9 +102,8 @@ func TestTrainingWithConstantFeatures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	imp := m.FeatureImportance()
-	if imp[0] != 0 || imp[1] != 0 {
-		t.Errorf("constant features got importance %g/%g", imp[0], imp[1])
+	if edges := m.NumericSplitThresholds(); len(edges[0]) != 0 || len(edges[1]) != 0 {
+		t.Errorf("constant features split at %v and %v", edges[0], edges[1])
 	}
 	if m.PredictClass([]float64{7, 0.5, 3}) != 1 {
 		t.Error("informative feature ignored")
@@ -209,7 +185,7 @@ func TestImbalancedLabels(t *testing.T) {
 			t.Fatalf("invalid loss %g", l)
 		}
 	}
-	p := m.PredictProba([]float64{0})
+	p := Compiled(t, m).PredictProba([]float64{0}, nil)
 	if math.IsNaN(p[0]) {
 		t.Fatal("NaN probability")
 	}

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"slices"
 )
 
 // nodeFile is a Node as the model file spells it: the fields and widths
@@ -17,29 +16,18 @@ type nodeFile struct {
 	Left      int         `json:"l"`
 	Right     int         `json:"r"`
 	Value     float64     `json:"v"`
-	Gain      float64     `json:"g,omitempty"`
 	IsLeaf    bool        `json:"leaf"`
+	// A file may carry a split's gain, "g": nothing keeps it, and Load
+	// passes over it.
 }
 
 type treeFile struct {
 	Nodes []nodeFile `json:"nodes"`
 }
 
-// MarshalJSON writes the tree in the model file's shape, every node
-// with its own "c" list.
-func (t Tree) MarshalJSON() ([]byte, error) {
-	file := treeFile{Nodes: make([]nodeFile, len(t.Nodes))}
-	for i := range t.Nodes {
-		n := &t.Nodes[i]
-		file.Nodes[i] = nodeFile{int(n.Feature), FeatureKind(n.Kind), n.Threshold, t.LeftCats(n),
-			int(n.Left), int(n.Right), n.Value, n.Gain, n.IsLeaf}
-	}
-	return json.Marshal(file)
-}
-
 // UnmarshalJSON reads a tree in the model file's shape. A number the
 // narrower Node cannot hold is an error naming the node, never a
-// wrapped-around value left for Validate to stumble on.
+// wrapped-around value left for compile's checks to stumble on.
 func (t *Tree) UnmarshalJSON(data []byte) error {
 	var file treeFile
 	if err := json.Unmarshal(data, &file); err != nil {
@@ -49,7 +37,7 @@ func (t *Tree) UnmarshalJSON(data []byte) error {
 	for i := range file.Nodes {
 		n := &file.Nodes[i]
 		t.Nodes[i] = Node{Feature: int32(n.Feature), Kind: uint8(n.Kind), Threshold: n.Threshold,
-			Left: int32(n.Left), Right: int32(n.Right), Value: n.Value, Gain: n.Gain, IsLeaf: n.IsLeaf}
+			Left: int32(n.Left), Right: int32(n.Right), Value: n.Value, IsLeaf: n.IsLeaf}
 		if back := t.Nodes[i]; int(back.Feature) != n.Feature || FeatureKind(back.Kind) != n.Kind ||
 			int(back.Left) != n.Left || int(back.Right) != n.Right {
 			return fmt.Errorf(`node %d: "f" %d, "l" %d and "r" %d must fit int32, "k" %d a byte`, i, n.Feature, n.Left, n.Right, n.Kind)
@@ -61,80 +49,93 @@ func (t *Tree) UnmarshalJSON(data []byte) error {
 			t.SetLeftCats(i, n.LeftCats)
 		}
 	}
-	t.cats = slices.Clone(t.cats) // without append's slack
 	return nil
 }
 
+// modelFile is a model as the model file spells it, with its trees as
+// T: treeFile when Save writes them, raw JSON when Load reads them.
+type modelFile[T any] struct {
+	Schema     *Schema   `json:"schema"`
+	Config     Config    `json:"config"`
+	NumClasses int       `json:"num_classes"`
+	InitScores []float64 `json:"init_scores"`
+	Trees      [][]T     `json:"trees"`
+	TrainLoss  []float64 `json:"train_loss,omitempty"`
+}
+
+// file returns the model in the model file's shape, every tree read
+// back off the forest in its pre-order: a numeric split's "t" is its
+// edge, a categorical split's "c" its set's ids ascending, a leaf's "v"
+// its value, and a split's children are "l" i+1 and "r" i+right. The
+// forest keeps no gains, so no "g" is written.
+func (m *Model) file() modelFile[treeFile] {
+	f := m.forest
+	file := modelFile[treeFile]{Schema: m.Schema, Config: m.Config, NumClasses: m.NumClasses,
+		InitScores: m.InitScores, TrainLoss: m.TrainLoss}
+	for r := 0; r < f.rounds(); r++ {
+		round := make([]treeFile, f.NumClasses)
+		for k := range round {
+			t := int(f.classStart[k]) + r
+			tr, end := f.trees[t], len(f.nodes)
+			if t+1 < len(f.trees) {
+				end = int(f.trees[t+1].root)
+			}
+			nodes := f.nodes[tr.root:end]
+			round[k].Nodes = make([]nodeFile, len(nodes))
+			for i, n := range nodes {
+				nf := &round[k].Nodes[i]
+				switch n.set {
+				case setNone:
+					*nf = nodeFile{Value: f.leaves[int(tr.leaves)+int(n.thr)], IsLeaf: true}
+					continue
+				case setAll:
+					nf.Threshold = f.edges[n.feat][n.thr]
+				default:
+					nf.LeftCats = f.ids(f.sets[int(tr.sets)+int(n.set)])
+				}
+				nf.Feature, nf.Kind, nf.Left, nf.Right = int(n.feat), f.kinds[n.feat], i+1, i+int(n.right)
+			}
+		}
+		file.Trees = append(file.Trees, round)
+	}
+	return file
+}
+
+// MarshalJSON writes the model as Save does, so a bundle that holds
+// the model writes the model file.
+func (m *Model) MarshalJSON() ([]byte, error) { return json.Marshal(m.file()) }
+
 // Save writes the model as JSON.
 func (m *Model) Save(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(m); err != nil {
+	if err := json.NewEncoder(w).Encode(m.file()); err != nil {
 		return fmt.Errorf("gbdt: encode model: %w", err)
 	}
 	return nil
 }
 
-// Load reads a model written by Save and validates it deeply enough
-// that Predict*, Compile and Save on the result cannot panic: hostile
-// or corrupted input must surface as an error here, never as an
-// out-of-bounds access later.
+// Load reads a model written by Save, validates it deeply enough that
+// nothing done with the result can panic, and compiles it: hostile or
+// corrupted input, or a model the binned layout cannot hold
+// (*LimitError), surfaces as an error here, never as an out-of-bounds
+// access later. The trees are dropped once compiled.
 func Load(r io.Reader) (*Model, error) {
-	var m Model
 	// The trees are held back as raw JSON and decoded one by one, so
 	// that a tree's decoding error can say which tree it is.
-	file := struct {
-		*Model
-		Trees [][]json.RawMessage `json:"trees"`
-	}{Model: &m}
+	var file modelFile[json.RawMessage]
 	if err := json.NewDecoder(r).Decode(&file); err != nil {
 		return nil, fmt.Errorf("gbdt: decode model: %w", err)
 	}
+	trees := make([][]*Tree, len(file.Trees))
 	for r, round := range file.Trees {
-		trees := make([]*Tree, len(round))
+		trees[r] = make([]*Tree, len(round))
 		for k, raw := range round {
-			if err := json.Unmarshal(raw, &trees[k]); err != nil {
+			if err := json.Unmarshal(raw, &trees[r][k]); err != nil {
 				return nil, fmt.Errorf("gbdt: decode model: round %d class %d: %w", r, k, err)
 			}
 		}
-		m.Trees = append(m.Trees, trees)
 	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return &m, nil
-}
-
-// Validate checks the model's structural integrity: schema consistency,
-// per-round tree counts, and — per tree — pre-order child links,
-// in-range feature references and category ids. A model that passes is
-// safe to Predict, Compile and re-Save.
-func (m *Model) Validate() error {
-	if m.Schema == nil {
-		return fmt.Errorf("gbdt: model has no schema")
-	}
-	if err := m.Schema.Validate(); err != nil {
-		return err
-	}
-	if m.Schema.NumFeatures() == 0 {
-		return fmt.Errorf("gbdt: model schema has no features")
-	}
-	if m.NumClasses < 1 {
-		return fmt.Errorf("gbdt: model has %d classes", m.NumClasses)
-	}
-	if len(m.InitScores) != m.NumClasses {
-		return fmt.Errorf("gbdt: %d init scores for %d classes", len(m.InitScores), m.NumClasses)
-	}
-	for r, round := range m.Trees {
-		if len(round) != m.NumClasses {
-			return fmt.Errorf("gbdt: round %d has %d trees for %d classes", r, len(round), m.NumClasses)
-		}
-		for k, tree := range round {
-			if err := m.validateTree(tree); err != nil {
-				return fmt.Errorf("gbdt: round %d class %d: %w", r, k, err)
-			}
-		}
-	}
-	return nil
+	return newModel(&Model{Schema: file.Schema, Config: file.Config, NumClasses: file.NumClasses,
+		InitScores: file.InitScores, TrainLoss: file.TrainLoss}, trees, nil)
 }
 
 // validateTree checks one tree's nodes against the schema.
@@ -156,13 +157,13 @@ func (m *Model) validateTree(t *Tree) error {
 				i, n.Kind, m.Schema.Kinds[n.Feature], n.Feature)
 		}
 		// Children must strictly follow their parent (pre-order
-		// storage): both the descent loops and Compile rely on it.
+		// storage): Tree.Predict and compile rely on it.
 		if l, r := int(n.Left), int(n.Right); l <= i || l >= len(t.Nodes) || r <= i || r >= len(t.Nodes) {
 			return fmt.Errorf("node %d has out-of-order children (%d, %d) in a %d-node tree",
 				i, n.Left, n.Right, len(t.Nodes))
 		}
 		if n.Kind == uint8(Categorical) {
-			// Tree.Predict finds an id by binary search and Compile sets a
+			// Tree.Predict finds an id by binary search and compile sets a
 			// bit per id: only on a strictly ascending run do they agree.
 			card, prev := m.Schema.Cards[n.Feature], int32(-1)
 			for _, c := range t.LeftCats(n) {

@@ -5,16 +5,15 @@ import (
 	"sort"
 )
 
-// Node is one tree node, 48 bytes. Leaves carry Value (already scaled by
-// the learning rate); internal nodes carry a split. The fields are
-// ordered widest first so that nothing is padding but the last two
-// bytes; the model file's shape is nodeFile's, not this struct's.
+// Node is one tree node. Leaves carry Value (already scaled by the
+// learning rate); internal nodes carry a split. Trees are built only
+// while a trainer or Load runs, and compiled into the model's Forest;
+// the model file's shape is nodeFile's, not this struct's.
 type Node struct {
 	// Threshold for numeric splits: x <= Threshold goes left; NaN goes
 	// left (missing is treated as -inf).
 	Threshold float64
 	Value     float64
-	Gain      float64
 	Feature   int32
 	Left      int32
 	Right     int32
@@ -91,26 +90,6 @@ func containsCat(cats []int32, v float64) bool {
 	return containsCatBin(cats, int32(v))
 }
 
-// NumLeaves returns the number of leaf nodes.
-func (t *Tree) NumLeaves() int {
-	n := 0
-	for i := range t.Nodes {
-		if t.Nodes[i].IsLeaf {
-			n++
-		}
-	}
-	return n
-}
-
-// AccumulateImportance adds each split's gain to imp[feature].
-func (t *Tree) AccumulateImportance(imp []float64) {
-	for i := range t.Nodes {
-		if !t.Nodes[i].IsLeaf {
-			imp[t.Nodes[i].Feature] += t.Nodes[i].Gain
-		}
-	}
-}
-
 // splitResult describes the best split found for one node.
 type splitResult struct {
 	feature  int
@@ -177,8 +156,6 @@ func (gr *grower) growNode(t *Tree, rows []int32, g, h []float64, depth int) int
 	t.Nodes[idx] = Node{
 		Feature: int32(best.feature),
 		Kind:    uint8(best.kind),
-		Gain:    best.gain,
-		IsLeaf:  false,
 	}
 	if best.kind == Numeric {
 		t.Nodes[idx].Threshold = gr.thresholdFor(best)

@@ -1,6 +1,8 @@
 package online
 
 import (
+	"bytes"
+	"encoding/json"
 	"sync"
 	"testing"
 	"time"
@@ -170,12 +172,16 @@ func degradedModel(m *core.CategoryModel) (*core.CategoryModel, error) {
 	n := m.NumCategories()
 	init := make([]float64, n)
 	init[0] = 10 // argmax is always class 0
-	return core.NewCategoryModel(m.Encoder, &gbdt.Model{
-		Schema:     m.Model.Schema,
-		Config:     m.Model.Config,
-		NumClasses: n,
-		InitScores: init,
-	}, m.Labeler)
+	file, err := json.Marshal(map[string]any{"schema": m.Model.Schema, "config": m.Model.Config,
+		"num_classes": n, "init_scores": init})
+	if err != nil {
+		return nil, err
+	}
+	model, err := gbdt.Load(bytes.NewReader(file))
+	if err != nil {
+		return nil, err
+	}
+	return core.NewCategoryModel(m.Encoder, model, m.Labeler)
 }
 
 // TestGateRejectsRegressingCandidate forces retrains to produce a

@@ -18,8 +18,7 @@
 // kernel serving runs: AdaptiveRanking on its category model's shared
 // forest, MLBaseline and Imitation on forests compiled when they are
 // trained. A model the forest cannot hold is an error where the model
-// is built (core.NewCategoryModel, the trainers), not a second
-// prediction path. AdaptiveRanking is also a sim.Preparer: a replay
+// is built (the trainers, gbdt.Load), not a second prediction path. AdaptiveRanking is also a sim.Preparer: a replay
 // classifies its trace once, batched, before the first Place.
 package policy
 

@@ -800,7 +800,7 @@ func (d *Daemon) handleVarz(w http.ResponseWriter, r *http.Request) {
 		queueDepth:  d.srv.QueueDepth(),
 	}
 	v.rpc = d.stats(&v.placeJSON, &v.placeBinary, &v.outcome)
-	v.modelBytes, v.forestBytes = d.srv.ResidentBytes()
+	v.modelBytes = d.srv.ResidentBytes()
 	if d.cfg.Learner != nil {
 		s := d.cfg.Learner.Stats()
 		v.onl = &s

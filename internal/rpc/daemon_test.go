@@ -443,11 +443,13 @@ func TestVarzEndpoint(t *testing.T) {
 		"rpc_place_jobs 8\n",
 		"serve_submitted 8\n",
 		fmt.Sprintf("serve_model_bytes %d\n", fx.model.Model.ResidentBytes()),
-		fmt.Sprintf("serve_forest_bytes %d\n", fx.model.Forest().ResidentBytes()),
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("varz missing %q:\n%s", want, body)
 		}
+	}
+	if strings.Contains(string(body), "serve_forest_bytes") {
+		t.Error("varz counts the forest apart from the model that holds it")
 	}
 	if strings.Contains(string(body), "online_") {
 		t.Error("varz exposes online counters without a learner attached")

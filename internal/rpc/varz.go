@@ -24,9 +24,9 @@ type varzData struct {
 	// them parked in some client's idle list; rpc.StreamSessions counts
 	// every one ever accepted.
 	streamsOpen int
-	// modelBytes and forestBytes are the serving version's resident
-	// reference model and compiled forest (serve.Server.ResidentBytes).
-	modelBytes, forestBytes int
+	// modelBytes is what the serving version's model, its forest
+	// included, keeps resident (serve.Server.ResidentBytes).
+	modelBytes int
 
 	// Endpoint latency/queue-wait histograms (nanoseconds) and the
 	// serving core's batch-latency/queue-depth histograms.
@@ -70,7 +70,6 @@ func writeVarz(w io.Writer, v *varzData) {
 	v.queueWait.WriteText(w, "rpc_queue_wait_ns")
 	obs.WriteVars(w, "serve", v.srv)
 	fmt.Fprintf(w, "serve_model_bytes %d\n", v.modelBytes)
-	fmt.Fprintf(w, "serve_forest_bytes %d\n", v.forestBytes)
 	v.batchLat.WriteText(w, "serve_batch_latency_ns")
 	v.queueDepth.WriteText(w, "serve_queue_depth")
 	if v.onl != nil {

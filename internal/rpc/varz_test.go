@@ -97,8 +97,7 @@ func TestVarzGolden(t *testing.T) {
 		rpc:         rpcSnap,
 		srv:         srvSnap,
 		streamsOpen: 2,
-		modelBytes:  4_413_496,
-		forestBytes: 1_311_804,
+		modelBytes:  1_330_494,
 		placeJSON:   histOf(1_100_000, 1_400_000, 2_000_000),
 		placeBinary: histOf(300_000, 350_000, 410_000, 900_000),
 		outcome:     histOf(200_000, 210_000),

@@ -136,9 +136,9 @@ type activeModel struct {
 	// worker, so both kinds reach the forest as the same uint16 rows.
 	binner  *features.Binner
 	version registry.Version
-	// modelBytes and forestBytes are what the version keeps resident:
-	// gbdt's ResidentBytes of the reference model and of the forest.
-	modelBytes, forestBytes int
+	// modelBytes is what the version keeps resident: gbdt's
+	// ResidentBytes of the model, its forest included.
+	modelBytes int
 }
 
 // call is the per-call state of one submission: the caller's own
@@ -332,7 +332,7 @@ func (s *Server) reload() error {
 		return fmt.Errorf("serve: binning %s v%d: %w", version.Workload, version.Number, err)
 	}
 	am := &activeModel{model: model, forest: forest, binner: binner, version: version,
-		modelBytes: model.Model.ResidentBytes(), forestBytes: forest.ResidentBytes()}
+		modelBytes: model.Model.ResidentBytes()}
 	if s.active.Swap(am) != nil {
 		s.swaps.Add(1)
 	}
@@ -342,13 +342,10 @@ func (s *Server) reload() error {
 // ModelVersion returns the currently serving registry version number.
 func (s *Server) ModelVersion() int { return s.active.Load().version.Number }
 
-// ResidentBytes returns what the serving version holds on the heap: its
-// reference model (trees and split thresholds) and its compiled forest,
-// each counted by gbdt's ResidentBytes when the version was installed.
-func (s *Server) ResidentBytes() (model, forest int) {
-	am := s.active.Load()
-	return am.modelBytes, am.forestBytes
-}
+// ResidentBytes returns what the serving version's model holds on the
+// heap, its forest included, counted by gbdt's ResidentBytes when the
+// version was installed.
+func (s *Server) ResidentBytes() int { return s.active.Load().modelBytes }
 
 // Swaps returns how many hot-swaps have been applied since start.
 func (s *Server) Swaps() int64 { return s.swaps.Load() }
