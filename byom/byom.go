@@ -94,8 +94,8 @@ type (
 	// partial-savings accounting.
 	PartialOutcome = cost.PartialOutcome
 
-	// Server is the concurrent placement-serving front-end: sharded
-	// Algorithm 1 controllers fed by batched forest inference.
+	// Server is the concurrent placement-serving front-end: one
+	// Algorithm 1 controller fed by sharded, batched forest inference.
 	Server = serve.Server
 	// ServeConfig tunes the serving layer (shards, batching, flush).
 	ServeConfig = serve.Config
@@ -268,8 +268,8 @@ func DefaultServeConfig(numCategories int) ServeConfig {
 func NewModelRegistry() *ModelRegistry { return registry.New() }
 
 // NewServer starts a placement server for one trained model: incoming
-// jobs are sharded across Algorithm 1 controllers and classified with
-// batched forest inference. The model is published as version 1 of
+// jobs are sharded across serving queues, classified with batched
+// forest inference and admitted by one Algorithm 1 controller. The model is published as version 1 of
 // workload "default" in a private registry; use NewServerFromRegistry
 // to manage versions (hot swap, rollback) yourself.
 func NewServer(model *CategoryModel, cm *CostModel, cfg ServeConfig) (*Server, error) {
@@ -376,7 +376,7 @@ func NewOnlineLearner(reg *ModelRegistry, workload string, cm *CostModel, cfg On
 
 // RunOnlineLoop replays a trace through the full closed loop — server
 // decisions, simulated SSD occupancy, outcome feedback to both the
-// server's controllers and the learner's window — so retrains, gate
+// server's controller and the learner's window — so retrains, gate
 // verdicts and hot swaps all happen mid-replay. Pass a nil learner to
 // replay the frozen-model baseline. Configure the server with
 // BatchSize 1 for sequential virtual-time replay.

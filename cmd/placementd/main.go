@@ -63,7 +63,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		rounds     = fs.Int("rounds", 12, "GBDT rounds when training")
 		categories = fs.Int("categories", 15, "categories when training")
 
-		shards   = fs.Int("shards", 8, "admission shards")
+		shards   = fs.Int("shards", 8, "serving queues, one worker each")
 		batch    = fs.Int("batch", 64, "max inference batch size")
 		flush    = fs.Duration("flush", 2*time.Millisecond, "max-latency batch flush interval")
 		inflight = fs.Int("max-inflight", 64, "concurrent /v1/place requests before shedding")

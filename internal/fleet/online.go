@@ -26,7 +26,6 @@ func runOnline(env *clusterEnv, cm *cost.Model, cfg Config, reg *registry.Regist
 	}
 
 	scfg := serve.DefaultConfig(env.model.NumCategories())
-	scfg.Shards = 4
 	scfg.BatchSize = 1 // sequential virtual-time replay (see online.RunLoop)
 	scfg.FlushInterval = time.Millisecond
 	srv, err := serve.New(reg, workload, cm, scfg)

@@ -13,7 +13,7 @@ import (
 // a sim.Policy, closing the loop: the simulator asks the server for
 // each placement, models the SSD occupancy and spillover that decision
 // causes, and feeds the outcome back to both the server's Algorithm 1
-// controllers and the learner's feedback window.
+// controller and the learner's feedback window.
 type loopPolicy struct {
 	srv     *serve.Server
 	learner *Learner // nil = frozen-model baseline
@@ -55,7 +55,7 @@ func (p *loopPolicy) Observe(j *trace.Job, o sim.Outcome) {
 
 // RunLoop replays a trace through the full closed loop — server
 // decisions, simulated SSD occupancy, outcome feedback to the server's
-// controllers and (when learner is non-nil) to the learner's window,
+// controller and (when learner is non-nil) to the learner's window,
 // which retrains, gates and hot-swaps the server's model mid-replay.
 // Pass a nil learner to replay the same trace against the frozen live
 // model (the baseline the end-to-end drift test compares against).

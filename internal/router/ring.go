@@ -2,7 +2,7 @@
 // routing layer that spreads placement traffic across N placementd
 // nodes, keyed by the same per-workload template hash the serving core
 // shards on. One node owns each template, so a template's jobs land on
-// one admission shard of one node and per-template state (batching,
+// one serving queue of one node and per-template state (batching,
 // feedback) stays coherent — the single-node sharding story, scaled out.
 //
 // The pieces:

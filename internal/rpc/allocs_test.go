@@ -73,7 +73,7 @@ func TestPlaceSteadyStateAllocs(t *testing.T) {
 // the same way for one outcome post. From a binary-codec client with no
 // keeper attached it measures 0 process-wide: the frame is encoded into
 // the session's scratch, decoded in place into the daemon's, and applied
-// to the shard controller on the handler's goroutine, so nothing needs a
+// to the controller on the handler's goroutine, so nothing needs a
 // job of its own; budget 1. A daemon with a Learner (or an
 // OutcomeObserver) attached pays for the copy those keep — the job and
 // the one string its ten string fields share — and measures 2, which is

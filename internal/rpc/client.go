@@ -319,7 +319,7 @@ func (c *Client) frameState(ctx context.Context) *clientBinState {
 // other failure does: see onSession.
 //
 // A nil return means applied, not queued: the daemon writes its ack (or
-// 204) after serve.Observe has updated the job's shard controller, so a
+// 204) after serve.Observe has updated the serving controller, so a
 // Place sent after Observe returns is decided with this outcome, and the
 // daemon's observation count already includes it.
 func (c *Client) Observe(ctx context.Context, j *trace.Job, category int, o sim.Outcome) error {

@@ -29,7 +29,7 @@
 //
 // Outcome feedback, which is 1:1 with placements, is served the same
 // way: Daemon.serveOutcome is the one outcome pipeline (begin the trace,
-// validate, apply to the shard controller, hand to the learner and the
+// validate, apply to the controller, hand to the learner and the
 // observer, count, time, span) under two shells. handleOutcome takes
 // JSON over HTTP, the documented API; serveStream takes outcome-request
 // frames on the sessions that carry place frames, dispatching on frame
@@ -688,10 +688,10 @@ func readBody(r io.Reader, buf []byte) ([]byte, error) {
 }
 
 // serveOutcome is the one outcome pipeline, behind both feedback
-// transports: validate, apply to the job's admission shard (and hand to
+// transports: validate, apply to the serving controller (and hand to
 // the attached learner and observer, if any), count, time, span. It
 // returns 0, or the wire code and message the shell must refuse the
-// outcome with; 0 means the shard controller has the outcome, which is
+// outcome with; 0 means the controller has the outcome, which is
 // what the shell's 204 or ack then tells the client. Like servePlace it
 // begins the trace itself, after the shell's admission and decode: a
 // sampled outcome that was shed or never parsed has no span worth a
@@ -801,6 +801,7 @@ func (d *Daemon) handleVarz(w http.ResponseWriter, r *http.Request) {
 	}
 	v.rpc = d.stats(&v.placeJSON, &v.placeBinary, &v.outcome)
 	v.modelBytes = d.srv.ResidentBytes()
+	v.act = d.srv.ACT()
 	if d.cfg.Learner != nil {
 		s := d.cfg.Learner.Stats()
 		v.onl = &s

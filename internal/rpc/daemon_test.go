@@ -62,7 +62,7 @@ func TestPlaceSingleAndBatch(t *testing.T) {
 }
 
 // TestOutcomeFeedback posts an outcome and checks the ack's promise: when
-// Observe returns, the shard controller has it.
+// Observe returns, the controller has it.
 func TestOutcomeFeedback(t *testing.T) {
 	fx := testFixture(t)
 	d := startDaemon(t, fx.newRegistry(t), testConfig())
@@ -79,7 +79,7 @@ func TestOutcomeFeedback(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := d.ServeStats().Observations; got != 1 {
-		t.Errorf("%d observations on the shard controllers when the post returned, want 1", got)
+		t.Errorf("%d observations on the controller when the post returned, want 1", got)
 	}
 	if got := d.Stats().OutcomeRequests; got != 1 {
 		t.Errorf("outcome requests %d, want 1", got)
@@ -443,6 +443,7 @@ func TestVarzEndpoint(t *testing.T) {
 		"rpc_place_jobs 8\n",
 		"serve_submitted 8\n",
 		fmt.Sprintf("serve_model_bytes %d\n", fx.model.Model.ResidentBytes()),
+		"serve_act 1\n", // the initial threshold: no outcome has been posted
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("varz missing %q:\n%s", want, body)

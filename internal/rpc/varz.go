@@ -27,6 +27,9 @@ type varzData struct {
 	// modelBytes is what the serving version's model, its forest
 	// included, keeps resident (serve.Server.ResidentBytes).
 	modelBytes int
+	// act is the serving controller's admission category threshold
+	// (serve.Server.ACT).
+	act int
 
 	// Endpoint latency/queue-wait histograms (nanoseconds) and the
 	// serving core's batch-latency/queue-depth histograms.
@@ -70,6 +73,7 @@ func writeVarz(w io.Writer, v *varzData) {
 	v.queueWait.WriteText(w, "rpc_queue_wait_ns")
 	obs.WriteVars(w, "serve", v.srv)
 	fmt.Fprintf(w, "serve_model_bytes %d\n", v.modelBytes)
+	fmt.Fprintf(w, "serve_act %d\n", v.act)
 	v.batchLat.WriteText(w, "serve_batch_latency_ns")
 	v.queueDepth.WriteText(w, "serve_queue_depth")
 	if v.onl != nil {

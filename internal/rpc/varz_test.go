@@ -98,6 +98,7 @@ func TestVarzGolden(t *testing.T) {
 		srv:         srvSnap,
 		streamsOpen: 2,
 		modelBytes:  1_330_494,
+		act:         3,
 		placeJSON:   histOf(1_100_000, 1_400_000, 2_000_000),
 		placeBinary: histOf(300_000, 350_000, 410_000, 900_000),
 		outcome:     histOf(200_000, 210_000),

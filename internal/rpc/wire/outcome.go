@@ -121,7 +121,7 @@ const (
 )
 
 // OutcomeView is an outcome request as the daemon's pipeline reads it:
-// enough to validate the request and feed the shard controller without
+// enough to validate the request and feed the controller without
 // owning the job. DecodeOutcomeView fills one in place from a frame
 // payload; OutcomeRequest.View wraps a request that already owns its job
 // (the JSON shell's), so one pipeline serves both.

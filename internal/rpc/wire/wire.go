@@ -207,7 +207,8 @@ type Decision struct {
 	Category int `json:"category"`
 	// ModelVersion is the registry version that produced Category.
 	ModelVersion int `json:"model_version"`
-	// Shard is the admission shard that served the decision.
+	// Shard is the serving queue that carried the job; the decision
+	// does not depend on it.
 	Shard int `json:"shard"`
 }
 
@@ -238,7 +239,7 @@ func OutcomeOf(o sim.Outcome) Outcome { return Outcome(o) }
 // Sim is the simulator form of a wire outcome.
 func (o Outcome) Sim() sim.Outcome { return sim.Outcome(o) }
 
-// OutcomeRequest feeds one job's outcome back to its admission shard.
+// OutcomeRequest feeds one job's outcome back to the daemon's controller.
 // Category echoes the Decision.Category the client acted on, so a
 // learner attached to the daemon can attribute the outcome to the
 // model's prediction.
@@ -248,7 +249,7 @@ type OutcomeRequest struct {
 	Outcome  Outcome    `json:"outcome"`
 }
 
-// Validate rejects feedback the shard controllers cannot attribute.
+// Validate rejects feedback the controller cannot attribute.
 func (r *OutcomeRequest) Validate() error {
 	j := r.Job
 	if j == nil {
@@ -292,7 +293,8 @@ type ModelInfo struct {
 	ModelVersion int `json:"model_version"`
 	// NumCategories is the model's importance-category count.
 	NumCategories int `json:"num_categories"`
-	// Shards is the daemon's admission-shard count.
+	// Shards is the daemon's serving-queue count; decisions do not
+	// depend on it.
 	Shards int `json:"shards"`
 	// Swaps counts hot-swaps applied since the daemon started.
 	Swaps int64 `json:"swaps"`

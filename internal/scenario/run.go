@@ -350,7 +350,7 @@ func (p *serveLoop) Observe(j *trace.Job, o sim.Outcome) {
 	}
 }
 
-// newServer stands up a registry + sharded server pair serving the
+// newServer stands up a registry + server pair serving the
 // env's model. BatchSize is pinned to 1: the simulator submits
 // sequentially in virtual time, so decisions stay deterministic and
 // batch accumulation would only add flush latency per job.
@@ -360,7 +360,6 @@ func newServer(spec *Spec, e *env) (*registry.Registry, *serve.Server, error) {
 		return nil, nil, err
 	}
 	scfg := serve.DefaultConfig(e.model.NumCategories())
-	scfg.Shards = spec.Run.shards()
 	scfg.BatchSize = 1
 	srv, err := serve.New(reg, spec.Name, e.cm, scfg)
 	if err != nil {
@@ -392,8 +391,8 @@ func runServe(spec *Spec) (*RunResult, error) {
 	st := srv.Stats()
 	var b bytes.Buffer
 	e.writeHeader(&b, spec)
-	fmt.Fprintf(&b, "\ndecisions: %d submitted, %d admitted (%.1f%%) across %d shards\n",
-		st.Submitted, st.Admitted, 100*float64(st.Admitted)/float64(st.Submitted), spec.Run.shards())
+	fmt.Fprintf(&b, "\ndecisions: %d submitted, %d admitted (%.1f%%)\n",
+		st.Submitted, st.Admitted, 100*float64(st.Admitted)/float64(st.Submitted))
 	fmt.Fprintf(&b, "model: v%d, swaps %d\n", srv.ModelVersion(), srv.Swaps())
 	fmt.Fprintf(&b, "serve: TCO %.3f%%  TCIO %.3f%%\n", res.TCOSavingsPercent(), res.TCIOSavingsPercent())
 	return &RunResult{

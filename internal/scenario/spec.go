@@ -57,7 +57,7 @@ type Spec struct {
 	Fleet *FleetSpec `json:"fleet,omitempty"`
 	// Train configures every model trained during the run.
 	Train TrainSpec `json:"train,omitempty"`
-	// Run holds pipeline knobs (quota, shards, online loop settings).
+	// Run holds pipeline knobs (quota, online loop settings).
 	Run RunSpec `json:"run,omitempty"`
 }
 
@@ -122,9 +122,6 @@ type RunSpec struct {
 	// QuotaFrac is the SSD quota as a fraction of the test half's peak
 	// simultaneous footprint (0 = 0.05).
 	QuotaFrac float64 `json:"quotaFrac,omitempty"`
-	// Shards is the serving layer's admission shard count for the
-	// serve and online pipelines (0 = 4).
-	Shards int `json:"shards,omitempty"`
 	// RetrainHours is the online loop's cadence trigger in virtual
 	// hours (0 with DriftTV 0 = 12).
 	RetrainHours float64 `json:"retrainHours,omitempty"`
@@ -318,8 +315,6 @@ func (r *RunSpec) validate() error {
 	switch {
 	case r.QuotaFrac < 0 || r.QuotaFrac > 1:
 		return fmt.Errorf("quotaFrac %g out of range [0, 1]", r.QuotaFrac)
-	case r.Shards < 0 || r.Shards > 64:
-		return fmt.Errorf("shards %d out of range [0, 64]", r.Shards)
 	case r.RetrainHours < 0 || r.RetrainHours > 24*365:
 		return fmt.Errorf("retrainHours %g out of range [0, 8760]", r.RetrainHours)
 	case r.DriftTV < 0 || r.DriftTV > 1:
@@ -358,7 +353,6 @@ func (t TrainSpec) rounds() int     { return defInt(t.Rounds, 8) }
 func (t TrainSpec) categories() int { return defInt(t.Categories, 8) }
 
 func (r RunSpec) quotaFrac() float64 { return defFloat(r.QuotaFrac, 0.05) }
-func (r RunSpec) shards() int        { return defInt(r.Shards, 4) }
 func (r RunSpec) gateEpsPct() float64 {
 	return defFloat(r.GateEpsPct, 0.5)
 }

@@ -20,7 +20,7 @@ const validSpecJSON = `{
     ]
   },
   "train": {"rounds": 3, "categories": 4, "seed": 9},
-  "run": {"quotaFrac": 0.1, "shards": 2}
+  "run": {"quotaFrac": 0.1}
 }`
 
 func TestParseSpecValid(t *testing.T) {
@@ -179,8 +179,8 @@ func TestEffectiveDefaults(t *testing.T) {
 	if tr.rounds() != 8 || tr.categories() != 8 {
 		t.Fatalf("train defaults: rounds %d categories %d", tr.rounds(), tr.categories())
 	}
-	if r.quotaFrac() != 0.05 || r.shards() != 4 || r.gateEpsPct() != 0.5 {
-		t.Fatalf("run defaults: %g %d %g", r.quotaFrac(), r.shards(), r.gateEpsPct())
+	if r.quotaFrac() != 0.05 || r.gateEpsPct() != 0.5 {
+		t.Fatalf("run defaults: %g %g", r.quotaFrac(), r.gateEpsPct())
 	}
 	if got := r.retrainSec(); got != 12*3600 {
 		t.Fatalf("retrainSec default = %g, want 12h", got)

@@ -6,12 +6,13 @@
 // Architecture:
 //
 //   - Incoming jobs are partitioned across N shards by their recurring
-//     identity (TemplateKey), so a template's admission feedback always
-//     reaches the controller that decides its placements.
-//   - Each shard runs one worker goroutine that owns a private
-//     Algorithm 1 controller and accumulates requests into batches
-//     (single-flight accumulation: the batch closes when it reaches
-//     BatchSize or when FlushInterval elapses after its first request).
+//     identity (TemplateKey). A shard is a serving queue whose worker
+//     goroutine accumulates requests into batches (single-flight
+//     accumulation: the batch closes when it reaches BatchSize or when
+//     FlushInterval elapses after its first request).
+//   - Every shard admits on the server's one Algorithm 1 controller, as
+//     the paper keeps one threshold per SSD quota: the shard count sets
+//     throughput, never a decision.
 //   - Batches are classified by the compiled gbdt.Forest on binned rows
 //     (one uint16 per feature, what a binary client ships): pre-binned
 //     rows are copied into the worker's tile, raw jobs are encoded and
@@ -28,8 +29,8 @@
 // regardless of wall-clock speed.
 //
 // Feedback does not ride the inference queue. Observe applies an outcome
-// to the job's shard controller on the caller's goroutine, under the
-// lock the worker takes once per batch, and returns when it is applied:
+// to the controller on the caller's goroutine, under the lock the shard
+// workers take once per batch, and returns when it is applied:
 // an observation is never a batch member, never waits behind a forest
 // pass, and the server keeps nothing of the job (so a network shell may
 // hand it a job decoded in place, see ObserveHashed).
@@ -73,8 +74,9 @@ var ErrMalformedRow = errors.New("serve: malformed pre-binned row")
 
 // Config tunes the serving layer.
 type Config struct {
-	// Shards is the number of admission shards (>= 1). Each shard has
-	// its own Algorithm 1 controller and worker goroutine.
+	// Shards is the number of serving queues (>= 1), one worker
+	// goroutine each. It sets throughput only: every shard admits on
+	// the server's one controller.
 	Shards int
 	// BatchSize is the max requests classified per inference batch.
 	BatchSize int
@@ -84,8 +86,8 @@ type Config struct {
 	// QueueDepth is the per-shard request buffer (defaults to
 	// 4*BatchSize).
 	QueueDepth int
-	// Adaptive configures each shard's controller. NumCategories must
-	// match the served model.
+	// Adaptive configures the server's one Algorithm 1 controller.
+	// NumCategories must match the served model.
 	Adaptive core.AdaptiveConfig
 }
 
@@ -122,7 +124,8 @@ type Decision struct {
 	Category int
 	// ModelVersion is the registry version that produced Category.
 	ModelVersion int
-	// Shard is the admission shard that served the decision.
+	// Shard is the serving queue that carried the job. The decision
+	// does not depend on it.
 	Shard int
 }
 
@@ -222,17 +225,19 @@ type Server struct {
 	shards    []*shard
 	unsub     func()
 	calls     sync.Pool // *call, cursor sized for cfg.Shards
+	// amu serializes the one controller between shard workers (once per
+	// batch, for its admissions), ObserveHashed callers (once per
+	// outcome) and ACT readers.
+	amu      sync.Mutex
+	adaptive *core.Adaptive
 
 	mu     sync.RWMutex // guards closed vs in-flight submits
 	closed bool
 	wg     sync.WaitGroup
 }
 
-// shard is one admission partition: a request queue, a worker, a
-// private controller and its counters. amu serializes controller access
-// between the worker (once per batch, for its admissions), Observe
-// callers (once per outcome, for one controller update) and snapshot
-// readers.
+// shard is one serving queue: a request queue, its worker, and the
+// worker's counters and histograms.
 type shard struct {
 	id   int
 	reqs chan message
@@ -242,8 +247,6 @@ type shard struct {
 	// batch flushes immediately instead of waiting out FlushInterval
 	// (the adaptive low-QPS flush).
 	pending  atomic.Int64
-	amu      sync.Mutex
-	adaptive *core.Adaptive
 	counters metrics.ShardCounters
 	// batchLat streams the enqueue-to-decision latency of every batch
 	// message; queueDepth samples the request-queue length once per
@@ -271,7 +274,11 @@ func New(reg *registry.Registry, workload string, cm *cost.Model, cfg Config) (*
 	if cfg.QueueDepth == 0 {
 		cfg.QueueDepth = 4 * cfg.BatchSize
 	}
-	s := &Server{cfg: cfg, cm: cm, workload: workload, reg: reg}
+	adaptive, err := core.NewAdaptive(cfg.Adaptive)
+	if err != nil {
+		return nil, err
+	}
+	s := &Server{cfg: cfg, cm: cm, workload: workload, reg: reg, adaptive: adaptive}
 	cursors := cfg.Shards + 1
 	s.calls.New = func() any { return &call{cursor: make([]int32, cursors)} }
 	// Subscribe before the initial resolve: a version published in
@@ -285,19 +292,7 @@ func New(reg *registry.Registry, workload string, cm *cost.Model, cfg Config) (*
 		return nil, err
 	}
 	for i := 0; i < cfg.Shards; i++ {
-		a, err := core.NewAdaptive(cfg.Adaptive)
-		if err != nil {
-			// Tear down what already started: without this, the
-			// workers spawned by earlier iterations would block on
-			// their request channels forever.
-			s.unsub()
-			for _, sh := range s.shards {
-				close(sh.reqs)
-			}
-			s.wg.Wait()
-			return nil, err
-		}
-		sh := &shard{id: i, reqs: make(chan message, cfg.QueueDepth), adaptive: a}
+		sh := &shard{id: i, reqs: make(chan message, cfg.QueueDepth)}
 		s.shards = append(s.shards, sh)
 		s.wg.Add(1)
 		go s.run(sh)
@@ -353,9 +348,8 @@ func (s *Server) Swaps() int64 { return s.swaps.Load() }
 // TemplateHash is the routing hash of a job's recurring identity: FNV-1a
 // over the TemplateKey bytes (Pipeline + "/" + Step). It is part of the
 // serving contract — remote clients that pre-bin rows compute it locally
-// and ship it with each row, and SubmitEncoded routes by hash % Shards,
-// so a template's admission feedback still reaches the controller that
-// decides its placements.
+// and ship it with each row, and SubmitEncoded queues row i on shard
+// hash % Shards, so a template's jobs keep their order on one queue.
 func TemplateHash(j *trace.Job) uint32 { return trace.TemplateHash(j.Pipeline, j.Step) }
 
 // Submit requests a placement decision for one job, blocking until the
@@ -495,13 +489,13 @@ func (s *Server) WireModel() (*features.Encoder, *features.Binner, int) {
 	return am.model.Encoder, am.binner, am.version.Number
 }
 
-// Observe feeds a placement outcome back to the job's admission shard
-// (the spillover signal Algorithm 1 regulates on), with the same
-// spillover accounting as the offline policies. It is synchronous: the
-// outcome is applied to the shard's controller on the caller's
-// goroutine, under the lock the shard worker decides admissions under,
-// so when Observe returns nil the controller has the outcome — every
-// later Submit on that shard is decided with it and Stats counts it —
+// Observe feeds a placement outcome back to the controller (the
+// spillover signal Algorithm 1 regulates on), with the same spillover
+// accounting as the offline policies. It is synchronous: the outcome is
+// applied on the caller's goroutine, under the lock the shard workers
+// decide admissions under, so when Observe returns nil the controller
+// has the outcome — every later Submit is decided with it and Stats
+// counts it —
 // and the server keeps no reference to j. Outcomes should be reported in
 // roughly arrival order, as the simulator does.
 func (s *Server) Observe(j *trace.Job, o sim.Outcome) error {
@@ -510,8 +504,9 @@ func (s *Server) Observe(j *trace.Job, o sim.Outcome) error {
 
 // ObserveHashed is Observe for a caller that already holds the job's
 // TemplateHash, as SubmitEncoded is SubmitBatch for one that holds the
-// rows: the shard is hash % Shards and j is read for its numeric fields
-// only, so a job decoded in place off the wire need carry no strings.
+// rows: the outcome is counted on shard hash % Shards and j is read for
+// its numeric fields only, so a job decoded in place off the wire need
+// carry no strings.
 func (s *Server) ObserveHashed(hash uint32, j *trace.Job, o sim.Outcome) error {
 	arrival, end, wantedSSD, spilledAt, spillFrac, tcioRate := sim.SpilloverFeedback(j, o, s.cm)
 	s.mu.RLock()
@@ -519,13 +514,12 @@ func (s *Server) ObserveHashed(hash uint32, j *trace.Job, o sim.Outcome) error {
 	if s.closed {
 		return fmt.Errorf("serve: server is closed")
 	}
+	s.amu.Lock()
+	s.adaptive.Observe(arrival, end, wantedSSD, spilledAt, spillFrac, tcioRate)
+	s.amu.Unlock()
 	// Modulo in uint32: int(hash) would go negative on 32-bit platforms
 	// for half of all hashes.
-	sh := s.shards[hash%uint32(len(s.shards))]
-	sh.amu.Lock()
-	sh.adaptive.Observe(arrival, end, wantedSSD, spilledAt, spillFrac, tcioRate)
-	sh.amu.Unlock()
-	sh.counters.RecordObservation()
+	s.shards[hash%uint32(len(s.shards))].counters.RecordObservation()
 	return nil
 }
 
@@ -549,18 +543,13 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// ShardSnapshots returns per-shard counter snapshots.
-func (s *Server) ShardSnapshots() []metrics.ShardSnapshot {
-	out := make([]metrics.ShardSnapshot, len(s.shards))
-	for i, sh := range s.shards {
-		out[i] = sh.counters.Snapshot()
-	}
-	return out
-}
-
-// Stats returns the server-wide merged counter snapshot.
+// Stats returns the server-wide counter snapshot, merged across shards.
 func (s *Server) Stats() metrics.ShardSnapshot {
-	return metrics.Merge(s.ShardSnapshots())
+	snaps := make([]metrics.ShardSnapshot, len(s.shards))
+	for i, sh := range s.shards {
+		snaps[i] = sh.counters.Snapshot()
+	}
+	return metrics.Merge(snaps)
 }
 
 // BatchLatency returns the merged enqueue-to-decision latency histogram
@@ -585,16 +574,12 @@ func (s *Server) QueueDepth() obs.HistSnapshot {
 	return out
 }
 
-// ACT returns each shard's current admission category threshold (the
-// Fig. 16 controller state, one value per shard).
-func (s *Server) ACT() []int {
-	out := make([]int, len(s.shards))
-	for i, sh := range s.shards {
-		sh.amu.Lock()
-		out[i] = sh.adaptive.ACT()
-		sh.amu.Unlock()
-	}
-	return out
+// ACT returns the controller's current admission category threshold
+// (the Fig. 16 controller state).
+func (s *Server) ACT() int {
+	s.amu.Lock()
+	defer s.amu.Unlock()
+	return s.adaptive.ACT()
 }
 
 // worker holds a shard worker's reusable batch state.
@@ -683,7 +668,7 @@ func (s *Server) run(sh *shard) {
 // process serves one accumulated batch on the shard worker goroutine.
 // All placement rows are assembled in the worker's tile — raw jobs
 // encoded and binned, pre-binned rows copied — and classified in one
-// forest batch, then admissions are decided per job on the shard's
+// forest batch, then admissions are decided per job on the server's
 // controller, written straight into the submitter's out. Pre-binned
 // ranges pinned to a stale model version are rejected here (flagged for
 // the submitter, no decisions served): their bins were cut at another
@@ -730,7 +715,7 @@ func (s *Server) process(sh *shard, w *worker, flush metrics.FlushKind) {
 	}
 	w.classes, w.scratch = am.forest.PredictClassBinned(w.tile[:n*nf], w.classes, w.scratch)
 	now := time.Now()
-	sh.amu.Lock()
+	s.amu.Lock()
 	n = 0
 	for i := range w.batch {
 		m := &w.batch[i]
@@ -743,7 +728,7 @@ func (s *Server) process(sh *shard, w *worker, flush metrics.FlushKind) {
 		for _, r := range c.order[m.lo:m.hi] {
 			cat := w.classes[n]
 			n++
-			admit := sh.adaptive.Admit(cat, c.arrival(r))
+			admit := s.adaptive.Admit(cat, c.arrival(r))
 			c.out[r] = Decision{
 				Admit:        admit,
 				Category:     cat,
@@ -754,6 +739,6 @@ func (s *Server) process(sh *shard, w *worker, flush metrics.FlushKind) {
 		}
 		c.wg.Done()
 	}
-	sh.amu.Unlock()
+	s.amu.Unlock()
 	sh.counters.RecordBatch(flush)
 }

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -347,7 +346,7 @@ func TestDrainFlushLowQPSLatency(t *testing.T) {
 	}
 }
 
-// TestObserveMovesACT drives heavy spillover feedback into one shard
+// TestObserveMovesACT drives heavy spillover feedback into the server
 // and checks the controller tightens admission.
 func TestObserveMovesACT(t *testing.T) {
 	cfg := testConfig()
@@ -357,7 +356,7 @@ func TestObserveMovesACT(t *testing.T) {
 	srv, fx, _ := newTestServer(t, cfg)
 
 	j := fx.jobs[0]
-	if act := srv.ACT()[0]; act != 1 {
+	if act := srv.ACT(); act != 1 {
 		t.Fatalf("initial ACT = %d, want 1", act)
 	}
 	// Feed outcomes where everything wanted SSD and spilled entirely.
@@ -379,18 +378,69 @@ func TestObserveMovesACT(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if act := srv.ACT()[0]; act <= 1 {
+	if act := srv.ACT(); act <= 1 {
 		t.Fatalf("ACT did not rise under total spillover: %d", act)
 	}
 }
 
+// TestOutcomeReachesEveryTemplate: the server runs one controller, so
+// total-spillover outcomes for a job queued on one shard raise the
+// threshold that decides a job queued on another.
+func TestOutcomeReachesEveryTemplate(t *testing.T) {
+	cfg := testConfig()
+	cfg.Adaptive.DecisionIntervalSec = 10
+	cfg.Adaptive.LookBackSec = 100
+	srv, fx, _ := newTestServer(t, cfg)
+
+	shardOf := func(j *trace.Job) int { return int(TemplateHash(j) % uint32(cfg.Shards)) }
+	spilled := fx.jobs[0]
+	var other *trace.Job
+	for _, j := range fx.jobs {
+		if shardOf(j) != shardOf(spilled) {
+			other = j
+			break
+		}
+	}
+	if other == nil {
+		t.Fatal("every fixture job hashes to one shard")
+	}
+	base := spilled.ArrivalSec
+	for i := 0; i < 50; i++ {
+		jj := *spilled
+		jj.ArrivalSec = base + float64(i)
+		jj.LifetimeSec = 5
+		if err := srv.Observe(&jj, sim.Outcome{WantedSSD: true, FracOnSSD: 0, SpilledAt: jj.ArrivalSec}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var d Decision
+	for i := 1; i <= 3; i++ {
+		jj := *other
+		jj.ArrivalSec = base + 50 + float64(i)*20
+		var err error
+		if d, err = srv.Submit(&jj); err != nil {
+			t.Fatal(err)
+		}
+		if d.Shard != shardOf(other) {
+			t.Fatalf("job queued on shard %d, its hash names shard %d", d.Shard, shardOf(other))
+		}
+	}
+	act := srv.ACT()
+	if act <= 1 {
+		t.Fatalf("outcomes queued on shard %d left the ACT deciding shard %d at %d",
+			shardOf(spilled), shardOf(other), act)
+	}
+	if d.Admit != (d.Category >= act) {
+		t.Errorf("category %d decided admit=%v under ACT %d", d.Category, d.Admit, act)
+	}
+}
+
 // TestObserveIsAppliedOnReturn pins Observe's contract: when it returns,
-// the job's shard controller has the outcome. Eight goroutines post
-// concurrently; the moment they are joined — no wait, no poll — the
-// observation count is exact, and the next submissions move every
-// shard's ACT exactly as a reference controller fed the same outcomes
-// moves (total spillover, so the spillover ratio is 1 whatever order the
-// goroutines interleaved in).
+// the controller has the outcome. Eight goroutines post concurrently;
+// the moment they are joined — no wait, no poll — the observation count
+// is exact, and the next submissions move the server's ACT exactly as a
+// reference controller fed every outcome moves (total spillover, so the
+// spillover ratio is 1 whatever order the goroutines interleaved in).
 func TestObserveIsAppliedOnReturn(t *testing.T) {
 	cfg := testConfig()
 	cfg.Adaptive.DecisionIntervalSec = 10
@@ -400,13 +450,9 @@ func TestObserveIsAppliedOnReturn(t *testing.T) {
 	const goroutines, each = 8, 50
 	base := fx.jobs[0].ArrivalSec
 	jobs := make([]trace.Job, goroutines*each)
-	refs := make([]*core.Adaptive, cfg.Shards)
-	for i := range refs {
-		a, err := core.NewAdaptive(cfg.Adaptive)
-		if err != nil {
-			t.Fatal(err)
-		}
-		refs[i] = a
+	ref, err := core.NewAdaptive(cfg.Adaptive)
+	if err != nil {
+		t.Fatal(err)
 	}
 	outcome := func(j *trace.Job) sim.Outcome {
 		return sim.Outcome{WantedSSD: true, FracOnSSD: 0, SpilledAt: j.ArrivalSec}
@@ -416,7 +462,7 @@ func TestObserveIsAppliedOnReturn(t *testing.T) {
 		jobs[i].ArrivalSec = base + float64(i%50)
 		jobs[i].LifetimeSec = 5
 		j := &jobs[i]
-		refs[TemplateHash(j)%uint32(cfg.Shards)].Observe(sim.SpilloverFeedback(j, outcome(j), fx.cm))
+		ref.Observe(sim.SpilloverFeedback(j, outcome(j), fx.cm))
 	}
 
 	var wg sync.WaitGroup
@@ -437,36 +483,22 @@ func TestObserveIsAppliedOnReturn(t *testing.T) {
 		t.Fatalf("%d observations counted when the last Observe returned, want %d", got, goroutines*each)
 	}
 
-	// Tick every shard's controller past the decision interval, three
-	// times, with whichever of the jobs the shard owns.
+	// Tick the controller past the decision interval three times, each
+	// time through another of the jobs.
 	for tick := 1; tick <= 3; tick++ {
 		now := base + 50 + float64(tick)*20
-		ticked := make([]bool, cfg.Shards)
-		for i := range jobs {
-			sid := TemplateHash(&jobs[i]) % uint32(cfg.Shards)
-			if ticked[sid] {
-				continue
-			}
-			ticked[sid] = true
-			jj := jobs[i]
-			jj.ArrivalSec = now
-			if _, err := srv.Submit(&jj); err != nil {
-				t.Fatal(err)
-			}
-			refs[sid].Admit(0, now)
+		jj := jobs[tick]
+		jj.ArrivalSec = now
+		if _, err := srv.Submit(&jj); err != nil {
+			t.Fatal(err)
 		}
-		want := make([]int, cfg.Shards)
-		for i, a := range refs {
-			want[i] = a.ACT()
-		}
-		if got := srv.ACT(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("tick %d: ACT %v, the reference controllers say %v", tick, got, want)
+		ref.Admit(0, now)
+		if got, want := srv.ACT(), ref.ACT(); got != want {
+			t.Fatalf("tick %d: ACT %d, the reference controller says %d", tick, got, want)
 		}
 	}
-	for sid, act := range srv.ACT() {
-		if refs[sid].HistoryLen() > 0 && act <= 1 {
-			t.Errorf("shard %d: ACT %d did not rise under total spillover", sid, act)
-		}
+	if act := srv.ACT(); act <= 1 {
+		t.Errorf("ACT %d did not rise under total spillover", act)
 	}
 }
 
