@@ -131,21 +131,17 @@ type (
 	// OnlineStats is a snapshot of the learner's loop counters.
 	OnlineStats = online.Stats
 
-	// FleetConfig controls a multi-cluster fleet run: heterogeneous
-	// cluster specs, the shard worker pool, training options and the
+	// FleetConfig controls a multi-cluster fleet run: the heterogeneous
+	// cluster specs' seed, training options, the donor cluster and the
 	// optional per-cluster online loop.
 	FleetConfig = fleet.Config
 	// FleetTraceConfig seeds the heterogeneous cluster specs.
 	FleetTraceConfig = trace.FleetConfig
-	// FleetClusterSpec is one cluster's generation + quota parameters.
-	FleetClusterSpec = trace.ClusterSpec
 	// FleetReport is the merged fleet view: per-cluster rows plus
 	// fleet-aggregate TCO savings per model regime.
 	FleetReport = fleet.Report
 	// FleetClusterResult is one cluster's row in the report.
 	FleetClusterResult = fleet.ClusterResult
-	// FleetStats is a snapshot of the fleet run counters.
-	FleetStats = fleet.Stats
 
 	// RebalanceConfig tunes the heat-aware global rebalancer: decay
 	// half-life and knapsack re-solve cadence. The zero value means
@@ -401,17 +397,11 @@ func DefaultFleetConfig(n int, seed int64) FleetConfig {
 // RunFleet simulates a multi-cluster fleet end to end: per-cluster
 // traces, per-cluster models trained in parallel, and each cluster's
 // test half evaluated under per-cluster vs one-global vs transfer
-// models — optionally with a closed online-learning loop per cluster.
-// The report is bit-identical at any FleetConfig.Workers value.
-func RunFleet(cfg FleetConfig) (*FleetReport, error) {
-	return fleet.Run(cfg)
-}
-
-// RunFleetWithRegistry is RunFleet publishing each cluster's online
-// models into reg under "cluster/<id>" — pass your own registry to
-// inspect or persist the fleet's model versions.
-func RunFleetWithRegistry(cfg FleetConfig, reg *ModelRegistry) (*FleetReport, error) {
-	return fleet.RunInto(cfg, reg)
+// models — optionally with a closed online-learning loop per cluster,
+// publishing its models into reg under "cluster/<id>". The report is
+// bit-identical at any GOMAXPROCS.
+func RunFleet(cfg FleetConfig, reg *ModelRegistry) (*FleetReport, error) {
+	return fleet.Run(cfg, reg)
 }
 
 // Simulate replays a trace through a placement policy under an SSD

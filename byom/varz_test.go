@@ -20,7 +20,6 @@ func TestWriteVarsAllTypes(t *testing.T) {
 	}{
 		{"serve", byom.ServeStats{}, 10},
 		{"online", byom.OnlineStats{}, 10},
-		{"fleet", byom.FleetStats{}, 8},
 		{"rpc", byom.RPCStats{}, 13},
 		{"rebalance", byom.RebalanceStats{}, 6},
 		{"router", byom.RouterStats{}, 11},

@@ -34,7 +34,7 @@ func main() {
 	cfg.Online = &ocfg
 
 	reg := byom.NewModelRegistry()
-	rep, err := byom.RunFleetWithRegistry(cfg, reg)
+	rep, err := byom.RunFleet(cfg, reg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -83,6 +83,12 @@ func BuildEnv(idx int, opts Options) *Env {
 	cfg := cfgs[idx%len(cfgs)]
 	cfg.DurationSec = opts.Days * 24 * 3600
 	cfg.NumUsers = opts.Users
+	return NewEnv(cfg)
+}
+
+// NewEnv generates the cluster cfg describes, splits it into train/test
+// halves at half its duration and prices the test half's peak usage.
+func NewEnv(cfg trace.GeneratorConfig) *Env {
 	full := trace.NewGenerator(cfg).Generate()
 	train, test := full.SplitAt(cfg.DurationSec / 2)
 	return &Env{

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/online"
 	"repro/internal/registry"
-	"repro/internal/trace"
 )
 
 // testConfig returns a fleet sized for unit tests: three clusters,
@@ -36,7 +35,7 @@ func TestFleetRunEndToEnd(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.Online = testOnlineConfig()
 	reg := registry.New()
-	rep, err := RunInto(cfg, reg)
+	rep, err := Run(cfg, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,12 +43,13 @@ func TestFleetRunEndToEnd(t *testing.T) {
 		t.Fatalf("got %d clusters, want 3", len(rep.Clusters))
 	}
 	var hdd, perC float64
+	var retrains, swaps int64
 	for i, c := range rep.Clusters {
 		if c.TestJobs == 0 {
 			t.Fatalf("cluster %d has no test jobs", i)
 		}
-		if c.QuotaBytes <= 0 {
-			t.Fatalf("cluster %s has quota %g", c.Cluster, c.QuotaBytes)
+		if c.QuotaFrac <= 0 {
+			t.Fatalf("cluster %s has quota fraction %g", c.Cluster, c.QuotaFrac)
 		}
 		if c.TotalTCOHDD <= 0 {
 			t.Fatalf("cluster %s has all-HDD TCO %g", c.Cluster, c.TotalTCOHDD)
@@ -73,6 +73,8 @@ func TestFleetRunEndToEnd(t *testing.T) {
 		}
 		hdd += c.TotalTCOHDD
 		perC += c.PerCluster.TCOSaved
+		retrains += c.Online.Retrains
+		swaps += c.Online.Swaps
 	}
 	// The aggregate is the fleet-wide ratio, not a mean of percentages.
 	if want := 100 * perC / hdd; rep.PerClusterAggTCOPct != want {
@@ -91,25 +93,10 @@ func TestFleetRunEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Counters: 3 cluster models + 1 global; the online loop's own
-	// retrains are counted separately.
-	cs := rep.Counters
-	if cs.ClustersDone != 3 {
-		t.Errorf("ClustersDone = %d", cs.ClustersDone)
-	}
-	if cs.ModelsTrained != 4 {
-		t.Errorf("ModelsTrained = %d, want 4", cs.ModelsTrained)
-	}
-	if cs.OnlineRetrains == 0 || cs.OnlineSwaps == 0 {
-		t.Errorf("online loop never fired: %d retrains, %d swaps", cs.OnlineRetrains, cs.OnlineSwaps)
-	}
-	// Each cluster replays its test half 4 times (3 regimes + loop).
-	var want int64
-	for _, c := range rep.Clusters {
-		want += 4 * int64(c.TestJobs)
-	}
-	if cs.JobsSimulated != want {
-		t.Errorf("JobsSimulated = %d, want %d", cs.JobsSimulated, want)
+	// The loop fired somewhere in the fleet: summed over clusters, it
+	// retrained and hot-swapped.
+	if retrains == 0 || swaps == 0 {
+		t.Errorf("online loop never fired: %d retrains, %d swaps", retrains, swaps)
 	}
 
 	var sb strings.Builder
@@ -123,21 +110,16 @@ func TestFleetRunEndToEnd(t *testing.T) {
 }
 
 func TestFleetRejectsBadConfig(t *testing.T) {
-	if _, err := Run(Config{}); err == nil {
+	if _, err := Run(Config{}, registry.New()); err == nil {
 		t.Error("empty config did not error")
 	}
 	cfg := testConfig(t)
 	cfg.DonorCluster = 99
-	if _, err := Run(cfg); err == nil {
+	if _, err := Run(cfg, registry.New()); err == nil {
 		t.Error("out-of-range donor did not error")
 	}
 	cfg = testConfig(t)
-	cfg.Specs = []trace.ClusterSpec{{}} // fails spec validation
-	if _, err := Run(cfg); err == nil {
-		t.Error("invalid spec did not error")
-	}
-	cfg = testConfig(t)
-	if _, err := RunInto(cfg, nil); err == nil {
+	if _, err := Run(cfg, nil); err == nil {
 		t.Error("nil registry did not error")
 	}
 }

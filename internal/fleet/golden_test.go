@@ -5,10 +5,11 @@ import (
 	"testing"
 
 	"repro/internal/golden"
+	"repro/internal/registry"
 )
 
 // TestFleetReportGolden pins the rendered fleet comparison (online
-// loop included) at the small test preset. Together with the Workers
+// loop included) at the small test preset. Together with the GOMAXPROCS
 // determinism property this gives the fleet a regression net: the
 // report cannot drift across refactors of any layer underneath it —
 // generator, trainer, simulator, serving, online loop — without this
@@ -16,7 +17,7 @@ import (
 func TestFleetReportGolden(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.Online = testOnlineConfig()
-	rep, err := Run(cfg)
+	rep, err := Run(cfg, registry.New())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func TestFleetShutdownNoLeaks(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 2; i++ {
 		reg := registry.New()
-		if _, err := RunInto(cfg, reg); err != nil {
+		if _, err := Run(cfg, reg); err != nil {
 			t.Fatal(err)
 		}
 		if subs := reg.Subscribers(); subs != 0 {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/cost"
 	"repro/internal/online"
 	"repro/internal/registry"
 	"repro/internal/serve"
@@ -19,16 +18,16 @@ import (
 // clusters run this concurrently against the same registry; the
 // per-cluster key namespace keeps their versions and subscriptions
 // isolated (the §2.3 blast-radius property, fleet edition).
-func runOnline(env *clusterEnv, cm *cost.Model, cfg Config, reg *registry.Registry) (*OnlineResult, error) {
-	workload := WorkloadKey(env.spec.Gen.Cluster)
-	if _, err := reg.Publish(workload, env.model, env.spec.Gen.DurationSec/2); err != nil {
+func runOnline(s *shard, cfg Config, reg *registry.Registry) (*OnlineResult, error) {
+	workload := WorkloadKey(s.env.Cluster)
+	if _, err := reg.Publish(workload, s.model, s.spec.Gen.DurationSec/2); err != nil {
 		return nil, fmt.Errorf("publishing %s: %w", workload, err)
 	}
 
-	scfg := serve.DefaultConfig(env.model.NumCategories())
+	scfg := serve.DefaultConfig(s.model.NumCategories())
 	scfg.BatchSize = 1 // sequential virtual-time replay (see online.RunLoop)
 	scfg.FlushInterval = time.Millisecond
-	srv, err := serve.New(reg, workload, cm, scfg)
+	srv, err := serve.New(reg, workload, s.env.Cost, scfg)
 	if err != nil {
 		return nil, fmt.Errorf("starting server: %w", err)
 	}
@@ -41,24 +40,22 @@ func runOnline(env *clusterEnv, cm *cost.Model, cfg Config, reg *registry.Regist
 	// whole Report — is deterministic.
 	ocfg.Train = cfg.Train
 	ocfg.Async = false
-	learner, err := online.New(reg, workload, cm, ocfg)
+	learner, err := online.New(reg, workload, s.env.Cost, ocfg)
 	if err != nil {
 		return nil, fmt.Errorf("creating learner: %w", err)
 	}
 	defer learner.Close()
 
-	res, err := online.RunLoop(env.test, srv, learner, cm, sim.Config{SSDQuota: env.quota})
+	res, err := online.RunLoop(s.env.Test, srv, learner, s.env.Cost, sim.Config{SSDQuota: s.quota})
 	if err != nil {
 		return nil, err
 	}
 	if err := learner.Close(); err != nil {
 		return nil, err
 	}
-	stats := learner.Stats()
 	return &OnlineResult{
 		TCOPct:       res.TCOSavingsPercent(),
-		Retrains:     stats.Retrains,
-		GateAccepts:  stats.GateAccepts,
+		Retrains:     learner.Stats().Retrains,
 		Swaps:        srv.Swaps(),
 		FinalVersion: srv.ModelVersion(),
 	}, nil

@@ -3,15 +3,20 @@ package fleet
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 
-	"repro/internal/cost"
-	"repro/internal/rebalance"
+	"repro/internal/core"
+	"repro/internal/experiments"
+	"repro/internal/policy"
+	"repro/internal/registry"
+	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // TestFleetWorkersDeterminism is the fleet determinism contract: the
 // same Config yields a bit-identical Report (struct and rendered text)
-// at any Workers value, online loops included — even though shards of
+// at any GOMAXPROCS, online loops included — even though shards of
 // different clusters then run concurrently against one shared
 // registry. Run under -race in CI, this doubles as the fleet e2e data
 // race check.
@@ -21,74 +26,30 @@ func TestFleetWorkersDeterminism(t *testing.T) {
 		// race-enabled fleet-e2e CI job runs this without -short.
 		t.Skip("skipping 3-run fleet determinism matrix in short mode")
 	}
-	baseline := fleetAtWorkers(t, 1)
+	baseline := fleetAtProcs(t, 1)
 	baseRender := renderReport(baseline)
-	for _, workers := range []int{2, 8} {
-		rep := fleetAtWorkers(t, workers)
+	for _, procs := range []int{2, 8} {
+		rep := fleetAtProcs(t, procs)
 		if !reflect.DeepEqual(stripLatency(baseline), stripLatency(rep)) {
-			t.Fatalf("Workers=%d report differs from Workers=1", workers)
+			t.Fatalf("GOMAXPROCS=%d report differs from GOMAXPROCS=1", procs)
 		}
 		if got := renderReport(rep); !bytes.Equal(baseRender, got) {
-			t.Fatalf("Workers=%d rendered report differs from Workers=1:\n--- w1\n%s\n--- w%d\n%s",
-				workers, baseRender, workers, got)
+			t.Fatalf("GOMAXPROCS=%d rendered report differs from GOMAXPROCS=1:\n--- p1\n%s\n--- p%d\n%s",
+				procs, baseRender, procs, got)
 		}
 	}
 }
 
-// TestFleetRebalanceWorkersDeterminism extends the contract to the
-// rebalance regime: the heat tracker, the knapsack solve and the
-// actuation decisions are all virtual-time driven, so the fourth
-// regime's numbers must also be bit-identical at any worker count.
-// Run under -race in CI as part of the rebalance e2e job.
-func TestFleetRebalanceWorkersDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping 3-run fleet rebalance determinism matrix in short mode")
-	}
-	run := func(workers int) *Report {
-		cfg := testConfig(t)
-		cfg.Rebalance = &rebalance.Config{SolveIntervalSec: 3600}
-		cfg.Workers = workers
-		rep, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("Workers=%d: %v", workers, err)
-		}
-		return rep
-	}
-	baseline := run(1)
-	baseRender := renderReport(baseline)
-	var solves int64
-	for _, c := range baseline.Clusters {
-		if c.Rebalance == nil {
-			t.Fatalf("cluster %s has no rebalance result", c.Cluster)
-		}
-		solves += c.Rebalance.Solves
-	}
-	if solves == 0 {
-		t.Fatalf("no rebalance solves fired across the fleet")
-	}
-	if got := baseline.Counters.RebalanceSolves; got != solves {
-		t.Errorf("fleet counter rebalance_solves = %d, cluster sum = %d", got, solves)
-	}
-	for _, workers := range []int{2, 8} {
-		rep := run(workers)
-		if !reflect.DeepEqual(stripLatency(baseline), stripLatency(rep)) {
-			t.Fatalf("Workers=%d rebalance report differs from Workers=1", workers)
-		}
-		if got := renderReport(rep); !bytes.Equal(baseRender, got) {
-			t.Fatalf("Workers=%d rendered rebalance report differs from Workers=1:\n--- w1\n%s\n--- w%d\n%s",
-				workers, baseRender, workers, got)
-		}
-	}
-}
-
-func fleetAtWorkers(t *testing.T, workers int) *Report {
+// fleetAtProcs runs the online test fleet with the worker pool sized by
+// GOMAXPROCS=procs, restoring the previous setting afterwards.
+func fleetAtProcs(t *testing.T, procs int) *Report {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	cfg := testConfig(t)
 	cfg.Online = testOnlineConfig()
-	cfg.Workers = workers
-	rep, err := Run(cfg)
+	rep, err := Run(cfg, registry.New())
 	if err != nil {
-		t.Fatalf("Workers=%d: %v", workers, err)
+		t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 	}
 	return rep
 }
@@ -106,26 +67,31 @@ func stripLatency(r *Report) *Report { return r }
 
 // TestFleetPerClusterMatchesStandalone: a cluster inside a fleet run
 // reports exactly the savings the same spec produces when built and
-// evaluated standalone — fleet membership (shared pools, shared
-// registry, the other clusters' shards) must not perturb a cluster's
-// own numbers.
+// replayed standalone — an Algorithm 1 ranking policy under sim.Run on
+// the cluster's own environment — so fleet membership (shared pools,
+// shared registry, the other clusters' shards) must not perturb a
+// cluster's own numbers.
 func TestFleetPerClusterMatchesStandalone(t *testing.T) {
 	cfg := testConfig(t)
-	rep, err := Run(cfg)
+	rep, err := Run(cfg, registry.New())
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs, err := fleetSpecs(cfg)
+	specs, err := trace.FleetSpecs(cfg.Fleet)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm := cost.Default()
 	for i, c := range rep.Clusters {
-		env, err := buildEnv(specs[i], cm, cfg.Train)
+		env := experiments.NewEnv(specs[i].Gen)
+		model, err := core.TrainCategoryModel(env.Train.Jobs, env.Cost, cfg.Train)
 		if err != nil {
 			t.Fatalf("standalone %s: %v", c.Cluster, err)
 		}
-		res, err := evalModel(env, env.model, cm)
+		ranking, err := policy.NewAdaptiveRanking(model, env.Cost, core.DefaultAdaptiveConfig(model.NumCategories()))
+		if err != nil {
+			t.Fatalf("standalone %s: %v", c.Cluster, err)
+		}
+		res, err := sim.Run(env.Test, ranking, env.Cost, sim.Config{SSDQuota: env.PeakUsage * specs[i].QuotaFrac})
 		if err != nil {
 			t.Fatalf("standalone %s: %v", c.Cluster, err)
 		}
@@ -138,8 +104,8 @@ func TestFleetPerClusterMatchesStandalone(t *testing.T) {
 		if got, want := c.TotalTCOHDD, res.TotalTCOHDD; got != want {
 			t.Errorf("%s: fleet all-HDD TCO %g != standalone %g", c.Cluster, got, want)
 		}
-		if got, want := c.QuotaBytes, env.quota; got != want {
-			t.Errorf("%s: fleet quota %g != standalone %g", c.Cluster, got, want)
+		if got, want := c.TestJobs, len(env.Test.Jobs); got != want {
+			t.Errorf("%s: fleet test jobs %d != standalone %d", c.Cluster, got, want)
 		}
 	}
 }

@@ -12,19 +12,13 @@ import (
 // for a deterministic Report (fixed order, fixed precision), which is
 // what the golden-file regression test pins.
 func (r *Report) Render(w io.Writer) {
-	online, rebalance := false, false
+	online := false
 	for i := range r.Clusters {
 		if r.Clusters[i].Online != nil {
 			online = true
 		}
-		if r.Clusters[i].Rebalance != nil {
-			rebalance = true
-		}
 	}
 	header := []string{"cluster", "test jobs", "quota", "per-cluster TCO%", "global TCO%", "transfer TCO%"}
-	if rebalance {
-		header = append(header, "rebalance TCO%", "solves", "demotions")
-	}
 	if online {
 		header = append(header, "online TCO%", "retrains", "swaps", "v")
 	}
@@ -38,16 +32,6 @@ func (r *Report) Render(w io.Writer) {
 			fmt.Sprintf("%.3f", c.PerCluster.TCOPct),
 			fmt.Sprintf("%.3f", c.Global.TCOPct),
 			fmt.Sprintf("%.3f", c.Transfer.TCOPct),
-		}
-		if rebalance {
-			if c.Rebalance != nil {
-				row = append(row,
-					fmt.Sprintf("%.3f", c.Rebalance.TCOPct),
-					fmt.Sprintf("%d", c.Rebalance.Solves),
-					fmt.Sprintf("%d", c.Rebalance.Demotions))
-			} else {
-				row = append(row, "-", "-", "-")
-			}
 		}
 		if online {
 			if c.Online != nil {
@@ -67,9 +51,6 @@ func (r *Report) Render(w io.Writer) {
 	fmt.Fprintf(w, "  per-cluster models: %.3f%%\n", r.PerClusterAggTCOPct)
 	fmt.Fprintf(w, "  one global model:   %.3f%%\n", r.GlobalAggTCOPct)
 	fmt.Fprintf(w, "  transfer (donor):   %.3f%%\n", r.TransferAggTCOPct)
-	if rebalance {
-		fmt.Fprintf(w, "  with rebalancer:    %.3f%%\n", r.RebalanceAggTCOPct)
-	}
 	if online {
 		fmt.Fprintf(w, "  online loop:        %.3f%%\n", r.OnlineAggTCOPct)
 	}

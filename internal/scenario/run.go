@@ -498,7 +498,7 @@ func runFleet(spec *Spec) (*RunResult, error) {
 		ocfg.Window.HorizonSec = f.Days * 24 * 3600
 		fcfg.Online = &ocfg
 	}
-	rep, err := fleet.Run(fcfg)
+	rep, err := fleet.Run(fcfg, registry.New())
 	if err != nil {
 		return nil, err
 	}
@@ -510,9 +510,15 @@ func runFleet(spec *Spec) (*RunResult, error) {
 		spec.Train.categories(), spec.Train.rounds(), spec.trainSeed())
 	rep.Render(&b)
 	var tcio, tcioSaved float64
+	var retrains, swaps int64
 	for i := range rep.Clusters {
-		tcio += rep.Clusters[i].TotalTCIO
-		tcioSaved += rep.Clusters[i].PerCluster.TCIOSaved
+		c := &rep.Clusters[i]
+		tcio += c.TotalTCIO
+		tcioSaved += c.PerCluster.TCIOSaved
+		if c.Online != nil {
+			retrains += c.Online.Retrains
+			swaps += c.Online.Swaps
+		}
 	}
 	var tcioPct float64
 	if tcio > 0 {
@@ -524,8 +530,8 @@ func runFleet(spec *Spec) (*RunResult, error) {
 			Jobs:     rep.TotalTestJobs,
 			TCOPct:   rep.PerClusterAggTCOPct,
 			TCIOPct:  tcioPct,
-			Retrains: rep.Counters.OnlineRetrains,
-			Swaps:    rep.Counters.OnlineSwaps,
+			Retrains: retrains,
+			Swaps:    swaps,
 		},
 	}, nil
 }

@@ -189,3 +189,52 @@ func TestRunAllThresholdViolation(t *testing.T) {
 		t.Fatalf("violation text missing: %v", out[0].Failures())
 	}
 }
+
+// TestFleetSpecOnline drives the online fleet from a spec, the one CLI
+// path to it: the run's Retrains and Swaps are the sums of the
+// per-cluster retrains and swaps columns of its report.
+func TestFleetSpecOnline(t *testing.T) {
+	spec, err := ParseSpec([]byte(`{
+  "name": "fleet-online",
+  "pipeline": "fleet",
+  "fleet": {"clusters": 2, "seed": 7, "days": 2, "users": 6, "online": true},
+  "train": {"rounds": 4, "categories": 5},
+  "run": {"retrainHours": 8, "minRetrainJobs": 150}
+}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Execute(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clusterRow := regexp.MustCompile(`^C\d+$`)
+	var retrains, swaps int64
+	rows := 0
+	for _, line := range strings.Split(string(res.Report), "\n") {
+		f := strings.Fields(line)
+		if len(f) != 10 || !clusterRow.MatchString(f[0]) {
+			continue
+		}
+		var r, s int64
+		if _, err := fmt.Sscan(f[7], &r); err != nil {
+			t.Fatalf("retrains cell %q: %v", f[7], err)
+		}
+		if _, err := fmt.Sscan(f[8], &s); err != nil {
+			t.Fatalf("swaps cell %q: %v", f[8], err)
+		}
+		retrains += r
+		swaps += s
+		rows++
+	}
+	if rows != 2 {
+		t.Fatalf("report has %d cluster rows, want 2:\n%s", rows, res.Report)
+	}
+	if res.Stats.Retrains != retrains || res.Stats.Swaps != swaps {
+		t.Errorf("stats %d retrains, %d swaps; report columns sum to %d, %d:\n%s",
+			res.Stats.Retrains, res.Stats.Swaps, retrains, swaps, res.Report)
+	}
+	if retrains == 0 || swaps == 0 {
+		t.Errorf("online loop never fired: %d retrains, %d swaps", retrains, swaps)
+	}
+}

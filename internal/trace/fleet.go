@@ -38,21 +38,6 @@ type ClusterSpec struct {
 	QuotaFrac float64
 }
 
-// Validate checks a spec is simulatable.
-func (s *ClusterSpec) Validate() error {
-	switch {
-	case s.Gen.Cluster == "":
-		return fmt.Errorf("trace: cluster spec has empty cluster name")
-	case s.Gen.NumUsers < 1:
-		return fmt.Errorf("trace: cluster %s has %d users", s.Gen.Cluster, s.Gen.NumUsers)
-	case s.Gen.DurationSec <= 0:
-		return fmt.Errorf("trace: cluster %s has non-positive duration %g", s.Gen.Cluster, s.Gen.DurationSec)
-	case s.QuotaFrac <= 0:
-		return fmt.Errorf("trace: cluster %s has non-positive quota fraction %g", s.Gen.Cluster, s.QuotaFrac)
-	}
-	return nil
-}
-
 // FleetSpecs builds NumClusters heterogeneous cluster specs: uneven
 // archetype mixes (via the ClusterConfigs weight draws, including the
 // pathological mltrain-only cluster at index 3 when the fleet is large
