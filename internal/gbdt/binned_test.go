@@ -14,17 +14,20 @@ import (
 	"repro/internal/perf"
 )
 
-// binnedFixture is a trained model, encoded rows to run it on, and the
-// things that have to agree with it, the trees training grew among them.
+// binnedFixture is a trained model, the dataset and labels it was
+// trained on, encoded rows to run it on, and the things that have to
+// agree with it, the trees training grew among them.
 type binnedFixture struct {
 	model  *gbdt.Model
 	forest *gbdt.Forest
 	binner *features.Binner
 	trees  [][]*gbdt.Tree
+	ds     *gbdt.Dataset
+	labels []int
 	rows   [][]float64
 }
 
-func newBinnedFixture(tb testing.TB, m *gbdt.Model, trees [][]*gbdt.Tree, rows [][]float64) *binnedFixture {
+func newBinnedFixture(tb testing.TB, m *gbdt.Model, trees [][]*gbdt.Tree, ds *gbdt.Dataset, labels []int, rows [][]float64) *binnedFixture {
 	tb.Helper()
 	forest, err := m.Compile()
 	if err != nil {
@@ -34,7 +37,7 @@ func newBinnedFixture(tb testing.TB, m *gbdt.Model, trees [][]*gbdt.Tree, rows [
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return &binnedFixture{model: m, forest: forest, binner: binner, trees: trees, rows: rows}
+	return &binnedFixture{model: m, forest: forest, binner: binner, trees: trees, ds: ds, labels: labels, rows: rows}
 }
 
 // smallBinnedFixture trains a 3-class model on numeric and categorical
@@ -74,7 +77,7 @@ func smallBinnedFixture(tb testing.TB) *binnedFixture {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return newBinnedFixture(tb, m, trees, rows)
+	return newBinnedFixture(tb, m, trees, ds, labels, rows)
 }
 
 var paper struct {
@@ -104,7 +107,8 @@ func paperBinnedFixture(tb testing.TB) *binnedFixture {
 			return
 		}
 		enc := features.BuildEncoder(f.Train, opts.MaxVocab)
-		m, trees, err := gbdt.TrainClassifierTrees(enc.Dataset(f.Train), labeler.Labels(f.Train, f.Cost), opts.NumCategories, opts.GBDT)
+		ds, labels := enc.Dataset(f.Train), labeler.Labels(f.Train, f.Cost)
+		m, trees, err := gbdt.TrainClassifierTrees(ds, labels, opts.NumCategories, opts.GBDT)
 		if err != nil {
 			paper.err = err
 			return
@@ -113,7 +117,7 @@ func paperBinnedFixture(tb testing.TB) *binnedFixture {
 		for i, j := range f.Pool {
 			rows[i] = enc.Encode(j, nil)
 		}
-		paper.fx = newBinnedFixture(tb, m, trees, rows)
+		paper.fx = newBinnedFixture(tb, m, trees, ds, labels, rows)
 	})
 	if paper.err != nil {
 		tb.Fatal(paper.err)
@@ -362,4 +366,23 @@ func BenchmarkPaperModelSaveLoad(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkPaperTrain times training the paper-scale model on its
+// dataset and labels, with one and two workers.
+//
+//	go test -run '^$' -bench BenchmarkPaperTrain -benchtime 1x ./internal/gbdt
+func BenchmarkPaperTrain(b *testing.B) {
+	fx := paperBinnedFixture(b)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			cfg := fx.model.Config
+			cfg.Workers = workers
+			for i := 0; i < b.N; i++ {
+				if _, err := gbdt.TrainClassifier(fx.ds, fx.labels, fx.model.NumClasses, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -185,7 +185,7 @@ func trainClassifier(ds *Dataset, labels []int, numClasses int, cfg Config) (*Mo
 	}
 	probMat := make([]float64, n*k)
 	lossPartials := make([]float64, (n+lossChunk-1)/lossChunk)
-	var outBuf []int32
+	var rows, outBuf []int32
 	growers := make([]*treeGrower, eng.classWorkers)
 	for w := range growers {
 		growers[w] = newTreeGrower(eng, n)
@@ -193,7 +193,7 @@ func trainClassifier(ds *Dataset, labels []int, numClasses int, cfg Config) (*Mo
 	trees := make([][]*Tree, 0, cfg.NumRounds)
 
 	for round := 0; round < cfg.NumRounds; round++ {
-		rows := sampleRows(n, cfg.Subsample, rng)
+		rows = sampleRows(n, cfg.Subsample, rng, rows)
 		outBuf = outOfSample(rows, n, outBuf)
 		loss := eng.softmaxLossInto(logits, probMat, labels, k, lossPartials)
 		m.TrainLoss = append(m.TrainLoss, loss/float64(n))
@@ -202,17 +202,17 @@ func trainClassifier(ds *Dataset, labels []int, numClasses int, cfg Config) (*Mo
 		rowsOut := outBuf
 		eng.forClasses(k, func(w, kc int) {
 			tg := growers[w]
-			g, h := tg.g, tg.h
+			gh := tg.gh
 			for _, r := range rows {
 				p := probMat[int(r)*k+kc]
 				y := 0.0
 				if labels[r] == kc {
 					y = 1
 				}
-				g[r] = p - y
-				h[r] = math.Max(p*(1-p), 1e-6)
+				gh[2*r] = p - y
+				gh[2*r+1] = math.Max(p*(1-p), 1e-6)
 			}
-			tree := tg.grow(rows, g, h)
+			tree := tg.grow(rows)
 			roundTrees[kc] = tree
 			// Class kc owns logit column kc: in-sample rows were
 			// assigned their leaf during growth, out-of-sample rows
@@ -282,23 +282,23 @@ func TrainRegressor(ds *Dataset, targets []float64, cfg Config) (*Model, error) 
 	for i := range preds {
 		preds[i] = mean
 	}
-	g, h := tg.g, tg.h
-	for i := range h {
-		h[i] = 1
+	gh := tg.gh
+	for i := 0; i < n; i++ {
+		gh[2*i+1] = 1 // squared loss: every hessian is 1
 	}
-	var outBuf []int32
+	var rows, outBuf []int32
 	trees := make([][]*Tree, 0, cfg.NumRounds)
 	for round := 0; round < cfg.NumRounds; round++ {
 		var loss float64
 		for i := 0; i < n; i++ {
 			r := preds[i] - targets[i]
 			loss += r * r
-			g[i] = r
+			gh[2*i] = r
 		}
 		m.TrainLoss = append(m.TrainLoss, loss/float64(n))
-		rows := sampleRows(n, cfg.Subsample, rng)
+		rows = sampleRows(n, cfg.Subsample, rng, rows)
 		outBuf = outOfSample(rows, n, outBuf)
-		tree := tg.grow(rows, g, h)
+		tree := tg.grow(rows)
 		for _, r := range rows {
 			preds[r] += tg.leafOut[r]
 		}
@@ -347,9 +347,10 @@ func trainClassifierNaive(ds *Dataset, labels []int, numClasses int, cfg Config)
 	g := make([]float64, n)
 	h := make([]float64, n)
 	trees := make([][]*Tree, 0, cfg.NumRounds)
+	var rows []int32
 
 	for round := 0; round < cfg.NumRounds; round++ {
-		rows := sampleRows(n, cfg.Subsample, rng)
+		rows = sampleRows(n, cfg.Subsample, rng, rows)
 		roundTrees := make([]*Tree, numClasses)
 		var loss float64
 		// Compute current probabilities once per row, reusing them for
@@ -388,15 +389,16 @@ func trainClassifierNaive(ds *Dataset, labels []int, numClasses int, cfg Config)
 	return m, trees, nil
 }
 
-func sampleRows(n int, frac float64, rng *rand.Rand) []int32 {
+// sampleRows returns the round's ascending row sample, filling buf,
+// the previous round's sample, in place.
+func sampleRows(n int, frac float64, rng *rand.Rand, buf []int32) []int32 {
+	rows := buf[:0]
 	if frac >= 1 {
-		rows := make([]int32, n)
-		for i := range rows {
-			rows[i] = int32(i)
+		for i := 0; i < n; i++ {
+			rows = append(rows, int32(i))
 		}
 		return rows
 	}
-	rows := make([]int32, 0, int(float64(n)*frac)+1)
 	for i := 0; i < n; i++ {
 		if rng.Float64() < frac {
 			rows = append(rows, int32(i))

@@ -1,6 +1,7 @@
 package gbdt
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"slices"
@@ -26,6 +27,17 @@ import (
 //   - Work parallelizes along two axes behind Config.Workers: class
 //     trees within a boosting round, and feature histogram/scan chunks
 //     within a node.
+//   - A grower keeps its round's gradients in one interleaved array, row
+//     r's (gradient, hessian) pair at gh[2r], gh[2r+1], and every
+//     histogram fill is one kernel over the row-major binned matrix: per
+//     row of the segment it loads the pair once and, for each feature of
+//     the chunk's window, adds it to the bin's (gradient, hessian) with
+//     one packed add and 1 to its count. On amd64 the kernel is SSE2
+//     (accum_amd64.s) for the uint16 matrix; the Go kernel, accumRowsGo,
+//     is the uint32 matrix's, every other architecture's, and the
+//     reference FuzzAccumRows holds the SSE2 one to bit for bit. Each
+//     packed lane is the same IEEE add, in the same row order, as the Go
+//     kernel's, so on amd64 the kernel choice cannot change a model byte.
 //
 // Determinism: the same dataset, labels and Config (including Seed)
 // produce a bit-identical Model at any Workers value. Every parallel
@@ -61,11 +73,14 @@ type histEngine struct {
 	// binnedRM16/binnedRM32 is the row-major binned matrix with featOff
 	// pre-added and the histogram record stride pre-multiplied:
 	// entry r*nf+f is 3*(featOff[f]+bin), indexing the flat histogram
-	// directly. Single-chunk histogram builds stream it row-wise,
-	// loading each row's gradient once for all features instead of once
-	// per feature. The 16-bit form halves the streamed bytes and covers
-	// schemas up to ~21k total bins; wider schemas fall back to 32-bit
-	// (exactly one of the two is non-nil).
+	// directly, and below 3*totalBins-2 (buildRowMajor asserts it), so
+	// every record it names lies inside a histBuf. Histogram builds
+	// stream it row-wise over the chunk's feature window, loading each
+	// row's gradient pair once for the window instead of once per
+	// feature. The 16-bit form halves the streamed bytes, covers schemas
+	// up to ~21k total bins and has the SSE2 kernel; wider schemas fall
+	// back to 32-bit and the Go kernel (exactly one of the two is
+	// non-nil).
 	binnedRM16 []uint16
 	binnedRM32 []uint32
 
@@ -129,29 +144,59 @@ func newHistEngine(ds *Dataset, bins *binning, cfg Config, numClasses int) *hist
 }
 
 // buildRowMajor lays the binned columns out row-major with featOff and
-// the histogram record stride baked in.
+// the histogram record stride baked in. It panics on a bin outside its
+// feature's range: the SSE2 kernel indexes histograms by these entries
+// unchecked, so this is where they are held in range.
 func buildRowMajor[T uint16 | uint32](bins *binning, featOff []int32, n, nf int) []T {
 	rm := make([]T, n*nf)
 	for f := 0; f < nf; f++ {
 		off := featOff[f]
 		col := bins.binned[f]
 		for r := 0; r < n; r++ {
+			if b := col[r]; b < 0 || int(b) >= bins.numBins[f] {
+				panic(fmt.Sprintf("gbdt: row %d feature %d bin %d outside [0, %d)", r, f, b, bins.numBins[f]))
+			}
 			rm[r*nf+f] = T(3 * (off + col[r]))
 		}
 	}
 	return rm
 }
 
-// accumRowMajor is the row-wise histogram build kernel: one pass over
-// the segment's rows, each row's gradient loaded once for all features.
-func accumRowMajor[T uint16 | uint32](d []float64, rm []T, seg []int32, nf int, g, h []float64) {
+// accumRows adds the segment's rows to histogram d: for each row r of
+// seg, in order, and each entry b of its feature window
+// rm[r*nf+lo : r*nf+hi], d[b] += gh[2r], d[b+1] += gh[2r+1] and
+// d[b+2]++. It checks the window and the row ids and then runs
+// accumRows16, the SSE2 kernel on amd64, which indexes unchecked; every
+// entry must name a record inside d, which buildRowMajor asserts of the
+// engine's matrix.
+func accumRows(d []float64, rm []uint16, nf, lo, hi int, seg []int32, gh []float64) {
+	if lo < 0 || lo > hi || hi > nf {
+		panic(fmt.Sprintf("gbdt: feature window [%d, %d) outside [0, %d)", lo, hi, nf))
+	}
+	if lo == hi || len(seg) == 0 {
+		return
+	}
+	var maxRow uint32 // a negative id compares as huge
 	for _, r := range seg {
-		gr, hr := g[r], h[r]
-		row := rm[int(r)*nf : int(r)*nf+nf]
-		for _, b := range row {
-			d[b] += gr
-			d[b+1] += hr
-			d[b+2]++
+		maxRow = max(maxRow, uint32(r))
+	}
+	if r := int(maxRow); r*nf+hi > len(rm) || 2*r+1 >= len(gh) {
+		panic(fmt.Sprintf("gbdt: row %d outside the %d-row matrix or the %d-row gradients", r, len(rm)/nf, len(gh)/2))
+	}
+	accumRows16(d, rm, nf, lo, hi, seg, gh)
+}
+
+// accumRowsGo is accumRows in Go, bounds-checked: the uint32 matrix's
+// kernel, accumRows16 off amd64, and the reference FuzzAccumRows holds
+// the SSE2 kernel to.
+func accumRowsGo[T uint16 | uint32](d []float64, rm []T, nf, lo, hi int, seg []int32, gh []float64) {
+	for _, r := range seg {
+		g, h := gh[2*int(r)], gh[2*int(r)+1]
+		for _, b := range rm[int(r)*nf+lo : int(r)*nf+hi] {
+			i := int(b)
+			d[i] += g
+			d[i+1] += h
+			d[i+2]++
 		}
 	}
 }
@@ -200,10 +245,11 @@ type nodeTask struct {
 }
 
 // histCatStat is the per-category accumulator of the categorical scan
-// (n is a float64 count, matching the histogram record).
+// (n is a float64 count, matching the histogram record); key is its
+// sort key g/(h+1), computed once per scan.
 type histCatStat struct {
-	id      int32
-	g, h, n float64
+	id           int32
+	g, h, n, key float64
 }
 
 // treeGrower is the per-worker mutable state for growing one tree at a
@@ -214,7 +260,10 @@ type treeGrower struct {
 
 	arena   []int32 // row ids, partitioned in place; a node owns [start,end)
 	scratch []int32 // right-half staging for stable partition
-	g, h    []float64
+	// gh holds the round's gradients interleaved: row r's (gradient,
+	// hessian) pair at gh[2r], gh[2r+1], the pair the kernel adds with
+	// one packed add. The trainer writes it before grow.
+	gh []float64
 
 	// leafOut[row] is the current tree's leaf value for every training
 	// row, recorded when its leaf is created (valid only for rows in
@@ -253,8 +302,7 @@ func newTreeGrower(eng *histEngine, numRows int) *treeGrower {
 		eng:       eng,
 		arena:     make([]int32, 0, numRows),
 		scratch:   make([]int32, numRows),
-		g:         make([]float64, numRows),
-		h:         make([]float64, numRows),
+		gh:        make([]float64, 2*numRows),
 		leafOut:   make([]float64, numRows),
 		catMask:   make([]uint64, (eng.maxBins+63)/64),
 		chunkCat:  make([][]histCatStat, len(eng.featChunks)),
@@ -327,52 +375,36 @@ func (tg *treeGrower) runChunk(op chunkOp, hb, other *histBuf, seg []int32, ci i
 	}
 }
 
+// chunkRecords returns the span of a histBuf's d that chunk ci's
+// features own.
+func (eng *histEngine) chunkRecords(ci int) (lo, hi int32) {
+	lo = 3 * eng.featOff[eng.featChunks[ci][0]]
+	hi = 3 * int32(eng.totalBins)
+	if end := eng.featChunks[ci][1]; end < eng.nf {
+		hi = 3 * eng.featOff[end]
+	}
+	return lo, hi
+}
+
 // fillChunk zeroes and rebuilds the chunk's per-feature histograms from
-// the segment's rows. The single-chunk case streams the row-major
-// binned matrix, loading each row's gradient once for all features; the
-// multi-chunk case accumulates column-wise per feature. Both add rows
-// to every bin in segment order, so they are bit-identical.
+// the segment's rows with the row-major kernel over the chunk's feature
+// window. Every bin adds its rows in segment order whatever the window,
+// so the chunking cannot change a sum.
 func (tg *treeGrower) fillChunk(hb *histBuf, seg []int32, ci int) {
 	eng := tg.eng
-	lo, hi := eng.featChunks[ci][0], eng.featChunks[ci][1]
-	g, h := tg.g, tg.h
-	if len(eng.featChunks) == 1 {
-		d := hb.d
-		for i := range d {
-			d[i] = 0
-		}
-		if eng.binnedRM16 != nil {
-			accumRowMajor(d, eng.binnedRM16, seg, eng.nf, g, h)
-		} else {
-			accumRowMajor(d, eng.binnedRM32, seg, eng.nf, g, h)
-		}
-		return
-	}
-	for f := lo; f < hi; f++ {
-		off := 3 * eng.featOff[f]
-		end := off + 3*int32(eng.bins.numBins[f])
-		d := hb.d[off:end:end]
-		for i := range d {
-			d[i] = 0
-		}
-		binned := eng.bins.binned[f]
-		for _, r := range seg {
-			b := 3 * binned[r]
-			d[b] += g[r]
-			d[b+1] += h[r]
-			d[b+2]++
-		}
+	lo, hi := eng.chunkRecords(ci)
+	clear(hb.d[lo:hi])
+	flo, fhi := eng.featChunks[ci][0], eng.featChunks[ci][1]
+	if eng.binnedRM16 != nil {
+		accumRows(hb.d, eng.binnedRM16, eng.nf, flo, fhi, seg, tg.gh)
+	} else {
+		accumRowsGo(hb.d, eng.binnedRM32, eng.nf, flo, fhi, seg, tg.gh)
 	}
 }
 
 // subChunk derives the sibling histogram in place: parent -= child.
 func (tg *treeGrower) subChunk(parent, child *histBuf, ci int) {
-	eng := tg.eng
-	lo := 3 * eng.featOff[eng.featChunks[ci][0]]
-	hi := 3 * int32(eng.totalBins)
-	if end := eng.featChunks[ci][1]; end < eng.nf {
-		hi = 3 * eng.featOff[end]
-	}
+	lo, hi := tg.eng.chunkRecords(ci)
 	pd, cd := parent.d[lo:hi], child.d[lo:hi]
 	for i := range pd {
 		pd[i] -= cd[i]
@@ -448,7 +480,8 @@ func (tg *treeGrower) scanCategoricalFlat(f int, off int32, nb int, hb *histBuf,
 		if d[3*b+2] == 0 {
 			continue
 		}
-		cats = append(cats, histCatStat{id: b, n: d[3*b+2], g: d[3*b], h: d[3*b+1]})
+		g, h := d[3*b], d[3*b+1]
+		cats = append(cats, histCatStat{id: b, n: d[3*b+2], g: g, h: h, key: g / (h + 1)})
 	}
 	tg.chunkCat[ci] = cats
 	if len(cats) < 2 {
@@ -488,18 +521,16 @@ func (tg *treeGrower) scanCategoricalFlat(f int, off int32, nb int, hb *histBuf,
 	*cand = splitResult{feature: f, kind: Categorical, leftCats: left, gain: bestGain, found: true, gl: bestGL, hl: bestHL}
 }
 
-// sortCatStats orders category stats by gradient ratio, then id — a
-// total order, hence a unique deterministic result. slices.SortFunc is
-// allocation-free (unlike sort.Slice's closure adapter), which matters
-// at one sort per categorical feature per node.
+// sortCatStats orders category stats by gradient ratio (key), then id —
+// a total order, hence a unique deterministic result. slices.SortFunc
+// is allocation-free (unlike sort.Slice's closure adapter), which
+// matters at one sort per categorical feature per node.
 func sortCatStats(cats []histCatStat) {
 	slices.SortFunc(cats, func(a, b histCatStat) int {
-		ra := a.g / (a.h + 1)
-		rb := b.g / (b.h + 1)
 		switch {
-		case ra < rb:
+		case a.key < b.key:
 			return -1
-		case ra > rb:
+		case a.key > b.key:
 			return 1
 		default:
 			return int(a.id - b.id)
@@ -531,22 +562,22 @@ func (tg *treeGrower) findSplit() splitResult {
 // (left rows keep their relative order, then right rows) and returns
 // the split point. Child gradient sums come from the scan's prefix
 // accumulation (splitResult.gl/hl), so this is pure routing: no
-// gradient gathers.
+// gradient gathers. It is branch-free: each row is written to both
+// halves and only the cursor of its side advances, because which side
+// a row goes is as good as random to a branch predictor.
 func (tg *treeGrower) partition(task *nodeTask, s splitResult) (mid int32) {
 	binned := tg.eng.bins.binned[s.feature]
-	arena := tg.arena
+	arena, scratch := tg.arena, tg.scratch
 	l, rc := task.start, int32(0)
 	if s.kind == Numeric {
 		bin := int32(s.bin)
 		for i := task.start; i < task.end; i++ {
 			r := arena[i]
-			if binned[r] <= bin {
-				arena[l] = r
-				l++
-			} else {
-				tg.scratch[rc] = r
-				rc++
-			}
+			left := b2i(binned[r] <= bin)
+			arena[l] = r
+			scratch[rc] = r
+			l += left
+			rc += 1 - left
 		}
 	} else {
 		for _, c := range s.leftCats {
@@ -555,30 +586,35 @@ func (tg *treeGrower) partition(task *nodeTask, s splitResult) (mid int32) {
 		for i := task.start; i < task.end; i++ {
 			r := arena[i]
 			b := binned[r]
-			if tg.catMask[b>>6]>>(uint(b)&63)&1 == 1 {
-				arena[l] = r
-				l++
-			} else {
-				tg.scratch[rc] = r
-				rc++
-			}
+			left := int32(tg.catMask[b>>6] >> (uint(b) & 63) & 1)
+			arena[l] = r
+			scratch[rc] = r
+			l += left
+			rc += 1 - left
 		}
 		for _, c := range s.leftCats {
 			tg.catMask[c>>6] = 0
 		}
 	}
-	copy(arena[l:task.end], tg.scratch[:rc])
+	copy(arena[l:task.end], scratch[:rc])
 	return l
 }
 
-// grow fits one regression tree to gradients g and hessians h over the
+// b2i is 1 for true and 0 for false; the compiler makes it a SETcc.
+func b2i(b bool) int32 {
+	var i int32
+	if b {
+		i = 1
+	}
+	return i
+}
+
+// grow fits one regression tree to the gradient pairs in tg.gh over the
 // sampled rows. Leaf values (already learning-rate scaled) are recorded
-// into leafOut for every sampled row as leaves are created. The g and h
-// slices must be indexed by dataset row id; only sampled entries are
-// read.
-func (tg *treeGrower) grow(sample []int32, g, h []float64) *Tree {
+// into leafOut for every sampled row as leaves are created. Only the
+// sampled rows' pairs are read.
+func (tg *treeGrower) grow(sample []int32) *Tree {
 	eng := tg.eng
-	tg.g, tg.h = g, h
 	tg.arena = append(tg.arena[:0], sample...)
 	if cap(tg.scratch) < len(sample) {
 		tg.scratch = make([]int32, len(sample))
@@ -590,8 +626,8 @@ func (tg *treeGrower) grow(sample []int32, g, h []float64) *Tree {
 
 	var rootG, rootH float64
 	for _, r := range sample {
-		rootG += g[r]
-		rootH += h[r]
+		rootG += tg.gh[2*r]
+		rootH += tg.gh[2*r+1]
 	}
 	tg.stack = append(tg.stack[:0], nodeTask{
 		parent: -1, start: 0, end: int32(len(sample)), sumG: rootG, sumH: rootH,
