@@ -176,15 +176,7 @@ func trainClassifier(ds *Dataset, labels []int, numClasses int, cfg Config) (*Mo
 	eng := newHistEngine(ds, bins, cfg, k)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	// Flat, reusable round state: logits and probabilities are n x k
-	// row-major; sampleEpoch marks the rows in the current round's
-	// subsample (stamped, so no per-round clearing).
-	logits := make([]float64, n*k)
-	for i := 0; i < n; i++ {
-		copy(logits[i*k:(i+1)*k], m.InitScores)
-	}
-	probMat := make([]float64, n*k)
-	lossPartials := make([]float64, (n+lossChunk-1)/lossChunk)
+	cr := newClassRound(eng, labels, m.InitScores)
 	var rows, outBuf []int32
 	growers := make([]*treeGrower, eng.classWorkers)
 	for w := range growers {
@@ -193,55 +185,22 @@ func trainClassifier(ds *Dataset, labels []int, numClasses int, cfg Config) (*Mo
 	trees := make([][]*Tree, 0, cfg.NumRounds)
 
 	for round := 0; round < cfg.NumRounds; round++ {
-		rows = sampleRows(n, cfg.Subsample, rng, rows)
-		outBuf = outOfSample(rows, n, outBuf)
-		loss := eng.softmaxLossInto(logits, probMat, labels, k, lossPartials)
+		rows, outBuf = sampleRows(n, cfg.Subsample, rng, rows, outBuf)
+		// The pass applies last round's trees, whose leafOut covers every
+		// row; the last round's are never applied, as no loss reads them.
+		loss := cr.run(round > 0)
 		m.TrainLoss = append(m.TrainLoss, loss/float64(n))
 
 		roundTrees := make([]*Tree, k)
 		rowsOut := outBuf
 		eng.forClasses(k, func(w, kc int) {
 			tg := growers[w]
-			gh := tg.gh
-			for _, r := range rows {
-				p := probMat[int(r)*k+kc]
-				y := 0.0
-				if labels[r] == kc {
-					y = 1
-				}
-				gh[2*r] = p - y
-				gh[2*r+1] = math.Max(p*(1-p), 1e-6)
-			}
-			tree := tg.grow(rows)
-			roundTrees[kc] = tree
-			// Class kc owns logit column kc: in-sample rows were
-			// assigned their leaf during growth, out-of-sample rows
-			// take one binned traversal.
-			for _, r := range rows {
-				logits[int(r)*k+kc] += tg.leafOut[r]
-			}
-			for _, r := range rowsOut {
-				logits[int(r)*k+kc] += tg.predictBinned(tree, int(r))
-			}
+			tg.gh, tg.leafOut = cr.gh[kc], cr.leafOut[kc]
+			roundTrees[kc] = tg.grow(rows, rowsOut)
 		})
 		trees = append(trees, roundTrees)
 	}
 	return m, trees, nil
-}
-
-// outOfSample returns the ascending complement of the ascending sampled
-// row list over [0, n), reusing buf.
-func outOfSample(rows []int32, n int, buf []int32) []int32 {
-	buf = buf[:0]
-	j := 0
-	for i := int32(0); i < int32(n); i++ {
-		if j < len(rows) && rows[j] == i {
-			j++
-			continue
-		}
-		buf = append(buf, i)
-	}
-	return buf
 }
 
 // TrainRegressor fits a squared-loss regression model on the histogram
@@ -277,6 +236,7 @@ func TrainRegressor(ds *Dataset, targets []float64, cfg Config) (*Model, error) 
 	eng := newHistEngine(ds, bins, cfg, 1)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	tg := newTreeGrower(eng, n)
+	tg.gh, tg.leafOut = make([]float64, 2*n), make([]float64, n)
 
 	preds := make([]float64, n)
 	for i := range preds {
@@ -296,16 +256,11 @@ func TrainRegressor(ds *Dataset, targets []float64, cfg Config) (*Model, error) 
 			gh[2*i] = r
 		}
 		m.TrainLoss = append(m.TrainLoss, loss/float64(n))
-		rows = sampleRows(n, cfg.Subsample, rng, rows)
-		outBuf = outOfSample(rows, n, outBuf)
-		tree := tg.grow(rows)
-		for _, r := range rows {
-			preds[r] += tg.leafOut[r]
+		rows, outBuf = sampleRows(n, cfg.Subsample, rng, rows, outBuf)
+		trees = append(trees, []*Tree{tg.grow(rows, outBuf)})
+		for i, v := range tg.leafOut {
+			preds[i] += v
 		}
-		for _, r := range outBuf {
-			preds[r] += tg.predictBinned(tree, int(r))
-		}
-		trees = append(trees, []*Tree{tree})
 	}
 	return newModel(m, trees, nil)
 }
@@ -347,10 +302,10 @@ func trainClassifierNaive(ds *Dataset, labels []int, numClasses int, cfg Config)
 	g := make([]float64, n)
 	h := make([]float64, n)
 	trees := make([][]*Tree, 0, cfg.NumRounds)
-	var rows []int32
+	var rows, outs []int32
 
 	for round := 0; round < cfg.NumRounds; round++ {
-		rows = sampleRows(n, cfg.Subsample, rng, rows)
+		rows, outs = sampleRows(n, cfg.Subsample, rng, rows, outs)
 		roundTrees := make([]*Tree, numClasses)
 		var loss float64
 		// Compute current probabilities once per row, reusing them for
@@ -389,25 +344,22 @@ func trainClassifierNaive(ds *Dataset, labels []int, numClasses int, cfg Config)
 	return m, trees, nil
 }
 
-// sampleRows returns the round's ascending row sample, filling buf,
-// the previous round's sample, in place.
-func sampleRows(n int, frac float64, rng *rand.Rand, buf []int32) []int32 {
-	rows := buf[:0]
-	if frac >= 1 {
-		for i := 0; i < n; i++ {
-			rows = append(rows, int32(i))
-		}
-		return rows
-	}
-	for i := 0; i < n; i++ {
-		if rng.Float64() < frac {
-			rows = append(rows, int32(i))
+// sampleRows splits [0, n) into the round's ascending row sample and
+// its ascending complement, refilling in and out, the previous round's.
+func sampleRows(n int, frac float64, rng *rand.Rand, in, out []int32) ([]int32, []int32) {
+	in, out = in[:0], out[:0]
+	for i := int32(0); i < int32(n); i++ {
+		if frac >= 1 || rng.Float64() < frac {
+			in = append(in, i)
+		} else {
+			out = append(out, i)
 		}
 	}
-	if len(rows) == 0 {
-		rows = append(rows, int32(rng.Intn(n)))
+	if len(in) == 0 { // out is every row
+		r := rng.Intn(n)
+		in, out = append(in, int32(r)), slices.Delete(out, r, r+1)
 	}
-	return rows
+	return in, out
 }
 
 func softmax(logits, out []float64) {

@@ -106,6 +106,69 @@ func TestTrainWorkersDeterminism(t *testing.T) {
 	if !bytes.Equal(serialize(r1), serialize(r16)) {
 		t.Fatal("feature-parallel regression (Workers=16) diverged from Workers=1")
 	}
+
+	// The round pass: 3·4096+17 rows split into 1, 2 and 3 row ranges
+	// that straddle the loss chunks, the last chunk partial; TrainLoss
+	// and every tree must not notice.
+	dsOdd, labelsOdd := engineFixture(3*lossChunk+17, 4, 45)
+	cfg = base
+	cfg.NumRounds = 4
+	var odd []byte
+	for _, w := range []int{1, 2, 3} {
+		cfg.Workers = w
+		m, err := TrainClassifier(dsOdd, labelsOdd, 4, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := serialize(m); odd == nil {
+			odd = got
+		} else if !bytes.Equal(odd, got) {
+			t.Fatalf("Workers=%d over %d rows produced a different serialized model than Workers=1", w, dsOdd.N)
+		}
+	}
+}
+
+// TestOutOfSampleRowsTakeTheirLeaf: grow routes the out-of-sample rows
+// through every split as it partitions the sample, so each one's
+// leafOut is the value Tree.Predict finds on its raw row, a float walk
+// that shares no code with the partition.
+func TestOutOfSampleRowsTakeTheirLeaf(t *testing.T) {
+	ds, labels := engineFixture(3000, 3, 46)
+	cfg := DefaultConfig()
+	cfg.Subsample = 0.5
+	eng := newHistEngine(ds, buildBinning(ds, cfg.MaxBins), cfg, 3)
+	tg := newTreeGrower(eng, ds.N)
+	tg.gh, tg.leafOut = make([]float64, 2*ds.N), make([]float64, ds.N)
+	for r, y := range labels {
+		p, target := 1.0/3, 0.0
+		if y == 0 {
+			target = 1
+		}
+		tg.gh[2*r], tg.gh[2*r+1] = p-target, p*(1-p)
+		tg.leafOut[r] = math.NaN()
+	}
+	rows, out := sampleRows(ds.N, cfg.Subsample, rand.New(rand.NewSource(cfg.Seed)), nil, nil)
+	tree := tg.grow(rows, out)
+
+	kinds := map[uint8]int{}
+	for _, nd := range tree.Nodes {
+		if !nd.IsLeaf {
+			kinds[nd.Kind]++
+		}
+	}
+	if kinds[uint8(Numeric)] == 0 || kinds[uint8(Categorical)] == 0 {
+		t.Fatalf("the tree needs numeric and categorical splits, has %v", kinds)
+	}
+	if len(out) < ds.N/3 {
+		t.Fatalf("only %d of %d rows out of sample", len(out), ds.N)
+	}
+	row := make([]float64, ds.Schema.NumFeatures())
+	for _, r := range out {
+		row = ds.Row(int(r), row)
+		if want := tree.Predict(row); tg.leafOut[r] != want {
+			t.Fatalf("out-of-sample row %d: leafOut %v, Tree.Predict %v", r, tg.leafOut[r], want)
+		}
+	}
 }
 
 // TestWorkersExcludedFromSerialization: Workers is an execution knob,
@@ -220,7 +283,8 @@ func TestEngineMatchesNaiveParity(t *testing.T) {
 }
 
 // TestEngineSubsampleOutOfSampleReplay: with Subsample < 1 the logit
-// update must cover out-of-sample rows too (binned traversal), so a
+// update must cover out-of-sample rows too (their leaves come from the
+// partition), so a
 // model trained at 0.7 must still learn the signal and keep finite
 // monotone-ish loss.
 func TestEngineSubsampleOutOfSampleReplay(t *testing.T) {

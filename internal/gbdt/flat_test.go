@@ -203,13 +203,14 @@ func TestPredictClassBatchSteadyStateAllocs(t *testing.T) {
 // TestGrowSteadyStateAllocs is the trainer's allocation budget per
 // tree: a tree is built in the grower's scratch and costs its Tree, its
 // exact-length Nodes and the one array of its categorical splits' ids
-// (4.2 on this fixture, whose trees keep one categorical split each
-// and so cost what they did with an array per split; 4.7 while every
-// round sampled its rows into a new slice, 25.2 while every popped
-// node, every chunk closure and every improving categorical candidate
-// went to the heap). Compiling the trees into the model's forest costs
-// per model, not per tree. Two workers add the class fan-out's
-// goroutines, a per-round cost: 5.8 (6.3 before the sample buffer).
+// (3.8 on this fixture, whose trees keep one categorical split each
+// and so cost what they did with an array per split; 4.2 before one row
+// pass started each round, 4.7 while every round sampled its rows into
+// a new slice, 25.2 while every popped node, every chunk closure and
+// every improving categorical candidate went to the heap). Compiling
+// the trees into the model's forest costs per model, not per tree. Two
+// workers add the class fan-out's goroutines, a per-round cost: 5.5
+// (5.8 before the row pass, 6.3 before the sample buffer).
 // The budgets are those of 4.7 and 6.3 plus one.
 func TestGrowSteadyStateAllocs(t *testing.T) {
 	m, rows := trainFlatFixture(t, 2000, 2)

@@ -20,14 +20,20 @@ import (
 //     buffers. A split builds the histogram of only one child from its
 //     rows; the sibling's histogram is derived as parent minus child,
 //     halving (or better) the histogram work per level.
-//   - Training rows already know their leaf after partitioning, so the
-//     per-round logit update records leaf values during growth instead
-//     of replaying tree.Predict; only out-of-sample rows (Subsample < 1)
-//     traverse the tree, and they do so over pre-binned features.
+//   - A classifier round starts with one row pass (classRound.run) over
+//     contiguous row ranges: per row it adds last round's leaf values to
+//     the row-major logits, runs the softmax, keeps the log-loss term and
+//     writes every class's gradient pair. Gradients and leaf values are
+//     class-major, gh[k][2n] and leafOut[k][n], so a class's tree reads
+//     and writes only its own columns.
+//   - Every row knows its leaf when the leaf is made: a node owns one
+//     segment of the in-sample arena and one of the out-of-sample arena
+//     (Subsample < 1), and partition routes both by the split's bins, so
+//     no row walks a tree after it is grown.
 //   - Work parallelizes along two axes behind Config.Workers: class
 //     trees within a boosting round, and feature histogram/scan chunks
 //     within a node.
-//   - A grower keeps its round's gradients in one interleaved array, row
+//   - A grower reads its class's gradients as one interleaved array, row
 //     r's (gradient, hessian) pair at gh[2r], gh[2r+1], and every
 //     histogram fill is one kernel over the row-major binned matrix: per
 //     row of the segment it loads the pair once and, for each feature of
@@ -48,10 +54,11 @@ import (
 // reduction sums fixed-size row chunks in chunk order, independent of
 // how many goroutines computed them.
 
-// lossChunk is the fixed row-chunk granularity of the parallel
-// softmax/loss pass. It must not depend on the worker count: partial
-// sums are reduced in chunk order, so fixed chunk boundaries keep the
-// reduction bit-identical at any Workers value.
+// lossChunk is the fixed row-chunk granularity of the round pass's loss.
+// It must not depend on the worker count: partial sums are reduced in
+// chunk order, so fixed chunk boundaries keep the reduction
+// bit-identical at any Workers value. A training of at most lossChunk
+// rows runs its round pass on the caller.
 const lossChunk = 4096
 
 // parallelNodeMinRows gates per-node feature parallelism: below this
@@ -239,6 +246,8 @@ type nodeTask struct {
 	parent     int32 // node index of the parent in the tree under construction; -1 for the root
 	isLeft     bool
 	start, end int32 // row segment in the grower's arena
+	ostart     int32 // out-of-sample segment [ostart, oend)
+	oend       int32
 	depth      int32
 	sumG, sumH float64
 	hb         *histBuf // histogram if already derived; nil = build on demand
@@ -258,29 +267,21 @@ type histCatStat struct {
 type treeGrower struct {
 	eng *histEngine
 
-	arena   []int32 // row ids, partitioned in place; a node owns [start,end)
+	arena   []int32 // sampled row ids, partitioned in place; a node owns [start,end)
+	out     []int32 // out-of-sample row ids, likewise; a node owns [ostart,oend)
 	scratch []int32 // right-half staging for stable partition
-	// gh holds the round's gradients interleaved: row r's (gradient,
-	// hessian) pair at gh[2r], gh[2r+1], the pair the kernel adds with
-	// one packed add. The trainer writes it before grow.
-	gh []float64
-
-	// leafOut[row] is the current tree's leaf value for every training
-	// row, recorded when its leaf is created (valid only for rows in
-	// this tree's sample).
+	// gh and leafOut are the columns of the class being grown, which the
+	// trainer owns and points them at before grow: gh holds row r's
+	// (gradient, hessian) pair at gh[2r], gh[2r+1], the pair the kernel
+	// adds with one packed add; grow writes leafOut[r], row r's leaf
+	// value, for every in-sample and out-of-sample row.
+	gh      []float64
 	leafOut []float64
 
 	// nodes and cats are the tree under construction, reused from tree
 	// to tree; grow hands the finished tree copies.
 	nodes []Node
 	cats  []int32
-
-	// splitBins[node] is the numeric split's global histogram offset
-	// (3*(featOff[feature]+bin); -1 for categorical splits and leaves),
-	// directly comparable to binnedRM entries; out-of-sample rows
-	// traverse the row-major binned matrix with exactly the routing the
-	// training partitions used.
-	splitBins []int32
 
 	catMask  []uint64        // category membership bitset during partition
 	chunkCat [][]histCatStat // per-chunk categorical scan scratch
@@ -301,9 +302,8 @@ func newTreeGrower(eng *histEngine, numRows int) *treeGrower {
 	return &treeGrower{
 		eng:       eng,
 		arena:     make([]int32, 0, numRows),
+		out:       make([]int32, 0, numRows),
 		scratch:   make([]int32, numRows),
-		gh:        make([]float64, 2*numRows),
-		leafOut:   make([]float64, numRows),
 		catMask:   make([]uint64, (eng.maxBins+63)/64),
 		chunkCat:  make([][]histCatStat, len(eng.featChunks)),
 		chunkLeft: make([][]int32, len(eng.featChunks)),
@@ -558,45 +558,56 @@ func (tg *treeGrower) findSplit() splitResult {
 	return best
 }
 
-// partition stably splits the task's arena segment by the chosen split
-// (left rows keep their relative order, then right rows) and returns
-// the split point. Child gradient sums come from the scan's prefix
-// accumulation (splitResult.gl/hl), so this is pure routing: no
-// gradient gathers. It is branch-free: each row is written to both
-// halves and only the cursor of its side advances, because which side
-// a row goes is as good as random to a branch predictor.
-func (tg *treeGrower) partition(task *nodeTask, s splitResult) (mid int32) {
+// partition stably splits the task's in-sample and out-of-sample
+// segments by the chosen split (left rows keep their relative order,
+// then right rows) and returns both split points. Child gradient sums
+// come from the scan's prefix accumulation (splitResult.gl/hl), so this
+// is pure routing: no gradient gathers.
+func (tg *treeGrower) partition(task *nodeTask, s splitResult) (mid, omid int32) {
+	if s.kind == Categorical {
+		for _, c := range s.leftCats {
+			tg.catMask[c>>6] |= 1 << uint(c&63)
+		}
+	}
+	mid = task.start + tg.split(tg.arena[task.start:task.end], s)
+	omid = task.ostart + tg.split(tg.out[task.ostart:task.oend], s)
+	if s.kind == Categorical {
+		for _, c := range s.leftCats {
+			tg.catMask[c>>6] = 0
+		}
+	}
+	return mid, omid
+}
+
+// split moves seg's left rows, in order, ahead of its right rows, in
+// order, and returns how many go left; a categorical split's left set
+// is in catMask. It is branch-free: each row is written to both halves
+// and only the cursor of its side advances, because which side a row
+// goes is as good as random to a branch predictor.
+func (tg *treeGrower) split(seg []int32, s splitResult) int32 {
 	binned := tg.eng.bins.binned[s.feature]
-	arena, scratch := tg.arena, tg.scratch
-	l, rc := task.start, int32(0)
+	scratch := tg.scratch
+	l, rc := int32(0), int32(0)
 	if s.kind == Numeric {
 		bin := int32(s.bin)
-		for i := task.start; i < task.end; i++ {
-			r := arena[i]
+		for _, r := range seg {
 			left := b2i(binned[r] <= bin)
-			arena[l] = r
+			seg[l] = r
 			scratch[rc] = r
 			l += left
 			rc += 1 - left
 		}
 	} else {
-		for _, c := range s.leftCats {
-			tg.catMask[c>>6] |= 1 << uint(c&63)
-		}
-		for i := task.start; i < task.end; i++ {
-			r := arena[i]
+		for _, r := range seg {
 			b := binned[r]
 			left := int32(tg.catMask[b>>6] >> (uint(b) & 63) & 1)
-			arena[l] = r
+			seg[l] = r
 			scratch[rc] = r
 			l += left
 			rc += 1 - left
 		}
-		for _, c := range s.leftCats {
-			tg.catMask[c>>6] = 0
-		}
 	}
-	copy(arena[l:task.end], scratch[:rc])
+	copy(seg[l:], scratch[:rc])
 	return l
 }
 
@@ -611,16 +622,13 @@ func b2i(b bool) int32 {
 
 // grow fits one regression tree to the gradient pairs in tg.gh over the
 // sampled rows. Leaf values (already learning-rate scaled) are recorded
-// into leafOut for every sampled row as leaves are created. Only the
-// sampled rows' pairs are read.
-func (tg *treeGrower) grow(sample []int32) *Tree {
+// into leafOut, as leaves are created, for every sampled row and every
+// row of out, which the splits route without reading their pairs.
+func (tg *treeGrower) grow(sample, out []int32) *Tree {
 	eng := tg.eng
 	tg.arena = append(tg.arena[:0], sample...)
-	if cap(tg.scratch) < len(sample) {
-		tg.scratch = make([]int32, len(sample))
-	}
+	tg.out = append(tg.out[:0], out...)
 	nodes, cats := tg.nodes[:0], tg.cats[:0]
-	tg.splitBins = tg.splitBins[:0]
 	minLeaf := int32(eng.cfg.MinSamplesLeaf)
 	maxDepth := int32(eng.cfg.MaxDepth)
 
@@ -630,7 +638,7 @@ func (tg *treeGrower) grow(sample []int32) *Tree {
 		rootH += tg.gh[2*r+1]
 	}
 	tg.stack = append(tg.stack[:0], nodeTask{
-		parent: -1, start: 0, end: int32(len(sample)), sumG: rootG, sumH: rootH,
+		parent: -1, end: int32(len(sample)), oend: int32(len(out)), sumG: rootG, sumH: rootH,
 	})
 
 	for len(tg.stack) > 0 {
@@ -639,7 +647,6 @@ func (tg *treeGrower) grow(sample []int32) *Tree {
 		task := &tg.cur
 		idx := int32(len(nodes))
 		nodes = append(nodes, Node{IsLeaf: true})
-		tg.splitBins = append(tg.splitBins, -1)
 		if task.parent >= 0 {
 			if task.isLeft {
 				nodes[task.parent].Left = idx
@@ -655,6 +662,9 @@ func (tg *treeGrower) grow(sample []int32) *Tree {
 			for _, r := range tg.arena[task.start:task.end] {
 				tg.leafOut[r] = value
 			}
+			for _, r := range tg.out[task.ostart:task.oend] {
+				tg.leafOut[r] = value
+			}
 			tg.release(task.hb)
 		}
 
@@ -667,7 +677,7 @@ func (tg *treeGrower) grow(sample []int32) *Tree {
 			makeLeaf()
 			continue
 		}
-		mid := tg.partition(task, best)
+		mid, omid := tg.partition(task, best)
 		lsG, lsH := best.gl, best.hl
 		rsG, rsH := task.sumG-lsG, task.sumH-lsH
 		leftLen, rightLen := mid-task.start, task.end-mid
@@ -684,7 +694,6 @@ func (tg *treeGrower) grow(sample []int32) *Tree {
 		}
 		if best.kind == Numeric {
 			nodes[idx].Threshold = thresholdForBin(eng.bins, best.feature, best.bin)
-			tg.splitBins[idx] = 3 * (eng.featOff[best.feature] + int32(best.bin))
 		} else {
 			building := Tree{Nodes: nodes, cats: cats}
 			building.SetLeftCats(int(idx), best.leftCats)
@@ -706,8 +715,10 @@ func (tg *treeGrower) grow(sample []int32) *Tree {
 		// layout stays pre-order (parent, left subtree, right subtree),
 		// which the model file keeps and the forest's layout repeats.
 		tg.stack = append(tg.stack,
-			nodeTask{parent: idx, isLeft: false, start: mid, end: task.end, depth: childDepth, sumG: rsG, sumH: rsH, hb: rhb},
-			nodeTask{parent: idx, isLeft: true, start: task.start, end: mid, depth: childDepth, sumG: lsG, sumH: lsH, hb: lhb},
+			nodeTask{parent: idx, isLeft: false, start: mid, end: task.end, ostart: omid, oend: task.oend,
+				depth: childDepth, sumG: rsG, sumH: rsH, hb: rhb},
+			nodeTask{parent: idx, isLeft: true, start: task.start, end: mid, ostart: task.ostart, oend: omid,
+				depth: childDepth, sumG: lsG, sumH: lsH, hb: lhb},
 		)
 	}
 	tg.nodes, tg.cats = nodes, cats
@@ -776,98 +787,97 @@ func thresholdForBin(bins *binning, feature, bin int) float64 {
 	return math.Inf(1)
 }
 
-// predictBinned walks the freshly grown tree for dataset row r over the
-// row-major binned matrix (the row's bins share a cache line), which
-// reproduces exactly the routing the training partitions used (missing
-// numerics fall in bin 0 and go left; missing categoricals were binned
-// as category 0).
-func (tg *treeGrower) predictBinned(t *Tree, r int) float64 {
-	eng := tg.eng
-	if eng.binnedRM16 != nil {
-		return walkBinned(t, eng.binnedRM16[r*eng.nf:(r+1)*eng.nf], tg.splitBins, eng.featOff)
-	}
-	return walkBinned(t, eng.binnedRM32[r*eng.nf:(r+1)*eng.nf], tg.splitBins, eng.featOff)
+// classRound is a classifier's row state across rounds: the row-major
+// logits and the class-major columns the class trees read and write.
+type classRound struct {
+	labels []int
+	// logits is n x k row-major: the init scores plus every round the
+	// round pass has applied.
+	logits []float64
+	// gh[c] is class c's interleaved gradient pairs, row r's at
+	// gh[c][2r], gh[c][2r+1]; leafOut[c][r] is row r's leaf value in the
+	// last class-c tree.
+	gh, leafOut [][]float64
+	logp        []float64   // row r's log-probability of its label
+	probs       [][]float64 // a softmax scratch per row range
 }
 
-func walkBinned[T uint16 | uint32](t *Tree, row []T, splitBins []int32, featOff []int32) float64 {
-	idx := int32(0)
-	for {
-		nd := &t.Nodes[idx]
-		if nd.IsLeaf {
-			return nd.Value
-		}
-		gb := int32(row[nd.Feature])
-		if nd.Kind == uint8(Numeric) {
-			if gb <= splitBins[idx] {
-				idx = nd.Left
-			} else {
-				idx = nd.Right
-			}
-		} else {
-			if containsCatBin(t.LeftCats(nd), gb/3-featOff[nd.Feature]) {
-				idx = nd.Left
-			} else {
-				idx = nd.Right
-			}
-		}
+func newClassRound(eng *histEngine, labels []int, init []float64) *classRound {
+	n, k := len(labels), len(init)
+	parts := 1
+	if n > lossChunk {
+		parts = eng.workers
 	}
+	cr := &classRound{labels: labels, logits: make([]float64, n*k), logp: make([]float64, n),
+		gh: make([][]float64, k), leafOut: make([][]float64, k), probs: make([][]float64, parts)}
+	for i := 0; i < n; i++ {
+		copy(cr.logits[i*k:(i+1)*k], init)
+	}
+	gh, leafOut, probs := make([]float64, 2*n*k), make([]float64, n*k), make([]float64, parts*k)
+	for c := range cr.gh {
+		cr.gh[c], cr.leafOut[c] = gh[2*n*c:2*n*(c+1)], leafOut[n*c:n*(c+1)]
+	}
+	for p := range cr.probs {
+		cr.probs[p] = probs[p*k : (p+1)*k]
+	}
+	return cr
 }
 
-// containsCatBin reports whether sorted cats contains id.
-func containsCatBin(cats []int32, id int32) bool {
-	lo, hi := 0, len(cats)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if cats[mid] < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(cats) && cats[lo] == id
-}
-
-// softmaxLossInto computes row probabilities into the flat probMat and
-// returns the summed logloss. Rows are processed in fixed-size chunks
-// spread over the engine's workers; partials reduce in chunk order, so
-// the sum is bit-identical at any worker count.
-func (eng *histEngine) softmaxLossInto(logits, probMat []float64, labels []int, k int, partials []float64) float64 {
-	n := len(labels)
-	numChunks := (n + lossChunk - 1) / lossChunk
-	work := func(c int) {
-		lo, hi := c*lossChunk, (c+1)*lossChunk
-		if hi > n {
-			hi = n
-		}
-		var loss float64
-		for i := lo; i < hi; i++ {
-			row := logits[i*k : (i+1)*k]
-			out := probMat[i*k : (i+1)*k]
-			softmax(row, out)
-			loss -= math.Log(math.Max(out[labels[i]], 1e-15))
-		}
-		partials[c] = loss
-	}
-	if eng.workers == 1 || numChunks == 1 {
-		for c := 0; c < numChunks; c++ {
-			work(c)
-		}
+// run is a round's row pass: for every row it adds last round's leaf
+// values to the logits when apply is set, runs the softmax and writes
+// every class's gradient pair, and it returns the summed log-loss. Each
+// worker takes one contiguous row range (a training of at most
+// lossChunk rows runs on the caller); the loss is summed afterwards in
+// lossChunk-row chunks, in chunk order, so it is the same at any worker
+// count.
+func (cr *classRound) run(apply bool) float64 {
+	n, parts := len(cr.labels), len(cr.probs)
+	if parts == 1 {
+		cr.rows(0, n, cr.probs[0], apply)
 	} else {
 		var wg sync.WaitGroup
-		for w := 0; w < eng.workers; w++ {
+		for p := range parts {
 			wg.Add(1)
-			go func(w int) {
+			go func() {
 				defer wg.Done()
-				for c := w; c < numChunks; c += eng.workers {
-					work(c)
-				}
-			}(w)
+				cr.rows(p*n/parts, (p+1)*n/parts, cr.probs[p], apply)
+			}()
 		}
 		wg.Wait()
 	}
 	var loss float64
-	for _, p := range partials[:numChunks] {
-		loss += p
+	for lo := 0; lo < n; lo += lossChunk {
+		var chunk float64
+		for _, lp := range cr.logp[lo:min(lo+lossChunk, n)] {
+			chunk -= lp
+		}
+		loss += chunk
 	}
 	return loss
+}
+
+// rows runs the row pass over rows [lo, hi). The builtin max keeps
+// math.Max's rule for NaN and signed zeros, inline.
+func (cr *classRound) rows(lo, hi int, probs []float64, apply bool) {
+	k := len(probs)
+	for i := lo; i < hi; i++ {
+		row := cr.logits[i*k : (i+1)*k]
+		if apply {
+			for c := range row {
+				row[c] += cr.leafOut[c][i]
+			}
+		}
+		softmax(row, probs)
+		label := cr.labels[i]
+		cr.logp[i] = math.Log(max(probs[label], 1e-15))
+		for c, p := range probs {
+			y := 0.0
+			if label == c {
+				y = 1
+			}
+			gh := cr.gh[c]
+			gh[2*i] = p - y
+			gh[2*i+1] = max(p*(1-p), 1e-6)
+		}
+	}
 }

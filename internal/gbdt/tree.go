@@ -90,6 +90,20 @@ func containsCat(cats []int32, v float64) bool {
 	return containsCatBin(cats, int32(v))
 }
 
+// containsCatBin reports whether sorted cats contains id.
+func containsCatBin(cats []int32, id int32) bool {
+	lo, hi := 0, len(cats)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if cats[mid] < id {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo < len(cats) && cats[lo] == id
+}
+
 // splitResult describes the best split found for one node.
 type splitResult struct {
 	feature  int
