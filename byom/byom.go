@@ -374,10 +374,9 @@ func NewOnlineLearner(reg *ModelRegistry, workload string, cm *CostModel, cfg On
 // decisions, simulated SSD occupancy, outcome feedback to both the
 // server's controller and the learner's window — so retrains, gate
 // verdicts and hot swaps all happen mid-replay. Pass a nil learner to
-// replay the frozen-model baseline. Configure the server with
-// BatchSize 1 for sequential virtual-time replay.
+// replay the frozen-model baseline.
 func RunOnlineLoop(tr *Trace, srv *Server, learner *OnlineLearner, cm *CostModel, cfg SimConfig) (*SimResult, error) {
-	return online.RunLoop(tr, srv, learner, cm, cfg)
+	return online.RunLoop(tr, online.Local(srv), learner, cm, cfg)
 }
 
 // TailSavingsPercent returns a replay's TCO savings restricted to jobs

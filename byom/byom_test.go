@@ -207,9 +207,7 @@ func TestPublicAPIOnlineLoop(t *testing.T) {
 	if _, err := reg.Publish("pipeline", model, 0); err != nil {
 		t.Fatal(err)
 	}
-	scfg := byom.DefaultServeConfig(5)
-	scfg.BatchSize = 1 // sequential virtual-time replay
-	srv, err := byom.NewServerFromRegistry(reg, "pipeline", cm, scfg)
+	srv, err := byom.NewServerFromRegistry(reg, "pipeline", cm, byom.DefaultServeConfig(5))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,6 @@ func main() {
 		log.Fatal(err)
 	}
 	scfg := byom.DefaultServeConfig(8)
-	scfg.BatchSize = 1 // sequential virtual-time replay
 	quota := replay.PeakSSDUsage() * 0.05
 
 	// Frozen baseline: the same trace served by v1 forever.

@@ -28,8 +28,8 @@
 // fleet Report is bit-identical for the same Config at any GOMAXPROCS.
 // Every shard's pipeline is deterministic in its spec (trace generation
 // is seeded, training is bit-identical at any worker count, simulation
-// replays virtual time, the online loop runs synchronously with
-// BatchSize-1 serving), the worker pool writes each shard's result to
+// replays virtual time, the online loop replays sequentially and
+// retrains synchronously), the worker pool writes each shard's result to
 // its own index, and all merging iterates in index order.
 package fleet
 
@@ -57,7 +57,7 @@ type Config struct {
 	DonorCluster int
 	// Online, when non-nil, drives one closed online-learning loop per
 	// cluster over its test half: the cluster's model is published to a
-	// shared registry under "cluster/<id>", a BatchSize-1 server replays
+	// shared registry under "cluster/<id>", a server replays
 	// the test stream and the learner retrains, gates and hot-swaps
 	// mid-replay. Async is forced off: synchronous retrains keep the
 	// replay deterministic.

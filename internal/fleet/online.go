@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/online"
 	"repro/internal/registry"
@@ -12,9 +11,9 @@ import (
 
 // runOnline drives one cluster's closed online-learning loop: the
 // cluster's model is published as v1 of WorkloadKey(cluster) in the
-// fleet's shared registry, a BatchSize-1 server replays the test half
-// in virtual time, and the learner — fed the server's own outcomes —
-// retrains, shadow-gates and hot-swaps mid-replay. Shards of different
+// fleet's shared registry, a server replays the test half in virtual
+// time, and the learner — fed the server's own outcomes — retrains,
+// shadow-gates and hot-swaps mid-replay. Shards of different
 // clusters run this concurrently against the same registry; the
 // per-cluster key namespace keeps their versions and subscriptions
 // isolated (the §2.3 blast-radius property, fleet edition).
@@ -24,10 +23,7 @@ func runOnline(s *shard, cfg Config, reg *registry.Registry) (*OnlineResult, err
 		return nil, fmt.Errorf("publishing %s: %w", workload, err)
 	}
 
-	scfg := serve.DefaultConfig(s.model.NumCategories())
-	scfg.BatchSize = 1 // sequential virtual-time replay (see online.RunLoop)
-	scfg.FlushInterval = time.Millisecond
-	srv, err := serve.New(reg, workload, s.env.Cost, scfg)
+	srv, err := serve.New(reg, workload, s.env.Cost, serve.DefaultConfig(s.model.NumCategories()))
 	if err != nil {
 		return nil, fmt.Errorf("starting server: %w", err)
 	}
@@ -46,7 +42,7 @@ func runOnline(s *shard, cfg Config, reg *registry.Registry) (*OnlineResult, err
 	}
 	defer learner.Close()
 
-	res, err := online.RunLoop(s.env.Test, srv, learner, s.env.Cost, sim.Config{SSDQuota: s.quota})
+	res, err := online.RunLoop(s.env.Test, online.Local(srv), learner, s.env.Cost, sim.Config{SSDQuota: s.quota})
 	if err != nil {
 		return nil, err
 	}

@@ -1,78 +1,109 @@
 package online
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/cost"
+	"repro/internal/rpc/wire"
 	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
-// loopPolicy adapts a serving front-end (plus an optional learner) into
-// a sim.Policy, closing the loop: the simulator asks the server for
-// each placement, models the SSD occupancy and spillover that decision
-// causes, and feeds the outcome back to both the server's Algorithm 1
-// controller and the learner's feedback window.
-type loopPolicy struct {
-	srv     *serve.Server
+// Placer is the decision seam a replay drives: the shape rpc.Client and
+// router.Router have, and Local gives a serve.Server. Place returns one
+// decision per job, in order, whenever its error is nil.
+type Placer interface {
+	Place(ctx context.Context, jobs []*trace.Job) ([]wire.Decision, error)
+	Observe(ctx context.Context, j *trace.Job, category int, o sim.Outcome) error
+}
+
+// Local gives an in-process server the Placer shape. It reuses its
+// decision slices, so a warm single-job Place allocates nothing; the
+// slice it returns is valid until the next call, from one goroutine.
+func Local(srv *serve.Server) Placer { return &local{srv: srv} }
+
+type local struct {
+	srv *serve.Server
+	out []serve.Decision
+	dec []wire.Decision
+}
+
+func (l *local) Place(_ context.Context, jobs []*trace.Job) ([]wire.Decision, error) {
+	out, err := l.srv.SubmitBatch(jobs, l.out)
+	l.out, l.dec = out, l.dec[:0]
+	for i, d := range out {
+		l.dec = append(l.dec, wire.Decision{JobID: jobs[i].ID, Admit: d.Admit, Category: d.Category, ModelVersion: d.ModelVersion, Shard: d.Shard})
+	}
+	return l.dec, err
+}
+
+func (l *local) Observe(_ context.Context, j *trace.Job, _ int, o sim.Outcome) error {
+	return l.srv.Observe(j, o)
+}
+
+// loop adapts a Placer into a sim.Policy, closing the loop: the
+// simulator asks the placer for each placement, models the spillover
+// that decision causes, and feeds the outcome back to the placer's
+// Algorithm 1 controller and the optional learner's window.
+type loop struct {
+	p       Placer
 	learner *Learner // nil = frozen-model baseline
-	lastCat int      // category of the last decision (sim runs jobs one at a time)
+	one     [1]*trace.Job
+	lastCat int // category of the last decision (sim runs jobs one at a time)
 	err     error
 }
 
-func (p *loopPolicy) Name() string { return "OnlineLoop" }
+func (l *loop) Name() string { return "OnlineLoop" }
 
-// Place fails fast: after the first server error the rest of the
-// replay neither queries the server nor feeds the learner (which would
-// otherwise ingest stale categories and could publish models trained
-// on mislabeled records before the caller ever sees the error).
-func (p *loopPolicy) Place(j *trace.Job, ctx sim.PlaceContext) bool {
-	if p.err != nil {
+// Place fails fast: after the first placer error the replay neither
+// queries the placer nor feeds the learner, which could otherwise
+// publish models trained on mislabeled records before the caller sees
+// the error.
+func (l *loop) Place(j *trace.Job, _ sim.PlaceContext) bool {
+	if l.err != nil {
 		return false
 	}
-	d, err := p.srv.Submit(j)
+	l.one[0] = j
+	ds, err := l.p.Place(context.Background(), l.one[:])
 	if err != nil {
-		p.err = err
+		l.err = err
 		return false
 	}
-	p.lastCat = d.Category
-	return d.Admit
+	l.lastCat = ds[0].Category
+	return ds[0].Admit
 }
 
-func (p *loopPolicy) Observe(j *trace.Job, o sim.Outcome) {
-	if p.err != nil {
+func (l *loop) Observe(j *trace.Job, o sim.Outcome) {
+	if l.err != nil {
 		return
 	}
-	if err := p.srv.Observe(j, o); err != nil {
-		p.err = err
+	if err := l.p.Observe(context.Background(), j, l.lastCat, o); err != nil {
+		l.err = err
 		return
 	}
-	if p.learner != nil {
-		p.learner.Observe(j, p.lastCat, o)
+	if l.learner != nil {
+		l.learner.Observe(j, l.lastCat, o)
 	}
 }
 
-// RunLoop replays a trace through the full closed loop — server
-// decisions, simulated SSD occupancy, outcome feedback to the server's
+// RunLoop replays a trace through the full closed loop — placer
+// decisions, simulated SSD occupancy, outcome feedback to the placer's
 // controller and (when learner is non-nil) to the learner's window,
-// which retrains, gates and hot-swaps the server's model mid-replay.
-// Pass a nil learner to replay the same trace against the frozen live
-// model (the baseline the end-to-end drift test compares against).
-//
-// The replay is sequential in virtual time, so configure the server
-// with BatchSize 1 for it: each decision must land before the next job
-// arrives, and batch accumulation would only add FlushInterval of wall
-// clock per job. Use a synchronous (non-Async) learner here for
+// which retrains, gates and hot-swaps the served model mid-replay. A
+// nil learner replays against the frozen live model. The replay is
+// sequential: one job per Place call, its outcome observed before the
+// next job arrives. Use a synchronous (non-Async) learner for
 // deterministic swap points: retraining consumes no virtual time.
-func RunLoop(tr *trace.Trace, srv *serve.Server, learner *Learner, cm *cost.Model, cfg sim.Config) (*sim.Result, error) {
-	p := &loopPolicy{srv: srv, learner: learner}
-	res, err := sim.Run(tr, p, cm, cfg)
+func RunLoop(tr *trace.Trace, p Placer, learner *Learner, cm *cost.Model, cfg sim.Config) (*sim.Result, error) {
+	l := &loop{p: p, learner: learner}
+	res, err := sim.Run(tr, l, cm, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if p.err != nil {
-		return nil, fmt.Errorf("online: replay loop: %w", p.err)
+	if l.err != nil {
+		return nil, fmt.Errorf("online: replay loop: %w", l.err)
 	}
 	return res, nil
 }

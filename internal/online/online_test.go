@@ -63,14 +63,11 @@ func testFixture(t *testing.T) e2eFixture {
 	return e2eVal
 }
 
-// loopServeConfig is a serving configuration for sequential virtual-
-// time replay: BatchSize 1 so each decision lands before the next job
-// arrives (see RunLoop).
+// loopServeConfig is the replay's serving configuration: the defaults
+// at four shards.
 func loopServeConfig() serve.Config {
 	cfg := serve.DefaultConfig(testCategories)
 	cfg.Shards = 4
-	cfg.BatchSize = 1
-	cfg.FlushInterval = time.Millisecond
 	return cfg
 }
 
@@ -106,7 +103,7 @@ func replayLoop(t *testing.T, fx e2eFixture, reg *registry.Registry, learner *Le
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	res, err := RunLoop(fx.sc.Replay, srv, learner, fx.cm, sim.Config{SSDQuota: quota, KeepRecords: true})
+	res, err := RunLoop(fx.sc.Replay, Local(srv), learner, fx.cm, sim.Config{SSDQuota: quota, KeepRecords: true})
 	if err != nil {
 		t.Fatal(err)
 	}

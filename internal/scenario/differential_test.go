@@ -1,26 +1,129 @@
 package scenario
 
 import (
+	"context"
+	"os"
+	"runtime"
+	"runtime/pprof"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/online"
 	"repro/internal/policy"
 	"repro/internal/registry"
+	"repro/internal/router"
+	"repro/internal/rpc"
 	"repro/internal/serve"
 	"repro/internal/sim"
 )
 
-// TestServeMatchesSim is the sim↔serve leg of the whole-scenario
-// differential: on every checked-in scenario's trace and model, the
-// served replay decides every job as the simulator's Algorithm 1 ranking
-// policy does, and lands on bit-equal TCO and TCIO, at one shard and at
-// the default shard count alike. The shard count is a throughput
-// setting; a decision that moved with it would fail here.
+// layer is one side of the decision seam a replay can drive. start
+// stands it up over the env's model at its default configuration and
+// returns the placer with the teardown that closes everything it
+// started.
+type layer struct {
+	name  string
+	start func(t *testing.T, spec *Spec, e *env) (online.Placer, func())
+}
+
+// layers is every seam TestServeMatchesSim replays: the in-process
+// server at one shard and at the default count, a client on each
+// codec to an in-process daemon, and the router over a 1-node plane.
+var layers = []layer{
+	{"serve-1", serveLayer(1)},
+	{"serve-default", serveLayer(serve.DefaultConfig(0).Shards)},
+	{"rpc-binary", clientLayer(rpc.CodecBinary)},
+	{"rpc-json", clientLayer(rpc.CodecJSON)},
+	{"router-1node", routerLayer},
+}
+
+// publish returns a registry holding the env's model as v1 of the
+// scenario's workload.
+func publish(t *testing.T, spec *Spec, e *env) *registry.Registry {
+	t.Helper()
+	reg := registry.New()
+	if _, err := reg.Publish(spec.Name, e.model, 0); err != nil {
+		t.Fatal(err)
+	}
+	return reg
+}
+
+func serveLayer(shards int) func(*testing.T, *Spec, *env) (online.Placer, func()) {
+	return func(t *testing.T, spec *Spec, e *env) (online.Placer, func()) {
+		scfg := serve.DefaultConfig(e.model.NumCategories())
+		scfg.Shards = shards
+		srv, err := serve.New(publish(t, spec, e), spec.Name, e.cm, scfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return online.Local(srv), func() { srv.Close() }
+	}
+}
+
+// startDaemon serves the env's model from an in-process daemon on a
+// loopback port.
+func startDaemon(t *testing.T, spec *Spec, e *env) *rpc.Daemon {
+	t.Helper()
+	d, err := rpc.NewDaemon(publish(t, spec, e), spec.Name, e.cm, rpc.DefaultConfig(e.model.NumCategories()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// shutdown drains a daemon, failing the test if it does not drain.
+func shutdown(t *testing.T, d *rpc.Daemon) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := d.Shutdown(ctx); err != nil {
+		t.Errorf("daemon shutdown: %v", err)
+	}
+}
+
+func clientLayer(codec string) func(*testing.T, *Spec, *env) (online.Placer, func()) {
+	return func(t *testing.T, spec *Spec, e *env) (online.Placer, func()) {
+		d := startDaemon(t, spec, e)
+		ccfg := rpc.DefaultClientConfig(d.BaseURL())
+		ccfg.Codec = codec
+		c, err := rpc.NewClient(ccfg)
+		if err != nil {
+			shutdown(t, d)
+			t.Fatal(err)
+		}
+		return c, func() { c.Close(); shutdown(t, d) }
+	}
+}
+
+func routerLayer(t *testing.T, spec *Spec, e *env) (online.Placer, func()) {
+	plane, err := router.NewPlane(publish(t, spec, e), spec.Name, e.cm, rpc.DefaultConfig(e.model.NumCategories()), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := router.New(router.DefaultConfig(plane.URLs()))
+	if err != nil {
+		plane.Close()
+		t.Fatal(err)
+	}
+	return r, func() { r.Close(); plane.Close() }
+}
+
+// TestServeMatchesSim is the whole-scenario differential across the
+// decision seam: on every checked-in scenario's trace and model, each
+// layer's replay decides every job as the simulator's Algorithm 1
+// ranking policy does, and lands on bit-equal TCO and TCIO. The shard
+// count is a throughput setting, the codec and the router a transport;
+// a decision that moved with any of them would fail here. Every
+// goroutine a layer starts is gone once the table has run.
 func TestServeMatchesSim(t *testing.T) {
 	pkgs, err := Discover(repoScenarios)
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := runtime.NumGoroutine()
 	for _, pkg := range pkgs {
 		spec := pkg.Spec
 		if spec.Trace == nil || (testing.Short() && !shortSubset.MatchString(pkg.Name)) {
@@ -43,51 +146,69 @@ func TestServeMatchesSim(t *testing.T) {
 			if len(want.Records) != len(e.test.Jobs) {
 				t.Fatalf("sim kept %d records of %d jobs", len(want.Records), len(e.test.Jobs))
 			}
-			for _, shards := range []int{1, serve.DefaultConfig(0).Shards} {
-				reg := registry.New()
-				if _, err := reg.Publish(spec.Name, e.model, 0); err != nil {
-					t.Fatal(err)
-				}
-				scfg := serve.DefaultConfig(e.model.NumCategories())
-				scfg.Shards, scfg.BatchSize = shards, 1
-				srv, err := serve.New(reg, spec.Name, e.cm, scfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				lp := &serveLoop{srv: srv}
-				got, err := sim.Run(e.test, lp, e.cm, cfg)
-				srv.Close()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if lp.err != nil {
-					t.Fatalf("shards %d: serve replay: %v", shards, lp.err)
-				}
-				if len(got.Records) != len(want.Records) {
-					t.Fatalf("shards %d: serve replay kept %d records, sim %d", shards, len(got.Records), len(want.Records))
-				}
-				gotWanted, wantWanted, first := 0, 0, -1
-				for i := range want.Records {
-					g, w := got.Records[i].Outcome.WantedSSD, want.Records[i].Outcome.WantedSSD
-					if g {
-						gotWanted++
+			for _, l := range layers {
+				t.Run(l.name, func(t *testing.T) {
+					p, stop := l.start(t, spec, e)
+					got, err := online.RunLoop(e.test, p, nil, e.cm, cfg)
+					stop()
+					if err != nil {
+						t.Fatal(err)
 					}
-					if w {
-						wantWanted++
-					}
-					if g != w && first < 0 {
-						first = i
-					}
-				}
-				if first >= 0 {
-					t.Errorf("shards %d: serve admits %d of %d jobs, sim %d; first differing job %d",
-						shards, gotWanted, len(want.Records), wantWanted, first)
-				}
-				if got.TCOSavingsPercent() != want.TCOSavingsPercent() || got.TCIOSavingsPercent() != want.TCIOSavingsPercent() {
-					t.Errorf("shards %d: serve TCO %v%% TCIO %v%%, sim %v%% %v%%", shards,
-						got.TCOSavingsPercent(), got.TCIOSavingsPercent(), want.TCOSavingsPercent(), want.TCIOSavingsPercent())
-				}
+					sameDecisions(t, got, want)
+				})
 			}
 		})
+	}
+	waitGoroutines(t, before)
+}
+
+// sameDecisions fails unless got admits exactly the jobs want does and
+// lands on bit-equal TCO and TCIO.
+func sameDecisions(t *testing.T, got, want *sim.Result) {
+	t.Helper()
+	if len(got.Records) != len(want.Records) {
+		t.Fatalf("replay kept %d records, sim %d", len(got.Records), len(want.Records))
+	}
+	gotWanted, wantWanted, first := 0, 0, -1
+	for i := range want.Records {
+		g, w := got.Records[i].Outcome.WantedSSD, want.Records[i].Outcome.WantedSSD
+		if g {
+			gotWanted++
+		}
+		if w {
+			wantWanted++
+		}
+		if g != w && first < 0 {
+			first = i
+		}
+	}
+	if first >= 0 {
+		t.Errorf("admits %d of %d jobs, sim %d; first differing job %d",
+			gotWanted, len(want.Records), wantWanted, first)
+	}
+	if got.TCOSavingsPercent() != want.TCOSavingsPercent() || got.TCIOSavingsPercent() != want.TCIOSavingsPercent() {
+		t.Errorf("TCO %v%% TCIO %v%%, sim %v%% %v%%",
+			got.TCOSavingsPercent(), got.TCIOSavingsPercent(), want.TCOSavingsPercent(), want.TCIOSavingsPercent())
+	}
+}
+
+// waitGoroutines fails unless the goroutine count falls back to before
+// within a grace window: shard workers, stream sessions and connection
+// loops wind down asynchronously after their owners close.
+func waitGoroutines(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		runtime.GC()
+		after := runtime.NumGoroutine()
+		if after <= before {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Errorf("goroutines: %d before the layer table, %d after", before, after)
+			_ = pprof.Lookup("goroutine").WriteTo(os.Stderr, 1)
+			return
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/rebalance"
 	"repro/internal/registry"
+	"repro/internal/rpc/wire"
 	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -315,53 +317,27 @@ func runRebalance(spec *Spec) (*RunResult, error) {
 	}, nil
 }
 
-// serveLoop adapts the sharded batching server into a sim.Policy,
-// timing each decision. It mirrors the online package's loop policy
-// (fail fast after the first server error) and additionally records
-// per-Submit wall latency for the p99 stat.
-type serveLoop struct {
-	srv   *serve.Server
+// timed is a Placer that records each Place call's wall latency for
+// the serve scenarios' p99 stat.
+type timed struct {
+	online.Placer
 	latMs []float64
-	err   error
 }
 
-func (p *serveLoop) Name() string { return "ScenarioServe" }
-
-func (p *serveLoop) Place(j *trace.Job, _ sim.PlaceContext) bool {
-	if p.err != nil {
-		return false
-	}
+func (p *timed) Place(ctx context.Context, jobs []*trace.Job) ([]wire.Decision, error) {
 	start := time.Now()
-	d, err := p.srv.Submit(j)
+	ds, err := p.Placer.Place(ctx, jobs)
 	p.latMs = append(p.latMs, float64(time.Since(start).Microseconds())/1000)
-	if err != nil {
-		p.err = err
-		return false
-	}
-	return d.Admit
+	return ds, err
 }
 
-func (p *serveLoop) Observe(j *trace.Job, o sim.Outcome) {
-	if p.err != nil {
-		return
-	}
-	if err := p.srv.Observe(j, o); err != nil {
-		p.err = err
-	}
-}
-
-// newServer stands up a registry + server pair serving the
-// env's model. BatchSize is pinned to 1: the simulator submits
-// sequentially in virtual time, so decisions stay deterministic and
-// batch accumulation would only add flush latency per job.
+// newServer stands up a registry + server pair serving the env's model.
 func newServer(spec *Spec, e *env) (*registry.Registry, *serve.Server, error) {
 	reg := registry.New()
 	if _, err := reg.Publish(spec.Name, e.model, 0); err != nil {
 		return nil, nil, err
 	}
-	scfg := serve.DefaultConfig(e.model.NumCategories())
-	scfg.BatchSize = 1
-	srv, err := serve.New(reg, spec.Name, e.cm, scfg)
+	srv, err := serve.New(reg, spec.Name, e.cm, serve.DefaultConfig(e.model.NumCategories()))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -380,13 +356,10 @@ func runServe(spec *Spec) (*RunResult, error) {
 		return nil, err
 	}
 	defer srv.Close()
-	lp := &serveLoop{srv: srv}
-	res, err := sim.Run(e.test, lp, e.cm, sim.Config{SSDQuota: e.quota, KeepRecords: true})
+	lp := &timed{Placer: online.Local(srv)}
+	res, err := online.RunLoop(e.test, lp, nil, e.cm, sim.Config{SSDQuota: e.quota, KeepRecords: true})
 	if err != nil {
 		return nil, err
-	}
-	if lp.err != nil {
-		return nil, fmt.Errorf("serve replay: %w", lp.err)
 	}
 	st := srv.Stats()
 	var b bytes.Buffer
@@ -445,7 +418,7 @@ func runOnline(spec *Spec) (*RunResult, error) {
 	}
 	defer learner.Close()
 
-	res, err := online.RunLoop(e.test, srv, learner, e.cm, sim.Config{SSDQuota: e.quota, KeepRecords: true})
+	res, err := online.RunLoop(e.test, online.Local(srv), learner, e.cm, sim.Config{SSDQuota: e.quota, KeepRecords: true})
 	if err != nil {
 		return nil, err
 	}

@@ -14,8 +14,8 @@
 // Determinism contract: a scenario's rendered report is bit-identical
 // for the same spec at any runner worker count. Trace generation is
 // seeded, training is bit-identical at any worker count, simulation
-// replays virtual time, serving replays sequentially at BatchSize 1,
-// and online loops retrain synchronously. Wall-clock-derived values
+// replays virtual time, serving replays sequentially, and online loops
+// retrain synchronously. Wall-clock-derived values
 // (jobs/s, p99, wall ms) never appear in reports — they go to Stats,
 // where thresholds and the bench history consume them.
 package scenario

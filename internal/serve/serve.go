@@ -224,7 +224,9 @@ type Server struct {
 	swaps     atomic.Int64
 	shards    []*shard
 	unsub     func()
-	calls     sync.Pool // *call, cursor sized for cfg.Shards
+	// calls pools *call (cursor sized for cfg.Shards) by pointer, so the
+	// runtime's pool list cannot keep a closed Server reachable.
+	calls *sync.Pool
 	// amu serializes the one controller between shard workers (once per
 	// batch, for its admissions), ObserveHashed callers (once per
 	// outcome) and ACT readers.
@@ -280,7 +282,7 @@ func New(reg *registry.Registry, workload string, cm *cost.Model, cfg Config) (*
 	}
 	s := &Server{cfg: cfg, cm: cm, workload: workload, reg: reg, adaptive: adaptive}
 	cursors := cfg.Shards + 1
-	s.calls.New = func() any { return &call{cursor: make([]int32, cursors)} }
+	s.calls = &sync.Pool{New: func() any { return &call{cursor: make([]int32, cursors)} }}
 	// Subscribe before the initial resolve: a version published in
 	// between is then picked up by its callback instead of being
 	// silently missed.
