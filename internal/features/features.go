@@ -15,10 +15,11 @@
 package features
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"repro/internal/gbdt"
 	"repro/internal/trace"
@@ -70,17 +71,26 @@ func Tokenize(s string) []string {
 	return tokens
 }
 
-// metadataFields enumerates the five string features of Table 2 with
-// accessors.
-var metadataFields = [...]struct {
-	name string
-	get  func(*trace.Metadata) string
-}{
-	{"build_target_name", func(m *trace.Metadata) string { return m.BuildTargetName }},
-	{"execution_name", func(m *trace.Metadata) string { return m.ExecutionName }},
-	{"pipeline_name", func(m *trace.Metadata) string { return m.PipelineName }},
-	{"step_name", func(m *trace.Metadata) string { return m.StepName }},
-	{"user_name", func(m *trace.Metadata) string { return m.UserName }},
+// metadataFields names the five string features of Table 2, in the
+// order metadataField reads them.
+var metadataFields = [...]string{"build_target_name", "execution_name", "pipeline_name", "step_name", "user_name"}
+
+// metadataField returns string field f of m. It is a switch, not a
+// table of accessor funcs: a call through a func value would move every
+// Metadata it reads to the heap.
+func metadataField(m *trace.Metadata, f int) string {
+	switch f {
+	case 0:
+		return m.BuildTargetName
+	case 1:
+		return m.ExecutionName
+	case 2:
+		return m.PipelineName
+	case 3:
+		return m.StepName
+	default:
+		return m.UserName
+	}
 }
 
 // tokensPerField is how many leading tokens of each metadata string get
@@ -103,7 +113,7 @@ type Encoder struct {
 }
 
 // numericFeatures lists (name, group) of the numeric features in order.
-var numericFeatures = []struct{ name, group string }{
+var numericFeatures = [...]struct{ name, group string }{
 	{"average_tcio", GroupHistory},
 	{"average_size", GroupHistory},
 	{"average_lifetime", GroupHistory},
@@ -126,24 +136,24 @@ var numericFeatures = []struct{ name, group string }{
 // its leading tokens.
 func categoricalFeatureNames() []struct{ name, group string } {
 	out := []struct{ name, group string }{{"open_time_weekday", GroupTimestamp}}
-	for _, f := range metadataFields {
-		out = append(out, struct{ name, group string }{f.name, GroupMetadata})
+	for _, name := range metadataFields {
+		out = append(out, struct{ name, group string }{name, GroupMetadata})
 		for t := 0; t < tokensPerField; t++ {
 			out = append(out, struct{ name, group string }{
-				fmt.Sprintf("%s_token%d", f.name, t), GroupMetadata})
+				fmt.Sprintf("%s_token%d", name, t), GroupMetadata})
 		}
 	}
 	return out
 }
 
 // categoricalValues extracts the raw string values of all categorical
-// features of a job except weekday (which is encoded directly). Every
-// value is the field itself or a substring of it, so this runs on the
-// per-decision path without allocating.
-func categoricalValues(j *trace.Job) (vals [numStringFeatures]string) {
+// features of a job's metadata except weekday (which is encoded
+// directly). Every value is the field itself or a substring of it, so
+// this runs on the per-decision path without allocating.
+func categoricalValues(m *trace.Metadata) (vals [numStringFeatures]string) {
 	i := 0
 	for f := range metadataFields {
-		s := metadataFields[f].get(&j.Meta)
+		s := metadataField(m, f)
 		vals[i] = s
 		i++
 		end := 0
@@ -162,29 +172,36 @@ func BuildEncoder(jobs []*trace.Job, maxVocab int) *Encoder {
 	if maxVocab <= 1 {
 		maxVocab = 2048
 	}
+	// The jobs of a template share its metadata, so the strings are split
+	// and counted once per distinct Metadata, weighted by its job count.
+	perMeta := make(map[trace.Metadata]int)
+	for _, j := range jobs {
+		perMeta[j.Meta]++
+	}
 	countsPerFeature := make([]map[string]int, numStringFeatures)
 	for i := range countsPerFeature {
 		countsPerFeature[i] = map[string]int{}
 	}
-	for _, j := range jobs {
-		for i, v := range categoricalValues(j) {
-			countsPerFeature[i][v]++
+	for m, n := range perMeta {
+		for i, v := range categoricalValues(&m) {
+			countsPerFeature[i][v] += n
 		}
 	}
 	enc := &Encoder{Vocabs: make([]map[string]int, numStringFeatures)}
+	var items []vocabEntry
 	for i, counts := range countsPerFeature {
 		vocab := make(map[string]int, len(counts)+1)
 		// Keep the most frequent strings; deterministic order by
 		// (count desc, string asc).
-		items := make([]vocabEntry, 0, len(counts))
+		items = items[:0]
 		for s, n := range counts {
 			items = append(items, vocabEntry{s, n})
 		}
-		sort.Slice(items, func(a, b int) bool {
-			if items[a].n != items[b].n {
-				return items[a].n > items[b].n
+		slices.SortFunc(items, func(a, b vocabEntry) int {
+			if a.n != b.n {
+				return cmp.Compare(b.n, a.n)
 			}
-			return items[a].s < items[b].s
+			return cmp.Compare(a.s, b.s)
 		})
 		limit := maxVocab - 1
 		for rank, it := range items {
@@ -233,6 +250,10 @@ func (e *Encoder) Schema() *gbdt.Schema { return e.schema }
 // NumFeatures returns the row width.
 func (e *Encoder) NumFeatures() int { return e.schema.NumFeatures() }
 
+// numNumeric counts the features Encode writes before the metadata
+// strings' ids: groups A and C, the numeric timestamps and the weekday.
+const numNumeric = len(numericFeatures) + 1
+
 // Encode writes the job's feature row into buf (allocating if needed)
 // and returns it.
 func (e *Encoder) Encode(j *trace.Job, buf []float64) []float64 {
@@ -241,6 +262,13 @@ func (e *Encoder) Encode(j *trace.Job, buf []float64) []float64 {
 		buf = make([]float64, nf)
 	}
 	buf = buf[:nf]
+	encodeNumeric(j, buf[:numNumeric])
+	e.stringIDs(&j.Meta, buf[numNumeric:])
+	return buf
+}
+
+// encodeNumeric writes the job's first numNumeric features into buf.
+func encodeNumeric(j *trace.Job, buf []float64) {
 	i := 0
 	put := func(v float64) { buf[i] = v; i++ }
 
@@ -264,22 +292,34 @@ func (e *Encoder) Encode(j *trace.Job, buf []float64) []float64 {
 	put(j.SecondOfDay())
 	// Weekday (categorical, direct encoding).
 	put(float64(j.Weekday()))
-	// Metadata strings: vocabulary lookup; a missing string reads as
-	// UnknownID (0), the map's zero value.
-	for v, s := range categoricalValues(j) {
-		put(float64(e.Vocabs[v][s]))
-	}
-	return buf
 }
 
-// Dataset encodes a job slice into a gbdt dataset.
+// stringIDs writes the vocabulary ids of m's strings into out; a
+// missing string reads as UnknownID (0), the map's zero value.
+func (e *Encoder) stringIDs(m *trace.Metadata, out []float64) {
+	for v, s := range categoricalValues(m) {
+		out[v] = float64(e.Vocabs[v][s])
+	}
+}
+
+// Dataset encodes a job slice into a gbdt dataset. Each distinct
+// Metadata's string ids are looked up once and reused for its jobs.
 func (e *Encoder) Dataset(jobs []*trace.Job) *gbdt.Dataset {
 	ds := gbdt.NewDataset(e.schema, len(jobs))
-	row := make([]float64, e.NumFeatures())
+	ids := make(map[trace.Metadata][numStringFeatures]float64)
+	var num [numNumeric]float64
 	for r, j := range jobs {
-		row = e.Encode(j, row)
-		for c, v := range row {
-			ds.Set(r, c, v)
+		encodeNumeric(j, num[:])
+		for c, v := range num {
+			ds.Cols[c][r] = v
+		}
+		vals, ok := ids[j.Meta]
+		if !ok {
+			e.stringIDs(&j.Meta, vals[:])
+			ids[j.Meta] = vals
+		}
+		for v, id := range vals {
+			ds.Cols[numNumeric+v][r] = id
 		}
 	}
 	return ds

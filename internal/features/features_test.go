@@ -5,8 +5,10 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -66,8 +68,8 @@ func FuzzTokenize(f *testing.F) {
 		f.Add(s)
 	}
 	for _, j := range sampleJobs()[:16] {
-		for _, field := range metadataFields {
-			f.Add(field.get(&j.Meta))
+		for field := range metadataFields {
+			f.Add(metadataField(&j.Meta, field))
 		}
 	}
 	f.Fuzz(func(t *testing.T, s string) { checkTokenizers(t, s) })
@@ -95,17 +97,17 @@ func TestTokenize(t *testing.T) {
 
 func TestCategoricalValuesMatchReference(t *testing.T) {
 	for _, j := range sampleJobs() {
-		vals := categoricalValues(j)
+		vals := categoricalValues(&j.Meta)
 		i := 0
-		for _, field := range metadataFields {
-			s := field.get(&j.Meta)
+		for field, name := range metadataFields {
+			s := metadataField(&j.Meta, field)
 			want := append([]string{s}, referenceTokenize(s)...)
 			for len(want) < 1+tokensPerField {
 				want = append(want, "")
 			}
 			for _, w := range want[:1+tokensPerField] {
 				if vals[i] != w {
-					t.Fatalf("job %s %s: value %d = %q, want %q", j.ID, field.name, i, vals[i], w)
+					t.Fatalf("job %s %s: value %d = %q, want %q", j.ID, name, i, vals[i], w)
 				}
 				i++
 			}
@@ -264,9 +266,32 @@ func TestVocabCapRespected(t *testing.T) {
 	}
 }
 
+// TestDatasetMatchesEncode: Dataset looks each distinct Metadata's ids
+// up once and reuses them; every cell must still be Encode's, on
+// generated jobs whose templates repeat and on jobs whose strings the
+// vocabulary never saw, some sharing one novel Metadata.
 func TestDatasetMatchesEncode(t *testing.T) {
-	jobs := sampleJobs()[:50]
-	enc := BuildEncoder(jobs, 0)
+	all := sampleJobs()
+	if len(all) < 1000 {
+		t.Fatalf("%d sample jobs, want at least 1000", len(all))
+	}
+	enc := BuildEncoder(all[:len(all)/2], 0)
+	jobs := slices.Clone(all)
+	for i, j := range all[:40] {
+		novel := *j
+		novel.Meta.StepName = fmt.Sprintf("zznovel-step%d", i%3)
+		if i%4 == 0 {
+			novel.Meta.UserName = "zz-unseen-user"
+		}
+		jobs = append(jobs, &novel)
+	}
+	metas := map[trace.Metadata]bool{}
+	for _, j := range jobs {
+		metas[j.Meta] = true
+	}
+	if len(metas) > len(jobs)/4 {
+		t.Fatalf("%d distinct metadata over %d jobs: templates do not repeat", len(metas), len(jobs))
+	}
 	ds := enc.Dataset(jobs)
 	if ds.N != len(jobs) {
 		t.Fatalf("dataset rows = %d", ds.N)
@@ -278,10 +303,89 @@ func TestDatasetMatchesEncode(t *testing.T) {
 	for i, j := range jobs {
 		row = enc.Encode(j, row)
 		for f, v := range row {
-			if ds.Cols[f][i] != v {
+			if math.Float64bits(ds.Cols[f][i]) != math.Float64bits(v) {
 				t.Fatalf("dataset[%d][%d] = %g, Encode = %g", i, f, ds.Cols[f][i], v)
 			}
 		}
+	}
+}
+
+// TestVocabMatchesPerJobCount: BuildEncoder counts once per distinct
+// Metadata, weighted by its jobs; its vocabularies must equal the ones a
+// count over every job gives, ranked by (count desc, string asc), with
+// no cap and with a cap that falls between two strings of equal count.
+func TestVocabMatchesPerJobCount(t *testing.T) {
+	jobs := sampleJobs()
+	counts := make([]map[string]int, numStringFeatures)
+	for i := range counts {
+		counts[i] = map[string]int{}
+	}
+	for _, j := range jobs {
+		for i, v := range categoricalValues(&j.Meta) {
+			counts[i][v]++
+		}
+	}
+	ranked := make([][]string, numStringFeatures)
+	for i, c := range counts {
+		for s := range c {
+			ranked[i] = append(ranked[i], s)
+		}
+		slices.SortFunc(ranked[i], func(a, b string) int {
+			if c[a] != c[b] {
+				return c[b] - c[a]
+			}
+			return strings.Compare(a, b)
+		})
+	}
+	want := func(maxVocab int) []map[string]int {
+		out := make([]map[string]int, numStringFeatures)
+		for i, r := range ranked {
+			out[i] = map[string]int{}
+			for rank, s := range r[:min(len(r), maxVocab-1)] {
+				out[i][s] = rank + 1
+			}
+		}
+		return out
+	}
+	// A cap that keeps a string and drops the next one, of equal count.
+	tiedCap := 0
+	for i, r := range ranked {
+		for k := 1; k < len(r) && tiedCap == 0; k++ {
+			if counts[i][r[k-1]] == counts[i][r[k]] {
+				tiedCap = k + 1 // keeps r[:k]: r[k-1] in, r[k] out
+			}
+		}
+	}
+	if tiedCap == 0 {
+		t.Fatal("no two strings of equal count to cut between")
+	}
+	for _, c := range []struct{ maxVocab, effective int }{{0, 2048}, {tiedCap, tiedCap}} {
+		got := BuildEncoder(jobs, c.maxVocab).Vocabs
+		if w := want(c.effective); !reflect.DeepEqual(got, w) {
+			t.Errorf("maxVocab %d: vocabularies differ from the per-job count's", c.maxVocab)
+		}
+	}
+}
+
+// TestEncodePrefixAllocs: the training prefix, BuildEncoder and then
+// Dataset, allocates per distinct Metadata and per column, never per
+// job: 20k jobs of one trace allocate no more than its first 2k, whose
+// distinct metadata are the same (slack of a tenth for map growth).
+func TestEncodePrefixAllocs(t *testing.T) {
+	cfg := trace.DefaultGeneratorConfig("C0", 3)
+	cfg.DurationSec, cfg.NumUsers = 14*24*3600, 28
+	jobs := trace.NewGenerator(cfg).Generate().Jobs
+	if len(jobs) < 20000 {
+		t.Fatalf("%d generated jobs, want 20000", len(jobs))
+	}
+	allocs := func(n int) float64 {
+		sub := jobs[:n]
+		return testing.AllocsPerRun(2, func() { BuildEncoder(sub, 0).Dataset(sub) })
+	}
+	small, large := allocs(2000), allocs(20000)
+	t.Logf("%.0f allocations for 2k jobs, %.0f for 20k", small, large)
+	if large > small+small/10 {
+		t.Errorf("%.0f allocations for 20k jobs against %.0f for 2k: the prefix allocates per job", large, small)
 	}
 }
 

@@ -386,3 +386,27 @@ func BenchmarkPaperTrain(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkTrainPrefix times the serial work before the first boosting
+// round of the paper-scale training, with one and two workers:
+// BuildEncoder and Dataset over the seed-1 fixture's training jobs, then
+// binning and the engine's row-major matrix.
+//
+//	go test -run '^$' -bench BenchmarkTrainPrefix -benchtime 10x ./internal/gbdt
+func BenchmarkTrainPrefix(b *testing.B) {
+	f, err := perf.NewFixture(1, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := f.TrainOptions(perf.ScalePaper)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			cfg := opts.GBDT
+			cfg.Workers = workers
+			for i := 0; i < b.N; i++ {
+				enc := features.BuildEncoder(f.Train, opts.MaxVocab)
+				gbdt.PrepareTraining(enc.Dataset(f.Train), opts.NumCategories, cfg)
+			}
+		})
+	}
+}

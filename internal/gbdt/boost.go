@@ -172,7 +172,7 @@ func trainClassifier(ds *Dataset, labels []int, numClasses int, cfg Config) (*Mo
 		InitScores: initScoresFromCounts(counts, n, k),
 	}
 
-	bins := buildBinning(ds, cfg.MaxBins)
+	bins := buildBinning(ds, cfg.MaxBins, cfg.workers())
 	eng := newHistEngine(ds, bins, cfg, k)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
@@ -232,7 +232,7 @@ func TrainRegressor(ds *Dataset, targets []float64, cfg Config) (*Model, error) 
 		NumClasses: 1,
 		InitScores: []float64{mean},
 	}
-	bins := buildBinning(ds, cfg.MaxBins)
+	bins := buildBinning(ds, cfg.MaxBins, cfg.workers())
 	eng := newHistEngine(ds, bins, cfg, 1)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	tg := newTreeGrower(eng, n)
@@ -289,7 +289,7 @@ func trainClassifierNaive(ds *Dataset, labels []int, numClasses int, cfg Config)
 		InitScores: initScoresFromCounts(counts, n, numClasses),
 	}
 
-	bins := buildBinning(ds, cfg.MaxBins)
+	bins := buildBinning(ds, cfg.MaxBins, cfg.workers())
 	gr := &grower{bins: bins, schema: ds.Schema, cfg: cfg}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 

@@ -34,6 +34,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
+	"sync/atomic"
 )
 
 // FeatureKind distinguishes numeric from categorical features.
@@ -164,18 +166,49 @@ type binning struct {
 }
 
 // buildBinning computes bins for the dataset with at most maxBins bins
-// per numeric feature.
-func buildBinning(d *Dataset, maxBins int) *binning {
+// per numeric feature. Up to workers goroutines take the features one
+// at a time; a feature's bins depend on its own column alone, so the
+// schedule cannot change them.
+func buildBinning(d *Dataset, maxBins, workers int) *binning {
 	nf := d.Schema.NumFeatures()
 	b := &binning{
 		uppers:  make([][]float64, nf),
 		numBins: make([]int, nf),
 		binned:  make([][]int32, nf),
 	}
-	for f := 0; f < nf; f++ {
-		col := d.Cols[f]
-		bins := make([]int32, d.N)
-		if d.Schema.Kinds[f] == Categorical {
+	all := make([]int32, nf*d.N)
+	for f := range b.binned {
+		b.binned[f] = all[f*d.N : (f+1)*d.N]
+	}
+	w := &binWork{d: d, b: b, maxBins: maxBins}
+	workers = max(min(workers, nf), 1)
+	w.wg.Add(workers)
+	for range workers - 1 {
+		go w.run()
+	}
+	w.run()
+	w.wg.Wait()
+	return b
+}
+
+// binWork is one buildBinning: its workers share it, and next is the
+// next feature to bin.
+type binWork struct {
+	d       *Dataset
+	b       *binning
+	maxBins int
+	next    atomic.Int32
+	wg      sync.WaitGroup
+}
+
+// run bins features until none is left, sorting each numeric column in
+// one scratch slice of its own.
+func (w *binWork) run() {
+	defer w.wg.Done()
+	var vals []float64
+	for f := int(w.next.Add(1)) - 1; f < len(w.b.binned); f = int(w.next.Add(1)) - 1 {
+		col, bins := w.d.Cols[f], w.b.binned[f]
+		if w.d.Schema.Kinds[f] == Categorical {
 			for i, v := range col {
 				if math.IsNaN(v) {
 					bins[i] = 0
@@ -183,33 +216,32 @@ func buildBinning(d *Dataset, maxBins int) *binning {
 					bins[i] = int32(v)
 				}
 			}
-			b.numBins[f] = d.Schema.Cards[f]
-			b.binned[f] = bins
+			w.b.numBins[f] = w.d.Schema.Cards[f]
 			continue
 		}
-		boundaries := numericBoundaries(col, maxBins)
-		b.uppers[f] = boundaries
-		b.numBins[f] = len(boundaries) + 1
+		var boundaries []float64
+		boundaries, vals = numericBoundaries(col, w.maxBins, vals)
+		w.b.uppers[f] = boundaries
+		w.b.numBins[f] = len(boundaries) + 1
 		for i, v := range col {
 			bins[i] = int32(findBin(boundaries, v))
 		}
-		b.binned[f] = bins
 	}
-	return b
 }
 
 // numericBoundaries picks up to maxBins-1 split boundaries between
 // distinct values at (approximately) uniform quantiles. Boundaries are
 // midpoints so that trained thresholds generalize to unseen values.
-func numericBoundaries(col []float64, maxBins int) []float64 {
-	vals := make([]float64, 0, len(col))
+// vals is sorting scratch, reused and returned.
+func numericBoundaries(col []float64, maxBins int, vals []float64) ([]float64, []float64) {
+	vals = vals[:0]
 	for _, v := range col {
 		if !math.IsNaN(v) {
 			vals = append(vals, v)
 		}
 	}
 	if len(vals) == 0 {
-		return nil
+		return nil, vals
 	}
 	sort.Float64s(vals)
 	// Unique values.
@@ -220,7 +252,7 @@ func numericBoundaries(col []float64, maxBins int) []float64 {
 		}
 	}
 	if len(uniq) <= 1 {
-		return nil
+		return nil, vals
 	}
 	nCuts := maxBins - 1
 	if nCuts > len(uniq)-1 {
@@ -251,7 +283,7 @@ func numericBoundaries(col []float64, maxBins int) []float64 {
 	if len(boundaries) == 0 {
 		boundaries = append(boundaries, (uniq[0]+uniq[1])/2)
 	}
-	return boundaries
+	return boundaries, vals
 }
 
 // findBin returns the bin index of v given sorted upper boundaries;

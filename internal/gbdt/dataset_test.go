@@ -75,11 +75,11 @@ func TestRowCopy(t *testing.T) {
 
 func TestNumericBoundaries(t *testing.T) {
 	// Constant column: no boundaries.
-	if b := numericBoundaries([]float64{5, 5, 5}, 8); b != nil {
+	if b, _ := numericBoundaries([]float64{5, 5, 5}, 8, nil); b != nil {
 		t.Errorf("constant column boundaries = %v, want nil", b)
 	}
 	// Two distinct values: single midpoint boundary.
-	b := numericBoundaries([]float64{0, 0, 1, 1}, 8)
+	b, _ := numericBoundaries([]float64{0, 0, 1, 1}, 8, nil)
 	if len(b) != 1 || b[0] != 0.5 {
 		t.Errorf("boundaries = %v, want [0.5]", b)
 	}
@@ -88,14 +88,14 @@ func TestNumericBoundaries(t *testing.T) {
 	for i := range many {
 		many[i] = float64(i % 17)
 	}
-	b = numericBoundaries(many, 8)
+	b, _ = numericBoundaries(many, 8, nil)
 	for i := 1; i < len(b); i++ {
 		if b[i] <= b[i-1] {
 			t.Fatalf("boundaries not increasing: %v", b)
 		}
 	}
 	// All NaN: nil.
-	if b := numericBoundaries([]float64{math.NaN(), math.NaN()}, 8); b != nil {
+	if b, _ := numericBoundaries([]float64{math.NaN(), math.NaN()}, 8, nil); b != nil {
 		t.Errorf("all-NaN boundaries = %v, want nil", b)
 	}
 }
@@ -123,7 +123,7 @@ func TestBuildBinningRoundTrip(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		ds.Set(i, 0, float64(i*i%37))
 	}
-	bn := buildBinning(ds, 16)
+	bn := buildBinning(ds, 16, 1)
 	for i := 0; i < 100; i++ {
 		v := ds.Cols[0][i]
 		bin := int(bn.binned[0][i])
@@ -143,7 +143,7 @@ func TestBuildBinningCategorical(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		ds.Set(i, 0, float64(3-i))
 	}
-	bn := buildBinning(ds, 16)
+	bn := buildBinning(ds, 16, 1)
 	if bn.numBins[0] != 4 {
 		t.Errorf("categorical numBins = %d, want 4", bn.numBins[0])
 	}

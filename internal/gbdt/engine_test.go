@@ -126,6 +126,26 @@ func TestTrainWorkersDeterminism(t *testing.T) {
 			t.Fatalf("Workers=%d over %d rows produced a different serialized model than Workers=1", w, dsOdd.N)
 		}
 	}
+
+	// The class schedule: 15 classes over 2 and 4 class workers leave
+	// uneven tails, and each worker takes whichever class is next, so
+	// which grower grows which class changes from run to run.
+	ds15, labels15 := engineFixture(2500, 15, 47)
+	cfg = base
+	cfg.NumRounds = 3
+	var fifteen []byte
+	for _, w := range []int{1, 2, 4} {
+		cfg.Workers = w
+		m, err := TrainClassifier(ds15, labels15, 15, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := serialize(m); fifteen == nil {
+			fifteen = got
+		} else if !bytes.Equal(fifteen, got) {
+			t.Fatalf("Workers=%d over 15 classes produced a different serialized model than Workers=1", w)
+		}
+	}
 }
 
 // TestOutOfSampleRowsTakeTheirLeaf: grow routes the out-of-sample rows
@@ -136,7 +156,7 @@ func TestOutOfSampleRowsTakeTheirLeaf(t *testing.T) {
 	ds, labels := engineFixture(3000, 3, 46)
 	cfg := DefaultConfig()
 	cfg.Subsample = 0.5
-	eng := newHistEngine(ds, buildBinning(ds, cfg.MaxBins), cfg, 3)
+	eng := newHistEngine(ds, buildBinning(ds, cfg.MaxBins, cfg.workers()), cfg, 3)
 	tg := newTreeGrower(eng, ds.N)
 	tg.gh, tg.leafOut = make([]float64, 2*ds.N), make([]float64, ds.N)
 	for r, y := range labels {

@@ -20,6 +20,19 @@ func TrainClassifierTrees(ds *Dataset, labels []int, numClasses int, cfg Config)
 	return withTrees(trainClassifier(ds, labels, numClasses, cfg))
 }
 
+// EngineColumns is how many columns the training engine keeps of ds:
+// the features whose rows fall in at least two bins.
+func EngineColumns(ds *Dataset, cfg Config) int {
+	return len(newHistEngine(ds, buildBinning(ds, cfg.MaxBins, cfg.workers()), cfg, 2).cols)
+}
+
+// PrepareTraining is what a training does before its first round: bin
+// ds and build the engine, its columns and row-major matrix, for
+// numClasses classes.
+func PrepareTraining(ds *Dataset, numClasses int, cfg Config) {
+	newHistEngine(ds, buildBinning(ds, cfg.MaxBins, cfg.workers()), cfg, numClasses)
+}
+
 // withTrees is newModel that also returns the trees it compiled.
 func withTrees(m *Model, trees [][]*Tree, err error) (*Model, [][]*Tree, error) {
 	m, err = newModel(m, trees, err)

@@ -209,8 +209,9 @@ func TestPredictClassBatchSteadyStateAllocs(t *testing.T) {
 // a new slice, 25.2 while every popped node, every chunk closure and
 // every improving categorical candidate went to the heap). Compiling
 // the trees into the model's forest costs per model, not per tree. Two
-// workers add the class fan-out's goroutines, a per-round cost: 5.5
-// (5.8 before the row pass, 6.3 before the sample buffer).
+// workers add the class fan-out's goroutines, a per-round cost: 5.0
+// (5.5 before class trees were handed out from a shared counter, 5.8
+// before the row pass, 6.3 before the sample buffer).
 // The budgets are those of 4.7 and 6.3 plus one.
 func TestGrowSteadyStateAllocs(t *testing.T) {
 	m, rows := trainFlatFixture(t, 2000, 2)

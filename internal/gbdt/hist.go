@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // This file implements the histogram-subtraction training engine behind
@@ -16,7 +17,7 @@ import (
 //     explicit stack; partitioning is in-place and stable, so a node's
 //     rows are always one contiguous segment and no per-node []int32 or
 //     categorical map is ever allocated.
-//   - Per-node histograms live in flat per-feature regions of pooled
+//   - Per-node histograms live in flat per-column regions of pooled
 //     buffers. A split builds the histogram of only one child from its
 //     rows; the sibling's histogram is derived as parent minus child,
 //     halving (or better) the histogram work per level.
@@ -30,13 +31,21 @@ import (
 //     segment of the in-sample arena and one of the out-of-sample arena
 //     (Subsample < 1), and partition routes both by the split's bins, so
 //     no row walks a tree after it is grown.
+//   - Only features that can split get engine columns: a feature whose
+//     training rows all fall in one bin (a constant, a constant apart
+//     from NaNs, a categorical with one observed id) never passes a
+//     scan, so it gets no histogram region, no matrix entries and no
+//     kernel adds. Columns keep schema order, and a split names the
+//     column's schema feature, so dropping them cannot move a split.
 //   - Work parallelizes along two axes behind Config.Workers: class
-//     trees within a boosting round, and feature histogram/scan chunks
-//     within a node.
+//     trees within a boosting round, each class worker taking the next
+//     untaken class so uneven trees do not idle a worker, and column
+//     histogram/scan chunks within a node. Binning spreads the features
+//     over the same workers.
 //   - A grower reads its class's gradients as one interleaved array, row
 //     r's (gradient, hessian) pair at gh[2r], gh[2r+1], and every
 //     histogram fill is one kernel over the row-major binned matrix: per
-//     row of the segment it loads the pair once and, for each feature of
+//     row of the segment it loads the pair once and, for each column of
 //     the chunk's window, adds it to the bin's (gradient, hessian) with
 //     one packed add and 1 to its count. On amd64 the kernel is SSE2
 //     (accum_amd64.s) for the uint16 matrix; the Go kernel, accumRowsGo,
@@ -47,7 +56,7 @@ import (
 //
 // Determinism: the same dataset, labels and Config (including Seed)
 // produce a bit-identical Model at any Workers value. Every parallel
-// reduction has a fixed order — per-feature histograms accumulate rows
+// reduction has a fixed order — per-column histograms accumulate rows
 // sequentially in arena order, split candidates reduce in feature-index
 // order with strict-greater comparisons (ties keep the lowest feature,
 // then the lowest bin / shortest category prefix), and the round-loss
@@ -72,28 +81,44 @@ type histEngine struct {
 	schema *Schema
 	cfg    Config
 
-	nf        int
-	featOff   []int32 // flat-histogram offset of each feature's bin region
+	// cols lists the engine's columns in schema order: the features whose
+	// training rows fall in at least two bins, the only ones a scan can
+	// split (a numeric scan's left side jumps from no rows to all of
+	// them, a categorical scan sees one category). Everything below is
+	// indexed by column; splitResult.feature, partition and
+	// thresholdForBin take the schema index cols[c].
+	cols      []int
+	featOff   []int32 // flat-histogram offset of each column's bin region
 	totalBins int
-	maxBins   int // widest single feature, sizes categorical scratch
+	maxBins   int // widest single column, sizes categorical scratch
 
-	// binnedRM16/binnedRM32 is the row-major binned matrix with featOff
-	// pre-added and the histogram record stride pre-multiplied:
-	// entry r*nf+f is 3*(featOff[f]+bin), indexing the flat histogram
-	// directly, and below 3*totalBins-2 (buildRowMajor asserts it), so
-	// every record it names lies inside a histBuf. Histogram builds
-	// stream it row-wise over the chunk's feature window, loading each
-	// row's gradient pair once for the window instead of once per
-	// feature. The 16-bit form halves the streamed bytes, covers schemas
-	// up to ~21k total bins and has the SSE2 kernel; wider schemas fall
-	// back to 32-bit and the Go kernel (exactly one of the two is
-	// non-nil).
+	// binnedRM16/binnedRM32 is the row-major binned matrix of the columns
+	// with featOff pre-added and the histogram record stride
+	// pre-multiplied: entry r*len(cols)+c is 3*(featOff[c]+bin), indexing
+	// the flat histogram directly, and below 3*totalBins-2 (buildRowMajor
+	// asserts it), so every record it names lies inside a histBuf.
+	// Histogram builds stream it row-wise over the chunk's column window,
+	// loading each row's gradient pair once for the window instead of
+	// once per column. The 16-bit form halves the streamed bytes, covers
+	// schemas up to ~21k total bins and has the SSE2 kernel; wider
+	// schemas fall back to 32-bit and the Go kernel (exactly one of the
+	// two is non-nil).
 	binnedRM16 []uint16
 	binnedRM32 []uint32
 
 	workers      int      // total goroutine budget
 	classWorkers int      // concurrent class trees per round
-	featChunks   [][2]int // contiguous feature ranges scanned concurrently
+	featChunks   [][2]int // contiguous column ranges scanned concurrently; none without columns
+	// nextClass is forClasses' schedule: the next class a worker takes.
+	nextClass atomic.Int32
+}
+
+// workers resolves Config.Workers: 0 means GOMAXPROCS.
+func (c *Config) workers() int {
+	if c.Workers > 0 {
+		return c.Workers
+	}
+	return runtime.GOMAXPROCS(0)
 }
 
 func newHistEngine(ds *Dataset, bins *binning, cfg Config, numClasses int) *histEngine {
@@ -101,51 +126,39 @@ func newHistEngine(ds *Dataset, bins *binning, cfg Config, numClasses int) *hist
 		bins:   bins,
 		schema: ds.Schema,
 		cfg:    cfg,
-		nf:     ds.Schema.NumFeatures(),
 	}
-	eng.featOff = make([]int32, eng.nf)
-	for f := 0; f < eng.nf; f++ {
-		eng.featOff[f] = int32(eng.totalBins)
-		eng.totalBins += bins.numBins[f]
-		if bins.numBins[f] > eng.maxBins {
-			eng.maxBins = bins.numBins[f]
+	for f, col := range bins.binned {
+		if slices.ContainsFunc(col, func(b int32) bool { return b != col[0] }) {
+			eng.cols = append(eng.cols, f)
 		}
 	}
+	nc := len(eng.cols)
+	eng.featOff = make([]int32, nc)
+	for c, f := range eng.cols {
+		eng.featOff[c] = int32(eng.totalBins)
+		eng.totalBins += bins.numBins[f]
+		eng.maxBins = max(eng.maxBins, bins.numBins[f])
+	}
 	if 3*eng.totalBins <= math.MaxUint16 {
-		eng.binnedRM16 = buildRowMajor[uint16](bins, eng.featOff, ds.N, eng.nf)
+		eng.binnedRM16 = buildRowMajor[uint16](bins, eng.cols, eng.featOff, ds.N)
 	} else {
-		eng.binnedRM32 = buildRowMajor[uint32](bins, eng.featOff, ds.N, eng.nf)
+		eng.binnedRM32 = buildRowMajor[uint32](bins, eng.cols, eng.featOff, ds.N)
 	}
-	eng.workers = cfg.Workers
-	if eng.workers <= 0 {
-		eng.workers = runtime.GOMAXPROCS(0)
-	}
-	eng.classWorkers = eng.workers
-	if eng.classWorkers > numClasses {
-		eng.classWorkers = numClasses
-	}
-	featWorkers := eng.workers / eng.classWorkers
-	if featWorkers > eng.nf {
-		featWorkers = eng.nf
-	}
-	if featWorkers < 1 {
-		featWorkers = 1
-	}
-	// Contiguous feature chunks balanced by bin count (bin count tracks
+	eng.workers = cfg.workers()
+	eng.classWorkers = min(eng.workers, numClasses)
+	featWorkers := max(min(eng.workers/eng.classWorkers, nc), 1)
+	// Contiguous column chunks balanced by bin count (bin count tracks
 	// both the zeroing and the scan cost of a chunk). Chunk boundaries
 	// only group an order-preserving reduction, so they may depend on
 	// the worker count without breaking determinism.
 	per := (eng.totalBins + featWorkers - 1) / featWorkers
 	start, acc := 0, 0
-	for f := 0; f < eng.nf; f++ {
+	for c, f := range eng.cols {
 		acc += bins.numBins[f]
-		if acc >= per || f == eng.nf-1 {
-			eng.featChunks = append(eng.featChunks, [2]int{start, f + 1})
-			start, acc = f+1, 0
+		if acc >= per || c == nc-1 {
+			eng.featChunks = append(eng.featChunks, [2]int{start, c + 1})
+			start, acc = c+1, 0
 		}
-	}
-	if len(eng.featChunks) == 0 {
-		eng.featChunks = append(eng.featChunks, [2]int{0, eng.nf})
 	}
 	return eng
 }
@@ -154,16 +167,16 @@ func newHistEngine(ds *Dataset, bins *binning, cfg Config, numClasses int) *hist
 // the histogram record stride baked in. It panics on a bin outside its
 // feature's range: the SSE2 kernel indexes histograms by these entries
 // unchecked, so this is where they are held in range.
-func buildRowMajor[T uint16 | uint32](bins *binning, featOff []int32, n, nf int) []T {
-	rm := make([]T, n*nf)
-	for f := 0; f < nf; f++ {
-		off := featOff[f]
-		col := bins.binned[f]
-		for r := 0; r < n; r++ {
-			if b := col[r]; b < 0 || int(b) >= bins.numBins[f] {
+func buildRowMajor[T uint16 | uint32](bins *binning, cols []int, featOff []int32, n int) []T {
+	nc := len(cols)
+	rm := make([]T, n*nc)
+	for c, f := range cols {
+		off := featOff[c]
+		for r, b := range bins.binned[f] {
+			if b < 0 || int(b) >= bins.numBins[f] {
 				panic(fmt.Sprintf("gbdt: row %d feature %d bin %d outside [0, %d)", r, f, b, bins.numBins[f]))
 			}
-			rm[r*nf+f] = T(3 * (off + col[r]))
+			rm[r*nc+c] = T(3 * (off + b))
 		}
 	}
 	return rm
@@ -209,8 +222,11 @@ func accumRowsGo[T uint16 | uint32](d []float64, rm []T, nf, lo, hi int, seg []i
 }
 
 // forClasses runs fn(worker, class) for every class, spreading classes
-// over the engine's class workers. Classes are independent given the
-// round's gradients, so the schedule cannot affect results.
+// over the engine's class workers: each worker takes the next class
+// not yet taken, so one slow tree does not hold back a worker's later
+// classes. Classes are independent given the round's gradients, and a
+// grower's scratch never carries into its next tree, so the schedule
+// cannot affect results.
 func (eng *histEngine) forClasses(numClasses int, fn func(w, k int)) {
 	if eng.classWorkers == 1 {
 		for k := 0; k < numClasses; k++ {
@@ -218,17 +234,20 @@ func (eng *histEngine) forClasses(numClasses int, fn func(w, k int)) {
 		}
 		return
 	}
+	eng.nextClass.Store(0)
 	var wg sync.WaitGroup
+	wg.Add(eng.classWorkers)
 	for w := 0; w < eng.classWorkers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for k := w; k < numClasses; k += eng.classWorkers {
-				fn(w, k)
-			}
-		}(w)
+		go eng.classWorker(w, numClasses, fn, &wg)
 	}
 	wg.Wait()
+}
+
+func (eng *histEngine) classWorker(w, numClasses int, fn func(w, k int), wg *sync.WaitGroup) {
+	defer wg.Done()
+	for k := int(eng.nextClass.Add(1)) - 1; k < numClasses; k = int(eng.nextClass.Add(1)) - 1 {
+		fn(w, k)
+	}
 }
 
 // histBuf is one pooled flat histogram: per-feature bin regions laid
@@ -376,29 +395,29 @@ func (tg *treeGrower) runChunk(op chunkOp, hb, other *histBuf, seg []int32, ci i
 }
 
 // chunkRecords returns the span of a histBuf's d that chunk ci's
-// features own.
+// columns own.
 func (eng *histEngine) chunkRecords(ci int) (lo, hi int32) {
 	lo = 3 * eng.featOff[eng.featChunks[ci][0]]
 	hi = 3 * int32(eng.totalBins)
-	if end := eng.featChunks[ci][1]; end < eng.nf {
+	if end := eng.featChunks[ci][1]; end < len(eng.cols) {
 		hi = 3 * eng.featOff[end]
 	}
 	return lo, hi
 }
 
-// fillChunk zeroes and rebuilds the chunk's per-feature histograms from
-// the segment's rows with the row-major kernel over the chunk's feature
+// fillChunk zeroes and rebuilds the chunk's per-column histograms from
+// the segment's rows with the row-major kernel over the chunk's column
 // window. Every bin adds its rows in segment order whatever the window,
 // so the chunking cannot change a sum.
 func (tg *treeGrower) fillChunk(hb *histBuf, seg []int32, ci int) {
 	eng := tg.eng
 	lo, hi := eng.chunkRecords(ci)
 	clear(hb.d[lo:hi])
-	flo, fhi := eng.featChunks[ci][0], eng.featChunks[ci][1]
+	clo, chi := eng.featChunks[ci][0], eng.featChunks[ci][1]
 	if eng.binnedRM16 != nil {
-		accumRows(hb.d, eng.binnedRM16, eng.nf, flo, fhi, seg, tg.gh)
+		accumRows(hb.d, eng.binnedRM16, len(eng.cols), clo, chi, seg, tg.gh)
 	} else {
-		accumRowsGo(hb.d, eng.binnedRM32, eng.nf, flo, fhi, seg, tg.gh)
+		accumRowsGo(hb.d, eng.binnedRM32, len(eng.cols), clo, chi, seg, tg.gh)
 	}
 }
 
@@ -419,12 +438,9 @@ func (tg *treeGrower) scanChunk(hb *histBuf, task *nodeTask, ci int) {
 	nTotal := task.end - task.start
 	parentScore := task.sumG * task.sumG / (task.sumH + eng.cfg.Lambda)
 	lo, hi := eng.featChunks[ci][0], eng.featChunks[ci][1]
-	for f := lo; f < hi; f++ {
-		nb := eng.bins.numBins[f]
-		if nb < 2 {
-			continue
-		}
-		off := eng.featOff[f]
+	for c := lo; c < hi; c++ {
+		f := eng.cols[c]
+		nb, off := eng.bins.numBins[f], eng.featOff[c]
 		if eng.schema.Kinds[f] == Numeric {
 			tg.scanNumericFlat(f, off, nb, hb, task.sumG, task.sumH, nTotal, parentScore, &cand)
 		} else {
@@ -542,6 +558,9 @@ func sortCatStats(cats []histCatStat) {
 // returns the best split across all features (chunk candidates reduced
 // in feature order). A categorical result's leftCats is scratch.
 func (tg *treeGrower) findSplit() splitResult {
+	if len(tg.cands) == 0 { // no column can split
+		return splitResult{}
+	}
 	task := &tg.cur
 	if task.hb == nil {
 		task.hb = tg.take()

@@ -81,11 +81,17 @@ func TestRegressorWithCategoricalFeature(t *testing.T) {
 }
 
 // TestTrainingWithConstantFeatures: constant columns must not break
-// split finding (no splits possible on them).
+// split finding (no splits possible on them), and the engine keeps no
+// column for them. Constant here means every training row falls in one
+// bin: numeric constants, a numeric constant apart from NaNs (NaN bins
+// with the smallest values), and a categorical feature with card > 1 of
+// which one id is observed.
 func TestTrainingWithConstantFeatures(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	n := 400
-	ds := NewDataset(numSchema(3), n)
+	s := numSchema(5)
+	s.Kinds[3], s.Cards[3] = Categorical, 5
+	ds := NewDataset(s, n)
 	labels := make([]int, n)
 	for i := 0; i < n; i++ {
 		ds.Set(i, 0, 7)   // constant
@@ -95,18 +101,86 @@ func TestTrainingWithConstantFeatures(t *testing.T) {
 		if v > 0 {
 			labels[i] = 1
 		}
+		ds.Set(i, 3, 3) // one observed id of five
+		if i%3 == 0 {
+			ds.Set(i, 4, math.NaN())
+		} else {
+			ds.Set(i, 4, 2)
+		}
 	}
 	cfg := DefaultConfig()
 	cfg.NumRounds = 5
-	m, err := TrainClassifier(ds, labels, 2, cfg)
+	if got := EngineColumns(ds, cfg); got != 1 {
+		t.Errorf("engine keeps %d columns, want 1 (only feature 2 can split)", got)
+	}
+	m, trees, err := TrainClassifierTrees(ds, labels, 2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if edges := m.NumericSplitThresholds(); len(edges[0]) != 0 || len(edges[1]) != 0 {
-		t.Errorf("constant features split at %v and %v", edges[0], edges[1])
+	for r, round := range trees {
+		for k, tree := range round {
+			for i, nd := range tree.Nodes {
+				if !nd.IsLeaf && nd.Feature != 2 {
+					t.Fatalf("round %d class %d node %d splits on constant feature %d", r, k, i, nd.Feature)
+				}
+			}
+		}
 	}
-	if m.PredictClass([]float64{7, 0.5, 3}) != 1 {
+	if m.PredictClass([]float64{7, 0.5, 3, 3, 2}) != 1 {
 		t.Error("informative feature ignored")
+	}
+	t.Run("all constant", testAllConstant)
+}
+
+// testAllConstant: when no feature can split, the engine has no columns
+// and no chunks, every tree is one leaf, and growing one takes no
+// histogram.
+func testAllConstant(t *testing.T) {
+	n := 300
+	s := numSchema(3)
+	s.Kinds[1], s.Cards[1] = Categorical, 4
+	ds := NewDataset(s, n)
+	labels := make([]int, n)
+	for i := 0; i < n; i++ {
+		ds.Set(i, 0, 1.5)
+		ds.Set(i, 1, 2)
+		if i%2 == 0 {
+			ds.Set(i, 2, math.NaN())
+		} else {
+			ds.Set(i, 2, -4)
+		}
+		labels[i] = i % 3
+	}
+	cfg := DefaultConfig()
+	cfg.NumRounds = 3
+	for _, w := range []int{1, 2} {
+		cfg.Workers = w
+		eng := newHistEngine(ds, buildBinning(ds, cfg.MaxBins, w), cfg, 3)
+		if len(eng.cols) != 0 || len(eng.featChunks) != 0 || eng.totalBins != 0 {
+			t.Fatalf("workers %d: engine has %d columns, %d chunks, %d bins; want none",
+				w, len(eng.cols), len(eng.featChunks), eng.totalBins)
+		}
+		tg := newTreeGrower(eng, n)
+		tg.gh, tg.leafOut = make([]float64, 2*n), make([]float64, n)
+		for i := 0; i < n; i++ {
+			tg.gh[2*i], tg.gh[2*i+1] = float64(i%5)-2, 1
+		}
+		rows, out := sampleRows(n, 1, rand.New(rand.NewSource(1)), nil, nil)
+		if tree := tg.grow(rows, out); len(tree.Nodes) != 1 || len(tg.free) != 0 {
+			t.Fatalf("workers %d: grew %d nodes and pooled %d histograms, want one leaf and none",
+				w, len(tree.Nodes), len(tg.free))
+		}
+		_, trees, err := TrainClassifierTrees(ds, labels, 3, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r, round := range trees {
+			for k, tree := range round {
+				if len(tree.Nodes) != 1 {
+					t.Fatalf("workers %d: round %d class %d tree has %d nodes, want one leaf", w, r, k, len(tree.Nodes))
+				}
+			}
+		}
 	}
 }
 

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -38,6 +40,48 @@ func TestGeneratorDeterminism(t *testing.T) {
 		}
 		if same {
 			t.Error("different seeds produced identical traces")
+		}
+	}
+}
+
+// TestGenerateSortMatchesStable: Generate sorts with the unstable
+// slices.SortFunc, which is only safe because generated IDs are unique
+// and (ArrivalSec, ID) is then a total order. Its output must equal a
+// stable sort of a shuffled copy, for four seeds of the default config
+// and for a cluster config with an uneven archetype mix whose trace
+// spans many 256-job blocks.
+func TestGenerateSortMatchesStable(t *testing.T) {
+	var cfgs []GeneratorConfig
+	for seed := int64(1); seed <= 4; seed++ {
+		cfg := DefaultGeneratorConfig("C0", seed)
+		cfg.DurationSec = 3 * 24 * 3600
+		cfgs = append(cfgs, cfg)
+	}
+	multi := ClusterConfigs(4, 9)[3]
+	multi.DurationSec, multi.LoadScale = 5*24*3600, 2
+	cfgs = append(cfgs, multi)
+	for _, cfg := range cfgs {
+		tr := NewGenerator(cfg).Generate()
+		if len(tr.Jobs) < 4*jobBlock {
+			t.Fatalf("%s seed %d: %d jobs, want several blocks", cfg.Cluster, cfg.Seed, len(tr.Jobs))
+		}
+		ids := map[string]bool{}
+		for _, j := range tr.Jobs {
+			if ids[j.ID] {
+				t.Fatalf("%s seed %d: duplicate ID %s", cfg.Cluster, cfg.Seed, j.ID)
+			}
+			ids[j.ID] = true
+		}
+		shuffled := slices.Clone(tr.Jobs)
+		rand.New(rand.NewSource(cfg.Seed)).Shuffle(len(shuffled), func(a, b int) {
+			shuffled[a], shuffled[b] = shuffled[b], shuffled[a]
+		})
+		(&Trace{Jobs: shuffled}).Sort()
+		for i, j := range tr.Jobs {
+			if j != shuffled[i] {
+				t.Fatalf("%s seed %d: job %d is %s, a stable sort puts %s there",
+					cfg.Cluster, cfg.Seed, i, j.ID, shuffled[i].ID)
+			}
 		}
 	}
 }

@@ -178,13 +178,14 @@ type Trace struct {
 
 // Sort orders jobs by arrival time (stable; ties broken by ID for
 // determinism).
-func (t *Trace) Sort() {
-	slices.SortStableFunc(t.Jobs, func(a, b *Job) int {
-		if a.ArrivalSec != b.ArrivalSec {
-			return cmp.Compare(a.ArrivalSec, b.ArrivalSec)
-		}
-		return cmp.Compare(a.ID, b.ID)
-	})
+func (t *Trace) Sort() { slices.SortStableFunc(t.Jobs, byArrival) }
+
+// byArrival orders jobs by (ArrivalSec, ID).
+func byArrival(a, b *Job) int {
+	if a.ArrivalSec != b.ArrivalSec {
+		return cmp.Compare(a.ArrivalSec, b.ArrivalSec)
+	}
+	return cmp.Compare(a.ID, b.ID)
 }
 
 // Validate checks every job and that the trace is sorted.
