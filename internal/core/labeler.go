@@ -85,7 +85,7 @@ func FitLabelerSpacing(jobs []*trace.Job, cm *cost.Model, numCategories int, spa
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("core: no jobs to fit labeler on")
 	}
-	var densities []float64
+	densities := make([]float64, 0, len(jobs))
 	for _, j := range jobs {
 		if cm.Savings(j) >= 0 {
 			densities = append(densities, j.IODensity())

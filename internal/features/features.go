@@ -131,11 +131,12 @@ var numericFeatures = [...]struct{ name, group string }{
 	{"open_time_seconds", GroupTimestamp},
 }
 
-// categoricalFeatureNames returns the names of categorical features in
-// schema order: weekday, then per metadata field the full string plus
-// its leading tokens.
-func categoricalFeatureNames() []struct{ name, group string } {
-	out := []struct{ name, group string }{{"open_time_weekday", GroupTimestamp}}
+// categoricalFeatures lists (name, group) of the categorical features
+// in schema order: weekday, then per metadata field the full string
+// plus its leading tokens.
+var categoricalFeatures = func() []struct{ name, group string } {
+	out := make([]struct{ name, group string }, 0, 1+numStringFeatures)
+	out = append(out, struct{ name, group string }{"open_time_weekday", GroupTimestamp})
 	for _, name := range metadataFields {
 		out = append(out, struct{ name, group string }{name, GroupMetadata})
 		for t := 0; t < tokensPerField; t++ {
@@ -144,7 +145,7 @@ func categoricalFeatureNames() []struct{ name, group string } {
 		}
 	}
 	return out
-}
+}()
 
 // categoricalValues extracts the raw string values of all categorical
 // features of a job's metadata except weekday (which is encoded
@@ -174,64 +175,85 @@ func BuildEncoder(jobs []*trace.Job, maxVocab int) *Encoder {
 	}
 	// The jobs of a template share its metadata, so the strings are split
 	// and counted once per distinct Metadata, weighted by its job count.
+	// Every feature's strings are counted in one array, not a growing map
+	// per feature: one (feature, string, count) entry per feature of each
+	// Metadata, sorted by feature and string, then merged.
 	perMeta := make(map[trace.Metadata]int)
 	for _, j := range jobs {
 		perMeta[j.Meta]++
 	}
-	countsPerFeature := make([]map[string]int, numStringFeatures)
-	for i := range countsPerFeature {
-		countsPerFeature[i] = map[string]int{}
-	}
+	counts := make([]vocabEntry, 0, numStringFeatures*len(perMeta))
 	for m, n := range perMeta {
-		for i, v := range categoricalValues(&m) {
-			countsPerFeature[i][v] += n
+		for f, v := range categoricalValues(&m) {
+			counts = append(counts, vocabEntry{f, v, n})
+		}
+	}
+	slices.SortFunc(counts, func(a, b vocabEntry) int {
+		if a.f != b.f {
+			return cmp.Compare(a.f, b.f)
+		}
+		return cmp.Compare(a.s, b.s)
+	})
+	merged := counts[:0]
+	for _, c := range counts {
+		if last := len(merged) - 1; last >= 0 && merged[last].f == c.f && merged[last].s == c.s {
+			merged[last].n += c.n
+		} else {
+			merged = append(merged, c)
 		}
 	}
 	enc := &Encoder{Vocabs: make([]map[string]int, numStringFeatures)}
-	var items []vocabEntry
-	for i, counts := range countsPerFeature {
-		vocab := make(map[string]int, len(counts)+1)
+	for f := range enc.Vocabs {
+		end := 0
+		for end < len(merged) && merged[end].f == f {
+			end++
+		}
+		items := merged[:end]
+		merged = merged[end:]
 		// Keep the most frequent strings; deterministic order by
 		// (count desc, string asc).
-		items = items[:0]
-		for s, n := range counts {
-			items = append(items, vocabEntry{s, n})
-		}
 		slices.SortFunc(items, func(a, b vocabEntry) int {
 			if a.n != b.n {
 				return cmp.Compare(b.n, a.n)
 			}
 			return cmp.Compare(a.s, b.s)
 		})
-		limit := maxVocab - 1
+		items = items[:min(len(items), maxVocab-1)]
+		vocab := make(map[string]int, len(items)+1)
 		for rank, it := range items {
-			if rank >= limit {
-				break
-			}
 			vocab[it.s] = rank + 1 // 0 reserved for unknown
 		}
-		enc.Vocabs[i] = vocab
+		enc.Vocabs[f] = vocab
 	}
 	enc.buildSchema()
 	return enc
 }
 
-// vocabEntry pairs a string with its training-set frequency.
+// vocabEntry counts string s of categorical feature f: its training-set
+// frequency.
 type vocabEntry struct {
+	f int
 	s string
 	n int
 }
 
+// buildSchema lays out the schema of encoded rows: the numeric features,
+// then the categorical ones, whose cardinalities the vocabularies set.
 func (e *Encoder) buildSchema() {
-	s := &gbdt.Schema{}
+	nf := len(numericFeatures) + len(categoricalFeatures)
+	s := &gbdt.Schema{
+		Names:  make([]string, 0, nf),
+		Kinds:  make([]gbdt.FeatureKind, 0, nf),
+		Cards:  make([]int, 0, nf),
+		Groups: make([]string, 0, nf),
+	}
 	for _, f := range numericFeatures {
 		s.Names = append(s.Names, f.name)
 		s.Kinds = append(s.Kinds, gbdt.Numeric)
 		s.Cards = append(s.Cards, 0)
 		s.Groups = append(s.Groups, f.group)
 	}
-	catNames := categoricalFeatureNames()
-	for i, f := range catNames {
+	for i, f := range categoricalFeatures {
 		s.Names = append(s.Names, f.name)
 		s.Kinds = append(s.Kinds, gbdt.Categorical)
 		if i == 0 {

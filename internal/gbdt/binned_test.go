@@ -9,9 +9,11 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/cost"
 	"repro/internal/features"
 	"repro/internal/gbdt"
 	"repro/internal/perf"
+	"repro/internal/trace"
 )
 
 // binnedFixture is a trained model, the dataset and labels it was
@@ -380,6 +382,38 @@ func BenchmarkPaperTrain(b *testing.B) {
 			cfg.Workers = workers
 			for i := 0; i < b.N; i++ {
 				if _, err := gbdt.TrainClassifier(fx.ds, fx.labels, fx.model.NumClasses, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSmallTrain times a scenario-scale training, 6 rounds of 6
+// classes on a few thousand generated jobs, with one and two workers:
+// the models BYOM trains per workload and retrains online, where what
+// a training costs once outweighs its 36 trees. -benchmem reports its
+// allocations.
+//
+//	go test -run '^$' -bench BenchmarkSmallTrain -benchmem ./internal/gbdt
+func BenchmarkSmallTrain(b *testing.B) {
+	cfg := trace.DefaultGeneratorConfig("C0", 1)
+	cfg.DurationSec, cfg.NumUsers = 4*24*3600, 8
+	jobs := trace.NewGenerator(cfg).Generate().Jobs
+	opts := core.DefaultTrainOptions()
+	opts.NumCategories, opts.GBDT.NumRounds = 6, 6
+	cm := cost.Default()
+	labeler, err := core.FitLabeler(jobs, cm, opts.NumCategories)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ds, labels := features.BuildEncoder(jobs, opts.MaxVocab).Dataset(jobs), labeler.Labels(jobs, cm)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			cfg := opts.GBDT
+			cfg.Workers = workers
+			for i := 0; i < b.N; i++ {
+				if _, err := gbdt.TrainClassifier(ds, labels, opts.NumCategories, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

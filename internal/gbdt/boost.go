@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync/atomic"
 	"unsafe"
 )
 
@@ -176,31 +177,69 @@ func trainClassifier(ds *Dataset, labels []int, numClasses int, cfg Config) (*Mo
 	eng := newHistEngine(ds, bins, cfg, k)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	cr := newClassRound(eng, labels, m.InitScores)
-	var rows, outBuf []int32
-	growers := make([]*treeGrower, eng.classWorkers)
-	for w := range growers {
-		growers[w] = newTreeGrower(eng, n)
+	ct := &classTrainer{cr: newClassRound(eng, labels, m.InitScores), growers: make([]*treeGrower, eng.classWorkers)}
+	for w := range ct.growers {
+		ct.growers[w] = newTreeGrower(eng, n)
 	}
-	trees := make([][]*Tree, 0, cfg.NumRounds)
-
-	for round := 0; round < cfg.NumRounds; round++ {
+	c := newCrew(eng.workers)
+	defer c.stop()
+	grow := ct.growClasses // made once: a method value made per round goes to the heap
+	trees := newTreeSlab(cfg.NumRounds, k)
+	rows, outBuf := sampleBuffers(n)
+	m.TrainLoss = make([]float64, 0, cfg.NumRounds)
+	for round, roundTrees := range trees {
 		rows, outBuf = sampleRows(n, cfg.Subsample, rng, rows, outBuf)
 		// The pass applies last round's trees, whose leafOut covers every
 		// row; the last round's are never applied, as no loss reads them.
-		loss := cr.run(round > 0)
+		loss := ct.cr.run(c, round > 0)
 		m.TrainLoss = append(m.TrainLoss, loss/float64(n))
 
-		roundTrees := make([]*Tree, k)
-		rowsOut := outBuf
-		eng.forClasses(k, func(w, kc int) {
-			tg := growers[w]
-			tg.gh, tg.leafOut = cr.gh[kc], cr.leafOut[kc]
-			roundTrees[kc] = tg.grow(rows, rowsOut)
-		})
-		trees = append(trees, roundTrees)
+		ct.rows, ct.out, ct.round = rows, outBuf, roundTrees
+		ct.next.Store(0)
+		c.run(grow)
 	}
 	return m, trees, nil
+}
+
+// classTrainer is a classifier training's round state, which the crew's
+// class workers read: each takes the next class not yet taken, so one
+// slow tree does not hold back a worker's later classes. Classes are
+// independent given the round's gradients, and a grower's scratch never
+// carries into its next tree, so the schedule cannot affect results.
+type classTrainer struct {
+	cr      *classRound
+	growers []*treeGrower // one per class worker
+	// rows and out are the round's sample and its complement, and round
+	// its trees, by class.
+	rows, out []int32
+	round     []*Tree
+	next      atomic.Int32
+}
+
+// growClasses is class worker w's part of a round. A crew wider than the
+// class workers leaves its other workers idle.
+func (ct *classTrainer) growClasses(w int) {
+	if w >= len(ct.growers) {
+		return
+	}
+	tg := ct.growers[w]
+	for k := int(ct.next.Add(1)) - 1; k < len(ct.round); k = int(ct.next.Add(1)) - 1 {
+		tg.gh, tg.leafOut = ct.cr.gh[k], ct.cr.leafOut[k]
+		tg.grow(ct.rows, ct.out, ct.round[k])
+	}
+}
+
+// newTreeSlab returns rounds rows of k trees, trees[r][c] the round-r
+// tree for class c, cut from one array of trees and one of pointers.
+func newTreeSlab(rounds, k int) [][]*Tree {
+	ts, ptrs, trees := make([]Tree, rounds*k), make([]*Tree, rounds*k), make([][]*Tree, rounds)
+	for i := range ptrs {
+		ptrs[i] = &ts[i]
+	}
+	for r := range trees {
+		trees[r] = ptrs[r*k : (r+1)*k : (r+1)*k]
+	}
+	return trees
 }
 
 // TrainRegressor fits a squared-loss regression model on the histogram
@@ -246,9 +285,10 @@ func TrainRegressor(ds *Dataset, targets []float64, cfg Config) (*Model, error) 
 	for i := 0; i < n; i++ {
 		gh[2*i+1] = 1 // squared loss: every hessian is 1
 	}
-	var rows, outBuf []int32
-	trees := make([][]*Tree, 0, cfg.NumRounds)
-	for round := 0; round < cfg.NumRounds; round++ {
+	rows, outBuf := sampleBuffers(n)
+	trees := newTreeSlab(cfg.NumRounds, 1)
+	m.TrainLoss = make([]float64, 0, cfg.NumRounds)
+	for _, round := range trees {
 		var loss float64
 		for i := 0; i < n; i++ {
 			r := preds[i] - targets[i]
@@ -257,7 +297,7 @@ func TrainRegressor(ds *Dataset, targets []float64, cfg Config) (*Model, error) 
 		}
 		m.TrainLoss = append(m.TrainLoss, loss/float64(n))
 		rows, outBuf = sampleRows(n, cfg.Subsample, rng, rows, outBuf)
-		trees = append(trees, []*Tree{tg.grow(rows, outBuf)})
+		tg.grow(rows, outBuf, round[0])
 		for i, v := range tg.leafOut {
 			preds[i] += v
 		}
@@ -342,6 +382,13 @@ func trainClassifierNaive(ds *Dataset, labels []int, numClasses int, cfg Config)
 		trees = append(trees, roundTrees)
 	}
 	return m, trees, nil
+}
+
+// sampleBuffers returns the buffers of sampleRows for n rows, cut from
+// one array: a round's sample and its complement never outgrow them.
+func sampleBuffers(n int) (in, out []int32) {
+	buf := make([]int32, 2*n)
+	return buf[:0:n], buf[n:n]
 }
 
 // sampleRows splits [0, n) into the round's ascending row sample and

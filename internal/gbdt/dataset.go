@@ -100,11 +100,13 @@ type Dataset struct {
 	N      int
 }
 
-// NewDataset allocates an n-row dataset for the schema.
+// NewDataset allocates an n-row dataset for the schema. Its columns are
+// cut from one array, each with its capacity clipped to n.
 func NewDataset(schema *Schema, n int) *Dataset {
 	cols := make([][]float64, schema.NumFeatures())
+	all := make([]float64, len(cols)*n)
 	for i := range cols {
-		cols[i] = make([]float64, n)
+		cols[i] = all[i*n : (i+1)*n : (i+1)*n]
 	}
 	return &Dataset{Schema: schema, Cols: cols, N: n}
 }
@@ -168,7 +170,9 @@ type binning struct {
 // buildBinning computes bins for the dataset with at most maxBins bins
 // per numeric feature. Up to workers goroutines take the features one
 // at a time; a feature's bins depend on its own column alone, so the
-// schedule cannot change them.
+// schedule cannot change them. The bins of every feature are cut from
+// one array, and the boundaries of every numeric feature from another,
+// each feature's window as wide as its boundaries can be.
 func buildBinning(d *Dataset, maxBins, workers int) *binning {
 	nf := d.Schema.NumFeatures()
 	b := &binning{
@@ -179,6 +183,14 @@ func buildBinning(d *Dataset, maxBins, workers int) *binning {
 	all := make([]int32, nf*d.N)
 	for f := range b.binned {
 		b.binned[f] = all[f*d.N : (f+1)*d.N]
+	}
+	// A column of n values has at most n-1 boundaries between distinct ones.
+	width := max(min(maxBins, d.N)-1, 0)
+	uppers := make([]float64, nf*width)
+	for f, kind := range d.Schema.Kinds {
+		if kind == Numeric {
+			b.uppers[f] = uppers[f*width : f*width : (f+1)*width]
+		}
 	}
 	w := &binWork{d: d, b: b, maxBins: maxBins}
 	workers = max(min(workers, nf), 1)
@@ -202,7 +214,7 @@ type binWork struct {
 }
 
 // run bins features until none is left, sorting each numeric column in
-// one scratch slice of its own.
+// one scratch slice of its own, as long as a column.
 func (w *binWork) run() {
 	defer w.wg.Done()
 	var vals []float64
@@ -219,8 +231,10 @@ func (w *binWork) run() {
 			w.b.numBins[f] = w.d.Schema.Cards[f]
 			continue
 		}
-		var boundaries []float64
-		boundaries, vals = numericBoundaries(col, w.maxBins, vals)
+		if vals == nil {
+			vals = make([]float64, 0, len(col))
+		}
+		boundaries := numericBoundaries(col, w.maxBins, vals, w.b.uppers[f])
 		w.b.uppers[f] = boundaries
 		w.b.numBins[f] = len(boundaries) + 1
 		for i, v := range col {
@@ -232,8 +246,13 @@ func (w *binWork) run() {
 // numericBoundaries picks up to maxBins-1 split boundaries between
 // distinct values at (approximately) uniform quantiles. Boundaries are
 // midpoints so that trained thresholds generalize to unseen values.
-// vals is sorting scratch, reused and returned.
-func numericBoundaries(col []float64, maxBins int, vals []float64) ([]float64, []float64) {
+// vals is sorting scratch, and the boundaries are appended to dst[:0],
+// whose capacity holds them: min(maxBins, len(col))-1.
+//
+// The ranks read vals after uniq has been compacted over it in place,
+// not the full sorted sample the comment below promises; every model
+// is trained on these bins, so they stay as they are.
+func numericBoundaries(col []float64, maxBins int, vals, dst []float64) []float64 {
 	vals = vals[:0]
 	for _, v := range col {
 		if !math.IsNaN(v) {
@@ -241,7 +260,7 @@ func numericBoundaries(col []float64, maxBins int, vals []float64) ([]float64, [
 		}
 	}
 	if len(vals) == 0 {
-		return nil, vals
+		return nil
 	}
 	sort.Float64s(vals)
 	// Unique values.
@@ -252,13 +271,13 @@ func numericBoundaries(col []float64, maxBins int, vals []float64) ([]float64, [
 		}
 	}
 	if len(uniq) <= 1 {
-		return nil, vals
+		return nil
 	}
 	nCuts := maxBins - 1
 	if nCuts > len(uniq)-1 {
 		nCuts = len(uniq) - 1
 	}
-	boundaries := make([]float64, 0, nCuts)
+	boundaries := dst[:0]
 	// Choose cut positions at uniform ranks over the full (non-unique)
 	// sample so bins are approximately equal-population.
 	prevIdx := -1
@@ -283,7 +302,7 @@ func numericBoundaries(col []float64, maxBins int, vals []float64) ([]float64, [
 	if len(boundaries) == 0 {
 		boundaries = append(boundaries, (uniq[0]+uniq[1])/2)
 	}
-	return boundaries, vals
+	return boundaries
 }
 
 // findBin returns the bin index of v given sorted upper boundaries;

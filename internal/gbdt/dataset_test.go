@@ -2,6 +2,7 @@ package gbdt
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -75,11 +76,11 @@ func TestRowCopy(t *testing.T) {
 
 func TestNumericBoundaries(t *testing.T) {
 	// Constant column: no boundaries.
-	if b, _ := numericBoundaries([]float64{5, 5, 5}, 8, nil); b != nil {
+	if b := numericBoundaries([]float64{5, 5, 5}, 8, nil, nil); b != nil {
 		t.Errorf("constant column boundaries = %v, want nil", b)
 	}
 	// Two distinct values: single midpoint boundary.
-	b, _ := numericBoundaries([]float64{0, 0, 1, 1}, 8, nil)
+	b := numericBoundaries([]float64{0, 0, 1, 1}, 8, nil, nil)
 	if len(b) != 1 || b[0] != 0.5 {
 		t.Errorf("boundaries = %v, want [0.5]", b)
 	}
@@ -88,15 +89,24 @@ func TestNumericBoundaries(t *testing.T) {
 	for i := range many {
 		many[i] = float64(i % 17)
 	}
-	b, _ = numericBoundaries(many, 8, nil)
+	b = numericBoundaries(many, 8, nil, nil)
 	for i := 1; i < len(b); i++ {
 		if b[i] <= b[i-1] {
 			t.Fatalf("boundaries not increasing: %v", b)
 		}
 	}
 	// All NaN: nil.
-	if b, _ := numericBoundaries([]float64{math.NaN(), math.NaN()}, 8, nil); b != nil {
+	if b := numericBoundaries([]float64{math.NaN(), math.NaN()}, 8, nil, nil); b != nil {
 		t.Errorf("all-NaN boundaries = %v, want nil", b)
+	}
+	// The ranks read the sample after its distinct values were compacted
+	// over it, so this skewed column gets [1.5 4.5] where uniform ranks
+	// over the full sample would give [0.5 1.5 3.5]. Every model is
+	// trained on these bins: the pin holds today's output until a change
+	// that moves every model fixes it.
+	skewed := []float64{0, 0, 0, 0, 1, 2, 3, 4, 5, 6}
+	if b := numericBoundaries(skewed, 4, nil, make([]float64, 0, 3)); !slices.Equal(b, []float64{1.5, 4.5}) {
+		t.Errorf("skewed column boundaries = %v, want [1.5 4.5]", b)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -168,7 +169,8 @@ func TestOutOfSampleRowsTakeTheirLeaf(t *testing.T) {
 		tg.leafOut[r] = math.NaN()
 	}
 	rows, out := sampleRows(ds.N, cfg.Subsample, rand.New(rand.NewSource(cfg.Seed)), nil, nil)
-	tree := tg.grow(rows, out)
+	tree := &Tree{}
+	tg.grow(rows, out, tree)
 
 	kinds := map[uint8]int{}
 	for _, nd := range tree.Nodes {
@@ -329,5 +331,24 @@ func TestEngineSubsampleOutOfSampleReplay(t *testing.T) {
 	}
 	if first, last := m.TrainLoss[0], m.TrainLoss[len(m.TrainLoss)-1]; last >= first*0.5 {
 		t.Errorf("loss only fell from %g to %g", first, last)
+	}
+}
+
+// TestTrainingStopsItsCrew: the goroutines a training starts for its
+// rounds, which take class trees and, past lossChunk rows, row-pass
+// ranges, have exited by the time it returns.
+func TestTrainingStopsItsCrew(t *testing.T) {
+	ds, labels := engineFixture(2*lossChunk, 3, 5)
+	cfg := DefaultConfig()
+	cfg.NumRounds = 3
+	for _, workers := range []int{2, 4} {
+		cfg.Workers = workers
+		before := runtime.NumGoroutine()
+		if _, err := TrainClassifier(ds, labels, 3, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if after := runtime.NumGoroutine(); after != before {
+			t.Errorf("workers %d: %d goroutines before training, %d after", workers, before, after)
+		}
 	}
 }

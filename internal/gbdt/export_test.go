@@ -66,10 +66,15 @@ func Compiled(tb testing.TB, m *Model) *Forest {
 const ForestNodeBytes = unsafe.Sizeof(binNode{})
 
 // Slack returns how many elements the arrays compile sizes in advance
-// have room for beyond what they hold.
+// have room for beyond what they hold, the edges of every feature
+// included.
 func (f *Forest) Slack() int {
-	return cap(f.nodes) - len(f.nodes) + cap(f.leaves) - len(f.leaves) + cap(f.sets) - len(f.sets) +
+	n := cap(f.nodes) - len(f.nodes) + cap(f.leaves) - len(f.leaves) + cap(f.sets) - len(f.sets) +
 		cap(f.arena) - len(f.arena) + cap(f.trees) - len(f.trees) + cap(f.classStart) - len(f.classStart)
+	for _, es := range f.edges {
+		n += cap(es) - len(es)
+	}
+	return n
 }
 
 // Sets returns how many category sets the forest holds, two per tree

@@ -138,8 +138,9 @@ func (m *Model) Compile() (*Forest, error) {
 
 // compile validates m's header and trees, deeply enough that nothing
 // done with the model can panic, and lays the trees out as a Forest,
-// every array at its final size; a *LimitError says what the binned
-// layout cannot hold.
+// every array at its final size and every feature's edges cut from one
+// array (gatherSplits); a *LimitError says what the binned layout
+// cannot hold.
 func compile(m *Model, trees [][]*Tree) (*Forest, error) {
 	if m.Schema == nil {
 		return nil, fmt.Errorf("gbdt: model has no schema")
@@ -163,15 +164,16 @@ func compile(m *Model, trees [][]*Tree) (*Forest, error) {
 		NumClasses:  m.NumClasses,
 		NumFeatures: nf,
 		initScores:  slices.Clone(m.InitScores),
-		edges:       make([][]float64, nf),
 		kinds:       slices.Clone(m.Schema.Kinds),
 		missing:     make([]uint16, nf),
 	}
 
-	// Size pass: every node, leaf, set and set word is counted, and
-	// every threshold gathered, before anything else is allocated.
+	// Size pass: every node, leaf, set and set word is counted, and so
+	// are each feature's numeric splits and the widest set of its
+	// categorical ones, before anything else is allocated.
 	var numNodes, numLeaves, numSets, numWords, maxNodes int
-	routed := make([][]uint64, nf) // per categorical feature, every id some split routes left
+	perFeature := make([]int, 2*nf)
+	splits, setWidth := perFeature[:nf], perFeature[nf:]
 	for r, round := range trees {
 		if len(round) != m.NumClasses {
 			return nil, fmt.Errorf("gbdt: round %d has %d trees for %d classes", r, len(round), m.NumClasses)
@@ -192,28 +194,21 @@ func compile(m *Model, trees [][]*Tree) (*Forest, error) {
 				case n.IsLeaf:
 					numLeaves++
 				case n.Kind == uint8(Numeric):
-					f.edges[n.Feature] = append(f.edges[n.Feature], n.Threshold)
+					splits[n.Feature]++
 				default:
-					ids := tree.LeftCats(n)
-					words, err := setWords(n.Feature, ids)
+					words, err := setWords(n.Feature, tree.LeftCats(n))
 					if err != nil {
 						return nil, err
 					}
 					numSets++
 					numWords += words + 1
-					for len(routed[n.Feature]) < words {
-						routed[n.Feature] = append(routed[n.Feature], 0)
-					}
-					setBits(routed[n.Feature], ids)
+					setWidth[n.Feature] = max(setWidth[n.Feature], words)
 				}
 			}
 		}
 	}
-	for feat, es := range f.edges {
-		slices.Sort(es)
-		// The copy sheds the slots of the splits that shared a threshold.
-		es = slices.Clone(slices.Compact(es))
-		f.edges[feat] = es
+	edges, routed := gatherSplits(trees, splits, setWidth)
+	for feat, es := range edges {
 		if len(es) > maxForestEdges {
 			return nil, &LimitError{fmt.Sprintf("distinct thresholds on feature %d", feat), len(es), maxForestEdges}
 		}
@@ -221,6 +216,7 @@ func compile(m *Model, trees [][]*Tree) (*Forest, error) {
 			return nil, fmt.Errorf("gbdt: compile: feature %d has a non-finite split threshold", feat)
 		}
 	}
+	f.edges = edges
 	if err := f.pickMissingIDs(routed); err != nil {
 		return nil, err
 	}
@@ -246,6 +242,68 @@ func compile(m *Model, trees [][]*Tree) (*Forest, error) {
 	}
 	f.classStart = append(f.classStart, int32(len(f.trees)))
 	return f, nil
+}
+
+// gatherSplits is compile's second pass over the trees, sized by its
+// first: splits[feat] numeric splits on each feature, and categorical
+// sets setWidth[feat] words wide at most. It
+// returns each feature's sorted distinct thresholds, the edges, cut
+// from one array that holds exactly them (nil for a feature without a
+// numeric split), and each categorical feature's union of left sets,
+// cut from another. The thresholds are gathered by feature into one
+// scratch array, each feature's in tree order, then sorted and
+// compacted feature by feature: what sorting and compacting a feature's
+// own list gives.
+func gatherSplits(trees [][]*Tree, splits, setWidth []int) (edges [][]float64, routed [][]uint64) {
+	nf := len(splits)
+	edges, routed = make([][]float64, nf), make([][]uint64, nf)
+	thr := make([]float64, sumInts(splits))
+	at := 0
+	for feat, n := range splits {
+		edges[feat], at = thr[at:at:at+n], at+n
+	}
+	words := make([]uint64, sumInts(setWidth))
+	for feat, w := range setWidth {
+		routed[feat], words = words[:w:w], words[w:]
+	}
+	for _, round := range trees {
+		for _, tree := range round {
+			for i := range tree.Nodes {
+				switch n := &tree.Nodes[i]; {
+				case n.IsLeaf:
+				case n.Kind == uint8(Numeric):
+					edges[n.Feature] = append(edges[n.Feature], n.Threshold)
+				default:
+					setBits(routed[n.Feature], tree.LeftCats(n))
+				}
+			}
+		}
+	}
+	distinct := 0
+	for feat, es := range edges {
+		slices.Sort(es)
+		edges[feat] = slices.Compact(es)
+		distinct += len(edges[feat])
+	}
+	slab := make([]float64, distinct)
+	for feat, es := range edges {
+		if len(es) > 0 {
+			n := copy(slab, es)
+			edges[feat], slab = slab[:n:n], slab[n:]
+		} else {
+			edges[feat] = nil
+		}
+	}
+	return edges, routed
+}
+
+// sumInts returns the sum of xs.
+func sumInts(xs []int) int {
+	n := 0
+	for _, x := range xs {
+		n += x
+	}
+	return n
 }
 
 // setWords returns how many bitset words a categorical split's set

@@ -1,11 +1,14 @@
 package gbdt
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
+	"unsafe"
 )
 
 // trainFlatFixture trains a small classifier over mixed numeric and
@@ -201,18 +204,21 @@ func TestPredictClassBatchSteadyStateAllocs(t *testing.T) {
 }
 
 // TestGrowSteadyStateAllocs is the trainer's allocation budget per
-// tree: a tree is built in the grower's scratch and costs its Tree, its
-// exact-length Nodes and the one array of its categorical splits' ids
-// (3.8 on this fixture, whose trees keep one categorical split each
-// and so cost what they did with an array per split; 4.2 before one row
-// pass started each round, 4.7 while every round sampled its rows into
-// a new slice, 25.2 while every popped node, every chunk closure and
-// every improving categorical candidate went to the heap). Compiling
-// the trees into the model's forest costs per model, not per tree. Two
-// workers add the class fan-out's goroutines, a per-round cost: 5.0
-// (5.5 before class trees were handed out from a shared counter, 5.8
-// before the row pass, 6.3 before the sample buffer).
-// The budgets are those of 4.7 and 6.3 plus one.
+// tree: a tree is built in the grower's scratch, sized for its depth,
+// its Tree comes from the training's one array of trees, and its Nodes
+// and category ids are cut from the grower's chunk slabs, so what is
+// left per tree is a share of a chunk: 0.03 on this fixture (3.8 while
+// each tree cost its Tree, its exact-length Nodes and the one array of
+// its categorical splits' ids; 4.2 before one row pass started each
+// round, 4.7 while every round sampled its rows into a new slice, 25.2
+// while every popped node, every chunk closure and every improving
+// categorical candidate went to the heap). Compiling the trees into
+// the model's forest costs per model, not per tree. Two workers hand
+// each round to a crew started once per training: 0.00 (4.8 while
+// every round started its class and row-pass goroutines, 5.5 before
+// class trees were handed out from a shared counter, 5.8 before the
+// row pass, 6.3 before the sample buffer).
+// The budgets are the readings plus one.
 func TestGrowSteadyStateAllocs(t *testing.T) {
 	m, rows := trainFlatFixture(t, 2000, 2)
 	ds := NewDataset(m.Schema, len(rows))
@@ -238,13 +244,122 @@ func TestGrowSteadyStateAllocs(t *testing.T) {
 	for _, c := range []struct {
 		workers int
 		budget  float64
-	}{{1, 6}, {2, 8}} {
+	}{{1, 1}, {2, 1}} {
 		short, _ := train(10, c.workers)
 		long, nodes := train(30, c.workers)
 		perTree := (long - short) / (20 * 3)
-		t.Logf("workers %d: %.1f allocations per tree (%d nodes in 90 trees)", c.workers, perTree, nodes)
+		t.Logf("workers %d: %.2f allocations per tree (%d nodes in 90 trees)", c.workers, perTree, nodes)
 		if perTree > c.budget {
 			t.Errorf("workers %d: %.1f allocations per tree, budget %.0f", c.workers, perTree, c.budget)
+		}
+	}
+}
+
+// TestTreeSlabsDoNotAlias: training cuts its trees' Nodes and category
+// ids from shared chunks, each tree's capacity clipped to its length,
+// so growing one tree after training reallocates it and leaves its
+// slab neighbours and the compiled forest as they were.
+func TestTreeSlabsDoNotAlias(t *testing.T) {
+	fixture, rows := trainFlatFixture(t, 600, 2)
+	ds := NewDataset(fixture.Schema, len(rows))
+	labels := make([]int, len(rows))
+	for i, row := range rows {
+		for feat, v := range row {
+			ds.Set(i, feat, v)
+		}
+		labels[i] = int(row[2]) % 3
+	}
+	cfg := DefaultConfig()
+	cfg.NumRounds, cfg.MaxDepth, cfg.Workers = 4, 4, 1
+	m, trees, err := TrainClassifierTrees(ds, labels, 3, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// With one worker the trees are cut in growth order, so the round-0
+	// class-0 tree's arrays end where the class-1 tree's begin.
+	first, next := trees[0][0], trees[0][1]
+	if len(first.cats) == 0 || len(next.cats) == 0 {
+		t.Fatalf("the first two trees have %d and %d category ids, want some in both", len(first.cats), len(next.cats))
+	}
+	if end := unsafe.Add(unsafe.Pointer(unsafe.SliceData(first.Nodes)), len(first.Nodes)*int(unsafe.Sizeof(Node{}))); end != unsafe.Pointer(&next.Nodes[0]) {
+		t.Fatal("the first two trees' nodes are not slab neighbours")
+	}
+	if end := unsafe.Add(unsafe.Pointer(unsafe.SliceData(first.cats)), 4*len(first.cats)); end != unsafe.Pointer(&next.cats[0]) {
+		t.Fatal("the first two trees' category ids are not slab neighbours")
+	}
+	snapshot := func() (nodes [][]Node, cats [][]int32, model []byte) {
+		for _, round := range trees {
+			for _, tree := range round {
+				nodes = append(nodes, slices.Clone(tree.Nodes))
+				cats = append(cats, slices.Clone(tree.cats))
+			}
+		}
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return nodes, cats, buf.Bytes()
+	}
+	nodes, cats, model := snapshot()
+
+	first.Nodes = append(first.Nodes, Node{IsLeaf: true, Value: 99})
+	first.SetLeftCats(len(first.Nodes)-1, []int32{5, 6, 7})
+
+	gotNodes, gotCats, gotModel := snapshot()
+	for i := 1; i < len(nodes); i++ {
+		if !slices.Equal(gotNodes[i], nodes[i]) || !slices.Equal(gotCats[i], cats[i]) {
+			t.Errorf("tree %d changed when tree 0 grew", i)
+		}
+	}
+	if !bytes.Equal(gotModel, model) {
+		t.Error("the model file changed when a trained tree grew")
+	}
+}
+
+// TestCompileSharedThresholds: compile gathers every numeric split's
+// threshold into one array and keeps, per feature, exactly its distinct
+// thresholds in ascending order, whichever trees and features share
+// them, with no spare capacity; a feature without numeric splits has no
+// edges.
+func TestCompileSharedThresholds(t *testing.T) {
+	schema := &Schema{
+		Names: []string{"x", "c", "y", "z"},
+		Kinds: []FeatureKind{Numeric, Categorical, Numeric, Numeric},
+		Cards: []int{0, 4, 0, 0},
+	}
+	// stump splits feature f at threshold thr and its left child on the
+	// categorical feature.
+	stump := func(f int32, thr float64) *Tree {
+		return withLeftCats(&Tree{Nodes: []Node{
+			{Feature: f, Threshold: thr, Left: 1, Right: 4},
+			{Feature: 1, Kind: uint8(Categorical), Left: 2, Right: 3},
+			{IsLeaf: true, Value: 1}, {IsLeaf: true, Value: 2}, {IsLeaf: true, Value: 3},
+		}}, 1, 1, 2)
+	}
+	trees := [][]*Tree{
+		{stump(0, 2), stump(2, 2)},
+		{stump(0, -1), stump(2, 2)},
+		{stump(0, 2), stump(0, 0.5)},
+		{stump(2, -3), stump(0, -1)},
+	}
+	m, err := FromTrees(&Model{Schema: schema, NumClasses: 2, InitScores: []float64{0, 0}}, trees)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := Compiled(t, m)
+	want := [][]float64{{-1, 0.5, 2}, nil, {-3, 2}, nil}
+	for feat, es := range f.Edges() {
+		if !slices.Equal(es, want[feat]) || (es == nil) != (want[feat] == nil) {
+			t.Errorf("feature %d: edges %v, want %v", feat, es, want[feat])
+		}
+	}
+	if slack := f.Slack(); slack != 0 {
+		t.Errorf("the forest's arrays have room for %d more elements, want 0", slack)
+	}
+	for _, x := range []float64{-4, -3, -1, 0, 0.5, 1, 2, 3, math.NaN()} {
+		row := []float64{x, 1, -x, 0}
+		if got, want := f.Logits(row, nil), TreeLogits(m.InitScores, trees, row); !slices.Equal(got, want) {
+			t.Errorf("row %v: forest %v, trees %v", row, got, want)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 )
 
 // This file implements the histogram-subtraction training engine behind
@@ -42,6 +41,12 @@ import (
 //     untaken class so uneven trees do not idle a worker, and column
 //     histogram/scan chunks within a node. Binning spreads the features
 //     over the same workers.
+//   - A training allocates per training, not per round, tree or node:
+//     a crew of goroutines started once runs every round's row pass and
+//     class trees, a grower's scratch is sized for the configured depth,
+//     the trees come from one array, and each tree's nodes and category
+//     ids are cut from its grower's chunk slabs with their capacity
+//     clipped, so a tree grown later can never write into a neighbour.
 //   - A grower reads its class's gradients as one interleaved array, row
 //     r's (gradient, hessian) pair at gh[2r], gh[2r+1], and every
 //     histogram fill is one kernel over the row-major binned matrix: per
@@ -109,8 +114,6 @@ type histEngine struct {
 	workers      int      // total goroutine budget
 	classWorkers int      // concurrent class trees per round
 	featChunks   [][2]int // contiguous column ranges scanned concurrently; none without columns
-	// nextClass is forClasses' schedule: the next class a worker takes.
-	nextClass atomic.Int32
 }
 
 // workers resolves Config.Workers: 0 means GOMAXPROCS.
@@ -126,6 +129,7 @@ func newHistEngine(ds *Dataset, bins *binning, cfg Config, numClasses int) *hist
 		bins:   bins,
 		schema: ds.Schema,
 		cfg:    cfg,
+		cols:   make([]int, 0, len(bins.binned)),
 	}
 	for f, col := range bins.binned {
 		if slices.ContainsFunc(col, func(b int32) bool { return b != col[0] }) {
@@ -152,6 +156,7 @@ func newHistEngine(ds *Dataset, bins *binning, cfg Config, numClasses int) *hist
 	// only group an order-preserving reduction, so they may depend on
 	// the worker count without breaking determinism.
 	per := (eng.totalBins + featWorkers - 1) / featWorkers
+	eng.featChunks = make([][2]int, 0, featWorkers)
 	start, acc := 0, 0
 	for c, f := range eng.cols {
 		acc += bins.numBins[f]
@@ -221,33 +226,55 @@ func accumRowsGo[T uint16 | uint32](d []float64, rm []T, nf, lo, hi int, seg []i
 	}
 }
 
-// forClasses runs fn(worker, class) for every class, spreading classes
-// over the engine's class workers: each worker takes the next class
-// not yet taken, so one slow tree does not hold back a worker's later
-// classes. Classes are independent given the round's gradients, and a
-// grower's scratch never carries into its next tree, so the schedule
-// cannot affect results.
-func (eng *histEngine) forClasses(numClasses int, fn func(w, k int)) {
-	if eng.classWorkers == 1 {
-		for k := 0; k < numClasses; k++ {
-			fn(0, k)
-		}
-		return
-	}
-	eng.nextClass.Store(0)
-	var wg sync.WaitGroup
-	wg.Add(eng.classWorkers)
-	for w := 0; w < eng.classWorkers; w++ {
-		go eng.classWorker(w, numClasses, fn, &wg)
-	}
-	wg.Wait()
+// crew is a training's worker goroutines, started once per training
+// and stopped when it ends. A round hands them its parallel steps (the
+// row pass's ranges, the class trees) over channels instead of starting
+// goroutines, so a round allocates nothing as long as run's fn is a
+// func value made once per training: a closure made per call would go
+// to the heap on every call.
+type crew struct {
+	fn   func(w int)
+	wake []chan struct{}
+	wg   sync.WaitGroup
 }
 
-func (eng *histEngine) classWorker(w, numClasses int, fn func(w, k int), wg *sync.WaitGroup) {
-	defer wg.Done()
-	for k := int(eng.nextClass.Add(1)) - 1; k < numClasses; k = int(eng.nextClass.Add(1)) - 1 {
-		fn(w, k)
+// newCrew starts workers-1 goroutines; the caller of run is worker 0.
+func newCrew(workers int) *crew {
+	c := &crew{wake: make([]chan struct{}, workers-1)}
+	for i := range c.wake {
+		c.wake[i] = make(chan struct{})
+		go c.loop(i)
 	}
+	return c
+}
+
+func (c *crew) loop(i int) {
+	defer c.wg.Done() // stop's count
+	for range c.wake[i] {
+		c.fn(i + 1)
+		c.wg.Done()
+	}
+}
+
+// run calls fn(w) for every worker w, fn(0) on the caller, and returns
+// once every call has.
+func (c *crew) run(fn func(w int)) {
+	c.fn = fn
+	c.wg.Add(len(c.wake))
+	for _, ch := range c.wake {
+		ch <- struct{}{}
+	}
+	fn(0)
+	c.wg.Wait()
+}
+
+// stop ends the crew's goroutines and returns once they have exited.
+func (c *crew) stop() {
+	c.wg.Add(len(c.wake))
+	for _, ch := range c.wake {
+		close(ch)
+	}
+	c.wg.Wait()
 }
 
 // histBuf is one pooled flat histogram: per-feature bin regions laid
@@ -282,7 +309,8 @@ type histCatStat struct {
 
 // treeGrower is the per-worker mutable state for growing one tree at a
 // time. A grower is reused across rounds and classes; nothing escapes
-// except the finished *Tree.
+// except the finished tree's Nodes and cats, which it cuts from its
+// slabs.
 type treeGrower struct {
 	eng *histEngine
 
@@ -298,9 +326,12 @@ type treeGrower struct {
 	leafOut []float64
 
 	// nodes and cats are the tree under construction, reused from tree
-	// to tree; grow hands the finished tree copies.
-	nodes []Node
-	cats  []int32
+	// to tree; grow hands the finished tree copies cut from nodeSlab and
+	// catSlab, chunks that double up to slabChunk elements.
+	nodes    []Node
+	cats     []int32
+	nodeSlab []Node
+	catSlab  []int32
 
 	catMask  []uint64        // category membership bitset during partition
 	chunkCat [][]histCatStat // per-chunk categorical scan scratch
@@ -317,17 +348,49 @@ type treeGrower struct {
 	cur nodeTask
 }
 
+// growerDepth bounds the depth newTreeGrower sizes a grower's scratch
+// for: a deeper tree grows its scratch as it needs.
+const growerDepth = 10
+
+// newTreeGrower sizes the grower's scratch for a tree of the engine's
+// depth, up to growerDepth, so no tree grows it: a tree of depth D has
+// at most 2^(D+1)-1 nodes, its stack at most D+2 tasks, and at most D+2
+// histograms live at once (one per pending right sibling, the current
+// node's and the child built beside it). Rows, histograms and
+// categorical scratch each come from one array; an engine without
+// columns gets no histograms.
 func newTreeGrower(eng *histEngine, numRows int) *treeGrower {
-	return &treeGrower{
+	depth := min(eng.cfg.MaxDepth, growerDepth)
+	rows := make([]int32, 3*numRows)
+	nc, mb := len(eng.featChunks), eng.maxBins
+	tg := &treeGrower{
 		eng:       eng,
-		arena:     make([]int32, 0, numRows),
-		out:       make([]int32, 0, numRows),
-		scratch:   make([]int32, numRows),
-		catMask:   make([]uint64, (eng.maxBins+63)/64),
-		chunkCat:  make([][]histCatStat, len(eng.featChunks)),
-		chunkLeft: make([][]int32, len(eng.featChunks)),
-		cands:     make([]splitResult, len(eng.featChunks)),
+		arena:     rows[:0:numRows],
+		out:       rows[numRows : numRows : 2*numRows],
+		scratch:   rows[2*numRows:],
+		nodes:     make([]Node, 0, 1<<(depth+1)-1),
+		cats:      make([]int32, 0, mb),
+		catMask:   make([]uint64, (mb+63)/64),
+		chunkCat:  make([][]histCatStat, nc),
+		chunkLeft: make([][]int32, nc),
+		cands:     make([]splitResult, nc),
+		stack:     make([]nodeTask, 0, depth+2),
 	}
+	stats, left := make([]histCatStat, nc*mb), make([]int32, nc*mb)
+	for ci := range nc {
+		tg.chunkCat[ci], tg.chunkLeft[ci] = stats[ci*mb:ci*mb:(ci+1)*mb], left[ci*mb:ci*mb:(ci+1)*mb]
+	}
+	if nc == 0 { // no column can split: no node takes a histogram
+		return tg
+	}
+	hbs, size := make([]histBuf, depth+2), 3*eng.totalBins
+	d := make([]float64, len(hbs)*size)
+	tg.free = make([]*histBuf, len(hbs))
+	for i := range hbs {
+		hbs[i].d = d[i*size : (i+1)*size : (i+1)*size]
+		tg.free[i] = &hbs[i]
+	}
+	return tg
 }
 
 func (tg *treeGrower) take() *histBuf {
@@ -640,10 +703,11 @@ func b2i(b bool) int32 {
 }
 
 // grow fits one regression tree to the gradient pairs in tg.gh over the
-// sampled rows. Leaf values (already learning-rate scaled) are recorded
-// into leafOut, as leaves are created, for every sampled row and every
-// row of out, which the splits route without reading their pairs.
-func (tg *treeGrower) grow(sample, out []int32) *Tree {
+// sampled rows, into t. Leaf values (already learning-rate scaled) are
+// recorded into leafOut, as leaves are created, for every sampled row
+// and every row of out, which the splits route without reading their
+// pairs.
+func (tg *treeGrower) grow(sample, out []int32, t *Tree) {
 	eng := tg.eng
 	tg.arena = append(tg.arena[:0], sample...)
 	tg.out = append(tg.out[:0], out...)
@@ -741,7 +805,30 @@ func (tg *treeGrower) grow(sample, out []int32) *Tree {
 		)
 	}
 	tg.nodes, tg.cats = nodes, cats
-	return &Tree{Nodes: slices.Clone(nodes), cats: slices.Clone(cats)}
+	t.Nodes, t.cats = cut(&tg.nodeSlab, nodes), cut(&tg.catSlab, cats)
+}
+
+// slabChunk caps the chunks a grower cuts finished trees from: a chunk
+// doubles from 256 elements up to it, so a small model's trees share a
+// few chunks and a paper-scale one's a dozen.
+const slabChunk = 8192
+
+// cut copies src to the free end of *slab, starting a chunk when the
+// slab's has no room, and returns the copy with its capacity clipped to
+// its length: an append to one tree's copy reallocates it, and never
+// writes into its slab neighbour's.
+func cut[T any](slab *[]T, src []T) []T {
+	if len(src) == 0 {
+		return nil
+	}
+	s := *slab
+	if cap(s)-len(s) < len(src) {
+		s = make([]T, 0, max(len(src), min(2*cap(s), slabChunk), 256))
+	}
+	at := len(s)
+	s = append(s, src...)
+	*slab = s
+	return s[at:len(s):len(s)]
 }
 
 // childHists produces the child histograms a split needs, building the
@@ -819,6 +906,10 @@ type classRound struct {
 	gh, leafOut [][]float64
 	logp        []float64   // row r's log-probability of its label
 	probs       [][]float64 // a softmax scratch per row range
+	// apply is the running pass's apply, and part the pass over range p
+	// as a func value made once, which the crew runs.
+	apply bool
+	part  func(p int)
 }
 
 func newClassRound(eng *histEngine, labels []int, init []float64) *classRound {
@@ -839,30 +930,24 @@ func newClassRound(eng *histEngine, labels []int, init []float64) *classRound {
 	for p := range cr.probs {
 		cr.probs[p] = probs[p*k : (p+1)*k]
 	}
+	cr.part = cr.runPart
 	return cr
 }
 
 // run is a round's row pass: for every row it adds last round's leaf
 // values to the logits when apply is set, runs the softmax and writes
 // every class's gradient pair, and it returns the summed log-loss. Each
-// worker takes one contiguous row range (a training of at most
-// lossChunk rows runs on the caller); the loss is summed afterwards in
-// lossChunk-row chunks, in chunk order, so it is the same at any worker
-// count.
-func (cr *classRound) run(apply bool) float64 {
-	n, parts := len(cr.labels), len(cr.probs)
-	if parts == 1 {
-		cr.rows(0, n, cr.probs[0], apply)
+// of the crew's workers takes one contiguous row range (a training of
+// at most lossChunk rows runs on the caller); the loss is summed
+// afterwards in lossChunk-row chunks, in chunk order, so it is the same
+// at any worker count.
+func (cr *classRound) run(c *crew, apply bool) float64 {
+	n := len(cr.labels)
+	cr.apply = apply
+	if len(cr.probs) == 1 {
+		cr.part(0)
 	} else {
-		var wg sync.WaitGroup
-		for p := range parts {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				cr.rows(p*n/parts, (p+1)*n/parts, cr.probs[p], apply)
-			}()
-		}
-		wg.Wait()
+		c.run(cr.part)
 	}
 	var loss float64
 	for lo := 0; lo < n; lo += lossChunk {
@@ -873,6 +958,12 @@ func (cr *classRound) run(apply bool) float64 {
 		loss += chunk
 	}
 	return loss
+}
+
+// runPart runs the row pass over range p of len(cr.probs).
+func (cr *classRound) runPart(p int) {
+	n, parts := len(cr.labels), len(cr.probs)
+	cr.rows(p*n/parts, (p+1)*n/parts, cr.probs[p], cr.apply)
 }
 
 // rows runs the row pass over rows [lo, hi). The builtin max keeps

@@ -166,7 +166,8 @@ func testAllConstant(t *testing.T) {
 			tg.gh[2*i], tg.gh[2*i+1] = float64(i%5)-2, 1
 		}
 		rows, out := sampleRows(n, 1, rand.New(rand.NewSource(1)), nil, nil)
-		if tree := tg.grow(rows, out); len(tree.Nodes) != 1 || len(tg.free) != 0 {
+		tree := &Tree{}
+		if tg.grow(rows, out, tree); len(tree.Nodes) != 1 || len(tg.free) != 0 {
 			t.Fatalf("workers %d: grew %d nodes and pooled %d histograms, want one leaf and none",
 				w, len(tree.Nodes), len(tg.free))
 		}

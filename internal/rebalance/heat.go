@@ -24,8 +24,9 @@
 package rebalance
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -170,7 +171,7 @@ func (h *HeatTracker) Snapshot(nowSec float64) []WorkloadHeat {
 		out = append(out, c)
 	}
 	h.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	slices.SortFunc(out, func(a, b WorkloadHeat) int { return cmp.Compare(a.Key, b.Key) })
 	return out
 }
 

@@ -1,8 +1,9 @@
 package rebalance
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Config tunes a rebalancer: the two values a scenario spec sets. The
@@ -99,13 +100,15 @@ func solvePlan(ws []WorkloadHeat, quotaBytes float64, cfg Config, c *counters) m
 	}
 	// Highest value density first; ties break on key so the fill is
 	// deterministic.
-	sort.Slice(items, func(i, j int) bool {
-		di := items[i].value / items[i].demand
-		dj := items[j].value / items[j].demand
-		if di != dj {
-			return di > dj
+	slices.SortFunc(items, func(a, b item) int {
+		da, db := a.value/a.demand, b.value/b.demand
+		if da != db {
+			if da > db {
+				return -1
+			}
+			return 1
 		}
-		return items[i].key < items[j].key
+		return cmp.Compare(a.key, b.key)
 	})
 	c.solves.Add(1)
 	c.workloads.Store(int64(len(ws)))

@@ -2,11 +2,12 @@ package scenario
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -57,7 +58,7 @@ func Discover(root string) ([]*Package, error) {
 	if len(pkgs) == 0 {
 		return nil, fmt.Errorf("scenario: no scenario packages under %s", root)
 	}
-	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Name < pkgs[j].Name })
+	slices.SortFunc(pkgs, func(a, b *Package) int { return cmp.Compare(a.Name, b.Name) })
 	return pkgs, nil
 }
 

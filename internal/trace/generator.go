@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"bytes"
+	"cmp"
 	"math"
 	"math/rand"
 	"slices"
@@ -240,11 +242,15 @@ type jobTemplate struct {
 	histRuns                                  int
 }
 
-// Generator produces synthetic cluster traces.
+// Generator produces synthetic cluster traces. Its templates live in one
+// array, and their user, pipeline, step and metadata strings are cut
+// from one strings.Builder, so a generator allocates per template
+// population, not per template.
 type Generator struct {
 	cfg       GeneratorConfig
 	rng       *rand.Rand
-	templates []*jobTemplate
+	templates []jobTemplate
+	strs      strings.Builder
 }
 
 // NewGenerator builds the hidden template population for a cluster.
@@ -289,23 +295,29 @@ func (g *Generator) buildTemplates() {
 		return arch[len(arch)-1]
 	}
 
+	// Sized for the mean template count and about 256 bytes of strings
+	// each; a population past the mean grows both once or twice.
+	c := g.cfg
+	mean := max(c.NumUsers*(c.MinPipes+c.MaxPipes)*(c.MinSteps+c.MaxSteps)/4, 1)
+	g.templates = make([]jobTemplate, 0, mean)
+	g.strs.Grow(256 * mean)
 	for u := 0; u < g.cfg.NumUsers; u++ {
-		pu := pad2(u)
-		user := "user" + pu
+		pu, pv := strconv.Itoa(u/10), strconv.Itoa(u%10) // "%02d"
+		user := g.cut("user", pu, pv)
 		nPipes := g.cfg.MinPipes + g.rng.Intn(g.cfg.MaxPipes-g.cfg.MinPipes+1)
 		for p := 0; p < nPipes; p++ {
 			a := pickArch()
-			pipeline := user + "-" + a.Name + "-p" + pu + pad2(p)
+			pipeline := g.cut(user, "-", a.Name, "-p", pu, pv, strconv.Itoa(p/10), strconv.Itoa(p%10))
 			nSteps := g.cfg.MinSteps + g.rng.Intn(g.cfg.MaxSteps-g.cfg.MinSteps+1)
 			// Per-pipeline multipliers shared by all steps.
 			pSize := g.logn(0, 0.5*a.SizeSigma)
 			pLife := g.logn(0, 0.4*a.LifeSigma)
 			for s := 0; s < nSteps; s++ {
-				t := &jobTemplate{
+				g.templates = append(g.templates, jobTemplate{
 					arch:        a,
 					user:        user,
 					pipeline:    pipeline,
-					step:        "s" + strconv.Itoa(s),
+					step:        g.cut("s", strconv.Itoa(s)),
 					stepIdx:     s,
 					sizeMul:     pSize * g.logn(0, 0.5*a.SizeSigma),
 					lifeMul:     pLife * g.logn(0, 0.4*a.LifeSigma),
@@ -314,17 +326,28 @@ func (g *Generator) buildTemplates() {
 					readSizeMul: g.logn(0, 0.7*a.ReadSizeSigma),
 					cacheHit:    clamp01(a.CacheHitMean + (g.rng.Float64()*2-1)*a.CacheHitSpread),
 					phase:       g.rng.Float64(),
-				}
+				})
+				t := &g.templates[len(g.templates)-1]
 				if a.PeriodSec > 0 {
 					t.periodSec = a.PeriodSec * g.logn(0, 0.15)
 				} else {
 					t.meanInterSec = a.MeanInterSec * g.logn(0, 0.3)
 				}
 				t.meta = g.makeMetadata(t)
-				g.templates = append(g.templates, t)
 			}
 		}
 	}
+}
+
+// cut writes the concatenation of parts to the generator's strs and
+// returns it. A Builder only appends, so every string cut from it stays
+// valid as it grows.
+func (g *Generator) cut(parts ...string) string {
+	start := g.strs.Len()
+	for _, p := range parts {
+		g.strs.WriteString(p)
+	}
+	return g.strs.String()[start:]
 }
 
 // makeMetadata builds execution-metadata strings in the style of the
@@ -333,16 +356,13 @@ func (g *Generator) buildTemplates() {
 // paper's Fig. 9c finding.
 func (g *Generator) makeMetadata(t *jobTemplate) Metadata {
 	return Metadata{
-		BuildTargetName: "//production/" + t.arch.Name + "/" + t.pipeline + ":" + t.step + "_main",
-		ExecutionName:   "com.example." + t.arch.Name + "." + t.pipeline + ".launcher.Main",
-		PipelineName:    "org_" + t.user + "." + t.pipeline + "-dims.prod." + t.arch.Name,
-		StepName:        t.step + "-open-shuffle" + strconv.Itoa(t.stepIdx),
-		UserName:        "GroupByKey-" + strconv.Itoa(t.stepIdx*11+3),
+		BuildTargetName: g.cut("//production/", t.arch.Name, "/", t.pipeline, ":", t.step, "_main"),
+		ExecutionName:   g.cut("com.example.", t.arch.Name, ".", t.pipeline, ".launcher.Main"),
+		PipelineName:    g.cut("org_", t.user, ".", t.pipeline, "-dims.prod.", t.arch.Name),
+		StepName:        g.cut(t.step, "-open-shuffle", strconv.Itoa(t.stepIdx)),
+		UserName:        g.cut("GroupByKey-", strconv.Itoa(t.stepIdx*11+3)),
 	}
 }
-
-// pad2 is fmt's "%02d" for v >= 0.
-func pad2(v int) string { return strconv.Itoa(v/10) + strconv.Itoa(v%10) }
 
 func (g *Generator) logn(mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*g.rng.NormFloat64())
@@ -370,46 +390,69 @@ const jobBlock, idDigits = 256, 6
 
 // Generate produces the full trace for the configured window, sorted by
 // arrival time. Generation is deterministic given the config. The jobs
-// live in arrival-ordered blocks of 256 and their IDs in one string, so
-// a kept *Job keeps its block and the IDs alive.
+// live in arrival-ordered blocks of 256 and each block's IDs in one
+// string of its own, so a kept *Job keeps its block and its block's IDs
+// alive, and a kept arrival range only its blocks'.
 func (g *Generator) Generate() *Trace {
-	// Instantiate in template order, the order the RNG draws in.
-	var blocks [][]Job
+	// Instantiate in template order, the order the RNG draws in: job seq
+	// is staged[seq/jobBlock][seq%jobBlock], and its ID is made from seq.
+	var staged [][]Job
 	var arrivals []float64 // reused template to template
 	n := 0
-	for _, t := range g.templates {
+	for i := range g.templates {
+		t := &g.templates[i]
 		arrivals = g.arrivalTimes(t, arrivals[:0])
 		for _, at := range arrivals {
 			if n%jobBlock == 0 {
-				blocks = append(blocks, make([]Job, jobBlock))
+				staged = append(staged, make([]Job, jobBlock))
 			}
-			g.instantiate(&blocks[n/jobBlock][n%jobBlock], t, at)
+			g.instantiate(&staged[n/jobBlock][n%jobBlock], t, at)
 			n++
 		}
 	}
-	// A Builder only appends, so each ID sliced off it stays valid.
-	var ids strings.Builder
-	ids.Grow(n * (len(g.cfg.Cluster) + len("-j") + idDigits))
-	var buf [64]byte
-	tr := &Trace{Cluster: g.cfg.Cluster, Jobs: make([]*Job, n)}
-	for seq := range tr.Jobs {
-		j, start := &blocks[seq/jobBlock][seq%jobBlock], ids.Len()
-		ids.Write(appendJobID(buf[:0], g.cfg.Cluster, seq))
-		j.ID, tr.Jobs[seq] = ids.String()[start:], j
+	// Sort (arrival, seq) pairs by byArrival's (ArrivalSec, ID), spelling
+	// out the two IDs only on a tie. Generated IDs are unique, so this is
+	// a total order and the unstable sort gives Sort's order without its
+	// merge passes.
+	cluster := g.cfg.Cluster
+	order := make([]arrival, n)
+	for seq := range order {
+		order[seq] = arrival{staged[seq/jobBlock][seq%jobBlock].ArrivalSec, int32(seq)}
 	}
-	// Generated IDs are unique, so (ArrivalSec, ID) is a total order and
-	// the unstable sort gives Sort's order without its merge passes.
-	slices.SortFunc(tr.Jobs, byArrival)
-	// Copy into arrival order, so a kept arrival range keeps only its blocks.
-	var blk []Job
-	for i, j := range tr.Jobs {
-		if i%jobBlock == 0 {
-			blk = make([]Job, min(jobBlock, n-i))
+	slices.SortFunc(order, func(a, b arrival) int {
+		if a.at != b.at {
+			return cmp.Compare(a.at, b.at)
 		}
-		blk[i%jobBlock] = *j
-		tr.Jobs[i] = &blk[i%jobBlock]
+		var ba, bb [64]byte
+		return bytes.Compare(appendJobID(ba[:0], cluster, int(a.seq)), appendJobID(bb[:0], cluster, int(b.seq)))
+	})
+	// Copy into arrival-ordered blocks, writing each block's IDs into one
+	// buffer and then into the block's own string.
+	tr := &Trace{Cluster: cluster, Jobs: make([]*Job, n)}
+	ids := make([]byte, 0, jobBlock*(len(cluster)+len("-j")+idDigits))
+	var ends [jobBlock]int
+	for lo := 0; lo < n; lo += jobBlock {
+		keys := order[lo:min(lo+jobBlock, n)]
+		blk := make([]Job, len(keys))
+		ids = ids[:0]
+		for i, a := range keys {
+			blk[i] = staged[a.seq/jobBlock][a.seq%jobBlock]
+			ids = appendJobID(ids, cluster, int(a.seq))
+			ends[i] = len(ids)
+		}
+		s, start := string(ids), 0
+		for i := range blk {
+			blk[i].ID, start = s[start:ends[i]], ends[i]
+			tr.Jobs[lo+i] = &blk[i]
+		}
 	}
 	return tr
+}
+
+// arrival is job seq's sort key in Generate.
+type arrival struct {
+	at  float64
+	seq int32
 }
 
 // appendJobID appends the ID of job seq, "<cluster>-j<seq>" with seq

@@ -264,14 +264,30 @@ func (t *Trace) Shift(offset float64) {
 // SplitAt splits the trace into jobs arriving before the cut and at/after
 // the cut — used to build the paper's contiguous train/test week pair.
 func (t *Trace) SplitAt(cut float64) (train, test *Trace) {
-	train = &Trace{Cluster: t.Cluster}
-	test = &Trace{Cluster: t.Cluster}
+	k := 0
+	for _, j := range t.Jobs {
+		if j.ArrivalSec < cut {
+			k++
+		}
+	}
+	// Both halves are cut from one array, each with its capacity clipped
+	// to its length, so an append to one never writes into the other. An
+	// empty half is nil, as it was while the halves grew by append.
+	all := make([]*Job, len(t.Jobs))
+	train = &Trace{Cluster: t.Cluster, Jobs: all[:0:k]}
+	test = &Trace{Cluster: t.Cluster, Jobs: all[k:k]}
 	for _, j := range t.Jobs {
 		if j.ArrivalSec < cut {
 			train.Jobs = append(train.Jobs, j)
 		} else {
 			test.Jobs = append(test.Jobs, j)
 		}
+	}
+	if k == 0 {
+		train.Jobs = nil
+	}
+	if k == len(t.Jobs) {
+		test.Jobs = nil
 	}
 	return train, test
 }
