@@ -318,8 +318,9 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 }
 
 // DefaultRouterConfig returns routing-layer parameters for a plane of
-// daemons at the given base URLs: 64 virtual nodes per backend, a 1.25
-// bounded-load factor, 250 ms health probes and binary-codec clients.
+// daemons at the given base URLs, each optionally "name=URL" to own
+// templates by name: 64 virtual nodes per backend, a 1.25 bounded-load
+// factor, 250 ms health probes and binary-codec clients.
 func DefaultRouterConfig(nodes []string) RouterConfig {
 	return router.DefaultConfig(nodes)
 }

@@ -13,12 +13,16 @@
 //	loadgen -addr 127.0.0.1:7070 -codec binary    # pre-binned frames on pooled stream sessions
 //	loadgen -nodes 127.0.0.1:7070,127.0.0.1:7071  # route across a plane
 //	loadgen -nodes 127.0.0.1:7070,127.0.0.1:7071 -outcomes  # routed feedback
+//	loadgen -nodes n0=127.0.0.1:7070,n1=127.0.0.1:7071    # named nodes
 //
 // With -nodes, loadgen embeds the internal/router consistent-hash
 // routing layer instead of talking to one daemon: batches spread over
 // the plane by workload template, node failures reroute, and the
 // summary gains per-node health and routing counters. Outcomes route
-// the same way — each lands on the node owning its job's template.
+// the same way — each lands on the node owning its job's template. A
+// node named with a "name=" prefix owns templates by that name, so
+// routers that name a plane alike agree on ownership whatever its
+// addresses.
 package main
 
 import (
@@ -55,7 +59,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
 	var (
 		addr     = fs.String("addr", "", "placementd address (host:port); required unless -nodes is set")
-		nodes    = fs.String("nodes", "", "comma-separated placementd addresses; route across a multi-node plane")
+		nodes    = fs.String("nodes", "", "comma-separated placementd addresses, each [name=]host:port; route across a multi-node plane (nodes are ring members by name, else by address)")
 		qps      = fs.Float64("qps", 20000, "target placements/sec across all connections (0 = unpaced)")
 		conns    = fs.Int("conns", 8, "concurrent connections (closed-loop submitters)")
 		duration = fs.Duration("duration", 10*time.Second, "load duration")
@@ -106,11 +110,11 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		target string
 	)
 	if *nodes != "" {
-		urls, err := router.ParseNodes(*nodes)
+		entries, err := router.ParseNodes(*nodes)
 		if err != nil {
 			return err
 		}
-		rcfg := router.DefaultConfig(urls)
+		rcfg := router.DefaultConfig(entries)
 		rcfg.Client.Codec = *codec
 		rcfg.Client.RequestTimeout = *deadline
 		rcfg.Client.MaxRetries = *retries
@@ -119,8 +123,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			return err
 		}
 		defer rt.Close()
-		target = fmt.Sprintf("%d-node plane via %s", len(urls), urls[0])
-		ccfg := rpc.DefaultClientConfig(urls[0])
+		_, first := router.SplitNode(entries[0])
+		target = fmt.Sprintf("%d-node plane via %s", len(entries), first)
+		ccfg := rpc.DefaultClientConfig(first)
 		ccfg.RequestTimeout = *deadline
 		if client, err = rpc.NewClient(ccfg); err != nil {
 			return err

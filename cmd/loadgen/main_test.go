@@ -198,7 +198,7 @@ func TestLoadgenAgainstPlane(t *testing.T) {
 	}
 	defer plane.Close()
 
-	nodes := strings.TrimPrefix(plane.URLs()[0], "http://") + "," + strings.TrimPrefix(plane.URLs()[1], "http://")
+	nodes := strings.Join(plane.Members(), ",")
 	var out bytes.Buffer
 	args := []string{
 		"-nodes", nodes, "-qps", "2000", "-conns", "2", "-chunk", "16",

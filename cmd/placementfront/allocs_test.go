@@ -28,7 +28,7 @@ import (
 // under the race detector, hence the build tag.)
 func TestFrontPlaceSteadyStateAllocs(t *testing.T) {
 	jobs, plane := startPlane(t, "front-allocs", 13, rpc.DefaultConfig(4), 2)
-	rcfg := router.DefaultConfig(plane.URLs())
+	rcfg := router.DefaultConfig(plane.Members())
 	rcfg.ProbeInterval = time.Minute
 	rt, err := router.New(rcfg)
 	if err != nil {

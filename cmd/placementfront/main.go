@@ -22,6 +22,7 @@
 // Usage:
 //
 //	placementfront -addr 127.0.0.1:7080 -nodes 127.0.0.1:7070,127.0.0.1:7071
+//	placementfront -addr 127.0.0.1:7080 -nodes n0=127.0.0.1:7070,n1=127.0.0.1:7071
 package main
 
 import (
@@ -57,7 +58,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("placementfront", flag.ContinueOnError)
 	var (
 		addr     = fs.String("addr", "127.0.0.1:7080", "listen address (host:port)")
-		nodes    = fs.String("nodes", "", "comma-separated placementd addresses (host:port), required")
+		nodes    = fs.String("nodes", "", "comma-separated placementd addresses, each [name=]host:port, required; nodes are ring members by name, else by address")
 		replicas = fs.Int("replicas", 64, "virtual nodes per backend on the ring")
 		seed     = fs.Uint64("seed", 1, "ring seed (must match across fronts of one plane)")
 		bound    = fs.Float64("bound", 1.25, "bounded-load factor")

@@ -43,7 +43,7 @@ func TestFrontEndpoints(t *testing.T) {
 		t.Skip("trains a model and starts a 2-node plane")
 	}
 	all, plane := startPlane(t, "front-test", 11, rpc.DefaultConfig(4), 2)
-	rcfg := router.DefaultConfig(plane.URLs())
+	rcfg := router.DefaultConfig(plane.Members())
 	rcfg.ProbeInterval = 25 * time.Millisecond
 	rt, err := router.New(rcfg)
 	if err != nil {
@@ -178,7 +178,7 @@ func TestFrontCrossTierTracing(t *testing.T) {
 	dcfg.TraceSampleEvery = 1 // trace every request on the daemons too
 	jobs, plane := startPlane(t, "front-trace-test", 7, dcfg, 2)
 
-	rt, err := router.New(router.DefaultConfig(plane.URLs()))
+	rt, err := router.New(router.DefaultConfig(plane.Members()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestFrontBadRequestIs400(t *testing.T) {
 	dcfg := rpc.DefaultConfig(4)
 	dcfg.MaxBatch = 4
 	jobs, plane := startPlane(t, "front-bad-request", 5, dcfg, 1)
-	rt, err := router.New(router.DefaultConfig(plane.URLs()))
+	rt, err := router.New(router.DefaultConfig(plane.Members()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestPlaceResponseFraming(t *testing.T) {
 		t.Skip("trains a model and starts a plane")
 	}
 	jobs, plane := startPlane(t, "front-framing", 3, rpc.DefaultConfig(4), 1)
-	rt, err := router.New(router.DefaultConfig(plane.URLs()))
+	rt, err := router.New(router.DefaultConfig(plane.Members()))
 	if err != nil {
 		t.Fatal(err)
 	}

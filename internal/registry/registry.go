@@ -190,6 +190,28 @@ func (r *Registry) Workloads() []string {
 	return out
 }
 
+// Residency is what a registry holds, in /varz order (obs.WriteVars):
+// its versions over every workload and the sum of their models'
+// gbdt.Model.ResidentBytes. No version is evicted, so both only grow.
+type Residency struct {
+	Versions int64 `varz:"resident_versions"`
+	Bytes    int64 `varz:"resident_bytes"`
+}
+
+// Residency counts the versions the registry holds and their bytes.
+func (r *Registry) Residency() Residency {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	var res Residency
+	for _, es := range r.entries {
+		for _, e := range es {
+			res.Versions++
+			res.Bytes += int64(e.model.Model.ResidentBytes())
+		}
+	}
+	return res
+}
+
 // Versions lists a workload's published versions ascending.
 func (r *Registry) Versions(workload string) []Version {
 	r.mu.RLock()

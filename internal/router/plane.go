@@ -13,11 +13,11 @@ import (
 	"repro/internal/rpc"
 )
 
-// Plane is an in-process N-node placement plane: N placementd daemons
-// on loopback ports, each serving its own registry under fleet's
-// cluster/<id> workload namespacing, all fed by one Replicator from a
-// shared source registry. It exists for the fault-injection e2e tests
-// and the multi-node loadgen smoke — Kill models a node crash
+// Plane is an in-process N-node placement plane: N placementd daemons,
+// named 0…N-1, on loopback ports, each serving its own registry under
+// fleet's cluster/<id> workload namespacing, all fed by one Replicator
+// from a shared source registry. It exists for the fault-injection e2e
+// tests and the multi-node loadgen smoke — Kill models a node crash
 // (SIGKILL semantics via Daemon.Kill), Restart brings the node back on
 // the same address with a fresh registry that catches up through
 // replication.
@@ -96,11 +96,24 @@ func (p *Plane) startNode(node *planeNode, addr string) error {
 // URLs returns every node's base URL in node order. URLs are stable
 // across Kill/Restart.
 func (p *Plane) URLs() []string {
+	out := p.Members()
+	for i, m := range out {
+		_, out[i] = SplitNode(m)
+	}
+	return out
+}
+
+// Members returns every node as a Config.Nodes entry, "name=URL" with
+// node i named i, in node order. A router built from them deals
+// template ownership by name, so it routes the same on every run
+// whatever ports the nodes were given. Names and URLs are stable across
+// Kill/Restart.
+func (p *Plane) Members() []string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	out := make([]string, len(p.nodes))
 	for i, n := range p.nodes {
-		out[i] = "http://" + n.addr
+		out[i] = n.id + "=http://" + n.addr
 	}
 	return out
 }

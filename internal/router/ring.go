@@ -7,17 +7,21 @@
 //
 // The pieces:
 //
-//   - Ring: a seeded virtual-node consistent-hash ring. Membership is
-//     rebuilt from the sorted member set, so join order never changes
-//     routing, and a seed change re-deals the whole ring.
+//   - Ring: a seeded virtual-node consistent-hash ring whose members
+//     are node names (Config.Nodes' "name=" prefixes, or the URLs of
+//     unnamed entries), so template ownership is a function of the seed
+//     and the declared names alone, never of the ports nodes listen on.
+//     Membership is rebuilt from the sorted member set, so join order
+//     never changes routing, and a seed change re-deals the whole ring.
 //   - Router: per-node rpc.Clients behind bounded-load routing with
 //     health probing, shed-aware weight decay and reroute-on-failure.
 //     Node clients AppendPlace into pooled buffers cleared after use.
 //   - Replicator: bridges a source registry's Subscribe seam to every
 //     node's registry, so gated model publishes (and rollbacks)
 //     propagate fleet-wide with aligned version numbers.
-//   - Plane: an in-process N-node plane with Kill/Restart fault
-//     injection, used by the e2e tests and the loadgen smoke.
+//   - Plane: an in-process N-node plane, its nodes named 0…N-1, with
+//     Kill/Restart fault injection, used by the e2e tests and the
+//     loadgen smoke.
 package router
 
 import "sort"

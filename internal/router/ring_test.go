@@ -3,6 +3,8 @@ package router
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 // ringMembers builds n member names.
@@ -168,6 +170,29 @@ func TestRingRebalanceBounds(t *testing.T) {
 			if moved == 0 {
 				t.Errorf("seed %d n %d: join moved no keys", seed, n)
 			}
+		}
+	}
+}
+
+// TestUnnamedRingRoutesAsBefore pins the owners of 24 templates on a
+// router over three unnamed nodes, as routers dealt them before nodes
+// could be named: an entry without a "name=" prefix is its own ring
+// member, so such a config routes as it always has.
+func TestUnnamedRingRoutesAsBefore(t *testing.T) {
+	nodes, err := ParseNodes("127.0.0.1:7070,127.0.0.1:7071,127.0.0.1:7072")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := New(DefaultConfig(nodes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	const ports = "222012221121202221112010" // the last digit of each owner's port
+	for i := range len(ports) {
+		owner, _ := r.RouteKey(trace.TemplateHash(fmt.Sprintf("pipeline-%d", i), "step"))
+		if want := "http://127.0.0.1:707" + ports[i:i+1]; owner != want {
+			t.Errorf("template %d routes to %q, want %q", i, owner, want)
 		}
 	}
 }

@@ -21,8 +21,11 @@ import (
 
 // Config tunes a placement router.
 type Config struct {
-	// Nodes lists the placementd base URLs ("http://host:port") the
-	// router spreads traffic over. Required, at least one.
+	// Nodes lists the placementd nodes the router spreads traffic over,
+	// each a base URL ("http://host:port") with an optional "name="
+	// prefix. The name is the node's ring member, so routers over the
+	// same names agree on ownership wherever the nodes listen; an entry
+	// without one is its own name. Required, at least one.
 	Nodes []string
 	// Replicas is the virtual-node count per member (default 64).
 	Replicas int
@@ -47,7 +50,7 @@ type Config struct {
 	Client rpc.ClientConfig
 }
 
-// DefaultConfig returns router parameters for the given node URLs:
+// DefaultConfig returns router parameters for the given nodes:
 // 64 vnodes, seed 1, 1.25 bound factor, 250 ms probes, 2 reroutes and
 // binary-codec clients.
 func DefaultConfig(nodes []string) Config {
@@ -65,24 +68,38 @@ func DefaultConfig(nodes []string) Config {
 }
 
 // ParseNodes turns a comma-separated node list, as the commands' -nodes
-// flag takes it, into base URLs: blanks are skipped and a bare
-// host:port gets "http://".
+// flag takes it, into Config.Nodes entries: blanks are skipped, a
+// "name=" prefix is kept and a bare host:port gets "http://".
 func ParseNodes(list string) ([]string, error) {
-	var urls []string
+	var entries []string
 	for _, n := range strings.Split(list, ",") {
 		n = strings.TrimSpace(n)
 		if n == "" {
 			continue
 		}
-		if !strings.HasPrefix(n, "http://") && !strings.HasPrefix(n, "https://") {
-			n = "http://" + n
+		name, url := "", n
+		if i := strings.IndexByte(n, '='); i >= 0 {
+			name, url = n[:i+1], n[i+1:]
 		}
-		urls = append(urls, n)
+		if !strings.HasPrefix(url, "http://") && !strings.HasPrefix(url, "https://") {
+			url = "http://" + url
+		}
+		entries = append(entries, name+url)
 	}
-	if len(urls) == 0 {
+	if len(entries) == 0 {
 		return nil, fmt.Errorf("-nodes has no addresses")
 	}
-	return urls, nil
+	return entries, nil
+}
+
+// SplitNode splits a Config.Nodes entry into its ring member name and
+// the URL the router dials: "name=URL", or a bare URL that is its own
+// name.
+func SplitNode(entry string) (name, url string) {
+	if name, url, named := strings.Cut(entry, "="); named {
+		return name, url
+	}
+	return entry, entry
 }
 
 // node is the router's view of one placementd instance.
@@ -202,22 +219,28 @@ func New(cfg Config) (*Router, error) {
 	r.scratch.New = func() any {
 		return &routeScratch{byKey: map[uint32]int{}, byNode: map[string]*nodeBatch{}}
 	}
-	for _, url := range cfg.Nodes {
-		if _, dup := r.nodes[url]; dup {
-			return nil, fmt.Errorf("router: duplicate node %q", url)
+	members := make([]string, 0, len(cfg.Nodes))
+	for _, entry := range cfg.Nodes {
+		name, url := SplitNode(entry)
+		if name == "" {
+			return nil, fmt.Errorf("router: node %q has an empty name", entry)
+		}
+		if _, dup := r.nodes[name]; dup {
+			return nil, fmt.Errorf("router: node %q: another entry is already node %q", entry, name)
 		}
 		ccfg := cfg.Client
 		ccfg.BaseURL = url
 		client, err := rpc.NewClient(ccfg)
 		if err != nil {
-			return nil, fmt.Errorf("router: node %q: %w", url, err)
+			return nil, fmt.Errorf("router: node %q: %w", entry, err)
 		}
 		// Nodes start healthy at full weight: traffic flows before the
 		// first probe lands, and a dead node is caught by its first
 		// failed dispatch anyway.
-		r.nodes[url] = &node{url: url, client: client, healthy: true, weight: 1}
+		r.nodes[name] = &node{url: url, client: client, healthy: true, weight: 1}
+		members = append(members, name)
 	}
-	r.ring.SetMembers(cfg.Nodes)
+	r.ring.SetMembers(members)
 	go r.probeLoop()
 	return r, nil
 }
@@ -300,7 +323,7 @@ func (r *Router) ClientStats() rpc.ClientStats {
 	return total
 }
 
-// RouteKey returns the ring member that owns a template key right now,
+// RouteKey returns the name of the node that owns a template key now,
 // health and load aside — the pure ownership view, for tests and ops.
 func (r *Router) RouteKey(key uint32) (string, bool) {
 	r.mu.RLock()
@@ -325,7 +348,7 @@ type routeScratch struct {
 	which   []int          // first half job -> group, second half group -> job count
 	backing []int          // every group's indices, back to back
 
-	byNode  map[string]*nodeBatch // one batch per node URL, reused across calls
+	byNode  map[string]*nodeBatch // one batch per node name, reused across calls
 	order   []*nodeBatch          // this attempt's batches, first-assigned order
 	pending []group               // groups to re-route after a failed attempt
 	failed  []*nodeBatch
@@ -390,7 +413,7 @@ func (r *Router) Place(ctx context.Context, jobs []*trace.Job) ([]wire.Decision,
 		}
 		sc.pending = sc.pending[:0]
 		for _, f := range failed {
-			excluded[f.url] = true
+			excluded[f.name] = true
 			sc.pending = append(sc.pending, f.groups...)
 			r.counters.reroutes.Add(1)
 		}
@@ -421,7 +444,7 @@ func (r *Router) Observe(ctx context.Context, j *trace.Job, category int, o sim.
 	key := serve.TemplateHash(j)
 	excluded := map[string]bool{}
 	for attempt := 0; ; attempt++ {
-		url, n, err := r.owner(key, excluded)
+		name, n, err := r.owner(key, excluded)
 		if err != nil {
 			r.counters.failures.Add(1)
 			return err
@@ -450,7 +473,7 @@ func (r *Router) Observe(ctx context.Context, j *trace.Job, category int, o sim.
 			return fmt.Errorf("router: outcome for template %08x still failing after %d reroutes: %w",
 				key, attempt, err)
 		}
-		excluded[url] = true
+		excluded[name] = true
 		r.counters.reroutes.Add(1)
 	}
 }
@@ -461,11 +484,11 @@ func (r *Router) Observe(ctx context.Context, j *trace.Job, category int, o sim.
 func (r *Router) owner(key uint32, excluded map[string]bool) (string, *node, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	url, ok := r.ring.Route(uint64(key), func(u string) bool {
-		if excluded[u] {
+	name, ok := r.ring.Route(uint64(key), func(m string) bool {
+		if excluded[m] {
 			return false
 		}
-		n := r.nodes[u]
+		n := r.nodes[m]
 		n.mu.Lock()
 		h := n.healthy
 		n.mu.Unlock()
@@ -474,7 +497,7 @@ func (r *Router) owner(key uint32, excluded map[string]bool) (string, *node, err
 	if !ok {
 		return "", nil, fmt.Errorf("router: no live owner for template %08x", key)
 	}
-	return url, r.nodes[url], nil
+	return name, r.nodes[name], nil
 }
 
 // groupByTemplate splits a batch into per-template groups in first-seen
@@ -517,7 +540,7 @@ func (sc *routeScratch) groupByTemplate(jobs []*trace.Job) []group {
 // owns this attempt, their flattened job positions, the jobs at those
 // positions and the buffer the node's decisions for them land in.
 type nodeBatch struct {
-	url     string
+	name    string
 	groups  []group
 	indices []int
 	sub     []*trace.Job
@@ -537,8 +560,8 @@ func (r *Router) assign(sc *routeScratch, groups []group, excluded map[string]bo
 
 	live, totalInflight := 0, int64(0)
 	var weightSum float64
-	for url, n := range r.nodes {
-		if excluded[url] {
+	for name, n := range r.nodes {
+		if excluded[name] {
 			continue
 		}
 		n.mu.Lock()
@@ -563,34 +586,34 @@ func (r *Router) assign(sc *routeScratch, groups []group, excluded map[string]bo
 		// scaled by its health weight; the +gsize term keeps the bound
 		// meaningful when the plane is idle.
 		var fallback string
-		accept := func(url string) bool {
-			if excluded[url] {
+		accept := func(m string) bool {
+			if excluded[m] {
 				return false
 			}
-			n := r.nodes[url]
+			n := r.nodes[m]
 			n.mu.Lock()
 			defer n.mu.Unlock()
 			if !n.healthy {
 				return false
 			}
 			if fallback == "" {
-				fallback = url
+				fallback = m
 			}
 			share := (n.weight / weightSum) * float64(totalInflight+gsize)
 			bound := int64(math.Ceil(r.cfg.BoundFactor * (share + float64(gsize))))
 			return n.inflight+gsize <= bound
 		}
-		url, ok := r.ring.Route(uint64(g.key), accept)
+		name, ok := r.ring.Route(uint64(g.key), accept)
 		if !ok {
 			if fallback == "" {
 				return nil, fmt.Errorf("router: no live owner for template %08x", g.key)
 			}
-			url = fallback
+			name = fallback
 		}
-		nb := sc.byNode[url]
+		nb := sc.byNode[name]
 		if nb == nil {
-			nb = &nodeBatch{url: url}
-			sc.byNode[url] = nb
+			nb = &nodeBatch{name: name}
+			sc.byNode[name] = nb
 		}
 		if len(nb.groups) == 0 {
 			sc.order = append(sc.order, nb)
@@ -599,7 +622,7 @@ func (r *Router) assign(sc *routeScratch, groups []group, excluded map[string]bo
 		nb.indices = append(nb.indices, g.indices...)
 		// Count the assignment immediately so later groups in this same
 		// batch see the updated load.
-		n := r.nodes[url]
+		n := r.nodes[name]
 		n.mu.Lock()
 		n.inflight += gsize
 		n.mu.Unlock()
@@ -636,7 +659,7 @@ func (r *Router) dispatch(ctx context.Context, sc *routeScratch, jobs []*trace.J
 // scatters them into out, or records the failure in nb.err.
 func (r *Router) send(ctx context.Context, jobs []*trace.Job, out []wire.Decision, nb *nodeBatch) {
 	r.mu.RLock()
-	n := r.nodes[nb.url]
+	n := r.nodes[nb.name]
 	r.mu.RUnlock()
 	nb.sub = nb.sub[:0]
 	for _, idx := range nb.indices {
@@ -647,7 +670,7 @@ func (r *Router) send(ctx context.Context, jobs []*trace.Job, out []wire.Decisio
 	dispatchDur := time.Since(dispatchStart)
 	clear(nb.sub) // the pool must not keep the caller's jobs alive
 	n.dispatchLat.Record(dispatchDur.Nanoseconds())
-	obs.TraceFrom(ctx).Span("router.dispatch", nb.url, dispatchStart, dispatchDur)
+	obs.TraceFrom(ctx).Span("router.dispatch", n.url, dispatchStart, dispatchDur)
 	n.mu.Lock()
 	n.inflight -= int64(len(nb.indices))
 	if nb.err != nil && ctx.Err() == nil && !clientFault(nb.err) {

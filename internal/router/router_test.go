@@ -6,6 +6,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
 	"slices"
 	"strconv"
@@ -385,7 +386,7 @@ func trackScratch(r *Router) func() []*routeScratch {
 	}
 }
 
-// firstAttempt returns the node URLs a place of jobs would dispatch to
+// firstAttempt returns the node names a place of jobs would dispatch to
 // first, in dispatch order (the last goes out on the caller's
 // goroutine), without placing anything: it runs the router's own
 // grouping and assignment, then hands back the load assignment counts.
@@ -397,15 +398,15 @@ func firstAttempt(r *Router, jobs []*trace.Job) []string {
 	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	urls := make([]string, len(order))
+	names := make([]string, len(order))
 	for i, nb := range order {
-		urls[i] = nb.url
-		n := r.nodes[nb.url]
+		names[i] = nb.name
+		n := r.nodes[nb.name]
 		n.mu.Lock()
 		n.inflight -= int64(len(nb.indices))
 		n.mu.Unlock()
 	}
-	return urls
+	return names
 }
 
 // TestRouterProbeRecovery checks the health loop end to end: a killed
@@ -783,5 +784,94 @@ func TestRouterTracedPlace(t *testing.T) {
 	}
 	if served != dispatched {
 		t.Errorf("%d dispatches but %d rpc.place.stream spans under trace %016x on the nodes", dispatched, served, id)
+	}
+}
+
+// TestNodeEntries runs -nodes lists through ParseNodes and New: a
+// "name=" prefix survives the http:// defaulting and names the ring
+// member while the router dials the URL after it, a bare entry is its
+// own name, and an empty name or two entries that resolve to one
+// member, named or not, are refused.
+func TestNodeEntries(t *testing.T) {
+	for _, tc := range []struct {
+		list    string
+		entries []string
+		members []string // the ring's members, sorted; nil when New refuses
+	}{
+		{"a=127.0.0.1:7070", []string{"a=http://127.0.0.1:7070"}, []string{"a"}},
+		{"a=http://127.0.0.1:7070", []string{"a=http://127.0.0.1:7070"}, []string{"a"}},
+		{"127.0.0.1:7070", []string{"http://127.0.0.1:7070"}, []string{"http://127.0.0.1:7070"}},
+		{"b=127.0.0.1:7071, 127.0.0.1:7070", []string{"b=http://127.0.0.1:7071", "http://127.0.0.1:7070"},
+			[]string{"b", "http://127.0.0.1:7070"}},
+		{"=127.0.0.1:7070", []string{"=http://127.0.0.1:7070"}, nil},
+		{"a=127.0.0.1:7070,a=127.0.0.1:7071", []string{"a=http://127.0.0.1:7070", "a=http://127.0.0.1:7071"}, nil},
+		{"127.0.0.1:7070,http://127.0.0.1:7070", []string{"http://127.0.0.1:7070", "http://127.0.0.1:7070"}, nil},
+		{"http://127.0.0.1:7070=127.0.0.1:7071,127.0.0.1:7070",
+			[]string{"http://127.0.0.1:7070=http://127.0.0.1:7071", "http://127.0.0.1:7070"}, nil},
+	} {
+		entries, err := ParseNodes(tc.list)
+		if err != nil || !slices.Equal(entries, tc.entries) {
+			t.Errorf("ParseNodes(%q) = %q, %v; want %q", tc.list, entries, err, tc.entries)
+			continue
+		}
+		r, err := New(DefaultConfig(entries))
+		if tc.members == nil {
+			if err == nil {
+				r.Close()
+				t.Errorf("New accepted %q", entries)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("New(%q): %v", entries, err)
+			continue
+		}
+		owners := map[string]bool{}
+		for key := uint32(0); key < 1000; key++ {
+			owner, _ := r.RouteKey(key)
+			owners[owner] = true
+		}
+		var urls []string
+		for _, ns := range r.Nodes() {
+			urls = append(urls, ns.URL)
+		}
+		r.Close()
+		members := slices.Sorted(maps.Keys(owners))
+		var wantURLs []string
+		for _, e := range entries {
+			_, url := SplitNode(e)
+			wantURLs = append(wantURLs, url)
+		}
+		slices.Sort(wantURLs)
+		if !slices.Equal(members, tc.members) || !slices.Equal(urls, wantURLs) {
+			t.Errorf("New(%q) routes to %q and dials %q, want %q and %q", entries, members, urls, tc.members, wantURLs)
+		}
+	}
+}
+
+// TestNamedOwnershipIgnoresURLs: routers over the same node names deal
+// every template to the same name wherever the nodes listen, and that
+// name is the one a bare ring over the names picks.
+func TestNamedOwnershipIgnoresURLs(t *testing.T) {
+	a, err := New(DefaultConfig([]string{"0=http://127.0.0.1:40001", "1=http://127.0.0.1:40002", "2=http://127.0.0.1:40003"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := New(DefaultConfig([]string{"2=http://10.0.0.7:7070", "0=http://10.0.0.8:7070", "1=http://10.0.0.9:7070"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	ring := NewRing(1, 64)
+	ring.SetMembers([]string{"0", "1", "2"})
+	for key := uint32(0); key < 1000; key++ {
+		want, _ := ring.Route(uint64(key), nil)
+		if ga, _ := a.RouteKey(key); ga != want {
+			t.Fatalf("key %d: router a routes to %q, the bare ring to %q", key, ga, want)
+		}
+		if gb, _ := b.RouteKey(key); gb != want {
+			t.Fatalf("key %d: router b routes to %q, the bare ring to %q", key, gb, want)
+		}
 	}
 }

@@ -185,6 +185,7 @@ func (c *Config) validate() error {
 type Daemon struct {
 	cfg      Config
 	workload string
+	reg      *registry.Registry
 	srv      *serve.Server
 	counters daemonCounters
 	place    *admission
@@ -266,6 +267,7 @@ func NewDaemon(reg *registry.Registry, workload string, cm *cost.Model, cfg Conf
 	d := &Daemon{
 		cfg:         cfg,
 		workload:    workload,
+		reg:         reg,
 		srv:         srv,
 		place:       newAdmission(cfg.MaxInFlightPlace, cfg.QueueDeadline),
 		outcome:     newAdmission(cfg.MaxInFlightOutcome, cfg.QueueDeadline),
@@ -802,6 +804,7 @@ func (d *Daemon) handleVarz(w http.ResponseWriter, r *http.Request) {
 	v.rpc = d.stats(&v.placeJSON, &v.placeBinary, &v.outcome)
 	v.modelBytes = d.srv.ResidentBytes()
 	v.act = d.srv.ACT()
+	v.reg = d.reg.Residency()
 	if d.cfg.Learner != nil {
 		s := d.cfg.Learner.Stats()
 		v.onl = &s

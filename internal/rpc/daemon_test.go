@@ -457,6 +457,35 @@ func TestVarzEndpoint(t *testing.T) {
 	}
 }
 
+// TestVarzRegistryResidency: with three versions published, /varz
+// counts all three and the heap their models keep, not only the
+// serving version's.
+func TestVarzRegistryResidency(t *testing.T) {
+	fx := testFixture(t)
+	reg := fx.newRegistry(t)
+	for range 2 {
+		if _, err := reg.Publish("w", fx.model, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d := startDaemon(t, reg, testConfig())
+	resp, err := http.Get(d.BaseURL() + wire.PathVarz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, want := range []string{
+		"placementd_model_version 3\n",
+		"registry_resident_versions 3\n",
+		fmt.Sprintf("registry_resident_bytes %d\n", 3*fx.model.Model.ResidentBytes()),
+	} {
+		if !strings.Contains(string(body), want) {
+			t.Errorf("varz missing %q:\n%s", want, body)
+		}
+	}
+}
+
 // TestConfigValidation rejects nonsense daemon parameters.
 func TestConfigValidation(t *testing.T) {
 	fx := testFixture(t)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/online"
 	"repro/internal/rebalance"
+	"repro/internal/registry"
 	"repro/internal/rpc/wire"
 )
 
@@ -30,6 +31,8 @@ type varzData struct {
 	// act is the serving controller's admission category threshold
 	// (serve.Server.ACT).
 	act int
+	// reg is what the daemon's registry holds, every version's model.
+	reg registry.Residency
 
 	// Endpoint latency/queue-wait histograms (nanoseconds) and the
 	// serving core's batch-latency/queue-depth histograms.
@@ -49,9 +52,9 @@ type varzData struct {
 
 // writeVarz renders the daemon's ops page: model identity lines,
 // process metadata, the request counters and their latency histograms,
-// the serving core's counters and histograms, then (when attached) the
-// online-loop counters and the rebalance counters + solve-latency
-// histogram. The output is deterministic for fixed snapshot values —
+// the serving core's counters and histograms with the registry's
+// residency gauges, then (when attached) the online-loop counters and
+// the rebalance counters + solve-latency histogram. The output is deterministic for fixed snapshot values —
 // the golden test pins it, so operators' scrapers can rely on the keys.
 func writeVarz(w io.Writer, v *varzData) {
 	fmt.Fprintf(w, "placementd_workload %s\n", v.info.Workload)
@@ -76,6 +79,7 @@ func writeVarz(w io.Writer, v *varzData) {
 	fmt.Fprintf(w, "serve_act %d\n", v.act)
 	v.batchLat.WriteText(w, "serve_batch_latency_ns")
 	v.queueDepth.WriteText(w, "serve_queue_depth")
+	obs.WriteVars(w, "registry", v.reg)
 	if v.onl != nil {
 		obs.WriteVars(w, "online", *v.onl)
 	}

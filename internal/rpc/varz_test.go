@@ -10,6 +10,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/online"
 	"repro/internal/rebalance"
+	"repro/internal/registry"
 	"repro/internal/rpc/wire"
 )
 
@@ -99,6 +100,7 @@ func TestVarzGolden(t *testing.T) {
 		streamsOpen: 2,
 		modelBytes:  1_330_494,
 		act:         3,
+		reg:         registry.Residency{Versions: 7, Bytes: 9_313_458},
 		placeJSON:   histOf(1_100_000, 1_400_000, 2_000_000),
 		placeBinary: histOf(300_000, 350_000, 410_000, 900_000),
 		outcome:     histOf(200_000, 210_000),

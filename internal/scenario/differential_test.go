@@ -1,14 +1,18 @@
 package scenario
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/golden"
 	"repro/internal/online"
 	"repro/internal/policy"
 	"repro/internal/registry"
@@ -16,26 +20,33 @@ import (
 	"repro/internal/rpc"
 	"repro/internal/serve"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // layer is one side of the decision seam a replay can drive. start
 // stands it up over the env's model at its default configuration and
 // returns the placer with the teardown that closes everything it
-// started.
+// started. nodes is how many Algorithm 1 controllers the layer runs:
+// its reference is the split simulation over that many ring owners,
+// which for one node is the simulator itself.
 type layer struct {
 	name  string
+	nodes int
 	start func(t *testing.T, spec *Spec, e *env) (online.Placer, func())
 }
 
 // layers is every seam TestServeMatchesSim replays: the in-process
 // server at one shard and at the default count, a client on each
-// codec to an in-process daemon, and the router over a 1-node plane.
+// codec to an in-process daemon, and the router over planes of 1, 2
+// and 3 named nodes.
 var layers = []layer{
-	{"serve-1", serveLayer(1)},
-	{"serve-default", serveLayer(serve.DefaultConfig(0).Shards)},
-	{"rpc-binary", clientLayer(rpc.CodecBinary)},
-	{"rpc-json", clientLayer(rpc.CodecJSON)},
-	{"router-1node", routerLayer},
+	{"serve-1", 1, serveLayer(1)},
+	{"serve-default", 1, serveLayer(serve.DefaultConfig(0).Shards)},
+	{"rpc-binary", 1, clientLayer(rpc.CodecBinary)},
+	{"rpc-json", 1, clientLayer(rpc.CodecJSON)},
+	{"router-1node", 1, routerLayer(1)},
+	{"router-2node", 2, routerLayer(2)},
+	{"router-3node", 3, routerLayer(3)},
 }
 
 // publish returns a registry holding the env's model as v1 of the
@@ -98,25 +109,71 @@ func clientLayer(codec string) func(*testing.T, *Spec, *env) (online.Placer, fun
 	}
 }
 
-func routerLayer(t *testing.T, spec *Spec, e *env) (online.Placer, func()) {
-	plane, err := router.NewPlane(publish(t, spec, e), spec.Name, e.cm, rpc.DefaultConfig(e.model.NumCategories()), 1)
-	if err != nil {
-		t.Fatal(err)
+func routerLayer(nodes int) func(*testing.T, *Spec, *env) (online.Placer, func()) {
+	return func(t *testing.T, spec *Spec, e *env) (online.Placer, func()) {
+		plane, err := router.NewPlane(publish(t, spec, e), spec.Name, e.cm, rpc.DefaultConfig(e.model.NumCategories()), nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := router.New(router.DefaultConfig(plane.Members()))
+		if err != nil {
+			plane.Close()
+			t.Fatal(err)
+		}
+		return r, func() { r.Close(); plane.Close() }
 	}
-	r, err := router.New(router.DefaultConfig(plane.URLs()))
-	if err != nil {
-		plane.Close()
-		t.Fatal(err)
-	}
-	return r, func() { r.Close(); plane.Close() }
 }
+
+// split is the multi-node reference: one Algorithm 1 ranking policy per
+// node of a plane named 0…n-1, each placing and observing only the jobs
+// whose template the router's default ring (seed 1, 64 replicas) deals
+// to that name. A routed plane decides what it does, because one job
+// per Place never trips the bounded-load spill.
+type split struct {
+	ring   *router.Ring
+	owners map[string]*policy.AdaptiveRanking
+}
+
+// splitSim replays the env's test trace under a split over nodes ring
+// owners.
+func splitSim(t *testing.T, e *env, cfg sim.Config, nodes int) *sim.Result {
+	t.Helper()
+	s := &split{ring: router.NewRing(1, 64), owners: map[string]*policy.AdaptiveRanking{}}
+	names := make([]string, nodes)
+	for i := range names {
+		names[i] = strconv.Itoa(i)
+		p, err := policy.NewAdaptiveRanking(e.model, e.cm, core.DefaultAdaptiveConfig(e.model.NumCategories()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.owners[names[i]] = p
+	}
+	s.ring.SetMembers(names)
+	res, err := sim.Run(e.test, s, e.cm, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+func (s *split) owner(j *trace.Job) *policy.AdaptiveRanking {
+	m, _ := s.ring.Route(uint64(trace.TemplateHash(j.Pipeline, j.Step)), nil)
+	return s.owners[m]
+}
+
+func (s *split) Name() string                                  { return "Split" }
+func (s *split) Place(j *trace.Job, ctx sim.PlaceContext) bool { return s.owner(j).Place(j, ctx) }
+func (s *split) Observe(j *trace.Job, o sim.Outcome)           { s.owner(j).Observe(j, o) }
 
 // TestServeMatchesSim is the whole-scenario differential across the
 // decision seam: on every checked-in scenario's trace and model, each
 // layer's replay decides every job as the simulator's Algorithm 1
-// ranking policy does, and lands on bit-equal TCO and TCIO. The shard
-// count is a throughput setting, the codec and the router a transport;
-// a decision that moved with any of them would fail here. Every
+// ranking policy does, split over the plane's ring owners when the
+// layer has more than one node, and lands on bit-equal TCO and TCIO.
+// The shard count is a throughput setting, the codec and the router a
+// transport; a decision that moved with any of them would fail here. A
+// multi-node leg runs twice, on two planes with other ports, because
+// ownership must follow the node names and nothing else. Every
 // goroutine a layer starts is gone once the table has run.
 func TestServeMatchesSim(t *testing.T) {
 	pkgs, err := Discover(repoScenarios)
@@ -146,15 +203,27 @@ func TestServeMatchesSim(t *testing.T) {
 			if len(want.Records) != len(e.test.Jobs) {
 				t.Fatalf("sim kept %d records of %d jobs", len(want.Records), len(e.test.Jobs))
 			}
+			refs := map[int]*sim.Result{1: want}
 			for _, l := range layers {
 				t.Run(l.name, func(t *testing.T) {
-					p, stop := l.start(t, spec, e)
-					got, err := online.RunLoop(e.test, p, nil, e.cm, cfg)
-					stop()
-					if err != nil {
-						t.Fatal(err)
+					ref := refs[l.nodes]
+					if ref == nil {
+						ref = splitSim(t, e, cfg, l.nodes)
+						refs[l.nodes] = ref
 					}
-					sameDecisions(t, got, want)
+					runs := 1
+					if l.nodes > 1 {
+						runs = 2 // a second plane listens on other ports
+					}
+					for range runs {
+						p, stop := l.start(t, spec, e)
+						got, err := online.RunLoop(e.test, p, nil, e.cm, cfg)
+						stop()
+						if err != nil {
+							t.Fatal(err)
+						}
+						sameDecisions(t, got, ref)
+					}
 				})
 			}
 		})
@@ -211,4 +280,37 @@ func waitGoroutines(t *testing.T, before int) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+}
+
+// TestSplitCost pins what splitting Algorithm 1 over a plane costs: the
+// TCO savings on each trace-driven scenario with one controller and
+// with one per owner of a ring over 2, 3 and 4 named nodes, and the
+// points the 2-node split loses against one controller (negative when
+// it gains). A routed plane of named nodes decides what the split
+// decides (TestServeMatchesSim), so these are its numbers.
+func TestSplitCost(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains every trace-driven scenario's model")
+	}
+	pkgs, err := Discover(repoScenarios)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "%-15s %12s %8s %8s %8s %10s\n", "scenario", "1 controller", "2 named", "3 named", "4 named", "cost at 2")
+	for _, pkg := range pkgs {
+		if pkg.Spec.Trace == nil {
+			continue
+		}
+		e, err := buildEnv(pkg.Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tco [5]float64
+		for n := 1; n <= 4; n++ {
+			tco[n] = splitSim(t, e, sim.Config{SSDQuota: e.quota}, n).TCOSavingsPercent()
+		}
+		fmt.Fprintf(&b, "%-15s %12.3f %8.3f %8.3f %8.3f %+10.3f\n", pkg.Name, tco[1], tco[2], tco[3], tco[4], tco[1]-tco[2])
+	}
+	golden.Check(t, "testdata/split.golden", b.Bytes())
 }
