@@ -334,7 +334,11 @@ func writeSummary(w io.Writer, s summary) {
 			if !ns.Healthy {
 				health = "down"
 			}
-			fmt.Fprintf(w, "  node:      %s %s (weight %.2f)\n", ns.URL, health, ns.Weight)
+			entry := ns.URL // an unnamed node is its own name
+			if ns.Name != ns.URL {
+				entry = ns.Name + "=" + ns.URL
+			}
+			fmt.Fprintf(w, "  node:      %s %s (weight %.2f)\n", entry, health, ns.Weight)
 		}
 	}
 	fmt.Fprintf(w, "  latency:   p50 %.2fms  p95 %.2fms  p99 %.2fms  max %.2fms\n",

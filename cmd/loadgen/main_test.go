@@ -73,9 +73,9 @@ func TestSummaryNodesGolden(t *testing.T) {
 			WeightDecays: 1, Outcomes: 6240,
 		},
 		Nodes: []router.NodeState{
-			{URL: "http://127.0.0.1:7070", Healthy: true, Weight: 1},
-			{URL: "http://127.0.0.1:7071", Healthy: true, Weight: 0.5},
-			{URL: "http://127.0.0.1:7072", Healthy: false, Weight: 0.25},
+			{Name: "n0", URL: "http://127.0.0.1:7070", Healthy: true, Weight: 1},
+			{Name: "n1", URL: "http://127.0.0.1:7071", Healthy: true, Weight: 0.5},
+			{Name: "n2", URL: "http://127.0.0.1:7072", Healthy: false, Weight: 0.25},
 		},
 		AchievedQPS: 39888.3,
 		P50ms:       2.12,
@@ -210,7 +210,7 @@ func TestLoadgenAgainstPlane(t *testing.T) {
 	}
 	for _, want := range []string{
 		"loadgen summary", "2-node plane via", "routing:", "over 2 nodes",
-		" 0 failures, 0 request errors", "node:      http://",
+		" 0 failures, 0 request errors", "node:      0=http://",
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output missing %q:\n%s", want, out.String())

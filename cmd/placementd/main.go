@@ -70,10 +70,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		outFl    = fs.Int("max-inflight-outcome", 256, "concurrent /v1/outcome requests before shedding")
 		queue    = fs.Duration("queue-deadline", 5*time.Millisecond, "max wait for an in-flight slot before 429")
 		maxBatch = fs.Int("max-batch", 4096, "max jobs per place request (0 = unlimited)")
-		noBinary = fs.Bool("disable-binary", false, "serve JSON only: refuse the /v1/stream upgrade, omit the bin schema from /v1/model")
 		drain    = fs.Duration("drain", 10*time.Second, "graceful drain deadline on shutdown")
 		sample   = fs.Int("trace-sample", 100, "trace 1 in N requests at ingress (0 = only propagated IDs)")
-		ring     = fs.Int("trace-ring", 256, "sampled traces kept for /tracez")
 		debug    = fs.String("debug-addr", "", "optional second listener for /debug/pprof and /debug/vars (empty = off)")
 
 		onlineMode   = fs.Bool("online", false, "attach a continuous learner fed by /v1/outcome")
@@ -105,9 +103,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	cfg.MaxInFlightOutcome = *outFl
 	cfg.QueueDeadline = *queue
 	cfg.MaxBatch = *maxBatch
-	cfg.DisableBinary = *noBinary
 	cfg.TraceSampleEvery = *sample
-	cfg.TraceRing = *ring
 
 	var learner *online.Learner
 	if *onlineMode {

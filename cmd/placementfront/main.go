@@ -19,6 +19,10 @@
 // kept off the serving port so profiling is opt-in and fire-walled
 // separately.
 //
+// The ring is not configurable: every front and every loadgen -nodes
+// deals it the same way, so any two given the same node names agree on
+// which backend owns a template.
+//
 // Usage:
 //
 //	placementfront -addr 127.0.0.1:7080 -nodes 127.0.0.1:7070,127.0.0.1:7071
@@ -59,9 +63,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	var (
 		addr     = fs.String("addr", "127.0.0.1:7080", "listen address (host:port)")
 		nodes    = fs.String("nodes", "", "comma-separated placementd addresses, each [name=]host:port, required; nodes are ring members by name, else by address")
-		replicas = fs.Int("replicas", 64, "virtual nodes per backend on the ring")
-		seed     = fs.Uint64("seed", 1, "ring seed (must match across fronts of one plane)")
-		bound    = fs.Float64("bound", 1.25, "bounded-load factor")
 		probe    = fs.Duration("probe", 250*time.Millisecond, "backend health-probe interval")
 		reroutes = fs.Int("reroutes", 2, "max re-dispatches per batch after backend failures")
 		codec    = fs.String("codec", rpc.CodecBinary, "backend codec: json or binary")
@@ -69,7 +70,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		maxBatch = fs.Int("max-batch", 4096, "max jobs per place request (0 = unlimited)")
 		drain    = fs.Duration("drain", 10*time.Second, "graceful drain deadline on shutdown")
 		sample   = fs.Int("trace-sample", 100, "trace 1 in N place requests (0 = off)")
-		ring     = fs.Int("trace-ring", 256, "sampled traces kept for /tracez")
 		debug    = fs.String("debug-addr", "", "optional second listener for /debug/pprof and /debug/vars (empty = off)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -87,9 +87,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 
 	cfg := router.DefaultConfig(urls)
-	cfg.Replicas = *replicas
-	cfg.Seed = *seed
-	cfg.BoundFactor = *bound
 	cfg.ProbeInterval = *probe
 	cfg.MaxReroutes = *reroutes
 	cfg.Client.Codec = *codec
@@ -103,14 +100,13 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	front := &front{
 		router:   r,
 		maxBatch: *maxBatch,
-		tracer:   obs.NewTracer("placementfront", *sample, *ring),
+		tracer:   obs.NewTracer("placementfront", *sample, 0), // ring of 256 traces, the default
 		start:    time.Now(),
 	}
 	srv := &http.Server{Addr: *addr, Handler: front.handler()}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.ListenAndServe() }()
-	fmt.Fprintf(stdout, "placementfront listening on http://%s over %d nodes (seed %d, %d vnodes)\n",
-		*addr, len(urls), *seed, *replicas)
+	fmt.Fprintf(stdout, "placementfront listening on http://%s over %d nodes\n", *addr, len(urls))
 	if *debug != "" {
 		ds, err := obs.StartDebugServer(*debug)
 		if err != nil {
@@ -285,11 +281,11 @@ func writeVarz(w io.Writer, v *varzData) {
 		if ns.Healthy {
 			healthy = 1
 		}
-		fmt.Fprintf(w, "router_node{url=%q} healthy=%d weight=%.2f inflight=%d\n",
-			ns.URL, healthy, ns.Weight, ns.Inflight)
+		fmt.Fprintf(w, "router_node{name=%q,url=%q} healthy=%d weight=%.2f inflight=%d\n",
+			ns.Name, ns.URL, healthy, ns.Weight, ns.Inflight)
 	}
 	for _, nd := range v.dispatch {
-		nd.Hist.WriteTextLabeled(w, "router_dispatch_latency_ns", fmt.Sprintf("{node=%q}", nd.URL))
+		nd.Hist.WriteTextLabeled(w, "router_dispatch_latency_ns", fmt.Sprintf("{node=%q}", nd.Name))
 	}
 }
 

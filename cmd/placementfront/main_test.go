@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/router"
 	"repro/internal/rpc"
 	"repro/internal/rpc/wire"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -114,7 +116,7 @@ func TestFrontEndpoints(t *testing.T) {
 	var vb bytes.Buffer
 	_, _ = vb.ReadFrom(vz.Body)
 	vz.Body.Close()
-	for _, want := range []string{"router_batches 1", "router_jobs 40", "router_outcomes 40", "router_node{"} {
+	for _, want := range []string{"router_batches 1", "router_jobs 40", "router_outcomes 40", `router_node{name="0",url="http://`} {
 		if !strings.Contains(vb.String(), want) {
 			t.Errorf("varz missing %q:\n%s", want, vb.String())
 		}
@@ -162,6 +164,27 @@ func TestFrontEndpoints(t *testing.T) {
 	}
 	if after := rt.Stats(); after.Batches != before.Batches || after.Outcomes != before.Outcomes || after.Failures != before.Failures {
 		t.Errorf("a refused document was routed: router counters %+v -> %+v", before, after)
+	}
+
+	// A binary-codec client pointed at the front finds no /v1/model there,
+	// so each operation goes as JSON and is routed like any other.
+	ccfg := rpc.DefaultClientConfig(srv.URL)
+	ccfg.Codec = rpc.CodecBinary
+	c, err := rpc.NewClient(ccfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ds, err := c.Place(context.Background(), jobs[:4])
+	if err != nil || len(ds) != 4 {
+		t.Fatalf("binary-codec place through the front: %d decisions, %v", len(ds), err)
+	}
+	o := sim.Outcome{WantedSSD: ds[0].Admit, FracOnSSD: 1, SpilledAt: -1, EvictedAt: -1}
+	if err := c.Observe(context.Background(), jobs[0], ds[0].Category, o); err != nil {
+		t.Fatalf("binary-codec observe through the front: %v", err)
+	}
+	if after := rt.Stats(); after.Batches != before.Batches+1 || after.Outcomes != before.Outcomes+1 {
+		t.Errorf("router counters %+v -> %+v, want one more batch and outcome", before, after)
 	}
 }
 

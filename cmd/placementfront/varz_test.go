@@ -48,12 +48,12 @@ func TestVarzGolden(t *testing.T) {
 		},
 		client: rpc.ClientStats{Requests: 304_212, Sheds: 31, Retries: 29, Failures: 3},
 		nodes: []router.NodeState{
-			{URL: "http://10.0.0.7:7070", Healthy: true, Weight: 1, Inflight: 64},
-			{URL: "http://10.0.0.8:7070", Healthy: false, Weight: 0.35, Inflight: 0},
+			{Name: "n0", URL: "http://10.0.0.7:7070", Healthy: true, Weight: 1, Inflight: 64},
+			{Name: "n1", URL: "http://10.0.0.8:7070", Healthy: false, Weight: 0.35, Inflight: 0},
 		},
 		dispatch: []router.NodeDispatch{
-			{URL: "http://10.0.0.7:7070", Hist: histOf(410_000, 520_000, 1_900_000)},
-			{URL: "http://10.0.0.8:7070", Hist: histOf(380_000, 2_000_000_000)},
+			{Name: "n0", URL: "http://10.0.0.7:7070", Hist: histOf(410_000, 520_000, 1_900_000)},
+			{Name: "n1", URL: "http://10.0.0.8:7070", Hist: histOf(380_000, 2_000_000_000)},
 		},
 	}
 	var b bytes.Buffer

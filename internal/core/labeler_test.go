@@ -144,17 +144,37 @@ func TestLabelerTwoCategories(t *testing.T) {
 }
 
 func TestLabelerSerialization(t *testing.T) {
-	l := &Labeler{NumCategories: 4, Boundaries: []float64{1, 10}}
-	var buf bytes.Buffer
-	if err := l.Save(&buf); err != nil {
-		t.Fatal(err)
+	// A 2-category labeler has no boundaries: FitLabeler leaves them nil,
+	// and Save writes null.
+	two, err := FitLabeler(clusterJobs(t, 1, 1), cost.Default(), 2)
+	if err != nil || two.Boundaries != nil {
+		t.Fatalf("2-category fit: %+v, %v; want nil boundaries", two, err)
 	}
-	got, err := LoadLabeler(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumCategories != 4 || len(got.Boundaries) != 2 {
-		t.Errorf("round trip lost data: %+v", got)
+	for _, l := range []*Labeler{{NumCategories: 4, Boundaries: []float64{1, 10}}, two} {
+		var buf bytes.Buffer
+		if err := l.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if l.Boundaries == nil && !bytes.Contains(buf.Bytes(), []byte(`"boundaries":null`)) {
+			t.Errorf("%d categories: file %s, want null boundaries", l.NumCategories, buf.Bytes())
+		}
+		got, err := LoadLabeler(&buf)
+		if err != nil {
+			t.Fatalf("%d categories: %v", l.NumCategories, err)
+		}
+		if err := got.Validate(); err != nil {
+			t.Fatalf("%d categories: loaded labeler: %v", l.NumCategories, err)
+		}
+		if got.NumCategories != l.NumCategories || len(got.Boundaries) != len(l.Boundaries) {
+			t.Errorf("round trip lost data: %+v, want %+v", got, l)
+		}
+		for _, d := range []float64{0, 0.5, 1, 5, 10, 100} {
+			for _, savings := range []float64{-1, 1} {
+				if a, b := got.LabelValues(savings, d), l.LabelValues(savings, d); a != b {
+					t.Errorf("%d categories: density %g, savings %g: loaded label %d, saved %d", l.NumCategories, d, savings, a, b)
+				}
+			}
+		}
 	}
 	if _, err := LoadLabeler(bytes.NewBufferString("junk")); err == nil {
 		t.Error("garbage accepted")

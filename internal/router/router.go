@@ -19,7 +19,20 @@ import (
 	"repro/internal/trace"
 )
 
-// Config tunes a placement router.
+// The ring is fixed: every router deals it with ringSeed and
+// ringReplicas virtual nodes per member, so routers over the same node
+// names agree on template ownership. boundFactor is the bounded-load
+// limit: a node accepts a template group only while its in-flight jobs
+// stay under boundFactor × weight × its fair share; past it the walk
+// spills the group to the next owner.
+const (
+	ringSeed     = 1
+	ringReplicas = 64
+	boundFactor  = 1.25
+)
+
+// Config tunes a placement router. The ring is not among its settings:
+// it is fixed (see ringSeed), which is why routers agree.
 type Config struct {
 	// Nodes lists the placementd nodes the router spreads traffic over,
 	// each a base URL ("http://host:port") with an optional "name="
@@ -27,17 +40,6 @@ type Config struct {
 	// same names agree on ownership wherever the nodes listen; an entry
 	// without one is its own name. Required, at least one.
 	Nodes []string
-	// Replicas is the virtual-node count per member (default 64).
-	Replicas int
-	// Seed deals the ring. Every router over the same plane must use
-	// the same seed, or they will disagree on template ownership
-	// (default 1).
-	Seed uint64
-	// BoundFactor is the bounded-load limit: a node accepts a template
-	// group only while its in-flight jobs stay under BoundFactor ×
-	// weight × its fair share; past it the walk spills the group to the
-	// next owner (default 1.25).
-	BoundFactor float64
 	// ProbeInterval is the /healthz probing cadence (default 250 ms),
 	// and it bounds one probe round trip too.
 	ProbeInterval time.Duration
@@ -51,16 +53,12 @@ type Config struct {
 }
 
 // DefaultConfig returns router parameters for the given nodes:
-// 64 vnodes, seed 1, 1.25 bound factor, 250 ms probes, 2 reroutes and
-// binary-codec clients.
+// 250 ms probes, 2 reroutes and binary-codec clients.
 func DefaultConfig(nodes []string) Config {
 	ccfg := rpc.DefaultClientConfig("http://placeholder")
 	ccfg.Codec = rpc.CodecBinary
 	return Config{
 		Nodes:         nodes,
-		Replicas:      64,
-		Seed:          1,
-		BoundFactor:   1.25,
 		ProbeInterval: 250 * time.Millisecond,
 		MaxReroutes:   2,
 		Client:        ccfg,
@@ -120,8 +118,9 @@ type node struct {
 }
 
 // NodeState is one node's health as the router sees it (for /varz and
-// tests).
+// tests): Name is its ring member, URL where the router dials it.
 type NodeState struct {
+	Name     string
 	URL      string
 	Healthy  bool
 	Weight   float64
@@ -191,15 +190,6 @@ func New(cfg Config) (*Router, error) {
 	if len(cfg.Nodes) == 0 {
 		return nil, fmt.Errorf("router: needs at least one node URL")
 	}
-	if cfg.Replicas < 1 {
-		cfg.Replicas = 64
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	if cfg.BoundFactor <= 1 {
-		cfg.BoundFactor = 1.25
-	}
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = 250 * time.Millisecond
 	}
@@ -211,7 +201,7 @@ func New(cfg Config) (*Router, error) {
 	}
 	r := &Router{
 		cfg:       cfg,
-		ring:      NewRing(cfg.Seed, cfg.Replicas),
+		ring:      NewRing(ringSeed, ringReplicas),
 		nodes:     map[string]*node{},
 		probeStop: make(chan struct{}),
 		probeDone: make(chan struct{}),
@@ -280,9 +270,9 @@ func (r *Router) Nodes() []NodeState {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	out := make([]NodeState, 0, len(r.nodes))
-	for _, n := range r.nodes {
+	for name, n := range r.nodes {
 		n.mu.Lock()
-		out = append(out, NodeState{URL: n.url, Healthy: n.healthy, Weight: n.weight, Inflight: n.inflight})
+		out = append(out, NodeState{Name: name, URL: n.url, Healthy: n.healthy, Weight: n.weight, Inflight: n.inflight})
 		n.mu.Unlock()
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].URL < out[j].URL })
@@ -291,18 +281,18 @@ func (r *Router) Nodes() []NodeState {
 
 // NodeDispatch is one node's dispatch-latency histogram (for /varz).
 type NodeDispatch struct {
-	URL  string
-	Hist obs.HistSnapshot
+	Name, URL string
+	Hist      obs.HistSnapshot
 }
 
 // DispatchLatency returns every node's dispatch-latency histogram
-// snapshot (nanoseconds per Place dispatch), sorted by URL.
+// snapshot (nanoseconds per Place dispatch), sorted by URL as Nodes is.
 func (r *Router) DispatchLatency() []NodeDispatch {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	out := make([]NodeDispatch, 0, len(r.nodes))
-	for _, n := range r.nodes {
-		out = append(out, NodeDispatch{URL: n.url, Hist: n.dispatchLat.Snapshot()})
+	for name, n := range r.nodes {
+		out = append(out, NodeDispatch{Name: name, URL: n.url, Hist: n.dispatchLat.Snapshot()})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].URL < out[j].URL })
 	return out
@@ -550,7 +540,7 @@ type nodeBatch struct {
 
 // assign routes every group to a node and merges groups per node. The
 // bounded-load walk offers each group to owners in ring order and takes
-// the first healthy node whose in-flight jobs stay within BoundFactor ×
+// the first healthy node whose in-flight jobs stay within boundFactor ×
 // weight × fair share; if every owner is over bound (but some are
 // healthy), the group falls back to its first healthy owner — progress
 // beats the bound when the whole plane is saturated.
@@ -600,7 +590,7 @@ func (r *Router) assign(sc *routeScratch, groups []group, excluded map[string]bo
 				fallback = m
 			}
 			share := (n.weight / weightSum) * float64(totalInflight+gsize)
-			bound := int64(math.Ceil(r.cfg.BoundFactor * (share + float64(gsize))))
+			bound := int64(math.Ceil(boundFactor * (share + float64(gsize))))
 			return n.inflight+gsize <= bound
 		}
 		name, ok := r.ring.Route(uint64(g.key), accept)

@@ -705,45 +705,6 @@ func TestRouterSessionsStayPooled(t *testing.T) {
 	}
 }
 
-// TestRouterOverJSONOnlyNodes: node clients read the codec off /v1/model,
-// so a plane of daemons with binary disabled is placed over JSON, with no
-// stream session attempted.
-func TestRouterOverJSONOnlyNodes(t *testing.T) {
-	fx := testFixture(t)
-	dcfg := testDaemonConfig()
-	dcfg.DisableBinary = true
-	p, err := NewPlane(fx.newSource(t), srcWorkload, fx.cm, dcfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(p.Close)
-	r := newTestRouter(t, p)
-	jobs := fx.jobs[:64]
-	ds, err := r.Place(context.Background(), jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, d := range ds {
-		if d.JobID != jobs[i].ID {
-			t.Fatalf("decision %d carries job %q, want %q", i, d.JobID, jobs[i].ID)
-		}
-	}
-	var placed int64
-	for i := 0; i < 2; i++ {
-		st := p.Node(i).Stats()
-		placed += st.PlaceJSON
-		if st.StreamSessions != 0 || st.PlaceBinary != 0 {
-			t.Errorf("node %d: %d stream sessions, %d binary places, want 0 and 0", i, st.StreamSessions, st.PlaceBinary)
-		}
-	}
-	if placed == 0 {
-		t.Error("no node counted a JSON place")
-	}
-	if rs := r.Stats(); rs.Failovers != 0 || rs.Failures != 0 {
-		t.Errorf("router stats %+v, want no failover or failure", rs)
-	}
-}
-
 // TestRouterTracedPlace follows one sampled batch across the tiers now
 // that no HTTP request carries it: the caller's trace gains a
 // router.dispatch span per node, and each node files its own spans, the

@@ -40,8 +40,7 @@ type clientScratch struct {
 }
 
 // binaryState returns the cached bin state, fetching it from /v1/model
-// on first use. A nil state with nil error means the daemon is
-// JSON-only and the client has latched its fallback.
+// on first use.
 func (c *Client) binaryState(ctx context.Context) (*clientBinState, error) {
 	if st := c.binState.Load(); st != nil {
 		return st, nil
@@ -57,12 +56,8 @@ func (c *Client) refreshBinState(ctx context.Context) (*clientBinState, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !info.Binary {
-		c.jsonOnly.Store(true)
-		return nil, nil
-	}
 	if info.Encoder == nil {
-		return nil, fmt.Errorf("rpc: daemon advertises binary but ships no encoder")
+		return nil, fmt.Errorf("rpc: /v1/model ships no encoder")
 	}
 	if err := info.Encoder.Finalize(); err != nil {
 		return nil, fmt.Errorf("rpc: model encoder: %w", err)

@@ -94,12 +94,9 @@ type Client struct {
 	failures atomic.Int64
 
 	// Binary-codec state: the model's bin schema + encoder, pinned to a
-	// version and refreshed on a stale-version refusal; jsonOnly latches
-	// the JSON fallback against a daemon whose /v1/model doesn't advertise
-	// binary, for the life of the client; scratch pools the buffers of a
-	// JSON call (a frame call uses its session's).
+	// version and refreshed on a stale-version refusal; scratch pools the
+	// buffers of a JSON call (a frame call uses its session's).
 	binState atomic.Pointer[clientBinState]
-	jsonOnly atomic.Bool
 	scratch  sync.Pool
 
 	// idle holds the stream sessions Place and Observe frames travel on,
@@ -221,10 +218,10 @@ func (c *Client) count(err error) error {
 
 // Place requests decisions for a batch of jobs, in order. A binary-codec
 // client sends the batch as one frame exchange on a stream session from
-// its idle list when the daemon advertised the binary codec
-// (ModelInfo.Binary), with the checks, the retry loop and the decisions
-// of StreamSession.Place; every other pairing (JSON codec, a daemon
-// without the codec, a model fetch that failed) posts JSON to /v1/place.
+// its idle list once it holds the daemon's bin schema, with the checks,
+// the retry loop and the decisions of StreamSession.Place; every other
+// pairing (JSON codec, a model fetch that failed) posts JSON to
+// /v1/place.
 // On a session the lost-connection rule is onSession's: one that died
 // while parked re-sends once, a timeout or a garbled reply is returned.
 //
@@ -291,16 +288,14 @@ func (c *Client) PlaceOne(ctx context.Context, j *trace.Job) (wire.Decision, err
 }
 
 // frameState is the capability rule Place and Observe share: the
-// daemon's schema when this client sends it frames on pooled sessions at
-// all (binary codec, a /v1/model that advertises binary), nil otherwise.
-// The capability is read where the schema is: on first use, on a
-// stale-version refusal and after a refused upgrade (OpenStream); a
-// daemon restarted with frames newly enabled is picked up when the
-// client restarts. A model fetch that failed leaves the capability
-// unknown, and the JSON form of a request serves every daemon: the
-// operation at hand goes that way.
+// daemon's schema when this client sends it frames on pooled sessions
+// (binary codec, a /v1/model fetched on first use and again on a
+// stale-version refusal), nil otherwise. A model fetch that failed (a
+// placementfront has no /v1/model) leaves the schema unknown, and the
+// JSON form of a request serves every server: the operation at hand
+// goes that way, and the next one fetches again.
 func (c *Client) frameState(ctx context.Context) *clientBinState {
-	if c.cfg.Codec != CodecBinary || c.jsonOnly.Load() {
+	if c.cfg.Codec != CodecBinary {
 		return nil
 	}
 	st, err := c.binaryState(ctx)
@@ -312,9 +307,9 @@ func (c *Client) frameState(ctx context.Context) *clientBinState {
 
 // Observe reports a placement outcome back to the daemon. category is
 // the Decision.Category the placement acted on. A binary-codec client
-// sends it as a frame on a pooled stream session when the daemon
-// advertised ModelInfo.Binary; every other pairing (JSON codec, a daemon
-// with binary disabled) posts JSON to /v1/outcome. On a session, a
+// sends it as a frame on a pooled stream session once it holds the
+// daemon's bin schema; every other pairing (JSON codec, a model fetch
+// that failed) posts JSON to /v1/outcome. On a session, a
 // connection that died while parked re-sends the outcome once and no
 // other failure does: see onSession.
 //

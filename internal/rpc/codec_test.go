@@ -73,59 +73,6 @@ func TestCrossCodecDeterminism(t *testing.T) {
 	}
 }
 
-// TestBinaryClientFallsBackToJSONDaemon pins the capability rule from
-// the refusing side: a binary-codec client against a daemon started with
-// DisableBinary silently latches the JSON fallback and keeps placing.
-func TestBinaryClientFallsBackToJSONDaemon(t *testing.T) {
-	fx := testFixture(t)
-	cfg := testConfig()
-	cfg.DisableBinary = true
-	d := startDaemon(t, fx.newRegistry(t), cfg)
-	c := newCodecClient(t, d, CodecBinary)
-
-	ds, err := c.Place(context.Background(), fx.jobs[:8])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ds) != 8 || ds[0].JobID != fx.jobs[0].ID {
-		t.Fatalf("fallback place returned %d decisions (first job %q)", len(ds), ds[0].JobID)
-	}
-	if !c.jsonOnly.Load() {
-		t.Error("client did not latch the JSON fallback")
-	}
-	if snap := d.Stats(); snap.PlaceBinary != 0 || snap.PlaceJSON == 0 {
-		t.Errorf("daemon counted %d binary / %d json places, want 0 / >0", snap.PlaceBinary, snap.PlaceJSON)
-	}
-	// A second place must not probe /v1/model again — straight to JSON.
-	models := d.Stats().ModelRequests
-	if _, err := c.Place(context.Background(), fx.jobs[8:16]); err != nil {
-		t.Fatal(err)
-	}
-	if got := d.Stats().ModelRequests; got != models {
-		t.Errorf("latched client still probes /v1/model (%d -> %d)", models, got)
-	}
-
-	// The raw wire view of the same daemon: a frame body gets 415, as on
-	// every daemon (TestNegotiationMatrix).
-	resp, err := http.Post(d.BaseURL()+wire.PathPlace, wire.ContentTypeBinary, bytes.NewReader([]byte("BYM1")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusUnsupportedMediaType {
-		t.Errorf("binary frame to disabled daemon: status %d, want 415", resp.StatusCode)
-	}
-	// And /v1/model omits the bin schema.
-	info, err := newTestClient(t, d).ModelInfo(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Binary || info.Encoder != nil || info.BinEdges != nil {
-		t.Errorf("disabled daemon still advertises binary: %+v", info)
-	}
-}
-
 // TestNegotiationMatrix drives the Accept/Content-Type combinations at
 // the HTTP level: POST /v1/place speaks JSON whatever the request
 // accepts, and a body that announces a frame is refused with 415 and

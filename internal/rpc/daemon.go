@@ -48,12 +48,12 @@
 // trip that is a JSON request over HTTP or a frame exchange on a stream,
 // and Client.onSession is the one session loop under the two operations
 // that borrow a session from the client's idle list: Place and Observe.
-// Both follow one capability rule (Client.frameState): a binary-codec
-// client sends the frame when the daemon's /v1/model advertised binary
-// (advertised, never probed) and sends the JSON form of the same request
-// otherwise. And one lost-connection rule: a reused session that proves
-// to have died while parked (StreamSession.deadOnUse) re-sends once on a
-// fresh one; a timeout or a garbled reply never does.
+// Both follow one capability rule (Client.frameState): every daemon
+// ships its bin schema on /v1/model, and a binary-codec client sends the
+// frame once it holds that schema and the JSON form of the same request
+// when the fetch failed. And one lost-connection rule: a reused session
+// that proves to have died while parked (StreamSession.deadOnUse)
+// re-sends once on a fresh one; a timeout or a garbled reply never does.
 // Client.AppendPlace appends decisions to a slice the caller owns (the
 // router keeps one per pooled node batch and clears it after use); Place
 // is AppendPlace into nil. JSON goes by bare http.Transport.RoundTrip.
@@ -131,18 +131,12 @@ type Config struct {
 	// additionally implements Stats() rebalance.Stats, /varz gains its
 	// rebalance_* counters.
 	OutcomeObserver sim.Observer
-	// DisableBinary turns off the binary frame codec: the stream endpoint
-	// answers 404 and /v1/model omits the bin schema, so binary-codec
-	// clients place and report outcomes as JSON.
-	DisableBinary bool
 	// TraceSampleEvery samples 1 in N place requests into the /tracez
 	// ring (0 disables self-sampling; requests arriving with a trace ID
 	// from an upstream tier are always captured, since the ingress tier
 	// owns the sampling decision). Unsampled requests pay one atomic
-	// add and zero allocations.
+	// add and zero allocations. The /tracez ring keeps the last 256.
 	TraceSampleEvery int
-	// TraceRing bounds the /tracez ring buffer (0 = 256 traces).
-	TraceRing int
 }
 
 // DefaultMaxBodyBytes is the request body cap of DefaultConfig, the one
@@ -274,7 +268,7 @@ func NewDaemon(reg *registry.Registry, workload string, cm *cost.Model, cfg Conf
 		streamConns: map[net.Conn]struct{}{},
 		served:      make(chan struct{}),
 		start:       time.Now(),
-		tracer:      obs.NewTracer("placementd", cfg.TraceSampleEvery, cfg.TraceRing),
+		tracer:      obs.NewTracer("placementd", cfg.TraceSampleEvery, 0),
 	}
 	d.scratch.New = func() any { return &placeScratch{} }
 	d.http = &http.Server{Handler: d.Handler()}
@@ -473,26 +467,21 @@ func (d *Daemon) ServeStats() metrics.ShardSnapshot { return d.srv.Stats() }
 func (d *Daemon) ModelVersion() int { return d.srv.ModelVersion() }
 
 // modelInfo assembles the /v1/model payload. The binning schema and
-// encoder ride along (unless binary is disabled), so one fetch equips a
-// client for local feature extraction + pre-binning.
+// encoder ride along, so one fetch equips a client for local feature
+// extraction + pre-binning.
 func (d *Daemon) modelInfo() wire.ModelInfo {
-	info := wire.ModelInfo{
+	enc, binner, version := d.srv.WireModel()
+	return wire.ModelInfo{
 		Workload:      d.workload,
-		ModelVersion:  d.srv.ModelVersion(),
+		ModelVersion:  version,
 		NumCategories: d.cfg.Serve.Adaptive.NumCategories,
 		Shards:        d.cfg.Serve.Shards,
 		Swaps:         d.srv.Swaps(),
+		NumFeatures:   binner.NumFeatures(),
+		BinEdges:      binner.Edges,
+		BinCards:      binner.Cards,
+		Encoder:       enc,
 	}
-	if !d.cfg.DisableBinary {
-		enc, binner, version := d.srv.WireModel()
-		info.Binary = true
-		info.ModelVersion = version
-		info.NumFeatures = binner.NumFeatures()
-		info.BinEdges = binner.Edges
-		info.BinCards = binner.Cards
-		info.Encoder = enc
-	}
-	return info
 }
 
 // transport names the two ways a place batch reaches the pipeline; it
@@ -833,10 +822,6 @@ func (d *Daemon) handleVarz(w http.ResponseWriter, r *http.Request) {
 func (d *Daemon) handleStream(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		d.methodNotAllowed(w)
-		return
-	}
-	if d.cfg.DisableBinary {
-		d.failStatus(w, http.StatusNotFound, wire.ErrCodeBadRequest, "streaming disabled")
 		return
 	}
 	hj, ok := w.(http.Hijacker)

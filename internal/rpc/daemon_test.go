@@ -391,9 +391,6 @@ func TestModelAndHealthEndpoints(t *testing.T) {
 	if info.Workload != "w" || info.ModelVersion != 1 || info.NumCategories != testCategories || info.Shards != 4 {
 		t.Errorf("model info %+v, want workload w / v1 / %d categories / 4 shards", info, testCategories)
 	}
-	if !info.Binary {
-		t.Errorf("model info does not advertise the binary codec: %+v", info)
-	}
 	if info.Encoder == nil || info.NumFeatures == 0 ||
 		len(info.BinEdges) != info.NumFeatures || len(info.BinCards) != info.NumFeatures {
 		t.Errorf("model info bin schema incomplete: %d features, %d edges, %d cards, encoder=%v",

@@ -667,33 +667,3 @@ func TestOutcomeParity(t *testing.T) {
 		t.Errorf("json and frames count a shed outcome differently: %+v vs %+v", a.shed, b.shed)
 	}
 }
-
-// TestObserveFallsBackToJSON pins the selection rule from the other
-// side: a binary-codec client posts JSON, and places as JSON, to a daemon
-// that does not speak binary — advertised, never probed.
-func TestObserveFallsBackToJSON(t *testing.T) {
-	fx := testFixture(t)
-	o := sim.Outcome{WantedSSD: true, FracOnSSD: 1, SpilledAt: -1, EvictedAt: -1}
-	cfg := testConfig()
-	cfg.DisableBinary = true
-	d := startDaemon(t, fx.newRegistry(t), cfg)
-	ccfg := DefaultClientConfig(d.BaseURL())
-	ccfg.Codec = CodecBinary
-	c, err := NewClient(ccfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Observe(context.Background(), fx.jobs[0], 0, o); err != nil {
-		t.Fatalf("observe: %v", err)
-	}
-	if st := d.Stats(); st.OutcomeRequests != 1 || st.StreamSessions != 0 {
-		t.Errorf("%d outcomes over %d stream sessions, want 1 over 0", st.OutcomeRequests, st.StreamSessions)
-	}
-	if _, err := c.Place(context.Background(), fx.jobs[:4]); err != nil {
-		t.Fatal(err)
-	}
-	if st := d.Stats(); st.PlaceJSON != 1 || st.PlaceBinary != 0 || st.StreamSessions != 0 {
-		t.Errorf("place: %d json, %d binary over %d sessions, want 1 json over none", st.PlaceJSON, st.PlaceBinary, st.StreamSessions)
-	}
-}

@@ -57,15 +57,12 @@ type StreamSession struct {
 func (s *StreamSession) Broken() bool { return s.broken }
 
 // OpenStream dials the daemon and upgrades the connection to the
-// binary streaming mode. It fails if the daemon doesn't speak binary
-// (streaming has no JSON fallback — use Place).
+// binary streaming mode, fetching the bin schema first if the client
+// has none. It fails if the fetch does (streaming has no JSON fallback —
+// use Place).
 func (c *Client) OpenStream(ctx context.Context) (*StreamSession, error) {
-	st, err := c.binaryState(ctx)
-	if err != nil {
+	if _, err := c.binaryState(ctx); err != nil {
 		return nil, err
-	}
-	if st == nil {
-		return nil, fmt.Errorf("rpc: daemon is JSON-only; streaming needs the binary codec")
 	}
 	host, ok := strings.CutPrefix(c.cfg.BaseURL, "http://")
 	if !ok {
@@ -85,12 +82,6 @@ func (c *Client) OpenStream(ctx context.Context) (*StreamSession, error) {
 	_ = conn.SetDeadline(c.attemptDeadline(ctx))
 	if err := s.handshake(host); err != nil {
 		_ = conn.Close()
-		if errors.Is(err, errUpgradeRefused) {
-			// The daemon no longer offers what its /v1/model said (it came
-			// back with binary disabled): the next operation reads it again
-			// and, finding no codec, latches JSON.
-			c.binState.CompareAndSwap(st, nil)
-		}
 		return nil, err
 	}
 	_ = conn.SetDeadline(time.Time{})
@@ -108,10 +99,6 @@ func (c *Client) attemptDeadline(ctx context.Context) time.Time {
 	return deadline
 }
 
-// errUpgradeRefused marks a daemon that answered the stream upgrade
-// with anything but 101.
-var errUpgradeRefused = errors.New("rpc: stream upgrade refused")
-
 // handshake sends the upgrade request and consumes the 101 response.
 func (s *StreamSession) handshake(host string) error {
 	_, err := fmt.Fprintf(s.bw, "POST %s HTTP/1.1\r\nHost: %s\r\nContent-Length: 0\r\nConnection: Upgrade\r\nUpgrade: %s\r\n\r\n",
@@ -127,7 +114,7 @@ func (s *StreamSession) handshake(host string) error {
 		return fmt.Errorf("rpc: stream upgrade: reading status: %w", err)
 	}
 	if !strings.Contains(status, " 101 ") {
-		return fmt.Errorf("%w: %s", errUpgradeRefused, strings.TrimSpace(status))
+		return fmt.Errorf("rpc: stream upgrade refused: %s", strings.TrimSpace(status))
 	}
 	// Consume response headers up to the blank line; frames follow.
 	for {

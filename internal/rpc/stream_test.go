@@ -196,75 +196,6 @@ func TestStreamDaemonDeathMidFrame(t *testing.T) {
 	}
 }
 
-// TestStreamDisabled checks a DisableBinary daemon refuses upgrades.
-func TestStreamDisabled(t *testing.T) {
-	fx := testFixture(t)
-	cfg := testConfig()
-	cfg.DisableBinary = true
-	d := startDaemon(t, fx.newRegistry(t), cfg)
-	c := newCodecClient(t, d, CodecBinary)
-	if _, err := c.OpenStream(context.Background()); err == nil {
-		t.Fatal("stream opened against a JSON-only daemon")
-	}
-	// Place reads the same /v1/model and goes as JSON.
-	if _, err := c.Place(context.Background(), fx.jobs[:4]); err != nil {
-		t.Fatalf("place against a JSON-only daemon: %v", err)
-	}
-	if st := d.Stats(); st.PlaceJSON != 1 || st.StreamSessions != 0 {
-		t.Errorf("%d JSON places over %d stream sessions, want 1 over 0", st.PlaceJSON, st.StreamSessions)
-	}
-}
-
-// TestPlaceAfterBinaryDisabled restarts a daemon with binary turned off
-// under a client that has its schema and a parked session (a handler swap
-// on a fixed address stands in for the restart). The refused upgrade
-// fails that one place, which a router reroutes; it also drops the
-// schema, so the next place reads /v1/model again and goes as JSON
-// instead of failing for ever.
-func TestPlaceAfterBinaryDisabled(t *testing.T) {
-	fx := testFixture(t)
-	binaryD := startDaemon(t, fx.newRegistry(t), testConfig())
-	cfg := testConfig()
-	cfg.DisableBinary = true
-	jsonOnlyD := startDaemon(t, fx.newRegistry(t), cfg)
-	var handler atomic.Pointer[http.Handler]
-	h := binaryD.Handler()
-	handler.Store(&h)
-	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		(*handler.Load()).ServeHTTP(w, r)
-	}))
-	defer front.Close()
-	ccfg := DefaultClientConfig(front.URL)
-	ccfg.Codec = CodecBinary
-	c, err := NewClient(ccfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ctx := context.Background()
-	if _, err := c.Place(ctx, fx.jobs[:4]); err != nil {
-		t.Fatal(err)
-	}
-
-	h2 := jsonOnlyD.Handler()
-	handler.Store(&h2)
-	s := c.takeIdle()
-	if s == nil {
-		t.Fatal("no idle session after a pooled place")
-	}
-	_ = s.conn.Close() // the old process took its connections with it
-	c.putIdle(s)
-	if _, err := c.Place(ctx, fx.jobs[4:8]); !errors.Is(err, errUpgradeRefused) {
-		t.Fatalf("place across the restart: %v, want the refused upgrade", err)
-	}
-	if _, err := c.Place(ctx, fx.jobs[4:8]); err != nil {
-		t.Fatalf("place after the refused upgrade: %v", err)
-	}
-	if st := jsonOnlyD.Stats(); st.PlaceJSON != 1 || !c.jsonOnly.Load() {
-		t.Errorf("%d JSON places, latch %v; want 1 and latched", st.PlaceJSON, c.jsonOnly.Load())
-	}
-}
-
 // TestStreamShutdownDrain checks Shutdown does not hang on live stream
 // sessions: hijacked connections are expired and the daemon exits
 // within the drain deadline.

@@ -62,11 +62,6 @@ func writeVarz(w io.Writer, v *varzData) {
 	fmt.Fprintf(w, "placementd_num_categories %d\n", v.info.NumCategories)
 	fmt.Fprintf(w, "placementd_shards %d\n", v.info.Shards)
 	fmt.Fprintf(w, "placementd_swaps %d\n", v.info.Swaps)
-	binary := 0
-	if v.info.Binary {
-		binary = 1
-	}
-	fmt.Fprintf(w, "placementd_binary %d\n", binary)
 	obs.WriteVars(w, "placementd", v.proc)
 	obs.WriteVars(w, "rpc", v.rpc)
 	fmt.Fprintf(w, "rpc_stream_sessions_open %d\n", v.streamsOpen)

@@ -24,7 +24,6 @@ func TestVarzGolden(t *testing.T) {
 		NumCategories: 15,
 		Shards:        8,
 		Swaps:         6,
-		Binary:        true,
 	}
 	rpcSnap := DaemonStats{
 		PlaceRequests:   12000,

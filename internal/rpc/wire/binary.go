@@ -26,8 +26,8 @@ import (
 //	              | num_features x u16 bin index
 //
 // Payload flags other than bit 0 are reserved and rejected. Every daemon
-// that advertises ModelInfo.Binary decodes the trace-ID field, so a
-// client sets bit 0 whenever it has a trace ID to send.
+// decodes the trace-ID field, so a client sets bit 0 whenever it has a
+// trace ID to send.
 //
 // — jobs travel as pre-binned feature vectors (see features.Binner), so
 // the daemon never touches strings, tokenization or vocabularies. A
@@ -62,7 +62,7 @@ const (
 	FramePlaceResponse FrameType = 2
 	FrameError         FrameType = 3
 	// FrameOutcomeRequest and FrameOutcomeAck carry outcome feedback on a
-	// stream session, to daemons that advertise ModelInfo.Binary.
+	// stream session.
 	FrameOutcomeRequest FrameType = 4
 	FrameOutcomeAck     FrameType = 5
 )

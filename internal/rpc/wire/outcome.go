@@ -47,8 +47,7 @@ func appendI64s(dst []byte, vs ...int64) []byte {
 
 // AppendOutcomeFrame appends one complete outcome-request frame to dst
 // and returns the extended slice. A nonzero traceID rides in the
-// optional trace-ID extension; daemons that advertise ModelInfo.Binary
-// decode it. The request is not validated (see OutcomeRequest.Validate),
+// optional trace-ID extension, which every daemon decodes. The request is not validated (see OutcomeRequest.Validate),
 // only checked for encodability.
 func AppendOutcomeFrame(dst []byte, traceID uint64, req *OutcomeRequest) ([]byte, error) {
 	j := req.Job

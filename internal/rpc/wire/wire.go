@@ -6,11 +6,10 @@
 // the protocol directly. Binary frames (binary.go) carry jobs as
 // pre-binned feature vectors for the zero-feature-work hot path and
 // travel only on /v1/stream sessions, between this repo's Go client and
-// daemon. A daemon says whether it speaks frames in /v1/model
-// (ModelInfo.Binary; advertised, never probed). A client sends place
-// frames, trace IDs in them and outcome frames when it does, and JSON
-// otherwise. Client and daemon are built from one tree: nothing here is
-// kept for daemons older than the client.
+// daemon. Every daemon speaks frames and ships the bin schema they need
+// in /v1/model; a client that holds the schema sends place frames,
+// trace IDs in them and outcome frames. Client and daemon are built from
+// one tree: nothing here is kept for daemons older than the client.
 //
 // Endpoints (all under the /v1 prefix; see PathPlace etc.):
 //
@@ -113,14 +112,14 @@
 //	                          re-fetch /v1/model, re-bin, resend
 //	ErrCodeServer        503  the daemon failed
 //
-// Three bad-request refusals keep the more specific HTTP status a stock
-// client expects: 405 (wrong method), 415 (a frame posted to /v1/place;
-// frames travel on /v1/stream) and 404 (streaming disabled).
+// Two bad-request refusals keep the more specific HTTP status a stock
+// client expects: 405 (wrong method) and 415 (a frame posted to
+// /v1/place; frames travel on /v1/stream).
 // The JSON documents external clients read (PlaceRequest, PlaceResponse,
 // OutcomeRequest, ErrorResponse and ModelInfo's model fields) are the
 // compatibility surface: their fields are only ever added, never renamed
 // or repurposed, within a protocol version. Frame capabilities follow the
-// one-tree rule above and ride on ModelInfo.Binary alone.
+// one-tree rule above and are not advertised.
 package wire
 
 import (
@@ -299,11 +298,6 @@ type ModelInfo struct {
 	// Swaps counts hot-swaps applied since the daemon started.
 	Swaps int64 `json:"swaps"`
 
-	// Binary reports that the daemon's stream sessions take binary
-	// frames: place requests with their optional trace-ID extension, and
-	// outcome requests. A daemon with binary disabled omits it, which is
-	// how a binary-preferring client knows to fall back to JSON.
-	Binary bool `json:"binary,omitempty"`
 	// NumFeatures is the feature-row width of the active model; binary
 	// place requests must carry exactly this many bins per row.
 	NumFeatures int `json:"num_features,omitempty"`

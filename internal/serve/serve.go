@@ -83,9 +83,6 @@ type Config struct {
 	// FlushInterval bounds how long a partial batch may wait for more
 	// requests before being flushed (the max added queueing latency).
 	FlushInterval time.Duration
-	// QueueDepth is the per-shard request buffer (defaults to
-	// 4*BatchSize).
-	QueueDepth int
 	// Adaptive configures the server's one Algorithm 1 controller.
 	// NumCategories must match the served model.
 	Adaptive core.AdaptiveConfig
@@ -110,8 +107,6 @@ func (c *Config) validate() error {
 		return fmt.Errorf("serve: BatchSize must be >= 1, got %d", c.BatchSize)
 	case c.FlushInterval <= 0:
 		return fmt.Errorf("serve: FlushInterval must be positive, got %s", c.FlushInterval)
-	case c.QueueDepth < 0:
-		return fmt.Errorf("serve: QueueDepth must be >= 0, got %d", c.QueueDepth)
 	}
 	return c.Adaptive.Validate()
 }
@@ -241,7 +236,9 @@ type Server struct {
 // shard is one serving queue: a request queue, its worker, and the
 // worker's counters and histograms.
 type shard struct {
-	id   int
+	id int
+	// reqs buffers 4 × BatchSize messages: submitters queue a few
+	// batches' worth while the worker runs one.
 	reqs chan message
 	// pending counts messages between a submitter's pre-send increment
 	// and the worker's post-receive decrement. When the queue is empty
@@ -273,9 +270,6 @@ func New(reg *registry.Registry, workload string, cm *cost.Model, cfg Config) (*
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.QueueDepth == 0 {
-		cfg.QueueDepth = 4 * cfg.BatchSize
-	}
 	adaptive, err := core.NewAdaptive(cfg.Adaptive)
 	if err != nil {
 		return nil, err
@@ -294,7 +288,7 @@ func New(reg *registry.Registry, workload string, cm *cost.Model, cfg Config) (*
 		return nil, err
 	}
 	for i := 0; i < cfg.Shards; i++ {
-		sh := &shard{id: i, reqs: make(chan message, cfg.QueueDepth)}
+		sh := &shard{id: i, reqs: make(chan message, 4*cfg.BatchSize)}
 		s.shards = append(s.shards, sh)
 		s.wg.Add(1)
 		go s.run(sh)
