@@ -131,13 +131,9 @@ func (l *Labeler) LabelValues(savings, density float64) int {
 		return 0
 	}
 	// Find the first boundary >= density; class index is position+1.
-	k := sort.SearchFloat64s(l.Boundaries, density)
 	// Values exactly on a boundary belong to the lower class
 	// (boundaries are class upper bounds).
-	if k < len(l.Boundaries) && density == l.Boundaries[k] {
-		return k + 1
-	}
-	return k + 1
+	return sort.SearchFloat64s(l.Boundaries, density) + 1
 }
 
 // Label assigns the category of a job using the cost model's ground

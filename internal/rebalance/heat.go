@@ -163,16 +163,22 @@ func (h *HeatTracker) decayTo(w *WorkloadHeat, now float64) {
 // Snapshot returns every workload's heat decayed to now, sorted by key
 // — the deterministic input the solver consumes.
 func (h *HeatTracker) Snapshot(nowSec float64) []WorkloadHeat {
+	return h.snapshotInto(nil, nowSec)
+}
+
+// snapshotInto is Snapshot into dst's storage, which a Policy keeps
+// from solve to solve.
+func (h *HeatTracker) snapshotInto(dst []WorkloadHeat, nowSec float64) []WorkloadHeat {
 	h.mu.Lock()
-	out := make([]WorkloadHeat, 0, len(h.byKey))
+	dst = slices.Grow(dst[:0], len(h.byKey))
 	for _, w := range h.byKey {
 		c := *w
 		h.decayTo(&c, nowSec)
-		out = append(out, c)
+		dst = append(dst, c)
 	}
 	h.mu.Unlock()
-	slices.SortFunc(out, func(a, b WorkloadHeat) int { return cmp.Compare(a.Key, b.Key) })
-	return out
+	slices.SortFunc(dst, func(a, b WorkloadHeat) int { return cmp.Compare(a.Key, b.Key) })
+	return dst
 }
 
 // Len returns the tracked workload count.

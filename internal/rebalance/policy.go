@@ -37,6 +37,10 @@ type Policy struct {
 	started   bool
 	nextSolve float64
 	quota     float64
+	// heatBuf and items are the buffers every solve refills: the heat
+	// snapshot and the knapsack's candidates.
+	heatBuf []WorkloadHeat
+	items   []item
 
 	// solveLat streams the wall-clock cost of each plan solve. It is
 	// observability only (/varz) — solves are driven by virtual time, so
@@ -53,6 +57,7 @@ func New(inner sim.Policy, cm *cost.Model, cfg Config) *Policy {
 		inner:  inner,
 		cfg:    cfg,
 		heat:   NewHeatTracker(cm, cfg.halfLife()),
+		plan:   map[string]float64{},
 		vetoed: map[string]struct{}{},
 	}
 	p.innerObs, _ = inner.(sim.Observer)
@@ -150,7 +155,8 @@ func (p *Policy) maybeSolve(ctx sim.PlaceContext) {
 		p.nextSolve += p.cfg.solveInterval()
 	}
 	solveStart := time.Now()
-	p.plan = solvePlan(p.heat.Snapshot(ctx.Now), ctx.SSDQuota, p.cfg, &p.heat.counters)
+	p.heatBuf = p.heat.snapshotInto(p.heatBuf, ctx.Now)
+	p.items = solvePlan(p.plan, p.items, p.heatBuf, ctx.SSDQuota, p.cfg, &p.heat.counters)
 	p.solveLat.RecordDuration(time.Since(solveStart))
 }
 

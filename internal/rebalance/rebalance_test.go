@@ -163,7 +163,7 @@ func TestSolvePlanDefersZeroRealizedValue(t *testing.T) {
 	// placed: no measurement, so the plan must not cover it — neither
 	// demote it (sticky veto) nor admit it (phantom value).
 	c := &counters{}
-	plan := solvePlan([]WorkloadHeat{
+	plan := solve([]WorkloadHeat{
 		wh("never-placed/s", 10, 4, 0),
 		wh("earning/s", 10, 4, 5),
 	}, 100<<30, heatCfg(), c)
@@ -173,6 +173,13 @@ func TestSolvePlanDefersZeroRealizedValue(t *testing.T) {
 	if got := plan["earning/s"]; got != 1 {
 		t.Errorf("plan[earning/s] = %g, want 1", got)
 	}
+}
+
+// solve runs one solve into a fresh plan.
+func solve(ws []WorkloadHeat, quotaBytes float64, cfg Config, c *counters) map[string]float64 {
+	plan := map[string]float64{}
+	solvePlan(plan, nil, ws, quotaBytes, cfg, c)
+	return plan
 }
 
 // heatCfg gives tau = HalfLifeSec/ln2 = 1000, so a workload's demand in
@@ -188,7 +195,7 @@ func wh(key string, jobs, demand, savings float64) WorkloadHeat {
 
 func TestSolvePlanDemotesNegativeValue(t *testing.T) {
 	c := &counters{}
-	plan := solvePlan([]WorkloadHeat{
+	plan := solve([]WorkloadHeat{
 		wh("bad/s", 10, 5, -3),
 		wh("good/s", 10, 5, 3),
 	}, 1e18, heatCfg(), c)
@@ -202,7 +209,7 @@ func TestSolvePlanDemotesNegativeValue(t *testing.T) {
 
 func TestSolvePlanBelowHeatFloorAbsent(t *testing.T) {
 	c := &counters{}
-	plan := solvePlan([]WorkloadHeat{
+	plan := solve([]WorkloadHeat{
 		wh("cold/s", 1, 5, 3), // below the minJobs floor of 3
 		wh("warm/s", 10, 5, 3),
 	}, 1e18, heatCfg(), c)
@@ -216,7 +223,7 @@ func TestSolvePlanBelowHeatFloorAbsent(t *testing.T) {
 
 func TestSolvePlanZeroDemandFullResidency(t *testing.T) {
 	c := &counters{}
-	plan := solvePlan([]WorkloadHeat{wh("free/s", 10, 0, 3)}, 1, heatCfg(), c)
+	plan := solve([]WorkloadHeat{wh("free/s", 10, 0, 3)}, 1, heatCfg(), c)
 	if got := plan["free/s"]; got != 1 {
 		t.Errorf("zero-demand workload residency = %g, want 1", got)
 	}
@@ -257,7 +264,7 @@ func checkPlan(t *testing.T, got, want map[string]float64) {
 func TestSolvePlanContendedLP(t *testing.T) {
 	heats, quota, want := contendedCase()
 	c := &counters{}
-	plan := solvePlan(heats, quota, heatCfg(), c)
+	plan := solve(heats, quota, heatCfg(), c)
 	checkPlan(t, plan, want)
 	s := c.stats()
 	if s.Solves != 1 || s.Workloads != 3 || s.Planned != 3 {
@@ -300,7 +307,7 @@ func TestSolvePlanGreedyMatchesLP(t *testing.T) {
 			quota = float64(rng.IntN(int(total) + 1))
 		}
 
-		plan := solvePlan(heats, quota, heatCfg(), &counters{})
+		plan := solve(heats, quota, heatCfg(), &counters{})
 		items := append([]WorkloadHeat(nil), heats...)
 		sort.Slice(items, func(a, b int) bool {
 			da, db := items[a].Savings/items[a].ByteSec, items[b].Savings/items[b].ByteSec
@@ -567,9 +574,12 @@ func BenchmarkSolvePlan(b *testing.B) {
 			quota := total / 3
 			cfg := heatCfg()
 			c := &counters{}
+			plan := map[string]float64{}
+			var items []item
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				solvePlan(heats, quota, cfg, c)
+				items = solvePlan(plan, items, heats, quota, cfg, c)
 			}
 		})
 	}

@@ -60,8 +60,8 @@ type item struct {
 // solvePlan re-poses SSD residency as the Section 3.1 knapsack over
 // the tracked workloads: maximize the heat-weighted realized value of
 // what stays resident, subject to the byte quota, with per-workload
-// residency fractions x in [0,1]. Returns the residency plan keyed by
-// template. Workloads below the heat floor, or with exactly zero
+// residency fractions x in [0,1]. It fills the residency plan, keyed
+// by template. Workloads below the heat floor, or with exactly zero
 // realized value (never actually placed — nothing measured), are
 // absent from the plan and defer to the write-time policy; workloads
 // with negative realized value get residency 0 outright — SSD has
@@ -70,12 +70,16 @@ type item struct {
 // at minResidency: the plan shortens their stay instead of vetoing
 // their writes, matching a storage layer that spills partially rather
 // than all-or-nothing.
-func solvePlan(ws []WorkloadHeat, quotaBytes float64, cfg Config, c *counters) map[string]float64 {
-	plan := make(map[string]float64)
+//
+// plan is cleared first, and items is the caller's candidate buffer,
+// returned for the next solve: a Policy keeps both, so a warm solve
+// allocates nothing.
+func solvePlan(plan map[string]float64, items []item, ws []WorkloadHeat, quotaBytes float64, cfg Config, c *counters) []item {
+	clear(plan)
+	items = items[:0]
 	// The decay time constant: dividing the decayed byte-second mass by
 	// it estimates the workload's recent average concurrent footprint.
 	tau := cfg.halfLife() / math.Ln2
-	var items []item
 	for _, w := range ws {
 		if w.Jobs < minJobs {
 			continue
@@ -124,7 +128,7 @@ func solvePlan(ws []WorkloadHeat, quotaBytes float64, cfg Config, c *counters) m
 		for _, it := range items {
 			plan[it.key] = 1
 		}
-		return plan
+		return items
 	}
 	// One capacity row plus a [0,1] box per workload is a fractional
 	// knapsack, and the density-order fill is its optimum: any solution
@@ -145,5 +149,5 @@ func solvePlan(ws []WorkloadHeat, quotaBytes float64, cfg Config, c *counters) m
 			plan[it.key] = minResidency
 		}
 	}
-	return plan
+	return items
 }

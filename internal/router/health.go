@@ -1,7 +1,7 @@
 package router
 
 import (
-	"context"
+	"io"
 	"net/http"
 	"time"
 
@@ -26,7 +26,20 @@ import (
 //   - Clean interval: weight recovers by +0.25 up to 1.
 func (r *Router) probeLoop() {
 	defer close(r.probeDone)
-	hc := &http.Client{Timeout: r.cfg.ProbeInterval}
+	// The prober owns its transport, so each node's probes share one
+	// kept-alive connection, and closing the transport's idle
+	// connections on exit leaves none open behind a closed router.
+	// Client.Timeout is a probe's one deadline: dial, reply and body.
+	tr := &http.Transport{}
+	defer tr.CloseIdleConnections()
+	hc := &http.Client{Transport: tr, Timeout: r.cfg.ProbeInterval}
+	// Membership is fixed at New, so one node list serves every round.
+	r.mu.RLock()
+	nodes := make([]*node, 0, len(r.nodes))
+	for _, n := range r.nodes {
+		nodes = append(nodes, n)
+	}
+	r.mu.RUnlock()
 	ticker := time.NewTicker(r.cfg.ProbeInterval)
 	defer ticker.Stop()
 	for {
@@ -34,19 +47,13 @@ func (r *Router) probeLoop() {
 		case <-r.probeStop:
 			return
 		case <-ticker.C:
-			r.probeAll(hc)
+			r.probeAll(hc, nodes)
 		}
 	}
 }
 
-// probeAll runs one probe round over every node.
-func (r *Router) probeAll(hc *http.Client) {
-	r.mu.RLock()
-	nodes := make([]*node, 0, len(r.nodes))
-	for _, n := range r.nodes {
-		nodes = append(nodes, n)
-	}
-	r.mu.RUnlock()
+// probeAll runs one probe round over nodes.
+func (r *Router) probeAll(hc *http.Client, nodes []*node) {
 	for _, n := range nodes {
 		ok := probeHealthz(hc, n.url)
 		r.counters.probes.Add(1)
@@ -79,18 +86,18 @@ func (r *Router) probeAll(hc *http.Client) {
 	}
 }
 
-// probeHealthz reports whether the node's /healthz answered 200.
+// probeHealthz reports whether the node's /healthz answered 200. It
+// reads the short reply ("ok" or "draining") to EOF before closing it,
+// which is what lets the transport keep the connection for the next
+// probe; a reply past the bound costs only that reuse. A node that died
+// fails on the kept connection, and the transport re-sends the GET on a
+// fresh dial, which the dead port refuses.
 func probeHealthz(hc *http.Client, baseURL string) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), hc.Timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+wire.PathHealth, nil)
+	resp, err := hc.Get(baseURL + wire.PathHealth)
 	if err != nil {
 		return false
 	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return false
-	}
-	defer resp.Body.Close()
+	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 64))
+	resp.Body.Close()
 	return resp.StatusCode == http.StatusOK
 }

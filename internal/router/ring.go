@@ -39,19 +39,15 @@ type ringPoint struct {
 // rebuilt from the sorted member list, so the order members joined —
 // or rejoined after a failure — never influences key placement.
 type Ring struct {
-	seed     uint64
-	replicas int
-	members  []string // sorted, distinct
-	points   []ringPoint
+	seed    uint64
+	members []string // sorted, distinct
+	points  []ringPoint
 }
 
-// NewRing creates an empty ring with the given seed and virtual-node
-// count per member (replicas < 1 defaults to 64).
-func NewRing(seed uint64, replicas int) *Ring {
-	if replicas < 1 {
-		replicas = 64
-	}
-	return &Ring{seed: seed, replicas: replicas}
+// NewRing creates an empty ring with the given seed and ringReplicas
+// virtual nodes per member.
+func NewRing(seed uint64) *Ring {
+	return &Ring{seed: seed}
 }
 
 // SetMembers replaces the membership wholesale. Duplicates collapse;
@@ -72,14 +68,14 @@ func (r *Ring) SetMembers(members []string) {
 
 // rebuild recomputes every virtual node from the sorted member list.
 func (r *Ring) rebuild() {
-	n := len(r.members) * r.replicas
+	n := len(r.members) * ringReplicas
 	if cap(r.points) < n {
 		r.points = make([]ringPoint, 0, n)
 	}
 	r.points = r.points[:0]
 	for mi, m := range r.members {
 		base := fnvSeed(r.seed, m)
-		for v := 0; v < r.replicas; v++ {
+		for v := 0; v < ringReplicas; v++ {
 			r.points = append(r.points, ringPoint{
 				hash:   mix64(base + uint64(v)*0x9e3779b97f4a7c15),
 				member: int32(mi),

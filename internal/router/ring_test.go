@@ -23,11 +23,11 @@ func TestRingMembershipOrderIrrelevant(t *testing.T) {
 	members := ringMembers(5)
 	const K = 1000
 
-	canonical := NewRing(7, 64)
+	canonical := NewRing(7)
 	canonical.SetMembers(members)
 
 	// Same set, reversed listing.
-	reversed := NewRing(7, 64)
+	reversed := NewRing(7)
 	rev := make([]string, len(members))
 	for i, m := range members {
 		rev[len(members)-1-i] = m
@@ -35,11 +35,11 @@ func TestRingMembershipOrderIrrelevant(t *testing.T) {
 	reversed.SetMembers(rev)
 
 	// Same set, listed in a scrambled join order.
-	joined := NewRing(7, 64)
+	joined := NewRing(7)
 	joined.SetMembers([]string{members[2], members[0], members[4], members[1], members[3]})
 
 	// Same set after a leave + rejoin, the rejoiner listed last.
-	rejoined := NewRing(7, 64)
+	rejoined := NewRing(7)
 	rejoined.SetMembers(members)
 	rejoined.SetMembers([]string{members[0], members[1], members[3], members[4]})
 	rejoined.SetMembers([]string{members[0], members[1], members[3], members[4], members[2]})
@@ -57,7 +57,7 @@ func TestRingMembershipOrderIrrelevant(t *testing.T) {
 	}
 
 	// A different seed deals a different ring.
-	other := NewRing(8, 64)
+	other := NewRing(8)
 	other.SetMembers(members)
 	same := 0
 	for k := uint64(0); k < K; k++ {
@@ -77,7 +77,7 @@ func TestRingMembershipOrderIrrelevant(t *testing.T) {
 // all refuse reports !ok.
 func TestRingRouteWalk(t *testing.T) {
 	members := ringMembers(4)
-	r := NewRing(1, 64)
+	r := NewRing(1)
 	r.SetMembers(members)
 
 	var offered []string
@@ -107,7 +107,7 @@ func TestRingRouteWalk(t *testing.T) {
 	}
 
 	// Empty ring: no route.
-	if _, ok := NewRing(1, 64).Route(42, nil); ok {
+	if _, ok := NewRing(1).Route(42, nil); ok {
 		t.Error("empty ring produced a route")
 	}
 }
@@ -122,7 +122,7 @@ func TestRingRebalanceBounds(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		for n := 3; n <= 6; n++ {
 			members := ringMembers(n)
-			r := NewRing(seed, 64)
+			r := NewRing(seed)
 			r.SetMembers(members)
 			before := make([]string, K)
 			for k := range before {

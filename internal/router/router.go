@@ -201,7 +201,7 @@ func New(cfg Config) (*Router, error) {
 	}
 	r := &Router{
 		cfg:       cfg,
-		ring:      NewRing(ringSeed, ringReplicas),
+		ring:      NewRing(ringSeed),
 		nodes:     map[string]*node{},
 		probeStop: make(chan struct{}),
 		probeDone: make(chan struct{}),

@@ -824,7 +824,7 @@ func TestNamedOwnershipIgnoresURLs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	ring := NewRing(1, 64)
+	ring := NewRing(1)
 	ring.SetMembers([]string{"0", "1", "2"})
 	for key := uint32(0); key < 1000; key++ {
 		want, _ := ring.Route(uint64(key), nil)

@@ -138,7 +138,7 @@ type split struct {
 // owners.
 func splitSim(t *testing.T, e *env, cfg sim.Config, nodes int) *sim.Result {
 	t.Helper()
-	s := &split{ring: router.NewRing(1, 64), owners: map[string]*policy.AdaptiveRanking{}}
+	s := &split{ring: router.NewRing(1), owners: map[string]*policy.AdaptiveRanking{}}
 	names := make([]string, nodes)
 	for i := range names {
 		names[i] = strconv.Itoa(i)
