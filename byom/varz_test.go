@@ -20,7 +20,7 @@ func TestWriteVarsAllTypes(t *testing.T) {
 	}{
 		{"serve", byom.ServeStats{}, 10},
 		{"online", byom.OnlineStats{}, 10},
-		{"rpc", byom.RPCStats{}, 13},
+		{"rpc", byom.RPCStats{}, 12},
 		{"rebalance", byom.RebalanceStats{}, 6},
 		{"router", byom.RouterStats{}, 11},
 		{"router_client", byom.ClientStats{}, 4},

@@ -39,9 +39,9 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/online"
 	"repro/internal/router"
 	"repro/internal/rpc"
-	"repro/internal/rpc/wire"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -147,6 +147,10 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("probing %s: %w", target, err)
 	}
+	var placer online.Placer = client
+	if rt != nil {
+		placer = rt
+	}
 
 	// Pacing: request n is due at start + n*interval, shared across
 	// connections through one ticket counter. Each connection is
@@ -176,12 +180,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			place := func(ctx context.Context, jobs []*trace.Job) ([]wire.Decision, error) {
-				if rt != nil {
-					return rt.Place(ctx, jobs)
-				}
-				return client.Place(ctx, jobs)
-			}
 			for ctx.Err() == nil {
 				// Wall clock bounds the run in both modes: when the
 				// daemon can't keep up with the offered rate, the
@@ -207,7 +205,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 				lo := int(n) * *chunk % (len(pool) - *chunk)
 				jobs := pool[lo : lo+*chunk]
 				sent := time.Now()
-				decs, err := place(ctx, jobs)
+				decs, err := placer.Place(ctx, jobs)
 				if err != nil {
 					errCount.Add(1)
 					// Failed requests keep their measured duration —
@@ -226,13 +224,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 					o := sim.Outcome{WantedSSD: d0.Admit, FracOnSSD: 1, SpilledAt: -1, EvictedAt: -1}
 					// In plane mode the outcome routes by template to the
 					// node that served the decision, like the place did.
-					var oerr error
-					if rt != nil {
-						oerr = rt.Observe(ctx, jobs[0], d0.Category, o)
-					} else {
-						oerr = client.Observe(ctx, jobs[0], d0.Category, o)
-					}
-					if oerr == nil {
+					if err := placer.Observe(ctx, jobs[0], d0.Category, o); err == nil {
 						outPosts.Add(1)
 					} else {
 						errCount.Add(1)

@@ -65,7 +65,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		nodes    = fs.String("nodes", "", "comma-separated placementd addresses, each [name=]host:port, required; nodes are ring members by name, else by address")
 		probe    = fs.Duration("probe", 250*time.Millisecond, "backend health-probe interval")
 		reroutes = fs.Int("reroutes", 2, "max re-dispatches per batch after backend failures")
-		codec    = fs.String("codec", rpc.CodecBinary, "backend codec: json or binary")
 		deadline = fs.Duration("deadline", 2*time.Second, "per-backend-request deadline")
 		maxBatch = fs.Int("max-batch", 4096, "max jobs per place request (0 = unlimited)")
 		drain    = fs.Duration("drain", 10*time.Second, "graceful drain deadline on shutdown")
@@ -89,7 +88,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	cfg := router.DefaultConfig(urls)
 	cfg.ProbeInterval = *probe
 	cfg.MaxReroutes = *reroutes
-	cfg.Client.Codec = *codec
 	cfg.Client.RequestTimeout = *deadline
 	r, err := router.New(cfg)
 	if err != nil {
@@ -162,9 +160,10 @@ func (f *front) handler() http.Handler {
 
 // handlePlace serves POST /v1/place in JSON, through the daemon's JSON
 // framing and the wire codec on pooled scratch, and fans the batch out
-// across the plane. The backend codec (binary frames on pooled stream
-// sessions, pre-binning, the stale-version refresh) is the business of
-// the router's node clients.
+// across the plane. The router's node clients always speak the binary
+// codec, router.DefaultConfig's: binary frames on pooled stream
+// sessions, pre-binning and the stale-version refresh are their
+// business.
 func (f *front) handlePlace(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeJSONError(w, http.StatusMethodNotAllowed, "method not allowed")

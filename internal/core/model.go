@@ -14,12 +14,13 @@ import (
 	"repro/internal/trace"
 )
 
+// MaxVocab caps each metadata vocabulary of a trained model's encoder.
+const MaxVocab = 2048
+
 // TrainOptions configures category-model training.
 type TrainOptions struct {
 	// NumCategories is N; the paper's default models use N = 15.
 	NumCategories int
-	// MaxVocab caps each metadata vocabulary.
-	MaxVocab int
 	// GBDT holds the boosting hyperparameters.
 	GBDT gbdt.Config
 }
@@ -35,7 +36,6 @@ func DefaultTrainOptions() TrainOptions {
 	cfg.MaxDepth = 6
 	return TrainOptions{
 		NumCategories: 15,
-		MaxVocab:      2048,
 		GBDT:          cfg,
 	}
 }
@@ -101,7 +101,7 @@ func TrainCategoryModelWithLabeler(train []*trace.Job, cm *cost.Model, labeler *
 			labeler.NumCategories, opts.NumCategories)
 	}
 	labels := labeler.Labels(train, cm)
-	enc := features.BuildEncoder(train, opts.MaxVocab)
+	enc := features.BuildEncoder(train, MaxVocab)
 	ds := enc.Dataset(train)
 	model, err := gbdt.TrainClassifier(ds, labels, opts.NumCategories, opts.GBDT)
 	if err != nil {

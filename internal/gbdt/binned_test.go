@@ -108,7 +108,7 @@ func paperBinnedFixture(tb testing.TB) *binnedFixture {
 			paper.err = err
 			return
 		}
-		enc := features.BuildEncoder(f.Train, opts.MaxVocab)
+		enc := features.BuildEncoder(f.Train, core.MaxVocab)
 		ds, labels := enc.Dataset(f.Train), labeler.Labels(f.Train, f.Cost)
 		m, trees, err := gbdt.TrainClassifierTrees(ds, labels, opts.NumCategories, opts.GBDT)
 		if err != nil {
@@ -407,7 +407,7 @@ func BenchmarkSmallTrain(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ds, labels := features.BuildEncoder(jobs, opts.MaxVocab).Dataset(jobs), labeler.Labels(jobs, cm)
+	ds, labels := features.BuildEncoder(jobs, core.MaxVocab).Dataset(jobs), labeler.Labels(jobs, cm)
 	for _, workers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			cfg := opts.GBDT
@@ -438,7 +438,7 @@ func BenchmarkTrainPrefix(b *testing.B) {
 			cfg := opts.GBDT
 			cfg.Workers = workers
 			for i := 0; i < b.N; i++ {
-				enc := features.BuildEncoder(f.Train, opts.MaxVocab)
+				enc := features.BuildEncoder(f.Train, core.MaxVocab)
 				gbdt.PrepareTraining(enc.Dataset(f.Train), opts.NumCategories, cfg)
 			}
 		})

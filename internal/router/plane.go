@@ -8,14 +8,13 @@ import (
 	"time"
 
 	"repro/internal/cost"
-	"repro/internal/fleet"
 	"repro/internal/registry"
 	"repro/internal/rpc"
 )
 
 // Plane is an in-process N-node placement plane: N placementd daemons,
-// named 0…N-1, on loopback ports, each serving its own registry under
-// fleet's cluster/<id> workload namespacing, all fed by one Replicator
+// named 0…N-1, on loopback ports, each serving the source workload
+// under its own name from its own registry, all fed by one Replicator
 // from a shared source registry. It exists for the fault-injection e2e
 // tests and the multi-node loadgen smoke — Kill models a node crash
 // (SIGKILL semantics via Daemon.Kill), Restart brings the node back on
@@ -74,12 +73,11 @@ func NewPlane(src *registry.Registry, workload string, cm *cost.Model, cfg rpc.C
 // have exclusive access during construction.
 func (p *Plane) startNode(node *planeNode, addr string) error {
 	reg := registry.New()
-	wk := fleet.WorkloadKey(node.id)
-	detach, err := p.repl.Attach(reg, wk)
+	detach, err := p.repl.Attach(reg, p.workload)
 	if err != nil {
 		return err
 	}
-	d, err := rpc.NewDaemon(reg, wk, p.cm, p.cfg)
+	d, err := rpc.NewDaemon(reg, p.workload, p.cm, p.cfg)
 	if err != nil {
 		detach()
 		return err

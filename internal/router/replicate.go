@@ -28,7 +28,7 @@ type ReplicatorStats struct {
 // re-fetch path hands clients bit-identical models and schemas.
 //
 // Followers must never publish to their replicated workload themselves;
-// the replicator owns that namespace (fleet's cluster/<id> convention).
+// the replicator owns that name in each follower registry.
 type Replicator struct {
 	src      *registry.Registry
 	workload string

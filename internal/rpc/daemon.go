@@ -406,10 +406,9 @@ type DaemonStats struct {
 	PlaceJobs     int64 `varz:"place_jobs"`
 	PlaceJSON     int64 `varz:"place_json_total"`
 	PlaceBinary   int64 `varz:"place_binary_total"`
-	// StreamSessions counts accepted stream sessions and StreamFrames
-	// the place frames they served: every binary place is one.
+	// StreamSessions counts accepted stream sessions; every binary place
+	// is a frame on one.
 	StreamSessions int64 `varz:"stream_sessions"`
-	StreamFrames   int64 `varz:"stream_frames"`
 
 	OutcomeRequests int64 `varz:"outcome_requests"`
 	ModelRequests   int64 `varz:"model_requests"`
@@ -442,7 +441,6 @@ func (d *Daemon) stats(placeJSON, placeBinary, outcome *obs.HistSnapshot) Daemon
 		PlaceJSON:       placeJSON.Count,
 		PlaceBinary:     placeBinary.Count,
 		StreamSessions:  c.streamSessions.Load(),
-		StreamFrames:    placeBinary.Count,
 		OutcomeRequests: outcome.Count,
 		ModelRequests:   c.modelRequests.Load(),
 		Shed:            c.shed.Load(),

@@ -68,8 +68,8 @@ func (p parityConn) send(t *testing.T, raw []byte) reply {
 // an outcome counted anywhere is counted once.
 func checkCountsAgree(t *testing.T, d *Daemon) {
 	t.Helper()
-	if st := d.Stats(); st.PlaceRequests != st.PlaceJSON+st.PlaceBinary || st.StreamFrames != st.PlaceBinary {
-		t.Errorf("stats count %d places as %d json + %d binary, in %d stream frames", st.PlaceRequests, st.PlaceJSON, st.PlaceBinary, st.StreamFrames)
+	if st := d.Stats(); st.PlaceRequests != st.PlaceJSON+st.PlaceBinary {
+		t.Errorf("stats count %d places as %d json + %d binary", st.PlaceRequests, st.PlaceJSON, st.PlaceBinary)
 	}
 	resp, err := http.Get(d.BaseURL() + wire.PathVarz)
 	if err != nil {
@@ -147,9 +147,9 @@ func TestTransportParity(t *testing.T) {
 		pooled bool
 		op     operation
 		// What one served batch adds to the daemon's counters.
-		json, binary, frames int64
-		bad                  func(t *testing.T, d *Daemon) map[string][]byte
-		valid                func(t *testing.T, d *Daemon) []byte
+		json, binary int64
+		bad          func(t *testing.T, d *Daemon) map[string][]byte
+		valid        func(t *testing.T, d *Daemon) []byte
 	}{
 		{
 			name: "json", codec: CodecJSON, op: operation{method: http.MethodPost, path: wire.PathPlace}, json: 1,
@@ -168,11 +168,11 @@ func TestTransportParity(t *testing.T) {
 			},
 		},
 		{
-			name: "stream", codec: CodecBinary, stream: true, op: opPlace, binary: 1, frames: 1,
+			name: "stream", codec: CodecBinary, stream: true, op: opPlace, binary: 1,
 			bad: badFrames, valid: validFrame,
 		},
 		{
-			name: "pooled-stream", codec: CodecBinary, pooled: true, op: opPlace, binary: 1, frames: 1,
+			name: "pooled-stream", codec: CodecBinary, pooled: true, op: opPlace, binary: 1,
 			bad: badFrames, valid: validFrame,
 		},
 	}
@@ -209,7 +209,6 @@ func TestTransportParity(t *testing.T) {
 				a.PlaceJobs -= before.PlaceJobs
 				a.PlaceJSON -= before.PlaceJSON
 				a.PlaceBinary -= before.PlaceBinary
-				a.StreamFrames -= before.StreamFrames
 				a.Shed -= before.Shed
 				a.BadRequests -= before.BadRequests
 				a.ServerErrors -= before.ServerErrors
@@ -244,10 +243,10 @@ func TestTransportParity(t *testing.T) {
 				}
 			}
 			if dl := delta(before); dl.PlaceRequests != 1 || dl.PlaceJobs != int64(len(jobs)) ||
-				dl.PlaceJSON != row.json || dl.PlaceBinary != row.binary || dl.StreamFrames != row.frames {
-				t.Errorf("one %d-job place counted %d requests / %d jobs / %d json / %d binary / %d stream frames, want 1 / %d / %d / %d / %d",
-					len(jobs), dl.PlaceRequests, dl.PlaceJobs, dl.PlaceJSON, dl.PlaceBinary, dl.StreamFrames,
-					len(jobs), row.json, row.binary, row.frames)
+				dl.PlaceJSON != row.json || dl.PlaceBinary != row.binary {
+				t.Errorf("one %d-job place counted %d requests / %d jobs / %d json / %d binary, want 1 / %d / %d / %d",
+					len(jobs), dl.PlaceRequests, dl.PlaceJobs, dl.PlaceJSON, dl.PlaceBinary,
+					len(jobs), row.json, row.binary)
 			}
 
 			// A request that is itself wrong: the client is blamed, once,

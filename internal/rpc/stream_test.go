@@ -49,8 +49,8 @@ func TestStreamPlace(t *testing.T) {
 		}
 	}
 	snap := d.Stats()
-	if snap.StreamSessions != 1 || snap.StreamFrames != 4 {
-		t.Errorf("daemon counted %d sessions / %d frames, want 1 / 4", snap.StreamSessions, snap.StreamFrames)
+	if snap.StreamSessions != 1 || snap.PlaceBinary != 4 {
+		t.Errorf("daemon counted %d sessions / %d binary places, want 1 / 4", snap.StreamSessions, snap.PlaceBinary)
 	}
 	if snap.PlaceBinary != 4 {
 		t.Errorf("stream frames not counted as binary places: %d", snap.PlaceBinary)
@@ -321,8 +321,8 @@ func TestPlaceSessionsBounded(t *testing.T) {
 	}
 	wg.Wait()
 	st := d.Stats()
-	if st.PlaceBinary != workers*each || st.StreamFrames != workers*each {
-		t.Errorf("daemon served %d binary places in %d stream frames, want %d", st.PlaceBinary, st.StreamFrames, workers*each)
+	if st.PlaceBinary != workers*each {
+		t.Errorf("daemon served %d binary places, want %d", st.PlaceBinary, workers*each)
 	}
 	if st.StreamSessions < 1 || st.StreamSessions > workers {
 		t.Errorf("%d places from %d goroutines dialled %d sessions, want 1..%d", workers*each, workers, st.StreamSessions, workers)

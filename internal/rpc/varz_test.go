@@ -31,7 +31,6 @@ func TestVarzGolden(t *testing.T) {
 		PlaceBinary:     8000,
 		PlaceJobs:       768000,
 		StreamSessions:  3,
-		StreamFrames:    5200,
 		OutcomeRequests: 512000,
 		ModelRequests:   42,
 		Shed:            1310,
@@ -142,7 +141,6 @@ func TestStatsFromHists(t *testing.T) {
 		PlaceRequests:   3,
 		PlaceJSON:       2,
 		PlaceBinary:     1,
-		StreamFrames:    1,
 		OutcomeRequests: 1,
 		MeanLatency:     2_250_000, // 9,000,001 ns over 4
 		MaxLatency:      4 * time.Millisecond,

@@ -103,12 +103,9 @@ type env struct {
 	quota       float64
 }
 
-// trainSeed resolves the training seed: explicit, else the scenario's
-// primary generation seed.
+// trainSeed resolves the training seed: the fleet seed, else the first
+// segment's.
 func (s *Spec) trainSeed() int64 {
-	if s.Train.Seed != 0 {
-		return s.Train.Seed
-	}
 	if s.Fleet != nil {
 		return s.Fleet.Seed
 	}
@@ -130,12 +127,6 @@ func buildSegment(g *SegmentSpec, idx int) *trace.Trace {
 	cfg := trace.DefaultGeneratorConfig(g.cluster(idx), g.Seed)
 	cfg.NumUsers = g.Users
 	cfg.DurationSec = g.Days * 24 * 3600
-	if g.MinPipes > 0 {
-		cfg.MinPipes = g.MinPipes
-	}
-	if g.MaxPipes > 0 {
-		cfg.MaxPipes = g.MaxPipes
-	}
 	if g.MinSteps > 0 {
 		cfg.MinSteps = g.MinSteps
 	}
@@ -144,9 +135,6 @@ func buildSegment(g *SegmentSpec, idx int) *trace.Trace {
 	}
 	// A raised min with a defaulted max would invert the range the
 	// generator draws from; lift the max instead of failing.
-	if cfg.MinPipes > cfg.MaxPipes {
-		cfg.MaxPipes = cfg.MinPipes
-	}
 	if cfg.MinSteps > cfg.MaxSteps {
 		cfg.MaxSteps = cfg.MinSteps
 	}
@@ -155,9 +143,6 @@ func buildSegment(g *SegmentSpec, idx int) *trace.Trace {
 	}
 	if g.LoadScale > 0 {
 		cfg.LoadScale = g.LoadScale
-	}
-	if g.NoiseScale > 0 {
-		cfg.NoiseScale = g.NoiseScale
 	}
 	seg := trace.NewGenerator(cfg).Generate()
 	if g.OffsetDays > 0 {
@@ -357,7 +342,7 @@ func runServe(spec *Spec) (*RunResult, error) {
 	}
 	defer srv.Close()
 	lp := &timed{Placer: online.Local(srv)}
-	res, err := online.RunLoop(e.test, lp, nil, e.cm, sim.Config{SSDQuota: e.quota, KeepRecords: true})
+	res, err := online.RunLoop(e.test, lp, nil, e.cm, sim.Config{SSDQuota: e.quota})
 	if err != nil {
 		return nil, err
 	}
@@ -390,7 +375,6 @@ func (s *Spec) onlineConfig() online.Config {
 	c.Drift.TVThreshold = s.Run.DriftTV
 	c.Drift.MinSamples = s.Run.minRetrainJobs()
 	c.MinRetrainJobs = s.Run.minRetrainJobs()
-	c.GateEpsilonPct = s.Run.gateEpsPct()
 	return c
 }
 
@@ -418,7 +402,7 @@ func runOnline(spec *Spec) (*RunResult, error) {
 	}
 	defer learner.Close()
 
-	res, err := online.RunLoop(e.test, online.Local(srv), learner, e.cm, sim.Config{SSDQuota: e.quota, KeepRecords: true})
+	res, err := online.RunLoop(e.test, online.Local(srv), learner, e.cm, sim.Config{SSDQuota: e.quota})
 	if err != nil {
 		return nil, err
 	}

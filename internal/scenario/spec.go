@@ -89,12 +89,9 @@ type SegmentSpec struct {
 	Days float64 `json:"days"`
 	// OffsetDays shifts the segment's arrivals on the shared timeline.
 	OffsetDays float64 `json:"offsetDays,omitempty"`
-	// MinPipes/MaxPipes bound pipelines per user (0 = generator
-	// defaults 1/4); MinSteps/MaxSteps bound shuffle steps per
-	// pipeline (0 = defaults 1/4). Deep step chains are how the
-	// ML-training IO-graph archetype gets its stage-heavy shape.
-	MinPipes int `json:"minPipes,omitempty"`
-	MaxPipes int `json:"maxPipes,omitempty"`
+	// MinSteps/MaxSteps bound shuffle steps per pipeline (0 =
+	// defaults 1/4). Deep step chains are how the ML-training IO-graph
+	// archetype gets its stage-heavy shape.
 	MinSteps int `json:"minSteps,omitempty"`
 	MaxSteps int `json:"maxSteps,omitempty"`
 	// Weights is the archetype mix (nil = uniform). Keys must name
@@ -102,8 +99,6 @@ type SegmentSpec struct {
 	Weights map[string]float64 `json:"weights,omitempty"`
 	// LoadScale multiplies arrival rates (0 = 1).
 	LoadScale float64 `json:"loadScale,omitempty"`
-	// NoiseScale multiplies per-job lognormal noise (0 = 1).
-	NoiseScale float64 `json:"noiseScale,omitempty"`
 }
 
 // TrainSpec scales the models a scenario trains.
@@ -112,9 +107,6 @@ type TrainSpec struct {
 	Rounds int `json:"rounds,omitempty"`
 	// Categories is the importance-category count (0 = 8).
 	Categories int `json:"categories,omitempty"`
-	// Seed seeds training (0 = the first segment's seed, or the fleet
-	// seed).
-	Seed int64 `json:"seed,omitempty"`
 }
 
 // RunSpec holds the pipeline knobs.
@@ -128,9 +120,6 @@ type RunSpec struct {
 	// DriftTV is the online loop's total-variation drift trigger
 	// threshold (0 disables).
 	DriftTV float64 `json:"driftTV,omitempty"`
-	// GateEpsPct is the tolerated candidate-vs-live TCO regression in
-	// points before the gate rejects (0 = 0.5).
-	GateEpsPct float64 `json:"gateEpsPct,omitempty"`
 	// WindowMax caps the online feedback window (0 = 4096).
 	WindowMax int `json:"windowMax,omitempty"`
 	// MinRetrainJobs is the minimum window population for a retrain
@@ -266,19 +255,12 @@ func (g *SegmentSpec) validate(known map[string]bool) error {
 		return fmt.Errorf("days %g out of range (0, 60]", g.Days)
 	case g.OffsetDays < 0 || g.OffsetDays > 120:
 		return fmt.Errorf("offsetDays %g out of range [0, 120]", g.OffsetDays)
-	case g.MinPipes < 0 || g.MaxPipes < 0 || g.MaxPipes > 32 || g.MinPipes > 32:
-		return fmt.Errorf("pipes bounds [%d, %d] out of range [0, 32]", g.MinPipes, g.MaxPipes)
 	case g.MinSteps < 0 || g.MaxSteps < 0 || g.MaxSteps > 32 || g.MinSteps > 32:
 		return fmt.Errorf("steps bounds [%d, %d] out of range [0, 32]", g.MinSteps, g.MaxSteps)
 	case g.LoadScale < 0 || g.LoadScale > 100:
 		return fmt.Errorf("loadScale %g out of range [0, 100]", g.LoadScale)
-	case g.NoiseScale < 0 || g.NoiseScale > 100:
-		return fmt.Errorf("noiseScale %g out of range [0, 100]", g.NoiseScale)
 	}
 	// Both-set bounds must be ordered; a zero max defers to defaults.
-	if g.MaxPipes > 0 && g.MinPipes > g.MaxPipes {
-		return fmt.Errorf("minPipes %d > maxPipes %d", g.MinPipes, g.MaxPipes)
-	}
 	if g.MaxSteps > 0 && g.MinSteps > g.MaxSteps {
 		return fmt.Errorf("minSteps %d > maxSteps %d", g.MinSteps, g.MaxSteps)
 	}
@@ -319,8 +301,6 @@ func (r *RunSpec) validate() error {
 		return fmt.Errorf("retrainHours %g out of range [0, 8760]", r.RetrainHours)
 	case r.DriftTV < 0 || r.DriftTV > 1:
 		return fmt.Errorf("driftTV %g out of range [0, 1]", r.DriftTV)
-	case r.GateEpsPct < 0 || r.GateEpsPct > 100:
-		return fmt.Errorf("gateEpsPct %g out of range [0, 100]", r.GateEpsPct)
 	case r.WindowMax < 0 || r.WindowMax == 1 || r.WindowMax > 1<<20:
 		return fmt.Errorf("windowMax %d out of range {0} ∪ [2, 1048576]", r.WindowMax)
 	case r.MinRetrainJobs < 0 || r.MinRetrainJobs == 1 || r.MinRetrainJobs > 1<<20:
@@ -352,10 +332,7 @@ func (f *FleetSpec) validate() error {
 func (t TrainSpec) rounds() int     { return defInt(t.Rounds, 8) }
 func (t TrainSpec) categories() int { return defInt(t.Categories, 8) }
 
-func (r RunSpec) quotaFrac() float64 { return defFloat(r.QuotaFrac, 0.05) }
-func (r RunSpec) gateEpsPct() float64 {
-	return defFloat(r.GateEpsPct, 0.5)
-}
+func (r RunSpec) quotaFrac() float64  { return defFloat(r.QuotaFrac, 0.05) }
 func (r RunSpec) windowMax() int      { return defInt(r.WindowMax, 4096) }
 func (r RunSpec) minRetrainJobs() int { return defInt(r.MinRetrainJobs, 150) }
 

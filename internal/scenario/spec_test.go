@@ -19,7 +19,7 @@ const validSpecJSON = `{
        "weights": {"query": 1, "logproc": 0.5}, "loadScale": 2}
     ]
   },
-  "train": {"rounds": 3, "categories": 4, "seed": 9},
+  "train": {"rounds": 3, "categories": 4},
   "run": {"quotaFrac": 0.1}
 }`
 
@@ -179,8 +179,8 @@ func TestEffectiveDefaults(t *testing.T) {
 	if tr.rounds() != 8 || tr.categories() != 8 {
 		t.Fatalf("train defaults: rounds %d categories %d", tr.rounds(), tr.categories())
 	}
-	if r.quotaFrac() != 0.05 || r.gateEpsPct() != 0.5 {
-		t.Fatalf("run defaults: %g %g", r.quotaFrac(), r.gateEpsPct())
+	if r.quotaFrac() != 0.05 {
+		t.Fatalf("run defaults: %g", r.quotaFrac())
 	}
 	if got := r.retrainSec(); got != 12*3600 {
 		t.Fatalf("retrainSec default = %g, want 12h", got)

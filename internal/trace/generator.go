@@ -147,6 +147,9 @@ func builtinArchetypes() []Archetype {
 	}
 }
 
+// Each user owns between minPipes and maxPipes pipelines.
+const minPipes, maxPipes = 1, 4
+
 // Archetypes returns a copy of the built-in archetype library.
 func Archetypes() []Archetype { return builtinArchetypes() }
 
@@ -155,8 +158,6 @@ type GeneratorConfig struct {
 	Cluster     string
 	Seed        int64
 	NumUsers    int
-	MinPipes    int // pipelines per user, min
-	MaxPipes    int // pipelines per user, max
 	MinSteps    int // shuffle steps per pipeline, min
 	MaxSteps    int // shuffle steps per pipeline, max
 	DurationSec float64
@@ -178,8 +179,6 @@ func DefaultGeneratorConfig(cluster string, seed int64) GeneratorConfig {
 		Cluster:     cluster,
 		Seed:        seed,
 		NumUsers:    12,
-		MinPipes:    1,
-		MaxPipes:    4,
 		MinSteps:    1,
 		MaxSteps:    4,
 		DurationSec: 14 * 24 * 3600, // two contiguous weeks: train + test
@@ -298,13 +297,13 @@ func (g *Generator) buildTemplates() {
 	// Sized for the mean template count and about 256 bytes of strings
 	// each; a population past the mean grows both once or twice.
 	c := g.cfg
-	mean := max(c.NumUsers*(c.MinPipes+c.MaxPipes)*(c.MinSteps+c.MaxSteps)/4, 1)
+	mean := max(c.NumUsers*(minPipes+maxPipes)*(c.MinSteps+c.MaxSteps)/4, 1)
 	g.templates = make([]jobTemplate, 0, mean)
 	g.strs.Grow(256 * mean)
 	for u := 0; u < g.cfg.NumUsers; u++ {
 		pu, pv := strconv.Itoa(u/10), strconv.Itoa(u%10) // "%02d"
 		user := g.cut("user", pu, pv)
-		nPipes := g.cfg.MinPipes + g.rng.Intn(g.cfg.MaxPipes-g.cfg.MinPipes+1)
+		nPipes := minPipes + g.rng.Intn(maxPipes-minPipes+1)
 		for p := 0; p < nPipes; p++ {
 			a := pickArch()
 			pipeline := g.cut(user, "-", a.Name, "-p", pu, pv, strconv.Itoa(p/10), strconv.Itoa(p%10))

@@ -105,6 +105,18 @@ func TestGeneratorJobsValid(t *testing.T) {
 	}
 }
 
+// TestGeneratorLiteralConfig: a GeneratorConfig literal names no
+// pipeline bounds, yet every user still owns pipelines and runs jobs.
+func TestGeneratorLiteralConfig(t *testing.T) {
+	tr := NewGenerator(GeneratorConfig{
+		Cluster: "C9", Seed: 42, NumUsers: 3,
+		MinSteps: 1, MaxSteps: 4, DurationSec: 24 * 3600,
+	}).Generate()
+	if users := tr.Users(); len(users) != 3 {
+		t.Fatalf("%d jobs from users %v, want jobs from all 3 users", len(tr.Jobs), users)
+	}
+}
+
 func TestGeneratorDiversity(t *testing.T) {
 	// Fig. 1: workloads should span orders of magnitude in size and
 	// lifetime. Check cross-pipeline diversity of mean job size.

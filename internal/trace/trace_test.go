@@ -154,7 +154,7 @@ func TestUsers(t *testing.T) {
 
 func TestJSONLRoundTrip(t *testing.T) {
 	g := NewGenerator(GeneratorConfig{
-		Cluster: "C9", Seed: 42, NumUsers: 3, MinPipes: 1, MaxPipes: 2,
+		Cluster: "C9", Seed: 42, NumUsers: 3,
 		MinSteps: 1, MaxSteps: 2, DurationSec: 24 * 3600,
 	})
 	tr := g.Generate()
