@@ -132,8 +132,8 @@ type (
 	OnlineStats = online.Stats
 
 	// FleetConfig controls a multi-cluster fleet run: the heterogeneous
-	// cluster specs' seed, training options, the donor cluster and the
-	// optional per-cluster online loop.
+	// cluster specs' seed, training options and the optional
+	// per-cluster online loop. Cluster 0 is the transfer regime's donor.
 	FleetConfig = fleet.Config
 	// FleetTraceConfig seeds the heterogeneous cluster specs.
 	FleetTraceConfig = trace.FleetConfig
@@ -356,8 +356,8 @@ const (
 
 // DefaultOnlineConfig returns continuous-learning parameters for an
 // N-category model: a 3.5-day / 8192-record window, daily retrain
-// cadence, drift trigger at 0.15 total-variation shift and a 0.5-point
-// TCO-savings regression gate.
+// cadence and a drift trigger at 0.15 total-variation shift. The
+// 0.5-point TCO-savings regression gate is fixed.
 func DefaultOnlineConfig(numCategories int) OnlineConfig {
 	return online.DefaultConfig(numCategories)
 }

@@ -18,7 +18,7 @@
 //
 //	placementd -addr 127.0.0.1:7070 -days 2 -users 6      # synthetic model
 //	placementd -trace c0.jsonl -model model.json           # serve a bundle
-//	placementd -online -retrain-hours 24                   # closed loop
+//	placementd -online                                     # closed loop
 package main
 
 import (
@@ -63,20 +63,11 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		rounds     = fs.Int("rounds", 12, "GBDT rounds when training")
 		categories = fs.Int("categories", 15, "categories when training")
 
-		shards   = fs.Int("shards", 8, "serving queues, one worker each")
-		batch    = fs.Int("batch", 64, "max inference batch size")
-		flush    = fs.Duration("flush", 2*time.Millisecond, "max-latency batch flush interval")
-		inflight = fs.Int("max-inflight", 64, "concurrent /v1/place requests before shedding")
-		outFl    = fs.Int("max-inflight-outcome", 256, "concurrent /v1/outcome requests before shedding")
-		queue    = fs.Duration("queue-deadline", 5*time.Millisecond, "max wait for an in-flight slot before 429")
-		maxBatch = fs.Int("max-batch", 4096, "max jobs per place request (0 = unlimited)")
-		drain    = fs.Duration("drain", 10*time.Second, "graceful drain deadline on shutdown")
-		sample   = fs.Int("trace-sample", 100, "trace 1 in N requests at ingress (0 = only propagated IDs)")
-		debug    = fs.String("debug-addr", "", "optional second listener for /debug/pprof and /debug/vars (empty = off)")
+		drain  = fs.Duration("drain", 10*time.Second, "graceful drain deadline on shutdown")
+		sample = fs.Int("trace-sample", 100, "trace 1 in N requests at ingress (0 = only propagated IDs)")
+		debug  = fs.String("debug-addr", "", "optional second listener for /debug/pprof and /debug/vars (empty = off)")
 
-		onlineMode   = fs.Bool("online", false, "attach a continuous learner fed by /v1/outcome")
-		retrainHours = fs.Float64("retrain-hours", 24, "online: retrain cadence in virtual hours")
-		gateEps      = fs.Float64("gate-eps", 0.5, "online: tolerated TCO-savings regression (points)")
+		onlineMode = fs.Bool("online", false, "attach a continuous learner fed by /v1/outcome")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -96,13 +87,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 
 	cfg := rpc.DefaultConfig(model.NumCategories())
-	cfg.Serve.Shards = *shards
-	cfg.Serve.BatchSize = *batch
-	cfg.Serve.FlushInterval = *flush
-	cfg.MaxInFlightPlace = *inflight
-	cfg.MaxInFlightOutcome = *outFl
-	cfg.QueueDeadline = *queue
-	cfg.MaxBatch = *maxBatch
 	cfg.TraceSampleEvery = *sample
 
 	var learner *online.Learner
@@ -110,8 +94,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		lcfg := online.DefaultConfig(model.NumCategories())
 		lcfg.Train.NumCategories = model.NumCategories()
 		lcfg.Train.GBDT.NumRounds = *rounds
-		lcfg.RetrainEverySec = *retrainHours * 3600
-		lcfg.GateEpsilonPct = *gateEps
 		lcfg.Async = true // network feedback must never block on a retrain
 		learner, err = online.New(reg, *workload, cm, lcfg)
 		if err != nil {

@@ -36,9 +36,8 @@ func TestFrontPlaceSteadyStateAllocs(t *testing.T) {
 	}
 	defer rt.Close()
 	srv := httptest.NewServer((&front{
-		router:   rt,
-		maxBatch: 4096,
-		tracer:   obs.NewTracer("placementfront", 0, 0),
+		router: rt,
+		tracer: obs.NewTracer("placementfront", 0, 0),
 	}).handler())
 	defer srv.Close()
 	c, err := rpc.NewClient(rpc.DefaultClientConfig(srv.URL))

@@ -61,15 +61,12 @@ func main() {
 func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("placementfront", flag.ContinueOnError)
 	var (
-		addr     = fs.String("addr", "127.0.0.1:7080", "listen address (host:port)")
-		nodes    = fs.String("nodes", "", "comma-separated placementd addresses, each [name=]host:port, required; nodes are ring members by name, else by address")
-		probe    = fs.Duration("probe", 250*time.Millisecond, "backend health-probe interval")
-		reroutes = fs.Int("reroutes", 2, "max re-dispatches per batch after backend failures")
-		deadline = fs.Duration("deadline", 2*time.Second, "per-backend-request deadline")
-		maxBatch = fs.Int("max-batch", 4096, "max jobs per place request (0 = unlimited)")
-		drain    = fs.Duration("drain", 10*time.Second, "graceful drain deadline on shutdown")
-		sample   = fs.Int("trace-sample", 100, "trace 1 in N place requests (0 = off)")
-		debug    = fs.String("debug-addr", "", "optional second listener for /debug/pprof and /debug/vars (empty = off)")
+		addr   = fs.String("addr", "127.0.0.1:7080", "listen address (host:port)")
+		nodes  = fs.String("nodes", "", "comma-separated placementd addresses, each [name=]host:port, required; nodes are ring members by name, else by address")
+		probe  = fs.Duration("probe", 250*time.Millisecond, "backend health-probe interval")
+		drain  = fs.Duration("drain", 10*time.Second, "graceful drain deadline on shutdown")
+		sample = fs.Int("trace-sample", 100, "trace 1 in N place requests (0 = off)")
+		debug  = fs.String("debug-addr", "", "optional second listener for /debug/pprof and /debug/vars (empty = off)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -87,8 +84,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 
 	cfg := router.DefaultConfig(urls)
 	cfg.ProbeInterval = *probe
-	cfg.MaxReroutes = *reroutes
-	cfg.Client.RequestTimeout = *deadline
 	r, err := router.New(cfg)
 	if err != nil {
 		return err
@@ -96,10 +91,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	defer r.Close()
 
 	front := &front{
-		router:   r,
-		maxBatch: *maxBatch,
-		tracer:   obs.NewTracer("placementfront", *sample, 0), // ring of 256 traces, the default
-		start:    time.Now(),
+		router: r,
+		tracer: obs.NewTracer("placementfront", *sample, 0), // ring of 256 traces, the default
+		start:  time.Now(),
 	}
 	srv := &http.Server{Addr: *addr, Handler: front.handler()}
 	serveErr := make(chan error, 1)
@@ -132,10 +126,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 
 // front is the HTTP routing tier over one Router.
 type front struct {
-	router   *router.Router
-	maxBatch int
-	tracer   *obs.Tracer
-	start    time.Time
+	router *router.Router
+	tracer *obs.Tracer
+	start  time.Time
 	// scratch pools *placeScratch, the per-request state of handlePlace.
 	scratch sync.Pool
 }
@@ -176,7 +169,7 @@ func (f *front) handlePlace(w http.ResponseWriter, r *http.Request) {
 	// The router is done with the jobs when Place returns, and the
 	// decisions share only their immutable ID strings.
 	defer f.scratch.Put(sc)
-	jobs, err := rpc.ReadPlaceJSON(w, r, rpc.DefaultMaxBodyBytes, f.maxBatch, &sc.body, &sc.json)
+	jobs, err := rpc.ReadPlaceJSON(w, r, rpc.DefaultMaxBodyBytes, rpc.DefaultMaxBatch, &sc.body, &sc.json)
 	if err != nil {
 		writeJSONError(w, http.StatusBadRequest, err.Error())
 		return

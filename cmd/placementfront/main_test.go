@@ -52,7 +52,7 @@ func TestFrontEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	f := &front{router: rt, maxBatch: 4096}
+	f := &front{router: rt}
 	srv := httptest.NewServer(f.handler())
 	defer srv.Close()
 
@@ -207,10 +207,9 @@ func TestFrontCrossTierTracing(t *testing.T) {
 	}
 	defer rt.Close()
 	f := &front{
-		router:   rt,
-		maxBatch: 4096,
-		tracer:   obs.NewTracer("placementfront", 1, 64),
-		start:    time.Now(),
+		router: rt,
+		tracer: obs.NewTracer("placementfront", 1, 64),
+		start:  time.Now(),
 	}
 	srv := httptest.NewServer(f.handler())
 	defer srv.Close()
@@ -277,7 +276,7 @@ func TestFrontCrossTierTracing(t *testing.T) {
 }
 
 // TestFrontBadRequestIs400: a batch the node refuses as bad (here, over
-// the daemon's MaxBatch, which the front does not cap) answers 400 with
+// the daemon's MaxBatch of 4, under the front's cap) answers 400 with
 // the node's message, where it used to read as a failed server (503).
 // Once no node can answer, the front still says 503.
 func TestFrontBadRequestIs400(t *testing.T) {
@@ -292,7 +291,7 @@ func TestFrontBadRequestIs400(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	srv := httptest.NewServer((&front{router: rt, maxBatch: 0}).handler())
+	srv := httptest.NewServer((&front{router: rt}).handler())
 	defer srv.Close()
 
 	post := func(jobs []*trace.Job) (int, string) {
@@ -341,7 +340,7 @@ func TestPlaceResponseFraming(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	srv := httptest.NewServer((&front{router: rt, maxBatch: 4096}).handler())
+	srv := httptest.NewServer((&front{router: rt}).handler())
 	defer srv.Close()
 
 	body, _ := json.Marshal(wire.PlaceRequest{Jobs: jobs[:64]})

@@ -15,7 +15,7 @@
 //     experiments.Env (generate, split train/test, price) and the
 //     cluster's own model trained on its training half.
 //  3. Trains one *global* model on every cluster's training half and
-//     designates a *donor* cluster for transfer evaluation.
+//     takes cluster Donor as the *donor* for transfer evaluation.
 //  4. Replays each cluster's test half under three model regimes —
 //     per-cluster, global, transfer (donor's model served elsewhere) —
 //     through Env.RunSuite, and optionally drives the full closed
@@ -45,6 +45,10 @@ import (
 	"repro/internal/trace"
 )
 
+// Donor is the cluster whose model the transfer regime serves on every
+// cluster (the paper's train-on-A-serve-on-B question).
+const Donor = 0
+
 // Config controls a fleet run.
 type Config struct {
 	// Fleet seeds the heterogeneous cluster specs.
@@ -52,9 +56,6 @@ type Config struct {
 	// Train configures every model trained during the run (per-cluster,
 	// global, and the online loop's retrains).
 	Train core.TrainOptions
-	// DonorCluster is the index whose model the transfer regime serves
-	// on every cluster (the paper's train-on-A-serve-on-B question).
-	DonorCluster int
 	// Online, when non-nil, drives one closed online-learning loop per
 	// cluster over its test half: the cluster's model is published to a
 	// shared registry under "cluster/<id>", a server replays
@@ -153,9 +154,6 @@ func Run(cfg Config, reg *registry.Registry) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.DonorCluster < 0 || cfg.DonorCluster >= len(specs) {
-		return nil, fmt.Errorf("fleet: donor cluster %d out of range [0, %d)", cfg.DonorCluster, len(specs))
-	}
 	if reg == nil {
 		return nil, fmt.Errorf("fleet: nil registry")
 	}
@@ -193,7 +191,7 @@ func Run(cfg Config, reg *registry.Registry) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet: training global model: %w", err)
 	}
-	donor := shards[cfg.DonorCluster].model
+	donor := shards[Donor].model
 
 	// Phase 3: per-cluster evaluation shards.
 	results := make([]ClusterResult, len(specs))

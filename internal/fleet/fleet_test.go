@@ -114,11 +114,6 @@ func TestFleetRejectsBadConfig(t *testing.T) {
 		t.Error("empty config did not error")
 	}
 	cfg := testConfig(t)
-	cfg.DonorCluster = 99
-	if _, err := Run(cfg, registry.New()); err == nil {
-		t.Error("out-of-range donor did not error")
-	}
-	cfg = testConfig(t)
 	if _, err := Run(cfg, nil); err == nil {
 		t.Error("nil registry did not error")
 	}

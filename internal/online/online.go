@@ -72,6 +72,10 @@ const (
 	// gateQuotaFrac sets the shadow simulation's SSD quota as a
 	// fraction of the holdout slice's peak SSD demand.
 	gateQuotaFrac = 0.1
+	// gateEpsilonPct is the tolerated TCO-savings regression, in
+	// percentage points, of the candidate vs the live model on the
+	// holdout before the candidate is rejected.
+	gateEpsilonPct = 0.5
 )
 
 // Config tunes the continuous-learning loop.
@@ -87,10 +91,6 @@ type Config struct {
 	// MinRetrainJobs is the minimum window population for any retrain
 	// to fire (cadence or drift).
 	MinRetrainJobs int
-	// GateEpsilonPct is the tolerated TCO-savings regression, in
-	// percentage points, of the candidate vs the live model on the
-	// holdout before the candidate is rejected.
-	GateEpsilonPct float64
 	// Train configures the default trainer. Train.NumCategories must
 	// match the served model (the server rejects mismatches anyway).
 	Train core.TrainOptions
@@ -110,8 +110,8 @@ type Config struct {
 
 // DefaultConfig returns loop parameters sized for the synthetic
 // cluster traces: a 3.5-day / 8192-record window, daily retrain
-// cadence, drift trigger at 0.15 total-variation shift, 25% holdout
-// and a 0.5-point regression gate.
+// cadence and a drift trigger at 0.15 total-variation shift. The 25%
+// holdout and the 0.5-point regression gate are fixed.
 func DefaultConfig(numCategories int) Config {
 	topts := core.DefaultTrainOptions()
 	topts.NumCategories = numCategories
@@ -120,7 +120,6 @@ func DefaultConfig(numCategories int) Config {
 		RetrainEverySec: 24 * 3600,
 		Drift:           DriftConfig{TVThreshold: 0.15, MinSamples: 500},
 		MinRetrainJobs:  500,
-		GateEpsilonPct:  0.5,
 		Train:           topts,
 	}
 }
@@ -137,8 +136,6 @@ func (c *Config) validate() error {
 		return fmt.Errorf("online: both retrain triggers disabled (cadence 0, drift threshold %g)", c.Drift.TVThreshold)
 	case c.MinRetrainJobs < 2:
 		return fmt.Errorf("online: MinRetrainJobs must be >= 2, got %d", c.MinRetrainJobs)
-	case c.GateEpsilonPct < 0:
-		return fmt.Errorf("online: GateEpsilonPct must be >= 0, got %g", c.GateEpsilonPct)
 	case c.Train.NumCategories < 2:
 		return fmt.Errorf("online: Train.NumCategories must be >= 2, got %d", c.Train.NumCategories)
 	}
@@ -372,7 +369,7 @@ func (l *Learner) retrain(snap []Record, now float64, trigger string) {
 			l.counters.trainErrors.Add(1)
 			return
 		}
-		accepted = ev.CandidatePct >= ev.LivePct-l.cfg.GateEpsilonPct
+		accepted = ev.CandidatePct >= ev.LivePct-gateEpsilonPct
 	}
 	if accepted {
 		// Publish before counting the verdict so GateAccepts always

@@ -1,10 +1,7 @@
 package rebalance
 
 import (
-	"time"
-
 	"repro/internal/cost"
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -41,11 +38,6 @@ type Policy struct {
 	// snapshot and the knapsack's candidates.
 	heatBuf []WorkloadHeat
 	items   []item
-
-	// solveLat streams the wall-clock cost of each plan solve. It is
-	// observability only (/varz) — solves are driven by virtual time, so
-	// replays stay deterministic regardless of how long a solve takes.
-	solveLat obs.Histogram
 }
 
 // New wraps inner with a rebalancer. The inner policy's Observer and
@@ -154,10 +146,8 @@ func (p *Policy) maybeSolve(ctx sim.PlaceContext) {
 	for ctx.Now >= p.nextSolve {
 		p.nextSolve += p.cfg.solveInterval()
 	}
-	solveStart := time.Now()
 	p.heatBuf = p.heat.snapshotInto(p.heatBuf, ctx.Now)
 	p.items = solvePlan(p.plan, p.items, p.heatBuf, ctx.SSDQuota, p.cfg, &p.heat.counters)
-	p.solveLat.RecordDuration(time.Since(solveStart))
 }
 
 // Heat exposes the tracker (for daemons that feed it from the network
@@ -176,8 +166,3 @@ func (p *Policy) Plan() map[string]float64 {
 
 // Stats returns the rebalance counter snapshot.
 func (p *Policy) Stats() Stats { return p.heat.Stats() }
-
-// SolveLatency returns the wall-clock solve-latency histogram
-// (nanoseconds per plan solve). A daemon embedding the policy renders
-// it on /varz; it never feeds scenario reports.
-func (p *Policy) SolveLatency() obs.HistSnapshot { return p.solveLat.Snapshot() }

@@ -34,12 +34,10 @@ func (r *Router) probeLoop() {
 	defer tr.CloseIdleConnections()
 	hc := &http.Client{Transport: tr, Timeout: r.cfg.ProbeInterval}
 	// Membership is fixed at New, so one node list serves every round.
-	r.mu.RLock()
 	nodes := make([]*node, 0, len(r.nodes))
 	for _, n := range r.nodes {
 		nodes = append(nodes, n)
 	}
-	r.mu.RUnlock()
 	ticker := time.NewTicker(r.cfg.ProbeInterval)
 	defer ticker.Stop()
 	for {

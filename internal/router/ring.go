@@ -34,7 +34,8 @@ type ringPoint struct {
 }
 
 // Ring is a seeded consistent-hash ring with virtual nodes. It is not
-// safe for concurrent mutation; Router guards it with its own lock.
+// safe for concurrent mutation; Router sets its members once, in New,
+// and only routes on it after that.
 // Routing is deterministic for a fixed (seed, member set): points are
 // rebuilt from the sorted member list, so the order members joined —
 // or rejoined after a failure — never influences key placement.

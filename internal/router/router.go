@@ -171,7 +171,9 @@ type Router struct {
 	cfg      Config
 	counters counters
 
-	mu    sync.RWMutex // guards ring + nodes membership and node health
+	// ring and nodes are written only in New: membership is fixed, so
+	// routing reads them without a lock. Each node's health has its
+	// own n.mu.
 	ring  *Ring
 	nodes map[string]*node
 
@@ -239,8 +241,6 @@ func New(cfg Config) (*Router, error) {
 func (r *Router) Close() {
 	close(r.probeStop)
 	<-r.probeDone
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	for _, n := range r.nodes {
 		n.client.Close()
 	}
@@ -267,8 +267,6 @@ func (r *Router) Stats() Stats {
 
 // Nodes returns every node's health state, sorted by URL.
 func (r *Router) Nodes() []NodeState {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	out := make([]NodeState, 0, len(r.nodes))
 	for name, n := range r.nodes {
 		n.mu.Lock()
@@ -288,8 +286,6 @@ type NodeDispatch struct {
 // DispatchLatency returns every node's dispatch-latency histogram
 // snapshot (nanoseconds per Place dispatch), sorted by URL as Nodes is.
 func (r *Router) DispatchLatency() []NodeDispatch {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	out := make([]NodeDispatch, 0, len(r.nodes))
 	for name, n := range r.nodes {
 		out = append(out, NodeDispatch{Name: name, URL: n.url, Hist: n.dispatchLat.Snapshot()})
@@ -300,8 +296,6 @@ func (r *Router) DispatchLatency() []NodeDispatch {
 
 // ClientStats merges every node client's operation counters.
 func (r *Router) ClientStats() rpc.ClientStats {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	var total rpc.ClientStats
 	for _, n := range r.nodes {
 		s := n.client.Stats()
@@ -316,8 +310,6 @@ func (r *Router) ClientStats() rpc.ClientStats {
 // RouteKey returns the name of the node that owns a template key now,
 // health and load aside — the pure ownership view, for tests and ops.
 func (r *Router) RouteKey(key uint32) (string, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	return r.ring.Route(uint64(key), nil)
 }
 
@@ -472,8 +464,6 @@ func (r *Router) Observe(ctx context.Context, j *trace.Job, category int, o sim.
 // outcome routing skips the load bound: feedback posts are tiny and
 // must land on the owning shard, not the least-loaded one.
 func (r *Router) owner(key uint32, excluded map[string]bool) (string, *node, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	name, ok := r.ring.Route(uint64(key), func(m string) bool {
 		if excluded[m] {
 			return false
@@ -545,9 +535,6 @@ type nodeBatch struct {
 // healthy), the group falls back to its first healthy owner — progress
 // beats the bound when the whole plane is saturated.
 func (r *Router) assign(sc *routeScratch, groups []group, excluded map[string]bool) ([]*nodeBatch, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-
 	live, totalInflight := 0, int64(0)
 	var weightSum float64
 	for name, n := range r.nodes {
@@ -648,9 +635,7 @@ func (r *Router) dispatch(ctx context.Context, sc *routeScratch, jobs []*trace.J
 // send places one node batch into its pooled decisions buffer and
 // scatters them into out, or records the failure in nb.err.
 func (r *Router) send(ctx context.Context, jobs []*trace.Job, out []wire.Decision, nb *nodeBatch) {
-	r.mu.RLock()
 	n := r.nodes[nb.name]
-	r.mu.RUnlock()
 	nb.sub = nb.sub[:0]
 	for _, idx := range nb.indices {
 		nb.sub = append(nb.sub, jobs[idx])

@@ -396,8 +396,6 @@ func firstAttempt(r *Router, jobs []*trace.Job) []string {
 	if err != nil {
 		return nil
 	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	names := make([]string, len(order))
 	for i, nb := range order {
 		names[i] = nb.name

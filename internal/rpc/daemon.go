@@ -144,6 +144,11 @@ type Config struct {
 // decoders' default payload cap.
 const DefaultMaxBodyBytes = wire.DefaultMaxFramePayload
 
+// DefaultMaxBatch is the per-request job cap of DefaultConfig and the
+// one placementfront applies, so a front and its daemons refuse the
+// same batches.
+const DefaultMaxBatch = 4096
+
 // DefaultConfig returns daemon parameters for an N-category model:
 // the serve defaults plus 64 in-flight placement requests, 256
 // in-flight feedback posts and a 5 ms queue deadline.
@@ -153,7 +158,7 @@ func DefaultConfig(numCategories int) Config {
 		MaxInFlightPlace:   64,
 		MaxInFlightOutcome: 256,
 		QueueDeadline:      5 * time.Millisecond,
-		MaxBatch:           4096,
+		MaxBatch:           DefaultMaxBatch,
 		MaxBodyBytes:       DefaultMaxBodyBytes,
 	}
 }
@@ -801,12 +806,6 @@ func (d *Daemon) handleVarz(w http.ResponseWriter, r *http.Request) {
 	}); ok {
 		s := st.Stats()
 		v.reb = &s
-	}
-	if sl, ok := d.cfg.OutcomeObserver.(interface {
-		SolveLatency() obs.HistSnapshot
-	}); ok {
-		s := sl.SolveLatency()
-		v.solve = &s
 	}
 	writeVarz(w, v)
 }

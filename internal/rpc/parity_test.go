@@ -317,9 +317,12 @@ func TestTransportParity(t *testing.T) {
 				t.Errorf("one shed counted %d shed / %d bad requests / %d server errors, want 1 / 0 / 0",
 					dl.Shed, dl.BadRequests, dl.ServerErrors)
 			}
+			// The timer releases through its own copy of the admission:
+			// the restart step below reassigns d while it may still run.
+			adm := d.place
 			release := time.AfterFunc(20*time.Millisecond, func() {
 				for i := 0; i < slots; i++ {
-					d.place.release()
+					adm.release()
 				}
 			})
 			defer release.Stop()

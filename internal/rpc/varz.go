@@ -45,17 +45,17 @@ type varzData struct {
 
 	// Optional sections, appended after everything above so the bare
 	// exposition stays a byte-prefix of the full one.
-	onl   *online.Stats
-	reb   *rebalance.Stats
-	solve *obs.HistSnapshot
+	onl *online.Stats
+	reb *rebalance.Stats
 }
 
 // writeVarz renders the daemon's ops page: model identity lines,
 // process metadata, the request counters and their latency histograms,
 // the serving core's counters and histograms with the registry's
 // residency gauges, then (when attached) the online-loop counters and
-// the rebalance counters + solve-latency histogram. The output is deterministic for fixed snapshot values —
-// the golden test pins it, so operators' scrapers can rely on the keys.
+// the rebalance counters. The output is deterministic for fixed
+// snapshot values — the golden test pins it, so operators' scrapers can
+// rely on the keys.
 func writeVarz(w io.Writer, v *varzData) {
 	fmt.Fprintf(w, "placementd_workload %s\n", v.info.Workload)
 	fmt.Fprintf(w, "placementd_model_version %d\n", v.info.ModelVersion)
@@ -80,8 +80,5 @@ func writeVarz(w io.Writer, v *varzData) {
 	}
 	if v.reb != nil {
 		obs.WriteVars(w, "rebalance", *v.reb)
-	}
-	if v.solve != nil {
-		v.solve.WriteText(w, "rebalance_solve_latency_ns")
 	}
 }

@@ -108,8 +108,6 @@ func TestVarzGolden(t *testing.T) {
 		onl:         &onlSnap,
 		reb:         &rebSnap,
 	}
-	solve := histOf(5_000_000, 7_500_000)
-	v.solve = &solve
 
 	var b bytes.Buffer
 	writeVarz(&b, v)
@@ -118,7 +116,7 @@ func TestVarzGolden(t *testing.T) {
 	// Without a learner or rebalancer the optional blocks are absent
 	// but everything above them is byte-identical.
 	bareData := *v
-	bareData.onl, bareData.reb, bareData.solve = nil, nil, nil
+	bareData.onl, bareData.reb = nil, nil
 	var bare bytes.Buffer
 	writeVarz(&bare, &bareData)
 	if !bytes.HasPrefix(b.Bytes(), bare.Bytes()) {

@@ -41,7 +41,7 @@ func TestPreparedMatchesPerJob(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg := sim.Config{SSDQuota: e.quota, KeepRecords: true}
-			rcfg := rebalance.Config{HalfLifeSec: spec.Run.heatHalfLifeSec(), SolveIntervalSec: spec.Run.rebalanceSec()}
+			rcfg := rebalance.Config{HalfLifeSec: heatHalfLifeSec, SolveIntervalSec: rebalanceSec}
 			run := func(prepared, rebalanced bool) (*sim.Result, []core.ACTPoint) {
 				acfg := core.DefaultAdaptiveConfig(e.model.NumCategories())
 				acfg.RecordTrace = true

@@ -127,17 +127,7 @@ func buildSegment(g *SegmentSpec, idx int) *trace.Trace {
 	cfg := trace.DefaultGeneratorConfig(g.cluster(idx), g.Seed)
 	cfg.NumUsers = g.Users
 	cfg.DurationSec = g.Days * 24 * 3600
-	if g.MinSteps > 0 {
-		cfg.MinSteps = g.MinSteps
-	}
-	if g.MaxSteps > 0 {
-		cfg.MaxSteps = g.MaxSteps
-	}
-	// A raised min with a defaulted max would invert the range the
-	// generator draws from; lift the max instead of failing.
-	if cfg.MinSteps > cfg.MaxSteps {
-		cfg.MaxSteps = cfg.MinSteps
-	}
+	cfg.MinSteps, cfg.MaxSteps = g.MinSteps, g.MaxSteps
 	if g.Weights != nil {
 		cfg.ArchetypeWeights = g.Weights
 	}
@@ -244,6 +234,15 @@ func runSim(spec *Spec) (*RunResult, error) {
 	}, nil
 }
 
+// The rebalance pipeline solves every virtual hour with a 6-hour heat
+// half-life, and the online loop retrains only on a window of at least
+// retrainMinJobs records, which is also its drift trigger's sample floor.
+const (
+	rebalanceSec    float64 = 3600
+	heatHalfLifeSec float64 = 6 * 3600
+	retrainMinJobs          = 150
+)
+
 // runRebalance replays the test half twice through the Algorithm 1
 // write-time ranking policy: once bare, once wrapped in the
 // heat-aware global rebalancer (knapsack residency plan, demotions
@@ -270,8 +269,8 @@ func runRebalance(spec *Spec) (*RunResult, error) {
 		return nil, err
 	}
 	reb := rebalance.New(inner, e.cm, rebalance.Config{
-		HalfLifeSec:      spec.Run.heatHalfLifeSec(),
-		SolveIntervalSec: spec.Run.rebalanceSec(),
+		HalfLifeSec:      heatHalfLifeSec,
+		SolveIntervalSec: rebalanceSec,
 	})
 	res, err := sim.Run(e.test, reb, e.cm, sim.Config{SSDQuota: e.quota})
 	if err != nil {
@@ -281,7 +280,7 @@ func runRebalance(spec *Spec) (*RunResult, error) {
 	var b bytes.Buffer
 	e.writeHeader(&b, spec)
 	fmt.Fprintf(&b, "rebalance: solve every %.2fh, heat half-life %.2fh\n",
-		spec.Run.rebalanceSec()/3600, spec.Run.heatHalfLifeSec()/3600)
+		rebalanceSec/3600, heatHalfLifeSec/3600)
 	fmt.Fprintf(&b, "\nwrite-time only:      TCO %.3f%%  TCIO %.3f%%\n",
 		plain.TCOSavingsPercent(), plain.TCIOSavingsPercent())
 	fmt.Fprintf(&b, "write-time+rebalance: TCO %.3f%%  TCIO %.3f%%\n",
@@ -373,8 +372,8 @@ func (s *Spec) onlineConfig() online.Config {
 	c.Window.MaxCount = s.Run.windowMax()
 	c.RetrainEverySec = s.Run.retrainSec()
 	c.Drift.TVThreshold = s.Run.DriftTV
-	c.Drift.MinSamples = s.Run.minRetrainJobs()
-	c.MinRetrainJobs = s.Run.minRetrainJobs()
+	c.Drift.MinSamples = retrainMinJobs
+	c.MinRetrainJobs = retrainMinJobs
 	return c
 }
 
@@ -449,7 +448,6 @@ func runFleet(spec *Spec) (*RunResult, error) {
 	fcfg.Fleet.DurationSec = f.Days * 24 * 3600
 	fcfg.Fleet.Users = f.users()
 	fcfg.Train = spec.trainOptions()
-	fcfg.DonorCluster = f.Donor
 	if f.Online {
 		ocfg := spec.onlineConfig()
 		ocfg.Window.HorizonSec = f.Days * 24 * 3600
@@ -462,7 +460,7 @@ func runFleet(spec *Spec) (*RunResult, error) {
 	var b bytes.Buffer
 	writeTitle(&b, spec)
 	fmt.Fprintf(&b, "fleet: %d clusters, %.2f days, %d users, donor C%d, online=%v\n",
-		f.Clusters, f.Days, f.users(), f.Donor, f.Online)
+		f.Clusters, f.Days, f.users(), fleet.Donor, f.Online)
 	fmt.Fprintf(&b, "model: %d categories, %d rounds, seed %d\n\n",
 		spec.Train.categories(), spec.Train.rounds(), spec.trainSeed())
 	rep.Render(&b)

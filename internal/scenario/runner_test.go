@@ -199,7 +199,7 @@ func TestFleetSpecOnline(t *testing.T) {
   "pipeline": "fleet",
   "fleet": {"clusters": 2, "seed": 7, "days": 2, "users": 6, "online": true},
   "train": {"rounds": 4, "categories": 5},
-  "run": {"retrainHours": 8, "minRetrainJobs": 150}
+  "run": {"retrainHours": 8}
 }`))
 	if err != nil {
 		t.Fatal(err)

@@ -122,15 +122,6 @@ type RunSpec struct {
 	DriftTV float64 `json:"driftTV,omitempty"`
 	// WindowMax caps the online feedback window (0 = 4096).
 	WindowMax int `json:"windowMax,omitempty"`
-	// MinRetrainJobs is the minimum window population for a retrain
-	// (0 = 150).
-	MinRetrainJobs int `json:"minRetrainJobs,omitempty"`
-	// RebalanceHours is the rebalance pipeline's solve cadence in
-	// virtual hours (0 = 1).
-	RebalanceHours float64 `json:"rebalanceHours,omitempty"`
-	// HeatHalfLifeHours is the rebalancer's heat decay half-life in
-	// virtual hours (0 = 6).
-	HeatHalfLifeHours float64 `json:"heatHalfLifeHours,omitempty"`
 }
 
 // FleetSpec configures the fleet pipeline.
@@ -143,8 +134,6 @@ type FleetSpec struct {
 	Days float64 `json:"days"`
 	// Users is the base per-cluster population (0 = 6).
 	Users int `json:"users,omitempty"`
-	// Donor is the transfer regime's donor cluster index.
-	Donor int `json:"donor,omitempty"`
 	// Online drives the closed learning loop per cluster.
 	Online bool `json:"online,omitempty"`
 }
@@ -303,12 +292,6 @@ func (r *RunSpec) validate() error {
 		return fmt.Errorf("driftTV %g out of range [0, 1]", r.DriftTV)
 	case r.WindowMax < 0 || r.WindowMax == 1 || r.WindowMax > 1<<20:
 		return fmt.Errorf("windowMax %d out of range {0} ∪ [2, 1048576]", r.WindowMax)
-	case r.MinRetrainJobs < 0 || r.MinRetrainJobs == 1 || r.MinRetrainJobs > 1<<20:
-		return fmt.Errorf("minRetrainJobs %d out of range {0} ∪ [2, 1048576]", r.MinRetrainJobs)
-	case r.RebalanceHours < 0 || r.RebalanceHours > 24*365:
-		return fmt.Errorf("rebalanceHours %g out of range [0, 8760]", r.RebalanceHours)
-	case r.HeatHalfLifeHours < 0 || r.HeatHalfLifeHours > 24*365:
-		return fmt.Errorf("heatHalfLifeHours %g out of range [0, 8760]", r.HeatHalfLifeHours)
 	}
 	return nil
 }
@@ -321,8 +304,6 @@ func (f *FleetSpec) validate() error {
 		return fmt.Errorf("fleet days %g out of range (0, 60]", f.Days)
 	case f.Users < 0 || f.Users > 256:
 		return fmt.Errorf("fleet users %d out of range [0, 256]", f.Users)
-	case f.Donor < 0 || f.Donor >= f.Clusters:
-		return fmt.Errorf("fleet donor %d out of range [0, %d)", f.Donor, f.Clusters)
 	}
 	return nil
 }
@@ -332,14 +313,8 @@ func (f *FleetSpec) validate() error {
 func (t TrainSpec) rounds() int     { return defInt(t.Rounds, 8) }
 func (t TrainSpec) categories() int { return defInt(t.Categories, 8) }
 
-func (r RunSpec) quotaFrac() float64  { return defFloat(r.QuotaFrac, 0.05) }
-func (r RunSpec) windowMax() int      { return defInt(r.WindowMax, 4096) }
-func (r RunSpec) minRetrainJobs() int { return defInt(r.MinRetrainJobs, 150) }
-
-// rebalanceSec / heatHalfLifeSec are the rebalance pipeline's cadence
-// and decay half-life in virtual seconds.
-func (r RunSpec) rebalanceSec() float64    { return defFloat(r.RebalanceHours, 1) * 3600 }
-func (r RunSpec) heatHalfLifeSec() float64 { return defFloat(r.HeatHalfLifeHours, 6) * 3600 }
+func (r RunSpec) quotaFrac() float64 { return defFloat(r.QuotaFrac, 0.05) }
+func (r RunSpec) windowMax() int     { return defInt(r.WindowMax, 4096) }
 
 // retrainSec returns the cadence trigger; when both triggers are left
 // unset the loop defaults to a 12-virtual-hour cadence so an online

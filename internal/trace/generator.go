@@ -158,8 +158,8 @@ type GeneratorConfig struct {
 	Cluster     string
 	Seed        int64
 	NumUsers    int
-	MinSteps    int // shuffle steps per pipeline, min
-	MaxSteps    int // shuffle steps per pipeline, max
+	MinSteps    int // shuffle steps per pipeline, min (0 = 1)
+	MaxSteps    int // shuffle steps per pipeline, max (0 = 4; below MinSteps = MinSteps)
 	DurationSec float64
 	// ArchetypeWeights selects the archetype mix; nil = uniform. Keys
 	// are archetype names; missing names get weight 0.
@@ -260,6 +260,13 @@ func NewGenerator(cfg GeneratorConfig) *Generator {
 	if cfg.NoiseScale <= 0 {
 		cfg.NoiseScale = 1
 	}
+	if cfg.MinSteps <= 0 {
+		cfg.MinSteps = 1
+	}
+	if cfg.MaxSteps <= 0 {
+		cfg.MaxSteps = 4
+	}
+	cfg.MaxSteps = max(cfg.MaxSteps, cfg.MinSteps)
 	g := &Generator{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 	g.buildTemplates()
 	return g

@@ -106,14 +106,26 @@ func TestGeneratorJobsValid(t *testing.T) {
 }
 
 // TestGeneratorLiteralConfig: a GeneratorConfig literal names no
-// pipeline bounds, yet every user still owns pipelines and runs jobs.
+// pipeline bounds and may leave out the step bounds or give only a
+// minimum, yet every user still owns pipelines and runs jobs.
 func TestGeneratorLiteralConfig(t *testing.T) {
-	tr := NewGenerator(GeneratorConfig{
-		Cluster: "C9", Seed: 42, NumUsers: 3,
-		MinSteps: 1, MaxSteps: 4, DurationSec: 24 * 3600,
-	}).Generate()
-	if users := tr.Users(); len(users) != 3 {
-		t.Fatalf("%d jobs from users %v, want jobs from all 3 users", len(tr.Jobs), users)
+	for _, tc := range []struct {
+		name               string
+		minSteps, maxSteps int
+	}{
+		{"explicit steps", 1, 4},
+		{"no step fields", 0, 0},
+		{"min steps alone", 3, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := NewGenerator(GeneratorConfig{
+				Cluster: "C9", Seed: 42, NumUsers: 3,
+				MinSteps: tc.minSteps, MaxSteps: tc.maxSteps, DurationSec: 24 * 3600,
+			}).Generate()
+			if users := tr.Users(); len(users) != 3 {
+				t.Fatalf("%d jobs from users %v, want jobs from all 3 users", len(tr.Jobs), users)
+			}
+		})
 	}
 }
 
