@@ -11,32 +11,38 @@ import (
 )
 
 // TestRouterSteadyStateAllocs is the routed paths' allocation budget,
-// counted process-wide (router, node clients and both daemons share the
-// process) on a warm 2-node plane, with the prober pushed out of the
-// measurement. Both operations are frames on the node clients' pooled
-// stream sessions. One routed outcome measures 0 — its owner decodes the
-// frame in place and, with no learner or observer attached, copies
-// nothing — against 101 as a JSON post and 2 while the serving core kept
-// the job in a shard queue; it gets 1 of headroom. One routed 64-job
-// place measures 2: the decisions it returns and the closure of the one
-// dispatch goroutine it spawns. The other node's batch goes out on the
-// caller's goroutine, and both nodes' decisions land in buffers kept in
-// the pooled routing scratch. It measured 5 while every node batch had a
-// goroutine of its own and each node client handed back a fresh slice
-// (2 × 2 + 1), and 241 while each node dispatch was a net/http request
-// (about 200 of them) and grouping and assignment allocated per call
-// (38); the budget leaves 2 of headroom. (sync.Pool drops items at
+// counted process-wide (router, node clients and daemons share the
+// process) on warm 2- and 3-node planes, with the prober pushed out of
+// the measurement. Both operations are frames on the node clients'
+// pooled stream sessions. One routed outcome measures 0 — its owner
+// decodes the frame in place and, with no learner or observer attached,
+// copies nothing — against 101 as a JSON post and 2 while the serving
+// core kept the job in a shard queue; it gets 1 of headroom. One routed
+// 64-job place measures 1 over either plane: the decisions it returns.
+// The last node batch goes out on the caller's goroutine, the others on
+// goroutines started through senders bound once per pooled node batch,
+// and every node's decisions land in buffers kept in the pooled routing
+// scratch. Over two nodes it measured 241 while each node dispatch was
+// a net/http request (about 200 of them) and grouping and assignment
+// allocated per call (38), 5 while every node batch had a goroutine of
+// its own and each node client handed back a fresh slice (2 × 2 + 1),
+// and 2 while each spawned goroutine took a closure (3 over three
+// nodes); the budget leaves 1 of headroom. (sync.Pool drops items at
 // random under the race detector, hence the build tag.)
 func TestRouterSteadyStateAllocs(t *testing.T) {
 	fx := testFixture(t)
-	p, _ := newTestPlane(t, 2)
-	cfg := DefaultConfig(p.URLs())
-	cfg.ProbeInterval = time.Minute
-	r, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	newRouter := func(nodes int) *Router {
+		p, _ := newTestPlane(t, nodes)
+		cfg := DefaultConfig(p.URLs())
+		cfg.ProbeInterval = time.Minute
+		r, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(r.Close)
+		return r
 	}
-	t.Cleanup(r.Close)
+	r2, r3 := newRouter(2), newRouter(3)
 	ctx := context.Background()
 	jobs := fx.jobs[:64]
 	o := sim.Outcome{WantedSSD: true, FracOnSSD: 1, SpilledAt: -1, EvictedAt: -1}
@@ -46,8 +52,9 @@ func TestRouterSteadyStateAllocs(t *testing.T) {
 		call   func() error
 		budget float64
 	}{
-		{"observe", func() error { return r.Observe(ctx, jobs[0], 1, o) }, 1},
-		{"place", func() error { _, err := r.Place(ctx, jobs); return err }, 4},
+		{"observe", func() error { return r2.Observe(ctx, jobs[0], 1, o) }, 1},
+		{"place", func() error { _, err := r2.Place(ctx, jobs); return err }, 2},
+		{"place over 3 nodes", func() error { _, err := r3.Place(ctx, jobs); return err }, 2},
 	} {
 		call := func() {
 			if err := tc.call(); err != nil {

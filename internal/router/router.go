@@ -178,8 +178,8 @@ type Router struct {
 	nodes map[string]*node
 
 	// scratch pools the per-call routing state of Place (*routeScratch),
-	// node decisions buffers included, so a routed place allocates only
-	// what it returns and a closure per dispatch goroutine it spawns.
+	// node decisions buffers and bound senders included, so a routed
+	// place allocates only the decisions it returns.
 	scratch sync.Pool
 
 	probeStop chan struct{}
@@ -526,6 +526,15 @@ type nodeBatch struct {
 	sub     []*trace.Job
 	ds      []wire.Decision
 	err     error
+
+	// goSend sends the batch on a goroutine of its own with the Place
+	// call's ctx, jobs and out, which dispatch sets before and clears
+	// after. It is bound once, when assign makes the batch, so a go
+	// statement through it allocates nothing.
+	ctx    context.Context
+	jobs   []*trace.Job
+	out    []wire.Decision
+	goSend func()
 }
 
 // assign routes every group to a node and merges groups per node. The
@@ -590,6 +599,10 @@ func (r *Router) assign(sc *routeScratch, groups []group, excluded map[string]bo
 		nb := sc.byNode[name]
 		if nb == nil {
 			nb = &nodeBatch{name: name}
+			nb.goSend = func() {
+				defer sc.wg.Done()
+				r.send(nb.ctx, nb.jobs, nb.out, nb)
+			}
 			sc.byNode[name] = nb
 		}
 		if len(nb.groups) == 0 {
@@ -615,16 +628,15 @@ func (r *Router) assign(sc *routeScratch, groups []group, excluded map[string]bo
 func (r *Router) dispatch(ctx context.Context, sc *routeScratch, jobs []*trace.Job, out []wire.Decision, batches []*nodeBatch) []*nodeBatch {
 	last := len(batches) - 1
 	for _, nb := range batches[:last] {
+		nb.ctx, nb.jobs, nb.out = ctx, jobs, out
 		sc.wg.Add(1)
-		go func() {
-			defer sc.wg.Done()
-			r.send(ctx, jobs, out, nb)
-		}()
+		go nb.goSend()
 	}
 	r.send(ctx, jobs, out, batches[last])
 	sc.wg.Wait()
 	sc.failed = sc.failed[:0]
 	for _, nb := range batches {
+		nb.ctx, nb.jobs, nb.out = nil, nil, nil // the pool must not keep the caller's state
 		if nb.err != nil {
 			sc.failed = append(sc.failed, nb)
 		}

@@ -703,6 +703,51 @@ func TestRouterSessionsStayPooled(t *testing.T) {
 	}
 }
 
+// TestDispatchLeavesNoCallerState routes one batch over 2- and 3-node
+// planes through a pooled scratch, every node batch but the last on a
+// goroutine of its own, and checks what the pool keeps afterwards: no
+// node batch holds the call's context, jobs or output, and no sub-batch
+// holds a job, so a pooled scratch keeps nothing of a finished call
+// alive.
+func TestDispatchLeavesNoCallerState(t *testing.T) {
+	fx := testFixture(t)
+	jobs := fx.jobs[:64]
+	for _, nodes := range []int{2, 3} {
+		t.Run(fmt.Sprintf("%dnodes", nodes), func(t *testing.T) {
+			p, _ := newTestPlane(t, nodes)
+			r := newTestRouter(t, p)
+			sc := r.scratch.Get().(*routeScratch)
+			batches, err := r.assign(sc, sc.groupByTemplate(jobs), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(batches) != nodes {
+				t.Fatalf("%d node batches over %d nodes, want one per node", len(batches), nodes)
+			}
+			out := make([]wire.Decision, len(jobs))
+			if failed := r.dispatch(context.Background(), sc, jobs, out, batches); len(failed) != 0 {
+				t.Fatalf("%d node batches failed: %v", len(failed), failed[0].err)
+			}
+			for i, d := range out {
+				if d.JobID != jobs[i].ID {
+					t.Fatalf("decision %d is for job %q, want %q", i, d.JobID, jobs[i].ID)
+				}
+			}
+			for name, nb := range sc.byNode {
+				if nb.ctx != nil || nb.jobs != nil || nb.out != nil {
+					t.Errorf("node %s: batch keeps the call's state (ctx %v, %d jobs, %d decisions)",
+						name, nb.ctx, len(nb.jobs), len(nb.out))
+				}
+				for i, j := range nb.sub[:cap(nb.sub)] {
+					if j != nil {
+						t.Errorf("node %s: sub-batch slot %d keeps job %s", name, i, j.ID)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestRouterTracedPlace follows one sampled batch across the tiers now
 // that no HTTP request carries it: the caller's trace gains a
 // router.dispatch span per node, and each node files its own spans, the
