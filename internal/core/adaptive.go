@@ -241,6 +241,3 @@ func (a *Adaptive) Observe(arrival, end float64, wantedSSD bool, spilledAt, spil
 		tcioRate:  tcioRate,
 	})
 }
-
-// HistoryLen reports the observation history size (for tests).
-func (a *Adaptive) HistoryLen() int { return len(a.history) }

@@ -158,13 +158,13 @@ func TestAdaptiveWindowPruning(t *testing.T) {
 		c.LookBackSec = 100
 	})
 	feed(a, 0, 50, 5, 0.5)
-	if a.HistoryLen() != 10 {
-		t.Fatalf("history = %d, want 10", a.HistoryLen())
+	if len(a.history) != 10 {
+		t.Fatalf("history = %d, want 10", len(a.history))
 	}
 	// An update at t=500 prunes everything older than 400.
 	a.Admit(5, 500)
-	if a.HistoryLen() != 0 {
-		t.Errorf("history = %d after window passed, want 0", a.HistoryLen())
+	if len(a.history) != 0 {
+		t.Errorf("history = %d after window passed, want 0", len(a.history))
 	}
 }
 

@@ -174,15 +174,8 @@ func (l *Labeler) Validate() error {
 	return nil
 }
 
-// Save serializes the labeler as JSON.
-func (l *Labeler) Save(w io.Writer) error {
-	if err := json.NewEncoder(w).Encode(l); err != nil {
-		return fmt.Errorf("core: encode labeler: %w", err)
-	}
-	return nil
-}
-
-// LoadLabeler reads a labeler written by Save.
+// LoadLabeler reads a labeler serialized as JSON, as CategoryModel.Save
+// writes it.
 func LoadLabeler(r io.Reader) (*Labeler, error) {
 	var l Labeler
 	if err := json.NewDecoder(r).Decode(&l); err != nil {

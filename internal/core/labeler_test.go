@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"repro/internal/cost"
@@ -145,14 +146,14 @@ func TestLabelerTwoCategories(t *testing.T) {
 
 func TestLabelerSerialization(t *testing.T) {
 	// A 2-category labeler has no boundaries: FitLabeler leaves them nil,
-	// and Save writes null.
+	// and it encodes as null.
 	two, err := FitLabeler(clusterJobs(t, 1, 1), cost.Default(), 2)
 	if err != nil || two.Boundaries != nil {
 		t.Fatalf("2-category fit: %+v, %v; want nil boundaries", two, err)
 	}
 	for _, l := range []*Labeler{{NumCategories: 4, Boundaries: []float64{1, 10}}, two} {
 		var buf bytes.Buffer
-		if err := l.Save(&buf); err != nil {
+		if err := json.NewEncoder(&buf).Encode(l); err != nil {
 			t.Fatal(err)
 		}
 		if l.Boundaries == nil && !bytes.Contains(buf.Bytes(), []byte(`"boundaries":null`)) {

@@ -192,7 +192,7 @@ func TestWindowModeOverlappingKeepsLongJobs(t *testing.T) {
 		if mode == WindowOverlapping {
 			want = 1
 		}
-		if got := a.HistoryLen(); got != want {
+		if got := len(a.history); got != want {
 			t.Errorf("mode %v retained %d observations, want %d", mode, got, want)
 		}
 	}

@@ -58,17 +58,6 @@ type ShuffleProfile struct {
 	RetainSec float64
 }
 
-// DefaultShuffleProfile is a moderate shuffle.
-func DefaultShuffleProfile() ShuffleProfile {
-	return ShuffleProfile{
-		SizeFactor:   1,
-		WriteAmp:     2,
-		ReadFactor:   1.5,
-		ReadOpBytes:  256 * 1024,
-		CacheHitFrac: 0.3,
-	}
-}
-
 // Stage is one node of the pipeline graph.
 type Stage struct {
 	Name    string

@@ -10,6 +10,17 @@ import (
 	"repro/internal/trace"
 )
 
+// DefaultShuffleProfile is a moderate shuffle.
+func DefaultShuffleProfile() ShuffleProfile {
+	return ShuffleProfile{
+		SizeFactor:   1,
+		WriteAmp:     2,
+		ReadFactor:   1.5,
+		ReadOpBytes:  256 * 1024,
+		CacheHitFrac: 0.3,
+	}
+}
+
 func buildPipeline(t *testing.T) *Pipeline {
 	t.Helper()
 	p, err := NewPipeline("wordcount", "alice").

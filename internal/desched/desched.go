@@ -122,7 +122,3 @@ func (s *Scheduler) Run() {
 	}
 	s.running = false
 }
-
-// Now returns the scheduler's current virtual time (after Run: the
-// completion time of the last event).
-func (s *Scheduler) Now() float64 { return s.now }

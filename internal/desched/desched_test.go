@@ -27,8 +27,8 @@ func TestSingleProcessAdvancesClock(t *testing.T) {
 			t.Errorf("times[%d] = %g, want %g", i, times[i], want[i])
 		}
 	}
-	if s.Now() != 50 {
-		t.Errorf("final time %g", s.Now())
+	if s.now != 50 {
+		t.Errorf("final time %g", s.now)
 	}
 }
 

@@ -49,10 +49,6 @@ func (d *AdaptiveDecider) ObservePlacement(h Hint, fracOnSSD float64, wantedSSD,
 // ACT exposes the current admission threshold (diagnostics).
 func (d *AdaptiveDecider) ACT() int { return d.ctrl.ACT() }
 
-// Trace exposes the controller's recorded time series (set RecordTrace
-// in the config).
-func (d *AdaptiveDecider) Trace() []core.ACTPoint { return d.ctrl.Trace() }
-
 // FitDecider admits any file that currently fits entirely in the free
 // SSD capacity — the FirstFit baseline at the caching-server layer.
 // Bind it to the cluster after construction.

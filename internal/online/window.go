@@ -102,12 +102,10 @@ func (w *window) snapshot() []Record {
 	return out
 }
 
-// distribution returns the window's normalized category histogram, or
-// nil if the window is empty.
-func (w *window) distribution() []float64 { return w.distributionInto(nil) }
-
-// distributionInto is distribution with a reusable buffer for the hot
-// observation path (the per-Observe drift check must not allocate).
+// distributionInto returns the window's normalized category histogram
+// in buf's storage, or nil if the window is empty. The buffer is reused
+// on the hot observation path (the per-Observe drift check must not
+// allocate).
 func (w *window) distributionInto(buf []float64) []float64 {
 	if w.count == 0 {
 		return nil

@@ -56,13 +56,13 @@ func TestWindowDistributionTracksEviction(t *testing.T) {
 	w.add(rec(1, 0))
 	w.add(rec(2, 1))
 	w.add(rec(3, 2))
-	d := w.distribution()
+	d := w.distributionInto(nil)
 	if d[0] != 0.5 || d[1] != 0.25 || d[2] != 0.25 {
 		t.Fatalf("distribution = %v", d)
 	}
 	// Overflow evicts the oldest (category 0) record.
 	w.add(rec(4, 2))
-	d = w.distribution()
+	d = w.distributionInto(nil)
 	if d[0] != 0.25 || d[2] != 0.5 {
 		t.Fatalf("distribution after eviction = %v", d)
 	}
@@ -76,7 +76,7 @@ func TestWindowDistributionTracksEviction(t *testing.T) {
 
 func TestWindowEmptyDistribution(t *testing.T) {
 	w := newWindow(4, 0, 3)
-	if w.distribution() != nil {
+	if w.distributionInto(nil) != nil {
 		t.Error("empty window should have nil distribution")
 	}
 }

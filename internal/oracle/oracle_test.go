@@ -3,11 +3,53 @@ package oracle
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/cost"
 	"repro/internal/trace"
 )
+
+// Feasible verifies that a decision set never exceeds capacity at any
+// instant: the check these tests hold every solver's placement to.
+func Feasible(jobs []*trace.Job, onSSD map[string]bool, capacity float64) bool {
+	type ev struct {
+		at    float64
+		delta float64
+	}
+	var events []ev
+	for _, j := range jobs {
+		if onSSD[j.ID] {
+			events = append(events, ev{j.ArrivalSec, j.SizeBytes}, ev{j.EndSec(), -j.SizeBytes})
+		}
+	}
+	sort.Slice(events, func(a, b int) bool {
+		if events[a].at != events[b].at {
+			return events[a].at < events[b].at
+		}
+		return events[a].delta < events[b].delta
+	})
+	var usage float64
+	for _, e := range events {
+		usage += e.delta
+		if usage > capacity+1e-6 {
+			return false
+		}
+	}
+	return true
+}
+
+// Value sums the objective coefficients of the admitted jobs under a
+// decision set.
+func Value(jobs []*trace.Job, onSSD map[string]bool, cm *cost.Model, obj Objective) float64 {
+	var v float64
+	for _, j := range jobs {
+		if onSSD[j.ID] {
+			v += jobValue(j, cm, obj)
+		}
+	}
+	return v
+}
 
 // hotJob returns a job with positive SSD savings.
 func hotJob(id string, arrival, lifetime, size float64) *trace.Job {

@@ -29,7 +29,7 @@ func TestSolveSteadyStateAllocs(t *testing.T) {
 	}
 	now := 3600.0
 	var demand float64
-	for _, w := range p.heat.Snapshot(now) {
+	for _, w := range p.heat.snapshotInto(nil, now) {
 		if w.Savings > 0 {
 			demand += w.ByteSec / (p.cfg.halfLife() / math.Ln2)
 		}
@@ -49,8 +49,8 @@ func TestSolveSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("%d solves, want 21", s.Solves)
 	}
 
-	want := solve(p.heat.Snapshot(now), quota, p.cfg, &counters{})
-	checkPlan(t, p.Plan(), want)
+	want := solve(p.heat.snapshotInto(nil, now), quota, p.cfg, &counters{})
+	checkPlan(t, p.plan, want)
 	var zero, partial int
 	for _, r := range want {
 		switch {

@@ -160,14 +160,9 @@ func (h *HeatTracker) decayTo(w *WorkloadHeat, now float64) {
 	w.LastSec = now
 }
 
-// Snapshot returns every workload's heat decayed to now, sorted by key
-// — the deterministic input the solver consumes.
-func (h *HeatTracker) Snapshot(nowSec float64) []WorkloadHeat {
-	return h.snapshotInto(nil, nowSec)
-}
-
-// snapshotInto is Snapshot into dst's storage, which a Policy keeps
-// from solve to solve.
+// snapshotInto returns every workload's heat decayed to now, sorted by
+// key — the deterministic input the solver consumes — in dst's storage,
+// which a Policy keeps from solve to solve.
 func (h *HeatTracker) snapshotInto(dst []WorkloadHeat, nowSec float64) []WorkloadHeat {
 	h.mu.Lock()
 	dst = slices.Grow(dst[:0], len(h.byKey))
@@ -188,10 +183,8 @@ func (h *HeatTracker) Len() int {
 	return len(h.byKey)
 }
 
-// Stats returns the rebalance counter snapshot — the rebalance_*
-// exposition a daemon's /varz renders when a tracker is attached to
-// its outcome path. Concurrent updates may tear between fields; each
-// field is consistent.
+// Stats returns the rebalance counter snapshot. Concurrent updates may
+// tear between fields; each field is consistent.
 func (h *HeatTracker) Stats() Stats { return h.counters.stats() }
 
 func (c *counters) stats() Stats {

@@ -150,19 +150,5 @@ func (p *Policy) maybeSolve(ctx sim.PlaceContext) {
 	p.items = solvePlan(p.plan, p.items, p.heatBuf, ctx.SSDQuota, p.cfg, &p.heat.counters)
 }
 
-// Heat exposes the tracker (for daemons that feed it from the network
-// outcome path and for tests).
-func (p *Policy) Heat() *HeatTracker { return p.heat }
-
-// Plan returns the current residency plan keyed by workload template —
-// a copy, for reports and tests.
-func (p *Policy) Plan() map[string]float64 {
-	out := make(map[string]float64, len(p.plan))
-	for k, v := range p.plan {
-		out[k] = v
-	}
-	return out
-}
-
 // Stats returns the rebalance counter snapshot.
 func (p *Policy) Stats() Stats { return p.heat.Stats() }

@@ -57,7 +57,7 @@ func TestHeatTrackerDecay(t *testing.T) {
 	h.Observe(j, placed())
 	sav := cm.Savings(j)
 
-	ws := h.Snapshot(100) // exactly one half-life later
+	ws := h.snapshotInto(nil, 100) // exactly one half-life later
 	if len(ws) != 1 {
 		t.Fatalf("snapshot has %d workloads, want 1", len(ws))
 	}
@@ -94,7 +94,7 @@ func TestHeatTrackerOutOfOrder(t *testing.T) {
 	if h.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", h.Len())
 	}
-	w := h.Snapshot(100)[0]
+	w := h.snapshotInto(nil, 100)[0]
 	if w.Jobs != 2 {
 		t.Errorf("Jobs = %g, want exactly 2 (no decay between out-of-order observations)", w.Jobs)
 	}
@@ -128,7 +128,7 @@ func TestHeatTrackerRealizedSavings(t *testing.T) {
 	// Never landed on SSD: mass accumulates, value realized is zero —
 	// not the full-placement estimate.
 	h.Observe(j, sim.Outcome{WantedSSD: false, SpilledAt: -1, EvictedAt: -1})
-	w := h.Snapshot(0)[0]
+	w := h.snapshotInto(nil, 0)[0]
 	if w.Savings != 0 {
 		t.Errorf("rejected job realized savings = %g, want 0", w.Savings)
 	}
@@ -141,7 +141,7 @@ func TestHeatTrackerRealizedSavings(t *testing.T) {
 	o := sim.Outcome{WantedSSD: true, FracOnSSD: 0.5, SpilledAt: 0, EvictedAt: j.ArrivalSec + 0.5*j.LifetimeSec}
 	h.Observe(j, o)
 	want := cm.PartialSavings(j, cost.PartialOutcome{FracOnSSD: 0.5, ResidencyFrac: 0.5})
-	w = h.Snapshot(0)[0]
+	w = h.snapshotInto(nil, 0)[0]
 	if math.Abs(w.Savings-want) > 1e-12*math.Abs(want) {
 		t.Errorf("partial outcome realized savings = %g, want %g", w.Savings, want)
 	}
@@ -153,7 +153,7 @@ func TestHeatTrackerRealizedSavings(t *testing.T) {
 	bad.FracOnSSD = math.NaN()
 	before := w.Savings
 	h.Observe(j, bad)
-	if got := h.Snapshot(0)[0].Savings; got != before {
+	if got := h.snapshotInto(nil, 0)[0].Savings; got != before {
 		t.Errorf("NaN FracOnSSD changed savings: %g -> %g, want unchanged", before, got)
 	}
 }
@@ -412,7 +412,7 @@ func TestPolicyRebalanceBeatsWriteTimeOnly(t *testing.T) {
 	if s.Observations == 0 {
 		t.Errorf("heat tracker saw no observations")
 	}
-	if got := reb.Plan()["cold/s"]; got != 0 {
+	if got := reb.plan["cold/s"]; got != 0 {
 		t.Errorf("final plan residency for cold/s = %g, want 0", got)
 	}
 	if reb.Name() != "admitall+Rebalance" {
@@ -428,7 +428,7 @@ func TestPolicyDeterministicReplay(t *testing.T) {
 	run := func() (*sim.Result, map[string]float64, Stats, error) {
 		p := New(admitAll{}, cm, Config{})
 		res, err := sim.Run(tr, p, cm, cfg)
-		return res, p.Plan(), p.Stats(), err
+		return res, p.plan, p.Stats(), err
 	}
 	r1, plan1, s1, err := run()
 	if err != nil {
@@ -489,7 +489,7 @@ func fractionalPolicy(inner sim.Policy) *Policy {
 
 func TestPolicyFractionalPlanEvicts(t *testing.T) {
 	p := fractionalPolicy(admitAll{})
-	plan := p.Plan()
+	plan := p.plan
 	if got := plan["small/s"]; got != 1 {
 		t.Errorf("plan[small/s] = %g, want 1", got)
 	}
@@ -505,8 +505,8 @@ func TestPolicyFractionalPlanEvicts(t *testing.T) {
 	if got := p.Stats().Evictions; got == 0 {
 		t.Errorf("evictions counter = %d, want > 0", got)
 	}
-	if p.Heat().Len() != 2 {
-		t.Errorf("tracker Len = %d, want 2", p.Heat().Len())
+	if p.heat.Len() != 2 {
+		t.Errorf("tracker Len = %d, want 2", p.heat.Len())
 	}
 }
 
@@ -521,7 +521,7 @@ func (earlyEvictor) EvictAfter(*trace.Job) float64 { return 1 }
 // eviction, so the counter stays at zero.
 func TestPolicyEvictAfterInnerDeadlineWins(t *testing.T) {
 	p := fractionalPolicy(earlyEvictor{})
-	if r := p.Plan()["big/s"]; r <= 0 || r >= 1 {
+	if r := p.plan["big/s"]; r <= 0 || r >= 1 {
 		t.Fatalf("plan[big/s] = %g, want fractional in (0,1)", r)
 	}
 	if d := p.EvictAfter(tmplJob("big", "evict-me", 200, 8<<30)); d != 1 {

@@ -190,7 +190,7 @@ func TestUnnamedRingRoutesAsBefore(t *testing.T) {
 	defer r.Close()
 	const ports = "222012221121202221112010" // the last digit of each owner's port
 	for i := range len(ports) {
-		owner, _ := r.RouteKey(trace.TemplateHash(fmt.Sprintf("pipeline-%d", i), "step"))
+		owner, _ := routeKey(r, trace.TemplateHash(fmt.Sprintf("pipeline-%d", i), "step"))
 		if want := "http://127.0.0.1:707" + ports[i:i+1]; owner != want {
 			t.Errorf("template %d routes to %q, want %q", i, owner, want)
 		}

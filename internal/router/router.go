@@ -307,12 +307,6 @@ func (r *Router) ClientStats() rpc.ClientStats {
 	return total
 }
 
-// RouteKey returns the name of the node that owns a template key now,
-// health and load aside — the pure ownership view, for tests and ops.
-func (r *Router) RouteKey(key uint32) (string, bool) {
-	return r.ring.Route(uint64(key), nil)
-}
-
 // group is one template's slice of a batch: the routing key and the
 // positions of its jobs in the caller's order.
 type group struct {

@@ -72,16 +72,22 @@ func TestRouterSpreadsByTemplate(t *testing.T) {
 	}
 }
 
+// routeKey returns the name of the node that owns a template key,
+// health and load aside: the pure ownership view.
+func routeKey(r *Router, key uint32) (string, bool) {
+	return r.ring.Route(uint64(key), nil)
+}
+
 // TestRouterOwnershipConsistency pins that Place honours ring
 // ownership: with all nodes healthy and idle, a single-template batch
-// lands exactly on RouteKey's node.
+// lands exactly on routeKey's node.
 func TestRouterOwnershipConsistency(t *testing.T) {
 	fx := testFixture(t)
 	p, _ := newTestPlane(t, 3)
 	r := newTestRouter(t, p)
 
 	job := fx.jobs[0]
-	owner, ok := r.RouteKey(serve.TemplateHash(job))
+	owner, ok := routeKey(r, serve.TemplateHash(job))
 	if !ok {
 		t.Fatal("no owner for the test template")
 	}
@@ -109,7 +115,7 @@ func TestRouterObserveRoutesToOwner(t *testing.T) {
 	r := newTestRouter(t, p)
 
 	job := fx.jobs[0]
-	owner, ok := r.RouteKey(serve.TemplateHash(job))
+	owner, ok := routeKey(r, serve.TemplateHash(job))
 	if !ok {
 		t.Fatal("no owner for the test template")
 	}
@@ -156,7 +162,7 @@ func TestRouterObserveFailsOver(t *testing.T) {
 	t.Cleanup(r.Close)
 
 	job := fx.jobs[0]
-	owner, ok := r.RouteKey(serve.TemplateHash(job))
+	owner, ok := routeKey(r, serve.TemplateHash(job))
 	if !ok {
 		t.Fatal("no owner for the test template")
 	}
@@ -210,7 +216,7 @@ func TestRouterObserveSurvivesOwnerRestart(t *testing.T) {
 	t.Cleanup(r.Close)
 
 	job := fx.jobs[0]
-	ownerURL, ok := r.RouteKey(serve.TemplateHash(job))
+	ownerURL, ok := routeKey(r, serve.TemplateHash(job))
 	if !ok {
 		t.Fatal("no owner for the test template")
 	}
@@ -287,7 +293,7 @@ func rerouteAroundDeadNode(t *testing.T, jobs []*trace.Job, dead int, inline boo
 	deadURL := p.URLs()[dead]
 	var gone, live *trace.Job
 	for _, j := range jobs {
-		if owner, _ := r.RouteKey(serve.TemplateHash(j)); owner == deadURL {
+		if owner, _ := routeKey(r, serve.TemplateHash(j)); owner == deadURL {
 			gone = cmp.Or(gone, j)
 		} else {
 			live = cmp.Or(live, j)
@@ -527,7 +533,7 @@ func TestRouterClientFaultIsFinal(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(r.Close)
-			owner, ok := r.RouteKey(serve.TemplateHash(job))
+			owner, ok := routeKey(r, serve.TemplateHash(job))
 			if !ok {
 				t.Fatal("no owner for the test template")
 			}
@@ -832,7 +838,7 @@ func TestNodeEntries(t *testing.T) {
 		}
 		owners := map[string]bool{}
 		for key := uint32(0); key < 1000; key++ {
-			owner, _ := r.RouteKey(key)
+			owner, _ := routeKey(r, key)
 			owners[owner] = true
 		}
 		var urls []string
@@ -871,10 +877,10 @@ func TestNamedOwnershipIgnoresURLs(t *testing.T) {
 	ring.SetMembers([]string{"0", "1", "2"})
 	for key := uint32(0); key < 1000; key++ {
 		want, _ := ring.Route(uint64(key), nil)
-		if ga, _ := a.RouteKey(key); ga != want {
+		if ga, _ := routeKey(a, key); ga != want {
 			t.Fatalf("key %d: router a routes to %q, the bare ring to %q", key, ga, want)
 		}
-		if gb, _ := b.RouteKey(key); gb != want {
+		if gb, _ := routeKey(b, key); gb != want {
 			t.Fatalf("key %d: router b routes to %q, the bare ring to %q", key, gb, want)
 		}
 	}

@@ -94,7 +94,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/online"
-	"repro/internal/rebalance"
 	"repro/internal/registry"
 	"repro/internal/rpc/wire"
 	"repro/internal/serve"
@@ -127,9 +126,7 @@ type Config struct {
 	Learner *online.Learner
 	// OutcomeObserver, when non-nil, also receives every /v1/outcome
 	// through Observe — the hook a rebalance heat tracker uses to learn
-	// workload heat from the network feedback path. If the observer
-	// additionally implements Stats() rebalance.Stats, /varz gains its
-	// rebalance_* counters.
+	// workload heat from the network feedback path.
 	OutcomeObserver sim.Observer
 	// TraceSampleEvery samples 1 in N place requests into the /tracez
 	// ring (0 disables self-sampling; requests arriving with a trace ID
@@ -800,12 +797,6 @@ func (d *Daemon) handleVarz(w http.ResponseWriter, r *http.Request) {
 	if d.cfg.Learner != nil {
 		s := d.cfg.Learner.Stats()
 		v.onl = &s
-	}
-	if st, ok := d.cfg.OutcomeObserver.(interface {
-		Stats() rebalance.Stats
-	}); ok {
-		s := st.Stats()
-		v.reb = &s
 	}
 	writeVarz(w, v)
 }

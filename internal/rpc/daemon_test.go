@@ -88,7 +88,7 @@ func TestOutcomeFeedback(t *testing.T) {
 
 // TestOutcomeObserverFeedsHeatTracker attaches a rebalance heat
 // tracker as the daemon's outcome observer: networked /v1/outcome
-// posts must feed it, and /varz must gain the rebalance_* counters.
+// posts must feed it.
 func TestOutcomeObserverFeedsHeatTracker(t *testing.T) {
 	fx := testFixture(t)
 	cfg := testConfig()
@@ -113,18 +113,6 @@ func TestOutcomeObserverFeedsHeatTracker(t *testing.T) {
 	}
 	if heat.Len() == 0 {
 		t.Error("heat tracker holds no workloads after feedback")
-	}
-
-	resp, err := http.Get(d.BaseURL() + wire.PathVarz)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	for _, want := range []string{"rebalance_observations 8", "rebalance_solves 0"} {
-		if !strings.Contains(string(b), want) {
-			t.Errorf("varz missing %q:\n%s", want, b)
-		}
 	}
 }
 

@@ -11,11 +11,11 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/rebalance"
 	"repro/internal/rpc/wire"
 	"repro/internal/serve"
 	"repro/internal/sim"
@@ -472,11 +472,36 @@ func TestHotSwapKeepsShedBudget(t *testing.T) {
 	}
 }
 
+// observed is one outcome as the daemon hands it to its observer.
+type observed struct {
+	job trace.Job
+	o   sim.Outcome
+}
+
+// outcomeLog is an outcome observer that keeps a copy of every job and
+// outcome it is handed, in order.
+type outcomeLog struct {
+	mu  sync.Mutex
+	got []observed
+}
+
+func (l *outcomeLog) Observe(j *trace.Job, o sim.Outcome) {
+	l.mu.Lock()
+	l.got = append(l.got, observed{*j, o})
+	l.mu.Unlock()
+}
+
+func (l *outcomeLog) snapshot() []observed {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]observed(nil), l.got...)
+}
+
 // TestOutcomeParity is the feedback half of the transport table. Rows
 // are the two outcome shells as a client reaches them: JSON over HTTP,
 // and frames on a pooled stream session (the binary-codec client against
 // a daemon that advertises them). Each row drives the same place and
-// outcome sequence against its own fresh daemon with a heat tracker
+// outcome sequence against its own fresh daemon with an outcome log
 // attached; everything the feedback touches must come out equal, and the
 // refusals must carry the same codes and cost the same retries.
 func TestOutcomeParity(t *testing.T) {
@@ -496,7 +521,7 @@ func TestOutcomeParity(t *testing.T) {
 
 	type result struct {
 		observations, outcomes int64
-		heat                   []rebalance.WorkloadHeat
+		observed               []observed
 		next                   []wire.Decision
 		shed                   ClientStats
 	}
@@ -511,8 +536,8 @@ func TestOutcomeParity(t *testing.T) {
 	} {
 		t.Run(row.codec, func(t *testing.T) {
 			cfg := testConfig()
-			heat := rebalance.NewHeatTracker(fx.cm, 0)
-			cfg.OutcomeObserver = heat
+			seen := &outcomeLog{}
+			cfg.OutcomeObserver = seen
 			cfg.MaxInFlightOutcome = 2
 			cfg.QueueDeadline = 0
 			d := startDaemon(t, fx.newRegistry(t), cfg)
@@ -545,11 +570,11 @@ func TestOutcomeParity(t *testing.T) {
 			res := result{
 				observations: observations,
 				outcomes:     d.Stats().OutcomeRequests,
-				heat:         heat.Snapshot(jobs[len(jobs)-1].ArrivalSec),
+				observed:     seen.snapshot(),
 				next:         next,
 			}
-			if res.outcomes != int64(len(jobs)) || heat.Stats().Observations != res.outcomes || res.observations != res.outcomes {
-				t.Errorf("daemon counted %d outcomes, its controllers %d and the tracker %d, want %d", res.outcomes, res.observations, heat.Stats().Observations, len(jobs))
+			if res.outcomes != int64(len(jobs)) || int64(len(res.observed)) != res.outcomes || res.observations != res.outcomes {
+				t.Errorf("daemon counted %d outcomes, its controllers %d and the log %d, want %d", res.outcomes, res.observations, len(res.observed), len(jobs))
 			}
 
 			// A request that is itself wrong. Through the public API it is a
@@ -610,8 +635,8 @@ func TestOutcomeParity(t *testing.T) {
 					t.Errorf("raw %s moved the counters %+v -> %+v, want one more bad request only", name, st, now)
 				}
 			}
-			if got := heat.Stats().Observations; got != res.outcomes {
-				t.Errorf("the tracker saw %d outcomes, %d before the refusals", got, res.outcomes)
+			if got := len(seen.snapshot()); int64(got) != res.outcomes {
+				t.Errorf("the log saw %d outcomes, %d before the refusals", got, res.outcomes)
 			}
 
 			// Saturated admission: every attempt sheds, the retry budget is
@@ -659,8 +684,8 @@ func TestOutcomeParity(t *testing.T) {
 	if a.observations != b.observations || a.outcomes != b.outcomes {
 		t.Errorf("json and frames disagree: %d/%d observations, %d/%d outcome requests", a.observations, b.observations, a.outcomes, b.outcomes)
 	}
-	if !reflect.DeepEqual(a.heat, b.heat) {
-		t.Errorf("heat trackers disagree:\njson   %+v\nframes %+v", a.heat, b.heat)
+	if !reflect.DeepEqual(a.observed, b.observed) {
+		t.Errorf("outcome logs disagree:\njson   %+v\nframes %+v", a.observed, b.observed)
 	}
 	if !reflect.DeepEqual(a.next, b.next) {
 		t.Error("the place batch after the feedback was decided differently: the controllers saw different outcomes")

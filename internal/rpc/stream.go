@@ -51,11 +51,6 @@ type StreamSession struct {
 	deadOnUse bool
 }
 
-// Broken reports whether the session was poisoned by a transport or
-// protocol failure (as opposed to a caller Close). A broken session's
-// batches must be rerouted or resent on a fresh session.
-func (s *StreamSession) Broken() bool { return s.broken }
-
 // OpenStream dials the daemon and upgrades the connection to the
 // binary streaming mode, fetching the bin schema first if the client
 // has none. It fails if the fetch does (streaming has no JSON fallback —

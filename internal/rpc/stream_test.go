@@ -151,8 +151,8 @@ func TestStreamDaemonDeathMidFrame(t *testing.T) {
 	if !errors.Is(err, ErrStreamBroken) {
 		t.Fatalf("mid-frame kill surfaced %v, want ErrStreamBroken", err)
 	}
-	if !s.Broken() {
-		t.Error("session does not report Broken after a mid-frame kill")
+	if !s.broken {
+		t.Error("session is not marked broken after a mid-frame kill")
 	}
 	// The poisoned session stays typed so routers can keep matching it.
 	if _, err := s.Place(context.Background(), fx.jobs[:1]); !errors.Is(err, ErrStreamBroken) {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/online"
-	"repro/internal/rebalance"
 	"repro/internal/registry"
 	"repro/internal/rpc/wire"
 )
@@ -43,19 +42,17 @@ type varzData struct {
 	batchLat    obs.HistSnapshot
 	queueDepth  obs.HistSnapshot
 
-	// Optional sections, appended after everything above so the bare
+	// The optional section, appended after everything above so the bare
 	// exposition stays a byte-prefix of the full one.
 	onl *online.Stats
-	reb *rebalance.Stats
 }
 
 // writeVarz renders the daemon's ops page: model identity lines,
 // process metadata, the request counters and their latency histograms,
 // the serving core's counters and histograms with the registry's
-// residency gauges, then (when attached) the online-loop counters and
-// the rebalance counters. The output is deterministic for fixed
-// snapshot values — the golden test pins it, so operators' scrapers can
-// rely on the keys.
+// residency gauges, then (when attached) the online-loop counters. The
+// output is deterministic for fixed snapshot values — the golden test
+// pins it, so operators' scrapers can rely on the keys.
 func writeVarz(w io.Writer, v *varzData) {
 	fmt.Fprintf(w, "placementd_workload %s\n", v.info.Workload)
 	fmt.Fprintf(w, "placementd_model_version %d\n", v.info.ModelVersion)
@@ -77,8 +74,5 @@ func writeVarz(w io.Writer, v *varzData) {
 	obs.WriteVars(w, "registry", v.reg)
 	if v.onl != nil {
 		obs.WriteVars(w, "online", *v.onl)
-	}
-	if v.reb != nil {
-		obs.WriteVars(w, "rebalance", *v.reb)
 	}
 }

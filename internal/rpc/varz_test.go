@@ -9,7 +9,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/online"
-	"repro/internal/rebalance"
 	"repro/internal/registry"
 	"repro/internal/rpc/wire"
 )
@@ -64,14 +63,6 @@ func TestVarzGolden(t *testing.T) {
 		MaxRetrainLatency:  1900 * time.Millisecond,
 	}
 
-	rebSnap := rebalance.Stats{
-		Observations: 512000,
-		Solves:       12,
-		Workloads:    96,
-		Planned:      80,
-		Demotions:    1400,
-		Evictions:    230,
-	}
 	proc := obs.ProcSnapshot{
 		UptimeSec:      86400,
 		GoVersion:      "go1.22.0",
@@ -106,17 +97,16 @@ func TestVarzGolden(t *testing.T) {
 		batchLat:    histOf(800_000, 950_000, 1_800_000),
 		queueDepth:  histOf(0, 0, 1, 3, 17),
 		onl:         &onlSnap,
-		reb:         &rebSnap,
 	}
 
 	var b bytes.Buffer
 	writeVarz(&b, v)
 	golden.Check(t, "testdata/varz.golden", b.Bytes())
 
-	// Without a learner or rebalancer the optional blocks are absent
-	// but everything above them is byte-identical.
+	// Without a learner the optional block is absent but everything
+	// above it is byte-identical.
 	bareData := *v
-	bareData.onl, bareData.reb = nil, nil
+	bareData.onl = nil
 	var bare bytes.Buffer
 	writeVarz(&bare, &bareData)
 	if !bytes.HasPrefix(b.Bytes(), bare.Bytes()) {

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -72,11 +73,14 @@ func serveLayer(shards int) func(*testing.T, *Spec, *env) (online.Placer, func()
 	}
 }
 
-// startDaemon serves the env's model from an in-process daemon on a
-// loopback port.
-func startDaemon(t *testing.T, spec *Spec, e *env) *rpc.Daemon {
+// startDaemon serves reg's model for the scenario's workload from an
+// in-process daemon on a loopback port. A non-nil learner sits behind
+// the daemon's /v1/outcome.
+func startDaemon(t *testing.T, spec *Spec, e *env, reg *registry.Registry, learner *online.Learner) *rpc.Daemon {
 	t.Helper()
-	d, err := rpc.NewDaemon(publish(t, spec, e), spec.Name, e.cm, rpc.DefaultConfig(e.model.NumCategories()))
+	dcfg := rpc.DefaultConfig(e.model.NumCategories())
+	dcfg.Learner = learner
+	d, err := rpc.NewDaemon(reg, spec.Name, e.cm, dcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,18 +99,99 @@ func shutdown(t *testing.T, d *rpc.Daemon) {
 	}
 }
 
+// dial opens a client on codec to d; stop closes it and drains d.
+func dial(t *testing.T, d *rpc.Daemon, codec string) (c *rpc.Client, stop func()) {
+	t.Helper()
+	ccfg := rpc.DefaultClientConfig(d.BaseURL())
+	ccfg.Codec = codec
+	c, err := rpc.NewClient(ccfg)
+	if err != nil {
+		shutdown(t, d)
+		t.Fatal(err)
+	}
+	return c, func() { c.Close(); shutdown(t, d) }
+}
+
 func clientLayer(codec string) func(*testing.T, *Spec, *env) (online.Placer, func()) {
 	return func(t *testing.T, spec *Spec, e *env) (online.Placer, func()) {
-		d := startDaemon(t, spec, e)
-		ccfg := rpc.DefaultClientConfig(d.BaseURL())
-		ccfg.Codec = codec
-		c, err := rpc.NewClient(ccfg)
-		if err != nil {
-			shutdown(t, d)
-			t.Fatal(err)
-		}
-		return c, func() { c.Close(); shutdown(t, d) }
+		return dial(t, startDaemon(t, spec, e, publish(t, spec, e), nil), codec)
 	}
+}
+
+// onlineLayers are the closed-loop legs: a client on each codec to an
+// in-process daemon whose learner sits behind /v1/outcome and publishes
+// into the daemon's own registry, as placementd -online runs it.
+var onlineLayers = []struct{ name, codec string }{
+	{"rpc-binary-online", rpc.CodecBinary},
+	{"rpc-json-online", rpc.CodecJSON},
+}
+
+// newLearner builds the scenario's learner on reg, from the spec's
+// onlineConfig as runOnline does, and returns it with the list its
+// retrain events are appended to.
+func newLearner(t *testing.T, spec *Spec, e *env, reg *registry.Registry) (*online.Learner, *eventLog) {
+	t.Helper()
+	events := &eventLog{}
+	lcfg := spec.onlineConfig()
+	lcfg.OnEvent = events.add
+	learner, err := online.New(reg, spec.Name, e.cm, lcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return learner, events
+}
+
+// eventLog collects a learner's retrain events; on a daemon they arrive
+// on its handler goroutines.
+type eventLog struct {
+	mu     sync.Mutex
+	events []online.Event
+}
+
+func (l *eventLog) add(ev online.Event) {
+	l.mu.Lock()
+	l.events = append(l.events, ev)
+	l.mu.Unlock()
+}
+
+func (l *eventLog) list() []online.Event {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]online.Event(nil), l.events...)
+}
+
+// localOnline is runOnline's in-process loop: the served model, its
+// controllers and a synchronous learner fed by the replay itself.
+func localOnline(t *testing.T, spec *Spec, e *env, cfg sim.Config) (*sim.Result, []online.Event) {
+	t.Helper()
+	reg, srv, err := newServer(spec, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	learner, events := newLearner(t, spec, e, reg)
+	defer learner.Close()
+	res, err := online.RunLoop(e.test, online.Local(srv), learner, e.cm, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, events.list()
+}
+
+// daemonOnline replays the same loop through a client on codec, with
+// the learner behind the daemon: the replay itself feeds no learner.
+func daemonOnline(t *testing.T, spec *Spec, e *env, cfg sim.Config, codec string) (*sim.Result, []online.Event) {
+	t.Helper()
+	reg := publish(t, spec, e)
+	learner, events := newLearner(t, spec, e, reg)
+	defer learner.Close()
+	c, stop := dial(t, startDaemon(t, spec, e, reg, learner), codec)
+	res, err := online.RunLoop(e.test, c, nil, e.cm, cfg)
+	stop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, events.list()
 }
 
 func routerLayer(nodes int) func(*testing.T, *Spec, *env) (online.Placer, func()) {
@@ -173,8 +258,12 @@ func (s *split) Observe(j *trace.Job, o sim.Outcome)           { s.owner(j).Obse
 // The shard count is a throughput setting, the codec and the router a
 // transport; a decision that moved with any of them would fail here. A
 // multi-node leg runs twice, on two planes with other ports, because
-// ownership must follow the node names and nothing else. Every
-// goroutine a layer starts is gone once the table has run.
+// ownership must follow the node names and nothing else. The online
+// legs hold a daemon with its learner behind /v1/outcome to runOnline's
+// in-process loop: the same decisions, TCO and TCIO, and the same
+// retrain events, so the learner sees over the wire what it sees in
+// process. Every goroutine a layer starts is gone once the table has
+// run.
 func TestServeMatchesSim(t *testing.T) {
 	pkgs, err := Discover(repoScenarios)
 	if err != nil {
@@ -226,6 +315,14 @@ func TestServeMatchesSim(t *testing.T) {
 					}
 				})
 			}
+			wantOnline, wantEvents := localOnline(t, spec, e, cfg)
+			for _, l := range onlineLayers {
+				t.Run(l.name, func(t *testing.T) {
+					got, events := daemonOnline(t, spec, e, cfg, l.codec)
+					sameDecisions(t, got, wantOnline)
+					sameEvents(t, events, wantEvents)
+				})
+			}
 		})
 	}
 	waitGoroutines(t, before)
@@ -258,6 +355,27 @@ func sameDecisions(t *testing.T, got, want *sim.Result) {
 	if got.TCOSavingsPercent() != want.TCOSavingsPercent() || got.TCIOSavingsPercent() != want.TCIOSavingsPercent() {
 		t.Errorf("TCO %v%% TCIO %v%%, sim %v%% %v%%",
 			got.TCOSavingsPercent(), got.TCIOSavingsPercent(), want.TCOSavingsPercent(), want.TCIOSavingsPercent())
+	}
+}
+
+// sameEvents fails unless got lists the retrains want does: the same
+// virtual time, trigger, window sizes, shadow scores, verdict and
+// published version, or the same error. Only the wall-clock latency
+// may differ.
+func sameEvents(t *testing.T, got, want []online.Event) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d retrains, in-process loop %d:\n%+v\n%+v", len(got), len(want), got, want)
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if (g.Err == nil) != (w.Err == nil) || g.Err != nil && g.Err.Error() != w.Err.Error() {
+			t.Errorf("retrain %d: error %v, in-process loop %v", i, g.Err, w.Err)
+		}
+		g.Err, w.Err, g.Latency, w.Latency = nil, nil, 0, 0
+		if g != w {
+			t.Errorf("retrain %d: %+v, in-process loop %+v", i, g, w)
+		}
 	}
 }
 

@@ -44,14 +44,6 @@ type Stats struct {
 	WallMs float64 `json:"wall_ms"`
 }
 
-// Deterministic returns a copy with the wall-clock-derived fields
-// zeroed: the part of Stats that must be identical across runs and
-// worker counts.
-func (s Stats) Deterministic() Stats {
-	s.JobsPerSec, s.P99Ms, s.WallMs = 0, 0, 0
-	return s
-}
-
 // RunResult is one executed scenario: the deterministic rendered
 // report plus the measured stats.
 type RunResult struct {

@@ -14,6 +14,14 @@ const repoScenarios = "../../scenarios"
 // seam; full runs take the whole corpus.
 var shortSubset = regexp.MustCompile(`^(diurnal-burst|log-ingest)$`)
 
+// Deterministic returns a copy with the wall-clock-derived fields
+// zeroed: the part of Stats that must be identical across runs and
+// worker counts.
+func (s Stats) Deterministic() Stats {
+	s.JobsPerSec, s.P99Ms, s.WallMs = 0, 0, 0
+	return s
+}
+
 // TestAllSpecsParse asserts the checked-in corpus is wholly loadable:
 // every scenarios/*/scenario.json parses and validates, the suite is
 // at least six scenarios strong, and all five pipeline seams appear.

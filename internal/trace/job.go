@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"time"
 )
 
@@ -290,18 +289,4 @@ func (t *Trace) SplitAt(cut float64) (train, test *Trace) {
 		test.Jobs = nil
 	}
 	return train, test
-}
-
-// Users returns the distinct users in the trace, sorted.
-func (t *Trace) Users() []string {
-	set := map[string]bool{}
-	for _, j := range t.Jobs {
-		set[j.User] = true
-	}
-	out := make([]string, 0, len(set))
-	for u := range set {
-		out = append(out, u)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -3,8 +3,23 @@ package trace
 import (
 	"bytes"
 	"math"
+	"sort"
 	"testing"
 )
+
+// Users returns the distinct users in the trace, sorted.
+func (t *Trace) Users() []string {
+	set := map[string]bool{}
+	for _, j := range t.Jobs {
+		set[j.User] = true
+	}
+	out := make([]string, 0, len(set))
+	for u := range set {
+		out = append(out, u)
+	}
+	sort.Strings(out)
+	return out
+}
 
 func testJob(id string, arrival, lifetime, size float64) *Job {
 	return &Job{
