@@ -61,8 +61,8 @@ type WorkloadHeat struct {
 	LastSec float64
 }
 
-// Stats is a point-in-time copy of the rebalancer's counters, in /varz
-// order (obs.WriteVars).
+// Stats is a point-in-time copy of the rebalancer's counters, in
+// obs.WriteVars order; byom.RebalanceStats exposes it.
 type Stats struct {
 	// Observations counts outcomes folded into the heat tracker.
 	Observations int64 `varz:"observations"`

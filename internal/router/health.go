@@ -8,11 +8,17 @@ import (
 	"repro/internal/rpc/wire"
 )
 
-// probeLoop is the router's health prober: every ProbeInterval it hits
-// each node's /healthz and folds the answer — plus the node's observed
-// shed rate — into the routing weight.
+// probeLoop is the router's health prober: every ProbeInterval it folds
+// each node's health — plus its observed shed rate — into the routing
+// weight. Traffic is the health check: a healthy node that answered a
+// dispatch or an outcome since the last round counts as a successful
+// probe without a GET, so only nodes that are down or were quiet for a
+// whole round are sent /healthz. A busy node that starts draining keeps
+// answering on its open sessions until the drain expires them; the next
+// dispatch there then fails over, and from then on the node is down and
+// probed, and its 503 keeps it out.
 //
-// Weight dynamics:
+// Weight dynamics, applied every round whether or not a GET went out:
 //
 //   - Probe failure (or non-200, e.g. 503 while draining): the node is
 //     marked down; no traffic routes to it until a probe succeeds.
@@ -53,8 +59,16 @@ func (r *Router) probeLoop() {
 // probeAll runs one probe round over nodes.
 func (r *Router) probeAll(hc *http.Client, nodes []*node) {
 	for _, n := range nodes {
-		ok := probeHealthz(hc, n.url)
-		r.counters.probes.Add(1)
+		answers := n.answers.Load()
+		n.mu.Lock()
+		answered := n.healthy && answers != n.lastAnswers
+		n.lastAnswers = answers
+		n.mu.Unlock()
+		ok := answered
+		if !answered {
+			ok = probeHealthz(hc, n.url)
+			r.counters.probes.Add(1)
+		}
 		sheds := n.client.Stats().Sheds
 		n.mu.Lock()
 		wasHealthy := n.healthy
@@ -64,6 +78,9 @@ func (r *Router) probeAll(hc *http.Client, nodes []*node) {
 		case !ok:
 			n.healthy = false
 			r.counters.probeFailures.Add(1)
+		case !wasHealthy && answered:
+			// A failed dispatch downed the node after its answers were
+			// counted: it stays down until a GET brings it back.
 		case !wasHealthy:
 			// Recovery: back in rotation at reduced weight.
 			n.healthy = true

@@ -40,8 +40,9 @@ type Config struct {
 	// same names agree on ownership wherever the nodes listen; an entry
 	// without one is its own name. Required, at least one.
 	Nodes []string
-	// ProbeInterval is the /healthz probing cadence (default 250 ms),
-	// and it bounds one probe round trip too.
+	// ProbeInterval is the health round's cadence (default 250 ms), and
+	// it bounds one probe round trip too. A round sends /healthz only
+	// to nodes that are down or answered no traffic since the last one.
 	ProbeInterval time.Duration
 	// MaxReroutes bounds how many times one batch may be re-dispatched
 	// after node failures before the remainder fails (default 2).
@@ -109,12 +110,17 @@ type node struct {
 	// to this node (nanoseconds, including client retries). Lock-free —
 	// recorded outside n.mu from the dispatch goroutines.
 	dispatchLat obs.Histogram
+	// answers counts the dispatches and outcomes the node answered
+	// without error. A probe round sends no GET to a healthy node
+	// whose count moved since the round before.
+	answers atomic.Int64
 
-	mu        sync.Mutex
-	healthy   bool
-	weight    float64 // routing weight in [0.05, 1]; decays under shed
-	lastSheds int64   // client shed count at the previous probe
-	inflight  int64   // jobs dispatched and not yet answered
+	mu          sync.Mutex
+	healthy     bool
+	weight      float64 // routing weight in [0.05, 1]; decays under shed
+	lastSheds   int64   // client shed count at the previous probe
+	lastAnswers int64   // answers at the previous probe round
+	inflight    int64   // jobs dispatched and not yet answered
 }
 
 // NodeState is one node's health as the router sees it (for /varz and
@@ -144,8 +150,9 @@ type Stats struct {
 	Reroutes  int64 `varz:"reroutes"`
 	Failovers int64 `varz:"failovers"`
 	Failures  int64 `varz:"failures"`
-	// Probes counts health-probe round trips and ProbeFailures the
-	// failed ones; WeightDecays counts shed-aware weight decays.
+	// Probes counts the /healthz GETs sent (a node that answered
+	// traffic since the last round is not sent one) and ProbeFailures
+	// the failed ones; WeightDecays counts shed-aware weight decays.
 	Probes        int64 `varz:"probes"`
 	ProbeFailures int64 `varz:"probe_failures"`
 	WeightDecays  int64 `varz:"weight_decays"`
@@ -427,6 +434,7 @@ func (r *Router) Observe(ctx context.Context, j *trace.Job, category int, o sim.
 		}
 		err = n.client.Observe(ctx, j, category, o)
 		if err == nil {
+			n.answers.Add(1)
 			r.counters.outcomes.Add(1)
 			return nil
 		}
@@ -665,6 +673,7 @@ func (r *Router) send(ctx context.Context, jobs []*trace.Job, out []wire.Decisio
 	}
 	n.mu.Unlock()
 	if nb.err == nil {
+		n.answers.Add(1)
 		for i, idx := range nb.indices {
 			out[idx] = nb.ds[i]
 		}
