@@ -27,9 +27,10 @@
 // batched inference and registry-driven hot swap, NewOnlineLearner
 // closes the loop by retraining on served outcomes and publishing
 // gate-approved candidates back to the registry, and NewDaemon/
-// NewClient put that serving stack behind a JSON-over-HTTP wire
-// protocol with admission control and an ops plane (see
-// docs/ARCHITECTURE.md for the full data flow).
+// NewClient put that serving stack behind a wire protocol — JSON over
+// HTTP, and binary place and outcome frames on /v1/stream sessions —
+// with admission control and an ops plane (see docs/ARCHITECTURE.md for
+// the full data flow).
 package byom
 
 import (
@@ -158,9 +159,9 @@ type (
 	RebalanceStats = rebalance.Stats
 
 	// Daemon is the network-facing placement service: the serving
-	// layer behind a JSON-over-HTTP wire protocol with per-endpoint
-	// admission control, graceful drain and a /healthz + /varz ops
-	// plane.
+	// layer behind JSON over HTTP and binary frames on /v1/stream
+	// sessions, with per-endpoint admission control, graceful drain and
+	// a /healthz + /varz + /tracez ops plane.
 	Daemon = rpc.Daemon
 	// DaemonConfig tunes the daemon (serving core, in-flight limits,
 	// queue deadline, batch/body caps, optional attached learner).
@@ -184,8 +185,10 @@ type (
 	// template, with health probing, shed-aware weight decay and
 	// reroute-on-failure.
 	Router = router.Router
-	// RouterConfig tunes the routing layer (ring geometry, bound
-	// factor, probe cadence, per-node client template).
+	// RouterConfig tunes the routing layer (nodes, probe cadence,
+	// reroute budget, per-node client template). The ring's geometry
+	// and load bound are fixed, so routers over the same node names
+	// agree on ownership.
 	RouterConfig = router.Config
 	// RouterNodeState is one backend's health as the router sees it.
 	RouterNodeState = router.NodeState
@@ -291,8 +294,9 @@ func DefaultDaemonConfig(numCategories int) DaemonConfig {
 }
 
 // NewDaemon builds the placement daemon serving the workload's active
-// model from reg over the JSON-over-HTTP wire protocol (POST
-// /v1/place, POST /v1/outcome, GET /v1/model, /healthz, /varz).
+// model from reg over the wire protocol (POST /v1/place, POST
+// /v1/outcome, GET /v1/model, the /v1/stream frame sessions, /healthz,
+// /varz, /tracez).
 // Start it with (*Daemon).Start and stop it with (*Daemon).Shutdown;
 // registry publishes hot-swap the model under live network load.
 func NewDaemon(reg *ModelRegistry, workload string, cm *CostModel, cfg DaemonConfig) (*Daemon, error) {
@@ -319,8 +323,9 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 
 // DefaultRouterConfig returns routing-layer parameters for a plane of
 // daemons at the given base URLs, each optionally "name=URL" to own
-// templates by name: 64 virtual nodes per backend, a 1.25 bounded-load
-// factor, 250 ms health probes and binary-codec clients.
+// templates by name: 250 ms health probes, 2 reroutes and binary-codec
+// clients. The ring (64 virtual nodes per backend, a 1.25 bounded-load
+// factor) is not a parameter.
 func DefaultRouterConfig(nodes []string) RouterConfig {
 	return router.DefaultConfig(nodes)
 }

@@ -32,11 +32,9 @@ type TrainOptions struct {
 // when many models train concurrently (per-cluster or per-category
 // retrain fleets).
 func DefaultTrainOptions() TrainOptions {
-	cfg := gbdt.DefaultConfig()
-	cfg.MaxDepth = 6
 	return TrainOptions{
 		NumCategories: 15,
-		GBDT:          cfg,
+		GBDT:          gbdt.DefaultConfig(),
 	}
 }
 

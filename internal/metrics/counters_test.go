@@ -2,80 +2,19 @@ package metrics
 
 import (
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
 )
 
-func TestShardCountersSnapshot(t *testing.T) {
-	var c ShardCounters
-	c.RecordDecision(true, 10*time.Microsecond)
-	c.RecordDecision(false, 30*time.Microsecond)
-	c.RecordDecision(true, 20*time.Microsecond)
-	c.RecordObservation()
-	c.RecordBatch(FlushFull)
-	c.RecordBatch(FlushTimeout)
-	c.RecordBatch(FlushDrain)
-
-	s := c.Snapshot()
-	if s.Submitted != 3 || s.Admitted != 2 || s.Observations != 1 {
-		t.Fatalf("bad counts: %+v", s)
-	}
-	if s.Batches != 3 || s.FullFlushes != 1 || s.TimeoutFlushes != 1 || s.DrainFlushes != 1 {
-		t.Fatalf("bad batch counts: %+v", s)
-	}
-	if s.MeanLatency != 20*time.Microsecond {
-		t.Fatalf("mean latency %s, want 20us", s.MeanLatency)
-	}
-	if s.MaxLatency != 30*time.Microsecond {
-		t.Fatalf("max latency %s, want 30us", s.MaxLatency)
-	}
-	if s.MeanBatchSize != 1.0 {
-		t.Fatalf("mean batch size %g, want 1.0", s.MeanBatchSize)
-	}
-}
-
-func TestShardCountersZeroSnapshot(t *testing.T) {
-	var c ShardCounters
-	s := c.Snapshot()
-	if s.MeanLatency != 0 || s.MeanBatchSize != 0 || s.Submitted != 0 {
-		t.Fatalf("zero counters gave %+v", s)
-	}
-}
-
-func TestShardCountersConcurrent(t *testing.T) {
-	var c ShardCounters
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				c.RecordDecision(i%2 == 0, time.Duration(i)*time.Nanosecond)
-			}
-		}()
-	}
-	wg.Wait()
-	s := c.Snapshot()
-	if s.Submitted != 4000 || s.Admitted != 2000 {
-		t.Fatalf("lost updates: %+v", s)
-	}
-	if s.MaxLatency != 499*time.Nanosecond {
-		t.Fatalf("max latency %s, want 499ns", s.MaxLatency)
-	}
-}
-
 func TestMerge(t *testing.T) {
-	var a, b ShardCounters
-	a.RecordDecision(true, 10*time.Microsecond)
-	a.RecordBatch(FlushFull)
-	b.RecordDecision(false, 30*time.Microsecond)
-	b.RecordDecision(false, 50*time.Microsecond)
-	b.RecordBatch(FlushTimeout)
+	a := ShardSnapshot{Submitted: 1, Admitted: 1, Batches: 1, FullFlushes: 1,
+		MeanLatency: 10 * time.Microsecond, MaxLatency: 10 * time.Microsecond}
+	b := ShardSnapshot{Submitted: 2, Batches: 1, TimeoutFlushes: 1,
+		MeanLatency: 40 * time.Microsecond, MaxLatency: 50 * time.Microsecond}
 
-	m := Merge([]ShardSnapshot{a.Snapshot(), b.Snapshot()})
+	m := Merge([]ShardSnapshot{a, b})
 	if m.Submitted != 3 || m.Admitted != 1 || m.Batches != 2 {
 		t.Fatalf("bad merged counts: %+v", m)
 	}

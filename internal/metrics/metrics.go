@@ -1,7 +1,8 @@
 // Package metrics provides small statistical helpers shared by the
 // simulator, the model-analysis experiments and the benchmark harness —
-// mean, quantiles, AUC and Pearson correlation — and the serving core's
-// per-shard counters.
+// mean, quantiles, AUC and Pearson correlation — and the snapshot type of
+// the serving core's counters. The counters themselves are plain fields
+// of serve.Server, guarded by the lock its controller is already under.
 package metrics
 
 import (

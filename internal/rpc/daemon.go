@@ -702,7 +702,7 @@ func (d *Daemon) serveOutcome(v *wire.OutcomeView, traceID uint64, start time.Ti
 		return wire.ErrCodeBadRequest, err.Error()
 	}
 	o := v.Outcome.Sim()
-	if err := d.srv.ObserveHashed(v.Hash, v.Job, o); err != nil {
+	if err := d.srv.Observe(v.Job, o); err != nil {
 		return wire.ErrCodeServer, err.Error()
 	}
 	if d.cfg.Learner != nil || d.cfg.OutcomeObserver != nil {

@@ -11,13 +11,12 @@ import (
 // Outcome frames: the feedback direction of the stream protocol. The
 // package doc has the payload layout. Encoding appends into the caller's
 // scratch. There is one decoder, DecodeOutcomeView, and it decodes in
-// place: numerics into a caller-owned trace.Job, the template hash from
-// the pipeline and step bytes where they lie, the ten strings left in
-// the payload, no allocation. Nothing in the serving core keeps a job
-// once serve.Observe returns, so that is all the daemon needs unless a
-// learner or an outcome observer is attached; those keep jobs, and get
-// OutcomeView.Own's: the job and one string the ten fields are
-// substrings of, allocated then and only then.
+// place: numerics into a caller-owned trace.Job, the ten strings left in
+// the payload, no allocation. The serving core reads no string of a job
+// and keeps none once serve.Observe returns, so that is all the daemon
+// needs unless a learner or an outcome observer is attached; those keep
+// jobs, and get OutcomeView.Own's: the job and one string the ten fields
+// are substrings of, allocated then and only then.
 
 // outcomeFlagTraceID marks an outcome payload whose flags are followed
 // by a u64 trace ID.
@@ -112,13 +111,6 @@ func (r *fixedReader) f64() float64 { return math.Float64frombits(r.u64()) }
 func (r *fixedReader) i64() int64   { return int64(r.u64()) }
 func (r *fixedReader) int() int     { return int(r.i64()) }
 
-// Field order of the ten strings in an outcome payload.
-const (
-	outcomeStrID       = 0
-	outcomeStrPipeline = 3
-	outcomeStrStep     = 4
-)
-
 // OutcomeView is an outcome request as the daemon's pipeline reads it:
 // enough to validate the request and feed the controller without
 // owning the job. DecodeOutcomeView fills one in place from a frame
@@ -127,9 +119,6 @@ const (
 type OutcomeView struct {
 	Category int
 	Outcome  Outcome
-	// Hash is serve.TemplateHash of the job: the shard, and on a plane
-	// the node, whose controller admitted it.
-	Hash uint32
 	// Job holds the job's numeric fields. After DecodeOutcomeView it is
 	// the caller's scratch job and its strings are empty — they stay in
 	// the payload, which the view borrows until the caller reads its next
@@ -142,21 +131,7 @@ type OutcomeView struct {
 
 // View is the pipeline's form of a request whose job is already owned.
 func (r *OutcomeRequest) View() OutcomeView {
-	v := OutcomeView{Category: r.Category, Outcome: r.Outcome, Job: r.Job}
-	if r.Job != nil {
-		v.Hash = trace.TemplateHash(r.Job.Pipeline, r.Job.Step)
-	}
-	return v
-}
-
-// str returns string field i of a borrowed view, as it lies in the
-// payload.
-func (v *OutcomeView) str(i int) []byte {
-	off := 0
-	for k := 0; k < i; k++ {
-		off += int(binary.LittleEndian.Uint32(v.lens[4*k:]))
-	}
-	return v.blob[off : off+int(binary.LittleEndian.Uint32(v.lens[4*i:]))]
+	return OutcomeView{Category: r.Category, Outcome: r.Outcome, Job: r.Job}
 }
 
 // Validate is OutcomeRequest.Validate for the request in view: the same
@@ -167,7 +142,8 @@ func (v *OutcomeView) str(i int) []byte {
 // the second.
 func (v *OutcomeView) Validate() error {
 	req := OutcomeRequest{Job: v.Job, Outcome: v.Outcome}
-	if v.lens != nil && len(v.str(outcomeStrID)) > 0 {
+	// The job's ID is the first of a borrowed view's ten strings.
+	if v.lens != nil && binary.LittleEndian.Uint32(v.lens) > 0 {
 		v.Job.ID = "?"
 		err := req.Validate()
 		v.Job.ID = ""
@@ -201,8 +177,7 @@ func (v *OutcomeView) Own() *trace.Job {
 // DecodeOutcomeView parses an outcome-request payload in place and
 // returns the trace ID it carried (0 for none). It allocates nothing:
 // the numeric fields go into job, which becomes v.Job with its strings
-// cleared; the template hash is computed from the pipeline and step bytes
-// where they lie; the strings stay in payload, which v borrows. Every
+// cleared; the strings stay in payload, which v borrows. Every
 // declared length is checked against the payload before anything is
 // read through it. On error v and job are untouched.
 func DecodeOutcomeView(payload []byte, job *trace.Job, v *OutcomeView) (uint64, error) {
@@ -253,6 +228,5 @@ func DecodeOutcomeView(payload []byte, job *trace.Job, v *OutcomeView) (uint64, 
 		RecordsWritten: r.i64(), RequestedNumShards: r.int(),
 	}
 	job.History = trace.History{AvgTCIO: r.f64(), AvgSizeBytes: r.f64(), AvgLifetime: r.f64(), AvgIODensity: r.f64(), NumRuns: r.int()}
-	v.Hash = trace.TemplateHash(v.str(outcomeStrPipeline), v.str(outcomeStrStep))
 	return traceID, nil
 }

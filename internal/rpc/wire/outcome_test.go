@@ -3,14 +3,11 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
-	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
-	"repro/internal/serve"
 	"repro/internal/trace"
 )
 
@@ -296,8 +293,7 @@ func errString(err error) string {
 
 // checkDecodeInPlace holds DecodeOutcomeView, and Own after it, to the
 // reference decoder on one payload: the same refusal, or the same trace
-// ID and a deeply equal request; a hash that is serve.TemplateHash of
-// the job the reference decoded; Validate's verdict, word for word; a
+// ID and a deeply equal request; Validate's verdict, word for word; a
 // scratch job left with no string; and an owned job that survives the
 // payload being overwritten.
 func checkDecodeInPlace(t *testing.T, payload []byte) {
@@ -324,9 +320,6 @@ func checkDecodeInPlace(t *testing.T, payload []byte) {
 	if view.Job != &scratch {
 		t.Fatal("the view's job is not the caller's scratch job")
 	}
-	if view.Hash != serve.TemplateHash(want.Job) {
-		t.Fatalf("hash %#x from the payload bytes, serve.TemplateHash(%q, %q) = %#x", view.Hash, want.Job.Pipeline, want.Job.Step, serve.TemplateHash(want.Job))
-	}
 	if got, ref := errString(view.Validate()), errString(want.Validate()); got != ref {
 		t.Fatalf("the view validates as %q, the owned request as %q", got, ref)
 	}
@@ -346,67 +339,10 @@ func checkDecodeInPlace(t *testing.T, payload []byte) {
 		t.Fatalf("decode in place + own\n%+v\n%+v\nthe reference\n%+v\n%+v", got, *got.Job, want, *want.Job)
 	}
 	// A view of the owned request is the JSON shell's form of the same
-	// thing: same hash, same verdict, and Own hands the job itself back.
+	// thing: same verdict, and Own hands the job itself back.
 	owned := want.View()
-	if owned.Hash != view.Hash || owned.Own() != want.Job || errString(owned.Validate()) != errString(want.Validate()) {
-		t.Fatalf("view of the owned request: hash %#x (in place %#x), own %p (job %p), validate %v", owned.Hash, view.Hash, owned.Own(), want.Job, owned.Validate())
-	}
-}
-
-// TestTemplateHashFromPayloadBytes is the one-hash-two-spellings
-// property: over pipeline and step bytes of every awkward kind — empty,
-// holding the '/' the key joins them with, not UTF-8 — the hash the
-// decoder takes from the payload is serve.TemplateHash of the job, and
-// both are FNV-1a of the TemplateKey, which is the definition.
-func TestTemplateHashFromPayloadBytes(t *testing.T) {
-	rng := rand.New(rand.NewSource(20))
-	pieces := []string{"", "/", "a/b", "a", "/b", "\xff\xfe", "\x00", "pipe\xc3", "\xe2\x82", "日本/語", strings.Repeat("x/", 300)}
-	random := func() string {
-		b := make([]byte, rng.Intn(24))
-		for i := range b {
-			b[i] = byte(rng.Intn(256))
-			if rng.Intn(6) == 0 {
-				b[i] = '/'
-			}
-		}
-		return string(b)
-	}
-	check := func(pipeline, step string) {
-		t.Helper()
-		req := OutcomeRequest{Job: outcomeJob(), Outcome: Outcome{FracOnSSD: 1}}
-		req.Job.Pipeline, req.Job.Step = pipeline, step
-		// Neighbours that would be hashed by an off-by-one field index.
-		req.Job.User, req.Job.Meta.BuildTargetName = "user/"+step, pipeline+"/target"
-		frame, err := AppendOutcomeFrame(nil, 0, &req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var (
-			job  trace.Job
-			view OutcomeView
-		)
-		if _, err := DecodeOutcomeView(frame[HeaderSize:], &job, &view); err != nil {
-			t.Fatal(err)
-		}
-		h := fnv.New32a()
-		h.Write([]byte(req.Job.TemplateKey()))
-		if want := h.Sum32(); view.Hash != want || serve.TemplateHash(req.Job) != want || trace.TemplateHash([]byte(pipeline), []byte(step)) != want {
-			t.Errorf("pipeline %q step %q: payload bytes %#x, serve.TemplateHash %#x, FNV-1a of the key %#x",
-				pipeline, step, view.Hash, serve.TemplateHash(req.Job), want)
-		}
-	}
-	for _, p := range pieces {
-		for _, s := range pieces {
-			check(p, s)
-		}
-	}
-	for i := 0; i < 2000; i++ {
-		check(random(), random())
-	}
-	// The key is ambiguous where the strings hold a '/', and the hash
-	// inherits that on both spellings alike.
-	if trace.TemplateHash("a/b", "c") != trace.TemplateHash("a", "b/c") {
-		t.Error("hashes of one TemplateKey differ")
+	if owned.Own() != want.Job || errString(owned.Validate()) != errString(want.Validate()) {
+		t.Fatalf("view of the owned request: own %p (job %p), validate %v", owned.Own(), want.Job, owned.Validate())
 	}
 }
 

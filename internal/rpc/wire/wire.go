@@ -31,7 +31,6 @@
 // daemon's learner keeps the job for retraining and its heat tracker
 // keys on the template, so a digest would not do). The daemon decodes it
 // in place (DecodeOutcomeView: numerics into the session's scratch job,
-// the template hash from the pipeline and step bytes where they lie,
 // the strings left in the frame buffer, no allocation), which is all
 // its serving core needs now that serve.Observe applies an outcome
 // before it returns and keeps nothing; only a daemon with a learner or

@@ -32,8 +32,14 @@
 // to the controller on the caller's goroutine, under the lock the shard
 // workers take once per batch, and returns when it is applied:
 // an observation is never a batch member, never waits behind a forest
-// pass, and the server keeps nothing of the job (so a network shell may
-// hand it a job decoded in place, see ObserveHashed).
+// pass, and the server reads only the job's numeric fields and keeps
+// nothing of it (so a network shell may hand it a job decoded in place,
+// its strings left in the frame).
+//
+// The server's counters live under that same lock: a worker counts its
+// batch's decisions and flush before it unlocks, Observe counts the
+// outcome it applies, and Stats copies them all at once, so a snapshot
+// never tears between fields.
 //
 // The server is the front half of the continuous-learning loop: the
 // same Observe stream that drives Algorithm 1 also feeds the
@@ -223,10 +229,15 @@ type Server struct {
 	// runtime's pool list cannot keep a closed Server reachable.
 	calls *sync.Pool
 	// amu serializes the one controller between shard workers (once per
-	// batch, for its admissions), ObserveHashed callers (once per
-	// outcome) and ACT readers.
+	// batch, for its admissions), Observe callers (once per outcome) and
+	// ACT readers. It also guards the counts, which the same critical
+	// sections update and Stats reads.
 	amu      sync.Mutex
 	adaptive *core.Adaptive
+	// counts holds the raw counters (its derived means stay zero);
+	// latencyNs sums every decision's enqueue-to-decision latency.
+	counts    metrics.ShardSnapshot
+	latencyNs int64
 
 	mu     sync.RWMutex // guards closed vs in-flight submits
 	closed bool
@@ -234,7 +245,7 @@ type Server struct {
 }
 
 // shard is one serving queue: a request queue, its worker, and the
-// worker's counters and histograms.
+// worker's histograms.
 type shard struct {
 	id int
 	// reqs buffers 4 × BatchSize messages: submitters queue a few
@@ -245,8 +256,7 @@ type shard struct {
 	// AND pending is zero, no submitter is in flight, so an under-filled
 	// batch flushes immediately instead of waiting out FlushInterval
 	// (the adaptive low-QPS flush).
-	pending  atomic.Int64
-	counters metrics.ShardCounters
+	pending atomic.Int64
 	// batchLat streams the enqueue-to-decision latency of every batch
 	// message; queueDepth samples the request-queue length once per
 	// processed batch. Both surface on /varz as histogram lines — they
@@ -491,19 +501,11 @@ func (s *Server) WireModel() (*features.Encoder, *features.Binner, int) {
 // applied on the caller's goroutine, under the lock the shard workers
 // decide admissions under, so when Observe returns nil the controller
 // has the outcome — every later Submit is decided with it and Stats
-// counts it —
-// and the server keeps no reference to j. Outcomes should be reported in
-// roughly arrival order, as the simulator does.
+// counts it. j is read for its numeric fields only, so a job decoded in
+// place off the wire need carry no strings, and the server keeps no
+// reference to it. Outcomes should be reported in roughly arrival order,
+// as the simulator does.
 func (s *Server) Observe(j *trace.Job, o sim.Outcome) error {
-	return s.ObserveHashed(TemplateHash(j), j, o)
-}
-
-// ObserveHashed is Observe for a caller that already holds the job's
-// TemplateHash, as SubmitEncoded is SubmitBatch for one that holds the
-// rows: the outcome is counted on shard hash % Shards and j is read for
-// its numeric fields only, so a job decoded in place off the wire need
-// carry no strings.
-func (s *Server) ObserveHashed(hash uint32, j *trace.Job, o sim.Outcome) error {
 	arrival, end, wantedSSD, spilledAt, spillFrac, tcioRate := sim.SpilloverFeedback(j, o, s.cm)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -512,10 +514,8 @@ func (s *Server) ObserveHashed(hash uint32, j *trace.Job, o sim.Outcome) error {
 	}
 	s.amu.Lock()
 	s.adaptive.Observe(arrival, end, wantedSSD, spilledAt, spillFrac, tcioRate)
+	s.counts.Observations++
 	s.amu.Unlock()
-	// Modulo in uint32: int(hash) would go negative on 32-bit platforms
-	// for half of all hashes.
-	s.shards[hash%uint32(len(s.shards))].counters.RecordObservation()
 	return nil
 }
 
@@ -539,13 +539,19 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// Stats returns the server-wide counter snapshot, merged across shards.
+// Stats returns the server-wide counter snapshot: the counts as one
+// consistent copy, MeanLatency per decision and MeanBatchSize per batch.
 func (s *Server) Stats() metrics.ShardSnapshot {
-	snaps := make([]metrics.ShardSnapshot, len(s.shards))
-	for i, sh := range s.shards {
-		snaps[i] = sh.counters.Snapshot()
+	s.amu.Lock()
+	st, latencyNs := s.counts, s.latencyNs
+	s.amu.Unlock()
+	if st.Submitted > 0 {
+		st.MeanLatency = time.Duration(latencyNs / st.Submitted)
 	}
-	return metrics.Merge(snaps)
+	if st.Batches > 0 {
+		st.MeanBatchSize = float64(st.Submitted) / float64(st.Batches)
+	}
+	return st
 }
 
 // BatchLatency returns the merged enqueue-to-decision latency histogram
@@ -591,6 +597,20 @@ type worker struct {
 // placements returns how many placement rows a message contributes.
 func (m *message) placements() int { return int(m.hi - m.lo) }
 
+// flushKind says why a shard batch was closed.
+type flushKind int
+
+const (
+	// flushFull: the batch reached BatchSize.
+	flushFull flushKind = iota
+	// flushTimeout: the max-latency flush timer fired.
+	flushTimeout
+	// flushDrain: the queue drained with no submitter in flight, so the
+	// partial batch was flushed immediately instead of waiting out the
+	// timer (the adaptive low-QPS path).
+	flushDrain
+)
+
 // run is the shard worker loop: single-flight batch accumulation with a
 // max-latency flush, then batched classification and admission. The
 // batch closes when the accumulated placement jobs reach BatchSize (a
@@ -615,7 +635,7 @@ func (s *Server) run(sh *shard) {
 		w.batch = append(w.batch[:0], first)
 		w.jobs = first.placements()
 		timer.Reset(s.cfg.FlushInterval)
-		flush := metrics.FlushFull
+		flush := flushFull
 	accumulate:
 		for w.jobs < s.cfg.BatchSize {
 			// Fast path: drain whatever is already queued.
@@ -635,7 +655,7 @@ func (s *Server) run(sh *shard) {
 				// Queue empty and nobody mid-submit: flushing now
 				// costs no batching opportunity that is actually in
 				// flight.
-				flush = metrics.FlushDrain
+				flush = flushDrain
 				break accumulate
 			}
 			// A submitter has announced itself but its message has not
@@ -650,11 +670,11 @@ func (s *Server) run(sh *shard) {
 				w.batch = append(w.batch, m)
 				w.jobs += m.placements()
 			case <-timer.C:
-				flush = metrics.FlushTimeout
+				flush = flushTimeout
 				break accumulate
 			}
 		}
-		if flush != metrics.FlushTimeout && !timer.Stop() {
+		if flush != flushTimeout && !timer.Stop() {
 			<-timer.C
 		}
 		s.process(sh, w, flush)
@@ -665,11 +685,12 @@ func (s *Server) run(sh *shard) {
 // All placement rows are assembled in the worker's tile — raw jobs
 // encoded and binned, pre-binned rows copied — and classified in one
 // forest batch, then admissions are decided per job on the server's
-// controller, written straight into the submitter's out. Pre-binned
-// ranges pinned to a stale model version are rejected here (flagged for
-// the submitter, no decisions served): their bins were cut at another
+// controller, written straight into the submitter's out, and counted
+// with the batch under the same hold of amu. Pre-binned ranges pinned
+// to a stale model version are rejected here (flagged for the
+// submitter, no decisions served): their bins were cut at another
 // model's edges.
-func (s *Server) process(sh *shard, w *worker, flush metrics.FlushKind) {
+func (s *Server) process(sh *shard, w *worker, flush flushKind) {
 	if len(w.batch) == 0 {
 		return
 	}
@@ -731,10 +752,24 @@ func (s *Server) process(sh *shard, w *worker, flush metrics.FlushKind) {
 				ModelVersion: am.version.Number,
 				Shard:        sh.id,
 			}
-			sh.counters.RecordDecision(admit, latency)
+			if admit {
+				s.counts.Admitted++
+			}
 		}
+		jobs := int64(m.placements())
+		s.counts.Submitted += jobs
+		s.latencyNs += jobs * latency.Nanoseconds()
+		s.counts.MaxLatency = max(s.counts.MaxLatency, latency)
 		c.wg.Done()
 	}
+	s.counts.Batches++
+	switch flush {
+	case flushTimeout:
+		s.counts.TimeoutFlushes++
+	case flushDrain:
+		s.counts.DrainFlushes++
+	default:
+		s.counts.FullFlushes++
+	}
 	s.amu.Unlock()
-	sh.counters.RecordBatch(flush)
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cost"
+	"repro/internal/metrics"
 	"repro/internal/registry"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -499,6 +500,121 @@ func TestObserveIsAppliedOnReturn(t *testing.T) {
 	}
 	if act := srv.ACT(); act <= 1 {
 		t.Errorf("ACT %d did not rise under total spillover", act)
+	}
+}
+
+// TestStatsCountsUnderOneLock: the counters are plain fields under the
+// controller lock, so they are exact the moment the callers are joined
+// and no snapshot tears between fields, even one taken mid-traffic.
+// Submitters on both placement paths and outcome posters run
+// concurrently over four shards beside a Stats reader (run with -race).
+func TestStatsCountsUnderOneLock(t *testing.T) {
+	cfg := testConfig()
+	if cfg.Shards < 4 {
+		t.Fatalf("%d shards; the test needs at least 4", cfg.Shards)
+	}
+	srv, fx, _ := newTestServer(t, cfg)
+	if st := srv.Stats(); st != (metrics.ShardSnapshot{}) {
+		t.Fatalf("a fresh server's stats: %+v", st)
+	}
+
+	const callers, rounds, chunk = 3, 20, 24
+	jobs := fx.jobs[:chunk]
+	var admitted atomic64
+	countAdmits := func(out []Decision) {
+		for _, d := range out {
+			if d.Admit {
+				admitted.add(1)
+			}
+		}
+	}
+	consistent := func(st metrics.ShardSnapshot) bool {
+		return st.FullFlushes+st.TimeoutFlushes+st.DrainFlushes == st.Batches &&
+			st.Admitted <= st.Submitted && st.MeanLatency <= st.MaxLatency
+	}
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	torn := make(chan metrics.ShardSnapshot, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if st := srv.Stats(); !consistent(st) {
+				select {
+				case torn <- st:
+				default:
+				}
+			}
+		}
+	}()
+	for g := 0; g < callers; g++ {
+		wg.Add(3)
+		go func() {
+			defer wg.Done()
+			var out []Decision
+			for i := 0; i < rounds; i++ {
+				var err error
+				if out, err = srv.SubmitBatch(jobs, out); err != nil {
+					t.Error(err)
+					return
+				}
+				countAdmits(out)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			b := encodeBatch(srv, jobs)
+			var out []Decision
+			for i := 0; i < rounds; i++ {
+				var err error
+				if out, err = b.submit(srv, out); err != nil {
+					t.Error(err)
+					return
+				}
+				countAdmits(out)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				j := jobs[i%len(jobs)]
+				if err := srv.Observe(j, sim.Outcome{WantedSSD: true, FracOnSSD: 0.5, SpilledAt: j.ArrivalSec}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	select {
+	case st := <-torn:
+		t.Fatalf("a snapshot tore between fields: %+v", st)
+	default:
+	}
+
+	st := srv.Stats()
+	if want := int64(2 * callers * rounds * chunk); st.Submitted != want {
+		t.Errorf("Submitted %d, want %d", st.Submitted, want)
+	}
+	if want := int64(callers * rounds); st.Observations != want {
+		t.Errorf("Observations %d, want %d", st.Observations, want)
+	}
+	if got := admitted.load(); st.Admitted != got {
+		t.Errorf("Admitted %d, the callers were returned %d admits", st.Admitted, got)
+	}
+	if st.Batches == 0 || st.FullFlushes+st.TimeoutFlushes+st.DrainFlushes != st.Batches {
+		t.Errorf("flushes %d full + %d timeout + %d drain, batches %d",
+			st.FullFlushes, st.TimeoutFlushes, st.DrainFlushes, st.Batches)
+	}
+	if want := float64(st.Submitted) / float64(st.Batches); st.MeanBatchSize != want {
+		t.Errorf("MeanBatchSize %g, want %g", st.MeanBatchSize, want)
+	}
+	if st.MeanLatency <= 0 || st.MeanLatency > st.MaxLatency {
+		t.Errorf("MeanLatency %s, MaxLatency %s: want 0 < mean <= max", st.MeanLatency, st.MaxLatency)
 	}
 }
 

@@ -107,13 +107,10 @@ func (j *Job) IODensity() float64 {
 func (j *Job) TemplateKey() string { return j.Pipeline + "/" + j.Step }
 
 // TemplateHash is FNV-1a over the TemplateKey bytes (pipeline, "/",
-// step) without building the key. It is the one routine behind
-// serve.TemplateHash, which hashes a job's strings, and the outcome
-// decoder in internal/rpc/wire, which hashes the same two fields where
-// they lie in a frame payload — the serving plane routes a template's
-// placements and its feedback by this value, so the two spellings must
-// never drift apart.
-func TemplateHash[S string | []byte](pipeline, step S) uint32 {
+// step) without building the key. It is the routine behind
+// serve.TemplateHash, which shards a job's placements and, on a plane,
+// routes them and their feedback to the template's node.
+func TemplateHash(pipeline, step string) uint32 {
 	// Inlined FNV-1a: this runs once per job on the submit path, and
 	// hash.Hash32 plus the key concatenation would cost three heap
 	// allocations per call.
