@@ -503,6 +503,75 @@ func TestObserveIsAppliedOnReturn(t *testing.T) {
 	}
 }
 
+// checkStats holds a Stats snapshot taken once the callers are joined
+// to what they were told: exact submission, observation and admit
+// counts, flush kinds that sum to the batches, MeanBatchSize derived
+// from the counts, and 0 < MeanLatency <= MaxLatency.
+func checkStats(t *testing.T, st metrics.ShardSnapshot, submitted, observations, admitted int64) {
+	t.Helper()
+	if st.Submitted != submitted {
+		t.Errorf("Submitted %d, want %d", st.Submitted, submitted)
+	}
+	if st.Observations != observations {
+		t.Errorf("Observations %d, want %d", st.Observations, observations)
+	}
+	if st.Admitted != admitted {
+		t.Errorf("Admitted %d, the callers were returned %d admits", st.Admitted, admitted)
+	}
+	if st.Batches == 0 || st.FullFlushes+st.TimeoutFlushes+st.DrainFlushes != st.Batches {
+		t.Errorf("flushes %d full + %d timeout + %d drain, batches %d",
+			st.FullFlushes, st.TimeoutFlushes, st.DrainFlushes, st.Batches)
+	}
+	if want := float64(st.Submitted) / float64(st.Batches); st.MeanBatchSize != want {
+		t.Errorf("MeanBatchSize %g, want %g", st.MeanBatchSize, want)
+	}
+	if st.MeanLatency <= 0 || st.MeanLatency > st.MaxLatency {
+		t.Errorf("MeanLatency %s, MaxLatency %s: want 0 < mean <= max", st.MeanLatency, st.MaxLatency)
+	}
+}
+
+// TestStatsZeroSnapshot: a server that has placed and observed nothing
+// reports all-zero stats, its means included (no division by a zero
+// count).
+func TestStatsZeroSnapshot(t *testing.T) {
+	srv, _, _ := newTestServer(t, testConfig())
+	if st := srv.Stats(); st != (metrics.ShardSnapshot{}) {
+		t.Fatalf("a fresh server's stats: %+v", st)
+	}
+}
+
+// TestStatsSnapshot: one caller places a batch and a single job, then
+// posts outcomes; Stats, read after each call returns, already counts
+// everything the call did.
+func TestStatsSnapshot(t *testing.T) {
+	srv, fx, _ := newTestServer(t, testConfig())
+	const chunk, observed = 24, 3
+	var admitted int64
+	out, err := srv.SubmitBatch(fx.jobs[:chunk], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range out {
+		if d.Admit {
+			admitted++
+		}
+	}
+	d, err := srv.Submit(fx.jobs[chunk])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Admit {
+		admitted++
+	}
+	for i := 0; i < observed; i++ {
+		j := fx.jobs[i]
+		if err := srv.Observe(j, sim.Outcome{WantedSSD: true, FracOnSSD: 0.5, SpilledAt: j.ArrivalSec}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkStats(t, srv.Stats(), chunk+1, observed, admitted)
+}
+
 // TestStatsCountsUnderOneLock: the counters are plain fields under the
 // controller lock, so they are exact the moment the callers are joined
 // and no snapshot tears between fields, even one taken mid-traffic.
@@ -514,9 +583,6 @@ func TestStatsCountsUnderOneLock(t *testing.T) {
 		t.Fatalf("%d shards; the test needs at least 4", cfg.Shards)
 	}
 	srv, fx, _ := newTestServer(t, cfg)
-	if st := srv.Stats(); st != (metrics.ShardSnapshot{}) {
-		t.Fatalf("a fresh server's stats: %+v", st)
-	}
 
 	const callers, rounds, chunk = 3, 20, 24
 	jobs := fx.jobs[:chunk]
@@ -596,26 +662,7 @@ func TestStatsCountsUnderOneLock(t *testing.T) {
 	default:
 	}
 
-	st := srv.Stats()
-	if want := int64(2 * callers * rounds * chunk); st.Submitted != want {
-		t.Errorf("Submitted %d, want %d", st.Submitted, want)
-	}
-	if want := int64(callers * rounds); st.Observations != want {
-		t.Errorf("Observations %d, want %d", st.Observations, want)
-	}
-	if got := admitted.load(); st.Admitted != got {
-		t.Errorf("Admitted %d, the callers were returned %d admits", st.Admitted, got)
-	}
-	if st.Batches == 0 || st.FullFlushes+st.TimeoutFlushes+st.DrainFlushes != st.Batches {
-		t.Errorf("flushes %d full + %d timeout + %d drain, batches %d",
-			st.FullFlushes, st.TimeoutFlushes, st.DrainFlushes, st.Batches)
-	}
-	if want := float64(st.Submitted) / float64(st.Batches); st.MeanBatchSize != want {
-		t.Errorf("MeanBatchSize %g, want %g", st.MeanBatchSize, want)
-	}
-	if st.MeanLatency <= 0 || st.MeanLatency > st.MaxLatency {
-		t.Errorf("MeanLatency %s, MaxLatency %s: want 0 < mean <= max", st.MeanLatency, st.MaxLatency)
-	}
+	checkStats(t, srv.Stats(), 2*callers*rounds*chunk, callers*rounds, admitted.load())
 }
 
 func TestSubmitAfterClose(t *testing.T) {
