@@ -305,85 +305,6 @@ func TrainRegressor(ds *Dataset, targets []float64, cfg Config) (*Model, error) 
 	return newModel(m, trees, nil)
 }
 
-// TrainClassifierNaive is the original per-node-rebuild trainer, kept
-// as the reference implementation: it re-materializes every node's
-// histograms from rows, allocates per node, and replays each round with
-// per-row tree.Predict. It is the parity reference only
-// (TestEngineMatchesNaiveParity holds the engine to it); callers that
-// want a model use TrainClassifier.
-func TrainClassifierNaive(ds *Dataset, labels []int, numClasses int, cfg Config) (*Model, error) {
-	return newModel(trainClassifierNaive(ds, labels, numClasses, cfg))
-}
-
-// trainClassifierNaive is TrainClassifierNaive up to the compile.
-func trainClassifierNaive(ds *Dataset, labels []int, numClasses int, cfg Config) (*Model, [][]*Tree, error) {
-	counts, err := validateClassifierArgs(ds, labels, numClasses, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	n := ds.N
-	m := &Model{
-		Schema:     ds.Schema,
-		Config:     cfg,
-		NumClasses: numClasses,
-		InitScores: initScoresFromCounts(counts, n, numClasses),
-	}
-
-	bins := buildBinning(ds, cfg.MaxBins, cfg.workers())
-	gr := &grower{bins: bins, schema: ds.Schema, cfg: cfg}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-
-	logits := make([][]float64, n)
-	for i := range logits {
-		logits[i] = make([]float64, numClasses)
-		copy(logits[i], m.InitScores)
-	}
-	probs := make([]float64, numClasses)
-	g := make([]float64, n)
-	h := make([]float64, n)
-	trees := make([][]*Tree, 0, cfg.NumRounds)
-	var rows, outs []int32
-
-	for round := 0; round < cfg.NumRounds; round++ {
-		rows, outs = sampleRows(n, cfg.Subsample, rng, rows, outs)
-		roundTrees := make([]*Tree, numClasses)
-		var loss float64
-		// Compute current probabilities once per row, reusing them for
-		// all class trees of this round.
-		probMat := make([][]float64, n)
-		for i := 0; i < n; i++ {
-			softmax(logits[i], probs)
-			probMat[i] = append([]float64(nil), probs...)
-			loss -= math.Log(math.Max(probMat[i][labels[i]], 1e-15))
-		}
-		m.TrainLoss = append(m.TrainLoss, loss/float64(n))
-
-		for k := 0; k < numClasses; k++ {
-			for i := 0; i < n; i++ {
-				p := probMat[i][k]
-				y := 0.0
-				if labels[i] == k {
-					y = 1
-				}
-				g[i] = p - y
-				h[i] = math.Max(p*(1-p), 1e-6)
-			}
-			roundTrees[k] = gr.growTree(rows, g, h)
-		}
-		// Apply updates after all class trees are grown (standard
-		// one-vs-rest round semantics).
-		row := make([]float64, ds.Schema.NumFeatures())
-		for i := 0; i < n; i++ {
-			row = ds.Row(i, row)
-			for k := 0; k < numClasses; k++ {
-				logits[i][k] += roundTrees[k].Predict(row)
-			}
-		}
-		trees = append(trees, roundTrees)
-	}
-	return m, trees, nil
-}
-
 // sampleBuffers returns the buffers of sampleRows for n rows, cut from
 // one array: a round's sample and its complement never outgrow them.
 func sampleBuffers(n int) (in, out []int32) {

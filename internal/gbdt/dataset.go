@@ -111,9 +111,6 @@ func NewDataset(schema *Schema, n int) *Dataset {
 	return &Dataset{Schema: schema, Cols: cols, N: n}
 }
 
-// Set assigns one cell.
-func (d *Dataset) Set(row, col int, v float64) { d.Cols[col][row] = v }
-
 // Row copies row i into buf (allocating if buf is too small) and
 // returns it.
 func (d *Dataset) Row(i int, buf []float64) []float64 {

@@ -295,7 +295,7 @@ func TestEngineMatchesNaiveParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	naiveG, err := TrainClassifierNaive(ds, labels, 5, cfg)
+	naiveG, err := newModel(trainClassifierNaive(ds, labels, 5, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,26 @@
 package gbdt
 
 import (
+	"encoding/json"
+	"fmt"
+	"io"
 	"testing"
 	"unsafe"
 )
 
 // Hooks for the external test package (gbdt_test), which can import
 // the packages that import gbdt (features, core, perf).
+
+// Save writes the model file to w: MarshalJSON's bytes and a newline.
+func (m *Model) Save(w io.Writer) error {
+	if err := json.NewEncoder(w).Encode(m.file()); err != nil {
+		return fmt.Errorf("gbdt: encode model: %w", err)
+	}
+	return nil
+}
+
+// Set assigns one cell.
+func (d *Dataset) Set(row, col int, v float64) { d.Cols[col][row] = v }
 
 // FromTrees is the constructor training and Load end in: m's header
 // and trees[r][k], the round-r tree for class k, validated and compiled

@@ -428,7 +428,7 @@ func (f *Forest) binRow(row []float64, out []uint16) {
 	for feat := range out {
 		v := row[feat]
 		if f.kinds[feat] == Categorical {
-			// Truncate before the range check, exactly like containsCat:
+			// Truncate before the range check, exactly like Forest.has:
 			// values in (-1, 0) truncate to category 0 and must probe.
 			// What int32(NaN) is depends on the port, hence v != v.
 			id := int32(v)

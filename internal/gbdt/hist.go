@@ -10,7 +10,7 @@ import (
 
 // This file implements the histogram-subtraction training engine behind
 // TrainClassifier and TrainRegressor. Design, relative to the legacy
-// per-node-rebuild grower (kept as the naive reference in tree.go):
+// per-node-rebuild grower (the naive reference in naive_test.go):
 //
 //   - Trees grow depth-first over one reusable row-index arena with an
 //     explicit stack; partitioning is in-place and stable, so a node's

@@ -53,7 +53,8 @@ func (t *Tree) UnmarshalJSON(data []byte) error {
 }
 
 // modelFile is a model as the model file spells it, with its trees as
-// T: treeFile when Save writes them, raw JSON when Load reads them.
+// T: treeFile when MarshalJSON writes them, raw JSON when Load reads
+// them.
 type modelFile[T any] struct {
 	Schema     *Schema   `json:"schema"`
 	Config     Config    `json:"config"`
@@ -101,19 +102,11 @@ func (m *Model) file() modelFile[treeFile] {
 	return file
 }
 
-// MarshalJSON writes the model as Save does, so a bundle that holds
-// the model writes the model file.
+// MarshalJSON writes the model file, so a bundle that holds the model
+// writes it too.
 func (m *Model) MarshalJSON() ([]byte, error) { return json.Marshal(m.file()) }
 
-// Save writes the model as JSON.
-func (m *Model) Save(w io.Writer) error {
-	if err := json.NewEncoder(w).Encode(m.file()); err != nil {
-		return fmt.Errorf("gbdt: encode model: %w", err)
-	}
-	return nil
-}
-
-// Load reads a model written by Save, validates it deeply enough that
+// Load reads a model file, as MarshalJSON writes it, validates it deeply enough that
 // nothing done with the result can panic, and compiles it: hostile or
 // corrupted input, or a model the binned layout cannot hold
 // (*LimitError), surfaces as an error here, never as an out-of-bounds
