@@ -17,7 +17,7 @@ import (
 // the measurement. Both operations are frames on the node clients'
 // pooled stream sessions. One routed outcome measures 0 — its owner
 // decodes the frame in place and, with no learner or observer attached,
-// copies nothing — against 101 as a JSON post and 2 while the serving
+// copies nothing — against 95 as a JSON post and 2 while the serving
 // core kept the job in a shard queue; it gets 1 of headroom. One routed
 // 64-job place measures 1 over either plane: the decisions it returns.
 // The last node batch goes out on the caller's goroutine, the others on

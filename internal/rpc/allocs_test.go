@@ -4,6 +4,7 @@ package rpc
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"repro/internal/online"
@@ -21,16 +22,23 @@ import (
 // list, and measures the same 1; it gets 1 of headroom, which an
 // escaping session closure would spend. http-json is the same batch as a
 // JSON document each way, written and read by the wire codec in pooled
-// scratch: it measures 91 — the returned decisions, the one string a
-// decoded request's strings share, the response's Content-Length value
-// and its slice, and 87 for the HTTP round trip itself on both ends
-// (request, per-attempt deadline, connection bookkeeping, header
-// parsing). It measured 103 while the client sent through an
-// http.Client (5 of redirect bookkeeping), asked for gzip (4), set
-// Content-Type with Header.Set (2) and the daemon chunked the ~4 KB body
-// (1 more than Content-Length costs); it gets 3 of headroom for other
-// toolchains. (sync.Pool drops items at random under the race detector,
-// hence the build tag.)
+// scratch: it measures 81. 10 of them are ours: on the client the
+// returned decisions, the request copied from the one NewClient parsed
+// (1), its deadline (4: context.WithTimeout's context, cancel func,
+// timer and timer closure) and the context carrying the trace that
+// counts the body's writes (1); on the daemon the one string a decoded
+// request's strings share and the response's Content-Length value and
+// its slice. The other 71 are net/http's, for the round trip on both
+// ends: its own request and cancel contexts, connection bookkeeping,
+// header writing and parsing, body readers. It measured 103 while the
+// client sent through an http.Client (5 of redirect bookkeeping), asked
+// for gzip (4), set Content-Type with Header.Set (2) and the daemon
+// chunked the ~4 KB body (1 more than Content-Length costs), and 91
+// while each attempt built its request with http.NewRequestWithContext
+// (URL, header map, GetBody closure, NopCloser, bytes.Reader: 6) and
+// wrote past the transport's 4 KiB write buffer (32 KiB copy buffer and
+// more: 4). It gets 3 of headroom for other toolchains. (sync.Pool drops
+// items at random under the race detector, hence the build tag.)
 func TestPlaceSteadyStateAllocs(t *testing.T) {
 	fx := testFixture(t)
 	d := startDaemon(t, fx.newRegistry(t), testConfig())
@@ -51,7 +59,7 @@ func TestPlaceSteadyStateAllocs(t *testing.T) {
 	}{
 		{"stream", func() error { _, err := s.Place(ctx, jobs); return err }, 1},
 		{"place-binary", func() error { _, err := c.Place(ctx, jobs); return err }, 2},
-		{"http-json", func() error { _, err := cj.Place(ctx, jobs); return err }, 94},
+		{"http-json", func() error { _, err := cj.Place(ctx, jobs); return err }, 84},
 	} {
 		call := func() {
 			if err := tc.place(); err != nil {
@@ -81,9 +89,14 @@ func TestPlaceSteadyStateAllocs(t *testing.T) {
 // 3. From a JSON-codec client the same post is a JSON document over
 // net/http, encoded and decoded by encoding/json (the cold path curl and
 // non-Go clients take, and what every client paid before outcomes
-// travelled as frames): it measures 101, and measured 111 while the
-// client went through an http.Client, asked for gzip and set its
-// Content-Type with Header.Set; budget 104.
+// travelled as frames): it measures 95. The client's own share is the
+// place's 6 per attempt (request copy, deadline, trace context) plus
+// what encoding/json takes to encode the request; the daemon's
+// encoding/json decode of the job and net/http's round trip make the
+// rest. It measured 111 while the client went through an http.Client,
+// asked for gzip and set its Content-Type with Header.Set, and 101 while
+// each attempt built its request with http.NewRequestWithContext;
+// budget 98.
 func TestObserveSteadyStateAllocs(t *testing.T) {
 	fx := testFixture(t)
 	ctx := context.Background()
@@ -97,7 +110,7 @@ func TestObserveSteadyStateAllocs(t *testing.T) {
 	}{
 		{"no keeper", CodecBinary, false, 1},
 		{"learner", CodecBinary, true, 3},
-		{"json", CodecJSON, false, 104},
+		{"json", CodecJSON, false, 98},
 	} {
 		reg := fx.newRegistry(t)
 		cfg := testConfig()
@@ -135,5 +148,40 @@ func TestObserveSteadyStateAllocs(t *testing.T) {
 		if n, posted := d.ServeStats().Observations, d.Stats().OutcomeRequests; n != posted {
 			t.Errorf("%s: %d observations applied after %d acked posts", tc.name, n, posted)
 		}
+	}
+}
+
+// TestPlaceJSONAllocsBytes is the JSON place's bytes budget: heap bytes
+// allocated process-wide per 64-job place, measured as for
+// TestPlaceSteadyStateAllocs. It measures 26–31 KB, most of it the
+// daemon's decoded request strings and the returned decisions. It
+// measured 63.4 KB while the request body went past the transport's
+// 4 KiB write buffer into TCPConn.ReadFrom, whose io.Copy allocates a
+// 32 KiB buffer per request; the budget of 40 KB keeps that buffer out.
+func TestPlaceJSONAllocsBytes(t *testing.T) {
+	fx := testFixture(t)
+	d := startDaemon(t, fx.newRegistry(t), testConfig())
+	c := newCodecClient(t, d, CodecJSON)
+	jobs := fx.jobs[:64]
+	ctx := context.Background()
+	place := func() {
+		if _, err := c.Place(ctx, jobs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 16; i++ {
+		place()
+	}
+	const runs, budget = 200, 40 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		place()
+	}
+	runtime.ReadMemStats(&after)
+	got := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("%.0f bytes allocated per 64-job JSON place", got)
+	if got > budget {
+		t.Errorf("%.0f bytes allocated per 64-job JSON place, budget %d", got, budget)
 	}
 }

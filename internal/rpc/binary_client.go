@@ -27,8 +27,10 @@ type clientBinState struct {
 // (frame: a binary frame or a JSON body), the response body and, for a
 // frame place, one feature row, the bin backing array, the parallel
 // request columns and the decoded decisions. Steady-state placement
-// reuses all of them.
+// reuses all of them. req is the HTTP body over frame, made on a JSON
+// call's first use (see Client.exchange).
 type clientScratch struct {
+	req      *requestBody
 	row      []float64
 	backing  []uint16
 	rows     [][]uint16

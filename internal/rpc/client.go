@@ -9,6 +9,7 @@ import (
 	"io"
 	"math/rand/v2"
 	"net/http"
+	"net/http/httptrace"
 	"slices"
 	"strings"
 	"sync"
@@ -87,7 +88,8 @@ type ClientStats struct {
 // use; a single Client is meant to be shared by many goroutines.
 type Client struct {
 	cfg      ClientConfig
-	rt       *http.Transport // JSON requests, by bare RoundTrip: the daemon never redirects
+	rt       *http.Transport          // JSON requests, by bare RoundTrip: the daemon never redirects
+	reqs     map[string]*http.Request // by path, read-only: what each attempt copies
 	requests atomic.Int64
 	sheds    atomic.Int64
 	retries  atomic.Int64
@@ -142,6 +144,17 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	default:
 		return nil, fmt.Errorf("rpc: unknown codec %q (want %q or %q)", cfg.Codec, CodecJSON, CodecBinary)
 	}
+	// One request per JSON path, parsed once: exchange copies it per
+	// attempt and never parses a URL again.
+	reqs := make(map[string]*http.Request, 3)
+	for _, path := range []string{wire.PathPlace, wire.PathOutcome, wire.PathModel} {
+		req, err := http.NewRequest(http.MethodGet, cfg.BaseURL+path, nil)
+		if err != nil {
+			return nil, fmt.Errorf("rpc: BaseURL %q: %w", cfg.BaseURL, err)
+		}
+		req.Header = noHeader
+		reqs[path] = req
+	}
 	// The stdlib default of 2 idle conns per host forces reconnects
 	// under any real concurrency; size for loadgen-scale fan-in. The
 	// daemon never compresses, so asking for gzip buys nothing.
@@ -151,7 +164,16 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		IdleConnTimeout:     90 * time.Second,
 		DisableCompression:  true,
 	}
-	c := &Client{cfg: cfg, rt: rt}
+	if cfg.Codec != CodecBinary {
+		// A 64-job place body (the default batch of cmd/loadgen and of
+		// the benchmark's json-paper workload) is 65.6–66.3 KB. Behind
+		// the default 4 KiB buffer, the body's rest goes to
+		// TCPConn.ReadFrom, whose io.Copy allocates 32 KiB per request;
+		// in one buffer it leaves in one write. A binary-codec client
+		// sends only the /v1/model GET this way.
+		rt.WriteBufferSize = 128 << 10
+	}
+	c := &Client{cfg: cfg, rt: rt, reqs: reqs}
 	c.scratch.New = func() any { return &clientScratch{} }
 	seed := cfg.JitterSeed
 	if seed == 0 {
@@ -568,34 +590,58 @@ func (c *Client) run(ctx context.Context, s *StreamSession, op operation, sc *cl
 	}
 }
 
+// The headers every JSON request shares, read-only: net/http's
+// transport writes its own headers aside and never into a request's.
+var (
+	jsonHeader = http.Header{"Content-Type": contentTypeJSON}
+	noHeader   = http.Header{}
+)
+
 // exchange sends sc.frame as one HTTP request with a JSON body (or
 // none) under the per-attempt deadline, reads the response into sc.body,
 // where a 2xx document stays for the caller, and returns the daemon's
-// verdict: a refusal is an ErrorResponse coded by its status.
+// verdict: a refusal is an ErrorResponse coded by its status. The
+// request is a copy of the one NewClient parsed for op.path and its body
+// is sc's requestBody, so of its own an attempt allocates only the copy,
+// its deadline and the context that carries the body's trace.
 func (c *Client) exchange(ctx context.Context, op operation, sc *clientScratch) (reply, error) {
 	actx, cancel := context.WithTimeout(ctx, c.cfg.RequestTimeout)
 	defer cancel()
-	var body io.Reader
+	var rb *requestBody
 	if len(sc.frame) > 0 {
-		body = bytes.NewReader(sc.frame)
+		if sc.req == nil {
+			sc.req = newRequestBody()
+		}
+		rb = sc.req
+		actx = rb.lend(actx, sc.frame)
+		// Unless every write of the body has ended, the transport may
+		// still read it and the frame: leave both to it, and go on with
+		// a copy of the frame, which a shed retry re-sends.
+		defer func() {
+			if rb.unended.Load() != 0 {
+				sc.frame, sc.req = slices.Clone(sc.frame), nil
+			}
+		}()
 	}
-	req, err := http.NewRequestWithContext(actx, op.method, c.cfg.BaseURL+op.path, body)
-	if err != nil {
-		return reply{}, fmt.Errorf("rpc: %w", err)
-	}
-	if body != nil {
-		req.Header["Content-Type"] = contentTypeJSON
+	req := c.reqs[op.path].WithContext(actx)
+	req.Method = op.method
+	if rb != nil {
+		req.Header = jsonHeader
+		req.Body, req.GetBody, req.ContentLength = rb.body, rb.getBody, int64(len(sc.frame))
 	}
 	// Sampled requests carry their trace ID so the daemon's /tracez can
 	// correlate its server-side spans with the caller's.
 	if tid := obs.TraceID(ctx); tid != 0 {
+		req.Header = req.Header.Clone()
 		req.Header.Set(wire.TraceHeader, fmt.Sprintf("%016x", tid))
 	}
 	resp, err := c.rt.RoundTrip(req)
 	if err != nil {
 		return reply{}, fmt.Errorf("rpc: %w", err)
 	}
-	// Reading to EOF is what makes the connection reusable.
+	// Reading to EOF is what makes the connection reusable, and what
+	// makes the transport settle the request's write: done, or given up
+	// with the connection.
 	defer resp.Body.Close()
 	if sc.body, err = readBody(resp.Body, sc.body[:0]); err != nil {
 		return reply{}, fmt.Errorf("rpc: reading response: %w", err)
@@ -613,6 +659,58 @@ func (c *Client) exchange(ctx context.Context, op operation, sc *clientScratch) 
 		rep.msg = http.StatusText(rep.status)
 	}
 	return rep, nil
+}
+
+// requestBody is a JSON request's body as net/http takes it, built once
+// per scratch: a reader over the frame, the io.NopCloser of it that
+// becomes Request.Body (a shape net/http knows is in memory, so it
+// sends the headers and the body in one write) and a bound GetBody.
+//
+// A RoundTripper may go on reading a body after RoundTrip returns: a
+// daemon that sheds before it reads answers while the body is still
+// being written, and a timeout returns while the write is blocked. So
+// unended counts the bodies handed out for an attempt (Body, and each
+// GetBody a re-send on a dead keep-alive connection asks for) whose
+// write has not ended, and the trace's WroteRequest, which net/http
+// calls once the write of a body is over, counts them down. When
+// exchange returns, a count above zero means the transport may not have
+// finished with the frame, and the scratch leaves both to it.
+type requestBody struct {
+	frame   []byte // what the bodies read; fixed while they may be read
+	reader  bytes.Reader
+	body    io.ReadCloser
+	getBody func() (io.ReadCloser, error)
+	trace   httptrace.ClientTrace
+	unended atomic.Int32
+}
+
+func newRequestBody() *requestBody {
+	rb := &requestBody{}
+	rb.body = io.NopCloser(&rb.reader)
+	rb.getBody = func() (io.ReadCloser, error) {
+		// A fresh reader: the write the re-send replaces may not have
+		// let go of rb.reader yet.
+		rb.unended.Add(1)
+		return io.NopCloser(bytes.NewReader(rb.frame)), nil
+	}
+	rb.trace.WroteRequest = func(httptrace.WroteRequestInfo) { rb.unended.Add(-1) }
+	return rb
+}
+
+// lend points rb at frame for one attempt and returns ctx with the
+// trace that counts its writes.
+func (rb *requestBody) lend(ctx context.Context, frame []byte) context.Context {
+	rb.frame = frame
+	rb.reader.Reset(frame)
+	rb.unended.Add(1)
+	t := &rb.trace
+	if httptrace.ContextClientTrace(ctx) != nil {
+		// WithClientTrace composes the caller's hooks into the trace it
+		// is given: give it a copy.
+		cp := rb.trace
+		t = &cp
+	}
+	return httptrace.WithClientTrace(ctx, t)
 }
 
 // wireCode reads a refusal off its HTTP status: the inverse of the

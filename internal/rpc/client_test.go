@@ -1,13 +1,21 @@
 package rpc
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/rpc/wire"
+	"repro/internal/trace"
 )
 
 // TestJitterBackoffEnvelope pins the retry-jitter contract: every sleep
@@ -162,5 +170,118 @@ func TestPlaceCancelledContext(t *testing.T) {
 				t.Errorf("%d stream sessions, want the one session to carry all three places", got)
 			}
 		})
+	}
+}
+
+// TestJSONBodyOutlivesShed holds the JSON client to the RoundTripper
+// contract: a transport may go on writing a request body after RoundTrip
+// returns, so a call may not reuse its frame before that write has
+// ended. A raw server with a small receive buffer sheds a place of about
+// 1 MB before it reads the body. Once the second batch's request
+// arrives, it reads the rest of the first body, which must still be the
+// first batch's bytes, and then the whole second body.
+func TestJSONBodyOutlivesShed(t *testing.T) {
+	fx := testFixture(t)
+	batch := func(off int) []*trace.Job {
+		jobs := make([]*trace.Job, 1024)
+		for i := range jobs {
+			jobs[i] = fx.jobs[(off+i)%len(fx.jobs)]
+		}
+		return jobs
+	}
+	a, b := batch(0), batch(1)
+	wantA, err := wire.AppendPlaceRequestJSON(nil, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantB, err := wire.AppendPlaceRequestJSON(nil, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	const shed = "HTTP/1.1 429 Too Many Requests\r\nContent-Type: application/json\r\nContent-Length: 23\r\n\r\n{\"error\":\"overloaded\"}\n"
+	// accept takes the next connection and reads one request's headers,
+	// leaving the body unread.
+	accept := func(rcvbuf int) (net.Conn, *http.Request, error) {
+		conn, err := ln.Accept()
+		if err != nil {
+			return nil, nil, err
+		}
+		if rcvbuf > 0 {
+			_ = conn.(*net.TCPConn).SetReadBuffer(rcvbuf)
+		}
+		req, err := http.ReadRequest(bufio.NewReader(conn))
+		if err != nil {
+			conn.Close()
+			return nil, nil, err
+		}
+		return conn, req, nil
+	}
+	served := make(chan error, 1)
+	go func() {
+		served <- func() error {
+			conn1, req1, err := accept(4096)
+			if err != nil {
+				return err
+			}
+			defer conn1.Close()
+			if _, err := io.WriteString(conn1, shed); err != nil {
+				return err
+			}
+			conn2, req2, err := accept(0)
+			if err != nil {
+				return err
+			}
+			defer conn2.Close()
+			// The client gives up on the first connection once it has
+			// read the shed, so the first body may end short.
+			rest, _ := io.ReadAll(req1.Body)
+			if !bytes.Equal(rest, wantA[:len(rest)]) {
+				return fmt.Errorf("first body: %d bytes, not the first batch's", len(rest))
+			}
+			body, err := io.ReadAll(req2.Body)
+			if err != nil {
+				return err
+			}
+			if !bytes.Equal(body, wantB) {
+				return fmt.Errorf("second body: %d bytes, not the second batch's %d", len(body), len(wantB))
+			}
+			_, err = io.WriteString(conn2, shed)
+			return err
+		}()
+	}()
+
+	cfg := DefaultClientConfig("http://" + ln.Addr().String())
+	cfg.MaxRetries = 0
+	c, err := NewClient(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// Small buffers on the first connection block the write of its body
+	// well before the end; the second one is left to move at full speed.
+	var d net.Dialer
+	var dials atomic.Int32
+	c.rt.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		conn, err := d.DialContext(ctx, network, addr)
+		if err == nil && dials.Add(1) == 1 {
+			_ = conn.(*net.TCPConn).SetWriteBuffer(4096)
+		}
+		return conn, err
+	}
+	ctx := context.Background()
+	for i, jobs := range [][]*trace.Job{a, b} {
+		var rerr *Error
+		if _, err := c.Place(ctx, jobs); !errors.As(err, &rerr) || rerr.Code != wire.ErrCodeOverloaded {
+			t.Errorf("place %d: %v, want a shed", i+1, err)
+		}
+	}
+	if err := <-served; err != nil {
+		t.Error(err)
 	}
 }

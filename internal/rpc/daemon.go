@@ -56,7 +56,10 @@
 // re-sends once on a fresh one; a timeout or a garbled reply never does.
 // Client.AppendPlace appends decisions to a slice the caller owns (the
 // router keeps one per pooled node batch and clears it after use); Place
-// is AppendPlace into nil. JSON goes by bare http.Transport.RoundTrip.
+// is AppendPlace into nil. JSON goes by bare http.Transport.RoundTrip,
+// on a copy of a request NewClient parsed once per path, with the body
+// read from the call's pooled scratch; the scratch reuses the body only
+// once the transport's write of it has ended (Client.exchange).
 //
 // The daemon adds what in-process serving does not need:
 //

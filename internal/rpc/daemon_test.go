@@ -506,6 +506,8 @@ func TestClientConfigValidation(t *testing.T) {
 	}{
 		{ClientConfig{}, "BaseURL"},
 		{ClientConfig{BaseURL: "localhost:1"}, "http://"},
+		// Parsed once, up front: not refused again on every request.
+		{ClientConfig{BaseURL: "http://h/%zz"}, "invalid URL escape"},
 		{ClientConfig{BaseURL: "http://h", MaxRetries: -1}, "MaxRetries"},
 		{ClientConfig{BaseURL: "http://h", Codec: "xml"}, "unknown codec"},
 		// Sessions dial plain TCP: frames cannot reach a TLS endpoint.
