@@ -98,7 +98,7 @@ type (
 	// Server is the concurrent placement-serving front-end: one
 	// Algorithm 1 controller fed by sharded, batched forest inference.
 	Server = serve.Server
-	// ServeConfig tunes the serving layer (shards, batching, flush).
+	// ServeConfig tunes the serving layer: its Algorithm 1 controller.
 	ServeConfig = serve.Config
 	// ServeDecision is one served placement verdict.
 	ServeDecision = serve.Decision
@@ -255,8 +255,9 @@ func NewHeuristicPolicy(cm *CostModel, history []*Job) Policy {
 	return h
 }
 
-// DefaultServeConfig returns single-machine serving parameters for an
-// N-category model (8 shards, 64-job batches, 2 ms flush).
+// DefaultServeConfig returns the serving parameters for an N-category
+// model: the default Algorithm 1 controller. The server always runs 8
+// serving queues, and each one's worker batches what the queue holds.
 func DefaultServeConfig(numCategories int) ServeConfig {
 	return serve.DefaultConfig(numCategories)
 }

@@ -3,7 +3,11 @@ package metrics
 import "time"
 
 // ShardSnapshot is a point-in-time copy of the serving core's counters,
-// in /varz order (obs.WriteVars).
+// in /varz order (obs.WriteVars). FullFlushes counts batches closed at
+// the worker's row cap, DrainFlushes those closed on an empty queue.
+// TimeoutFlushes is always 0, because the serving core has no flush
+// timer; it stays only for the benchmark's serve.timeout_flush_share
+// ledger row, and goes together with that row.
 type ShardSnapshot struct {
 	Submitted      int64         `varz:"submitted"`
 	Admitted       int64         `varz:"admitted"`

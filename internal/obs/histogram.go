@@ -11,7 +11,7 @@
 //     Tracer.Begin, nil-builder no-ops everywhere else) — regression-
 //     tested with testing.AllocsPerRun and benchmarked against the
 //     binary place path.
-//   - Snapshots must merge. Per-shard and per-node histograms share one
+//   - Snapshots must merge. Per-connection and per-node histograms share one
 //     fixed bucket layout, so fleet- or server-wide views are exact sums
 //     of the parts (property-tested: merged == concatenated).
 //   - Rendering must be byte-stable for fixed values. Golden tests pin

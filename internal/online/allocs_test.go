@@ -15,7 +15,7 @@ import (
 // drops items at random under the race detector, hence the build tag.)
 func TestLoopSteadyStateAllocs(t *testing.T) {
 	fx := testFixture(t)
-	srv, err := serve.New(newLoopRegistry(t, fx), "w", fx.cm, loopServeConfig())
+	srv, err := serve.New(newLoopRegistry(t, fx), "w", fx.cm, serve.DefaultConfig(testCategories))
 	if err != nil {
 		t.Fatal(err)
 	}

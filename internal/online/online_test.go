@@ -63,14 +63,6 @@ func testFixture(t *testing.T) e2eFixture {
 	return e2eVal
 }
 
-// loopServeConfig is the replay's serving configuration: the defaults
-// at four shards.
-func loopServeConfig() serve.Config {
-	cfg := serve.DefaultConfig(testCategories)
-	cfg.Shards = 4
-	return cfg
-}
-
 func testLearnerConfig() Config {
 	cfg := DefaultConfig(testCategories)
 	cfg.Window = WindowConfig{MaxCount: 4000, HorizonSec: 1.5 * 24 * 3600}
@@ -98,7 +90,7 @@ func newLoopRegistry(t *testing.T, fx e2eFixture) *registry.Registry {
 // learner replays the frozen-model baseline.
 func replayLoop(t *testing.T, fx e2eFixture, reg *registry.Registry, learner *Learner, quota float64) (*sim.Result, *serve.Server) {
 	t.Helper()
-	srv, err := serve.New(reg, "w", fx.cm, loopServeConfig())
+	srv, err := serve.New(reg, "w", fx.cm, serve.DefaultConfig(testCategories))
 	if err != nil {
 		t.Fatal(err)
 	}

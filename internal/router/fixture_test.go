@@ -69,14 +69,8 @@ func (fx fixture) newSource(t testing.TB) *registry.Registry {
 	return src
 }
 
-// testDaemonConfig returns small-footprint per-node daemon parameters.
-func testDaemonConfig() rpc.Config {
-	cfg := rpc.DefaultConfig(testCategories)
-	cfg.Serve.Shards = 2
-	cfg.Serve.BatchSize = 16
-	cfg.Serve.FlushInterval = time.Millisecond
-	return cfg
-}
+// testDaemonConfig returns the per-node daemon parameters.
+func testDaemonConfig() rpc.Config { return rpc.DefaultConfig(testCategories) }
 
 // newTestPlane starts an n-node plane over a fresh source registry,
 // torn down when the test ends.

@@ -106,8 +106,8 @@ import (
 
 // Config tunes the placement daemon.
 type Config struct {
-	// Serve configures the underlying batching core (shards, batch
-	// size, flush interval, controller).
+	// Serve configures the underlying serving core: its Algorithm 1
+	// controller.
 	Serve serve.Config
 	// MaxInFlightPlace bounds concurrent /v1/place requests; further
 	// requests queue up to QueueDeadline, then shed with 429.
@@ -478,7 +478,7 @@ func (d *Daemon) modelInfo() wire.ModelInfo {
 		Workload:      d.workload,
 		ModelVersion:  version,
 		NumCategories: d.cfg.Serve.Adaptive.NumCategories,
-		Shards:        d.cfg.Serve.Shards,
+		Shards:        serve.Shards,
 		Swaps:         d.srv.Swaps(),
 		NumFeatures:   binner.NumFeatures(),
 		BinEdges:      binner.Edges,

@@ -16,6 +16,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rebalance"
 	"repro/internal/rpc/wire"
+	"repro/internal/serve"
 	"repro/internal/sim"
 )
 
@@ -208,13 +209,13 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
-// TestAdmissionShedAndRetry saturates a 1-slot daemon whose serving
-// core holds batches for a long flush, then checks both sides of the
-// contract: the daemon sheds with 429 past the queue deadline, and the
-// client absorbs sheds with bounded retries until a slot frees up.
+// TestAdmissionShedAndRetry saturates a 1-slot daemon whose slot the
+// test holds, then checks both sides of the contract: the daemon sheds
+// with 429 past the queue deadline, and the client absorbs sheds with
+// bounded retries until a slot frees up.
 func TestAdmissionShedAndRetry(t *testing.T) {
 	if testing.Short() {
-		t.Skip("saturation test with long flushes; runs in the rpc-e2e CI job")
+		t.Skip("saturation e2e with retry backoff; runs in the rpc-e2e CI job")
 	}
 	fx := testFixture(t)
 	cfg := testConfig()
@@ -231,9 +232,9 @@ func TestAdmissionShedAndRetry(t *testing.T) {
 	}
 	defer c.Close()
 
-	// Occupy the single place slot directly: the drain flush means a
-	// lone request no longer camps in the handler for the flush
-	// interval, so the test creates the contention itself.
+	// Occupy the single place slot directly: the serving core takes a
+	// lone request at once, so no request camps in the handler long
+	// enough to contend, and the test creates the contention itself.
 	if !d.place.acquire(context.Background()) {
 		t.Fatal("could not take the place slot")
 	}
@@ -376,8 +377,8 @@ func TestModelAndHealthEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Workload != "w" || info.ModelVersion != 1 || info.NumCategories != testCategories || info.Shards != 4 {
-		t.Errorf("model info %+v, want workload w / v1 / %d categories / 4 shards", info, testCategories)
+	if info.Workload != "w" || info.ModelVersion != 1 || info.NumCategories != testCategories || info.Shards != serve.Shards {
+		t.Errorf("model info %+v, want workload w / v1 / %d categories / %d shards", info, testCategories, serve.Shards)
 	}
 	if info.Encoder == nil || info.NumFeatures == 0 ||
 		len(info.BinEdges) != info.NumFeatures || len(info.BinCards) != info.NumFeatures {
@@ -480,7 +481,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.MaxInFlightOutcome = -1 },
 		func(c *Config) { c.QueueDeadline = -time.Millisecond },
 		func(c *Config) { c.MaxBatch = -1 },
-		func(c *Config) { c.Serve.Shards = 0 },
+		func(c *Config) { c.Serve.Adaptive.NumCategories = 1 },
 	}
 	for i, mutate := range bad {
 		cfg := testConfig()

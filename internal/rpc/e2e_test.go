@@ -2,6 +2,8 @@ package rpc
 
 import (
 	"context"
+	"net"
+	"net/http"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -9,6 +11,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/rpc/wire"
 )
 
 // TestDaemonLifecycleE2E is the full network lifecycle under -race:
@@ -147,24 +151,39 @@ func TestDaemonLifecycleE2E(t *testing.T) {
 }
 
 // TestShutdownDrainsInFlight checks the drain ordering: a request
-// accepted before Shutdown gets its decision even though the serving
-// core is being torn down right behind it.
+// accepted before Shutdown gets its decisions even though the serving
+// core is torn down right behind it. The place is held in admission
+// (its one slot taken, a queue deadline longer than the test) until
+// Shutdown has closed the listener, so it is in flight while the drain
+// runs; Kill in its place would sever the connection and fail here.
 func TestShutdownDrainsInFlight(t *testing.T) {
 	if testing.Short() {
-		t.Skip("long-flush drain e2e; runs in the rpc-e2e CI job")
+		t.Skip("network drain e2e; runs in the rpc-e2e CI job")
 	}
 	fx := testFixture(t)
 	cfg := testConfig()
-	// A long flush pins the in-flight request in the handler while
-	// Shutdown runs.
-	cfg.Serve.BatchSize = 1024
-	cfg.Serve.FlushInterval = 150 * time.Millisecond
+	cfg.MaxInFlightPlace = 1
+	cfg.QueueDeadline = time.Minute
 	d, err := NewDaemon(fx.newRegistry(t), "w", fx.cm, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	entered := make(chan struct{}, 1)
+	handler := d.http.Handler
+	d.http.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == wire.PathPlace {
+			select {
+			case entered <- struct{}{}:
+			default:
+			}
+		}
+		handler.ServeHTTP(w, r)
+	})
 	if err := d.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
+	}
+	if !d.place.acquire(context.Background()) {
+		t.Fatal("could not take the place slot")
 	}
 	c, err := NewClient(DefaultClientConfig(d.BaseURL()))
 	if err != nil {
@@ -172,18 +191,41 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	}
 	defer c.Close()
 
-	done := make(chan error, 1)
+	type placed struct {
+		decisions []wire.Decision
+		err       error
+	}
+	done := make(chan placed, 1)
 	go func() {
-		_, err := c.Place(context.Background(), fx.jobs[:4])
-		done <- err
+		decisions, err := c.Place(context.Background(), fx.jobs[:4])
+		done <- placed{decisions, err}
 	}()
-	time.Sleep(30 * time.Millisecond) // request is in the handler now
+	<-entered // the place is in its handler, waiting for the slot
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := d.Shutdown(ctx); err != nil {
-		t.Fatalf("shutdown: %v", err)
+	drained := make(chan error, 1)
+	go func() { drained <- d.Shutdown(ctx) }()
+	// Shutdown has begun once the listener refuses new connections.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		conn, err := net.Dial("tcp", d.Addr())
+		if err != nil {
+			break
+		}
+		conn.Close()
+		if time.Now().After(deadline) {
+			t.Fatal("the listener still accepts 5 s after Shutdown began")
+		}
 	}
-	if err := <-done; err != nil {
-		t.Errorf("in-flight request dropped during drain: %v", err)
+	select {
+	case p := <-done:
+		t.Fatalf("the place returned before its slot was released: %v", p.err)
+	default:
+	}
+	d.place.release()
+	if p := <-done; p.err != nil || len(p.decisions) != 4 {
+		t.Errorf("in-flight place during drain: %d decisions, %v; want 4 decisions", len(p.decisions), p.err)
+	}
+	if err := <-drained; err != nil {
+		t.Fatalf("shutdown: %v", err)
 	}
 }

@@ -65,14 +65,8 @@ func (fx fixture) newRegistry(t testing.TB) *registry.Registry {
 	return reg
 }
 
-// testConfig returns small-footprint daemon parameters.
-func testConfig() Config {
-	cfg := DefaultConfig(testCategories)
-	cfg.Serve.Shards = 4
-	cfg.Serve.BatchSize = 16
-	cfg.Serve.FlushInterval = time.Millisecond
-	return cfg
-}
+// testConfig returns the daemon parameters the tests start from.
+func testConfig() Config { return DefaultConfig(testCategories) }
 
 // startDaemon builds and starts a daemon on a loopback port, tearing it
 // down (with a drain deadline) when the test ends.

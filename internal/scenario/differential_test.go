@@ -19,6 +19,7 @@ import (
 	"repro/internal/registry"
 	"repro/internal/router"
 	"repro/internal/rpc"
+	"repro/internal/rpc/wire"
 	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -37,12 +38,12 @@ type layer struct {
 }
 
 // layers is every seam TestServeMatchesSim replays: the in-process
-// server at one shard and at the default count, a client on each
-// codec to an in-process daemon, and the router over planes of 1, 2
-// and 3 named nodes.
+// server through Submit, one call per job, and through SubmitBatch, a
+// client on each codec to an in-process daemon, and the router over
+// planes of 1, 2 and 3 named nodes.
 var layers = []layer{
-	{"serve-1", 1, serveLayer(1)},
-	{"serve-default", 1, serveLayer(serve.DefaultConfig(0).Shards)},
+	{"serve-1", 1, serveLayer(func(srv *serve.Server) online.Placer { return &submitOne{srv: srv} })},
+	{"serve-default", 1, serveLayer(online.Local)},
 	{"rpc-binary", 1, clientLayer(rpc.CodecBinary)},
 	{"rpc-json", 1, clientLayer(rpc.CodecJSON)},
 	{"router-1node", 1, routerLayer(1)},
@@ -61,16 +62,39 @@ func publish(t *testing.T, spec *Spec, e *env) *registry.Registry {
 	return reg
 }
 
-func serveLayer(shards int) func(*testing.T, *Spec, *env) (online.Placer, func()) {
+// serveLayer stands up an in-process server at the default
+// configuration and places on it through placer.
+func serveLayer(placer func(*serve.Server) online.Placer) func(*testing.T, *Spec, *env) (online.Placer, func()) {
 	return func(t *testing.T, spec *Spec, e *env) (online.Placer, func()) {
-		scfg := serve.DefaultConfig(e.model.NumCategories())
-		scfg.Shards = shards
-		srv, err := serve.New(publish(t, spec, e), spec.Name, e.cm, scfg)
+		srv, err := serve.New(publish(t, spec, e), spec.Name, e.cm, serve.DefaultConfig(e.model.NumCategories()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return online.Local(srv), func() { srv.Close() }
+		return placer(srv), func() { srv.Close() }
 	}
+}
+
+// submitOne places through Server.Submit, the single-job entry point,
+// where online.Local places through SubmitBatch.
+type submitOne struct {
+	srv *serve.Server
+	dec []wire.Decision
+}
+
+func (p *submitOne) Place(_ context.Context, jobs []*trace.Job) ([]wire.Decision, error) {
+	p.dec = p.dec[:0]
+	for _, j := range jobs {
+		d, err := p.srv.Submit(j)
+		if err != nil {
+			return nil, err
+		}
+		p.dec = append(p.dec, wire.Decision{JobID: j.ID, Admit: d.Admit, Category: d.Category, ModelVersion: d.ModelVersion, Shard: d.Shard})
+	}
+	return p.dec, nil
+}
+
+func (p *submitOne) Observe(_ context.Context, j *trace.Job, _ int, o sim.Outcome) error {
+	return p.srv.Observe(j, o)
 }
 
 // startDaemon serves reg's model for the scenario's workload from an
@@ -255,8 +279,8 @@ func (s *split) Observe(j *trace.Job, o sim.Outcome)           { s.owner(j).Obse
 // layer's replay decides every job as the simulator's Algorithm 1
 // ranking policy does, split over the plane's ring owners when the
 // layer has more than one node, and lands on bit-equal TCO and TCIO.
-// The shard count is a throughput setting, the codec and the router a
-// transport; a decision that moved with any of them would fail here. A
+// The serving entry point, the codec and the router are transports; a
+// decision that moved with any of them would fail here. A
 // multi-node leg runs twice, on two planes with other ports, because
 // ownership must follow the node names and nothing else. The online
 // legs hold a daemon with its learner behind /v1/outcome to runOnline's

@@ -137,9 +137,9 @@ func TestSubmitEncodedHotSwapInFlight(t *testing.T) {
 					return
 				}
 				for k, d := range out {
-					if d.Category != want[off+k] || d.ModelVersion != b.version || d.Shard != int(b.hashes[k]%4) {
+					if d.Category != want[off+k] || d.ModelVersion != b.version || d.Shard != int(b.hashes[k]%Shards) {
 						t.Errorf("row %d of %d: decision %+v, want category %d from shard %d under v%d",
-							k, size, d, want[off+k], b.hashes[k]%4, b.version)
+							k, size, d, want[off+k], b.hashes[k]%Shards, b.version)
 						return
 					}
 				}

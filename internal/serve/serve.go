@@ -5,11 +5,12 @@
 //
 // Architecture:
 //
-//   - Incoming jobs are partitioned across N shards by their recurring
-//     identity (TemplateKey). A shard is a serving queue whose worker
-//     goroutine accumulates requests into batches (single-flight
-//     accumulation: the batch closes when it reaches BatchSize or when
-//     FlushInterval elapses after its first request).
+//   - Incoming jobs are partitioned across Shards queues by their
+//     recurring identity (TemplateKey). A shard is a queue and a worker
+//     goroutine: the worker takes one message, then whatever else is
+//     already queued, up to a 64-row batch, and serves them as one
+//     batch. It never waits for more, so a lone request is served at
+//     once and a busy shard batches what piled up behind its last pass.
 //   - Every shard admits on the server's one Algorithm 1 controller, as
 //     the paper keeps one threshold per SSD quota: the shard count sets
 //     throughput, never a decision.
@@ -78,43 +79,29 @@ var ErrModelVersion = errors.New("serve: pre-binned rows target a stale model ve
 // shard sees it.
 var ErrMalformedRow = errors.New("serve: malformed pre-binned row")
 
+// ErrClosed reports a submission or outcome that arrived after Close.
+var ErrClosed = errors.New("serve: server is closed")
+
+// Shards is the number of serving queues, one worker goroutine each.
+// It sets throughput only: every shard admits on the server's one
+// controller, so no decision depends on it.
+const Shards = 8
+
+// batchCap is the most placement rows a worker takes into one batch
+// before it serves them; a single larger range is still served whole.
+const batchCap = 64
+
 // Config tunes the serving layer.
 type Config struct {
-	// Shards is the number of serving queues (>= 1), one worker
-	// goroutine each. It sets throughput only: every shard admits on
-	// the server's one controller.
-	Shards int
-	// BatchSize is the max requests classified per inference batch.
-	BatchSize int
-	// FlushInterval bounds how long a partial batch may wait for more
-	// requests before being flushed (the max added queueing latency).
-	FlushInterval time.Duration
 	// Adaptive configures the server's one Algorithm 1 controller.
 	// NumCategories must match the served model.
 	Adaptive core.AdaptiveConfig
 }
 
-// DefaultConfig returns serving parameters sized for a single machine:
-// 8 shards, 64-job batches, 2 ms flush.
+// DefaultConfig returns the serving parameters for an N-category
+// model: the default Algorithm 1 controller.
 func DefaultConfig(numCategories int) Config {
-	return Config{
-		Shards:        8,
-		BatchSize:     64,
-		FlushInterval: 2 * time.Millisecond,
-		Adaptive:      core.DefaultAdaptiveConfig(numCategories),
-	}
-}
-
-func (c *Config) validate() error {
-	switch {
-	case c.Shards < 1:
-		return fmt.Errorf("serve: Shards must be >= 1, got %d", c.Shards)
-	case c.BatchSize < 1:
-		return fmt.Errorf("serve: BatchSize must be >= 1, got %d", c.BatchSize)
-	case c.FlushInterval <= 0:
-		return fmt.Errorf("serve: FlushInterval must be positive, got %s", c.FlushInterval)
-	}
-	return c.Adaptive.Validate()
+	return Config{Adaptive: core.DefaultAdaptiveConfig(numCategories)}
 }
 
 // Decision is the served placement verdict for one job.
@@ -173,9 +160,9 @@ type call struct {
 	version  int
 	mismatch atomic.Bool
 
-	hashes []uint32 // TemplateHash per job; scratch of the raw path
-	order  []int32  // row indices sorted by shard
-	cursor []int32  // counting-sort scratch, one slot per shard plus one
+	hashes []uint32          // TemplateHash per job; scratch of the raw path
+	order  []int32           // row indices sorted by shard
+	cursor [Shards + 1]int32 // counting-sort scratch
 	wg     sync.WaitGroup
 	// Submit's jobs and out, pooled so that it allocates nothing.
 	one    [1]*trace.Job
@@ -223,10 +210,10 @@ type Server struct {
 	// overwrite a newer one.
 	installMu sync.Mutex
 	swaps     atomic.Int64
-	shards    []*shard
+	queues    [Shards]chan message
 	unsub     func()
-	// calls pools *call (cursor sized for cfg.Shards) by pointer, so the
-	// runtime's pool list cannot keep a closed Server reachable.
+	// calls pools *call by pointer, so the runtime's pool list cannot
+	// keep a closed Server reachable.
 	calls *sync.Pool
 	// amu serializes the one controller between shard workers (once per
 	// batch, for its admissions), Observe callers (once per outcome) and
@@ -238,38 +225,16 @@ type Server struct {
 	// latencyNs sums every decision's enqueue-to-decision latency.
 	counts    metrics.ShardSnapshot
 	latencyNs int64
-
-	mu     sync.RWMutex // guards closed vs in-flight submits
-	closed bool
-	wg     sync.WaitGroup
-}
-
-// shard is one serving queue: a request queue, its worker, and the
-// worker's histograms.
-type shard struct {
-	id int
-	// reqs buffers 4 × BatchSize messages: submitters queue a few
-	// batches' worth while the worker runs one.
-	reqs chan message
-	// pending counts messages between a submitter's pre-send increment
-	// and the worker's post-receive decrement. When the queue is empty
-	// AND pending is zero, no submitter is in flight, so an under-filled
-	// batch flushes immediately instead of waiting out FlushInterval
-	// (the adaptive low-QPS flush).
-	pending atomic.Int64
 	// batchLat streams the enqueue-to-decision latency of every batch
-	// message; queueDepth samples the request-queue length once per
+	// message; queueDepth samples a shard's queue length once per
 	// processed batch. Both surface on /varz as histogram lines — they
 	// carry wall-clock data and never feed scenario reports.
 	batchLat   obs.Histogram
 	queueDepth obs.Histogram
-}
 
-// send enqueues one message with the pending handshake the drain flush
-// relies on (increment strictly before the channel send).
-func (sh *shard) send(m message) {
-	sh.pending.Add(1)
-	sh.reqs <- m
+	mu     sync.RWMutex // guards closed vs in-flight submits
+	closed bool
+	wg     sync.WaitGroup
 }
 
 // New builds a server that resolves the workload's category model from
@@ -277,16 +242,12 @@ func (sh *shard) send(m message) {
 // version (or rolls back), the compiled model is swapped atomically
 // under load. The model's category count must match cfg.Adaptive.
 func New(reg *registry.Registry, workload string, cm *cost.Model, cfg Config) (*Server, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
 	adaptive, err := core.NewAdaptive(cfg.Adaptive)
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{cfg: cfg, cm: cm, workload: workload, reg: reg, adaptive: adaptive}
-	cursors := cfg.Shards + 1
-	s.calls = &sync.Pool{New: func() any { return &call{cursor: make([]int32, cursors)} }}
+	s.calls = &sync.Pool{New: func() any { return new(call) }}
 	// Subscribe before the initial resolve: a version published in
 	// between is then picked up by its callback instead of being
 	// silently missed.
@@ -297,11 +258,12 @@ func New(reg *registry.Registry, workload string, cm *cost.Model, cfg Config) (*
 		s.unsub()
 		return nil, err
 	}
-	for i := 0; i < cfg.Shards; i++ {
-		sh := &shard{id: i, reqs: make(chan message, 4*cfg.BatchSize)}
-		s.shards = append(s.shards, sh)
+	for i := range s.queues {
+		// 4 × batchCap messages: submitters queue a few batches' worth
+		// while the worker serves one.
+		s.queues[i] = make(chan message, 4*batchCap)
 		s.wg.Add(1)
-		go s.run(sh)
+		go s.run(i)
 	}
 	return s, nil
 }
@@ -359,7 +321,8 @@ func (s *Server) Swaps() int64 { return s.swaps.Load() }
 func TemplateHash(j *trace.Job) uint32 { return trace.TemplateHash(j.Pipeline, j.Step) }
 
 // Submit requests a placement decision for one job, blocking until the
-// decision is served (at most roughly FlushInterval plus inference).
+// decision is served: its shard's worker takes it with the next batch
+// and never waits for more requests to fill one.
 func (s *Server) Submit(j *trace.Job) (Decision, error) {
 	c := s.calls.Get().(*call)
 	defer s.release(c)
@@ -443,11 +406,9 @@ func (s *Server) SubmitEncoded(version int, hashes []uint32, arrivals []float64,
 // scratch and sends each shard that has rows one message naming its
 // range.
 func (s *Server) fanOut(c *call, hashes []uint32) error {
-	nsh := uint32(len(s.shards))
-	cursor := c.cursor
-	for sid := range cursor {
-		cursor[sid] = 0
-	}
+	const nsh = uint32(Shards)
+	cursor := &c.cursor
+	*cursor = [Shards + 1]int32{}
 	// Count shard sid into cursor[sid+1] and prefix-sum, so cursor[sid]
 	// is where shard sid's range begins; placing a row advances it, so
 	// afterwards cursor[sid] is where the range ends.
@@ -470,14 +431,14 @@ func (s *Server) fanOut(c *call, hashes []uint32) error {
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
-		return fmt.Errorf("serve: server is closed")
+		return ErrClosed
 	}
 	now := time.Now()
 	lo := int32(0)
 	for sid, hi := range cursor[:nsh] {
 		if hi > lo {
 			c.wg.Add(1)
-			s.shards[sid].send(message{call: c, lo: lo, hi: hi, enq: now})
+			s.queues[sid] <- message{call: c, lo: lo, hi: hi, enq: now}
 		}
 		lo = hi
 	}
@@ -510,7 +471,7 @@ func (s *Server) Observe(j *trace.Job, o sim.Outcome) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
-		return fmt.Errorf("serve: server is closed")
+		return ErrClosed
 	}
 	s.amu.Lock()
 	s.adaptive.Observe(arrival, end, wantedSSD, spilledAt, spillFrac, tcioRate)
@@ -532,8 +493,8 @@ func (s *Server) Close() error {
 	if s.unsub != nil {
 		s.unsub()
 	}
-	for _, sh := range s.shards {
-		close(sh.reqs)
+	for _, q := range s.queues {
+		close(q)
 	}
 	s.wg.Wait()
 	return nil
@@ -554,27 +515,13 @@ func (s *Server) Stats() metrics.ShardSnapshot {
 	return st
 }
 
-// BatchLatency returns the merged enqueue-to-decision latency histogram
-// across all shards (nanoseconds).
-func (s *Server) BatchLatency() obs.HistSnapshot {
-	var out obs.HistSnapshot
-	for _, sh := range s.shards {
-		snap := sh.batchLat.Snapshot()
-		out.Merge(&snap)
-	}
-	return out
-}
+// BatchLatency returns the enqueue-to-decision latency histogram of
+// every shard's batch messages (nanoseconds).
+func (s *Server) BatchLatency() obs.HistSnapshot { return s.batchLat.Snapshot() }
 
-// QueueDepth returns the merged per-batch queue-depth histogram across
-// all shards (messages waiting when a batch began processing).
-func (s *Server) QueueDepth() obs.HistSnapshot {
-	var out obs.HistSnapshot
-	for _, sh := range s.shards {
-		snap := sh.queueDepth.Snapshot()
-		out.Merge(&snap)
-	}
-	return out
-}
+// QueueDepth returns the per-batch queue-depth histogram of every shard
+// (messages waiting on the shard when a batch began processing).
+func (s *Server) QueueDepth() obs.HistSnapshot { return s.queueDepth.Snapshot() }
 
 // ACT returns the controller's current admission category threshold
 // (the Fig. 16 controller state).
@@ -584,8 +531,10 @@ func (s *Server) ACT() int {
 	return s.adaptive.ACT()
 }
 
-// worker holds a shard worker's reusable batch state.
+// worker holds a shard worker's queue and reusable batch state.
 type worker struct {
+	id      int
+	reqs    chan message
 	batch   []message
 	jobs    int       // placement jobs accumulated across batch messages
 	tile    []uint16  // the batch's binned rows, back to back
@@ -597,87 +546,31 @@ type worker struct {
 // placements returns how many placement rows a message contributes.
 func (m *message) placements() int { return int(m.hi - m.lo) }
 
-// flushKind says why a shard batch was closed.
-type flushKind int
-
-const (
-	// flushFull: the batch reached BatchSize.
-	flushFull flushKind = iota
-	// flushTimeout: the max-latency flush timer fired.
-	flushTimeout
-	// flushDrain: the queue drained with no submitter in flight, so the
-	// partial batch was flushed immediately instead of waiting out the
-	// timer (the adaptive low-QPS path).
-	flushDrain
-)
-
-// run is the shard worker loop: single-flight batch accumulation with a
-// max-latency flush, then batched classification and admission. The
-// batch closes when the accumulated placement jobs reach BatchSize (a
-// single larger range still processes whole), when FlushInterval elapses
-// after the batch's first message, or — the adaptive path — as soon as
-// the queue drains with no submitter in flight (pending == 0): a lone
-// low-QPS submitter then never waits out the flush timer, which is what
-// kept paced p50 latency pinned at ~FlushInterval.
-func (s *Server) run(sh *shard) {
+// run is shard id's worker loop: it takes one message, then without
+// blocking whatever else is queued until the batch holds batchCap rows,
+// and serves the batch. A batch that stops at batchCap counts as a full
+// flush, one that empties the queue as a drain flush. It exits once
+// Close has closed the queue and every queued message is served.
+func (s *Server) run(id int) {
 	defer s.wg.Done()
-	w := &worker{}
-	timer := time.NewTimer(s.cfg.FlushInterval)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	for {
-		first, ok := <-sh.reqs
-		if !ok {
-			return
-		}
-		sh.pending.Add(-1)
+	w := &worker{id: id, reqs: s.queues[id]}
+	for first := range w.reqs {
 		w.batch = append(w.batch[:0], first)
 		w.jobs = first.placements()
-		timer.Reset(s.cfg.FlushInterval)
-		flush := flushFull
-	accumulate:
-		for w.jobs < s.cfg.BatchSize {
-			// Fast path: drain whatever is already queued.
+	drain:
+		for w.jobs < batchCap {
 			select {
-			case m, ok := <-sh.reqs:
+			case m, ok := <-w.reqs:
 				if !ok {
-					s.process(sh, w, flush)
-					return
+					break drain
 				}
-				sh.pending.Add(-1)
 				w.batch = append(w.batch, m)
 				w.jobs += m.placements()
-				continue
 			default:
-			}
-			if sh.pending.Load() == 0 {
-				// Queue empty and nobody mid-submit: flushing now
-				// costs no batching opportunity that is actually in
-				// flight.
-				flush = flushDrain
-				break accumulate
-			}
-			// A submitter has announced itself but its message has not
-			// landed yet: block for it (or for the flush deadline).
-			select {
-			case m, ok := <-sh.reqs:
-				if !ok {
-					s.process(sh, w, flush)
-					return
-				}
-				sh.pending.Add(-1)
-				w.batch = append(w.batch, m)
-				w.jobs += m.placements()
-			case <-timer.C:
-				flush = flushTimeout
-				break accumulate
+				break drain
 			}
 		}
-		if flush != flushTimeout && !timer.Stop() {
-			<-timer.C
-		}
-		s.process(sh, w, flush)
+		s.process(w)
 	}
 }
 
@@ -690,11 +583,8 @@ func (s *Server) run(sh *shard) {
 // to a stale model version are rejected here (flagged for the
 // submitter, no decisions served): their bins were cut at another
 // model's edges.
-func (s *Server) process(sh *shard, w *worker, flush flushKind) {
-	if len(w.batch) == 0 {
-		return
-	}
-	sh.queueDepth.Record(int64(len(sh.reqs)))
+func (s *Server) process(w *worker) {
+	s.queueDepth.Record(int64(len(w.reqs)))
 	am := s.active.Load()
 	nf := am.forest.NumFeatures
 	if cap(w.tile) < w.jobs*nf {
@@ -741,7 +631,7 @@ func (s *Server) process(sh *shard, w *worker, flush flushKind) {
 			continue
 		}
 		latency := now.Sub(m.enq)
-		sh.batchLat.RecordDuration(latency)
+		s.batchLat.RecordDuration(latency)
 		for _, r := range c.order[m.lo:m.hi] {
 			cat := w.classes[n]
 			n++
@@ -750,7 +640,7 @@ func (s *Server) process(sh *shard, w *worker, flush flushKind) {
 				Admit:        admit,
 				Category:     cat,
 				ModelVersion: am.version.Number,
-				Shard:        sh.id,
+				Shard:        w.id,
 			}
 			if admit {
 				s.counts.Admitted++
@@ -763,13 +653,10 @@ func (s *Server) process(sh *shard, w *worker, flush flushKind) {
 		c.wg.Done()
 	}
 	s.counts.Batches++
-	switch flush {
-	case flushTimeout:
-		s.counts.TimeoutFlushes++
-	case flushDrain:
-		s.counts.DrainFlushes++
-	default:
+	if w.jobs >= batchCap {
 		s.counts.FullFlushes++
+	} else {
+		s.counts.DrainFlushes++
 	}
 	s.amu.Unlock()
 }

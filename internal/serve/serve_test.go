@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"errors"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -67,13 +70,7 @@ func testFixture(t *testing.T) fixture {
 	return fixtureVal
 }
 
-func testConfig() Config {
-	cfg := DefaultConfig(testCategories)
-	cfg.Shards = 4
-	cfg.BatchSize = 16
-	cfg.FlushInterval = time.Millisecond
-	return cfg
-}
+func testConfig() Config { return DefaultConfig(testCategories) }
 
 func newTestServer(t *testing.T, cfg Config) (*Server, fixture, *registry.Registry) {
 	t.Helper()
@@ -105,7 +102,7 @@ func TestServeMatchesModelPredictions(t *testing.T) {
 		if d.ModelVersion != 1 {
 			t.Fatalf("job %d: served by version %d, want 1", i, d.ModelVersion)
 		}
-		if d.Shard < 0 || d.Shard >= 4 {
+		if d.Shard < 0 || d.Shard >= Shards {
 			t.Fatalf("job %d: bad shard %d", i, d.Shard)
 		}
 	}
@@ -285,48 +282,17 @@ func TestSwapRejectsIncompatibleModel(t *testing.T) {
 	}
 }
 
-// TestBatchFlushTimeout submits fewer jobs than BatchSize and checks
-// a lone submitter is served promptly: with an idle queue the drain
-// flush fires immediately instead of holding the job for the full
-// FlushInterval (the old low-QPS latency wart).
-func TestBatchFlushTimeout(t *testing.T) {
-	cfg := testConfig()
-	cfg.Shards = 1
-	cfg.BatchSize = 1024
-	cfg.FlushInterval = time.Second
-	srv, fx, _ := newTestServer(t, cfg)
-
-	start := time.Now()
-	if _, err := srv.Submit(fx.jobs[0]); err != nil {
-		t.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	// Far below FlushInterval: the drain flush must not wait the timer.
-	if elapsed > cfg.FlushInterval/2 {
-		t.Fatalf("single submit took %s with a %s flush interval; drain flush did not fire", elapsed, cfg.FlushInterval)
-	}
-	stats := srv.Stats()
-	if stats.DrainFlushes == 0 {
-		t.Fatalf("expected a drain flush, got %+v", stats)
-	}
-	if stats.FullFlushes != 0 {
-		t.Fatalf("a 1-job batch cannot be a full flush: %+v", stats)
-	}
-}
-
 // TestDrainFlushLowQPSLatency is the regression test for the low-QPS
 // latency wart: a paced trickle of single submits (each arriving into
-// an idle shard) must be served at drain-flush speed, never waiting out
-// a long FlushInterval. Before the drain flush, p50 at paced 10k-QPS
-// rates sat at ~FlushInterval.
+// an idle shard) must each be served as a batch of its own, at once,
+// never held back for more requests. Before the drain flush, p50 at
+// paced 10k-QPS rates sat at the 2 ms flush interval the server then
+// had.
 func TestDrainFlushLowQPSLatency(t *testing.T) {
-	cfg := testConfig()
-	cfg.Shards = 1
-	cfg.BatchSize = 1024
-	cfg.FlushInterval = 250 * time.Millisecond
-	srv, fx, _ := newTestServer(t, cfg)
+	srv, fx, _ := newTestServer(t, testConfig())
 
 	const n = 20
+	const limit = 250 * time.Millisecond
 	var worst time.Duration
 	for i := 0; i < n; i++ {
 		start := time.Now()
@@ -338,12 +304,12 @@ func TestDrainFlushLowQPSLatency(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond) // paced: queue is idle between submits
 	}
-	if worst >= cfg.FlushInterval {
-		t.Errorf("worst paced-submit latency %s >= FlushInterval %s; drain flush not engaging", worst, cfg.FlushInterval)
+	if worst >= limit {
+		t.Errorf("worst paced-submit latency %s >= %s; the worker waited for more requests", worst, limit)
 	}
 	stats := srv.Stats()
-	if stats.DrainFlushes < n/2 {
-		t.Errorf("only %d of %d paced submits drain-flushed: %+v", stats.DrainFlushes, n, stats)
+	if stats.Batches != n || stats.DrainFlushes != n || stats.FullFlushes != 0 || stats.TimeoutFlushes != 0 {
+		t.Errorf("%d lone submits: want %d drain flushes and nothing else, got %+v", n, n, stats)
 	}
 }
 
@@ -351,7 +317,6 @@ func TestDrainFlushLowQPSLatency(t *testing.T) {
 // and checks the controller tightens admission.
 func TestObserveMovesACT(t *testing.T) {
 	cfg := testConfig()
-	cfg.Shards = 1
 	cfg.Adaptive.DecisionIntervalSec = 10
 	cfg.Adaptive.LookBackSec = 100
 	srv, fx, _ := newTestServer(t, cfg)
@@ -393,7 +358,7 @@ func TestOutcomeReachesEveryTemplate(t *testing.T) {
 	cfg.Adaptive.LookBackSec = 100
 	srv, fx, _ := newTestServer(t, cfg)
 
-	shardOf := func(j *trace.Job) int { return int(TemplateHash(j) % uint32(cfg.Shards)) }
+	shardOf := func(j *trace.Job) int { return int(TemplateHash(j) % Shards) }
 	spilled := fx.jobs[0]
 	var other *trace.Job
 	for _, j := range fx.jobs {
@@ -505,8 +470,9 @@ func TestObserveIsAppliedOnReturn(t *testing.T) {
 
 // checkStats holds a Stats snapshot taken once the callers are joined
 // to what they were told: exact submission, observation and admit
-// counts, flush kinds that sum to the batches, MeanBatchSize derived
-// from the counts, and 0 < MeanLatency <= MaxLatency.
+// counts, flush kinds that sum to the batches with no timeout flush (the
+// server has no flush timer), MeanBatchSize derived from the counts,
+// and 0 < MeanLatency <= MaxLatency.
 func checkStats(t *testing.T, st metrics.ShardSnapshot, submitted, observations, admitted int64) {
 	t.Helper()
 	if st.Submitted != submitted {
@@ -521,6 +487,9 @@ func checkStats(t *testing.T, st metrics.ShardSnapshot, submitted, observations,
 	if st.Batches == 0 || st.FullFlushes+st.TimeoutFlushes+st.DrainFlushes != st.Batches {
 		t.Errorf("flushes %d full + %d timeout + %d drain, batches %d",
 			st.FullFlushes, st.TimeoutFlushes, st.DrainFlushes, st.Batches)
+	}
+	if st.TimeoutFlushes != 0 {
+		t.Errorf("%d timeout flushes from a server with no flush timer", st.TimeoutFlushes)
 	}
 	if want := float64(st.Submitted) / float64(st.Batches); st.MeanBatchSize != want {
 		t.Errorf("MeanBatchSize %g, want %g", st.MeanBatchSize, want)
@@ -576,13 +545,9 @@ func TestStatsSnapshot(t *testing.T) {
 // controller lock, so they are exact the moment the callers are joined
 // and no snapshot tears between fields, even one taken mid-traffic.
 // Submitters on both placement paths and outcome posters run
-// concurrently over four shards beside a Stats reader (run with -race).
+// concurrently over the shards beside a Stats reader (run with -race).
 func TestStatsCountsUnderOneLock(t *testing.T) {
-	cfg := testConfig()
-	if cfg.Shards < 4 {
-		t.Fatalf("%d shards; the test needs at least 4", cfg.Shards)
-	}
-	srv, fx, _ := newTestServer(t, cfg)
+	srv, fx, _ := newTestServer(t, testConfig())
 
 	const callers, rounds, chunk = 3, 20, 24
 	jobs := fx.jobs[:chunk]
@@ -676,21 +641,79 @@ func TestSubmitAfterClose(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal("second Close must be a no-op, got", err)
 	}
-	if _, err := srv.Submit(fx.jobs[0]); err == nil {
-		t.Fatal("Submit after Close must fail")
+	if _, err := srv.Submit(fx.jobs[0]); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Submit after Close: %v, want ErrClosed", err)
 	}
-	if err := srv.Observe(fx.jobs[0], sim.Outcome{}); err == nil {
-		t.Fatal("Observe after Close must fail")
+	if err := srv.Observe(fx.jobs[0], sim.Outcome{}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Observe after Close: %v, want ErrClosed", err)
 	}
+}
+
+// TestCloseDuringSubmits closes the server while callers loop on both
+// placement paths. Every call either returns all its decisions or
+// ErrClosed, none hangs, and once the callers are joined every worker
+// the server started is gone (run with -race).
+func TestCloseDuringSubmits(t *testing.T) {
+	fx := testFixture(t)
+	reg := fx.newRegistry(t)
+	before := runtime.NumGoroutine()
+	srv, err := New(reg, "w", fx.cm, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const callers = 3
+	jobs := fx.jobs[:24]
+	var served atomic.Int64
+	// loop calls submit until it fails, checking that each call that
+	// succeeds wrote every decision.
+	loop := func(submit func([]Decision) ([]Decision, error)) {
+		out := make([]Decision, len(jobs))
+		for {
+			for i := range out {
+				out[i] = Decision{}
+			}
+			out, err := submit(out)
+			if err != nil {
+				if !errors.Is(err, ErrClosed) {
+					t.Errorf("a call racing Close: %v, want decisions or ErrClosed", err)
+				}
+				return
+			}
+			for i, d := range out {
+				if d.ModelVersion != 1 {
+					t.Errorf("a call racing Close returned no decision for row %d: %+v", i, d)
+					return
+				}
+			}
+			served.Add(1)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		b := encodeBatch(srv, jobs)
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			loop(func(out []Decision) ([]Decision, error) { return srv.SubmitBatch(jobs, out) })
+		}()
+		go func() {
+			defer wg.Done()
+			loop(func(out []Decision) ([]Decision, error) { return b.submit(srv, out) })
+		}()
+	}
+	waitFor(t, 5*time.Second, func() bool { return served.Load() >= 4*callers })
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	waitFor(t, 5*time.Second, func() bool { return runtime.NumGoroutine() <= before })
 }
 
 func TestNewValidatesConfig(t *testing.T) {
 	fx := testFixture(t)
 	reg := fx.newRegistry(t)
 	bad := []func(*Config){
-		func(c *Config) { c.Shards = 0 },
-		func(c *Config) { c.BatchSize = 0 },
-		func(c *Config) { c.FlushInterval = 0 },
 		func(c *Config) { c.Adaptive.NumCategories = 1 },
 	}
 	for i, mutate := range bad {
