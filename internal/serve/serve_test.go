@@ -282,6 +282,30 @@ func TestSwapRejectsIncompatibleModel(t *testing.T) {
 	}
 }
 
+// TestBatchFlushTimeout submits one job, far fewer than the batch cap,
+// and checks the lone submitter is served at once as a one-row drain
+// flush: the worker takes what is queued and never waits for a batch
+// to fill or for a timer, so no full or timeout flush is counted.
+func TestBatchFlushTimeout(t *testing.T) {
+	srv, fx, _ := newTestServer(t, testConfig())
+
+	const limit = 500 * time.Millisecond
+	start := time.Now()
+	if _, err := srv.Submit(fx.jobs[0]); err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed > limit {
+		t.Fatalf("single submit took %s (limit %s); the worker waited for more requests", elapsed, limit)
+	}
+	stats := srv.Stats()
+	if stats.Batches != 1 || stats.DrainFlushes != 1 {
+		t.Fatalf("one submit: want 1 batch, 1 drain flush, got %+v", stats)
+	}
+	if stats.FullFlushes != 0 || stats.TimeoutFlushes != 0 {
+		t.Fatalf("a 1-job batch is neither a full nor a timeout flush: %+v", stats)
+	}
+}
+
 // TestDrainFlushLowQPSLatency is the regression test for the low-QPS
 // latency wart: a paced trickle of single submits (each arriving into
 // an idle shard) must each be served as a batch of its own, at once,
