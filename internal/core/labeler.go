@@ -99,6 +99,11 @@ func FitLabelerSpacing(jobs []*trace.Job, cm *cost.Model, numCategories int, spa
 	sort.Float64s(densities)
 	nPos := numCategories - 1 // classes 1..N-1
 	l := &Labeler{NumCategories: numCategories}
+	if nPos > 1 {
+		// Sized once; at N = 2 Boundaries stays nil, which a model file
+		// writes as null.
+		l.Boundaries = make([]float64, nPos-1)
+	}
 	lo, hi := densities[0], densities[len(densities)-1]
 	for k := 1; k < nPos; k++ {
 		frac := float64(k) / float64(nPos)
@@ -113,7 +118,7 @@ func FitLabelerSpacing(jobs []*trace.Job, cm *cost.Model, numCategories int, spa
 			idx := int(frac * float64(len(densities)-1))
 			b = densities[idx]
 		}
-		l.Boundaries = append(l.Boundaries, b)
+		l.Boundaries[k-1] = b
 	}
 	// Degenerate distributions can produce non-monotone boundaries
 	// after floating point; enforce monotonicity.

@@ -395,54 +395,24 @@ func diurnalFactor(amp, atSec float64) float64 {
 const jobBlock, idDigits = 256, 6
 
 // Generate produces the full trace for the configured window, sorted by
-// arrival time. Generation is deterministic given the config. The jobs
-// live in arrival-ordered blocks of 256 and each block's IDs in one
-// string of its own, so a kept *Job keeps its block and its block's IDs
-// alive, and a kept arrival range only its blocks'.
+// arrival time. Generation is deterministic given the config. Jobs are
+// written once, in template order (the order the RNG draws in), into
+// 256-job blocks, which are then permuted in place into arrival order;
+// each block's IDs go into one string of its own, so a kept *Job keeps
+// its block and its block's IDs alive, and a kept arrival range only its
+// blocks'.
 func (g *Generator) Generate() *Trace {
-	// Instantiate in template order, the order the RNG draws in: job seq
-	// is staged[seq/jobBlock][seq%jobBlock], and its ID is made from seq.
-	var staged [][]Job
-	var arrivals []float64 // reused template to template
-	n := 0
-	for i := range g.templates {
-		t := &g.templates[i]
-		arrivals = g.arrivalTimes(t, arrivals[:0])
-		for _, at := range arrivals {
-			if n%jobBlock == 0 {
-				staged = append(staged, make([]Job, jobBlock))
-			}
-			g.instantiate(&staged[n/jobBlock][n%jobBlock], t, at)
-			n++
-		}
-	}
-	// Sort (arrival, seq) pairs by byArrival's (ArrivalSec, ID), spelling
-	// out the two IDs only on a tie. Generated IDs are unique, so this is
-	// a total order and the unstable sort gives Sort's order without its
-	// merge passes.
+	blocks, order := g.arrange()
+	// Write each block's IDs into one buffer and then into the block's own
+	// string.
 	cluster := g.cfg.Cluster
-	order := make([]arrival, n)
-	for seq := range order {
-		order[seq] = arrival{staged[seq/jobBlock][seq%jobBlock].ArrivalSec, int32(seq)}
-	}
-	slices.SortFunc(order, func(a, b arrival) int {
-		if a.at != b.at {
-			return cmp.Compare(a.at, b.at)
-		}
-		var ba, bb [64]byte
-		return bytes.Compare(appendJobID(ba[:0], cluster, int(a.seq)), appendJobID(bb[:0], cluster, int(b.seq)))
-	})
-	// Copy into arrival-ordered blocks, writing each block's IDs into one
-	// buffer and then into the block's own string.
-	tr := &Trace{Cluster: cluster, Jobs: make([]*Job, n)}
+	tr := &Trace{Cluster: cluster, Jobs: make([]*Job, len(order))}
 	ids := make([]byte, 0, jobBlock*(len(cluster)+len("-j")+idDigits))
 	var ends [jobBlock]int
-	for lo := 0; lo < n; lo += jobBlock {
-		keys := order[lo:min(lo+jobBlock, n)]
-		blk := make([]Job, len(keys))
+	for b, blk := range blocks {
+		lo := b * jobBlock
 		ids = ids[:0]
-		for i, a := range keys {
-			blk[i] = staged[a.seq/jobBlock][a.seq%jobBlock]
+		for i, a := range order[lo : lo+len(blk)] {
 			ids = appendJobID(ids, cluster, int(a.seq))
 			ends[i] = len(ids)
 		}
@@ -455,7 +425,87 @@ func (g *Generator) Generate() *Trace {
 	return tr
 }
 
-// arrival is job seq's sort key in Generate.
+// arrange writes every job of the trace once, IDs aside, and returns its
+// blocks in arrival order: position p is blocks[p/jobBlock][p%jobBlock],
+// and order[p].seq is the seq of the job there. Every block but a
+// partial last one holds jobBlock jobs, and each block's length is its
+// capacity.
+func (g *Generator) arrange() ([][]Job, []arrival) {
+	// Instantiate in template order, the order the RNG draws in: job seq
+	// is staged at position seq, and its ID is made from seq.
+	most, total := 0, 0
+	for i := range g.templates {
+		b := g.arrivalBound(&g.templates[i])
+		most, total = max(most, b), total+b
+	}
+	blocks := make([][]Job, 0, total/jobBlock+1)
+	arrivals := make([]float64, 0, most) // reused template to template
+	n := 0
+	for i := range g.templates {
+		t := &g.templates[i]
+		arrivals = g.arrivalTimes(t, arrivals[:0])
+		for _, at := range arrivals {
+			if n%jobBlock == 0 {
+				blocks = append(blocks, make([]Job, jobBlock))
+			}
+			g.instantiate(&blocks[n/jobBlock][n%jobBlock], t, at)
+			n++
+		}
+	}
+	// Sort (arrival, seq) pairs by byArrival's (ArrivalSec, ID), spelling
+	// out the two IDs only on a tie. Generated IDs are unique, so this is
+	// a total order and the unstable sort gives Sort's order without its
+	// merge passes.
+	cluster := g.cfg.Cluster
+	order := make([]arrival, n)
+	for seq := range order {
+		order[seq] = arrival{blocks[seq/jobBlock][seq%jobBlock].ArrivalSec, int32(seq)}
+	}
+	slices.SortFunc(order, func(a, b arrival) int {
+		if a.at != b.at {
+			return cmp.Compare(a.at, b.at)
+		}
+		var ba, bb [64]byte
+		return bytes.Compare(appendJobID(ba[:0], cluster, int(a.seq)), appendJobID(bb[:0], cluster, int(b.seq)))
+	})
+	permute(blocks, order)
+	// A partial last block is cut to its length, so a kept tail job pins
+	// only the jobs there are.
+	if tail := n % jobBlock; tail != 0 {
+		last := &blocks[len(blocks)-1]
+		*last = append(make([]Job, 0, tail), (*last)[:tail]...)
+	}
+	return blocks, order
+}
+
+// permute puts the job at position order[k].seq at position k, where
+// position p is blocks[p/jobBlock][p%jobBlock]. It follows each cycle
+// of the permutation once with one job in hand, marking a position done
+// by complementing its seq, and clears the marks at the end.
+func permute(blocks [][]Job, order []arrival) {
+	at := func(p int) *Job { return &blocks[p/jobBlock][p%jobBlock] }
+	for k := range order {
+		if order[k].seq < 0 {
+			continue
+		}
+		held := *at(k)
+		for p := k; ; {
+			from := int(order[p].seq)
+			order[p].seq = ^order[p].seq
+			if from == k {
+				*at(p) = held
+				break
+			}
+			*at(p) = *at(from)
+			p = from
+		}
+	}
+	for k := range order {
+		order[k].seq = ^order[k].seq
+	}
+}
+
+// arrival is job seq's sort key in arrange.
 type arrival struct {
 	at  float64
 	seq int32
@@ -471,6 +521,21 @@ func appendJobID(b []byte, cluster string, seq int) []byte {
 		}
 	}
 	return strconv.AppendInt(b, int64(seq), 10)
+}
+
+// arrivalBound is about the most arrivals arrivalTimes yields for t: a
+// period's count is at most the window over the period plus one, and a
+// Poisson count, before thinning, seldom exceeds its mean by four
+// standard deviations (a count past the bound grows the buffer once).
+func (g *Generator) arrivalBound(t *jobTemplate) int {
+	if g.cfg.DurationSec <= 0 {
+		return 0
+	}
+	if t.periodSec > 0 {
+		return int(g.cfg.DurationSec*g.cfg.LoadScale/t.periodSec) + 1
+	}
+	mean := g.cfg.DurationSec * g.cfg.LoadScale / t.meanInterSec
+	return int(mean+4*math.Sqrt(mean)) + 1
 }
 
 // arrivalTimes appends template t's arrival times in the window to out.
