@@ -121,8 +121,6 @@ type (
 	OnlineConfig = online.Config
 	// OnlineWindowConfig bounds the learner's sliding feedback window.
 	OnlineWindowConfig = online.WindowConfig
-	// OnlineDriftConfig tunes the category-distribution drift trigger.
-	OnlineDriftConfig = online.DriftConfig
 	// OnlineEvent reports one retrain attempt (gate verdict, shadow
 	// scores, published version).
 	OnlineEvent = online.Event
@@ -361,25 +359,28 @@ const (
 )
 
 // DefaultOnlineConfig returns continuous-learning parameters for an
-// N-category model: a 3.5-day / 8192-record window, daily retrain
-// cadence and a drift trigger at 0.15 total-variation shift. The
-// 0.5-point TCO-savings regression gate is fixed.
+// N-category model: a 3.5-day / 8192-job window, daily retrain cadence,
+// a drift trigger at 0.15 total-variation shift (DriftTV) and a 500-job
+// window floor for any retrain (MinRetrainJobs), where the drift
+// trigger takes its first reference. The 0.5-point TCO-savings
+// regression gate is fixed.
 func DefaultOnlineConfig(numCategories int) OnlineConfig {
 	return online.DefaultConfig(numCategories)
 }
 
 // NewOnlineLearner creates the continuous-learning pipeline for a
-// workload: stream placement outcomes in with Observe and the learner
-// retrains on fresh data, shadow-gates each candidate against the live
-// model and publishes survivors to reg — atomically hot-swapping any
-// server created with NewServerFromRegistry on the same workload.
+// workload: stream each placed job and its served category in with
+// Observe once the outcome is known, and the learner retrains on fresh
+// data, shadow-gates each candidate against the live model and
+// publishes survivors to reg — atomically hot-swapping any server
+// created with NewServerFromRegistry on the same workload.
 func NewOnlineLearner(reg *ModelRegistry, workload string, cm *CostModel, cfg OnlineConfig) (*OnlineLearner, error) {
 	return online.New(reg, workload, cm, cfg)
 }
 
 // RunOnlineLoop replays a trace through the full closed loop — server
-// decisions, simulated SSD occupancy, outcome feedback to both the
-// server's controller and the learner's window — so retrains, gate
+// decisions, simulated SSD occupancy, outcome feedback to the server's
+// controller and each job to the learner's window — so retrains, gate
 // verdicts and hot swaps all happen mid-replay. Pass a nil learner to
 // replay the frozen-model baseline.
 func RunOnlineLoop(tr *Trace, srv *Server, learner *OnlineLearner, cm *CostModel, cfg SimConfig) (*SimResult, error) {

@@ -43,7 +43,6 @@ func run(args []string, stdout io.Writer) error {
 	var (
 		dir     = fs.String("dir", "scenarios", "scenario packages root")
 		runRe   = fs.String("run", "", "run only scenarios whose name matches this regexp")
-		workers = fs.Int("workers", 0, "scenario worker pool (0 = GOMAXPROCS; reports are identical at any value)")
 		update  = fs.Bool("update", false, "rewrite each scenario's report.golden with this run's report")
 		verbose = fs.Bool("v", false, "print each scenario's full report")
 	)
@@ -53,7 +52,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 		return err
 	}
-	cfg := scenario.RunnerConfig{Dir: *dir, Workers: *workers, Update: *update}
+	cfg := scenario.RunnerConfig{Dir: *dir, Update: *update}
 	if *runRe != "" {
 		re, err := regexp.Compile(*runRe)
 		if err != nil {

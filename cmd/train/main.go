@@ -22,7 +22,6 @@ func main() {
 		rounds     = flag.Int("rounds", 60, "boosting rounds")
 		depth      = flag.Int("depth", 6, "maximum tree depth")
 		seed       = flag.Int64("seed", 1, "training seed")
-		workers    = flag.Int("workers", 0, "training goroutines (0 = all cores); the trained model is identical at any value")
 		out        = flag.String("out", "model.json", "output model bundle")
 	)
 	flag.Parse()
@@ -45,7 +44,6 @@ func main() {
 	opts.GBDT.NumRounds = *rounds
 	opts.GBDT.MaxDepth = *depth
 	opts.GBDT.Seed = *seed
-	opts.GBDT.Workers = *workers
 
 	model, err := byom.TrainCategoryModel(train.Jobs, cm, opts)
 	if err != nil {

@@ -30,7 +30,6 @@ func main() {
 	ocfg := byom.DefaultOnlineConfig(8)
 	ocfg.RetrainEverySec = 8 * 3600
 	ocfg.MinRetrainJobs = 200
-	ocfg.Drift.MinSamples = 200
 	cfg.Online = &ocfg
 
 	reg := byom.NewModelRegistry()

@@ -70,7 +70,7 @@ func main() {
 	lcfg.Train = topts
 	lcfg.RetrainEverySec = 18 * 3600
 	lcfg.Window = byom.OnlineWindowConfig{MaxCount: 6000, HorizonSec: 1.5 * day}
-	lcfg.Drift = byom.OnlineDriftConfig{TVThreshold: 0.2, MinSamples: 400}
+	lcfg.DriftTV = 0.2
 	lcfg.OnEvent = func(ev byom.OnlineEvent) {
 		if ev.Err != nil {
 			fmt.Printf("t=%4.1fd retrain failed: %v\n", ev.Sec/day, ev.Err)

@@ -27,7 +27,6 @@ func testOnlineConfig() *online.Config {
 	ocfg.Window = online.WindowConfig{MaxCount: 3000, HorizonSec: 1.5 * 24 * 3600}
 	ocfg.RetrainEverySec = 8 * 3600
 	ocfg.MinRetrainJobs = 150
-	ocfg.Drift.MinSamples = 150
 	return &ocfg
 }
 

@@ -21,7 +21,6 @@ func TestFleetShutdownNoLeaks(t *testing.T) {
 	cfg.Fleet.DurationSec = 24 * 3600
 	cfg.Online = testOnlineConfig()
 	cfg.Online.MinRetrainJobs = 80
-	cfg.Online.Drift.MinSamples = 80
 	cfg.Online.RetrainEverySec = 6 * 3600
 
 	before := runtime.NumGoroutine()

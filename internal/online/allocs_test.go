@@ -5,6 +5,8 @@ package online
 import (
 	"testing"
 
+	"repro/internal/cost"
+	"repro/internal/registry"
 	"repro/internal/serve"
 	"repro/internal/sim"
 )
@@ -35,5 +37,35 @@ func TestLoopSteadyStateAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(200, call); n != 0 {
 		t.Errorf("warm Place+Observe through the replay adapter: %.1f allocations per job, want 0", n)
+	}
+}
+
+// TestLearnerObserveAllocs: with the drift trigger armed, a warm
+// Observe that fires no retrain allocates nothing — the window is a
+// preallocated ring and the drift check reuses its distribution buffer.
+func TestLearnerObserveAllocs(t *testing.T) {
+	cfg := DefaultConfig(testCategories)
+	cfg.Window = WindowConfig{MaxCount: 64}
+	cfg.RetrainEverySec = 0 // drift only
+	cfg.DriftTV = 0.15
+	cfg.MinRetrainJobs = 2
+	l, err := New(registry.New(), "w", cost.Default(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	j := job(1)
+	observe := func() { l.Observe(j, 1) }
+	for i := 0; i < 128; i++ { // fill the ring and arm the reference
+		observe()
+	}
+	if l.det.ref == nil {
+		t.Fatal("drift reference not armed after a full window")
+	}
+	if n := testing.AllocsPerRun(200, observe); n != 0 {
+		t.Errorf("warm Observe with drift armed: %.1f allocations per job, want 0", n)
+	}
+	if s := l.Stats(); s.DriftTriggers+s.CadenceTriggers != 0 {
+		t.Errorf("a steady category stream fired a retrain: %+v", s)
 	}
 }

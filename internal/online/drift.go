@@ -1,28 +1,17 @@
 package online
 
-// DriftConfig tunes the category-distribution drift trigger.
-//
-// The detector watches the distribution of *served* categories over the
-// feedback window — the live model's own view of the traffic. When the
-// workload mix changes (the scenario internal/experiments/drift.go
-// constructs: users and pipelines swap out across a splice), the
-// predicted-category histogram shifts with it, and the total-variation
-// distance from the reference histogram taken at the last retrain
-// crosses the threshold long before the cadence timer would fire.
-type DriftConfig struct {
-	// TVThreshold is the total-variation distance (0..1) between the
-	// reference and current category distributions above which a
-	// retrain is triggered. 0 disables drift triggering.
-	TVThreshold float64
-	// MinSamples is the minimum window population before the detector
-	// compares distributions (small windows are noisy).
-	MinSamples int
-}
-
 // driftDetector compares the window's rolling category distribution
 // against a reference snapshot taken at the last retrain attempt.
+//
+// It watches the distribution of *served* categories over the feedback
+// window — the live model's own view of the traffic. When the workload
+// mix changes (the scenario internal/experiments/drift.go constructs:
+// users and pipelines swap out across a splice), the predicted-category
+// histogram shifts with it, and the total-variation distance from the
+// reference crosses Config.DriftTV long before the cadence timer would
+// fire.
 type driftDetector struct {
-	cfg DriftConfig
+	tv  float64   // Config.DriftTV; 0 disables the detector
 	ref []float64 // distribution at the last retrain (nil until armed)
 }
 
@@ -32,17 +21,18 @@ type driftDetector struct {
 func (d *driftDetector) arm(dist []float64) { d.ref = append(d.ref[:0], dist...) }
 
 // shifted reports whether the current distribution has moved more than
-// TVThreshold away from the reference. With no reference yet it arms on
-// the first adequately sized window and reports false.
-func (d *driftDetector) shifted(dist []float64, windowCount int) bool {
-	if d.cfg.TVThreshold <= 0 || dist == nil || windowCount < d.cfg.MinSamples {
+// the threshold away from the reference. With no reference yet it arms
+// on dist and reports false; the learner first asks once the window
+// holds Config.MinRetrainJobs entries.
+func (d *driftDetector) shifted(dist []float64) bool {
+	if d.tv <= 0 || dist == nil {
 		return false
 	}
 	if d.ref == nil {
 		d.arm(dist)
 		return false
 	}
-	return totalVariation(d.ref, dist) > d.cfg.TVThreshold
+	return totalVariation(d.ref, dist) > d.tv
 }
 
 // totalVariation is the total-variation distance between two discrete

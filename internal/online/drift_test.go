@@ -24,36 +24,32 @@ func TestTotalVariation(t *testing.T) {
 }
 
 func TestDriftDetectorArmsThenFires(t *testing.T) {
-	d := driftDetector{cfg: DriftConfig{TVThreshold: 0.3, MinSamples: 10}}
+	d := driftDetector{tv: 0.3}
 
-	// Below the sample floor: never fires, never arms.
-	if d.shifted([]float64{1, 0}, 5) {
-		t.Error("fired below MinSamples")
-	}
-	if d.ref != nil {
-		t.Error("armed below MinSamples")
-	}
-	// First adequate window arms the reference without firing.
-	if d.shifted([]float64{1, 0}, 20) {
+	// The first check arms the reference without firing.
+	if d.shifted([]float64{1, 0}) {
 		t.Error("fired while arming")
 	}
+	if d.ref == nil {
+		t.Error("first check did not arm the reference")
+	}
 	// Small shift stays quiet; large shift fires.
-	if d.shifted([]float64{0.9, 0.1}, 20) {
+	if d.shifted([]float64{0.9, 0.1}) {
 		t.Error("fired at TV=0.1 with threshold 0.3")
 	}
-	if !d.shifted([]float64{0.2, 0.8}, 20) {
+	if !d.shifted([]float64{0.2, 0.8}) {
 		t.Error("did not fire at TV=0.8")
 	}
 	// Re-arming at the new distribution silences it again.
 	d.arm([]float64{0.2, 0.8})
-	if d.shifted([]float64{0.2, 0.8}, 20) {
+	if d.shifted([]float64{0.2, 0.8}) {
 		t.Error("fired right after re-arm")
 	}
 }
 
 func TestDriftDetectorDisabled(t *testing.T) {
-	d := driftDetector{cfg: DriftConfig{TVThreshold: 0}}
-	if d.shifted([]float64{1, 0}, 1000) {
+	d := driftDetector{}
+	if d.shifted([]float64{1, 0}) {
 		t.Error("disabled detector fired")
 	}
 }

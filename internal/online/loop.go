@@ -46,7 +46,8 @@ func (l *local) Observe(_ context.Context, j *trace.Job, _ int, o sim.Outcome) e
 // loop adapts a Placer into a sim.Policy, closing the loop: the
 // simulator asks the placer for each placement, models the spillover
 // that decision causes, and feeds the outcome back to the placer's
-// Algorithm 1 controller and the optional learner's window.
+// Algorithm 1 controller and the job, with its served category, to the
+// optional learner's window.
 type loop struct {
 	p       Placer
 	learner *Learner // nil = frozen-model baseline
@@ -84,13 +85,13 @@ func (l *loop) Observe(j *trace.Job, o sim.Outcome) {
 		return
 	}
 	if l.learner != nil {
-		l.learner.Observe(j, l.lastCat, o)
+		l.learner.Observe(j, l.lastCat)
 	}
 }
 
 // RunLoop replays a trace through the full closed loop — placer
 // decisions, simulated SSD occupancy, outcome feedback to the placer's
-// controller and (when learner is non-nil) to the learner's window,
+// controller and (when learner is non-nil) each job to the learner's window,
 // which retrains, gates and hot-swaps the served model mid-replay. A
 // nil learner replays against the frozen live model. The replay is
 // sequential: one job per Place call, its outcome observed before the

@@ -6,7 +6,7 @@
 // connects the serving layer (internal/serve, PR 1) to the training
 // engine (internal/gbdt, PR 2) through the model registry:
 //
-//	serve ──(features, category, outcome)──▶ window collector
+//	serve ──(job, category)──▶ window collector
 //	                                             │ cadence / drift trigger
 //	                                             ▼
 //	                                  retrain (histogram engine)
@@ -40,7 +40,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -86,10 +85,14 @@ type Config struct {
 	// measured from the previous retrain attempt (0 disables the
 	// cadence trigger; drift can still fire).
 	RetrainEverySec float64
-	// Drift configures the category-distribution shift trigger.
-	Drift DriftConfig
+	// DriftTV is the total-variation distance (0..1) between the
+	// served-category distribution at the last retrain and the window's
+	// current one above which a drift retrain fires (0 disables the
+	// drift trigger; the cadence can still fire).
+	DriftTV float64
 	// MinRetrainJobs is the minimum window population for any retrain
-	// to fire (cadence or drift).
+	// to fire (cadence or drift); the drift detector arms its first
+	// reference when the window first reaches it.
 	MinRetrainJobs int
 	// Train configures the default trainer. Train.NumCategories must
 	// match the served model (the server rejects mismatches anyway).
@@ -109,16 +112,16 @@ type Config struct {
 }
 
 // DefaultConfig returns loop parameters sized for the synthetic
-// cluster traces: a 3.5-day / 8192-record window, daily retrain
-// cadence and a drift trigger at 0.15 total-variation shift. The 25%
-// holdout and the 0.5-point regression gate are fixed.
+// cluster traces: a 3.5-day / 8192-job window, daily retrain cadence,
+// a drift trigger at 0.15 total-variation shift and a 500-job retrain
+// floor. The 25% holdout and the 0.5-point regression gate are fixed.
 func DefaultConfig(numCategories int) Config {
 	topts := core.DefaultTrainOptions()
 	topts.NumCategories = numCategories
 	return Config{
 		Window:          WindowConfig{MaxCount: 8192, HorizonSec: 3.5 * 24 * 3600},
 		RetrainEverySec: 24 * 3600,
-		Drift:           DriftConfig{TVThreshold: 0.15, MinSamples: 500},
+		DriftTV:         0.15,
 		MinRetrainJobs:  500,
 		Train:           topts,
 	}
@@ -132,8 +135,8 @@ func (c *Config) validate() error {
 		return fmt.Errorf("online: Window.HorizonSec must be >= 0, got %g", c.Window.HorizonSec)
 	case c.RetrainEverySec < 0:
 		return fmt.Errorf("online: RetrainEverySec must be >= 0, got %g", c.RetrainEverySec)
-	case c.RetrainEverySec == 0 && c.Drift.TVThreshold <= 0:
-		return fmt.Errorf("online: both retrain triggers disabled (cadence 0, drift threshold %g)", c.Drift.TVThreshold)
+	case c.RetrainEverySec == 0 && c.DriftTV <= 0:
+		return fmt.Errorf("online: both retrain triggers disabled (cadence 0, drift threshold %g)", c.DriftTV)
 	case c.MinRetrainJobs < 2:
 		return fmt.Errorf("online: MinRetrainJobs must be >= 2, got %d", c.MinRetrainJobs)
 	case c.Train.NumCategories < 2:
@@ -166,8 +169,8 @@ type Event struct {
 // Stats is a point-in-time copy of the learner's counters, in /varz
 // order (obs.WriteVars).
 type Stats struct {
-	// Observations counts feedback records entering the window and
-	// Evictions the records their arrival pushed out (count cap or time
+	// Observations counts observations entering the window and
+	// Evictions the entries their arrival pushed out (count cap or time
 	// horizon).
 	Observations int64 `varz:"observations"`
 	Evictions    int64 `varz:"evictions"`
@@ -187,16 +190,8 @@ type Stats struct {
 	MaxRetrainLatency  time.Duration `varz:"max_retrain_latency_ns"`
 }
 
-// counters are Stats' live, atomically updated side.
-type counters struct {
-	observations, evictions                         atomic.Int64
-	driftTriggers, cadenceTriggers                  atomic.Int64
-	retrains, gateAccepts, gateRejects, trainErrors atomic.Int64
-	retrainNs, maxRetrainNs                         atomic.Int64
-}
-
-// Learner is the continuous-learning pipeline. Feed it the serving
-// layer's placement outcomes with Observe; it maintains the sliding
+// Learner is the continuous-learning pipeline. Feed it each placed job
+// with Observe once its outcome is known; it maintains the sliding
 // window, fires retrains, gates candidates and publishes survivors to
 // the registry the server subscribes to. All methods are safe for
 // concurrent use.
@@ -206,16 +201,17 @@ type Learner struct {
 	reg      *registry.Registry
 	workload string
 	trainer  Trainer
-	counters counters
 
 	mu             sync.Mutex
 	win            *window
 	det            driftDetector
-	distBuf        []float64 // reused by checkTrigger (guarded by mu)
+	distBuf        []float64 // reused by checkTrigger
 	lastRetrainSec float64
 	started        bool
 	retraining     bool
 	closed         bool
+	stats          Stats         // mean latency left 0; Stats derives it
+	retrainTotal   time.Duration // summed latency of the retrains stats.Retrains counts
 	wg             sync.WaitGroup
 }
 
@@ -237,7 +233,7 @@ func New(reg *registry.Registry, workload string, cm *cost.Model, cfg Config) (*
 		workload: workload,
 		trainer:  cfg.Trainer,
 		win:      newWindow(cfg.Window.MaxCount, cfg.Window.HorizonSec, cfg.Train.NumCategories),
-		det:      driftDetector{cfg: cfg.Drift},
+		det:      driftDetector{tv: cfg.DriftTV},
 	}
 	if l.trainer == nil {
 		l.trainer = func(jobs []*trace.Job, cm *cost.Model) (*core.CategoryModel, error) {
@@ -247,21 +243,22 @@ func New(reg *registry.Registry, workload string, cm *cost.Model, cfg Config) (*
 	return l, nil
 }
 
-// Observe streams one placement outcome into the window: the job,
-// the category the serving model predicted for it (serve.Decision.
-// Category) and how the placement played out. Outcomes should arrive in
-// roughly arrival order, as the serving layer reports them. Observe
-// may fire a retrain; in synchronous mode the retrain completes before
-// Observe returns, in Async mode it runs in the background.
-func (l *Learner) Observe(j *trace.Job, category int, o sim.Outcome) {
+// Observe streams one placed job into the window with the category the
+// serving model predicted for it (serve.Decision.Category). Call it
+// once the placement's outcome is known, in roughly arrival order, as
+// the serving layer reports outcomes; the outcome itself is the
+// server's (serve.Server.Observe), since a retrain reads only the jobs
+// and the drift trigger only the categories. Observe may fire a
+// retrain; in synchronous mode the retrain completes before Observe
+// returns, in Async mode it runs in the background.
+func (l *Learner) Observe(j *trace.Job, category int) {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
 		return
 	}
-	evicted := l.win.add(Record{Job: j, Category: category, Outcome: o})
-	l.counters.observations.Add(1)
-	l.counters.evictions.Add(int64(evicted))
+	l.stats.Observations++
+	l.stats.Evictions += int64(l.win.add(j, category))
 
 	now := j.ArrivalSec
 	if !l.started {
@@ -276,28 +273,28 @@ func (l *Learner) Observe(j *trace.Job, category int, o sim.Outcome) {
 	// Commit the trigger under the lock: reset the cadence clock and
 	// re-arm the drift reference so one shift fires one retrain.
 	if trigger == "drift" {
-		l.counters.driftTriggers.Add(1)
+		l.stats.DriftTriggers++
 	} else {
-		l.counters.cadenceTriggers.Add(1)
+		l.stats.CadenceTriggers++
 	}
 	l.lastRetrainSec = now
 	if dist != nil {
 		l.det.arm(dist)
 	}
 	l.retraining = true
-	snap := l.win.snapshot()
+	jobs := l.win.snapshot()
 	l.wg.Add(1) // Close waits for sync and async retrains alike
 	if l.cfg.Async {
 		go func() {
 			defer l.wg.Done()
-			l.retrain(snap, now, trigger)
+			l.retrain(jobs, now, trigger)
 		}()
 		l.mu.Unlock()
 		return
 	}
 	l.mu.Unlock()
 	defer l.wg.Done()
-	l.retrain(snap, now, trigger)
+	l.retrain(jobs, now, trigger)
 }
 
 // checkTrigger decides, under l.mu, whether a retrain should fire now
@@ -309,10 +306,10 @@ func (l *Learner) checkTrigger(now float64) (trigger string, dist []float64) {
 	if l.retraining || l.win.count < l.cfg.MinRetrainJobs {
 		return "", nil
 	}
-	if l.cfg.Drift.TVThreshold > 0 {
+	if l.det.tv > 0 {
 		dist = l.win.distributionInto(l.distBuf)
 		l.distBuf = dist
-		if l.det.shifted(dist, l.win.count) {
+		if l.det.shifted(dist) {
 			return "drift", dist
 		}
 	}
@@ -322,32 +319,28 @@ func (l *Learner) checkTrigger(now float64) (trigger string, dist []float64) {
 	return "", dist
 }
 
-// retrain runs one attempt: split the snapshot, train a candidate,
-// shadow-evaluate against the live model and publish if the gate
-// passes.
-func (l *Learner) retrain(snap []Record, now float64, trigger string) {
+// retrain runs one attempt on the window's jobs (oldest-first, owned by
+// the attempt): split them, train a candidate, shadow-evaluate against
+// the live model and publish if the gate passes.
+func (l *Learner) retrain(jobs []*trace.Job, now float64, trigger string) {
 	start := time.Now()
-	ev := Event{Sec: now, Trigger: trigger, WindowJobs: len(snap)}
+	ev := Event{Sec: now, Trigger: trigger, WindowJobs: len(jobs)}
 	defer func() {
 		ev.Latency = time.Since(start)
 		l.mu.Lock()
 		l.retraining = false
+		l.count(&ev)
 		l.mu.Unlock()
 		if l.cfg.OnEvent != nil {
 			l.cfg.OnEvent(ev)
 		}
 	}()
 
-	jobs := make([]*trace.Job, len(snap))
-	for i, r := range snap {
-		jobs[i] = r.Job
-	}
 	sort.SliceStable(jobs, func(a, b int) bool { return jobs[a].ArrivalSec < jobs[b].ArrivalSec })
 	holdStart := len(jobs) - int(holdoutFrac*float64(len(jobs)))
 	if holdStart < 1 || holdStart >= len(jobs) {
 		ev.Err = fmt.Errorf("online: window of %d jobs cannot be split at holdout fraction %g",
 			len(jobs), holdoutFrac)
-		l.counters.trainErrors.Add(1)
 		return
 	}
 	trainJobs, holdout := jobs[:holdStart], jobs[holdStart:]
@@ -356,7 +349,6 @@ func (l *Learner) retrain(snap []Record, now float64, trigger string) {
 	candidate, err := l.trainer(trainJobs, l.cm)
 	if err != nil {
 		ev.Err = fmt.Errorf("online: training candidate: %w", err)
-		l.counters.trainErrors.Add(1)
 		return
 	}
 
@@ -366,36 +358,39 @@ func (l *Learner) retrain(snap []Record, now float64, trigger string) {
 		ev.CandidatePct, ev.LivePct, err = l.shadowEval(candidate, live, holdout)
 		if err != nil {
 			ev.Err = err
-			l.counters.trainErrors.Add(1)
 			return
 		}
 		accepted = ev.CandidatePct >= ev.LivePct-gateEpsilonPct
 	}
 	if accepted {
-		// Publish before counting the verdict so GateAccepts always
+		// Publish before the verdict is counted so GateAccepts always
 		// equals the number of versions actually rolled out.
 		v, err := l.reg.Publish(l.workload, candidate, now)
 		if err != nil {
 			ev.Err = fmt.Errorf("online: publishing candidate: %w", err)
-			l.counters.trainErrors.Add(1)
 			return
 		}
 		ev.Version = v.Number
 	}
 	ev.Accepted = accepted
-	l.counters.retrains.Add(1)
-	if accepted {
-		l.counters.gateAccepts.Add(1)
+}
+
+// count folds one finished attempt into the stats, under l.mu: an
+// attempt with an error is a train error, any other reached the gate.
+func (l *Learner) count(ev *Event) {
+	s := &l.stats
+	if ev.Err != nil {
+		s.TrainErrors++
+		return
+	}
+	s.Retrains++
+	if ev.Accepted {
+		s.GateAccepts++
 	} else {
-		l.counters.gateRejects.Add(1)
+		s.GateRejects++
 	}
-	ns := time.Since(start).Nanoseconds()
-	l.counters.retrainNs.Add(ns)
-	// One retrain runs at a time (l.retraining), so the max has one
-	// writer.
-	if ns > l.counters.maxRetrainNs.Load() {
-		l.counters.maxRetrainNs.Store(ns)
-	}
+	l.retrainTotal += ev.Latency
+	s.MaxRetrainLatency = max(s.MaxRetrainLatency, ev.Latency)
 }
 
 // shadowEval replays the holdout slice through fresh Algorithm 1
@@ -438,23 +433,15 @@ func (l *Learner) WindowLen() int {
 	return l.win.count
 }
 
-// Stats returns a snapshot of the loop counters. Concurrent updates may
-// tear between fields; each field is consistent.
+// Stats returns a snapshot of the loop counters, copied under the
+// learner's lock, so the fields always agree with each other
+// (Retrains == GateAccepts + GateRejects).
 func (l *Learner) Stats() Stats {
-	c := &l.counters
-	s := Stats{
-		Observations:      c.observations.Load(),
-		Evictions:         c.evictions.Load(),
-		DriftTriggers:     c.driftTriggers.Load(),
-		CadenceTriggers:   c.cadenceTriggers.Load(),
-		Retrains:          c.retrains.Load(),
-		GateAccepts:       c.gateAccepts.Load(),
-		GateRejects:       c.gateRejects.Load(),
-		TrainErrors:       c.trainErrors.Load(),
-		MaxRetrainLatency: time.Duration(c.maxRetrainNs.Load()),
-	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	s := l.stats
 	if s.Retrains > 0 {
-		s.MeanRetrainLatency = time.Duration(c.retrainNs.Load() / s.Retrains)
+		s.MeanRetrainLatency = l.retrainTotal / time.Duration(s.Retrains)
 	}
 	return s
 }

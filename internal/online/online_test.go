@@ -3,7 +3,10 @@ package online
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -67,7 +70,7 @@ func testLearnerConfig() Config {
 	cfg := DefaultConfig(testCategories)
 	cfg.Window = WindowConfig{MaxCount: 4000, HorizonSec: 1.5 * 24 * 3600}
 	cfg.RetrainEverySec = 24 * 3600
-	cfg.Drift = DriftConfig{TVThreshold: 0.2, MinSamples: 300}
+	cfg.DriftTV = 0.2
 	cfg.MinRetrainJobs = 300
 	cfg.Train.GBDT.NumRounds = 5
 	cfg.Train.GBDT.Seed = 1
@@ -181,7 +184,7 @@ func TestGateRejectsRegressingCandidate(t *testing.T) {
 	quota := fx.sc.Eval.PeakSSDUsage() * 0.05
 
 	lcfg := testLearnerConfig()
-	lcfg.Drift.TVThreshold = 0 // cadence only
+	lcfg.DriftTV = 0 // cadence only
 	lcfg.Trainer = func([]*trace.Job, *cost.Model) (*core.CategoryModel, error) {
 		return degradedModel(fx.model)
 	}
@@ -246,7 +249,7 @@ func TestDriftTriggerFiresOnCategoryShift(t *testing.T) {
 	lcfg := testLearnerConfig()
 	lcfg.RetrainEverySec = 0 // drift only
 	lcfg.Window.MaxCount = 800
-	lcfg.Drift = DriftConfig{TVThreshold: 0.4, MinSamples: 300}
+	lcfg.DriftTV = 0.4
 	lcfg.Trainer = func([]*trace.Job, *cost.Model) (*core.CategoryModel, error) {
 		return fx.model, nil // identical candidate: gate must accept
 	}
@@ -256,15 +259,14 @@ func TestDriftTriggerFiresOnCategoryShift(t *testing.T) {
 	}
 	defer learner.Close()
 
-	o := sim.Outcome{SpilledAt: -1, EvictedAt: -1}
 	for i := 0; i < 600; i++ {
-		learner.Observe(jobs[i], 1, o)
+		learner.Observe(jobs[i], 1)
 	}
 	if s := learner.Stats(); s.DriftTriggers != 0 {
 		t.Fatalf("drift fired on a stable distribution: %+v", s)
 	}
 	for i := 600; i < 1100; i++ {
-		learner.Observe(jobs[i], 4, o)
+		learner.Observe(jobs[i], 4)
 	}
 	stats := learner.Stats()
 	if stats.DriftTriggers == 0 {
@@ -292,7 +294,7 @@ func TestAsyncRetrainDoesNotBlockObserve(t *testing.T) {
 	lcfg := testLearnerConfig()
 	lcfg.Async = true
 	lcfg.RetrainEverySec = 6 * 3600
-	lcfg.Drift.TVThreshold = 0
+	lcfg.DriftTV = 0
 	started := make(chan struct{}, 16)
 	lcfg.Trainer = func([]*trace.Job, *cost.Model) (*core.CategoryModel, error) {
 		started <- struct{}{}
@@ -308,9 +310,8 @@ func TestAsyncRetrainDoesNotBlockObserve(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	o := sim.Outcome{SpilledAt: -1, EvictedAt: -1}
 	for _, j := range jobs {
-		learner.Observe(j, 1, o)
+		learner.Observe(j, 1)
 	}
 	if err := learner.Close(); err != nil {
 		t.Fatal(err)
@@ -323,8 +324,152 @@ func TestAsyncRetrainDoesNotBlockObserve(t *testing.T) {
 		t.Errorf("trainer started %d times, %d attempts recorded", got, stats.Retrains+stats.TrainErrors)
 	}
 	// Observe after Close is a no-op.
-	learner.Observe(jobs[0], 1, o)
+	learner.Observe(jobs[0], 1)
 	if s := learner.Stats(); s.Observations != stats.Observations {
 		t.Error("Observe after Close still recorded")
+	}
+}
+
+// TestLearnerRetrainFloor arms both triggers and checks that neither
+// fires while the window holds fewer than MinRetrainJobs entries — the
+// cadence is overdue, or the served categories swing — and that the
+// first drift check, at the floor, arms the reference without firing.
+func TestLearnerRetrainFloor(t *testing.T) {
+	const floor = 50
+	newLearner := func(t *testing.T) (*Learner, *[]Event) {
+		t.Helper()
+		var events []Event
+		cfg := DefaultConfig(testCategories)
+		cfg.Window = WindowConfig{MaxCount: 1000}
+		cfg.RetrainEverySec = 10
+		cfg.DriftTV = 0.32
+		cfg.MinRetrainJobs = floor
+		cfg.Trainer = func([]*trace.Job, *cost.Model) (*core.CategoryModel, error) {
+			return nil, errors.New("the test reads only the triggers")
+		}
+		cfg.OnEvent = func(ev Event) { events = append(events, ev) }
+		l, err := New(registry.New(), "w", cost.Default(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		return l, &events
+	}
+	t.Run("cadence", func(t *testing.T) {
+		l, events := newLearner(t)
+		// One job a second: the cadence is due from the 11th on.
+		for i := 0; i < floor-1; i++ {
+			l.Observe(job(float64(i)), 1)
+		}
+		if len(*events) != 0 {
+			t.Fatalf("retrain fired below the floor: %+v", (*events)[0])
+		}
+		l.Observe(job(floor-1), 1)
+		if len(*events) != 1 || (*events)[0].Trigger != "cadence" || (*events)[0].WindowJobs != floor {
+			t.Fatalf("at the floor: events %+v, want one cadence retrain on %d jobs", *events, floor)
+		}
+	})
+
+	t.Run("drift", func(t *testing.T) {
+		l, events := newLearner(t)
+		// Within the cadence, the categories swing from 0 to 3 halfway
+		// to the floor: a check below it would arm on the first job and
+		// fire on the swing.
+		at := 0.0
+		observe := func(cat int) {
+			l.Observe(job(at), cat)
+			at += 0.01
+		}
+		for i := 0; i < floor-1; i++ {
+			cat := 3
+			if i < floor/2 {
+				cat = 0
+			}
+			observe(cat)
+			if len(*events) != 0 || l.det.ref != nil {
+				t.Fatalf("observation %d, below the floor: events %+v, reference %v", i+1, *events, l.det.ref)
+			}
+		}
+		observe(3)
+		if len(*events) != 0 {
+			t.Fatalf("the first drift check fired: %+v", (*events)[0])
+		}
+		if want := []float64{0.5, 0, 0, 0.5, 0, 0}; fmt.Sprint(l.det.ref) != fmt.Sprint(want) {
+			t.Fatalf("reference at the floor = %v, want %v", l.det.ref, want)
+		}
+		// Category 3's share passes 0.82 (TV 0.32 from the reference)
+		// on the 89th job past the floor.
+		for i := 0; i < 120 && len(*events) == 0; i++ {
+			observe(3)
+		}
+		if len(*events) != 1 || (*events)[0].Trigger != "drift" || (*events)[0].WindowJobs != floor+89 {
+			t.Fatalf("after the shift: events %+v, want one drift retrain on %d jobs", *events, floor+89)
+		}
+		if s := l.Stats(); s.DriftTriggers != 1 || s.CadenceTriggers != 0 || s.TrainErrors != 1 {
+			t.Errorf("stats %+v, want one drift trigger and its train error", s)
+		}
+	})
+}
+
+// TestLearnerStatsUnderOneLock runs async retrains with a slow trainer
+// under concurrent Observe callers, beside a Stats reader: every
+// snapshot must count each retrain once, as an accept or a reject.
+func TestLearnerStatsUnderOneLock(t *testing.T) {
+	fx := testFixture(t)
+	jobs := fx.sc.Pre.Test.Jobs
+
+	lcfg := testLearnerConfig()
+	lcfg.Async = true
+	lcfg.Window.MaxCount = 400
+	lcfg.RetrainEverySec = 600
+	lcfg.DriftTV = 0
+	lcfg.MinRetrainJobs = 100
+	degraded, err := degradedModel(fx.model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var calls atomic.Int64
+	lcfg.Trainer = func([]*trace.Job, *cost.Model) (*core.CategoryModel, error) {
+		time.Sleep(time.Millisecond)
+		if calls.Add(1)%2 == 0 {
+			return degraded, nil // rejected at the gate
+		}
+		return fx.model, nil // accepted
+	}
+	reg := newLoopRegistry(t, fx)
+	learner, err := New(reg, "w", fx.cm, lcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const observers = 4
+	var wg sync.WaitGroup
+	for g := 0; g < observers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := g; i < len(jobs); i += observers {
+				learner.Observe(jobs[i], 1)
+				time.Sleep(100 * time.Microsecond) // let retrains overlap the stream
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); learner.Close(); close(done) }()
+	snapshots := 0
+	for reading := true; reading; snapshots++ {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		if s := learner.Stats(); s.Retrains != s.GateAccepts+s.GateRejects {
+			t.Fatalf("snapshot %d tore: retrains %d != accepts %d + rejects %d", snapshots, s.Retrains, s.GateAccepts, s.GateRejects)
+		}
+	}
+	s := learner.Stats()
+	t.Logf("%d snapshots over %d retrains (%d accepted, %d rejected)", snapshots, s.Retrains, s.GateAccepts, s.GateRejects)
+	if s.GateAccepts == 0 || s.GateRejects == 0 || s.TrainErrors != 0 {
+		t.Errorf("want accepted and rejected retrains and no errors: %+v", s)
 	}
 }

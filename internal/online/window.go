@@ -1,34 +1,30 @@
 package online
 
-import (
-	"repro/internal/sim"
-	"repro/internal/trace"
-)
+import "repro/internal/trace"
 
-// Record is one observed placement: the job (which, once its outcome is
-// known, carries the ground-truth features a retrain consumes), the
-// category the serving model predicted for it, and how the placement
-// played out.
-type Record struct {
-	Job      *trace.Job
-	Category int
-	Outcome  sim.Outcome
+// entry is one windowed observation: the job (which, once its outcome
+// is known, carries the ground-truth features a retrain consumes) and
+// the category the serving model predicted for it (the drift
+// detector's input).
+type entry struct {
+	job      *trace.Job
+	category int
 }
 
 // window is the bounded sliding-window collector feeding retrains: a
 // ring buffer with count-based eviction (MaxCount) and time-based
-// eviction (records whose job started more than HorizonSec before the
+// eviction (entries whose job started more than HorizonSec before the
 // newest observation fall out). It mirrors the training-window
 // semantics of the paper's per-cluster retraining — the model only ever
 // sees a recent contiguous slice of the feedback stream — and keeps a
 // rolling per-category histogram for the drift detector.
 //
-// Records are expected in roughly arrival order (the serving layer's
+// Entries are expected in roughly arrival order (the serving layer's
 // Observe contract); eviction uses the newest arrival seen so far as
 // "now", so modest reordering only widens the window slightly.
 type window struct {
-	recs       []Record // ring storage, len == cap == maxCount
-	head       int      // index of the oldest record
+	ents       []entry // ring storage, len == cap == maxCount
+	head       int     // index of the oldest entry
 	count      int
 	max        int
 	horizonSec float64
@@ -39,7 +35,7 @@ type window struct {
 
 func newWindow(maxCount int, horizonSec float64, numCategories int) *window {
 	return &window{
-		recs:       make([]Record, maxCount),
+		ents:       make([]entry, maxCount),
 		max:        maxCount,
 		horizonSec: horizonSec,
 		newestSec:  -1,
@@ -47,28 +43,28 @@ func newWindow(maxCount int, horizonSec float64, numCategories int) *window {
 	}
 }
 
-// add appends one record, evicting by count and time, and returns how
-// many records were evicted.
-func (w *window) add(r Record) int {
+// add appends one observation, evicting by count and time, and returns
+// how many entries were evicted.
+func (w *window) add(j *trace.Job, category int) int {
 	evicted := 0
 	if w.count == w.max {
 		w.dropOldest()
 		evicted++
 	}
 	tail := (w.head + w.count) % w.max
-	w.recs[tail] = r
+	w.ents[tail] = entry{job: j, category: category}
 	w.count++
-	if c := r.Category; c >= 0 && c < len(w.catCounts) {
-		w.catCounts[c]++
+	if category >= 0 && category < len(w.catCounts) {
+		w.catCounts[category]++
 	}
-	if r.Job.ArrivalSec > w.newestSec {
-		w.newestSec = r.Job.ArrivalSec
+	if j.ArrivalSec > w.newestSec {
+		w.newestSec = j.ArrivalSec
 	}
 	evicted += w.evictExpired()
 	return evicted
 }
 
-// evictExpired drops records older than the time horizon relative to
+// evictExpired drops entries older than the time horizon relative to
 // the newest observed arrival.
 func (w *window) evictExpired() int {
 	if w.horizonSec <= 0 {
@@ -76,7 +72,7 @@ func (w *window) evictExpired() int {
 	}
 	cutoff := w.newestSec - w.horizonSec
 	n := 0
-	for w.count > 0 && w.recs[w.head].Job.ArrivalSec < cutoff {
+	for w.count > 0 && w.ents[w.head].job.ArrivalSec < cutoff {
 		w.dropOldest()
 		n++
 	}
@@ -84,20 +80,20 @@ func (w *window) evictExpired() int {
 }
 
 func (w *window) dropOldest() {
-	r := &w.recs[w.head]
-	if c := r.Category; c >= 0 && c < len(w.catCounts) {
+	e := &w.ents[w.head]
+	if c := e.category; c >= 0 && c < len(w.catCounts) {
 		w.catCounts[c]--
 	}
-	r.Job = nil // release for GC
+	e.job = nil // release for GC
 	w.head = (w.head + 1) % w.max
 	w.count--
 }
 
-// snapshot copies the window contents oldest-first.
-func (w *window) snapshot() []Record {
-	out := make([]Record, w.count)
-	for i := 0; i < w.count; i++ {
-		out[i] = w.recs[(w.head+i)%w.max]
+// snapshot copies the window's jobs oldest-first.
+func (w *window) snapshot() []*trace.Job {
+	out := make([]*trace.Job, w.count)
+	for i := range out {
+		out[i] = w.ents[(w.head+i)%w.max].job
 	}
 	return out
 }

@@ -7,17 +7,14 @@ import (
 	"repro/internal/trace"
 )
 
-func rec(at float64, cat int) Record {
-	return Record{
-		Job:      &trace.Job{ID: fmt.Sprintf("j%g", at), ArrivalSec: at, LifetimeSec: 1, SizeBytes: 1},
-		Category: cat,
-	}
+func job(at float64) *trace.Job {
+	return &trace.Job{ID: fmt.Sprintf("j%g", at), ArrivalSec: at, LifetimeSec: 1, SizeBytes: 1}
 }
 
 func TestWindowCountEviction(t *testing.T) {
 	w := newWindow(3, 0, 4)
 	for i := 0; i < 5; i++ {
-		evicted := w.add(rec(float64(i), i%4))
+		evicted := w.add(job(float64(i)), i%4)
 		if i < 3 && evicted != 0 {
 			t.Errorf("add %d evicted %d before the cap", i, evicted)
 		}
@@ -29,9 +26,9 @@ func TestWindowCountEviction(t *testing.T) {
 	if len(snap) != 3 {
 		t.Fatalf("window holds %d, want 3", len(snap))
 	}
-	for i, r := range snap {
-		if want := float64(i + 2); r.Job.ArrivalSec != want {
-			t.Errorf("snapshot[%d] arrival %g, want %g (oldest-first)", i, r.Job.ArrivalSec, want)
+	for i, j := range snap {
+		if want := float64(i + 2); j.ArrivalSec != want {
+			t.Errorf("snapshot[%d] arrival %g, want %g (oldest-first)", i, j.ArrivalSec, want)
 		}
 	}
 }
@@ -39,10 +36,10 @@ func TestWindowCountEviction(t *testing.T) {
 func TestWindowTimeEviction(t *testing.T) {
 	w := newWindow(100, 10, 4)
 	for i := 0; i < 5; i++ {
-		w.add(rec(float64(i), 0))
+		w.add(job(float64(i)), 0)
 	}
-	// A record 10s past the oldest entries expires them.
-	if evicted := w.add(rec(12, 1)); evicted != 2 {
+	// A job 10s past the oldest entries expires them.
+	if evicted := w.add(job(12), 1); evicted != 2 {
 		t.Errorf("evicted %d, want 2 (arrivals 0 and 1 are older than 12-10)", evicted)
 	}
 	if w.count != 4 {
@@ -52,23 +49,23 @@ func TestWindowTimeEviction(t *testing.T) {
 
 func TestWindowDistributionTracksEviction(t *testing.T) {
 	w := newWindow(4, 0, 3)
-	w.add(rec(0, 0))
-	w.add(rec(1, 0))
-	w.add(rec(2, 1))
-	w.add(rec(3, 2))
+	w.add(job(0), 0)
+	w.add(job(1), 0)
+	w.add(job(2), 1)
+	w.add(job(3), 2)
 	d := w.distributionInto(nil)
 	if d[0] != 0.5 || d[1] != 0.25 || d[2] != 0.25 {
 		t.Fatalf("distribution = %v", d)
 	}
-	// Overflow evicts the oldest (category 0) record.
-	w.add(rec(4, 2))
+	// Overflow evicts the oldest (category 0) entry.
+	w.add(job(4), 2)
 	d = w.distributionInto(nil)
 	if d[0] != 0.25 || d[2] != 0.5 {
 		t.Fatalf("distribution after eviction = %v", d)
 	}
 	// Out-of-range categories are ignored by the histogram but kept in
 	// the window.
-	w.add(rec(5, 99))
+	w.add(job(5), 99)
 	if w.count != 4 {
 		t.Fatalf("count = %d", w.count)
 	}

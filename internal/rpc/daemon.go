@@ -122,8 +122,9 @@ type Config struct {
 	// MaxBodyBytes caps request body size (defaults to
 	// DefaultMaxBodyBytes).
 	MaxBodyBytes int64
-	// Learner, when non-nil, also receives every /v1/outcome through
-	// Observe, closing the online-learning loop over the network. The
+	// Learner, when non-nil, also receives every /v1/outcome's job and
+	// served category through Observe (the outcome itself is the
+	// server's), closing the online-learning loop over the network. The
 	// daemon does not manage the learner's lifecycle; /varz gains its
 	// online_* counters.
 	Learner *online.Learner
@@ -711,7 +712,7 @@ func (d *Daemon) serveOutcome(v *wire.OutcomeView, traceID uint64, start time.Ti
 	if d.cfg.Learner != nil || d.cfg.OutcomeObserver != nil {
 		j := v.Own()
 		if d.cfg.Learner != nil {
-			d.cfg.Learner.Observe(j, v.Category, o)
+			d.cfg.Learner.Observe(j, v.Category)
 		}
 		if d.cfg.OutcomeObserver != nil {
 			d.cfg.OutcomeObserver.Observe(j, o)

@@ -78,7 +78,7 @@ func TestOutcomeJobOwnership(t *testing.T) {
 	closer := *jobs[posts-1]
 	closer.ID, closer.ArrivalSec = "closer", jobs[posts-1].ArrivalSec+3600
 	lcfg := online.DefaultConfig(testCategories)
-	lcfg.Drift.TVThreshold = 0
+	lcfg.DriftTV = 0
 	lcfg.RetrainEverySec = 1
 	lcfg.MinRetrainJobs = posts + closers
 	lcfg.Trainer = func(js []*trace.Job, _ *cost.Model) (*core.CategoryModel, error) {

@@ -363,8 +363,7 @@ func (s *Spec) onlineConfig() online.Config {
 	c.Train = s.trainOptions()
 	c.Window.MaxCount = s.Run.windowMax()
 	c.RetrainEverySec = s.Run.retrainSec()
-	c.Drift.TVThreshold = s.Run.DriftTV
-	c.Drift.MinSamples = retrainMinJobs
+	c.DriftTV = s.Run.DriftTV
 	c.MinRetrainJobs = retrainMinJobs
 	return c
 }
