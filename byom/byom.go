@@ -41,7 +41,6 @@ import (
 	"repro/internal/online"
 	"repro/internal/oracle"
 	"repro/internal/policy"
-	"repro/internal/rebalance"
 	"repro/internal/registry"
 	"repro/internal/router"
 	"repro/internal/rpc"
@@ -66,8 +65,6 @@ type (
 
 	// CostModel evaluates TCIO and TCO (Section 3).
 	CostModel = cost.Model
-	// CostRates are the model's conversion rates.
-	CostRates = cost.Rates
 
 	// CategoryModel is a trained BYOM importance-ranking model.
 	CategoryModel = core.CategoryModel
@@ -142,20 +139,6 @@ type (
 	// FleetClusterResult is one cluster's row in the report.
 	FleetClusterResult = fleet.ClusterResult
 
-	// RebalanceConfig tunes the heat-aware global rebalancer: decay
-	// half-life and knapsack re-solve cadence. The zero value means
-	// sensible defaults for both.
-	RebalanceConfig = rebalance.Config
-	// RebalancePolicy wraps a write-time policy with the rebalancer:
-	// the inner policy proposes at write time, the periodic knapsack
-	// plan disposes (demotions and early evictions).
-	RebalancePolicy = rebalance.Policy
-	// RebalanceHeatTracker accumulates exponentially-decayed
-	// per-workload heat from outcome observations.
-	RebalanceHeatTracker = rebalance.HeatTracker
-	// RebalanceStats is a snapshot of the rebalancer counters.
-	RebalanceStats = rebalance.Stats
-
 	// Daemon is the network-facing placement service: the serving
 	// layer behind JSON over HTTP and binary frames on /v1/stream
 	// sessions, with per-endpoint admission control, graceful drain and
@@ -178,20 +161,6 @@ type (
 	// RPCStats is a snapshot of the daemon's request counters.
 	RPCStats = rpc.DaemonStats
 
-	// Router spreads placement batches across a multi-node plane of
-	// daemons on a bounded-load consistent-hash ring keyed by workload
-	// template, with health probing, shed-aware weight decay and
-	// reroute-on-failure.
-	Router = router.Router
-	// RouterConfig tunes the routing layer (nodes, probe cadence,
-	// reroute budget, per-node client template). The ring's geometry
-	// and load bound are fixed, so routers over the same node names
-	// agree on ownership.
-	RouterConfig = router.Config
-	// RouterNodeState is one backend's health as the router sees it.
-	RouterNodeState = router.NodeState
-	// RouterStats is a snapshot of the router's routing counters.
-	RouterStats = router.Stats
 	// ModelReplicator mirrors one source workload's publish/rollback
 	// history into follower registries — the control plane that keeps
 	// every node of a placement plane serving the same model version.
@@ -212,12 +181,6 @@ func FullResidency(fracOnSSD float64) PartialOutcome {
 
 // DefaultCostModel returns the calibrated warehouse-scale cost model.
 func DefaultCostModel() *CostModel { return cost.Default() }
-
-// NewCostModel builds a cost model from explicit rates.
-func NewCostModel(r CostRates) *CostModel { return cost.NewModel(r) }
-
-// DefaultCostRates returns the calibrated rates (configurable copy).
-func DefaultCostRates() CostRates { return cost.DefaultRates() }
 
 // DefaultTrainOptions mirrors the paper's model setup (15 categories,
 // depth-6 gradient boosted trees).
@@ -245,14 +208,6 @@ func NewAdaptiveRankingPolicy(model *CategoryModel, cm *CostModel) (Policy, erro
 // NewFirstFitPolicy returns the static FirstFit baseline (§3.2).
 func NewFirstFitPolicy() Policy { return policy.FirstFit{} }
 
-// NewHeuristicPolicy returns the CacheSack-style adaptive baseline
-// (§3.3), primed with the given historical jobs.
-func NewHeuristicPolicy(cm *CostModel, history []*Job) Policy {
-	h := policy.NewHeuristic(cm)
-	h.Prime(history)
-	return h
-}
-
 // DefaultServeConfig returns the serving parameters for an N-category
 // model: the default Algorithm 1 controller. The server always runs 8
 // serving queues, and each one's worker batches what the queue holds.
@@ -264,19 +219,6 @@ func DefaultServeConfig(numCategories int) ServeConfig {
 // (*ModelRegistry).Publish to roll out new versions; servers created
 // with NewServerFromRegistry pick them up atomically under load.
 func NewModelRegistry() *ModelRegistry { return registry.New() }
-
-// NewServer starts a placement server for one trained model: incoming
-// jobs are sharded across serving queues, classified with batched
-// forest inference and admitted by one Algorithm 1 controller. The model is published as version 1 of
-// workload "default" in a private registry; use NewServerFromRegistry
-// to manage versions (hot swap, rollback) yourself.
-func NewServer(model *CategoryModel, cm *CostModel, cfg ServeConfig) (*Server, error) {
-	reg := registry.New()
-	if _, err := reg.Publish("default", model, 0); err != nil {
-		return nil, err
-	}
-	return serve.New(reg, "default", cm, cfg)
-}
 
 // NewServerFromRegistry starts a placement server that resolves and
 // tracks the workload's active model version in reg: every Publish or
@@ -318,24 +260,6 @@ func DefaultClientConfig(baseURL string) ClientConfig {
 // BaseURL); (*Client).OpenStream hands the caller a session of its own.
 func NewClient(cfg ClientConfig) (*Client, error) {
 	return rpc.NewClient(cfg)
-}
-
-// DefaultRouterConfig returns routing-layer parameters for a plane of
-// daemons at the given base URLs, each optionally "name=URL" to own
-// templates by name: 250 ms health probes, 2 reroutes and binary-codec
-// clients. The ring (64 virtual nodes per backend, a 1.25 bounded-load
-// factor) is not a parameter.
-func DefaultRouterConfig(nodes []string) RouterConfig {
-	return router.DefaultConfig(nodes)
-}
-
-// NewRouter builds the routing layer over cfg.Nodes and starts its
-// health prober. Place fans each batch across the plane grouped by
-// workload template (the same key the daemons shard on), reroutes
-// around dead or shedding nodes, and merges decisions back in request
-// order. Close it when done.
-func NewRouter(cfg RouterConfig) (*Router, error) {
-	return router.New(cfg)
 }
 
 // NewModelReplicator follows workload in src and mirrors every publish

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/byom"
+	"repro/internal/router"
 )
 
 // TestPublicAPIEndToEnd walks the full documented flow: generate,
@@ -44,11 +45,6 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if rres.TCOSavingsPercent() <= fres.TCOSavingsPercent() {
 		t.Errorf("ranking %.3f%% <= firstfit %.3f%% at tight quota",
 			rres.TCOSavingsPercent(), fres.TCOSavingsPercent())
-	}
-
-	heur := byom.NewHeuristicPolicy(cm, train.Jobs)
-	if _, err := byom.Simulate(test, heur, cm, byom.SimConfig{SSDQuota: quota}); err != nil {
-		t.Fatal(err)
 	}
 
 	sol, err := byom.SolveOracle(test.Jobs, quota, cm, byom.DefaultOracleConfig())
@@ -110,16 +106,11 @@ func TestClusterConfigsExposed(t *testing.T) {
 	if len(cfgs) != 4 {
 		t.Fatalf("got %d configs", len(cfgs))
 	}
-	rates := byom.DefaultCostRates()
-	rates.SSDWearPerByteWritten *= 2
-	cm := byom.NewCostModel(rates)
-	if cm.Rates.SSDWearPerByteWritten != rates.SSDWearPerByteWritten {
-		t.Error("custom rates not applied")
-	}
 }
 
-// TestPublicAPIServer exercises the online serving path: NewServer for
-// the one-model case, then registry-managed hot swap under traffic.
+// TestPublicAPIServer exercises the online serving path: a server over
+// a private registry holding one model, then registry-managed hot swap
+// under traffic.
 func TestPublicAPIServer(t *testing.T) {
 	gcfg := byom.DefaultGeneratorConfig("serve-demo", 3)
 	gcfg.DurationSec = 2 * 24 * 3600
@@ -137,7 +128,11 @@ func TestPublicAPIServer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv, err := byom.NewServer(model, cm, byom.DefaultServeConfig(5))
+	private := byom.NewModelRegistry()
+	if _, err := private.Publish("default", model, 0); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := byom.NewServerFromRegistry(private, "default", cm, byom.DefaultServeConfig(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +324,8 @@ func TestPublicAPIDaemon(t *testing.T) {
 
 // TestPublicAPIRouter walks the multi-node plane flow: replicate one
 // source workload's model to two per-node registries, stand up two
-// daemons, and route placements across them with NewRouter.
+// daemons, and route placements across them with the router that
+// placementfront and loadgen -nodes run.
 func TestPublicAPIRouter(t *testing.T) {
 	gcfg := byom.DefaultGeneratorConfig("plane-demo", 13)
 	gcfg.DurationSec = 24 * 3600
@@ -379,7 +375,7 @@ func TestPublicAPIRouter(t *testing.T) {
 		}
 	}()
 
-	r, err := byom.NewRouter(byom.DefaultRouterConfig(urls))
+	r, err := router.New(router.DefaultConfig(urls))
 	if err != nil {
 		t.Fatal(err)
 	}

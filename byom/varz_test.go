@@ -6,12 +6,15 @@ import (
 
 	"repro/byom"
 	"repro/internal/obs"
+	"repro/internal/rebalance"
+	"repro/internal/router"
 )
 
-// TestWriteVarsAllTypes renders every snapshot type the public API names
-// through the one exposition writer: each line must be a well-formed
-// `<prefix>_<key> <value>` under its own prefix, and no key may be shared
-// across types — /varz concatenates them.
+// TestWriteVarsAllTypes renders the serving, learner, daemon,
+// rebalancer, router and client snapshots through the one exposition
+// writer: each line must be a well-formed `<prefix>_<key> <value>`
+// under its own prefix, and no key may be shared across types — /varz
+// concatenates them.
 func TestWriteVarsAllTypes(t *testing.T) {
 	cases := []struct {
 		prefix string
@@ -21,8 +24,8 @@ func TestWriteVarsAllTypes(t *testing.T) {
 		{"serve", byom.ServeStats{}, 10},
 		{"online", byom.OnlineStats{}, 10},
 		{"rpc", byom.RPCStats{}, 12},
-		{"rebalance", byom.RebalanceStats{}, 6},
-		{"router", byom.RouterStats{}, 11},
+		{"rebalance", rebalance.Stats{}, 6},
+		{"router", router.Stats{}, 11},
 		{"router_client", byom.ClientStats{}, 4},
 	}
 	seen := map[string]bool{}

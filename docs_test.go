@@ -1,6 +1,9 @@
 package repro
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -26,7 +29,54 @@ var (
 	braces    = regexp.MustCompile(`\{([^{}]*)\}`)
 	// upperDoc is an upper-case document name such as docs/ARCHITECTURE.md.
 	upperDoc = regexp.MustCompile(`[A-Za-z0-9_./-]*\b[A-Z][A-Z_]+\.md\b`)
+	// byomName is a name of the public API such as byom.NewDaemon.
+	byomName = regexp.MustCompile(`\bbyom\.([A-Z][A-Za-z0-9_]*)`)
 )
+
+// byomExports returns the package-level exported names that package
+// byom's non-test source declares.
+func byomExports(t *testing.T) map[string]bool {
+	files, err := filepath.Glob("byom/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	add := func(n *ast.Ident) {
+		if n.IsExported() {
+			names[n.Name] = true
+		}
+	}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					add(d.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch sp := spec.(type) {
+					case *ast.TypeSpec:
+						add(sp.Name)
+					case *ast.ValueSpec:
+						for _, n := range sp.Names {
+							add(n)
+						}
+					}
+				}
+			}
+		}
+	}
+	return names
+}
 
 // docPaths returns the paths a line of documentation names: everything
 // under cmd/, internal/, examples/ and scenarios/, cut before the first
@@ -67,8 +117,9 @@ func docPaths(line string) []string {
 
 // TestDocsNameOnlyExistingPaths holds the documents to the tree: a
 // package, command, example, scenario, .json or .md file they name must
-// exist, and so must every upper-case .md a Go file points at, in a
-// comment or a usage string. It is what keeps a deletion from leaving a
+// exist, every byom.<Name> they write must be a name package byom
+// exports, and every upper-case .md a Go file points at, in a comment or
+// a usage string, must exist. It is what keeps a deletion from leaving a
 // pointer behind.
 func TestDocsNameOnlyExistingPaths(t *testing.T) {
 	// The extractor first, on one line of every shape the documents use.
@@ -114,12 +165,21 @@ func TestDocsNameOnlyExistingPaths(t *testing.T) {
 		return strings.Split(string(b), "\n")
 	}
 
+	exported := byomExports(t)
+	if !exported["NewDaemon"] || !exported["CodecBinary"] || !exported["Job"] || !exported["Server"] {
+		t.Fatalf("byomExports misses a function, constant or type of package byom: %d names", len(exported))
+	}
 	for _, doc := range docs {
 		for n, line := range lines(doc) {
 			for _, p := range docPaths(line) {
 				bare := !strings.Contains(p, "/")
 				if !exists(p) && !(bare && (base[p] || scratchFiles[p])) {
 					t.Errorf("%s:%d names %s, which does not exist", doc, n+1, p)
+				}
+			}
+			for _, m := range byomName.FindAllStringSubmatch(line, -1) {
+				if !exported[m[1]] {
+					t.Errorf("%s:%d names byom.%s, which package byom does not export", doc, n+1, m[1])
 				}
 			}
 		}

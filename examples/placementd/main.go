@@ -1,14 +1,17 @@
 // Command placementd-example demonstrates the network placement stack
-// through the public byom API: train a model, stand up a placement
-// daemon on a loopback port, drive it with a wire client (batch
-// placements, outcome feedback, model metadata), hot-swap the model
-// via the registry under live traffic, then drain gracefully.
+// through the public byom API: train a model and save it as a bundle,
+// load the bundle back the way placementd -model does, stand up a
+// placement daemon on a loopback port, drive it with a wire client
+// (batch placements, outcome feedback, model metadata), hot-swap the
+// model via the registry under live traffic, then drain gracefully.
 package main
 
 import (
 	"context"
 	"fmt"
 	"log"
+	"os"
+	"path/filepath"
 	"time"
 
 	"repro/byom"
@@ -25,7 +28,23 @@ func main() {
 	opts := byom.DefaultTrainOptions()
 	opts.NumCategories = 6
 	opts.GBDT.NumRounds = 8
-	model, err := byom.TrainCategoryModel(train.Jobs, cm, opts)
+	trained, err := byom.TrainCategoryModel(train.Jobs, cm, opts)
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	// Training and serving are separate processes in deployment: the
+	// workload saves its model bundle, and the daemon loads it.
+	dir, err := os.MkdirTemp("", "placementd-example")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	path := filepath.Join(dir, "model.json")
+	if err := trained.SaveFile(path); err != nil {
+		log.Fatal(err)
+	}
+	model, err := byom.LoadCategoryModelFile(path)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,7 +62,7 @@ func main() {
 	if err := daemon.Start("127.0.0.1:0"); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("daemon listening on %s\n", daemon.BaseURL())
+	fmt.Println("daemon listening on a loopback port")
 
 	client, err := byom.NewClient(byom.DefaultClientConfig(daemon.BaseURL()))
 	if err != nil {

@@ -60,6 +60,5 @@ func main() {
 	}
 	stats := srv.Stats()
 	fmt.Printf("after hot swap: decision from v%d, swaps=%d\n", d.ModelVersion, srv.Swaps())
-	fmt.Printf("stats: %d submitted, %d observations, %d batches (mean size %.1f), mean latency %s\n",
-		stats.Submitted, stats.Observations, stats.Batches, stats.MeanBatchSize, stats.MeanLatency)
+	fmt.Printf("stats: %d submitted, %d observations\n", stats.Submitted, stats.Observations)
 }

@@ -181,6 +181,17 @@ func TestDefaultRatesSane(t *testing.T) {
 	}
 }
 
+// TestNewModelKeepsCustomRates: DefaultRates hands out a copy, and a
+// model built from an edited copy carries the edit.
+func TestNewModelKeepsCustomRates(t *testing.T) {
+	rates := DefaultRates()
+	rates.SSDWearPerByteWritten *= 2
+	cm := NewModel(rates)
+	if cm.Rates.SSDWearPerByteWritten != rates.SSDWearPerByteWritten {
+		t.Error("custom rates not applied")
+	}
+}
+
 func TestGeneratedWorkloadCostMix(t *testing.T) {
 	// On a generated cluster, a meaningful share of jobs should have
 	// negative SSD savings (category 0 exists) and a meaningful share

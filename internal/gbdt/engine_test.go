@@ -3,10 +3,12 @@ package gbdt
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
+
+	"repro/internal/leakcheck"
 )
 
 // engineFixture builds a mixed numeric/categorical multiclass problem
@@ -343,12 +345,10 @@ func TestTrainingStopsItsCrew(t *testing.T) {
 	cfg.NumRounds = 3
 	for _, workers := range []int{2, 4} {
 		cfg.Workers = workers
-		before := runtime.NumGoroutine()
+		checkGoroutines := leakcheck.Goroutines(t, fmt.Sprintf("training with %d workers", workers))
 		if _, err := TrainClassifier(ds, labels, 3, cfg); err != nil {
 			t.Fatal(err)
 		}
-		if after := runtime.NumGoroutine(); after != before {
-			t.Errorf("workers %d: %d goroutines before training, %d after", workers, before, after)
-		}
+		checkGoroutines()
 	}
 }

@@ -62,7 +62,7 @@ type WorkloadHeat struct {
 }
 
 // Stats is a point-in-time copy of the rebalancer's counters, in
-// obs.WriteVars order; byom.RebalanceStats exposes it.
+// obs.WriteVars order; the rebalance scenario's report prints it.
 type Stats struct {
 	// Observations counts outcomes folded into the heat tracker.
 	Observations int64 `varz:"observations"`

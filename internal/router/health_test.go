@@ -5,13 +5,13 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/leakcheck"
 	"repro/internal/rpc"
 	"repro/internal/rpc/wire"
 	"repro/internal/sim"
@@ -52,7 +52,7 @@ func TestProbesReuseConnection(t *testing.T) {
 		entries = append(entries, strconv.Itoa(i)+"="+srv.URL)
 	}
 
-	baseline := runtime.NumGoroutine()
+	checkGoroutines := leakcheck.Goroutines(t, "a router's probes")
 	cfg := DefaultConfig(entries)
 	cfg.ProbeInterval = 50 * time.Millisecond
 	r, err := New(cfg)
@@ -78,9 +78,7 @@ func TestProbesReuseConnection(t *testing.T) {
 	}
 
 	r.Close()
-	waitFor(t, 5*time.Second, "goroutines back to the baseline after Close", func() bool {
-		return runtime.NumGoroutine() <= baseline
-	})
+	checkGoroutines()
 }
 
 // TestProbesSkipAnsweringNodes: traffic is the health check. While

@@ -4,14 +4,12 @@ import (
 	"context"
 	"net"
 	"net/http"
-	"os"
-	"runtime"
-	"runtime/pprof"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/leakcheck"
 	"repro/internal/rpc/wire"
 )
 
@@ -32,7 +30,7 @@ func TestDaemonLifecycleE2E(t *testing.T) {
 	}
 	fx := testFixture(t)
 	reg := fx.newRegistry(t)
-	before := runtime.NumGoroutine()
+	checkGoroutines := leakcheck.Goroutines(t, "daemon lifecycle")
 
 	d, err := NewDaemon(reg, "w", fx.cm, testConfig())
 	if err != nil {
@@ -123,21 +121,8 @@ func TestDaemonLifecycleE2E(t *testing.T) {
 		t.Errorf("%d registry subscriptions still active after shutdown", subs)
 	}
 
-	// Goroutine accounting with a grace window, as in the fleet leak
-	// test: workers and the HTTP server park asynchronously.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		if after := runtime.NumGoroutine(); after <= before {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Errorf("goroutines: %d before daemon, %d after shutdown", before, runtime.NumGoroutine())
-			_ = pprof.Lookup("goroutine").WriteTo(os.Stderr, 1)
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	// Workers and the HTTP server park asynchronously.
+	checkGoroutines()
 
 	// A drained daemon must refuse work, not hang or panic.
 	c, err := NewClient(DefaultClientConfig(d.BaseURL()))

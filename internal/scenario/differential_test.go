@@ -4,9 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"os"
-	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"sync"
 	"testing"
@@ -14,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/golden"
+	"repro/internal/leakcheck"
 	"repro/internal/online"
 	"repro/internal/policy"
 	"repro/internal/registry"
@@ -293,7 +291,7 @@ func TestServeMatchesSim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := runtime.NumGoroutine()
+	checkGoroutines := leakcheck.Goroutines(t, "the layer table")
 	for _, pkg := range pkgs {
 		spec := pkg.Spec
 		if spec.Trace == nil || (testing.Short() && !shortSubset.MatchString(pkg.Name)) {
@@ -349,7 +347,7 @@ func TestServeMatchesSim(t *testing.T) {
 			}
 		})
 	}
-	waitGoroutines(t, before)
+	checkGoroutines()
 }
 
 // sameDecisions fails unless got admits exactly the jobs want does and
@@ -400,27 +398,6 @@ func sameEvents(t *testing.T, got, want []online.Event) {
 		if g != w {
 			t.Errorf("retrain %d: %+v, in-process loop %+v", i, g, w)
 		}
-	}
-}
-
-// waitGoroutines fails unless the goroutine count falls back to before
-// within a grace window: shard workers, stream sessions and connection
-// loops wind down asynchronously after their owners close.
-func waitGoroutines(t *testing.T, before int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		after := runtime.NumGoroutine()
-		if after <= before {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Errorf("goroutines: %d before the layer table, %d after", before, after)
-			_ = pprof.Lookup("goroutine").WriteTo(os.Stderr, 1)
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
 	}
 }
 

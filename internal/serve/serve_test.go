@@ -2,7 +2,6 @@ package serve
 
 import (
 	"errors"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cost"
+	"repro/internal/leakcheck"
 	"repro/internal/metrics"
 	"repro/internal/registry"
 	"repro/internal/sim"
@@ -680,7 +680,7 @@ func TestSubmitAfterClose(t *testing.T) {
 func TestCloseDuringSubmits(t *testing.T) {
 	fx := testFixture(t)
 	reg := fx.newRegistry(t)
-	before := runtime.NumGoroutine()
+	checkGoroutines := leakcheck.Goroutines(t, "a server closed under submits")
 	srv, err := New(reg, "w", fx.cm, testConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -731,7 +731,7 @@ func TestCloseDuringSubmits(t *testing.T) {
 		t.Fatal(err)
 	}
 	wg.Wait()
-	waitFor(t, 5*time.Second, func() bool { return runtime.NumGoroutine() <= before })
+	checkGoroutines()
 }
 
 func TestNewValidatesConfig(t *testing.T) {
