@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sync"
 
 	"repro/internal/cost"
@@ -61,10 +62,15 @@ type CategoryModel struct {
 // label design. Training and gbdt.Load compiled the model's forest, and
 // refused with a *gbdt.LimitError a model the binned layout cannot
 // hold, so every bundle there is can be served; a Model built by hand
-// has no forest and is refused here.
+// has no forest and is refused here, as is an encoder whose schema
+// differs from the model's in feature names, kinds or cardinalities.
 func NewCategoryModel(enc *features.Encoder, model *gbdt.Model, labeler *Labeler) (*CategoryModel, error) {
 	if _, err := model.Compile(); err != nil {
 		return nil, fmt.Errorf("core: category model: %w", err)
+	}
+	if s := enc.Schema(); !slices.Equal(s.Names, model.Schema.Names) || !slices.Equal(s.Kinds, model.Schema.Kinds) ||
+		!slices.Equal(s.Cards, model.Schema.Cards) {
+		return nil, fmt.Errorf("core: category model: the encoder's schema differs from the model's")
 	}
 	return &CategoryModel{Encoder: enc, Model: model, Labeler: labeler}, nil
 }

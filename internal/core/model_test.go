@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"repro/internal/cost"
@@ -150,6 +151,33 @@ func TestLoadCategoryModelRejectsMismatch(t *testing.T) {
 	}
 	if _, err := LoadCategoryModel(bytes.NewBufferString("{}")); err == nil {
 		t.Error("empty bundle accepted")
+	}
+
+	// Corrupt: the encoder's first vocabulary gains two strings, so its
+	// cardinality outgrows the model's.
+	model.Labeler = &Labeler{NumCategories: 4, Boundaries: []float64{1, 2}}
+	buf.Reset()
+	if err := model.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var bundle struct {
+		Encoder struct {
+			Vocabs []map[string]int `json:"vocabs"`
+		} `json:"encoder"`
+		Model   json.RawMessage `json:"model"`
+		Labeler json.RawMessage `json:"labeler"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &bundle); err != nil {
+		t.Fatal(err)
+	}
+	vocab := bundle.Encoder.Vocabs[0]
+	vocab["zz-added-1"], vocab["zz-added-2"] = len(vocab)+1, len(vocab)+2
+	file, err := json.Marshal(bundle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadCategoryModel(bytes.NewReader(file)); err == nil {
+		t.Error("encoder-model cardinality mismatch accepted")
 	}
 }
 

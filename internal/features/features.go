@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 
 	"repro/internal/gbdt"
@@ -91,13 +92,14 @@ const numStringFeatures = len(metadataFields) * (1 + tokensPerField)
 
 // Encoder maps jobs to numeric feature rows. String ids come from
 // vocabularies frozen at training time (BuildEncoder); unseen strings
-// map to UnknownID. The tables ship with the model.
+// map to UnknownID. The vocabularies ship with the model, in the JSON
+// form MarshalJSON writes.
 type Encoder struct {
-	// Vocabs holds one string->id table per categorical feature, in
-	// schema order of the categorical features. Id 0 is reserved for
-	// unknown values.
-	Vocabs []map[string]int `json:"vocabs"`
-	schema *gbdt.Schema
+	// ids holds every string feature's vocabulary in one table: ids[s][f]
+	// is s's id in the f-th one's, UnknownID when that one lacks s. Ids
+	// are uint16s, as the binner's bins are.
+	ids    map[string][numStringFeatures]uint16
+	schema gbdt.Schema
 }
 
 // numericFeatures lists (name, group) of the numeric features in order.
@@ -119,20 +121,29 @@ var numericFeatures = [...]struct{ name, group string }{
 	{"open_time_seconds", GroupTimestamp},
 }
 
-// categoricalFeatures lists (name, group) of the categorical features
-// in schema order: weekday, then per metadata field the full string
-// plus its leading tokens.
-var categoricalFeatures = func() []struct{ name, group string } {
-	out := make([]struct{ name, group string }, 0, 1+numStringFeatures)
-	out = append(out, struct{ name, group string }{"open_time_weekday", GroupTimestamp})
+// rowSchema is the part of every encoder's schema that no vocabulary
+// sets: the numeric features, then the categorical ones (weekday, then
+// per metadata field the full string plus its leading tokens). Every
+// schema shares its Names, Kinds and Groups arrays, capped at their
+// length so that an append copies them; only Cards is per encoder.
+var rowSchema = func() gbdt.Schema {
+	var s gbdt.Schema
+	add := func(name, group string, kind gbdt.FeatureKind) {
+		s.Names = append(s.Names, name)
+		s.Kinds = append(s.Kinds, kind)
+		s.Groups = append(s.Groups, group)
+	}
+	for _, f := range numericFeatures {
+		add(f.name, f.group, gbdt.Numeric)
+	}
+	add("open_time_weekday", GroupTimestamp, gbdt.Categorical)
 	for _, name := range metadataFields {
-		out = append(out, struct{ name, group string }{name, GroupMetadata})
+		add(name, GroupMetadata, gbdt.Categorical)
 		for t := 0; t < tokensPerField; t++ {
-			out = append(out, struct{ name, group string }{
-				fmt.Sprintf("%s_token%d", name, t), GroupMetadata})
+			add(fmt.Sprintf("%s_token%d", name, t), GroupMetadata, gbdt.Categorical)
 		}
 	}
-	return out
+	return gbdt.Schema{Names: slices.Clip(s.Names), Kinds: slices.Clip(s.Kinds), Groups: slices.Clip(s.Groups)}
 }()
 
 // categoricalValues extracts the raw string values of all categorical
@@ -155,8 +166,8 @@ func categoricalValues(m *trace.Metadata) (vals [numStringFeatures]string) {
 }
 
 // BuildEncoder constructs vocabularies from the training jobs. maxVocab
-// caps each vocabulary's size (most frequent strings are kept); id 0 is
-// reserved for unknown.
+// caps each vocabulary's size (most frequent strings are kept, at most
+// 65,535 of them); id 0 is reserved for unknown.
 func BuildEncoder(jobs []*trace.Job, maxVocab int) *Encoder {
 	if maxVocab <= 1 {
 		maxVocab = 2048
@@ -165,8 +176,9 @@ func BuildEncoder(jobs []*trace.Job, maxVocab int) *Encoder {
 	// and counted once per distinct Metadata, weighted by its job count.
 	// Every feature's strings are counted in one array, not a growing map
 	// per feature: one (feature, string, count) entry per feature of each
-	// Metadata, sorted by feature and string, then merged.
-	perMeta := make(map[trace.Metadata]int)
+	// Metadata, sorted by feature and string, then merged. Room for 256
+	// templates up front spares the template map a growth per doubling.
+	perMeta := make(map[trace.Metadata]int, min(len(jobs), 256))
 	for _, j := range jobs {
 		perMeta[j.Meta]++
 	}
@@ -190,8 +202,10 @@ func BuildEncoder(jobs []*trace.Job, maxVocab int) *Encoder {
 			merged = append(merged, c)
 		}
 	}
-	enc := &Encoder{Vocabs: make([]map[string]int, numStringFeatures)}
-	for f := range enc.Vocabs {
+	// One table for every vocabulary; len(merged) bounds its strings.
+	ids := make(map[string][numStringFeatures]uint16, len(merged))
+	var sizes [numStringFeatures]int
+	for f := range sizes {
 		end := 0
 		for end < len(merged) && merged[end].f == f {
 			end++
@@ -206,15 +220,15 @@ func BuildEncoder(jobs []*trace.Job, maxVocab int) *Encoder {
 			}
 			return cmp.Compare(a.s, b.s)
 		})
-		items = items[:min(len(items), maxVocab-1)]
-		vocab := make(map[string]int, len(items)+1)
+		items = items[:min(len(items), maxVocab-1, math.MaxUint16)]
 		for rank, it := range items {
-			vocab[it.s] = rank + 1 // 0 reserved for unknown
+			v := ids[it.s]
+			v[f] = uint16(rank + 1) // 0 reserved for unknown
+			ids[it.s] = v
 		}
-		enc.Vocabs[f] = vocab
+		sizes[f] = len(items)
 	}
-	enc.buildSchema()
-	return enc
+	return newEncoder(ids, &sizes)
 }
 
 // vocabEntry counts string s of categorical feature f: its training-set
@@ -225,37 +239,20 @@ type vocabEntry struct {
 	n int
 }
 
-// buildSchema lays out the schema of encoded rows: the numeric features,
-// then the categorical ones, whose cardinalities the vocabularies set.
-func (e *Encoder) buildSchema() {
-	nf := len(numericFeatures) + len(categoricalFeatures)
-	s := &gbdt.Schema{
-		Names:  make([]string, 0, nf),
-		Kinds:  make([]gbdt.FeatureKind, 0, nf),
-		Cards:  make([]int, 0, nf),
-		Groups: make([]string, 0, nf),
+// newEncoder returns the encoder over table ids, whose f-th vocabulary
+// holds sizes[f] strings.
+func newEncoder(ids map[string][numStringFeatures]uint16, sizes *[numStringFeatures]int) *Encoder {
+	e := &Encoder{ids: ids, schema: rowSchema}
+	e.schema.Cards = make([]int, len(rowSchema.Names))
+	e.schema.Cards[numNumeric-1] = 7 // weekday
+	for f, n := range sizes {
+		e.schema.Cards[numNumeric+f] = n + 1 // and the unknown id
 	}
-	for _, f := range numericFeatures {
-		s.Names = append(s.Names, f.name)
-		s.Kinds = append(s.Kinds, gbdt.Numeric)
-		s.Cards = append(s.Cards, 0)
-		s.Groups = append(s.Groups, f.group)
-	}
-	for i, f := range categoricalFeatures {
-		s.Names = append(s.Names, f.name)
-		s.Kinds = append(s.Kinds, gbdt.Categorical)
-		if i == 0 {
-			s.Cards = append(s.Cards, 7) // weekday
-		} else {
-			s.Cards = append(s.Cards, len(e.Vocabs[i-1])+1)
-		}
-		s.Groups = append(s.Groups, f.group)
-	}
-	e.schema = s
+	return e
 }
 
 // Schema returns the gbdt schema of encoded rows.
-func (e *Encoder) Schema() *gbdt.Schema { return e.schema }
+func (e *Encoder) Schema() *gbdt.Schema { return &e.schema }
 
 // NumFeatures returns the row width.
 func (e *Encoder) NumFeatures() int { return e.schema.NumFeatures() }
@@ -308,14 +305,14 @@ func encodeNumeric(j *trace.Job, buf []float64) {
 // missing string reads as UnknownID (0), the map's zero value.
 func (e *Encoder) stringIDs(m *trace.Metadata, out []float64) {
 	for v, s := range categoricalValues(m) {
-		out[v] = float64(e.Vocabs[v][s])
+		out[v] = float64(e.ids[s][v])
 	}
 }
 
 // Dataset encodes a job slice into a gbdt dataset. Each distinct
 // Metadata's string ids are looked up once and reused for its jobs.
 func (e *Encoder) Dataset(jobs []*trace.Job) *gbdt.Dataset {
-	ds := gbdt.NewDataset(e.schema, len(jobs))
+	ds := gbdt.NewDataset(&e.schema, len(jobs))
 	ids := make(map[trace.Metadata][numStringFeatures]float64)
 	var num [numNumeric]float64
 	for r, j := range jobs {
@@ -339,27 +336,67 @@ func (e *Encoder) Dataset(jobs []*trace.Job) *gbdt.Dataset {
 // the schema.
 func (e *Encoder) FeatureGroups() []string { return e.schema.Groups }
 
+// MarshalJSON writes the encoder's vocabularies as
+// {"vocabs":[{"<string>":<id>,...},...]}, one object per string feature.
+func (e *Encoder) MarshalJSON() ([]byte, error) {
+	return json.Marshal(map[string][]map[string]int{"vocabs": e.vocabs()})
+}
+
+// vocabs returns the table as one string->id map per string feature.
+func (e *Encoder) vocabs() []map[string]int {
+	out := make([]map[string]int, numStringFeatures)
+	for f := range out {
+		out[f] = make(map[string]int, e.schema.Cards[numNumeric+f]-1)
+	}
+	for s, ids := range e.ids {
+		for f, id := range ids {
+			if id != UnknownID {
+				out[f][s] = int(id)
+			}
+		}
+	}
+	return out
+}
+
+// UnmarshalJSON reads what MarshalJSON writes. It refuses a file without
+// one vocabulary per string feature, and a vocabulary whose ids are not
+// 1..len(vocabulary), each once, up to 65,535: any other id falls
+// outside the vocabulary's cardinality or wraps through a uint16.
+func (e *Encoder) UnmarshalJSON(b []byte) error {
+	var file struct {
+		Vocabs []map[string]int `json:"vocabs"`
+	}
+	if err := json.Unmarshal(b, &file); err != nil {
+		return err
+	}
+	if len(file.Vocabs) != numStringFeatures {
+		return fmt.Errorf("features: encoder has %d vocabularies, want %d", len(file.Vocabs), numStringFeatures)
+	}
+	ids := make(map[string][numStringFeatures]uint16)
+	var sizes [numStringFeatures]int
+	for f, vocab := range file.Vocabs {
+		seen := make([]bool, len(vocab)+1)
+		for s, id := range vocab {
+			if id < 1 || id > len(vocab) || id > math.MaxUint16 || seen[id] {
+				return fmt.Errorf("features: vocabulary %d gives %q id %d, want distinct ids in [1, %d]", f, s, id, len(vocab))
+			}
+			seen[id] = true
+			v := ids[s]
+			v[f] = uint16(id)
+			ids[s] = v
+		}
+		sizes[f] = len(vocab)
+	}
+	*e = *newEncoder(ids, &sizes)
+	return nil
+}
+
 // LoadEncoder reads an encoder serialized as JSON, as the core
-// package's model bundle writes it, and rebuilds its schema.
+// package's model bundle writes it.
 func LoadEncoder(r io.Reader) (*Encoder, error) {
 	var e Encoder
 	if err := json.NewDecoder(r).Decode(&e); err != nil {
 		return nil, fmt.Errorf("features: decode: %w", err)
 	}
-	if err := e.Finalize(); err != nil {
-		return nil, err
-	}
 	return &e, nil
-}
-
-// Finalize validates a deserialized encoder and rebuilds its unexported
-// schema. Callers that decode an Encoder embedded in a larger JSON
-// payload (e.g. the wire ModelInfo) must call it before first use;
-// LoadEncoder does so itself.
-func (e *Encoder) Finalize() error {
-	if len(e.Vocabs) != numStringFeatures {
-		return fmt.Errorf("features: encoder has %d vocabularies, want %d", len(e.Vocabs), numStringFeatures)
-	}
-	e.buildSchema()
-	return nil
 }

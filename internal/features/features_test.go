@@ -267,7 +267,7 @@ func TestEncodeUnseenStringsMapToUnknown(t *testing.T) {
 func TestVocabCapRespected(t *testing.T) {
 	jobs := sampleJobs()
 	enc := BuildEncoder(jobs, 4)
-	for i, v := range enc.Vocabs {
+	for i, v := range enc.vocabs() {
 		if len(v) > 3 { // cap 4 includes the reserved unknown id
 			t.Errorf("vocab %d has %d entries, cap 4 allows 3", i, len(v))
 		}
@@ -373,7 +373,7 @@ func TestVocabMatchesPerJobCount(t *testing.T) {
 		t.Fatal("no two strings of equal count to cut between")
 	}
 	for _, c := range []struct{ maxVocab, effective int }{{0, 2048}, {tiedCap, tiedCap}} {
-		got := BuildEncoder(jobs, c.maxVocab).Vocabs
+		got := BuildEncoder(jobs, c.maxVocab).vocabs()
 		if w := want(c.effective); !reflect.DeepEqual(got, w) {
 			t.Errorf("maxVocab %d: vocabularies differ from the per-job count's", c.maxVocab)
 		}
@@ -399,6 +399,38 @@ func TestEncodePrefixAllocs(t *testing.T) {
 	t.Logf("%.0f allocations for 2k jobs, %.0f for 20k", small, large)
 	if large > small+small/10 {
 		t.Errorf("%.0f allocations for 20k jobs against %.0f for 2k: the prefix allocates per job", large, small)
+	}
+}
+
+// TestBuildEncoderAllocs is the vocabulary build's allocation budget:
+// one table for every vocabulary and a template map sized up front, so
+// a scenario-size trace (about a thousand jobs) allocates at most 16
+// times and a paper-size one (about fifty thousand) no more.
+func TestBuildEncoderAllocs(t *testing.T) {
+	allocs := func(days float64, users int) float64 {
+		cfg := trace.DefaultGeneratorConfig("C0", 3)
+		cfg.DurationSec, cfg.NumUsers = days*24*3600, users
+		jobs := trace.NewGenerator(cfg).Generate().Jobs
+		return testing.AllocsPerRun(3, func() { BuildEncoder(jobs, 0) })
+	}
+	scenario, paper := allocs(2, 6), allocs(14, 28)
+	t.Logf("%.0f allocations on the scenario-size trace, %.0f on the paper-size one", scenario, paper)
+	if scenario > 16 || paper > scenario {
+		t.Errorf("BuildEncoder: %.0f allocations on the scenario-size trace, %.0f on the paper-size one; want at most 16 and no more", scenario, paper)
+	}
+}
+
+// BenchmarkEncode is the per-decision feature path: a warm Encode of
+// one job into a reused row, over a day of C0 whose second half the
+// vocabulary never saw.
+func BenchmarkEncode(b *testing.B) {
+	jobs := sampleJobs()
+	enc := BuildEncoder(jobs[:len(jobs)/2], 0)
+	row := make([]float64, enc.NumFeatures())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		row = enc.Encode(jobs[i%len(jobs)], row)
 	}
 }
 
@@ -434,6 +466,26 @@ func TestLoadEncoderRejectsCorrupt(t *testing.T) {
 	// hashing mode to read it.
 	if _, err := LoadEncoder(bytes.NewBufferString(`{"vocabs":null,"hash_buckets":8}`)); err == nil {
 		t.Error("hash-bucket encoder without vocabularies accepted")
+	}
+	// A first vocabulary of the given object, the others empty. Its ids
+	// must be 1..len, each once: 0 is the unknown id, and anything past
+	// len lies outside the cardinality the vocabulary sets (70000 and -3
+	// would wrap through the binner's uint16).
+	file := func(vocab string) *bytes.Buffer {
+		return bytes.NewBufferString(`{"vocabs":[` + vocab + strings.Repeat(`,{}`, numStringFeatures-1) + `]}`)
+	}
+	if _, err := LoadEncoder(file(`{"a":2,"b":1}`)); err != nil {
+		t.Errorf("valid vocabulary refused: %v", err)
+	}
+	// Ids 1..65536: distinct and in range, but the last wraps to 0.
+	var wide strings.Builder
+	for id := 1; id <= 1<<16; id++ {
+		fmt.Fprintf(&wide, `,"s%d":%d`, id, id)
+	}
+	for _, vocab := range []string{`{"a":0}`, `{"a":70000}`, `{"a":-3}`, `{"a":1,"b":1}`, `{"a":1,"b":3}`, "{" + wide.String()[1:] + "}"} {
+		if _, err := LoadEncoder(file(vocab)); err == nil {
+			t.Errorf("vocabulary %.40s accepted", vocab)
+		}
 	}
 }
 

@@ -61,9 +61,6 @@ func (c *Client) refreshBinState(ctx context.Context) (*clientBinState, error) {
 	if info.Encoder == nil {
 		return nil, fmt.Errorf("rpc: /v1/model ships no encoder")
 	}
-	if err := info.Encoder.Finalize(); err != nil {
-		return nil, fmt.Errorf("rpc: model encoder: %w", err)
-	}
 	binner, err := features.NewBinner(info.BinEdges, info.BinCards)
 	if err != nil {
 		return nil, fmt.Errorf("rpc: model bin schema: %w", err)
